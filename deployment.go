@@ -335,7 +335,7 @@ func (d *Deployment) soloTrace(vw, minibatches int) (*trace.Trace, error) {
 	plan := d.dep.VWs[vw].Plan
 	tr := trace.New(len(plan.Stages))
 	if _, err := pipeline.Run(pipeline.Config{
-		Plan: plan, Cluster: d.sys.Cluster, Perf: d.sys.Perf, Schedule: d.sys.Schedule,
+		Plan: plan, Schedule: d.sys.Schedule,
 		Minibatches: minibatches, Warmup: d.set.warmup, Trace: tr,
 	}); err != nil {
 		return nil, err

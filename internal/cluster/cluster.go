@@ -283,6 +283,13 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	chunked := space.Split(w0)
 	var servers []*ps.Server
 	resumedClock := 0
+	params := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	// finalClock is the global clock a completed run reaches: every worker
+	// pushes exactly its complete waves.
+	finalClock := params.CompleteWaves(cfg.MaxMinibatches)
 	if cfg.ResumeFrom != "" {
 		ck, err := ps.LoadCheckpoint(cfg.ResumeFrom)
 		if err != nil {
@@ -318,12 +325,8 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 			}
 		}
 		resumedClock = ck.Clock
-		params := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}
-		if err := params.Validate(); err != nil {
-			return nil, err
-		}
-		if waves := params.CompleteWaves(cfg.MaxMinibatches); waves < resumedClock {
-			return nil, fmt.Errorf("cluster: budget of %d waves is below the checkpoint clock %d", waves, resumedClock)
+		if finalClock < resumedClock {
+			return nil, fmt.Errorf("cluster: budget of %d waves is below the checkpoint clock %d", finalClock, resumedClock)
 		}
 	} else {
 		servers = make([]*ps.Server, cfg.Servers)
@@ -525,15 +528,6 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if cfg.CheckpointPath != "" {
-		// Final durable checkpoint at the completed run's clock.
-		saveServers()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-
-	// Read the final state directly off the servers we own.
 	stats := &Stats{PerWorker: perWorker, Elapsed: elapsed, ResumedClock: resumedClock}
 	for _, st := range perWorker {
 		stats.Minibatches += st.Minibatches
@@ -560,11 +554,16 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if stats.GlobalClock, err = sh.GlobalClock(); err != nil {
+	// Read the final state directly off the servers we own, at the clock the
+	// run itself must reach rather than the one the servers report right now:
+	// a push is acknowledged before it commits, so when the last worker
+	// returns the global clock can still be one short. PullAt is clock-gated
+	// and waits for that commit (an aborted run returned its error above).
+	final, err := sh.PullAt(space.Keys(), finalClock)
+	if err != nil {
 		return nil, err
 	}
-	final, err := sh.PullAt(space.Keys(), stats.GlobalClock)
-	if err != nil {
+	if stats.GlobalClock, err = sh.GlobalClock(); err != nil {
 		return nil, err
 	}
 	if stats.FinalWeights, err = space.Join(final); err != nil {
@@ -572,6 +571,13 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	}
 	if stats.MaxClockDistance, err = sh.MaxClockDistance(); err != nil {
 		return nil, err
+	}
+	if cfg.CheckpointPath != "" {
+		// Final durable checkpoint at the completed run's clock.
+		saveServers()
+		if firstErr != nil {
+			return nil, firstErr
+		}
 	}
 	return stats, nil
 }

@@ -243,3 +243,40 @@ func TestLiveRunObserverStream(t *testing.T) {
 		t.Errorf("pull events = %d, want %d", counts[obs.KindPull], stats.Pulls)
 	}
 }
+
+// TestTCPFinalStateMatchesInProcessTwin pins the final read of a TCP run: a
+// push is acknowledged before it commits, so with a second P the last
+// worker can return (and Run sample the servers) while the last commit is
+// still in flight. The window is a few instructions wide — a run in fifty
+// hit it on the host this was written on — so the test repeats 800 times
+// (50 under -short): every loopback-TCP run must end at the clock and weights
+// of its in-process twin.
+func TestTCPFinalStateMatchesInProcessTwin(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	task, err := train.DefaultMLPTask(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The shape of Train on the mini cluster: two virtual workers, one shard
+	// host per node.
+	cfg := Config{Task: task, Workers: 2, Servers: 2, SLocal: 3, D: 1, LR: 0.2, MaxMinibatches: 24}
+	twin, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TCP = true
+	runs := 800
+	if testing.Short() {
+		runs = 50
+	}
+	for i := 0; i < runs; i++ {
+		got, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.GlobalClock != twin.GlobalClock {
+			t.Fatalf("run %d: global clock %d, in-process twin %d", i, got.GlobalClock, twin.GlobalClock)
+		}
+		identicalWeights(t, "TCP final state", twin.FinalWeights, got.FinalWeights)
+	}
+}

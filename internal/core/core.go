@@ -145,7 +145,7 @@ func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWP
 		return nil, nil, err
 	}
 	res, err := pipeline.Run(pipeline.Config{
-		Plan: plan, Cluster: s.Cluster, Perf: s.Perf, Schedule: s.Schedule,
+		Plan: plan, Schedule: s.Schedule,
 		Minibatches: minibatches, Warmup: warmup,
 	})
 	if err != nil {

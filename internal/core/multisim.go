@@ -265,8 +265,6 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 		}
 		cfg := pipeline.Config{
 			Plan:        d.VWs[w].Plan,
-			Cluster:     d.Sys.Cluster,
-			Perf:        d.Sys.Perf,
 			Schedule:    d.Sys.Schedule,
 			Minibatches: minibatchesPerVW,
 			Warmup:      warmup,

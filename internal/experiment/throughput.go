@@ -70,8 +70,7 @@ func Figure1(r *Report) error {
 	}
 	tr := trace.New(4)
 	if _, err := pipeline.Run(pipeline.Config{
-		Plan: vp.Plan, Cluster: s.Cluster, Perf: s.Perf,
-		Minibatches: 12, Warmup: 1, Trace: tr,
+		Plan: vp.Plan, Minibatches: 12, Warmup: 1, Trace: tr,
 	}); err != nil {
 		return err
 	}

@@ -34,9 +34,9 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 }
 
 // BenchmarkPipelineSchedules measures the same 100-minibatch simulation
-// under each schedule executor, so a regression in any runner's event count
-// or allocation profile shows up against the committed BENCH_pipeline.json
-// baseline.
+// under each schedule, so a regression in the executor's event count or
+// allocation profile on any of its decision paths shows up against the
+// committed BENCH_pipeline.json baseline.
 func BenchmarkPipelineSchedules(b *testing.B) {
 	c := hw.Paper()
 	alloc, err := hw.AllocateByTypes(c, []string{"VRGQ"})

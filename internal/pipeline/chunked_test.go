@@ -123,10 +123,10 @@ func TestTwoBWPeakMemoryBelowGPipe(t *testing.T) {
 }
 
 // TestEveryScheduleSteadyStateAllocFree asserts the pooled-engine contract
-// for all six runners, the two chunked ones included: after a warmup run has
-// grown the engine arena and the per-stage rings, re-running the pipeline
-// allocates a fixed amount independent of the minibatch count — the steady
-// state schedules without allocating.
+// for the executor under all six schedules (interleaved at V=2) and in the
+// forward-only mode serving uses: after a warmup run has grown the engine
+// arena, re-running allocates a fixed amount independent of the minibatch
+// count — the steady state schedules without allocating.
 func TestEveryScheduleSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under the race detector")
@@ -166,6 +166,22 @@ func TestEveryScheduleSteadyStateAllocFree(t *testing.T) {
 		short, long := measure(40), measure(120)
 		if long > short {
 			t.Errorf("%s: allocations grow with minibatch count (%.0f at 40 mbs, %.0f at 120)",
+				name, short, long)
+		}
+		measureFwd := func(mbs int) float64 {
+			eng := sim.New()
+			done := make([]sim.Time, 0, mbs)
+			window := s.InFlightCap(plan.VirtualStages(), plan.Nm)
+			run := func() {
+				if got, err := forwardOnly(eng, plan, s, window, mbs, done); err != nil || len(got) != mbs {
+					t.Fatalf("%s forward-only: %d of %d microbatches, err %v", name, len(got), mbs, err)
+				}
+			}
+			run()
+			return testing.AllocsPerRun(5, run)
+		}
+		if short, long := measureFwd(40), measureFwd(120); long > short {
+			t.Errorf("%s forward-only: allocations grow with microbatch count (%.0f at 40, %.0f at 120)",
 				name, short, long)
 		}
 	}

@@ -1,7 +1,11 @@
 // Package pipeline executes Pipelined Model Parallelism within one virtual
-// worker on the discrete-event simulator. The execution discipline is
-// pluggable (Config.Schedule, see internal/sched); the default is the
-// paper's own, following Section 4:
+// worker on the discrete-event simulator: one task-graph executor over the
+// plan's K = k*V virtual stages (Executor), whose behaviour is selected by
+// three decisions the schedule declares in internal/sched, wrapped by the
+// training-side injection and accounting (Pipeline). Serving (internal/serve)
+// instantiates the same executor forward-only.
+//
+// The default schedule is the paper's own, following Section 4:
 //
 //   - up to Nm minibatches are in flight concurrently; a new minibatch is
 //     injected as soon as one completes (and any external gate admits it);
@@ -19,16 +23,34 @@
 //     communication/computation overlap would be a further improvement —
 //     i.e. HetPipe does not overlap them).
 //
-// Five further schedules relax those choices: "gpipe" runs fill-drain waves
-// with a sync barrier between fill and drain, "1f1b" runs the strict
-// one-forward-one-backward steady state (holding at most stage-depth
-// activations), "hetpipe-overlap" keeps the FIFO discipline but overlaps
-// receives with computation — the Section 9 improvement — "interleaved" runs
-// Megatron-LM's virtual-stage 1F1B over the plan's k*V chunk placement with
-// overlapped transfers, and "2bw" runs PipeDream-2BW's double-buffered
-// variant of 1F1B (its divergence from 1f1b is the memory model, not the
-// task graph). Every schedule honors the same InjectGate/OnComplete
-// contract, so WSP couples them all.
+// Every other schedule is the same walk with a different value of one of
+// the three decisions:
+//
+//	schedule         inject        pick                           receive
+//	hetpipe-fifo     free slot     arrival order                  folded
+//	hetpipe-overlap  free slot     arrival order                  overlapped
+//	gpipe            wave barrier  arrival order                  folded
+//	1f1b, 2bw        free slot     backward-first, <= K-vs fwds   folded
+//	interleaved      free slot     same, deepest chunk first      overlapped
+//	serving (any)    caller admits arrival order                  from schedule
+//
+// "gpipe" runs fill-drain waves: a wave of up to Nm minibatches opens only
+// when the pipeline is empty, every forward runs to the last stage, and only
+// when the whole wave's forwards have finished does the drain start — in
+// minibatch order, so the WSP wave-end push still fires after its
+// predecessors complete; that is exactly why every stage stashes the whole
+// wave's activations and why the pipeline idles during each fill and drain
+// ramp. "1f1b" holds at most stage-depth activations, which lets a
+// memory-constrained virtual worker admit a larger Nm than FIFO.
+// "hetpipe-overlap" is the Section 9 improvement: transfers from a stage
+// complete in minibatch order and take constant time per boundary, so compute
+// tasks still arrive at each FIFO device queue in minibatch order and
+// conditions 1-3 hold unchanged. "interleaved" is Megatron-LM's virtual-stage
+// 1F1B over the plan's k*V chunk placement — the fill bubble shrinks by V
+// because a GPU starts computing as soon as its first 1/V-sized chunk's input
+// arrives. "2bw" is PipeDream-2BW: its divergence from 1f1b is the memory
+// model (sched.TwoBW.WeightVersions == 3), not the task graph. Every schedule
+// honors the same InjectGate/OnComplete contract, so WSP couples them all.
 //
 // The package reports steady-state throughput, per-GPU utilization, and an
 // optional execution trace (Figure 1).
@@ -49,10 +71,10 @@ import (
 type Config struct {
 	// Plan is the stage assignment from the partitioner.
 	Plan *partition.Plan
-	// Cluster classifies links between stage GPUs.
+	// Cluster and Perf are unused: the plan already carries every transfer
+	// time. The fields remain for callers that set them.
 	Cluster *hw.Cluster
-	// Perf supplies transfer times.
-	Perf *profile.Perf
+	Perf    *profile.Perf
 	// Schedule selects the execution discipline; nil means sched.Default()
 	// (hetpipe-fifo, the paper's Section 4 behavior).
 	Schedule sched.Schedule
@@ -63,11 +85,12 @@ type Config struct {
 	// Trace, when non-nil, records the execution schedule.
 	Trace *trace.Trace
 	// TaskTime, when non-nil, adjusts the duration of every scheduled stage
-	// task (and overlap-schedule transfer) of minibatch p on stage s: it
-	// receives the schedule's base duration in seconds and returns the one to
-	// use. Fault injection (internal/fault) threads straggler slowdowns and
-	// crash downtime through this hook; nil means identity, and every
-	// schedule produces bit-identical timings with a nil or identity hook.
+	// task of minibatch p on stage s (and of every overlapped transfer, for
+	// which s is Link): it receives the schedule's base duration in seconds
+	// and returns the one to use. Fault injection (internal/fault) threads
+	// straggler slowdowns and crash downtime through this hook; nil means
+	// identity, and every schedule produces bit-identical timings with a nil
+	// or identity hook.
 	TaskTime func(p, s int, base float64) float64
 	// InjectGate, when non-nil, is consulted before injecting minibatch p
 	// (1-based). Returning false defers the injection until Poke is called;
@@ -92,22 +115,15 @@ type Result struct {
 	Completions []sim.Time
 }
 
-// runner is the schedule-specific injection-and-task-graph strategy behind a
-// Pipeline. poke drives the injection loop (initial fill, gate retries, and
-// refills after completions); the shared bookkeeping lives on Pipeline.
-type runner interface {
-	poke()
-}
-
-// Pipeline is the live simulation object for one virtual worker.
+// Pipeline is the live simulation object for one virtual worker: the
+// training-side wrapper of an Executor. It owns the gated injection loop
+// (free slot or wave), the in-flight accounting, and the result.
 type Pipeline struct {
 	cfg   Config
 	eng   *sim.Engine
-	k     int
+	x     *Executor
 	nm    int // in-flight cap: Schedule.InFlightCap(k*V, Plan.Nm)
 	batch int
-
-	gpus []*sim.Resource // compute engine per stage
 
 	injected  int // minibatches injected so far
 	completed int // minibatches fully done
@@ -115,7 +131,13 @@ type Pipeline struct {
 	waiting   bool // an injection is blocked on the gate
 	finished  []sim.Time
 
-	run runner
+	// Wave injection (Schedule.Inject() == sched.InjectWave): waveFirst and
+	// waveSize are the open wave's first 1-based minibatch and size; waveLeft
+	// counts members not yet injected (the gate can defer the rest of a
+	// wave); waveFwd counts members whose forward reached the end of the
+	// pipeline.
+	wave                                   bool
+	waveFirst, waveSize, waveLeft, waveFwd int
 }
 
 // New builds the pipeline on the engine. Start must be called to begin.
@@ -130,39 +152,27 @@ func New(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("pipeline: warmup %d >= total %d", cfg.Warmup, cfg.Minibatches)
 	}
 	cfg.Schedule = sched.Or(cfg.Schedule)
-	k := len(cfg.Plan.Stages)
 	if cfg.Plan.InterleaveDegree() > 1 && !cfg.Schedule.SupportsInterleave() {
 		return nil, fmt.Errorf("pipeline: schedule %q cannot run an interleaved plan (V=%d)",
 			cfg.Schedule.Name(), cfg.Plan.InterleaveDegree())
 	}
 	pl := &Pipeline{
-		cfg:   cfg,
-		eng:   eng,
-		k:     k,
-		nm:    cfg.Schedule.InFlightCap(k*cfg.Plan.InterleaveDegree(), cfg.Plan.Nm),
-		batch: cfg.Plan.Batch,
+		cfg:      cfg,
+		eng:      eng,
+		nm:       cfg.Schedule.InFlightCap(cfg.Plan.VirtualStages(), cfg.Plan.Nm),
+		batch:    cfg.Plan.Batch,
+		finished: make([]sim.Time, 0, cfg.Minibatches),
+		wave:     cfg.Schedule.Inject() == sched.InjectWave,
 	}
-	pl.gpus = make([]*sim.Resource, 0, k)
-	pl.finished = make([]sim.Time, 0, cfg.Minibatches)
-	for s := 0; s < k; s++ {
-		pl.gpus = append(pl.gpus, sim.NewResource(eng, fmt.Sprintf("gpu%d", s)))
+	ec := ExecConfig{
+		Times: Times(cfg.Plan), GPUs: len(cfg.Plan.Stages), Name: "gpu",
+		Schedule: cfg.Schedule, InFlight: pl.nm,
+		TaskTime: cfg.TaskTime, Trace: cfg.Trace, Done: pl.complete,
 	}
-	switch cfg.Schedule.Name() {
-	case sched.NameFIFO:
-		pl.run = newFifoRunner(pl)
-	case sched.NameOverlap:
-		pl.run = newOverlapRunner(pl)
-	case sched.NameGPipe:
-		pl.run = newGPipeRunner(pl)
-	case sched.NameOneF1B:
-		pl.run = newOneF1BRunner(pl)
-	case sched.NameInterleaved:
-		pl.run = newChunkRunner(pl, true)
-	case sched.NameTwoBW:
-		pl.run = newChunkRunner(pl, false)
-	default:
-		return nil, fmt.Errorf("pipeline: no executor for schedule %q", cfg.Schedule.Name())
+	if pl.wave {
+		ec.AtEnd = pl.forwardLanded
 	}
+	pl.x = NewExecutor(eng, ec)
 	return pl, nil
 }
 
@@ -172,8 +182,58 @@ func (pl *Pipeline) Schedule() sched.Schedule { return pl.cfg.Schedule }
 // Start injects the initial window of minibatches.
 func (pl *Pipeline) Start() { pl.Poke() }
 
-// Poke retries a gated injection; WSP calls it when global state advances.
-func (pl *Pipeline) Poke() { pl.run.poke() }
+// Poke runs the gated injection loop — the initial fill, gate retries (WSP
+// calls it when global state advances), and refills after completions: while
+// the schedule's inject decision has room and minibatches remain, consult the
+// gate, account the waiting flag, and enter each admitted minibatch. Under
+// wave injection the next wave of up to Nm opens only once the pipeline has
+// fully drained.
+func (pl *Pipeline) Poke() {
+	if pl.wave && pl.waveLeft == 0 && pl.inflight == 0 {
+		pl.waveSize = pl.cfg.Minibatches - pl.injected
+		if pl.waveSize > pl.nm {
+			pl.waveSize = pl.nm
+		}
+		pl.waveFirst, pl.waveLeft, pl.waveFwd = pl.injected+1, pl.waveSize, 0
+	}
+	for pl.injected < pl.cfg.Minibatches && pl.room() {
+		p := pl.injected + 1 // 1-based minibatch number
+		if pl.cfg.InjectGate != nil && !pl.cfg.InjectGate(p) {
+			pl.waiting = true
+			return
+		}
+		pl.waiting = false
+		pl.injected++
+		pl.inflight++
+		if pl.wave {
+			pl.waveLeft--
+		}
+		pl.x.Enter(p)
+	}
+}
+
+// room is the inject decision: a free in-flight slot, or an unfilled member
+// of the open wave.
+func (pl *Pipeline) room() bool {
+	if pl.wave {
+		return pl.waveLeft > 0
+	}
+	return pl.inflight < pl.nm
+}
+
+// forwardLanded is the fill barrier of wave injection: when the wave's last
+// forward leaves the last stage, the drain starts. Backwards enter the last
+// stage in minibatch order; each stage's FIFO queue keeps them ordered on the
+// way up.
+//
+//hetlint:hotpath
+func (pl *Pipeline) forwardLanded(int) {
+	if pl.waveFwd++; pl.waveFwd == pl.waveSize {
+		for q := pl.waveFirst; q < pl.waveFirst+pl.waveSize; q++ {
+			pl.x.Backward(q)
+		}
+	}
+}
 
 // Waiting reports whether an injection is currently blocked on the gate.
 func (pl *Pipeline) Waiting() bool { return pl.waiting }
@@ -183,25 +243,6 @@ func (pl *Pipeline) Completed() int { return pl.completed }
 
 // InFlight reports how many minibatches are currently in the pipeline.
 func (pl *Pipeline) InFlight() int { return pl.inflight }
-
-// inject runs the shared gated-injection loop: while the in-flight window
-// has room and minibatches remain, consult the gate, account the waiting
-// flag, and hand each admitted minibatch to start. Every runner except
-// gpipe (whose wave barrier changes the loop condition) drives its poke
-// through this, so gate semantics cannot silently diverge per schedule.
-func (pl *Pipeline) inject(start func(p int)) {
-	for pl.inflight < pl.nm && pl.injected < pl.cfg.Minibatches {
-		p := pl.injected + 1 // 1-based minibatch number
-		if pl.cfg.InjectGate != nil && !pl.cfg.InjectGate(p) {
-			pl.waiting = true
-			return
-		}
-		pl.waiting = false
-		pl.injected++
-		pl.inflight++
-		start(p)
-	}
-}
 
 // complete marks minibatch p done: its backward pass reached stage 0 and the
 // virtual worker applied the local update (Section 4's wlocal += up).
@@ -217,38 +258,6 @@ func (pl *Pipeline) complete(p int) {
 	pl.Poke()
 }
 
-// time resolves the actual duration of a stage task through the TaskTime
-// hook; with no hook installed the base duration passes through unchanged.
-func (pl *Pipeline) time(p, s int, base float64) float64 {
-	if pl.cfg.TaskTime == nil {
-		return base
-	}
-	return pl.cfg.TaskTime(p, s, base)
-}
-
-// dur is time as a sim.Duration, for Submit and After sites.
-func (pl *Pipeline) dur(p, s int, base float64) sim.Duration {
-	return sim.Duration(pl.time(p, s, base))
-}
-
-// register binds a completion handler on every stage device. Handlers are
-// registered in the same order on every resource, so the returned id is
-// valid for all of them.
-func (pl *Pipeline) register(fn sim.EventFunc) int32 {
-	var id int32
-	for _, g := range pl.gpus {
-		id = g.Register(fn)
-	}
-	return id
-}
-
-// traceAdd records a span when tracing is enabled.
-func (pl *Pipeline) traceAdd(stage, p int, kind trace.SpanKind, start, end sim.Time) {
-	if pl.cfg.Trace != nil {
-		pl.cfg.Trace.Add(stage, p, kind, start, end)
-	}
-}
-
 // Result summarizes the run; call after the engine has drained.
 func (pl *Pipeline) Result() (*Result, error) {
 	if pl.completed != pl.cfg.Minibatches {
@@ -256,13 +265,12 @@ func (pl *Pipeline) Result() (*Result, error) {
 			pl.completed, pl.cfg.Minibatches)
 	}
 	r := &Result{Completions: pl.finished, Elapsed: pl.finished[len(pl.finished)-1]}
-	for s, g := range pl.gpus {
+	for _, g := range pl.x.Devices() {
 		u := float64(g.BusyTime()) / float64(r.Elapsed)
 		r.GPUUtil = append(r.GPUUtil, u)
 		if u > r.MaxGPUUtil {
 			r.MaxGPUUtil = u
 		}
-		_ = s
 	}
 	// Steady-state throughput: samples completed after warmup over the time
 	// from the warmup-th completion to the last.
@@ -300,111 +308,4 @@ func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return pl.Result()
-}
-
-// fifoRunner is the paper's Section 4 discipline — the original executor,
-// kept numerically identical: same scheduling order, same fused last stage.
-// All task completions flow through three handlers registered once at
-// construction, so the steady state schedules without allocating; the x
-// payload of each completion is the task's exact submitted duration, from
-// which the trace reconstructs span starts bit-identically.
-type fifoRunner struct {
-	pl      *Pipeline
-	startFn func(p int)
-	idFwd   int32
-	idBwd   int32
-	idFused int32
-}
-
-func newFifoRunner(pl *Pipeline) *fifoRunner {
-	r := &fifoRunner{pl: pl}
-	r.startFn = r.start
-	r.idFwd = pl.register(r.forwardDone)
-	r.idBwd = pl.register(r.backwardDone)
-	r.idFused = pl.register(r.fusedDone)
-	return r
-}
-
-func (r *fifoRunner) poke() { r.pl.inject(r.startFn) }
-
-func (r *fifoRunner) start(p int) { r.forward(p, 0) }
-
-// forward schedules the forward pass of minibatch p on stage s. The task's
-// duration includes the time to receive the input activations from the
-// previous stage (RecvActTime), which serializes with computation.
-//
-//hetlint:hotpath
-func (r *fifoRunner) forward(p, s int) {
-	pl := r.pl
-	st := &pl.cfg.Plan.Stages[s]
-	if s == pl.k-1 {
-		// Last partition: forward immediately followed by backward, one task.
-		dur := pl.dur(p, s, st.RecvActTime+st.FwdTime+st.BwdTime)
-		pl.gpus[s].SubmitID(dur, r.idFused, int32(p), int32(s))
-		return
-	}
-	dur := pl.dur(p, s, st.RecvActTime+st.FwdTime)
-	pl.gpus[s].SubmitID(dur, r.idFwd, int32(p), int32(s))
-}
-
-//hetlint:hotpath
-func (r *fifoRunner) fusedDone(a, b int32, x float64) {
-	pl := r.pl
-	p, s := int(a), int(b)
-	if pl.cfg.Trace != nil {
-		now := pl.eng.Now()
-		mid := now - sim.Time(pl.time(p, s, pl.cfg.Plan.Stages[s].BwdTime))
-		pl.cfg.Trace.Add(s, p, trace.Forward, now-sim.Time(x), mid)
-		pl.cfg.Trace.Add(s, p, trace.Backward, mid, now)
-	}
-	r.sendGrad(p, s)
-}
-
-//hetlint:hotpath
-func (r *fifoRunner) forwardDone(a, b int32, x float64) {
-	pl := r.pl
-	p, s := int(a), int(b)
-	if pl.cfg.Trace != nil {
-		pl.cfg.Trace.Add(s, p, trace.Forward, pl.eng.Now()-sim.Time(x), pl.eng.Now())
-	}
-	// The send itself is asynchronous for the sender; the receive cost is
-	// charged to the downstream stage's task.
-	r.forward(p, s+1)
-}
-
-// backward schedules the backward pass of minibatch p on stage s (s < k-1;
-// the last stage's backward is fused into its forward task). The task's
-// duration includes receiving the gradients from the next stage.
-//
-//hetlint:hotpath
-func (r *fifoRunner) backward(p, s int) {
-	pl := r.pl
-	st := &pl.cfg.Plan.Stages[s]
-	dur := pl.dur(p, s, st.RecvGradTime+st.BwdTime)
-	pl.gpus[s].SubmitID(dur, r.idBwd, int32(p), int32(s))
-}
-
-//hetlint:hotpath
-func (r *fifoRunner) backwardDone(a, b int32, x float64) {
-	pl := r.pl
-	p, s := int(a), int(b)
-	if pl.cfg.Trace != nil {
-		pl.cfg.Trace.Add(s, p, trace.Backward, pl.eng.Now()-sim.Time(x), pl.eng.Now())
-	}
-	if s == 0 {
-		pl.complete(p)
-		return
-	}
-	r.sendGrad(p, s)
-}
-
-// sendGrad propagates minibatch p's boundary gradients from stage s to s-1.
-//
-//hetlint:hotpath
-func (r *fifoRunner) sendGrad(p, s int) {
-	if s == 0 {
-		r.pl.complete(p)
-		return
-	}
-	r.backward(p, s-1)
 }

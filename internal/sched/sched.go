@@ -12,9 +12,10 @@
 //
 // A Schedule is pure identity plus the analytical models every layer needs:
 // the partitioner and profile use StashCount/ChunkStash and WeightVersions to
-// size per-stage memory, the executor (internal/pipeline) uses InFlightCap
-// and OverlapRecv to shape the discrete-event task graph, and the public API
-// and sweep grids carry the Name. The package has no dependencies so that
+// size per-stage memory, the executor (internal/pipeline) reads three
+// declared decisions — Inject, Pick, OverlapRecv — plus InFlightCap to shape
+// the discrete-event task graph, and the public API and sweep grids carry
+// the Name. The package has no dependencies so that
 // profile, partition, pipeline, core, sweep, and the root API can all import
 // it.
 //
@@ -63,6 +64,35 @@ const (
 	NameTwoBW = "2bw"
 )
 
+// Inject is when the pipeline admits a new minibatch.
+type Inject int
+
+const (
+	// InjectSlot admits a minibatch whenever fewer than InFlightCap are in
+	// flight (HetPipe Section 4, PipeDream).
+	InjectSlot Inject = iota
+	// InjectWave is fill-drain: a wave of up to InFlightCap minibatches opens
+	// only when the pipeline is empty. Two things follow from it rather than
+	// being choices of their own — the last stage cannot fuse a forward with
+	// its backward, and the wave's backwards are released on the last stage,
+	// in minibatch order, when its last forward lands there (the fill barrier).
+	InjectWave
+)
+
+// Pick is which ready task an idle stage device runs next.
+type Pick int
+
+const (
+	// PickArrival runs tasks in the order their inputs arrived — the device's
+	// FIFO queue is the ready list (Section 4, condition 3).
+	PickArrival Pick = iota
+	// PickBackwardFirst is one-forward-one-backward: a ready backward runs
+	// before any forward (deepest chunk first — closest to completion, fastest
+	// stash retirement), and virtual stage vs admits a forward only while it
+	// holds fewer than vstages-vs forwards not yet retired by a backward.
+	PickBackwardFirst
+)
+
 // Schedule is one pipeline execution discipline. Implementations are
 // stateless values; the executor instantiates per-run state itself.
 type Schedule interface {
@@ -92,6 +122,11 @@ type Schedule interface {
 	// non-contiguous chunks). The partitioner and executor reject V > 1
 	// under schedules that return false.
 	SupportsInterleave() bool
+	// Inject, Pick and OverlapRecv are the three decisions that shape the
+	// executor's task graph (internal/pipeline); everything else a schedule
+	// does at run time follows from them.
+	Inject() Inject
+	Pick() Pick
 	// OverlapRecv reports whether receiving activations/gradients overlaps
 	// with computation on the receiving GPU (PipeDream-style) instead of
 	// serializing with it (the paper's partition cost model).
@@ -103,144 +138,50 @@ type Schedule interface {
 	InFlightCap(vstages, nm int) int
 }
 
-// fifo is the paper's Section 4 discipline.
-type fifo struct{}
+// discipline is the one Schedule implementation: a row of declared
+// decisions. The memory and in-flight models are derived from the row, so a
+// new schedule is a new entry in the table below.
+type discipline struct {
+	name, desc string
+	inject     Inject
+	pick       Pick
+	overlap    bool
+	interleave bool
+	weights    int
+}
 
-func (fifo) Name() string { return NameFIFO }
-func (fifo) Description() string {
-	return "HetPipe FIFO (Section 4): Nm in flight, serialized receives"
-}
-func (fifo) StashCount(stage, k, nm int) int {
-	// min(Nm, 2*(k-stage)-1): the last stage finishes each minibatch
-	// immediately (forward and backward run back to back) so it holds one;
-	// the first stage holds activations for the whole round trip — the
-	// Figure 1 memory-variance observation.
-	return clampStash(2*(k-stage)-1, nm)
-}
-func (f fifo) ChunkStash(vs, vstages, nm int) int { return f.StashCount(vs, vstages, nm) }
-func (fifo) WeightVersions() int                  { return 2 }
-func (fifo) SupportsInterleave() bool             { return false }
-func (fifo) OverlapRecv() bool                    { return false }
-func (fifo) InFlightCap(k, nm int) int            { return nm }
+func (d *discipline) Name() string             { return d.name }
+func (d *discipline) Description() string      { return d.desc }
+func (d *discipline) WeightVersions() int      { return d.weights }
+func (d *discipline) SupportsInterleave() bool { return d.interleave }
+func (d *discipline) Inject() Inject           { return d.inject }
+func (d *discipline) Pick() Pick               { return d.pick }
+func (d *discipline) OverlapRecv() bool        { return d.overlap }
 
-// gpipe is fill-drain with a sync barrier per Nm-wave.
-type gpipe struct{}
+func (d *discipline) StashCount(stage, k, nm int) int { return d.ChunkStash(stage, k, nm) }
 
-func (gpipe) Name() string { return NameGPipe }
-func (gpipe) Description() string {
-	return "GPipe fill-drain: wave of Nm forwards, barrier, Nm backwards"
-}
-func (gpipe) StashCount(stage, k, nm int) int {
-	// Every stage completes all Nm forwards before any backward frees a
-	// stash, so every stage holds the whole wave.
-	return clampStash(nm, nm)
-}
-func (g gpipe) ChunkStash(vs, vstages, nm int) int { return g.StashCount(vs, vstages, nm) }
-func (gpipe) WeightVersions() int                  { return 2 }
-func (gpipe) SupportsInterleave() bool             { return false }
-func (gpipe) OverlapRecv() bool                    { return false }
-func (gpipe) InFlightCap(k, nm int) int            { return nm }
-
-// onef1b is strict one-forward-one-backward.
-type onef1b struct{}
-
-func (onef1b) Name() string { return NameOneF1B }
-func (onef1b) Description() string {
-	return "strict 1F1B: per-stage warmup then alternate, <= stage-depth stashes"
-}
-func (onef1b) StashCount(stage, k, nm int) int {
-	// Stage s admits at most k-s forwards before it must retire a backward,
-	// so it stashes at most min(Nm, k-stage) activations — strictly below
-	// FIFO's 2*(k-stage)-1 on every stage but the last, which is what lets
-	// a memory-constrained virtual worker admit a larger Nm.
-	return clampStash(k-stage, nm)
-}
-func (o onef1b) ChunkStash(vs, vstages, nm int) int { return o.StashCount(vs, vstages, nm) }
-func (onef1b) WeightVersions() int                  { return 2 }
-func (onef1b) SupportsInterleave() bool             { return false }
-func (onef1b) OverlapRecv() bool                    { return false }
-func (onef1b) InFlightCap(k, nm int) int {
-	if nm > k {
-		return k
+func (d *discipline) ChunkStash(vs, vstages, nm int) int {
+	// Arrival order with a fused last stage, min(Nm, 2*(k-stage)-1): the last
+	// stage finishes each minibatch immediately (forward and backward run
+	// back to back) so it holds one; the first stage holds activations for
+	// the whole round trip — the Figure 1 memory-variance observation. Under
+	// overlapped receives the in-transfer activation is charged to the
+	// receiver like a stash, so the bound is the same.
+	bound := 2*(vstages-vs) - 1
+	switch {
+	case d.inject == InjectWave:
+		// Every stage completes all Nm forwards before any backward frees a
+		// stash, so every stage holds the whole wave.
+		bound = nm
+	case d.pick == PickBackwardFirst:
+		// The 1F1B bound over the virtual depth: virtual stage vs admits at
+		// most vstages-vs forwards before it must retire a backward —
+		// strictly below FIFO's bound on every stage but the last, which is
+		// what lets a memory-constrained virtual worker admit a larger Nm.
+		// Deep chunks of a worker stash less than its shallow ones, which is
+		// what makes interleaving affordable in memory.
+		bound = vstages - vs
 	}
-	return nm
-}
-
-// overlap is FIFO with communication/computation overlap on receives.
-type overlap struct{}
-
-func (overlap) Name() string { return NameOverlap }
-func (overlap) Description() string {
-	return "HetPipe FIFO with PipeDream-style comm/compute overlap (Section 9)"
-}
-func (overlap) StashCount(stage, k, nm int) int {
-	// Same injection discipline as FIFO, so the same stash bound; the
-	// in-transfer activation is charged to the receiver like a stash.
-	return clampStash(2*(k-stage)-1, nm)
-}
-func (o overlap) ChunkStash(vs, vstages, nm int) int { return o.StashCount(vs, vstages, nm) }
-func (overlap) WeightVersions() int                  { return 2 }
-func (overlap) SupportsInterleave() bool             { return false }
-func (overlap) OverlapRecv() bool                    { return true }
-func (overlap) InFlightCap(k, nm int) int            { return nm }
-
-// interleaved is the Megatron-LM interleaved virtual-stage schedule: 1F1B
-// over k*V virtual stages with overlapped transfers. Each worker hosts V
-// non-contiguous chunks, so the fill ramp covers only 1/V of the model per
-// worker and the pipeline bubble shrinks accordingly; the price is V times
-// as many boundary transfers, which is why the discipline mandates
-// comm/compute overlap (Megatron's asynchronous point-to-point sends).
-type interleaved struct{}
-
-func (interleaved) Name() string { return NameInterleaved }
-func (interleaved) Description() string {
-	return "Megatron-LM interleaved: 1F1B over k*V virtual stages, overlapped transfers"
-}
-func (i interleaved) StashCount(stage, k, nm int) int { return i.ChunkStash(stage, k, nm) }
-func (interleaved) ChunkStash(vs, vstages, nm int) int {
-	// The 1F1B bound over the virtual depth: virtual stage vs admits at most
-	// vstages-vs forwards before it must retire a backward. Deep chunks of a
-	// worker therefore stash less than its shallow ones, which is what makes
-	// interleaving affordable in memory.
-	return clampStash(vstages-vs, nm)
-}
-func (interleaved) WeightVersions() int      { return 2 }
-func (interleaved) SupportsInterleave() bool { return true }
-func (interleaved) OverlapRecv() bool        { return true }
-func (interleaved) InFlightCap(vstages, nm int) int {
-	if nm > vstages {
-		return vstages
-	}
-	return nm
-}
-
-// twobw is PipeDream-2BW: the 1F1B discipline with double-buffered weight
-// updates. Timing-wise it is 1F1B — the innovation is the memory/update
-// model: each stage keeps two weight versions plus a coalesced gradient
-// buffer (WeightVersions == 3), so weight updates never flush the pipeline
-// and the activation footprint stays at 1F1B's stage-depth bound.
-type twobw struct{}
-
-func (twobw) Name() string { return NameTwoBW }
-func (twobw) Description() string {
-	return "PipeDream-2BW: 1F1B timing, double-buffered weights (2 versions + grad buffer)"
-}
-func (t twobw) StashCount(stage, k, nm int) int { return t.ChunkStash(stage, k, nm) }
-func (twobw) ChunkStash(vs, vstages, nm int) int {
-	return clampStash(vstages-vs, nm)
-}
-func (twobw) WeightVersions() int      { return 3 }
-func (twobw) SupportsInterleave() bool { return false }
-func (twobw) OverlapRecv() bool        { return false }
-func (twobw) InFlightCap(vstages, nm int) int {
-	if nm > vstages {
-		return vstages
-	}
-	return nm
-}
-
-// clampStash applies the common min(nm, bound) >= 1 clamp.
-func clampStash(bound, nm int) int {
 	if nm < bound {
 		bound = nm
 	}
@@ -250,14 +191,57 @@ func clampStash(bound, nm int) int {
 	return bound
 }
 
-// Exported schedule values, for callers that want to avoid the registry.
+func (d *discipline) InFlightCap(vstages, nm int) int {
+	// The forward bound at virtual stage 0: a backward-first pipeline never
+	// holds more than its virtual depth.
+	if d.pick == PickBackwardFirst && nm > vstages {
+		return vstages
+	}
+	return nm
+}
+
+// The schedule table; also exported as values for callers that want to
+// avoid the registry.
 var (
-	FIFO        Schedule = fifo{}
-	GPipe       Schedule = gpipe{}
-	OneF1B      Schedule = onef1b{}
-	Overlap     Schedule = overlap{}
-	Interleaved Schedule = interleaved{}
-	TwoBW       Schedule = twobw{}
+	// FIFO is the paper's Section 4 discipline.
+	FIFO Schedule = &discipline{
+		name: NameFIFO, weights: 2,
+		desc: "HetPipe FIFO (Section 4): Nm in flight, serialized receives",
+	}
+	// GPipe is fill-drain with a sync barrier per Nm-wave.
+	GPipe Schedule = &discipline{
+		name: NameGPipe, weights: 2, inject: InjectWave,
+		desc: "GPipe fill-drain: wave of Nm forwards, barrier, Nm backwards",
+	}
+	// OneF1B is strict one-forward-one-backward.
+	OneF1B Schedule = &discipline{
+		name: NameOneF1B, weights: 2, pick: PickBackwardFirst,
+		desc: "strict 1F1B: per-stage warmup then alternate, <= stage-depth stashes",
+	}
+	// Overlap is FIFO with communication/computation overlap on receives.
+	Overlap Schedule = &discipline{
+		name: NameOverlap, weights: 2, overlap: true,
+		desc: "HetPipe FIFO with PipeDream-style comm/compute overlap (Section 9)",
+	}
+	// Interleaved is the Megatron-LM interleaved virtual-stage schedule: 1F1B
+	// over k*V virtual stages with overlapped transfers. Each worker hosts V
+	// non-contiguous chunks, so the fill ramp covers only 1/V of the model per
+	// worker and the pipeline bubble shrinks accordingly; the price is V times
+	// as many boundary transfers, which is why the discipline mandates
+	// comm/compute overlap (Megatron's asynchronous point-to-point sends).
+	Interleaved Schedule = &discipline{
+		name: NameInterleaved, weights: 2, pick: PickBackwardFirst, overlap: true, interleave: true,
+		desc: "Megatron-LM interleaved: 1F1B over k*V virtual stages, overlapped transfers",
+	}
+	// TwoBW is PipeDream-2BW: the 1F1B discipline with double-buffered weight
+	// updates. Timing-wise it is 1F1B — the innovation is the memory/update
+	// model: each stage keeps two weight versions plus a coalesced gradient
+	// buffer (WeightVersions == 3), so weight updates never flush the pipeline
+	// and the activation footprint stays at 1F1B's stage-depth bound.
+	TwoBW Schedule = &discipline{
+		name: NameTwoBW, weights: 3, pick: PickBackwardFirst,
+		desc: "PipeDream-2BW: 1F1B timing, double-buffered weights (2 versions + grad buffer)",
+	}
 )
 
 // registry maps names to schedules.

@@ -10,6 +10,7 @@ import (
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
 	"hetpipe/internal/obs"
+	"hetpipe/internal/pipeline"
 	"hetpipe/internal/sched"
 	"hetpipe/internal/sim"
 )
@@ -104,25 +105,19 @@ func (r *Result) TraceString() string {
 	return b.String()
 }
 
-// replica is one virtual worker acting as an inference server: its partition
-// plan's virtual stages run forward-only on its GPUs, with up to cap
-// microbatches in flight under the deployment's pipeline schedule.
+// replica is one virtual worker acting as an inference server: the
+// pipeline executor runs its partition plan's virtual stages forward-only
+// under the deployment's schedule, and the replica keeps what is serving's
+// own — admission with up to cap microbatches in flight, the routing
+// estimates, fault bookkeeping and request accounting.
 type replica struct {
 	srv *server
 	w   int
+	x   *pipeline.Executor
 
-	gpus    []*sim.Resource
-	stageID int32 // per-resource completion handler id (same on every GPU)
-	xferID  int32 // engine handler id for overlapped activation transfers
-
-	vstages  int
-	k        int
-	cap      int       // schedule's in-flight microbatch bound
-	svc      []float64 // per-virtual-stage forward compute time
-	recv     []float64 // per-virtual-stage activation receive time (link-scaled)
-	overlap  bool      // receives overlap with compute (schedule's OverlapRecv)
-	bottle   float64   // per-microbatch time on the busiest GPU (routing)
-	fill     float64   // serial traversal time of the whole pipeline (routing)
+	cap      int     // schedule's in-flight microbatch bound
+	bottle   float64 // per-microbatch time on the busiest GPU (routing)
+	fill     float64 // serial traversal time of the whole pipeline (routing)
 	inFlight int
 
 	// pending holds routed, unadmitted request ids; members holds admitted
@@ -242,55 +237,49 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 	}
 	s.arriveID = eng.Register(s.arriveEvent)
 	disc := sched.Or(dep.Sys.Schedule)
+	depth := 1
 	for w, vp := range dep.VWs {
-		plan := vp.Plan
-		k := len(plan.Stages)
-		vstages := plan.VirtualStages()
-		r := &replica{
-			srv:     s,
-			w:       w,
-			k:       k,
-			vstages: vstages,
-			overlap: disc.OverlapRecv(),
-			cap:     disc.InFlightCap(vstages, dep.Nm),
-			svc:     make([]float64, vstages),
-			recv:    make([]float64, vstages),
-			gpus:    make([]*sim.Resource, k),
+		k := len(vp.Plan.Stages)
+		times := pipeline.Times(vp.Plan)
+		if len(times) > depth {
+			depth = len(times)
 		}
+		r := &replica{srv: s, w: w, cap: disc.InFlightCap(len(times), dep.Nm)}
 		if r.cap < 1 {
 			r.cap = 1
+		}
+		ec := pipeline.ExecConfig{
+			Times: times, GPUs: k, Name: fmt.Sprintf("serve/w%d/g", w),
+			Schedule: disc, ForwardOnly: true, AtEnd: r.batchDone,
 		}
 		link := 1.0
 		if s.faulty {
 			link = fp.LinkScale(w)
-		}
-		perGPU := make([]float64, k)
-		for vs := 0; vs < vstages; vs++ {
-			c := plan.ChunkAt(vs)
-			r.svc[vs] = c.FwdTime
-			r.recv[vs] = c.RecvActTime * link
-			r.fill += r.svc[vs] + r.recv[vs]
-			perGPU[vs%k] += r.svc[vs]
-			if !r.overlap {
-				perGPU[vs%k] += r.recv[vs]
-			}
-		}
-		for _, t := range perGPU {
-			if t > r.bottle {
-				r.bottle = t
-			}
-		}
-		for g := range r.gpus {
-			r.gpus[g] = sim.NewResource(eng, fmt.Sprintf("serve/w%d/g%d", w, g))
-			r.stageID = r.gpus[g].Register(r.stageDone)
-		}
-		r.xferID = eng.Register(r.xferDone)
-		if s.faulty {
 			r.crash = fp.CrashFor(w)
+			ec.TaskTime = r.taskTime
 		}
+		// The link factor scales the receive column before the compute scale
+		// (taskTime) multiplies a task's sum.
+		for vs := range times {
+			times[vs].RecvAct *= link
+			r.fill += times[vs].Fwd + times[vs].RecvAct
+		}
+		for g := 0; g < k; g++ {
+			var busy float64
+			for vs := g; vs < len(times); vs += k {
+				busy += times[vs].Fwd
+				if !disc.OverlapRecv() {
+					busy += times[vs].RecvAct
+				}
+			}
+			if busy > r.bottle {
+				r.bottle = busy
+			}
+		}
+		r.x = pipeline.NewExecutor(eng, ec)
 		s.replicas = append(s.replicas, r)
 	}
-	eng.SetStepLimit(uint64(tr.N)*uint64(8*maxVstages(s.replicas)+16) + 1_000_000)
+	eng.SetStepLimit(uint64(tr.N)*uint64(8*depth+16) + 1_000_000)
 
 	if tr.Open() {
 		arr := tr.Arrivals()
@@ -318,16 +307,6 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 		return nil, fmt.Errorf("serve: run stalled at %d of %d requests served", s.served, tr.N)
 	}
 	return s.result(), nil
-}
-
-func maxVstages(rs []*replica) int {
-	m := 1
-	for _, r := range rs {
-		if r.vstages > m {
-			m = r.vstages
-		}
-	}
-	return m
 }
 
 // result assembles the Result after the engine has drained.
@@ -368,7 +347,7 @@ func (s *server) result() *Result {
 		if r.admitSeq > 0 {
 			st.MeanFill = float64(r.requests) / float64(r.admitSeq)
 		}
-		for _, g := range r.gpus {
+		for _, g := range r.x.Devices() {
 			if u := g.Utilization(); u > st.Utilization {
 				st.Utilization = u
 			}
@@ -466,7 +445,7 @@ func (r *replica) enqueue(id int32) {
 
 // admit is the continuous-batching admission layer: whenever the replica has
 // a free in-flight slot and a backlog, it coalesces up to batchCap queued
-// requests into one microbatch and injects it at virtual stage 0 — it never
+// requests into one microbatch and enters it into the executor — it never
 // waits for a batch to fill.
 //
 //hetlint:hotpath
@@ -502,66 +481,39 @@ func (r *replica) admit() {
 		if s.ob != nil {
 			s.emit(obs.Event{Kind: obs.KindAdmit, VW: r.w, Batch: r.admitSeq, Request: n})
 		}
-		r.submit(0, int32(r.admitSeq), 0)
+		r.x.Enter(r.admitSeq)
 	}
 }
 
-// submit queues microbatch seq's work at virtual stage vs on the owning GPU.
-// recvPart is the serialized receive share of the duration (zero at stage 0
-// and under overlapping schedules).
+// taskTime is the executor's TaskTime hook under a non-empty fault plan (the
+// fault-free path installs none, so it stays the identity path): a slowdown
+// scales the microbatch's stage tasks, while an overlapped transfer rides the
+// link, whose degradation is already in the time table.
 //
 //hetlint:hotpath
-func (r *replica) submit(vs int, seq int32, recvPart float64) {
-	s := r.srv
-	dur := recvPart + r.svc[vs]
-	if s.faulty {
-		dur *= s.fp.ComputeScale(r.w, int(seq))
-		// The crash charge lands once, on the crashed microbatch's first
-		// stage task — the replica-local stall. Serving holds no optimizer
-		// state, so recovery is the downtime alone: no checkpoint replay.
-		if r.crash != nil && vs == 0 && int(seq) == r.crash.AtMinibatch && !r.crashCharged {
-			r.crashCharged = true
-			dur += fault.CrashDowntime(r.crash)
-		}
+func (r *replica) taskTime(seq, g int, base float64) float64 {
+	if g == pipeline.Link {
+		return base
 	}
-	r.gpus[vs%r.k].SubmitID(sim.Duration(dur), r.stageID, int32(vs), seq)
+	dur := base * r.srv.fp.ComputeScale(r.w, seq)
+	// The crash charge lands once, on the crashed microbatch's first stage
+	// task — the replica-local stall. Serving holds no optimizer state, so
+	// recovery is the downtime alone: no checkpoint replay.
+	if r.crash != nil && g == 0 && seq == r.crash.AtMinibatch && !r.crashCharged {
+		r.crashCharged = true
+		dur += fault.CrashDowntime(r.crash)
+	}
+	return dur
 }
 
-// stageDone fires when a microbatch finishes a virtual stage: hand it to the
-// next stage (through an overlapped transfer when the schedule allows) or
-// complete it.
-//
-//hetlint:hotpath
-func (r *replica) stageDone(vs, seq int32, _ float64) {
-	next := int(vs) + 1
-	if next == r.vstages {
-		r.batchDone(seq)
-		return
-	}
-	if d := r.recv[next]; r.overlap && d > 0 {
-		// The transfer rides the interconnect, not the receiving GPU; the
-		// next stage's compute is queued when it lands.
-		r.srv.eng.AfterID(sim.Duration(d), r.xferID, int32(next), seq, 0)
-		return
-	}
-	r.submit(next, seq, r.recv[next])
-}
-
-// xferDone lands an overlapped activation transfer: queue the receiving
-// stage's compute.
-//
-//hetlint:hotpath
-func (r *replica) xferDone(vs, seq int32, _ float64) {
-	r.submit(int(vs), seq, 0)
-}
-
-// batchDone completes a microbatch: stamp every member's reply, free the
-// in-flight slot, and re-run admission. Per-replica stages are FIFO, so
+// batchDone fires when microbatch seq leaves the executor's last virtual
+// stage: stamp every member's reply, free the in-flight slot, and re-run
+// admission. A forward-only executor runs its stages in arrival order, so
 // microbatches complete in admission order and the member ring pops exactly
 // the requests this batch carried.
 //
 //hetlint:hotpath
-func (r *replica) batchDone(seq int32) {
+func (r *replica) batchDone(seq int) {
 	s := r.srv
 	r.inFlight--
 	n := int(r.counts[r.cntHead])
@@ -575,13 +527,13 @@ func (r *replica) batchDone(seq int32) {
 		r.requests++
 		s.rec.Add(now-s.at[id], s.crit[id])
 		if s.ob != nil {
-			s.emit(obs.Event{Kind: obs.KindReply, VW: r.w, Request: int(id), Batch: int(seq)})
+			s.emit(obs.Event{Kind: obs.KindReply, VW: r.w, Request: int(id), Batch: seq})
 		}
 		if s.tr.Kind == KindClosed && s.issued < s.tr.N {
 			s.issueNext(s.user[id])
 		}
 	}
-	if s.faulty && r.crash != nil && int(seq) == r.crash.AtMinibatch {
+	if s.faulty && r.crash != nil && seq == r.crash.AtMinibatch {
 		// The charged downtime elapsed inside this batch; the replica is back.
 		r.recoverEmit(seq)
 	}
@@ -609,12 +561,12 @@ func (r *replica) injectStarts(seq int) {
 }
 
 // recoverEmit counts and reports a crashed replica's return to service.
-func (r *replica) recoverEmit(seq int32) {
+func (r *replica) recoverEmit(seq int) {
 	s := r.srv
 	s.recoveries++
 	if s.ob != nil {
-		s.emit(obs.Event{Kind: obs.KindRecover, VW: r.w, Batch: int(seq),
-			Fault: fmt.Sprintf("crash:w%d:mb%d", r.w, int(seq))})
+		s.emit(obs.Event{Kind: obs.KindRecover, VW: r.w, Batch: seq,
+			Fault: fmt.Sprintf("crash:w%d:mb%d", r.w, seq)})
 	}
 }
 
