@@ -9,9 +9,9 @@
 //     as files move;
 //   - -bench reads `go test -bench -benchmem` output on stdin and fails if
 //     any benchmark named in a committed baseline (-baseline, default
-//     BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json; comma-separate
-//     several files to gate
-//     one stream against multiple packages' baselines) regressed: ns/op beyond
+//     BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json;
+//     comma-separate several files to gate one stream against multiple
+//     packages' baselines) regressed: ns/op beyond
 //     -bench-threshold (default 0.25, the documented >25%% rule — headroom
 //     for machine noise) or allocs/op beyond 5%% (allocation counts are
 //     deterministic, so any real growth is a leak on the pooled hot path).
@@ -22,7 +22,8 @@
 //	hetcheck -pkgdoc -links            # both checks over the current module
 //	hetcheck -pkgdoc -links -root ..   # explicit module root
 //	go test -run '^$' -bench . -benchmem -benchtime 2000x \
-//	  ./internal/pipeline ./internal/ps ./internal/serve |
+//	  ./internal/pipeline ./internal/ps ./internal/serve \
+//	  ./internal/partition ./internal/core |
 //	  hetcheck -bench                  # benchmark regression gate
 //	go test -run '^$' -bench . -benchmem ./internal/ps |
 //	  hetcheck -bench -baseline BENCH_ps.json   # one package's baseline only
@@ -48,12 +49,16 @@ import (
 	"strings"
 )
 
+// defaultBaselines is every committed baseline: what -bench gates when
+// -baseline is not given.
+const defaultBaselines = "BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json"
+
 func main() {
 	root := flag.String("root", ".", "module root to scan")
 	pkgdoc := flag.Bool("pkgdoc", false, "check that every Go package has a package comment")
 	links := flag.Bool("links", false, "check that relative Markdown links resolve")
 	bench := flag.Bool("bench", false, "compare `go test -bench -benchmem` output on stdin against the baseline")
-	baseline := flag.String("baseline", "BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json", "comma-separated benchmark baseline files for -bench")
+	baseline := flag.String("baseline", defaultBaselines, "comma-separated benchmark baseline files for -bench")
 	benchThreshold := flag.Float64("bench-threshold", 0.25, "fractional ns/op growth tolerated by -bench")
 	flag.Parse()
 	if !*pkgdoc && !*links && !*bench {

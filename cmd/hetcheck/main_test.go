@@ -258,12 +258,11 @@ func TestCheckBenchCrossFileDuplicate(t *testing.T) {
 func TestRepoBaselineIsValid(t *testing.T) {
 	// The committed baselines themselves must satisfy the validation the
 	// gate applies to them, and must not pin overlapping benchmarks.
-	root := filepath.Join("..", "..")
-	if _, err := loadBaselines([]string{
-		filepath.Join(root, "BENCH_pipeline.json"),
-		filepath.Join(root, "BENCH_ps.json"),
-		filepath.Join(root, "BENCH_serve.json"),
-	}); err != nil {
+	paths := strings.Split(defaultBaselines, ",")
+	for i, p := range paths {
+		paths[i] = filepath.Join("..", "..", p)
+	}
+	if _, err := loadBaselines(paths); err != nil {
 		t.Error(err)
 	}
 }

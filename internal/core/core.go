@@ -7,10 +7,21 @@
 // with either the default round-robin or the ED-local shard placement.
 // It also provides the Horovod (all-reduce BSP) baseline the paper compares
 // against.
+//
+// Planning a deployment makes each distinct piece of work once. Deploy,
+// ChooseNm and SoloVW each open one planning context (planning.go): one
+// partitioner, one warm engine for the solo simulations, and a memo keyed
+// by (virtual-worker class, Nm), where a class is the sequence of GPU types
+// and link kinds around the worker — all a plan and its solo run depend on.
+// Workers of one class share one partition and one simulation per Nm, and
+// the per-worker pass after the Nm search is all memo hits; every worker
+// still receives a plan of its own, bound to its own GPUs. The only state
+// that outlives a context is the System's immutable cost tables.
 package core
 
 import (
 	"fmt"
+	"sync"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
@@ -36,6 +47,13 @@ type System struct {
 	// classic contiguous placement; V > 1 requires a schedule with
 	// SupportsInterleave (currently "interleaved").
 	Interleave int
+
+	// tab is the partitioner's cost tables for (Perf, Model, Batch), built
+	// by the first planning context and shared by all later ones — they are
+	// immutable, and concurrent Deploys on one System (a sweep's workers)
+	// would otherwise each rebuild them. tabMu guards the pointer.
+	tabMu sync.Mutex
+	tab   *profile.Tables
 }
 
 // NewSystem validates and bundles the ingredients, under the default
@@ -66,11 +84,6 @@ func NewSystemSched(c *hw.Cluster, m *model.Model, perf *profile.Perf, batch int
 
 // schedule resolves the system's schedule, defaulting to hetpipe-fifo.
 func (s *System) schedule() sched.Schedule { return sched.Or(s.Schedule) }
-
-// partitioner builds the schedule-aware partitioner for the system.
-func (s *System) partitioner() *partition.Partitioner {
-	return &partition.Partitioner{Perf: s.Perf, Sched: s.schedule(), Interleave: s.Interleave}
-}
 
 // PlacementKind selects the parameter-shard placement policy (Section 8.1).
 type PlacementKind int
@@ -140,25 +153,29 @@ func (d *Deployment) SLocal() int { return d.Nm - 1 }
 // simulates its pipeline alone (the Figure 3 experiment). minibatches and
 // warmup control the measurement window.
 func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWPlan, *pipeline.Result, error) {
-	plan, err := s.partitioner().Partition(s.Cluster, s.Model, vw, nm, s.Batch)
+	pc := s.newPlanning()
+	sp := pc.planned(vw, nm)
+	if sp.err != nil {
+		return nil, nil, sp.err
+	}
+	res, err := pc.simulate(sp.plan, minibatches, warmup)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := pipeline.Run(pipeline.Config{
-		Plan: plan, Schedule: s.Schedule,
-		Minibatches: minibatches, Warmup: warmup,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	vp := &VWPlan{
+	// The context dies with this call, so its plan (cut for vw) is the
+	// caller's to keep.
+	return s.vwPlan(vw, sp.plan, res.Throughput, res.MaxGPUUtil), res, nil
+}
+
+// vwPlan assembles a virtual worker's plan and solo-run figures.
+func (s *System) vwPlan(vw *hw.VirtualWorker, plan *partition.Plan, throughput, maxUtil float64) *VWPlan {
+	return &VWPlan{
 		VW: vw, Plan: plan,
-		Throughput:  res.Throughput,
-		Period:      float64(s.Batch) / res.Throughput,
+		Throughput:  throughput,
+		Period:      float64(s.Batch) / throughput,
 		FillLatency: serialTime(plan),
-		MaxUtil:     res.MaxGPUUtil,
+		MaxUtil:     maxUtil,
 	}
-	return vp, res, nil
 }
 
 // serialTime sums stage compute and receive times: the Nm=1 per-minibatch
@@ -176,37 +193,7 @@ func serialTime(p *partition.Plan) float64 {
 // paper's "Nm is set such that performance is maximized" rule with the
 // constraint that every VW uses the same Nm.
 func (s *System) ChooseNm(alloc *hw.Allocation, cap int) (int, error) {
-	pt := s.partitioner()
-	limit := cap
-	for _, vw := range alloc.VWs {
-		m := pt.MaxNm(s.Cluster, s.Model, vw, s.Batch, cap)
-		if m == 0 {
-			return 0, fmt.Errorf("core: %s cannot host %s at any Nm", vw.TypeString(), s.Model.Name)
-		}
-		if m < limit {
-			limit = m
-		}
-	}
-	bestNm, bestTp := 0, -1.0
-	for nm := 1; nm <= limit; nm++ {
-		total := 0.0
-		ok := true
-		for _, vw := range alloc.VWs {
-			vp, _, err := s.SoloVW(vw, nm, measureMB(nm), warmupMB(nm))
-			if err != nil {
-				ok = false
-				break
-			}
-			total += vp.Throughput
-		}
-		if ok && total > bestTp {
-			bestNm, bestTp = nm, total
-		}
-	}
-	if bestNm == 0 {
-		return 0, fmt.Errorf("core: no feasible Nm for %s", s.Model.Name)
-	}
-	return bestNm, nil
+	return s.newPlanning().chooseNm(alloc, cap)
 }
 
 func measureMB(nm int) int { return 40 + 10*nm }
@@ -240,8 +227,11 @@ func (s *System) Deploy(alloc *hw.Allocation, nm, d int, placement PlacementKind
 			}
 		}
 	}
+	// One planning context serves the Nm search and the per-worker pass, so
+	// the pass below finds every plan and solo run the search already made.
+	pc := s.newPlanning()
 	if nm == 0 {
-		chosen, err := s.ChooseNm(alloc, 8)
+		chosen, err := pc.chooseNm(alloc, 8)
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +239,7 @@ func (s *System) Deploy(alloc *hw.Allocation, nm, d int, placement PlacementKind
 	}
 	dep := &Deployment{Sys: s, Nm: nm, D: d, Placement: placement}
 	for _, vw := range alloc.VWs {
-		vp, _, err := s.SoloVW(vw, nm, measureMB(nm), warmupMB(nm))
+		vp, err := pc.solo(vw, nm)
 		if err != nil {
 			return nil, fmt.Errorf("core: VW %s: %w", vw.TypeString(), err)
 		}

@@ -17,11 +17,19 @@
 // stages), and the same DP runs over the k*V virtual pipeline with the
 // GPU assignment wrapping round-robin. Contiguous plans are the degenerate
 // V=1 case and take the identical code path.
+//
+// Pricing a layer range is O(1): the DP (planner) reads profile.Tables —
+// a range table of forward FLOPs, prefix sums of weight and stash bytes,
+// boundary times per cut and link kind — instead of walking the range, and
+// runs on a flat slab the Partitioner reuses, so a warm Partition costs
+// O(K*L^2) lookups and allocates only the plan it returns. The tables are
+// built once per (Perf, model, batch); a caller that plans one model from
+// many partitioners (core: one per Deploy) shares them through NewShared.
 package partition
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
@@ -154,6 +162,24 @@ func (p *Plan) ThroughputUpperBound() float64 {
 	return float64(p.Batch) / p.Bottleneck
 }
 
+// Rebind returns a copy of the plan hosted on vw's GPUs, stage for stage. The
+// copy shares no Stages or Chunks memory with p. It is the same plan only if
+// vw matches the worker p was cut for in every stage's GPU type and in the
+// links between stages.
+func (p *Plan) Rebind(vw *hw.VirtualWorker) *Plan {
+	q := *p
+	q.Stages = slices.Clone(p.Stages)
+	chunks := make([]Chunk, 0, p.VirtualStages())
+	for s := range q.Stages {
+		st := &q.Stages[s]
+		st.GPU = vw.GPUs[s]
+		lo := len(chunks)
+		chunks = append(chunks, st.Chunks...)
+		st.Chunks = chunks[lo:len(chunks):len(chunks)]
+	}
+	return &q
+}
+
 // Validate checks structural invariants: every stage holds exactly V chunks,
 // the k*V virtual stages cover every layer exactly once in model order, and
 // every stage respects its memory cap.
@@ -191,6 +217,14 @@ func (p *Plan) Validate() error {
 }
 
 // Partitioner computes plans using a performance model.
+//
+// A Partitioner keeps the cost tables of the last (Perf, model, batch) it
+// planned and its dynamic program's scratch between calls, so a run of
+// Partition and MaxNm calls for one model — what every deployment makes —
+// builds the tables once and allocates only the plans it returns. That state
+// is revalidated on every call against what it depends on (the exported
+// fields may be reassigned at any time), and it makes a Partitioner unsafe
+// for concurrent use: give each goroutine its own.
 type Partitioner struct {
 	Perf *profile.Perf
 	// Sched is the pipeline schedule the plans are sized for; nil means
@@ -202,6 +236,9 @@ type Partitioner struct {
 	// chunks and the DP runs over k*V virtual stages. 0 and 1 both mean
 	// contiguous stages; V > 1 requires a schedule with SupportsInterleave.
 	Interleave int
+
+	tab *profile.Tables
+	dp  planner
 }
 
 // New returns a partitioner over the given performance model, sized for the
@@ -222,6 +259,13 @@ func NewInterleaved(perf *profile.Perf, s sched.Schedule, v int) *Partitioner {
 	return &Partitioner{Perf: perf, Sched: s, Interleave: v}
 }
 
+// NewShared is NewInterleaved over cost tables the caller already holds
+// (they are immutable, so many partitioners may share one): planning the
+// tables' model at their batch size then builds nothing.
+func NewShared(tab *profile.Tables, s sched.Schedule, v int) *Partitioner {
+	return &Partitioner{Perf: tab.Perf(), Sched: s, Interleave: v, tab: tab}
+}
+
 // schedule resolves the partitioner's schedule, defaulting to hetpipe-fifo.
 func (pt *Partitioner) schedule() sched.Schedule { return sched.Or(pt.Sched) }
 
@@ -236,7 +280,8 @@ func (pt *Partitioner) interleave() int {
 // Partition computes the optimal plan for running m on the virtual worker's
 // GPUs (in stage order) with Nm concurrent minibatches. The cluster provides
 // interconnect classification between adjacent virtual stages. It returns an
-// error when no memory-feasible split exists.
+// error when no memory-feasible split exists, or when the performance model
+// has no compute rate for one of the worker's GPU types.
 //
 // At interleave degree V the DP runs over K = k*V virtual stages with the
 // GPU assignment wrapping round-robin (virtual stage j runs on GPU j%k), so
@@ -248,6 +293,7 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 	L := len(m.Layers)
 	V := pt.interleave()
 	K := k * V
+	sc := pt.schedule()
 	switch {
 	case k == 0:
 		return nil, fmt.Errorf("partition: virtual worker has no GPUs")
@@ -255,146 +301,48 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 		return nil, fmt.Errorf("partition: Nm must be >= 1, got %d", nm)
 	case batch < 1:
 		return nil, fmt.Errorf("partition: batch must be >= 1, got %d", batch)
-	case V > 1 && !pt.schedule().SupportsInterleave():
-		return nil, fmt.Errorf("partition: schedule %q does not support interleave degree %d", pt.schedule().Name(), V)
+	case V > 1 && !sc.SupportsInterleave():
+		return nil, fmt.Errorf("partition: schedule %q does not support interleave degree %d", sc.Name(), V)
 	case L < K:
 		return nil, fmt.Errorf("partition: model %s has %d layers, fewer than %d virtual stages (%d stages x interleave %d)",
 			m.Name, L, K, k, V)
 	}
-
-	// links[j] classifies the interconnect between virtual stages j-1 and j;
-	// for j%k == 0 that is the wrap link from the last GPU back to the first.
-	gpu := func(j int) *hw.GPU { return vw.GPUs[j%k] }
-	links := make([]hw.LinkKind, K)
-	for j := 1; j < K; j++ {
-		links[j] = c.LinkBetween(gpu(j-1), gpu(j))
+	if pt.tab == nil || !pt.tab.Valid(pt.Perf, m, batch) {
+		pt.tab = profile.NewTables(pt.Perf, m, batch)
 	}
-
-	// chunkCap[j] is the memory budget one chunk may use as virtual stage j:
-	// the full device capacity at V=1, and an even 1/V split of the
-	// post-workspace capacity at V>1 (chunk memory includes the workspace
-	// once, so a chunk passes iff its workspace-free footprint fits the
-	// slice). The per-chunk budget keeps per-GPU totals sound — V chunks
-	// each within their slice sum to at most the device capacity — while
-	// staying monotone in Nm, which MaxNm's binary search depends on.
-	chunkCap := make([]int64, K)
-	for j := 0; j < K; j++ {
-		cap := gpu(j).Type.MemoryBytes
-		chunkCap[j] = (cap-pt.Perf.WorkspaceBytes)/int64(V) + pt.Perf.WorkspaceBytes
+	p := &pt.dp
+	if err := p.setup(pt.tab, sc, c, vw, L, V, nm); err != nil {
+		return nil, err
 	}
-
-	// cost returns the execution time of layers [lo,hi) as virtual stage j,
-	// or +Inf when it violates the stage's memory budget. The memory term
-	// follows the partitioner's schedule; the time term keeps the paper's
-	// Section 7 definition (compute plus serialized receives) at V = 1, so
-	// contiguous plans stay comparable across schedules and overlap's gains
-	// show up in the executor rather than being double-counted here.
-	//
-	// At V > 1 a chunk is throughput-critical on two separate axes: its GPU
-	// hosts V chunks (occupancy ~ V * compute), and the minibatch round trip
-	// threads every chunk's compute plus its overlapped transfers (the
-	// interleaved in-flight window is K, so the per-chunk round-trip share is
-	// compute + receives). The cost is the max of the two, which degenerates
-	// to exactly the V = 1 expression above — compute-plus-receive alone
-	// would steer the DP toward near-empty chunks that exist only to carry a
-	// cheap boundary, while compute alone lets the round trip blow up.
-	cost := func(lo, hi, j int) float64 {
-		mem := pt.Perf.ChunkMemory(pt.schedule(), m, lo, hi, j, K, nm, batch)
-		if mem > chunkCap[j] {
-			return math.Inf(1)
-		}
-		fwd, bwd, err := pt.Perf.ChunkTime(m, lo, hi, gpu(j).Type, batch)
-		if err != nil {
-			return math.Inf(1)
-		}
-		t := fwd + bwd
-		if j > 0 {
-			t += pt.Perf.BoundaryTime(m, lo-1, batch, links[j])
-		}
-		if j < K-1 {
-			t += pt.Perf.BoundaryTime(m, hi-1, batch, links[j+1])
-		}
-		return math.Max(float64(V)*(fwd+bwd), t)
-	}
-
-	// Dynamic program over prefixes: best[i][j] = minimal bottleneck for
-	// placing the first i layers onto virtual stages 0..j (stage j ends at i).
-	const unset = -1
-	best := make([][]float64, L+1)
-	choice := make([][]int, L+1)
-	for i := range best {
-		best[i] = make([]float64, K)
-		choice[i] = make([]int, K)
-		for j := range best[i] {
-			best[i][j] = math.Inf(1)
-			choice[i][j] = unset
-		}
-	}
-	for i := 1; i <= L-(K-1); i++ {
-		best[i][0] = cost(0, i, 0)
-		choice[i][0] = 0
-	}
-	for j := 1; j < K; j++ {
-		// Virtual stage j must leave at least one layer for each later stage
-		// and each earlier stage must have had one.
-		for i := j + 1; i <= L-(K-1-j); i++ {
-			for cut := j; cut < i; cut++ {
-				if math.IsInf(best[cut][j-1], 1) {
-					continue
-				}
-				b := math.Max(best[cut][j-1], cost(cut, i, j))
-				if b < best[i][j] {
-					best[i][j] = b
-					choice[i][j] = cut
-				}
-			}
-		}
-	}
-	if math.IsInf(best[L][K-1], 1) {
+	if !p.solve() {
 		return nil, fmt.Errorf("partition: no memory-feasible %d-way split of %s for Nm=%d batch=%d on %s",
 			K, m.Name, nm, batch, vw.TypeString())
 	}
 
-	// Reconstruct the cut points.
-	cuts := make([]int, K+1)
-	cuts[K] = L
-	for j := K - 1; j > 0; j-- {
-		cuts[j] = choice[cuts[j+1]][j]
-	}
-
-	plan := &Plan{Model: m, Batch: batch, Nm: nm, Schedule: pt.schedule().Name(), Interleave: V}
+	plan := &Plan{Model: m, Batch: batch, Nm: nm, Schedule: sc.Name(), Interleave: V}
 	plan.Stages = make([]Stage, k)
-	for s := 0; s < k; s++ {
-		plan.Stages[s].GPU = vw.GPUs[s]
-		plan.Stages[s].MemoryCap = vw.GPUs[s].Type.MemoryBytes
-		plan.Stages[s].Chunks = make([]Chunk, 0, V)
+	// One slab holds every stage's chunk set; the capped windows keep one
+	// stage's appends out of the next stage's chunks.
+	chunks := make([]Chunk, K)
+	for s := range plan.Stages {
+		st := &plan.Stages[s]
+		st.GPU = vw.GPUs[s]
+		st.MemoryCap = vw.GPUs[s].Type.MemoryBytes
+		st.MemoryBytes = pt.Perf.WorkspaceBytes // once per GPU, however many chunks
+		st.Chunks = chunks[s*V : s*V : (s+1)*V]
 	}
-	chunkRanges := make([][][2]int, k)
 	for j := 0; j < K; j++ {
-		lo, hi := cuts[j], cuts[j+1]
-		fwd, bwd, err := pt.Perf.ChunkTime(m, lo, hi, gpu(j).Type, batch)
-		if err != nil {
-			return nil, err
-		}
-		ch := Chunk{Lo: lo, Hi: hi, FwdTime: fwd, BwdTime: bwd}
-		if j > 0 {
-			ch.RecvActTime = pt.Perf.BoundaryTime(m, lo-1, batch, links[j])
-		}
-		if j < K-1 {
-			ch.RecvGradTime = pt.Perf.BoundaryTime(m, hi-1, batch, links[j+1])
-		}
+		ch, bytes := p.chunk(j)
 		st := &plan.Stages[j%k]
 		st.Chunks = append(st.Chunks, ch)
-		st.FwdTime += fwd
-		st.BwdTime += bwd
+		st.FwdTime += ch.FwdTime
+		st.BwdTime += ch.BwdTime
 		st.RecvActTime += ch.RecvActTime
 		st.RecvGradTime += ch.RecvGradTime
-		chunkRanges[j%k] = append(chunkRanges[j%k], [2]int{lo, hi})
+		st.MemoryBytes += bytes
 	}
-	for s := 0; s < k; s++ {
-		st := &plan.Stages[s]
-		st.MemoryBytes = pt.Perf.StageMemoryChunks(pt.schedule(), m, chunkRanges[s], s, k, K, nm, batch)
-		if t := st.ExecTime(); t > plan.Bottleneck {
+	for s := range plan.Stages {
+		if t := plan.Stages[s].ExecTime(); t > plan.Bottleneck {
 			plan.Bottleneck = t
 		}
 	}
@@ -410,16 +358,27 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 // larger Maxm than a FIFO one on memory-constrained workers because its
 // per-stage stash stops growing once Nm exceeds the stage depth; an
 // interleaved partitioner's stash bound runs over the k*V virtual depth. It
-// returns 0 when even Nm=1 does not fit.
+// returns 0 when even Nm=1 does not fit, or when cap < 1.
 func (pt *Partitioner) MaxNm(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker, batch, cap int) int {
-	lo, hi := 1, cap
-	if _, err := pt.Partition(c, m, vw, 1, batch); err != nil {
+	return MaxFeasible(cap, func(nm int) bool {
+		_, err := pt.Partition(c, m, vw, nm, batch)
+		return err == nil
+	})
+}
+
+// MaxFeasible is MaxNm's search over any feasibility test: the largest nm in
+// [1, cap] that feasible admits, or 0 when none (or cap < 1). Feasibility
+// must be monotone — memory grows with Nm, so what fits at nm fits below it
+// — which is what lets the search bisect. It probes Nm=1 first, then only
+// values it has not yet decided.
+func MaxFeasible(cap int, feasible func(nm int) bool) int {
+	if cap < 1 || !feasible(1) {
 		return 0
 	}
-	// Feasibility is monotone in Nm (memory grows with Nm), so binary search.
+	lo, hi := 1, cap
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if _, err := pt.Partition(c, m, vw, mid, batch); err == nil {
+		if feasible(mid) {
 			lo = mid
 		} else {
 			hi = mid - 1

@@ -1,0 +1,181 @@
+package partition
+
+import (
+	"fmt"
+	"math"
+
+	"hetpipe/internal/hw"
+	"hetpipe/internal/profile"
+	"hetpipe/internal/sched"
+)
+
+// planner is the dynamic program behind Partition: the per-call constants of
+// the K = k*V virtual stages and the DP's slabs, kept inside the Partitioner
+// so a warm one allocates nothing here. cost and solve are methods rather
+// than closures so hetlint's hot-path rules hold them to lookups and
+// arithmetic: cost runs thousands of times per plan, so a range walk or an
+// allocation creeping back into it is what made planning slow.
+type planner struct {
+	tab  *profile.Tables
+	L, K int
+	// occupancy is the interleave degree V as cost's multiplier.
+	occupancy float64
+	versions  int64 // the schedule's WeightVersions
+
+	// Per virtual stage j, which runs on GPU j%k of the worker:
+	whole []float64 // the GPU's whole-model time
+	// links[j] classifies the interconnect between virtual stages j-1 and j;
+	// for j%k == 0 that is the wrap link from the last GPU back to the first.
+	links []hw.LinkKind
+	// budget[j] is the weight and stash bytes one chunk may use as virtual
+	// stage j: an even 1/V split of the device capacity left after the
+	// per-GPU workspace (all of it at V=1). The per-chunk budget keeps
+	// per-GPU totals sound — V chunks each within their slice, plus the
+	// workspace once, sum to at most the device capacity — while staying
+	// monotone in Nm, which MaxNm's binary search depends on.
+	budget  []int64
+	stashes []int64 // the schedule's ChunkStash(j, K, nm)
+
+	// best[j*(L+1)+i] is the minimal bottleneck for placing the first i
+	// layers onto virtual stages 0..j (stage j ends at i); choice is the cut
+	// that achieves it. Stage-major, so the inner loop over cuts reads stage
+	// j-1's row contiguously.
+	best   []float64
+	choice []int
+	// cuts[j] is where virtual stage j of the solved plan starts; cuts[K] = L.
+	cuts []int
+}
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// setup loads the constants of one Partition call. It fails when the
+// performance model cannot price one of the worker's GPU types — found here,
+// once per GPU, rather than as an infinite cost the DP would report as a
+// memory problem.
+func (p *planner) setup(tab *profile.Tables, sc sched.Schedule, c *hw.Cluster, vw *hw.VirtualWorker, L, V, nm int) error {
+	k := len(vw.GPUs)
+	K := k * V
+	p.tab, p.L, p.K, p.occupancy = tab, L, K, float64(V)
+	p.versions = int64(sc.WeightVersions())
+	workspace := tab.Perf().WorkspaceBytes
+	p.whole = resize(p.whole, K)
+	p.links = resize(p.links, K)
+	p.budget = resize(p.budget, K)
+	p.stashes = resize(p.stashes, K)
+	p.best = resize(p.best, K*(L+1))
+	p.choice = resize(p.choice, K*(L+1))
+	p.cuts = resize(p.cuts, K+1)
+	for j := 0; j < K; j++ {
+		g := vw.GPUs[j%k]
+		if j < k {
+			whole, err := tab.WholeModelTime(g.Type)
+			if err != nil {
+				return fmt.Errorf("partition: virtual worker %s: %w", vw.TypeString(), err)
+			}
+			p.whole[j] = whole
+		} else {
+			p.whole[j] = p.whole[j-k]
+		}
+		p.links[j] = hw.LinkLocal
+		if j > 0 {
+			p.links[j] = c.LinkBetween(vw.GPUs[(j-1)%k], g)
+		}
+		p.budget[j] = (g.Type.MemoryBytes - workspace) / int64(V)
+		p.stashes[j] = int64(sc.ChunkStash(j, K, nm))
+	}
+	return nil
+}
+
+// cost returns the execution time of layers [lo,hi) as virtual stage j, or
+// +Inf when it violates the stage's memory budget. The memory term follows
+// the partitioner's schedule; the time term keeps the paper's Section 7
+// definition (compute plus serialized receives) at V = 1, so contiguous plans
+// stay comparable across schedules and overlap's gains show up in the
+// executor rather than being double-counted here.
+//
+// At V > 1 a chunk is throughput-critical on two separate axes: its GPU
+// hosts V chunks (occupancy ~ V * compute), and the minibatch round trip
+// threads every chunk's compute plus its overlapped transfers (the
+// interleaved in-flight window is K, so the per-chunk round-trip share is
+// compute + receives). The cost is the max of the two, which degenerates
+// to exactly the V = 1 expression above — compute-plus-receive alone
+// would steer the DP toward near-empty chunks that exist only to carry a
+// cheap boundary, while compute alone lets the round trip blow up.
+//
+//hetlint:hotpath
+func (p *planner) cost(lo, hi, j int) float64 {
+	if p.tab.ChunkBytes(lo, hi, p.versions, p.stashes[j]) > p.budget[j] {
+		return math.Inf(1)
+	}
+	fwd, bwd := p.tab.ChunkTime(p.whole[j], lo, hi)
+	t := fwd + bwd
+	if j > 0 {
+		t += p.tab.BoundaryTime(lo-1, p.links[j])
+	}
+	if j < p.K-1 {
+		t += p.tab.BoundaryTime(hi-1, p.links[j+1])
+	}
+	return max(p.occupancy*(fwd+bwd), t)
+}
+
+// solve runs the dynamic program over prefixes and, when a memory-feasible
+// split exists, leaves its cut points in p.cuts. Virtual stage j must leave
+// at least one layer for each later stage and each earlier stage must have
+// had one, so stage j ends at i in [j+1, L-(K-1-j)] and starts at a cut in
+// [j, i) — exactly the ends stage j-1 was solved for, which is why the
+// slabs need no clearing between calls.
+//
+//hetlint:hotpath
+func (p *planner) solve() bool {
+	L, K, row := p.L, p.K, p.L+1
+	for i := 1; i <= L-(K-1); i++ {
+		p.best[i] = p.cost(0, i, 0)
+		p.choice[i] = 0
+	}
+	for j := 1; j < K; j++ {
+		prev, cur, pick := p.best[(j-1)*row:j*row], p.best[j*row:(j+1)*row], p.choice[j*row:(j+1)*row]
+		for i := j + 1; i <= L-(K-1-j); i++ {
+			b, at := math.Inf(1), 0
+			for cut := j; cut < i; cut++ {
+				// The bottleneck with this cut is at least prev[cut], so a
+				// prefix that cannot beat b (an infeasible one above all)
+				// is not worth pricing the stage for.
+				if prev[cut] >= b {
+					continue
+				}
+				if v := max(prev[cut], p.cost(cut, i, j)); v < b {
+					b, at = v, cut
+				}
+			}
+			cur[i], pick[i] = b, at
+		}
+	}
+	if math.IsInf(p.best[(K-1)*row+L], 1) {
+		return false
+	}
+	p.cuts[0], p.cuts[K] = 0, L
+	for j := K - 1; j > 0; j-- {
+		p.cuts[j] = p.choice[j*row+p.cuts[j+1]]
+	}
+	return true
+}
+
+// chunk prices virtual stage j of the solved plan from the same tables cost
+// read, and returns its weight and stash bytes beside it.
+func (p *planner) chunk(j int) (Chunk, int64) {
+	lo, hi := p.cuts[j], p.cuts[j+1]
+	ch := Chunk{Lo: lo, Hi: hi}
+	ch.FwdTime, ch.BwdTime = p.tab.ChunkTime(p.whole[j], lo, hi)
+	if j > 0 {
+		ch.RecvActTime = p.tab.BoundaryTime(lo-1, p.links[j])
+	}
+	if j < p.K-1 {
+		ch.RecvGradTime = p.tab.BoundaryTime(hi-1, p.links[j+1])
+	}
+	return ch, p.tab.ChunkBytes(lo, hi, p.versions, p.stashes[j])
+}

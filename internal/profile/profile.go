@@ -13,6 +13,9 @@
 // Layer times scale with each layer's share of the model's total FLOPs; the
 // backward pass costs twice the forward pass, the standard ratio for
 // convolutional training.
+//
+// Tables (tables.go) is the same model tabulated per (Perf, model, batch) for
+// the partitioner, which prices thousands of layer ranges per plan.
 package profile
 
 import (
@@ -119,7 +122,13 @@ func (p *Perf) SetAnchor(modelName string, code byte, imagesPerSec float64) {
 // WholeModelTime predicts the fwd+bwd compute time for one minibatch if a
 // single GPU of type g executed every layer of m.
 func (p *Perf) WholeModelTime(m *model.Model, g *hw.GPUType, batch int) (float64, error) {
-	if a, ok := p.anchors[m.Name]; ok {
+	return p.wholeModelTime(m.Name, m.TotalFwdFLOPs(), g, batch)
+}
+
+// wholeModelTime is WholeModelTime for a model given by its name and total
+// forward FLOPs, so Tables can answer without re-summing the layers.
+func (p *Perf) wholeModelTime(name string, totalFwdFLOPs float64, g *hw.GPUType, batch int) (float64, error) {
+	if a, ok := p.anchors[name]; ok {
 		if rate, ok := a[g.Code]; ok && rate > 0 {
 			return float64(batch) / rate, nil
 		}
@@ -128,7 +137,7 @@ func (p *Perf) WholeModelTime(m *model.Model, g *hw.GPUType, batch int) (float64
 	if !ok {
 		return 0, fmt.Errorf("profile: no anchor or generic rate for GPU %q", string(g.Code))
 	}
-	perSample := m.TotalFwdFLOPs() * (1 + p.BwdFwdRatio)
+	perSample := totalFwdFLOPs * (1 + p.BwdFwdRatio)
 	return float64(batch) * perSample / flops, nil
 }
 
@@ -149,14 +158,6 @@ func (p *Perf) LayerTime(m *model.Model, li int, g *hw.GPUType, batch int) (fwd,
 	fwd = layer / (1 + p.BwdFwdRatio)
 	bwd = layer - fwd
 	return fwd, bwd, nil
-}
-
-// ChunkTime predicts forward and backward compute times for one chunk — the
-// contiguous layer range [lo, hi) — of m on GPU type g, for a full
-// minibatch. A contiguous stage is the single-chunk case, so StageTime
-// delegates here; chunked stages sum ChunkTime over their chunk set.
-func (p *Perf) ChunkTime(m *model.Model, lo, hi int, g *hw.GPUType, batch int) (fwd, bwd float64, err error) {
-	return p.StageTime(m, lo, hi, g, batch)
 }
 
 // StageTime predicts forward and backward compute times for the layer range
@@ -246,26 +247,4 @@ func (p *Perf) ChunkMemory(s sched.Schedule, m *model.Model, lo, hi, vs, vstages
 	}
 	c := int64(sc.ChunkStash(vs, vstages, nm))
 	return int64(sc.WeightVersions())*weights + stash*int64(batch)*c + p.WorkspaceBytes
-}
-
-// StageMemoryChunks predicts the device memory a worker stage needs to host
-// a chunk set: chunk c (the contiguous layer range chunks[c] = [lo, hi))
-// runs as virtual stage stage + c*k of the vstages = k*V virtual pipeline,
-// so each chunk carries its own stash bound, while the fixed workspace is
-// charged once per device. A single-chunk set with vstages = k reduces to
-// StageMemorySched exactly.
-func (p *Perf) StageMemoryChunks(s sched.Schedule, m *model.Model, chunks [][2]int, stage, k, vstages, nm, batch int) int64 {
-	sc := sched.Or(s)
-	wv := int64(sc.WeightVersions())
-	total := p.WorkspaceBytes
-	for c, ch := range chunks {
-		var weights, stash int64
-		for i := ch[0]; i < ch[1]; i++ {
-			weights += m.Layers[i].WeightBytes()
-			stash += m.Layers[i].StashElems * model.BytesPerElem
-		}
-		cnt := int64(sc.ChunkStash(stage+c*k, vstages, nm))
-		total += wv*weights + stash*int64(batch)*cnt
-	}
-	return total
 }
