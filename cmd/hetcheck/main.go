@@ -9,9 +9,9 @@
 //     as files move;
 //   - -bench reads `go test -bench -benchmem` output on stdin and fails if
 //     any benchmark named in a committed baseline (-baseline, default
-//     BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json;
-//     comma-separate several files to gate one stream against multiple
-//     packages' baselines) regressed: ns/op beyond
+//     BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,
+//     BENCH_cosim.json; comma-separate several files to gate one stream
+//     against multiple packages' baselines) regressed: ns/op beyond
 //     -bench-threshold (default 0.25, the documented >25%% rule — headroom
 //     for machine noise) or allocs/op beyond 5%% (allocation counts are
 //     deterministic, so any real growth is a leak on the pooled hot path).
@@ -51,7 +51,7 @@ import (
 
 // defaultBaselines is every committed baseline: what -bench gates when
 // -baseline is not given.
-const defaultBaselines = "BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json"
+const defaultBaselines = "BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,BENCH_cosim.json"
 
 func main() {
 	root := flag.String("root", ".", "module root to scan")

@@ -151,8 +151,10 @@ type Result struct {
 	// MaxClockDistance is the largest clock skew observed between virtual
 	// workers (bounded by D+1).
 	MaxClockDistance int
-	// FaultInjections counts fault-plan entries (WithFaults) that took
-	// effect during the simulation; zero for a fault-free run.
+	// FaultInjections counts activations of the WithFaults plan during the
+	// simulation, not its clauses: one per slowed worker (however many slow
+	// clauses name it), one per worker with a degraded link, one per crash,
+	// one per stalled clock advance; zero for a fault-free run.
 	FaultInjections int
 	// VirtualWorkers describes each VW's GPU mix.
 	VirtualWorkers []string

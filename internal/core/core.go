@@ -17,6 +17,25 @@
 // the per-worker pass after the Nm search is all memo hits; every worker
 // still receives a plan of its own, bound to its own GPUs. The only state
 // that outlives a context is the System's immutable cost tables.
+//
+// What a co-simulation costs. SimulateWSP steps one pipeline per lock-step
+// group, not per virtual worker (multisim.go). A group is a maximal run of
+// consecutive workers with equal executor inputs (pipeline.SameInputs: stage
+// count, interleave degree, Nm, batch, the time table) and equal push and
+// pull times, none of them named by a slow, crash or link clause of the fault
+// plan. Such workers agree for the whole run, bit for bit — every input of
+// the injection gate is either the global clock or equal among them — so the
+// group's handlers replay each effect on the shared state (coordinator,
+// counters, waiting-time sums, observer events) once per member in worker
+// order, and MultiResult and the observer stream are exactly the per-worker
+// simulation's. Only neighbours merge: replaying A,B,A as {A,A},{B} would
+// reorder the float additions into Waiting and the observer stream, and every
+// allocation policy emits equal workers side by side anyway. PS stalls are
+// cluster-wide and split nothing; a clause naming a worker splits that worker
+// off into a group of one, which is the per-worker simulation. The paper
+// cluster's ED allocation (four VRGQ workers) therefore fires a quarter of
+// the events four pipelines would, HD (two VVQQ, two RRGG) half, NP all of
+// them; BENCH_cosim.json gates the three.
 package core
 
 import (

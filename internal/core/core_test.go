@@ -8,7 +8,7 @@ import (
 	"hetpipe/internal/profile"
 )
 
-func sys(t *testing.T, m *model.Model) *System {
+func sys(t testing.TB, m *model.Model) *System {
 	t.Helper()
 	s, err := NewSystem(hw.Paper(), m, profile.Default(), 32)
 	if err != nil {
@@ -17,7 +17,7 @@ func sys(t *testing.T, m *model.Model) *System {
 	return s
 }
 
-func deploy(t *testing.T, m *model.Model, policy hw.Policy, nm, d int, pl PlacementKind) *Deployment {
+func deploy(t testing.TB, m *model.Model, policy hw.Policy, nm, d int, pl PlacementKind) *Deployment {
 	t.Helper()
 	s := sys(t, m)
 	alloc, err := hw.Allocate(s.Cluster, policy)

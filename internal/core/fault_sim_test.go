@@ -154,6 +154,31 @@ func TestSimEmitsInjectAndRecoverEvents(t *testing.T) {
 	}
 }
 
+// FaultInjections counts activations, not clauses: a worker slowed by two
+// disjoint clauses is one injection, and two stalls of one clock advance are
+// one.
+func TestFaultInjectionsCountActivations(t *testing.T) {
+	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 0, PlacementDefault)
+	for spec, want := range map[string]int{
+		"slow:w0:x2:mb1-8,slow:w0:x3:mb20-30":           1,
+		"slow:w0:x2:mb1-8,slow:w1:x3:mb20-30":           2,
+		"stall:s0:c3:0.05,stall:s1:c3:0.05":             1,
+		"link:w1:x2,link:w1:x3,slow:w1:x2,crash:w1:mb9": 3,
+	} {
+		plan, err := fault.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dep.SimulateWSPFaults(context.Background(), dep.DefaultMinibatches(), 4*dep.Nm, nil, plan, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FaultInjections != want {
+			t.Errorf("%s: %d injections, want %d", spec, res.FaultInjections, want)
+		}
+	}
+}
+
 func TestBadFaultPlanRejected(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 0, PlacementDefault)
 	plan, err := fault.Parse("slow:w99:x2")

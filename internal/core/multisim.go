@@ -31,18 +31,12 @@ type MultiResult struct {
 	Pulls int
 	// MaxClockDistance is the largest clock skew observed.
 	MaxClockDistance int
-	// FaultInjections counts fault-plan entries that took effect during the
-	// run (zero for a fault-free or empty-plan simulation).
+	// FaultInjections counts fault activations, not plan clauses: one per
+	// worker the first time a slowdown covers a minibatch it starts (two
+	// disjoint slow clauses on one worker count once), one per worker with a
+	// degraded link at its first transfer, one per crash, and one per
+	// stalled clock advance. Zero for a fault-free or empty-plan simulation.
 	FaultInjections int
-}
-
-// vwSync carries the per-VW synchronization state of the multi-VW run.
-type vwSync struct {
-	pullDone   int  // highest global clock whose pull transfer completed
-	pullGoing  bool // a pull transfer is in flight
-	blockSince sim.Time
-	blocked    bool
-	lastDone   sim.Time // time of the VW's most recent completion
 }
 
 // DefaultMinibatches returns the simulation budget used when a caller does
@@ -129,12 +123,15 @@ func (d *Deployment) SimulateWSPFaults(ctx context.Context, minibatchesPerVW, wa
 // (internal/sweep keeps one engine per worker goroutine) amortize those
 // allocations across the whole sweep; results are bit-identical to a fresh
 // engine's.
+//
+// The run costs one pipeline per lock-step group of virtual workers, not one
+// per worker (see lockStepGroups); a malformed deployment is an error.
 func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, minibatchesPerVW, warmup int, ob obs.Func, plan *fault.Plan, checkpointEvery int) (*MultiResult, error) {
 	eng.Reset()
-	n := len(d.VWs)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty deployment")
+	if err := d.check(); err != nil {
+		return nil, err
 	}
+	n := len(d.VWs)
 	if checkpointEvery < 0 {
 		return nil, fmt.Errorf("core: checkpoint interval must be >= 0, got %d", checkpointEvery)
 	}
@@ -142,7 +139,6 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 	if err != nil {
 		return nil, err
 	}
-	faulty := !fp.Empty()
 	// Every virtual worker must finish on a wave boundary, or its peers
 	// would wait forever on a push that never comes. Round up before the
 	// minimum check so a budget the round-up satisfies is not rejected.
@@ -162,223 +158,369 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 	}
 	eng.SetStepLimit(uint64(n*minibatchesPerVW)*1000 + 1_000_000)
 
-	res := &MultiResult{}
-	syncs := make([]*vwSync, n)
-	for i := range syncs {
-		syncs[i] = &vwSync{}
+	c := &cosim{
+		d: d, eng: eng, ob: ob, params: params, coord: coord,
+		fp: fp, checkpointEvery: checkpointEvery,
+		groups: d.lockStepGroups(fp), res: &MultiResult{},
 	}
-	pipes := make([]*pipeline.Pipeline, n)
-
-	emit := func(e obs.Event) {
-		if ob != nil {
-			e.Backend = "sim"
-			e.Time = float64(eng.Now())
-			ob(e)
-		}
-	}
-
-	pokeAll := func() {
-		for _, p := range pipes {
-			if p != nil {
-				p.Poke()
-			}
-		}
-	}
-
-	// Fault bookkeeping: per-VW transfer times with link degradations folded
-	// in, one-shot injection emissions, and the crash timing model. All of it
-	// is inert (and the hooks nil) for an empty plan, so the fault-free path
-	// is byte-for-byte the pre-fault simulation.
-	pushT := append([]float64(nil), d.PushTime...)
-	pullT := append([]float64(nil), d.PullTime...)
-	var (
-		crashes      = make([]*fault.Crash, n)
-		slowEmitted  = make([]bool, n)
-		linkEmitted  = make([]bool, n)
-		crashCharged = make([]bool, n)
-		stallEmitted = make(map[int]bool)
-	)
-	inject := func(vw int, f string) {
-		res.FaultInjections++
-		emit(obs.Event{Kind: obs.KindFaultInject, VW: vw, Fault: f})
-	}
-	if faulty {
-		for w := 0; w < n; w++ {
-			crashes[w] = fp.CrashFor(w)
-			if s := fp.LinkScale(w); s > 1 {
-				pushT[w] *= s
-				pullT[w] *= s
-			}
-		}
-	}
-	// crashExtra is the downtime-plus-replay charge of worker w's crash: the
-	// worker is down for the crash downtime and then re-executes every
-	// minibatch since its last checkpoint at its bottleneck-stage pace.
-	crashExtra := func(w int) float64 {
-		c := crashes[w]
-		ckptWave := 0
-		if checkpointEvery > 0 {
-			ckptWave = ((c.AtMinibatch - 1) / d.Nm / checkpointEvery) * checkpointEvery
-		}
-		replay := float64((c.AtMinibatch-1)-ckptWave*d.Nm) * d.VWs[w].Plan.Bottleneck
-		return fault.CrashDowntime(c) + replay
-	}
-	// started emits the one-shot fault-injection events owed at the moment
-	// minibatch mb of VW vw is admitted into the pipeline.
-	started := func(vw, mb int) {
-		if !faulty {
-			return
-		}
-		if sc := fp.ComputeScale(vw, mb); sc > 1 && !slowEmitted[vw] {
-			slowEmitted[vw] = true
-			inject(vw, fmt.Sprintf("slow:w%d:x%g", vw, sc))
-		}
-		if c := crashes[vw]; c != nil && mb == c.AtMinibatch {
-			inject(vw, fmt.Sprintf("crash:w%d:mb%d", vw, mb))
-		}
-	}
-	linkInject := func(vw int) {
-		if faulty && !linkEmitted[vw] {
-			if s := fp.LinkScale(vw); s > 1 {
-				linkEmitted[vw] = true
-				inject(vw, fmt.Sprintf("link:w%d:x%g", vw, s))
-			}
-		}
-	}
-
-	for w := 0; w < n; w++ {
-		w := w
-		st := syncs[w]
-		crash := crashes[w]
-		var taskTime func(p, s int, base float64) float64
-		if faulty {
-			taskTime = func(p, s int, base float64) float64 {
-				out := base * fp.ComputeScale(w, p)
-				// The crash charge lands once, on the crashed minibatch's
-				// first stage-0 task (its forward) — the worker-local stall.
-				if crash != nil && p == crash.AtMinibatch && s == 0 && !crashCharged[w] {
-					crashCharged[w] = true
-					out += crashExtra(w)
-				}
-				return out
-			}
-		}
-		cfg := pipeline.Config{
-			Plan:        d.VWs[w].Plan,
-			Schedule:    d.Sys.Schedule,
-			Minibatches: minibatchesPerVW,
-			Warmup:      warmup,
-			TaskTime:    taskTime,
-			InjectGate: func(mb int) bool {
-				req := params.RequiredGlobalClock(mb)
-				if req == 0 {
-					coord.Start(w, mb)
-					started(w, mb)
-					return true
-				}
-				if coord.GlobalClock() >= req {
-					if st.pullDone >= req {
-						if st.blocked {
-							res.Waiting += float64(eng.Now() - st.blockSince)
-							if pipes[w] != nil && pipes[w].InFlight() == 0 {
-								// The pipeline drained while the gate was
-								// closed; the tail of the wait was true
-								// idle time (the 18%-of-waiting effect of
-								// Section 8.4).
-								res.Idle += float64(eng.Now() - maxTime(st.blockSince, st.lastDone))
-							}
-							st.blocked = false
-						}
-						coord.Start(w, mb)
-						started(w, mb)
-						return true
-					}
-					if !st.pullGoing {
-						st.pullGoing = true
-						linkInject(w)
-						target := coord.GlobalClock()
-						eng.After(sim.Duration(pullT[w]), "pull", func() {
-							st.pullGoing = false
-							st.pullDone = target
-							res.Pulls++
-							emit(obs.Event{Kind: obs.KindPull, VW: w, Clock: target})
-							pipes[w].Poke()
-						})
-					}
-				}
-				if !st.blocked {
-					st.blocked = true
-					st.blockSince = eng.Now()
-				}
-				return false
-			},
-			OnComplete: func(mb int, at sim.Time) {
-				st.lastDone = at
-				emit(obs.Event{Kind: obs.KindMinibatch, VW: w, Minibatch: mb, Wave: params.Wave(mb), Clock: coord.GlobalClock()})
-				if crash != nil && mb == crash.AtMinibatch {
-					// The charged downtime and replay have elapsed inside this
-					// completion; the worker is back.
-					emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: mb, Fault: fmt.Sprintf("crash:w%d:mb%d", w, mb)})
-				}
-				if params.IsWaveEnd(mb) {
-					res.Pushes++
-					wave := params.Wave(mb)
-					linkInject(w)
-					delay := sim.Duration(pushT[w])
-					if faulty {
-						if stall := fp.StallDelay(wave + 1); stall > 0 {
-							// The stalled shard holds up the advance to clock
-							// wave+1, i.e. every wave push it is waiting on.
-							delay += sim.Duration(stall)
-							if !stallEmitted[wave+1] {
-								stallEmitted[wave+1] = true
-								inject(-1, fmt.Sprintf("stall:c%d:%g", wave+1, stall))
-							}
-						}
-					}
-					eng.After(delay, "push", func() {
-						before := coord.GlobalClock()
-						coord.Push(w)
-						after := coord.GlobalClock()
-						emit(obs.Event{Kind: obs.KindPush, VW: w, Wave: wave, Clock: after})
-						if after > before {
-							emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: after})
-							pokeAll()
-						}
-					})
-				}
-			},
-		}
-		p, err := pipeline.New(eng, cfg)
-		if err != nil {
+	for _, g := range c.groups {
+		if g.pipe, err = pipeline.New(eng, c.config(g, minibatchesPerVW, warmup)); err != nil {
 			return nil, err
 		}
-		pipes[w] = p
 	}
-	for _, p := range pipes {
-		p.Start()
+	for _, g := range c.groups {
+		g.pipe.Start()
 	}
 	if err := eng.RunContext(ctx); err != nil {
 		return nil, err
 	}
-	for w, p := range pipes {
-		r, err := p.Result()
-		if err != nil {
-			return nil, fmt.Errorf("core: VW %d: %w", w, err)
-		}
-		res.PerVW = append(res.PerVW, r.Throughput)
-		res.Aggregate += r.Throughput
-		if e := float64(r.Elapsed); e > res.Elapsed {
-			res.Elapsed = e
-		}
-	}
-	res.MaxClockDistance = coord.MaxClockDistance()
-	return res, nil
+	return c.result()
 }
 
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
+// check rejects a deployment the co-simulation would index out of range or
+// dereference nil on — one built by hand or truncated, since Deploy's own are
+// well-formed.
+func (d *Deployment) check() error {
+	n := len(d.VWs)
+	switch {
+	case n == 0:
+		return fmt.Errorf("core: empty deployment")
+	case d.Sys == nil:
+		return fmt.Errorf("core: deployment has no system")
+	case d.Nm < 1:
+		return fmt.Errorf("core: deployment Nm must be >= 1, got %d", d.Nm)
+	case len(d.PushTime) != n:
+		return fmt.Errorf("core: deployment has %d workers but %d push times", n, len(d.PushTime))
+	case len(d.PullTime) != n:
+		return fmt.Errorf("core: deployment has %d workers but %d pull times", n, len(d.PullTime))
 	}
-	return b
+	for w, vp := range d.VWs {
+		if vp == nil || vp.Plan == nil {
+			return fmt.Errorf("core: deployment worker %d has no plan", w)
+		}
+		v := vp.Plan.InterleaveDegree()
+		for s := range vp.Plan.Stages {
+			if got := len(vp.Plan.Stages[s].Chunks); got != v {
+				return fmt.Errorf("core: deployment worker %d stage %d holds %d chunks, want %d", w, s, got, v)
+			}
+		}
+	}
+	return nil
+}
+
+// lockGroup is one lock-step group of a co-simulation: the virtual workers
+// lo..hi-1, stepped as a single pipeline whose every effect on the shared
+// state is replayed once per member in that order. It carries what each
+// worker used to carry alone: the WSP synchronization state and, for a group
+// a fault clause names (always a single worker), the one-shot fault state.
+type lockGroup struct {
+	lo, hi     int
+	push, pull float64 // per-wave PS transfer times, link degradation folded in
+	pipe       *pipeline.Pipeline
+
+	pullDone   int  // highest global clock whose pull transfer completed
+	pullGoing  bool // a pull transfer is in flight...
+	pullTarget int  // ...for this global clock...
+	pullAt     sim.Time
+	pullBy     uint64 // ...landing at pullAt, asked for by engine event pullBy
+	pullShown  bool   // the push landing with it already replayed its members
+	blocked    bool
+	blockSince sim.Time
+	lastDone   sim.Time // time of the most recent minibatch completion
+
+	touched                                bool         // fp.Touches(lo); implies hi == lo+1
+	crash                                  *fault.Crash // the worker's crash, or nil
+	slowEmitted, linkEmitted, crashCharged bool
+}
+
+// lockStepGroups partitions the workers into maximal runs of consecutive
+// workers that simulate identically, so one pipeline can stand for the run:
+// equal executor inputs (pipeline.SameInputs), equal push and pull times
+// after link degradation, and no worker-specific clause of the materialized
+// fault plan fp naming any of them. Such workers stay in lock step for the
+// whole run, bit for bit, not just until a gate binds: everything a gate
+// reads is either global (the clock) or equal across the run.
+//
+// Only neighbours merge. Replaying A,B,A as {A,A},{B} would add the workers'
+// waiting times into MultiResult.Waiting, and emit their observer events, in
+// a different order than worker order — a different float sum and a different
+// stream. Every allocation policy in internal/hw emits equal workers side by
+// side, so nothing is lost. PS stalls are cluster-wide and split nothing; a
+// group of one is exactly the per-worker simulation.
+func (d *Deployment) lockStepGroups(fp *fault.Plan) []*lockGroup {
+	groups := make([]*lockGroup, 0, len(d.VWs))
+	for w, vp := range d.VWs {
+		push, pull, touched := d.PushTime[w], d.PullTime[w], fp.Touches(w)
+		if !touched && len(groups) > 0 {
+			if last := groups[len(groups)-1]; !last.touched && last.push == push && last.pull == pull &&
+				pipeline.SameInputs(d.VWs[last.lo].Plan, vp.Plan) {
+				last.hi = w + 1
+				continue
+			}
+		}
+		g := &lockGroup{lo: w, hi: w + 1, push: push, pull: pull, touched: touched}
+		if touched {
+			g.crash = fp.CrashFor(w)
+			if s := fp.LinkScale(w); s > 1 {
+				g.push *= s
+				g.pull *= s
+			}
+		}
+		groups = append(groups, g)
+	}
+	return groups
+}
+
+// cosim is the shared state of one co-simulation: what the groups' handlers
+// read and write besides their own lockGroup.
+type cosim struct {
+	d      *Deployment
+	eng    *sim.Engine
+	ob     obs.Func
+	params wsp.Params
+	coord  *wsp.Coordinator
+	groups []*lockGroup
+	res    *MultiResult
+
+	fp              *fault.Plan // materialized; never nil
+	checkpointEvery int
+	stallEmitted    map[int]bool // clocks whose stall injection was emitted
+}
+
+func (c *cosim) emit(e obs.Event) {
+	if c.ob != nil {
+		e.Backend = "sim"
+		e.Time = float64(c.eng.Now())
+		c.ob(e)
+	}
+}
+
+func (c *cosim) inject(vw int, f string) {
+	c.res.FaultInjections++
+	c.emit(obs.Event{Kind: obs.KindFaultInject, VW: vw, Fault: f})
+}
+
+func (c *cosim) pokeAll() {
+	for _, g := range c.groups {
+		g.pipe.Poke()
+	}
+}
+
+// config wires group g's pipeline to the WSP protocol. The fault hook exists
+// only on a touched group; every other worker's compute scale is 1.
+func (c *cosim) config(g *lockGroup, minibatches, warmup int) pipeline.Config {
+	cfg := pipeline.Config{
+		Plan:        c.d.VWs[g.lo].Plan,
+		Schedule:    c.d.Sys.Schedule,
+		Minibatches: minibatches,
+		Warmup:      warmup,
+		InjectGate:  func(mb int) bool { return c.gate(g, mb) },
+		OnComplete:  func(mb int, at sim.Time) { c.completed(g, mb, at) },
+	}
+	if g.touched {
+		cfg.TaskTime = func(p, s int, base float64) float64 {
+			out := base * c.fp.ComputeScale(g.lo, p)
+			// The crash charge lands once, on the crashed minibatch's first
+			// stage-0 task (its forward) — the worker-local stall.
+			if g.crash != nil && p == g.crash.AtMinibatch && s == 0 && !g.crashCharged {
+				g.crashCharged = true
+				out += c.crashExtra(g)
+			}
+			return out
+		}
+	}
+	return cfg
+}
+
+// crashExtra is the downtime-plus-replay charge of group g's crash: the
+// worker is down for the crash downtime and then re-executes every minibatch
+// since its last checkpoint at its bottleneck-stage pace.
+func (c *cosim) crashExtra(g *lockGroup) float64 {
+	ckptWave := 0
+	if c.checkpointEvery > 0 {
+		ckptWave = ((g.crash.AtMinibatch - 1) / c.d.Nm / c.checkpointEvery) * c.checkpointEvery
+	}
+	replay := float64((g.crash.AtMinibatch-1)-ckptWave*c.d.Nm) * c.d.VWs[g.lo].Plan.Bottleneck
+	return fault.CrashDowntime(g.crash) + replay
+}
+
+// start admits minibatch mb on every member of g, and on a touched group
+// emits the one-shot fault injections owed at that moment.
+func (c *cosim) start(g *lockGroup, mb int) {
+	for w := g.lo; w < g.hi; w++ {
+		c.coord.Start(w, mb)
+	}
+	if !g.touched {
+		return
+	}
+	if sc := c.fp.ComputeScale(g.lo, mb); sc > 1 && !g.slowEmitted {
+		g.slowEmitted = true
+		c.inject(g.lo, fmt.Sprintf("slow:w%d:x%g", g.lo, sc))
+	}
+	if g.crash != nil && mb == g.crash.AtMinibatch {
+		c.inject(g.lo, fmt.Sprintf("crash:w%d:mb%d", g.lo, mb))
+	}
+}
+
+// linkInject emits the one-shot injection of a degraded link the first time
+// group g's worker uses it.
+func (c *cosim) linkInject(g *lockGroup) {
+	if g.touched && !g.linkEmitted {
+		if s := c.fp.LinkScale(g.lo); s > 1 {
+			g.linkEmitted = true
+			c.inject(g.lo, fmt.Sprintf("link:w%d:x%g", g.lo, s))
+		}
+	}
+}
+
+// gate is group g's injection gate for minibatch mb: a gated wave-end waits
+// for the global clock and then for the group's own pull of it.
+func (c *cosim) gate(g *lockGroup, mb int) bool {
+	req := c.params.RequiredGlobalClock(mb)
+	if req == 0 {
+		c.start(g, mb)
+		return true
+	}
+	if c.coord.GlobalClock() >= req {
+		if g.pullDone >= req {
+			if g.blocked {
+				g.blocked = false
+				now := c.eng.Now()
+				// If the pipeline drained while the gate was closed, the tail
+				// of the wait was true idle time (the 18%-of-waiting effect of
+				// Section 8.4). One addition per member, never a product: the
+				// sums must round as the per-worker run's did.
+				idle := g.pipe.InFlight() == 0
+				for w := g.lo; w < g.hi; w++ {
+					c.res.Waiting += float64(now - g.blockSince)
+					if idle {
+						c.res.Idle += float64(now - max(g.blockSince, g.lastDone))
+					}
+				}
+			}
+			c.start(g, mb)
+			return true
+		}
+		if !g.pullGoing {
+			g.pullGoing = true
+			c.linkInject(g)
+			g.pullTarget = c.coord.GlobalClock()
+			g.pullAt, g.pullBy = c.eng.Now()+sim.Time(g.pull), c.eng.Fired()
+			c.eng.After(sim.Duration(g.pull), "pull", func() { c.pulled(g) })
+		}
+	}
+	if !g.blocked {
+		g.blocked = true
+		g.blockSince = c.eng.Now()
+	}
+	return false
+}
+
+// pulled lands group g's pull.
+func (c *cosim) pulled(g *lockGroup) {
+	if !g.pullShown {
+		for w := g.lo; w < g.hi; w++ {
+			c.pullLanded(g, w)
+		}
+	}
+	g.pullGoing, g.pullShown = false, false
+	g.pullDone = g.pullTarget
+	g.pipe.Poke()
+}
+
+// pullLanded is member w's part of group g's pull landing.
+func (c *cosim) pullLanded(g *lockGroup, w int) {
+	c.res.Pulls++
+	c.emit(obs.Event{Kind: obs.KindPull, VW: w, Clock: g.pullTarget})
+}
+
+// completed is group g's minibatch-completion hook; a wave-end sends the
+// wave's push towards the parameter servers.
+func (c *cosim) completed(g *lockGroup, mb int, at sim.Time) {
+	g.lastDone = at
+	waveEnd := c.params.IsWaveEnd(mb)
+	wave := c.params.Wave(mb)
+	stall := 0.0
+	if waveEnd {
+		// A stalled shard holds up the advance to clock wave+1, i.e. every
+		// wave push that advance is waiting on.
+		stall = c.fp.StallDelay(wave + 1)
+	}
+	clock := c.coord.GlobalClock()
+	for w := g.lo; w < g.hi; w++ {
+		c.emit(obs.Event{Kind: obs.KindMinibatch, VW: w, Minibatch: mb, Wave: wave, Clock: clock})
+		if g.crash != nil && mb == g.crash.AtMinibatch {
+			// The charged downtime and replay have elapsed inside this
+			// completion; the worker is back.
+			c.emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: mb, Fault: fmt.Sprintf("crash:w%d:mb%d", w, mb)})
+		}
+		if !waveEnd {
+			continue
+		}
+		c.res.Pushes++
+		c.linkInject(g)
+		if stall > 0 && !c.stallEmitted[wave+1] {
+			if c.stallEmitted == nil {
+				c.stallEmitted = make(map[int]bool)
+			}
+			c.stallEmitted[wave+1] = true
+			c.inject(-1, fmt.Sprintf("stall:c%d:%g", wave+1, stall))
+		}
+	}
+	if waveEnd {
+		by := c.eng.Fired()
+		c.eng.After(sim.Duration(g.push)+sim.Duration(stall), "push", func() { c.pushed(g, wave, by) })
+	}
+}
+
+// pushed lands group g's push of wave, sent by engine event by, at the
+// parameter servers. The global clock advances when the slowest worker's push
+// of a wave arrives, which reopens gates everywhere.
+//
+// One completion can send a wave's push and, by freeing the slot of the next
+// gated wave-end, ask for a pull; push and pull take equally long by default,
+// so the two land at one instant. Each worker alone then saw its push land,
+// then its pull, before the next worker's push. The replay keeps that order:
+// each member's pull lands right after its push here, and the pull event,
+// which fires next, finds its members already replayed.
+func (c *cosim) pushed(g *lockGroup, wave int, by uint64) {
+	withPull := g.pullGoing && g.pullBy == by && g.pullAt == c.eng.Now()
+	for w := g.lo; w < g.hi; w++ {
+		before := c.coord.GlobalClock()
+		c.coord.Push(w)
+		after := c.coord.GlobalClock()
+		c.emit(obs.Event{Kind: obs.KindPush, VW: w, Wave: wave, Clock: after})
+		if after > before {
+			c.emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: after})
+			c.pokeAll()
+		}
+		if withPull {
+			c.pullLanded(g, w)
+		}
+	}
+	if withPull {
+		g.pullShown = true
+	}
+}
+
+// result folds the groups' pipeline results into the MultiResult, one member
+// at a time in worker order.
+func (c *cosim) result() (*MultiResult, error) {
+	res := c.res
+	res.PerVW = make([]float64, 0, len(c.d.VWs))
+	for _, g := range c.groups {
+		r, err := g.pipe.Result()
+		if err != nil {
+			return nil, fmt.Errorf("core: VW %d: %w", g.lo, err)
+		}
+		for w := g.lo; w < g.hi; w++ {
+			res.PerVW = append(res.PerVW, r.Throughput)
+			res.Aggregate += r.Throughput
+			if e := float64(r.Elapsed); e > res.Elapsed {
+				res.Elapsed = e
+			}
+		}
+	}
+	res.MaxClockDistance = c.coord.MaxClockDistance()
+	return res, nil
 }

@@ -314,6 +314,29 @@ func (p *Plan) CrashFor(w int) *Crash {
 	return nil
 }
 
+// Touches reports whether any worker-specific clause — a slowdown, a crash or
+// a link degradation — names worker w. Shard stalls never do: they delay the
+// whole cluster alike. Ask a materialized plan; a pending Rand clause has not
+// chosen its stragglers yet. Untouched workers differ from each other only in
+// what they were before the plan, which is what lets the simulator step
+// identical untouched workers as one (see internal/core).
+func (p *Plan) Touches(w int) bool {
+	if p == nil {
+		return false
+	}
+	for _, s := range p.Slowdowns {
+		if s.Worker == w {
+			return true
+		}
+	}
+	for _, l := range p.Links {
+		if l.Worker == w {
+			return true
+		}
+	}
+	return p.CrashFor(w) != nil
+}
+
 // CrashDowntime reports the resolved downtime of a crash (applying
 // DefaultCrashDowntime when the crash leaves it zero).
 func CrashDowntime(c *Crash) float64 {

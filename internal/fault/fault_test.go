@@ -225,3 +225,64 @@ func TestStringSortsClauses(t *testing.T) {
 		t.Errorf("canonical form not sorted: %q", s)
 	}
 }
+
+// Touches is true exactly for the workers a slowdown, crash or link clause
+// names — stalls name a shard, not a worker — and a rand clause touches whom
+// it was materialized onto.
+func TestTouches(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		workers int
+		want    []bool
+	}{
+		{"", 3, []bool{false, false, false}},
+		{"slow:w0:x2", 3, []bool{true, false, false}},
+		{"slow:w1:x1", 3, []bool{false, true, false}}, // a factor of 1 still names the worker
+		{"slow:w1:x1.5:mb8-24", 3, []bool{false, true, false}},
+		{"crash:w2:mb40", 3, []bool{false, false, true}},
+		{"link:w3:x4", 4, []bool{false, false, false, true}},
+		{"stall:s0:c3:0.05", 2, []bool{false, false}},
+		{"stall:s1:c3:0.05,link:w1:x2", 2, []bool{false, true}},
+		{"slow:w0:x2,slow:w0:x3:mb4-8,crash:w2:mb9", 4, []bool{true, false, true, false}},
+	} {
+		p, err := Parse(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := p.Materialize(tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, want := range tc.want {
+			if got := fp.Touches(w); got != want {
+				t.Errorf("%q: Touches(%d) = %v, want %v", tc.spec, w, got, want)
+			}
+		}
+	}
+	if (*Plan)(nil).Touches(0) {
+		t.Error("nil plan touches worker 0")
+	}
+
+	// A materialized rand clause touches exactly its stragglers, and some
+	// seed leaves a worker alone while hitting another.
+	mixed := false
+	for seed := int64(1); seed <= 8; seed++ {
+		fp, err := (&Plan{Rand: &RandSpec{Rate: 0.5, Seed: seed}}).Materialize(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := 0
+		for w := 0; w < 8; w++ {
+			if got, want := fp.Touches(w), fp.ComputeScale(w, 1) > 1; got != want {
+				t.Errorf("rand seed %d: Touches(%d) = %v, want %v", seed, w, got, want)
+			}
+			if fp.Touches(w) {
+				hit++
+			}
+		}
+		mixed = mixed || (hit > 0 && hit < 8)
+	}
+	if !mixed {
+		t.Error("no rand seed produced both a straggler and an untouched worker")
+	}
+}

@@ -25,10 +25,32 @@ type StageTime struct {
 func Times(plan *partition.Plan) []StageTime {
 	t := make([]StageTime, plan.VirtualStages())
 	for vs := range t {
-		c := plan.ChunkAt(vs)
-		t[vs] = StageTime{Fwd: c.FwdTime, Bwd: c.BwdTime, RecvAct: c.RecvActTime, RecvGrad: c.RecvGradTime}
+		t[vs] = timesRow(plan, vs)
 	}
 	return t
+}
+
+func timesRow(plan *partition.Plan, vs int) StageTime {
+	c := plan.ChunkAt(vs)
+	return StageTime{Fwd: c.FwdTime, Bwd: c.BwdTime, RecvAct: c.RecvActTime, RecvGrad: c.RecvGradTime}
+}
+
+// SameInputs reports whether New reads the same pipeline out of plans a and
+// b: equal stage count, interleave degree, Nm and batch, and equal time
+// tables (Times, element-wise). What else a plan carries — its GPUs, layer
+// ranges, memory figures — no simulation looks at, so under equal Configs two
+// such plans fire the same events at the same times.
+func SameInputs(a, b *partition.Plan) bool {
+	if len(a.Stages) != len(b.Stages) || a.InterleaveDegree() != b.InterleaveDegree() ||
+		a.Nm != b.Nm || a.Batch != b.Batch {
+		return false
+	}
+	for vs := range a.VirtualStages() {
+		if timesRow(a, vs) != timesRow(b, vs) {
+			return false
+		}
+	}
+	return true
 }
 
 // Link is the stage index the TaskTime hook receives for an overlapped

@@ -65,29 +65,49 @@ func (r *Recorder) Count() int {
 
 // Summary condenses the recorded population: the overall summary plus the
 // per-class splits (a class with no requests summarizes to the zero value).
+// Only the two splits are sorted; merging them yields the whole population in
+// sorted order, the same sequence sorting it would, so every figure (Mean is
+// summed in sorted order) is the one three sorts gave.
 func (r *Recorder) Summary() (all, critical, bulk LatencySummary) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	everything := make([]float64, 0, len(r.lat))
-	crit := make([]float64, 0, len(r.lat))
-	blk := make([]float64, 0, len(r.lat))
+	nCrit := 0
+	for _, c := range r.crit {
+		if c {
+			nCrit++
+		}
+	}
+	crit := make([]float64, 0, nCrit)
+	blk := make([]float64, 0, len(r.lat)-nCrit)
 	for i, v := range r.lat {
-		everything = append(everything, v)
 		if r.crit[i] {
 			crit = append(crit, v)
 		} else {
 			blk = append(blk, v)
 		}
 	}
+	sort.Float64s(crit)
+	sort.Float64s(blk)
+	everything := make([]float64, 0, len(r.lat))
+	i, j := 0, 0
+	for i < len(crit) && j < len(blk) {
+		if blk[j] < crit[i] {
+			everything = append(everything, blk[j])
+			j++
+		} else {
+			everything = append(everything, crit[i])
+			i++
+		}
+	}
+	everything = append(append(everything, crit[i:]...), blk[j:]...)
 	return summarize(everything), summarize(crit), summarize(blk)
 }
 
-// summarize sorts its argument in place.
+// summarize condenses a sorted population.
 func summarize(lat []float64) LatencySummary {
 	if len(lat) == 0 {
 		return LatencySummary{}
 	}
-	sort.Float64s(lat)
 	sum := 0.0
 	for _, v := range lat {
 		sum += v

@@ -77,8 +77,11 @@ type Result struct {
 	Latency, Critical, Bulk LatencySummary
 	// Replicas holds the per-virtual-worker splits.
 	Replicas []ReplicaStats
-	// FaultInjections counts fault-plan entries that took effect; Crashes
-	// and Recoveries count crash events and their completed recoveries.
+	// FaultInjections counts fault activations, not plan clauses: one per
+	// replica the first time a slowdown covers a microbatch it admits (two
+	// disjoint slow clauses on one replica count once), one per replica with
+	// a degraded link, one per crash; PS stalls are inert here. Crashes and
+	// Recoveries count crash events and their completed recoveries.
 	FaultInjections, Crashes, Recoveries int
 	// Trace is the per-request lifecycle, indexed by request id.
 	Trace []RequestTrace

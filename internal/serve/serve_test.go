@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -375,5 +377,39 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if all.Max != float64(goroutines*per-1) {
 		t.Fatalf("max %g", all.Max)
+	}
+}
+
+// Summary sorts the two class splits and merges them; every figure must be
+// the one sorting each of the three populations on its own gives, bit for
+// bit — Mean included, which is summed in sorted order.
+func TestSummaryMatchesThreeSorts(t *testing.T) {
+	sorted := func(lat []float64) LatencySummary {
+		lat = append([]float64(nil), lat...)
+		sort.Float64s(lat)
+		return summarize(lat)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		n        int
+		critRate float64
+	}{{0, 0.5}, {1, 0}, {1, 1}, {7, 0.5}, {1000, 0}, {1000, 1}, {1000, 0.1}, {4096, 0.5}} {
+		rec := NewRecorder(tc.n)
+		var all, crit, bulk []float64
+		for i := 0; i < tc.n; i++ {
+			// Few distinct values, so the classes tie with each other often.
+			v, c := 0.001*float64(1+rng.Intn(40))+rng.Float64()*float64(rng.Intn(2)), rng.Float64() < tc.critRate
+			rec.Add(v, c)
+			all = append(all, v)
+			if c {
+				crit = append(crit, v)
+			} else {
+				bulk = append(bulk, v)
+			}
+		}
+		ga, gc, gb := rec.Summary()
+		if wa, wc, wb := sorted(all), sorted(crit), sorted(bulk); ga != wa || gc != wc || gb != wb {
+			t.Errorf("n=%d crit=%g: summary (%v | %v | %v), three sorts give (%v | %v | %v)", tc.n, tc.critRate, ga, gc, gb, wa, wc, wb)
+		}
 	}
 }

@@ -69,7 +69,9 @@ type ServeResult struct {
 	// Replicas holds the per-virtual-worker splits.
 	Replicas []ServeReplica
 	// FaultInjections, Crashes, and Recoveries surface the WithFaults
-	// plan's effect on the run.
+	// plan's effect on the run. FaultInjections counts activations, not
+	// clauses: one per slowed replica (however many slow clauses name it),
+	// one per replica with a degraded link, one per crash.
 	FaultInjections, Crashes, Recoveries int
 	// Trace is the per-request lifecycle, indexed by request id.
 	Trace []ServeRequest
