@@ -7,6 +7,7 @@
 //	hetbench -list
 //	hetbench -exp figure4
 //	hetbench -exp all
+//	hetbench -exp figure5 -cpuprofile fig5.prof
 package main
 
 import (
@@ -15,12 +16,25 @@ import (
 	"os"
 
 	"hetpipe"
+	"hetpipe/internal/prof"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment name (see -list) or 'all'")
 	list := flag.Bool("list", false, "list available experiments")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
+	stopProfile, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}()
 
 	if *list {
 		for _, d := range hetpipe.ExperimentCatalog() {

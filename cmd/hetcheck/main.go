@@ -10,7 +10,8 @@
 //   - -bench reads `go test -bench -benchmem` output on stdin and fails if
 //     any benchmark named in a committed baseline (-baseline, default
 //     BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,
-//     BENCH_cosim.json; comma-separate several files to gate one stream
+//     BENCH_cosim.json,BENCH_train.json; comma-separate several files to gate
+//     one stream
 //     against multiple packages' baselines) regressed: ns/op beyond
 //     -bench-threshold (default 0.25, the documented >25%% rule — headroom
 //     for machine noise) or allocs/op beyond 5%% (allocation counts are
@@ -23,7 +24,7 @@
 //	hetcheck -pkgdoc -links -root ..   # explicit module root
 //	go test -run '^$' -bench . -benchmem -benchtime 2000x \
 //	  ./internal/pipeline ./internal/ps ./internal/serve \
-//	  ./internal/partition ./internal/core |
+//	  ./internal/partition ./internal/core ./internal/train |
 //	  hetcheck -bench                  # benchmark regression gate
 //	go test -run '^$' -bench . -benchmem ./internal/ps |
 //	  hetcheck -bench -baseline BENCH_ps.json   # one package's baseline only
@@ -51,7 +52,7 @@ import (
 
 // defaultBaselines is every committed baseline: what -bench gates when
 // -baseline is not given.
-const defaultBaselines = "BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,BENCH_cosim.json"
+const defaultBaselines = "BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,BENCH_cosim.json,BENCH_train.json"
 
 func main() {
 	root := flag.String("root", ".", "module root to scan")

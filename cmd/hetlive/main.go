@@ -25,6 +25,7 @@
 //	hetlive -faults crash:w1:mb40 -checkpoint-every 2        # crash-recover conformance
 //	hetlive -conform=false -checkpoint-every 2 -checkpoint-path run.ckpt
 //	hetlive -conform=false -resume run.ckpt -mb 192          # resume & extend a run
+//	hetlive -deploy -cluster mini -tcp -task mlp -mb 3000 -cpuprofile live.prof
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 	"hetpipe"
 	"hetpipe/internal/cluster"
 	"hetpipe/internal/fault"
+	"hetpipe/internal/prof"
 	"hetpipe/internal/train"
 )
 
@@ -66,11 +68,21 @@ func main() {
 	ckptPath := flag.String("checkpoint-path", "", "persist atomic shard checkpoints to this file (raw/deploy modes)")
 	resume := flag.String("resume", "", "resume the shard servers from this checkpoint file (raw/deploy modes)")
 	step := flag.Duration("step", 0, "emulated per-minibatch compute time; slow/link faults scale it (0 = as fast as possible)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
 	if *nm < 1 {
 		fatalf("-nm must be >= 1")
 	}
+	stopProfile, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fatalf("%v", err)
+		}
+	}()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

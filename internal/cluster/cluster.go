@@ -185,38 +185,48 @@ type pendingMB struct {
 // workerState is everything a worker's training loop owns — split out so a
 // checkpoint is a deep clone and a recovery is a restore.
 type workerState struct {
-	nextMB     int // next 1-based minibatch to inject
-	wlocal     tensor.Vector
-	waveAcc    tensor.Vector
-	pending    []pendingMB
-	waveDeltas []tensor.Vector
+	nextMB  int // next 1-based minibatch to inject
+	wlocal  tensor.Vector
+	waveAcc tensor.Vector
+	// pending is a ring of the injected-but-not-retired minibatches, at most
+	// SLocal+1 of them: inflight entries starting at head, oldest first.
+	pending        []pendingMB
+	head, inflight int
+	// waves counts the waves this worker has ended — pushed, or suppressed
+	// under replay. It is the index of the next wave to end.
+	waves int
+	// deltas holds the aggregated updates of the most recent waves, the last
+	// one being wave waves-1. A pull at clock req re-adds the waves >= req,
+	// and req never decreases, so everything below lastPulled is dropped
+	// after each pull: D+1 vectors in steady state, however long the run.
+	deltas     []tensor.Vector
 	lastPulled int
 	stats      WorkerStats
 }
 
-func newWorkerState(task train.Task) *workerState {
+func newWorkerState(task train.Task, slocal int) *workerState {
 	return &workerState{
 		nextMB:  1,
 		wlocal:  task.InitWeights(),
 		waveAcc: tensor.NewVector(task.Dim()),
+		pending: make([]pendingMB, slocal+1),
 	}
 }
 
 func (s *workerState) clone() *workerState {
-	c := &workerState{
-		nextMB:     s.nextMB,
-		wlocal:     s.wlocal.Clone(),
-		waveAcc:    s.waveAcc.Clone(),
-		lastPulled: s.lastPulled,
-		stats:      s.stats,
+	c := *s
+	c.wlocal = s.wlocal.Clone()
+	c.waveAcc = s.waveAcc.Clone()
+	c.pending = make([]pendingMB, len(s.pending))
+	for i := 0; i < s.inflight; i++ {
+		at := (s.head + i) % len(s.pending)
+		c.pending[at] = pendingMB{mb: s.pending[at].mb, weights: s.pending[at].weights.Clone()}
 	}
-	for _, p := range s.pending {
-		c.pending = append(c.pending, pendingMB{mb: p.mb, weights: p.weights.Clone()})
+	c.deltas = make([]tensor.Vector, len(s.deltas))
+	for i, d := range s.deltas {
+		c.deltas[i] = d.Clone()
 	}
-	for _, d := range s.waveDeltas {
-		c.waveDeltas = append(c.waveDeltas, d.Clone())
-	}
-	return c
+	return &c
 }
 
 // workerRec is a worker's recovery bookkeeping. It lives outside runWorker so
@@ -596,8 +606,10 @@ type workerEnv struct {
 
 	// Reusable data-plane scratch, persisting across crash-replay attempts:
 	// pushVecs/pullVecs hold per-chunk views for the ps ordered APIs, and
-	// freeWeights recycles retired pendingMB snapshot vectors so the
-	// steady-state wave loop stops allocating one weight copy per minibatch.
+	// freeWeights recycles the Dim-sized vectors the loop is done with —
+	// retired pendingMB snapshots and wave deltas no later pull can re-add —
+	// so the steady-state wave loop allocates neither a weight copy per
+	// minibatch nor a delta per wave.
 	pushVecs    []tensor.Vector
 	pullVecs    []tensor.Vector
 	freeWeights []tensor.Vector
@@ -614,7 +626,7 @@ func (e *workerEnv) getWeights(src tensor.Vector) tensor.Vector {
 	return src.Clone()
 }
 
-// putWeights recycles a pendingMB snapshot vector after retirement.
+// putWeights recycles a vector getWeights handed out.
 func (e *workerEnv) putWeights(v tensor.Vector) {
 	e.freeWeights = append(e.freeWeights, v)
 }
@@ -649,7 +661,7 @@ func (e *workerEnv) run() (WorkerStats, error) {
 	if e.rec.ckpt != nil {
 		w = e.rec.ckpt.clone()
 	} else {
-		w = newWorkerState(cfg.Task)
+		w = newWorkerState(cfg.Task, cfg.SLocal)
 	}
 	suppress := e.rec.pushed // waves the servers already hold
 	crash := e.faults.CrashFor(id)
@@ -671,8 +683,9 @@ func (e *workerEnv) run() (WorkerStats, error) {
 	}
 
 	retire := func() error {
-		p := w.pending[0]
-		w.pending = w.pending[1:]
+		p := w.pending[w.head]
+		w.head = (w.head + 1) % len(w.pending)
+		w.inflight--
 		cfg.Task.Grad(p.weights, train.MinibatchIndex(id, p.mb, cfg.Workers), grad)
 		e.putWeights(p.weights)
 		w.wlocal.AXPY(-cfg.LR, grad)
@@ -683,9 +696,10 @@ func (e *workerEnv) run() (WorkerStats, error) {
 			e.emit(obs.Event{Kind: obs.KindMinibatch, VW: id, Minibatch: p.mb, Wave: params.Wave(p.mb)})
 		}
 		if params.IsWaveEnd(p.mb) {
-			delta := w.waveAcc.Clone()
-			wave := len(w.waveDeltas)
-			w.waveDeltas = append(w.waveDeltas, delta)
+			delta := e.getWeights(w.waveAcc)
+			wave := w.waves
+			w.waves++
+			w.deltas = append(w.deltas, delta)
 			w.waveAcc.Zero()
 			w.stats.Pushes++
 			if wave < suppress {
@@ -729,9 +743,9 @@ func (e *workerEnv) run() (WorkerStats, error) {
 		// of a loop iteration is self-contained, so any iteration whose
 		// pushed-wave count just crossed a cadence point is a valid capture.
 		if cfg.CheckpointEvery > 0 {
-			if waves := len(w.waveDeltas); waves > e.rec.lastCkptWave && waves%cfg.CheckpointEvery == 0 {
+			if w.waves > e.rec.lastCkptWave && w.waves%cfg.CheckpointEvery == 0 {
 				e.rec.ckpt = w.clone()
-				e.rec.lastCkptWave = waves
+				e.rec.lastCkptWave = w.waves
 				e.rec.checkpoints++
 				e.notifyCkpt()
 			}
@@ -767,8 +781,16 @@ func (e *workerEnv) run() (WorkerStats, error) {
 			if err := e.sh.PullAtInto(e.pullVecs, e.space.Keys(), req); err != nil {
 				return w.stats, err
 			}
-			for v := req; v < len(w.waveDeltas); v++ {
-				w.wlocal.AddInPlace(w.waveDeltas[v])
+			// Re-add the local waves the snapshot cannot hold yet (>= req,
+			// all still held); the older ones can never be asked for again,
+			// so recycle them.
+			stale := len(w.deltas) - (w.waves - req)
+			for _, d := range w.deltas[:stale] {
+				e.putWeights(d)
+			}
+			w.deltas = w.deltas[:copy(w.deltas, w.deltas[stale:])]
+			for _, d := range w.deltas {
+				w.wlocal.AddInPlace(d)
 			}
 			w.wlocal.AddInPlace(w.waveAcc)
 			w.lastPulled = req
@@ -782,15 +804,16 @@ func (e *workerEnv) run() (WorkerStats, error) {
 				e.emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: req})
 			}
 		}
-		w.pending = append(w.pending, pendingMB{mb: mb, weights: e.getWeights(w.wlocal)})
-		if len(w.pending) > cfg.SLocal {
+		w.pending[(w.head+w.inflight)%len(w.pending)] = pendingMB{mb: mb, weights: e.getWeights(w.wlocal)}
+		w.inflight++
+		if w.inflight > cfg.SLocal {
 			if err := retire(); err != nil {
 				return w.stats, err
 			}
 		}
 	}
 	// End-of-run drain: retire the still-pending tail in order.
-	for len(w.pending) > 0 {
+	for w.inflight > 0 {
 		if err := retire(); err != nil {
 			return w.stats, err
 		}

@@ -93,31 +93,58 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// batchIndices walks minibatch b of the given size run by run, the way the
+// training tasks do, and returns the sample index of every row it was handed.
+func batchIndices(t *testing.T, d *Dataset, b, size int) []int {
+	t.Helper()
+	var idx []int
+	for s := 0; s < size; {
+		x, y := d.Run(b*size+s, size-s)
+		if len(y) == 0 || len(x) != len(y)*d.Dim {
+			t.Fatalf("run at %d: %d labels for a block of %d", b*size+s, len(y), len(x))
+		}
+		at := (b*size + s) % d.Len()
+		for i := range y {
+			// Row i of the block is sample at+i itself, not a copy.
+			if &x[i*d.Dim] != &d.X[at+i][0] || y[i] != d.Y[at+i] {
+				t.Fatalf("run at %d: row %d is not sample %d", b*size+s, i, at+i)
+			}
+			idx = append(idx, at+i)
+		}
+		s += len(y)
+	}
+	return idx
+}
+
 func TestBatchWrapsAround(t *testing.T) {
 	d, _ := SyntheticClassification(1, 10, 2, 2, 0.5)
-	idx := d.Batch(0, 4)
+	idx := batchIndices(t, d, 0, 4)
 	if len(idx) != 4 || idx[0] != 0 || idx[3] != 3 {
 		t.Fatalf("batch 0 = %v", idx)
 	}
-	// Batch 2 starts at sample 8 and wraps to 0,1.
-	idx = d.Batch(2, 4)
-	if idx[0] != 8 || idx[2] != 0 || idx[3] != 1 {
+	// Batch 2 starts at sample 8 and wraps to 0,1: two runs.
+	idx = batchIndices(t, d, 2, 4)
+	if len(idx) != 4 || idx[0] != 8 || idx[2] != 0 || idx[3] != 1 {
 		t.Fatalf("batch 2 = %v", idx)
+	}
+	if _, y := d.Run(8, 4); len(y) != 2 {
+		t.Fatalf("run at the dataset end holds %d samples, want 2", len(y))
 	}
 }
 
-// Property: every batch index is valid and batches of consecutive numbers
-// tile the dataset.
+// Property: a batch is its size in samples, consecutive modulo the dataset
+// length from sample b*size on — the sequence the old index-slice Batch
+// returned — whatever the size, including sizes above the dataset length.
 func TestBatchProperty(t *testing.T) {
 	d, _ := SyntheticClassification(3, 97, 3, 2, 0.4)
 	prop := func(b uint16, szRaw uint8) bool {
-		size := 1 + int(szRaw)%32
-		idx := d.Batch(int(b), size)
+		size := 1 + int(szRaw)
+		idx := batchIndices(t, d, int(b), size)
 		if len(idx) != size {
 			return false
 		}
-		for _, i := range idx {
-			if i < 0 || i >= d.Len() {
+		for i, at := range idx {
+			if at != (int(b)*size+i)%d.Len() {
 				return false
 			}
 		}
@@ -125,5 +152,29 @@ func TestBatchProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitSharesTheSlab: both sides of a split keep samples in one
+// contiguous block (what Run hands out), and the block is the parent's.
+func TestSplitSharesTheSlab(t *testing.T) {
+	d, _ := SyntheticClassification(2, 50, 3, 2, 0.5)
+	tr, ev, err := d.Split(0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []*Dataset{tr, ev} {
+		x, y := side.Run(0, side.Len()+5)
+		if len(y) != side.Len() || len(x) != side.Len()*side.Dim {
+			t.Fatalf("whole-dataset run holds %d samples of %d", len(y), side.Len())
+		}
+		for i := range side.X {
+			if &x[i*side.Dim] != &side.X[i][0] {
+				t.Fatalf("sample %d is not row %d of its side's block", i, i)
+			}
+		}
+	}
+	if &ev.X[0][0] != &d.X[tr.Len()][0] {
+		t.Fatal("split copied the features")
 	}
 }

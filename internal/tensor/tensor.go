@@ -1,8 +1,20 @@
-// Package tensor provides the small dense linear-algebra kernels the numeric
-// trainer needs: float64 vectors with the usual BLAS-1 operations plus a
-// row-major matrix-vector product and softmax utilities. Everything is plain
-// Go over the standard library — adequate for the convergence studies, which
-// use modest dimensionalities.
+// Package tensor provides the dense linear-algebra kernels the numeric
+// trainer and the parameter servers need: float64 vectors with the usual
+// BLAS-1 operations, softmax utilities, the wire codec, and the two blocked
+// kernels a small dense layer is made of — MatVec (weight rows against one
+// input) and AddOuter (a minibatch of outer products accumulated into a
+// gradient block).
+//
+// What the kernels guarantee is summation order, hence bits. Every sum is
+// formed one term at a time, left to right, from +0: MatVec sums each row as
+// Dot does, AddOuter sums each element as a sequence of AXPYs into a zeroed
+// vector does. Blocking only interleaves independent sums (several rows per
+// pass, a register tile carried across the samples); it never reassociates
+// one. Weight trajectories, goldens and sim-vs-live conformance are therefore
+// indifferent to which of the two forms computed a gradient, and a change to
+// a kernel that moves a single bit is a bug, caught by the reference tests
+// here and in internal/train. Everything is plain Go over the standard
+// library.
 package tensor
 
 import (
@@ -115,29 +127,6 @@ func (v Vector) DistanceSquared(w Vector) float64 {
 func checkLen(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", a, b))
-	}
-}
-
-// Matrix is a dense row-major matrix.
-type Matrix struct {
-	Rows, Cols int
-	Data       Vector // len Rows*Cols
-}
-
-// NewMatrix returns a zero matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	return &Matrix{Rows: rows, Cols: cols, Data: NewVector(rows * cols)}
-}
-
-// Row returns row r as a slice aliasing the matrix storage.
-func (m *Matrix) Row(r int) Vector { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
-// MulVec computes out = M * x. out must have length Rows.
-func (m *Matrix) MulVec(x, out Vector) {
-	checkLen(len(x), m.Cols)
-	checkLen(len(out), m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = m.Row(r).Dot(x)
 	}
 }
 

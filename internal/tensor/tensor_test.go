@@ -68,13 +68,16 @@ func TestLengthMismatchPanics(t *testing.T) {
 }
 
 func TestMatrixMulVec(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Row(0), Vector{1, 2, 3})
-	copy(m.Row(1), Vector{4, 5, 6})
+	m := Vector{1, 2, 3, 4, 5, 6} // 2 x 3, row-major
 	out := NewVector(2)
-	m.MulVec(Vector{1, 1, 1}, out)
+	MatVec(out, m, 3, Vector{1, 1, 1})
 	if !almostEq(out[0], 6) || !almostEq(out[1], 15) {
-		t.Errorf("mulvec = %v, want [6 15]", out)
+		t.Errorf("matvec = %v, want [6 15]", out)
+	}
+	// A stride above len(x) skips trailing per-row entries (a bias column).
+	MatVec(out, m, 3, Vector{1, 1})
+	if !almostEq(out[0], 3) || !almostEq(out[1], 9) {
+		t.Errorf("strided matvec = %v, want [3 9]", out)
 	}
 }
 

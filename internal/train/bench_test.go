@@ -40,3 +40,19 @@ func BenchmarkWSPCoSimulation(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMLPGrad measures one minibatch gradient of the non-convex study
+// task (batch 32, 4 classes, 16 dims, 24 hidden units) — the step the live
+// runtime pays once per retired minibatch.
+func BenchmarkMLPGrad(b *testing.B) {
+	m, err := DefaultMLPTask(7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := m.InitWeights()
+	g := tensor.NewVector(m.Dim())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Grad(w, i, g)
+	}
+}

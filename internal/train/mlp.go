@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"hetpipe/internal/data"
 	"hetpipe/internal/tensor"
@@ -25,6 +26,8 @@ type MLP struct {
 	// ClipNorm bounds each gradient coordinate; zero disables.
 	ClipNorm float64
 	seed     int64
+	// scratch recycles Grad's per-call work vector (see getScratch).
+	scratch sync.Pool
 }
 
 // NewMLP builds the task.
@@ -76,56 +79,71 @@ func (t *MLP) views(w tensor.Vector) (w1, b1, w2, b2 tensor.Vector) {
 // forward computes hidden activations and class probabilities for sample x.
 func (t *MLP) forward(w tensor.Vector, x tensor.Vector, hid, probs tensor.Vector) {
 	w1, b1, w2, b2 := t.views(w)
-	d, h, c := t.train.Dim, t.hidden, t.train.Classes
-	for j := 0; j < h; j++ {
-		hid[j] = math.Tanh(w1[j*d:(j+1)*d].Dot(x) + b1[j])
+	tensor.MatVec(hid, w1, t.train.Dim, x)
+	for j, z := range hid {
+		hid[j] = math.Tanh(z + b1[j])
 	}
-	for k := 0; k < c; k++ {
-		probs[k] = w2[k*h:(k+1)*h].Dot(hid) + b2[k]
+	tensor.MatVec(probs, w2, t.hidden, hid)
+	for k := range probs {
+		probs[k] += b2[k]
 	}
 	tensor.Softmax(probs)
 }
 
-// Grad implements Task via manual backpropagation.
+// Grad implements Task via manual backpropagation, in two phases over each
+// run of consecutive samples (the whole minibatch, unless it wraps the dataset
+// end). The first sends every sample forward and leaves, per sample, its
+// hidden activations, its output-layer error d2 = probs*inv - onehot*inv and
+// the error fed back through W2, (probs - onehot)*inv, in scratch. The second
+// works on the run as a block (tensor.AddOuter): the hidden-layer error
+// dj = (sum_k back_k*W2[k,.]) * (1 - hid^2) for all samples at once, then
+// W2's gradient from d2 and hid and W1's from dj and the run's rows of the
+// dataset slab. Every gradient element is still the sum of its per-sample
+// terms in sample order from +0.
 func (t *MLP) Grad(w tensor.Vector, b int, out tensor.Vector) {
 	out.Zero()
-	d, h, c := t.train.Dim, t.hidden, t.train.Classes
-	w1, _, w2, _ := t.views(w)
+	d, h, c, n := t.train.Dim, t.hidden, t.train.Classes, t.batch
+	_, _, w2, _ := t.views(w)
 	g1, gb1, g2, gb2 := t.views(out)
-	hid := tensor.NewVector(h)
-	probs := tensor.NewVector(c)
-	dhid := tensor.NewVector(h)
-	idx := t.train.Batch(b, t.batch)
-	inv := 1 / float64(len(idx))
-	_ = w1
-	for _, i := range idx {
-		x := t.train.X[i]
-		t.forward(w, x, hid, probs)
-		// dL/dlogits = probs - onehot(y).
-		for k := 0; k < c; k++ {
-			delta := probs[k] * inv
-			if k == t.train.Y[i] {
-				delta -= inv
+	sc := getScratch(&t.scratch, 2*n*(h+c))
+	inv := 1 / float64(n)
+	for s := 0; s < n; {
+		xs, ys := t.train.Run(b*n+s, n-s)
+		m := len(ys)
+		hid, dj := (*sc)[:m*h], (*sc)[n*h:][:m*h]
+		d2 := (*sc)[2*n*h:][:m*c]       // sample-major, like hid and dj
+		back := (*sc)[2*n*h+n*c:][:c*m] // class-major: AddOuter sums over classes
+		for i, y := range ys {
+			probs := d2[i*c:][:c]
+			t.forward(w, xs[i*d:][:d], hid[i*h:][:h], probs)
+			// dL/dlogits = probs - onehot(y).
+			for k, p := range probs {
+				delta, fed := p*inv, p
+				if k == y {
+					delta -= inv
+					fed -= 1
+				}
+				probs[k] = delta
+				gb2[k] += delta
+				back[k*m+i] = fed * inv
 			}
-			g2[k*h:(k+1)*h].AXPY(delta, hid)
-			gb2[k] += delta
 		}
-		// Backprop into the hidden layer: dL/dhid = W2^T (probs-onehot).
-		dhid.Zero()
-		for k := 0; k < c; k++ {
-			delta := probs[k]
-			if k == t.train.Y[i] {
-				delta -= 1
+		// Backprop into the hidden layer, dL/dhid = W2^T (probs-onehot), then
+		// through tanh: (1 - hid^2).
+		dj.Zero()
+		tensor.AddOuter(dj, h, back, m, w2, h)
+		for i := 0; i < m; i++ {
+			hs, ds := hid[i*h:][:h], dj[i*h:][:h]
+			for j, hv := range hs {
+				ds[j] *= 1 - hv*hv
+				gb1[j] += ds[j]
 			}
-			dhid.AXPY(delta*inv, w2[k*h:(k+1)*h])
 		}
-		// Through tanh: (1 - hid^2).
-		for j := 0; j < h; j++ {
-			dj := dhid[j] * (1 - hid[j]*hid[j])
-			g1[j*d:(j+1)*d].AXPY(dj, x)
-			gb1[j] += dj
-		}
+		tensor.AddOuter(g2, h, d2, c, hid, h)
+		tensor.AddOuter(g1, d, dj, h, xs, d)
+		s += m
 	}
+	t.scratch.Put(sc)
 	if t.ClipNorm > 0 {
 		tensor.Clip(out, t.ClipNorm)
 	}

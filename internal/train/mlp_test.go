@@ -33,7 +33,7 @@ func TestMLPGradientMatchesFiniteDifference(t *testing.T) {
 	m.Grad(w, 5, g)
 
 	loss := func(w tensor.Vector) float64 {
-		idx := m.train.Batch(5, m.batch)
+		idx := referenceBatch(m.train, 5, m.batch)
 		hid := tensor.NewVector(m.hidden)
 		probs := tensor.NewVector(m.train.Classes)
 		var sum float64

@@ -9,11 +9,21 @@
 // The default task is multinomial logistic regression on a synthetic
 // Gaussian-mixture dataset: convex with bounded (clipped) gradients, exactly
 // the setting of the paper's convergence proof (Assumptions 1 and 2).
+//
+// A gradient step — what every trainer here and the live runtime
+// (internal/cluster) pay once per retired minibatch — is batched: each task
+// scores the minibatch's samples into scratch it owns, then accumulates the
+// weight gradients as outer products over the whole minibatch through the
+// blocked kernels of internal/tensor, reading the samples straight from the
+// dataset slab. Every sum keeps the order the per-sample form had, so the
+// result is the same to the last bit (reference_test.go holds that form as
+// the oracle), and a steady-state Grad allocates nothing.
 package train
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"hetpipe/internal/data"
 	"hetpipe/internal/tensor"
@@ -46,6 +56,20 @@ type LogReg struct {
 	// ClipNorm bounds each coordinate of the gradient (Assumption 1's
 	// bounded subgradients); zero disables clipping.
 	ClipNorm float64
+	// scratch recycles Grad's per-call work vector (see getScratch).
+	scratch sync.Pool
+}
+
+// getScratch takes a length-n work vector from a task's pool, or makes the
+// pool's first. Every call of one task asks for the same n; the caller Puts
+// the vector back when done, which is what keeps a steady-state Grad
+// allocation-free while concurrent Grads each hold their own.
+func getScratch(pool *sync.Pool, n int) *tensor.Vector {
+	if v, ok := pool.Get().(*tensor.Vector); ok {
+		return v
+	}
+	v := tensor.NewVector(n)
+	return &v
 }
 
 // NewLogReg builds the task over a train/eval split.
@@ -65,51 +89,52 @@ func (t *LogReg) Dim() int { return t.train.Classes * (t.train.Dim + 1) }
 // InitWeights implements Task: zeros (a deterministic, symmetric start).
 func (t *LogReg) InitWeights() tensor.Vector { return tensor.NewVector(t.Dim()) }
 
-// row returns the parameter row of class c as a view: [w_0..w_{d-1}, bias].
-func (t *LogReg) row(w tensor.Vector, c int) tensor.Vector {
-	d := t.train.Dim + 1
-	return w[c*d : (c+1)*d]
-}
-
 // logits computes class scores for sample x into out.
 func (t *LogReg) logits(w tensor.Vector, x tensor.Vector, out tensor.Vector) {
-	for c := 0; c < t.train.Classes; c++ {
-		r := t.row(w, c)
-		out[c] = r[:len(r)-1].Dot(x) + r[len(r)-1]
+	d := t.train.Dim
+	tensor.MatVec(out, w, d+1, x)
+	for c := range out {
+		out[c] += w[c*(d+1)+d]
 	}
 }
 
-// Grad implements Task: softmax cross-entropy gradient over minibatch b.
+// Grad implements Task: softmax cross-entropy gradient over minibatch b. Each
+// run of consecutive samples is scored into per-sample coefficient rows
+// (probs*inv - onehot*inv), whose outer products with the run's rows of the
+// dataset slab are then accumulated in one batched pass (tensor.AddOuter);
+// every gradient element is still the sum of its per-sample terms in sample
+// order from +0.
 func (t *LogReg) Grad(w tensor.Vector, b int, out tensor.Vector) {
 	out.Zero()
-	probs := tensor.NewVector(t.train.Classes)
-	idx := t.train.Batch(b, t.batch)
-	inv := 1 / float64(len(idx))
-	for _, i := range idx {
-		x := t.train.X[i]
-		t.logits(w, x, probs)
-		tensor.Softmax(probs)
-		for c := 0; c < t.train.Classes; c++ {
-			coef := probs[c] * inv
-			if c == t.train.Y[i] {
-				coef -= inv
+	d, k, n := t.train.Dim, t.train.Classes, t.batch
+	sc := getScratch(&t.scratch, n*k)
+	inv := 1 / float64(n)
+	for s := 0; s < n; {
+		xs, ys := t.train.Run(b*n+s, n-s)
+		coefs := (*sc)[s*k:][:len(ys)*k]
+		for i, y := range ys {
+			coef := coefs[i*k:][:k]
+			t.logits(w, xs[i*d:][:d], coef)
+			tensor.Softmax(coef)
+			for c, p := range coef {
+				v := p * inv
+				if c == y {
+					v -= inv
+				}
+				coef[c] = v
+				out[c*(d+1)+d] += v
 			}
-			g := t.gradRow(out, c)
-			g[:len(g)-1].AXPY(coef, x)
-			g[len(g)-1] += coef
 		}
+		tensor.AddOuter(out, d+1, coefs, k, xs, d)
+		s += len(ys)
 	}
+	t.scratch.Put(sc)
 	if t.L2 > 0 {
 		out.AXPY(t.L2, w)
 	}
 	if t.ClipNorm > 0 {
 		tensor.Clip(out, t.ClipNorm)
 	}
-}
-
-func (t *LogReg) gradRow(g tensor.Vector, c int) tensor.Vector {
-	d := t.train.Dim + 1
-	return g[c*d : (c+1)*d]
 }
 
 // Loss implements Task: mean cross-entropy over the training set plus the

@@ -49,7 +49,7 @@ func TestLogRegGradientMatchesFiniteDifference(t *testing.T) {
 // batchLoss recomputes the minibatch cross-entropy + ridge objective that
 // Grad differentiates.
 func batchLoss(lt *LogReg, w tensor.Vector, b int) float64 {
-	idx := lt.train.Batch(b, lt.batch)
+	idx := referenceBatch(lt.train, b, lt.batch)
 	probs := tensor.NewVector(lt.train.Classes)
 	var sum float64
 	for _, i := range idx {
