@@ -212,6 +212,10 @@ func (d *Deployment) Plans() []*PlanView {
 	return out
 }
 
+// Planning reports what resolving the deployment cost: dynamic programs
+// solved and carried, solo simulations run and Nm values pruned.
+func (d *Deployment) Planning() Planning { return Planning(d.dep.Planning) }
+
 // minibatchBudget resolves the per-VW run length.
 func (d *Deployment) minibatchBudget() int {
 	if d.set.minibatches != 0 {

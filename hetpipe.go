@@ -215,6 +215,20 @@ type StageView struct {
 	MemoryCap   int64
 }
 
+// Planning counts the work New did to resolve a deployment. The counts depend
+// on the options alone and repeat exactly from run to run.
+type Planning struct {
+	// Solves is the partitioning problems solved by the dynamic program,
+	// Carried those answered by the previous Nm's cuts, which still fit and
+	// so were still optimal, and Infeasible the solves that found no
+	// memory-feasible split (the probe that ends a worker's Nm range).
+	Solves, Carried, Infeasible int
+	// SoloSims is the single-worker pipeline simulations run, and PrunedNm
+	// the Nm values the search skipped because a closed-form bound on their
+	// throughput could not reach the best already simulated.
+	SoloSims, PrunedNm int
+}
+
 // clusterByName resolves a cluster-catalog key, defaulting to the paper
 // testbed when empty; it reports the name it actually looked up.
 func clusterByName(name string) (*hw.Cluster, string, error) {

@@ -18,6 +18,19 @@
 // still receives a plan of its own, bound to its own GPUs. The only state
 // that outlives a context is the System's immutable cost tables.
 //
+// The Nm search does only the planning its answer needs. It finds each
+// class's feasible range by planning Nm = 1, 2, ... up to the first that does
+// not fit — every plan in the range is needed anyway, and in ascending order
+// the partitioner carries each plan's cuts to the next Nm instead of solving
+// again while they fit. It then evaluates Nm from the top of the range down
+// and skips the solo simulations of any Nm whose closed-form round-trip
+// bound (pipeline.ThroughputBound, summed over the workers) is strictly
+// below the best total already simulated: the bound is tight where few
+// minibatches are in flight, so the top of the range rules out most of the
+// bottom. Both cuts are exact — the same plans and the same Nm as the
+// bisecting, simulate-everything search the tests keep as referenceDeploy —
+// and Deployment.Planning reports how much of each a Deploy did.
+//
 // What a co-simulation costs. SimulateWSP steps one pipeline per lock-step
 // group, not per virtual worker (multisim.go). A group is a maximal run of
 // consecutive workers with equal executor inputs (pipeline.SameInputs: stage
@@ -152,6 +165,8 @@ type Deployment struct {
 	// PushTime[w] and PullTime[w] are per-wave parameter synchronization
 	// transfer times for virtual worker w.
 	PushTime, PullTime []float64
+	// Planning counts what resolving the deployment cost.
+	Planning Planning
 }
 
 // SGlobal returns the deployment's global staleness bound: with wave size Nm
@@ -269,6 +284,7 @@ func (s *System) Deploy(alloc *hw.Allocation, nm, d int, placement PlacementKind
 		dep.PushTime = append(dep.PushTime, push)
 		dep.PullTime = append(dep.PullTime, pull)
 	}
+	dep.Planning = pc.stats()
 	return dep, nil
 }
 

@@ -29,6 +29,35 @@ type planning struct {
 	classes [][]stageClass
 	sig     []stageClass // class's scratch
 	memo    map[soloKey]*soloPlan
+
+	soloSims, prunedNm int // Planning's two counters the partitioner does not keep
+}
+
+// Planning counts the work one Deploy's planning context did. The counts are
+// a function of the System and the allocation alone, so they repeat exactly
+// from run to run.
+type Planning struct {
+	// Solves is the Partition calls that ran the dynamic program, Carried the
+	// calls that reused the previous Nm's cuts instead (partition.Stats), and
+	// Infeasible the solves that found no memory-feasible split: the probe
+	// that ends each class's upward Nm scan.
+	Solves, Carried, Infeasible int
+	// SoloSims is the solo pipeline simulations run: one per (class, Nm)
+	// the Nm search did not prune, or one per class when Nm was given.
+	SoloSims int
+	// PrunedNm is the Nm values the search skipped without simulating because
+	// their round-trip bound (pipeline.ThroughputBound) could not reach the
+	// incumbent.
+	PrunedNm int
+}
+
+// stats reports what the context has done so far.
+func (pc *planning) stats() Planning {
+	ps := pc.pt.Stats()
+	return Planning{
+		Solves: ps.Solves, Carried: ps.Carried, Infeasible: ps.Infeasible,
+		SoloSims: pc.soloSims, PrunedNm: pc.prunedNm,
+	}
 }
 
 // stageClass is one stage's part of a virtual worker's class: its GPU type
@@ -91,8 +120,8 @@ func (pc *planning) class(vw *hw.VirtualWorker) int {
 }
 
 // planned partitions the model for vw's class at nm, once. Infeasible
-// outcomes are remembered too: a class's failed MaxNm probes are not retried
-// for its other workers.
+// outcomes are remembered too: the probe that ended a class's Nm scan is not
+// retried for its other workers.
 func (pc *planning) planned(vw *hw.VirtualWorker, nm int) *soloPlan {
 	key := soloKey{pc.class(vw), nm}
 	sp := pc.memo[key]
@@ -121,6 +150,7 @@ func (pc *planning) soloRun(vw *hw.VirtualWorker, nm int) (*soloPlan, error) {
 	}
 	if !sp.simulated {
 		sp.simulated = true
+		pc.soloSims++
 		res, err := pc.simulate(sp.plan, measureMB(nm), warmupMB(nm))
 		if err != nil {
 			sp.simErr = err
@@ -145,19 +175,51 @@ func (pc *planning) solo(vw *hw.VirtualWorker, nm int) (*VWPlan, error) {
 	return pc.sys.vwPlan(vw, sp.plan.Rebind(vw), sp.throughput, sp.maxUtil), nil
 }
 
+// pruneMargin is the relative slack chooseNm leaves when it compares a sum of
+// bounds with a sum of simulated throughputs. The bound is exact in real
+// arithmetic; the simulator adds the same durations in another order, and
+// the worst ratio over the oracle's thousands of random cases reads
+// 1 + 7e-14.
+const pruneMargin = 1e-9
+
+// bound sums the workers' round-trip bounds over the standard window at an
+// nm every worker has a plan for, in the order chooseNm sums their simulated
+// throughputs.
+func (pc *planning) bound(alloc *hw.Allocation, nm int) float64 {
+	total := 0.0
+	for _, vw := range alloc.VWs {
+		total += pipeline.ThroughputBound(pc.planned(vw, nm).plan, pc.sys.Schedule, measureMB(nm), warmupMB(nm))
+	}
+	return total
+}
+
 // chooseNm is System.ChooseNm inside this context.
 func (pc *planning) chooseNm(alloc *hw.Allocation, cap int) (int, error) {
 	// The common Nm is bounded by the smallest Maxm, so each worker is only
-	// searched up to the limit its predecessors left.
+	// scanned up to the limit its predecessors left. The search below needs
+	// every plan in 1..limit anyway, and planning them in ascending order
+	// lets each carry its predecessor's cuts (partition.Partitioner).
 	limit := cap
 	for _, vw := range alloc.VWs {
-		limit = partition.MaxFeasible(limit, func(nm int) bool { return pc.planned(vw, nm).err == nil })
-		if limit == 0 {
+		nm := 0
+		for nm < limit && pc.planned(vw, nm+1).err == nil {
+			nm++
+		}
+		if limit = nm; limit == 0 {
 			return 0, fmt.Errorf("core: %s cannot host %s at any Nm", vw.TypeString(), pc.sys.Model.Name)
 		}
 	}
+	// Downward, because the round-trip bound is tight at small Nm and loose
+	// at large: the incumbent from the top of the range rules out most of
+	// the bottom unsimulated. An Nm is skipped only when even its bound is
+	// strictly below the incumbent, and equal totals replace it, so the
+	// answer is the ascending search's: the lowest Nm among the best totals.
 	bestNm, bestTp := 0, -1.0
-	for nm := 1; nm <= limit; nm++ {
+	for nm := limit; nm >= 1; nm-- {
+		if bestNm != 0 && pc.bound(alloc, nm)*(1+pruneMargin) < bestTp {
+			pc.prunedNm++
+			continue
+		}
 		total := 0.0
 		ok := true
 		for _, vw := range alloc.VWs {
@@ -168,7 +230,7 @@ func (pc *planning) chooseNm(alloc *hw.Allocation, cap int) (int, error) {
 			}
 			total += sp.throughput
 		}
-		if ok && total > bestTp {
+		if ok && total >= bestTp {
 			bestNm, bestTp = nm, total
 		}
 	}

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,7 +21,11 @@ import (
 // referenceDeploy is Deploy without a planning context, as it stood before
 // one existed: every MaxNm probe, every (worker, Nm) of the sweep and every
 // worker of the final pass gets a fresh partitioner and a cold engine, and
-// nothing is shared between workers. Deploy must equal it field for field.
+// nothing is shared between workers. It is also the only place the original
+// Nm search survives — a bisection per worker, then every Nm in 1..limit
+// simulated in ascending order — so nothing here carries a plan or prunes a
+// simulation. Deploy must equal it field for field (but for Planning, which
+// counts work the reference does not do).
 func referenceDeploy(s *System, alloc *hw.Allocation, nm, d int, placement PlacementKind) (*Deployment, error) {
 	solo := func(vw *hw.VirtualWorker, nm int) (*VWPlan, error) {
 		pt := &partition.Partitioner{Perf: s.Perf, Sched: s.schedule(), Interleave: s.Interleave}
@@ -113,31 +121,54 @@ func (pc planCase) build(t *testing.T) (*System, *hw.Allocation) {
 	return s, alloc
 }
 
-// planCases covers the three ways workers relate: paper/ED is four workers
-// of one class, paper-x2/HD and mini/NP mix classes of several and of one.
-func planCases() []planCase {
+// planCases is hetperf plan-cold's cross product — three clusters x three
+// policies x two models x six schedules (interleaved at V=2), 108 systems —
+// or, when short, a sixth of it that still covers the three ways workers
+// relate: paper/ED is four workers of one class, paper-x2/HD and mini/NP mix
+// classes of several and of one.
+func planCases(short bool) []planCase {
 	var out []planCase
-	for _, cp := range []struct {
-		cluster string
-		policy  hw.Policy
-	}{{"paper", hw.EqualDistribution}, {"paper-x2", hw.HybridDistribution}, {"mini", hw.NodePartition}} {
-		for _, m := range []string{"resnet152", "vgg19"} {
-			out = append(out,
-				planCase{cp.cluster, cp.policy, m, sched.FIFO, 0},
-				planCase{cp.cluster, cp.policy, m, sched.OneF1B, 0},
-				planCase{cp.cluster, cp.policy, m, sched.Interleaved, 2})
+	for _, cluster := range []string{"paper", "paper-x2", "mini"} {
+		for _, policy := range []hw.Policy{hw.NodePartition, hw.EqualDistribution, hw.HybridDistribution} {
+			for _, m := range []string{"resnet152", "vgg19"} {
+				for _, name := range sched.Names() {
+					s, _ := sched.ByName(name)
+					pc := planCase{cluster, policy, m, s, 0}
+					if s.SupportsInterleave() {
+						pc.v = 2
+					}
+					relation := cluster == "paper" && policy == hw.EqualDistribution ||
+						cluster == "paper-x2" && policy == hw.HybridDistribution ||
+						cluster == "mini" && policy == hw.NodePartition
+					if short && !(relation && (s == sched.FIFO || s == sched.OneF1B || s == sched.Interleaved)) {
+						continue
+					}
+					out = append(out, pc)
+				}
+			}
 		}
 	}
 	return out
 }
 
-// TestDeployMatchesMemolessReference is the memo's correctness wall: with
+// sameAsReference compares a deployment with referenceDeploy's, Planning
+// aside.
+func sameAsReference(got, want *Deployment) bool {
+	g := *got
+	g.Planning = Planning{}
+	return reflect.DeepEqual(&g, want)
+}
+
+// TestDeployMatchesMemolessReference is the correctness wall of everything
+// planning skips — the memo, the carried plans, the pruned simulations: with
 // Nm chosen (0) and given (2), Deploy returns exactly what the reference
 // does, every stage sits on its own worker's GPU, and no two workers' plans
 // share Stages or Chunks memory.
 func TestDeployMatchesMemolessReference(t *testing.T) {
 	shared := 0
-	for _, pc := range planCases() {
+	var total Planning
+	cases := planCases(testing.Short())
+	for _, pc := range cases {
 		s, alloc := pc.build(t)
 		for _, nm := range []int{0, 2} {
 			got, gerr := s.Deploy(alloc, nm, 1, PlacementDefault)
@@ -150,8 +181,11 @@ func TestDeployMatchesMemolessReference(t *testing.T) {
 				}
 				continue
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !sameAsReference(got, want) {
 				t.Errorf("%v Nm=%d: deployment differs from the memo-less reference\n got %+v\nwant %+v", pc, nm, got, want)
+			}
+			if nm == 0 {
+				total.add(got.Planning)
 			}
 			stages := map[*partition.Stage]int{}
 			chunks := map[*partition.Chunk]int{}
@@ -192,6 +226,166 @@ func TestDeployMatchesMemolessReference(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Error("no case had two workers of one class: the memo's hit path went untested")
+	}
+	if total.Carried == 0 || total.PrunedNm == 0 || total.Infeasible == 0 {
+		t.Errorf("the Nm searches carried no plan, pruned no Nm or met no memory limit: %+v", total)
+	}
+	t.Logf("%d systems with Nm chosen: %+v", len(cases), total)
+
+	// The same comparison where nothing was tuned by hand: random skewed
+	// chains, sized so that memory binds at some Nm below the cap, on a random
+	// cluster, policy, schedule, interleave degree and batch, Nm chosen.
+	rounds := 80
+	if testing.Short() {
+		rounds = 20
+	}
+	r := rand.New(rand.NewSource(18))
+	clusters := hw.ClusterNames()
+	policies := []hw.Policy{hw.NodePartition, hw.EqualDistribution, hw.HybridDistribution}
+	total = Planning{}
+	deployed, refusedAll := 0, 0
+	for round := 0; round < rounds; round++ {
+		w := make([]float64, 16+r.Intn(24)) // the deepest worker has 8 GPUs, 16 virtual stages at V=2
+		for i := range w {
+			w[i] = math.Exp(r.NormFloat64()*1.5) * 1e9 / 3
+		}
+		m := model.Skewed("rnd", w, int64(1)<<(10+r.Intn(14)), int64(1)<<(17+r.Intn(8)))
+		cl, err := hw.ClusterByName(clusters[r.Intn(len(clusters))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := sched.ByName(sched.Names()[r.Intn(len(sched.Names()))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, err := hw.Allocate(cl, policies[r.Intn(len(policies))])
+		if err != nil {
+			continue // whimpy has no HD
+		}
+		s, err := NewSystemSched(cl, m, profile.Default(), 1+r.Intn(64), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.SupportsInterleave() {
+			s.Interleave = 1 + r.Intn(2)
+		}
+		id := fmt.Sprintf("round %d: %d layers, batch %d, %d x %s..., %s V=%d", round, len(w), s.Batch, len(alloc.VWs), alloc.VWs[0].TypeString(), sc.Name(), s.Interleave)
+		got, gerr := s.Deploy(alloc, 0, 1, PlacementDefault)
+		want, werr := referenceDeploy(s, alloc, 0, 1, PlacementDefault)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%s: error %v, reference %v", id, gerr, werr)
+		}
+		if gerr != nil {
+			refusedAll++
+			continue
+		}
+		if !sameAsReference(got, want) {
+			t.Fatalf("%s: deployment differs from the memo-less reference\n got %+v\nwant %+v", id, got, want)
+		}
+		deployed++
+		total.add(got.Planning)
+	}
+	if deployed == 0 || refusedAll == 0 || total.Carried == 0 || total.PrunedNm == 0 || total.Infeasible == 0 {
+		t.Errorf("degenerate random sweep: %d deployed, %d that fit at no Nm, %+v", deployed, refusedAll, total)
+	}
+	t.Logf("%d random systems deployed, %d fit at no Nm: %+v", deployed, refusedAll, total)
+}
+
+func (p *Planning) add(q Planning) {
+	p.Solves += q.Solves
+	p.Carried += q.Carried
+	p.Infeasible += q.Infeasible
+	p.SoloSims += q.SoloSims
+	p.PrunedNm += q.PrunedNm
+}
+
+// TestPlanningCounts pins what resolving a deployment costs, as Deployment
+// reports it. The counts are a function of the inputs alone.
+func TestPlanningCounts(t *testing.T) {
+	for _, tc := range []struct {
+		pc     planCase
+		nm     int
+		wantNm int
+		want   Planning
+	}{
+		// Four VRGQ workers, one class: eight plans, of which the cuts change
+		// five times under fifo and three under 1f1b's smaller stashes; the
+		// sims at Nm 8..4 leave an incumbent that rules out Nm 3, 2 and 1.
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, SoloSims: 5, PrunedNm: 3}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, SoloSims: 5, PrunedNm: 3}},
+		// A fill-drain wave stashes Nm activations on every stage: Nm=7 no
+		// longer fits, and the probe that finds out is the scan's last.
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, SoloSims: 5, PrunedNm: 1}},
+		// Four workers of four classes, memory to spare: one solve per class.
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 5, Planning{Solves: 4, Carried: 28, SoloSims: 28, PrunedNm: 1}},
+		// Nm given: one plan and one solo run per class, nothing to search.
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, SoloSims: 1}},
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, SoloSims: 4}},
+	} {
+		s, alloc := tc.pc.build(t)
+		dep, err := s.Deploy(alloc, tc.nm, 0, PlacementDefault)
+		if err != nil {
+			t.Errorf("%v Nm=%d: %v", tc.pc, tc.nm, err)
+			continue
+		}
+		if dep.Nm != tc.wantNm || dep.Planning != tc.want {
+			t.Errorf("%v Nm=%d: deployed at Nm=%d with %+v, want Nm=%d with %+v", tc.pc, tc.nm, dep.Nm, dep.Planning, tc.wantNm, tc.want)
+		}
+	}
+}
+
+// TestChooseNmOnHandBuiltThroughputs drives the Nm search over solo figures
+// written into the memo by hand (paper/ED: four workers of one class, so one
+// entry per Nm), where the outcomes that matter can be placed exactly: ties,
+// failed simulations, and a run that rounding put a hair above its bound.
+func TestChooseNmOnHandBuiltThroughputs(t *testing.T) {
+	s := sys(t, model.ResNet152())
+	alloc, err := hw.Allocate(s.Cluster, hw.EqualDistribution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The per-worker round-trip bound at Nm=1, far above the hand-built
+	// figures of the first cases so that nothing there is pruned.
+	probe := s.newPlanning().planned(alloc.VWs[0], 1)
+	if probe.err != nil {
+		t.Fatal(probe.err)
+	}
+	bound1 := pipeline.ThroughputBound(probe.plan, s.Schedule, measureMB(1), warmupMB(1))
+	simFailed := errors.New("simulation failed")
+	for _, tc := range []struct {
+		name string
+		tp   [9]float64 // by Nm, samples/s per worker
+		bad  []int      // Nm whose simulation fails
+		want int        // 0: no feasible Nm
+	}{
+		{name: "lowest of two equal totals", tp: [9]float64{1: .1, 2: .5, 3: .5, 4: .2, 5: .1, 6: .1, 7: .1, 8: .1}, want: 2},
+		{name: "all equal", tp: [9]float64{1: .3, 2: .3, 3: .3, 4: .3, 5: .3, 6: .3, 7: .3, 8: .3}, want: 1},
+		{name: "best at the top", tp: [9]float64{1: .1, 2: .2, 3: .3, 4: .4, 5: .5, 6: .6, 7: .7, 8: .8}, want: 8},
+		{name: "failed sims are skipped", tp: [9]float64{1: .1, 2: .2, 3: 9, 4: .2, 5: .7, 6: .7, 7: .1, 8: 9}, bad: []int{3, 8}, want: 5},
+		{name: "every sim fails", bad: []int{1, 2, 3, 4, 5, 6, 7, 8}, want: 0},
+		// Nm=1 runs at its bound (the oracle pins that to 1e-12, not to the
+		// bit), here 2e-13 above it and level with the incumbent from Nm=8:
+		// it must still be evaluated, and as the lowest Nm it must win.
+		{name: "a run a rounding above its bound", tp: [9]float64{1: bound1 * (1 + 2e-13), 2: .1, 3: .1, 4: .1, 5: .1, 6: .1, 7: .1, 8: bound1 * (1 + 2e-13)}, want: 1},
+	} {
+		pc := s.newPlanning()
+		for nm := 1; nm <= 8; nm++ {
+			sp := pc.planned(alloc.VWs[0], nm)
+			if sp.err != nil {
+				t.Fatalf("Nm=%d: %v", nm, sp.err)
+			}
+			sp.simulated, sp.throughput = true, tc.tp[nm]
+			if slices.Contains(tc.bad, nm) {
+				sp.simErr = simFailed
+			}
+		}
+		got, err := pc.chooseNm(alloc, 8)
+		if (err != nil) != (tc.want == 0) || got != tc.want {
+			t.Errorf("%s: chose Nm=%d (%v), want %d", tc.name, got, err, tc.want)
+		}
+		if pc.soloSims != 0 {
+			t.Errorf("%s: %d real simulations ran over the hand-built memo", tc.name, pc.soloSims)
+		}
 	}
 }
 
@@ -322,7 +516,7 @@ func TestSystemTablesFollowReassignedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !sameAsReference(got, want) {
 		t.Errorf("Deploy after reassigning Batch and Model planned with stale tables\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -25,6 +25,14 @@
 // O(K*L^2) lookups and allocates only the plan it returns. The tables are
 // built once per (Perf, model, batch); a caller that plans one model from
 // many partitioners (core: one per Deploy) shares them through NewShared.
+//
+// Along the Nm axis most calls do not run the DP at all. Nm enters a stage's
+// cost only through its stash count, and only as feasible-or-not, so when a
+// call repeats the last solved problem with stashes that did not shrink and
+// the old cuts still fit every budget, those cuts are the new optimum, ties
+// included (planner.carries has the argument). An ascending Nm scan — what
+// core's Nm search and MaxNm's successful probes generate — therefore solves
+// once per change of cuts and prices every other plan in O(K) lookups.
 package partition
 
 import (
@@ -153,15 +161,6 @@ func (p *Plan) ChunkAt(vs int) *Chunk {
 	return &p.Stages[vs%k].Chunks[vs/k]
 }
 
-// ThroughputUpperBound is the steady-state throughput limit implied by the
-// bottleneck stage, in samples/second.
-func (p *Plan) ThroughputUpperBound() float64 {
-	if p.Bottleneck <= 0 {
-		return 0
-	}
-	return float64(p.Batch) / p.Bottleneck
-}
-
 // Rebind returns a copy of the plan hosted on vw's GPUs, stage for stage. The
 // copy shares no Stages or Chunks memory with p. It is the same plan only if
 // vw matches the worker p was cut for in every stage's GPU type and in the
@@ -221,10 +220,15 @@ func (p *Plan) Validate() error {
 // A Partitioner keeps the cost tables of the last (Perf, model, batch) it
 // planned and its dynamic program's scratch between calls, so a run of
 // Partition and MaxNm calls for one model — what every deployment makes —
-// builds the tables once and allocates only the plans it returns. That state
+// builds the tables once and allocates only the plans it returns. It also
+// keeps the problem its last successful call solved — the DP's constants and
+// the optimal cuts — so a call that differs from it only in stashes that did
+// not shrink (the next Nm up, for the same kind of worker) returns those cuts
+// without running the DP, whenever they still fit (planner.carries). That state
 // is revalidated on every call against what it depends on (the exported
-// fields may be reassigned at any time), and it makes a Partitioner unsafe
-// for concurrent use: give each goroutine its own.
+// fields may be reassigned at any time; the solved problem is compared
+// constant by constant and dropped by any call that fails), and it makes a
+// Partitioner unsafe for concurrent use: give each goroutine its own.
 type Partitioner struct {
 	Perf *profile.Perf
 	// Sched is the pipeline schedule the plans are sized for; nil means
@@ -237,9 +241,22 @@ type Partitioner struct {
 	// contiguous stages; V > 1 requires a schedule with SupportsInterleave.
 	Interleave int
 
-	tab *profile.Tables
-	dp  planner
+	tab   *profile.Tables
+	dp    planner
+	stats Stats
 }
+
+// Stats counts what a Partitioner's Partition calls did since it was made
+// (MaxNm's probes included); calls rejected before planning count nowhere.
+type Stats struct {
+	// Solves is the calls that ran the dynamic program and Carried the calls
+	// that returned the previous call's cuts instead; Infeasible is the
+	// solves that found no memory-feasible split.
+	Solves, Carried, Infeasible int
+}
+
+// Stats reports the partitioner's call counts so far.
+func (pt *Partitioner) Stats() Stats { return pt.stats }
 
 // New returns a partitioner over the given performance model, sized for the
 // default hetpipe-fifo schedule.
@@ -311,13 +328,21 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 		pt.tab = profile.NewTables(pt.Perf, m, batch)
 	}
 	p := &pt.dp
-	if err := p.setup(pt.tab, sc, c, vw, L, V, nm); err != nil {
+	grown, err := p.setup(pt.tab, sc, c, vw, L, V, nm)
+	if err != nil {
 		return nil, err
 	}
-	if !p.solve() {
-		return nil, fmt.Errorf("partition: no memory-feasible %d-way split of %s for Nm=%d batch=%d on %s",
-			K, m.Name, nm, batch, vw.TypeString())
+	if grown && p.carries() {
+		pt.stats.Carried++
+	} else {
+		pt.stats.Solves++
+		if !p.solve() {
+			pt.stats.Infeasible++
+			return nil, fmt.Errorf("partition: no memory-feasible %d-way split of %s for Nm=%d batch=%d on %s",
+				K, m.Name, nm, batch, vw.TypeString())
+		}
 	}
+	p.solved = true
 
 	plan := &Plan{Model: m, Batch: batch, Nm: nm, Schedule: sc.Name(), Interleave: V}
 	plan.Stages = make([]Stage, k)
@@ -359,19 +384,16 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 // per-stage stash stops growing once Nm exceeds the stage depth; an
 // interleaved partitioner's stash bound runs over the k*V virtual depth. It
 // returns 0 when even Nm=1 does not fit, or when cap < 1.
+//
+// Feasibility is monotone — memory grows with Nm, so what fits at nm fits
+// below it — which is what lets the search bisect. It probes Nm=1 first, then
+// only values it has not yet decided; successful probes ascend (1, 5, 7, 8
+// under cap 8), so each carries its predecessor's plan when that still fits.
 func (pt *Partitioner) MaxNm(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker, batch, cap int) int {
-	return MaxFeasible(cap, func(nm int) bool {
+	feasible := func(nm int) bool {
 		_, err := pt.Partition(c, m, vw, nm, batch)
 		return err == nil
-	})
-}
-
-// MaxFeasible is MaxNm's search over any feasibility test: the largest nm in
-// [1, cap] that feasible admits, or 0 when none (or cap < 1). Feasibility
-// must be monotone — memory grows with Nm, so what fits at nm fits below it
-// — which is what lets the search bisect. It probes Nm=1 first, then only
-// values it has not yet decided.
-func MaxFeasible(cap int, feasible func(nm int) bool) int {
+	}
 	if cap < 1 || !feasible(1) {
 		return 0
 	}

@@ -221,18 +221,3 @@ func TestPartitionOptimalProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestThroughputUpperBound(t *testing.T) {
-	pt := New(profile.Default())
-	c, vw := vwFor(t, "VVVV")
-	plan, err := pt.Partition(c, model.VGG19(), vw, 4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ub := plan.ThroughputUpperBound()
-	// Four V GPUs can at best quadruple one V's 131 img/s anchor; the
-	// bound must sit between the single-GPU rate and the ideal 4x.
-	if ub < 119 || ub > 4*131 {
-		t.Errorf("throughput upper bound = %.1f img/s, want within (119, 524)", ub)
-	}
-}

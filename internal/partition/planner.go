@@ -15,6 +15,10 @@ import (
 // than closures so hetlint's hot-path rules hold them to lookups and
 // arithmetic: cost runs thousands of times per plan, so a range walk or an
 // allocation creeping back into it is what made planning slow.
+//
+// The planner also remembers whether cuts is the optimum of the constants it
+// holds (solved), which lets the next call carry that optimum instead of
+// solving again when only the stashes grew — see carries.
 type planner struct {
 	tab  *profile.Tables
 	L, K int
@@ -44,6 +48,9 @@ type planner struct {
 	choice []int
 	// cuts[j] is where virtual stage j of the solved plan starts; cuts[K] = L.
 	cuts []int
+	// solved says cuts is the optimum of the constants above. Every call
+	// clears it on entry and only a call that returns a plan sets it again.
+	solved bool
 }
 
 func resize[T any](s []T, n int) []T {
@@ -57,11 +64,19 @@ func resize[T any](s []T, n int) []T {
 // performance model cannot price one of the worker's GPU types — found here,
 // once per GPU, rather than as an infinite cost the DP would report as a
 // memory problem.
-func (p *planner) setup(tab *profile.Tables, sc sched.Schedule, c *hw.Cluster, vw *hw.VirtualWorker, L, V, nm int) error {
+//
+// While it overwrites them, setup compares the new constants with the ones
+// the last plan was solved for, and reports grown when the two problems
+// differ at most in stashes, none of which shrank: the same tables, L, K, V
+// and weight versions, and element-wise equal whole, links and budget. Only
+// the values are compared, never which schedule or worker produced them.
+func (p *planner) setup(tab *profile.Tables, sc sched.Schedule, c *hw.Cluster, vw *hw.VirtualWorker, L, V, nm int) (grown bool, err error) {
 	k := len(vw.GPUs)
 	K := k * V
-	p.tab, p.L, p.K, p.occupancy = tab, L, K, float64(V)
-	p.versions = int64(sc.WeightVersions())
+	versions := int64(sc.WeightVersions())
+	grown = p.solved && tab == p.tab && L == p.L && K == p.K && float64(V) == p.occupancy && versions == p.versions
+	p.solved = false
+	p.tab, p.L, p.K, p.occupancy, p.versions = tab, L, K, float64(V), versions
 	workspace := tab.Perf().WorkspaceBytes
 	p.whole = resize(p.whole, K)
 	p.links = resize(p.links, K)
@@ -72,23 +87,44 @@ func (p *planner) setup(tab *profile.Tables, sc sched.Schedule, c *hw.Cluster, v
 	p.cuts = resize(p.cuts, K+1)
 	for j := 0; j < K; j++ {
 		g := vw.GPUs[j%k]
+		whole := 0.0
 		if j < k {
-			whole, err := tab.WholeModelTime(g.Type)
-			if err != nil {
-				return fmt.Errorf("partition: virtual worker %s: %w", vw.TypeString(), err)
+			if whole, err = tab.WholeModelTime(g.Type); err != nil {
+				return false, fmt.Errorf("partition: virtual worker %s: %w", vw.TypeString(), err)
 			}
-			p.whole[j] = whole
 		} else {
-			p.whole[j] = p.whole[j-k]
+			whole = p.whole[j-k]
 		}
-		p.links[j] = hw.LinkLocal
+		link := hw.LinkLocal
 		if j > 0 {
-			p.links[j] = c.LinkBetween(vw.GPUs[(j-1)%k], g)
+			link = c.LinkBetween(vw.GPUs[(j-1)%k], g)
 		}
-		p.budget[j] = (g.Type.MemoryBytes - workspace) / int64(V)
-		p.stashes[j] = int64(sc.ChunkStash(j, K, nm))
+		budget := (g.Type.MemoryBytes - workspace) / int64(V)
+		stash := int64(sc.ChunkStash(j, K, nm))
+		grown = grown && whole == p.whole[j] && link == p.links[j] && budget == p.budget[j] && stash >= p.stashes[j]
+		p.whole[j], p.links[j], p.budget[j], p.stashes[j] = whole, link, budget, stash
 	}
-	return nil
+	return grown, nil
+}
+
+// carries reports whether the cuts of the last solve are the optimum of the
+// problem setup just loaded, given that setup reported it grown: they are
+// exactly when every chunk still fits its budget under the new stashes.
+//
+// Why that is exact, ties included. Along the Nm axis cost(lo,hi,j) is either
+// a time no stash enters or +Inf, and growing stashes only enlarge the +Inf
+// set, so every DP value can only rise. solve keeps at each (j, i) the
+// smallest cut attaining min max(prev[cut], cost). On the old optimum's path
+// every chunk still fits, so its values are unchanged and still minimal;
+// every other candidate only got worse; and every smaller cut was already
+// strictly worse. The same picks, hence the same cuts.
+func (p *planner) carries() bool {
+	for j := 0; j < p.K; j++ {
+		if p.tab.ChunkBytes(p.cuts[j], p.cuts[j+1], p.versions, p.stashes[j]) > p.budget[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // cost returns the execution time of layers [lo,hi) as virtual stage j, or

@@ -1,11 +1,15 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"hetpipe/internal/hw"
+	"hetpipe/internal/model"
 	"hetpipe/internal/partition"
+	"hetpipe/internal/profile"
 	"hetpipe/internal/sched"
 	"hetpipe/internal/sim"
 	"hetpipe/internal/trace"
@@ -14,7 +18,8 @@ import (
 // Analytic oracles for the one executor: on hand-built pipelines the
 // simulated schedules must hit closed forms and equivalences, over random
 // depths k in [1,8] and Nm in [1,16] — they say the schedules are right, where
-// the goldens only say they are stable.
+// the goldens only say they are stable. The last one, the round-trip bound,
+// runs on partitioner-cut heterogeneous plans.
 
 const oracleTrials = 60
 
@@ -243,4 +248,92 @@ func TestForwardOnlyTraversalSum(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestThroughputNeverExceedsRoundTripBound holds every schedule to
+// ThroughputBound on heterogeneous plans: random skewed chains cut by the
+// partitioner for random workers of the doubled paper cluster (k in [1,8],
+// GPU types and PCIe/InfiniBand boundaries mixed freely), all six schedules,
+// interleaved also at V = 2, Nm in [1,10], over core's solo measurement window
+// and a random one. No run may report more than the bound; with one minibatch
+// in flight the run IS the bound; and enough runs must land within 2% of it
+// that the test cannot pass by the bound being loose.
+func TestThroughputNeverExceedsRoundTripBound(t *testing.T) {
+	c, err := hw.ClusterByName("paper-x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 40
+	if testing.Short() {
+		rounds = 10
+	}
+	rng := rand.New(rand.NewSource(18))
+	perf := profile.Default()
+	eng := sim.New()
+	gpus := c.GPUs()
+	cases, tight, mixed, worst := 0, 0, 0, 0.0
+	for round := 0; round < rounds; round++ {
+		k := 1 + rng.Intn(8)
+		vw := &hw.VirtualWorker{}
+		for _, i := range rng.Perm(len(gpus))[:k] {
+			vw.GPUs = append(vw.GPUs, gpus[i])
+		}
+		if n := vw.CrossNodeBoundaries(); n > 0 && n < k-1 {
+			mixed++
+		}
+		// Boundaries of 1 KiB to 1 MiB per sample put transfers anywhere from
+		// negligible to dominant beside the compute.
+		w := make([]float64, 2*k+rng.Intn(24))
+		for i := range w {
+			w[i] = math.Exp(rng.NormFloat64()) * 1e9
+		}
+		m := model.Skewed("trip", w, 1<<10, int64(1)<<(8+rng.Intn(11)))
+		batch := 1 + rng.Intn(64)
+		for _, name := range sched.Names() {
+			s, err := sched.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 1; v <= 2; v++ {
+				if v > 1 && !s.SupportsInterleave() {
+					continue
+				}
+				pt := partition.NewInterleaved(perf, s, v)
+				for nm := 1; nm <= 10; nm++ {
+					plan, err := pt.Partition(c, m, vw, nm, batch)
+					if err != nil {
+						t.Fatalf("round %d %s V=%d Nm=%d on %s: %v", round, name, v, nm, vw.TypeString(), err)
+					}
+					total := 1 + rng.Intn(60)
+					for _, win := range [][2]int{{40 + 10*nm, 10 + 2*nm}, {total, rng.Intn(total)}} {
+						res, err := RunOn(eng, Config{Plan: plan, Schedule: s, Minibatches: win[0], Warmup: win[1]})
+						if err != nil {
+							t.Fatal(err)
+						}
+						bound := ThroughputBound(plan, s, win[0], win[1])
+						ratio := res.Throughput / bound
+						id := fmt.Sprintf("round %d %s %s V=%d Nm=%d window %v", round, vw.TypeString(), name, v, nm, win)
+						if ratio > 1+1e-9 {
+							t.Fatalf("%s: simulated %.9g samples/s exceeds the bound %.9g (ratio 1 + %.3g)", id, res.Throughput, bound, ratio-1)
+						}
+						if nm == 1 && math.Abs(ratio-1) > 1e-12 {
+							t.Fatalf("%s: one minibatch in flight ran %.15g samples/s, bound %.15g", id, res.Throughput, bound)
+						}
+						cases++
+						worst = max(worst, ratio)
+						if ratio > 0.98 {
+							tight++
+						}
+					}
+				}
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Error("no worker mixed PCIe and InfiniBand boundaries")
+	}
+	if tight*100 < cases*15 {
+		t.Errorf("only %d of %d runs within 2%% of the bound: it is too loose to prove anything", tight, cases)
+	}
+	t.Logf("%d runs, %d within 2%% of the bound, worst ratio 1 + %.3g; %d of %d workers mix link kinds", cases, tight, worst-1, mixed, rounds)
 }

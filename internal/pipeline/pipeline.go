@@ -53,11 +53,15 @@
 // honors the same InjectGate/OnComplete contract, so WSP couples them all.
 //
 // The package reports steady-state throughput, per-GPU utilization, and an
-// optional execution trace (Figure 1).
+// optional execution trace (Figure 1). It also states, without running
+// anything, a ceiling on the throughput any of its runs can report
+// (ThroughputBound: in-flight cap over the round trip of a lone minibatch),
+// which core's Nm search uses to skip simulations that cannot win.
 package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/partition"
@@ -113,6 +117,45 @@ type Result struct {
 	MaxGPUUtil float64
 	// Completions holds each minibatch's completion time, in order.
 	Completions []sim.Time
+}
+
+// ThroughputBound is a ceiling on the Result.Throughput any run of plan under
+// schedule s can report over the window (minibatches, warmup), in closed
+// form — nothing is simulated. (Any run whose TaskTime hook shortens no task:
+// gates and slowdowns only delay completions.)
+//
+// Let l be the round trip of a lone minibatch: every forward, backward and
+// receive it threads on the K virtual stages, folded or overlapped, i.e. the
+// sum of Chunk.ExecTime. Let c be the schedule's in-flight cap and C[m] the
+// time of the m-th completion. Under slot and under wave injection minibatch
+// m+c enters no earlier than C[m] and then needs at least l, so
+// C[m+c] >= C[m] + l, and a window of n = minibatches-warmup completions
+// spans at least floor(n/c) round trips:
+//
+//	Throughput <= n*batch / (floor(n/c) * l)
+//
+// (measured from time zero, warmup == 0, the first round trip counts too:
+// ceil(n/c)). A window shorter than c spans no whole round trip and the bound
+// is +Inf. It holds for every schedule, interleave degree and heterogeneous
+// plan, with equality at Nm = 1; it is the period bound of a pipeline short
+// of minibatches, so it is tight below the pipeline's depth and loose on the
+// plateau above it, where the bottleneck stage rules instead.
+func ThroughputBound(plan *partition.Plan, s sched.Schedule, minibatches, warmup int) float64 {
+	kv := plan.VirtualStages()
+	var trip float64
+	for vs := 0; vs < kv; vs++ {
+		trip += plan.ChunkAt(vs).ExecTime()
+	}
+	c := sched.Or(s).InFlightCap(kv, plan.Nm)
+	n := minibatches - warmup
+	trips := n / c
+	if warmup == 0 {
+		trips = (n + c - 1) / c
+	}
+	if trips == 0 {
+		return math.Inf(1)
+	}
+	return float64(n*plan.Batch) / (float64(trips) * trip)
 }
 
 // Pipeline is the live simulation object for one virtual worker: the

@@ -109,8 +109,8 @@ func TestPipelineThroughputBoundedByBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ub := plan.ThroughputUpperBound(); res.Throughput > ub*1.001 {
-		t.Errorf("throughput %.1f exceeds bottleneck bound %.1f", res.Throughput, ub)
+	if ub := ThroughputBound(plan, nil, 60, 20); res.Throughput > ub*(1+1e-9) {
+		t.Errorf("throughput %.1f exceeds the round-trip bound %.1f", res.Throughput, ub)
 	}
 }
 

@@ -129,13 +129,19 @@ func (d *Deployment) Serve(ctx context.Context) (*ServeResult, error) {
 		Crashes:         res.Crashes,
 		Recoveries:      res.Recoveries,
 	}
-	for _, r := range res.Replicas {
-		out.Replicas = append(out.Replicas, ServeReplica(r))
+	// Sized once (a run's trace is tens of thousands of requests), and nil
+	// when empty.
+	if len(res.Replicas) > 0 {
+		out.Replicas = make([]ServeReplica, len(res.Replicas))
 	}
-	for _, t := range res.Trace {
-		out.Trace = append(out.Trace, ServeRequest{
-			At: t.At, Done: t.Done, Replica: t.Replica, Critical: t.Critical,
-		})
+	for i, r := range res.Replicas {
+		out.Replicas[i] = ServeReplica(r)
+	}
+	if len(res.Trace) > 0 {
+		out.Trace = make([]ServeRequest, len(res.Trace))
+	}
+	for i, t := range res.Trace {
+		out.Trace[i] = ServeRequest{At: t.At, Done: t.Done, Replica: t.Replica, Critical: t.Critical}
 	}
 	return out, nil
 }
