@@ -261,8 +261,9 @@ type benchEntry struct {
 // benchLineRe matches one `go test -bench -benchmem` result line, e.g.
 // "BenchmarkX/case-16  2000  33101 ns/op  4432 B/op  62 allocs/op". The
 // trailing -N of the name is the GOMAXPROCS suffix, stripped before matching
-// against the baseline.
-var benchLineRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
+// against the baseline. Metrics a benchmark reports itself (b.ReportMetric,
+// e.g. "4.000 frames/op") are printed between ns/op and B/op and skipped.
+var benchLineRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:(?:\s+[\d.e+-]+ \S+)*?\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
 // allocsThreshold is the fractional allocs/op growth tolerated by -bench.
 // Allocation counts are deterministic — unlike ns/op they do not move with

@@ -125,6 +125,18 @@ func TestCheckBenchClean(t *testing.T) {
 	if len(findings) != 0 {
 		t.Errorf("findings = %v, want none", findings)
 	}
+	// A benchmark's own metrics sit between ns/op and B/op; the allocation
+	// columns behind them must still be read (gpipe's 80 allocs is a finding,
+	// not a "no allocs/op" complaint).
+	out = "BenchmarkPipelineSchedules/hetpipe-fifo-2   2000   33000 ns/op   4.000 frames/op   1.5e+03 widgets/op   4432 B/op   62 allocs/op\n" +
+		"BenchmarkPipelineSchedules/gpipe-2   2000   35000 ns/op   4.000 frames/op   3712 B/op   80 allocs/op\n"
+	findings, err = checkBench(strings.NewReader(out), base, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], "gpipe allocs/op regressed") {
+		t.Errorf("findings with custom metrics = %v, want exactly gpipe's allocs regression", findings)
+	}
 }
 
 func TestCheckBenchRegressions(t *testing.T) {

@@ -153,8 +153,13 @@ func main() {
 		mode, *workers, *mb, *shards, *nm, *d)
 	fmt.Printf("minibatches=%d pushes=%d pulls=%d globalClock=%d maxClockDistance=%d (bound %d)\n",
 		stats.Minibatches, stats.Pushes, stats.Pulls, stats.GlobalClock, stats.MaxClockDistance, *d+1)
-	fmt.Printf("data plane: shard ops %d pushes / %d pulls, %d malformed requests rejected\n",
-		stats.ShardPushes, stats.ShardPulls, stats.ShardMalformed)
+	frames := "" // round trips exist only over TCP
+	if stats.ShardFrames > 0 {
+		frames = fmt.Sprintf(" in %d frames (%.1f per wave per worker)",
+			stats.ShardFrames, float64(stats.ShardFrames)/float64(max(stats.Pushes, 1)))
+	}
+	fmt.Printf("data plane: shard ops %d pushes / %d pulls%s, %d malformed requests rejected\n",
+		stats.ShardPushes, stats.ShardPulls, frames, stats.ShardMalformed)
 	printFaultSummary(stats)
 	fmt.Printf("final accuracy=%.3f loss=%.4f wall=%.3fs\n",
 		task.Accuracy(stats.FinalWeights), task.Loss(stats.FinalWeights), stats.Elapsed.Seconds())

@@ -3,8 +3,12 @@
 // shards (internal/ps), either in-process or over TCP. Where the simulator
 // (internal/train.RunWSP) models the protocol's timing, this package
 // executes its dataflow for real — the clock-distance bound D is enforced by
-// each worker blocking on the servers' Pull(keys, minClock) wait, with no
-// central coordinator anywhere.
+// each worker blocking on the servers' clock-gated snapshot pull, with no
+// central coordinator anywhere. A worker talks to the servers once per wave:
+// the push that ends wave w and the gated pull of the next minibatch go out
+// as one ps exchange per shard whenever nothing observable lies between them
+// (pullAfterPush is that decision, written once), and as the two halves of
+// the same exchange otherwise.
 //
 // The runtime reproduces the simulator's numeric trajectory exactly: the
 // same logical pipeline depth (a minibatch trains on weights missing exactly
@@ -127,6 +131,11 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// params is the run's WSP protocol arithmetic.
+func (c *Config) params() wsp.Params {
+	return wsp.Params{SLocal: c.SLocal, D: c.D, Workers: c.Workers}
+}
+
 // WorkerStats counts one worker's protocol actions.
 type WorkerStats struct {
 	Minibatches, Pushes, Pulls int
@@ -166,10 +175,14 @@ type Stats struct {
 	// counters — the data-plane view of the run, as opposed to the logical
 	// per-worker counts above (they differ under crash replay, where a
 	// re-executed push hits the server but is reported logically once).
-	// ShardMalformed counts protocol-level malformed TCP requests the
-	// transport rejected; it is always zero for in-process runs and for any
-	// healthy TCP run.
-	ShardPushes, ShardPulls, ShardMalformed uint64
+	// They stay logical per operation — a wave frame that pushes and pulls is
+	// one of each; ShardFrames counts the request frames the TCP transport
+	// served, i.e. the run's round trips (zero in process): four per wave per
+	// worker on four shards where the push and the gated pull fuse, eight
+	// where they cannot. ShardMalformed counts protocol-level malformed TCP
+	// requests the transport rejected; it is always zero for in-process runs
+	// and for any healthy TCP run.
+	ShardPushes, ShardPulls, ShardFrames, ShardMalformed uint64
 }
 
 // errCrashed is the self-inflicted failure an injected crash raises; the
@@ -293,7 +306,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	chunked := space.Split(w0)
 	var servers []*ps.Server
 	resumedClock := 0
-	params := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}
+	params := cfg.params()
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -554,6 +567,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		p, q := s.Stats()
 		stats.ShardPushes += p
 		stats.ShardPulls += q
+		stats.ShardFrames += s.FramesServed()
 		stats.ShardMalformed += s.MalformedRequests()
 	}
 	backends := make([]ps.Backend, len(servers))
@@ -566,9 +580,10 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	}
 	// Read the final state directly off the servers we own, at the clock the
 	// run itself must reach rather than the one the servers report right now:
-	// a push is acknowledged before it commits, so when the last worker
-	// returns the global clock can still be one short. PullAt is clock-gated
-	// and waits for that commit (an aborted run returned its error above).
+	// a frame that only pushes (the drain's last wave is one) is acknowledged
+	// before it commits, so when the last worker returns the global clock can
+	// still be one short. PullAt is clock-gated and waits for that commit (an
+	// aborted run returned its error above).
 	final, err := sh.PullAt(space.Keys(), finalClock)
 	if err != nil {
 		return nil, err
@@ -605,13 +620,13 @@ type workerEnv struct {
 	notifyCkpt  func()
 
 	// Reusable data-plane scratch, persisting across crash-replay attempts:
-	// pushVecs/pullVecs hold per-chunk views for the ps ordered APIs, and
-	// freeWeights recycles the Dim-sized vectors the loop is done with —
-	// retired pendingMB snapshots and wave deltas no later pull can re-add —
-	// so the steady-state wave loop allocates neither a weight copy per
-	// minibatch nor a delta per wave.
-	pushVecs    []tensor.Vector
-	pullVecs    []tensor.Vector
+	// push and pull are the two sections of a wave exchange, their vectors
+	// per-chunk views for the ps ordered APIs, and freeWeights recycles the
+	// Dim-sized vectors the loop is done with — retired pendingMB snapshots
+	// and wave deltas no later pull can re-add — so the steady-state wave
+	// loop allocates neither a weight copy per minibatch nor a delta per wave.
+	push        ps.Push
+	pull        ps.SnapshotPull
 	freeWeights []tensor.Vector
 }
 
@@ -638,6 +653,74 @@ func sleepSeconds(s float64) {
 	}
 }
 
+// checkpointDue reports whether the worker-state checkpoint cadence has come
+// round: the pushed-wave count crossed a cadence point since the last capture.
+func (e *workerEnv) checkpointDue(w *workerState) bool {
+	every := e.cfg.CheckpointEvery
+	return every > 0 && w.waves > e.rec.lastCkptWave && w.waves%every == 0
+}
+
+// pullAfterPush decides, at a wave end that is really pushed (inside retire,
+// the wave already counted), whether the worker's next word to the servers is
+// certain to be the gated pull of the very next minibatch with nothing
+// observable in between — and if so returns that pull's clock, so the push
+// and the pull can travel as one exchange; 0 otherwise. Everything the top of
+// the next iteration could do before its gate has to be ruled out: it must
+// exist (retire also runs in the end-of-run drain) and be gated at a clock
+// not yet pulled; no crash may be due at it and no worker checkpoint fall due
+// (both must see the state between the push and the pull); no fault
+// injection may be first reported at it; and the stall, link and compute
+// sleeps must all be zero — the last two scale StepTime — or the push would
+// sit unsent while peers wait for it.
+func (e *workerEnv) pullAfterPush(w *workerState, wave int) int {
+	next := w.nextMB + 1
+	if next > e.cfg.MaxMinibatches {
+		return 0
+	}
+	req := e.cfg.params().RequiredGlobalClock(next)
+	if req <= w.lastPulled { // covers "not gated": req 0
+		return 0
+	}
+	if c := e.faults.CrashFor(e.id); c != nil && !e.rec.crashed && next == c.AtMinibatch {
+		return 0
+	}
+	if e.checkpointDue(w) {
+		return 0
+	}
+	if e.cfg.StepTime > 0 || e.faults.StallDelay(wave+1) > 0 {
+		return 0
+	}
+	if !e.rec.slowEmitted && e.faults.ComputeScale(e.id, next) > 1 {
+		return 0
+	}
+	return req
+}
+
+// pulled folds the clock-req snapshot an exchange has just written into
+// w.wlocal into the worker's state: the local waves the snapshot cannot hold
+// yet (>= req, all still held) are re-added, and the older ones, which can
+// never be asked for again, are recycled.
+func (e *workerEnv) pulled(w *workerState, req int) {
+	stale := len(w.deltas) - (w.waves - req)
+	for _, d := range w.deltas[:stale] {
+		e.putWeights(d)
+	}
+	w.deltas = w.deltas[:copy(w.deltas, w.deltas[stale:])]
+	for _, d := range w.deltas {
+		w.wlocal.AddInPlace(d)
+	}
+	w.wlocal.AddInPlace(w.waveAcc)
+	w.lastPulled = req
+	w.stats.Pulls++
+	if req > e.rec.maxPullClock {
+		e.rec.maxPullClock = req
+		// The pull's return proves the global clock reached req — the only
+		// moment a live worker learns the global clock without extra traffic.
+		e.emit(obs.Event{Kind: obs.KindPull, VW: e.id, Clock: req})
+		e.emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: req})
+	}
+}
+
 // run is one attempt at the worker's training loop: the same logical pipeline
 // the simulator executes, against real servers. The snapshot for minibatch m
 // reflects local updates through exactly m-Nm (retirement happens at a fixed
@@ -651,7 +734,7 @@ func sleepSeconds(s float64) {
 // crash aborts the attempt with errCrashed.
 func (e *workerEnv) run() (WorkerStats, error) {
 	cfg, id := e.cfg, e.id
-	params := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}
+	params := cfg.params()
 	if err := params.Validate(); err != nil {
 		return WorkerStats{}, err
 	}
@@ -667,9 +750,9 @@ func (e *workerEnv) run() (WorkerStats, error) {
 	crash := e.faults.CrashFor(id)
 	linkScale := e.faults.LinkScale(id)
 	grad := tensor.NewVector(dim)
-	if len(e.pushVecs) != len(e.space.Keys()) {
-		e.pushVecs = make([]tensor.Vector, len(e.space.Keys()))
-		e.pullVecs = make([]tensor.Vector, len(e.space.Keys()))
+	if keys := e.space.Keys(); len(e.push.Vecs) != len(keys) {
+		e.push = ps.Push{Worker: id, Keys: keys, Vecs: make([]tensor.Vector, len(keys))}
+		e.pull = ps.SnapshotPull{Keys: keys, Dst: make([]tensor.Vector, len(keys))}
 	}
 
 	// linkInject reports the degraded link once per run (not per attempt,
@@ -716,12 +799,26 @@ func (e *workerEnv) run() (WorkerStats, error) {
 				linkInject()
 				sleepSeconds((linkScale - 1) * cfg.StepTime.Seconds())
 			}
-			e.space.SplitInto(delta, e.pushVecs)
-			if err := e.sh.PushOrdered(id, e.space.Keys(), e.pushVecs); err != nil {
+			// One exchange per shard carries the push and, when the next
+			// iteration would do nothing but pull, that pull too. The snapshot
+			// chunks land straight in w.wlocal: pull.Dst are per-chunk views
+			// of it, so every shard server (or the TCP decoder) writes its
+			// slice in place — no merge map, no join allocation.
+			e.space.SplitInto(delta, e.push.Vecs)
+			var pull *ps.SnapshotPull
+			if req := e.pullAfterPush(w, wave); req > 0 {
+				e.space.SplitInto(w.wlocal, e.pull.Dst)
+				e.pull.Clock = req
+				pull = &e.pull
+			}
+			if err := e.sh.Exchange(&e.push, pull); err != nil {
 				return err
 			}
 			e.rec.pushed = wave + 1
 			e.emit(obs.Event{Kind: obs.KindPush, VW: id, Wave: wave})
+			if pull != nil {
+				e.pulled(w, pull.Clock)
+			}
 		}
 		return nil
 	}
@@ -742,13 +839,11 @@ func (e *workerEnv) run() (WorkerStats, error) {
 		// Worker-state checkpoint at the wave cadence. The state at the top
 		// of a loop iteration is self-contained, so any iteration whose
 		// pushed-wave count just crossed a cadence point is a valid capture.
-		if cfg.CheckpointEvery > 0 {
-			if w.waves > e.rec.lastCkptWave && w.waves%cfg.CheckpointEvery == 0 {
-				e.rec.ckpt = w.clone()
-				e.rec.lastCkptWave = w.waves
-				e.rec.checkpoints++
-				e.notifyCkpt()
-			}
+		if e.checkpointDue(w) {
+			e.rec.ckpt = w.clone()
+			e.rec.lastCkptWave = w.waves
+			e.rec.checkpoints++
+			e.notifyCkpt()
 		}
 		// Emulated compute time, scaled by any straggler slowdown. The
 		// injection event is per run, not per attempt — a replay after a
@@ -772,37 +867,15 @@ func (e *workerEnv) run() (WorkerStats, error) {
 				linkInject()
 				sleepSeconds((linkScale - 1) * cfg.StepTime.Seconds())
 			}
-			// The snapshot chunks land straight in w.wlocal: pullVecs are
-			// per-chunk views of it, so every shard server (or the TCP
-			// decoder) writes its slice in place — no merge map, no join
-			// allocation. Chunk ranges are disjoint, so the concurrent
-			// fan-out writers never overlap.
-			e.space.SplitInto(w.wlocal, e.pullVecs)
-			if err := e.sh.PullAtInto(e.pullVecs, e.space.Keys(), req); err != nil {
+			// A gate the previous wave's exchange did not already pass (one of
+			// pullAfterPush's conditions failed, or that push was suppressed
+			// under replay): the same exchange with no push section.
+			e.space.SplitInto(w.wlocal, e.pull.Dst)
+			e.pull.Clock = req
+			if err := e.sh.Exchange(nil, &e.pull); err != nil {
 				return w.stats, err
 			}
-			// Re-add the local waves the snapshot cannot hold yet (>= req,
-			// all still held); the older ones can never be asked for again,
-			// so recycle them.
-			stale := len(w.deltas) - (w.waves - req)
-			for _, d := range w.deltas[:stale] {
-				e.putWeights(d)
-			}
-			w.deltas = w.deltas[:copy(w.deltas, w.deltas[stale:])]
-			for _, d := range w.deltas {
-				w.wlocal.AddInPlace(d)
-			}
-			w.wlocal.AddInPlace(w.waveAcc)
-			w.lastPulled = req
-			w.stats.Pulls++
-			if req > e.rec.maxPullClock {
-				e.rec.maxPullClock = req
-				// The pull's return proves the global clock reached req — the
-				// only moment a live worker learns the global clock without
-				// extra traffic.
-				e.emit(obs.Event{Kind: obs.KindPull, VW: id, Clock: req})
-				e.emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: req})
-			}
+			e.pulled(w, req)
 		}
 		w.pending[(w.head+w.inflight)%len(w.pending)] = pendingMB{mb: mb, weights: e.getWeights(w.wlocal)}
 		w.inflight++

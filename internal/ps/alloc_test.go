@@ -83,10 +83,46 @@ func TestShardedInprocAllocsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Reused destinations, pooled fan-out scratch, cached snapshot: the
+	// Reused destinations, pooled partition scratch, retained snapshot: the
 	// steady state must not allocate at all (1 leaves slack for runtime
-	// noise such as goroutine stack growth).
+	// noise).
 	if pullAllocs > 1 {
 		t.Errorf("sharded in-process PullAtInto = %.1f allocs/op, want <= 1", pullAllocs)
+	}
+}
+
+// TestShardedTCPWaveAllocsPinned is the same pin for the shape a live wave
+// has: one worker's fused exchange — push wave v, pull clock v+1 — over four
+// loopback shards. Both ends reuse their frame buffers, the fold recycles the
+// wave's backing into the next push, and nothing is spawned per operation, so
+// all a steady-state wave may allocate is the one flat snapshot each shard
+// materialises for the new clock (the count is process-wide: the servers'
+// goroutines are in it).
+func TestShardedTCPWaveAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not representative under the race detector")
+	}
+	const servers, nkeys, dim = 4, 8, 64
+	keys, dims := make([]string, nkeys), make([]int, nkeys)
+	push, dst := make([]tensor.Vector, nkeys), make([]tensor.Vector, nkeys)
+	for i := range keys {
+		keys[i], dims[i] = string(rune('a'+i)), dim
+		push[i], dst[i] = make(tensor.Vector, dim), make(tensor.Vector, dim)
+	}
+	sh := newDeployment(t, 1, servers, keys, dims, true).workers[0]
+	clock := 0
+	wave := func() {
+		clock++
+		if err := sh.Exchange(&Push{Worker: 0, Keys: keys, Vecs: push}, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		wave() // intern the keys, size every buffer, fix the snapshot layout
+	}
+	// One snapshot per shard, plus the amortized growth of each server's
+	// snapshot and wave-delta slices.
+	if allocs := testing.AllocsPerRun(200, wave); allocs > servers+1 {
+		t.Errorf("fused exchange over %d loopback shards = %.1f allocs/op, want <= %d", servers, allocs, servers+1)
 	}
 }

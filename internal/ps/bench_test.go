@@ -87,8 +87,8 @@ func newBenchBackends(b *testing.B, keys []string, servers int) (*Placement, []B
 }
 
 // BenchmarkTCPPushPull measures one client round-trip over loopback TCP on
-// the binary wire protocol: a full-keyset push and a clock-versioned
-// snapshot pull, the two data-plane operations every live wave performs.
+// the binary wire protocol: a full-keyset push, a clock-versioned snapshot
+// pull, and the two fused into the one exchange a live wave performs.
 func BenchmarkTCPPushPull(b *testing.B) {
 	keys, vecs, dst := orderedShapes()
 	_, updates := benchShapes()
@@ -158,11 +158,11 @@ func BenchmarkTCPPushPull(b *testing.B) {
 		}
 	})
 
-	// wave is the full per-wave round trip a live worker performs: push the
-	// aggregated update, then pull the snapshot at the clock it produced.
-	// Each pull is a fresh clock (snapshot-cache miss + wave fold), so this
-	// exercises the fold/recycle steady state rather than the cached fast
-	// path the pullat sub-benchmark measures.
+	// wave is the per-wave round trip a live worker performs: one exchange
+	// that pushes the aggregated update and pulls the snapshot at the clock
+	// it produced. Each pull is a fresh clock (one snapshot clone plus the
+	// wave fold), so this exercises the fold/recycle steady state rather
+	// than the repeated same-clock read the pullat sub-benchmark measures.
 	b.Run("wave", func(b *testing.B) {
 		var (
 			s *Server
@@ -197,11 +197,8 @@ func BenchmarkTCPPushPull(b *testing.B) {
 				clock = 0
 				b.StartTimer()
 			}
-			if _, err := c.PushOrdered(0, keys, vecs); err != nil {
-				b.Fatal(err)
-			}
 			clock++
-			if err := c.PullAtInto(dst, keys, clock); err != nil {
+			if _, err := c.Exchange(&Push{Worker: 0, Keys: keys, Vecs: vecs}, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -210,10 +207,55 @@ func BenchmarkTCPPushPull(b *testing.B) {
 	})
 }
 
+// BenchmarkShardedTCP measures the shape a live wave has end to end: one
+// worker's fused exchange — push wave v, pull clock v+1 — scattered to four
+// loopback shard servers and gathered on the caller's goroutine. frames/op is
+// the round-trip count the servers report, which the fusion halved.
+func BenchmarkShardedTCP(b *testing.B) {
+	const servers = 4
+	keys, vecs, dst := orderedShapes()
+	dims := make([]int, len(keys))
+	for i := range dims {
+		dims[i] = benchDim
+	}
+	b.Run("wave", func(b *testing.B) {
+		var (
+			dep    *deployment
+			frames uint64
+		)
+		teardown := func() {
+			for _, s := range dep.servers {
+				frames += s.FramesServed() - 1 // less NewSharded's Meta query
+			}
+			dep.close()
+		}
+		dep = newDeployment(b, 1, servers, keys, dims, true)
+		clock := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%benchEpoch == 0 {
+				b.StopTimer()
+				teardown()
+				dep = newDeployment(b, 1, servers, keys, dims, true)
+				clock = 0
+				b.StartTimer()
+			}
+			clock++
+			err := dep.workers[0].Exchange(&Push{Worker: 0, Keys: keys, Vecs: vecs}, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		teardown()
+		b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
+	})
+}
+
 // BenchmarkShardedInproc measures the in-process sharded data plane: one
-// worker's concurrent push fan-out over four shard servers and the matching
-// full-keyset snapshot pull into reused buffers — the steady-state pattern
-// of every live wave.
+// worker's push over four shard servers, each called in turn, and the
+// matching full-keyset snapshot pull into reused buffers.
 func BenchmarkShardedInproc(b *testing.B) {
 	const servers = 4
 	keys, vecs, dst := orderedShapes()

@@ -173,8 +173,10 @@ func (s *Server) State() (*ServerState, error) {
 		}
 		st.WaveDeltas = append(st.WaveDeltas, cp)
 	}
+	// Likewise the snapshots: one flat vector per clock in memory, the
+	// original per-key maps in the file.
 	for _, snap := range s.snapshots {
-		st.Snapshots = append(st.Snapshots, cloneShardMap(snap))
+		st.Snapshots = append(st.Snapshots, s.unpackLocked(snap))
 	}
 	return st, nil
 }
@@ -232,8 +234,11 @@ func RestoreServer(st *ServerState) (*Server, error) {
 			}
 		}
 	}
-	for _, snap := range st.Snapshots {
-		s.snapshots = append(s.snapshots, cloneShardMap(snap))
+	if len(st.Snapshots) > 0 {
+		s.fixLayoutLocked() // nothing else can reach s yet
+		for _, snap := range st.Snapshots {
+			s.snapshots = append(s.snapshots, s.packLocked(snap))
+		}
 	}
 	return s, nil
 }

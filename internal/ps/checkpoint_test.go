@@ -357,3 +357,61 @@ func TestCheckpointDimensionSkew(t *testing.T) {
 		t.Error("SaveCheckpoint accepted a dimension-skewed shard")
 	}
 }
+
+// TestCheckpointWrittenBeforeFlatSnapshotsStillLoads pins the file format
+// across the change of in-memory layout: testdata/pr18.ckpt was written by
+// the last commit that kept snapshots as per-key maps (three workers, four
+// waves of pushWaves' deltas over two servers, some snapshots materialised
+// before the capture and some by it). Restored here it must serve, at every
+// clock, exactly what a deployment built from scratch serves, carry on
+// training identically, and survive a save and load by this code.
+func TestCheckpointWrittenBeforeFlatSnapshotsStillLoads(t *testing.T) {
+	const workers, waves = 3, 4
+	ck, err := LoadCheckpoint(filepath.Join("testdata", "pr18.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Clock != waves {
+		t.Fatalf("fixture clock %d, want %d", ck.Clock, waves)
+	}
+	restored, err := ck.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := buildServers(t, 2, workers, waves)
+	compare := func(label string, got []*Server, maxClock int) {
+		t.Helper()
+		want, have := allPulls(t, fresh, maxClock), allPulls(t, got, maxClock)
+		for key, snaps := range want {
+			for c := range snaps {
+				for i := range snaps[c] {
+					if have[key][c][i] != snaps[c][i] {
+						t.Fatalf("%s: shard %q clock %d coord %d: %v, from scratch %v", label, key, c, i, have[key][c][i], snaps[c][i])
+					}
+				}
+			}
+		}
+	}
+	compare("restored", restored, waves)
+
+	path := filepath.Join(t.TempDir(), "again.ckpt")
+	again, err := Capture(restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCheckpoint(path, again); err != nil {
+		t.Fatal(err)
+	}
+	if again, err = LoadCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	twice, err := again.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushWaves(t, fresh, workers, waves, waves+2)
+	pushWaves(t, restored, workers, waves, waves+2)
+	pushWaves(t, twice, workers, waves, waves+2)
+	compare("restored, then trained on", restored, waves+2)
+	compare("saved again, restored, then trained on", twice, waves+2)
+}

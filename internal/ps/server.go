@@ -11,9 +11,15 @@
 // The store is usable in process (Server methods are goroutine-safe) or over
 // TCP with a length-prefixed binary wire protocol (see wire.go, and Serve
 // and Dial in transport.go), mirroring how the paper spreads parameter
-// shards across nodes. The ordered method forms (PushOrdered, PullInto,
-// PullAtInto) move weights through caller-owned slices with no per-call map
-// traffic; the map forms remain as conveniences for cold paths and tests.
+// shards across nodes. The data plane has one operation, Exchange: a wave's
+// push and the D-gated snapshot pull that follows it travel as one request
+// and one response per shard server (Server, Client and Sharded all have it;
+// Backend is what Sharded needs of the first two). PushOrdered and
+// PullAtInto are its half-empty cases; they and PullInto move weights
+// through caller-owned slices with no per-call map traffic, and the map
+// forms remain as conveniences for cold paths and tests. A server keeps one
+// flat vector per global-clock boundary and serves every snapshot pull —
+// fused or not, in process or over TCP — from it under its lock.
 //
 // The full clock-versioned state checkpoints and restores (checkpoint.go):
 // Capture truncates a set of shard servers to a consistent clock cut,
@@ -24,7 +30,9 @@
 package ps
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -41,6 +49,39 @@ type waveUpdate struct {
 	backing tensor.Vector
 }
 
+// span is one key's range in the flat snapshot layout.
+type span struct{ off, n int }
+
+// Push is the push section of an Exchange: worker Worker's aggregated wave
+// update as parallel key and delta slices (wglobal += u~ per shard). The
+// caller keeps ownership of both slices.
+type Push struct {
+	Worker int
+	Keys   []string
+	Vecs   []tensor.Vector
+}
+
+// SnapshotPull is the pull section of an Exchange: the snapshot of Keys as
+// of global-clock boundary Clock — the initial weights plus every wave-v
+// update with v < Clock from every worker, whatever order the pushes arrived
+// in. Dst[i] receives Keys[i], reusing Dst[i]'s storage when its length
+// already matches.
+type SnapshotPull struct {
+	Clock int
+	Keys  []string
+	Dst   []tensor.Vector
+}
+
+// visit implements vecSink for in-process exchanges: copy into Dst.
+//
+//hetlint:hotpath
+func (p *SnapshotPull) visit(i int, v tensor.Vector) {
+	if len(p.Dst[i]) != len(v) {
+		p.Dst[i] = make(tensor.Vector, len(v))
+	}
+	copy(p.Dst[i], v)
+}
+
 // Server is one parameter-server shard host: a set of named weight vectors
 // plus WSP clock state for its workers.
 //
@@ -50,8 +91,8 @@ type waveUpdate struct {
 // arrival order. PullAt reads such a snapshot, which makes the value a pull
 // observes a deterministic function of the update schedule — the property
 // the sim-vs-live conformance harness (internal/cluster) relies on.
-// Materialized snapshots are retained for the whole run (one weight copy
-// per clock boundary; per-wave deltas are freed once folded), since the
+// Materialized snapshots are retained for the whole run (one flat weight
+// copy per clock boundary; per-wave deltas are freed once folded), since the
 // server cannot know which old boundary a lagging worker may still demand;
 // runs are bounded by their minibatch budget, which bounds this too.
 type Server struct {
@@ -65,9 +106,13 @@ type Server struct {
 	// until pushed), stored flat so pushing a new wave costs amortized-zero
 	// bookkeeping allocations; snapshots[c] is the materialized clock-c
 	// snapshot, built lazily from waveDeltas in (wave, worker) order so the
-	// result does not depend on push arrival order.
+	// result does not depend on push arrival order. A snapshot is one flat
+	// vector holding every shard back to back in sorted-key order; spans
+	// gives each key's range. The layout is fixed when the first snapshot is
+	// built (spans is nil until then), after which Register fails.
 	waveDeltas []waveUpdate
-	snapshots  []map[string]tensor.Vector
+	snapshots  []tensor.Vector
+	spans      map[string]span
 	// internedKeys is the key slice of the most recent push. Workers push
 	// the same key set wave after wave, so retained waveUpdates share one
 	// server-owned slice instead of cloning the caller's per push; the
@@ -85,6 +130,11 @@ type Server struct {
 	maxDistance int
 	pushes      uint64
 	pulls       uint64
+	// frames counts the request frames the TCP transport has served — the
+	// round trips of the run, where pushes and pulls count logical operations
+	// (a fused wave frame is one of each). Atomic for the same reason as
+	// malformed.
+	frames atomic.Uint64
 	// malformed counts protocol-level garbage seen by the TCP transport:
 	// bad preambles, truncated or oversized frames, undecodable requests.
 	// Atomic because connection goroutines bump it without taking mu.
@@ -107,12 +157,17 @@ func NewServer(n int) (*Server, error) {
 }
 
 // Register installs a named weight vector with initial values. Registering
-// an existing key fails — shard layout is fixed before training.
+// an existing key fails, and so does registering any key once a snapshot has
+// been built — shard layout is fixed before training, and a key added later
+// would be one no snapshot holds.
 func (s *Server) Register(key string, init []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.shards[key]; ok {
 		return fmt.Errorf("ps: shard %q already registered", key)
+	}
+	if s.spans != nil {
+		return fmt.Errorf("ps: shard %q registered after the snapshot layout was fixed", key)
 	}
 	s.shards[key] = tensor.Vector(init).Clone()
 	s.initial[key] = tensor.Vector(init).Clone()
@@ -130,56 +185,100 @@ func (s *Server) Keys() []string {
 	return out
 }
 
-// PushOrdered applies worker w's aggregated wave update given as parallel
-// key and delta slices (per-shard deltas added to the global weights:
-// wglobal += u~) and advances w's clock. It returns the worker's new clock.
-// Waking blocked pulls happens automatically.
-//
-// The update is validated in full — worker range, shard existence, lengths,
-// duplicate keys — before any weight is touched, so a rejected push leaves
-// the server unchanged. The retained wave delta is copied into one backing
-// allocation; the caller keeps ownership of keys and vecs.
-func (s *Server) PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error) {
-	if len(keys) != len(vecs) {
-		return 0, fmt.Errorf("ps: %d keys for %d vectors", len(keys), len(vecs))
+// Exchange is the data plane's one operation: an optional push and an
+// optional snapshot pull, executed as a unit. Both sections are validated in
+// full — worker range, shard existence, lengths, duplicate keys, the pull's
+// keys — before any weight is touched, so a rejected exchange leaves the
+// server unchanged. Then the push commits (waking blocked pulls), and only
+// then does the pull wait for the global clock to reach pull.Clock: a worker
+// never waits on a clock while holding back the push its peers wait for,
+// which is what keeps D = 0 free of deadlock (and what a clock-w+1 snapshot
+// that must contain this worker's own wave w needs). It returns the worker's
+// new clock when it pushed, 0 otherwise.
+func (s *Server) Exchange(push *Push, pull *SnapshotPull) (int, error) {
+	if pull == nil {
+		return s.exchange(push, nil, nil)
 	}
+	if len(pull.Dst) != len(pull.Keys) {
+		return 0, fmt.Errorf("ps: %d destinations for %d keys", len(pull.Dst), len(pull.Keys))
+	}
+	return s.exchange(push, pull, pull)
+}
+
+// PushOrdered applies worker w's aggregated wave update and advances w's
+// clock, returning the new clock: Exchange with no pull section.
+func (s *Server) PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error) {
+	return s.exchange(&Push{Worker: w, Keys: keys, Vecs: vecs}, nil, nil)
+}
+
+// vecSink receives weight vectors during a locked pull. The TCP transport
+// implements it to encode responses straight from server-owned storage — no
+// intermediate clone, no map; *SnapshotPull implements it to copy into the
+// caller's destinations. The vector passed to visit is only valid for the
+// duration of the call.
+type vecSink interface {
+	visit(i int, v tensor.Vector)
+}
+
+// exchange is Exchange with the snapshot's vectors handed to sink (in key
+// order, under the server lock) instead of copied into pull.Dst.
+//
+//hetlint:hotpath
+func (s *Server) exchange(push *Push, pull *SnapshotPull, sink vecSink) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w < 0 || w >= len(s.clocks) {
-		return 0, fmt.Errorf("ps: worker %d out of range [0,%d)", w, len(s.clocks))
+	if pull != nil && pull.Clock < 0 {
+		return 0, errNegativeClock(pull.Clock)
 	}
-	if !keysEqual(s.internedKeys, keys) {
-		if err := s.internPushKeys(keys); err != nil {
+	clock := 0
+	if push != nil {
+		if err := s.validatePushLocked(push); err != nil {
 			return 0, err
 		}
-	}
-	// The interned shard list is aligned with keys; only the per-vector
-	// lengths still need checking on a repeat keyset.
-	for i, shard := range s.internedShards {
-		if len(shard) != len(vecs[i]) {
-			return 0, fmt.Errorf("ps: shard %q length %d, delta length %d", keys[i], len(shard), len(vecs[i]))
+		if pull != nil {
+			// Nothing may fail between the commit and the answer but the
+			// server closing, so the pull's keys are checked up front too.
+			for _, key := range pull.Keys {
+				if _, ok := s.shards[key]; !ok {
+					return 0, errUnregisteredPull(key)
+				}
+			}
 		}
+		clock = s.commitPushLocked(push)
 	}
-	wave := s.clocks[w]
-	need := (wave + 1) * len(s.clocks)
-	for len(s.waveDeltas) < need {
-		s.waveDeltas = append(s.waveDeltas, waveUpdate{})
+	if pull == nil {
+		return clock, nil
 	}
-	u := &s.waveDeltas[wave*len(s.clocks)+w]
-	u.keys = s.internedKeys
-	u.backing = s.takeBacking(s.internedTotal)
-	off := 0
-	for i, shard := range s.internedShards {
-		tensor.AddCopy(shard, u.backing[off:off+len(shard)], vecs[i])
-		off += len(shard)
+	for s.globalLocked() < pull.Clock && !s.closed {
+		s.cond.Wait()
 	}
-	s.clocks[w]++
-	if d := s.distanceLocked(); d > s.maxDistance {
-		s.maxDistance = d
+	if s.closed {
+		return 0, errClosed
 	}
-	s.pushes++
-	s.cond.Broadcast()
-	return s.clocks[w], nil
+	snap := s.snapshotLocked(pull.Clock)
+	for i, key := range pull.Keys {
+		sp, ok := s.spans[key]
+		if !ok {
+			return 0, errUnregisteredPull(key)
+		}
+		sink.visit(i, snap[sp.off:sp.off+sp.n])
+	}
+	s.pulls++
+	return clock, nil
+}
+
+// errClosed is what a pull blocked on (or arriving at) a closed server gets.
+var errClosed = errors.New("ps: server closed")
+
+// The error constructors below keep fmt out of the annotated hot paths; they
+// only run when a request is rejected.
+
+func errNegativeClock(c int) error {
+	return fmt.Errorf("ps: negative snapshot clock %d", c)
+}
+
+func errUnregisteredPull(key string) error {
+	return fmt.Errorf("ps: pull of unregistered shard %q", key)
 }
 
 // takeBacking returns a length-n vector for a retained wave delta, reusing
@@ -199,86 +298,60 @@ func (s *Server) takeBacking(n int) tensor.Vector {
 	return make(tensor.Vector, n)
 }
 
-// takeBackingFrom returns a retained copy of flat, reusing a recycled
-// backing when one is large enough; the fresh-allocation path clones via
-// append so the new array is written exactly once (no zeroing pass).
+// previewPush validates a push exactly as exchange would and returns the
+// clock it will advance to, without touching any weight. The TCP transport
+// uses it to acknowledge a frame that only pushes before applying it,
+// overlapping the apply with the acknowledgment's network transit. That
+// reordering is invisible to every reader: requests on the same connection
+// are handled after the commit, and readers on other connections are
+// clock-gated (Pull and snapshot pulls block until the commit advances the
+// clock), so nothing can observe the acknowledged-but-uncommitted window. A
+// frame that also pulls cannot be answered early — its answer is the
+// snapshot — so exchange commits first and there is no window at all.
 //
 //hetlint:hotpath
-func (s *Server) takeBackingFrom(flat tensor.Vector) tensor.Vector {
-	for i := len(s.freeBackings) - 1; i >= 0; i-- {
-		if b := s.freeBackings[i]; cap(b) >= len(flat) {
-			s.freeBackings[i] = s.freeBackings[len(s.freeBackings)-1]
-			s.freeBackings[len(s.freeBackings)-1] = nil
-			s.freeBackings = s.freeBackings[:len(s.freeBackings)-1]
-			b = b[:len(flat)]
-			copy(b, flat)
-			return b
-		}
-	}
-	return flat.CloneFast()
-}
-
-// previewPush validates worker w's ordered update exactly as PushOrdered
-// would and returns the clock it will advance to, without touching any
-// weight. The TCP transport uses it to acknowledge a push before applying
-// it, overlapping the apply with the acknowledgment's network transit.
-// That reordering is invisible to every reader: requests on the same
-// connection are handled after the commit, and readers on other
-// connections are clock-gated (Pull/PullAt block until the commit
-// advances the clock), so nothing can observe the acknowledged-but-
-// uncommitted window.
-//
-//hetlint:hotpath
-func (s *Server) previewPush(w int, keys []string, dims []int) (int, error) {
+func (s *Server) previewPush(push *Push) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.validatePushLocked(w, keys, dims, -1); err != nil {
+	if err := s.validatePushLocked(push); err != nil {
 		return 0, err
 	}
-	return s.clocks[w] + 1, nil
+	return s.clocks[push.Worker] + 1, nil
 }
 
-// validatePushLocked checks an ordered push — worker index, keyset
-// (interning a new one), per-shard dims, and, when flatLen >= 0, the
-// concatenated delta length. It is the shared validation of previewPush
-// and pushOrderedFlat, split out unannotated because its fmt formatting
-// runs only on the error path.
-func (s *Server) validatePushLocked(w int, keys []string, dims []int, flatLen int) error {
-	if len(keys) != len(dims) {
-		return fmt.Errorf("ps: %d keys for %d vectors", len(keys), len(dims))
+// validatePushLocked checks a push — worker index, keyset (interning a new
+// one), per-shard lengths. Unannotated because its fmt formatting runs only
+// on the error path.
+func (s *Server) validatePushLocked(p *Push) error {
+	if len(p.Keys) != len(p.Vecs) {
+		return fmt.Errorf("ps: %d keys for %d vectors", len(p.Keys), len(p.Vecs))
 	}
-	if w < 0 || w >= len(s.clocks) {
-		return fmt.Errorf("ps: worker %d out of range [0,%d)", w, len(s.clocks))
+	if p.Worker < 0 || p.Worker >= len(s.clocks) {
+		return fmt.Errorf("ps: worker %d out of range [0,%d)", p.Worker, len(s.clocks))
 	}
-	if !keysEqual(s.internedKeys, keys) {
-		if err := s.internPushKeys(keys); err != nil {
+	if !keysEqual(s.internedKeys, p.Keys) {
+		if err := s.internPushKeys(p.Keys); err != nil {
 			return err
 		}
 	}
+	// The interned shard list is aligned with the keys; only the per-vector
+	// lengths still need checking on a repeat keyset.
 	for i, shard := range s.internedShards {
-		if len(shard) != dims[i] {
-			return fmt.Errorf("ps: shard %q length %d, delta length %d", keys[i], len(shard), dims[i])
+		if len(shard) != len(p.Vecs[i]) {
+			return fmt.Errorf("ps: shard %q length %d, delta length %d", p.Keys[i], len(shard), len(p.Vecs[i]))
 		}
-	}
-	if flatLen >= 0 && flatLen != s.internedTotal {
-		return fmt.Errorf("ps: flat delta length %d, want %d", flatLen, s.internedTotal)
 	}
 	return nil
 }
 
-// pushOrderedFlat is PushOrdered for a delta arriving as consecutive
-// key-order segments of one contiguous vector — the TCP transport's decode
-// layout. Retaining the wave delta is then a single streaming clone of
-// flat (no zeroing, no per-key scatter), the dominant cost of a push once
-// the wire codec runs at memcpy speed.
+// commitPushLocked applies a push validatePushLocked has just accepted (the
+// interned keyset is p's): each delta is added to its shard and copied into
+// the wave's one retained backing in the same pass, the worker's clock
+// advances, and blocked pulls wake. It returns the worker's new clock.
 //
 //hetlint:hotpath
-func (s *Server) pushOrderedFlat(w int, keys []string, dims []int, flat tensor.Vector) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.validatePushLocked(w, keys, dims, len(flat)); err != nil {
-		return 0, err
-	}
+func (s *Server) commitPushLocked(p *Push) int {
+	w := p.Worker
 	wave := s.clocks[w]
 	need := (wave + 1) * len(s.clocks)
 	for len(s.waveDeltas) < need {
@@ -286,10 +359,10 @@ func (s *Server) pushOrderedFlat(w int, keys []string, dims []int, flat tensor.V
 	}
 	u := &s.waveDeltas[wave*len(s.clocks)+w]
 	u.keys = s.internedKeys
-	u.backing = s.takeBackingFrom(flat)
+	u.backing = s.takeBacking(s.internedTotal)
 	off := 0
-	for _, shard := range s.internedShards {
-		shard.AddInPlace(flat[off : off+len(shard)])
+	for i, shard := range s.internedShards {
+		tensor.AddCopy(shard, u.backing[off:off+len(shard)], p.Vecs[i])
 		off += len(shard)
 	}
 	s.clocks[w]++
@@ -298,7 +371,20 @@ func (s *Server) pushOrderedFlat(w int, keys []string, dims []int, flat tensor.V
 	}
 	s.pushes++
 	s.cond.Broadcast()
-	return s.clocks[w], nil
+	return s.clocks[w]
+}
+
+//hetlint:hotpath
+func keysEqual(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // internPushKeys validates a new push keyset — shard existence, duplicate
@@ -327,16 +413,31 @@ func (s *Server) internPushKeys(keys []string) error {
 	return nil
 }
 
-// Push applies worker w's aggregated wave update given as a map. Map-form
-// convenience over PushOrdered; the ordered form avoids the per-call
-// conversion.
-func (s *Server) Push(w int, updates map[string]tensor.Vector) (int, error) {
-	keys := make([]string, 0, len(updates))
-	vecs := make([]tensor.Vector, 0, len(updates))
+// unzip and zip convert between the map forms the convenience methods take
+// and return and the parallel slices the data plane runs on.
+func unzip(updates map[string]tensor.Vector) (keys []string, vecs []tensor.Vector) {
+	keys = make([]string, 0, len(updates))
+	vecs = make([]tensor.Vector, 0, len(updates))
 	for k, v := range updates {
 		keys = append(keys, k)
 		vecs = append(vecs, v)
 	}
+	return keys, vecs
+}
+
+func zip(keys []string, vecs []tensor.Vector) map[string]tensor.Vector {
+	out := make(map[string]tensor.Vector, len(keys))
+	for i, k := range keys {
+		out[k] = vecs[i]
+	}
+	return out
+}
+
+// Push applies worker w's aggregated wave update given as a map. Map-form
+// convenience over PushOrdered; the ordered form avoids the per-call
+// conversion.
+func (s *Server) Push(w int, updates map[string]tensor.Vector) (int, error) {
+	keys, vecs := unzip(updates)
 	return s.PushOrdered(w, keys, vecs)
 }
 
@@ -393,12 +494,12 @@ func (s *Server) PullInto(dst []tensor.Vector, keys []string, minClock int) (int
 		s.cond.Wait()
 	}
 	if s.closed {
-		return 0, fmt.Errorf("ps: server closed")
+		return 0, errClosed
 	}
 	for i, key := range keys {
 		shard, ok := s.shards[key]
 		if !ok {
-			return 0, fmt.Errorf("ps: pull of unregistered shard %q", key)
+			return 0, errUnregisteredPull(key)
 		}
 		if len(dst[i]) != len(shard) {
 			dst[i] = make(tensor.Vector, len(shard))
@@ -417,51 +518,18 @@ func (s *Server) Pull(keys []string, minClock int) (map[string]tensor.Vector, in
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make(map[string]tensor.Vector, len(keys))
-	for i, k := range keys {
-		out[k] = dst[i]
-	}
-	return out, clock, nil
+	return zip(keys, dst), clock, nil
 }
 
 // PullAtInto copies the requested shards as of global-clock boundary
-// `clock` into dst — the initial weights plus every wave-v update with
-// v < clock from every worker — blocking until the global clock reaches
-// `clock`. Unlike PullInto, the result is independent of push arrival
-// order: the deterministic read the WSP staleness analysis reasons about,
-// and the one the live training runtime uses so its trajectory matches the
-// simulator's.
+// `clock` into dst, blocking until the global clock reaches `clock`:
+// Exchange with no push section. Unlike PullInto, the result is independent
+// of push arrival order: the deterministic read the WSP staleness analysis
+// reasons about, and the one the live training runtime uses so its
+// trajectory matches the simulator's.
 func (s *Server) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
-	if len(dst) != len(keys) {
-		return fmt.Errorf("ps: %d destinations for %d keys", len(dst), len(keys))
-	}
-	if clock < 0 {
-		return fmt.Errorf("ps: negative snapshot clock %d", clock)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.globalLocked() < clock && !s.closed {
-		s.cond.Wait()
-	}
-	if s.closed {
-		return fmt.Errorf("ps: server closed")
-	}
-	snap, err := s.snapshotLocked(clock)
-	if err != nil {
-		return err
-	}
-	for i, key := range keys {
-		shard, ok := snap[key]
-		if !ok {
-			return fmt.Errorf("ps: pull of unregistered shard %q", key)
-		}
-		if len(dst[i]) != len(shard) {
-			dst[i] = make(tensor.Vector, len(shard))
-		}
-		copy(dst[i], shard)
-	}
-	s.pulls++
-	return nil
+	_, err := s.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
+	return err
 }
 
 // PullAt returns copies of the requested shards as of global-clock boundary
@@ -471,19 +539,7 @@ func (s *Server) PullAt(keys []string, clock int) (map[string]tensor.Vector, err
 	if err := s.PullAtInto(dst, keys, clock); err != nil {
 		return nil, err
 	}
-	out := make(map[string]tensor.Vector, len(keys))
-	for i, k := range keys {
-		out[k] = dst[i]
-	}
-	return out, nil
-}
-
-// vecSink receives weight vectors during a locked pull view. The TCP
-// transport implements it to encode responses straight from server-owned
-// storage — no intermediate clone, no map. The vector passed to visit is
-// only valid for the duration of the call.
-type vecSink interface {
-	visit(i int, key string, v tensor.Vector) error
+	return zip(keys, dst), nil
 }
 
 // pullView is PullInto without the copy: once the global clock has reached
@@ -496,110 +552,82 @@ func (s *Server) pullView(keys []string, minClock int, sink vecSink) (int, error
 		s.cond.Wait()
 	}
 	if s.closed {
-		return 0, fmt.Errorf("ps: server closed")
+		return 0, errClosed
 	}
 	for i, key := range keys {
 		shard, ok := s.shards[key]
 		if !ok {
-			return 0, fmt.Errorf("ps: pull of unregistered shard %q", key)
+			return 0, errUnregisteredPull(key)
 		}
-		if err := sink.visit(i, key, shard); err != nil {
-			return 0, err
-		}
+		sink.visit(i, shard)
 	}
 	s.pulls++
 	return s.globalLocked(), nil
 }
 
-// pullAtView is PullAtInto without the copy: it visits the clock-`clock`
-// snapshot of the requested shards in key order, under the server lock.
-func (s *Server) pullAtView(keys []string, clock int, sink vecSink) error {
-	if clock < 0 {
-		return fmt.Errorf("ps: negative snapshot clock %d", clock)
+// fixLayoutLocked fixes the flat snapshot layout: every registered shard
+// back to back in sorted-key order.
+func (s *Server) fixLayoutLocked() {
+	keys := make([]string, 0, len(s.initial))
+	for k := range s.initial {
+		keys = append(keys, k)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.globalLocked() < clock && !s.closed {
-		s.cond.Wait()
+	sort.Strings(keys)
+	s.spans = make(map[string]span, len(keys))
+	off := 0
+	for _, k := range keys {
+		s.spans[k] = span{off, len(s.initial[k])}
+		off += len(s.initial[k])
 	}
-	if s.closed {
-		return fmt.Errorf("ps: server closed")
-	}
-	snap, err := s.snapshotLocked(clock)
-	if err != nil {
-		return err
-	}
-	for i, key := range keys {
-		shard, ok := snap[key]
-		if !ok {
-			return fmt.Errorf("ps: pull of unregistered shard %q", key)
-		}
-		if err := sink.visit(i, key, shard); err != nil {
-			return err
-		}
-	}
-	s.pulls++
-	return nil
 }
 
-// waitClock blocks until the global clock reaches c (or the server closes).
-// The transport's snapshot cache uses it to honor the D-bound before
-// serving a pre-encoded snapshot frame.
-func (s *Server) waitClock(c int) error {
-	if c < 0 {
-		return fmt.Errorf("ps: negative snapshot clock %d", c)
+// packLocked lays a per-key weight map out as one flat snapshot.
+func (s *Server) packLocked(m map[string]tensor.Vector) tensor.Vector {
+	total := 0
+	for _, sp := range s.spans {
+		total += sp.n
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.globalLocked() < c && !s.closed {
-		s.cond.Wait()
+	flat := make(tensor.Vector, total)
+	for k, sp := range s.spans {
+		copy(flat[sp.off:sp.off+sp.n], m[k])
 	}
-	if s.closed {
-		return fmt.Errorf("ps: server closed")
-	}
-	return nil
+	return flat
 }
 
-// countCachedPull records a pull served from the transport's snapshot cache
-// so Stats counts it like any other pull.
-func (s *Server) countCachedPull() {
-	s.mu.Lock()
-	s.pulls++
-	s.mu.Unlock()
+// unpackLocked is packLocked's inverse, as a deep copy.
+func (s *Server) unpackLocked(flat tensor.Vector) map[string]tensor.Vector {
+	m := make(map[string]tensor.Vector, len(s.spans))
+	for k, sp := range s.spans {
+		m[k] = flat[sp.off : sp.off+sp.n].Clone()
+	}
+	return m
 }
 
-// snapshotLocked materializes (and caches) the clock-c weight snapshot.
-// Requires the global clock to have reached c, so every wave < c is fully
-// pushed. Deltas are folded in (wave, worker) order, never arrival order.
-func (s *Server) snapshotLocked(c int) (map[string]tensor.Vector, error) {
-	if s.globalLocked() < c {
-		return nil, fmt.Errorf("ps: snapshot %d ahead of global clock %d", c, s.globalLocked())
-	}
+// snapshotLocked materializes (and retains) the clock-c weight snapshot. The
+// global clock must have reached c, so every wave < c is fully pushed — every
+// caller has just waited for exactly that. Each new clock costs one clone of
+// its predecessor; deltas are folded in (wave, worker) order, never arrival
+// order.
+func (s *Server) snapshotLocked(c int) tensor.Vector {
 	if len(s.snapshots) == 0 {
-		base := make(map[string]tensor.Vector, len(s.initial))
-		for k, v := range s.initial {
-			base[k] = v.Clone()
-		}
-		s.snapshots = append(s.snapshots, base)
+		s.fixLayoutLocked()
+		s.snapshots = append(s.snapshots, s.packLocked(s.initial))
 	}
 	for len(s.snapshots) <= c {
 		wave := len(s.snapshots) - 1
-		next := make(map[string]tensor.Vector, len(s.initial))
-		for k, v := range s.snapshots[wave] {
-			next[k] = v.Clone()
-		}
+		next := s.snapshots[wave].CloneFast()
 		base := wave * len(s.clocks)
 		for w := range s.clocks {
 			u := &s.waveDeltas[base+w]
 			off := 0
 			for _, k := range u.keys {
-				v := next[k]
-				v.AddInPlace(u.backing[off : off+len(v)])
-				off += len(v)
+				sp := s.spans[k]
+				next[sp.off : sp.off+sp.n].AddInPlace(u.backing[off : off+sp.n])
+				off += sp.n
 			}
 			// This fold is the only reader of the wave's per-worker deltas;
 			// drop them so a long run retains one snapshot per clock
-			// (O(clocks x keys)), not additionally O(workers) delta copies.
+			// (O(clocks x weights)), not additionally O(workers) delta copies.
 			// The backing is recycled into later pushes (bounded by one
 			// spare per worker — beyond that GC takes them).
 			if u.backing != nil && len(s.freeBackings) < len(s.clocks) {
@@ -609,7 +637,7 @@ func (s *Server) snapshotLocked(c int) (map[string]tensor.Vector, error) {
 		}
 		s.snapshots = append(s.snapshots, next)
 	}
-	return s.snapshots[c], nil
+	return s.snapshots[c]
 }
 
 // Meta describes a server to its clients: the expected worker count and the
@@ -644,6 +672,13 @@ func (s *Server) Stats() (pushes, pulls uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pushes, s.pulls
+}
+
+// FramesServed reports how many request frames the TCP transport has read
+// and dispatched on this server's behalf — one per round trip, whatever the
+// frame carried. Zero for a server only ever used in process.
+func (s *Server) FramesServed() uint64 {
+	return s.frames.Load()
 }
 
 // noteMalformed counts one protocol-level malformed request.

@@ -7,11 +7,20 @@ import (
 	"hetpipe/internal/tensor"
 )
 
-// Sharded fans one worker's pushes and pulls out across multiple servers
+// Sharded spreads one worker's pushes and pulls across multiple servers
 // according to a Placement — the client-side half of the paper's deployment,
 // where each node runs a parameter server holding a subset of the layers.
-// All backends are contacted concurrently (first error wins), so a wave's
-// data-plane latency is the slowest shard, not the sum of all shards.
+//
+// Every operation runs on the caller's goroutine. A wave exchange is
+// scattered, then gathered: each TCP backend's request is written before the
+// first response is read, so a wave's data-plane latency is still the
+// slowest shard's, not the sum of all shards'; in-process backends are simply
+// called in turn. (Both are safe at D = 0 for the same reason: a server
+// commits an exchange's push before it waits for the pull's clock, and all
+// workers visit the shards in the same order, so no worker waits on a clock
+// while holding back a push its peers need.) A goroutine per shard, which
+// this replaced, cost more than it overlapped: each was new, and grew its
+// stack on the way down to the socket write.
 //
 // The type works over any backend implementing Backend (the in-process
 // Server does via AdaptServer; *Client is one natively), so the same code
@@ -19,24 +28,25 @@ import (
 type Sharded struct {
 	placement *Placement
 	backends  []Backend
+	// clients[i] is backends[i] when that is a TCP client — the backends
+	// whose exchange splits into a send and a receive — and nil otherwise.
+	clients []*Client
 	// workers and dims come from each backend's Meta at construction time;
-	// PushOrdered validates against them before touching any backend, so a
-	// bad update can never advance a subset of the shard clocks.
+	// an exchange validates its push against them before touching any
+	// backend, so a bad update can never advance a subset of the shard
+	// clocks.
 	workers int
 	dims    []map[string]int
-	// scratch pools fan-out state so the steady-state wave loop allocates
-	// nothing: per-server key/vector partitions, result clocks, goroutine
-	// bookkeeping.
+	// scratch pools the per-server partitions so the steady-state wave loop
+	// allocates nothing.
 	scratch sync.Pool
 }
 
-// Backend is the per-server operation set Sharded needs, in the ordered
-// slice forms the data plane runs on. *Client implements it natively over
-// TCP; AdaptServer wraps an in-process *Server.
+// Backend is the per-server operation set Sharded needs. *Client implements
+// it natively over TCP; AdaptServer wraps an in-process *Server.
 type Backend interface {
-	PushOrdered(worker int, keys []string, vecs []tensor.Vector) (int, error)
+	Exchange(push *Push, pull *SnapshotPull) (int, error)
 	PullInto(dst []tensor.Vector, keys []string, minClock int) (int, error)
-	PullAtInto(dst []tensor.Vector, keys []string, clock int) error
 	GlobalClock() (int, error)
 	Meta() (Meta, error)
 	MaxClockDistance() (int, error)
@@ -45,14 +55,11 @@ type Backend interface {
 // serverBackend adapts *Server (whose GlobalClock returns no error).
 type serverBackend struct{ s *Server }
 
-func (b serverBackend) PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error) {
-	return b.s.PushOrdered(w, keys, vecs)
+func (b serverBackend) Exchange(push *Push, pull *SnapshotPull) (int, error) {
+	return b.s.Exchange(push, pull)
 }
 func (b serverBackend) PullInto(dst []tensor.Vector, keys []string, mc int) (int, error) {
 	return b.s.PullInto(dst, keys, mc)
-}
-func (b serverBackend) PullAtInto(dst []tensor.Vector, keys []string, c int) error {
-	return b.s.PullAtInto(dst, keys, c)
 }
 func (b serverBackend) GlobalClock() (int, error)      { return b.s.GlobalClock(), nil }
 func (b serverBackend) Meta() (Meta, error)            { return b.s.Meta() }
@@ -71,8 +78,13 @@ func NewSharded(p *Placement, backends []Backend) (*Sharded, error) {
 	if len(backends) != p.Servers() {
 		return nil, fmt.Errorf("ps: placement expects %d servers, got %d backends", p.Servers(), len(backends))
 	}
-	s := &Sharded{placement: p, backends: backends, dims: make([]map[string]int, len(backends))}
+	s := &Sharded{
+		placement: p, backends: backends,
+		clients: make([]*Client, len(backends)),
+		dims:    make([]map[string]int, len(backends)),
+	}
 	for i, b := range backends {
+		s.clients[i], _ = b.(*Client)
 		m, err := b.Meta()
 		if err != nil {
 			return nil, fmt.Errorf("ps: shard server %d meta: %w", i, err)
@@ -94,211 +106,135 @@ func NewSharded(p *Placement, backends []Backend) (*Sharded, error) {
 	return s, nil
 }
 
-// Fan-out operations a fanScratch can run.
-const (
-	fanPush byte = iota + 1
-	fanPull
-	fanPullAt
-)
-
-// fanScratch is the pooled state of one fan-out: the per-server partition of
-// the caller's keys and vectors, the concurrency bookkeeping, and the
-// first-error-wins result slot. Per-server work is spawned through
-// pre-allocated zero-argument thunks (go st.thunks[i]()) — a go statement
-// with arguments heap-allocates a wrapper per spawn, a stored nullary
-// closure does not — so the steady-state dispatch allocates nothing.
-type fanScratch struct {
-	sh     *Sharded
-	op     byte
-	worker int
-	clock  int // minClock for fanPull, snapshot clock for fanPullAt
-
-	perIdx  [][]int // position of each partitioned key in the caller's slices
-	perKeys [][]string
-	perVecs [][]tensor.Vector
-	clocks  []int    // per-server observed clock (fanPull)
-	thunks  []func() // thunks[i] runs server i's share and signals wg
-
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	err    error
-	errSrv int
+// partition is the pooled state of one sharded operation: the caller's keys
+// and vectors split per server, where each pulled key sits in the caller's
+// slices, and which sections of an exchange each server is sent.
+type partition struct {
+	push []Push
+	pull []SnapshotPull
+	idx  [][]int // idx[srv][j]: caller position of pull[srv].Keys[j]
+	// pushTo[srv] / pullFrom[srv] point at push[srv] / pull[srv] when server
+	// srv takes part in that half of the running exchange, nil when not: the
+	// push (possibly empty) goes to every server whenever the exchange
+	// pushes, the pull only to servers holding some of its keys.
+	pushTo   []*Push
+	pullFrom []*SnapshotPull
 }
 
-// acquire returns a pooled (or fresh) scratch sized for s's backends, with
-// every partition emptied.
-func (s *Sharded) acquire(op byte) *fanScratch {
-	st, _ := s.scratch.Get().(*fanScratch)
-	if st == nil {
-		st = &fanScratch{}
-	}
-	st.prep(s, op)
-	return st
-}
-
-func (s *Sharded) release(st *fanScratch) {
-	s.scratch.Put(st)
-}
-
-// prep resets the scratch for a fan-out over sh's backends.
+// acquire returns a pooled (or fresh) partition with one emptied slot per
+// backend.
 //
 //hetlint:hotpath
-func (st *fanScratch) prep(sh *Sharded, op byte) {
-	st.sh = sh
-	st.op = op
-	st.err = nil
-	st.errSrv = 0
-	n := len(sh.backends)
-	if len(st.thunks) < n {
-		st.grow(n)
+func (s *Sharded) acquire() *partition {
+	pt, _ := s.scratch.Get().(*partition)
+	if pt == nil {
+		pt = s.newPartition()
 	}
-	st.perIdx = st.perIdx[:n]
-	st.perKeys = st.perKeys[:n]
-	st.perVecs = st.perVecs[:n]
-	st.clocks = st.clocks[:n]
-	st.thunks = st.thunks[:n]
-	for i := 0; i < n; i++ {
-		st.perIdx[i] = st.perIdx[i][:0]
-		st.perKeys[i] = st.perKeys[i][:0]
-		st.perVecs[i] = st.perVecs[i][:0]
-		st.clocks[i] = 0
+	for i := range pt.push {
+		pt.push[i].Keys = pt.push[i].Keys[:0]
+		pt.push[i].Vecs = pt.push[i].Vecs[:0]
+		pt.pull[i].Keys = pt.pull[i].Keys[:0]
+		pt.pull[i].Dst = pt.pull[i].Dst[:0]
+		pt.idx[i] = pt.idx[i][:0]
+		pt.pushTo[i], pt.pullFrom[i] = nil, nil
+	}
+	return pt
+}
+
+func (s *Sharded) newPartition() *partition {
+	n := len(s.backends)
+	return &partition{
+		push: make([]Push, n), pull: make([]SnapshotPull, n), idx: make([][]int, n),
+		pushTo: make([]*Push, n), pullFrom: make([]*SnapshotPull, n),
 	}
 }
 
-// grow extends the scratch to n server slots, pre-allocating each slot's
-// spawn thunk. Cold path: it runs once per deployment size, never in the
-// steady state.
-func (st *fanScratch) grow(n int) {
-	for len(st.thunks) < n {
-		st.perIdx = append(st.perIdx, nil)
-		st.perKeys = append(st.perKeys, nil)
-		st.perVecs = append(st.perVecs, nil)
-		st.clocks = append(st.clocks, 0)
-		i := len(st.thunks)
-		st.thunks = append(st.thunks, func() {
-			st.run(i)
-			st.wg.Done()
-		})
-	}
-}
-
-// add partitions one (key, vector) pair at caller position idx onto server
-// srv.
+// addPull partitions one (key, destination) pair at caller position idx onto
+// server srv.
 //
 //hetlint:hotpath
-func (st *fanScratch) add(srv, idx int, key string, v tensor.Vector) {
-	st.perIdx[srv] = append(st.perIdx[srv], idx)
-	st.perKeys[srv] = append(st.perKeys[srv], key)
-	st.perVecs[srv] = append(st.perVecs[srv], v)
+func (pt *partition) addPull(srv, idx int, key string, dst tensor.Vector) {
+	pt.pull[srv].Keys = append(pt.pull[srv].Keys, key)
+	pt.pull[srv].Dst = append(pt.pull[srv].Dst, dst)
+	pt.idx[srv] = append(pt.idx[srv], idx)
 }
 
-// fan runs the prepared operation against every backend concurrently and
-// waits for all of them. With a single backend it runs inline — no goroutine
-// hop on unsharded deployments.
+// writeBack stores the pulled vectors at the caller's positions: a backend
+// may have reallocated a destination (first pull into an empty buffer).
 //
 //hetlint:hotpath
-func (st *fanScratch) fan() {
-	n := len(st.sh.backends)
-	if n == 1 {
-		st.run(0)
-		return
-	}
-	// The calling goroutine takes the last backend itself: one fewer
-	// spawn, and the caller does useful work instead of blocking in Wait
-	// while the others run.
-	st.wg.Add(n - 1)
-	for i := 0; i < n-1; i++ {
-		go st.thunks[i]()
-	}
-	st.run(n - 1)
-	st.wg.Wait()
-}
-
-// run executes the scratch's operation against backend i. Pushes go to
-// every server — ones holding none of the keys receive an empty push so
-// their clocks stay aligned (WSP's global clock is the minimum across all
-// shards). Pulls query uninvolved servers for their clock only; snapshot
-// pulls skip them entirely.
-//
-//hetlint:hotpath
-func (st *fanScratch) run(i int) {
-	b := st.sh.backends[i]
-	switch st.op {
-	case fanPush:
-		if _, err := b.PushOrdered(st.worker, st.perKeys[i], st.perVecs[i]); err != nil {
-			st.fail(i, err)
-		}
-	case fanPull:
-		if len(st.perKeys[i]) == 0 {
-			// Not involved in the transfer, but its clock still bounds the
-			// global clock the caller observes.
-			c, err := b.GlobalClock()
-			if err != nil {
-				st.fail(i, err)
-				return
-			}
-			st.clocks[i] = c
-			return
-		}
-		c, err := b.PullInto(st.perVecs[i], st.perKeys[i], st.clock)
-		if err != nil {
-			st.fail(i, err)
-			return
-		}
-		st.clocks[i] = c
-	case fanPullAt:
-		if len(st.perKeys[i]) == 0 {
-			return
-		}
-		if err := b.PullAtInto(st.perVecs[i], st.perKeys[i], st.clock); err != nil {
-			st.fail(i, err)
+func (pt *partition) writeBack(dst []tensor.Vector) {
+	for srv := range pt.idx {
+		for j, idx := range pt.idx[srv] {
+			dst[idx] = pt.pull[srv].Dst[j]
 		}
 	}
 }
 
-// fail records the fan-out's error; the first recorded error wins and the
-// rest are dropped.
+// Exchange is one wave's conversation with the parameter servers: it pushes
+// push (when non-nil) and pulls pull (when non-nil) with one exchange per
+// shard server — see Server.Exchange for what each server does with its
+// share. Every server receives the push, ones holding none of its keys an
+// empty one, so their clocks stay aligned (WSP's global clock is the minimum
+// across all shards); only servers holding some of the pull's keys are asked
+// for them, all answering from the same clock boundary, so the merged result
+// is the deterministic snapshot the WSP analysis reasons about.
 //
-//hetlint:hotpath
-func (st *fanScratch) fail(i int, err error) {
-	st.mu.Lock()
-	if st.err == nil {
-		st.err = err
-		st.errSrv = i
-	}
-	st.mu.Unlock()
-}
-
-func (st *fanScratch) wrapErr() error {
-	if st.err == nil {
-		return nil
-	}
-	return fmt.Errorf("ps: shard server %d: %w", st.errSrv, st.err)
-}
-
-// PushOrdered splits the update (parallel key and delta slices) by placement
-// and pushes each slice to its server concurrently; every server's clock
-// advances for the worker, including servers holding none of the keys (they
-// receive an empty push so their clocks stay aligned).
-//
-// The whole update is validated (worker range, placement, shard existence,
-// lengths, duplicates) before anything is sent, so a REJECTED push leaves
+// The whole exchange is validated (worker range, placement, shard existence,
+// lengths, duplicates) before a byte is sent, so a REJECTED exchange leaves
 // every shard's clock untouched — no server can refuse what its peers
-// already accepted. A transport failure mid-fan-out (a TCP server dying
-// between shards) can still leave the clocks skewed; there is no unpush, so
-// callers must treat that error as poisoning the run (internal/cluster
-// closes every server, which unblocks and fails all peers).
-func (s *Sharded) PushOrdered(worker int, keys []string, vecs []tensor.Vector) error {
-	if worker < 0 || worker >= s.workers {
-		return fmt.Errorf("ps: worker %d out of range [0,%d)", worker, s.workers)
+// already accepted. A failure part-way (a TCP server dying between shards)
+// can still leave the clocks skewed; there is no unpush, so callers must
+// treat that error as poisoning the run (internal/cluster closes every
+// server, which unblocks and fails all peers). Clients whose request went
+// out but whose response was not read are closed, and stay failed.
+func (s *Sharded) Exchange(push *Push, pull *SnapshotPull) error {
+	pt := s.acquire()
+	defer s.scratch.Put(pt)
+	if push != nil {
+		if err := s.partitionPush(pt, push); err != nil {
+			return err
+		}
 	}
-	if len(keys) != len(vecs) {
-		return fmt.Errorf("ps: %d keys for %d vectors", len(keys), len(vecs))
+	if pull != nil {
+		if len(pull.Dst) != len(pull.Keys) {
+			return fmt.Errorf("ps: %d destinations for %d keys", len(pull.Dst), len(pull.Keys))
+		}
+		for i, key := range pull.Keys {
+			srv, err := s.placement.ServerOf(key)
+			if err != nil {
+				return err
+			}
+			pt.addPull(srv, i, key, pull.Dst[i])
+		}
+		for srv := range pt.pull {
+			if q := &pt.pull[srv]; len(q.Keys) > 0 {
+				q.Clock = pull.Clock
+				pt.pullFrom[srv] = q
+			}
+		}
 	}
-	st := s.acquire(fanPush)
-	defer s.release(st)
-	st.worker = worker
-	for i, key := range keys {
+	srv, err := s.scatterGather(pt)
+	if err != nil {
+		return fmt.Errorf("ps: shard server %d: %w", srv, err)
+	}
+	if pull != nil {
+		pt.writeBack(pull.Dst)
+	}
+	return nil
+}
+
+// partitionPush validates push against the placement and the servers' Meta
+// and splits it per server. Unannotated because its fmt formatting runs only
+// on the error path.
+func (s *Sharded) partitionPush(pt *partition, push *Push) error {
+	if push.Worker < 0 || push.Worker >= s.workers {
+		return fmt.Errorf("ps: worker %d out of range [0,%d)", push.Worker, s.workers)
+	}
+	if len(push.Keys) != len(push.Vecs) {
+		return fmt.Errorf("ps: %d keys for %d vectors", len(push.Keys), len(push.Vecs))
+	}
+	for i, key := range push.Keys {
 		srv, err := s.placement.ServerOf(key)
 		if err != nil {
 			return err
@@ -307,33 +243,91 @@ func (s *Sharded) PushOrdered(worker int, keys []string, vecs []tensor.Vector) e
 		if !ok {
 			return fmt.Errorf("ps: shard %q not registered on server %d", key, srv)
 		}
-		if dim != len(vecs[i]) {
-			return fmt.Errorf("ps: shard %q length %d, delta length %d", key, dim, len(vecs[i]))
+		if dim != len(push.Vecs[i]) {
+			return fmt.Errorf("ps: shard %q length %d, delta length %d", key, dim, len(push.Vecs[i]))
 		}
 		for j := 0; j < i; j++ {
-			if keys[j] == key {
+			if push.Keys[j] == key {
 				return fmt.Errorf("ps: duplicate shard %q in push", key)
 			}
 		}
-		st.add(srv, i, key, vecs[i])
+		p := &pt.push[srv]
+		p.Keys = append(p.Keys, key)
+		p.Vecs = append(p.Vecs, push.Vecs[i])
 	}
-	st.fan()
-	return st.wrapErr()
+	for srv := range pt.push {
+		pt.push[srv].Worker = push.Worker
+		pt.pushTo[srv] = &pt.push[srv]
+	}
+	return nil
+}
+
+// scatterGather runs the partitioned exchange: every TCP backend's request is
+// written, then every backend is answered in server order — a TCP backend by
+// reading its response, an in-process one by running its exchange. On failure
+// it reports the failing server, after abandoning every client still owed a
+// response.
+//
+//hetlint:hotpath
+func (s *Sharded) scatterGather(pt *partition) (int, error) {
+	sent := 0 // clients[:sent] with a share have a request on the wire
+	for ; sent < len(s.clients); sent++ {
+		if c := s.clients[sent]; c != nil && pt.involves(sent) {
+			if err := c.sendWave(pt.pushTo[sent], pt.pullFrom[sent]); err != nil {
+				s.abandon(pt, 0, sent)
+				return sent, err
+			}
+		}
+	}
+	for i, b := range s.backends {
+		if !pt.involves(i) {
+			continue
+		}
+		var err error
+		if c := s.clients[i]; c != nil {
+			_, err = c.receiveWave(pt.pushTo[i], pt.pullFrom[i])
+		} else {
+			_, err = b.Exchange(pt.pushTo[i], pt.pullFrom[i])
+		}
+		if err != nil {
+			s.abandon(pt, i+1, sent)
+			return i, err
+		}
+	}
+	return 0, nil
+}
+
+// involves reports whether server i has any share of the running exchange.
+//
+//hetlint:hotpath
+func (pt *partition) involves(i int) bool {
+	return pt.pushTo[i] != nil || pt.pullFrom[i] != nil
+}
+
+// abandon closes the clients in [from, to) that were sent a request whose
+// response will now never be read.
+func (s *Sharded) abandon(pt *partition, from, to int) {
+	for i := from; i < to; i++ {
+		if c := s.clients[i]; c != nil && pt.involves(i) {
+			c.abandon()
+		}
+	}
+}
+
+// PushOrdered splits the update (parallel key and delta slices) by placement
+// and pushes each slice to its server: Exchange with no pull section.
+func (s *Sharded) PushOrdered(worker int, keys []string, vecs []tensor.Vector) error {
+	return s.Exchange(&Push{Worker: worker, Keys: keys, Vecs: vecs}, nil)
 }
 
 // Push splits the update map by placement and pushes each slice to its
 // server. Map-form convenience over PushOrdered.
 func (s *Sharded) Push(worker int, updates map[string]tensor.Vector) error {
-	keys := make([]string, 0, len(updates))
-	vecs := make([]tensor.Vector, 0, len(updates))
-	for k, v := range updates {
-		keys = append(keys, k)
-		vecs = append(vecs, v)
-	}
+	keys, vecs := unzip(updates)
 	return s.PushOrdered(worker, keys, vecs)
 }
 
-// PullInto gathers the requested keys from their servers concurrently, each
+// PullInto gathers the requested keys from their servers in turn, each
 // involved server blocking until its global clock reaches minClock, filling
 // dst[i] with keys[i]'s weights (reusing dst[i]'s storage when its length
 // matches). It returns the minimum clock across ALL shard servers —
@@ -344,33 +338,34 @@ func (s *Sharded) PullInto(dst []tensor.Vector, keys []string, minClock int) (in
 	if len(dst) != len(keys) {
 		return 0, fmt.Errorf("ps: %d destinations for %d keys", len(dst), len(keys))
 	}
-	st := s.acquire(fanPull)
-	defer s.release(st)
-	st.clock = minClock
+	pt := s.acquire()
+	defer s.scratch.Put(pt)
 	for i, key := range keys {
 		srv, err := s.placement.ServerOf(key)
 		if err != nil {
 			return 0, err
 		}
-		st.add(srv, i, key, dst[i])
-	}
-	st.fan()
-	if err := st.wrapErr(); err != nil {
-		return 0, err
+		pt.addPull(srv, i, key, dst[i])
 	}
 	clock := -1
-	for i := range st.clocks {
-		if clock < 0 || st.clocks[i] < clock {
-			clock = st.clocks[i]
+	for i, b := range s.backends {
+		var c int
+		var err error
+		if q := &pt.pull[i]; len(q.Keys) > 0 {
+			c, err = b.PullInto(q.Dst, q.Keys, minClock)
+		} else {
+			// Not involved in the transfer, but its clock still bounds the
+			// global clock the caller observes.
+			c, err = b.GlobalClock()
+		}
+		if err != nil {
+			return 0, fmt.Errorf("ps: shard server %d: %w", i, err)
+		}
+		if clock < 0 || c < clock {
+			clock = c
 		}
 	}
-	// Backends may have reallocated destination vectors (first pull into
-	// empty buffers); write them back to the caller's positions.
-	for srv := range st.perIdx {
-		for j, idx := range st.perIdx[srv] {
-			dst[idx] = st.perVecs[srv][j]
-		}
-	}
+	pt.writeBack(dst)
 	return clock, nil
 }
 
@@ -382,42 +377,14 @@ func (s *Sharded) Pull(keys []string, minClock int) (map[string]tensor.Vector, i
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make(map[string]tensor.Vector, len(keys))
-	for i, k := range keys {
-		out[k] = dst[i]
-	}
-	return out, clock, nil
+	return zip(keys, dst), clock, nil
 }
 
-// PullAtInto gathers the clock-versioned snapshot of the requested keys
-// concurrently, each involved server blocking until its global clock
-// reaches `clock`, filling dst like PullInto. All shards answer from the
-// same clock boundary, so the merged result is the deterministic snapshot
-// the WSP analysis reasons about.
+// PullAtInto gathers the clock-versioned snapshot of the requested keys,
+// each involved server blocking until its global clock reaches `clock`,
+// filling dst like PullInto: Exchange with no push section.
 func (s *Sharded) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
-	if len(dst) != len(keys) {
-		return fmt.Errorf("ps: %d destinations for %d keys", len(dst), len(keys))
-	}
-	st := s.acquire(fanPullAt)
-	defer s.release(st)
-	st.clock = clock
-	for i, key := range keys {
-		srv, err := s.placement.ServerOf(key)
-		if err != nil {
-			return err
-		}
-		st.add(srv, i, key, dst[i])
-	}
-	st.fan()
-	if err := st.wrapErr(); err != nil {
-		return err
-	}
-	for srv := range st.perIdx {
-		for j, idx := range st.perIdx[srv] {
-			dst[idx] = st.perVecs[srv][j]
-		}
-	}
-	return nil
+	return s.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
 }
 
 // PullAt gathers the clock-versioned snapshot of the requested keys as a
@@ -427,11 +394,7 @@ func (s *Sharded) PullAt(keys []string, clock int) (map[string]tensor.Vector, er
 	if err := s.PullAtInto(dst, keys, clock); err != nil {
 		return nil, err
 	}
-	out := make(map[string]tensor.Vector, len(keys))
-	for i, k := range keys {
-		out[k] = dst[i]
-	}
-	return out, nil
+	return zip(keys, dst), nil
 }
 
 // GlobalClock reports the minimum clock across all shard servers.

@@ -30,13 +30,8 @@ const connReadBuf = 4 << 10
 
 // Serve accepts connections on l and dispatches requests to s until the
 // listener closes. Each connection gets a dedicated goroutine so blocking
-// pulls do not stall other clients. Snapshot responses are cached per
-// (clock, key set) across all of the listener's connections: clock-versioned
-// snapshots are immutable once readable, so replay recovery and the D-gated
-// pulls every worker issues at the same clock boundary are served from one
-// pre-encoded frame instead of re-marshaling per puller.
+// pulls do not stall other clients.
 func Serve(l net.Listener, s *Server) error {
-	cache := newSnapCache()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
@@ -51,87 +46,32 @@ func Serve(l net.Listener, s *Server) error {
 		go func() {
 			defer wg.Done()
 			defer conn.Close()
-			sc := &serverConn{conn: conn, s: s, cache: cache, br: bufio.NewReaderSize(conn, connReadBuf)}
+			sc := &serverConn{conn: conn, s: s, br: bufio.NewReaderSize(conn, connReadBuf)}
 			sc.serve()
 		}()
 	}
 }
 
-// snapCache holds pre-encoded opPullAt response frames keyed by (clock, key
-// set). Entries are immutable — a clock-c snapshot can only be read once the
-// global clock reached c, after which its value is fixed — so the cache
-// never invalidates. Retention mirrors the server's own snapshot retention
-// (one entry per clock boundary per distinct key set; workers all pull the
-// same full key set, so in practice one per clock).
-type snapCache struct {
-	mu      sync.Mutex
-	byClock map[int][]snapEntry
-}
-
-type snapEntry struct {
-	keys  []string
-	frame []byte
-}
-
-func newSnapCache() *snapCache {
-	return &snapCache{byClock: make(map[int][]snapEntry)}
-}
-
-// get returns the cached frame for (clock, keys), or nil.
-func (c *snapCache) get(clock int, keys []string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.byClock[clock] {
-		if keysEqual(e.keys, keys) {
-			return e.frame
-		}
-	}
-	return nil
-}
-
-// put stores a copy of the encoded frame under (clock, keys).
-func (c *snapCache) put(clock int, keys []string, frame []byte) {
-	e := snapEntry{keys: append([]string(nil), keys...), frame: append([]byte(nil), frame...)}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, have := range c.byClock[clock] {
-		if keysEqual(have.keys, keys) {
-			return // raced with another connection; the frames are identical
-		}
-	}
-	c.byClock[clock] = append(c.byClock[clock], e)
-}
-
-//hetlint:hotpath
-func keysEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // serverConn is one connection's server-side state: pooled frame buffers and
 // the interned key table mirroring the client's.
 type serverConn struct {
-	conn  net.Conn
-	s     *Server
-	cache *snapCache
-	br    *bufio.Reader
+	conn net.Conn
+	s    *Server
+	br   *bufio.Reader
 
+	hdr  [4]byte // incoming length prefix (a local would escape through io.Reader)
 	rbuf []byte  // incoming frame payload
 	dec  decoder // reads rbuf
 	enc  encoder // outgoing response frame
 
 	names []string // interned key table: id -> key
-	keys  []string // current request's key set (scratch)
-	// Push payload scratch, reused across requests: decoded deltas land as
-	// consecutive key-order segments of one contiguous vector, so retaining
-	// the wave update is a single streaming clone on the server.
+	keys  []string // the key set being decoded (scratch)
+	// The current wave request's sections. Their key and vector slices are
+	// scratch reused across requests; a decoded push's deltas land as
+	// consecutive key-order segments of flat (lengths in dims), which
+	// push.Vecs views.
+	push Push
+	pull SnapshotPull
 	flat tensor.Vector
 	dims []int
 }
@@ -168,15 +108,12 @@ func (c *serverConn) serve() {
 			c.writeProtoErr("ps: frame exceeds size limit")
 			return
 		}
-		if cap(c.rbuf) < n {
-			c.rbuf = make([]byte, n)
-		}
-		c.rbuf = c.rbuf[:n]
-		if _, err := io.ReadFull(c.br, c.rbuf); err != nil {
+		if err := c.readPayload(n); err != nil {
 			c.s.noteMalformed() // length prefix promised more bytes than arrived
 			return
 		}
 		c.dec.reset(c.rbuf)
+		c.s.frames.Add(1)
 		if !c.handle() {
 			return
 		}
@@ -187,11 +124,32 @@ func (c *serverConn) serve() {
 // boundary is the clean-shutdown signal; a partial header surfaces as
 // io.ErrUnexpectedEOF.
 func (c *serverConn) readFrameHeader() (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		return 0, err
 	}
-	return int(binary.LittleEndian.Uint32(hdr[:])), nil
+	return int(binary.LittleEndian.Uint32(c.hdr[:])), nil
+}
+
+// readPayload reads an n-byte frame payload into c.rbuf. A payload the
+// buffer already fits (every steady-state frame) is read in place; a larger
+// one grows the buffer as its bytes arrive, doubling, so the memory a peer
+// can make the server allocate is bounded by what it actually sends, not by
+// what its length prefix announces.
+func (c *serverConn) readPayload(n int) error {
+	have := 0
+	for have < n {
+		upto := n
+		if n > cap(c.rbuf) {
+			upto = min(n, max(2*have, connReadBuf))
+			c.rbuf = append(c.rbuf[:have], make([]byte, upto-have)...)
+		}
+		if _, err := io.ReadFull(c.br, c.rbuf[have:upto]); err != nil {
+			return err
+		}
+		have = upto
+	}
+	c.rbuf = c.rbuf[:n]
+	return nil
 }
 
 // handle decodes and executes one request, writing one response frame.
@@ -203,12 +161,10 @@ func (c *serverConn) handle() bool {
 		return c.protoFail(err)
 	}
 	switch op {
-	case opPush:
-		return c.handlePush()
+	case opWave:
+		return c.handleWave()
 	case opPull:
 		return c.handlePull()
-	case opPullAt:
-		return c.handlePullAt()
 	case opClock:
 		c.enc.begin()
 		c.enc.u8(statusOK)
@@ -272,44 +228,107 @@ func (c *serverConn) decodeKeys() error {
 	return nil
 }
 
-func (c *serverConn) handlePush() bool {
-	worker, err := c.dec.uvarint()
+// decodeWave reads a wave request's sections into c.push and c.pull and
+// returns which are present (nil for an absent one).
+//
+//hetlint:hotpath
+func (c *serverConn) decodeWave() (*Push, *SnapshotPull, error) {
+	flags, err := c.dec.u8()
 	if err != nil {
-		return c.protoFail(err)
+		return nil, nil, err
 	}
-	if err := c.decodeKeys(); err != nil {
-		return c.protoFail(err)
+	if flags == 0 || flags&^(wavePush|wavePull) != 0 {
+		return nil, nil, errWaveFlags
 	}
-	c.flat = c.flat[:0]
-	c.dims = c.dims[:0]
-	for range c.keys {
-		n, b, err := c.dec.vecRaw()
+	var push *Push
+	var pull *SnapshotPull
+	if flags&wavePush != 0 {
+		worker, err := c.dec.uvarint()
 		if err != nil {
-			return c.protoFail(err)
+			return nil, nil, err
 		}
-		off := len(c.flat)
-		c.flat = growVec(c.flat, n)
-		tensor.GetLE(c.flat[off:off+n], b)
-		c.dims = append(c.dims, n)
+		if err := c.decodeKeys(); err != nil {
+			return nil, nil, err
+		}
+		// The section keeps the decoded keys; its old slice becomes the next
+		// decode's scratch.
+		c.push.Keys, c.keys = c.keys, c.push.Keys
+		c.push.Worker = int(worker)
+		c.flat = c.flat[:0]
+		c.dims = c.dims[:0]
+		for range c.push.Keys {
+			n, b, err := c.dec.vecRaw()
+			if err != nil {
+				return nil, nil, err
+			}
+			off := len(c.flat)
+			c.flat = growVec(c.flat, n)
+			tensor.GetLE(c.flat[off:off+n], b)
+			c.dims = append(c.dims, n)
+		}
+		// Views are cut only now: growVec may have moved flat mid-decode.
+		c.push.Vecs = c.push.Vecs[:0]
+		off := 0
+		for _, n := range c.dims {
+			c.push.Vecs = append(c.push.Vecs, c.flat[off:off+n])
+			off += n
+		}
+		push = &c.push
 	}
-	// Acknowledge before applying: previewPush runs the full validation and
-	// predicts the resulting clock, the acknowledgment goes out, and the
-	// apply overlaps with its network transit. pushOrderedFlat revalidates,
-	// so even a racing misuse (two connections pushing as one worker)
-	// cannot corrupt the server — it can only make the commit fail after
-	// the ack, which tears down this connection.
-	clock, err := c.s.previewPush(int(worker), c.keys, c.dims)
+	if flags&wavePull != 0 {
+		clock, err := c.dec.uvarint()
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := c.decodeKeys(); err != nil {
+			return nil, nil, err
+		}
+		c.pull.Keys, c.keys = c.keys, c.pull.Keys
+		c.pull.Clock = int(clock)
+		pull = &c.pull
+	}
+	if c.dec.remaining() != 0 {
+		return nil, nil, errTrailing
+	}
+	return push, pull, nil
+}
+
+// handleWave serves one wave exchange; wire.go says what is answered when.
+func (c *serverConn) handleWave() bool {
+	push, pull, err := c.decodeWave()
 	if err != nil {
-		return c.writeAppErr(err)
+		return c.protoFail(err)
+	}
+	if pull == nil {
+		// Acknowledge before applying: previewPush runs the full validation
+		// and predicts the resulting clock, the acknowledgment goes out, and
+		// the apply overlaps with its network transit. exchange revalidates,
+		// so even a racing misuse (two connections pushing as one worker)
+		// cannot corrupt the server — it can only make the commit fail after
+		// the ack, which tears down this connection.
+		clock, err := c.s.previewPush(push)
+		if err != nil {
+			return c.writeAppErr(err)
+		}
+		c.enc.begin()
+		c.enc.u8(statusOK)
+		c.enc.uvarint(uint64(clock))
+		if !c.writeFrame() {
+			return false
+		}
+		_, err = c.s.exchange(push, nil, nil)
+		return err == nil
 	}
 	c.enc.begin()
 	c.enc.u8(statusOK)
-	c.enc.uvarint(uint64(clock))
-	if !c.writeFrame() {
-		return false
+	clock, err := c.s.exchange(push, pull, c)
+	if err != nil {
+		return c.writeAppErr(err)
 	}
-	_, err = c.s.pushOrderedFlat(int(worker), c.keys, c.dims, c.flat)
-	return err == nil
+	if push != nil {
+		c.enc.uvarint(uint64(clock)) // clock trails the vectors; see wire.go
+	}
+	return c.writeFrame()
 }
 
 // growVec extends v by n elements, reallocating with headroom when the
@@ -331,9 +350,8 @@ func growVec(v tensor.Vector, n int) tensor.Vector {
 // frame — no intermediate copy, no map.
 //
 //hetlint:hotpath
-func (c *serverConn) visit(_ int, _ string, v tensor.Vector) error {
+func (c *serverConn) visit(_ int, v tensor.Vector) {
 	c.enc.vec(v)
-	return nil
 }
 
 func (c *serverConn) handlePull() bool {
@@ -351,33 +369,6 @@ func (c *serverConn) handlePull() bool {
 		return c.writeAppErr(err)
 	}
 	c.enc.uvarint(uint64(clock)) // clock trails the vectors; see wire.go
-	return c.writeFrame()
-}
-
-func (c *serverConn) handlePullAt() bool {
-	clock, err := c.dec.uvarint()
-	if err != nil {
-		return c.protoFail(err)
-	}
-	if err := c.decodeKeys(); err != nil {
-		return c.protoFail(err)
-	}
-	if frame := c.cache.get(int(clock), c.keys); frame != nil {
-		// The snapshot is already encoded, but the D-bound still holds: the
-		// pull may not return before the global clock reaches it.
-		if err := c.s.waitClock(int(clock)); err != nil {
-			return c.writeAppErr(err)
-		}
-		c.s.countCachedPull()
-		_, err := c.conn.Write(frame)
-		return err == nil
-	}
-	c.enc.begin()
-	c.enc.u8(statusOK)
-	if err := c.s.pullAtView(c.keys, int(clock), c); err != nil {
-		return c.writeAppErr(err)
-	}
-	c.cache.put(int(clock), c.keys, c.enc.finish())
 	return c.writeFrame()
 }
 
@@ -429,16 +420,26 @@ func (c *serverConn) writeProtoErr(msg string) {
 }
 
 // Client is a TCP client for one parameter-server connection. All methods
-// are safe for concurrent use: a mutex serializes request/response pairs on
-// the wire (interleaved frames would corrupt the stream, which is exactly
-// how the old gob transport could be misused). For parallelism, open one
-// client per concurrent caller, as internal/cluster does per worker.
+// are safe for concurrent use: a mutex held from the moment a request is
+// encoded until its response is decoded serializes request/response pairs on
+// the wire (interleaved frames would corrupt the stream). For parallelism,
+// open one client per concurrent caller, as internal/cluster does per worker.
+//
+// A round trip is two halves — send (lock, encode, one Write) and receive
+// (read, decode, unlock) — so Sharded can write every shard's request before
+// it reads the first response. The price of the split is that a transport
+// error can strand a response in flight, which the next call would read as
+// its own; so a client that has seen one stays failed: it closes its
+// connection, keeps the error, and returns it from every later call without
+// touching the socket.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
+	err  error // the transport error that failed this client, if any
 
 	enc  encoder // outgoing request frame
+	hdr  [4]byte // incoming length prefix (a local would escape through io.Reader)
 	rbuf []byte  // incoming response payload
 	dec  decoder
 
@@ -483,80 +484,207 @@ func (c *Client) encodeKeys(keys []string) {
 	}
 }
 
-// roundTrip writes the pending request frame and reads the response payload
-// into c.dec, returning once the status byte has been consumed and checked.
-// Callers must hold c.mu.
-func (c *Client) roundTrip() error {
+// begin locks the client for one request/response pair and starts the
+// request frame. A failed client returns its error, unlocked.
+//
+//hetlint:hotpath
+func (c *Client) begin(op byte) error {
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return c.err
+	}
+	c.enc.begin()
+	c.enc.u8(op)
+	return nil
+}
+
+// fail marks the client failed with a transport error, closes the
+// connection (which also frees the server's side of it), and unlocks.
+func (c *Client) fail(err error) error {
+	c.err = err
+	c.conn.Close()
+	c.mu.Unlock()
+	return err
+}
+
+// abandon fails a client whose request went out but whose response will not
+// be read — the one case where the caller, not the socket, decides the
+// connection is dead.
+func (c *Client) abandon() {
+	c.fail(errors.New("ps: connection abandoned with a response in flight"))
+}
+
+// send writes the request frame begin started. On error the client has
+// failed and is unlocked; otherwise it stays locked for receive.
+//
+//hetlint:hotpath
+func (c *Client) send() error {
 	if _, err := c.conn.Write(c.enc.finish()); err != nil {
-		return fmt.Errorf("ps: send: %w", err)
+		return c.fail(wrapErr("ps: send", err))
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	return nil
+}
+
+// receive reads the response payload into c.dec and consumes its status
+// byte. On success the client stays locked while the caller decodes the
+// payload (and then calls done); on any error it is unlocked — failed for a
+// transport error, still usable for an application error the server
+// reported.
+func (c *Client) receive() error {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		if err == io.EOF {
-			return fmt.Errorf("ps: server closed connection")
+			return c.fail(errors.New("ps: server closed connection"))
 		}
-		return fmt.Errorf("ps: receive: %w", err)
+		return c.fail(wrapErr("ps: receive", err))
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(c.hdr[:]))
 	if n > maxFrame {
-		return fmt.Errorf("ps: response frame exceeds size limit")
+		return c.fail(errors.New("ps: response frame exceeds size limit"))
 	}
 	if cap(c.rbuf) < n {
 		c.rbuf = make([]byte, n)
 	}
 	c.rbuf = c.rbuf[:n]
 	if _, err := io.ReadFull(c.br, c.rbuf); err != nil {
-		return fmt.Errorf("ps: receive: %w", err)
+		return c.fail(wrapErr("ps: receive", err))
 	}
 	c.dec.reset(c.rbuf)
 	status, err := c.dec.u8()
 	if err != nil {
-		return fmt.Errorf("ps: receive: %w", err)
+		return c.fail(wrapErr("ps: receive", err))
 	}
-	switch status {
-	case statusOK:
+	if status == statusOK {
 		return nil
-	case statusAppErr:
-		msg, err := c.dec.str()
-		if err != nil {
-			return fmt.Errorf("ps: receive: %w", err)
-		}
-		return errors.New(msg)
-	case statusProtoErr:
-		msg, err := c.dec.str()
-		if err != nil {
-			return fmt.Errorf("ps: receive: %w", err)
-		}
+	}
+	if status != statusAppErr && status != statusProtoErr {
+		return c.fail(fmt.Errorf("ps: unknown response status %d", status))
+	}
+	msg, err := c.dec.str()
+	if err != nil {
+		return c.fail(wrapErr("ps: receive", err))
+	}
+	c.mu.Unlock()
+	if status == statusProtoErr {
 		return fmt.Errorf("ps: protocol error: %s", msg)
-	default:
-		return fmt.Errorf("ps: unknown response status %d", status)
+	}
+	return errors.New(msg)
+}
+
+// done ends a request/response pair after the payload is decoded. A payload
+// that did not decode means the stream can no longer be trusted.
+//
+//hetlint:hotpath
+func (c *Client) done(decodeErr error) error {
+	if decodeErr != nil {
+		return c.fail(wrapErr("ps: receive", decodeErr))
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+func wrapErr(what string, err error) error { return fmt.Errorf("%s: %w", what, err) }
+
+// Exchange performs one wave exchange with the server in one round trip; see
+// Server.Exchange for the semantics and wire.go for the frame. With neither
+// section there is nothing to say and nothing is sent.
+func (c *Client) Exchange(push *Push, pull *SnapshotPull) (int, error) {
+	if push == nil && pull == nil {
+		return 0, nil
+	}
+	if err := c.sendWave(push, pull); err != nil {
+		return 0, err
+	}
+	return c.receiveWave(push, pull)
+}
+
+// sendWave is Exchange's first half: on success the request is on the wire
+// and the client stays locked until receiveWave is called with the same
+// sections.
+func (c *Client) sendWave(push *Push, pull *SnapshotPull) error {
+	if push != nil && len(push.Keys) != len(push.Vecs) {
+		return fmt.Errorf("ps: %d keys for %d vectors", len(push.Keys), len(push.Vecs))
+	}
+	if pull != nil && len(pull.Dst) != len(pull.Keys) {
+		return fmt.Errorf("ps: %d destinations for %d keys", len(pull.Dst), len(pull.Keys))
+	}
+	if err := c.begin(opWave); err != nil {
+		return err
+	}
+	c.encodeWave(push, pull)
+	return c.send()
+}
+
+//hetlint:hotpath
+func (c *Client) encodeWave(push *Push, pull *SnapshotPull) {
+	var flags byte
+	if push != nil {
+		flags |= wavePush
+	}
+	if pull != nil {
+		flags |= wavePull
+	}
+	c.enc.u8(flags)
+	if push != nil {
+		c.enc.uvarint(uint64(push.Worker))
+		c.encodeKeys(push.Keys)
+		for _, v := range push.Vecs {
+			c.enc.vec(v)
+		}
+	}
+	if pull != nil {
+		c.enc.uvarint(uint64(pull.Clock))
+		c.encodeKeys(pull.Keys)
 	}
 }
 
-// PushOrdered sends worker w's aggregated wave update as parallel key and
-// vector slices; it returns the worker's new clock. This is the
-// allocation-free form the live runtime uses.
-func (c *Client) PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error) {
-	if len(keys) != len(vecs) {
-		return 0, fmt.Errorf("ps: %d keys for %d vectors", len(keys), len(vecs))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.begin()
-	c.enc.u8(opPush)
-	c.enc.uvarint(uint64(w))
-	c.encodeKeys(keys)
-	for _, v := range vecs {
-		c.enc.vec(v)
-	}
-	if err := c.roundTrip(); err != nil {
+// receiveWave is Exchange's second half: it fills pull.Dst and returns the
+// worker's new clock when the exchange pushed.
+func (c *Client) receiveWave(push *Push, pull *SnapshotPull) (int, error) {
+	if err := c.receive(); err != nil {
 		return 0, err
 	}
-	clock, err := c.dec.uvarint()
-	if err != nil {
-		return 0, fmt.Errorf("ps: receive: %w", err)
+	var dst []tensor.Vector
+	if pull != nil {
+		dst = pull.Dst
 	}
-	return int(clock), nil
+	clock, err := c.decodeVectors(dst, push != nil)
+	return clock, c.done(err)
+}
+
+// decodeVectors reads one vector per destination and then, if the response
+// carries one, the trailing clock — the shape of every response that
+// returns weights.
+//
+//hetlint:hotpath
+func (c *Client) decodeVectors(dst []tensor.Vector, clocked bool) (int, error) {
+	for i := range dst {
+		v, err := c.dec.vecInto(dst[i])
+		if err != nil {
+			return 0, err
+		}
+		dst[i] = v
+	}
+	if !clocked {
+		return 0, nil
+	}
+	clock, err := c.dec.uvarint()
+	return int(clock), err
+}
+
+// PushOrdered sends worker w's aggregated wave update as parallel key and
+// vector slices and returns the worker's new clock: Exchange with no pull
+// section.
+func (c *Client) PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error) {
+	return c.Exchange(&Push{Worker: w, Keys: keys, Vecs: vecs}, nil)
+}
+
+// PullAtInto fetches the clock-versioned snapshot of the requested keys,
+// blocking server-side until the global clock reaches `clock`, filling dst
+// like PullInto: Exchange with no push section.
+func (c *Client) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
+	_, err := c.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
+	return err
 }
 
 // PullInto fetches the requested keys, blocking server-side until the global
@@ -567,65 +695,31 @@ func (c *Client) PullInto(dst []tensor.Vector, keys []string, minClock int) (int
 	if len(dst) != len(keys) {
 		return 0, fmt.Errorf("ps: %d destinations for %d keys", len(dst), len(keys))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.begin()
-	c.enc.u8(opPull)
+	if err := c.begin(opPull); err != nil {
+		return 0, err
+	}
 	c.enc.uvarint(uint64(minClock))
 	c.encodeKeys(keys)
 	if err := c.roundTrip(); err != nil {
 		return 0, err
 	}
-	for i := range keys {
-		v, err := c.dec.vecInto(dst[i])
-		if err != nil {
-			return 0, fmt.Errorf("ps: receive: %w", err)
-		}
-		dst[i] = v
-	}
-	clock, err := c.dec.uvarint()
-	if err != nil {
-		return 0, fmt.Errorf("ps: receive: %w", err)
-	}
-	return int(clock), nil
+	clock, err := c.decodeVectors(dst, true)
+	return clock, c.done(err)
 }
 
-// PullAtInto fetches the clock-versioned snapshot of the requested keys,
-// blocking server-side until the global clock reaches `clock`, filling dst
-// like PullInto.
-func (c *Client) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
-	if len(dst) != len(keys) {
-		return fmt.Errorf("ps: %d destinations for %d keys", len(dst), len(keys))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.begin()
-	c.enc.u8(opPullAt)
-	c.enc.uvarint(uint64(clock))
-	c.encodeKeys(keys)
-	if err := c.roundTrip(); err != nil {
+// roundTrip is send followed by receive, for the operations nothing scatters.
+func (c *Client) roundTrip() error {
+	if err := c.send(); err != nil {
 		return err
 	}
-	for i := range keys {
-		v, err := c.dec.vecInto(dst[i])
-		if err != nil {
-			return fmt.Errorf("ps: receive: %w", err)
-		}
-		dst[i] = v
-	}
-	return nil
+	return c.receive()
 }
 
 // Push sends worker w's aggregated wave update as a map; it returns the
 // worker's new clock. Convenience form — the ordered form avoids the
 // per-call map traffic.
 func (c *Client) Push(w int, updates map[string]tensor.Vector) (int, error) {
-	keys := make([]string, 0, len(updates))
-	vecs := make([]tensor.Vector, 0, len(updates))
-	for k, v := range updates {
-		keys = append(keys, k)
-		vecs = append(vecs, v)
-	}
+	keys, vecs := unzip(updates)
 	return c.PushOrdered(w, keys, vecs)
 }
 
@@ -637,11 +731,7 @@ func (c *Client) Pull(keys []string, minClock int) (map[string]tensor.Vector, in
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make(map[string]tensor.Vector, len(keys))
-	for i, k := range keys {
-		out[k] = dst[i]
-	}
-	return out, clock, nil
+	return zip(keys, dst), clock, nil
 }
 
 // PullAt fetches the clock-versioned snapshot of the requested shards as a
@@ -651,11 +741,7 @@ func (c *Client) PullAt(keys []string, clock int) (map[string]tensor.Vector, err
 	if err := c.PullAtInto(dst, keys, clock); err != nil {
 		return nil, err
 	}
-	out := make(map[string]tensor.Vector, len(keys))
-	for i, k := range keys {
-		out[k] = dst[i]
-	}
-	return out, nil
+	return zip(keys, dst), nil
 }
 
 // GlobalClock queries the server's clock.
@@ -669,46 +755,49 @@ func (c *Client) MaxClockDistance() (int, error) {
 }
 
 func (c *Client) clockOp(op byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.begin()
-	c.enc.u8(op)
+	if err := c.begin(op); err != nil {
+		return 0, err
+	}
 	if err := c.roundTrip(); err != nil {
 		return 0, err
 	}
 	clock, err := c.dec.uvarint()
-	if err != nil {
-		return 0, fmt.Errorf("ps: receive: %w", err)
-	}
-	return int(clock), nil
+	return int(clock), c.done(err)
 }
 
 // Meta queries the server's shard layout and worker count.
 func (c *Client) Meta() (Meta, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.begin()
-	c.enc.u8(opMeta)
+	if err := c.begin(opMeta); err != nil {
+		return Meta{}, err
+	}
 	if err := c.roundTrip(); err != nil {
 		return Meta{}, err
 	}
+	m, err := c.decodeMeta()
+	return m, c.done(err)
+}
+
+func (c *Client) decodeMeta() (Meta, error) {
 	workers, err := c.dec.uvarint()
 	if err != nil {
-		return Meta{}, fmt.Errorf("ps: receive: %w", err)
+		return Meta{}, err
 	}
 	n, err := c.dec.uvarint()
 	if err != nil {
-		return Meta{}, fmt.Errorf("ps: receive: %w", err)
+		return Meta{}, err
+	}
+	if n > uint64(c.dec.remaining()) {
+		return Meta{}, errKeyCount
 	}
 	m := Meta{Workers: int(workers), Dims: make(map[string]int, n)}
 	for i := uint64(0); i < n; i++ {
 		key, err := c.dec.str()
 		if err != nil {
-			return Meta{}, fmt.Errorf("ps: receive: %w", err)
+			return Meta{}, err
 		}
 		dim, err := c.dec.uvarint()
 		if err != nil {
-			return Meta{}, fmt.Errorf("ps: receive: %w", err)
+			return Meta{}, err
 		}
 		m.Dims[key] = int(dim)
 	}

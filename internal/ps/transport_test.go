@@ -268,3 +268,153 @@ func TestTCPConcurrentPushersAndPullers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// tapListener hands out the server-side end of every connection it accepts,
+// so a test can cut one the way a dying shard host would.
+type tapListener struct {
+	net.Listener
+	accepted chan net.Conn
+}
+
+func (l tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- c
+	}
+	return c, err
+}
+
+// TestShardKilledBetweenScatterAndGather: with a round trip split into send
+// and receive, a shard that dies after the requests went out leaves responses
+// in flight on its peers. The operation must fail (not hang), the clients
+// still owed a response must be closed and stay failed — a later call on one
+// returns the error without touching the socket, so the stale response can
+// never be read as the answer to a new request — and the clients that
+// completed their round trip must still pair requests with responses.
+func TestShardKilledBetweenScatterAndGather(t *testing.T) {
+	const shards, victim = 4, 2
+	keys := []string{"k0", "k1", "k2", "k3"}
+	pl, err := RoundRobin(keys, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make([]*Server, shards)
+	clients := make([]*Client, shards)  // worker 0's, the ones under test
+	backends := make([]Backend, shards) // the same, as Sharded wants them
+	peer := make([]Backend, shards)     // worker 1's
+	serverEnds := make([]net.Conn, shards)
+	for i := range servers {
+		s, err := NewServer(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Register(keys[i], []float64{0}); err != nil {
+			t.Fatal(err)
+		}
+		inner, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := tapListener{inner, make(chan net.Conn, 2)} // two dials below
+		served := make(chan struct{})
+		go func() {
+			Serve(l, s)
+			close(served)
+		}()
+		t.Cleanup(func() {
+			s.Close()
+			l.Close()
+			<-served
+		})
+		if clients[i], err = Dial(inner.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
+		serverEnds[i] = <-l.accepted
+		p, err := Dial(inner.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		servers[i], backends[i], peer[i] = s, clients[i], p
+	}
+	sh, err := NewSharded(pl, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerSh, err := NewSharded(pl, peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Worker 0's exchange needs clock 1, i.e. worker 1's wave 0: once every
+	// request is written it blocks reading shard 0's response.
+	vecs := []tensor.Vector{{1}, {1}, {1}, {1}}
+	dst := []tensor.Vector{{0}, {0}, {0}, {0}}
+	done := make(chan error, 1)
+	go func() {
+		done <- sh.Exchange(&Push{Worker: 0, Keys: keys, Vecs: vecs}, &SnapshotPull{Clock: 1, Keys: keys, Dst: dst})
+	}()
+	for i, s := range servers { // scattered: every shard has committed worker 0's push
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if p, _ := s.Stats(); p == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d never saw the scattered request", i)
+			}
+		}
+	}
+	serverEnds[victim].Close() // the shard host dies
+	if err := peerSh.PushOrdered(1, keys, vecs); err != nil {
+		t.Fatal(err) // opens the gate on the survivors
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard server %d", victim)) {
+			t.Fatalf("exchange over a dead shard = %v, want an error naming shard server %d", err, victim)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("exchange over a dead shard hung")
+	}
+
+	// Gathered before the failure: intact, and still correctly paired.
+	for _, i := range []int{0, 1} {
+		if dst[i][0] != 2 {
+			t.Errorf("shard %d's snapshot = %v, want 2", i, dst[i][0])
+		}
+		if g, err := clients[i].GlobalClock(); err != nil || g != 1 {
+			t.Errorf("client %d after the failure: clock %d, %v; want 1", i, g, err)
+		}
+		if m, err := clients[i].Meta(); err != nil || m.Workers != 2 {
+			t.Errorf("client %d after the failure: meta %+v, %v", i, m, err)
+		}
+	}
+	// The victim, and the client whose response was still in flight: failed
+	// for good, every call, same error, promptly.
+	for _, i := range []int{victim, 3} {
+		_, first := clients[i].GlobalClock()
+		_, second := clients[i].Exchange(nil, &SnapshotPull{Clock: 0, Keys: keys[i : i+1], Dst: dst[i : i+1]})
+		_, third := clients[i].Meta()
+		if first == nil || second != first || third != first {
+			t.Errorf("client %d after the failure: %v / %v / %v, want one sticky error", i, first, second, third)
+		}
+	}
+	// Shard 3 did answer — the response nobody will read — so a stale frame
+	// really was in flight. And a second sharded operation fails at once.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		p, q := servers[3].Stats()
+		if p == 2 && q == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard 3 served %d pushes / %d pulls, want 2 / 1", p, q)
+		}
+	}
+	if err := sh.PullAtInto(dst, keys, 0); err == nil {
+		t.Error("a sharded pull over failed clients succeeded")
+	}
+	if err := sh.PushOrdered(0, keys, vecs); err == nil {
+		t.Error("a sharded push over failed clients succeeded")
+	}
+}

@@ -7,48 +7,65 @@ import (
 	"hetpipe/internal/tensor"
 )
 
-// Wire protocol v1: length-prefixed binary frames over a per-worker TCP
-// connection, replacing the original gob encoding. The design goals are an
-// allocation-free steady state (pooled buffers on both ends, no reflection,
-// no per-call map conversion) and payloads that are straight memcpys of the
-// float64 data.
+// Wire protocol v2: length-prefixed binary frames over a per-worker TCP
+// connection. The design goals are an allocation-free steady state (pooled
+// buffers on both ends, no reflection, no per-call map conversion), payloads
+// that are straight memcpys of the float64 data, and one round trip per wave:
+// v1 spent two (a push frame, then a snapshot-pull frame); v2 carries both in
+// one opWave frame.
 //
 // A connection opens with an 8-byte preamble from the client — magic uint32,
 // version uint16, two reserved zero bytes, all little-endian — so a server
-// can reject foreign peers and future versions with a protocol-error frame
-// instead of a decode failure deep inside a request.
+// can reject foreign peers and other versions (a v1 client included) with a
+// protocol-error frame instead of a decode failure deep inside a request.
 //
 // Every frame is a uint32 little-endian payload length followed by that many
 // payload bytes, capped at maxFrame. Requests start with a one-byte opcode:
 //
-//	opPush:     uvarint worker, keyset, then one vector per key
+//	opWave:     flags byte (wavePush | wavePull, at least one), then
+//	            if wavePush: uvarint worker, keyset, one vector per key
+//	            if wavePull: uvarint clock, keyset
 //	opPull:     uvarint minClock, keyset
-//	opPullAt:   uvarint clock, keyset
 //	opClock, opMeta, opDistance: opcode only
+//
+// A wave request must end where its last section does; trailing bytes are a
+// protocol error.
 //
 // Responses start with a one-byte status (statusOK, statusAppErr,
 // statusProtoErr); non-OK frames carry a length-prefixed message. OK
 // payloads are op-specific:
 //
-//	opPush:     uvarint new worker clock
+//	opWave:     if wavePull: one vector per requested key (request order);
+//	            if wavePush: uvarint new worker clock — the clock trails so
+//	            the server can commit, wait and encode in one pass under its
+//	            lock
 //	opPull:     one vector per requested key (request order), then uvarint
-//	            observed clock — the clock trails so the server can encode
-//	            vectors in one pass under its lock
-//	opPullAt:   one vector per requested key (request order)
+//	            observed clock — trailing for the same reason
 //	opClock, opDistance: uvarint clock
 //	opMeta:     uvarint workers, uvarint keys, then per key: string, uvarint dim
+//
+// What an opWave frame is answered with, and when, depends on its sections.
+// Push only: the server validates the update in full, acknowledges, then
+// commits (see Server.previewPush for why nothing can observe the gap). With
+// a pull section — alone or after a push — it validates both sections,
+// commits the push, then waits until the global clock reaches the requested
+// clock, then encodes that clock's snapshot and answers. Commit-before-gate
+// is what keeps D = 0 free of deadlock: no worker ever waits on a clock while
+// holding back the push its peers are waiting for. A rejected section is an
+// application error: nothing was committed and the connection stays usable.
 //
 // A keyset is `uvarint n` followed by n key references. Keys are interned
 // per connection: the first time a client sends a key it writes a 0 token
 // followed by the length-prefixed name, implicitly assigning the next
 // sequential id; afterwards it writes id+1. The server mirrors the table, so
 // steady-state requests carry two or three bytes per key instead of the
-// name, and responses carry no keys at all — vectors come back in request
-// order. Vectors are `uvarint dim` followed by dim raw little-endian float64
-// values.
+// name (a key defined in a frame's push section is already a reference in
+// its pull section), and responses carry no keys at all — vectors come back
+// in request order. Vectors are `uvarint dim` followed by dim raw
+// little-endian float64 values.
 const (
 	wireMagic   uint32 = 0x48505053 // "SPPH" on the wire: HetPipe Parameter Server
-	wireVersion uint16 = 1
+	wireVersion uint16 = 2
 	// maxFrame caps a frame payload. Connections carrying a larger frame are
 	// counted malformed and dropped — a length prefix from a confused or
 	// hostile peer must not become a giant allocation.
@@ -60,12 +77,17 @@ const (
 // Request opcodes. The zero value is invalid on purpose: an all-zero frame
 // decodes to "unknown op", not a silent push.
 const (
-	opPush byte = iota + 1
+	opWave byte = iota + 1
 	opPull
 	opClock
-	opPullAt
 	opMeta
 	opDistance
+)
+
+// opWave section flags.
+const (
+	wavePush byte = 1 << iota
+	wavePull
 )
 
 // Response status codes.
@@ -82,6 +104,8 @@ var (
 	errTruncated = errors.New("ps: truncated frame payload")
 	errBadKeyRef = errors.New("ps: key reference out of range")
 	errKeyCount  = errors.New("ps: keyset count exceeds frame size")
+	errWaveFlags = errors.New("ps: wave frame with no section or unknown section flags")
+	errTrailing  = errors.New("ps: trailing bytes after request")
 )
 
 // encoder builds one outgoing frame in a reusable buffer. The first four

@@ -98,6 +98,41 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 			t.Fatalf("decoder has %d bytes left over", d.remaining())
 		}
 
+		// The wave frame, both ways: a push of v under key s by worker x>>1
+		// and a pull of s (twice: the second reference is interned) at clock
+		// x>>1, encoded as the client does and decoded as a server connection
+		// does; then the server's answer — the vectors and the trailing
+		// clock — decoded as the client does.
+		n := int(x >> 1)
+		push := &Push{Worker: n, Keys: []string{s}, Vecs: []tensor.Vector{v}}
+		pull := &SnapshotPull{Clock: n, Keys: []string{s, s}, Dst: make([]tensor.Vector, 2)}
+		sc := &serverConn{}
+		sc.dec.reset(waveFrame(push, pull)[5:]) // past the length prefix and opcode
+		gp, gq, err := sc.decodeWave()
+		if err != nil {
+			t.Fatalf("decodeWave: %v", err)
+		}
+		if gp.Worker != n || len(gp.Keys) != 1 || gp.Keys[0] != s || gq.Clock != n ||
+			len(gq.Keys) != 2 || gq.Keys[0] != s || gq.Keys[1] != s {
+			t.Fatalf("wave round trip: push %+v pull %+v", gp, gq)
+		}
+		if err := sameBits(gp.Vecs, push.Vecs); err != nil {
+			t.Fatalf("wave round trip: pushed %v", err)
+		}
+		sc.enc.begin()
+		sc.visit(0, v)
+		sc.visit(1, v)
+		sc.enc.uvarint(uint64(n))
+		cl := &Client{}
+		cl.dec.reset(sc.enc.finish()[4:])
+		clock, err := cl.decodeVectors(pull.Dst, true)
+		if err != nil || clock != n || cl.dec.remaining() != 0 {
+			t.Fatalf("wave response round trip: clock %d, %v, %d bytes left; want %d", clock, err, cl.dec.remaining(), n)
+		}
+		if err := sameBits(pull.Dst, []tensor.Vector{v, v}); err != nil {
+			t.Fatalf("wave response round trip: pulled %v", err)
+		}
+
 		// Truncating the frame anywhere must produce an error, never a panic
 		// or a silent short read of all three fields.
 		if len(want) > 0 {
@@ -198,14 +233,15 @@ func TestTCPTruncatedPayloadCountedMalformed(t *testing.T) {
 }
 
 func TestTCPTruncatedRequestPayloadRejectedWithProtocolError(t *testing.T) {
-	// A well-framed request whose payload is internally truncated: an opPush
-	// whose keyset promises more keys than the frame holds.
+	// A well-framed request whose payload is internally truncated: a wave
+	// frame whose push keyset promises more keys than the frame holds.
 	s, addr := serveFixture(t, 1)
 	conn := rawConn(t, addr)
 	var e encoder
 	frame := appendPreamble(nil)
 	e.begin()
-	e.u8(opPush)
+	e.u8(opWave)
+	e.u8(wavePush)
 	e.uvarint(0) // worker
 	e.uvarint(7) // seven keys follow... except nothing does
 	frame = append(frame, e.finish()...)
@@ -269,4 +305,78 @@ func TestClientSafeForConcurrentUse(t *testing.T) {
 	if got := s.MalformedRequests(); got != 0 {
 		t.Fatalf("MalformedRequests after concurrent use = %d, want 0", got)
 	}
+}
+
+// waveFrame encodes one wave request the way Client does, for tests that
+// then damage it.
+func waveFrame(push *Push, pull *SnapshotPull) []byte {
+	c := &Client{ids: map[string]uint32{}}
+	c.enc.begin()
+	c.enc.u8(opWave)
+	c.encodeWave(push, pull)
+	return append([]byte(nil), c.enc.finish()...)
+}
+
+// reframe re-prefixes a damaged payload with its true length, so what the
+// server sees is a well-framed request whose inside is wrong.
+func reframe(payload []byte) []byte {
+	var e encoder
+	e.begin()
+	copy(e.grow(len(payload)), payload)
+	return append([]byte(nil), e.finish()...)
+}
+
+// malformedWaveFrames are well-framed wave requests the decoder must refuse,
+// shared by the table test below and FuzzServerFrame's seed corpus.
+func malformedWaveFrames() map[string][]byte {
+	push := &Push{Worker: 0, Keys: []string{"w"}, Vecs: []tensor.Vector{{1, 2}}}
+	pull := &SnapshotPull{Clock: 0, Keys: []string{"w"}, Dst: []tensor.Vector{nil}}
+	fused := waveFrame(push, pull)[4:]
+	pushOnly := waveFrame(push, nil)[4:]
+	pullOnly := waveFrame(nil, pull)[4:]
+	return map[string][]byte{
+		"no section":           reframe([]byte{opWave, 0}),
+		"unknown section flag": reframe(append([]byte{opWave, wavePush | wavePull | 4}, fused[2:]...)),
+		"flags byte missing":   reframe([]byte{opWave}),
+		"truncated push":       reframe(pushOnly[:len(pushOnly)-3]),
+		"truncated pull":       reframe(pullOnly[:len(pullOnly)-1]),
+		"fused, pull cut off":  reframe(fused[:len(pushOnly)]),
+		"trailing bytes":       reframe(append(append([]byte(nil), fused...), 0)),
+		"pull key undefined":   reframe([]byte{opWave, wavePull, 0, 1, 9}),
+	}
+}
+
+func TestTCPMalformedWaveFramesRejectedWithProtocolError(t *testing.T) {
+	for name, frame := range malformedWaveFrames() {
+		s, addr := serveFixture(t, 1)
+		conn := rawConn(t, addr)
+		if _, err := conn.Write(append(appendPreamble(nil), frame...)); err != nil {
+			t.Fatal(err)
+		}
+		payload := readRawFrame(t, conn)
+		if len(payload) == 0 || payload[0] != statusProtoErr {
+			t.Errorf("%s: response = %v, want statusProtoErr frame", name, payload)
+		}
+		waitForStableMalformed(t, s, 1)
+		if p, q := s.Stats(); p != 0 || q != 0 || s.GlobalClock() != 0 {
+			t.Errorf("%s: a malformed frame reached the server: %d pushes, %d pulls, clock %d", name, p, q, s.GlobalClock())
+		}
+	}
+}
+
+func TestTCPv1PreambleRejectedWithProtocolError(t *testing.T) {
+	// A v1 peer would go on to send opPush/opPullAt frames this server no
+	// longer has; it is turned away at the door instead.
+	s, addr := serveFixture(t, 1)
+	conn := rawConn(t, addr)
+	pre := appendPreamble(nil)
+	binary.LittleEndian.PutUint16(pre[4:], 1)
+	if _, err := conn.Write(pre); err != nil {
+		t.Fatal(err)
+	}
+	payload := readRawFrame(t, conn)
+	if len(payload) == 0 || payload[0] != statusProtoErr || !strings.Contains(string(payload[1:]), "version") {
+		t.Fatalf("v1 preamble response = %q, want a version protocol error", payload)
+	}
+	waitForStableMalformed(t, s, 1)
 }
