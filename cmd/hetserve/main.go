@@ -15,6 +15,7 @@
 //	hetserve -traffic poisson:r60:n1000 -rates 30,60,120,240,480
 //	                                   # latency-vs-offered-throughput curve
 //	hetserve -traffic poisson:r60:n500 -trace             # per-request lifecycle
+//	hetserve -traffic poisson:r160:n2000000 -cpuprofile serve.prof
 //
 // The traffic grammar (internal/serve) is seedable with :seed<N> and classed
 // with :crit<f>: "poisson:r<rate>:n<N>", "diurnal:r<rate>:a<amp>:p<period>:n<N>",
@@ -38,6 +39,7 @@ import (
 	"hetpipe/internal/fault"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
+	"hetpipe/internal/prof"
 	"hetpipe/internal/profile"
 	"hetpipe/internal/sched"
 	"hetpipe/internal/serve"
@@ -57,6 +59,7 @@ func main() {
 	rates := flag.String("rates", "", "comma-separated offered rates: sweep the spec across them and print a latency-vs-throughput curve")
 	trace := flag.Bool("trace", false, "print the per-request lifecycle trace")
 	jsonPath := flag.String("json", "", "write the full result (curve mode: result list) as JSON (empty = skip)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
 	if *traffic == "" {
@@ -73,6 +76,15 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	stopProfile, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fatalf("%v", err)
+		}
+	}()
 	dep, err := resolve(*modelName, *clusterName, *policy, *scheduleName, *placement, *interleave, *nm, *batch)
 	if err != nil {
 		fatalf("%v", err)

@@ -44,6 +44,9 @@ func TestNewSentinelErrors(t *testing.T) {
 		{"bad fault plan", []Option{WithModel("vgg19"), WithPolicy("ED"), WithFaults("not-a-plan")}, ErrBadFaultPlan},
 		{"bad traffic kind", []Option{WithModel("vgg19"), WithPolicy("ED"), WithTraffic("warp:r10:n5")}, ErrBadTraffic},
 		{"bad traffic rate", []Option{WithModel("vgg19"), WithPolicy("ED"), WithTraffic("poisson:r0:n5")}, ErrBadTraffic},
+		// Both parse as floats; the first used to hang Serve, the second to report mean=NaN.
+		{"NaN traffic amplitude", []Option{WithModel("vgg19"), WithPolicy("ED"), WithTraffic("diurnal:r10:aNaN:p1:n50")}, ErrBadTraffic},
+		{"NaN traffic rate", []Option{WithModel("vgg19"), WithPolicy("ED"), WithTraffic("poisson:rNaN:n50")}, ErrBadTraffic},
 	}
 	covered := map[error]bool{}
 	for _, c := range cases {

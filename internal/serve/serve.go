@@ -144,7 +144,7 @@ type replica struct {
 	linkEmitted  bool
 }
 
-// server is one serving run's state: the request tables, the replicas, and
+// server is one serving run's state: the request table, the replicas, and
 // the generators' runtime side.
 type server struct {
 	eng *sim.Engine
@@ -157,24 +157,22 @@ type server struct {
 	batchCap int
 	replicas []*replica
 
-	// Per-request tables, indexed by request id (preallocated to the offer).
-	at     []float64
-	crit   []bool
-	rep    []int32
-	doneAt []float64
+	// trace is the one per-request table, indexed by request id and
+	// preallocated to the offer: the generators write At and Critical, routing
+	// Replica, the reply Done, and the drained run hands it out as
+	// Result.Trace.
+	trace []RequestTrace
 
+	// Closed-loop state: the arrival handler's id, each user's private
+	// think/class stream and each request's user.
 	arriveID int32
-
-	// Closed-loop state: each user's private think/class stream and each
-	// request's user.
-	users  []*rand.Rand
-	user   []int32
-	issued int
+	users    []*rand.Rand
+	user     []int32
+	issued   int
 
 	served  int
 	batches int
 	fillSum int
-	rec     *Recorder
 
 	faultInjections, crashes, recoveries int
 }
@@ -229,16 +227,11 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 		ob:       opt.Obs,
 		faulty:   !fp.Empty(),
 		batchCap: dep.Sys.Batch,
-		at:       make([]float64, tr.N),
-		crit:     make([]bool, tr.N),
-		rep:      make([]int32, tr.N),
-		doneAt:   make([]float64, tr.N),
-		rec:      NewRecorder(tr.N),
+		trace:    make([]RequestTrace, tr.N),
 	}
 	if s.batchCap < 1 {
 		s.batchCap = 1
 	}
-	s.arriveID = eng.Register(s.arriveEvent)
 	disc := sched.Or(dep.Sys.Schedule)
 	depth := 1
 	for w, vp := range dep.VWs {
@@ -285,14 +278,17 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 	eng.SetStepLimit(uint64(tr.N)*uint64(8*depth+16) + 1_000_000)
 
 	if tr.Open() {
-		arr := tr.Arrivals()
-		for i, a := range arr {
-			s.at[i] = a.At
-			s.crit[i] = a.Critical
+		// Open-loop arrival times are known before the run starts, so they are
+		// generated straight into the trace and merged into the run in time
+		// order; they never enter the event heap.
+		g := tr.generator()
+		for i := range s.trace {
+			s.trace[i].At, s.trace[i].Critical = g.next()
 		}
-		eng.AtID(sim.Time(s.at[0]), s.arriveID, 0, 0, 0)
-		s.issued = tr.N
+		err = eng.RunMerged(ctx, tr.N, s.arrivalAt, s.arrive)
 	} else {
+		// A closed loop's arrivals depend on replies; they ride the heap.
+		s.arriveID = eng.Register(func(id, _ int32, _ float64) { s.arrive(int(id)) })
 		s.users = make([]*rand.Rand, tr.Users)
 		for u := range s.users {
 			s.users[u] = tr.userStream(u)
@@ -301,9 +297,9 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 		for u := 0; u < tr.Users && s.issued < tr.N; u++ {
 			s.issueNext(int32(u))
 		}
+		err = eng.RunContext(ctx)
 	}
-
-	if err := eng.RunContext(ctx); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if s.served != tr.N {
@@ -323,7 +319,7 @@ func (s *server) result() *Result {
 		FaultInjections: s.faultInjections,
 		Crashes:         s.crashes,
 		Recoveries:      s.recoveries,
-		Trace:           make([]RequestTrace, s.tr.N),
+		Trace:           s.trace,
 	}
 	if res.Duration > 0 {
 		res.ThroughputRPS = float64(res.Served) / res.Duration
@@ -331,15 +327,7 @@ func (s *server) result() *Result {
 	if res.Batches > 0 {
 		res.MeanBatchFill = float64(s.fillSum) / float64(res.Batches)
 	}
-	res.Latency, res.Critical, res.Bulk = s.rec.Summary()
-	for i := range res.Trace {
-		res.Trace[i] = RequestTrace{
-			At:       s.at[i],
-			Done:     s.doneAt[i],
-			Replica:  int(s.rep[i]),
-			Critical: s.crit[i],
-		}
-	}
+	res.Latency, res.Critical, res.Bulk = summaries(s.trace)
 	for _, r := range s.replicas {
 		st := ReplicaStats{
 			Replica:  r.w,
@@ -370,31 +358,31 @@ func (s *server) issueNext(u int32) {
 	s.issued++
 	rng := s.users[u]
 	at := float64(s.eng.Now()) + rng.ExpFloat64()*s.tr.Think
-	s.at[id] = at
-	s.crit[id] = rng.Float64() < s.tr.Crit
+	s.trace[id].At = at
+	s.trace[id].Critical = rng.Float64() < s.tr.Crit
 	s.user[id] = u
 	s.eng.AtID(sim.Time(at), s.arriveID, id, 0, 0)
 }
 
-// arriveEvent is the engine handler for request arrivals: route, enqueue,
-// admit, and (open-loop) chain the next arrival so the event heap holds at
-// most one future arrival.
+// arrivalAt is the open-loop arrival stream's clock, as Engine.RunMerged
+// reads it.
 //
 //hetlint:hotpath
-func (s *server) arriveEvent(id, _ int32, _ float64) {
-	w := s.route(s.crit[id])
-	s.rep[id] = int32(w)
+func (s *server) arrivalAt(id int) sim.Time { return sim.Time(s.trace[id].At) }
+
+// arrive fires when request id arrives — merged into the run (open loop) or
+// off the heap (closed loop): route, enqueue, admit.
+//
+//hetlint:hotpath
+func (s *server) arrive(id int) {
+	t := &s.trace[id]
+	t.Replica = s.route(t.Critical)
 	if s.ob != nil {
-		s.emit(obs.Event{Kind: obs.KindArrive, VW: w, Request: int(id)})
+		s.emit(obs.Event{Kind: obs.KindArrive, VW: t.Replica, Request: id})
 	}
-	r := s.replicas[w]
-	r.enqueue(id)
+	r := s.replicas[t.Replica]
+	r.enqueue(int32(id))
 	r.admit()
-	if s.tr.Kind != KindClosed {
-		if next := int(id) + 1; next < s.tr.N {
-			s.eng.AtID(sim.Time(s.at[next]), s.arriveID, int32(next), 0, 0)
-		}
-	}
 }
 
 // route picks the serving replica: the smallest estimated drain time, where
@@ -407,7 +395,10 @@ func (s *server) route(critical bool) int {
 	best := 0
 	bestEst := 0.0
 	for w, r := range s.replicas {
-		backlog := r.inFlight + (r.queued()+s.batchCap-1)/s.batchCap
+		backlog := r.inFlight
+		if q := r.queued(); q > 0 { // an empty queue adds 0; skip the division
+			backlog += (q + s.batchCap - 1) / s.batchCap
+		}
 		est := float64(backlog) * r.bottle
 		if critical {
 			est += r.fill
@@ -525,10 +516,9 @@ func (r *replica) batchDone(seq int) {
 	for i := 0; i < n; i++ {
 		id := r.members[r.memHead]
 		r.memHead++
-		s.doneAt[id] = now
+		s.trace[id].Done = now
 		s.served++
 		r.requests++
-		s.rec.Add(now-s.at[id], s.crit[id])
 		if s.ob != nil {
 			s.emit(obs.Event{Kind: obs.KindReply, VW: r.w, Request: int(id), Batch: seq})
 		}

@@ -4,8 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
-	"sync"
 	"testing"
 
 	"hetpipe/internal/core"
@@ -19,13 +19,19 @@ import (
 )
 
 // deployment resolves a paper-cluster deployment for serving tests.
-func deployment(t *testing.T, schedule string, policy hw.Policy, nm int) *core.Deployment {
+func deployment(t testing.TB, schedule string, policy hw.Policy, nm int) *core.Deployment {
+	t.Helper()
+	return deploymentOn(t, hw.Paper(), schedule, policy, nm)
+}
+
+// deploymentOn resolves a deployment of vgg19 at batch 32 on the cluster.
+func deploymentOn(t testing.TB, cluster *hw.Cluster, schedule string, policy hw.Policy, nm int) *core.Deployment {
 	t.Helper()
 	disc, err := sched.ByName(schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.NewSystemSched(hw.Paper(), model.VGG19(), profile.Default(), 32, disc)
+	sys, err := core.NewSystemSched(cluster, model.VGG19(), profile.Default(), 32, disc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,37 +358,10 @@ func TestCurveMonotoneOffer(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrent hammers the latency recorder from many goroutines;
-// run with -race this is the concurrency pin of the serving test wall.
-func TestRecorderConcurrent(t *testing.T) {
-	rec := NewRecorder(0)
-	const goroutines, per = 8, 1000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				rec.Add(float64(g*per+i), i%2 == 0)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := rec.Count(); got != goroutines*per {
-		t.Fatalf("recorded %d of %d", got, goroutines*per)
-	}
-	all, crit, bulk := rec.Summary()
-	if all.Count != goroutines*per || crit.Count+bulk.Count != all.Count {
-		t.Fatalf("summary counts: all=%d crit=%d bulk=%d", all.Count, crit.Count, bulk.Count)
-	}
-	if all.Max != float64(goroutines*per-1) {
-		t.Fatalf("max %g", all.Max)
-	}
-}
-
-// Summary sorts the two class splits and merges them; every figure must be
+// summaries sorts the two class splits and merges them; every figure must be
 // the one sorting each of the three populations on its own gives, bit for
-// bit — Mean included, which is summed in sorted order.
+// bit — Mean included, which is summed in sorted order. The sizes straddle
+// the radix sorter's small-population cut-off in both classes.
 func TestSummaryMatchesThreeSorts(t *testing.T) {
 	sorted := func(lat []float64) LatencySummary {
 		lat = append([]float64(nil), lat...)
@@ -393,13 +372,15 @@ func TestSummaryMatchesThreeSorts(t *testing.T) {
 	for _, tc := range []struct {
 		n        int
 		critRate float64
-	}{{0, 0.5}, {1, 0}, {1, 1}, {7, 0.5}, {1000, 0}, {1000, 1}, {1000, 0.1}, {4096, 0.5}} {
-		rec := NewRecorder(tc.n)
+	}{{0, 0.5}, {1, 0}, {1, 1}, {7, 0.5}, {1000, 0}, {1000, 1}, {1000, 0.1}, {4096, 0.5}, {20000, 0.2}} {
+		trace := make([]RequestTrace, tc.n)
 		var all, crit, bulk []float64
-		for i := 0; i < tc.n; i++ {
+		for i := range trace {
 			// Few distinct values, so the classes tie with each other often.
 			v, c := 0.001*float64(1+rng.Intn(40))+rng.Float64()*float64(rng.Intn(2)), rng.Float64() < tc.critRate
-			rec.Add(v, c)
+			at := float64(rng.Intn(3))
+			trace[i] = RequestTrace{At: at, Done: at + v, Critical: c}
+			v = trace[i].Done - trace[i].At
 			all = append(all, v)
 			if c {
 				crit = append(crit, v)
@@ -407,9 +388,53 @@ func TestSummaryMatchesThreeSorts(t *testing.T) {
 				bulk = append(bulk, v)
 			}
 		}
-		ga, gc, gb := rec.Summary()
+		ga, gc, gb := summaries(trace)
 		if wa, wc, wb := sorted(all), sorted(crit), sorted(bulk); ga != wa || gc != wc || gb != wb {
 			t.Errorf("n=%d crit=%g: summary (%v | %v | %v), three sorts give (%v | %v | %v)", tc.n, tc.critRate, ga, gc, gb, wa, wc, wb)
+		}
+	}
+}
+
+// measureRun reports what one warm-engine RunOn allocates: calls to the
+// allocator and bytes (runtime counters, exact whatever the collector does).
+func measureRun(t *testing.T, eng *sim.Engine, dep *core.Deployment, tr *Traffic) (mallocs, bytes uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RunOn(context.Background(), eng, dep, tr, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPerRequestAllocationsPinned pins what the per-request path allocates:
+// nothing but its share of the tables sized to the offer. A run of 20,000
+// requests makes the allocator calls a run of 2,000 makes (give or take the
+// replica rings' growth steps), and each extra request costs at most 56 B —
+// its 32 B trace row, 16 B in the summariser's 2n buffer, 4 B of closed-loop
+// user table. A fifth per-request table, a second copy of the trace, or an
+// allocation on the arrival, admission or reply path fails here.
+func TestPerRequestAllocationsPinned(t *testing.T) {
+	dep := deployment(t, sched.NameFIFO, hw.EqualDistribution, 4)
+	eng := sim.New()
+	for _, shape := range []string{"poisson:r160", "closed:u32:t0.05"} {
+		for _, crit := range []string{"", ":crit0.2"} {
+			small, large := traffic(t, shape+":n2000"+crit), traffic(t, shape+":n20000"+crit)
+			measureRun(t, eng, dep, large) // grow the engine's arena to its peak
+			ms, bs := measureRun(t, eng, dep, small)
+			ml, bl := measureRun(t, eng, dep, large)
+			t.Logf("%s%s: n=2000 %d allocs %d B, n=20000 %d allocs %d B", shape, crit, ms, bs, ml, bl)
+			// Three rings on each of four replicas, a couple of doublings each
+			// when a longer run meets a deeper backlog.
+			const ringSteps = 24
+			if ml > ms+ringSteps || ms > ml+ringSteps {
+				t.Errorf("%s%s: %d allocations at n=2000, %d at n=20000; the count must not scale with n", shape, crit, ms, ml)
+			}
+			if perReq := float64(bl-bs) / 18000; perReq > 56 {
+				t.Errorf("%s%s: %.1f B per extra request, want <= 56", shape, crit, perReq)
+			}
 		}
 	}
 }

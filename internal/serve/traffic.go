@@ -199,10 +199,31 @@ func (t *Traffic) parseBody(fields []string) ([]string, error) {
 	}
 }
 
-// Validate checks the spec's numeric ranges.
+// Validate checks the spec's numeric ranges. Every real field must be finite
+// (strconv.ParseFloat parses NaN and Inf, and a NaN passes any </> range
+// check), and every rate, factor and time must, when nonzero, lie within
+// [1e-9, 1e9]: outside that window the generators' float64 arithmetic leaves
+// the finite range — arrival times overflow to +Inf, or 2*pi*s/period does
+// and the NaN rate it yields is one thinning never accepts.
 func (t *Traffic) Validate() error {
 	if t.N <= 0 {
 		return fmt.Errorf("serve: traffic needs a positive request count, got n%d", t.N)
+	}
+	for _, f := range [...]struct {
+		name     string
+		v        float64
+		windowed bool
+	}{
+		{"rate", t.Rate, true}, {"amplitude", t.Amp, false}, {"period", t.Period, true},
+		{"burst factor", t.Burst, true}, {"on window", t.On, true}, {"off window", t.Off, true},
+		{"think time", t.Think, true}, {"crit fraction", t.Crit, false},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("serve: traffic %s must be finite, got %g", f.name, f.v)
+		}
+		if a := math.Abs(f.v); f.windowed && a != 0 && (a < 1e-9 || a > 1e9) {
+			return fmt.Errorf("serve: traffic %s %g outside [1e-9, 1e9]", f.name, f.v)
+		}
 	}
 	if t.Crit < 0 || t.Crit > 1 {
 		return fmt.Errorf("serve: crit fraction %g outside [0, 1]", t.Crit)
@@ -306,35 +327,53 @@ func (t *Traffic) rateAt(s float64) float64 {
 }
 
 // Arrivals materializes the open-loop arrival process: N requests in
-// non-decreasing time order, deterministically derived from the seed. The
-// inhomogeneous kinds (diurnal, bursty) are generated by thinning against
-// the peak rate, so the three generators share one candidate stream shape.
+// non-decreasing time order, deterministically derived from the seed.
 // Arrivals panics on closed-loop traffic — a closed loop has no arrival
 // times until the requests it reacts to have been served.
 func (t *Traffic) Arrivals() []Request {
+	g := t.generator()
+	out := make([]Request, t.N)
+	for i := range out {
+		out[i].At, out[i].Critical = g.next()
+	}
+	return out
+}
+
+// generator is the open-loop arrival process as a stream: Arrivals drains it
+// into a slice, a serving run straight into its request trace. The
+// inhomogeneous kinds (diurnal, bursty) are generated by thinning against the
+// peak rate, so the three generators share one candidate stream shape. The
+// class stream is drawn from its own derived source, so adding a critical
+// fraction never perturbs the arrival times.
+type generator struct {
+	t           *Traffic
+	rng, crng   *rand.Rand
+	peak, now   float64
+	homogeneous bool // no thinning draw
+}
+
+func (t *Traffic) generator() *generator {
 	if !t.Open() {
 		panic("serve: Arrivals on closed-loop traffic")
 	}
-	rng := rand.New(rand.NewSource(t.Seed))
-	peak := t.maxRate()
-	homogeneous := t.Kind == KindPoisson
-	out := make([]Request, 0, t.N)
-	now := 0.0
-	for len(out) < t.N {
-		now += rng.ExpFloat64() / peak
-		if homogeneous || rng.Float64()*peak <= t.rateAt(now) {
-			out = append(out, Request{At: now})
-		}
-	}
+	g := &generator{t: t, rng: rand.New(rand.NewSource(t.Seed)), peak: t.maxRate(), homogeneous: t.Kind == KindPoisson}
 	if t.Crit > 0 {
-		// The class stream is drawn from its own derived source so adding a
-		// critical fraction never perturbs the arrival times.
-		crng := rand.New(rand.NewSource(t.Seed + critSeedOffset))
-		for i := range out {
-			out[i].Critical = crng.Float64() < t.Crit
+		g.crng = rand.New(rand.NewSource(t.Seed + critSeedOffset))
+	}
+	return g
+}
+
+// next draws the next arrival's time and class.
+//
+//hetlint:hotpath
+func (g *generator) next() (at float64, critical bool) {
+	for {
+		g.now += g.rng.ExpFloat64() / g.peak
+		if g.homogeneous || g.rng.Float64()*g.peak <= g.t.rateAt(g.now) {
+			break
 		}
 	}
-	return out
+	return g.now, g.crng != nil && g.crng.Float64() < g.t.Crit
 }
 
 // critSeedOffset derives the traffic-class stream's seed from the arrival

@@ -1,8 +1,15 @@
 package serve
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"hetpipe/internal/hw"
+	"hetpipe/internal/sched"
+	"hetpipe/internal/sim"
 )
 
 func TestParseTrafficRoundTrip(t *testing.T) {
@@ -190,4 +197,131 @@ func TestTrafficStringMentionsKind(t *testing.T) {
 	if !strings.HasPrefix(tr.String(), "bursty:") {
 		t.Errorf("canonical form %q lost its kind", tr.String())
 	}
+}
+
+// TestNonFiniteTrafficRejected pins the parent-commit failures: ParseFloat
+// parses NaN and Inf, and a NaN passes every </> range check, so
+// "diurnal:r10:aNaN:p1:n50" used to spin forever in the thinning loop and
+// "poisson:rNaN:n50" to serve 50 requests at mean=NaN. Every real field of
+// the grammar must refuse NaN and both infinities, and a magnitude float64
+// virtual time cannot carry.
+func TestNonFiniteTrafficRejected(t *testing.T) {
+	fields := []struct {
+		name, spec string // %s is the field's value
+		ok         string
+		field      func(*Traffic) *float64
+	}{
+		{"rate", "poisson:r%s:n50", "10", func(t *Traffic) *float64 { return &t.Rate }},
+		{"amp", "diurnal:r10:a%s:p1:n50", "0.5", func(t *Traffic) *float64 { return &t.Amp }},
+		{"period", "diurnal:r10:a0.5:p%s:n50", "1", func(t *Traffic) *float64 { return &t.Period }},
+		{"burst", "bursty:r10:x%s:on1:off1:n50", "2", func(t *Traffic) *float64 { return &t.Burst }},
+		{"on", "bursty:r10:x2:on%s:off1:n50", "1", func(t *Traffic) *float64 { return &t.On }},
+		{"off", "bursty:r10:x2:on1:off%s:n50", "1", func(t *Traffic) *float64 { return &t.Off }},
+		{"think", "closed:u4:t%s:n50", "0.1", func(t *Traffic) *float64 { return &t.Think }},
+		{"crit", "poisson:r10:n50:crit%s", "0.5", func(t *Traffic) *float64 { return &t.Crit }},
+	}
+	for _, f := range fields {
+		for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e999"} {
+			spec := strings.Replace(f.spec, "%s", v, 1)
+			if tr, err := ParseTraffic(spec); err == nil {
+				t.Errorf("%s: ParseTraffic(%q) accepted as %q", f.name, spec, tr)
+			}
+		}
+		// A hand-built spec never saw the parser; Validate (which RunOn calls)
+		// must refuse it all the same.
+		tr, err := ParseTraffic(strings.Replace(f.spec, "%s", f.ok, 1))
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad := *tr
+			*f.field(&bad) = v
+			if err := bad.Validate(); err == nil {
+				t.Errorf("%s = %v passed Validate", f.name, v)
+			}
+		}
+	}
+	// Finite, but outside what the generators' arithmetic survives: a
+	// subnormal period overflows 2*pi*s/p to a NaN rate, a subnormal rate or
+	// a huge think time overflows the arrival clock.
+	for _, spec := range []string{
+		"diurnal:r10:a0.5:p1e-320:n50",
+		"poisson:r5e-324:n50",
+		"diurnal:r1.5e308:a0.5:p1:n50",
+		"bursty:r1e200:x1e200:on1:off1:n50",
+		"closed:u4:t1e308:n50",
+	} {
+		if tr, err := ParseTraffic(spec); err == nil {
+			t.Errorf("ParseTraffic(%q) accepted as %q", spec, tr)
+		}
+	}
+}
+
+// FuzzParseTraffic holds the traffic grammar to what a spec language owes:
+// no input panics the parser; an accepted spec's canonical form is a fixed
+// point of parse-and-print; and an accepted spec is runnable — clamped to a
+// few dozen requests it serves its whole offer on the mini deployment, under
+// a deadline, with finite latencies (so no accepted number can hang a
+// generator or poison the clock).
+func FuzzParseTraffic(f *testing.F) {
+	for _, spec := range []string{
+		"poisson:r120:n2000", "poisson:r120:n2000:seed7:crit0.2",
+		"diurnal:r120:a0.5:p60:n2000", "diurnal:r120:a0.8:p60:n2000",
+		"bursty:r60:x4:on2:off8:n2000", "bursty:r60:x4:on2:off8:n2000:crit0.1",
+		"closed:u64:t0.05:n2000", "closed:u16:t0.05:n2000:seed3", "closed:u16:t0:n20",
+		"diurnal:r10:aNaN:p1:n50", "poisson:rNaN:n50", "poisson:rInf:n50", "closed:u4:t-Inf:n50",
+		"diurnal:r10:a0.5:p1e-320:n50", "poisson:r1e-9:n5", "bursty:r1e9:x1e9:on1e-9:off1e9:n3",
+		"", ":", "poisson", "poisson:r1:n1:seed-9223372036854775808:crit1", " poisson:r0x1p4:n+3 ",
+	} {
+		f.Add(spec)
+	}
+	// The mini cluster's ED deployment: four small replicas, cheap enough to
+	// serve a few dozen requests per fuzz execution.
+	mini, err := hw.ClusterByName("mini")
+	if err != nil {
+		f.Fatal(err)
+	}
+	dep := deploymentOn(f, mini, sched.NameFIFO, hw.EqualDistribution, 2)
+	eng := sim.New()
+	f.Fuzz(func(t *testing.T, spec string) {
+		tr, err := ParseTraffic(spec)
+		if err != nil {
+			return
+		}
+		canon := tr.String()
+		again, err := ParseTraffic(canon)
+		if err != nil {
+			t.Fatalf("%q parsed, its canonical form %q does not: %v", spec, canon, err)
+		}
+		if again.String() != canon {
+			t.Fatalf("%q: canonical form %q reprints as %q", spec, canon, again.String())
+		}
+		if tr.N > 64 {
+			tr.N = 64
+		}
+		if tr.Users > tr.N {
+			tr.Users = tr.N // RunOn wants a request per closed-loop user
+		}
+		if tr.Burst > 64 {
+			// Thinning draws ~Burst candidates per accepted off-window
+			// arrival: finite, but not a fuzz execution's worth of work.
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		res, err := RunOn(ctx, eng, dep, tr, Options{})
+		if err != nil {
+			t.Fatalf("%q: %v", canon, err)
+		}
+		if res.Served != res.Offered || res.Offered != tr.N {
+			t.Fatalf("%q: served %d of %d (n%d)", canon, res.Served, res.Offered, tr.N)
+		}
+		for _, l := range []LatencySummary{res.Latency, res.Critical, res.Bulk} {
+			for _, v := range []float64{l.Mean, l.P50, l.P95, l.P99, l.Max} {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("%q: latency summary %s", canon, l)
+				}
+			}
+		}
+	})
 }

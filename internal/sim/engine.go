@@ -366,10 +366,15 @@ func (e *Engine) Run() error {
 	return e.RunContext(context.Background())
 }
 
+// stepLimitErr reports the step limit exceeded at the current clock.
+func (e *Engine) stepLimitErr() error {
+	return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxStep, e.now)
+}
+
 // ctxCheckInterval is how many fired events elapse between context polls in
-// RunContext. Polling a Done channel costs a select per check; amortizing it
-// over a batch of events keeps the hot loop tight while still bounding
-// cancellation latency to a fraction of a millisecond of real time.
+// RunContext and RunMerged. Polling a Done channel costs a select per check;
+// amortizing it over a batch of events keeps the hot loop tight while still
+// bounding cancellation latency to a fraction of a millisecond of real time.
 const ctxCheckInterval = 256
 
 // RunContext fires events until the queue drains or ctx is cancelled,
@@ -388,7 +393,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	}
 	for e.Step() {
 		if e.maxStep > 0 && e.fired > e.maxStep {
-			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxStep, e.now)
+			return e.stepLimitErr()
 		}
 		if done != nil && e.fired%ctxCheckInterval == 0 {
 			select {
@@ -401,6 +406,64 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	return nil
 }
 
+// RunMerged is RunContext with one caller-owned stream of n events merged
+// into the run instead of queued (its own loop, so that runs with no stream
+// pay nothing for the merge): at(i) are the stream's non-decreasing
+// timestamps, all known before the run starts, and fire(i) runs with the
+// clock at at(i). The stream orders against the queue exactly as if event 0
+// had been scheduled with AtID on entry and every fire(i) had ended by
+// scheduling event i+1 — a sequence number is reserved at each of those
+// points, and queued events ordering before (at(i), that number) fire first.
+// Every other event therefore keeps the sequence number, and every tie the
+// resolution, that the chained form gives it. Stream events count toward
+// Fired, the step limit and the cancellation poll like any other, but never
+// occupy the heap or an arena slot (Pending does not see them). A stream
+// that steps back in time panics, as scheduling in the past does.
+//
+//hetlint:hotpath
+func (e *Engine) RunMerged(ctx context.Context, n int, at func(i int) Time, fire func(i int)) error {
+	done := ctx.Done()
+	if done != nil {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+	}
+	i := 0
+	var next heapEnt // the stream head's ordering key
+	if n > 0 {
+		e.seq++
+		next = heapEnt{at: at(0), seq: e.seq}
+	}
+	for {
+		if i < n && !(e.prune() && less(e.heap[0], next)) {
+			if next.at < e.now {
+				panic("sim: merged stream went backwards")
+			}
+			e.now = next.at
+			e.fired++
+			fire(i)
+			if i++; i < n {
+				e.seq++
+				next = heapEnt{at: at(i), seq: e.seq}
+			}
+		} else if !e.Step() {
+			return nil
+		}
+		if e.maxStep > 0 && e.fired > e.maxStep {
+			return e.stepLimitErr()
+		}
+		if done != nil && e.fired%ctxCheckInterval == 0 {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
+		}
+	}
+}
+
 // RunUntil fires events with timestamps <= deadline, then advances the clock
 // to the deadline (even if the queue still holds later events). It returns an
 // error under the same step-limit condition as Run.
@@ -408,7 +471,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 	for e.prune() && e.heap[0].at <= deadline {
 		e.Step()
 		if e.maxStep > 0 && e.fired > e.maxStep {
-			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxStep, e.now)
+			return e.stepLimitErr()
 		}
 	}
 	if e.now < deadline {

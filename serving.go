@@ -39,15 +39,11 @@ type ServeReplica struct {
 }
 
 // ServeRequest is one request's lifecycle in a serving run, in virtual
-// seconds.
-type ServeRequest struct {
-	// At and Done bound the request: latency is Done - At.
-	At, Done float64
-	// Replica is the virtual worker that served it.
-	Replica int
-	// Critical marks latency-critical traffic.
-	Critical bool
-}
+// seconds: At and Done bound the request (latency is Done - At), Replica is
+// the virtual worker that served it, and Critical marks latency-critical
+// traffic. It is the serving plane's own trace row, so Serve hands a run's
+// trace over without copying it.
+type ServeRequest = serve.RequestTrace
 
 // ServeResult reports a completed Serve run.
 type ServeResult struct {
@@ -128,20 +124,13 @@ func (d *Deployment) Serve(ctx context.Context) (*ServeResult, error) {
 		FaultInjections: res.FaultInjections,
 		Crashes:         res.Crashes,
 		Recoveries:      res.Recoveries,
+		Trace:           res.Trace,
 	}
-	// Sized once (a run's trace is tens of thousands of requests), and nil
-	// when empty.
 	if len(res.Replicas) > 0 {
 		out.Replicas = make([]ServeReplica, len(res.Replicas))
 	}
 	for i, r := range res.Replicas {
 		out.Replicas[i] = ServeReplica(r)
-	}
-	if len(res.Trace) > 0 {
-		out.Trace = make([]ServeRequest, len(res.Trace))
-	}
-	for i, t := range res.Trace {
-		out.Trace[i] = ServeRequest{At: t.At, Done: t.Done, Replica: t.Replica, Critical: t.Critical}
 	}
 	return out, nil
 }
