@@ -17,6 +17,10 @@
 //     for machine noise) or allocs/op beyond 5%% (allocation counts are
 //     deterministic, so any real growth is a leak on the pooled hot path).
 //     A benchmark pinned by two baseline files is rejected outright.
+//   - -sloc prints the source size the ROADMAP tracks — the lines of non-test
+//     .go files outside bench/ that are neither blank nor a // comment — per
+//     top-level package (the root, cmd/x, internal/x with everything below
+//     it) and in total. It reports, it never fails.
 //
 // Usage:
 //
@@ -28,6 +32,7 @@
 //	  hetcheck -bench                  # benchmark regression gate
 //	go test -run '^$' -bench . -benchmem ./internal/ps |
 //	  hetcheck -bench -baseline BENCH_ps.json   # one package's baseline only
+//	hetcheck -sloc                     # the line count CHANGES.md quotes
 //
 // Exit status is non-zero when any check fails; findings are listed one per
 // line as file: message.
@@ -61,10 +66,16 @@ func main() {
 	bench := flag.Bool("bench", false, "compare `go test -bench -benchmem` output on stdin against the baseline")
 	baseline := flag.String("baseline", defaultBaselines, "comma-separated benchmark baseline files for -bench")
 	benchThreshold := flag.Float64("bench-threshold", 0.25, "fractional ns/op growth tolerated by -bench")
+	sloc := flag.Bool("sloc", false, "print non-blank, non-comment lines of non-test Go source outside bench/, per package and in total")
 	flag.Parse()
-	if !*pkgdoc && !*links && !*bench {
-		fmt.Fprintln(os.Stderr, "hetcheck: nothing to do (pass -pkgdoc, -links, and/or -bench)")
+	if !*pkgdoc && !*links && !*bench && !*sloc {
+		fmt.Fprintln(os.Stderr, "hetcheck: nothing to do (pass -pkgdoc, -links, -bench, and/or -sloc)")
 		os.Exit(2)
+	}
+	if *sloc {
+		if err := printSourceLines(os.Stdout, *root); err != nil {
+			fatalf("%v", err)
+		}
 	}
 
 	var findings []string
@@ -167,6 +178,68 @@ func skipDir(root, path string, d fs.DirEntry) error {
 	if strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor" {
 		return filepath.SkipDir
 	}
+	return nil
+}
+
+// sourceLines counts, per top-level package under root ("." or the first two
+// path elements, so subpackages and testdata count with their parent), the
+// lines of non-test .go files that are neither blank nor start with "//". The
+// bench module and hidden directories are left out.
+func sourceLines(root string) (map[string]int, error) {
+	counts := map[string]int{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, rerr := filepath.Rel(root, path)
+		if rerr != nil {
+			return rerr
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || rel == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		raw, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return rerr
+		}
+		pkg := "."
+		if parts := strings.Split(filepath.ToSlash(filepath.Dir(rel)), "/"); parts[0] != "." {
+			pkg = strings.Join(parts[:min(2, len(parts))], "/")
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "//") {
+				counts[pkg]++
+			}
+		}
+		return nil
+	})
+	return counts, err
+}
+
+// printSourceLines writes sourceLines as one "count  package" row per package
+// in path order, then the total.
+func printSourceLines(w io.Writer, root string) error {
+	counts, err := sourceLines(root)
+	if err != nil {
+		return err
+	}
+	pkgs := make([]string, 0, len(counts))
+	total := 0
+	for pkg, n := range counts {
+		pkgs = append(pkgs, pkg)
+		total += n
+	}
+	sort.Strings(pkgs)
+	for _, pkg := range pkgs {
+		fmt.Fprintf(w, "%7d  %s\n", counts[pkg], pkg)
+	}
+	fmt.Fprintf(w, "%7d  total\n", total)
 	return nil
 }
 

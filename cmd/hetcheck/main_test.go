@@ -278,3 +278,36 @@ func TestRepoBaselineIsValid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSourceLines(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "root.go"), "// Package x.\npackage x\n\nvar a = 1 // trailing comments count with their line\n")
+	write(t, filepath.Join(dir, "root_test.go"), "package x\nvar skipped = 1\n")
+	write(t, filepath.Join(dir, "internal", "p", "p.go"), "package p\n\t// indented comment\n\n/* a block comment is not a // comment */\nvar b = 2\n")
+	write(t, filepath.Join(dir, "internal", "p", "sub", "s.go"), "package sub\n")
+	write(t, filepath.Join(dir, "internal", "p", "testdata", "src", "f.go"), "package f\nvar c = 3\n")
+	write(t, filepath.Join(dir, "bench", "b.go"), "package bench\n")
+	write(t, filepath.Join(dir, "internal", "bench", "kept.go"), "package bench\n")
+	write(t, filepath.Join(dir, ".hidden", "h.go"), "package h\n")
+
+	got, err := sourceLines(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{".": 2, "internal/p": 3 + 1 + 2, "internal/bench": 1}
+	if len(got) != len(want) {
+		t.Fatalf("packages = %v, want %v", got, want)
+	}
+	for pkg, n := range want {
+		if got[pkg] != n {
+			t.Errorf("%s: %d lines, want %d (all: %v)", pkg, got[pkg], n, got)
+		}
+	}
+	var out strings.Builder
+	if err := printSourceLines(&out, dir); err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Split(strings.TrimSpace(out.String()), "\n"); len(rows) != 4 || strings.Fields(rows[3])[0] != "9" || strings.Fields(rows[3])[1] != "total" {
+		t.Errorf("table = %q, want three packages and a total of 9", out.String())
+	}
+}

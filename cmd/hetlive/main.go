@@ -6,9 +6,10 @@
 // Three modes:
 //
 //   - Conformance (the default): runs one protocol-level configuration
-//     through both the discrete-event simulator (train.RunWSP) and the live
-//     runtime and prints the differential-conformance report — matching
-//     minibatch/push/pull counts, the D-bound, and final-weight agreement.
+//     through both the co-simulation (train.RunWSP) and the live runtime and
+//     prints the differential-conformance report — matching
+//     minibatch/push/pull counts, the D-bound, the observed staleness against
+//     sglobal, and final-weight agreement.
 //   - Raw (-conform=false): the live runtime alone, with explicit worker and
 //     shard counts.
 //   - Deploy (-deploy): resolves a real model deployment through the public
@@ -41,6 +42,7 @@ import (
 	"hetpipe/internal/fault"
 	"hetpipe/internal/prof"
 	"hetpipe/internal/train"
+	"hetpipe/internal/wsp"
 )
 
 func main() {
@@ -153,6 +155,8 @@ func main() {
 		mode, *workers, *mb, *shards, *nm, *d)
 	fmt.Printf("minibatches=%d pushes=%d pulls=%d globalClock=%d maxClockDistance=%d (bound %d)\n",
 		stats.Minibatches, stats.Pushes, stats.Pulls, stats.GlobalClock, stats.MaxClockDistance, *d+1)
+	fmt.Printf("max staleness observed: %d (sglobal %d)\n",
+		stats.MaxStaleness, wsp.Params{SLocal: *nm - 1, D: *d, Workers: *workers}.SGlobal())
 	frames := "" // round trips exist only over TCP
 	if stats.ShardFrames > 0 {
 		frames = fmt.Sprintf(" in %d frames (%.1f per wave per worker)",
@@ -192,8 +196,7 @@ type deployOpts struct {
 
 // runDeploy resolves a deployment through the public API and trains it live:
 // worker and shard counts come from the deployment (one worker per virtual
-// worker, one shard host per cluster node), exactly as hetpipe.Run's live
-// backend deploys them.
+// worker, one shard host per cluster node).
 func runDeploy(ctx context.Context, o deployOpts) {
 	opts := []hetpipe.Option{
 		hetpipe.WithModel(o.model),

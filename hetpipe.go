@@ -42,9 +42,6 @@
 // (ErrUnknownModel, ErrUnknownCluster, ..., ErrBadFaultPlan — all matchable
 // with errors.Is) is defined and documented in one place: options.go.
 //
-// Run and Config remain as a thin compatibility wrapper over New for
-// existing callers.
-//
 // See examples/ for complete programs (examples/faults walks the
 // fault-injection and checkpoint-recovery story), cmd/hetbench for the
 // experiment harness, cmd/hetlive for the live runtime and its sim-vs-live
@@ -54,7 +51,6 @@
 package hetpipe
 
 import (
-	"context"
 	"fmt"
 
 	"hetpipe/internal/core"
@@ -66,79 +62,14 @@ import (
 	"hetpipe/internal/sched"
 )
 
-// Config selects a HetPipe deployment on a cataloged cluster (the paper's
-// 16-GPU testbed by default).
-//
-// Config and Run are the package's compatibility surface: they are a thin
-// wrapper over New and Deployment, which new code should use directly for
-// cancellation, observability, and plan-once/run-many reuse. Each Config
-// field maps to one functional option (see the README migration table).
-type Config struct {
-	// Model names the DNN, e.g. "vgg19" or "resnet152" (see Models for the
-	// full zoo). Maps to WithModel.
-	Model string
-	// Cluster names a cluster-catalog shape (see Clusters); empty means
-	// "paper", the Section 8.1 testbed. Maps to WithCluster.
-	Cluster string
-	// Policy selects a Table 3 allocation: "NP", "ED", or "HD". Leave empty
-	// to use Specs instead. Maps to WithPolicy.
-	Policy string
-	// Specs gives explicit virtual-worker GPU type strings (e.g.
-	// ["VRQ","VRQ","VRQ","VRQ"]), overriding Policy. Maps to WithSpecs.
-	Specs []string
-	// Batch is the per-minibatch sample count; 0 defaults to 32. Maps to
-	// WithBatch.
-	Batch int
-	// Nm is the number of concurrent minibatches per virtual worker;
-	// 0 picks the throughput-maximizing value automatically. Maps to WithNm.
-	Nm int
-	// D is the WSP clock-distance bound (0 = BSP-like waves). Maps to WithD.
-	D int
-	// LocalPlacement co-locates parameter shards with pipeline stages
-	// (the paper's ED-local policy). Requires stage/node alignment. Maps to
-	// WithLocalPlacement.
-	LocalPlacement bool
-	// MinibatchesPerVW sizes the simulation; 0 picks a D-aware default of
-	// at least 24 waves. Maps to WithMinibatchesPerVW.
-	MinibatchesPerVW int
-	// Schedule selects the pipeline execution discipline (see Schedules);
-	// empty means "hetpipe-fifo", the paper's own. Maps to WithSchedule.
-	Schedule string
-	// Backend selects the execution substrate. "" or "sim" runs the
-	// discrete-event co-simulation (Deployment.Simulate). "live"
-	// additionally drives the internal/cluster runtime
-	// (Deployment.Train) — Result.Live then carries the measured counts.
-	Backend string
-}
-
-// options translates the flat Config into the option list New consumes.
-func (c Config) options() []Option {
-	opts := []Option{
-		WithModel(c.Model),
-		WithCluster(c.Cluster),
-		WithBatch(c.Batch),
-		WithNm(c.Nm),
-		WithD(c.D),
-		WithLocalPlacement(c.LocalPlacement),
-		WithMinibatchesPerVW(c.MinibatchesPerVW),
-		WithSchedule(c.Schedule),
-	}
-	if len(c.Specs) > 0 {
-		opts = append(opts, WithSpecs(c.Specs...))
-	} else if c.Policy != "" {
-		opts = append(opts, WithPolicy(c.Policy))
-	}
-	return opts
-}
-
 // Result summarizes a simulated HetPipe deployment.
 type Result struct {
 	// Throughput is the aggregate samples/second across virtual workers.
 	Throughput float64
 	// PerVW lists each virtual worker's throughput.
 	PerVW []float64
-	// Nm is the concurrent-minibatch count used (auto-chosen when
-	// Config.Nm was 0); SLocal = Nm-1 is the local staleness bound.
+	// Nm is the concurrent-minibatch count used (auto-chosen unless WithNm
+	// fixed it); SLocal = Nm-1 is the local staleness bound.
 	Nm int
 	// SGlobal is the WSP global staleness bound for this configuration.
 	SGlobal int
@@ -160,9 +91,6 @@ type Result struct {
 	VirtualWorkers []string
 	// Plans carries the per-VW partition plans for inspection.
 	Plans []*PlanView
-	// Live summarizes the live sharded-PS run when Config.Backend is
-	// "live"; nil for the pure simulation.
-	Live *LiveSummary
 }
 
 // LiveSummary reports what the live training runtime actually did.
@@ -242,38 +170,6 @@ func clusterByName(name string) (*hw.Cluster, string, error) {
 	return c, name, nil
 }
 
-// Run deploys and simulates the configuration; with Config.Backend "live"
-// it also executes the deployment's WSP schedule on the real sharded
-// parameter-server runtime.
-//
-// Run is the compatibility path: it resolves a Deployment with New, runs
-// Simulate, and (for the live backend) Train, all under
-// context.Background(). Callers that need cancellation, deadlines, run
-// observation, or plan-once/run-many reuse should use New directly.
-func Run(c Config) (*Result, error) {
-	switch c.Backend {
-	case "", "sim", "live":
-	default:
-		return nil, fmt.Errorf("%w %q (want sim or live)", ErrUnknownBackend, c.Backend)
-	}
-	dep, err := New(c.options()...)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dep.Simulate(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if c.Backend == "live" {
-		live, err := dep.Train(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		res.Live = live
-	}
-	return res, nil
-}
-
 func planView(p *partition.Plan) *PlanView {
 	v := &PlanView{Bottleneck: p.Bottleneck}
 	for i := range p.Stages {
@@ -332,57 +228,10 @@ func Horovod(modelName, clusterName string, batch int) (*Baseline, error) {
 	return b, nil
 }
 
-// Plan partitions a model onto a single virtual worker described by a GPU
-// type string (e.g. "VRGQ") with Nm concurrent minibatches, without running
-// a simulation — the partitioning-study entry point.
-func Plan(modelName, spec string, nm, batch int) (*PlanView, error) {
-	m, err := model.ByName(modelName)
-	if err != nil {
-		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownModel, modelName, Models())
-	}
-	if batch == 0 {
-		batch = 32
-	}
-	if nm == 0 {
-		nm = 1
-	}
-	cluster := hw.Paper()
-	alloc, err := hw.AllocateByTypes(cluster, []string{spec})
-	if err != nil {
-		return nil, err
-	}
-	plan, err := partition.New(profile.Default()).Partition(cluster, m, alloc.VWs[0], nm, batch)
-	if err != nil {
-		return nil, err
-	}
-	return planView(plan), nil
-}
-
-// Gantt simulates one virtual worker on a cataloged cluster (empty
-// clusterName means "paper") and renders its pipeline schedule as an ASCII
-// chart (the Figure 1 view). width is the chart width in columns.
-//
-// Gantt is a convenience over New: it resolves a single-VW deployment for
-// spec and calls Deployment.Gantt, so the batch size is the consistent
-// package default (32) rather than a separate hard-coded value. Use
-// New(WithBatch(...)) and Deployment.Gantt to render at another batch size.
-func Gantt(modelName, clusterName, spec string, nm, minibatches, width int) (string, error) {
-	dep, err := New(
-		WithModel(modelName),
-		WithCluster(clusterName),
-		WithSpecs(spec),
-		WithNm(nm),
-	)
-	if err != nil {
-		return "", err
-	}
-	return dep.Gantt(0, minibatches, width)
-}
-
-// Models lists the model-zoo keys Config.Model accepts.
+// Models lists the model-zoo keys WithModel accepts.
 func Models() []string { return model.Names() }
 
-// Clusters lists the cluster-catalog keys Config.Cluster accepts.
+// Clusters lists the cluster-catalog keys WithCluster accepts.
 func Clusters() []string { return hw.ClusterNames() }
 
 // Schedules lists the pipeline-schedule names WithSchedule accepts:

@@ -3,10 +3,15 @@ package hetpipe
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"hetpipe/internal/cluster"
+	"hetpipe/internal/train"
 )
 
 // allSentinels is the package's complete exported Err* surface, in
@@ -16,7 +21,6 @@ var allSentinels = map[string]error{
 	"ErrUnknownModel":    ErrUnknownModel,
 	"ErrUnknownCluster":  ErrUnknownCluster,
 	"ErrUnknownPolicy":   ErrUnknownPolicy,
-	"ErrUnknownBackend":  ErrUnknownBackend,
 	"ErrUnknownTask":     ErrUnknownTask,
 	"ErrNoAllocation":    ErrNoAllocation,
 	"ErrUnknownSchedule": ErrUnknownSchedule,
@@ -57,12 +61,6 @@ func TestNewSentinelErrors(t *testing.T) {
 		})
 		covered[c.want] = true
 	}
-	// ErrUnknownBackend is the one sentinel outside New's option surface:
-	// the backend is chosen by Config.Backend on the Run path.
-	if _, err := Run(Config{Model: "vgg19", Policy: "ED", Backend: "warp"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("Run(bad backend) error = %v, want errors.Is ErrUnknownBackend", err)
-	}
-	covered[ErrUnknownBackend] = true
 	// ErrNoTraffic is reported at Serve time: the deployment resolved fine,
 	// it just has no traffic to serve.
 	dep, err := New(WithModel("vgg19"), WithPolicy("ED"))
@@ -80,18 +78,61 @@ func TestNewSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestRunSentinelErrors covers the entry point beside New that resolves names.
 func TestRunSentinelErrors(t *testing.T) {
-	if _, err := Run(Config{Model: "vgg19", Policy: "ED", Backend: "warp"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("unknown backend error = %v, want errors.Is ErrUnknownBackend", err)
-	}
-	if _, err := Run(Config{Model: "nope", Policy: "ED"}); !errors.Is(err, ErrUnknownModel) {
-		t.Errorf("unknown model error = %v, want errors.Is ErrUnknownModel", err)
-	}
 	if _, err := Horovod("nope", "", 32); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("Horovod unknown model error = %v, want errors.Is ErrUnknownModel", err)
 	}
 	if _, err := Horovod("vgg19", "dgx", 32); !errors.Is(err, ErrUnknownCluster) {
 		t.Errorf("Horovod unknown cluster error = %v, want errors.Is ErrUnknownCluster", err)
+	}
+}
+
+// TestNonFiniteLearningRateRejected: "lr <= 0" is false for NaN and +Inf, so
+// every trainer used to run them to all-NaN weights — which the conformance
+// report then called CONFORMANT, a NaN never being a difference.
+func TestNonFiniteLearningRateRejected(t *testing.T) {
+	task, err := train.DefaultTask(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	periods := []float64{0.1, 0.1}
+	for _, lr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		entries := map[string]func() error{
+			"New+Train": func() error {
+				dep, err := New(WithModel("vgg19"), WithPolicy("ED"), WithNm(2), WithMinibatchesPerVW(4), WithLearningRate(lr))
+				if err == nil {
+					_, err = dep.Train(context.Background())
+				}
+				return err
+			},
+			"cluster.Run": func() error {
+				_, err := cluster.Run(context.Background(), cluster.Config{Task: task, Workers: 2, Servers: 1, LR: lr, MaxMinibatches: 4})
+				return err
+			},
+			"RunWSP": func() error {
+				_, err := train.RunWSP(train.WSPConfig{Task: task, Workers: 2, LR: lr, Periods: periods, MaxMinibatches: 4, EvalEvery: 8})
+				return err
+			},
+			"RunBSP": func() error {
+				_, err := train.RunBSP(train.BSPConfig{Task: task, LR: lr, Periods: periods, MaxIterations: 4, EvalEvery: 8})
+				return err
+			},
+			"RunSSP": func() error {
+				_, err := train.RunSSP(train.SSPConfig{Task: task, LR: lr, Periods: periods, MaxIterations: 4, EvalEvery: 8})
+				return err
+			},
+		}
+		for name, run := range entries {
+			err := run()
+			want := "must be finite"
+			if lr < 0 {
+				want = "learning rate"
+			}
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with lr=%g: error %v, want %q", name, lr, err, want)
+			}
+		}
 	}
 }
 

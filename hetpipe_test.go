@@ -1,15 +1,27 @@
 package hetpipe
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
-func TestRunEDLocal(t *testing.T) {
-	res, err := Run(Config{Model: "vgg19", Policy: "ED", LocalPlacement: true})
+// simulate resolves a deployment and runs the co-simulation once.
+func simulate(t *testing.T, opts ...Option) (*Deployment, *Result) {
+	t.Helper()
+	dep, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := dep.Simulate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dep, res
+}
+
+func TestRunEDLocal(t *testing.T) {
+	_, res := simulate(t, WithModel("vgg19"), WithPolicy("ED"), WithLocalPlacement(true))
 	if res.Throughput <= 0 {
 		t.Fatal("non-positive throughput")
 	}
@@ -31,10 +43,7 @@ func TestRunEDLocal(t *testing.T) {
 }
 
 func TestRunWithSpecs(t *testing.T) {
-	res, err := Run(Config{Model: "resnet152", Specs: []string{"VR", "VR"}, Nm: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := simulate(t, WithModel("resnet152"), WithSpecs("VR", "VR"), WithNm(2))
 	if len(res.PerVW) != 2 {
 		t.Fatalf("VWs = %d, want 2", len(res.PerVW))
 	}
@@ -43,49 +52,27 @@ func TestRunWithSpecs(t *testing.T) {
 	}
 }
 
+// TestRunLiveBackend runs one resolved deployment on both backends: the
+// simulation's report and the live run's summary come from the same plans
+// (TestTrainLiveWithObserver checks the live counts themselves).
 func TestRunLiveBackend(t *testing.T) {
-	res, err := Run(Config{
-		Model: "vgg19", Policy: "ED", D: 1, Nm: 2,
-		MinibatchesPerVW: 16, Backend: "live",
-	})
+	dep, res := simulate(t, WithModel("vgg19"), WithPolicy("ED"), WithD(1), WithNm(2), WithMinibatchesPerVW(16))
+	live, err := dep.Train(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Live == nil {
-		t.Fatal("live backend produced no live summary")
-	}
-	if want := 4 * 16; res.Live.Minibatches != want {
-		t.Errorf("live minibatches = %d, want %d", res.Live.Minibatches, want)
-	}
-	if res.Live.Pushes != 4*16/2 {
-		t.Errorf("live pushes = %d, want %d (one per wave)", res.Live.Pushes, 4*16/2)
-	}
-	if res.Live.MaxClockDistance > 2 {
-		t.Errorf("live clock distance %d exceeds D+1=2", res.Live.MaxClockDistance)
-	}
-	if res.Live.WallSeconds <= 0 {
+	if live.WallSeconds <= 0 {
 		t.Error("live run reported no wall time")
 	}
-	// The simulated deployment is still fully reported alongside.
-	if res.Throughput <= 0 || len(res.Plans) != 4 {
-		t.Error("live backend dropped the simulated deployment results")
-	}
-	if _, err := Run(Config{Model: "vgg19", Policy: "ED", Backend: "warp"}); err == nil {
-		t.Error("unknown backend accepted")
+	if res.Throughput <= 0 || len(res.Plans) != 4 || res.Pushes != live.Pushes || res.Pulls != live.Pulls {
+		t.Errorf("simulated twin: throughput %g, %d plans, %d/%d pushes/pulls against %d/%d live",
+			res.Throughput, len(res.Plans), res.Pushes, res.Pulls, live.Pushes, live.Pulls)
 	}
 }
 
+// TestRunValidation: what New refuses beyond the sentinel table's rows.
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Model: "vgg19"}); err == nil {
-		t.Error("missing policy and specs accepted")
-	}
-	if _, err := Run(Config{Model: "nope", Policy: "ED"}); err == nil {
-		t.Error("unknown model accepted")
-	}
-	if _, err := Run(Config{Model: "vgg19", Policy: "XX"}); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if _, err := Run(Config{Model: "vgg19", Policy: "NP", LocalPlacement: true}); err == nil {
+	if _, err := New(WithModel("vgg19"), WithPolicy("NP"), WithLocalPlacement(true)); err == nil {
 		t.Error("local placement under NP accepted")
 	}
 }
@@ -104,10 +91,11 @@ func TestHorovodBaseline(t *testing.T) {
 }
 
 func TestPlanView(t *testing.T) {
-	plan, err := Plan("vgg19", "VRGQ", 4, 32)
+	dep, err := New(WithModel("vgg19"), WithSpecs("VRGQ"), WithNm(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := dep.Plans()[0]
 	if len(plan.Stages) != 4 {
 		t.Fatalf("stages = %d, want 4", len(plan.Stages))
 	}
@@ -124,14 +112,14 @@ func TestPlanView(t *testing.T) {
 	if plan.Bottleneck <= 0 {
 		t.Error("zero bottleneck")
 	}
-	// Defaults: nm=0 -> 1, batch=0 -> 32.
-	if _, err := Plan("resnet152", "VV", 0, 0); err != nil {
-		t.Errorf("defaulted plan failed: %v", err)
-	}
 }
 
 func TestGanttOutput(t *testing.T) {
-	g, err := Gantt("vgg19", "", "VVVV", 4, 10, 80)
+	dep, err := New(WithModel("vgg19"), WithSpecs("VVVV"), WithNm(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := dep.Gantt(0, 10, 80)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package cluster is the live WSP training runtime: N virtual workers run as
 // goroutines training a real numeric task against M real parameter-server
-// shards (internal/ps), either in-process or over TCP. Where the simulator
-// (internal/train.RunWSP) models the protocol's timing, this package
+// shards (internal/ps), either in-process or over TCP. Where the
+// co-simulation (train.RunWSP) models the protocol's timing, this package
 // executes its dataflow for real — the clock-distance bound D is enforced by
 // each worker blocking on the servers' clock-gated snapshot pull, with no
 // central coordinator anywhere. A worker talks to the servers once per wave:
@@ -10,12 +10,13 @@
 // (pullAfterPush is that decision, written once), and as the two halves of
 // the same exchange otherwise.
 //
-// The runtime reproduces the simulator's numeric trajectory exactly: the
-// same logical pipeline depth (a minibatch trains on weights missing exactly
-// the last slocal local updates), the same lazy pulls of clock-versioned
-// snapshots, the same gradient stream. RunConformance (conformance.go) runs
-// both backends on one configuration and asserts they agree on minibatch,
-// push, and pull counts, on the D-bound, and on the final weights.
+// The runtime reproduces the co-simulation's numeric trajectory exactly,
+// because both execute the same program: each worker here drives a
+// train.Worker — the one definition of the staleness window — and only the
+// gate differs, a blocking exchange with real servers instead of a simulated
+// clock. RunConformance (conformance.go) runs both backends on one
+// configuration and asserts they agree on minibatch, push, and pull counts, on
+// the D-bound and the staleness bound, and on the final weights.
 //
 // The runtime is also where fault plans (internal/fault) execute for real:
 // straggler slowdowns, shard stalls, and link degradations become wall-clock
@@ -111,16 +112,8 @@ type Config struct {
 
 func (c *Config) validate() error {
 	switch {
-	case c.Task == nil:
-		return fmt.Errorf("cluster: nil task")
-	case c.Workers < 1:
-		return fmt.Errorf("cluster: need at least one worker")
 	case c.Servers < 1:
 		return fmt.Errorf("cluster: need at least one server")
-	case c.SLocal < 0 || c.D < 0:
-		return fmt.Errorf("cluster: negative staleness parameters")
-	case c.LR <= 0:
-		return fmt.Errorf("cluster: learning rate must be positive")
 	case c.MaxMinibatches < 1:
 		return fmt.Errorf("cluster: zero minibatch budget")
 	case c.CheckpointEvery < 0:
@@ -136,18 +129,12 @@ func (c *Config) params() wsp.Params {
 	return wsp.Params{SLocal: c.SLocal, D: c.D, Workers: c.Workers}
 }
 
-// WorkerStats counts one worker's protocol actions.
-type WorkerStats struct {
-	Minibatches, Pushes, Pulls int
-}
-
 // Stats summarizes a live run.
 type Stats struct {
 	// Minibatches, Pushes, Pulls aggregate the per-worker counts. They are
 	// logical protocol counts: a recovered or resumed run reports each
 	// minibatch, push, and pull exactly once, as a fault-free run would.
 	Minibatches, Pushes, Pulls int
-	PerWorker                  []WorkerStats
 	// FinalWeights is the clock-versioned snapshot at the final global
 	// clock: the initial weights plus every pushed wave update, folded in
 	// (wave, worker) order — directly comparable with the simulator's
@@ -158,6 +145,10 @@ type Stats struct {
 	// MaxClockDistance is the largest clock spread any shard observed; the
 	// WSP bound guarantees <= D+1.
 	MaxClockDistance int
+	// MaxStaleness is the largest number of a peer's updates any minibatch's
+	// weights were missing (train.Worker.MaxStaleness over the workers'
+	// completing attempts); the WSP bound guarantees <= wsp.Params.SGlobal.
+	MaxStaleness int
 	// Elapsed is wall-clock runtime of the worker phase.
 	Elapsed time.Duration
 
@@ -189,64 +180,12 @@ type Stats struct {
 // worker wrapper catches it and recovers instead of poisoning the run.
 var errCrashed = errors.New("cluster: worker crashed (injected fault)")
 
-// pendingMB is an injected-but-not-retired minibatch's numeric state.
-type pendingMB struct {
-	mb      int
-	weights tensor.Vector
-}
-
-// workerState is everything a worker's training loop owns — split out so a
-// checkpoint is a deep clone and a recovery is a restore.
-type workerState struct {
-	nextMB  int // next 1-based minibatch to inject
-	wlocal  tensor.Vector
-	waveAcc tensor.Vector
-	// pending is a ring of the injected-but-not-retired minibatches, at most
-	// SLocal+1 of them: inflight entries starting at head, oldest first.
-	pending        []pendingMB
-	head, inflight int
-	// waves counts the waves this worker has ended — pushed, or suppressed
-	// under replay. It is the index of the next wave to end.
-	waves int
-	// deltas holds the aggregated updates of the most recent waves, the last
-	// one being wave waves-1. A pull at clock req re-adds the waves >= req,
-	// and req never decreases, so everything below lastPulled is dropped
-	// after each pull: D+1 vectors in steady state, however long the run.
-	deltas     []tensor.Vector
-	lastPulled int
-	stats      WorkerStats
-}
-
-func newWorkerState(task train.Task, slocal int) *workerState {
-	return &workerState{
-		nextMB:  1,
-		wlocal:  task.InitWeights(),
-		waveAcc: tensor.NewVector(task.Dim()),
-		pending: make([]pendingMB, slocal+1),
-	}
-}
-
-func (s *workerState) clone() *workerState {
-	c := *s
-	c.wlocal = s.wlocal.Clone()
-	c.waveAcc = s.waveAcc.Clone()
-	c.pending = make([]pendingMB, len(s.pending))
-	for i := 0; i < s.inflight; i++ {
-		at := (s.head + i) % len(s.pending)
-		c.pending[at] = pendingMB{mb: s.pending[at].mb, weights: s.pending[at].weights.Clone()}
-	}
-	c.deltas = make([]tensor.Vector, len(s.deltas))
-	for i, d := range s.deltas {
-		c.deltas[i] = d.Clone()
-	}
-	return &c
-}
-
 // workerRec is a worker's recovery bookkeeping. It lives outside runWorker so
 // it survives a crash; it is only ever touched by the worker's own goroutine.
 type workerRec struct {
-	// ckpt is the last worker-state checkpoint (nil = recover from scratch).
-	ckpt *workerState
+	// ckpt is the last checkpoint of the worker's program; before the first
+	// cadence point it is the program at minibatch 1.
+	ckpt *train.Worker
 	// lastCkptWave is the pushed-wave count at the last checkpoint.
 	lastCkptWave int
 	// pushed is the authoritative count of waves this worker has actually
@@ -283,6 +222,20 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	params := cfg.params()
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	// Every worker's program at minibatch 1: the checkpoint its first attempt,
+	// and any recovery before the first cadence point, starts from.
+	recs := make([]*workerRec, cfg.Workers)
+	for w := range recs {
+		fresh, err := train.NewWorker(cfg.Task, w, params, cfg.LR)
+		if err != nil {
+			return nil, err
+		}
+		recs[w] = &workerRec{ckpt: fresh}
+	}
 	fp, err := cfg.Faults.Materialize(cfg.Workers)
 	if err != nil {
 		return nil, err
@@ -306,10 +259,6 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	chunked := space.Split(w0)
 	var servers []*ps.Server
 	resumedClock := 0
-	params := cfg.params()
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 	// finalClock is the global clock a completed run reaches: every worker
 	// pushes exactly its complete waves.
 	finalClock := params.CompleteWaves(cfg.MaxMinibatches)
@@ -391,8 +340,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		})
 	}
 
-	perWorker := make([]WorkerStats, cfg.Workers)
-	recs := make([]*workerRec, cfg.Workers)
+	finished := make([]*train.Worker, cfg.Workers) // each worker's completed program
 	start := time.Now()
 
 	// emit serializes observer calls across worker goroutines and stamps
@@ -494,8 +442,8 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
-		rec := &workerRec{pushed: resumedClock}
-		recs[w] = rec
+		rec := recs[w]
+		rec.pushed = resumedClock
 		go func(w int, rec *workerRec) {
 			defer wg.Done()
 			backends, err := net.dial()
@@ -514,21 +462,18 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 				faults: fp, rec: rec, stallInject: stallInject, notifyCkpt: notifyCkpt,
 			}
 			for {
-				st, err := env.run()
+				done, err := env.run()
 				if err == nil {
-					perWorker[w] = st
+					finished[w] = done
 					return
 				}
 				if errors.Is(err, errCrashed) {
-					// Recover: restore the last checkpoint (or scratch) and
-					// replay. The crashed attempt's partial counts are
-					// discarded — the restored state's counters plus the
-					// replay re-count every action exactly once.
+					// Recover: restore the last checkpoint and replay. The
+					// crashed attempt's partial counts are discarded — the
+					// restored program's counters plus the replay re-count every
+					// action exactly once.
 					c := fp.CrashFor(w)
-					resumeMB := 1
-					if rec.ckpt != nil {
-						resumeMB = rec.ckpt.nextMB
-					}
+					resumeMB := rec.ckpt.Next()
 					rec.recoveries++
 					rec.replayed += c.AtMinibatch - resumeMB
 					emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: resumeMB,
@@ -551,11 +496,12 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	stats := &Stats{PerWorker: perWorker, Elapsed: elapsed, ResumedClock: resumedClock}
-	for _, st := range perWorker {
-		stats.Minibatches += st.Minibatches
-		stats.Pushes += st.Pushes
-		stats.Pulls += st.Pulls
+	stats := &Stats{Elapsed: elapsed, ResumedClock: resumedClock}
+	for _, w := range finished {
+		stats.Minibatches += w.Retired()
+		stats.Pushes += w.Waves()
+		stats.Pulls += w.Pulls()
+		stats.MaxStaleness = max(stats.MaxStaleness, w.MaxStaleness())
 	}
 	for _, rec := range recs {
 		stats.Crashes += rec.crashes
@@ -582,16 +528,15 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	// run itself must reach rather than the one the servers report right now:
 	// a frame that only pushes (the drain's last wave is one) is acknowledged
 	// before it commits, so when the last worker returns the global clock can
-	// still be one short. PullAt is clock-gated and waits for that commit (an
-	// aborted run returned its error above).
-	final, err := sh.PullAt(space.Keys(), finalClock)
-	if err != nil {
+	// still be one short. The snapshot pull is clock-gated and waits for that
+	// commit (an aborted run returned its error above).
+	stats.FinalWeights = tensor.NewVector(cfg.Task.Dim())
+	views := make([]tensor.Vector, len(space.Keys()))
+	space.SplitInto(stats.FinalWeights, views)
+	if err := sh.PullAtInto(views, space.Keys(), finalClock); err != nil {
 		return nil, err
 	}
 	if stats.GlobalClock, err = sh.GlobalClock(); err != nil {
-		return nil, err
-	}
-	if stats.FinalWeights, err = space.Join(final); err != nil {
 		return nil, err
 	}
 	if stats.MaxClockDistance, err = sh.MaxClockDistance(); err != nil {
@@ -621,29 +566,9 @@ type workerEnv struct {
 
 	// Reusable data-plane scratch, persisting across crash-replay attempts:
 	// push and pull are the two sections of a wave exchange, their vectors
-	// per-chunk views for the ps ordered APIs, and freeWeights recycles the
-	// Dim-sized vectors the loop is done with — retired pendingMB snapshots
-	// and wave deltas no later pull can re-add — so the steady-state wave
-	// loop allocates neither a weight copy per minibatch nor a delta per wave.
-	push        ps.Push
-	pull        ps.SnapshotPull
-	freeWeights []tensor.Vector
-}
-
-// getWeights returns a recycled (or fresh) vector holding a copy of src.
-func (e *workerEnv) getWeights(src tensor.Vector) tensor.Vector {
-	if n := len(e.freeWeights); n > 0 {
-		v := e.freeWeights[n-1]
-		e.freeWeights = e.freeWeights[:n-1]
-		copy(v, src)
-		return v
-	}
-	return src.Clone()
-}
-
-// putWeights recycles a vector getWeights handed out.
-func (e *workerEnv) putWeights(v tensor.Vector) {
-	e.freeWeights = append(e.freeWeights, v)
+	// per-chunk views for the ps ordered APIs.
+	push ps.Push
+	pull ps.SnapshotPull
 }
 
 // sleep converts a fault delay in seconds into a wall-clock sleep.
@@ -655,30 +580,30 @@ func sleepSeconds(s float64) {
 
 // checkpointDue reports whether the worker-state checkpoint cadence has come
 // round: the pushed-wave count crossed a cadence point since the last capture.
-func (e *workerEnv) checkpointDue(w *workerState) bool {
+func (e *workerEnv) checkpointDue(w *train.Worker) bool {
 	every := e.cfg.CheckpointEvery
-	return every > 0 && w.waves > e.rec.lastCkptWave && w.waves%every == 0
+	return every > 0 && w.Waves() > e.rec.lastCkptWave && w.Waves()%every == 0
 }
 
-// pullAfterPush decides, at a wave end that is really pushed (inside retire,
-// the wave already counted), whether the worker's next word to the servers is
+// pullAfterPush decides, at a wave end that is really pushed (inside retired,
+// the wave already sealed), whether the worker's next word to the servers is
 // certain to be the gated pull of the very next minibatch with nothing
 // observable in between — and if so returns that pull's clock, so the push
 // and the pull can travel as one exchange; 0 otherwise. Everything the top of
 // the next iteration could do before its gate has to be ruled out: it must
-// exist (retire also runs in the end-of-run drain) and be gated at a clock
+// exist (retired also runs in the end-of-run drain) and be gated at a clock
 // not yet pulled; no crash may be due at it and no worker checkpoint fall due
 // (both must see the state between the push and the pull); no fault
 // injection may be first reported at it; and the stall, link and compute
 // sleeps must all be zero — the last two scale StepTime — or the push would
 // sit unsent while peers wait for it.
-func (e *workerEnv) pullAfterPush(w *workerState, wave int) int {
-	next := w.nextMB + 1
+func (e *workerEnv) pullAfterPush(w *train.Worker, wave int) int {
+	next := w.Next()
 	if next > e.cfg.MaxMinibatches {
 		return 0
 	}
-	req := e.cfg.params().RequiredGlobalClock(next)
-	if req <= w.lastPulled { // covers "not gated": req 0
+	req := w.PullClock()
+	if req == 0 {
 		return 0
 	}
 	if c := e.faults.CrashFor(e.id); c != nil && !e.rec.crashed && next == c.AtMinibatch {
@@ -696,22 +621,10 @@ func (e *workerEnv) pullAfterPush(w *workerState, wave int) int {
 	return req
 }
 
-// pulled folds the clock-req snapshot an exchange has just written into
-// w.wlocal into the worker's state: the local waves the snapshot cannot hold
-// yet (>= req, all still held) are re-added, and the older ones, which can
-// never be asked for again, are recycled.
-func (e *workerEnv) pulled(w *workerState, req int) {
-	stale := len(w.deltas) - (w.waves - req)
-	for _, d := range w.deltas[:stale] {
-		e.putWeights(d)
-	}
-	w.deltas = w.deltas[:copy(w.deltas, w.deltas[stale:])]
-	for _, d := range w.deltas {
-		w.wlocal.AddInPlace(d)
-	}
-	w.wlocal.AddInPlace(w.waveAcc)
-	w.lastPulled = req
-	w.stats.Pulls++
+// notePull hands the clock-req snapshot an exchange has just written into
+// w.Weights() to the worker's program and reports the pull.
+func (e *workerEnv) notePull(w *train.Worker, req int) {
+	w.Pulled(req)
 	if req > e.rec.maxPullClock {
 		e.rec.maxPullClock = req
 		// The pull's return proves the global clock reached req — the only
@@ -721,110 +634,89 @@ func (e *workerEnv) pulled(w *workerState, req int) {
 	}
 }
 
-// run is one attempt at the worker's training loop: the same logical pipeline
-// the simulator executes, against real servers. The snapshot for minibatch m
-// reflects local updates through exactly m-Nm (retirement happens at a fixed
-// logical lag of Nm), pushes carry one aggregated update per wave, and the
-// D-bound gate is the servers' blocking snapshot pull.
-//
-// An attempt starts from the last checkpoint (or from scratch) and replays
-// deterministically: pulls re-read clock-versioned snapshots, and pushes of
-// waves the servers already hold (rec.pushed) are suppressed — counted, since
-// they are logically part of the trajectory, but not re-sent. An injected
-// crash aborts the attempt with errCrashed.
-func (e *workerEnv) run() (WorkerStats, error) {
-	cfg, id := e.cfg, e.id
-	params := cfg.params()
-	if err := params.Validate(); err != nil {
-		return WorkerStats{}, err
+// retired reports minibatch mb, which w has just retired, and — when that
+// ended a wave — pushes the wave's sealed delta.
+func (e *workerEnv) retired(w *train.Worker, mb int) error {
+	id, params := e.id, e.cfg.params()
+	wave := params.Wave(mb)
+	if mb > e.rec.maxRetired {
+		e.rec.maxRetired = mb
+		e.emit(obs.Event{Kind: obs.KindMinibatch, VW: id, Minibatch: mb, Wave: wave})
 	}
-	dim := cfg.Task.Dim()
+	if !params.IsWaveEnd(mb) {
+		return nil
+	}
+	if wave < e.rec.pushed {
+		// Replay: the servers already hold this wave from the crashed attempt
+		// (or the resumed checkpoint); re-sending it would double-apply the
+		// update.
+		return nil
+	}
+	if delay := e.faults.StallDelay(wave + 1); delay > 0 {
+		e.stallInject(wave+1, delay)
+		sleepSeconds(delay)
+	}
+	e.linkSleep()
+	// One exchange per shard carries the push and, when the next iteration
+	// would do nothing but pull, that pull too. The snapshot chunks land
+	// straight in w.Weights(): pull.Dst are per-chunk views of it, so every
+	// shard server (or the TCP decoder) writes its slice in place — no merge
+	// map, no join allocation.
+	e.space.SplitInto(w.Delta(wave), e.push.Vecs)
+	var pull *ps.SnapshotPull
+	if req := e.pullAfterPush(w, wave); req > 0 {
+		e.space.SplitInto(w.Weights(), e.pull.Dst)
+		e.pull.Clock = req
+		pull = &e.pull
+	}
+	if err := e.sh.Exchange(&e.push, pull); err != nil {
+		return err
+	}
+	e.rec.pushed = wave + 1
+	e.emit(obs.Event{Kind: obs.KindPush, VW: id, Wave: wave})
+	if pull != nil {
+		e.notePull(w, pull.Clock)
+	}
+	return nil
+}
 
-	var w *workerState
-	if e.rec.ckpt != nil {
-		w = e.rec.ckpt.clone()
-	} else {
-		w = newWorkerState(cfg.Task, cfg.SLocal)
+// linkSleep is what a degraded link costs one transfer; the degradation is
+// reported once per run (not per attempt, and independent of whether StepTime
+// makes it sleep).
+func (e *workerEnv) linkSleep() {
+	scale := e.faults.LinkScale(e.id)
+	if scale <= 1 {
+		return
 	}
-	suppress := e.rec.pushed // waves the servers already hold
+	if !e.rec.linkEmitted {
+		e.rec.linkEmitted = true
+		e.emit(obs.Event{Kind: obs.KindFaultInject, VW: e.id,
+			Fault: fmt.Sprintf("link:w%d:x%g", e.id, scale)})
+	}
+	sleepSeconds((scale - 1) * e.cfg.StepTime.Seconds())
+}
+
+// run is one attempt at the worker's training loop: the worker's train.Worker
+// program — the same one the co-simulation steps — against real servers.
+// Pushes carry one sealed delta per wave, and the D-bound gate is the servers'
+// blocking snapshot pull.
+//
+// An attempt starts from the last checkpoint and replays deterministically:
+// pulls re-read clock-versioned snapshots, and pushes of waves the servers
+// already hold (rec.pushed) are suppressed — counted, since they are logically
+// part of the trajectory, but not re-sent. An injected crash aborts the
+// attempt with errCrashed; a completed attempt returns the finished program.
+func (e *workerEnv) run() (*train.Worker, error) {
+	cfg, id := e.cfg, e.id
+	w := e.rec.ckpt.Clone()
 	crash := e.faults.CrashFor(id)
-	linkScale := e.faults.LinkScale(id)
-	grad := tensor.NewVector(dim)
 	if keys := e.space.Keys(); len(e.push.Vecs) != len(keys) {
 		e.push = ps.Push{Worker: id, Keys: keys, Vecs: make([]tensor.Vector, len(keys))}
 		e.pull = ps.SnapshotPull{Keys: keys, Dst: make([]tensor.Vector, len(keys))}
 	}
 
-	// linkInject reports the degraded link once per run (not per attempt,
-	// and independent of whether StepTime makes the degradation sleep).
-	linkInject := func() {
-		if linkScale > 1 && !e.rec.linkEmitted {
-			e.rec.linkEmitted = true
-			e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id,
-				Fault: fmt.Sprintf("link:w%d:x%g", id, linkScale)})
-		}
-	}
-
-	retire := func() error {
-		p := w.pending[w.head]
-		w.head = (w.head + 1) % len(w.pending)
-		w.inflight--
-		cfg.Task.Grad(p.weights, train.MinibatchIndex(id, p.mb, cfg.Workers), grad)
-		e.putWeights(p.weights)
-		w.wlocal.AXPY(-cfg.LR, grad)
-		w.waveAcc.AXPY(-cfg.LR, grad)
-		w.stats.Minibatches++
-		if p.mb > e.rec.maxRetired {
-			e.rec.maxRetired = p.mb
-			e.emit(obs.Event{Kind: obs.KindMinibatch, VW: id, Minibatch: p.mb, Wave: params.Wave(p.mb)})
-		}
-		if params.IsWaveEnd(p.mb) {
-			delta := e.getWeights(w.waveAcc)
-			wave := w.waves
-			w.waves++
-			w.deltas = append(w.deltas, delta)
-			w.waveAcc.Zero()
-			w.stats.Pushes++
-			if wave < suppress {
-				// Replay: the servers already hold this wave from the crashed
-				// attempt (or the resumed checkpoint); re-sending it would
-				// double-apply the update.
-				return nil
-			}
-			if delay := e.faults.StallDelay(wave + 1); delay > 0 {
-				e.stallInject(wave+1, delay)
-				sleepSeconds(delay)
-			}
-			if linkScale > 1 {
-				linkInject()
-				sleepSeconds((linkScale - 1) * cfg.StepTime.Seconds())
-			}
-			// One exchange per shard carries the push and, when the next
-			// iteration would do nothing but pull, that pull too. The snapshot
-			// chunks land straight in w.wlocal: pull.Dst are per-chunk views
-			// of it, so every shard server (or the TCP decoder) writes its
-			// slice in place — no merge map, no join allocation.
-			e.space.SplitInto(delta, e.push.Vecs)
-			var pull *ps.SnapshotPull
-			if req := e.pullAfterPush(w, wave); req > 0 {
-				e.space.SplitInto(w.wlocal, e.pull.Dst)
-				e.pull.Clock = req
-				pull = &e.pull
-			}
-			if err := e.sh.Exchange(&e.push, pull); err != nil {
-				return err
-			}
-			e.rec.pushed = wave + 1
-			e.emit(obs.Event{Kind: obs.KindPush, VW: id, Wave: wave})
-			if pull != nil {
-				e.pulled(w, pull.Clock)
-			}
-		}
-		return nil
-	}
-
-	for ; w.nextMB <= cfg.MaxMinibatches; w.nextMB++ {
-		mb := w.nextMB
+	for w.Next() <= cfg.MaxMinibatches {
+		mb := w.Next()
 		// Injected crash: fires at a minibatch boundary (never mid-push), at
 		// most once. The attempt's local state is abandoned; the wrapper
 		// restores the last checkpoint and replays.
@@ -834,14 +726,14 @@ func (e *workerEnv) run() (WorkerStats, error) {
 			e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb,
 				Fault: fmt.Sprintf("crash:w%d:mb%d", id, mb)})
 			sleepSeconds(fault.CrashDowntime(crash))
-			return w.stats, errCrashed
+			return nil, errCrashed
 		}
 		// Worker-state checkpoint at the wave cadence. The state at the top
 		// of a loop iteration is self-contained, so any iteration whose
 		// pushed-wave count just crossed a cadence point is a valid capture.
 		if e.checkpointDue(w) {
-			e.rec.ckpt = w.clone()
-			e.rec.lastCkptWave = w.waves
+			e.rec.ckpt = w.Clone()
+			e.rec.lastCkptWave = w.Waves()
 			e.rec.checkpoints++
 			e.notifyCkpt()
 		}
@@ -862,34 +754,29 @@ func (e *workerEnv) run() (WorkerStats, error) {
 		// global clock has reached w-D. Blocking on the servers' snapshot
 		// pull IS the wait — every shard holds the worker until its clock
 		// arrives, then answers from the same clock boundary.
-		if req := params.RequiredGlobalClock(mb); req > 0 && w.lastPulled < req {
-			if linkScale > 1 {
-				linkInject()
-				sleepSeconds((linkScale - 1) * cfg.StepTime.Seconds())
-			}
+		if req := w.PullClock(); req > 0 {
+			e.linkSleep()
 			// A gate the previous wave's exchange did not already pass (one of
 			// pullAfterPush's conditions failed, or that push was suppressed
 			// under replay): the same exchange with no push section.
-			e.space.SplitInto(w.wlocal, e.pull.Dst)
+			e.space.SplitInto(w.Weights(), e.pull.Dst)
 			e.pull.Clock = req
 			if err := e.sh.Exchange(nil, &e.pull); err != nil {
-				return w.stats, err
+				return nil, err
 			}
-			e.pulled(w, req)
+			e.notePull(w, req)
 		}
-		w.pending[(w.head+w.inflight)%len(w.pending)] = pendingMB{mb: mb, weights: e.getWeights(w.wlocal)}
-		w.inflight++
-		if w.inflight > cfg.SLocal {
-			if err := retire(); err != nil {
-				return w.stats, err
+		if mb := w.Inject(); mb > 0 {
+			if err := e.retired(w, mb); err != nil {
+				return nil, err
 			}
 		}
 	}
 	// End-of-run drain: retire the still-pending tail in order.
-	for w.inflight > 0 {
-		if err := retire(); err != nil {
-			return w.stats, err
+	for mb := w.Drain(); mb > 0; mb = w.Drain() {
+		if err := e.retired(w, mb); err != nil {
+			return nil, err
 		}
 	}
-	return w.stats, nil
+	return w, nil
 }

@@ -34,9 +34,19 @@ func TestShardSpaceSplitJoinRoundTrip(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i)
 	}
-	back, err := s.Join(s.Split(v))
-	if err != nil {
-		t.Fatal(err)
+	// The chunks, taken by name in key order, are the vector again; and the
+	// ordered views alias the same storage.
+	var back tensor.Vector
+	chunks, views := s.Split(v), make([]tensor.Vector, len(s.Keys()))
+	s.SplitInto(v, views)
+	for i, k := range s.Keys() {
+		if len(views[i]) != len(chunks[k]) || &views[i][0] != &chunks[k][0] {
+			t.Fatalf("chunk %s: SplitInto and Split disagree", k)
+		}
+		back = append(back, chunks[k]...)
+	}
+	if len(back) != len(v) {
+		t.Fatalf("chunks hold %d parameters of %d", len(back), len(v))
 	}
 	for i := range v {
 		if back[i] != v[i] {

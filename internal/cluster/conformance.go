@@ -11,8 +11,8 @@ import (
 )
 
 // ConformanceConfig fixes one (task, N, Nm, D) configuration to run through
-// both backends: the discrete-event simulator (train.RunWSP) and the live
-// sharded-PS runtime (Run).
+// both backends: the co-simulation (train.RunWSP) and the live sharded-PS
+// runtime (Run).
 type ConformanceConfig struct {
 	Task           train.Task
 	Workers        int
@@ -49,7 +49,7 @@ type ConformanceConfig struct {
 
 // SideCounts are one backend's protocol counters.
 type SideCounts struct {
-	Minibatches, Pushes, Pulls, MaxClockDistance int
+	Minibatches, Pushes, Pulls, MaxClockDistance, MaxStaleness int
 }
 
 // ConformanceReport compares the two backends on one configuration.
@@ -61,17 +61,21 @@ type ConformanceReport struct {
 	// MaxWeightDiff is the largest absolute per-coordinate difference
 	// between the two final weight vectors.
 	MaxWeightDiff float64
-	// DBound is the protocol guarantee D+1 on the clock distance.
-	DBound    int
-	Tolerance float64
+	// NonFinite counts the NaN or infinite coordinates of the two final
+	// weight vectors together; any is a failure no difference can show.
+	NonFinite int
+	// DBound is the protocol guarantee D+1 on the clock distance, SGlobal the
+	// one on the staleness either side observed (wsp.Params.SGlobal).
+	DBound, SGlobal int
+	Tolerance       float64
 	// Crashes, Recoveries, and ReplayedMinibatches report the live half's
 	// fault activity (zero for a fault-free configuration).
 	Crashes, Recoveries, ReplayedMinibatches int
 }
 
 // Err reports nil when the backends conform: counts match the protocol
-// arithmetic, neither side violates the D-bound, and the final weights agree
-// within tolerance.
+// arithmetic, neither side violates the D-bound or the staleness bound, and
+// the final weights are finite and agree within tolerance.
 func (r *ConformanceReport) Err() error {
 	if r.Sim.Minibatches != r.Want.Minibatches || r.Live.Minibatches != r.Want.Minibatches {
 		return fmt.Errorf("cluster: minibatches sim=%d live=%d want=%d", r.Sim.Minibatches, r.Live.Minibatches, r.Want.Minibatches)
@@ -87,6 +91,12 @@ func (r *ConformanceReport) Err() error {
 	}
 	if r.Live.MaxClockDistance > r.DBound {
 		return fmt.Errorf("cluster: live clock distance %d exceeds D+1=%d", r.Live.MaxClockDistance, r.DBound)
+	}
+	if r.Sim.MaxStaleness > r.SGlobal || r.Live.MaxStaleness > r.SGlobal {
+		return fmt.Errorf("cluster: observed staleness sim=%d live=%d exceeds sglobal=%d", r.Sim.MaxStaleness, r.Live.MaxStaleness, r.SGlobal)
+	}
+	if r.NonFinite > 0 {
+		return fmt.Errorf("cluster: %d non-finite final weights", r.NonFinite)
 	}
 	if r.MaxWeightDiff > r.Tolerance {
 		return fmt.Errorf("cluster: final weights diverge by %g (tolerance %g)", r.MaxWeightDiff, r.Tolerance)
@@ -109,10 +119,12 @@ func (r *ConformanceReport) String() string {
 		"sim:  minibatches=%d pushes=%d pulls=%d maxClockDistance=%d\n"+
 			"live: minibatches=%d pushes=%d pulls=%d maxClockDistance=%d\n"+
 			"want: minibatches=%d pushes=%d pulls=%d (D-bound %d)\n"+
+			"max staleness observed: sim=%d live=%d (sglobal %d)\n"+
 			"%smax |w_sim - w_live| = %.3g (tolerance %g)\n%s",
 		r.Sim.Minibatches, r.Sim.Pushes, r.Sim.Pulls, r.Sim.MaxClockDistance,
 		r.Live.Minibatches, r.Live.Pushes, r.Live.Pulls, r.Live.MaxClockDistance,
 		r.Want.Minibatches, r.Want.Pushes, r.Want.Pulls, r.DBound,
+		r.Sim.MaxStaleness, r.Live.MaxStaleness, r.SGlobal,
 		faults, r.MaxWeightDiff, r.Tolerance, verdict)
 }
 
@@ -123,13 +135,9 @@ func (r *ConformanceReport) String() string {
 // way: real execution path against the analytical model). ctx cancels the
 // live half (the simulator half is a bounded pure computation).
 func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceReport, error) {
-	periods := cfg.Periods
-	if periods == nil {
-		periods = make([]float64, cfg.Workers)
-		for w := range periods {
-			// A deliberately whimpy-heterogeneous default: 1x..~3x spread.
-			periods[w] = 0.1 * (1 + 0.7*float64(w%4))
-		}
+	sim, live, err := cfg.runBoth(ctx)
+	if err != nil {
+		return nil, err
 	}
 	tol := cfg.Tolerance
 	switch {
@@ -138,7 +146,50 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 	case tol < 0:
 		tol = 0 // exact bit-equality
 	}
+	params := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}
+	report := &ConformanceReport{
+		Sim:  SideCounts{sim.Minibatches, sim.Pushes, sim.Pulls, sim.MaxClockDistance, sim.MaxStaleness},
+		Live: SideCounts{live.Minibatches, live.Pushes, live.Pulls, live.MaxClockDistance, live.MaxStaleness},
+		Want: SideCounts{
+			Minibatches: cfg.Workers * cfg.MaxMinibatches,
+			Pushes:      cfg.Workers * params.CompleteWaves(cfg.MaxMinibatches),
+			Pulls:       cfg.Workers * params.GatedPulls(cfg.MaxMinibatches),
+		},
+		DBound:              cfg.D + 1,
+		SGlobal:             params.SGlobal(),
+		Tolerance:           tol,
+		Crashes:             live.Crashes,
+		Recoveries:          live.Recoveries,
+		ReplayedMinibatches: live.ReplayedMinibatches,
+	}
+	if len(sim.FinalWeights) != len(live.FinalWeights) {
+		return nil, fmt.Errorf("cluster: weight dimensions diverge: %d vs %d", len(sim.FinalWeights), len(live.FinalWeights))
+	}
+	for i, s := range sim.FinalWeights {
+		l := live.FinalWeights[i]
+		if d := math.Abs(s - l); d > report.MaxWeightDiff {
+			report.MaxWeightDiff = d
+		}
+		for _, x := range [2]float64{s, l} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				report.NonFinite++
+			}
+		}
+	}
+	return report, nil
+}
 
+// runBoth runs the configuration through the co-simulation and the live
+// runtime.
+func (cfg ConformanceConfig) runBoth(ctx context.Context) (*train.RunStats, *Stats, error) {
+	periods := cfg.Periods
+	if periods == nil {
+		periods = make([]float64, cfg.Workers)
+		for w := range periods {
+			// A deliberately whimpy-heterogeneous default: 1x..~3x spread.
+			periods[w] = 0.1 * (1 + 0.7*float64(w%4))
+		}
+	}
 	sim, err := train.RunWSP(train.WSPConfig{
 		Task: cfg.Task, Workers: cfg.Workers, SLocal: cfg.SLocal, D: cfg.D,
 		LR: cfg.LR, Periods: periods, PushTime: cfg.PushTime, PullTime: cfg.PullTime,
@@ -148,7 +199,7 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 		EvalEvery: cfg.MaxMinibatches * cfg.Workers,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: simulator: %w", err)
+		return nil, nil, fmt.Errorf("cluster: simulator: %w", err)
 	}
 
 	live, err := Run(ctx, Config{
@@ -158,31 +209,7 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 		Faults: cfg.Faults, CheckpointEvery: cfg.CheckpointEvery,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: live runtime: %w", err)
+		return nil, nil, fmt.Errorf("cluster: live runtime: %w", err)
 	}
-
-	params := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}
-	report := &ConformanceReport{
-		Sim:  SideCounts{sim.Minibatches, sim.Pushes, sim.Pulls, sim.MaxClockDistance},
-		Live: SideCounts{live.Minibatches, live.Pushes, live.Pulls, live.MaxClockDistance},
-		Want: SideCounts{
-			Minibatches: cfg.Workers * cfg.MaxMinibatches,
-			Pushes:      cfg.Workers * params.CompleteWaves(cfg.MaxMinibatches),
-			Pulls:       cfg.Workers * params.GatedPulls(cfg.MaxMinibatches),
-		},
-		DBound:              cfg.D + 1,
-		Tolerance:           tol,
-		Crashes:             live.Crashes,
-		Recoveries:          live.Recoveries,
-		ReplayedMinibatches: live.ReplayedMinibatches,
-	}
-	if len(sim.FinalWeights) != len(live.FinalWeights) {
-		return nil, fmt.Errorf("cluster: weight dimensions diverge: %d vs %d", len(sim.FinalWeights), len(live.FinalWeights))
-	}
-	for i := range sim.FinalWeights {
-		if d := math.Abs(sim.FinalWeights[i] - live.FinalWeights[i]); d > report.MaxWeightDiff {
-			report.MaxWeightDiff = d
-		}
-	}
-	return report, nil
+	return sim, live, nil
 }

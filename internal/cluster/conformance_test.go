@@ -2,18 +2,17 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"hetpipe/internal/train"
 )
 
-// TestSimLiveConformance is the differential acceptance suite: the same
-// (task, N, Nm, D) configuration runs through the discrete-event simulator
-// and the live sharded-PS runtime, and the two must agree on every protocol
-// count, respect the D-bound, and land on the same weights within 1e-6 —
-// across worker counts, staleness settings, shard counts, and one real-TCP
-// configuration.
-func TestSimLiveConformance(t *testing.T) {
+// conformanceGrid is the configurations the differential suites run: worker
+// counts, staleness settings, shard counts, hand-set heterogeneous timing, one
+// real-TCP configuration and the non-convex task.
+func conformanceGrid(t *testing.T) []conformanceCase {
+	t.Helper()
 	lt, err := train.DefaultTask(13)
 	if err != nil {
 		t.Fatal(err)
@@ -22,10 +21,7 @@ func TestSimLiveConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		cfg  ConformanceConfig
-	}{
+	return []conformanceCase{
 		{"N2_Nm1_D0", ConformanceConfig{
 			Task: lt, Workers: 2, SLocal: 0, D: 0, LR: 0.3,
 			MaxMinibatches: 24, Servers: 2,
@@ -51,7 +47,21 @@ func TestSimLiveConformance(t *testing.T) {
 			MaxMinibatches: 24, Servers: 2,
 		}},
 	}
-	for _, c := range cases {
+}
+
+type conformanceCase struct {
+	name string
+	cfg  ConformanceConfig
+}
+
+// TestSimLiveConformance is the differential acceptance suite: the same
+// (task, N, Nm, D) configuration runs through the discrete-event simulator
+// and the live sharded-PS runtime, and the two must agree on every protocol
+// count, respect the D-bound, and land on the same weights within 1e-6 —
+// across worker counts, staleness settings, shard counts, and one real-TCP
+// configuration.
+func TestSimLiveConformance(t *testing.T) {
+	for _, c := range conformanceGrid(t) {
 		t.Run(c.name, func(t *testing.T) {
 			report, err := RunConformance(context.Background(), c.cfg)
 			if err != nil {
@@ -67,5 +77,23 @@ func TestSimLiveConformance(t *testing.T) {
 				t.Logf("weight drift %g larger than round-off", report.MaxWeightDiff)
 			}
 		})
+	}
+}
+
+// TestNonFiniteWeightsNeverConform: a finite but absurd step size overflows
+// both backends to the same non-finite weights, which no per-coordinate
+// difference can show (NaN compares false with everything).
+func TestNonFiniteWeightsNeverConform(t *testing.T) {
+	report, err := RunConformance(context.Background(), ConformanceConfig{
+		Task: testTask(t), Workers: 2, SLocal: 1, D: 0, LR: math.MaxFloat64, MaxMinibatches: 12, Servers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.NonFinite == 0 {
+		t.Fatalf("the largest finite step left every weight finite\n%s", report)
+	}
+	if report.Err() == nil {
+		t.Errorf("non-finite weights reported as conforming:\n%s", report)
 	}
 }

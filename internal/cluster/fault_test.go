@@ -87,6 +87,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		t.Fatal("recovery replayed nothing — the crash never cost any work?")
 	}
 	identicalWeights(t, "crash recovery", clean.FinalWeights, faulted.FinalWeights)
+	matchesReference(t, "crash recovery", cfg, faulted)
 	if clean.Minibatches != faulted.Minibatches || clean.Pushes != faulted.Pushes || clean.Pulls != faulted.Pulls {
 		t.Fatalf("logical counts diverge: clean %d/%d/%d, faulted %d/%d/%d",
 			clean.Minibatches, clean.Pushes, clean.Pulls,
@@ -237,6 +238,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	identicalWeights(t, "checkpoint resume", clean.FinalWeights, leg2.FinalWeights)
+	matchesReference(t, "checkpoint resume", resumed, leg2)
 	if leg2.GlobalClock != clean.GlobalClock {
 		t.Fatalf("resumed clock %d, uninterrupted %d", leg2.GlobalClock, clean.GlobalClock)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hetpipe/internal/obs"
 	"hetpipe/internal/ps"
+	"hetpipe/internal/train"
 )
 
 // TestWorkerKeepsBoundedWaveDeltas pins what a worker retains over a long
@@ -60,27 +61,28 @@ func TestWorkerKeepsBoundedWaveDeltas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fresh, err := train.NewWorker(task, id, cfg.params(), cfg.LR)
+		if err != nil {
+			t.Fatal(err)
+		}
 		env := &workerEnv{
 			cfg: cfg, id: id, space: space, sh: sh, emit: func(obs.Event) {},
-			faults: fp, rec: &workerRec{}, stallInject: func(int, float64) {},
+			faults: fp, rec: &workerRec{ckpt: fresh}, stallInject: func(int, float64) {},
 		}
 		captures, worst := 0, 0
 		env.notifyCkpt = func() { // runs on the worker's goroutine, right after each capture
 			captures++
-			worst = max(worst, len(env.rec.ckpt.deltas))
-			if len(env.rec.ckpt.pending) != cfg.SLocal+1 {
-				t.Errorf("worker %d: pending ring resized to %d", id, len(env.rec.ckpt.pending))
-			}
+			worst = max(worst, env.rec.ckpt.Retained())
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := env.run()
+			done, err := env.run()
 			switch {
 			case err != nil:
 				t.Errorf("worker %d: %v", id, err)
-			case st.Pushes != waves || captures != wantCaptures:
-				t.Errorf("worker %d: %d pushes, %d captures, want %d and %d", id, st.Pushes, captures, waves, wantCaptures)
+			case done.Waves() != waves || captures != wantCaptures:
+				t.Errorf("worker %d: %d pushes, %d captures, want %d and %d", id, done.Waves(), captures, waves, wantCaptures)
 			case worst > cfg.D+2:
 				t.Errorf("worker %d: a checkpoint held %d wave deltas, want at most D+2 = %d whatever the run length", id, worst, cfg.D+2)
 			}

@@ -63,20 +63,3 @@ func (s *shardSpace) SplitInto(v tensor.Vector, vecs []tensor.Vector) {
 		vecs[i] = v[s.ranges[i][0]:s.ranges[i][1]]
 	}
 }
-
-// Join assembles per-chunk slices back into a flat vector.
-func (s *shardSpace) Join(m map[string]tensor.Vector) (tensor.Vector, error) {
-	v := tensor.NewVector(s.dim)
-	for i, k := range s.keys {
-		chunk, ok := m[k]
-		if !ok {
-			return nil, fmt.Errorf("cluster: missing chunk %q", k)
-		}
-		lo, hi := s.ranges[i][0], s.ranges[i][1]
-		if len(chunk) != hi-lo {
-			return nil, fmt.Errorf("cluster: chunk %q length %d, want %d", k, len(chunk), hi-lo)
-		}
-		copy(v[lo:hi], chunk)
-	}
-	return v, nil
-}

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
-	"hetpipe/internal/allreduce"
 	"hetpipe/internal/hw"
+	"hetpipe/internal/profile"
 )
 
 // HorovodResult summarizes the all-reduce BSP baseline.
@@ -59,9 +59,9 @@ func (s *System) Horovod(gpus []*hw.GPU) (*HorovodResult, error) {
 	}
 	n := len(res.Workers)
 	res.ComputeTime = slowest
-	res.AllReduceTime = allreduce.Time(s.Model.ParamBytes(), n, s.Perf.IB)
+	res.AllReduceTime = ringAllReduceTime(s.Model.ParamBytes(), n, s.Perf.IB)
 	res.Throughput = float64(n*s.Batch) / (res.ComputeTime + res.AllReduceTime)
-	res.CrossNodeBytesPerWorker = allreduce.BusBandwidthVolume(s.Model.ParamBytes(), n) / 2
+	res.CrossNodeBytesPerWorker = busBandwidthVolume(s.Model.ParamBytes(), n) / 2
 	return res, nil
 }
 
@@ -80,4 +80,27 @@ func (s *System) HorovodPeriods(gpus []*hw.GPU) (periods []float64, allReduceTim
 		periods = append(periods, t)
 	}
 	return periods, hr.AllReduceTime, nil
+}
+
+// ringAllReduceTime predicts one bandwidth-optimal ring all-reduce (Patarasuk
+// & Yuan) of the given payload over n workers whose slowest interconnect is
+// described by link: 2(N-1) steps, each carrying bytes/N plus the per-step
+// latency. With one worker there is nothing to do.
+func ringAllReduceTime(bytes int64, n int, link profile.LinkModel) float64 {
+	if n <= 1 || bytes <= 0 {
+		return 0
+	}
+	perStep := link.Latency + float64(bytes)/float64(n)/link.EffectiveBPS()
+	return float64(2*(n-1)) * perStep
+}
+
+// busBandwidthVolume reports the per-worker bytes actually moved on the wire
+// for an all-reduce of the payload: 2(N-1)/N * bytes — the figure the paper
+// quotes when comparing Horovod's 515 MB against ED-local's 103 MB for
+// VGG-19.
+func busBandwidthVolume(bytes int64, n int) int64 {
+	if n <= 1 {
+		return 0
+	}
+	return 2 * int64(n-1) * bytes / int64(n)
 }

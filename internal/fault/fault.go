@@ -9,7 +9,7 @@
 // live runtime (internal/cluster) applies timing faults as wall-clock sleeps
 // and executes crashes for real — killing the worker goroutine and recovering
 // it from its last checkpoint. Because WSP's numeric trajectory is
-// deliberately timing-independent (see internal/train.RunWSP), a fault plan
+// timing-free by construction (train.Worker is the whole of it), a fault plan
 // degrades throughput and exercises recovery without ever changing the final
 // weights — the property the sim-vs-live conformance harness pins down.
 //

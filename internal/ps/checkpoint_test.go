@@ -48,7 +48,7 @@ func pushWaves(t *testing.T, servers []*Server, workers, from, to int) {
 					v := float64(1+i) * float64(1+j) * float64(1+w) * float64(1+wave)
 					updates[shardKey(i, j)] = tensor.Vector{v, 2 * v, 3 * v}
 				}
-				if _, err := s.Push(w, updates); err != nil {
+				if _, err := pushMap(s, w, updates); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -64,7 +64,7 @@ func allPulls(t *testing.T, servers []*Server, maxClock int) map[string][]tensor
 		for j := 0; j < 2; j++ {
 			key := shardKey(i, j)
 			for c := 0; c <= maxClock; c++ {
-				snap, err := s.PullAt([]string{key}, c)
+				snap, err := pullAtMap(s, []string{key}, c)
 				if err != nil {
 					t.Fatalf("PullAt(%s, %d): %v", key, c, err)
 				}
@@ -123,11 +123,11 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 		}
 		for j := 0; j < 2; j++ {
 			key := shardKey(i, j)
-			a, err := servers[i].PullAt([]string{key}, waves+2)
+			a, err := pullAtMap(servers[i], []string{key}, waves+2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := restored[i].PullAt([]string{key}, waves+2)
+			b, err := pullAtMap(restored[i], []string{key}, waves+2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestCheckpointTruncatesTornCapture(t *testing.T) {
 				v := float64(1+i) * float64(1+j) * float64(1+wave)
 				updates[shardKey(i, j)] = tensor.Vector{v, 2 * v, 3 * v}
 			}
-			if _, err := s.Push(0, updates); err != nil {
+			if _, err := pushMap(s, 0, updates); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,11 +186,11 @@ func TestCheckpointTruncatesTornCapture(t *testing.T) {
 	// The restored snapshot at the cut equals the original's clock-1 snapshot.
 	for i := range servers {
 		key := shardKey(i, 0)
-		want, err := servers[i].PullAt([]string{key}, 1)
+		want, err := pullAtMap(servers[i], []string{key}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored[i].PullAt([]string{key}, 1)
+		got, err := pullAtMap(restored[i], []string{key}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

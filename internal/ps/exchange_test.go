@@ -464,7 +464,7 @@ func TestRegisterAfterSnapshotLayoutFails(t *testing.T) {
 	if err := s.Register("b", []float64{3}); err != nil {
 		t.Fatal(err) // no snapshot yet: still allowed
 	}
-	if _, err := s.PullAt([]string{"b", "a"}, 0); err != nil {
+	if _, err := pullAtMap(s, []string{"b", "a"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Register("c", []float64{4}); err == nil || !strings.Contains(err.Error(), "layout") {
@@ -482,7 +482,7 @@ func TestRegisterAfterSnapshotLayoutFails(t *testing.T) {
 	if err := r.Register("c", []float64{4}); err == nil {
 		t.Fatal("Register on a server restored with snapshots succeeded")
 	}
-	got, err := r.PullAt([]string{"b", "a"}, 0)
+	got, err := pullAtMap(r, []string{"b", "a"}, 0)
 	if err != nil || got["a"][1] != 2 || got["b"][0] != 3 {
 		t.Fatalf("restored snapshot = %v, %v", got, err)
 	}

@@ -37,7 +37,6 @@ func FuzzServerFrame(f *testing.F) {
 	f.Add(waveFrame(nil, &SnapshotPull{Keys: []string{"w"}, Dst: []tensor.Vector{nil}}))
 	f.Add(waveFrame(push, pull))
 	f.Add(append(waveFrame(push, pull), waveFrame(nil, &SnapshotPull{Clock: 9, Keys: []string{"w"}, Dst: []tensor.Vector{nil}})...)) // blocks
-	f.Add(reframe([]byte{opPull, 0, 1, 0, 1, 'w'}))
 	for _, op := range []byte{opClock, opMeta, opDistance, 0, 99} {
 		f.Add(reframe([]byte{op}))
 	}

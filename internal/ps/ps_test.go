@@ -3,12 +3,57 @@ package ps
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"hetpipe/internal/tensor"
 )
+
+// The data plane takes parallel key and vector slices; most tests read better
+// with maps, so these wrap the ordered forms (keys go out sorted).
+
+type orderedPusher interface {
+	PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error)
+}
+
+type snapshotPuller interface {
+	PullAtInto(dst []tensor.Vector, keys []string, clock int) error
+}
+
+func unzip(updates map[string]tensor.Vector) (keys []string, vecs []tensor.Vector) {
+	for k := range updates {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		vecs = append(vecs, updates[k])
+	}
+	return keys, vecs
+}
+
+func pushMap(p orderedPusher, w int, updates map[string]tensor.Vector) (int, error) {
+	keys, vecs := unzip(updates)
+	return p.PushOrdered(w, keys, vecs)
+}
+
+func shardedPushMap(sh *Sharded, w int, updates map[string]tensor.Vector) error {
+	keys, vecs := unzip(updates)
+	return sh.PushOrdered(w, keys, vecs)
+}
+
+func pullAtMap(p snapshotPuller, keys []string, clock int) (map[string]tensor.Vector, error) {
+	dst := make([]tensor.Vector, len(keys))
+	if err := p.PullAtInto(dst, keys, clock); err != nil {
+		return nil, err
+	}
+	out := make(map[string]tensor.Vector, len(keys))
+	for i, k := range keys {
+		out[k] = dst[i]
+	}
+	return out, nil
+}
 
 func TestServerRegisterAndPull(t *testing.T) {
 	s, err := NewServer(2)
@@ -21,11 +66,11 @@ func TestServerRegisterAndPull(t *testing.T) {
 	if err := s.Register("w1", []float64{0}); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	got, clock, err := s.Pull([]string{"w1"}, 0)
+	got, err := pullAtMap(s, []string{"w1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clock != 0 {
+	if clock := s.GlobalClock(); clock != 0 {
 		t.Errorf("clock = %d, want 0", clock)
 	}
 	if got["w1"][1] != 2 {
@@ -33,7 +78,7 @@ func TestServerRegisterAndPull(t *testing.T) {
 	}
 	// Pulled values are copies.
 	got["w1"][1] = 99
-	again, _, _ := s.Pull([]string{"w1"}, 0)
+	again, _ := pullAtMap(s, []string{"w1"}, 0)
 	if again["w1"][1] != 2 {
 		t.Error("pull returned aliased storage")
 	}
@@ -42,7 +87,7 @@ func TestServerRegisterAndPull(t *testing.T) {
 func TestServerPushAppliesUpdates(t *testing.T) {
 	s, _ := NewServer(2)
 	s.Register("w", []float64{10, 20})
-	clock, err := s.Push(0, map[string]tensor.Vector{"w": {1, -1}})
+	clock, err := pushMap(s, 0, map[string]tensor.Vector{"w": {1, -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +98,11 @@ func TestServerPushAppliesUpdates(t *testing.T) {
 	if g := s.GlobalClock(); g != 0 {
 		t.Errorf("global clock = %d, want 0", g)
 	}
-	s.Push(1, map[string]tensor.Vector{"w": {0.5, 0.5}})
+	pushMap(s, 1, map[string]tensor.Vector{"w": {0.5, 0.5}})
 	if g := s.GlobalClock(); g != 1 {
 		t.Errorf("global clock = %d, want 1", g)
 	}
-	got, _, _ := s.Pull([]string{"w"}, 1)
+	got, _ := pullAtMap(s, []string{"w"}, 1)
 	if got["w"][0] != 11.5 || got["w"][1] != 19.5 {
 		t.Errorf("weights = %v, want [11.5 19.5]", got["w"])
 	}
@@ -66,16 +111,16 @@ func TestServerPushAppliesUpdates(t *testing.T) {
 func TestServerPushErrors(t *testing.T) {
 	s, _ := NewServer(1)
 	s.Register("w", []float64{1})
-	if _, err := s.Push(5, nil); err == nil {
+	if _, err := pushMap(s, 5, nil); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
-	if _, err := s.Push(0, map[string]tensor.Vector{"nope": {1}}); err == nil {
+	if _, err := pushMap(s, 0, map[string]tensor.Vector{"nope": {1}}); err == nil {
 		t.Error("unregistered shard accepted")
 	}
-	if _, err := s.Push(0, map[string]tensor.Vector{"w": {1, 2}}); err == nil {
+	if _, err := pushMap(s, 0, map[string]tensor.Vector{"w": {1, 2}}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, _, err := s.Pull([]string{"nope"}, 0); err == nil {
+	if _, err := pullAtMap(s, []string{"nope"}, 0); err == nil {
 		t.Error("pull of unregistered shard accepted")
 	}
 }
@@ -83,26 +128,26 @@ func TestServerPushErrors(t *testing.T) {
 func TestServerBlockingPull(t *testing.T) {
 	s, _ := NewServer(2)
 	s.Register("w", []float64{0})
-	done := make(chan int, 1)
+	done := make(chan float64, 1)
 	go func() {
-		_, clock, err := s.Pull([]string{"w"}, 1)
+		got, err := pullAtMap(s, []string{"w"}, 1)
 		if err != nil {
 			done <- -1
 			return
 		}
-		done <- clock
+		done <- got["w"][0]
 	}()
 	select {
 	case <-done:
 		t.Fatal("pull returned before clock advanced")
 	case <-time.After(20 * time.Millisecond):
 	}
-	s.Push(0, map[string]tensor.Vector{"w": {1}})
-	s.Push(1, map[string]tensor.Vector{"w": {1}})
+	pushMap(s, 0, map[string]tensor.Vector{"w": {1}})
+	pushMap(s, 1, map[string]tensor.Vector{"w": {1}})
 	select {
-	case clock := <-done:
-		if clock < 1 {
-			t.Errorf("pull observed clock %d, want >= 1", clock)
+	case got := <-done:
+		if got != 2 {
+			t.Errorf("pull at clock 1 read %g, want both wave-0 updates (2)", got)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("pull never unblocked")
@@ -114,7 +159,7 @@ func TestServerCloseUnblocksPulls(t *testing.T) {
 	s.Register("w", []float64{0})
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := s.Pull([]string{"w"}, 5)
+		_, err := pullAtMap(s, []string{"w"}, 5)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -142,17 +187,17 @@ func TestConcurrentWorkersWSPTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for c := 0; c < waves; c++ {
-				if _, err := s.Push(w, map[string]tensor.Vector{"w": {1}}); err != nil {
+				if _, err := pushMap(s, w, map[string]tensor.Vector{"w": {1}}); err != nil {
 					t.Error(err)
 					return
 				}
-				// SSP-ish read: require the server to have everything
-				// through wave c-2 from everyone.
+				// A stale read: the snapshot holding everything through wave
+				// c-3 from everyone.
 				min := c - 2
 				if min < 0 {
 					min = 0
 				}
-				if _, _, err := s.Pull([]string{"w"}, min); err != nil {
+				if _, err := pullAtMap(s, []string{"w"}, min); err != nil {
 					t.Error(err)
 					return
 				}
@@ -160,11 +205,11 @@ func TestConcurrentWorkersWSPTraffic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got, clock, err := s.Pull([]string{"w"}, waves)
+	got, err := pullAtMap(s, []string{"w"}, waves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clock != waves {
+	if clock := s.GlobalClock(); clock != waves {
 		t.Errorf("final clock = %d, want %d", clock, waves)
 	}
 	if got["w"][0] != workers*waves {
@@ -228,24 +273,24 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	}
 	defer c1.Close()
 
-	if clock, err := c0.Push(0, map[string]tensor.Vector{"w": {1, 2}}); err != nil || clock != 1 {
+	if clock, err := pushMap(c0, 0, map[string]tensor.Vector{"w": {1, 2}}); err != nil || clock != 1 {
 		t.Fatalf("push: clock=%d err=%v", clock, err)
 	}
-	if clock, err := c1.Push(1, map[string]tensor.Vector{"w": {1, 2}}); err != nil || clock != 1 {
+	if clock, err := pushMap(c1, 1, map[string]tensor.Vector{"w": {1, 2}}); err != nil || clock != 1 {
 		t.Fatalf("push: clock=%d err=%v", clock, err)
 	}
-	weights, clock, err := c0.Pull([]string{"w"}, 1)
+	weights, err := pullAtMap(c0, []string{"w"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clock != 1 || weights["w"][0] != 3 || weights["w"][1] != 5 {
-		t.Errorf("pull = %v clock %d", weights, clock)
+	if weights["w"][0] != 3 || weights["w"][1] != 5 {
+		t.Errorf("pull = %v", weights)
 	}
 	if g, err := c1.GlobalClock(); err != nil || g != 1 {
 		t.Errorf("global clock = %d, %v", g, err)
 	}
 	// Server-side errors propagate as client errors.
-	if _, err := c0.Push(0, map[string]tensor.Vector{"missing": {1}}); err == nil {
+	if _, err := pushMap(c0, 0, map[string]tensor.Vector{"missing": {1}}); err == nil {
 		t.Error("push to missing shard should fail over TCP too")
 	}
 }
@@ -267,7 +312,7 @@ func TestTCPBlockingPullAcrossClients(t *testing.T) {
 	defer puller.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := puller.Pull([]string{"w"}, 1)
+		_, err := pullAtMap(puller, []string{"w"}, 1)
 		done <- err
 	}()
 
@@ -281,7 +326,7 @@ func TestTCPBlockingPullAcrossClients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Push(w, map[string]tensor.Vector{"w": {1}}); err != nil {
+		if _, err := pushMap(c, w, map[string]tensor.Vector{"w": {1}}); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()
@@ -324,14 +369,14 @@ func TestManyShardsAcrossPlacement(t *testing.T) {
 			perServer[srv][k] = tensor.Vector{1}
 		}
 		for i, updates := range perServer {
-			if _, err := srvs[i].Push(w, updates); err != nil {
+			if _, err := pushMap(srvs[i], w, updates); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for _, k := range keys {
 		srv, _ := pl.ServerOf(k)
-		got, _, err := srvs[srv].Pull([]string{k}, 1)
+		got, err := pullAtMap(srvs[srv], []string{k}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,11 +15,11 @@
 // push and the D-gated snapshot pull that follows it travel as one request
 // and one response per shard server (Server, Client and Sharded all have it;
 // Backend is what Sharded needs of the first two). PushOrdered and
-// PullAtInto are its half-empty cases; they and PullInto move weights
-// through caller-owned slices with no per-call map traffic, and the map
-// forms remain as conveniences for cold paths and tests. A server keeps one
-// flat vector per global-clock boundary and serves every snapshot pull —
-// fused or not, in process or over TCP — from it under its lock.
+// PullAtInto are its half-empty cases; all three move weights through
+// caller-owned slices with no per-call map traffic. A server keeps one flat
+// vector per global-clock boundary and serves every pull — fused or not, in
+// process or over TCP — from it under its lock; there is no read of the
+// "latest" weights, whose value would depend on push arrival order.
 //
 // The full clock-versioned state checkpoints and restores (checkpoint.go):
 // Capture truncates a set of shard servers to a consistent clock cut,
@@ -85,12 +85,12 @@ func (p *SnapshotPull) visit(i int, v tensor.Vector) {
 // Server is one parameter-server shard host: a set of named weight vectors
 // plus WSP clock state for its workers.
 //
-// Besides the latest weights (Pull), the server retains clock-versioned
-// snapshots: the weights as of each global-clock boundary c, defined as the
-// initial weights plus every wave-v update with v < c, regardless of push
-// arrival order. PullAt reads such a snapshot, which makes the value a pull
-// observes a deterministic function of the update schedule — the property
-// the sim-vs-live conformance harness (internal/cluster) relies on.
+// The server retains clock-versioned snapshots: the weights as of each
+// global-clock boundary c, defined as the initial weights plus every wave-v
+// update with v < c, regardless of push arrival order. A pull reads such a
+// snapshot, which makes the value it observes a deterministic function of the
+// update schedule — the property the sim-vs-live conformance harness
+// (internal/cluster) relies on.
 // Materialized snapshots are retained for the whole run (one flat weight
 // copy per clock boundary; per-wave deltas are freed once folded), since the
 // server cannot know which old boundary a lagging worker may still demand;
@@ -304,8 +304,8 @@ func (s *Server) takeBacking(n int) tensor.Vector {
 // overlapping the apply with the acknowledgment's network transit. That
 // reordering is invisible to every reader: requests on the same connection
 // are handled after the commit, and readers on other connections are
-// clock-gated (Pull and snapshot pulls block until the commit advances the
-// clock), so nothing can observe the acknowledged-but-uncommitted window. A
+// clock-gated (snapshot pulls block until the commit advances the clock), so
+// nothing can observe the acknowledged-but-uncommitted window. A
 // frame that also pulls cannot be answered early — its answer is the
 // snapshot — so exchange commits first and there is no window at all.
 //
@@ -413,34 +413,6 @@ func (s *Server) internPushKeys(keys []string) error {
 	return nil
 }
 
-// unzip and zip convert between the map forms the convenience methods take
-// and return and the parallel slices the data plane runs on.
-func unzip(updates map[string]tensor.Vector) (keys []string, vecs []tensor.Vector) {
-	keys = make([]string, 0, len(updates))
-	vecs = make([]tensor.Vector, 0, len(updates))
-	for k, v := range updates {
-		keys = append(keys, k)
-		vecs = append(vecs, v)
-	}
-	return keys, vecs
-}
-
-func zip(keys []string, vecs []tensor.Vector) map[string]tensor.Vector {
-	out := make(map[string]tensor.Vector, len(keys))
-	for i, k := range keys {
-		out[k] = vecs[i]
-	}
-	return out
-}
-
-// Push applies worker w's aggregated wave update given as a map. Map-form
-// convenience over PushOrdered; the ordered form avoids the per-call
-// conversion.
-func (s *Server) Push(w int, updates map[string]tensor.Vector) (int, error) {
-	keys, vecs := unzip(updates)
-	return s.PushOrdered(w, keys, vecs)
-}
-
 func (s *Server) distanceLocked() int {
 	min, max := s.clocks[0], s.clocks[0]
 	for _, c := range s.clocks[1:] {
@@ -480,89 +452,16 @@ func (s *Server) globalLocked() int {
 	return min
 }
 
-// PullInto copies the requested shards into dst (dst[i] receives keys[i],
-// reusing dst[i]'s storage when its length already matches) once the global
-// clock has reached minClock, blocking as needed. A minClock of zero never
-// blocks. It returns the global clock observed at read time.
-func (s *Server) PullInto(dst []tensor.Vector, keys []string, minClock int) (int, error) {
-	if len(dst) != len(keys) {
-		return 0, fmt.Errorf("ps: %d destinations for %d keys", len(dst), len(keys))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.globalLocked() < minClock && !s.closed {
-		s.cond.Wait()
-	}
-	if s.closed {
-		return 0, errClosed
-	}
-	for i, key := range keys {
-		shard, ok := s.shards[key]
-		if !ok {
-			return 0, errUnregisteredPull(key)
-		}
-		if len(dst[i]) != len(shard) {
-			dst[i] = make(tensor.Vector, len(shard))
-		}
-		copy(dst[i], shard)
-	}
-	s.pulls++
-	return s.globalLocked(), nil
-}
-
-// Pull returns copies of the requested shards once the global clock has
-// reached minClock, blocking as needed. Map-form convenience over PullInto.
-func (s *Server) Pull(keys []string, minClock int) (map[string]tensor.Vector, int, error) {
-	dst := make([]tensor.Vector, len(keys))
-	clock, err := s.PullInto(dst, keys, minClock)
-	if err != nil {
-		return nil, 0, err
-	}
-	return zip(keys, dst), clock, nil
-}
-
 // PullAtInto copies the requested shards as of global-clock boundary
-// `clock` into dst, blocking until the global clock reaches `clock`:
-// Exchange with no push section. Unlike PullInto, the result is independent
-// of push arrival order: the deterministic read the WSP staleness analysis
-// reasons about, and the one the live training runtime uses so its
-// trajectory matches the simulator's.
+// `clock` into dst (dst[i] receives keys[i], reusing dst[i]'s storage when its
+// length already matches), blocking until the global clock reaches `clock`:
+// Exchange with no push section. The result is independent of push arrival
+// order: the deterministic read the WSP staleness analysis reasons about, and
+// the one the live training runtime uses so its trajectory matches the
+// simulator's.
 func (s *Server) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
 	_, err := s.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
 	return err
-}
-
-// PullAt returns copies of the requested shards as of global-clock boundary
-// `clock`. Map-form convenience over PullAtInto.
-func (s *Server) PullAt(keys []string, clock int) (map[string]tensor.Vector, error) {
-	dst := make([]tensor.Vector, len(keys))
-	if err := s.PullAtInto(dst, keys, clock); err != nil {
-		return nil, err
-	}
-	return zip(keys, dst), nil
-}
-
-// pullView is PullInto without the copy: once the global clock has reached
-// minClock it visits the requested shards in key order, under the server
-// lock, and returns the observed global clock.
-func (s *Server) pullView(keys []string, minClock int, sink vecSink) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.globalLocked() < minClock && !s.closed {
-		s.cond.Wait()
-	}
-	if s.closed {
-		return 0, errClosed
-	}
-	for i, key := range keys {
-		shard, ok := s.shards[key]
-		if !ok {
-			return 0, errUnregisteredPull(key)
-		}
-		sink.visit(i, shard)
-	}
-	s.pulls++
-	return s.globalLocked(), nil
 }
 
 // fixLayoutLocked fixes the flat snapshot layout: every registered shard

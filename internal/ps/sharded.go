@@ -46,7 +46,6 @@ type Sharded struct {
 // it natively over TCP; AdaptServer wraps an in-process *Server.
 type Backend interface {
 	Exchange(push *Push, pull *SnapshotPull) (int, error)
-	PullInto(dst []tensor.Vector, keys []string, minClock int) (int, error)
 	GlobalClock() (int, error)
 	Meta() (Meta, error)
 	MaxClockDistance() (int, error)
@@ -57,9 +56,6 @@ type serverBackend struct{ s *Server }
 
 func (b serverBackend) Exchange(push *Push, pull *SnapshotPull) (int, error) {
 	return b.s.Exchange(push, pull)
-}
-func (b serverBackend) PullInto(dst []tensor.Vector, keys []string, mc int) (int, error) {
-	return b.s.PullInto(dst, keys, mc)
 }
 func (b serverBackend) GlobalClock() (int, error)      { return b.s.GlobalClock(), nil }
 func (b serverBackend) Meta() (Meta, error)            { return b.s.Meta() }
@@ -320,81 +316,12 @@ func (s *Sharded) PushOrdered(worker int, keys []string, vecs []tensor.Vector) e
 	return s.Exchange(&Push{Worker: worker, Keys: keys, Vecs: vecs}, nil)
 }
 
-// Push splits the update map by placement and pushes each slice to its
-// server. Map-form convenience over PushOrdered.
-func (s *Sharded) Push(worker int, updates map[string]tensor.Vector) error {
-	keys, vecs := unzip(updates)
-	return s.PushOrdered(worker, keys, vecs)
-}
-
-// PullInto gathers the requested keys from their servers in turn, each
-// involved server blocking until its global clock reaches minClock, filling
-// dst[i] with keys[i]'s weights (reusing dst[i]'s storage when its length
-// matches). It returns the minimum clock across ALL shard servers —
-// including ones that hold none of the keys — so successive pulls never
-// observe a clock regression. An empty key set degenerates to a GlobalClock
-// query.
-func (s *Sharded) PullInto(dst []tensor.Vector, keys []string, minClock int) (int, error) {
-	if len(dst) != len(keys) {
-		return 0, fmt.Errorf("ps: %d destinations for %d keys", len(dst), len(keys))
-	}
-	pt := s.acquire()
-	defer s.scratch.Put(pt)
-	for i, key := range keys {
-		srv, err := s.placement.ServerOf(key)
-		if err != nil {
-			return 0, err
-		}
-		pt.addPull(srv, i, key, dst[i])
-	}
-	clock := -1
-	for i, b := range s.backends {
-		var c int
-		var err error
-		if q := &pt.pull[i]; len(q.Keys) > 0 {
-			c, err = b.PullInto(q.Dst, q.Keys, minClock)
-		} else {
-			// Not involved in the transfer, but its clock still bounds the
-			// global clock the caller observes.
-			c, err = b.GlobalClock()
-		}
-		if err != nil {
-			return 0, fmt.Errorf("ps: shard server %d: %w", i, err)
-		}
-		if clock < 0 || c < clock {
-			clock = c
-		}
-	}
-	pt.writeBack(dst)
-	return clock, nil
-}
-
-// Pull gathers the requested keys as a merged map. Map-form convenience
-// over PullInto.
-func (s *Sharded) Pull(keys []string, minClock int) (map[string]tensor.Vector, int, error) {
-	dst := make([]tensor.Vector, len(keys))
-	clock, err := s.PullInto(dst, keys, minClock)
-	if err != nil {
-		return nil, 0, err
-	}
-	return zip(keys, dst), clock, nil
-}
-
 // PullAtInto gathers the clock-versioned snapshot of the requested keys,
 // each involved server blocking until its global clock reaches `clock`,
-// filling dst like PullInto: Exchange with no push section.
+// filling dst[i] with keys[i]'s weights (reusing dst[i]'s storage when its
+// length matches): Exchange with no push section.
 func (s *Sharded) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
 	return s.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
-}
-
-// PullAt gathers the clock-versioned snapshot of the requested keys as a
-// merged map. Map-form convenience over PullAtInto.
-func (s *Sharded) PullAt(keys []string, clock int) (map[string]tensor.Vector, error) {
-	dst := make([]tensor.Vector, len(keys))
-	if err := s.PullAtInto(dst, keys, clock); err != nil {
-		return nil, err
-	}
-	return zip(keys, dst), nil
 }
 
 // GlobalClock reports the minimum clock across all shard servers.

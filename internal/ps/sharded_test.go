@@ -43,14 +43,14 @@ func TestShardedPushPullRoundTrip(t *testing.T) {
 	for i, k := range keys {
 		updates[k] = tensor.Vector{float64(i), 1}
 	}
-	if err := sh.Push(0, updates); err != nil {
+	if err := shardedPushMap(sh, 0, updates); err != nil {
 		t.Fatal(err)
 	}
-	got, clock, err := sh.Pull(keys, 1)
+	got, err := pullAtMap(sh, keys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clock != 1 {
+	if clock, _ := sh.GlobalClock(); clock != 1 {
 		t.Errorf("clock = %d, want 1", clock)
 	}
 	for i, k := range keys {
@@ -67,13 +67,13 @@ func TestShardedClockIsMinAcrossServers(t *testing.T) {
 	for _, k := range keys {
 		updates[k] = tensor.Vector{1, 1}
 	}
-	if err := sh.Push(0, updates); err != nil {
+	if err := shardedPushMap(sh, 0, updates); err != nil {
 		t.Fatal(err)
 	}
 	if c, _ := sh.GlobalClock(); c != 0 {
 		t.Errorf("global clock = %d, want 0 (worker 1 lags)", c)
 	}
-	if err := sh.Push(1, updates); err != nil {
+	if err := shardedPushMap(sh, 1, updates); err != nil {
 		t.Fatal(err)
 	}
 	if c, _ := sh.GlobalClock(); c != 1 {
@@ -90,7 +90,7 @@ func TestShardedPartialKeyPush(t *testing.T) {
 	// Pushing only stage0 still ticks both servers' clocks for the worker,
 	// so the WSP global clock stays well defined.
 	sh, servers, _ := shardedFixture(t, 1)
-	if err := sh.Push(0, map[string]tensor.Vector{"stage0": {1, 1}}); err != nil {
+	if err := shardedPushMap(sh, 0, map[string]tensor.Vector{"stage0": {1, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range servers {
@@ -109,10 +109,10 @@ func TestShardedValidation(t *testing.T) {
 		t.Error("backend count mismatch accepted")
 	}
 	sh, _, _ := shardedFixture(t, 1)
-	if err := sh.Push(0, map[string]tensor.Vector{"unknown": {1}}); err == nil {
+	if err := shardedPushMap(sh, 0, map[string]tensor.Vector{"unknown": {1}}); err == nil {
 		t.Error("unplaced key accepted on push")
 	}
-	if _, _, err := sh.Pull([]string{"unknown"}, 0); err == nil {
+	if _, err := pullAtMap(sh, []string{"unknown"}, 0); err == nil {
 		t.Error("unplaced key accepted on pull")
 	}
 }
@@ -128,7 +128,7 @@ func TestShardedPushFailureLeavesClocksUnchanged(t *testing.T) {
 		{"stage0": {1, 1, 1}},                   // length mismatch on the first key
 	}
 	for i, updates := range bad {
-		if err := sh.Push(0, updates); err == nil {
+		if err := shardedPushMap(sh, 0, updates); err == nil {
 			t.Fatalf("bad push %d accepted", i)
 		}
 		for srv, s := range servers {
@@ -141,50 +141,15 @@ func TestShardedPushFailureLeavesClocksUnchanged(t *testing.T) {
 			}
 		}
 	}
-	if err := sh.Push(-1, map[string]tensor.Vector{keys[0]: {1, 1}}); err == nil {
+	if err := shardedPushMap(sh, -1, map[string]tensor.Vector{keys[0]: {1, 1}}); err == nil {
 		t.Error("negative worker accepted")
 	}
-	if err := sh.Push(2, map[string]tensor.Vector{keys[0]: {1, 1}}); err == nil {
+	if err := shardedPushMap(sh, 2, map[string]tensor.Vector{keys[0]: {1, 1}}); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
 	// A valid push still works after the rejections.
-	if err := sh.Push(0, map[string]tensor.Vector{keys[0]: {1, 1}}); err != nil {
+	if err := shardedPushMap(sh, 0, map[string]tensor.Vector{keys[0]: {1, 1}}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShardedPullClockNeverRegresses(t *testing.T) {
-	sh, _, keys := shardedFixture(t, 1)
-	updates := map[string]tensor.Vector{}
-	for _, k := range keys {
-		updates[k] = tensor.Vector{1, 1}
-	}
-	if err := sh.Push(0, updates); err != nil {
-		t.Fatal(err)
-	}
-	// Empty key set degenerates to a global-clock query, not clock 0.
-	_, clock, err := sh.Pull(nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clock != 1 {
-		t.Errorf("empty pull clock = %d, want 1 (global clock)", clock)
-	}
-	// A pull touching a single server still reports the min over ALL shard
-	// servers, so it can never exceed what a later full pull observes.
-	full, fullClock, err := sh.Pull(keys, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, subClock, err := sh.Pull(keys[:1], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if subClock > fullClock {
-		t.Errorf("subset pull clock %d exceeds full pull clock %d", subClock, fullClock)
-	}
-	if len(full) != len(keys) {
-		t.Errorf("full pull returned %d keys, want %d", len(full), len(keys))
 	}
 }
 
@@ -196,7 +161,7 @@ func TestShardedPullAtReturnsClockSnapshot(t *testing.T) {
 		for _, k := range keys {
 			updates[k] = tensor.Vector{val, val}
 		}
-		if err := sh.Push(w, updates); err != nil {
+		if err := shardedPushMap(sh, w, updates); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,8 +169,8 @@ func TestShardedPullAtReturnsClockSnapshot(t *testing.T) {
 	push(1, 2) // worker 1, wave 0 -> global clock 1
 	push(0, 4) // worker 0, wave 1 (ahead of the clock)
 	// Snapshot at clock 1 contains exactly the wave-0 updates, even though a
-	// wave-1 push has already been applied to the latest weights.
-	snap, err := sh.PullAt(keys, 1)
+	// wave-1 push has already arrived.
+	snap, err := pullAtMap(sh, keys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,23 +180,13 @@ func TestShardedPullAtReturnsClockSnapshot(t *testing.T) {
 		}
 	}
 	// Snapshot at clock 0 is the initial weights.
-	snap0, err := sh.PullAt(keys, 0)
+	snap0, err := pullAtMap(sh, keys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
 		if snap0[k][0] != 0 {
 			t.Errorf("snapshot at clock 0, shard %s = %v, want 0", k, snap0[k])
-		}
-	}
-	// The latest weights include everything pushed so far.
-	latest, _, err := sh.Pull(keys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if latest[k][0] != 7 {
-			t.Errorf("latest shard %s = %v, want 7", k, latest[k])
 		}
 	}
 	if d, _ := sh.MaxClockDistance(); d != 1 {
@@ -243,7 +198,7 @@ func TestShardedPullAtBlocksUntilClock(t *testing.T) {
 	sh, _, keys := shardedFixture(t, 2)
 	done := make(chan map[string]tensor.Vector, 1)
 	go func() {
-		snap, err := sh.PullAt(keys, 1)
+		snap, err := pullAtMap(sh, keys, 1)
 		if err != nil {
 			t.Error(err)
 		}
@@ -253,7 +208,7 @@ func TestShardedPullAtBlocksUntilClock(t *testing.T) {
 	for _, k := range keys {
 		updates[k] = tensor.Vector{1, 1}
 	}
-	if err := sh.Push(0, updates); err != nil {
+	if err := shardedPushMap(sh, 0, updates); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -261,7 +216,7 @@ func TestShardedPullAtBlocksUntilClock(t *testing.T) {
 		t.Fatal("PullAt(clock=1) returned before every worker pushed wave 0")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if err := sh.Push(1, updates); err != nil {
+	if err := shardedPushMap(sh, 1, updates); err != nil {
 		t.Fatal(err)
 	}
 	snap := <-done
@@ -286,7 +241,7 @@ func TestShardedConcurrentWorkers(t *testing.T) {
 				for _, k := range keys {
 					updates[k] = tensor.Vector{1, 0}
 				}
-				if err := sh.Push(w, updates); err != nil {
+				if err := shardedPushMap(sh, w, updates); err != nil {
 					t.Error(err)
 					return
 				}
@@ -294,11 +249,11 @@ func TestShardedConcurrentWorkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got, clock, err := sh.Pull(keys, waves)
+	got, err := pullAtMap(sh, keys, waves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clock != waves {
+	if clock, _ := sh.GlobalClock(); clock != waves {
 		t.Errorf("clock = %d, want %d", clock, waves)
 	}
 	for _, k := range keys {

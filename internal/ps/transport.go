@@ -163,8 +163,6 @@ func (c *serverConn) handle() bool {
 	switch op {
 	case opWave:
 		return c.handleWave()
-	case opPull:
-		return c.handlePull()
 	case opClock:
 		c.enc.begin()
 		c.enc.u8(statusOK)
@@ -352,24 +350,6 @@ func growVec(v tensor.Vector, n int) tensor.Vector {
 //hetlint:hotpath
 func (c *serverConn) visit(_ int, v tensor.Vector) {
 	c.enc.vec(v)
-}
-
-func (c *serverConn) handlePull() bool {
-	minClock, err := c.dec.uvarint()
-	if err != nil {
-		return c.protoFail(err)
-	}
-	if err := c.decodeKeys(); err != nil {
-		return c.protoFail(err)
-	}
-	c.enc.begin()
-	c.enc.u8(statusOK)
-	clock, err := c.s.pullView(c.keys, int(minClock), c)
-	if err != nil {
-		return c.writeAppErr(err)
-	}
-	c.enc.uvarint(uint64(clock)) // clock trails the vectors; see wire.go
-	return c.writeFrame()
 }
 
 func (c *serverConn) handleMeta() bool {
@@ -680,31 +660,12 @@ func (c *Client) PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, e
 }
 
 // PullAtInto fetches the clock-versioned snapshot of the requested keys,
-// blocking server-side until the global clock reaches `clock`, filling dst
-// like PullInto: Exchange with no push section.
+// blocking server-side until the global clock reaches `clock`, filling dst[i]
+// with keys[i]'s weights (reusing dst[i]'s storage when its length already
+// matches): Exchange with no push section.
 func (c *Client) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
 	_, err := c.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
 	return err
-}
-
-// PullInto fetches the requested keys, blocking server-side until the global
-// clock reaches minClock, and fills dst[i] with keys[i]'s weights — reusing
-// dst[i]'s storage when its length already matches. It returns the observed
-// global clock.
-func (c *Client) PullInto(dst []tensor.Vector, keys []string, minClock int) (int, error) {
-	if len(dst) != len(keys) {
-		return 0, fmt.Errorf("ps: %d destinations for %d keys", len(dst), len(keys))
-	}
-	if err := c.begin(opPull); err != nil {
-		return 0, err
-	}
-	c.enc.uvarint(uint64(minClock))
-	c.encodeKeys(keys)
-	if err := c.roundTrip(); err != nil {
-		return 0, err
-	}
-	clock, err := c.decodeVectors(dst, true)
-	return clock, c.done(err)
 }
 
 // roundTrip is send followed by receive, for the operations nothing scatters.
@@ -713,35 +674,6 @@ func (c *Client) roundTrip() error {
 		return err
 	}
 	return c.receive()
-}
-
-// Push sends worker w's aggregated wave update as a map; it returns the
-// worker's new clock. Convenience form — the ordered form avoids the
-// per-call map traffic.
-func (c *Client) Push(w int, updates map[string]tensor.Vector) (int, error) {
-	keys, vecs := unzip(updates)
-	return c.PushOrdered(w, keys, vecs)
-}
-
-// Pull fetches shards as a map, blocking server-side until the global clock
-// reaches minClock.
-func (c *Client) Pull(keys []string, minClock int) (map[string]tensor.Vector, int, error) {
-	dst := make([]tensor.Vector, len(keys))
-	clock, err := c.PullInto(dst, keys, minClock)
-	if err != nil {
-		return nil, 0, err
-	}
-	return zip(keys, dst), clock, nil
-}
-
-// PullAt fetches the clock-versioned snapshot of the requested shards as a
-// map, blocking server-side until the global clock reaches `clock`.
-func (c *Client) PullAt(keys []string, clock int) (map[string]tensor.Vector, error) {
-	dst := make([]tensor.Vector, len(keys))
-	if err := c.PullAtInto(dst, keys, clock); err != nil {
-		return nil, err
-	}
-	return zip(keys, dst), nil
 }
 
 // GlobalClock queries the server's clock.

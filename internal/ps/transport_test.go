@@ -40,6 +40,9 @@ func serveFixture(t *testing.T, workers int) (*Server, string) {
 	return s, l.Addr().String()
 }
 
+// TestTCPCloseDuringBlockedPullReturnsServerClosed blocks the pull half of a
+// fused frame: the push commits, the gate (worker 1 never pushes) holds the
+// answer, and closing the server must release the client with an error.
 func TestTCPCloseDuringBlockedPullReturnsServerClosed(t *testing.T) {
 	s, addr := serveFixture(t, 2)
 	c, err := Dial(addr)
@@ -49,22 +52,33 @@ func TestTCPCloseDuringBlockedPullReturnsServerClosed(t *testing.T) {
 	defer c.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Pull([]string{"w"}, 5)
+		_, err := c.Exchange(
+			&Push{Worker: 0, Keys: []string{"w"}, Vecs: []tensor.Vector{{1, 1}}},
+			&SnapshotPull{Clock: 1, Keys: []string{"w"}, Dst: []tensor.Vector{nil}})
 		done <- err
 	}()
+	// Commit before gate: the push lands although the answer cannot.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if pushes, _ := s.Stats(); pushes == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the fused frame's push never committed")
+		}
+	}
 	select {
 	case err := <-done:
-		t.Fatalf("pull returned early: %v", err)
+		t.Fatalf("fused exchange returned before its clock: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	s.Close()
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "server closed") {
-			t.Fatalf("blocked pull error = %v, want server closed", err)
+			t.Fatalf("blocked exchange error = %v, want server closed", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("blocked pull never unblocked after Close")
+		t.Fatal("blocked exchange never unblocked after Close")
 	}
 }
 
@@ -77,7 +91,7 @@ func TestTCPCloseDuringBlockedPullAtReturnsServerClosed(t *testing.T) {
 	defer c.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.PullAt([]string{"w"}, 3)
+		_, err := pullAtMap(c, []string{"w"}, 3)
 		done <- err
 	}()
 	select {
@@ -118,7 +132,7 @@ func TestTCPGarbageRequestDropsOnlyThatConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	if _, err := good.Push(0, map[string]tensor.Vector{"w": {1, 1}}); err != nil {
+	if _, err := pushMap(good, 0, map[string]tensor.Vector{"w": {1, 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +248,7 @@ func TestTCPConcurrentPushersAndPullers(t *testing.T) {
 			}
 			defer c.Close()
 			for v := 0; v < waves; v++ {
-				if _, err := c.Push(w, map[string]tensor.Vector{"w": {1, 1}}); err != nil {
+				if _, err := pushMap(c, w, map[string]tensor.Vector{"w": {1, 1}}); err != nil {
 					errs <- err
 					return
 				}
@@ -250,7 +264,7 @@ func TestTCPConcurrentPushersAndPullers(t *testing.T) {
 			}
 			defer c.Close()
 			for v := 1; v <= waves; v++ {
-				snap, err := c.PullAt([]string{"w"}, v)
+				snap, err := pullAtMap(c, []string{"w"}, v)
 				if err != nil {
 					errs <- err
 					return

@@ -25,7 +25,6 @@ import (
 //	opWave:     flags byte (wavePush | wavePull, at least one), then
 //	            if wavePush: uvarint worker, keyset, one vector per key
 //	            if wavePull: uvarint clock, keyset
-//	opPull:     uvarint minClock, keyset
 //	opClock, opMeta, opDistance: opcode only
 //
 // A wave request must end where its last section does; trailing bytes are a
@@ -39,8 +38,6 @@ import (
 //	            if wavePush: uvarint new worker clock — the clock trails so
 //	            the server can commit, wait and encode in one pass under its
 //	            lock
-//	opPull:     one vector per requested key (request order), then uvarint
-//	            observed clock — trailing for the same reason
 //	opClock, opDistance: uvarint clock
 //	opMeta:     uvarint workers, uvarint keys, then per key: string, uvarint dim
 //
@@ -77,11 +74,14 @@ const (
 // Request opcodes. The zero value is invalid on purpose: an all-zero frame
 // decodes to "unknown op", not a silent push.
 const (
-	opWave byte = iota + 1
-	opPull
-	opClock
-	opMeta
-	opDistance
+	opWave byte = 1
+	// 2 was opPull, the "latest weights once the clock reaches c" read. Its
+	// answer depended on which pushes had arrived, which WSP conformance
+	// forbids, and nothing issued it; a frame carrying it is answered like any
+	// unknown op. The other opcodes keep their numbers.
+	opClock    byte = 3
+	opMeta     byte = 4
+	opDistance byte = 5
 )
 
 // opWave section flags.

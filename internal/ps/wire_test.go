@@ -282,7 +282,7 @@ func TestClientSafeForConcurrentUse(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, _, err := c.Pull([]string{"w"}, 0); err != nil {
+					if _, err := pullAtMap(c, []string{"w"}, 0); err != nil {
 						errs <- err
 						return
 					}
@@ -326,8 +326,10 @@ func reframe(payload []byte) []byte {
 	return append([]byte(nil), e.finish()...)
 }
 
-// malformedWaveFrames are well-framed wave requests the decoder must refuse,
-// shared by the table test below and FuzzServerFrame's seed corpus.
+// malformedWaveFrames are well-framed requests the decoder must refuse — wave
+// frames whose inside is wrong, and the retired opPull (opcode 2), which is an
+// unknown op like any other — shared by the table test below and
+// FuzzServerFrame's seed corpus.
 func malformedWaveFrames() map[string][]byte {
 	push := &Push{Worker: 0, Keys: []string{"w"}, Vecs: []tensor.Vector{{1, 2}}}
 	pull := &SnapshotPull{Clock: 0, Keys: []string{"w"}, Dst: []tensor.Vector{nil}}
@@ -335,6 +337,7 @@ func malformedWaveFrames() map[string][]byte {
 	pushOnly := waveFrame(push, nil)[4:]
 	pullOnly := waveFrame(nil, pull)[4:]
 	return map[string][]byte{
+		"retired opPull":       reframe([]byte{2, 0, 1, 0, 1, 'w'}),
 		"no section":           reframe([]byte{opWave, 0}),
 		"unknown section flag": reframe(append([]byte{opWave, wavePush | wavePull | 4}, fused[2:]...)),
 		"flags byte missing":   reframe([]byte{opWave}),

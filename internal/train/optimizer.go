@@ -47,8 +47,8 @@ func NewMomentum(dim int, lr, beta float64) (*Momentum, error) {
 	if beta < 0 || beta >= 1 {
 		return nil, fmt.Errorf("train: momentum beta must be in [0,1), got %g", beta)
 	}
-	if lr <= 0 {
-		return nil, fmt.Errorf("train: learning rate must be positive")
+	if err := checkLR(lr); err != nil {
+		return nil, err
 	}
 	return &Momentum{LR: lr, Beta: beta, velocity: tensor.NewVector(dim)}, nil
 }

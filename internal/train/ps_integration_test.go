@@ -10,7 +10,7 @@ import (
 	"hetpipe/internal/wsp"
 )
 
-// TestWSPOverRealParameterServer replays the WSP update schedule through the
+// TestWSPOverRealParameterServer steps the WSP worker program against the
 // actual sharded parameter-server substrate (internal/ps) with real
 // gradients, and checks that the server-held global weights equal the sum of
 // every worker's wave updates — the wglobal += u~ semantics of Section 5 —
@@ -75,90 +75,66 @@ func TestWSPOverRealParameterServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	split := func(v tensor.Vector) map[string]tensor.Vector {
-		out := make(map[string]tensor.Vector, shards)
-		for i, k := range keys {
-			out[k] = v[ranges[i][0]:ranges[i][1]]
+	// split views v as one vector per key, in key order.
+	split := func(v tensor.Vector) []tensor.Vector {
+		out := make([]tensor.Vector, shards)
+		for i := range keys {
+			out[i] = v[ranges[i][0]:ranges[i][1]]
 		}
 		return out
 	}
-	join := func(m map[string]tensor.Vector) tensor.Vector {
-		v := tensor.NewVector(dim)
-		for i, k := range keys {
-			copy(v[ranges[i][0]:ranges[i][1]], m[k])
-		}
-		return v
-	}
 
-	// Each worker: pipelined local staleness, one aggregated push per wave
-	// through the sharded client, lazy pulls under the D bound.
-	type worker struct {
-		wlocal     tensor.Vector
-		waveAcc    tensor.Vector
-		inflight   []tensor.Vector
-		next       int
-		lastPulled int
-	}
-	ws := make([]*worker, workers)
+	// Each worker steps its Worker program: one sealed delta pushed per wave
+	// through the sharded client, gated pulls landing in its weights in place.
+	// The coordinator says who may start, so no pull ever blocks. (The loop
+	// never drains, so the last wave stays unpushed: every worker pushes
+	// waves-1.)
+	ws := make([]*Worker, workers)
 	for i := range ws {
-		ws[i] = &worker{wlocal: lt.InitWeights(), waveAcc: tensor.NewVector(dim), next: 1}
+		if ws[i], err = NewWorker(lt, i, params, lr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	grad := tensor.NewVector(dim)
-	var totalPushed tensor.Vector = tensor.NewVector(dim)
-
+	totalPushed := tensor.NewVector(dim)
 	maxMB := waves * waveSize
 	for done := false; !done; {
 		done = true
 		for wi, w := range ws {
-			if w.next > maxMB {
-				continue
-			}
-			if !coord.CanStart(wi, w.next) {
+			if w.Next() > maxMB || !coord.CanStart(wi, w.Next()) {
 				continue
 			}
 			done = false
-			coord.Start(wi, w.next)
-			w.inflight = append(w.inflight, w.wlocal.Clone())
-			mb := w.next
-			w.next++
-			if len(w.inflight) <= slocal {
-				continue
-			}
-			snap := w.inflight[0]
-			w.inflight = w.inflight[1:]
-			lt.Grad(snap, MinibatchIndex(wi, mb-slocal, workers), grad)
-			w.wlocal.AXPY(-lr, grad)
-			w.waveAcc.AXPY(-lr, grad)
-			if params.IsWaveEnd(mb - slocal) {
-				if err := sh.Push(wi, split(w.waveAcc)); err != nil {
+			coord.Start(wi, w.Next())
+			if req := w.PullClock(); req > 0 {
+				if err := sh.PullAtInto(split(w.Weights()), keys, req); err != nil {
 					t.Fatal(err)
 				}
-				totalPushed.AddInPlace(w.waveAcc)
-				w.waveAcc = tensor.NewVector(dim)
-				coord.Push(wi)
-				wave := params.Wave(mb - slocal)
-				if req := wave - d; req > w.lastPulled {
-					weights, clock, err := sh.Pull(keys, req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					w.lastPulled = clock
-					w.wlocal = join(weights)
+				w.Pulled(req)
+			}
+			if mb := w.Inject(); mb > 0 && params.IsWaveEnd(mb) {
+				delta := w.Delta(params.Wave(mb))
+				if err := sh.PushOrdered(wi, keys, split(delta)); err != nil {
+					t.Fatal(err)
 				}
+				totalPushed.AddInPlace(delta)
+				coord.Push(wi)
 			}
 		}
 	}
 
 	// The server-held weights are exactly the sum of pushed wave updates
 	// (w0 = 0 for this task).
-	final, clock, err := sh.Pull(keys, 0)
+	clock, err := sh.GlobalClock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clock < waves-d-1 {
 		t.Errorf("final global clock %d, want >= %d", clock, waves-d-1)
 	}
-	joined := join(final)
+	joined := tensor.NewVector(dim)
+	if err := sh.PullAtInto(split(joined), keys, clock); err != nil {
+		t.Fatal(err)
+	}
 	for i := range joined {
 		if math.Abs(joined[i]-totalPushed[i]) > 1e-9 {
 			t.Fatalf("server weights diverge from pushed sum at %d: %g vs %g", i, joined[i], totalPushed[i])

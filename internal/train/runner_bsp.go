@@ -41,13 +41,14 @@ type BSPConfig struct {
 }
 
 func (c *BSPConfig) validate() error {
+	if err := checkLR(c.LR); err != nil {
+		return err
+	}
 	switch {
 	case c.Task == nil:
 		return fmt.Errorf("train: nil task")
 	case len(c.Periods) < 1:
 		return fmt.Errorf("train: need at least one worker")
-	case c.LR <= 0:
-		return fmt.Errorf("train: learning rate must be positive")
 	case c.MaxIterations < 1:
 		return fmt.Errorf("train: zero iteration budget")
 	case c.EvalEvery < 1:
@@ -159,6 +160,9 @@ type SSPConfig struct {
 // local copy on every iteration; a worker blocks when it would exceed the
 // staleness bound over the slowest worker.
 func RunSSP(cfg SSPConfig) (*RunStats, error) {
+	if err := checkLR(cfg.LR); err != nil {
+		return nil, err
+	}
 	switch {
 	case cfg.Task == nil:
 		return nil, fmt.Errorf("train: nil task")
@@ -166,8 +170,6 @@ func RunSSP(cfg SSPConfig) (*RunStats, error) {
 		return nil, fmt.Errorf("train: need at least one worker")
 	case cfg.Staleness < 0:
 		return nil, fmt.Errorf("train: negative staleness")
-	case cfg.LR <= 0:
-		return nil, fmt.Errorf("train: learning rate must be positive")
 	case cfg.MaxIterations < 1:
 		return nil, fmt.Errorf("train: zero iteration budget")
 	case cfg.EvalEvery < 1:

@@ -49,14 +49,6 @@ type WSPConfig struct {
 
 func (c *WSPConfig) validate() error {
 	switch {
-	case c.Task == nil:
-		return fmt.Errorf("train: nil task")
-	case c.Workers < 1:
-		return fmt.Errorf("train: need at least one worker")
-	case c.SLocal < 0 || c.D < 0:
-		return fmt.Errorf("train: negative staleness parameters")
-	case c.LR <= 0:
-		return fmt.Errorf("train: learning rate must be positive")
 	case len(c.Periods) != c.Workers:
 		return fmt.Errorf("train: %d periods for %d workers", len(c.Periods), c.Workers)
 	case c.MaxMinibatches < 1:
@@ -103,6 +95,10 @@ type RunStats struct {
 	FinalWeights tensor.Vector
 	// MaxClockDistance is the largest observed clock skew between workers.
 	MaxClockDistance int
+	// MaxStaleness is the largest number of a peer's updates any minibatch's
+	// weights were missing (Worker.MaxStaleness over the workers); WSP bounds
+	// it by wsp.Params.SGlobal. Zero for the BSP and SSP baselines.
+	MaxStaleness int
 }
 
 // snapshot is an in-flight minibatch's timing: its scheduled completion.
@@ -111,62 +107,18 @@ type snapshot struct {
 	complete float64
 }
 
-// pendingMB is an injected-but-not-retired minibatch's numeric state: the
-// weights it was injected with. The numeric pipeline retires minibatches at
-// a fixed logical lag of Nm (retiring r when r+Nm-1 is injected), so the
-// weights minibatch m trains with reflect local updates through exactly
-// m-Nm — the paper's slocal staleness window — independent of timing.
-type pendingMB struct {
-	mb      int
-	weights tensor.Vector
-}
-
-// wspWorker is one virtual worker's live state.
-type wspWorker struct {
-	id      int
-	wlocal  tensor.Vector
-	waveAcc tensor.Vector
-	grad    tensor.Vector
-	// inflight tracks timing (completion events); pending tracks numerics
-	// (the logical depth-Nm weight window). They pop at different moments:
-	// inflight at completion events, pending at the fixed logical lag.
+// simWorker is one virtual worker in the co-simulation: its numeric program
+// and the timing state the event loop keeps around it.
+type simWorker struct {
+	id  int
+	num *Worker
+	// inflight holds the completion events still to come, oldest first.
 	inflight []snapshot
-	pending  []pendingMB
-	// waveDeltas[v] is this worker's aggregated update of wave v, recorded
-	// at the numeric retirement of the wave's last minibatch. It feeds the
-	// global-weight fold at the wave-end completion event, the clock-c
-	// prefix snapshots pulls read, and the own-update add-back after pulls.
-	waveDeltas []tensor.Vector
-	// lastPulled is the snapshot clock the worker last incorporated; pulls
-	// are lazy — they happen only when the D-bound demands (which is why
-	// larger D reduces synchronization traffic, Section 8.4). Only the
-	// clock the gate actually required (and the worker has provably seen)
-	// is credited, never the coordinator's instantaneous clock, which can
-	// run ahead of what has arrived at simulated time now.
-	lastPulled int
-	// nextInject is the next 1-based minibatch to inject.
-	nextInject int
 	// lastScheduled is the completion time of the most recently scheduled
 	// minibatch (sequencing successive completions one period apart).
 	lastScheduled float64
-	lastComplete  float64
 	slotFreeAt    float64
 	rng           *rand.Rand
-	done          bool
-	// free recycles retired pendingMB weight vectors, so the steady-state
-	// inject/retire loop stops allocating one dim-sized copy per minibatch.
-	free []tensor.Vector
-}
-
-// getWeights returns a recycled (or fresh) vector holding a copy of src.
-func (w *wspWorker) getWeights(src tensor.Vector) tensor.Vector {
-	if n := len(w.free); n > 0 {
-		v := w.free[n-1]
-		w.free = w.free[:n-1]
-		copy(v, src)
-		return v
-	}
-	return src.Clone()
 }
 
 // RunWSP executes the co-simulated HetPipe run.
@@ -206,31 +158,31 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 		}
 	}
 
-	wglobal := cfg.Task.InitWeights()
-	dim := len(wglobal)
-	workers := make([]*wspWorker, cfg.Workers)
+	workers := make([]*simWorker, cfg.Workers)
 	for w := range workers {
-		workers[w] = &wspWorker{
-			id:         w,
-			wlocal:     wglobal.Clone(),
-			waveAcc:    tensor.NewVector(dim),
-			grad:       tensor.NewVector(dim),
-			nextInject: 1,
-			rng:        rand.New(rand.NewSource(cfg.Seed + int64(w)*7919)),
+		num, err := NewWorker(cfg.Task, w, params, cfg.LR)
+		if err != nil {
+			return nil, err
 		}
+		workers[w] = &simWorker{id: w, num: num, rng: rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))}
 	}
+	// wglobal takes pushes in arrival order — what an evaluation at simulated
+	// time t sees.
+	wglobal := cfg.Task.InitWeights()
 
-	// prefix[c] is the clock-c snapshot of the global weights: w0 plus every
-	// worker's wave-v update with v < c — what ps.Server.PullAt serves in
-	// the live runtime. Built lazily; a pull at clock c is only reachable
-	// once every worker's wave c-1 delta has been recorded.
+	// prefix[c] is the clock-c snapshot of the global weights pulls read: w0
+	// plus every worker's wave-v delta with v < c, folded in (wave, worker)
+	// order as ps.Server folds them, so it does not depend on when pushes
+	// arrive. Built lazily: a pull at clock c is only reachable once every
+	// worker has pushed, hence sealed, wave c-1, and a worker drops its wave-v
+	// delta only in a pull above v, whose snapshotAt has folded wave v first.
 	prefix := []tensor.Vector{wglobal.Clone()}
 	snapshotAt := func(c int) tensor.Vector {
 		for len(prefix) <= c {
 			wave := len(prefix) - 1
 			next := prefix[wave].Clone()
 			for _, w := range workers {
-				next.AddInPlace(w.waveDeltas[wave])
+				next.AddInPlace(w.num.Delta(wave))
 			}
 			prefix = append(prefix, next)
 		}
@@ -264,23 +216,6 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 		return false
 	}
 
-	// retire folds the oldest pending minibatch's gradient into the local
-	// weights; at a wave end it also seals the wave's aggregated delta (the
-	// push CONTENT — the push TIME is the wave-end completion event).
-	retire := func(w *wspWorker) {
-		p := w.pending[0]
-		w.pending = w.pending[1:]
-		cfg.Task.Grad(p.weights, MinibatchIndex(w.id, p.mb, cfg.Workers), w.grad)
-		w.free = append(w.free, p.weights)
-		// Local update: wlocal += u, u = -lr * grad (Section 4).
-		w.wlocal.AXPY(-cfg.LR, w.grad)
-		w.waveAcc.AXPY(-cfg.LR, w.grad)
-		if params.IsWaveEnd(p.mb) {
-			w.waveDeltas = append(w.waveDeltas, w.waveAcc.Clone())
-			w.waveAcc.Zero()
-		}
-	}
-
 	// gateReady reports when worker w's next injection may happen, or
 	// (0, false) when the required global clock has not been reached yet.
 	// When the worker must actually pull, the transfer starts once the
@@ -288,8 +223,8 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 	// re-read on every query because slotFreeAt advances as in-flight
 	// minibatches complete — a latched value could let the pull "finish"
 	// before the worker was free to start it.
-	gateReady := func(w *wspWorker) (float64, bool) {
-		req := params.RequiredGlobalClock(w.nextInject)
+	gateReady := func(w *simWorker) (float64, bool) {
+		req := params.RequiredGlobalClock(w.num.Next())
 		if req == 0 {
 			return 0, true
 		}
@@ -297,7 +232,7 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 			return 0, false
 		}
 		ready := pushVisible[req]
-		if w.lastPulled < req {
+		if w.num.PullClock() > 0 {
 			ready = math.Max(ready, w.slotFreeAt) + pull[w.id]
 		}
 		return ready, true
@@ -305,11 +240,11 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 
 	// nextEvent computes worker w's earliest actionable event:
 	// kind 0 = none, 1 = completion, 2 = injection.
-	nextEvent := func(w *wspWorker) (kind int, at float64) {
+	nextEvent := func(w *simWorker) (kind int, at float64) {
 		if len(w.inflight) > 0 {
 			kind, at = 1, w.inflight[0].complete
 		}
-		if !w.done && len(w.inflight) < nm && w.nextInject <= cfg.MaxMinibatches {
+		if len(w.inflight) < nm && w.num.Next() <= cfg.MaxMinibatches {
 			if ready, ok := gateReady(w); ok {
 				inj := math.Max(w.slotFreeAt, ready)
 				if kind == 0 || inj < at {
@@ -341,8 +276,8 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 		now = bestAt
 
 		if bestKind == 2 {
-			// Injection of minibatch w.nextInject.
-			mb := w.nextInject
+			// Injection of the worker's next minibatch.
+			mb := w.num.Next()
 			ready, _ := gateReady(w)
 			natural := w.slotFreeAt
 			if ready > natural {
@@ -352,21 +287,15 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 					stats.Idle += ready - drainFrom
 				}
 			}
-			// Lazy pull: a gated wave-end minibatch that needs updates the
-			// worker has not incorporated yet triggers a pull of the global
-			// weights. The worker is credited only with the clock the gate
-			// required — what it has provably seen — and receives that
-			// clock's snapshot, with its own not-yet-globally-visible wave
-			// updates and the open wave's accumulator re-applied on top.
-			// With D=0 this happens every wave; with larger D, every wave
-			// past the first D+1.
-			if req := params.RequiredGlobalClock(mb); req > 0 && w.lastPulled < req {
-				copy(w.wlocal, snapshotAt(req))
-				for v := req; v < len(w.waveDeltas); v++ {
-					w.wlocal.AddInPlace(w.waveDeltas[v])
-				}
-				w.wlocal.AddInPlace(w.waveAcc)
-				w.lastPulled = req
+			// Lazy pull: only a gated wave-end minibatch that needs a clock the
+			// worker has not incorporated pulls, and it is credited with the
+			// clock the gate required — what it has provably seen — never the
+			// coordinator's instantaneous one. With D=0 that is every wave;
+			// with larger D, every wave past the first D+1 (which is why larger
+			// D reduces synchronization traffic, Section 8.4).
+			if req := w.num.PullClock(); req > 0 {
+				copy(w.num.Weights(), snapshotAt(req))
+				w.num.Pulled(req)
 				stats.Pulls++
 			}
 			coord.Start(w.id, mb)
@@ -377,15 +306,13 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 			complete := math.Max(now+fill[w.id], w.lastScheduled+period)
 			w.lastScheduled = complete
 			w.inflight = append(w.inflight, snapshot{mb: mb, complete: complete})
-			w.pending = append(w.pending, pendingMB{mb: mb, weights: w.getWeights(w.wlocal)})
-			w.nextInject++
-			if w.nextInject > cfg.MaxMinibatches {
-				w.done = true
-			}
-			// Injecting mb retires minibatch mb-Nm+1: the fixed logical lag
-			// that pins each snapshot's staleness to exactly slocal.
-			if mb-nm+1 >= 1 {
-				retire(w)
+			// Numerics know no time: a wave's delta (the push CONTENT) is sealed
+			// when its last minibatch retires, here or in the drain behind the
+			// last injection; the push TIME is the wave-end completion event.
+			w.num.Inject()
+			if mb == cfg.MaxMinibatches {
+				for w.num.Drain() > 0 {
+				}
 			}
 			continue
 		}
@@ -394,27 +321,13 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 		snap := w.inflight[0]
 		w.inflight = w.inflight[1:]
 		w.slotFreeAt = now
-		w.lastComplete = now
 		stats.Minibatches++
 		completionsSinceEval++
 
-		// Once the worker has no more injections, completions drive the
-		// remaining retirements (the live runtime's end-of-run drain).
-		if w.done {
-			for len(w.pending) > 0 && w.pending[0].mb <= snap.mb {
-				retire(w)
-			}
-		}
-
 		if params.IsWaveEnd(snap.mb) {
-			// Push the wave's aggregated update (wglobal += u~). Its content
-			// was sealed at the wave-end's numeric retirement, which always
-			// precedes this completion event.
-			wave := params.Wave(snap.mb)
-			if wave >= len(w.waveDeltas) {
-				panic(fmt.Sprintf("train: worker %d pushing wave %d before its delta is sealed", w.id, wave))
-			}
-			wglobal.AddInPlace(w.waveDeltas[wave])
+			// Push the wave's aggregated update (wglobal += u~), sealed at the
+			// wave end's retirement, which always precedes this completion.
+			wglobal.AddInPlace(w.num.Delta(params.Wave(snap.mb)))
 			coord.Push(w.id)
 			stats.Pushes++
 			pushArrive[w.id] = append(pushArrive[w.id], now+push[w.id])
@@ -449,29 +362,23 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 	// in (wave, worker) order — the order the parameter servers' snapshots
 	// use — so the value is bit-stable across timing configurations and
 	// directly comparable with the live runtime's.
-	final := prefix[0].Clone()
-	maxPushed := 0
-	for _, w := range workers {
-		if c := coord.Clock(w.id); c > maxPushed {
-			maxPushed = c
-		}
-	}
-	for v := 0; v < maxPushed; v++ {
+	final := prefix[len(prefix)-1].Clone()
+	for v := len(prefix) - 1; ; v++ {
+		pushed := false
 		for _, w := range workers {
 			if v < coord.Clock(w.id) {
-				final.AddInPlace(w.waveDeltas[v])
+				final.AddInPlace(w.num.Delta(v))
+				pushed = true
 			}
+		}
+		if !pushed {
+			break
 		}
 	}
 	stats.FinalWeights = final
+	for _, w := range workers {
+		stats.MaxStaleness = max(stats.MaxStaleness, w.num.MaxStaleness())
+	}
 	stats.MaxClockDistance = coord.MaxClockDistance()
 	return stats, nil
-}
-
-// MinibatchIndex maps (worker, local minibatch number) to a disjoint global
-// minibatch stream per worker — data parallelism splits the dataset. The
-// live runtime (internal/cluster) uses the same mapping so both backends
-// consume identical gradients.
-func MinibatchIndex(worker, mb, workers int) int {
-	return (mb-1)*workers + worker
 }

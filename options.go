@@ -16,8 +16,6 @@ var (
 	ErrUnknownCluster = errors.New("hetpipe: unknown cluster")
 	// ErrUnknownPolicy reports an allocation policy other than NP, ED, HD.
 	ErrUnknownPolicy = errors.New("hetpipe: unknown policy")
-	// ErrUnknownBackend reports a Config.Backend other than "", "sim", "live".
-	ErrUnknownBackend = errors.New("hetpipe: unknown backend")
 	// ErrUnknownTask reports a live-training task other than logreg or mlp.
 	ErrUnknownTask = errors.New("hetpipe: unknown training task")
 	// ErrNoAllocation reports a deployment with neither a policy nor
@@ -84,8 +82,6 @@ func defaultSettings() settings {
 }
 
 // An Option configures a deployment under construction; pass them to New.
-// Options replace the flat Config struct of the compatibility API — see the
-// field-by-field migration table in the README.
 type Option func(*settings)
 
 // WithModel selects the DNN by zoo key, e.g. "vgg19" or "resnet152" (see

@@ -80,19 +80,6 @@ func TestUnknownScheduleError(t *testing.T) {
 	}
 }
 
-func TestRunConfigScheduleCompat(t *testing.T) {
-	res, err := Run(Config{Model: "vgg19", Policy: "ED", Nm: 2, Schedule: "1f1b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Throughput <= 0 {
-		t.Errorf("throughput %g", res.Throughput)
-	}
-	if _, err := Run(Config{Model: "vgg19", Policy: "ED", Schedule: "bogus"}); !errors.Is(err, ErrUnknownSchedule) {
-		t.Errorf("compat Run err = %v, want ErrUnknownSchedule", err)
-	}
-}
-
 func TestGanttWarmupOption(t *testing.T) {
 	// Warmup must be validated against the rendered minibatch count.
 	dep := ganttDeployment(t, WithWarmup(16))
