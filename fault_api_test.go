@@ -3,9 +3,14 @@ package hetpipe
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"hetpipe/internal/fault"
+	"hetpipe/internal/serve"
 )
 
 func TestWithFaultsBadSpec(t *testing.T) {
@@ -27,6 +32,50 @@ func TestWithFaultsBadSpec(t *testing.T) {
 		}
 		if tc.name != "negative checkpoint" && !errors.Is(err, ErrBadFaultPlan) {
 			t.Errorf("%s: error %v not ErrBadFaultPlan", tc.name, err)
+		}
+	}
+}
+
+// TestNonFiniteFaultsNeverRun: a NaN factor used to step the simulator's
+// clock backwards (a panic), an infinite one to report NaN samples/s, a NaN
+// stall to print "waiting NaNs". New refuses each spec as ErrBadFaultPlan, and
+// a plan that reaches Simulate's or Serve's layer as a literal, past the
+// parser, is refused there.
+func TestNonFiniteFaultsNeverRun(t *testing.T) {
+	ok, err := New(WithModel("vgg19"), WithCluster("mini"), WithPolicy("ED"), WithNm(2), WithMinibatchesPerVW(16),
+		WithTraffic("poisson:r50:n40"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic, err := serve.ParseTraffic("poisson:r50:n40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec string
+		plan fault.Plan
+	}{
+		{"slow:w0:xNaN", fault.Plan{Slowdowns: []fault.Slowdown{{Factor: math.NaN()}}}},
+		{"slow:w0:xInf", fault.Plan{Slowdowns: []fault.Slowdown{{Factor: math.Inf(1)}}}},
+		{"stall:s0:c1:NaN", fault.Plan{Stalls: []fault.PSStall{{AtClock: 1, Delay: math.NaN()}}}},
+		{"crash:w0:mb5:downInf", fault.Plan{Crashes: []fault.Crash{{AtMinibatch: 5, Downtime: math.Inf(1)}}}},
+		{"link:w0:xNaN", fault.Plan{Links: []fault.LinkDegrade{{Factor: math.NaN()}}}},
+		{"rand:NaN", fault.Plan{Rand: &fault.RandSpec{Rate: math.NaN()}}},
+	} {
+		for _, serving := range []bool{false, true} {
+			opts := []Option{WithModel("vgg19"), WithCluster("mini"), WithPolicy("ED"), WithNm(2), WithFaults(tc.spec)}
+			if serving {
+				opts = append(opts, WithTraffic("poisson:r50:n40"))
+			}
+			if _, err := New(opts...); !errors.Is(err, ErrBadFaultPlan) || !strings.Contains(err.Error(), "must be finite") {
+				t.Errorf("New with %q (serving %v): error %v, want ErrBadFaultPlan naming a real that must be finite", tc.spec, serving, err)
+			}
+		}
+		if _, err := ok.dep.SimulateWSPFaults(context.Background(), 16, 8, nil, &tc.plan, 0); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Errorf("simulating %q as a literal: error %v", tc.spec, err)
+		}
+		if _, err := serve.Run(context.Background(), ok.dep, traffic, serve.Options{Faults: &tc.plan}); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Errorf("serving under %q as a literal: error %v", tc.spec, err)
 		}
 	}
 }

@@ -151,10 +151,14 @@ type Planning struct {
 	// so were still optimal, and Infeasible the solves that found no
 	// memory-feasible split (the probe that ends a worker's Nm range).
 	Solves, Carried, Infeasible int
-	// SoloSims is the single-worker pipeline simulations run, and PrunedNm
-	// the Nm values the search skipped because a closed-form bound on their
-	// throughput could not reach the best already simulated.
-	SoloSims, PrunedNm int
+	// SoloWindows is the single-worker measurements planning read, one per
+	// worker class and Nm it evaluated, and SoloSims the pipeline simulations
+	// run to take them: one run serves every Nm of a class that is the same
+	// pipeline but for the length of its measurement window.
+	SoloWindows, SoloSims int
+	// PrunedNm is the Nm values the search skipped because a closed-form
+	// bound on their throughput could not reach the best already simulated.
+	PrunedNm int
 }
 
 // clusterByName resolves a cluster-catalog key, defaulting to the paper

@@ -27,9 +27,13 @@
 // bound (pipeline.ThroughputBound, summed over the workers) is strictly
 // below the best total already simulated: the bound is tight where few
 // minibatches are in flight, so the top of the range rules out most of the
-// bottom. Both cuts are exact — the same plans and the same Nm as the
-// bisecting, simulate-everything search the tests keep as referenceDeploy —
-// and Deployment.Planning reports how much of each a Deploy did.
+// bottom. And one simulation serves every Nm of a class that is the same
+// pipeline but for the length of its measurement window — under the
+// backward-first schedules, whose in-flight cap is the pipeline's depth, every
+// Nm at or above it that kept its cuts (pipeline.RunWindows). All three are
+// exact — the same plans and the same Nm as the bisecting, simulate-everything
+// search the tests keep as referenceDeploy — and Deployment.Planning reports
+// how much of each a Deploy did.
 //
 // What a co-simulation costs. SimulateWSP steps one pipeline per lock-step
 // group, not per virtual worker (multisim.go). A group is a maximal run of

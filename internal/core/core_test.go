@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"hetpipe/internal/hw"
@@ -61,6 +62,12 @@ func TestChooseNmPicksBestThroughput(t *testing.T) {
 	}
 	if nm < 2 {
 		t.Errorf("chosen Nm = %d, expected pipelining to pay off (>= 2)", nm)
+	}
+	// A cap that admits no Nm is the caller's mistake, not the model's size.
+	for _, cap := range []int{0, -3} {
+		if _, err := s.ChooseNm(alloc, cap); err == nil || !strings.Contains(err.Error(), "cap must be >= 1") {
+			t.Errorf("ChooseNm with cap %d: error %v, want one saying the cap must be >= 1", cap, err)
+		}
 	}
 }
 

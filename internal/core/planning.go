@@ -25,12 +25,18 @@ type planning struct {
 	sys *System
 	pt  *partition.Partitioner
 	eng *sim.Engine
+	// fork is where a solo run over several windows saves its state
+	// (pipeline.RunWindows); windows, results and group are soloRun's scratch.
+	fork    pipeline.Fork
+	windows []pipeline.Window
+	results []*pipeline.Result
+	group   []*soloPlan
 
 	classes [][]stageClass
 	sig     []stageClass // class's scratch
 	memo    map[soloKey]*soloPlan
 
-	soloSims, prunedNm int // Planning's two counters the partitioner does not keep
+	soloSims, soloWindows, prunedNm int // Planning's counters the partitioner does not keep
 }
 
 // Planning counts the work one Deploy's planning context did. The counts are
@@ -42,9 +48,12 @@ type Planning struct {
 	// Infeasible the solves that found no memory-feasible split: the probe
 	// that ends each class's upward Nm scan.
 	Solves, Carried, Infeasible int
-	// SoloSims is the solo pipeline simulations run: one per (class, Nm)
+	// SoloWindows is the solo measurements planning read: one per (class, Nm)
 	// the Nm search did not prune, or one per class when Nm was given.
-	SoloSims int
+	// SoloSims is the simulations run to take them — fewer, because one run
+	// serves every Nm of a class that is the same pipeline but for the length
+	// of its measurement window (pipeline.RunWindows).
+	SoloWindows, SoloSims int
 	// PrunedNm is the Nm values the search skipped without simulating because
 	// their round-trip bound (pipeline.ThroughputBound) could not reach the
 	// incumbent.
@@ -56,7 +65,7 @@ func (pc *planning) stats() Planning {
 	ps := pc.pt.Stats()
 	return Planning{
 		Solves: ps.Solves, Carried: ps.Carried, Infeasible: ps.Infeasible,
-		SoloSims: pc.soloSims, PrunedNm: pc.prunedNm,
+		SoloWindows: pc.soloWindows, SoloSims: pc.soloSims, PrunedNm: pc.prunedNm,
 	}
 }
 
@@ -76,8 +85,9 @@ type soloPlan struct {
 	// their own copy through Rebind. err is Partition's.
 	plan *partition.Plan
 	err  error
-	// The solo run over the standard window, once simulated.
-	simulated           bool
+	// The solo run over the standard window, once simulated; read says the
+	// search or the per-worker pass has asked for it (Planning.SoloWindows).
+	simulated, read     bool
 	throughput, maxUtil float64
 	simErr              error
 }
@@ -143,20 +153,49 @@ func (pc *planning) simulate(plan *partition.Plan, minibatches, warmup int) (*pi
 
 // soloRun is planned plus the class's solo simulation over the standard
 // measurement window, once.
+//
+// The simulation is shared with every smaller Nm of the class that is already
+// planned, not yet simulated, and the same pipeline: an equal time table and
+// an equal in-flight cap, which under the backward-first schedules is every
+// Nm at or above the pipeline's depth whose cuts the partitioner carried. Such
+// runs differ only in the length of their windows, and measureMB ascends in
+// Nm, so one RunWindows takes all their measurements. The search asks from
+// the top of the range down, so the first Nm asked for is its group's largest.
 func (pc *planning) soloRun(vw *hw.VirtualWorker, nm int) (*soloPlan, error) {
 	sp := pc.planned(vw, nm)
 	if sp.err != nil {
 		return nil, sp.err
 	}
 	if !sp.simulated {
-		sp.simulated = true
-		pc.soloSims++
-		res, err := pc.simulate(sp.plan, measureMB(nm), warmupMB(nm))
-		if err != nil {
-			sp.simErr = err
-		} else {
-			sp.throughput, sp.maxUtil = res.Throughput, res.MaxGPUUtil
+		class, sc := pc.class(vw), pc.sys.schedule()
+		cap := sc.InFlightCap(sp.plan.VirtualStages(), nm)
+		pc.windows, pc.results, pc.group = pc.windows[:0], pc.results[:0], pc.group[:0]
+		take := func(o *soloPlan, m int) {
+			pc.windows = append(pc.windows, pipeline.Window{Minibatches: measureMB(m), Warmup: warmupMB(m)})
+			pc.results = append(pc.results, nil)
+			pc.group = append(pc.group, o)
 		}
+		for m := 1; m < nm; m++ {
+			if o := pc.memo[soloKey{class, m}]; o != nil && o.err == nil && !o.simulated &&
+				sc.InFlightCap(o.plan.VirtualStages(), m) == cap && pipeline.SameTimes(o.plan, sp.plan) {
+				take(o, m)
+			}
+		}
+		take(sp, nm)
+		pc.soloSims++
+		err := pipeline.RunWindows(pc.eng, pipeline.Config{Plan: sp.plan, Schedule: pc.sys.Schedule}, pc.windows, &pc.fork, pc.results)
+		for i, o := range pc.group {
+			o.simulated = true
+			if err != nil {
+				o.simErr = err // a failed run fails every window it was taking
+			} else {
+				o.throughput, o.maxUtil = pc.results[i].Throughput, pc.results[i].MaxGPUUtil
+			}
+		}
+	}
+	if !sp.read {
+		sp.read = true
+		pc.soloWindows++
 	}
 	if sp.simErr != nil {
 		return nil, sp.simErr
@@ -195,6 +234,9 @@ func (pc *planning) bound(alloc *hw.Allocation, nm int) float64 {
 
 // chooseNm is System.ChooseNm inside this context.
 func (pc *planning) chooseNm(alloc *hw.Allocation, cap int) (int, error) {
+	if cap < 1 {
+		return 0, fmt.Errorf("core: Nm cap must be >= 1, got %d", cap)
+	}
 	// The common Nm is bounded by the smallest Maxm, so each worker is only
 	// scanned up to the limit its predecessors left. The search below needs
 	// every plan in 1..limit anyway, and planning them in ascending order

@@ -295,6 +295,7 @@ func (p *Planning) add(q Planning) {
 	p.Solves += q.Solves
 	p.Carried += q.Carried
 	p.Infeasible += q.Infeasible
+	p.SoloWindows += q.SoloWindows
 	p.SoloSims += q.SoloSims
 	p.PrunedNm += q.PrunedNm
 }
@@ -310,17 +311,19 @@ func TestPlanningCounts(t *testing.T) {
 	}{
 		// Four VRGQ workers, one class: eight plans, of which the cuts change
 		// five times under fifo and three under 1f1b's smaller stashes; the
-		// sims at Nm 8..4 leave an incumbent that rules out Nm 3, 2 and 1.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, SoloSims: 5, PrunedNm: 3}},
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, SoloSims: 5, PrunedNm: 3}},
+		// windows at Nm 8..4 leave an incumbent that rules out Nm 3, 2 and 1.
+		// Under fifo the in-flight cap is Nm and each window is its own run;
+		// under 1f1b the cap is the depth, 4, and one run serves all five.
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, SoloWindows: 5, SoloSims: 5, PrunedNm: 3}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, SoloWindows: 5, SoloSims: 1, PrunedNm: 3}},
 		// A fill-drain wave stashes Nm activations on every stage: Nm=7 no
 		// longer fits, and the probe that finds out is the scan's last.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, SoloSims: 5, PrunedNm: 1}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, SoloWindows: 5, SoloSims: 5, PrunedNm: 1}},
 		// Four workers of four classes, memory to spare: one solve per class.
-		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 5, Planning{Solves: 4, Carried: 28, SoloSims: 28, PrunedNm: 1}},
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 5, Planning{Solves: 4, Carried: 28, SoloWindows: 28, SoloSims: 28, PrunedNm: 1}},
 		// Nm given: one plan and one solo run per class, nothing to search.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, SoloSims: 1}},
-		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, SoloSims: 4}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, SoloWindows: 1, SoloSims: 1}},
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, SoloWindows: 4, SoloSims: 4}},
 	} {
 		s, alloc := tc.pc.build(t)
 		dep, err := s.Deploy(alloc, tc.nm, 0, PlacementDefault)
@@ -331,6 +334,22 @@ func TestPlanningCounts(t *testing.T) {
 		if dep.Nm != tc.wantNm || dep.Planning != tc.want {
 			t.Errorf("%v Nm=%d: deployed at Nm=%d with %+v, want Nm=%d with %+v", tc.pc, tc.nm, dep.Nm, dep.Planning, tc.wantNm, tc.want)
 		}
+	}
+	// hetperf plan-cold's 108 systems with Nm chosen: what the planner skips
+	// (carried plans, pruned Nm) and what its solo runs share must not drift
+	// unseen. Every window is read exactly once per class and Nm, whichever
+	// run took it.
+	var total Planning
+	for _, pc := range planCases(false) {
+		s, alloc := pc.build(t)
+		dep, err := s.Deploy(alloc, 0, 0, PlacementDefault)
+		if err != nil {
+			t.Fatalf("%v: %v", pc, err)
+		}
+		total.add(dep.Planning)
+	}
+	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, SoloWindows: 1140, SoloSims: 740, PrunedNm: 306}); total != want {
+		t.Errorf("108 systems: %+v, want %+v", total, want)
 	}
 }
 

@@ -31,6 +31,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -135,15 +136,43 @@ func (p *Plan) Empty() bool {
 			len(p.Stalls) == 0 && len(p.Links) == 0 && p.Rand == nil)
 }
 
-// Validate checks value ranges that do not depend on the worker count.
-// Materialize additionally checks worker indices against a concrete run.
+// maxReal bounds every real a plan carries, and the product of the factors
+// that compound on one worker: beyond it a float64 clock in seconds cannot
+// resolve a stage task any more, and a few such factors multiplied overflow
+// it to +Inf.
+const maxReal = 1e9
+
+// checkReal rejects a real field no run can use. strconv.ParseFloat parses
+// NaN and Inf, a NaN passes every </> range check below (s.Factor < 1 is
+// false for it), and +Inf passes all but the upper bound; a NaN slowdown
+// steps the simulator's clock backwards and an infinite one reports NaN
+// throughput.
+func checkReal(what string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("fault: %s must be finite, got %g", what, v)
+	}
+	if v > maxReal {
+		return fmt.Errorf("fault: %s %g above %g", what, v, maxReal)
+	}
+	return nil
+}
+
+// Validate checks value ranges that do not depend on the worker count: every
+// real must be finite and at most 1e9 — as must the slowdown factors naming
+// one worker multiplied together, and its link factors — and within its own
+// range. Materialize additionally checks worker indices against a concrete
+// run.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
+	slow, link := make(map[int]float64), make(map[int]float64)
 	for _, s := range p.Slowdowns {
 		if s.Worker < 0 {
 			return fmt.Errorf("fault: slowdown worker %d negative", s.Worker)
+		}
+		if err := checkReal("slowdown factor", s.Factor); err != nil {
+			return err
 		}
 		if s.Factor < 1 {
 			return fmt.Errorf("fault: slowdown factor %g must be >= 1", s.Factor)
@@ -154,6 +183,9 @@ func (p *Plan) Validate() error {
 		if s.ToMinibatch != 0 && s.ToMinibatch < s.FromMinibatch {
 			return fmt.Errorf("fault: slowdown minibatch range [%d,%d] inverted", s.FromMinibatch, s.ToMinibatch)
 		}
+		if slow[s.Worker] = max(slow[s.Worker], 1) * s.Factor; slow[s.Worker] > maxReal {
+			return fmt.Errorf("fault: worker %d's slowdown factors multiply to more than %g", s.Worker, maxReal)
+		}
 	}
 	seen := make(map[int]bool)
 	for _, c := range p.Crashes {
@@ -162,6 +194,9 @@ func (p *Plan) Validate() error {
 		}
 		if c.AtMinibatch < 1 {
 			return fmt.Errorf("fault: crash minibatch %d must be >= 1", c.AtMinibatch)
+		}
+		if err := checkReal("crash downtime", c.Downtime); err != nil {
+			return err
 		}
 		if c.Downtime < 0 {
 			return fmt.Errorf("fault: crash downtime %g negative", c.Downtime)
@@ -178,6 +213,9 @@ func (p *Plan) Validate() error {
 		if s.AtClock < 1 {
 			return fmt.Errorf("fault: stall clock %d must be >= 1", s.AtClock)
 		}
+		if err := checkReal("stall delay", s.Delay); err != nil {
+			return err
+		}
 		if s.Delay <= 0 {
 			return fmt.Errorf("fault: stall delay %g must be > 0", s.Delay)
 		}
@@ -186,13 +224,25 @@ func (p *Plan) Validate() error {
 		if l.Worker < 0 {
 			return fmt.Errorf("fault: link worker %d negative", l.Worker)
 		}
+		if err := checkReal("link factor", l.Factor); err != nil {
+			return err
+		}
 		if l.Factor < 1 {
 			return fmt.Errorf("fault: link factor %g must be >= 1", l.Factor)
 		}
+		if link[l.Worker] = max(link[l.Worker], 1) * l.Factor; link[l.Worker] > maxReal {
+			return fmt.Errorf("fault: worker %d's link factors multiply to more than %g", l.Worker, maxReal)
+		}
 	}
 	if r := p.Rand; r != nil {
+		if err := checkReal("rand rate", r.Rate); err != nil {
+			return err
+		}
 		if r.Rate < 0 || r.Rate > 1 {
 			return fmt.Errorf("fault: rand rate %g outside [0,1]", r.Rate)
+		}
+		if err := checkReal("rand max factor", r.MaxFactor); err != nil {
+			return err
 		}
 		if r.MaxFactor != 0 && r.MaxFactor < 1.5 {
 			return fmt.Errorf("fault: rand max factor %g must be >= 1.5", r.MaxFactor)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,49 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
 		}
+	}
+}
+
+// TestNonFiniteRealsRejected: strconv.ParseFloat parses NaN and Inf, a NaN
+// passes every </> range check and +Inf all but an upper bound, so each real a
+// plan carries is checked for finiteness on its own — from a spec and from a
+// literal — and so are the magnitudes that overflow once multiplied.
+func TestNonFiniteRealsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		plan Plan
+		want string
+	}{
+		{"slow:w0:xNaN", Plan{Slowdowns: []Slowdown{{Factor: math.NaN()}}}, "slowdown factor must be finite"},
+		{"slow:w0:xInf", Plan{Slowdowns: []Slowdown{{Factor: math.Inf(1)}}}, "slowdown factor must be finite"},
+		{"slow:w0:x-Inf", Plan{Slowdowns: []Slowdown{{Factor: math.Inf(-1)}}}, "slowdown factor must be finite"},
+		{"stall:s0:c1:NaN", Plan{Stalls: []PSStall{{AtClock: 1, Delay: math.NaN()}}}, "stall delay must be finite"},
+		{"stall:s0:c1:+Inf", Plan{Stalls: []PSStall{{AtClock: 1, Delay: math.Inf(1)}}}, "stall delay must be finite"},
+		{"crash:w0:mb5:downInf", Plan{Crashes: []Crash{{AtMinibatch: 5, Downtime: math.Inf(1)}}}, "crash downtime must be finite"},
+		{"crash:w0:mb5:downNaN", Plan{Crashes: []Crash{{AtMinibatch: 5, Downtime: math.NaN()}}}, "crash downtime must be finite"},
+		{"link:w0:xNaN", Plan{Links: []LinkDegrade{{Factor: math.NaN()}}}, "link factor must be finite"},
+		{"link:w0:xinfinity", Plan{Links: []LinkDegrade{{Factor: math.Inf(1)}}}, "link factor must be finite"},
+		{"rand:NaN", Plan{Rand: &RandSpec{Rate: math.NaN()}}, "rand rate must be finite"},
+		{"rand:0.5:maxInf", Plan{Rand: &RandSpec{Rate: 0.5, MaxFactor: math.Inf(1)}}, "rand max factor must be finite"},
+		{"rand:0.5:maxNaN", Plan{Rand: &RandSpec{Rate: 0.5, MaxFactor: math.NaN()}}, "rand max factor must be finite"},
+		{"slow:w0:x1e300", Plan{Slowdowns: []Slowdown{{Factor: 1e300}}}, "above 1e+09"},
+		{"stall:s0:c1:2e9", Plan{Stalls: []PSStall{{AtClock: 1, Delay: 2e9}}}, "above 1e+09"},
+		{"slow:w1:x1e5,slow:w1:x1e5:mb3-9", Plan{Slowdowns: []Slowdown{{Worker: 1, Factor: 1e5}, {Worker: 1, Factor: 1e5, FromMinibatch: 3, ToMinibatch: 9}}}, "multiply to more than"},
+		{"link:w2:x1e5,link:w2:x1e5", Plan{Links: []LinkDegrade{{Worker: 2, Factor: 1e5}, {Worker: 2, Factor: 1e5}}}, "multiply to more than"},
+	} {
+		if _, err := Parse(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%q): error %v, want one containing %q", tc.spec, err, tc.want)
+		}
+		if err := tc.plan.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q as a literal: Validate error %v, want one containing %q", tc.spec, err, tc.want)
+		}
+		if _, err := tc.plan.Materialize(4); err == nil {
+			t.Errorf("%q as a literal: Materialize accepted it", tc.spec)
+		}
+	}
+	// The same factors on different workers do not compound.
+	if _, err := Parse("slow:w0:x1e5,slow:w1:x1e5,link:w0:x1e5,link:w1:x1e5,slow:w2:x1e9"); err != nil {
+		t.Errorf("large factors on separate workers: %v", err)
 	}
 }
 

@@ -148,7 +148,14 @@ func (p *planner) cost(lo, hi, j int) float64 {
 	if p.tab.ChunkBytes(lo, hi, p.versions, p.stashes[j]) > p.budget[j] {
 		return math.Inf(1)
 	}
-	fwd, bwd := p.tab.ChunkTime(p.whole[j], lo, hi)
+	return p.price(p.tab.StageTime(p.whole[j], lo, hi), lo, hi, j)
+}
+
+// price is cost for a chunk known to fit, given its tables' StageTime.
+//
+//hetlint:hotpath
+func (p *planner) price(stage float64, lo, hi, j int) float64 {
+	fwd, bwd := p.tab.SplitStage(stage)
 	t := fwd + bwd
 	if j > 0 {
 		t += p.tab.BoundaryTime(lo-1, p.links[j])
@@ -159,6 +166,17 @@ func (p *planner) cost(lo, hi, j int) float64 {
 	return max(p.occupancy*(fwd+bwd), t)
 }
 
+// floor is what solve's walk stops on: a chunk's StageTime shaved by eight
+// ulps. It never exceeds the chunk's cost — cost is at least fwd + bwd, which
+// is within two roundings of the StageTime it was split from
+// (profile.Tables.SplitStage), and the shave's own rounding takes back less
+// than one of its eight ulps — and, like the StageTime, it never falls as lo
+// does. fwd + bwd itself would not do: two roundings away from a monotone
+// quantity, it is not provably monotone.
+//
+//hetlint:hotpath
+func floor(stage float64) float64 { return stage * (1 - 0x1p-50) }
+
 // solve runs the dynamic program over prefixes and, when a memory-feasible
 // split exists, leaves its cut points in p.cuts. Virtual stage j must leave
 // at least one layer for each later stage and each earlier stage must have
@@ -166,25 +184,44 @@ func (p *planner) cost(lo, hi, j int) float64 {
 // [j, i) — exactly the ends stage j-1 was solved for, which is why the
 // slabs need no clearing between calls.
 //
+// The bottleneck with a cut is max(prev[cut], cost of [cut, i) as stage j).
+// As the cut falls the first term falls and the second rises, and the best
+// cut sits near where they cross — for balanced stages about 1/(j+1) of the
+// range below i. So the walk starts at i-1 and goes down, and stops at the
+// first cut whose stage alone can no longer reach the incumbent: one that
+// does not fit (a chunk's bytes only grow as the cut falls), or whose floor is
+// strictly above it (so is every lower cut's, and every lower cut's cost).
+// Walking up from j instead prices the other j/(j+1) of the range. The answer
+// is the ascending scan's, ties included — the smallest cut attaining the
+// minimum: going down, a cut that equals the incumbent replaces it, and a
+// prefix is skipped only when it is strictly worse or itself infeasible.
+//
 //hetlint:hotpath
 func (p *planner) solve() bool {
 	L, K, row := p.L, p.K, p.L+1
+	inf := math.Inf(1)
 	for i := 1; i <= L-(K-1); i++ {
 		p.best[i] = p.cost(0, i, 0)
 		p.choice[i] = 0
 	}
 	for j := 1; j < K; j++ {
 		prev, cur, pick := p.best[(j-1)*row:j*row], p.best[j*row:(j+1)*row], p.choice[j*row:(j+1)*row]
+		whole, budget, stash := p.whole[j], p.budget[j], p.stashes[j]
 		for i := j + 1; i <= L-(K-1-j); i++ {
-			b, at := math.Inf(1), 0
-			for cut := j; cut < i; cut++ {
-				// The bottleneck with this cut is at least prev[cut], so a
-				// prefix that cannot beat b (an infeasible one above all)
-				// is not worth pricing the stage for.
-				if prev[cut] >= b {
+			b, at := inf, 0
+			for cut := i - 1; cut >= j; cut-- {
+				if p.tab.ChunkBytes(cut, i, p.versions, stash) > budget {
+					break
+				}
+				pv := prev[cut]
+				if pv > b || pv == inf {
 					continue
 				}
-				if v := max(prev[cut], p.cost(cut, i, j)); v < b {
+				stage := p.tab.StageTime(whole, cut, i)
+				if floor(stage) > b {
+					break
+				}
+				if v := max(pv, p.price(stage, cut, i, j)); v <= b {
 					b, at = v, cut
 				}
 			}

@@ -36,13 +36,19 @@ func timesRow(plan *partition.Plan, vs int) StageTime {
 }
 
 // SameInputs reports whether New reads the same pipeline out of plans a and
-// b: equal stage count, interleave degree, Nm and batch, and equal time
-// tables (Times, element-wise). What else a plan carries — its GPUs, layer
+// b: equal Nm and SameTimes. What else a plan carries — its GPUs, layer
 // ranges, memory figures — no simulation looks at, so under equal Configs two
 // such plans fire the same events at the same times.
 func SameInputs(a, b *partition.Plan) bool {
-	if len(a.Stages) != len(b.Stages) || a.InterleaveDegree() != b.InterleaveDegree() ||
-		a.Nm != b.Nm || a.Batch != b.Batch {
+	return a.Nm == b.Nm && SameTimes(a, b)
+}
+
+// SameTimes is SameInputs but for Nm: equal stage count, interleave degree
+// and batch, and equal time tables (Times, element-wise). New reads Nm only
+// into the schedule's in-flight cap, so two such plans under one cap are one
+// pipeline too.
+func SameTimes(a, b *partition.Plan) bool {
+	if len(a.Stages) != len(b.Stages) || a.InterleaveDegree() != b.InterleaveDegree() || a.Batch != b.Batch {
 		return false
 	}
 	for vs := range a.VirtualStages() {

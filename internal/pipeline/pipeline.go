@@ -57,6 +57,17 @@
 // anything, a ceiling on the throughput any of its runs can report
 // (ThroughputBound: in-flight cap over the round trip of a lone minibatch),
 // which core's Nm search uses to skip simulations that cannot win.
+//
+// A run may measure several windows at once (RunWindows; RunOn is its
+// one-window call). Runs of one pipeline that differ only in how many
+// minibatches they process fire the same events until the shorter one has a
+// free slot and nothing left to inject, so the runner saves its whole state at
+// that moment into a caller-owned Fork (the engine's queue, every device, the
+// ready rings, the injection counters), lets the short window drain and
+// summarizes it, restores, and carries on into the next window — each Result
+// bit-identical to that window's own run. Core's Nm search uses it for the Nm
+// values above a backward-first pipeline's depth, which are one pipeline
+// measured over windows of different lengths.
 package pipeline
 
 import (
@@ -303,9 +314,14 @@ func (pl *Pipeline) complete(p int) {
 
 // Result summarizes the run; call after the engine has drained.
 func (pl *Pipeline) Result() (*Result, error) {
-	if pl.completed != pl.cfg.Minibatches {
+	return pl.result(Window{pl.cfg.Minibatches, pl.cfg.Warmup})
+}
+
+// result summarizes a drained run of window w's length.
+func (pl *Pipeline) result(w Window) (*Result, error) {
+	if pl.completed != w.Minibatches {
 		return nil, fmt.Errorf("pipeline: %d of %d minibatches completed (deadlock or gate starvation)",
-			pl.completed, pl.cfg.Minibatches)
+			pl.completed, w.Minibatches)
 	}
 	r := &Result{Completions: pl.finished, Elapsed: pl.finished[len(pl.finished)-1]}
 	for _, g := range pl.x.Devices() {
@@ -317,38 +333,14 @@ func (pl *Pipeline) Result() (*Result, error) {
 	}
 	// Steady-state throughput: samples completed after warmup over the time
 	// from the warmup-th completion to the last.
-	w := pl.cfg.Warmup
-	if w == 0 {
-		r.Throughput = float64(pl.cfg.Minibatches*pl.batch) / float64(r.Elapsed)
+	if w.Warmup == 0 {
+		r.Throughput = float64(w.Minibatches*pl.batch) / float64(r.Elapsed)
 		return r, nil
 	}
-	span := float64(r.Completions[len(r.Completions)-1] - r.Completions[w-1])
+	span := float64(r.Completions[len(r.Completions)-1] - r.Completions[w.Warmup-1])
 	if span <= 0 {
 		return nil, fmt.Errorf("pipeline: degenerate measurement window")
 	}
-	r.Throughput = float64((pl.cfg.Minibatches-w)*pl.batch) / span
+	r.Throughput = float64((w.Minibatches-w.Warmup)*pl.batch) / span
 	return r, nil
-}
-
-// Run is the one-shot convenience: build, start, drain, summarize.
-func Run(cfg Config) (*Result, error) {
-	return RunOn(sim.New(), cfg)
-}
-
-// RunOn is Run on a caller-provided engine, which is Reset first: a warm
-// engine keeps its grown event arena and heap across runs, so sweeps that
-// re-simulate thousands of configurations pay the allocation cost once.
-// Results are identical to Run on a fresh engine.
-func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
-	eng.Reset()
-	eng.SetStepLimit(uint64(cfg.Minibatches)*1000 + 100000)
-	pl, err := New(eng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	pl.Start()
-	if err := eng.Run(); err != nil {
-		return nil, err
-	}
-	return pl.Result()
 }

@@ -89,11 +89,31 @@ func (t *Tables) WholeModelTime(g *hw.GPUType) (float64, error) {
 }
 
 // ChunkTime is Perf.StageTime for layers [lo, hi) on a GPU whose
-// WholeModelTime is whole.
+// WholeModelTime is whole: SplitStage of StageTime.
 //
 //hetlint:hotpath
 func (t *Tables) ChunkTime(whole float64, lo, hi int) (fwd, bwd float64) {
-	stage := whole * t.flops[lo*t.n+hi] / t.total
+	return t.SplitStage(t.StageTime(whole, lo, hi))
+}
+
+// StageTime is the compute time of layers [lo, hi), forward and backward
+// together, before ChunkTime splits it. For a fixed hi it never falls as lo
+// does, in float64 and not only in the reals: row lo-1 of the FLOP table
+// starts from a sum at least row lo's (layer FLOPs are non-negative) and then
+// adds the same terms in the same order, and rounding is monotone; so are the
+// multiplication and the division that follow, whole and total being positive.
+//
+//hetlint:hotpath
+func (t *Tables) StageTime(whole float64, lo, hi int) float64 {
+	return whole * t.flops[lo*t.n+hi] / t.total
+}
+
+// SplitStage splits a StageTime into its forward and backward parts. The
+// parts add back to the stage time to within two roundings: fwd + bwd >=
+// stage * (1 - 2^-51) whenever BwdFwdRatio >= 0.
+//
+//hetlint:hotpath
+func (t *Tables) SplitStage(stage float64) (fwd, bwd float64) {
 	fwd = stage / t.ratio
 	return fwd, stage - fwd
 }

@@ -135,6 +135,42 @@ func (e *Engine) Reset() {
 	e.funcs = e.funcs[:0]
 }
 
+// Saved is an engine state taken by Save: the clock, the counters and a copy
+// of the event arena, its free list and the heap. It belongs to the caller and
+// is reused — a second Save into the same value overwrites it without
+// allocating once it has grown to the queue's size.
+type Saved struct {
+	now        Time
+	seq, fired uint64
+	live, dead int
+	slots      []slot
+	free       []int32
+	heap       []heapEnt
+}
+
+// Save copies the engine's state into s. It may be called between events or
+// from inside an event callback: the firing event's slot is freed before the
+// callback runs, so the queue is consistent either way.
+func (e *Engine) Save(s *Saved) {
+	s.now, s.seq, s.fired, s.live, s.dead = e.now, e.seq, e.fired, e.live, e.dead
+	s.slots = append(s.slots[:0], e.slots...)
+	s.free = append(s.free[:0], e.free...)
+	s.heap = append(s.heap[:0], e.heap...)
+}
+
+// Restore returns the engine to the state s was saved from: the same events
+// pending with the same keys, generations and payloads, the same clock and
+// counters, so the run continues exactly as it did after the Save. Whatever
+// happened since — events fired, scheduled or cancelled, arena growth — is
+// gone, and Handles issued since are void. Register'd handlers and the step
+// limit are not part of the state and stay as they are.
+func (e *Engine) Restore(s *Saved) {
+	e.now, e.seq, e.fired, e.live, e.dead = s.now, s.seq, s.fired, s.live, s.dead
+	e.slots = append(e.slots[:0], s.slots...)
+	e.free = append(e.free[:0], s.free...)
+	e.heap = append(e.heap[:0], s.heap...)
+}
+
 // alloc takes a slot from the free list, growing the arena when empty.
 //
 //hetlint:hotpath

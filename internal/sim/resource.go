@@ -49,6 +49,38 @@ func NewResource(eng *Engine, name string) *Resource {
 	return r
 }
 
+// SavedResource is a resource state taken by Resource.Save: the accounting,
+// the job in service and the waiting jobs (Submit callbacks included). Like
+// Saved it belongs to the caller and is reused.
+type SavedResource struct {
+	busy      bool
+	busySince Time
+	busyTotal Duration
+	served    uint64
+	maxQueue  int
+	cur       job
+	queue     []job
+	closures  []func()
+}
+
+// Save copies the resource's state into s. The engine event that ends the job
+// in service is the engine's to save (Engine.Save), at the same moment.
+func (r *Resource) Save(s *SavedResource) {
+	s.busy, s.busySince, s.busyTotal, s.served, s.maxQueue, s.cur = r.busy, r.busySince, r.busyTotal, r.served, r.maxQueue, r.cur
+	s.queue = append(s.queue[:0], r.queue[r.head:]...)
+	s.closures = append(s.closures[:0], r.closures[r.clHead:]...)
+}
+
+// Restore returns the resource to the state s was saved from; pair it with
+// Engine.Restore of the state saved at the same moment. Handlers registered
+// with Register stay as they are.
+func (r *Resource) Restore(s *SavedResource) {
+	r.busy, r.busySince, r.busyTotal, r.served, r.maxQueue, r.cur = s.busy, s.busySince, s.busyTotal, s.served, s.maxQueue, s.cur
+	r.queue, r.head = append(r.queue[:0], s.queue...), 0
+	clear(r.closures)
+	r.closures, r.clHead = append(r.closures[:0], s.closures...), 0
+}
+
 // Name reports the resource name.
 func (r *Resource) Name() string { return r.name }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -156,5 +157,55 @@ func TestResourceFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResourceSaveRestore: a resource saved part-way through a mix of Submit
+// and SubmitID jobs (one in service, some waiting, some already served, the
+// rings' heads advanced), then run to the end, restored together with the
+// engine and run again, completes the same jobs at the same times and ends
+// with the same accounting — also when more jobs than were waiting at the
+// save arrived after it.
+func TestResourceSaveRestore(t *testing.T) {
+	e := New()
+	r := NewResource(e, "gpu")
+	var log []Time
+	id := r.Register(func(a, _ int32, _ float64) { log = append(log, Time(a)*1000+e.Now()) })
+	closure := func(n int) func() { return func() { log = append(log, Time(n)*1000+e.Now()) } }
+	for n := 1; n <= 20; n++ { // enough for the queue's compaction to have run
+		if n%3 == 0 {
+			r.Submit(Duration(n%4+1), "c", closure(n))
+		} else {
+			r.SubmitID(Duration(n%4+1), id, int32(n), 0)
+		}
+	}
+	for r.Served() < 17 {
+		e.Step()
+	}
+	var se Saved
+	var sr SavedResource
+	e.Save(&se)
+	r.Save(&sr)
+	at := len(log)
+	finish := func() (tail []Time, busy Duration, served uint64, maxQueue int) {
+		for n := 21; n <= 30; n++ {
+			r.Submit(1, "late", closure(n))
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return append([]Time(nil), log[at:]...), r.BusyTime(), r.Served(), r.MaxQueueLen()
+	}
+	tail1, busy1, served1, max1 := finish()
+	e.Restore(&se)
+	r.Restore(&sr)
+	log = log[:at]
+	if r.QueueLen() != 2 || !r.Busy() || r.Served() != 17 {
+		t.Fatalf("restored to %d waiting, busy %v, %d served; saved with 2 waiting, busy, 17 served", r.QueueLen(), r.Busy(), r.Served())
+	}
+	tail2, busy2, served2, max2 := finish()
+	if len(tail1) != 13 || !slices.Equal(tail1, tail2) || busy1 != busy2 || served1 != served2 || max1 != max2 {
+		t.Fatalf("second run %v busy %v served %d maxQueue %d, first %v busy %v served %d maxQueue %d",
+			tail2, busy2, served2, max2, tail1, busy1, served1, max1)
 	}
 }

@@ -50,11 +50,14 @@ func TestGridFaultAxisExpansion(t *testing.T) {
 		t.Fatalf("horovod expanded %d scenarios, want 1", len(scs))
 	}
 
-	// A bad spec fails the whole grid up front.
-	bad := faultGrid()
-	bad.Faults = []string{"boom:w0"}
-	if _, err := bad.Expand(); err == nil {
-		t.Error("Expand accepted a bad fault spec")
+	// A bad spec fails the whole grid up front — a non-finite real too, which
+	// no range check sees.
+	for _, spec := range []string{"boom:w0", "slow:w0:xNaN"} {
+		bad := faultGrid()
+		bad.Faults = []string{"", spec}
+		if _, err := bad.Expand(); err == nil {
+			t.Errorf("Expand accepted the fault spec %q", spec)
+		}
 	}
 }
 
