@@ -6,7 +6,8 @@
 // Three modes:
 //
 //   - Conformance (the default): runs one protocol-level configuration
-//     through both the co-simulation (train.RunWSP) and the live runtime and
+//     through both the simulator's timing-free numerics (train.RunWSP: the
+//     weights never depend on a clock, so none is run) and the live runtime and
 //     prints the differential-conformance report — matching
 //     minibatch/push/pull counts, the D-bound, the observed staleness against
 //     sglobal, and final-weight agreement.
@@ -122,8 +123,7 @@ func main() {
 		report, err := cluster.RunConformance(ctx, cluster.ConformanceConfig{
 			Task: task, Workers: *workers, SLocal: *nm - 1, D: *d,
 			LR: *lr, MaxMinibatches: *mb,
-			Servers: *shards, Chunks: *chunks, TCP: *tcp,
-			Seed: *seed, Tolerance: *tol,
+			Servers: *shards, Chunks: *chunks, TCP: *tcp, Tolerance: *tol,
 			Faults: plan, CheckpointEvery: *ckptEvery,
 		})
 		if err != nil {

@@ -111,15 +111,11 @@ func TestNonFiniteLearningRateRejected(t *testing.T) {
 				return err
 			},
 			"RunWSP": func() error {
-				_, err := train.RunWSP(train.WSPConfig{Task: task, Workers: 2, LR: lr, Periods: periods, MaxMinibatches: 4, EvalEvery: 8})
+				_, err := train.RunWSP(train.WSPConfig{Task: task, Workers: 2, LR: lr, MaxMinibatches: 4, EvalEvery: 8})
 				return err
 			},
 			"RunBSP": func() error {
 				_, err := train.RunBSP(train.BSPConfig{Task: task, LR: lr, Periods: periods, MaxIterations: 4, EvalEvery: 8})
-				return err
-			},
-			"RunSSP": func() error {
-				_, err := train.RunSSP(train.SSPConfig{Task: task, LR: lr, Periods: periods, MaxIterations: 4, EvalEvery: 8})
 				return err
 			},
 		}

@@ -1,7 +1,7 @@
 // Package cluster is the live WSP training runtime: N virtual workers run as
 // goroutines training a real numeric task against M real parameter-server
 // shards (internal/ps), either in-process or over TCP. Where the
-// co-simulation (train.RunWSP) models the protocol's timing, this package
+// co-simulation (internal/core) models the protocol's timing, this package
 // executes its dataflow for real — the clock-distance bound D is enforced by
 // each worker blocking on the servers' clock-gated snapshot pull, with no
 // central coordinator anywhere. A worker talks to the servers once per wave:
@@ -10,11 +10,12 @@
 // (pullAfterPush is that decision, written once), and as the two halves of
 // the same exchange otherwise.
 //
-// The runtime reproduces the co-simulation's numeric trajectory exactly,
-// because both execute the same program: each worker here drives a
-// train.Worker — the one definition of the staleness window — and only the
-// gate differs, a blocking exchange with real servers instead of a simulated
-// clock. RunConformance (conformance.go) runs both backends on one
+// The runtime reproduces the simulator's numeric trajectory exactly, because
+// both execute the same program: each worker here drives a train.Worker — the
+// one definition of the staleness window — and only the gate differs, a
+// blocking exchange with real servers where train.Numerics serves the same
+// snapshots itself, under the co-simulation's clock or (train.RunWSP) none.
+// RunConformance (conformance.go) runs both backends on one
 // configuration and asserts they agree on minibatch, push, and pull counts, on
 // the D-bound and the staleness bound, and on the final weights.
 //
@@ -697,7 +698,7 @@ func (e *workerEnv) linkSleep() {
 }
 
 // run is one attempt at the worker's training loop: the worker's train.Worker
-// program — the same one the co-simulation steps — against real servers.
+// program — the same one train.Numerics steps — against real servers.
 // Pushes carry one sealed delta per wave, and the D-bound gate is the servers'
 // blocking snapshot pull.
 //

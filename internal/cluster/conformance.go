@@ -11,8 +11,8 @@ import (
 )
 
 // ConformanceConfig fixes one (task, N, Nm, D) configuration to run through
-// both backends: the co-simulation (train.RunWSP) and the live sharded-PS
-// runtime (Run).
+// both backends: the simulator's numerics (train.RunWSP — timing never reaches
+// them, so no clock is run) and the live sharded-PS runtime (Run).
 type ConformanceConfig struct {
 	Task           train.Task
 	Workers        int
@@ -24,14 +24,6 @@ type ConformanceConfig struct {
 	Servers int
 	Chunks  int
 	TCP     bool
-	// Periods / PushTime / PullTime / Jitter / Seed configure the simulated
-	// timing. Timing shapes the simulator's clock, never its numerics, so
-	// ANY timing here must conform — nil Periods defaults to a deliberately
-	// heterogeneous mix to make that point.
-	Periods            []float64
-	PushTime, PullTime []float64
-	Jitter             float64
-	Seed               int64
 	// Tolerance bounds the final-weight disagreement; 0 means the default
 	// 1e-6, negative demands exact bit-equality.
 	Tolerance float64
@@ -179,22 +171,12 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 	return report, nil
 }
 
-// runBoth runs the configuration through the co-simulation and the live
-// runtime.
+// runBoth runs the configuration through the simulator's numerics and the
+// live runtime.
 func (cfg ConformanceConfig) runBoth(ctx context.Context) (*train.RunStats, *Stats, error) {
-	periods := cfg.Periods
-	if periods == nil {
-		periods = make([]float64, cfg.Workers)
-		for w := range periods {
-			// A deliberately whimpy-heterogeneous default: 1x..~3x spread.
-			periods[w] = 0.1 * (1 + 0.7*float64(w%4))
-		}
-	}
 	sim, err := train.RunWSP(train.WSPConfig{
 		Task: cfg.Task, Workers: cfg.Workers, SLocal: cfg.SLocal, D: cfg.D,
-		LR: cfg.LR, Periods: periods, PushTime: cfg.PushTime, PullTime: cfg.PullTime,
-		Jitter: cfg.Jitter, Seed: cfg.Seed,
-		MaxMinibatches: cfg.MaxMinibatches,
+		LR: cfg.LR, MaxMinibatches: cfg.MaxMinibatches,
 		// Evaluation cadence is irrelevant to conformance; keep it rare.
 		EvalEvery: cfg.MaxMinibatches * cfg.Workers,
 	})

@@ -42,7 +42,7 @@ func TestWaveFramesFollowThePredicate(t *testing.T) {
 	}
 	sim, err := train.RunWSP(train.WSPConfig{
 		Task: task, Workers: workers, SLocal: slocal, D: d, LR: base.LR,
-		Periods: []float64{0.1, 0.17, 0.24}, MaxMinibatches: budget, EvalEvery: workers * budget,
+		MaxMinibatches: budget, EvalEvery: workers * budget,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -150,11 +150,6 @@ type VWPlan struct {
 	// Throughput is the standalone steady-state rate (samples/sec) at the
 	// deployment's Nm, from a solo pipeline simulation.
 	Throughput float64
-	// Period is seconds per minibatch at steady state (Batch/Throughput).
-	Period float64
-	// FillLatency approximates injection-to-completion latency (the serial
-	// traversal time of the pipeline).
-	FillLatency float64
 	// MaxUtil is the maximum per-GPU utilization in the solo run.
 	MaxUtil float64
 }
@@ -202,28 +197,7 @@ func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWP
 	}
 	// The context dies with this call, so its plan (cut for vw) is the
 	// caller's to keep.
-	return s.vwPlan(vw, sp.plan, res.Throughput, res.MaxGPUUtil), res, nil
-}
-
-// vwPlan assembles a virtual worker's plan and solo-run figures.
-func (s *System) vwPlan(vw *hw.VirtualWorker, plan *partition.Plan, throughput, maxUtil float64) *VWPlan {
-	return &VWPlan{
-		VW: vw, Plan: plan,
-		Throughput:  throughput,
-		Period:      float64(s.Batch) / throughput,
-		FillLatency: serialTime(plan),
-		MaxUtil:     maxUtil,
-	}
-}
-
-// serialTime sums stage compute and receive times: the Nm=1 per-minibatch
-// latency, used as the pipeline fill latency.
-func serialTime(p *partition.Plan) float64 {
-	var t float64
-	for i := range p.Stages {
-		t += p.Stages[i].ExecTime()
-	}
-	return t
+	return &VWPlan{VW: vw, Plan: sp.plan, Throughput: res.Throughput, MaxUtil: res.MaxGPUUtil}, res, nil
 }
 
 // ChooseNm sweeps Nm from 1 to cap (bounded by every virtual worker's Maxm)

@@ -45,8 +45,8 @@ func TestSoloVWMatchesPipeline(t *testing.T) {
 	if vp.Throughput != res.Throughput {
 		t.Errorf("plan throughput %v != result %v", vp.Throughput, res.Throughput)
 	}
-	if vp.Period <= 0 || vp.FillLatency <= 0 {
-		t.Errorf("bad timing: period %v fill %v", vp.Period, vp.FillLatency)
+	if vp.Throughput <= 0 || vp.MaxUtil <= 0 || vp.MaxUtil > 1 {
+		t.Errorf("bad solo figures: throughput %v, max utilization %v", vp.Throughput, vp.MaxUtil)
 	}
 }
 

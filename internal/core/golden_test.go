@@ -97,8 +97,8 @@ func goldenDeployment(cl *hw.Cluster, s sched.Schedule, d int) (*Deployment, err
 }
 
 // weightsDigest runs a small deterministic logistic-regression WSP training
-// job whose timing comes from the deployment's simulated periods and sync
-// times, and fingerprints the final global weight vector.
+// job of the deployment's N, Nm and D, and fingerprints the final global
+// weight vector.
 func weightsDigest(dep *Deployment) (string, error) {
 	ds, err := data.SyntheticClassification(7, 256, 8, 3, 0.1)
 	if err != nil {
@@ -113,17 +113,9 @@ func weightsDigest(dep *Deployment) (string, error) {
 		return "", err
 	}
 	n := len(dep.VWs)
-	periods := make([]float64, n)
-	fill := make([]float64, n)
-	for i, vp := range dep.VWs {
-		periods[i] = vp.Period
-		fill[i] = vp.FillLatency
-	}
 	stats, err := train.RunWSP(train.WSPConfig{
 		Task: task, Workers: n, SLocal: dep.SLocal(), D: dep.D, LR: 0.1,
-		Periods: periods, FillLatency: fill,
-		PushTime: dep.PushTime, PullTime: dep.PullTime,
-		Seed: 11, MaxMinibatches: 12, EvalEvery: 12 * n,
+		MaxMinibatches: 12, EvalEvery: 12 * n,
 	})
 	if err != nil {
 		return "", err

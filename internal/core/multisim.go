@@ -125,7 +125,11 @@ func (d *Deployment) SimulateWSPFaults(ctx context.Context, minibatchesPerVW, wa
 // engine's.
 //
 // The run costs one pipeline per lock-step group of virtual workers, not one
-// per worker (see lockStepGroups); a malformed deployment is an error.
+// per worker (see lockStepGroups); a malformed deployment is an error. A run
+// cancelled through ctx returns, beside ctx.Err(), the MultiResult as counted
+// up to the stop (Elapsed, Waiting, Idle, Pushes, Pulls, MaxClockDistance,
+// FaultInjections; no throughput) — a training run stopped at its target
+// reads its synchronization overhead there.
 func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, minibatchesPerVW, warmup int, ob obs.Func, plan *fault.Plan, checkpointEvery int) (*MultiResult, error) {
 	eng.Reset()
 	if err := d.check(); err != nil {
@@ -172,7 +176,14 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 		g.pipe.Start()
 	}
 	if err := eng.RunContext(ctx); err != nil {
-		return nil, err
+		if ctx.Err() == nil {
+			return nil, err
+		}
+		// A run its caller stopped still says what it counted up to the stop;
+		// throughputs need the whole window and stay empty.
+		c.res.Elapsed = float64(eng.Now())
+		c.res.MaxClockDistance = coord.MaxClockDistance()
+		return c.res, err
 	}
 	return c.result()
 }

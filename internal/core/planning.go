@@ -211,7 +211,7 @@ func (pc *planning) solo(vw *hw.VirtualWorker, nm int) (*VWPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pc.sys.vwPlan(vw, sp.plan.Rebind(vw), sp.throughput, sp.maxUtil), nil
+	return &VWPlan{VW: vw, Plan: sp.plan.Rebind(vw), Throughput: sp.throughput, MaxUtil: sp.maxUtil}, nil
 }
 
 // pruneMargin is the relative slack chooseNm leaves when it compares a sum of

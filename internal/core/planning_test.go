@@ -40,7 +40,7 @@ func referenceDeploy(s *System, alloc *hw.Allocation, nm, d int, placement Place
 		if err != nil {
 			return nil, err
 		}
-		return s.vwPlan(vw, plan, res.Throughput, res.MaxGPUUtil), nil
+		return &VWPlan{VW: vw, Plan: plan, Throughput: res.Throughput, MaxUtil: res.MaxGPUUtil}, nil
 	}
 	if nm == 0 {
 		limit := 8
@@ -500,7 +500,7 @@ func TestConcurrentDeploysOnOneSystem(t *testing.T) {
 func deploymentFigures(d *Deployment) []any {
 	out := []any{d.Nm, d.D, d.Placement, d.PushTime, d.PullTime}
 	for _, vp := range d.VWs {
-		out = append(out, vp.Throughput, vp.Period, vp.FillLatency, vp.MaxUtil, vp.Plan.Bottleneck, vp.Plan.Nm, vp.Plan.Schedule, vp.Plan.Interleave)
+		out = append(out, vp.Throughput, vp.MaxUtil, vp.Plan.Bottleneck, vp.Plan.Nm, vp.Plan.Schedule, vp.Plan.Interleave)
 		for _, st := range vp.Plan.Stages {
 			out = append(out, st.GPU.Name(), st.Chunks, st.FwdTime, st.BwdTime, st.RecvActTime, st.RecvGradTime, st.MemoryBytes, st.MemoryCap)
 		}

@@ -1,13 +1,16 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"hetpipe/internal/convergence"
 	"hetpipe/internal/core"
 	"hetpipe/internal/data"
+	"hetpipe/internal/fault"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
+	"hetpipe/internal/obs"
 	"hetpipe/internal/profile"
 	"hetpipe/internal/train"
 )
@@ -32,7 +35,6 @@ const (
 	// smoothly across the whole run and is sensitive to staleness.
 	targetLoss     = 0.50
 	convergeLR     = 0.01
-	convergeJitter = 0.08
 	convergeSeed   = 42
 	maxMBPerWorker = 12000
 	evalEvery      = 128
@@ -53,56 +55,63 @@ func convergenceTask() (*train.LogReg, error) {
 	return train.NewLogReg(tr, ev, batchSize)
 }
 
-// speedSkew gives virtual worker w of n a persistent speed offset (+-4%),
-// modeling the sustained rate differences real clusters exhibit (thermal
-// throttling, data loading, network congestion) that the paper's waiting
-// time measurements reflect.
-func speedSkew(w, n int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	return 1 + 0.08*(float64(w)/float64(n-1)-0.5)
-}
-
-// hetpipeTimings deploys HetPipe on the given VW specs and extracts the
-// co-simulation timing inputs.
-func hetpipeTimings(m *model.Model, specs []string, d int) (*core.Deployment, train.WSPConfig, error) {
+// deployLocal deploys HetPipe on the paper cluster over the given VW specs,
+// ED-local placement, the planner's own Nm.
+func deployLocal(m *model.Model, specs []string, d int) (*core.Deployment, error) {
 	s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
 	if err != nil {
-		return nil, train.WSPConfig{}, err
+		return nil, err
 	}
 	alloc, err := hw.AllocateByTypes(s.Cluster, specs)
 	if err != nil {
-		return nil, train.WSPConfig{}, err
+		return nil, err
 	}
-	dep, err := s.Deploy(alloc, 0, d, core.PlacementLocal)
+	return s.Deploy(alloc, 0, d, core.PlacementLocal)
+}
+
+// trainOn runs cfg's training on dep, timed by the deployment's co-simulation
+// under plan (nil = fault-free): dep supplies N, Nm and D, the simulator's
+// push and completion events drive the numerics, and the run is cancelled at
+// the event that meets cfg's target. Waiting, idle and pulls are the
+// co-simulation's own, read where it stopped.
+func trainOn(dep *core.Deployment, cfg train.WSPConfig, plan *fault.Plan) (*train.RunStats, error) {
+	cfg.Workers, cfg.SLocal, cfg.D = len(dep.VWs), dep.SLocal(), dep.D
+	// The co-simulation ends every worker on a wave boundary; give the
+	// numerics the same budget.
+	cfg.MaxMinibatches = (cfg.MaxMinibatches + dep.Nm - 1) / dep.Nm * dep.Nm
+	num, err := train.NewNumerics(cfg)
 	if err != nil {
-		return nil, train.WSPConfig{}, err
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mr, err := dep.SimulateWSPFaults(ctx, cfg.MaxMinibatches, 0, func(e obs.Event) {
+		if num.Observe(e) {
+			cancel()
+		}
+	}, plan, 0)
+	if mr == nil { // failed; a run cancelled above still reports
+		return nil, err
+	}
+	st := num.Finish()
+	st.Waiting, st.Idle, st.Pulls = mr.Waiting, mr.Idle, mr.Pulls
+	return st, nil
+}
+
+// hetpipeRun is one HetPipe line of the convergence figures.
+func hetpipeRun(m *model.Model, specs []string, d int) (*train.RunStats, error) {
+	dep, err := deployLocal(m, specs, d)
+	if err != nil {
+		return nil, err
 	}
 	task, err := convergenceTask()
 	if err != nil {
-		return nil, train.WSPConfig{}, err
+		return nil, err
 	}
-	cfg := train.WSPConfig{
-		Task:           task,
-		Workers:        len(dep.VWs),
-		SLocal:         dep.SLocal(),
-		D:              d,
-		LR:             convergeLR,
-		Jitter:         convergeJitter,
-		Seed:           convergeSeed,
-		MaxMinibatches: maxMBPerWorker,
-		EvalEvery:      evalEvery,
-		TargetLoss:     targetLoss,
-	}
-	n := len(dep.VWs)
-	for w, vp := range dep.VWs {
-		cfg.Periods = append(cfg.Periods, vp.Period*speedSkew(w, n))
-		cfg.FillLatency = append(cfg.FillLatency, vp.FillLatency)
-		cfg.PushTime = append(cfg.PushTime, dep.PushTime[w])
-		cfg.PullTime = append(cfg.PullTime, dep.PullTime[w])
-	}
-	return dep, cfg, nil
+	return trainOn(dep, train.WSPConfig{
+		Task: task, LR: convergeLR, MaxMinibatches: maxMBPerWorker,
+		EvalEvery: evalEvery, TargetLoss: targetLoss,
+	}, nil)
 }
 
 // horovodRun builds and runs the numeric Horovod baseline for a model.
@@ -127,7 +136,7 @@ func horovodRun(m *model.Model) (*train.RunStats, int, error) {
 	n := len(periods)
 	stats, err := train.RunBSP(train.BSPConfig{
 		Task: task, Periods: periods, AllReduceTime: ar,
-		LR: convergeLR * float64(n), Jitter: convergeJitter, Seed: convergeSeed,
+		LR:            convergeLR * float64(n),
 		MaxIterations: maxMBPerWorker, EvalEvery: evalEvery / 8,
 		TargetLoss: targetLoss,
 	})
@@ -164,11 +173,7 @@ func Figure5(r *Report) error {
 		{"HetPipe 12 GPUs", []string{"VRQ", "VRQ", "VRQ", "VRQ"}},
 		{"HetPipe 16 GPUs", []string{"VRQG", "VRQG", "VRQG", "VRQG"}},
 	} {
-		_, cfg, err := hetpipeTimings(m, c.specs, 0)
-		if err != nil {
-			return err
-		}
-		st, err := train.RunWSP(cfg)
+		st, err := hetpipeRun(m, c.specs, 0)
 		if err != nil {
 			return err
 		}
@@ -190,11 +195,7 @@ func Figure6(r *Report) error {
 	r.addf("%s", describeRun(fmt.Sprintf("Horovod (%d GPUs)", workers), hv, 0))
 	base := hv.TimeToTarget
 	for _, d := range []int{0, 4, 32} {
-		_, cfg, err := hetpipeTimings(m, []string{"VRGQ", "VRGQ", "VRGQ", "VRGQ"}, d)
-		if err != nil {
-			return err
-		}
-		st, err := train.RunWSP(cfg)
+		st, err := hetpipeRun(m, []string{"VRGQ", "VRGQ", "VRGQ", "VRGQ"}, d)
 		if err != nil {
 			return err
 		}
@@ -210,13 +211,11 @@ func SyncOverhead(r *Report) error {
 	m := model.VGG19()
 	var waitD0 float64
 	for _, d := range []int{0, 4, 32} {
-		_, cfg, err := hetpipeTimings(m, []string{"VRGQ", "VRGQ", "VRGQ", "VRGQ"}, d)
+		dep, err := deployLocal(m, []string{"VRGQ", "VRGQ", "VRGQ", "VRGQ"}, d)
 		if err != nil {
 			return err
 		}
-		cfg.TargetAccuracy = 0 // fixed budget: compare equal work
-		cfg.MaxMinibatches = 2000
-		st, err := train.RunWSP(cfg)
+		st, err := dep.SimulateWSP(2000, 0) // fixed budget: compare equal work
 		if err != nil {
 			return err
 		}

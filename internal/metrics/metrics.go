@@ -2,10 +2,7 @@
 // harness: time series (accuracy-over-time curves) and summaries.
 package metrics
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Point is one sample of a time series.
 type Point struct {
@@ -33,37 +30,6 @@ func (s *Series) Last() (Point, bool) {
 		return Point{}, false
 	}
 	return s.Points[len(s.Points)-1], true
-}
-
-// FirstTimeAtOrAbove reports the earliest time the series reaches the
-// threshold.
-func (s *Series) FirstTimeAtOrAbove(v float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.V >= v {
-			return p.T, true
-		}
-	}
-	return 0, false
-}
-
-// At linearly interpolates the series value at time t (clamped to the ends).
-func (s *Series) At(t float64) (float64, bool) {
-	if len(s.Points) == 0 {
-		return 0, false
-	}
-	i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= t })
-	switch {
-	case i == 0:
-		return s.Points[0].V, true
-	case i == len(s.Points):
-		return s.Points[len(s.Points)-1].V, true
-	}
-	a, b := s.Points[i-1], s.Points[i]
-	if b.T == a.T {
-		return b.V, true
-	}
-	frac := (t - a.T) / (b.T - a.T)
-	return a.V + frac*(b.V-a.V), true
 }
 
 // Summary aggregates a slice of values.

@@ -29,41 +29,6 @@ func TestSeriesRejectsTimeRegression(t *testing.T) {
 	s.Append(4, 1)
 }
 
-func TestFirstTimeAtOrAbove(t *testing.T) {
-	var s Series
-	s.Append(0, 0.1)
-	s.Append(10, 0.5)
-	s.Append(20, 0.9)
-	at, ok := s.FirstTimeAtOrAbove(0.5)
-	if !ok || at != 10 {
-		t.Errorf("first = %v, %v", at, ok)
-	}
-	if _, ok := s.FirstTimeAtOrAbove(0.95); ok {
-		t.Error("unreached threshold reported reached")
-	}
-}
-
-func TestAtInterpolates(t *testing.T) {
-	var s Series
-	s.Append(0, 0)
-	s.Append(10, 100)
-	v, ok := s.At(5)
-	if !ok || math.Abs(v-50) > 1e-12 {
-		t.Errorf("At(5) = %v, %v", v, ok)
-	}
-	// Clamping at the ends.
-	if v, _ := s.At(-5); v != 0 {
-		t.Errorf("At(-5) = %v, want 0", v)
-	}
-	if v, _ := s.At(50); v != 100 {
-		t.Errorf("At(50) = %v, want 100", v)
-	}
-	var empty Series
-	if _, ok := empty.At(1); ok {
-		t.Error("empty series interpolated")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{3, 1, 2})
 	if s.N != 3 || s.Min != 1 || s.Max != 3 || math.Abs(s.Mean-2) > 1e-12 {

@@ -61,12 +61,3 @@ func (p *Placement) KeysOn(server int) []string {
 	}
 	return out
 }
-
-// Distribution reports how many keys each server holds.
-func (p *Placement) Distribution() []int {
-	out := make([]int, p.servers)
-	for _, s := range p.assign {
-		out[s]++
-	}
-	return out
-}

@@ -21,16 +21,16 @@ func BenchmarkLogRegGrad(b *testing.B) {
 	}
 }
 
-// BenchmarkWSPCoSimulation measures the full co-simulated WSP run: 4 virtual
-// workers, 200 minibatches each, with wave pushes and lazy pulls.
-func BenchmarkWSPCoSimulation(b *testing.B) {
+// BenchmarkWSPNumerics measures one full timing-free WSP run (RunWSP): 4
+// virtual workers, 200 minibatches each, stepped minibatch-major, with wave
+// pushes, lazy pulls and the evaluation passes.
+func BenchmarkWSPNumerics(b *testing.B) {
 	lt, err := DefaultTask(7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := WSPConfig{
 		Task: lt, Workers: 4, SLocal: 3, D: 1, LR: 0.1,
-		Periods: []float64{0.1, 0.11, 0.12, 0.13}, Jitter: 0.05, Seed: 1,
 		MaxMinibatches: 200, EvalEvery: 200,
 	}
 	b.ResetTimer()

@@ -1,10 +1,13 @@
 // Package train runs real numeric SGD under the synchronization schedules of
-// the paper — WSP (pipelined virtual workers with waves and the clock
-// distance bound D), BSP over all-reduce (the Horovod baseline), and SSP —
-// and couples each update schedule to simulated wall-clock time
-// ("co-simulation"): gradients are real, minibatch durations come from the
-// cluster simulator, waiting follows the protocol. The resulting
-// accuracy-versus-time curves regenerate Figures 5 and 6.
+// the paper: WSP (pipelined virtual workers with waves and the clock distance
+// bound D) and BSP over all-reduce (the Horovod baseline). The WSP side keeps
+// no clock. Worker is one virtual worker's timing-free program and Numerics a
+// whole run's timing-free state; when anything happens is decided elsewhere —
+// by core's co-simulation, whose push and completion events advance a
+// Numerics (Observe) to give the accuracy-versus-time curves of Figures 5
+// and 6, by the live runtime's real servers (internal/cluster steps Workers
+// itself), or by nothing at all (RunWSP, for callers that want the weights).
+// RunBSP times the baseline by the Section 7 model's iteration time.
 //
 // The default task is multinomial logistic regression on a synthetic
 // Gaussian-mixture dataset: convex with bounded (clipped) gradients, exactly

@@ -10,7 +10,7 @@ import (
 
 // Worker is one virtual worker's numeric program under WSP, with no notion of
 // time: the single definition of the Section 5 staleness window, executed by
-// the co-simulation (RunWSP) and by the live runtime (internal/cluster) alike.
+// the simulator's Numerics and by the live runtime (internal/cluster) alike.
 //
 // Minibatches are injected in order. Injecting minibatch m records the weights
 // it trains on and retires minibatch m-Nm+1 — its gradient, taken at the

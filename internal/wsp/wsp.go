@@ -17,8 +17,10 @@
 // small fraction of its waiting time (Section 8.4).
 //
 // The package is a pure protocol state machine: the discrete-event
-// coordinator (internal/core) and the numeric trainer (internal/train) both
-// drive it, so protocol invariants are tested once, here.
+// co-simulation (internal/core) and the regret study (internal/convergence)
+// drive its Coordinator, the numeric worker program (internal/train) and the
+// live runtime (internal/cluster) compute with its Params, so protocol
+// invariants are tested once, here.
 package wsp
 
 import "fmt"
@@ -85,11 +87,6 @@ func (p Params) RequiredGlobalClock(mb int) int {
 	}
 	return req
 }
-
-// LocalVisibleThrough reports the newest local minibatch whose update is
-// reflected in the weights minibatch mb trains with: mb-(slocal+1). The
-// first slocal+1 minibatches run on the initial weights (result <= 0).
-func (p Params) LocalVisibleThrough(mb int) int { return mb - p.WaveSize() }
 
 // CompleteWaves reports how many full waves fit in a per-worker budget of
 // maxMB minibatches — the number of pushes a worker performs over the run.
@@ -204,16 +201,4 @@ func (c *Coordinator) distance() int {
 		}
 	}
 	return max - min
-}
-
-// BlockedWorkers lists workers whose next minibatch is currently gated.
-func (c *Coordinator) BlockedWorkers() []int {
-	var out []int
-	g := c.GlobalClock()
-	for w := range c.pushed {
-		if g < c.params.RequiredGlobalClock(c.started[w]+1) {
-			out = append(out, w)
-		}
-	}
-	return out
 }

@@ -83,17 +83,6 @@ func TestRequiredGlobalClockWithD(t *testing.T) {
 	}
 }
 
-func TestLocalVisibleThrough(t *testing.T) {
-	// Section 4: minibatch p sees local updates 1..p-(slocal+1).
-	p := params(3, 0, 1)
-	if got := p.LocalVisibleThrough(11); got != 7 {
-		t.Errorf("visible(11) = %d, want 7", got)
-	}
-	if got := p.LocalVisibleThrough(2); got > 0 {
-		t.Errorf("visible(2) = %d, want <= 0 (initial weights)", got)
-	}
-}
-
 func TestCompleteWavesAndGatedPulls(t *testing.T) {
 	cases := []struct {
 		slocal, d, maxMB     int
@@ -192,26 +181,6 @@ func TestCoordinatorDistanceBound(t *testing.T) {
 		if got := c.MaxClockDistance(); got != d+1 {
 			t.Errorf("D=%d: max clock distance %d, want %d", d, got, d+1)
 		}
-	}
-}
-
-func TestCoordinatorBlockedWorkers(t *testing.T) {
-	c, err := NewCoordinator(params(1, 0, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := c.Params().WaveSize()
-	// Worker 0 completes wave 0 and the free part of wave 1.
-	for mb := 1; mb <= ws; mb++ {
-		c.Start(0, mb)
-	}
-	c.Push(0)
-	for mb := ws + 1; mb < 2*ws; mb++ {
-		c.Start(0, mb)
-	}
-	blocked := c.BlockedWorkers()
-	if len(blocked) != 1 || blocked[0] != 0 {
-		t.Errorf("blocked = %v, want [0]", blocked)
 	}
 }
 
