@@ -6,7 +6,9 @@
 //     never shows an undocumented package;
 //   - -links extracts relative links from every Markdown file and fails on
 //     links whose target file does not exist, so the docs cannot silently rot
-//     as files move;
+//     as files move; it also holds CHANGES.md entries from PR 24 on to 1,536
+//     bytes each, so the record stays readable (earlier entries are
+//     grandfathered);
 //   - -bench reads `go test -bench -benchmem` output on stdin and fails if
 //     any benchmark named in a committed baseline (-baseline, default
 //     BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,
@@ -92,6 +94,9 @@ func main() {
 			fatalf("%v", err)
 		}
 		findings = append(findings, f...)
+		if raw, err := os.ReadFile(filepath.Join(*root, "CHANGES.md")); err == nil {
+			findings = append(findings, checkChangelog(string(raw))...)
+		}
 	}
 	if *bench {
 		paths := strings.Split(*baseline, ",")
@@ -283,6 +288,32 @@ func checkMarkdownLinks(root string) ([]string, error) {
 		return nil
 	})
 	return findings, err
+}
+
+// The changelog cap: an entry is the text from a line starting "- PR <n>:" up
+// to the next such line, and from capFromPR on it may be maxEntryBytes long.
+const (
+	capFromPR     = 24
+	maxEntryBytes = 1536
+)
+
+var entryRe = regexp.MustCompile(`(?m)^- PR (\d+):`)
+
+// checkChangelog reports the CHANGES.md entries over the cap.
+func checkChangelog(text string) []string {
+	var findings []string
+	starts := entryRe.FindAllStringSubmatchIndex(text, -1)
+	for i, m := range starts {
+		end := len(text)
+		if i+1 < len(starts) {
+			end = starts[i+1][0]
+		}
+		pr, _ := strconv.Atoi(text[m[2]:m[3]])
+		if size := len(strings.TrimRight(text[m[0]:end], "\n")); pr >= capFromPR && size > maxEntryBytes {
+			findings = append(findings, fmt.Sprintf("CHANGES.md: entry for PR %d is %d bytes, over the %d-byte cap", pr, size, maxEntryBytes))
+		}
+	}
+	return findings
 }
 
 // stripCodeBlocks blanks fenced code blocks and inline code spans so link

@@ -96,6 +96,42 @@ func TestRepoIsClean(t *testing.T) {
 	if findings, err := checkMarkdownLinks(root); err != nil || len(findings) > 0 {
 		t.Errorf("markdown links: err=%v findings=%v", err, findings)
 	}
+	raw, err := os.ReadFile(filepath.Join(root, "CHANGES.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if findings := checkChangelog(string(raw)); len(findings) > 0 {
+		t.Errorf("changelog: %v", findings)
+	}
+}
+
+func TestCheckChangelog(t *testing.T) {
+	long := strings.Repeat("x", maxEntryBytes)
+	for _, tc := range []struct {
+		name, text string
+		want       []string
+	}{
+		{"empty", "", nil},
+		{"old entries are grandfathered", "- PR 23: " + long + "\n- PR 9: " + long + "\n", nil},
+		{"short new entry", "- PR 23: " + long + "\n- PR 24: fine\n", nil},
+		{"exactly at the cap", "- PR 24: " + long[:maxEntryBytes-len("- PR 24: ")] + "\n", nil},
+		{"one byte over", "- PR 24: " + long[:maxEntryBytes-len("- PR 24: ")+1] + "\n", []string{"PR 24 is 1537 bytes"}},
+		{"continuation lines count", "- PR 25: a\n  " + long + "\n- PR 26: ok\n", []string{"PR 25 is"}},
+		{"last entry without newline", "- PR 24: ok\n- PR 30: " + long, []string{"PR 30 is"}},
+		{"every long entry is named", "- PR 24: " + long + "\n- PR 25: " + long + "\n", []string{"PR 24 is", "PR 25 is"}},
+		{"mid-line marker starts no entry", "- PR 24: see - PR 99: " + long[:100] + "\n", nil},
+	} {
+		got := checkChangelog(tc.text)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: findings = %v, want %d", tc.name, got, len(tc.want))
+			continue
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(got[i], w) {
+				t.Errorf("%s: finding %q does not mention %q", tc.name, got[i], w)
+			}
+		}
+	}
 }
 
 const benchBaselineJSON = `{

@@ -35,23 +35,20 @@ import (
 	"strconv"
 	"strings"
 
+	"hetpipe"
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
-	"hetpipe/internal/hw"
-	"hetpipe/internal/model"
 	"hetpipe/internal/prof"
-	"hetpipe/internal/profile"
-	"hetpipe/internal/sched"
 	"hetpipe/internal/serve"
 )
 
 func main() {
-	modelName := flag.String("model", "vgg19", "model-zoo key ("+strings.Join(model.Names(), ", ")+")")
+	modelName := flag.String("model", "vgg19", "model-zoo key ("+strings.Join(hetpipe.Models(), ", ")+")")
 	clusterName := flag.String("cluster", "paper", "cluster-catalog key")
 	policy := flag.String("policy", "NP", "allocation policy (NP, ED, HD)")
-	scheduleName := flag.String("schedule", sched.Default().Name(), "pipeline schedule ("+strings.Join(sched.Names(), ", ")+")")
+	scheduleName := flag.String("schedule", "", "pipeline schedule: "+strings.Join(hetpipe.Schedules(), ", ")+" (empty = hetpipe-fifo)")
 	placement := flag.String("placement", "default", "parameter placement (default, local); serving only shapes transfer profiling")
-	interleave := flag.Int("interleave", 1, "partitioner interleave degree V")
+	interleave := flag.Int("interleave", 0, "interleave degree V: chunks per GPU (requires -schedule interleaved when > 1)")
 	nm := flag.Int("nm", 0, "concurrent-minibatch count shaping the in-flight cap (0 = auto)")
 	batch := flag.Int("batch", 0, "microbatch capacity in requests (0 = 32)")
 	traffic := flag.String("traffic", "", "traffic spec (required), e.g. poisson:r120:n2000:crit0.2")
@@ -64,9 +61,6 @@ func main() {
 
 	if *traffic == "" {
 		fatalf("-traffic is required (e.g. -traffic poisson:r120:n2000)")
-	}
-	if *batch == 0 {
-		*batch = 32
 	}
 	tr, err := serve.ParseTraffic(*traffic)
 	if err != nil {
@@ -85,7 +79,11 @@ func main() {
 			fatalf("%v", err)
 		}
 	}()
-	dep, err := resolve(*modelName, *clusterName, *policy, *scheduleName, *placement, *interleave, *nm, *batch)
+	sp, err := spec(*modelName, *clusterName, *policy, *scheduleName, *placement, *interleave, *nm, *batch)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	dep, err := sp.Resolve()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -142,44 +140,16 @@ func main() {
 	writeJSON(*jsonPath, res)
 }
 
-// resolve builds the serving deployment the same way the sweep does for a
-// scenario: profiled system, allocation by policy, and Deploy with the
-// requested Nm (D is irrelevant to serving and fixed at 0).
-func resolve(modelName, clusterName, policy, scheduleName, placement string, interleave, nm, batch int) (*core.Deployment, error) {
-	m, err := model.ByName(modelName)
-	if err != nil {
-		return nil, err
+// spec names the serving deployment from the flags; D is irrelevant to
+// serving and stays 0.
+func spec(model, cluster, policy, schedule, placement string, interleave, nm, batch int) (core.Spec, error) {
+	if placement != "default" && placement != "local" {
+		return core.Spec{}, fmt.Errorf("unknown placement %q (want default or local)", placement)
 	}
-	cluster, err := hw.ClusterByName(clusterName)
-	if err != nil {
-		return nil, err
-	}
-	schedule, err := sched.ByName(scheduleName)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystemSched(cluster, m, profile.Default(), batch, schedule)
-	if err != nil {
-		return nil, err
-	}
-	sys.Interleave = interleave
-	pol, err := hw.PolicyByName(policy)
-	if err != nil {
-		return nil, err
-	}
-	alloc, err := hw.Allocate(cluster, pol)
-	if err != nil {
-		return nil, err
-	}
-	pl := core.PlacementDefault
-	switch placement {
-	case "default":
-	case "local":
-		pl = core.PlacementLocal
-	default:
-		return nil, fmt.Errorf("unknown placement %q (want default or local)", placement)
-	}
-	return sys.Deploy(alloc, nm, 0, pl)
+	return core.Spec{
+		Model: model, Cluster: cluster, Policy: policy, Schedule: schedule,
+		Interleave: interleave, Nm: nm, Batch: batch, Local: placement == "local",
+	}, nil
 }
 
 func splitFloats(s string) ([]float64, error) {

@@ -8,11 +8,7 @@ import (
 	"hetpipe/internal/cluster"
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
-	"hetpipe/internal/hw"
-	"hetpipe/internal/model"
 	"hetpipe/internal/pipeline"
-	"hetpipe/internal/profile"
-	"hetpipe/internal/sched"
 	"hetpipe/internal/serve"
 	"hetpipe/internal/trace"
 	"hetpipe/internal/train"
@@ -31,13 +27,7 @@ import (
 // Simulate and Train calls may run at the same time.
 type Deployment struct {
 	set settings
-	sys *core.System
-	cl  *hw.Cluster
-	// clusterName is the catalog key actually resolved ("paper" when the
-	// options left it empty).
-	clusterName string
-	alloc       *hw.Allocation
-	dep         *core.Deployment
+	dep *core.Deployment
 	// faults is the parsed WithFaults plan; nil or empty means fault-free.
 	faults *fault.Plan
 	// traffic is the parsed WithTraffic spec; nil means serving is not
@@ -57,27 +47,6 @@ func New(opts ...Option) (*Deployment, error) {
 		if opt != nil {
 			opt(&set)
 		}
-	}
-
-	m, err := model.ByName(set.model)
-	if err != nil {
-		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownModel, set.model, Models())
-	}
-	cl, clusterName, err := clusterByName(set.cluster)
-	if err != nil {
-		return nil, err
-	}
-	schedule, err := sched.ByName(set.schedule)
-	if err != nil {
-		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSchedule, set.schedule, Schedules())
-	}
-	set.schedule = schedule.Name()
-	if set.interleave < 0 {
-		return nil, fmt.Errorf("%w: %d (must be >= 0)", ErrBadInterleave, set.interleave)
-	}
-	if set.interleave > 1 && !schedule.SupportsInterleave() {
-		return nil, fmt.Errorf("%w: schedule %q cannot run V=%d (use %q)",
-			ErrBadInterleave, schedule.Name(), set.interleave, sched.NameInterleaved)
 	}
 	switch set.task {
 	case "logreg", "mlp":
@@ -104,39 +73,7 @@ func New(opts ...Option) (*Deployment, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadTraffic, err)
 		}
 	}
-	batch := set.batch
-	if batch == 0 {
-		batch = 32
-		set.batch = batch
-	}
-	sys, err := core.NewSystemSched(cl, m, profile.Default(), batch, schedule)
-	if err != nil {
-		return nil, err
-	}
-	sys.Interleave = set.interleave
-
-	var alloc *hw.Allocation
-	switch {
-	case len(set.specs) > 0:
-		alloc, err = hw.AllocateByTypes(cl, set.specs)
-	case set.policy != "":
-		p, perr := hw.PolicyByName(set.policy)
-		if perr != nil {
-			return nil, fmt.Errorf("%w %q (want NP, ED, or HD)", ErrUnknownPolicy, set.policy)
-		}
-		alloc, err = hw.Allocate(cl, p)
-	default:
-		return nil, fmt.Errorf("%w: use WithPolicy or WithSpecs", ErrNoAllocation)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	placement := core.PlacementDefault
-	if set.local {
-		placement = core.PlacementLocal
-	}
-	dep, err := sys.Deploy(alloc, set.nm, set.d, placement)
+	dep, err := set.spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -145,19 +82,19 @@ func New(opts ...Option) (*Deployment, error) {
 	if _, err := faults.Materialize(len(dep.VWs)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFaultPlan, err)
 	}
-	return &Deployment{set: set, sys: sys, cl: cl, clusterName: clusterName, alloc: alloc, dep: dep, faults: faults, traffic: traffic}, nil
+	return &Deployment{set: set, dep: dep, faults: faults, traffic: traffic}, nil
 }
 
 // Model reports the deployed model's zoo key, as given to WithModel.
-func (d *Deployment) Model() string { return d.set.model }
+func (d *Deployment) Model() string { return d.set.spec.Model }
 
 // ClusterName reports the cluster-catalog key the deployment resolved
 // ("paper" when none was given).
-func (d *Deployment) ClusterName() string { return d.clusterName }
+func (d *Deployment) ClusterName() string { return d.set.spec.ClusterName() }
 
 // Batch reports the per-minibatch sample count (default 32), used
 // consistently by partitioning, simulation, and the gantt renderer.
-func (d *Deployment) Batch() int { return d.sys.Batch }
+func (d *Deployment) Batch() int { return d.dep.Sys.Batch }
 
 // Nm reports the concurrent-minibatch count per virtual worker, resolved
 // from WithNm or chosen to maximize throughput.
@@ -170,10 +107,7 @@ func (d *Deployment) Schedule() string { return d.dep.ScheduleName() }
 // Interleave reports the interleave degree V the deployment's plans were cut
 // for (WithInterleave); 1 means the classic contiguous placement.
 func (d *Deployment) Interleave() int {
-	if d.set.interleave < 1 {
-		return 1
-	}
-	return d.set.interleave
+	return max(1, d.set.spec.Interleave)
 }
 
 // D reports the WSP clock-distance bound.
@@ -214,7 +148,7 @@ func (d *Deployment) Plans() []*PlanView {
 
 // Planning reports what resolving the deployment cost: dynamic programs
 // solved and carried, solo simulations run and Nm values pruned.
-func (d *Deployment) Planning() Planning { return Planning(d.dep.Planning) }
+func (d *Deployment) Planning() Planning { return d.dep.Planning }
 
 // minibatchBudget resolves the per-VW run length.
 func (d *Deployment) minibatchBudget() int {
@@ -234,7 +168,7 @@ func (d *Deployment) Simulate(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mr, err := d.dep.SimulateWSPFaults(ctx, d.minibatchBudget(), 4*d.dep.Nm, d.set.obsFunc(), d.faults, d.set.ckptEvery)
+	mr, err := d.dep.SimulateWSPFaults(ctx, d.minibatchBudget(), 4*d.dep.Nm, d.set.observer, d.faults, d.set.ckptEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -287,14 +221,14 @@ func (d *Deployment) Train(ctx context.Context) (*LiveSummary, error) {
 	live, err := cluster.Run(ctx, cluster.Config{
 		Task:            task,
 		Workers:         len(d.dep.VWs),
-		Servers:         len(d.cl.Nodes), // one PS shard host per node, as deployed in the paper
+		Servers:         len(d.dep.Sys.Cluster.Nodes), // one PS shard host per node, as deployed in the paper
 		SLocal:          d.dep.Nm - 1,
 		D:               d.dep.D,
 		LR:              d.set.lr,
 		MaxMinibatches:  d.minibatchBudget(),
 		Chunks:          d.set.chunks,
 		TCP:             d.set.tcp,
-		Observer:        d.set.obsFunc(),
+		Observer:        d.set.observer,
 		Faults:          d.faults,
 		CheckpointEvery: d.set.ckptEvery,
 		CheckpointPath:  d.set.ckptPath,
@@ -339,7 +273,7 @@ func (d *Deployment) soloTrace(vw, minibatches int) (*trace.Trace, error) {
 	plan := d.dep.VWs[vw].Plan
 	tr := trace.New(len(plan.Stages))
 	if _, err := pipeline.Run(pipeline.Config{
-		Plan: plan, Schedule: d.sys.Schedule,
+		Plan: plan, Schedule: d.dep.Sys.Schedule,
 		Minibatches: minibatches, Warmup: d.set.warmup, Trace: tr,
 	}); err != nil {
 		return nil, err

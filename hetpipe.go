@@ -40,7 +40,11 @@
 //
 // Every functional option and every exported sentinel error
 // (ErrUnknownModel, ErrUnknownCluster, ..., ErrBadFaultPlan — all matchable
-// with errors.Is) is defined and documented in one place: options.go.
+// with errors.Is) is defined and documented in one place: options.go. The
+// options that name the deployment fill in one core.Spec, which New, Horovod,
+// cmd/hetserve and every sweep cell resolve the same way; the event and
+// serving-result types (Event, ServeResult, LatencySummary, Planning) are the
+// backends' own, re-exported by alias, so nothing is copied on the way out.
 //
 // See examples/ for complete programs (examples/faults walks the
 // fault-injection and checkpoint-recovery story), cmd/hetbench for the
@@ -51,14 +55,11 @@
 package hetpipe
 
 import (
-	"fmt"
-
 	"hetpipe/internal/core"
 	"hetpipe/internal/experiment"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
 	"hetpipe/internal/partition"
-	"hetpipe/internal/profile"
 	"hetpipe/internal/sched"
 )
 
@@ -143,36 +144,11 @@ type StageView struct {
 	MemoryCap   int64
 }
 
-// Planning counts the work New did to resolve a deployment. The counts depend
-// on the options alone and repeat exactly from run to run.
-type Planning struct {
-	// Solves is the partitioning problems solved by the dynamic program,
-	// Carried those answered by the previous Nm's cuts, which still fit and
-	// so were still optimal, and Infeasible the solves that found no
-	// memory-feasible split (the probe that ends a worker's Nm range).
-	Solves, Carried, Infeasible int
-	// SoloWindows is the single-worker measurements planning read, one per
-	// worker class and Nm it evaluated, and SoloSims the pipeline simulations
-	// run to take them: one run serves every Nm of a class that is the same
-	// pipeline but for the length of its measurement window.
-	SoloWindows, SoloSims int
-	// PrunedNm is the Nm values the search skipped because a closed-form
-	// bound on their throughput could not reach the best already simulated.
-	PrunedNm int
-}
-
-// clusterByName resolves a cluster-catalog key, defaulting to the paper
-// testbed when empty; it reports the name it actually looked up.
-func clusterByName(name string) (*hw.Cluster, string, error) {
-	if name == "" {
-		name = "paper"
-	}
-	c, err := hw.ClusterByName(name)
-	if err != nil {
-		return nil, name, fmt.Errorf("%w %q (have %v)", ErrUnknownCluster, name, Clusters())
-	}
-	return c, name, nil
-}
+// Planning counts the work New did to resolve a deployment — dynamic
+// programs solved and carried, solo simulations run, Nm values pruned — as
+// the planner itself reports it. The counts depend on the options alone and
+// repeat exactly from run to run.
+type Planning = core.Planning
 
 func planView(p *partition.Plan) *PlanView {
 	v := &PlanView{Bottleneck: p.Bottleneck}
@@ -206,18 +182,7 @@ type Baseline struct {
 // Horovod evaluates the DP baseline for a model on every GPU of a cataloged
 // cluster (empty clusterName means "paper").
 func Horovod(modelName, clusterName string, batch int) (*Baseline, error) {
-	m, err := model.ByName(modelName)
-	if err != nil {
-		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownModel, modelName, Models())
-	}
-	if batch == 0 {
-		batch = 32
-	}
-	cluster, _, err := clusterByName(clusterName)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(cluster, m, profile.Default(), batch)
+	sys, err := core.Spec{Model: modelName, Cluster: clusterName, Batch: batch}.System()
 	if err != nil {
 		return nil, err
 	}

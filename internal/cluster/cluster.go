@@ -383,7 +383,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		stallMu.Unlock()
 		if !seen {
 			emit(obs.Event{Kind: obs.KindFaultInject, VW: -1, Clock: clock,
-				Fault: fmt.Sprintf("stall:c%d:%g", clock, delay)})
+				Fault: fault.StallLabel(clock, delay)})
 		}
 	}
 
@@ -478,7 +478,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 					rec.recoveries++
 					rec.replayed += c.AtMinibatch - resumeMB
 					emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: resumeMB,
-						Clock: rec.pushed, Fault: fmt.Sprintf("crash:w%d:mb%d", w, c.AtMinibatch)})
+						Clock: rec.pushed, Fault: fault.CrashLabel(w, c.AtMinibatch)})
 					continue
 				}
 				fail(fmt.Errorf("cluster: worker %d: %w", w, err))
@@ -692,7 +692,7 @@ func (e *workerEnv) linkSleep() {
 	if !e.rec.linkEmitted {
 		e.rec.linkEmitted = true
 		e.emit(obs.Event{Kind: obs.KindFaultInject, VW: e.id,
-			Fault: fmt.Sprintf("link:w%d:x%g", e.id, scale)})
+			Fault: fault.LinkLabel(e.id, scale)})
 	}
 	sleepSeconds((scale - 1) * e.cfg.StepTime.Seconds())
 }
@@ -725,7 +725,7 @@ func (e *workerEnv) run() (*train.Worker, error) {
 			e.rec.crashed = true
 			e.rec.crashes++
 			e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb,
-				Fault: fmt.Sprintf("crash:w%d:mb%d", id, mb)})
+				Fault: fault.CrashLabel(id, mb)})
 			sleepSeconds(fault.CrashDowntime(crash))
 			return nil, errCrashed
 		}
@@ -745,7 +745,7 @@ func (e *workerEnv) run() (*train.Worker, error) {
 			if !e.rec.slowEmitted {
 				e.rec.slowEmitted = true
 				e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb,
-					Fault: fmt.Sprintf("slow:w%d:x%g", id, scale)})
+					Fault: fault.SlowLabel(id, scale)})
 			}
 			sleepSeconds(cfg.StepTime.Seconds() * scale)
 		} else if cfg.StepTime > 0 {

@@ -26,17 +26,17 @@ type cosimRun struct {
 }
 
 func runGrouped(d *Deployment, plan *fault.Plan) cosimRun {
-	var rec obs.Recorder
+	var events []obs.Event
 	eng := sim.New()
-	res, err := d.SimulateWSPFaultsOn(context.Background(), eng, d.DefaultMinibatches(), 2*d.Nm, rec.Func(), plan, 2)
-	return cosimRun{res, err, rec.Events(), eng.Fired()}
+	res, err := d.SimulateWSPFaultsOn(context.Background(), eng, d.DefaultMinibatches(), 2*d.Nm, func(e obs.Event) { events = append(events, e) }, plan, 2)
+	return cosimRun{res, err, events, eng.Fired()}
 }
 
 func runReference(d *Deployment, plan *fault.Plan) cosimRun {
-	var rec obs.Recorder
+	var events []obs.Event
 	eng := sim.New()
-	res, err := referenceSimulateWSP(context.Background(), d, eng, d.DefaultMinibatches(), 2*d.Nm, rec.Func(), plan, 2)
-	return cosimRun{res, err, rec.Events(), eng.Fired()}
+	res, err := referenceSimulateWSP(context.Background(), d, eng, d.DefaultMinibatches(), 2*d.Nm, func(e obs.Event) { events = append(events, e) }, plan, 2)
+	return cosimRun{res, err, events, eng.Fired()}
 }
 
 // sameRun fails the test unless the grouped run equals the reference run:

@@ -366,10 +366,10 @@ func (c *cosim) start(g *lockGroup, mb int) {
 	}
 	if sc := c.fp.ComputeScale(g.lo, mb); sc > 1 && !g.slowEmitted {
 		g.slowEmitted = true
-		c.inject(g.lo, fmt.Sprintf("slow:w%d:x%g", g.lo, sc))
+		c.inject(g.lo, fault.SlowLabel(g.lo, sc))
 	}
 	if g.crash != nil && mb == g.crash.AtMinibatch {
-		c.inject(g.lo, fmt.Sprintf("crash:w%d:mb%d", g.lo, mb))
+		c.inject(g.lo, fault.CrashLabel(g.lo, mb))
 	}
 }
 
@@ -379,7 +379,7 @@ func (c *cosim) linkInject(g *lockGroup) {
 	if g.touched && !g.linkEmitted {
 		if s := c.fp.LinkScale(g.lo); s > 1 {
 			g.linkEmitted = true
-			c.inject(g.lo, fmt.Sprintf("link:w%d:x%g", g.lo, s))
+			c.inject(g.lo, fault.LinkLabel(g.lo, s))
 		}
 	}
 }
@@ -463,7 +463,7 @@ func (c *cosim) completed(g *lockGroup, mb int, at sim.Time) {
 		if g.crash != nil && mb == g.crash.AtMinibatch {
 			// The charged downtime and replay have elapsed inside this
 			// completion; the worker is back.
-			c.emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: mb, Fault: fmt.Sprintf("crash:w%d:mb%d", w, mb)})
+			c.emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: mb, Fault: fault.CrashLabel(w, mb)})
 		}
 		if !waveEnd {
 			continue
@@ -475,7 +475,7 @@ func (c *cosim) completed(g *lockGroup, mb int, at sim.Time) {
 				c.stallEmitted = make(map[int]bool)
 			}
 			c.stallEmitted[wave+1] = true
-			c.inject(-1, fmt.Sprintf("stall:c%d:%g", wave+1, stall))
+			c.inject(-1, fault.StallLabel(wave+1, stall))
 		}
 	}
 	if waveEnd {

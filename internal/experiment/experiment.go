@@ -117,16 +117,3 @@ func Run(name string) (*Report, error) {
 	}
 	return r, nil
 }
-
-// RunAll executes every registered experiment in name order.
-func RunAll() ([]*Report, error) {
-	var out []*Report
-	for _, name := range Names() {
-		r, err := Run(name)
-		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -422,7 +422,7 @@ func (p *Plan) String() string {
 	}
 	var clauses []string
 	for _, s := range p.Slowdowns {
-		c := fmt.Sprintf("slow:w%d:x%s", s.Worker, ftoa(s.Factor))
+		c := SlowLabel(s.Worker, s.Factor)
 		if s.FromMinibatch != 0 || s.ToMinibatch != 0 {
 			from := s.FromMinibatch
 			if from == 0 {
@@ -433,7 +433,7 @@ func (p *Plan) String() string {
 		clauses = append(clauses, c)
 	}
 	for _, c := range p.Crashes {
-		s := fmt.Sprintf("crash:w%d:mb%d", c.Worker, c.AtMinibatch)
+		s := CrashLabel(c.Worker, c.AtMinibatch)
 		if c.Downtime != 0 {
 			s += ":down" + ftoa(c.Downtime)
 		}
@@ -443,7 +443,7 @@ func (p *Plan) String() string {
 		clauses = append(clauses, fmt.Sprintf("stall:s%d:c%d:%s", s.Shard, s.AtClock, ftoa(s.Delay)))
 	}
 	for _, l := range p.Links {
-		clauses = append(clauses, fmt.Sprintf("link:w%d:x%s", l.Worker, ftoa(l.Factor)))
+		clauses = append(clauses, LinkLabel(l.Worker, l.Factor))
 	}
 	if r := p.Rand; r != nil {
 		c := "rand:" + ftoa(r.Rate)
@@ -460,6 +460,24 @@ func (p *Plan) String() string {
 }
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// The labels a backend's observer events name a fault activation by
+// (obs.Event.Fault), one per clause kind. The slow, crash and link labels are
+// the clause's own spec form, so Plan.String renders through them too; a
+// stall's label names the clock advance it held up and its total delay, not
+// one shard's clause. (%g prints the digits ftoa does.)
+
+// SlowLabel names worker w's compute slowdown by factor.
+func SlowLabel(w int, factor float64) string { return fmt.Sprintf("slow:w%d:x%g", w, factor) }
+
+// CrashLabel names worker w's crash at minibatch mb.
+func CrashLabel(w, mb int) string { return fmt.Sprintf("crash:w%d:mb%d", w, mb) }
+
+// LinkLabel names worker w's link degradation by factor.
+func LinkLabel(w int, factor float64) string { return fmt.Sprintf("link:w%d:x%g", w, factor) }
+
+// StallLabel names the stalled advance to clock by delay seconds.
+func StallLabel(clock int, delay float64) string { return fmt.Sprintf("stall:c%d:%g", clock, delay) }
 
 // Parse builds a plan from the compact spec language (see the package
 // comment for the grammar). An empty or all-whitespace spec yields the empty

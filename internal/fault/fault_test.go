@@ -330,3 +330,28 @@ func TestTouches(t *testing.T) {
 		t.Error("no rand seed produced both a straggler and an untouched worker")
 	}
 }
+
+// The event labels are the spec's own clause forms: a label parses back to
+// the clause that caused it, and %g prints what the canonical form does.
+func TestLabelsAreClauses(t *testing.T) {
+	for _, f := range []float64{2, 1.5, 0.1, 1e-7, 123456789, 1e9, 1.0000000000000002} {
+		for _, label := range []string{SlowLabel(3, f), LinkLabel(3, f)} {
+			p, err := Parse(label)
+			if err != nil {
+				if f >= 1 {
+					t.Errorf("label %q does not parse: %v", label, err)
+				}
+				continue
+			}
+			if p.String() != label {
+				t.Errorf("label %q canonicalises to %q", label, p.String())
+			}
+		}
+		if got, want := StallLabel(4, f), "stall:c4:"+ftoa(f); got != want {
+			t.Errorf("StallLabel = %q, want %q", got, want)
+		}
+	}
+	if p, err := Parse(CrashLabel(2, 40)); err != nil || p.String() != "crash:w2:mb40" {
+		t.Errorf("crash label round trip = %v, %v", p, err)
+	}
+}

@@ -3,10 +3,11 @@
 // (internal/core.SimulateWSPFaults), the live sharded-PS runtime
 // (internal/cluster.Run), and the serving plane (internal/serve.Run) all
 // stream the same event vocabulary — protocol and request progress plus
-// fault injections and recoveries — which the public API
-// (hetpipe.WithObserver) re-exports. Keeping the event type here lets the
-// backends share one definition without any of them importing the root
-// package.
+// fault injections and recoveries. The public API aliases these types
+// (hetpipe.Event = obs.Event, hetpipe.Observer = obs.Func), so the callback
+// given to hetpipe.WithObserver is the very function a backend calls: no
+// adapter sits between them. Keeping the types here lets the backends share
+// one definition without any of them importing the root package.
 package obs
 
 // Kind discriminates observation events.
@@ -46,6 +47,21 @@ const (
 	// pipeline; Event.Request is the request id and Event.Batch its batch.
 	KindReply
 )
+
+var kindNames = [...]string{
+	KindMinibatch: "minibatch", KindPush: "push", KindPull: "pull",
+	KindClock: "clock", KindFaultInject: "fault-inject", KindRecover: "recover",
+	KindArrive: "arrive", KindAdmit: "admit", KindReply: "reply",
+}
+
+// String names the kind ("minibatch", "push", ...); "unknown" outside the
+// vocabulary.
+func (k Kind) String() string {
+	if k < KindMinibatch || int(k) >= len(kindNames) {
+		return "unknown"
+	}
+	return kindNames[k]
+}
 
 // Event is one observation. Fields that do not apply to a kind are zero.
 type Event struct {

@@ -541,15 +541,15 @@ func (r *replica) injectStarts(seq int) {
 	s := r.srv
 	if sc := s.fp.ComputeScale(r.w, seq); sc > 1 && !r.slowEmitted {
 		r.slowEmitted = true
-		s.inject(r.w, fmt.Sprintf("slow:w%d:x%g", r.w, sc))
+		s.inject(r.w, fault.SlowLabel(r.w, sc))
 	}
 	if lk := s.fp.LinkScale(r.w); lk > 1 && !r.linkEmitted {
 		r.linkEmitted = true
-		s.inject(r.w, fmt.Sprintf("link:w%d:x%g", r.w, lk))
+		s.inject(r.w, fault.LinkLabel(r.w, lk))
 	}
 	if r.crash != nil && seq == r.crash.AtMinibatch {
 		s.crashes++
-		s.inject(r.w, fmt.Sprintf("crash:w%d:mb%d", r.w, seq))
+		s.inject(r.w, fault.CrashLabel(r.w, seq))
 	}
 }
 
@@ -559,7 +559,7 @@ func (r *replica) recoverEmit(seq int) {
 	s.recoveries++
 	if s.ob != nil {
 		s.emit(obs.Event{Kind: obs.KindRecover, VW: r.w, Batch: seq,
-			Fault: fmt.Sprintf("crash:w%d:mb%d", r.w, seq)})
+			Fault: fault.CrashLabel(r.w, seq)})
 	}
 }
 

@@ -499,19 +499,3 @@ func (e *Engine) RunMerged(ctx context.Context, n int, at func(i int) Time, fire
 		}
 	}
 }
-
-// RunUntil fires events with timestamps <= deadline, then advances the clock
-// to the deadline (even if the queue still holds later events). It returns an
-// error under the same step-limit condition as Run.
-func (e *Engine) RunUntil(deadline Time) error {
-	for e.prune() && e.heap[0].at <= deadline {
-		e.Step()
-		if e.maxStep > 0 && e.fired > e.maxStep {
-			return e.stepLimitErr()
-		}
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return nil
-}

@@ -96,33 +96,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.After(-1, "neg", func() {})
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := New()
-	fired := 0
-	e.At(1, "a", func() { fired++ })
-	e.At(5, "b", func() { fired++ })
-	e.At(10, "c", func() { fired++ })
-	if err := e.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("now = %v, want 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	// RunUntil advances the clock to the deadline even with no events there.
-	if err := e.RunUntil(7); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 7 {
-		t.Fatalf("now = %v, want 7", e.Now())
-	}
-}
-
 func TestEngineStepLimit(t *testing.T) {
 	e := New()
 	e.SetStepLimit(10)

@@ -58,32 +58,6 @@ func TestEngineCancelStaleGeneration(t *testing.T) {
 	}
 }
 
-// RunUntil must skip over cancelled events when peeking for the next live
-// timestamp.
-func TestEngineCancelRunUntil(t *testing.T) {
-	e := New()
-	fired := 0
-	fire := e.Register(func(_, _ int32, _ float64) { fired++ })
-	h := e.AtID(1, fire, 0, 0, 0)
-	e.AtID(5, fire, 0, 0, 0)
-	e.Cancel(h)
-	if err := e.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 0 {
-		t.Fatalf("fired = %d before deadline 3, want 0", fired)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("now = %v, want 3", e.Now())
-	}
-	if err := e.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 || e.Pending() != 0 {
-		t.Fatalf("fired = %d pending = %d, want 1, 0", fired, e.Pending())
-	}
-}
-
 // Reset must restore a warm engine to a state indistinguishable from a fresh
 // one: same firing order, same clock, and all old handles stale.
 func TestEngineReset(t *testing.T) {

@@ -9,9 +9,6 @@ import (
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
 	"hetpipe/internal/hw"
-	"hetpipe/internal/model"
-	"hetpipe/internal/profile"
-	"hetpipe/internal/sched"
 	"hetpipe/internal/serve"
 	"hetpipe/internal/sim"
 )
@@ -147,161 +144,102 @@ func (o Options) ResolvedWorkers(n int) int {
 	return workers
 }
 
-// sysKey identifies a deployment super-family: scenarios that share the
-// profiled System and the GPU allocation. Nm, placement, D, and faults are
-// all absent — a grid whose cells differ only in those axes builds the model
-// graph, profiles it against the cluster, and allocates virtual workers
-// exactly once.
-type sysKey struct {
-	model, cluster, policy, schedule string
-	interleave, batch                int
+// memo is a concurrent build-once cache keyed by a deployment spec: the
+// first caller of a key builds its value, every other caller — concurrent
+// ones included — waits for and shares it (errors too). built counts the
+// builds that actually ran, the reuse observability hook the tests assert on.
+type memo[V any] struct {
+	mu      sync.Mutex
+	entries map[core.Spec]*memoEntry[V]
+	built   atomic.Int64
 }
 
-// sysEntry is one super-family's lazily-built System and Allocation.
-type sysEntry struct {
-	once  sync.Once
-	sys   *core.System
-	alloc *hw.Allocation
-	err   error
-}
-
-// deployKey identifies a grid-cell family: scenarios that share everything a
-// deployment resolution depends on. D is deliberately absent — partition
-// plans, Nm selection, and sync transfer times are all D-independent, so one
-// resolved deployment serves every D value of the family via
-// core.Deployment.WithD. Nm and placement are present (the partition memory
-// model depends on Nm; sync transfer times on placement), but families
-// differing only in them still share the profiled System and Allocation
-// through the sysKey level. The schedule is present at both levels: it shapes
-// the partition plans (per-schedule memory model) and the simulated task
-// graph.
-type deployKey struct {
-	model, cluster, policy, placement, schedule string
-	interleave, nm, batch                       int
-}
-
-// deployEntry is one family's lazily-resolved deployment.
-type deployEntry struct {
+type memoEntry[V any] struct {
 	once sync.Once
-	dep  *core.Deployment
+	val  V
 	err  error
 }
 
-// resolver caches per-super-family Systems/Allocations and per-family
-// deployments. Deployment resolution — model graph, cluster inventory,
-// allocation, per-VW partitioning, and the Nm sweep when Nm is auto —
-// dominates a scenario's cost, and a grid with a D axis of k values would
-// otherwise repeat it k times per family; an Nm axis additionally re-profiles
-// the model without the sysKey level. The cache is safe for concurrent
-// scenario workers (the per-entry once serializes resolution; the resolved
-// values are read-only during simulation) and does not affect determinism:
-// resolution is a pure function of the key.
+func (c *memo[V]) get(key core.Spec, build func(core.Spec) (V, error)) (V, error) {
+	c.mu.Lock()
+	e := c.entries[key]
+	if e == nil {
+		if c.entries == nil {
+			c.entries = make(map[core.Spec]*memoEntry[V])
+		}
+		e = &memoEntry[V]{}
+		c.entries[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		c.built.Add(1)
+		e.val, e.err = build(key)
+	})
+	return e.val, e.err
+}
+
+// family is a deployment super-family's shared ingredients: the profiled
+// System and the GPU allocation.
+type family struct {
+	sys   *core.System
+	alloc *hw.Allocation
+}
+
+// resolver caches what scenarios can share, at two levels, each keyed by the
+// scenario's core.Spec with the fields that level does not depend on zeroed.
+// The system level (Nm, D and placement zeroed) holds the profiled System
+// and the allocation, so a grid whose cells differ only in those axes builds
+// the model graph, profiles it against the cluster, and allocates virtual
+// workers exactly once. The deployment level (D zeroed) holds the resolved
+// deployment: partition plans, Nm selection, and sync transfer times are all
+// D-independent, so one resolution serves every D value of the family via
+// core.Deployment.WithD. Resolution dominates a scenario's cost, and a grid
+// with a D axis of k values would otherwise repeat it k times per family.
+// The cache is safe for concurrent scenario workers (the resolved values are
+// read-only during simulation) and does not affect determinism: resolution
+// is a pure function of the key.
 type resolver struct {
-	mu      sync.Mutex
-	systems map[sysKey]*sysEntry
-	entries map[deployKey]*deployEntry
-	// resolutions counts actual (non-cached) deployment resolutions, and
-	// sysResolutions actual System builds — the reuse observability hooks the
-	// tests assert on.
-	resolutions    atomic.Int64
-	sysResolutions atomic.Int64
+	systems     memo[family]
+	deployments memo[*core.Deployment]
 }
 
-func newResolver() *resolver {
-	return &resolver{
-		systems: make(map[sysKey]*sysEntry),
-		entries: make(map[deployKey]*deployEntry),
+// spec names the scenario's deployment the way every other entry point does.
+func (sc *Scenario) spec() core.Spec {
+	return core.Spec{
+		Model: sc.Model, Cluster: sc.Cluster, Policy: sc.Policy, Schedule: sc.Schedule,
+		Interleave: sc.Interleave, Batch: sc.Batch, Nm: sc.Nm, D: sc.D,
+		Local: sc.Placement == PlacementLocal,
 	}
 }
 
-// system returns the super-family System and Allocation for sc, building
+// system returns the super-family System and Allocation for sp, building
 // them on first use.
-func (r *resolver) system(sc Scenario) (*core.System, *hw.Allocation, error) {
-	key := sysKey{
-		model: sc.Model, cluster: sc.Cluster,
-		policy: sc.Policy, schedule: sc.Schedule,
-		interleave: sc.Interleave, batch: sc.Batch,
-	}
-	r.mu.Lock()
-	e := r.systems[key]
-	if e == nil {
-		e = &sysEntry{}
-		r.systems[key] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		r.sysResolutions.Add(1)
-		e.sys, e.alloc, e.err = resolveSystem(sc)
+func (r *resolver) system(sp core.Spec) (family, error) {
+	sp.Nm, sp.D, sp.Local = 0, 0, false
+	return r.systems.get(sp, func(sp core.Spec) (f family, err error) {
+		if f.sys, err = sp.System(); err == nil {
+			f.alloc, err = sp.Allocate(f.sys.Cluster)
+		}
+		return f, err
 	})
-	return e.sys, e.alloc, e.err
 }
 
-// deployment returns the family deployment for sc, resolving it on first
-// use, re-bound to the scenario's D.
-func (r *resolver) deployment(sc Scenario) (*core.Deployment, error) {
-	key := deployKey{
-		model: sc.Model, cluster: sc.Cluster,
-		policy: sc.Policy, placement: sc.Placement,
-		schedule:   sc.Schedule,
-		interleave: sc.Interleave,
-		nm:         sc.Nm, batch: sc.Batch,
-	}
-	r.mu.Lock()
-	e := r.entries[key]
-	if e == nil {
-		e = &deployEntry{}
-		r.entries[key] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		sys, alloc, err := r.system(sc)
+// deployment returns the family deployment for sp, resolving it on first
+// use, re-bound to the spec's D.
+func (r *resolver) deployment(sp core.Spec) (*core.Deployment, error) {
+	d := sp.D
+	sp.D = 0
+	dep, err := r.deployments.get(sp, func(sp core.Spec) (*core.Deployment, error) {
+		f, err := r.system(sp)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		r.resolutions.Add(1)
-		placement := core.PlacementDefault
-		if sc.Placement == PlacementLocal {
-			placement = core.PlacementLocal
-		}
-		e.dep, e.err = sys.Deploy(alloc, sc.Nm, 0, placement)
+		return sp.Deploy(f.sys, f.alloc)
 	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.dep.WithD(sc.D)
-}
-
-// resolveSystem builds one super-family's profiled System and GPU allocation
-// from scratch; everything here is independent of Nm, placement, D, and the
-// fault plan.
-func resolveSystem(sc Scenario) (*core.System, *hw.Allocation, error) {
-	m, err := model.ByName(sc.Model)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cluster, err := hw.ClusterByName(sc.Cluster)
-	if err != nil {
-		return nil, nil, err
-	}
-	schedule, err := sched.ByName(sc.Schedule)
-	if err != nil {
-		return nil, nil, err
-	}
-	sys, err := core.NewSystemSched(cluster, m, profile.Default(), sc.Batch, schedule)
-	if err != nil {
-		return nil, nil, err
-	}
-	sys.Interleave = sc.Interleave
-	pol, err := hw.PolicyByName(sc.Policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	alloc, err := hw.Allocate(cluster, pol)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys, alloc, nil
+	return dep.WithD(d)
 }
 
 // Run expands the grid and simulates every scenario on a bounded worker
@@ -336,7 +274,7 @@ func Run(ctx context.Context, g Grid, opt Options) (*Set, error) {
 func run(ctx context.Context, g Grid, scenarios []Scenario, opt Options) (*Set, *resolver, error) {
 	workers := opt.ResolvedWorkers(len(scenarios))
 	results := make([]Result, len(scenarios))
-	res := newResolver()
+	res := new(resolver)
 	var notify sync.Mutex
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -408,15 +346,7 @@ func runScenario(ctx context.Context, sc Scenario, res *resolver, eng *sim.Engin
 		return out
 	}
 	if sc.SyncMode == SyncHorovod {
-		m, err := model.ByName(sc.Model)
-		if err != nil {
-			return fail(err)
-		}
-		cluster, err := hw.ClusterByName(sc.Cluster)
-		if err != nil {
-			return fail(err)
-		}
-		sys, err := core.NewSystem(cluster, m, profile.Default(), sc.Batch)
+		sys, err := core.Spec{Model: sc.Model, Cluster: sc.Cluster, Batch: sc.Batch}.System()
 		if err != nil {
 			return fail(err)
 		}
@@ -431,7 +361,7 @@ func runScenario(ctx context.Context, sc Scenario, res *resolver, eng *sim.Engin
 		}
 		return out
 	}
-	dep, err := res.deployment(sc)
+	dep, err := res.deployment(sc.spec())
 	if err != nil {
 		return fail(err)
 	}

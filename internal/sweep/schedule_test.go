@@ -84,7 +84,7 @@ func TestScheduleSweepRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.resolutions.Load(); got != int64(len(sched.Names())) {
+	if got := res.deployments.built.Load(); got != int64(len(sched.Names())) {
 		t.Errorf("deployment resolutions = %d, want %d (one per schedule family)", got, len(sched.Names()))
 	}
 	byShed := map[string]float64{}

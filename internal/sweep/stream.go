@@ -85,7 +85,7 @@ func RunStream(ctx context.Context, g Grid, opt Options) (*StreamSummary, error)
 	// iteration.
 	thr := make([]float64, len(scenarios))
 	failed := make([]bool, len(scenarios))
-	res := newResolver()
+	res := new(resolver)
 	var notify sync.Mutex
 	jobs := make(chan int)
 	var wg sync.WaitGroup

@@ -11,12 +11,14 @@
 // configurations (which allocation policy, which D, which Nm for a given
 // model and cluster), and the paper's evaluation walks exactly such grids by
 // hand. This package makes that search a first-class, parallel operation:
-// scenarios in the same grid-cell family (same model, cluster, policy,
-// placement, Nm, batch) share one resolved deployment — partitioning and the
-// auto-Nm sweep run once per family, not once per D value — while each
-// scenario's WSP simulation runs on its own deterministic discrete-event
-// engine, so a grid run with workers=8 produces byte-identical results to
-// the same grid run serially — only faster.
+// every cell names its deployment with the core.Spec all entry points use,
+// and cells whose specs agree but for D share one resolved deployment —
+// partitioning and the auto-Nm sweep run once per family, not once per D
+// value (cells that also agree but for Nm and placement share the profiled
+// System and the allocation) — while each scenario's WSP simulation runs on
+// its own deterministic discrete-event engine, so a grid run with workers=8
+// produces byte-identical results to the same grid run serially — only
+// faster.
 //
 // Typical use:
 //
@@ -29,6 +31,7 @@ package sweep
 import (
 	"fmt"
 
+	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
@@ -244,10 +247,7 @@ func (g Grid) Expand() ([]Scenario, error) {
 	if len(nmValues) == 0 {
 		nmValues = []int{0}
 	}
-	batch := g.Batch
-	if batch == 0 {
-		batch = 32
-	}
+	batch := core.ResolveBatch(g.Batch)
 	var out []Scenario
 	for _, m := range dedup(g.Models) {
 		for _, cl := range dedup(g.Clusters) {

@@ -299,7 +299,7 @@ func TestDeploymentReusePerFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.resolutions.Load(); got != 6 {
+	if got := res.deployments.built.Load(); got != 6 {
 		t.Errorf("deployment resolutions = %d, want 6 (one per family)", got)
 	}
 	// The reused deployment is re-bound per scenario: staleness bounds

@@ -2,35 +2,39 @@ package hetpipe
 
 import (
 	"errors"
+	"strings"
 	"time"
+
+	"hetpipe/internal/core"
 )
 
-// Sentinel errors returned by New, Run, and the Deployment methods. They are
-// always wrapped with context (the offending name, the valid values), so
-// match them with errors.Is rather than string comparison.
+// Sentinel errors returned by New, Horovod, and the Deployment methods. They
+// are always wrapped with context (the offending name, the valid values), so
+// match them with errors.Is rather than string comparison. The six a
+// deployment's resolution can report are core.Spec's own.
 var (
 	// ErrUnknownModel reports a model name outside the zoo (see Models).
-	ErrUnknownModel = errors.New("hetpipe: unknown model")
+	ErrUnknownModel = core.ErrUnknownModel
 	// ErrUnknownCluster reports a cluster name outside the catalog (see
 	// Clusters).
-	ErrUnknownCluster = errors.New("hetpipe: unknown cluster")
+	ErrUnknownCluster = core.ErrUnknownCluster
 	// ErrUnknownPolicy reports an allocation policy other than NP, ED, HD.
-	ErrUnknownPolicy = errors.New("hetpipe: unknown policy")
+	ErrUnknownPolicy = core.ErrUnknownPolicy
 	// ErrUnknownTask reports a live-training task other than logreg or mlp.
 	ErrUnknownTask = errors.New("hetpipe: unknown training task")
 	// ErrNoAllocation reports a deployment with neither a policy nor
 	// explicit virtual-worker specs.
-	ErrNoAllocation = errors.New("hetpipe: no allocation policy or specs")
+	ErrNoAllocation = core.ErrNoAllocation
 	// ErrUnknownSchedule reports a pipeline schedule outside the registry
 	// (see Schedules).
-	ErrUnknownSchedule = errors.New("hetpipe: unknown schedule")
+	ErrUnknownSchedule = core.ErrUnknownSchedule
 	// ErrBadFaultPlan reports a WithFaults spec that does not parse or
 	// validate (see the fault spec grammar in WithFaults).
 	ErrBadFaultPlan = errors.New("hetpipe: bad fault plan")
 	// ErrBadInterleave reports a WithInterleave degree that is negative or
 	// that the selected schedule cannot run (only "interleaved" supports
 	// V > 1).
-	ErrBadInterleave = errors.New("hetpipe: bad interleave degree")
+	ErrBadInterleave = core.ErrBadInterleave
 	// ErrBadTraffic reports a WithTraffic spec that does not parse or
 	// validate (see the traffic spec grammar in WithTraffic).
 	ErrBadTraffic = errors.New("hetpipe: bad traffic spec")
@@ -39,22 +43,14 @@ var (
 	ErrNoTraffic = errors.New("hetpipe: no traffic configured")
 )
 
-// settings is the resolved option set behind New. Zero values mean "default";
-// defaults are applied once, in New, so every entry point sees the same ones
-// (batch in particular defaults to 32 exactly once — partitioning, the
-// system model, and the gantt renderer can no longer disagree on it).
+// settings is the option set behind New. Zero values mean "default". The
+// options that name the deployment fill in spec, which core resolves — the
+// same way for every entry point, so a default is applied exactly once
+// (batch 0 means 32 in core.Spec.System and nowhere else: partitioning, the
+// system model, and the gantt renderer cannot disagree on it).
 type settings struct {
-	model       string
-	cluster     string
-	policy      string
-	specs       []string
-	batch       int
-	nm          int
-	d           int
-	local       bool
+	spec        core.Spec
 	minibatches int
-	schedule    string
-	interleave  int
 	warmup      int
 
 	// Fault-tolerance knobs (both backends).
@@ -86,35 +82,35 @@ type Option func(*settings)
 
 // WithModel selects the DNN by zoo key, e.g. "vgg19" or "resnet152" (see
 // Models). A model is required; there is no default.
-func WithModel(name string) Option { return func(s *settings) { s.model = name } }
+func WithModel(name string) Option { return func(s *settings) { s.spec.Model = name } }
 
 // WithCluster selects a cluster-catalog shape (see Clusters). Empty means
 // "paper", the Section 8.1 testbed.
-func WithCluster(name string) Option { return func(s *settings) { s.cluster = name } }
+func WithCluster(name string) Option { return func(s *settings) { s.spec.Cluster = name } }
 
 // WithPolicy selects a Table 3 allocation policy: "NP", "ED", or "HD".
 // Ignored when WithSpecs is also given.
-func WithPolicy(name string) Option { return func(s *settings) { s.policy = name } }
+func WithPolicy(name string) Option { return func(s *settings) { s.spec.Policy = name } }
 
 // WithSpecs pins explicit virtual-worker GPU type strings (e.g. "VRQ",
 // "VRQ"), overriding any policy.
 func WithSpecs(specs ...string) Option {
-	return func(s *settings) { s.specs = append([]string(nil), specs...) }
+	return func(s *settings) { s.spec.Specs = strings.Join(specs, ",") }
 }
 
 // WithBatch sets the per-minibatch sample count; 0 (the default) means 32.
-func WithBatch(n int) Option { return func(s *settings) { s.batch = n } }
+func WithBatch(n int) Option { return func(s *settings) { s.spec.Batch = n } }
 
 // WithNm fixes the number of concurrent minibatches per virtual worker;
 // 0 (the default) picks the throughput-maximizing value automatically.
-func WithNm(n int) Option { return func(s *settings) { s.nm = n } }
+func WithNm(n int) Option { return func(s *settings) { s.spec.Nm = n } }
 
 // WithD sets the WSP clock-distance bound (0 = BSP-like waves).
-func WithD(d int) Option { return func(s *settings) { s.d = d } }
+func WithD(d int) Option { return func(s *settings) { s.spec.D = d } }
 
 // WithLocalPlacement co-locates parameter shards with pipeline stages (the
 // paper's ED-local policy). Requires ED-style stage/node alignment.
-func WithLocalPlacement(on bool) Option { return func(s *settings) { s.local = on } }
+func WithLocalPlacement(on bool) Option { return func(s *settings) { s.spec.Local = on } }
 
 // WithMinibatchesPerVW sizes each run; 0 (the default) picks a D-aware
 // default of at least 24 waves per virtual worker.
@@ -132,7 +128,7 @@ func WithMinibatchesPerVW(n int) Option { return func(s *settings) { s.minibatch
 // schedule shapes the partitioner's per-stage memory model — a
 // memory-constrained worker can admit a larger Nm under "1f1b" — as well as
 // the simulated task graph and the Gantt rendering.
-func WithSchedule(name string) Option { return func(s *settings) { s.schedule = name } }
+func WithSchedule(name string) Option { return func(s *settings) { s.spec.Schedule = name } }
 
 // WithInterleave sets the interleave degree V: the partitioner cuts each
 // virtual worker's model into k*V chunks and assigns GPU g the chunks g,
@@ -140,7 +136,7 @@ func WithSchedule(name string) Option { return func(s *settings) { s.schedule = 
 // 0 (the default) and 1 keep the classic one-contiguous-range-per-GPU
 // placement; V > 1 requires the "interleaved" schedule (New reports
 // ErrBadInterleave otherwise).
-func WithInterleave(v int) Option { return func(s *settings) { s.interleave = v } }
+func WithInterleave(v int) Option { return func(s *settings) { s.spec.Interleave = v } }
 
 // WithWarmup sets how many leading minibatches Gantt and WriteChromeTrace
 // runs exclude from their steady-state measurement (default 1). It must be
