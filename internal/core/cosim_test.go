@@ -316,6 +316,39 @@ func TestMalformedDeploymentIsAnError(t *testing.T) {
 	}
 }
 
+// TestCoSimAllocsIndependentOfLength: on a warm engine a co-simulation's
+// allocations are its set-up and its result, never per wave — every push and
+// pull is a registered handler, not a closure — so 24 and 48 waves allocate
+// alike, grouped, split and faulted.
+func TestCoSimAllocsIndependentOfLength(t *testing.T) {
+	faulted, err := fault.Parse("slow:w0:x2,link:w1:x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		policy hw.Policy
+		plan   *fault.Plan
+	}{
+		{hw.EqualDistribution, nil},
+		{hw.HybridDistribution, nil},
+		{hw.EqualDistribution, faulted},
+	} {
+		dep := paperDeployment(t, tc.policy)
+		eng := sim.New()
+		allocs := func(waves int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := dep.SimulateWSPFaultsOn(context.Background(), eng, waves*dep.Nm, 4*dep.Nm, nil, tc.plan, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		allocs(48) // grow the engine to the longer run's peak first
+		if short, long := allocs(24), allocs(48); short != long {
+			t.Errorf("%v %v: %v allocs at 24 waves, %v at 48", tc.policy, tc.plan, short, long)
+		}
+	}
+}
+
 var coSimSink *MultiResult
 
 // BenchmarkCoSim is one warm-engine WSP co-simulation of vgg19 on the paper

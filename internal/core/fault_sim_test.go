@@ -14,12 +14,12 @@ import (
 // TestZeroFaultPlanBitIdentical is the golden guard of the fault subsystem:
 // an empty (or nil) plan must take exactly the fault-free code path, so every
 // field of the result — throughput, per-VW rates, waiting/idle decomposition,
-// counts — is bit-identical to SimulateWSPContext's.
+// counts — is bit-identical to SimulateWSP's.
 func TestZeroFaultPlanBitIdentical(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 1, PlacementDefault)
 	mbs := dep.DefaultMinibatches()
 
-	clean, err := dep.SimulateWSPContext(context.Background(), mbs, 4*dep.Nm, nil)
+	clean, err := dep.SimulateWSP(mbs, 4*dep.Nm)
 	if err != nil {
 		t.Fatal(err)
 	}

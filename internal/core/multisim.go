@@ -75,23 +75,18 @@ func (d *Deployment) WithD(dd int) (*Deployment, error) {
 // is clamped below the budget, so a deliberately short simulation still
 // leaves a measurement window).
 func (d *Deployment) SimulateWSP(minibatchesPerVW, warmup int) (*MultiResult, error) {
-	return d.SimulateWSPContext(context.Background(), minibatchesPerVW, warmup, nil)
+	return d.SimulateWSPFaults(context.Background(), minibatchesPerVW, warmup, nil, nil, 0)
 }
 
-// SimulateWSPContext is SimulateWSP with cancellation and streaming
-// observation: the event loop polls ctx between events and aborts with
-// ctx.Err() when it is cancelled or its deadline passes, and ob (when
-// non-nil) receives minibatch completions, push arrivals, pull completions,
-// and global-clock advances as they happen in virtual time. The observer is
-// called synchronously from the single simulation goroutine.
-func (d *Deployment) SimulateWSPContext(ctx context.Context, minibatchesPerVW, warmup int, ob obs.Func) (*MultiResult, error) {
-	return d.SimulateWSPFaults(ctx, minibatchesPerVW, warmup, ob, nil, 0)
-}
-
-// SimulateWSPFaults is SimulateWSPContext under a fault-injection plan
-// (internal/fault). An empty or nil plan takes exactly the fault-free code
-// path, so its results are bit-identical to SimulateWSPContext's. A non-empty
-// plan shapes the timing model deterministically:
+// SimulateWSPFaults is SimulateWSP with cancellation, streaming observation
+// and a fault-injection plan (internal/fault). The event loop polls ctx
+// between events and aborts with ctx.Err() when it is cancelled or its
+// deadline passes, and ob (when non-nil) receives minibatch completions, push
+// arrivals, pull completions, and global-clock advances as they happen in
+// virtual time, synchronously from the single simulation goroutine. An empty
+// or nil plan takes exactly the fault-free code path, so its results are
+// bit-identical to SimulateWSP's. A non-empty plan shapes the timing model
+// deterministically:
 //
 //   - a Slowdown multiplies the affected virtual worker's stage-task times
 //     over its minibatch range (via pipeline.Config.TaskTime);
@@ -167,6 +162,8 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 		fp: fp, checkpointEvery: checkpointEvery,
 		groups: d.lockStepGroups(fp), res: &MultiResult{},
 	}
+	c.pullID = eng.Register(func(g, _ int32, _ float64) { c.pulled(c.groups[g]) })
+	c.pushID = eng.Register(func(g, wave int32, by float64) { c.pushed(c.groups[g], int(wave), uint64(by)) })
 	for _, g := range c.groups {
 		if g.pipe, err = pipeline.New(eng, c.config(g, minibatchesPerVW, warmup)); err != nil {
 			return nil, err
@@ -225,6 +222,7 @@ func (d *Deployment) check() error {
 // worker used to carry alone: the WSP synchronization state and, for a group
 // a fault clause names (always a single worker), the one-shot fault state.
 type lockGroup struct {
+	idx        int32 // position in cosim.groups
 	lo, hi     int
 	push, pull float64 // per-wave PS transfer times, link degradation folded in
 	pipe       *pipeline.Pipeline
@@ -269,7 +267,7 @@ func (d *Deployment) lockStepGroups(fp *fault.Plan) []*lockGroup {
 				continue
 			}
 		}
-		g := &lockGroup{lo: w, hi: w + 1, push: push, pull: pull, touched: touched}
+		g := &lockGroup{idx: int32(len(groups)), lo: w, hi: w + 1, push: push, pull: pull, touched: touched}
 		if touched {
 			g.crash = fp.CrashFor(w)
 			if s := fp.LinkScale(w); s > 1 {
@@ -292,6 +290,10 @@ type cosim struct {
 	coord  *wsp.Coordinator
 	groups []*lockGroup
 	res    *MultiResult
+	// The engine handlers of a pull and a push landing: a is the group's
+	// index, and a push carries its wave in b and its sending event in x
+	// (exact: the step limit keeps Fired far below 2^53).
+	pullID, pushID int32
 
 	fp              *fault.Plan // materialized; never nil
 	checkpointEvery int
@@ -417,7 +419,7 @@ func (c *cosim) gate(g *lockGroup, mb int) bool {
 			c.linkInject(g)
 			g.pullTarget = c.coord.GlobalClock()
 			g.pullAt, g.pullBy = c.eng.Now()+sim.Time(g.pull), c.eng.Fired()
-			c.eng.After(sim.Duration(g.pull), "pull", func() { c.pulled(g) })
+			c.eng.AfterID(sim.Duration(g.pull), c.pullID, g.idx, 0, 0)
 		}
 	}
 	if !g.blocked {
@@ -479,8 +481,7 @@ func (c *cosim) completed(g *lockGroup, mb int, at sim.Time) {
 		}
 	}
 	if waveEnd {
-		by := c.eng.Fired()
-		c.eng.After(sim.Duration(g.push)+sim.Duration(stall), "push", func() { c.pushed(g, wave, by) })
+		c.eng.AfterID(sim.Duration(g.push)+sim.Duration(stall), c.pushID, g.idx, int32(wave), float64(c.eng.Fired()))
 	}
 }
 

@@ -21,8 +21,9 @@ type vwSync struct {
 }
 
 // referenceSimulateWSP is SimulateWSPFaultsOn as it stood before lock-step
-// groups existed, verbatim: one pipeline, one vwSync, one pull and one push
-// event per virtual worker. The grouped co-simulation must equal it field for
+// groups existed, verbatim but for its push and pull events becoming
+// registered handlers: one pipeline, one vwSync, one pull and one push event
+// per virtual worker. The grouped co-simulation must equal it field for
 // field and observer event for observer event (cosim_test.go).
 func referenceSimulateWSP(ctx context.Context, d *Deployment, eng *sim.Engine, minibatchesPerVW, warmup int, ob obs.Func, plan *fault.Plan, checkpointEvery int) (*MultiResult, error) {
 	eng.Reset()
@@ -140,6 +141,26 @@ func referenceSimulateWSP(ctx context.Context, d *Deployment, eng *sim.Engine, m
 			}
 		}
 	}
+	// Worker w's pull of global clock target lands.
+	pullID := eng.Register(func(w, target int32, _ float64) {
+		st := syncs[w]
+		st.pullGoing = false
+		st.pullDone = int(target)
+		res.Pulls++
+		emit(obs.Event{Kind: obs.KindPull, VW: int(w), Clock: int(target)})
+		pipes[w].Poke()
+	})
+	// Worker w's push of wave lands.
+	pushID := eng.Register(func(w, wave int32, _ float64) {
+		before := coord.GlobalClock()
+		coord.Push(int(w))
+		after := coord.GlobalClock()
+		emit(obs.Event{Kind: obs.KindPush, VW: int(w), Wave: int(wave), Clock: after})
+		if after > before {
+			emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: after})
+			pokeAll()
+		}
+	})
 
 	for w := 0; w < n; w++ {
 		w := w
@@ -191,14 +212,7 @@ func referenceSimulateWSP(ctx context.Context, d *Deployment, eng *sim.Engine, m
 					if !st.pullGoing {
 						st.pullGoing = true
 						linkInject(w)
-						target := coord.GlobalClock()
-						eng.After(sim.Duration(pullT[w]), "pull", func() {
-							st.pullGoing = false
-							st.pullDone = target
-							res.Pulls++
-							emit(obs.Event{Kind: obs.KindPull, VW: w, Clock: target})
-							pipes[w].Poke()
-						})
+						eng.AfterID(sim.Duration(pullT[w]), pullID, int32(w), int32(coord.GlobalClock()), 0)
 					}
 				}
 				if !st.blocked {
@@ -231,16 +245,7 @@ func referenceSimulateWSP(ctx context.Context, d *Deployment, eng *sim.Engine, m
 							}
 						}
 					}
-					eng.After(delay, "push", func() {
-						before := coord.GlobalClock()
-						coord.Push(w)
-						after := coord.GlobalClock()
-						emit(obs.Event{Kind: obs.KindPush, VW: w, Wave: wave, Clock: after})
-						if after > before {
-							emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: after})
-							pokeAll()
-						}
-					})
+					eng.AfterID(delay, pushID, int32(w), int32(wave), 0)
 				}
 			},
 		}

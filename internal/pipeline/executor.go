@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"strconv"
-
 	"hetpipe/internal/partition"
 	"hetpipe/internal/sched"
 	"hetpipe/internal/sim"
@@ -69,9 +67,8 @@ type ExecConfig struct {
 	// keeps the slice. Its length K must be a multiple of GPUs.
 	Times []StageTime
 	// GPUs is the number of stage devices k; virtual stage vs runs on GPU
-	// vs%k. Name prefixes the device names (Name+"0", Name+"1", ...).
+	// vs%k.
 	GPUs int
-	Name string
 	// Schedule declares the three decisions (Inject, Pick, OverlapRecv).
 	Schedule sched.Schedule
 	// ForwardOnly runs the graph's forward half alone, as inference serving
@@ -171,7 +168,7 @@ func NewExecutor(eng *sim.Engine, cfg ExecConfig) *Executor {
 	}
 	handler := sim.EventFunc(x.taskDone)
 	for g := range x.gpus {
-		x.gpus[g] = sim.NewResource(eng, cfg.Name+strconv.Itoa(g))
+		x.gpus[g] = sim.NewResource(eng)
 		x.doneID = x.gpus[g].Register(handler)
 	}
 	if x.overlap {

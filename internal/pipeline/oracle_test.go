@@ -195,7 +195,7 @@ func forwardOnly(eng *sim.Engine, plan *partition.Plan, s sched.Schedule, window
 	var x *Executor
 	next := 0
 	x = NewExecutor(eng, ExecConfig{
-		Times: Times(plan), GPUs: len(plan.Stages), Name: "gpu", Schedule: s, ForwardOnly: true,
+		Times: Times(plan), GPUs: len(plan.Stages), Schedule: s, ForwardOnly: true,
 		AtEnd: func(int) {
 			done = append(done, eng.Now())
 			if next < n {

@@ -219,7 +219,7 @@ func New(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 		wave:     cfg.Schedule.Inject() == sched.InjectWave,
 	}
 	ec := ExecConfig{
-		Times: Times(cfg.Plan), GPUs: len(cfg.Plan.Stages), Name: "gpu",
+		Times: Times(cfg.Plan), GPUs: len(cfg.Plan.Stages),
 		Schedule: cfg.Schedule, InFlight: pl.nm,
 		TaskTime: cfg.TaskTime, Trace: cfg.Trace, Done: pl.complete,
 	}

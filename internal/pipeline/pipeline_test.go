@@ -173,17 +173,17 @@ func TestPipelineInflightNeverExceedsNm(t *testing.T) {
 			t.Fatal(err)
 		}
 		maxInflight := 0
-		probe := func() {}
-		probe = func() {
+		var probe int32
+		probe = eng.Register(func(_, _ int32, _ float64) {
 			if pl.inflight > maxInflight {
 				maxInflight = pl.inflight
 			}
 			if pl.completed < 20 {
-				eng.After(1e-3, "probe", probe)
+				eng.AfterID(1e-3, probe, 0, 0, 0)
 			}
-		}
+		})
 		pl.Start()
-		eng.After(0, "probe", probe)
+		eng.AfterID(0, probe, 0, 0, 0)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}

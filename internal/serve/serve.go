@@ -245,7 +245,7 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 			r.cap = 1
 		}
 		ec := pipeline.ExecConfig{
-			Times: times, GPUs: k, Name: fmt.Sprintf("serve/w%d/g", w),
+			Times: times, GPUs: k,
 			Schedule: disc, ForwardOnly: true, AtEnd: r.batchDone,
 		}
 		link := 1.0

@@ -11,10 +11,10 @@
 // interface boxing happens anywhere on the hot path. Steady-state
 // simulations therefore run allocation-free inside the engine; the only
 // allocations are the arena's one-time growth to the peak number of
-// concurrently pending events. Callers that also want allocation-free
-// callbacks Register an EventFunc once and schedule it by id (AtID/AfterID),
-// threading two integers and a float through the arena instead of capturing
-// them in a closure; the closure-based At/After remain for convenience.
+// concurrently pending events. Every event is a Register'd EventFunc
+// scheduled by id (AtID/AfterID), threading two integers and a float through
+// the arena instead of capturing them in a closure, so the arena holds no
+// pointer and the garbage collector never scans it.
 //
 // All durations and timestamps are in seconds of virtual time. The engine is
 // not safe for concurrent use; simulations are single-goroutine by design so
@@ -57,16 +57,11 @@ const (
 	slotCancelled
 )
 
-// noFunc marks a slot with no registered-handler id (the closure path).
-const noFunc int32 = -1
-
-// slot is one arena entry. Exactly one of fn (closure path) and ef (a
-// Register'd handler id, pooled path) is set while queued; fn is the only
-// pointer in the arena.
+// slot is one arena entry: the event's time, its Register'd handler id ef
+// and payload. It holds no pointer.
 type slot struct {
 	at    Time
 	x     float64
-	fn    func()
 	a, b  int32
 	ef    int32
 	gen   uint32
@@ -185,16 +180,13 @@ func (e *Engine) alloc() int32 {
 }
 
 // freeSlot recycles an arena slot, bumping its generation so stale handles
-// cannot touch the next occupant, and dropping callback references.
+// cannot touch the next occupant.
 //
 //hetlint:hotpath
 func (e *Engine) freeSlot(id int32) {
 	s := &e.slots[id]
 	s.state = slotFree
 	s.gen++
-	if s.fn != nil {
-		s.fn = nil
-	}
 	e.free = append(e.free, id)
 }
 
@@ -268,19 +260,15 @@ func (e *Engine) Register(fn EventFunc) int32 {
 	return int32(len(e.funcs) - 1)
 }
 
-// schedule is the shared arena path behind At/AtID. The name is used only in
-// the scheduled-in-the-past panic message; it is not retained.
-func (e *Engine) schedule(t Time, name string, fn func(), ef int32, a, b int32, x float64) Handle {
+// schedule is the arena path behind AtID and AfterID.
+func (e *Engine) schedule(t Time, ef, a, b int32, x float64) Handle {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, t, e.now))
+		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, e.now))
 	}
 	e.seq++
 	id := e.alloc()
 	s := &e.slots[id]
 	s.at = t
-	if fn != nil {
-		s.fn = fn
-	}
 	s.ef = ef
 	s.a, s.b, s.x = a, b, x
 	s.state = slotQueued
@@ -289,36 +277,22 @@ func (e *Engine) schedule(t Time, name string, fn func(), ef int32, a, b int32, 
 	return Handle{slot: id, gen: s.gen}
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it is always a bug in the simulation, never a recoverable condition.
-// The name is used only for diagnostics.
-func (e *Engine) At(t Time, name string, fn func()) {
-	e.schedule(t, name, fn, noFunc, 0, 0, 0)
-}
-
-// After schedules fn to run d seconds from now. Negative d panics.
-func (e *Engine) After(d Duration, name string, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: event %q scheduled with negative delay %v", name, d))
-	}
-	e.At(e.now+Time(d), name, fn)
-}
-
 // AtID schedules the Register'd handler id to fire as fn(a, b, x) at
 // absolute time t without allocating: the payload rides in the event arena
 // instead of a closure. It returns a cancellation handle. Scheduling in the
-// past panics, as with At.
+// past panics: it is always a bug in the simulation, never a recoverable
+// condition.
 func (e *Engine) AtID(t Time, id, a, b int32, x float64) Handle {
-	return e.schedule(t, "pooled", nil, id, a, b, x)
+	return e.schedule(t, id, a, b, x)
 }
 
 // AfterID schedules the Register'd handler id to fire as fn(a, b, x) d
 // seconds from now without allocating. Negative d panics.
 func (e *Engine) AfterID(d Duration, id, a, b int32, x float64) Handle {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: pooled event scheduled with negative delay %v", d))
+		panic(fmt.Sprintf("sim: event scheduled with negative delay %v", d))
 	}
-	return e.schedule(e.now+Time(d), "pooled", nil, id, a, b, x)
+	return e.schedule(e.now+Time(d), id, a, b, x)
 }
 
 // Cancel revokes a scheduled event. It reports whether the handle named a
@@ -337,9 +311,6 @@ func (e *Engine) Cancel(h Handle) bool {
 	// now so the handle is immediately stale.
 	s.state = slotCancelled
 	s.gen++
-	if s.fn != nil {
-		s.fn = nil
-	}
 	e.live--
 	e.dead++
 	return true
@@ -385,13 +356,9 @@ func (e *Engine) Step() bool {
 	e.live--
 	// Free before firing so the callback can schedule into the slot; the
 	// callback state is captured first.
-	fn, ef, a, b, x := s.fn, s.ef, s.a, s.b, s.x
+	ef, a, b, x := s.ef, s.a, s.b, s.x
 	e.freeSlot(ent.id)
-	if fn != nil {
-		fn()
-	} else if ef >= 0 {
-		e.funcs[ef](a, b, x)
-	}
+	e.funcs[ef](a, b, x)
 	return true
 }
 

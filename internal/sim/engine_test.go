@@ -22,9 +22,10 @@ func TestEngineEmptyRun(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := New()
 	var got []int
-	e.At(3, "c", func() { got = append(got, 3) })
-	e.At(1, "a", func() { got = append(got, 1) })
-	e.At(2, "b", func() { got = append(got, 2) })
+	fire := e.Register(func(a, _ int32, _ float64) { got = append(got, int(a)) })
+	e.AtID(3, fire, 3, 0, 0)
+	e.AtID(1, fire, 1, 0, 0)
+	e.AtID(2, fire, 2, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +42,11 @@ func TestEngineOrdering(t *testing.T) {
 
 func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 	e := New()
+	names := []string{"first", "second", "third"}
 	var got []string
-	for _, name := range []string{"first", "second", "third"} {
-		name := name
-		e.At(5, name, func() { got = append(got, name) })
+	fire := e.Register(func(a, _ int32, _ float64) { got = append(got, names[a]) })
+	for i := range names {
+		e.AtID(5, fire, int32(i), 0, 0)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -57,12 +59,12 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := New()
 	var trace []Time
-	e.At(1, "outer", func() {
+	inner := e.Register(func(_, _ int32, _ float64) { trace = append(trace, e.Now()) })
+	outer := e.Register(func(_, _ int32, _ float64) {
 		trace = append(trace, e.Now())
-		e.After(2, "inner", func() {
-			trace = append(trace, e.Now())
-		})
+		e.AfterID(2, inner, 0, 0, 0)
 	})
+	e.AtID(1, outer, 0, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +75,16 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.At(10, "late", func() {
+	nop := e.Register(func(_, _ int32, _ float64) {})
+	late := e.Register(func(_, _ int32, _ float64) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, "past", func() {})
+		e.AtID(5, nop, 0, 0, 0)
 	})
+	e.AtID(10, late, 0, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +92,21 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
 	e := New()
+	nop := e.Register(func(_, _ int32, _ float64) {})
 	defer func() {
 		if recover() == nil {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-1, "neg", func() {})
+	e.AfterID(-1, nop, 0, 0, 0)
 }
 
 func TestEngineStepLimit(t *testing.T) {
 	e := New()
 	e.SetStepLimit(10)
-	var loop func()
-	loop = func() { e.After(1, "loop", loop) }
-	e.After(1, "loop", loop)
+	var loop int32
+	loop = e.Register(func(_, _ int32, _ float64) { e.AfterID(1, loop, 0, 0, 0) })
+	e.AfterID(1, loop, 0, 0, 0)
 	if err := e.Run(); err == nil {
 		t.Fatal("expected step-limit error on infinite event chain")
 	}
@@ -116,9 +121,9 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 		}
 		e := New()
 		var fired []Time
+		fire := e.Register(func(_, _ int32, _ float64) { fired = append(fired, e.Now()) })
 		for _, r := range raw {
-			at := Time(r)
-			e.At(at, "ev", func() { fired = append(fired, e.Now()) })
+			e.AtID(Time(r), fire, 0, 0, 0)
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -146,9 +151,9 @@ func TestEngineDeterminismProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := New()
 		var order []int
+		fire := e.Register(func(a, _ int32, _ float64) { order = append(order, int(a)) })
 		for i := 0; i < 100; i++ {
-			i := i
-			e.At(Time(rng.Intn(10)), "ev", func() { order = append(order, i) })
+			e.AtID(Time(rng.Intn(10)), fire, int32(i), 0, 0)
 		}
 		if err := e.Run(); err != nil {
 			panic(err)
@@ -167,7 +172,7 @@ func TestEngineRunContextCancellation(t *testing.T) {
 	// Pre-cancelled: no event fires at all.
 	e := New()
 	fired := 0
-	e.At(1, "x", func() { fired++ })
+	e.AtID(1, e.Register(func(_, _ int32, _ float64) { fired++ }), 0, 0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := e.RunContext(ctx); !errors.Is(err, context.Canceled) {
@@ -181,16 +186,16 @@ func TestEngineRunContextCancellation(t *testing.T) {
 	// stops within one check interval even though the queue never drains.
 	e2 := New()
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	var reschedule func()
+	var tick int32
 	count := 0
-	reschedule = func() {
+	tick = e2.Register(func(_, _ int32, _ float64) {
 		count++
 		if count == 10 {
 			cancel2()
 		}
-		e2.After(1, "tick", reschedule)
-	}
-	e2.After(1, "tick", reschedule)
+		e2.AfterID(1, tick, 0, 0, 0)
+	})
+	e2.AfterID(1, tick, 0, 0, 0)
 	if err := e2.RunContext(ctx2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext mid-run = %v, want context.Canceled", err)
 	}
@@ -201,7 +206,7 @@ func TestEngineRunContextCancellation(t *testing.T) {
 	// A background context behaves exactly like Run.
 	e3 := New()
 	done := false
-	e3.At(5, "y", func() { done = true })
+	e3.AtID(5, e3.Register(func(_, _ int32, _ float64) { done = true }), 0, 0, 0)
 	if err := e3.RunContext(context.Background()); err != nil || !done {
 		t.Fatalf("RunContext(Background) = %v, done = %v", err, done)
 	}

@@ -71,8 +71,8 @@ func (o *oracle) pending() int {
 	return n
 }
 
-// FuzzEventQueue drives random interleavings of schedule (closure and pooled
-// paths), step, and cancel — including deliberately stale cancels — against
+// FuzzEventQueue drives random interleavings of schedule (relative and
+// absolute), step, and cancel — including deliberately stale cancels — against
 // the sort-based oracle, asserting the identical (time, seq) total order, that
 // cancelled events never fire, and that generation-checked handles go stale
 // exactly when the oracle says the event is no longer pending (so a recycled
@@ -109,20 +109,19 @@ func FuzzEventQueue(f *testing.F) {
 		apply := func(i int, o *oracle) {
 			op, arg := data[i]%5, data[i+1]
 			switch op {
-			case 0: // pooled schedule, relative time
+			case 0: // schedule, relative time
 				id := len(handles)
 				if o != nil {
 					o.add(e.Now() + Time(arg))
 				}
 				handles = append(handles, e.AfterID(Duration(arg), fireID, int32(id), 0, 0))
-			case 1: // closure schedule, absolute time
+			case 1: // schedule, absolute time
 				at := e.Now() + Time(arg)
 				id := len(handles)
 				if o != nil {
 					o.add(at)
 				}
-				e.At(at, "ev", func() { got = append(got, id) })
-				handles = append(handles, Handle{}) // closure path: no handle
+				handles = append(handles, e.AtID(at, fireID, int32(id), 0, 0))
 			case 2: // step
 				gotStep := e.Step()
 				if o != nil {
@@ -138,9 +137,6 @@ func FuzzEventQueue(f *testing.F) {
 				id := int(arg) % len(handles)
 				if op == 4 {
 					id = id / 2 // bias toward older, likely-consumed handles
-				}
-				if handles[id] == (Handle{}) {
-					return // closure-path event: no handle to cancel
 				}
 				gotC := e.Cancel(handles[id])
 				if o != nil {
@@ -198,7 +194,7 @@ func FuzzEventQueue(f *testing.F) {
 		}
 		// Every handle is stale after the drain: nothing is cancellable.
 		for i, h := range handles {
-			if h != (Handle{}) && e.Cancel(h) {
+			if e.Cancel(h) {
 				t.Fatalf("Cancel(ev %d) succeeded after drain", i)
 			}
 		}

@@ -40,11 +40,11 @@ func (m *mergeRun) body() {
 	case 1: // one pooled event, 0..3 s ahead
 		m.handles = append(m.handles, m.e.AfterID(Duration(arg%4), m.queueID, int32(m.nextQ), 0, 0))
 		m.nextQ++
-	case 2: // a closure event and a pooled one on the same instant
-		q := m.nextQ
-		m.nextQ += 2
-		m.e.After(Duration(arg%4), "q", func() { m.logf("q", q); m.body() })
-		m.handles = append(m.handles, m.e.AfterID(Duration(arg%4), m.queueID, int32(q+1), 0, 0))
+	case 2: // two pooled events on the same instant
+		for range 2 {
+			m.handles = append(m.handles, m.e.AfterID(Duration(arg%4), m.queueID, int32(m.nextQ), 0, 0))
+			m.nextQ++
+		}
 	case 3, 4: // cancel; op 4 leans toward old, likely-fired handles
 		if len(m.handles) > 0 {
 			i := int(arg) % len(m.handles)
@@ -151,7 +151,7 @@ func FuzzMergedStream(f *testing.F) {
 func TestRunMergedEmptyStream(t *testing.T) {
 	e := New()
 	fired := false
-	e.At(2, "x", func() { fired = true })
+	e.AtID(2, e.Register(func(_, _ int32, _ float64) { fired = true }), 0, 0, 0)
 	if err := e.RunMerged(context.Background(), 0, nil, nil); err != nil || !fired || e.Now() != 2 || e.Fired() != 1 {
 		t.Fatalf("err=%v fired=%v now=%v Fired=%d", err, fired, e.Now(), e.Fired())
 	}
@@ -175,7 +175,7 @@ func TestRunMergedContextCancellation(t *testing.T) {
 	// Pre-cancelled: nothing fires, from the stream or the queue.
 	e := New()
 	fired := 0
-	e.At(1, "x", func() { fired++ })
+	e.AtID(1, e.Register(func(_, _ int32, _ float64) { fired++ }), 0, 0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := e.RunMerged(ctx, 5, func(i int) Time { return Time(i) }, func(int) { fired++ })
@@ -188,12 +188,13 @@ func TestRunMergedContextCancellation(t *testing.T) {
 	e2 := New()
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	count := 0
+	echo := e2.Register(func(_, _ int32, _ float64) { count++ })
 	err = e2.RunMerged(ctx2, 1<<20, func(i int) Time { return Time(i) }, func(i int) {
 		count++
 		if i == 10 {
 			cancel2()
 		}
-		e2.After(0.5, "echo", func() { count++ })
+		e2.AfterID(0.5, echo, 0, 0, 0)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunMerged mid-run = %v, want context.Canceled", err)

@@ -1,6 +1,25 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
+
+// TestArenaPointerFree: the event arena, the heap and the job ring hold no
+// pointer, so the garbage collector never scans queue traffic and Save and
+// Restore copy plain memory.
+func TestArenaPointerFree(t *testing.T) {
+	for _, v := range []any{slot{}, heapEnt{}, job{}} {
+		typ := reflect.TypeOf(v)
+		for i := range typ.NumField() {
+			// Every kind up to Complex128 is a scalar; Array, Chan, Func,
+			// Interface, Map, Pointer, Slice, String and Struct come after.
+			if f := typ.Field(i); f.Type.Kind() > reflect.Complex128 {
+				t.Errorf("%s.%s is a %s", typ.Name(), f.Name, f.Type.Kind())
+			}
+		}
+	}
+}
 
 func TestEngineCancel(t *testing.T) {
 	e := New()
@@ -118,7 +137,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state engine allocations = %v per run, want 0", allocs)
 	}
 
-	r := NewResource(e, "dev")
+	r := NewResource(e)
 	count := 0
 	var id int32
 	id = r.Register(func(a, _ int32, _ float64) {
@@ -142,11 +161,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 }
 
 // SubmitID must deliver the job's hold duration to the registered completion
-// handler and preserve FIFO accounting exactly like Submit, including when
-// pooled and closure jobs interleave on one resource.
+// handler and keep FIFO accounting, including across two handlers on one
+// resource.
 func TestResourceSubmitID(t *testing.T) {
 	e := New()
-	r := NewResource(e, "gpu")
+	r := NewResource(e)
 	type rec struct {
 		a   int32
 		x   float64
@@ -156,7 +175,7 @@ func TestResourceSubmitID(t *testing.T) {
 	id := r.Register(func(a, _ int32, x float64) { got = append(got, rec{a: a, x: x, end: e.Now()}) })
 	r.SubmitID(2, id, 0, 0)
 	r.SubmitID(3, id, 1, 0)
-	r.Submit(1, "j2", func() { got = append(got, rec{a: 2, x: -1, end: e.Now()}) })
+	r.SubmitID(1, r.Register(func(a, _ int32, _ float64) { got = append(got, rec{a: a, x: -1, end: e.Now()}) }), 2, 0)
 	if r.QueueLen() != 2 {
 		t.Fatalf("QueueLen = %d, want 2", r.QueueLen())
 	}
@@ -172,8 +191,8 @@ func TestResourceSubmitID(t *testing.T) {
 			t.Fatalf("completion %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if r.Served() != 3 || r.BusyTime() != 6 || r.MaxQueueLen() != 2 {
-		t.Fatalf("served=%d busy=%v maxq=%d, want 3, 6, 2", r.Served(), r.BusyTime(), r.MaxQueueLen())
+	if r.Served() != 3 || r.BusyTime() != 6 {
+		t.Fatalf("served=%d busy=%v, want 3, 6", r.Served(), r.BusyTime())
 	}
 	if r.Utilization() != 1 {
 		t.Fatalf("utilization = %v, want 1", r.Utilization())

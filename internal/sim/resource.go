@@ -10,11 +10,9 @@ package sim
 // The waiting queue is a head-indexed ring over a reusable backing slice of
 // pointer-free job records: completion handlers are registered up front with
 // Register and queued by id (SubmitID), so pushing a job copies 24 bytes with
-// no write barriers and no allocation. The closure-based Submit remains for
-// callers off the hot path; its callbacks ride a parallel FIFO ring.
+// no write barriers and no allocation.
 type Resource struct {
-	eng  *Engine
-	name string
+	eng *Engine
 
 	busy      bool
 	busySince Time
@@ -22,67 +20,52 @@ type Resource struct {
 	served    uint64
 	queue     []job
 	head      int
-	maxQueue  int
 	cur       job
 	doneID    int32       // engine handler id for jobDone
 	funcs     []EventFunc // Register'd completion handlers, indexed by job.fn
-	closures  []func()    // Submit callbacks, a parallel FIFO ring
-	clHead    int
 }
-
-// closureJob marks a job whose completion callback lives in the closures
-// ring rather than the registered-handler table.
-const closureJob int32 = -1
 
 // job is one queued unit of work. It is deliberately pointer-free so queue
 // traffic stays out of the garbage collector's way.
 type job struct {
 	hold Duration
 	a, b int32
-	fn   int32 // index into funcs, or closureJob
+	fn   int32 // index into funcs
 }
 
 // NewResource creates an idle resource attached to the engine.
-func NewResource(eng *Engine, name string) *Resource {
-	r := &Resource{eng: eng, name: name}
+func NewResource(eng *Engine) *Resource {
+	r := &Resource{eng: eng}
 	r.doneID = eng.Register(r.jobDone)
 	return r
 }
 
 // SavedResource is a resource state taken by Resource.Save: the accounting,
-// the job in service and the waiting jobs (Submit callbacks included). Like
-// Saved it belongs to the caller and is reused.
+// the job in service and the waiting jobs. Like Saved it belongs to the
+// caller and is reused.
 type SavedResource struct {
 	busy      bool
 	busySince Time
 	busyTotal Duration
 	served    uint64
-	maxQueue  int
 	cur       job
 	queue     []job
-	closures  []func()
 }
 
 // Save copies the resource's state into s. The engine event that ends the job
 // in service is the engine's to save (Engine.Save), at the same moment.
 func (r *Resource) Save(s *SavedResource) {
-	s.busy, s.busySince, s.busyTotal, s.served, s.maxQueue, s.cur = r.busy, r.busySince, r.busyTotal, r.served, r.maxQueue, r.cur
+	s.busy, s.busySince, s.busyTotal, s.served, s.cur = r.busy, r.busySince, r.busyTotal, r.served, r.cur
 	s.queue = append(s.queue[:0], r.queue[r.head:]...)
-	s.closures = append(s.closures[:0], r.closures[r.clHead:]...)
 }
 
 // Restore returns the resource to the state s was saved from; pair it with
 // Engine.Restore of the state saved at the same moment. Handlers registered
 // with Register stay as they are.
 func (r *Resource) Restore(s *SavedResource) {
-	r.busy, r.busySince, r.busyTotal, r.served, r.maxQueue, r.cur = s.busy, s.busySince, s.busyTotal, s.served, s.maxQueue, s.cur
+	r.busy, r.busySince, r.busyTotal, r.served, r.cur = s.busy, s.busySince, s.busyTotal, s.served, s.cur
 	r.queue, r.head = append(r.queue[:0], s.queue...), 0
-	clear(r.closures)
-	r.closures, r.clHead = append(r.closures[:0], s.closures...), 0
 }
-
-// Name reports the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // Register binds a completion handler to the resource and returns its id for
 // SubmitID. Handlers are registered once at setup (ids are dense from 0, in
@@ -93,24 +76,13 @@ func (r *Resource) Register(fn EventFunc) int32 {
 	return int32(len(r.funcs) - 1)
 }
 
-// Submit enqueues a job that holds the resource for d seconds; onDone fires
-// at completion (it may be nil). Jobs run in submission order.
-func (r *Resource) Submit(d Duration, name string, onDone func()) {
-	if d < 0 {
-		panic("sim: negative hold duration for " + r.name + "/" + name)
-	}
-	r.closures = append(r.closures, onDone)
-	r.push(job{hold: d, fn: closureJob})
-}
-
 // SubmitID enqueues a job that holds the resource for d seconds; at
 // completion the Register'd handler id fires as fn(a, b, float64(d)) — the
 // hold duration rides back to the caller so span bookkeeping needs no
-// closure. Jobs run in submission order, interleaving with Submit jobs by
-// submission time.
+// closure. Jobs run in submission order.
 func (r *Resource) SubmitID(d Duration, id, a, b int32) {
 	if d < 0 {
-		panic("sim: negative hold duration for " + r.name)
+		panic("sim: negative hold duration")
 	}
 	r.push(job{hold: d, a: a, b: b, fn: id})
 }
@@ -126,9 +98,6 @@ func (r *Resource) push(j job) {
 		r.head = 0
 	}
 	r.queue = append(r.queue, j)
-	if n := len(r.queue) - r.head; n > r.maxQueue {
-		r.maxQueue = n
-	}
 	if !r.busy {
 		r.startNext()
 	}
@@ -161,27 +130,7 @@ func (r *Resource) jobDone(_, _ int32, _ float64) {
 	r.served++
 	j := r.cur
 	r.startNext()
-	if j.fn >= 0 {
-		r.funcs[j.fn](j.a, j.b, float64(j.hold))
-		return
-	}
-	cb := r.closures[r.clHead]
-	r.closures[r.clHead] = nil
-	r.clHead++
-	if r.clHead == len(r.closures) {
-		r.closures = r.closures[:0]
-		r.clHead = 0
-	} else if r.clHead >= 16 && r.clHead >= len(r.closures)-r.clHead {
-		n := copy(r.closures, r.closures[r.clHead:])
-		for i := n; i < len(r.closures); i++ {
-			r.closures[i] = nil
-		}
-		r.closures = r.closures[:n]
-		r.clHead = 0
-	}
-	if cb != nil {
-		cb()
-	}
+	r.funcs[j.fn](j.a, j.b, float64(j.hold))
 }
 
 // Busy reports whether a job currently occupies the resource.
@@ -189,9 +138,6 @@ func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen reports the number of jobs waiting (not including the running one).
 func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
-
-// MaxQueueLen reports the maximum backlog observed.
-func (r *Resource) MaxQueueLen() int { return r.maxQueue }
 
 // Served reports how many jobs have completed.
 func (r *Resource) Served() uint64 { return r.served }

@@ -6,13 +6,17 @@ import (
 	"testing/quick"
 )
 
+// nop is a completion handler for jobs whose completion nobody watches.
+func nop(_, _ int32, _ float64) {}
+
 func TestResourceSerialExecution(t *testing.T) {
 	e := New()
-	r := NewResource(e, "gpu")
+	r := NewResource(e)
 	var done []Time
-	r.Submit(2, "a", func() { done = append(done, e.Now()) })
-	r.Submit(3, "b", func() { done = append(done, e.Now()) })
-	r.Submit(1, "c", func() { done = append(done, e.Now()) })
+	id := r.Register(func(_, _ int32, _ float64) { done = append(done, e.Now()) })
+	r.SubmitID(2, id, 0, 0)
+	r.SubmitID(3, id, 0, 0)
+	r.SubmitID(1, id, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +33,12 @@ func TestResourceSerialExecution(t *testing.T) {
 
 func TestResourceFIFOOrder(t *testing.T) {
 	e := New()
-	r := NewResource(e, "link")
+	r := NewResource(e)
+	names := []string{"x", "y", "z"}
 	var order []string
-	for _, n := range []string{"x", "y", "z"} {
-		n := n
-		r.Submit(1, n, func() { order = append(order, n) })
+	id := r.Register(func(a, _ int32, _ float64) { order = append(order, names[a]) })
+	for i := range names {
+		r.SubmitID(1, id, int32(i), 0)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -45,9 +50,9 @@ func TestResourceFIFOOrder(t *testing.T) {
 
 func TestResourceUtilization(t *testing.T) {
 	e := New()
-	r := NewResource(e, "gpu")
-	r.Submit(4, "work", nil)
-	e.At(10, "end", func() {})
+	r := NewResource(e)
+	r.SubmitID(4, r.Register(nop), 0, 0)
+	e.AtID(10, e.Register(nop), 0, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +66,12 @@ func TestResourceUtilization(t *testing.T) {
 
 func TestResourceBusyAndQueueLen(t *testing.T) {
 	e := New()
-	r := NewResource(e, "gpu")
-	r.Submit(5, "a", nil)
-	r.Submit(5, "b", nil)
-	r.Submit(5, "c", nil)
-	e.At(1, "probe", func() {
+	r := NewResource(e)
+	id := r.Register(nop)
+	r.SubmitID(5, id, 0, 0)
+	r.SubmitID(5, id, 1, 0)
+	r.SubmitID(5, id, 2, 0)
+	probe := e.Register(func(_, _ int32, _ float64) {
 		if !r.Busy() {
 			t.Error("resource should be busy at t=1")
 		}
@@ -73,23 +79,20 @@ func TestResourceBusyAndQueueLen(t *testing.T) {
 			t.Errorf("queue len = %d, want 2", r.QueueLen())
 		}
 	})
+	e.AtID(1, probe, 0, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if r.Busy() {
 		t.Error("resource should be idle after drain")
 	}
-	// The first job starts immediately, so at most two jobs ever wait.
-	if r.MaxQueueLen() != 2 {
-		t.Errorf("max queue len = %d, want 2", r.MaxQueueLen())
-	}
 }
 
 func TestResourceZeroDurationJob(t *testing.T) {
 	e := New()
-	r := NewResource(e, "gpu")
+	r := NewResource(e)
 	ran := false
-	r.Submit(0, "instant", func() { ran = true })
+	r.SubmitID(0, r.Register(func(_, _ int32, _ float64) { ran = true }), 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +106,14 @@ func TestResourceZeroDurationJob(t *testing.T) {
 
 func TestResourceNegativeDurationPanics(t *testing.T) {
 	e := New()
-	r := NewResource(e, "gpu")
+	r := NewResource(e)
+	id := r.Register(nop)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative duration did not panic")
 		}
 	}()
-	r.Submit(-1, "bad", nil)
+	r.SubmitID(-1, id, 0, 0)
 }
 
 // Property: total busy time equals the sum of job durations, and the final
@@ -118,12 +122,13 @@ func TestResourceNegativeDurationPanics(t *testing.T) {
 func TestResourceWorkConservationProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		e := New()
-		r := NewResource(e, "gpu")
+		r := NewResource(e)
+		id := r.Register(nop)
 		var sum Duration
 		for _, d := range raw {
 			dur := Duration(d) / 8
 			sum += dur
-			r.Submit(dur, "job", nil)
+			r.SubmitID(dur, id, 0, 0)
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -139,11 +144,11 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 func TestResourceFIFOProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		e := New()
-		r := NewResource(e, "gpu")
+		r := NewResource(e)
 		var order []int
+		id := r.Register(func(a, _ int32, _ float64) { order = append(order, int(a)) })
 		for i, d := range raw {
-			i := i
-			r.Submit(Duration(d)/16, "job", func() { order = append(order, i) })
+			r.SubmitID(Duration(d)/16, id, int32(i), 0)
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -160,24 +165,19 @@ func TestResourceFIFOProperty(t *testing.T) {
 	}
 }
 
-// TestResourceSaveRestore: a resource saved part-way through a mix of Submit
-// and SubmitID jobs (one in service, some waiting, some already served, the
-// rings' heads advanced), then run to the end, restored together with the
-// engine and run again, completes the same jobs at the same times and ends
-// with the same accounting — also when more jobs than were waiting at the
-// save arrived after it.
+// TestResourceSaveRestore: a resource saved part-way through its jobs (one
+// in service, some waiting, some already served, the ring's head advanced),
+// then run to the end, restored together with the engine and run again,
+// completes the same jobs at the same times and ends with the same
+// accounting — also when more jobs than were waiting at the save arrived
+// after it.
 func TestResourceSaveRestore(t *testing.T) {
 	e := New()
-	r := NewResource(e, "gpu")
+	r := NewResource(e)
 	var log []Time
 	id := r.Register(func(a, _ int32, _ float64) { log = append(log, Time(a)*1000+e.Now()) })
-	closure := func(n int) func() { return func() { log = append(log, Time(n)*1000+e.Now()) } }
 	for n := 1; n <= 20; n++ { // enough for the queue's compaction to have run
-		if n%3 == 0 {
-			r.Submit(Duration(n%4+1), "c", closure(n))
-		} else {
-			r.SubmitID(Duration(n%4+1), id, int32(n), 0)
-		}
+		r.SubmitID(Duration(n%4+1), id, int32(n), 0)
 	}
 	for r.Served() < 17 {
 		e.Step()
@@ -187,25 +187,25 @@ func TestResourceSaveRestore(t *testing.T) {
 	e.Save(&se)
 	r.Save(&sr)
 	at := len(log)
-	finish := func() (tail []Time, busy Duration, served uint64, maxQueue int) {
+	finish := func() (tail []Time, busy Duration, served uint64) {
 		for n := 21; n <= 30; n++ {
-			r.Submit(1, "late", closure(n))
+			r.SubmitID(1, id, int32(n), 0)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return append([]Time(nil), log[at:]...), r.BusyTime(), r.Served(), r.MaxQueueLen()
+		return append([]Time(nil), log[at:]...), r.BusyTime(), r.Served()
 	}
-	tail1, busy1, served1, max1 := finish()
+	tail1, busy1, served1 := finish()
 	e.Restore(&se)
 	r.Restore(&sr)
 	log = log[:at]
 	if r.QueueLen() != 2 || !r.Busy() || r.Served() != 17 {
 		t.Fatalf("restored to %d waiting, busy %v, %d served; saved with 2 waiting, busy, 17 served", r.QueueLen(), r.Busy(), r.Served())
 	}
-	tail2, busy2, served2, max2 := finish()
-	if len(tail1) != 13 || !slices.Equal(tail1, tail2) || busy1 != busy2 || served1 != served2 || max1 != max2 {
-		t.Fatalf("second run %v busy %v served %d maxQueue %d, first %v busy %v served %d maxQueue %d",
-			tail2, busy2, served2, max2, tail1, busy1, served1, max1)
+	tail2, busy2, served2 := finish()
+	if len(tail1) != 13 || !slices.Equal(tail1, tail2) || busy1 != busy2 || served1 != served2 {
+		t.Fatalf("second run %v busy %v served %d, first %v busy %v served %d",
+			tail2, busy2, served2, tail1, busy1, served1)
 	}
 }

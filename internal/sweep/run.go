@@ -269,16 +269,29 @@ func Run(ctx context.Context, g Grid, opt Options) (*Set, error) {
 	return set, err
 }
 
-// run is the shared engine behind Run; it also reports the resolver so
-// tests can assert on deployment reuse.
+// run is Run on expanded scenarios; it also reports the resolver so tests
+// can assert on deployment reuse.
 func run(ctx context.Context, g Grid, scenarios []Scenario, opt Options) (*Set, *resolver, error) {
-	workers := opt.ResolvedWorkers(len(scenarios))
 	results := make([]Result, len(scenarios))
+	res, err := each(ctx, scenarios, opt, func(i int, r Result) { results[i] = r })
+	if err != nil {
+		return nil, res, err
+	}
+	fillDegradation(results)
+	return &Set{Grid: g, Results: results}, res, nil
+}
+
+// each is the worker pool behind Run and RunStream: it simulates every
+// scenario on opt.ResolvedWorkers goroutines sharing one resolver, and hands
+// scenario i's result to keep(i, r) on the goroutine that ran it (so keep may
+// write only index i), then to opt.OnResult under a lock. Cancelling ctx stops
+// the dispatch; each then returns ctx.Err().
+func each(ctx context.Context, scenarios []Scenario, opt Options, keep func(i int, r Result)) (*resolver, error) {
 	res := new(resolver)
 	var notify sync.Mutex
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range opt.ResolvedWorkers(len(scenarios)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -287,10 +300,11 @@ func run(ctx context.Context, g Grid, scenarios []Scenario, opt Options) (*Set, 
 			// Reset) for every scenario this worker draws.
 			eng := sim.New()
 			for i := range jobs {
-				results[i] = runScenario(ctx, scenarios[i], res, eng)
+				r := runScenario(ctx, scenarios[i], res, eng)
+				keep(i, r)
 				if opt.OnResult != nil {
 					notify.Lock()
-					opt.OnResult(results[i])
+					opt.OnResult(r)
 					notify.Unlock()
 				}
 			}
@@ -306,11 +320,7 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, res, err
-	}
-	fillDegradation(results)
-	return &Set{Grid: g, Results: results}, res, nil
+	return res, ctx.Err()
 }
 
 // fillDegradation computes each faulted scenario's throughput loss against

@@ -6,9 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
-
-	"hetpipe/internal/sim"
 )
 
 // ThroughputStats is the throughput distribution over a sweep's successful
@@ -79,44 +76,14 @@ func RunStream(ctx context.Context, g Grid, opt Options) (*StreamSummary, error)
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.ResolvedWorkers(len(scenarios))
 	// One throughput and one failure flag per scenario is the whole retained
 	// state: the Result rows themselves live only inside their worker's loop
 	// iteration.
 	thr := make([]float64, len(scenarios))
 	failed := make([]bool, len(scenarios))
-	res := new(resolver)
-	var notify sync.Mutex
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := sim.New()
-			for i := range jobs {
-				r := runScenario(ctx, scenarios[i], res, eng)
-				thr[i] = r.Throughput
-				failed[i] = r.Error != ""
-				if opt.OnResult != nil {
-					notify.Lock()
-					opt.OnResult(r)
-					notify.Unlock()
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range scenarios {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if _, err := each(ctx, scenarios, opt, func(i int, r Result) {
+		thr[i], failed[i] = r.Throughput, r.Error != ""
+	}); err != nil {
 		return nil, err
 	}
 	return summarizeStream(scenarios, thr, failed), nil
