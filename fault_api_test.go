@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -206,6 +207,64 @@ func TestTrainCrashRecoversAndConforms(t *testing.T) {
 	if fs.FinalLoss != cs.FinalLoss || fs.FinalAccuracy != cs.FinalAccuracy {
 		t.Errorf("final metrics diverge: loss %v vs %v, acc %v vs %v",
 			fs.FinalLoss, cs.FinalLoss, fs.FinalAccuracy, cs.FinalAccuracy)
+	}
+}
+
+// TestFaultReportsAgreeAcrossBackends runs one plan through all three
+// backends: the co-simulation, the live runtime and serving step the same
+// fault cursors, so they report the same activations — except the stall,
+// which serving runs no parameter synchronization for.
+func TestFaultReportsAgreeAcrossBackends(t *testing.T) {
+	const spec = "slow:w0:x2,link:w1:x3,crash:w2:mb5:down0.01,stall:s0:c3:0.01"
+	reports := func(run func(*Deployment) error, extra ...Option) []string {
+		var got []string
+		dep, err := New(append([]Option{
+			WithModel("vgg19"), WithPolicy("ED"), WithNm(2), WithD(1), WithMinibatchesPerVW(16),
+			WithCheckpoint(2), WithFaults(spec),
+			WithObserver(func(e Event) {
+				if e.Kind == EventFaultInject {
+					got = append(got, e.Fault)
+				}
+			}),
+		}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(dep); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(got)
+		return got
+	}
+	ctx := context.Background()
+	sim := reports(func(d *Deployment) error { _, err := d.Simulate(ctx); return err })
+	live := reports(func(d *Deployment) error { _, err := d.Train(ctx); return err })
+	serving := reports(func(d *Deployment) error {
+		res, err := d.Serve(ctx)
+		if err != nil {
+			return err
+		}
+		for _, r := range res.Replicas {
+			if r.Batches < 5 {
+				t.Errorf("replica %d admitted %d microbatches, short of the crash at 5", r.Replica, r.Batches)
+			}
+		}
+		return nil
+	}, WithTraffic("poisson:r5000:n2000"))
+	if want := []string{"crash:w2:mb5", "link:w1:x3", "slow:w0:x2", "stall:c3:0.01"}; !reflect.DeepEqual(sim, want) {
+		t.Errorf("sim reports %q, want %q", sim, want)
+	}
+	if !reflect.DeepEqual(live, sim) {
+		t.Errorf("live reports %q, sim %q", live, sim)
+	}
+	var noStall []string
+	for _, f := range sim {
+		if !strings.HasPrefix(f, "stall:") {
+			noStall = append(noStall, f)
+		}
+	}
+	if !reflect.DeepEqual(serving, noStall) {
+		t.Errorf("serving reports %q, want the sim's without its stall, %q", serving, noStall)
 	}
 }
 

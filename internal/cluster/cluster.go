@@ -178,7 +178,8 @@ type Stats struct {
 }
 
 // errCrashed is the self-inflicted failure an injected crash raises; the
-// worker wrapper catches it and recovers instead of poisoning the run.
+// worker wrapper catches it and starts the recovering attempt instead of
+// poisoning the run.
 var errCrashed = errors.New("cluster: worker crashed (injected fault)")
 
 // workerRec is a worker's recovery bookkeeping. It lives outside runWorker so
@@ -193,16 +194,13 @@ type workerRec struct {
 	// pushed to the servers across all attempts — the clock version replay
 	// suppression is keyed on.
 	pushed int
-	// crashed latches after the injected crash so replay does not re-fire it.
-	crashed bool
-	// maxRetired / maxPullClock / slowEmitted / linkEmitted dedupe observer
-	// events across a recovery: a replayed retire, pull, or fault injection
-	// is numerically necessary (or still in force) but was already reported
-	// to the observer by the crashed attempt.
-	maxRetired   int
-	maxPullClock int
-	slowEmitted  bool
-	linkEmitted  bool
+	// cur is the worker's fault state: kept across attempts, a replay
+	// neither re-fires the crash nor re-reports a fault still in force.
+	cur fault.Cursor
+	// maxRetired / maxPullClock dedupe observer events across a recovery: a
+	// replayed retire or pull is numerically necessary but was already
+	// reported to the observer by the crashed attempt.
+	maxRetired, maxPullClock int
 
 	crashes, recoveries, replayed, checkpoints int
 }
@@ -370,21 +368,21 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		cfg.Observer(e)
 	}
 
-	// stallInject dedupes the cluster-wide stall injection event (several
-	// workers sleep for the same stalled clock advance).
+	// stall is the cluster-wide stall delay held against the advance to
+	// clock, reported once however many workers sleep for it: one cursor,
+	// stepped under stallMu.
 	var (
-		stallMu      sync.Mutex
-		stallEmitted = make(map[int]bool)
+		stallMu sync.Mutex
+		stalls  = fp.Cursor(-1)
 	)
-	stallInject := func(clock int, delay float64) {
+	stall := func(clock int) float64 {
 		stallMu.Lock()
-		seen := stallEmitted[clock]
-		stallEmitted[clock] = true
+		delay, report := stalls.Stall(clock)
 		stallMu.Unlock()
-		if !seen {
-			emit(obs.Event{Kind: obs.KindFaultInject, VW: -1, Clock: clock,
-				Fault: fault.StallLabel(clock, delay)})
+		if report != "" {
+			emit(obs.Event{Kind: obs.KindFaultInject, VW: -1, Clock: clock, Fault: report})
 		}
+		return delay
 	}
 
 	// The shard checkpointer persists a consistent clock-cut checkpoint of
@@ -444,7 +442,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		rec := recs[w]
-		rec.pushed = resumedClock
+		rec.pushed, rec.cur = resumedClock, fp.Cursor(w)
 		go func(w int, rec *workerRec) {
 			defer wg.Done()
 			backends, err := net.dial()
@@ -460,7 +458,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 			}
 			env := &workerEnv{
 				cfg: cfg, id: w, space: space, sh: sh, emit: emit,
-				faults: fp, rec: rec, stallInject: stallInject, notifyCkpt: notifyCkpt,
+				rec: rec, stall: stall, notifyCkpt: notifyCkpt,
 			}
 			for {
 				done, err := env.run()
@@ -469,16 +467,10 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 					return
 				}
 				if errors.Is(err, errCrashed) {
-					// Recover: restore the last checkpoint and replay. The
-					// crashed attempt's partial counts are discarded — the
-					// restored program's counters plus the replay re-count every
-					// action exactly once.
-					c := fp.CrashFor(w)
-					resumeMB := rec.ckpt.Next()
-					rec.recoveries++
-					rec.replayed += c.AtMinibatch - resumeMB
-					emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: resumeMB,
-						Clock: rec.pushed, Fault: fault.CrashLabel(w, c.AtMinibatch)})
+					// Recover: the next attempt restores the last checkpoint and
+					// replays. The crashed attempt's partial counts are
+					// discarded — the restored program's counters plus the
+					// replay re-count every action exactly once.
 					continue
 				}
 				fail(fmt.Errorf("cluster: worker %d: %w", w, err))
@@ -555,15 +547,14 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 
 // workerEnv bundles what one worker's training loop needs across attempts.
 type workerEnv struct {
-	cfg         Config
-	id          int
-	space       *shardSpace
-	sh          *ps.Sharded
-	emit        obs.Func
-	faults      *fault.Plan
-	rec         *workerRec
-	stallInject func(clock int, delay float64)
-	notifyCkpt  func()
+	cfg        Config
+	id         int
+	space      *shardSpace
+	sh         *ps.Sharded
+	emit       obs.Func
+	rec        *workerRec
+	stall      func(clock int) float64
+	notifyCkpt func()
 
 	// Reusable data-plane scratch, persisting across crash-replay attempts:
 	// push and pull are the two sections of a wave exchange, their vectors
@@ -595,10 +586,10 @@ func (e *workerEnv) checkpointDue(w *train.Worker) bool {
 // exist (retired also runs in the end-of-run drain) and be gated at a clock
 // not yet pulled; no crash may be due at it and no worker checkpoint fall due
 // (both must see the state between the push and the pull); no fault
-// injection may be first reported at it; and the stall, link and compute
-// sleeps must all be zero — the last two scale StepTime — or the push would
-// sit unsent while peers wait for it.
-func (e *workerEnv) pullAfterPush(w *train.Worker, wave int) int {
+// injection may be first reported at it (the cursor is Quiet there); and the
+// stall, link and compute sleeps must all be zero — the last two scale
+// StepTime — or the push would sit unsent while peers wait for it.
+func (e *workerEnv) pullAfterPush(w *train.Worker, stalled bool) int {
 	next := w.Next()
 	if next > e.cfg.MaxMinibatches {
 		return 0
@@ -607,16 +598,7 @@ func (e *workerEnv) pullAfterPush(w *train.Worker, wave int) int {
 	if req == 0 {
 		return 0
 	}
-	if c := e.faults.CrashFor(e.id); c != nil && !e.rec.crashed && next == c.AtMinibatch {
-		return 0
-	}
-	if e.checkpointDue(w) {
-		return 0
-	}
-	if e.cfg.StepTime > 0 || e.faults.StallDelay(wave+1) > 0 {
-		return 0
-	}
-	if !e.rec.slowEmitted && e.faults.ComputeScale(e.id, next) > 1 {
+	if !e.rec.cur.Quiet(next) || e.checkpointDue(w) || e.cfg.StepTime > 0 || stalled {
 		return 0
 	}
 	return req
@@ -653,10 +635,8 @@ func (e *workerEnv) retired(w *train.Worker, mb int) error {
 		// update.
 		return nil
 	}
-	if delay := e.faults.StallDelay(wave + 1); delay > 0 {
-		e.stallInject(wave+1, delay)
-		sleepSeconds(delay)
-	}
+	delay := e.stall(wave + 1)
+	sleepSeconds(delay)
 	e.linkSleep()
 	// One exchange per shard carries the push and, when the next iteration
 	// would do nothing but pull, that pull too. The snapshot chunks land
@@ -665,7 +645,7 @@ func (e *workerEnv) retired(w *train.Worker, mb int) error {
 	// map, no join allocation.
 	e.space.SplitInto(w.Delta(wave), e.push.Vecs)
 	var pull *ps.SnapshotPull
-	if req := e.pullAfterPush(w, wave); req > 0 {
+	if req := e.pullAfterPush(w, delay > 0); req > 0 {
 		e.space.SplitInto(w.Weights(), e.pull.Dst)
 		e.pull.Clock = req
 		pull = &e.pull
@@ -685,14 +665,9 @@ func (e *workerEnv) retired(w *train.Worker, mb int) error {
 // reported once per run (not per attempt, and independent of whether StepTime
 // makes it sleep).
 func (e *workerEnv) linkSleep() {
-	scale := e.faults.LinkScale(e.id)
-	if scale <= 1 {
-		return
-	}
-	if !e.rec.linkEmitted {
-		e.rec.linkEmitted = true
-		e.emit(obs.Event{Kind: obs.KindFaultInject, VW: e.id,
-			Fault: fault.LinkLabel(e.id, scale)})
+	scale, report := e.rec.cur.Link()
+	if report != "" {
+		e.emit(obs.Event{Kind: obs.KindFaultInject, VW: e.id, Fault: report})
 	}
 	sleepSeconds((scale - 1) * e.cfg.StepTime.Seconds())
 }
@@ -710,7 +685,6 @@ func (e *workerEnv) linkSleep() {
 func (e *workerEnv) run() (*train.Worker, error) {
 	cfg, id := e.cfg, e.id
 	w := e.rec.ckpt.Clone()
-	crash := e.faults.CrashFor(id)
 	if keys := e.space.Keys(); len(e.push.Vecs) != len(keys) {
 		e.push = ps.Push{Worker: id, Keys: keys, Vecs: make([]tensor.Vector, len(keys))}
 		e.pull = ps.SnapshotPull{Keys: keys, Dst: make([]tensor.Vector, len(keys))}
@@ -719,14 +693,19 @@ func (e *workerEnv) run() (*train.Worker, error) {
 	for w.Next() <= cfg.MaxMinibatches {
 		mb := w.Next()
 		// Injected crash: fires at a minibatch boundary (never mid-push), at
-		// most once. The attempt's local state is abandoned; the wrapper
-		// restores the last checkpoint and replays.
-		if crash != nil && !e.rec.crashed && mb == crash.AtMinibatch {
-			e.rec.crashed = true
+		// most once. The attempt's local state is abandoned: the worker is down
+		// for the charged downtime, then recovers by restoring the last
+		// checkpoint in a new attempt and replaying from it.
+		if report := e.rec.cur.Crash(mb); report != "" {
 			e.rec.crashes++
-			e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb,
-				Fault: fault.CrashLabel(id, mb)})
-			sleepSeconds(fault.CrashDowntime(crash))
+			e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb, Fault: report})
+			_, down := e.rec.cur.Task(mb, 0)
+			sleepSeconds(down)
+			resume := e.rec.ckpt.Next()
+			e.rec.recoveries++
+			e.rec.replayed += mb - resume
+			e.emit(obs.Event{Kind: obs.KindRecover, VW: id, Minibatch: resume,
+				Clock: e.rec.pushed, Fault: e.rec.cur.Recover(mb)})
 			return nil, errCrashed
 		}
 		// Worker-state checkpoint at the wave cadence. The state at the top
@@ -741,16 +720,11 @@ func (e *workerEnv) run() (*train.Worker, error) {
 		// Emulated compute time, scaled by any straggler slowdown. The
 		// injection event is per run, not per attempt — a replay after a
 		// crash must not re-report a slowdown that never stopped.
-		if scale := e.faults.ComputeScale(id, mb); scale > 1 {
-			if !e.rec.slowEmitted {
-				e.rec.slowEmitted = true
-				e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb,
-					Fault: fault.SlowLabel(id, scale)})
-			}
-			sleepSeconds(cfg.StepTime.Seconds() * scale)
-		} else if cfg.StepTime > 0 {
-			time.Sleep(cfg.StepTime)
+		scale, report := e.rec.cur.Slow(mb)
+		if report != "" {
+			e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb, Fault: report})
 		}
+		sleepSeconds(cfg.StepTime.Seconds() * scale)
 		// The WSP gate: the last minibatch of wave w may only start once the
 		// global clock has reached w-D. Blocking on the servers' snapshot
 		// pull IS the wait — every shard holds the worker until its clock

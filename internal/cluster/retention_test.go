@@ -67,7 +67,7 @@ func TestWorkerKeepsBoundedWaveDeltas(t *testing.T) {
 		}
 		env := &workerEnv{
 			cfg: cfg, id: id, space: space, sh: sh, emit: func(obs.Event) {},
-			faults: fp, rec: &workerRec{ckpt: fresh}, stallInject: func(int, float64) {},
+			rec: &workerRec{ckpt: fresh, cur: fp.Cursor(id)}, stall: func(int) float64 { return 0 },
 		}
 		captures, worst := 0, 0
 		env.notifyCkpt = func() { // runs on the worker's goroutine, right after each capture

@@ -159,7 +159,7 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 
 	c := &cosim{
 		d: d, eng: eng, ob: ob, params: params, coord: coord,
-		fp: fp, checkpointEvery: checkpointEvery,
+		stalls: fp.Cursor(-1), checkpointEvery: checkpointEvery,
 		groups: d.lockStepGroups(fp), res: &MultiResult{},
 	}
 	c.pullID = eng.Register(func(g, _ int32, _ float64) { c.pulled(c.groups[g]) })
@@ -219,10 +219,12 @@ func (d *Deployment) check() error {
 // lockGroup is one lock-step group of a co-simulation: the virtual workers
 // lo..hi-1, stepped as a single pipeline whose every effect on the shared
 // state is replayed once per member in that order. It carries what each
-// worker used to carry alone: the WSP synchronization state and, for a group
-// a fault clause names (always a single worker), the one-shot fault state.
+// worker used to carry alone: the WSP synchronization state and its first
+// worker's fault cursor, inert unless a fault clause names the group (which
+// is then always a single worker).
 type lockGroup struct {
 	idx        int32 // position in cosim.groups
+	touched    bool  // fp.Touches(lo); implies hi == lo+1
 	lo, hi     int
 	push, pull float64 // per-wave PS transfer times, link degradation folded in
 	pipe       *pipeline.Pipeline
@@ -237,9 +239,7 @@ type lockGroup struct {
 	blockSince sim.Time
 	lastDone   sim.Time // time of the most recent minibatch completion
 
-	touched                                bool         // fp.Touches(lo); implies hi == lo+1
-	crash                                  *fault.Crash // the worker's crash, or nil
-	slowEmitted, linkEmitted, crashCharged bool
+	cur fault.Cursor // lo's, which reports nothing unless touched
 }
 
 // lockStepGroups partitions the workers into maximal runs of consecutive
@@ -267,15 +267,9 @@ func (d *Deployment) lockStepGroups(fp *fault.Plan) []*lockGroup {
 				continue
 			}
 		}
-		g := &lockGroup{idx: int32(len(groups)), lo: w, hi: w + 1, push: push, pull: pull, touched: touched}
-		if touched {
-			g.crash = fp.CrashFor(w)
-			if s := fp.LinkScale(w); s > 1 {
-				g.push *= s
-				g.pull *= s
-			}
-		}
-		groups = append(groups, g)
+		s := fp.LinkScale(w) // 1 unless degraded, and x*1 is x bit for bit
+		groups = append(groups, &lockGroup{idx: int32(len(groups)), lo: w, hi: w + 1,
+			push: push * s, pull: pull * s, touched: touched, cur: fp.Cursor(w)})
 	}
 	return groups
 }
@@ -295,9 +289,8 @@ type cosim struct {
 	// (exact: the step limit keeps Fired far below 2^53).
 	pullID, pushID int32
 
-	fp              *fault.Plan // materialized; never nil
+	stalls          fault.Cursor // the cluster's, for the stalls
 	checkpointEvery int
-	stallEmitted    map[int]bool // clocks whose stall injection was emitted
 }
 
 func (c *cosim) emit(e obs.Event) {
@@ -308,7 +301,11 @@ func (c *cosim) emit(e obs.Event) {
 	}
 }
 
+// inject counts and emits the fault activation f reports, if any.
 func (c *cosim) inject(vw int, f string) {
+	if f == "" {
+		return
+	}
 	c.res.FaultInjections++
 	c.emit(obs.Event{Kind: obs.KindFaultInject, VW: vw, Fault: f})
 }
@@ -332,12 +329,12 @@ func (c *cosim) config(g *lockGroup, minibatches, warmup int) pipeline.Config {
 	}
 	if g.touched {
 		cfg.TaskTime = func(p, s int, base float64) float64 {
-			out := base * c.fp.ComputeScale(g.lo, p)
+			scale, charge := g.cur.Task(p, s)
+			out := base * scale
 			// The crash charge lands once, on the crashed minibatch's first
 			// stage-0 task (its forward) — the worker-local stall.
-			if g.crash != nil && p == g.crash.AtMinibatch && s == 0 && !g.crashCharged {
-				g.crashCharged = true
-				out += c.crashExtra(g)
+			if charge > 0 {
+				out += charge + c.replay(g, p)
 			}
 			return out
 		}
@@ -345,16 +342,15 @@ func (c *cosim) config(g *lockGroup, minibatches, warmup int) pipeline.Config {
 	return cfg
 }
 
-// crashExtra is the downtime-plus-replay charge of group g's crash: the
-// worker is down for the crash downtime and then re-executes every minibatch
-// since its last checkpoint at its bottleneck-stage pace.
-func (c *cosim) crashExtra(g *lockGroup) float64 {
+// replay is the checkpoint-replay part of group g's crash charge at minibatch
+// mb: after its downtime the worker re-executes every minibatch since its last
+// checkpoint at its bottleneck-stage pace.
+func (c *cosim) replay(g *lockGroup, mb int) float64 {
 	ckptWave := 0
 	if c.checkpointEvery > 0 {
-		ckptWave = ((g.crash.AtMinibatch - 1) / c.d.Nm / c.checkpointEvery) * c.checkpointEvery
+		ckptWave = ((mb - 1) / c.d.Nm / c.checkpointEvery) * c.checkpointEvery
 	}
-	replay := float64((g.crash.AtMinibatch-1)-ckptWave*c.d.Nm) * c.d.VWs[g.lo].Plan.Bottleneck
-	return fault.CrashDowntime(g.crash) + replay
+	return float64((mb-1)-ckptWave*c.d.Nm) * c.d.VWs[g.lo].Plan.Bottleneck
 }
 
 // start admits minibatch mb on every member of g, and on a touched group
@@ -366,24 +362,16 @@ func (c *cosim) start(g *lockGroup, mb int) {
 	if !g.touched {
 		return
 	}
-	if sc := c.fp.ComputeScale(g.lo, mb); sc > 1 && !g.slowEmitted {
-		g.slowEmitted = true
-		c.inject(g.lo, fault.SlowLabel(g.lo, sc))
-	}
-	if g.crash != nil && mb == g.crash.AtMinibatch {
-		c.inject(g.lo, fault.CrashLabel(g.lo, mb))
-	}
+	_, slow := g.cur.Slow(mb)
+	c.inject(g.lo, slow)
+	c.inject(g.lo, g.cur.Crash(mb))
 }
 
 // linkInject emits the one-shot injection of a degraded link the first time
 // group g's worker uses it.
 func (c *cosim) linkInject(g *lockGroup) {
-	if g.touched && !g.linkEmitted {
-		if s := c.fp.LinkScale(g.lo); s > 1 {
-			g.linkEmitted = true
-			c.inject(g.lo, fault.LinkLabel(g.lo, s))
-		}
-	}
+	_, link := g.cur.Link()
+	c.inject(g.lo, link)
 }
 
 // gate is group g's injection gate for minibatch mb: a gated wave-end waits
@@ -453,32 +441,27 @@ func (c *cosim) completed(g *lockGroup, mb int, at sim.Time) {
 	g.lastDone = at
 	waveEnd := c.params.IsWaveEnd(mb)
 	wave := c.params.Wave(mb)
-	stall := 0.0
+	stall, stallReport := 0.0, ""
 	if waveEnd {
 		// A stalled shard holds up the advance to clock wave+1, i.e. every
 		// wave push that advance is waiting on.
-		stall = c.fp.StallDelay(wave + 1)
+		stall, stallReport = c.stalls.Stall(wave + 1)
 	}
 	clock := c.coord.GlobalClock()
 	for w := g.lo; w < g.hi; w++ {
 		c.emit(obs.Event{Kind: obs.KindMinibatch, VW: w, Minibatch: mb, Wave: wave, Clock: clock})
-		if g.crash != nil && mb == g.crash.AtMinibatch {
+		if f := g.cur.Recover(mb); f != "" {
 			// The charged downtime and replay have elapsed inside this
 			// completion; the worker is back.
-			c.emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: mb, Fault: fault.CrashLabel(w, mb)})
+			c.emit(obs.Event{Kind: obs.KindRecover, VW: w, Minibatch: mb, Fault: f})
 		}
 		if !waveEnd {
 			continue
 		}
 		c.res.Pushes++
 		c.linkInject(g)
-		if stall > 0 && !c.stallEmitted[wave+1] {
-			if c.stallEmitted == nil {
-				c.stallEmitted = make(map[int]bool)
-			}
-			c.stallEmitted[wave+1] = true
-			c.inject(-1, fault.StallLabel(wave+1, stall))
-		}
+		c.inject(-1, stallReport)
+		stallReport = ""
 	}
 	if waveEnd {
 		c.eng.AfterID(sim.Duration(g.push)+sim.Duration(stall), c.pushID, g.idx, int32(wave), float64(c.eng.Fired()))

@@ -117,7 +117,11 @@ func referenceSimulateWSP(ctx context.Context, d *Deployment, eng *sim.Engine, m
 			ckptWave = ((c.AtMinibatch - 1) / d.Nm / checkpointEvery) * checkpointEvery
 		}
 		replay := float64((c.AtMinibatch-1)-ckptWave*d.Nm) * d.VWs[w].Plan.Bottleneck
-		return fault.CrashDowntime(c) + replay
+		down := c.Downtime
+		if down == 0 {
+			down = fault.DefaultCrashDowntime
+		}
+		return down + replay
 	}
 	// started emits the one-shot fault-injection events owed at the moment
 	// minibatch mb of VW vw is admitted into the pipeline.

@@ -2,16 +2,21 @@
 // HetPipe runs: worker slowdowns (stragglers), worker crashes at a given
 // minibatch, parameter-server shard stalls, and link degradations.
 //
-// A Plan is pure data. The two execution backends interpret it differently
-// but deterministically: the discrete-event simulator (internal/core over
-// internal/sim) applies slowdowns and crash downtime to stage timings and
-// stall/link terms to the parameter-synchronization transfer times, while the
-// live runtime (internal/cluster) applies timing faults as wall-clock sleeps
-// and executes crashes for real — killing the worker goroutine and recovering
-// it from its last checkpoint. Because WSP's numeric trajectory is
-// timing-free by construction (train.Worker is the whole of it), a fault plan
-// degrades throughput and exercises recovery without ever changing the final
-// weights — the property the sim-vs-live conformance harness pins down.
+// A Plan is pure data, and a Cursor is the one interpreter of it: each of the
+// three execution backends steps one Cursor per worker, which decides what a
+// clause costs at a minibatch, a transfer or a clock, and when it is reported.
+// The backends differ only in what they do with the answer: the
+// discrete-event co-simulation (internal/core over internal/sim) applies
+// slowdowns and crash downtime to stage timings and stall/link terms to the
+// parameter-synchronization transfer times; the live runtime
+// (internal/cluster) applies timing faults as wall-clock sleeps and executes
+// crashes for real — killing the worker goroutine and recovering it from its
+// last checkpoint; serving (internal/serve) applies slowdowns, links and crash
+// downtime to its replicas' forward passes and leaves stalls inert. Because
+// WSP's numeric trajectory is timing-free by construction (train.Worker is the
+// whole of it), a fault plan degrades throughput and exercises recovery
+// without ever changing the final weights — the property the sim-vs-live
+// conformance harness pins down.
 //
 // Plans are written either as Go literals or in a compact spec language made
 // for CLI flags (see Parse):
@@ -30,6 +35,7 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,7 +49,11 @@ import (
 const DefaultCrashDowntime = 1.0
 
 // Slowdown makes one worker's compute slower by a constant factor over a
-// minibatch range — the whimpy-straggler fault.
+// minibatch range — the whimpy-straggler fault. Cursor.Task gives every
+// backend the same factor per stage task; what a task is still differs: the
+// co-simulation's hook also stretches an overlapped transfer
+// (pipeline.Link) by the compute factor, serving's leaves it to the link.
+// Making them agree would change the co-simulation's timings.
 type Slowdown struct {
 	// Worker is the 0-based virtual-worker index.
 	Worker int
@@ -68,14 +78,6 @@ type Crash struct {
 	// Downtime is how long the worker is down, in seconds; 0 means
 	// DefaultCrashDowntime.
 	Downtime float64
-}
-
-// downtime resolves the crash downtime, applying the default.
-func (c Crash) downtime() float64 {
-	if c.Downtime == 0 {
-		return DefaultCrashDowntime
-	}
-	return c.Downtime
 }
 
 // PSStall models a parameter-server shard going unresponsive around one
@@ -387,15 +389,6 @@ func (p *Plan) Touches(w int) bool {
 	return p.CrashFor(w) != nil
 }
 
-// CrashDowntime reports the resolved downtime of a crash (applying
-// DefaultCrashDowntime when the crash leaves it zero).
-func CrashDowntime(c *Crash) float64 {
-	if c == nil {
-		return 0
-	}
-	return c.downtime()
-}
-
 // StallDelay reports the total delay injected before the global clock may
 // advance to `clock`, summed over all shard stalls targeting it. The shard
 // index does not change the delay a worker observes — the global clock is
@@ -414,6 +407,111 @@ func (p *Plan) StallDelay(clock int) float64 {
 	return total
 }
 
+// Cursor is a materialized plan's one-shot state for one worker, and the
+// only place a plan is interpreted: each method answers one decision — a
+// scale, a charge, a delay — together with the clause label to report for
+// it, which is non-empty exactly once per run however often a crash replay
+// asks again. A backend holds its cursors by value wherever a worker's state
+// outlives an attempt; the cluster's cursor (worker -1) answers the stalls.
+// A Cursor is not safe for concurrent use.
+type Cursor struct {
+	p       *Plan
+	w       int
+	crashAt int     // the worker's crash minibatch; 0 = none
+	down    float64 // its downtime
+
+	slowDone, linkDone, crashDone, charged, recovered bool
+
+	stalled map[int]bool // the stalled clocks reported
+}
+
+// Cursor returns worker w's cursor over the materialized plan p; w = -1
+// gives the cluster's, which no worker clause names.
+func (p *Plan) Cursor(w int) Cursor {
+	c := Cursor{p: p, w: w}
+	if cr := p.CrashFor(w); cr != nil {
+		c.crashAt, c.down = cr.AtMinibatch, cmp.Or(cr.Downtime, DefaultCrashDowntime)
+	}
+	return c
+}
+
+// once reports whether a one-shot decision falls now: it is due and was not
+// taken before — and from now on it was.
+func once(done *bool, due bool) bool {
+	if !due || *done {
+		return false
+	}
+	*done = true
+	return true
+}
+
+// Slow is the worker's compute scale at minibatch mb (see ComputeScale), and
+// the slowdown's report at the first minibatch asked whose scale exceeds 1.
+func (c *Cursor) Slow(mb int) (scale float64, report string) {
+	scale = c.p.ComputeScale(c.w, mb)
+	if once(&c.slowDone, scale > 1) {
+		report = slowLabel(c.w, scale)
+	}
+	return scale, report
+}
+
+// Task is the cost of stage s's task of minibatch mb: the compute scale, and
+// the crash charge — the downtime, non-zero on the crash minibatch's first
+// stage-0 task asked and never again.
+//
+//hetlint:hotpath
+func (c *Cursor) Task(mb, s int) (scale, charge float64) {
+	if once(&c.charged, s == 0 && mb == c.crashAt) {
+		charge = c.down
+	}
+	return c.p.ComputeScale(c.w, mb), charge
+}
+
+// Link is the worker's parameter-synchronization transfer scale (see
+// LinkScale), and a degraded link's report at its first use.
+func (c *Cursor) Link() (scale float64, report string) {
+	scale = c.p.LinkScale(c.w)
+	if once(&c.linkDone, scale > 1) {
+		report = linkLabel(c.w, scale)
+	}
+	return scale, report
+}
+
+// Crash is the worker's crash report, when mb is its crash minibatch and the
+// crash has not fired yet: a replay through mb passes it.
+func (c *Cursor) Crash(mb int) string { return c.crashReport(&c.crashDone, mb) }
+
+// Recover is the recovery report of the worker's crash, when mb is its crash
+// minibatch: the crash's label, once.
+func (c *Cursor) Recover(mb int) string { return c.crashReport(&c.recovered, mb) }
+
+func (c *Cursor) crashReport(done *bool, mb int) string {
+	if !once(done, mb == c.crashAt) {
+		return ""
+	}
+	return crashLabel(c.w, mb)
+}
+
+// Quiet reports whether Slow and Crash would report nothing at minibatch mb:
+// no crash is still ahead there, and no slowdown would be reported first.
+func (c *Cursor) Quiet(mb int) bool {
+	return (mb != c.crashAt || c.crashDone) && (c.slowDone || c.p.ComputeScale(c.w, mb) <= 1)
+}
+
+// Stall is the delay held against the global clock's advance to clock (see
+// StallDelay), and its report the first time a stalled clock is asked.
+func (c *Cursor) Stall(clock int) (delay float64, report string) {
+	delay = c.p.StallDelay(clock)
+	if delay > 0 && !c.stalled[clock] {
+		if c.stalled == nil {
+			c.stalled = make(map[int]bool)
+		}
+		c.stalled[clock] = true
+		report = stallLabel(clock, delay)
+	}
+	return delay, report
+}
+
 // String renders the plan in the Parse spec language, clauses in a canonical
 // order. An empty plan renders as "".
 func (p *Plan) String() string {
@@ -422,7 +520,7 @@ func (p *Plan) String() string {
 	}
 	var clauses []string
 	for _, s := range p.Slowdowns {
-		c := SlowLabel(s.Worker, s.Factor)
+		c := slowLabel(s.Worker, s.Factor)
 		if s.FromMinibatch != 0 || s.ToMinibatch != 0 {
 			from := s.FromMinibatch
 			if from == 0 {
@@ -433,7 +531,7 @@ func (p *Plan) String() string {
 		clauses = append(clauses, c)
 	}
 	for _, c := range p.Crashes {
-		s := CrashLabel(c.Worker, c.AtMinibatch)
+		s := crashLabel(c.Worker, c.AtMinibatch)
 		if c.Downtime != 0 {
 			s += ":down" + ftoa(c.Downtime)
 		}
@@ -443,7 +541,7 @@ func (p *Plan) String() string {
 		clauses = append(clauses, fmt.Sprintf("stall:s%d:c%d:%s", s.Shard, s.AtClock, ftoa(s.Delay)))
 	}
 	for _, l := range p.Links {
-		clauses = append(clauses, LinkLabel(l.Worker, l.Factor))
+		clauses = append(clauses, linkLabel(l.Worker, l.Factor))
 	}
 	if r := p.Rand; r != nil {
 		c := "rand:" + ftoa(r.Rate)
@@ -461,23 +559,23 @@ func (p *Plan) String() string {
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// The labels a backend's observer events name a fault activation by
-// (obs.Event.Fault), one per clause kind. The slow, crash and link labels are
-// the clause's own spec form, so Plan.String renders through them too; a
-// stall's label names the clock advance it held up and its total delay, not
-// one shard's clause. (%g prints the digits ftoa does.)
+// The labels a Cursor reports, which the backends' observer events name a
+// fault activation by (obs.Event.Fault), one per clause kind. The slow, crash
+// and link labels are the clause's own spec form, so Plan.String renders
+// through them too; a stall's label names the clock advance it held up and its
+// total delay, not one shard's clause. (%g prints the digits ftoa does.)
 
-// SlowLabel names worker w's compute slowdown by factor.
-func SlowLabel(w int, factor float64) string { return fmt.Sprintf("slow:w%d:x%g", w, factor) }
+// slowLabel names worker w's compute slowdown by factor.
+func slowLabel(w int, factor float64) string { return fmt.Sprintf("slow:w%d:x%g", w, factor) }
 
-// CrashLabel names worker w's crash at minibatch mb.
-func CrashLabel(w, mb int) string { return fmt.Sprintf("crash:w%d:mb%d", w, mb) }
+// crashLabel names worker w's crash at minibatch mb.
+func crashLabel(w, mb int) string { return fmt.Sprintf("crash:w%d:mb%d", w, mb) }
 
-// LinkLabel names worker w's link degradation by factor.
-func LinkLabel(w int, factor float64) string { return fmt.Sprintf("link:w%d:x%g", w, factor) }
+// linkLabel names worker w's link degradation by factor.
+func linkLabel(w int, factor float64) string { return fmt.Sprintf("link:w%d:x%g", w, factor) }
 
-// StallLabel names the stalled advance to clock by delay seconds.
-func StallLabel(clock int, delay float64) string { return fmt.Sprintf("stall:c%d:%g", clock, delay) }
+// stallLabel names the stalled advance to clock by delay seconds.
+func stallLabel(clock int, delay float64) string { return fmt.Sprintf("stall:c%d:%g", clock, delay) }
 
 // Parse builds a plan from the compact spec language (see the package
 // comment for the grammar). An empty or all-whitespace spec yields the empty

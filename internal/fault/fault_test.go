@@ -169,8 +169,9 @@ func TestCrashFor(t *testing.T) {
 	if c == nil || c.AtMinibatch != 40 {
 		t.Fatalf("CrashFor(2) = %+v, want minibatch 40", c)
 	}
-	if CrashDowntime(c) != DefaultCrashDowntime {
-		t.Errorf("CrashDowntime = %g, want default %g", CrashDowntime(c), DefaultCrashDowntime)
+	cur := p.Cursor(2)
+	if _, charge := cur.Task(40, 0); charge != DefaultCrashDowntime {
+		t.Errorf("crash charge = %g, want default %g", charge, DefaultCrashDowntime)
 	}
 	if p.CrashFor(0) != nil {
 		t.Error("CrashFor(0) non-nil")
@@ -335,7 +336,7 @@ func TestTouches(t *testing.T) {
 // the clause that caused it, and %g prints what the canonical form does.
 func TestLabelsAreClauses(t *testing.T) {
 	for _, f := range []float64{2, 1.5, 0.1, 1e-7, 123456789, 1e9, 1.0000000000000002} {
-		for _, label := range []string{SlowLabel(3, f), LinkLabel(3, f)} {
+		for _, label := range []string{slowLabel(3, f), linkLabel(3, f)} {
 			p, err := Parse(label)
 			if err != nil {
 				if f >= 1 {
@@ -347,11 +348,11 @@ func TestLabelsAreClauses(t *testing.T) {
 				t.Errorf("label %q canonicalises to %q", label, p.String())
 			}
 		}
-		if got, want := StallLabel(4, f), "stall:c4:"+ftoa(f); got != want {
-			t.Errorf("StallLabel = %q, want %q", got, want)
+		if got, want := stallLabel(4, f), "stall:c4:"+ftoa(f); got != want {
+			t.Errorf("stallLabel = %q, want %q", got, want)
 		}
 	}
-	if p, err := Parse(CrashLabel(2, 40)); err != nil || p.String() != "crash:w2:mb40" {
+	if p, err := Parse(crashLabel(2, 40)); err != nil || p.String() != "crash:w2:mb40" {
 		t.Errorf("crash label round trip = %v, %v", p, err)
 	}
 }

@@ -88,5 +88,81 @@ func FuzzParseFaults(f *testing.F) {
 				t.Fatalf("%q: %g samples/s aggregate, waiting %gs, idle %gs, elapsed %gs", canon, res.Aggregate, res.Waiting, res.Idle, res.Elapsed)
 			}
 		}
+		fp, err := p.Materialize(n)
+		if err != nil {
+			t.Fatalf("%q: %v", canon, err)
+		}
+		stepCursors(t, canon, fp, n)
 	})
+}
+
+// stepCursors steps each worker's cursor over minibatches 1..16 twice, as a
+// crash replay does, and the cluster's over clocks 1..9 twice, and holds
+// every report to once per run: a slowdown's iff a stepped minibatch has a
+// scale above 1, a link's iff the link is degraded, a crash's, its charge's
+// and its recovery's iff the crash falls within the steps, a stall's iff its
+// clock has a positive delay — none of them in the second pass.
+func stepCursors(t *testing.T, spec string, fp *fault.Plan, workers int) {
+	const mbs, clocks = 16, 9
+	for w := 0; w < workers; w++ {
+		cur := fp.Cursor(w)
+		var slows, links, crashes, charges, recovers int
+		slowed := false
+		for pass := 0; pass < 2; pass++ {
+			for mb := 1; mb <= mbs; mb++ {
+				quiet := cur.Quiet(mb)
+				scale, slow := cur.Slow(mb)
+				crash := cur.Crash(mb)
+				if quiet != (slow == "" && crash == "") {
+					t.Fatalf("%q: worker %d minibatch %d: Quiet %v, but Slow reports %q and Crash %q", spec, w, mb, quiet, slow, crash)
+				}
+				_, link := cur.Link()
+				recovered := cur.Recover(mb)
+				for s := 0; s < 3; s++ {
+					sc, charge := cur.Task(mb, s)
+					if sc != scale {
+						t.Fatalf("%q: worker %d minibatch %d: Task scale %g, Slow %g", spec, w, mb, sc, scale)
+					}
+					if charge != 0 {
+						charges++
+					}
+				}
+				if pass == 1 && slow+crash+link+recovered != "" {
+					t.Fatalf("%q: worker %d's replay of minibatch %d reported %q", spec, w, mb, slow+crash+link+recovered)
+				}
+				slowed = slowed || scale > 1
+				for _, r := range []struct {
+					report string
+					n      *int
+				}{{slow, &slows}, {link, &links}, {crash, &crashes}, {recovered, &recovers}} {
+					if r.report != "" {
+						*r.n++
+					}
+				}
+			}
+		}
+		crash := fp.CrashFor(w)
+		crashed := crash != nil && crash.AtMinibatch <= mbs
+		for _, c := range []struct {
+			what string
+			n    int
+			want bool
+		}{
+			{"slowdown", slows, slowed}, {"link", links, fp.LinkScale(w) > 1},
+			{"crash", crashes, crashed}, {"crash charge", charges, crashed}, {"recovery", recovers, crashed},
+		} {
+			if (c.n == 1) != c.want || c.n > 1 {
+				t.Fatalf("%q: worker %d's %s reported %d times, want it %v", spec, w, c.what, c.n, c.want)
+			}
+		}
+	}
+	cl := fp.Cursor(-1)
+	for pass := 0; pass < 2; pass++ {
+		for clock := 1; clock <= clocks; clock++ {
+			delay, report := cl.Stall(clock)
+			if want := pass == 0 && delay > 0; (report != "") != want {
+				t.Fatalf("%q: pass %d stall at clock %d (delay %g) reported %q", spec, pass, clock, delay, report)
+			}
+		}
+	}
 }

@@ -29,11 +29,12 @@ const (
 	// PS-shard stall, or a link degradation's first affected transfer.
 	// Event.Fault carries the fault's spec clause.
 	KindFaultInject
-	// KindRecover fires when a crashed worker is back: the simulator emits it
-	// when the charged downtime has elapsed, the live runtime when the worker
-	// has been restored from its last checkpoint and is about to replay.
-	// Event.Clock carries the checkpoint's clock version (pushed waves) on
-	// the live side.
+	// KindRecover fires when a crashed worker is back, with the crash's label
+	// in Event.Fault. The simulator emits it when the charged downtime and
+	// replay have elapsed, in the crash's Minibatch; the live runtime when the
+	// worker is restored from its last checkpoint and about to replay, in the
+	// Minibatch it resumes at and the checkpoint's Clock (pushed waves);
+	// serving when the crashed microbatch leaves the replica, in its Batch.
 	KindRecover
 	// KindArrive fires when a serving request enters the system and is
 	// routed; Event.Request is the request id and Event.VW the chosen

@@ -137,11 +137,7 @@ type replica struct {
 	admitSeq int // microbatches admitted (1-based seq of the latest)
 	requests int // requests served
 
-	// Fault bookkeeping (all inert under an empty plan).
-	crash        *fault.Crash
-	crashCharged bool
-	slowEmitted  bool
-	linkEmitted  bool
+	cur fault.Cursor // the replica's fault state (inert under an empty plan)
 }
 
 // server is one serving run's state: the request table, the replicas, and
@@ -150,7 +146,6 @@ type server struct {
 	eng *sim.Engine
 	dep *core.Deployment
 	tr  *Traffic
-	fp  *fault.Plan
 	ob  obs.Func
 
 	faulty   bool
@@ -223,7 +218,6 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 		eng:      eng,
 		dep:      dep,
 		tr:       tr,
-		fp:       fp,
 		ob:       opt.Obs,
 		faulty:   !fp.Empty(),
 		batchCap: dep.Sys.Batch,
@@ -251,7 +245,7 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 		link := 1.0
 		if s.faulty {
 			link = fp.LinkScale(w)
-			r.crash = fp.CrashFor(w)
+			r.cur = fp.Cursor(w)
 			ec.TaskTime = r.taskTime
 		}
 		// The link factor scales the receive column before the compute scale
@@ -489,13 +483,13 @@ func (r *replica) taskTime(seq, g int, base float64) float64 {
 	if g == pipeline.Link {
 		return base
 	}
-	dur := base * r.srv.fp.ComputeScale(r.w, seq)
+	scale, charge := r.cur.Task(seq, g)
+	dur := base * scale
 	// The crash charge lands once, on the crashed microbatch's first stage
 	// task — the replica-local stall. Serving holds no optimizer state, so
 	// recovery is the downtime alone: no checkpoint replay.
-	if r.crash != nil && g == 0 && seq == r.crash.AtMinibatch && !r.crashCharged {
-		r.crashCharged = true
-		dur += fault.CrashDowntime(r.crash)
+	if charge > 0 {
+		dur += charge
 	}
 	return dur
 }
@@ -526,9 +520,15 @@ func (r *replica) batchDone(seq int) {
 			s.issueNext(s.user[id])
 		}
 	}
-	if s.faulty && r.crash != nil && seq == r.crash.AtMinibatch {
-		// The charged downtime elapsed inside this batch; the replica is back.
-		r.recoverEmit(seq)
+	if s.faulty {
+		if f := r.cur.Recover(seq); f != "" {
+			// The charged downtime elapsed inside this batch; the replica is
+			// back.
+			s.recoveries++
+			if s.ob != nil {
+				s.emit(obs.Event{Kind: obs.KindRecover, VW: r.w, Batch: seq, Fault: f})
+			}
+		}
 	}
 	r.admit()
 }
@@ -539,32 +539,21 @@ func (r *replica) batchDone(seq int) {
 // most once per run.
 func (r *replica) injectStarts(seq int) {
 	s := r.srv
-	if sc := s.fp.ComputeScale(r.w, seq); sc > 1 && !r.slowEmitted {
-		r.slowEmitted = true
-		s.inject(r.w, fault.SlowLabel(r.w, sc))
-	}
-	if lk := s.fp.LinkScale(r.w); lk > 1 && !r.linkEmitted {
-		r.linkEmitted = true
-		s.inject(r.w, fault.LinkLabel(r.w, lk))
-	}
-	if r.crash != nil && seq == r.crash.AtMinibatch {
+	_, slow := r.cur.Slow(seq)
+	s.inject(r.w, slow)
+	_, link := r.cur.Link()
+	s.inject(r.w, link)
+	if crash := r.cur.Crash(seq); crash != "" {
 		s.crashes++
-		s.inject(r.w, fault.CrashLabel(r.w, seq))
+		s.inject(r.w, crash)
 	}
 }
 
-// recoverEmit counts and reports a crashed replica's return to service.
-func (r *replica) recoverEmit(seq int) {
-	s := r.srv
-	s.recoveries++
-	if s.ob != nil {
-		s.emit(obs.Event{Kind: obs.KindRecover, VW: r.w, Batch: seq,
-			Fault: fault.CrashLabel(r.w, seq)})
-	}
-}
-
-// inject counts and reports one fault activation.
+// inject counts and reports the fault activation f reports, if any.
 func (s *server) inject(vw int, f string) {
+	if f == "" {
+		return
+	}
 	s.faultInjections++
 	if s.ob != nil {
 		s.emit(obs.Event{Kind: obs.KindFaultInject, VW: vw, Fault: f})

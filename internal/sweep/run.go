@@ -58,7 +58,8 @@ type Result struct {
 	// MaxClockDistance is the largest observed clock skew between virtual
 	// workers.
 	MaxClockDistance int `json:"maxClockDistance,omitempty"`
-	// FaultInjections counts fault-plan entries that took effect.
+	// FaultInjections counts fault activations, not plan clauses (see
+	// core.MultiResult and serve.Result).
 	FaultInjections int `json:"faultInjections,omitempty"`
 	// Served counts drained requests and P50/P95/P99 are nearest-rank
 	// request latencies in virtual seconds; MeanBatchFill is the mean

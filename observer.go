@@ -32,9 +32,10 @@ const (
 	// straggler slowdown's first affected minibatch, a crash, a shard stall,
 	// or a link degradation. Event.Fault names the fault.
 	EventFaultInject = obs.KindFaultInject
-	// EventRecover fires when a crashed worker has been restored from its
-	// last checkpoint and is about to replay; Event.Minibatch is the replay
-	// start and (under Train) Event.Clock the checkpoint's pushed-wave count.
+	// EventRecover fires when a crashed worker is back, with the crash's
+	// label in Event.Fault: Simulate gives the crash's Minibatch, Train the
+	// Minibatch its replay resumes at and the checkpoint's pushed-wave Clock,
+	// Serve the crashed microbatch's Batch.
 	EventRecover = obs.KindRecover
 	// EventArrive fires when a serving request enters the system and is
 	// routed (Serve); Event.Request is the request id and Event.VW the
