@@ -276,11 +276,12 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 			return nil, err
 		}
 		// The checkpoint must describe this exact task and shard layout:
-		// every placed key's initial weights must match bit for bit, or the
-		// deterministic replay would diverge from the recorded prefix.
+		// every placed key's initial weights (snapshot 0) must match bit for
+		// bit, or the deterministic replay would diverge from the recorded
+		// prefix.
 		for i, st := range ck.States {
 			for _, key := range placement.KeysOn(i) {
-				init, ok := st.Initial[key]
+				init, ok := st.Snapshots[0][key]
 				if !ok {
 					return nil, fmt.Errorf("cluster: checkpoint lacks shard %q for server %d (chunk layout mismatch?)", key, i)
 				}

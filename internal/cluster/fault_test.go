@@ -2,12 +2,17 @@ package cluster
 
 import (
 	"context"
+	"encoding/gob"
+	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"hetpipe/internal/fault"
 	"hetpipe/internal/obs"
+	"hetpipe/internal/ps"
 	"hetpipe/internal/train"
 )
 
@@ -282,6 +287,71 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	bogus.ResumeFrom = filepath.Join(dir, "missing.ckpt")
 	if _, err := Run(context.Background(), bogus); err == nil {
 		t.Error("resume accepted a missing checkpoint file")
+	}
+}
+
+// TestResumeRejectsClockSkewedCheckpoint: a checkpoint whose Clock is not its
+// servers' worker clocks, or whose servers disagree on those clocks, is no
+// cut. Both shapes are written as raw gob, the way a torn or hand-edited file
+// reaches a reader. SaveCheckpoint and LoadCheckpoint must reject each, and a
+// run resumed from one must fail well inside its deadline rather than wait in
+// a gated pull for the pushes its resume point suppressed.
+func TestResumeRejectsClockSkewedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shards.ckpt")
+	cfg := faultBase(t)
+	cfg.MaxMinibatches = 16
+	cfg.CheckpointPath = path
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	shapes := map[string]func(ck *ps.Checkpoint){
+		"clock ahead of the servers": func(ck *ps.Checkpoint) { ck.Clock += 3 },
+		"servers disagree": func(ck *ps.Checkpoint) {
+			for w := range ck.States[1].Clocks {
+				ck.States[1].Clocks[w]++
+			}
+		},
+	}
+	type header struct {
+		Magic   string
+		Version int
+	}
+	for name, skew := range shapes {
+		ck, err := ps.LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skew(ck)
+		if err := ps.SaveCheckpoint(filepath.Join(dir, "resaved.ckpt"), ck); err == nil {
+			t.Errorf("%s: SaveCheckpoint accepted it", name)
+		}
+		skewed := filepath.Join(dir, "skewed.ckpt")
+		f, err := os.Create(skewed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := gob.NewEncoder(f)
+		if err := enc.Encode(header{ps.CheckpointMagic, ps.CheckpointVersion}); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(ck); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if _, err := ps.LoadCheckpoint(skewed); err == nil {
+			t.Errorf("%s: LoadCheckpoint accepted it", name)
+		}
+		resumed := faultBase(t)
+		resumed.MaxMinibatches = 32
+		resumed.ResumeFrom = skewed
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		start := time.Now()
+		_, err = Run(ctx, resumed)
+		cancel()
+		if err == nil || errors.Is(err, context.DeadlineExceeded) || time.Since(start) > 5*time.Second {
+			t.Errorf("%s: resumed run returned %v after %v, want an error well inside 10s", name, err, time.Since(start))
+		}
 	}
 }
 

@@ -65,6 +65,7 @@ import (
 	"hetpipe/internal/pipeline"
 	"hetpipe/internal/profile"
 	"hetpipe/internal/sched"
+	"hetpipe/internal/wsp"
 )
 
 // System bundles the fixed ingredients of an experiment.
@@ -170,8 +171,9 @@ type Deployment struct {
 
 // SGlobal returns the deployment's global staleness bound: with wave size Nm
 // and clock distance bound D, a minibatch may miss the updates of at most
-// (D+1)*Nm + Nm - 2 other minibatches (Section 5.2).
-func (d *Deployment) SGlobal() int { return (d.D+1)*d.Nm + d.Nm - 2 }
+// (D+1)*Nm + Nm - 2 other minibatches (Section 5.2). wsp.Params owns the
+// formula.
+func (d *Deployment) SGlobal() int { return wsp.Params{SLocal: d.SLocal(), D: d.D}.SGlobal() }
 
 // ScheduleName reports the pipeline schedule the deployment's virtual
 // workers run, e.g. "hetpipe-fifo".

@@ -4,9 +4,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"hetpipe/internal/tensor"
 )
@@ -17,234 +17,99 @@ import (
 const (
 	// CheckpointMagic identifies a hetpipe parameter-server checkpoint file.
 	CheckpointMagic = "hetpipe-ps-checkpoint"
-	// CheckpointVersion is the current on-disk format version.
-	CheckpointVersion = 1
+	// CheckpointVersion is the on-disk format version this build writes.
+	// Version 1 files carried the initial weights, the current weights and
+	// the unfolded wave deltas beside the snapshots; at a cut those are
+	// snapshot 0, snapshot Clock and nothing, so gob skips them and a
+	// version 1 file loads as it is.
+	CheckpointVersion = 2
+	// oldestCheckpointVersion is the oldest format this build reads.
+	oldestCheckpointVersion = 1
 )
 
 // ErrCheckpointVersion reports a checkpoint written by an incompatible format
 // version; match with errors.Is.
 var ErrCheckpointVersion = errors.New("ps: checkpoint version mismatch")
 
-// ServerState is one shard server's complete, clock-versioned state: the
-// registered initial weights, the current weights, every worker's clock, the
-// per-wave deltas not yet folded into snapshots, and the materialized
-// snapshots. It is a deep copy — mutating it never touches the server it was
+// ServerState is one shard server's state at a checkpoint's clock cut c:
+// every worker's clock (all c), the clock-0..c snapshots as per-key maps —
+// snapshot 0 is the registered initial weights — and the operation
+// counters. It is a deep copy: mutating it never touches the server it was
 // captured from.
 type ServerState struct {
 	Clocks      []int
-	Initial     map[string]tensor.Vector
-	Shards      map[string]tensor.Vector
-	WaveDeltas  [][]map[string]tensor.Vector
 	Snapshots   []map[string]tensor.Vector
 	MaxDistance int
 	Pushes      uint64
 	Pulls       uint64
 }
 
-// globalClock is min over workers of pushed waves, like Server.GlobalClock.
-func (st *ServerState) globalClock() int {
-	min := st.Clocks[0]
-	for _, c := range st.Clocks[1:] {
-		if c < min {
-			min = c
-		}
-	}
-	return min
-}
-
-// validate checks internal consistency: every shard key registered in
-// Initial must appear in Shards (and vice versa) with matching dimensions,
-// snapshots must cover the same keys, and wave deltas must come from known
-// workers and registered shards. A state violating this — a torn write, a
-// hand-edited file, a shard lost in transit — is rejected before any server
-// is built from it.
-func (st *ServerState) validate() error {
+// validate checks that a state is a cut at clock: every worker clock equals
+// it, there is one snapshot per clock 0..clock, and every snapshot holds
+// exactly snapshot 0's keys with snapshot 0's lengths. A state violating
+// this — a torn write, a hand-edited file, a shard lost in transit — is
+// rejected before any server is built from it.
+func (st *ServerState) validate(clock int) error {
 	if len(st.Clocks) < 1 {
 		return fmt.Errorf("ps: checkpoint server state has no workers")
 	}
-	for _, c := range st.Clocks {
-		if c < 0 {
-			return fmt.Errorf("ps: checkpoint clock %d negative", c)
+	for w, c := range st.Clocks {
+		if c != clock {
+			return fmt.Errorf("ps: checkpoint worker %d clock %d, cut clock %d", w, c, clock)
 		}
 	}
-	if len(st.Initial) == 0 {
+	if len(st.Snapshots) != clock+1 {
+		return fmt.Errorf("ps: checkpoint has %d snapshots for cut clock %d, want %d", len(st.Snapshots), clock, clock+1)
+	}
+	layout := st.Snapshots[0]
+	if len(layout) == 0 {
 		return fmt.Errorf("ps: checkpoint server state has no shards")
 	}
-	for key, init := range st.Initial {
-		cur, ok := st.Shards[key]
-		if !ok {
-			return fmt.Errorf("ps: checkpoint missing current weights for shard %q (partial shard state)", key)
-		}
-		if len(cur) != len(init) {
-			return fmt.Errorf("ps: checkpoint shard %q length %d, initial length %d", key, len(cur), len(init))
-		}
-	}
-	for key := range st.Shards {
-		if _, ok := st.Initial[key]; !ok {
-			return fmt.Errorf("ps: checkpoint has unregistered shard %q (partial shard state)", key)
-		}
-	}
-	for i, snap := range st.Snapshots {
+	for i, snap := range st.Snapshots[1:] {
 		for key, v := range snap {
-			init, ok := st.Initial[key]
+			init, ok := layout[key]
 			if !ok {
-				return fmt.Errorf("ps: checkpoint snapshot %d has unregistered shard %q", i, key)
+				return fmt.Errorf("ps: checkpoint snapshot %d has unregistered shard %q", i+1, key)
 			}
 			if len(v) != len(init) {
-				return fmt.Errorf("ps: checkpoint snapshot %d shard %q length %d, want %d", i, key, len(v), len(init))
+				return fmt.Errorf("ps: checkpoint snapshot %d shard %q length %d, want %d", i+1, key, len(v), len(init))
 			}
 		}
-		for key := range st.Initial {
-			if _, ok := snap[key]; !ok {
-				return fmt.Errorf("ps: checkpoint snapshot %d missing shard %q (partial shard state)", i, key)
-			}
-		}
-	}
-	for wave, perWorker := range st.WaveDeltas {
-		if perWorker == nil {
-			continue // folded into a snapshot and freed, like on a live server
-		}
-		if len(perWorker) != len(st.Clocks) {
-			return fmt.Errorf("ps: checkpoint wave %d has %d worker slots, want %d", wave, len(perWorker), len(st.Clocks))
-		}
-		for w, deltas := range perWorker {
-			for key, delta := range deltas {
-				init, ok := st.Initial[key]
-				if !ok {
-					return fmt.Errorf("ps: checkpoint wave %d worker %d delta for unregistered shard %q", wave, w, key)
-				}
-				if len(delta) != len(init) {
-					return fmt.Errorf("ps: checkpoint wave %d worker %d shard %q length %d, want %d", wave, w, key, len(delta), len(init))
-				}
-			}
+		if len(snap) != len(layout) {
+			return fmt.Errorf("ps: checkpoint snapshot %d has %d of %d shards (partial shard state)", i+1, len(snap), len(layout))
 		}
 	}
 	return nil
 }
 
-func cloneShardMap(m map[string]tensor.Vector) map[string]tensor.Vector {
-	out := make(map[string]tensor.Vector, len(m))
-	for k, v := range m {
-		out[k] = v.Clone()
-	}
-	return out
-}
-
-// State captures the server's complete state as a deep copy, taken under the
-// server's lock. Capturing a closed server fails.
-func (s *Server) State() (*ServerState, error) {
+// cut captures the server's state at global-clock boundary c, which its
+// global clock must already have reached, under the server's lock. Folding
+// up to c materializes snapshots exactly as a pull at c would. Capturing a
+// closed server fails.
+func (s *Server) cut(c int) (*ServerState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, fmt.Errorf("ps: server closed")
+		return nil, errClosed
 	}
+	s.snapshotLocked(c)
 	st := &ServerState{
-		Clocks:      append([]int(nil), s.clocks...),
-		Initial:     cloneShardMap(s.initial),
-		Shards:      cloneShardMap(s.shards),
+		Clocks:      make([]int, len(s.clocks)),
 		MaxDistance: s.maxDistance,
 		Pushes:      s.pushes,
 		Pulls:       s.pulls,
 	}
-	// The in-memory wave deltas are flat packed waveUpdates; the checkpoint
-	// format keeps the original per-(wave,worker) map layout, so old files
-	// stay readable. Waves already folded into a snapshot are freed on the
-	// live server and stored as nil here, exactly as before.
-	workers := len(s.clocks)
-	for wave := 0; wave*workers < len(s.waveDeltas); wave++ {
-		if wave < len(s.snapshots)-1 {
-			st.WaveDeltas = append(st.WaveDeltas, nil)
-			continue
-		}
-		cp := make([]map[string]tensor.Vector, workers)
-		for w := 0; w < workers; w++ {
-			if s.clocks[w] <= wave {
-				continue // not pushed yet
-			}
-			u := &s.waveDeltas[wave*workers+w]
-			m := make(map[string]tensor.Vector, len(u.keys))
-			off := 0
-			for _, k := range u.keys {
-				n := len(s.initial[k])
-				m[k] = u.backing[off : off+n].Clone()
-				off += n
-			}
-			cp[w] = m
-		}
-		st.WaveDeltas = append(st.WaveDeltas, cp)
+	for w := range st.Clocks {
+		st.Clocks[w] = c
 	}
-	// Likewise the snapshots: one flat vector per clock in memory, the
-	// original per-key maps in the file.
-	for _, snap := range s.snapshots {
+	for _, snap := range s.snapshots[:c+1] {
 		st.Snapshots = append(st.Snapshots, s.unpackLocked(snap))
 	}
 	return st, nil
 }
 
-// RestoreServer rebuilds a shard server from a captured (or loaded) state.
-// The state is validated and deep-copied, so the caller may keep using it.
-// A server restored from a TruncateToClock'd checkpoint serves bit-identical
-// PullAt snapshots for every clock at or below the cut and accepts the next
-// push from each worker at exactly the cut wave.
-func RestoreServer(st *ServerState) (*Server, error) {
-	if st == nil {
-		return nil, fmt.Errorf("ps: nil checkpoint state")
-	}
-	if err := st.validate(); err != nil {
-		return nil, err
-	}
-	s, err := NewServer(len(st.Clocks))
-	if err != nil {
-		return nil, err
-	}
-	copy(s.clocks, st.Clocks)
-	s.initial = cloneShardMap(st.Initial)
-	s.shards = cloneShardMap(st.Shards)
-	s.maxDistance = st.MaxDistance
-	s.pushes = st.Pushes
-	s.pulls = st.Pulls
-	// Rebuild the flat packed wave-delta storage from the checkpoint's map
-	// layout. Keys are sorted for a stable in-memory order; folds add
-	// independent shards, so the order never changes the numerics.
-	workers := len(st.Clocks)
-	for wave, perWorker := range st.WaveDeltas {
-		base := wave * workers
-		for len(s.waveDeltas) < base+workers {
-			s.waveDeltas = append(s.waveDeltas, waveUpdate{})
-		}
-		if perWorker == nil {
-			continue // folded into a snapshot and freed, like on a live server
-		}
-		for w, deltas := range perWorker {
-			if deltas == nil {
-				continue
-			}
-			u := &s.waveDeltas[base+w]
-			u.keys = make([]string, 0, len(deltas))
-			total := 0
-			for k, v := range deltas {
-				u.keys = append(u.keys, k)
-				total += len(v)
-			}
-			sort.Strings(u.keys)
-			u.backing = make(tensor.Vector, total)
-			off := 0
-			for _, k := range u.keys {
-				off += copy(u.backing[off:], deltas[k])
-			}
-		}
-	}
-	if len(st.Snapshots) > 0 {
-		s.fixLayoutLocked() // nothing else can reach s yet
-		for _, snap := range st.Snapshots {
-			s.snapshots = append(s.snapshots, s.packLocked(snap))
-		}
-	}
-	return s, nil
-}
-
 // Checkpoint is a consistent cut of a whole sharded parameter-server
-// deployment: one state per shard server, all truncated to a common clock.
+// deployment: one state per shard server, all at a common clock.
 type Checkpoint struct {
 	// Clock is the cut's global clock: every server's state reflects exactly
 	// the waves below it.
@@ -253,132 +118,79 @@ type Checkpoint struct {
 	States []*ServerState
 }
 
-// Capture snapshots every server and truncates the result to the consistent
-// cut clock — the minimum global clock across the servers at capture time.
-// Workers may keep pushing while Capture runs: waves at or above the cut are
-// discarded by the truncation, so the checkpoint is always a consistent,
-// resumable prefix of the run. A worker resuming from it replays its
-// minibatches deterministically and re-pushes exactly the waves at or above
-// Clock (WSP numerics are timing-independent, so the replayed trajectory is
-// bit-identical).
+// Capture cuts every server at the consistent clock c — the minimum global
+// clock across the servers — and keeps each server's snapshots 0..c. The cut
+// is read before any server is locked; clocks only grow, so every server can
+// still serve c when its turn comes. Workers may keep pushing while Capture
+// runs: waves at or above c are left out, so the checkpoint is always a
+// consistent, resumable prefix of the run. A worker resuming from it replays
+// its minibatches deterministically and re-pushes exactly the waves at or
+// above Clock (WSP numerics are timing-independent, so the replayed
+// trajectory is bit-identical).
 func Capture(servers []*Server) (*Checkpoint, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("ps: no servers to checkpoint")
 	}
-	ck := &Checkpoint{}
+	ck := &Checkpoint{Clock: servers[0].GlobalClock()}
+	for _, s := range servers[1:] {
+		ck.Clock = min(ck.Clock, s.GlobalClock())
+	}
 	for i, s := range servers {
-		st, err := s.State()
+		st, err := s.cut(ck.Clock)
 		if err != nil {
 			return nil, fmt.Errorf("ps: server %d: %w", i, err)
 		}
-		if i > 0 && len(st.Clocks) != len(ck.States[0].Clocks) {
-			return nil, fmt.Errorf("ps: server %d expects %d workers, server 0 expects %d",
-				i, len(st.Clocks), len(ck.States[0].Clocks))
-		}
 		ck.States = append(ck.States, st)
-	}
-	cut := ck.States[0].globalClock()
-	for _, st := range ck.States[1:] {
-		if c := st.globalClock(); c < cut {
-			cut = c
-		}
-	}
-	if err := ck.TruncateToClock(cut); err != nil {
-		return nil, err
 	}
 	return ck, nil
 }
 
-// TruncateToClock rewrites every server state to the clock-c boundary: all
-// worker clocks are clamped to c, every wave delta at or above c is dropped,
-// snapshots above c are dropped, and the current weights become the clock-c
-// snapshot. The result is the state a fault-free deployment would have had
-// the moment the global clock reached c with no wave-c work pushed yet — the
-// consistent cut that makes a mid-run capture resumable.
-func (ck *Checkpoint) TruncateToClock(c int) error {
-	if c < 0 {
-		return fmt.Errorf("ps: negative truncation clock %d", c)
-	}
-	for i, st := range ck.States {
-		if st.globalClock() < c {
-			return fmt.Errorf("ps: server %d global clock %d below truncation clock %d", i, st.globalClock(), c)
-		}
-		snap, err := st.snapshotAt(c)
-		if err != nil {
-			return fmt.Errorf("ps: server %d: %w", i, err)
-		}
-		for w := range st.Clocks {
-			st.Clocks[w] = c
-		}
-		if len(st.WaveDeltas) > c {
-			st.WaveDeltas = st.WaveDeltas[:c]
-		}
-		if len(st.Snapshots) > c+1 {
-			st.Snapshots = st.Snapshots[:c+1]
-		}
-		st.Shards = cloneShardMap(snap)
-	}
-	ck.Clock = c
-	return nil
-}
-
-// snapshotAt materializes the clock-c snapshot inside a state, mirroring
-// Server.snapshotLocked: deltas fold in (wave, worker) order and are freed
-// once folded. Requires every wave below c to be present or already folded.
-func (st *ServerState) snapshotAt(c int) (map[string]tensor.Vector, error) {
-	if len(st.Snapshots) == 0 {
-		st.Snapshots = append(st.Snapshots, cloneShardMap(st.Initial))
-	}
-	for len(st.Snapshots) <= c {
-		wave := len(st.Snapshots) - 1
-		if wave >= len(st.WaveDeltas) || st.WaveDeltas[wave] == nil {
-			return nil, fmt.Errorf("ps: checkpoint lacks wave %d deltas for snapshot %d", wave, c)
-		}
-		next := cloneShardMap(st.Snapshots[wave])
-		for w := range st.Clocks {
-			for k, delta := range st.WaveDeltas[wave][w] {
-				next[k].AddInPlace(delta)
-			}
-		}
-		st.WaveDeltas[wave] = nil
-		st.Snapshots = append(st.Snapshots, next)
-	}
-	return st.Snapshots[c], nil
-}
-
-// Restore rebuilds one server per captured state.
+// Restore rebuilds one server per captured state. The checkpoint is
+// validated and copied, so the caller may keep using it. A restored server
+// serves bit-identical snapshots for every clock at or below the cut and
+// accepts the next push from each worker at exactly the cut wave.
 func (ck *Checkpoint) Restore() ([]*Server, error) {
-	if len(ck.States) == 0 {
-		return nil, fmt.Errorf("ps: empty checkpoint")
+	if err := ck.validate(); err != nil {
+		return nil, err
 	}
-	servers := make([]*Server, 0, len(ck.States))
+	servers := make([]*Server, len(ck.States))
 	for i, st := range ck.States {
-		s, err := RestoreServer(st)
+		s, err := NewServer(len(st.Clocks))
 		if err != nil {
-			return nil, fmt.Errorf("ps: server %d: %w", i, err)
+			return nil, err
 		}
-		servers = append(servers, s)
+		copy(s.clocks, st.Clocks)
+		s.maxDistance, s.pushes, s.pulls = st.MaxDistance, st.Pushes, st.Pulls
+		// Nothing else can reach s yet. The layout comes from snapshot 0,
+		// which then becomes the server's own copy of the initial weights.
+		s.initial = st.Snapshots[0]
+		s.fixLayoutLocked()
+		for _, snap := range st.Snapshots {
+			s.snapshots = append(s.snapshots, s.packLocked(snap))
+		}
+		s.initial = s.unpackLocked(s.snapshots[0])
+		servers[i] = s
 	}
 	return servers, nil
 }
 
-// validate checks cross-server consistency on top of each state's own checks.
+// validate checks that the checkpoint is a cut every state agrees on.
 func (ck *Checkpoint) validate() error {
 	if len(ck.States) == 0 {
 		return fmt.Errorf("ps: empty checkpoint")
 	}
-	workers := -1
+	if ck.Clock < 0 {
+		return fmt.Errorf("ps: negative checkpoint clock %d", ck.Clock)
+	}
 	for i, st := range ck.States {
 		if st == nil {
 			return fmt.Errorf("ps: checkpoint server %d state missing", i)
 		}
-		if err := st.validate(); err != nil {
+		if err := st.validate(ck.Clock); err != nil {
 			return fmt.Errorf("ps: server %d: %w", i, err)
 		}
-		if workers < 0 {
-			workers = len(st.Clocks)
-		} else if len(st.Clocks) != workers {
-			return fmt.Errorf("ps: server %d expects %d workers, server 0 expects %d", i, len(st.Clocks), workers)
+		if len(st.Clocks) != len(ck.States[0].Clocks) {
+			return fmt.Errorf("ps: server %d expects %d workers, server 0 expects %d", i, len(st.Clocks), len(ck.States[0].Clocks))
 		}
 	}
 	return nil
@@ -439,17 +251,23 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("ps: checkpoint open: %w", err)
 	}
 	defer f.Close()
-	dec := gob.NewDecoder(f)
+	return readCheckpoint(f, path)
+}
+
+// readCheckpoint is LoadCheckpoint on an open stream; name labels it in
+// errors.
+func readCheckpoint(r io.Reader, name string) (*Checkpoint, error) {
+	dec := gob.NewDecoder(r)
 	var hdr fileHeader
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("ps: checkpoint corrupt (header): %w", err)
 	}
 	if hdr.Magic != CheckpointMagic {
-		return nil, fmt.Errorf("ps: %q is not a hetpipe parameter-server checkpoint", path)
+		return nil, fmt.Errorf("ps: %q is not a hetpipe parameter-server checkpoint", name)
 	}
-	if hdr.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads version %d",
-			ErrCheckpointVersion, hdr.Version, CheckpointVersion)
+	if hdr.Version < oldestCheckpointVersion || hdr.Version > CheckpointVersion {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d to %d",
+			ErrCheckpointVersion, hdr.Version, oldestCheckpointVersion, CheckpointVersion)
 	}
 	ck := &Checkpoint{}
 	if err := dec.Decode(ck); err != nil {

@@ -1,18 +1,22 @@
 package ps
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"hetpipe/internal/tensor"
 )
 
 // buildServers stands up `servers` shard hosts for `workers` workers with two
 // shards each and pushes `waves` full waves of deterministic deltas.
-func buildServers(t *testing.T, servers, workers, waves int) []*Server {
+func buildServers(t testing.TB, servers, workers, waves int) []*Server {
 	t.Helper()
 	out := make([]*Server, servers)
 	for i := range out {
@@ -38,7 +42,7 @@ func shardKey(server, j int) string {
 
 // pushWaves pushes waves [from, to) from every worker to every server, with
 // deltas that are a deterministic function of (server, shard, worker, wave).
-func pushWaves(t *testing.T, servers []*Server, workers, from, to int) {
+func pushWaves(t testing.TB, servers []*Server, workers, from, to int) {
 	t.Helper()
 	for wave := from; wave < to; wave++ {
 		for w := 0; w < workers; w++ {
@@ -175,8 +179,8 @@ func TestCheckpointTruncatesTornCapture(t *testing.T) {
 				t.Fatalf("worker %d clock %d after truncation, want 1", w, c)
 			}
 		}
-		if len(st.WaveDeltas) > 1 {
-			t.Fatalf("wave deltas above the cut survived: %d entries", len(st.WaveDeltas))
+		if len(st.Snapshots) != ck.Clock+1 {
+			t.Fatalf("%d snapshots for cut clock %d, want %d", len(st.Snapshots), ck.Clock, ck.Clock+1)
 		}
 	}
 	restored, err := ck.Restore()
@@ -293,46 +297,53 @@ func TestCheckpointVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "future.bin")
+	dir := t.TempDir()
+	for _, version := range []int{0, CheckpointVersion + 1} {
+		path := filepath.Join(dir, "skewed.bin")
+		writeRawCheckpoint(t, path, version, ck)
+		if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCheckpointVersion) {
+			t.Fatalf("LoadCheckpoint on version %d: %v, want ErrCheckpointVersion", version, err)
+		}
+	}
+	// Both versions this build reads load the same payload.
+	for _, version := range []int{1, CheckpointVersion} {
+		path := filepath.Join(dir, "readable.bin")
+		writeRawCheckpoint(t, path, version, ck)
+		if _, err := LoadCheckpoint(path); err != nil {
+			t.Fatalf("LoadCheckpoint on version %d: %v", version, err)
+		}
+	}
+}
+
+// writeRawCheckpoint writes ck as a checkpoint file with the given header
+// version, unvalidated, the way a torn or hand-edited file reaches
+// LoadCheckpoint.
+func writeRawCheckpoint(t testing.TB, path string, version int, ck *Checkpoint) {
+	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	enc := gob.NewEncoder(f)
-	if err := enc.Encode(fileHeader{Magic: CheckpointMagic, Version: CheckpointVersion + 1}); err != nil {
+	if err := enc.Encode(fileHeader{Magic: CheckpointMagic, Version: version}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(ck); err != nil {
 		t.Fatal(err)
-	}
-	f.Close()
-	_, err = LoadCheckpoint(path)
-	if !errors.Is(err, ErrCheckpointVersion) {
-		t.Fatalf("LoadCheckpoint on a future version: %v, want ErrCheckpointVersion", err)
 	}
 }
 
 func TestCheckpointPartialShard(t *testing.T) {
-	servers := buildServers(t, 1, 2, 1)
+	servers := buildServers(t, 1, 2, 2)
 	ck, err := Capture(servers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop one shard's current weights — a partial state.
-	delete(ck.States[0].Shards, shardKey(0, 1))
+	// Drop one shard from one snapshot — a partial state.
+	delete(ck.States[0].Snapshots[1], shardKey(0, 1))
 	path := filepath.Join(t.TempDir(), "partial.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(fileHeader{Magic: CheckpointMagic, Version: CheckpointVersion}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(ck); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	writeRawCheckpoint(t, path, CheckpointVersion, ck)
 	if _, err := LoadCheckpoint(path); err == nil {
 		t.Error("LoadCheckpoint accepted a partial shard state")
 	}
@@ -340,21 +351,24 @@ func TestCheckpointPartialShard(t *testing.T) {
 	if err := SaveCheckpoint(filepath.Join(t.TempDir(), "x.bin"), ck); err == nil {
 		t.Error("SaveCheckpoint accepted a partial shard state")
 	}
-	// RestoreServer refuses it too.
-	if _, err := RestoreServer(ck.States[0]); err == nil {
-		t.Error("RestoreServer accepted a partial shard state")
+	// Restore refuses it too.
+	if _, err := ck.Restore(); err == nil {
+		t.Error("Restore accepted a partial shard state")
 	}
 }
 
 func TestCheckpointDimensionSkew(t *testing.T) {
-	servers := buildServers(t, 1, 2, 1)
+	servers := buildServers(t, 1, 2, 2)
 	ck, err := Capture(servers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.States[0].Shards[shardKey(0, 0)] = tensor.Vector{1, 2} // wrong length
+	ck.States[0].Snapshots[2][shardKey(0, 0)] = tensor.Vector{1, 2} // wrong length
 	if err := SaveCheckpoint(filepath.Join(t.TempDir(), "x.bin"), ck); err == nil {
 		t.Error("SaveCheckpoint accepted a dimension-skewed shard")
+	}
+	if _, err := ck.Restore(); err == nil {
+		t.Error("Restore accepted a dimension-skewed shard")
 	}
 }
 
@@ -414,4 +428,201 @@ func TestCheckpointWrittenBeforeFlatSnapshotsStillLoads(t *testing.T) {
 	pushWaves(t, twice, workers, waves, waves+2)
 	compare("restored, then trained on", restored, waves+2)
 	compare("saved again, restored, then trained on", twice, waves+2)
+}
+
+// TestCaptureDuringPushes takes checkpoints while three workers push waves
+// through in-process Sharded clients over three servers at D = 1. Capture
+// reads its cut before it locks any server, so this is the wall of that
+// order: every checkpoint, restored, must serve at each clock up to its cut
+// exactly what the live servers serve, and accept each worker's push at the
+// cut wave — after which its next snapshot is the live one too.
+func TestCaptureDuringPushes(t *testing.T) {
+	const workers, waves, d = 3, 40, 1
+	keys := []string{"a", "b", "c", "d", "e"}
+	dims := []int{3, 1, 4, 2, 5}
+	dep := newDeployment(t, workers, 3, keys, dims, false)
+	delta := func(w, wave int) []tensor.Vector {
+		out := make([]tensor.Vector, len(keys))
+		for i, n := range dims {
+			out[i] = make(tensor.Vector, n)
+			for j := range out[i] {
+				out[i][j] = float64((w+1)*(wave+1)) / float64(i+j+1)
+			}
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			dst := make([]tensor.Vector, len(keys))
+			for v := 0; v < waves; v++ {
+				// Push wave v with the gated pull that lets wave v+1 start.
+				pull := &SnapshotPull{Clock: max(0, v+1-d), Keys: keys, Dst: dst}
+				if err := dep.workers[w].Exchange(&Push{Worker: w, Keys: keys, Vecs: delta(w, v)}, pull); err != nil {
+					errs <- err
+					for _, s := range dep.servers {
+						s.Close() // release the peers gated on this worker
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	// Capture until the workers finish, and once after; keep one checkpoint
+	// per cut clock. A worker's failure closes the servers, which fails the
+	// next capture; report the worker's error rather than that.
+	var cks []*Checkpoint
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		ck, err := Capture(dep.servers)
+		if err != nil {
+			<-done
+			close(errs)
+			for werr := range errs {
+				t.Fatal(werr)
+			}
+			t.Fatal(err)
+		}
+		if len(cks) == 0 || cks[len(cks)-1].Clock != ck.Clock {
+			cks = append(cks, ck)
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if last := cks[len(cks)-1].Clock; last != waves {
+		t.Fatalf("final cut at clock %d, want %d", last, waves)
+	}
+	t.Logf("%d distinct cuts", len(cks))
+
+	live := dep.workers[0]
+	pull := func(sh *Sharded, c int) []tensor.Vector {
+		t.Helper()
+		dst := make([]tensor.Vector, len(keys))
+		if err := sh.PullAtInto(dst, keys, c); err != nil {
+			t.Fatalf("pull at clock %d: %v", c, err)
+		}
+		return dst
+	}
+	for _, ck := range cks {
+		restored, err := ck.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends := make([]Backend, len(restored))
+		for i, s := range restored {
+			backends[i] = AdaptServer(s)
+		}
+		sh, err := NewSharded(live.placement, backends)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c <= ck.Clock; c++ {
+			if err := sameBits(pull(live, c), pull(sh, c)); err != nil {
+				t.Fatalf("cut %d, clock %d: %v", ck.Clock, c, err)
+			}
+		}
+		for w := 0; w < workers; w++ {
+			if err := sh.PushOrdered(w, keys, delta(w, ck.Clock)); err != nil {
+				t.Fatalf("cut %d: worker %d's push of wave %d: %v", ck.Clock, w, ck.Clock, err)
+			}
+		}
+		if ck.Clock < waves {
+			if err := sameBits(pull(live, ck.Clock+1), pull(sh, ck.Clock+1)); err != nil {
+				t.Fatalf("cut %d, clock %d after the resumed wave: %v", ck.Clock, ck.Clock+1, err)
+			}
+		}
+	}
+}
+
+// FuzzLoadCheckpoint holds the checkpoint reader to what a reader of files
+// from outside the process owes: it never panics or hangs, and whatever it
+// accepts is a cut servers can be rebuilt from — restored, they answer a pull
+// at every clock up to the cut with vectors of the layout's lengths, and take
+// worker 0's push of the cut wave.
+func FuzzLoadCheckpoint(f *testing.F) {
+	pr18, err := os.ReadFile(filepath.Join("testdata", "pr18.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pr18)
+	ck, err := Capture(buildServers(f, 2, 2, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "fresh.ckpt")
+	if err := SaveCheckpoint(path, ck); err != nil {
+		f.Fatal(err)
+	}
+	fresh, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fresh)
+	f.Add(fresh[:len(fresh)/2])
+	for _, version := range []int{1, CheckpointVersion} {
+		writeRawCheckpoint(f, path, version, ck)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := readCheckpoint(bytes.NewReader(data), "fuzz input")
+		if err != nil {
+			return
+		}
+		servers, err := ck.Restore()
+		if err != nil {
+			t.Fatalf("a loaded checkpoint does not restore: %v", err)
+		}
+		// A pull that blocks is a hang; closing the servers turns it into a
+		// failure.
+		release := time.AfterFunc(10*time.Second, func() {
+			for _, s := range servers {
+				s.Close()
+			}
+		})
+		defer release.Stop()
+		for i, s := range servers {
+			layout := ck.States[i].Snapshots[0]
+			keys := make([]string, 0, len(layout))
+			for k := range layout {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			dst, zeros := make([]tensor.Vector, len(keys)), make([]tensor.Vector, len(keys))
+			for j, k := range keys {
+				zeros[j] = make(tensor.Vector, len(layout[k]))
+			}
+			for c := 0; c <= ck.Clock; c++ {
+				if err := s.PullAtInto(dst, keys, c); err != nil {
+					t.Fatalf("server %d: pull at clock %d of cut %d: %v", i, c, ck.Clock, err)
+				}
+				for j, k := range keys {
+					if len(dst[j]) != len(layout[k]) {
+						t.Fatalf("server %d clock %d: shard %q length %d, layout %d", i, c, k, len(dst[j]), len(layout[k]))
+					}
+				}
+			}
+			if clock, err := s.PushOrdered(0, keys, zeros); err != nil || clock != ck.Clock+1 {
+				t.Fatalf("server %d: worker 0's push of wave %d = %d, %v", i, ck.Clock, clock, err)
+			}
+		}
+	})
 }

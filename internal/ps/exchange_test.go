@@ -394,14 +394,17 @@ func TestRejectedExchangeChangesNothing(t *testing.T) {
 		"keys != destinations": {&Push{Worker: 0, Keys: []string{"a"}, Vecs: []tensor.Vector{vec(2)}},
 			&SnapshotPull{Clock: 1, Keys: []string{"a"}, Dst: nil}},
 	}
-	states := func(dep *deployment) []*ServerState {
-		var out []*ServerState
+	// Everything a server exposes: clocks, counters, and a one-server cut's
+	// snapshots (the cut is at a clock the exchange below already pulled, so
+	// taking it changes nothing).
+	states := func(dep *deployment) []any {
+		out := []any{dep.observe()}
 		for _, s := range dep.servers {
-			st, err := s.State()
+			ck, err := Capture([]*Server{s})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, st)
+			out = append(out, ck)
 		}
 		return out
 	}
@@ -471,14 +474,15 @@ func TestRegisterAfterSnapshotLayoutFails(t *testing.T) {
 		t.Fatalf("Register after the first snapshot = %v, want a layout error", err)
 	}
 	// A restored server's layout is fixed from the start.
-	st, err := s.State()
+	ck, err := Capture([]*Server{s})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreServer(st)
+	restored, err := ck.Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := restored[0]
 	if err := r.Register("c", []float64{4}); err == nil {
 		t.Fatal("Register on a server restored with snapshots succeeded")
 	}

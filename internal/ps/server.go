@@ -21,9 +21,10 @@
 // process or over TCP — from it under its lock; there is no read of the
 // "latest" weights, whose value would depend on push arrival order.
 //
-// The full clock-versioned state checkpoints and restores (checkpoint.go):
-// Capture truncates a set of shard servers to a consistent clock cut,
-// SaveCheckpoint writes it atomically (temp file + rename, versioned
+// Those snapshots are the server's whole state, and a checkpoint holds
+// nothing else (checkpoint.go): Capture cuts a set of shard servers at the
+// minimum of their global clocks c and keeps each server's snapshots 0..c,
+// SaveCheckpoint writes them atomically (temp file + rename, versioned
 // header), and a server restored from the file serves bit-identical
 // snapshots — the substrate crash recovery and run resumption
 // (internal/cluster) build on.
@@ -83,7 +84,8 @@ func (p *SnapshotPull) visit(i int, v tensor.Vector) {
 }
 
 // Server is one parameter-server shard host: a set of named weight vectors
-// plus WSP clock state for its workers.
+// plus WSP clock state for its workers. The snapshots below are its only
+// copy of the weights.
 //
 // The server retains clock-versioned snapshots: the weights as of each
 // global-clock boundary c, defined as the initial weights plus every wave-v
@@ -96,10 +98,11 @@ func (p *SnapshotPull) visit(i int, v tensor.Vector) {
 // server cannot know which old boundary a lagging worker may still demand;
 // runs are bounded by their minibatch budget, which bounds this too.
 type Server struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	shards map[string]tensor.Vector
-	// initial holds the registered starting weights, the clock-0 snapshot.
+	mu   sync.Mutex
+	cond *sync.Cond
+	// initial holds the registered starting weights, the clock-0 snapshot;
+	// its keys and lengths are the shard layout every request is checked
+	// against.
 	initial map[string]tensor.Vector
 	clocks  []int // clocks[w] = waves pushed by worker w
 	// waveDeltas[v*W+w] is worker w's aggregated update of wave v (zero
@@ -116,11 +119,11 @@ type Server struct {
 	// internedKeys is the key slice of the most recent push. Workers push
 	// the same key set wave after wave, so retained waveUpdates share one
 	// server-owned slice instead of cloning the caller's per push; the
-	// aligned shard vectors and their summed length ride along so a repeat
-	// keyset skips the map lookups and the duplicate scan entirely.
-	internedKeys   []string
-	internedShards []tensor.Vector
-	internedTotal  int
+	// aligned shard lengths and their sum ride along so a repeat keyset
+	// skips the map lookups and the duplicate scan entirely.
+	internedKeys  []string
+	internedLens  []int
+	internedTotal int
 	// freeBackings recycles the backing arrays of folded wave deltas into
 	// later pushes: in the steady state (pulls folding waves as pushes land)
 	// a push costs zero backing allocations, and the recycled array is fully
@@ -148,7 +151,6 @@ func NewServer(n int) (*Server, error) {
 		return nil, fmt.Errorf("ps: need at least one worker, got %d", n)
 	}
 	s := &Server{
-		shards:  make(map[string]tensor.Vector),
 		initial: make(map[string]tensor.Vector),
 		clocks:  make([]int, n),
 	}
@@ -163,26 +165,14 @@ func NewServer(n int) (*Server, error) {
 func (s *Server) Register(key string, init []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.shards[key]; ok {
+	if _, ok := s.initial[key]; ok {
 		return fmt.Errorf("ps: shard %q already registered", key)
 	}
 	if s.spans != nil {
 		return fmt.Errorf("ps: shard %q registered after the snapshot layout was fixed", key)
 	}
-	s.shards[key] = tensor.Vector(init).Clone()
 	s.initial[key] = tensor.Vector(init).Clone()
 	return nil
-}
-
-// Keys lists registered shard keys (order unspecified).
-func (s *Server) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.shards))
-	for k := range s.shards {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Exchange is the data plane's one operation: an optional push and an
@@ -239,7 +229,7 @@ func (s *Server) exchange(push *Push, pull *SnapshotPull, sink vecSink) (int, er
 			// Nothing may fail between the commit and the answer but the
 			// server closing, so the pull's keys are checked up front too.
 			for _, key := range pull.Keys {
-				if _, ok := s.shards[key]; !ok {
+				if _, ok := s.initial[key]; !ok {
 					return 0, errUnregisteredPull(key)
 				}
 			}
@@ -334,19 +324,19 @@ func (s *Server) validatePushLocked(p *Push) error {
 			return err
 		}
 	}
-	// The interned shard list is aligned with the keys; only the per-vector
+	// The interned lengths are aligned with the keys; only the per-vector
 	// lengths still need checking on a repeat keyset.
-	for i, shard := range s.internedShards {
-		if len(shard) != len(p.Vecs[i]) {
-			return fmt.Errorf("ps: shard %q length %d, delta length %d", p.Keys[i], len(shard), len(p.Vecs[i]))
+	for i, n := range s.internedLens {
+		if n != len(p.Vecs[i]) {
+			return fmt.Errorf("ps: shard %q length %d, delta length %d", p.Keys[i], n, len(p.Vecs[i]))
 		}
 	}
 	return nil
 }
 
 // commitPushLocked applies a push validatePushLocked has just accepted (the
-// interned keyset is p's): each delta is added to its shard and copied into
-// the wave's one retained backing in the same pass, the worker's clock
+// interned keyset is p's): the deltas are copied into the wave's one
+// retained backing, which the snapshot fold reads, the worker's clock
 // advances, and blocked pulls wake. It returns the worker's new clock.
 //
 //hetlint:hotpath
@@ -361,9 +351,8 @@ func (s *Server) commitPushLocked(p *Push) int {
 	u.keys = s.internedKeys
 	u.backing = s.takeBacking(s.internedTotal)
 	off := 0
-	for i, shard := range s.internedShards {
-		tensor.AddCopy(shard, u.backing[off:off+len(shard)], p.Vecs[i])
-		off += len(shard)
+	for _, v := range p.Vecs {
+		off += copy(u.backing[off:], v)
 	}
 	s.clocks[w]++
 	if d := s.distanceLocked(); d > s.maxDistance {
@@ -388,13 +377,13 @@ func keysEqual(a, b []string) bool {
 }
 
 // internPushKeys validates a new push keyset — shard existence, duplicate
-// keys — and caches a server-owned copy with the aligned shard vectors.
+// keys — and caches a server-owned copy with the aligned shard lengths.
 // Workers push the same shard set wave after wave, so this runs once per
 // keyset change, not per push; retained waveUpdates share the server-owned
 // slice and never alias caller memory (callers recycle their slices).
 func (s *Server) internPushKeys(keys []string) error {
 	for i, key := range keys {
-		if _, ok := s.shards[key]; !ok {
+		if _, ok := s.initial[key]; !ok {
 			return fmt.Errorf("ps: push to unregistered shard %q", key)
 		}
 		for j := 0; j < i; j++ {
@@ -404,11 +393,11 @@ func (s *Server) internPushKeys(keys []string) error {
 		}
 	}
 	s.internedKeys = append([]string(nil), keys...)
-	s.internedShards = make([]tensor.Vector, len(keys))
+	s.internedLens = make([]int, len(keys))
 	s.internedTotal = 0
 	for i, key := range keys {
-		s.internedShards[i] = s.shards[key]
-		s.internedTotal += len(s.shards[key])
+		s.internedLens[i] = len(s.initial[key])
+		s.internedTotal += s.internedLens[i]
 	}
 	return nil
 }
@@ -503,10 +492,11 @@ func (s *Server) unpackLocked(flat tensor.Vector) map[string]tensor.Vector {
 }
 
 // snapshotLocked materializes (and retains) the clock-c weight snapshot. The
-// global clock must have reached c, so every wave < c is fully pushed — every
-// caller has just waited for exactly that. Each new clock costs one clone of
-// its predecessor; deltas are folded in (wave, worker) order, never arrival
-// order.
+// global clock must have reached c, so every wave < c is fully pushed — a
+// pull has just waited for exactly that, and Capture's cut is a global clock
+// already reached. Each new clock costs one clone of its predecessor; deltas
+// are folded in (wave, worker) order, never arrival order. It is the one
+// place a wave delta becomes weights.
 func (s *Server) snapshotLocked(c int) tensor.Vector {
 	if len(s.snapshots) == 0 {
 		s.fixLayoutLocked()
@@ -551,8 +541,8 @@ type Meta struct {
 func (s *Server) Meta() (Meta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := Meta{Workers: len(s.clocks), Dims: make(map[string]int, len(s.shards))}
-	for k, v := range s.shards {
+	m := Meta{Workers: len(s.clocks), Dims: make(map[string]int, len(s.initial))}
+	for k, v := range s.initial {
 		m.Dims[k] = len(v)
 	}
 	return m, nil

@@ -51,21 +51,6 @@ func (v Vector) Zero() {
 	}
 }
 
-// AddCopy computes acc += src and dst = src in one pass over src — the
-// parameter server's push kernel (accumulate the delta into the live
-// weights while retaining a copy for snapshot folding), fused so src is
-// traversed once instead of twice.
-//
-//hetlint:hotpath
-func AddCopy(acc, dst, src Vector) {
-	checkLen(len(acc), len(src))
-	checkLen(len(dst), len(src))
-	for i, x := range src {
-		acc[i] += x
-		dst[i] = x
-	}
-}
-
 // AddInPlace computes v += w.
 func (v Vector) AddInPlace(w Vector) {
 	checkLen(len(v), len(w))
