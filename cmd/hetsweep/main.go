@@ -18,6 +18,7 @@
 //	                                          turns its scenarios into inference-serving
 //	                                          runs (requests/sec + latency percentiles)
 //	hetsweep -list                            # show the available axis values
+//	hetsweep -workers 1 -cpuprofile cpu.prof -memprofile mem.prof  # profile the sweep
 //
 // Results land in -json and -csv (set either to "" to skip). With -stream the
 // sweep aggregates on the fly instead of materializing a row per scenario —
@@ -26,24 +27,31 @@
 // per-pair ranking) and -csv is skipped. The output is deterministic either
 // way: for a given grid, every worker count produces byte-identical files.
 // Scenarios differing only in D, Nm, placement, or faults share resolved
-// state (model profiling and allocation run once per family; partitioning
-// and auto-Nm once per Nm/placement variant), each worker reuses one warm
-// discrete-event engine across its scenarios, and Ctrl-C cancels the sweep
-// cleanly.
+// state (model profiling and allocation run once per family; partitioning,
+// auto-Nm and the plan summaries once per Nm/placement variant; each fault
+// spec is parsed once), each worker reuses one warm
+// co-simulation across its scenarios — engine, pipelines, devices and
+// coordinator re-initialised per cell, never rebuilt — and Ctrl-C cancels the
+// sweep cleanly. -cpuprofile and -memprofile write stdlib runtime/pprof
+// profiles of the run; -memprofile samples every allocation, so
+// `go tool pprof -sample_index=alloc_objects` counts them exactly.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
+	"hetpipe/internal/prof"
 	"hetpipe/internal/sched"
 	"hetpipe/internal/sweep"
 )
@@ -69,7 +77,12 @@ func main() {
 	csvPath := flag.String("csv", "hetsweep.csv", "CSV results path (empty = skip)")
 	list := flag.Bool("list", false, "list the available axis values and exit")
 	quiet := flag.Bool("quiet", false, "suppress per-scenario progress lines")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file, every allocation sampled (go tool pprof -sample_index=alloc_objects)")
 	flag.Parse()
+	if *memProfile != "" {
+		runtime.MemProfileRate = 1
+	}
 
 	if *list {
 		fmt.Println("models:")
@@ -127,6 +140,15 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	stopProfile, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	defer func() {
+		if err := errors.Join(stopProfile(), prof.WriteAllocs(*memProfile)); err != nil {
+			fatalf("%v", err)
+		}
+	}()
 
 	scenarios, err := grid.Expand()
 	if err != nil {

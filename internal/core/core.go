@@ -52,7 +52,9 @@
 // off into a group of one, which is the per-worker simulation. The paper
 // cluster's ED allocation (four VRGQ workers) therefore fires a quarter of
 // the events four pipelines would, HD (two VVQQ, two RRGG) half, NP all of
-// them; BENCH_cosim.json gates the three.
+// them. A CoSim keeps the groups' pipelines, devices and hooks and the
+// coordinator from run to run, so a warm run allocates only its MultiResult;
+// BENCH_cosim.json gates the three.
 package core
 
 import (

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,21 +100,7 @@ func cosimFaults(t *testing.T, n int) []namedPlan {
 // observer stream of one pipeline per worker, from fewer events whenever two
 // neighbours are twins.
 func TestGroupedCoSimMatchesPerWorkerReference(t *testing.T) {
-	type schedV struct {
-		s sched.Schedule
-		v int
-	}
-	var scheds []schedV
-	for _, name := range sched.Names() {
-		s, err := sched.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scheds = append(scheds, schedV{s, 0})
-		if s.SupportsInterleave() {
-			scheds = append(scheds, schedV{s, 2})
-		}
-	}
+	scheds := schedVariants(t)
 	nms, ds := []int{1, 2, 4}, []int{0, 1, 4, 16}
 	if testing.Short() {
 		nms, ds = []int{2}, []int{0, 4}
@@ -168,6 +155,29 @@ func TestGroupedCoSimMatchesPerWorkerReference(t *testing.T) {
 	}
 }
 
+// schedV is a schedule at an interleave degree (0: contiguous stages).
+type schedV struct {
+	s sched.Schedule
+	v int
+}
+
+// schedVariants is every schedule, plus interleaved at V = 2.
+func schedVariants(t *testing.T) []schedV {
+	t.Helper()
+	var out []schedV
+	for _, name := range sched.Names() {
+		s, err := sched.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, schedV{s, 0})
+		if s.SupportsInterleave() {
+			out = append(out, schedV{s, 2})
+		}
+	}
+	return out
+}
+
 func paperDeployment(t testing.TB, policy hw.Policy) *Deployment {
 	t.Helper()
 	return deploy(t, model.VGG19(), policy, 4, 2, PlacementDefault)
@@ -175,7 +185,9 @@ func paperDeployment(t testing.TB, policy hw.Policy) *Deployment {
 
 func groupSpans(d *Deployment, fp *fault.Plan) string {
 	var b strings.Builder
-	for _, g := range d.lockStepGroups(fp) {
+	c := NewCoSim(sim.New())
+	c.lockStepGroups(d, fp)
+	for _, g := range c.groups {
 		fmt.Fprintf(&b, "[%d,%d)", g.lo, g.hi)
 	}
 	return b.String()
@@ -316,55 +328,210 @@ func TestMalformedDeploymentIsAnError(t *testing.T) {
 	}
 }
 
-// TestCoSimAllocsIndependentOfLength: on a warm engine a co-simulation's
-// allocations are its set-up and its result, never per wave — every push and
-// pull is a registered handler, not a closure — so 24 and 48 waves allocate
-// alike, grouped, split and faulted.
+// warmCell is one co-simulation of TestWarmCoSimMatchesCold's sequence.
+type warmCell struct {
+	name    string
+	dep     *Deployment
+	plan    *fault.Plan
+	observe bool
+	stages  int
+	v       int
+}
+
+// TestWarmCoSimMatchesCold is the warm co-simulation's wall. One CoSim runs,
+// back to back in a shuffled order, ED, HD and NP deployments on the paper and
+// mini clusters under every schedule (and interleaved at V = 2), each fault-free
+// and under four fault plans, with and without an observer — so from one run to
+// the next the lock-step group count, the stage count and the interleave
+// degree grow and shrink — then every cell again in reverse, so that each runs
+// after larger ones; every fifth cell first runs cancelled part-way. Every
+// MultiResult and observer stream must equal a cold SimulateWSPFaults of the
+// same inputs, bit for bit.
+func TestWarmCoSimMatchesCold(t *testing.T) {
+	var cells []warmCell
+	for _, cluster := range []string{"paper", "mini"} {
+		cl, err := hw.ClusterByName(cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, policy := range hw.Policies() {
+			alloc, err := hw.Allocate(cl, policy)
+			if err != nil {
+				continue // mini has no HD allocation
+			}
+			for _, sv := range schedVariants(t) {
+				s, err := NewSystemSched(cl, model.VGG19(), profile.Default(), 32, sv.s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Interleave = sv.v
+				dep, err := s.Deploy(alloc, 2, 1, PlacementDefault)
+				if err != nil {
+					t.Fatalf("%s/%v/%s/V%d: %v", cluster, policy, sv.s.Name(), sv.v, err)
+				}
+				for _, spec := range []string{"", "slow:w0:x2", "crash:w1:mb40", "link:w1:x2", "stall:s0:c3:0.5"} {
+					plan, err := fault.Parse(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, observe := range []bool{false, true} {
+						cells = append(cells, warmCell{
+							name: fmt.Sprintf("%s/%v/%s/V%d/%q/observed=%v", cluster, policy, sv.s.Name(), sv.v, spec, observe),
+							dep:  dep, plan: plan, observe: observe,
+							stages: len(dep.VWs[0].Plan.Stages), v: dep.VWs[0].Plan.InterleaveDegree(),
+						})
+					}
+				}
+			}
+		}
+	}
+	rand.New(rand.NewSource(28)).Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+	for i := len(cells) - 1; i >= 0; i-- {
+		cells = append(cells, cells[i])
+	}
+	run := func(c warmCell, sim func(ob obs.Func) (*MultiResult, error)) cosimRun {
+		var events []obs.Event
+		var ob obs.Func
+		if c.observe {
+			ob = func(e obs.Event) { events = append(events, e) }
+		}
+		res, err := sim(ob)
+		return cosimRun{res: res, err: err, events: events}
+	}
+	cs := NewCoSim(sim.New())
+	type shape struct{ groups, stages, v int }
+	var prev shape
+	grew, shrank := map[string]bool{}, map[string]bool{}
+	cancelled := 0
+	for i, c := range cells {
+		ctx := context.Background()
+		mbs, warmup := c.dep.DefaultMinibatches(), 2*c.dep.Nm
+		if i%5 == 0 {
+			// A run cancelled part-way leaves jobs queued, tasks in the ready
+			// rings and pulls in flight; the next run must not see them.
+			stop, cancel := context.WithCancel(ctx)
+			seen := 0
+			_, err := cs.Run(stop, c.dep, mbs, warmup, func(obs.Event) {
+				if seen++; seen == 20 {
+					cancel()
+				}
+			}, c.plan, 2)
+			cancel()
+			if err == context.Canceled {
+				cancelled++
+			} else if err != nil {
+				t.Fatalf("%s, cancelled: %v", c.name, err)
+			}
+		}
+		want := run(c, func(ob obs.Func) (*MultiResult, error) {
+			return c.dep.SimulateWSPFaults(ctx, mbs, warmup, ob, c.plan, 2)
+		})
+		got := run(c, func(ob obs.Func) (*MultiResult, error) {
+			return cs.Run(ctx, c.dep, mbs, warmup, ob, c.plan, 2)
+		})
+		if want.err != nil {
+			t.Fatalf("%s: %v", c.name, want.err)
+		}
+		sameRun(t, fmt.Sprintf("warm run %d, %s", i, c.name), got, want)
+		cur := shape{len(cs.groups), c.stages, c.v}
+		for name, d := range map[string]int{"groups": cur.groups - prev.groups, "stages": cur.stages - prev.stages, "V": cur.v - prev.v} {
+			grew[name] = grew[name] || (i > 0 && d > 0)
+			shrank[name] = shrank[name] || (i > 0 && d < 0)
+		}
+		prev = cur
+	}
+	for _, name := range []string{"groups", "stages", "V"} {
+		if !grew[name] || !shrank[name] {
+			t.Errorf("the sequence never grew (%v) or never shrank (%v) the %s", grew[name], shrank[name], name)
+		}
+	}
+	if cancelled < len(cells)/10 {
+		t.Errorf("only %d of %d runs were cut short by a cancellation", cancelled, (len(cells)+4)/5)
+	}
+}
+
+// TestCoSimAllocsIndependentOfLength: a warm co-simulation allocates its
+// MultiResult and its PerVW and nothing else — not per wave (every push and
+// pull is a registered handler, not a closure), not per lock-step group (the
+// groups' pipelines, devices and hooks are kept from run to run) — so 24 and
+// 48 waves, and one group, two and four, allocate alike, grouped, split and
+// faulted. The cold path, SimulateWSPFaultsOn, allocates alike at either
+// length too.
 func TestCoSimAllocsIndependentOfLength(t *testing.T) {
 	faulted, err := fault.Parse("slow:w0:x2,link:w1:x2")
 	if err != nil {
 		t.Fatal(err)
 	}
+	type cell struct {
+		dep  *Deployment
+		plan *fault.Plan
+	}
+	var cells []cell
 	for _, tc := range []struct {
 		policy hw.Policy
 		plan   *fault.Plan
 	}{
 		{hw.EqualDistribution, nil},
 		{hw.HybridDistribution, nil},
+		{hw.NodePartition, nil},
 		{hw.EqualDistribution, faulted},
 	} {
 		dep := paperDeployment(t, tc.policy)
+		fp, err := tc.plan.Materialize(len(dep.VWs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, cell{dep, fp})
+	}
+	cs := NewCoSim(sim.New())
+	allocs := func(c cell, waves int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := cs.Run(context.Background(), c.dep, waves*c.dep.Nm, 4*c.dep.Nm, nil, c.plan, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, c := range cells {
+		allocs(c, 48) // grow the co-simulation to every cell's longer run first
+	}
+	want := allocs(cells[0], 24)
+	for i, c := range cells {
+		if short, long := allocs(c, 24), allocs(c, 48); short != want || long != want {
+			t.Errorf("cell %d (%d groups): a warm run allocates %v times at 24 waves, %v at 48, the first cell %v",
+				i, len(cs.groups), short, long, want)
+		}
 		eng := sim.New()
-		allocs := func(waves int) float64 {
+		cold := func(waves int) float64 {
 			return testing.AllocsPerRun(20, func() {
-				if _, err := dep.SimulateWSPFaultsOn(context.Background(), eng, waves*dep.Nm, 4*dep.Nm, nil, tc.plan, 0); err != nil {
+				if _, err := c.dep.SimulateWSPFaultsOn(context.Background(), eng, waves*c.dep.Nm, 4*c.dep.Nm, nil, c.plan, 0); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-		allocs(48) // grow the engine to the longer run's peak first
-		if short, long := allocs(24), allocs(48); short != long {
-			t.Errorf("%v %v: %v allocs at 24 waves, %v at 48", tc.policy, tc.plan, short, long)
+		cold(48)
+		if short, long := cold(24), cold(48); short != long {
+			t.Errorf("cell %d: %v cold allocs at 24 waves, %v at 48", i, short, long)
 		}
 	}
+	t.Logf("a warm co-simulation allocates %v times", want)
 }
 
 var coSimSink *MultiResult
 
-// BenchmarkCoSim is one warm-engine WSP co-simulation of vgg19 on the paper
-// cluster (Nm 4, D 2, 24 waves) per allocation policy: ED is one lock-step
-// group, HD two, NP four. allocs/op is the tripwire — ED must stay near one
-// pipeline's worth.
+// BenchmarkCoSim is one WSP co-simulation of vgg19 on the paper cluster (Nm 4,
+// D 2, 24 waves) per allocation policy, on a warm co-simulation: ED is one
+// lock-step group, HD two, NP four. allocs/op is the tripwire — a warm run
+// allocates only its result, whatever the group count.
 func BenchmarkCoSim(b *testing.B) {
 	for _, policy := range []hw.Policy{hw.EqualDistribution, hw.HybridDistribution, hw.NodePartition} {
 		b.Run(policy.String(), func(b *testing.B) {
 			dep := paperDeployment(b, policy)
-			eng := sim.New()
+			cs := NewCoSim(sim.New())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				if coSimSink, err = dep.SimulateWSPFaultsOn(context.Background(), eng, dep.DefaultMinibatches(), 4*dep.Nm, nil, nil, 0); err != nil {
+				if coSimSink, err = cs.Run(context.Background(), dep, dep.DefaultMinibatches(), 4*dep.Nm, nil, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -111,13 +111,13 @@ func (d *Deployment) SimulateWSPFaults(ctx context.Context, minibatchesPerVW, wa
 	return d.SimulateWSPFaultsOn(ctx, sim.New(), minibatchesPerVW, warmup, ob, plan, checkpointEvery)
 }
 
-// SimulateWSPFaultsOn is SimulateWSPFaults on a caller-owned engine. The
-// engine is Reset first, so a warm engine — one that has already grown its
-// event arena and heap to a previous simulation's peak — re-simulates without
-// re-growing any engine-internal storage. Callers that sweep many scenarios
-// (internal/sweep keeps one engine per worker goroutine) amortize those
-// allocations across the whole sweep; results are bit-identical to a fresh
-// engine's.
+// SimulateWSPFaultsOn is SimulateWSPFaults on a caller-owned engine, which
+// is Reset first: a warm engine — one that has already grown its event arena
+// and heap to a previous simulation's peak — re-simulates without re-growing
+// any engine-internal storage. It is NewCoSim(eng).Run once; a caller that
+// simulates many scenarios keeps the CoSim instead (internal/sweep keeps one
+// per worker goroutine) and re-simulates without rebuilding anything. Results
+// are bit-identical to a fresh engine's.
 //
 // The run costs one pipeline per lock-step group of virtual workers, not one
 // per worker (see lockStepGroups); a malformed deployment is an error. A run
@@ -126,7 +126,58 @@ func (d *Deployment) SimulateWSPFaults(ctx context.Context, minibatchesPerVW, wa
 // FaultInjections; no throughput) — a training run stopped at its target
 // reads its synchronization overhead there.
 func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, minibatchesPerVW, warmup int, ob obs.Func, plan *fault.Plan, checkpointEvery int) (*MultiResult, error) {
-	eng.Reset()
+	return NewCoSim(eng).Run(ctx, d, minibatchesPerVW, warmup, ob, plan, checkpointEvery)
+}
+
+// CoSim is a WSP co-simulation kept warm on one engine. Run simulates a
+// deployment as SimulateWSPFaultsOn does and keeps what the run built — each
+// lock-step group's pipeline with its executor, devices and ready rings, the
+// groups' gate, completion and task-time hooks, the coordinator and the
+// registered handlers — to re-initialise for the next run, whatever its
+// deployment, instead of building it again: after a first run at least as
+// large, a run allocates its MultiResult and its PerVW and nothing else. The
+// MultiResult is the caller's; nothing in it is touched by a later run. A
+// CoSim is not safe for concurrent use.
+type CoSim struct {
+	eng    *sim.Engine
+	coord  wsp.Coordinator
+	pool   []*lockGroup // every group built so far; groups is pool[:len(groups)]
+	groups []*lockGroup
+	// The engine handlers of a pull and a push landing, bound once and
+	// registered again on every run's Reset engine: a is the group's index,
+	// and a push carries its wave in b and its sending event in x (exact: the
+	// step limit keeps Fired far below 2^53).
+	onPull, onPush sim.EventFunc
+	pullID, pushID int32
+
+	// The run's inputs and what it counts.
+	d               *Deployment
+	ob              obs.Func
+	params          wsp.Params
+	res             *MultiResult
+	stalls          fault.Cursor // the cluster's, for the stalls
+	checkpointEvery int
+}
+
+// NewCoSim returns a co-simulation on eng that has built nothing yet.
+func NewCoSim(eng *sim.Engine) *CoSim {
+	c := &CoSim{eng: eng}
+	c.onPull = func(g, _ int32, _ float64) { c.pulled(c.groups[g]) }
+	c.onPush = func(g, wave int32, by float64) { c.pushed(c.groups[g], int(wave), uint64(by)) }
+	return c
+}
+
+// Engine is the engine the co-simulation runs on, Reset by every Run; a
+// caller may run other simulations on it between runs (a sweep's serving
+// cells do).
+func (c *CoSim) Engine() *sim.Engine { return c.eng }
+
+// Run simulates d as SimulateWSPFaults documents, on the co-simulation's
+// engine. A plan materialized for d's worker count is used as it is (see
+// fault.Plan.Materialize), so a caller running one plan many times
+// materializes it once.
+func (c *CoSim) Run(ctx context.Context, d *Deployment, minibatchesPerVW, warmup int, ob obs.Func, plan *fault.Plan, checkpointEvery int) (*MultiResult, error) {
+	c.eng.Reset()
 	if err := d.check(); err != nil {
 		return nil, err
 	}
@@ -151,38 +202,42 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 		warmup = minibatchesPerVW / 2
 	}
 	params := wsp.Params{SLocal: d.SLocal(), D: d.D, Workers: n}
-	coord, err := wsp.NewCoordinator(params)
-	if err != nil {
+	if err := c.coord.Reset(params); err != nil {
 		return nil, err
 	}
-	eng.SetStepLimit(uint64(n*minibatchesPerVW)*1000 + 1_000_000)
+	c.eng.SetStepLimit(uint64(n*minibatchesPerVW)*1000 + 1_000_000)
 
-	c := &cosim{
-		d: d, eng: eng, ob: ob, params: params, coord: coord,
-		stalls: fp.Cursor(-1), checkpointEvery: checkpointEvery,
-		groups: d.lockStepGroups(fp), res: &MultiResult{},
-	}
-	c.pullID = eng.Register(func(g, _ int32, _ float64) { c.pulled(c.groups[g]) })
-	c.pushID = eng.Register(func(g, wave int32, by float64) { c.pushed(c.groups[g], int(wave), uint64(by)) })
+	c.d, c.ob, c.params, c.res = d, ob, params, &MultiResult{}
+	c.stalls, c.checkpointEvery = fp.Cursor(-1), checkpointEvery
+	c.pullID, c.pushID = c.eng.Register(c.onPull), c.eng.Register(c.onPush)
+	c.lockStepGroups(d, fp)
 	for _, g := range c.groups {
-		if g.pipe, err = pipeline.New(eng, c.config(g, minibatchesPerVW, warmup)); err != nil {
+		// The group's own pipeline, re-initialised and wired to the WSP
+		// protocol. The fault hook exists only on a touched group; every other
+		// worker's compute scale is 1.
+		cfg := g.cfg
+		cfg.Plan, cfg.Schedule, cfg.Minibatches, cfg.Warmup = d.VWs[g.lo].Plan, d.Sys.Schedule, minibatchesPerVW, warmup
+		if g.touched {
+			cfg.TaskTime = g.task
+		}
+		if err := g.pipe.Reset(c.eng, cfg); err != nil {
 			return nil, err
 		}
 	}
 	for _, g := range c.groups {
 		g.pipe.Start()
 	}
-	if err := eng.RunContext(ctx); err != nil {
+	if err := c.eng.RunContext(ctx); err != nil {
 		if ctx.Err() == nil {
 			return nil, err
 		}
 		// A run its caller stopped still says what it counted up to the stop;
 		// throughputs need the whole window and stay empty.
-		c.res.Elapsed = float64(eng.Now())
-		c.res.MaxClockDistance = coord.MaxClockDistance()
+		c.res.Elapsed = float64(c.eng.Now())
+		c.res.MaxClockDistance = c.coord.MaxClockDistance()
 		return c.res, err
 	}
-	return c.result()
+	return c.result(pipeline.Window{Minibatches: minibatchesPerVW, Warmup: warmup})
 }
 
 // check rejects a deployment the co-simulation would index out of range or
@@ -218,16 +273,26 @@ func (d *Deployment) check() error {
 
 // lockGroup is one lock-step group of a co-simulation: the virtual workers
 // lo..hi-1, stepped as a single pipeline whose every effect on the shared
-// state is replayed once per member in that order. It carries what each
+// state is replayed once per member in that order. A CoSim keeps its groups
+// from run to run: the pipeline and the hooks wiring it to the protocol,
+// which close over the group, are built once; the run's state is zeroed by
+// every run.
+type lockGroup struct {
+	groupRun
+	pipe pipeline.Pipeline
+	cfg  pipeline.Config                      // the hooks: InjectGate, OnComplete
+	task func(p, s int, base float64) float64 // Config.TaskTime, on a touched group
+}
+
+// groupRun is a lock-step group's part of one run. It carries what each
 // worker used to carry alone: the WSP synchronization state and its first
 // worker's fault cursor, inert unless a fault clause names the group (which
 // is then always a single worker).
-type lockGroup struct {
-	idx        int32 // position in cosim.groups
+type groupRun struct {
+	idx        int32 // position in CoSim.groups
 	touched    bool  // fp.Touches(lo); implies hi == lo+1
 	lo, hi     int
 	push, pull float64 // per-wave PS transfer times, link degradation folded in
-	pipe       *pipeline.Pipeline
 
 	pullDone   int  // highest global clock whose pull transfer completed
 	pullGoing  bool // a pull transfer is in flight...
@@ -242,13 +307,14 @@ type lockGroup struct {
 	cur fault.Cursor // lo's, which reports nothing unless touched
 }
 
-// lockStepGroups partitions the workers into maximal runs of consecutive
+// lockStepGroups partitions d's workers into maximal runs of consecutive
 // workers that simulate identically, so one pipeline can stand for the run:
 // equal executor inputs (pipeline.SameInputs), equal push and pull times
 // after link degradation, and no worker-specific clause of the materialized
 // fault plan fp naming any of them. Such workers stay in lock step for the
 // whole run, bit for bit, not just until a gate binds: everything a gate
-// reads is either global (the clock) or equal across the run.
+// reads is either global (the clock) or equal across the run. The groups are
+// the co-simulation's kept ones, reset for this run.
 //
 // Only neighbours merge. Replaying A,B,A as {A,A},{B} would add the workers'
 // waiting times into MultiResult.Waiting, and emit their observer events, in
@@ -256,44 +322,47 @@ type lockGroup struct {
 // stream. Every allocation policy in internal/hw emits equal workers side by
 // side, so nothing is lost. PS stalls are cluster-wide and split nothing; a
 // group of one is exactly the per-worker simulation.
-func (d *Deployment) lockStepGroups(fp *fault.Plan) []*lockGroup {
-	groups := make([]*lockGroup, 0, len(d.VWs))
+func (c *CoSim) lockStepGroups(d *Deployment, fp *fault.Plan) {
+	n := 0
 	for w, vp := range d.VWs {
 		push, pull, touched := d.PushTime[w], d.PullTime[w], fp.Touches(w)
-		if !touched && len(groups) > 0 {
-			if last := groups[len(groups)-1]; !last.touched && last.push == push && last.pull == pull &&
+		if !touched && n > 0 {
+			if last := c.pool[n-1]; !last.touched && last.push == push && last.pull == pull &&
 				pipeline.SameInputs(d.VWs[last.lo].Plan, vp.Plan) {
 				last.hi = w + 1
 				continue
 			}
 		}
+		if n == len(c.pool) {
+			c.pool = append(c.pool, c.newGroup())
+		}
 		s := fp.LinkScale(w) // 1 unless degraded, and x*1 is x bit for bit
-		groups = append(groups, &lockGroup{idx: int32(len(groups)), lo: w, hi: w + 1,
-			push: push * s, pull: pull * s, touched: touched, cur: fp.Cursor(w)})
+		c.pool[n].groupRun = groupRun{idx: int32(n), lo: w, hi: w + 1,
+			push: push * s, pull: pull * s, touched: touched, cur: fp.Cursor(w)}
+		n++
 	}
-	return groups
+	c.groups = c.pool[:n]
 }
 
-// cosim is the shared state of one co-simulation: what the groups' handlers
-// read and write besides their own lockGroup.
-type cosim struct {
-	d      *Deployment
-	eng    *sim.Engine
-	ob     obs.Func
-	params wsp.Params
-	coord  *wsp.Coordinator
-	groups []*lockGroup
-	res    *MultiResult
-	// The engine handlers of a pull and a push landing: a is the group's
-	// index, and a push carries its wave in b and its sending event in x
-	// (exact: the step limit keeps Fired far below 2^53).
-	pullID, pushID int32
-
-	stalls          fault.Cursor // the cluster's, for the stalls
-	checkpointEvery int
+// newGroup builds a group and its hooks.
+func (c *CoSim) newGroup() *lockGroup {
+	g := &lockGroup{}
+	g.cfg.InjectGate = func(mb int) bool { return c.gate(g, mb) }
+	g.cfg.OnComplete = func(mb int, at sim.Time) { c.completed(g, mb, at) }
+	g.task = func(p, s int, base float64) float64 {
+		// The crash charge lands once, on the crashed minibatch's first
+		// stage-0 task (its forward) — the worker-local stall.
+		scale, charge := g.cur.Task(p, s)
+		out := base * scale
+		if charge > 0 {
+			out += charge + c.replay(g, p)
+		}
+		return out
+	}
+	return g
 }
 
-func (c *cosim) emit(e obs.Event) {
+func (c *CoSim) emit(e obs.Event) {
 	if c.ob != nil {
 		e.Backend = "sim"
 		e.Time = float64(c.eng.Now())
@@ -302,7 +371,7 @@ func (c *cosim) emit(e obs.Event) {
 }
 
 // inject counts and emits the fault activation f reports, if any.
-func (c *cosim) inject(vw int, f string) {
+func (c *CoSim) inject(vw int, f string) {
 	if f == "" {
 		return
 	}
@@ -310,42 +379,16 @@ func (c *cosim) inject(vw int, f string) {
 	c.emit(obs.Event{Kind: obs.KindFaultInject, VW: vw, Fault: f})
 }
 
-func (c *cosim) pokeAll() {
+func (c *CoSim) pokeAll() {
 	for _, g := range c.groups {
 		g.pipe.Poke()
 	}
 }
 
-// config wires group g's pipeline to the WSP protocol. The fault hook exists
-// only on a touched group; every other worker's compute scale is 1.
-func (c *cosim) config(g *lockGroup, minibatches, warmup int) pipeline.Config {
-	cfg := pipeline.Config{
-		Plan:        c.d.VWs[g.lo].Plan,
-		Schedule:    c.d.Sys.Schedule,
-		Minibatches: minibatches,
-		Warmup:      warmup,
-		InjectGate:  func(mb int) bool { return c.gate(g, mb) },
-		OnComplete:  func(mb int, at sim.Time) { c.completed(g, mb, at) },
-	}
-	if g.touched {
-		cfg.TaskTime = func(p, s int, base float64) float64 {
-			scale, charge := g.cur.Task(p, s)
-			out := base * scale
-			// The crash charge lands once, on the crashed minibatch's first
-			// stage-0 task (its forward) — the worker-local stall.
-			if charge > 0 {
-				out += charge + c.replay(g, p)
-			}
-			return out
-		}
-	}
-	return cfg
-}
-
 // replay is the checkpoint-replay part of group g's crash charge at minibatch
 // mb: after its downtime the worker re-executes every minibatch since its last
 // checkpoint at its bottleneck-stage pace.
-func (c *cosim) replay(g *lockGroup, mb int) float64 {
+func (c *CoSim) replay(g *lockGroup, mb int) float64 {
 	ckptWave := 0
 	if c.checkpointEvery > 0 {
 		ckptWave = ((mb - 1) / c.d.Nm / c.checkpointEvery) * c.checkpointEvery
@@ -355,7 +398,7 @@ func (c *cosim) replay(g *lockGroup, mb int) float64 {
 
 // start admits minibatch mb on every member of g, and on a touched group
 // emits the one-shot fault injections owed at that moment.
-func (c *cosim) start(g *lockGroup, mb int) {
+func (c *CoSim) start(g *lockGroup, mb int) {
 	for w := g.lo; w < g.hi; w++ {
 		c.coord.Start(w, mb)
 	}
@@ -369,14 +412,14 @@ func (c *cosim) start(g *lockGroup, mb int) {
 
 // linkInject emits the one-shot injection of a degraded link the first time
 // group g's worker uses it.
-func (c *cosim) linkInject(g *lockGroup) {
+func (c *CoSim) linkInject(g *lockGroup) {
 	_, link := g.cur.Link()
 	c.inject(g.lo, link)
 }
 
 // gate is group g's injection gate for minibatch mb: a gated wave-end waits
 // for the global clock and then for the group's own pull of it.
-func (c *cosim) gate(g *lockGroup, mb int) bool {
+func (c *CoSim) gate(g *lockGroup, mb int) bool {
 	req := c.params.RequiredGlobalClock(mb)
 	if req == 0 {
 		c.start(g, mb)
@@ -418,7 +461,7 @@ func (c *cosim) gate(g *lockGroup, mb int) bool {
 }
 
 // pulled lands group g's pull.
-func (c *cosim) pulled(g *lockGroup) {
+func (c *CoSim) pulled(g *lockGroup) {
 	if !g.pullShown {
 		for w := g.lo; w < g.hi; w++ {
 			c.pullLanded(g, w)
@@ -430,14 +473,14 @@ func (c *cosim) pulled(g *lockGroup) {
 }
 
 // pullLanded is member w's part of group g's pull landing.
-func (c *cosim) pullLanded(g *lockGroup, w int) {
+func (c *CoSim) pullLanded(g *lockGroup, w int) {
 	c.res.Pulls++
 	c.emit(obs.Event{Kind: obs.KindPull, VW: w, Clock: g.pullTarget})
 }
 
 // completed is group g's minibatch-completion hook; a wave-end sends the
 // wave's push towards the parameter servers.
-func (c *cosim) completed(g *lockGroup, mb int, at sim.Time) {
+func (c *CoSim) completed(g *lockGroup, mb int, at sim.Time) {
 	g.lastDone = at
 	waveEnd := c.params.IsWaveEnd(mb)
 	wave := c.params.Wave(mb)
@@ -478,7 +521,7 @@ func (c *cosim) completed(g *lockGroup, mb int, at sim.Time) {
 // then its pull, before the next worker's push. The replay keeps that order:
 // each member's pull lands right after its push here, and the pull event,
 // which fires next, finds its members already replayed.
-func (c *cosim) pushed(g *lockGroup, wave int, by uint64) {
+func (c *CoSim) pushed(g *lockGroup, wave int, by uint64) {
 	withPull := g.pullGoing && g.pullBy == by && g.pullAt == c.eng.Now()
 	for w := g.lo; w < g.hi; w++ {
 		before := c.coord.GlobalClock()
@@ -498,20 +541,20 @@ func (c *cosim) pushed(g *lockGroup, wave int, by uint64) {
 	}
 }
 
-// result folds the groups' pipeline results into the MultiResult, one member
-// at a time in worker order.
-func (c *cosim) result() (*MultiResult, error) {
+// result folds the groups' pipeline measurements into the MultiResult, one
+// member at a time in worker order.
+func (c *CoSim) result(w pipeline.Window) (*MultiResult, error) {
 	res := c.res
 	res.PerVW = make([]float64, 0, len(c.d.VWs))
 	for _, g := range c.groups {
-		r, err := g.pipe.Result()
+		tp, elapsed, err := g.pipe.Measure(w)
 		if err != nil {
 			return nil, fmt.Errorf("core: VW %d: %w", g.lo, err)
 		}
 		for w := g.lo; w < g.hi; w++ {
-			res.PerVW = append(res.PerVW, r.Throughput)
-			res.Aggregate += r.Throughput
-			if e := float64(r.Elapsed); e > res.Elapsed {
+			res.PerVW = append(res.PerVW, tp)
+			res.Aggregate += tp
+			if e := float64(elapsed); e > res.Elapsed {
 				res.Elapsed = e
 			}
 		}

@@ -266,13 +266,13 @@ func referenceSimulateWSP(ctx context.Context, d *Deployment, eng *sim.Engine, m
 		return nil, err
 	}
 	for w, p := range pipes {
-		r, err := p.Result()
+		tp, elapsed, err := p.Measure(pipeline.Window{Minibatches: minibatchesPerVW, Warmup: warmup})
 		if err != nil {
 			return nil, fmt.Errorf("core: VW %d: %w", w, err)
 		}
-		res.PerVW = append(res.PerVW, r.Throughput)
-		res.Aggregate += r.Throughput
-		if e := float64(r.Elapsed); e > res.Elapsed {
+		res.PerVW = append(res.PerVW, tp)
+		res.Aggregate += tp
+		if e := float64(elapsed); e > res.Elapsed {
 			res.Elapsed = e
 		}
 	}

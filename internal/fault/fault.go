@@ -129,6 +129,46 @@ type Plan struct {
 	// Rand, when non-nil, adds a randomized straggler population at
 	// Materialize time.
 	Rand *RandSpec
+
+	// Materialize's marks: the worker count the plan was materialized for (0:
+	// it was not), and the labels its cursors report, formatted once.
+	workers int
+	labels  map[label]string
+}
+
+// label is one report a cursor gives, by what its text shows: the clause
+// kind, the worker (a stall's clock), a crash's minibatch, and a factor (a
+// stall's delay).
+type label struct {
+	kind  byte // 's'low, 'c'rash, 'l'ink or s't'all
+	n, mb int
+	x     float64
+}
+
+// String is the label the backends' observer events name a fault activation
+// by (obs.Event.Fault). The slow, crash and link labels are the clause's own
+// spec form, so Plan.String renders through them too; a stall's label names
+// the clock advance it held up and its total delay, not one shard's clause.
+// (%g prints the digits ftoa does.)
+func (l label) String() string {
+	switch l.kind {
+	case 's':
+		return fmt.Sprintf("slow:w%d:x%g", l.n, l.x)
+	case 'c':
+		return fmt.Sprintf("crash:w%d:mb%d", l.n, l.mb)
+	case 'l':
+		return fmt.Sprintf("link:w%d:x%g", l.n, l.x)
+	}
+	return fmt.Sprintf("stall:c%d:%g", l.n, l.x)
+}
+
+// text is l's text: the one Materialize formatted when it foresaw l, which it
+// does for every report of cursors asked about minibatches in ascending order.
+func (p *Plan) text(l label) string {
+	if s, ok := p.labels[l]; ok {
+		return s
+	}
+	return l.String()
 }
 
 // Empty reports whether the plan injects nothing.
@@ -256,19 +296,27 @@ func (p *Plan) Validate() error {
 // Materialize expands the plan for a concrete run of `workers` virtual
 // workers: the Rand clause is expanded into per-worker slowdowns with a
 // seeded generator, and every worker index is range-checked. The receiver is
-// not modified; the result has a nil Rand. Materializing a nil or empty plan
-// returns an empty plan.
+// not modified; the result has a nil Rand. Materializing an empty plan (nil
+// included) returns nil, the empty plan.
+//
+// The result is read-only and also formats its cursors' reports up front, so
+// that a run stepping them formats nothing; materializing it again for the
+// same worker count returns it as it is. A caller that runs one plan many
+// times (a sweep) materializes it once.
 func (p *Plan) Materialize(workers int) (*Plan, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("fault: need at least one worker, got %d", workers)
 	}
+	if p != nil && p.workers == workers {
+		return p, nil
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	out := &Plan{}
-	if p == nil {
-		return out, nil
+	if p.Empty() {
+		return nil, nil
 	}
+	out := &Plan{workers: workers, labels: make(map[label]string)}
 	out.Slowdowns = append(out.Slowdowns, p.Slowdowns...)
 	out.Crashes = append(out.Crashes, p.Crashes...)
 	out.Stalls = append(out.Stalls, p.Stalls...)
@@ -293,23 +341,34 @@ func (p *Plan) Materialize(workers int) (*Plan, error) {
 			}
 		}
 	}
+	// Each clause also formats the report its cursors give when asked about
+	// minibatches in ascending order: a slowdown's at its first minibatch.
 	for _, s := range out.Slowdowns {
 		if s.Worker >= workers {
 			return nil, fmt.Errorf("fault: slowdown worker %d out of range [0,%d)", s.Worker, workers)
 		}
+		out.format(label{kind: 's', n: s.Worker, x: out.ComputeScale(s.Worker, max(s.FromMinibatch, 1))})
 	}
 	for _, c := range out.Crashes {
 		if c.Worker >= workers {
 			return nil, fmt.Errorf("fault: crash worker %d out of range [0,%d)", c.Worker, workers)
 		}
+		out.format(label{kind: 'c', n: c.Worker, mb: c.AtMinibatch})
 	}
 	for _, l := range out.Links {
 		if l.Worker >= workers {
 			return nil, fmt.Errorf("fault: link worker %d out of range [0,%d)", l.Worker, workers)
 		}
+		out.format(label{kind: 'l', n: l.Worker, x: out.LinkScale(l.Worker)})
+	}
+	for _, s := range out.Stalls {
+		out.format(label{kind: 't', n: s.AtClock, x: out.StallDelay(s.AtClock)})
 	}
 	return out, nil
 }
+
+// format keeps l's text for the plan's cursors to report.
+func (p *Plan) format(l label) { p.labels[l] = l.String() }
 
 // ComputeScale reports the compute-time multiplier for worker w's minibatch
 // mb (1-based): the product of every slowdown covering it, 1 when none does.
@@ -450,7 +509,7 @@ func once(done *bool, due bool) bool {
 func (c *Cursor) Slow(mb int) (scale float64, report string) {
 	scale = c.p.ComputeScale(c.w, mb)
 	if once(&c.slowDone, scale > 1) {
-		report = slowLabel(c.w, scale)
+		report = c.p.text(label{kind: 's', n: c.w, x: scale})
 	}
 	return scale, report
 }
@@ -472,7 +531,7 @@ func (c *Cursor) Task(mb, s int) (scale, charge float64) {
 func (c *Cursor) Link() (scale float64, report string) {
 	scale = c.p.LinkScale(c.w)
 	if once(&c.linkDone, scale > 1) {
-		report = linkLabel(c.w, scale)
+		report = c.p.text(label{kind: 'l', n: c.w, x: scale})
 	}
 	return scale, report
 }
@@ -489,7 +548,7 @@ func (c *Cursor) crashReport(done *bool, mb int) string {
 	if !once(done, mb == c.crashAt) {
 		return ""
 	}
-	return crashLabel(c.w, mb)
+	return c.p.text(label{kind: 'c', n: c.w, mb: mb})
 }
 
 // Quiet reports whether Slow and Crash would report nothing at minibatch mb:
@@ -507,7 +566,7 @@ func (c *Cursor) Stall(clock int) (delay float64, report string) {
 			c.stalled = make(map[int]bool)
 		}
 		c.stalled[clock] = true
-		report = stallLabel(clock, delay)
+		report = c.p.text(label{kind: 't', n: clock, x: delay})
 	}
 	return delay, report
 }
@@ -520,7 +579,7 @@ func (p *Plan) String() string {
 	}
 	var clauses []string
 	for _, s := range p.Slowdowns {
-		c := slowLabel(s.Worker, s.Factor)
+		c := label{kind: 's', n: s.Worker, x: s.Factor}.String()
 		if s.FromMinibatch != 0 || s.ToMinibatch != 0 {
 			from := s.FromMinibatch
 			if from == 0 {
@@ -531,7 +590,7 @@ func (p *Plan) String() string {
 		clauses = append(clauses, c)
 	}
 	for _, c := range p.Crashes {
-		s := crashLabel(c.Worker, c.AtMinibatch)
+		s := label{kind: 'c', n: c.Worker, mb: c.AtMinibatch}.String()
 		if c.Downtime != 0 {
 			s += ":down" + ftoa(c.Downtime)
 		}
@@ -541,7 +600,7 @@ func (p *Plan) String() string {
 		clauses = append(clauses, fmt.Sprintf("stall:s%d:c%d:%s", s.Shard, s.AtClock, ftoa(s.Delay)))
 	}
 	for _, l := range p.Links {
-		clauses = append(clauses, linkLabel(l.Worker, l.Factor))
+		clauses = append(clauses, label{kind: 'l', n: l.Worker, x: l.Factor}.String())
 	}
 	if r := p.Rand; r != nil {
 		c := "rand:" + ftoa(r.Rate)
@@ -558,24 +617,6 @@ func (p *Plan) String() string {
 }
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// The labels a Cursor reports, which the backends' observer events name a
-// fault activation by (obs.Event.Fault), one per clause kind. The slow, crash
-// and link labels are the clause's own spec form, so Plan.String renders
-// through them too; a stall's label names the clock advance it held up and its
-// total delay, not one shard's clause. (%g prints the digits ftoa does.)
-
-// slowLabel names worker w's compute slowdown by factor.
-func slowLabel(w int, factor float64) string { return fmt.Sprintf("slow:w%d:x%g", w, factor) }
-
-// crashLabel names worker w's crash at minibatch mb.
-func crashLabel(w, mb int) string { return fmt.Sprintf("crash:w%d:mb%d", w, mb) }
-
-// linkLabel names worker w's link degradation by factor.
-func linkLabel(w int, factor float64) string { return fmt.Sprintf("link:w%d:x%g", w, factor) }
-
-// stallLabel names the stalled advance to clock by delay seconds.
-func stallLabel(clock int, delay float64) string { return fmt.Sprintf("stall:c%d:%g", clock, delay) }
 
 // Parse builds a plan from the compact spec language (see the package
 // comment for the grammar). An empty or all-whitespace spec yields the empty

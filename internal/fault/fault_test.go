@@ -336,23 +336,23 @@ func TestTouches(t *testing.T) {
 // the clause that caused it, and %g prints what the canonical form does.
 func TestLabelsAreClauses(t *testing.T) {
 	for _, f := range []float64{2, 1.5, 0.1, 1e-7, 123456789, 1e9, 1.0000000000000002} {
-		for _, label := range []string{slowLabel(3, f), linkLabel(3, f)} {
-			p, err := Parse(label)
+		for _, text := range []string{label{kind: 's', n: 3, x: f}.String(), label{kind: 'l', n: 3, x: f}.String()} {
+			p, err := Parse(text)
 			if err != nil {
 				if f >= 1 {
-					t.Errorf("label %q does not parse: %v", label, err)
+					t.Errorf("label %q does not parse: %v", text, err)
 				}
 				continue
 			}
-			if p.String() != label {
-				t.Errorf("label %q canonicalises to %q", label, p.String())
+			if p.String() != text {
+				t.Errorf("label %q canonicalises to %q", text, p.String())
 			}
 		}
-		if got, want := stallLabel(4, f), "stall:c4:"+ftoa(f); got != want {
-			t.Errorf("stallLabel = %q, want %q", got, want)
+		if got, want := (label{kind: 't', n: 4, x: f}).String(), "stall:c4:"+ftoa(f); got != want {
+			t.Errorf("stall label = %q, want %q", got, want)
 		}
 	}
-	if p, err := Parse(crashLabel(2, 40)); err != nil || p.String() != "crash:w2:mb40" {
+	if p, err := Parse((label{kind: 'c', n: 2, mb: 40}).String()); err != nil || p.String() != "crash:w2:mb40" {
 		t.Errorf("crash label round trip = %v, %v", p, err)
 	}
 }

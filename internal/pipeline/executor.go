@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"hetpipe/internal/partition"
 	"hetpipe/internal/sched"
 	"hetpipe/internal/sim"
@@ -20,12 +22,15 @@ type StageTime struct {
 // Times builds a plan's time table: one row per virtual stage, chunk vs/k of
 // stage vs%k. The caller may scale rows before handing the table to
 // NewExecutor (serving stretches RecvAct by a degraded link's factor).
-func Times(plan *partition.Plan) []StageTime {
-	t := make([]StageTime, plan.VirtualStages())
-	for vs := range t {
-		t[vs] = timesRow(plan, vs)
+func Times(plan *partition.Plan) []StageTime { return timesInto(nil, plan) }
+
+// timesInto is Times in dst's storage.
+func timesInto(dst []StageTime, plan *partition.Plan) []StageTime {
+	dst = slices.Grow(dst[:0], plan.VirtualStages())[:plan.VirtualStages()]
+	for vs := range dst {
+		dst[vs] = timesRow(plan, vs)
 	}
-	return t
+	return dst
 }
 
 func timesRow(plan *partition.Plan, vs int) StageTime {
@@ -128,7 +133,7 @@ type Executor struct {
 	eng   *sim.Engine
 	k, kv int
 	times []StageTime
-	gpus  []*sim.Resource
+	gpus  []*sim.Resource // GPU g < k is gpus[g]; devices beyond k are kept for later runs
 
 	overlap   bool // receives run as engine delays
 	backFirst bool // ring pick instead of straight-to-device
@@ -138,8 +143,9 @@ type Executor struct {
 	trace       *trace.Trace
 	atEnd, done func(p int)
 
-	doneID int32 // device completion handler, the same id on every GPU
-	xferID int32 // engine handler for overlapped transfers
+	onTask, onXfer sim.EventFunc // taskDone and xferDone, bound once
+	doneID         int32         // device completion handler, the same id on every GPU
+	xferID         int32         // engine handler for overlapped transfers
 
 	// Backward-first state. Ring (vs, kind) is the ringCap-wide window of slab
 	// at (2*vs+kind)*ringCap.
@@ -158,32 +164,49 @@ type vstage struct {
 
 // NewExecutor builds the executor's devices and handlers on the engine.
 func NewExecutor(eng *sim.Engine, cfg ExecConfig) *Executor {
-	x := &Executor{
-		eng: eng, k: cfg.GPUs, kv: len(cfg.Times), times: cfg.Times,
-		gpus:      make([]*sim.Resource, cfg.GPUs),
-		overlap:   cfg.Schedule.OverlapRecv(),
-		backFirst: !cfg.ForwardOnly && cfg.Schedule.Pick() == sched.PickBackwardFirst,
-		fused:     !cfg.ForwardOnly && cfg.Schedule.Inject() != sched.InjectWave,
-		taskTime:  cfg.TaskTime, trace: cfg.Trace, atEnd: cfg.AtEnd, done: cfg.Done,
-	}
-	handler := sim.EventFunc(x.taskDone)
-	for g := range x.gpus {
-		x.gpus[g] = sim.NewResource(eng)
-		x.doneID = x.gpus[g].Register(handler)
-	}
-	if x.overlap {
-		x.xferID = eng.Register(x.xferDone)
-	}
-	if x.backFirst {
-		x.ringCap = int32(cfg.InFlight)
-		x.stages = make([]vstage, x.kv)
-		x.slab = make([]int32, 2*x.kv*cfg.InFlight)
-	}
+	x := new(Executor)
+	x.reset(eng, cfg)
 	return x
 }
 
+// reset initialises the executor for cfg on eng, which is fresh or Reset
+// since the executor's last run on it: the devices it already has there are
+// Reset (their handler stays registered on them) and only missing ones are
+// built, and the ready rings keep their storage.
+func (x *Executor) reset(eng *sim.Engine, cfg ExecConfig) {
+	if x.eng != eng {
+		x.eng, x.gpus, x.onTask = eng, x.gpus[:0], x.taskDone // devices live on one engine
+	}
+	x.k, x.kv, x.times = cfg.GPUs, len(cfg.Times), cfg.Times
+	x.overlap = cfg.Schedule.OverlapRecv()
+	x.backFirst = !cfg.ForwardOnly && cfg.Schedule.Pick() == sched.PickBackwardFirst
+	x.fused = !cfg.ForwardOnly && cfg.Schedule.Inject() != sched.InjectWave
+	x.taskTime, x.trace, x.atEnd, x.done = cfg.TaskTime, cfg.Trace, cfg.AtEnd, cfg.Done
+	for _, dev := range x.gpus[:min(len(x.gpus), x.k)] {
+		dev.Reset()
+	}
+	x.gpus = slices.Grow(x.gpus, max(x.k-len(x.gpus), 0))
+	for len(x.gpus) < x.k {
+		dev := sim.NewResource(x.eng)
+		x.doneID = dev.Register(x.onTask)
+		x.gpus = append(x.gpus, dev)
+	}
+	if x.overlap {
+		if x.onXfer == nil {
+			x.onXfer = x.xferDone
+		}
+		x.xferID = x.eng.Register(x.onXfer)
+	}
+	x.stages, x.slab = x.stages[:0], x.slab[:0]
+	if x.backFirst {
+		x.ringCap = int32(cfg.InFlight)
+		x.stages = append(x.stages, make([]vstage, x.kv)...)
+		x.slab = slices.Grow(x.slab, 2*x.kv*cfg.InFlight)[:2*x.kv*cfg.InFlight]
+	}
+}
+
 // Devices returns the per-GPU compute resources, for utilization reports.
-func (x *Executor) Devices() []*sim.Resource { return x.gpus }
+func (x *Executor) Devices() []*sim.Resource { return x.gpus[:x.k] }
 
 // gpu is the device hosting virtual stage vs, vs % k, without paying the
 // division on a contiguous plan's k stages.

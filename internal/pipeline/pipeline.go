@@ -73,6 +73,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/partition"
@@ -192,42 +193,64 @@ type Pipeline struct {
 	// pipeline.
 	wave                                   bool
 	waveFirst, waveSize, waveLeft, waveFwd int
+
+	onDone, onEnd func(p int) // complete and forwardLanded, bound once
 }
 
 // New builds the pipeline on the engine. Start must be called to begin.
 func New(eng *sim.Engine, cfg Config) (*Pipeline, error) {
+	pl := new(Pipeline)
+	if err := pl.Reset(eng, cfg); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// Reset makes pl the pipeline New(eng, cfg) builds, in the storage pl already
+// has: a kept pipeline (core's warm co-simulation, a planning context's Fork)
+// re-runs without rebuilding its devices, rings and tables. The zero Pipeline
+// is ready to Reset. eng must be fresh or Reset since the pipeline's last run
+// on it, because the executor registers its handlers on it again. On error
+// the pipeline is unchanged.
+func (pl *Pipeline) Reset(eng *sim.Engine, cfg Config) error {
 	if cfg.Plan == nil {
-		return nil, fmt.Errorf("pipeline: nil plan")
+		return fmt.Errorf("pipeline: nil plan")
 	}
 	if cfg.Minibatches < 1 {
-		return nil, fmt.Errorf("pipeline: need at least one minibatch")
+		return fmt.Errorf("pipeline: need at least one minibatch")
 	}
 	if cfg.Warmup >= cfg.Minibatches {
-		return nil, fmt.Errorf("pipeline: warmup %d >= total %d", cfg.Warmup, cfg.Minibatches)
+		return fmt.Errorf("pipeline: warmup %d >= total %d", cfg.Warmup, cfg.Minibatches)
 	}
 	cfg.Schedule = sched.Or(cfg.Schedule)
 	if cfg.Plan.InterleaveDegree() > 1 && !cfg.Schedule.SupportsInterleave() {
-		return nil, fmt.Errorf("pipeline: schedule %q cannot run an interleaved plan (V=%d)",
+		return fmt.Errorf("pipeline: schedule %q cannot run an interleaved plan (V=%d)",
 			cfg.Schedule.Name(), cfg.Plan.InterleaveDegree())
 	}
-	pl := &Pipeline{
+	if pl.onDone == nil {
+		pl.onDone, pl.onEnd, pl.x = pl.complete, pl.forwardLanded, new(Executor)
+	}
+	*pl = Pipeline{
 		cfg:      cfg,
 		eng:      eng,
+		x:        pl.x,
 		nm:       cfg.Schedule.InFlightCap(cfg.Plan.VirtualStages(), cfg.Plan.Nm),
 		batch:    cfg.Plan.Batch,
-		finished: make([]sim.Time, 0, cfg.Minibatches),
+		finished: slices.Grow(pl.finished[:0], cfg.Minibatches),
 		wave:     cfg.Schedule.Inject() == sched.InjectWave,
+		onDone:   pl.onDone,
+		onEnd:    pl.onEnd,
 	}
 	ec := ExecConfig{
-		Times: Times(cfg.Plan), GPUs: len(cfg.Plan.Stages),
+		Times: timesInto(pl.x.times, cfg.Plan), GPUs: len(cfg.Plan.Stages),
 		Schedule: cfg.Schedule, InFlight: pl.nm,
-		TaskTime: cfg.TaskTime, Trace: cfg.Trace, Done: pl.complete,
+		TaskTime: cfg.TaskTime, Trace: cfg.Trace, Done: pl.onDone,
 	}
 	if pl.wave {
-		ec.AtEnd = pl.forwardLanded
+		ec.AtEnd = pl.onEnd
 	}
-	pl.x = NewExecutor(eng, ec)
-	return pl, nil
+	pl.x.reset(eng, ec)
+	return nil
 }
 
 // Schedule reports the resolved execution discipline.
@@ -312,35 +335,41 @@ func (pl *Pipeline) complete(p int) {
 	pl.Poke()
 }
 
-// Result summarizes the run; call after the engine has drained.
-func (pl *Pipeline) Result() (*Result, error) {
-	return pl.result(Window{pl.cfg.Minibatches, pl.cfg.Warmup})
+// Measure reports the Result.Throughput and Result.Elapsed of a drained run
+// of window w's length (the Config's own, or a shorter one RunWindows
+// measures). It allocates nothing, so an owner that keeps the pipeline from
+// run to run reads its runs for free.
+func (pl *Pipeline) Measure(w Window) (throughput float64, elapsed sim.Time, err error) {
+	if pl.completed != w.Minibatches {
+		return 0, 0, fmt.Errorf("pipeline: %d of %d minibatches completed (deadlock or gate starvation)",
+			pl.completed, w.Minibatches)
+	}
+	elapsed = pl.finished[len(pl.finished)-1]
+	// Steady-state throughput: samples completed after warmup over the time
+	// from the warmup-th completion to the last.
+	if w.Warmup == 0 {
+		return float64(w.Minibatches*pl.batch) / float64(elapsed), elapsed, nil
+	}
+	span := float64(elapsed - pl.finished[w.Warmup-1])
+	if span <= 0 {
+		return 0, 0, fmt.Errorf("pipeline: degenerate measurement window")
+	}
+	return float64((w.Minibatches-w.Warmup)*pl.batch) / span, elapsed, nil
 }
 
 // result summarizes a drained run of window w's length.
 func (pl *Pipeline) result(w Window) (*Result, error) {
-	if pl.completed != w.Minibatches {
-		return nil, fmt.Errorf("pipeline: %d of %d minibatches completed (deadlock or gate starvation)",
-			pl.completed, w.Minibatches)
+	tp, elapsed, err := pl.Measure(w)
+	if err != nil {
+		return nil, err
 	}
-	r := &Result{Completions: pl.finished, Elapsed: pl.finished[len(pl.finished)-1]}
-	for _, g := range pl.x.Devices() {
-		u := float64(g.BusyTime()) / float64(r.Elapsed)
-		r.GPUUtil = append(r.GPUUtil, u)
+	r := &Result{Throughput: tp, Elapsed: elapsed, Completions: pl.finished, GPUUtil: make([]float64, pl.x.k)}
+	for g, dev := range pl.x.Devices() {
+		u := float64(dev.BusyTime()) / float64(elapsed)
+		r.GPUUtil[g] = u
 		if u > r.MaxGPUUtil {
 			r.MaxGPUUtil = u
 		}
 	}
-	// Steady-state throughput: samples completed after warmup over the time
-	// from the warmup-th completion to the last.
-	if w.Warmup == 0 {
-		r.Throughput = float64(w.Minibatches*pl.batch) / float64(r.Elapsed)
-		return r, nil
-	}
-	span := float64(r.Completions[len(r.Completions)-1] - r.Completions[w.Warmup-1])
-	if span <= 0 {
-		return nil, fmt.Errorf("pipeline: degenerate measurement window")
-	}
-	r.Throughput = float64((w.Minibatches-w.Warmup)*pl.batch) / span
 	return r, nil
 }

@@ -16,11 +16,13 @@ type Window struct{ Minibatches, Warmup int }
 // Fork is the state RunWindows saves where a shorter window stops injecting:
 // the engine's queue, every device, the executor's ready rings and the
 // pipeline's counters. It belongs to the caller, who hands the same Fork to
-// run after run so that saving allocates nothing once it has grown — the
-// state is deliberately not a field of Pipeline, which the WSP co-simulation
-// builds by the thousand and which would pay for it in every one.
+// run after run so that saving allocates nothing once it has grown; it also
+// keeps the pipeline those runs simulate, re-initialised for each run's
+// Config (Pipeline.Reset) on the same engine instead of built anew. The saved
+// state is deliberately not a field of Pipeline: the WSP co-simulation's
+// pipelines never fork.
 type Fork struct {
-	pl     *Pipeline
+	pl     Pipeline
 	budget int  // the window being run injects minibatches 1..budget
 	saved  bool // the state below is the fork point of that window
 
@@ -50,10 +52,10 @@ func (fk *Fork) admit(p int) bool {
 }
 
 func (fk *Fork) save() {
-	pl := fk.pl
+	pl := &fk.pl
 	pl.eng.Save(&fk.eng)
-	fk.gpus = slices.Grow(fk.gpus[:0], len(pl.x.gpus))[:len(pl.x.gpus)]
-	for g, dev := range pl.x.gpus {
+	fk.gpus = slices.Grow(fk.gpus[:0], pl.x.k)[:pl.x.k]
+	for g, dev := range pl.x.Devices() {
 		dev.Save(&fk.gpus[g])
 	}
 	fk.stages = append(fk.stages[:0], pl.x.stages...)
@@ -68,9 +70,9 @@ func (fk *Fork) save() {
 // was shorter than the in-flight cap the save happened in Start, outside any
 // handler, and the re-pick finds nothing new.)
 func (fk *Fork) resume(budget int) {
-	pl := fk.pl
+	pl := &fk.pl
 	pl.eng.Restore(&fk.eng)
-	for g, dev := range pl.x.gpus {
+	for g, dev := range pl.x.Devices() {
 		dev.Restore(&fk.gpus[g])
 	}
 	copy(pl.x.stages, fk.stages)
@@ -116,7 +118,9 @@ func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
 // with more than one window the schedule must inject by free slot (a wave's
 // size depends on how many minibatches remain) and InjectGate, OnComplete,
 // TaskTime and Trace must be nil — the drained tails would reach them twice.
-// One window is any Config RunOn accepts, and fk may be nil.
+// One window is any Config RunOn accepts, and fk may be nil. Every Result,
+// its Completions included, is the caller's: nothing in it is overwritten by
+// a later run on the same Fork.
 func RunWindows(eng *sim.Engine, cfg Config, windows []Window, fk *Fork, out []*Result) error {
 	if len(windows) == 0 || len(out) != len(windows) {
 		return fmt.Errorf("pipeline: %d windows to run into %d results", len(windows), len(out))
@@ -146,13 +150,14 @@ func RunWindows(eng *sim.Engine, cfg Config, windows []Window, fk *Fork, out []*
 		cfg.InjectGate = fk.admit
 	}
 	eng.Reset()
-	pl, err := New(eng, cfg)
+	if fk == nil {
+		fk = new(Fork) // a one-window run keeps its pipeline nowhere
+	}
+	pl := &fk.pl
+	fk.budget, fk.saved = windows[0].Minibatches, false
+	err := pl.Reset(eng, cfg)
 	if err != nil {
 		return err
-	}
-	if fk != nil {
-		fk.pl, fk.budget, fk.saved = pl, windows[0].Minibatches, false
-		defer func() { fk.pl = nil }()
 	}
 	pl.Start()
 	for i, w := range windows {
@@ -174,5 +179,8 @@ func RunWindows(eng *sim.Engine, cfg Config, windows []Window, fk *Fork, out []*
 			out[i].Completions = slices.Clone(out[i].Completions)
 		}
 	}
+	// The last window's Result keeps the completion buffer; a kept pipeline
+	// grows a new one for its next run.
+	pl.finished = nil
 	return nil
 }

@@ -164,3 +164,36 @@ func TestRunWindowsRestrictions(t *testing.T) {
 		}
 	}
 }
+
+// TestForkedRunsOwnTheirResults: a Fork keeps one pipeline for run after run,
+// and nothing a run hands out aliases it — a second, different run on the same
+// Fork leaves the first run's Results, completion times included, exactly as
+// they were.
+func TestForkedRunsOwnTheirResults(t *testing.T) {
+	eng := sim.New()
+	var fk Fork
+	first := make([]*Result, 2)
+	if err := RunWindows(eng, Config{Plan: handPlan(3, uniform(3, 1), uniform(3, 2), uniform(3, 0.25))},
+		[]Window{{6, 1}, {12, 2}}, &fk, first); err != nil {
+		t.Fatal(err)
+	}
+	kept := fk.pl.x
+	want := make([]Result, len(first))
+	for i, r := range first {
+		want[i] = *r
+		want[i].GPUUtil, want[i].Completions = slices.Clone(r.GPUUtil), slices.Clone(r.Completions)
+	}
+	second := make([]*Result, 2)
+	if err := RunWindows(eng, Config{Plan: handPlan(2, uniform(2, 3), uniform(2, 1), uniform(2, 0.5)), Schedule: sched.OneF1B},
+		[]Window{{5, 0}, {10, 4}}, &fk, second); err != nil {
+		t.Fatal(err)
+	}
+	if fk.pl.x != kept {
+		t.Error("the Fork's pipeline built a second executor on the same engine")
+	}
+	for i := range first {
+		if !reflect.DeepEqual(*first[i], want[i]) {
+			t.Errorf("window %d's Result changed under a later run on its Fork\n got %+v\nwant %+v", i, *first[i], want[i])
+		}
+	}
+}

@@ -1,12 +1,15 @@
 // Package prof is the command-line tools' profiling hook: a -cpuprofile flag
-// hands its value to StartCPU and defers the returned stop. It is stdlib
+// hands its value to StartCPU and defers the returned stop, and a -memprofile
+// flag hands its value to WriteAllocs once the work is done. It is stdlib
 // runtime/pprof and nothing else, off unless a path is given, and it touches
 // no result — a profiled run computes exactly what an unprofiled one does.
 package prof
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 )
 
@@ -33,4 +36,24 @@ func StartCPU(path string) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
+}
+
+// WriteAllocs writes the stdlib "allocs" profile to path: every allocation
+// the process has sampled since it started, at runtime.MemProfileRate, with
+// the call stack that made it (go tool pprof -sample_index=alloc_objects
+// counts them). It runs a garbage collection first, so that the profile
+// includes the allocations since the last one. An empty path writes nothing.
+func WriteAllocs(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		runtime.GC()
+		err = errors.Join(pprof.Lookup("allocs").WriteTo(f, 0), f.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("prof: %w", err)
+	}
+	return nil
 }

@@ -26,3 +26,19 @@ func TestStartCPU(t *testing.T) {
 		t.Fatalf("profile not written: %v", err)
 	}
 }
+
+func TestWriteAllocs(t *testing.T) {
+	if err := WriteAllocs(""); err != nil {
+		t.Fatalf("empty path: %v", err)
+	}
+	if err := WriteAllocs(filepath.Join(t.TempDir(), "missing", "mem.prof")); err == nil {
+		t.Fatal("unwritable path accepted")
+	}
+	path := filepath.Join(t.TempDir(), "mem.prof")
+	if err := WriteAllocs(path); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+		t.Fatalf("profile not written: %v", err)
+	}
+}

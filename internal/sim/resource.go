@@ -15,13 +15,14 @@ type Resource struct {
 	eng *Engine
 
 	busy      bool
+	doneID    int32 // engine handler id for done
 	busySince Time
 	busyTotal Duration
 	served    uint64
 	queue     []job
 	head      int
 	cur       job
-	doneID    int32       // engine handler id for jobDone
+	done      EventFunc   // jobDone, bound once so that Reset can register it again
 	funcs     []EventFunc // Register'd completion handlers, indexed by job.fn
 }
 
@@ -36,8 +37,19 @@ type job struct {
 // NewResource creates an idle resource attached to the engine.
 func NewResource(eng *Engine) *Resource {
 	r := &Resource{eng: eng}
-	r.doneID = eng.Register(r.jobDone)
+	r.done = r.jobDone
+	r.doneID = eng.Register(r.done)
 	return r
+}
+
+// Reset returns the resource to the idle, never-used state of NewResource on
+// its engine, which must have been Reset since (Engine.Reset drops the
+// resource's completion handler; Reset registers it again). The queue keeps
+// its capacity, so a kept resource serves run after run without reallocating.
+// Handlers registered with Register stay as they are.
+func (r *Resource) Reset() {
+	r.Restore(&SavedResource{})
+	r.doneID = r.eng.Register(r.done)
 }
 
 // SavedResource is a resource state taken by Resource.Save: the accounting,

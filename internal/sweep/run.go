@@ -16,8 +16,9 @@ import (
 // Options tunes a sweep run.
 type Options struct {
 	// Workers bounds the number of scenarios simulated concurrently;
-	// <= 0 means GOMAXPROCS. Each worker goroutine owns its scenario's
-	// discrete-event engine, so results are independent of the worker count.
+	// <= 0 means GOMAXPROCS. Each worker goroutine owns one warm
+	// co-simulation on its own discrete-event engine, so results are
+	// independent of the worker count.
 	Workers int
 	// OnResult, when non-nil, observes each finished scenario. Calls are
 	// serialized but arrive in completion order, not scenario order.
@@ -76,7 +77,8 @@ type Result struct {
 	// the sweep has no fault-free twin to compare against.
 	DegradationPct float64 `json:"degradationPct,omitempty"`
 	// Plans carries each virtual worker's partition plan (Plans[i].GPUs is
-	// virtual worker i's GPU mix).
+	// virtual worker i's GPU mix). It is built once per deployment family and
+	// shared, read-only, by every result of the family.
 	Plans []PlanSummary `json:"plans,omitempty"`
 }
 
@@ -145,13 +147,13 @@ func (o Options) ResolvedWorkers(n int) int {
 	return workers
 }
 
-// memo is a concurrent build-once cache keyed by a deployment spec: the
-// first caller of a key builds its value, every other caller — concurrent
-// ones included — waits for and shares it (errors too). built counts the
-// builds that actually ran, the reuse observability hook the tests assert on.
-type memo[V any] struct {
+// memo is a concurrent build-once cache: the first caller of a key builds its
+// value, every other caller — concurrent ones included — waits for and shares
+// it (errors too). built counts the builds that actually ran, the reuse
+// observability hook the tests assert on.
+type memo[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[core.Spec]*memoEntry[V]
+	entries map[K]*memoEntry[V]
 	built   atomic.Int64
 }
 
@@ -161,12 +163,12 @@ type memoEntry[V any] struct {
 	err  error
 }
 
-func (c *memo[V]) get(key core.Spec, build func(core.Spec) (V, error)) (V, error) {
+func (c *memo[K, V]) get(key K, build func(K) (V, error)) (V, error) {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
 		if c.entries == nil {
-			c.entries = make(map[core.Spec]*memoEntry[V])
+			c.entries = make(map[K]*memoEntry[V])
 		}
 		e = &memoEntry[V]{}
 		c.entries[key] = e
@@ -186,6 +188,19 @@ type family struct {
 	alloc *hw.Allocation
 }
 
+// resolved is a deployment family: the deployment at D = 0 and its partition
+// plans' summaries, which every result of the family shares.
+type resolved struct {
+	dep   *core.Deployment
+	plans []PlanSummary
+}
+
+// faultKey names a fault plan materialized for a worker count.
+type faultKey struct {
+	spec    string
+	workers int
+}
+
 // resolver caches what scenarios can share, at two levels, each keyed by the
 // scenario's core.Spec with the fields that level does not depend on zeroed.
 // The system level (Nm, D and placement zeroed) holds the profiled System
@@ -194,14 +209,17 @@ type family struct {
 // workers exactly once. The deployment level (D zeroed) holds the resolved
 // deployment: partition plans, Nm selection, and sync transfer times are all
 // D-independent, so one resolution serves every D value of the family via
-// core.Deployment.WithD. Resolution dominates a scenario's cost, and a grid
-// with a D axis of k values would otherwise repeat it k times per family.
-// The cache is safe for concurrent scenario workers (the resolved values are
-// read-only during simulation) and does not affect determinism: resolution
-// is a pure function of the key.
+// core.Deployment.WithD, and so do its plan summaries. Resolution dominates
+// a scenario's cost, and a grid with a D axis of k values would otherwise
+// repeat it k times per family. A third cache holds each fault spec parsed
+// and materialized per worker count, so a cell neither parses its plan nor
+// formats the plan's reports. The caches are safe for concurrent scenario
+// workers (the values are read-only during simulation) and do not affect
+// determinism: each value is a pure function of its key.
 type resolver struct {
-	systems     memo[family]
-	deployments memo[*core.Deployment]
+	systems     memo[core.Spec, family]
+	deployments memo[core.Spec, resolved]
+	faults      memo[faultKey, *fault.Plan]
 }
 
 // spec names the scenario's deployment the way every other entry point does.
@@ -226,21 +244,36 @@ func (r *resolver) system(sp core.Spec) (family, error) {
 }
 
 // deployment returns the family deployment for sp, resolving it on first
-// use, re-bound to the spec's D.
-func (r *resolver) deployment(sp core.Spec) (*core.Deployment, error) {
+// use, re-bound to the spec's D, and the family's plan summaries.
+func (r *resolver) deployment(sp core.Spec) (*core.Deployment, []PlanSummary, error) {
 	d := sp.D
 	sp.D = 0
-	dep, err := r.deployments.get(sp, func(sp core.Spec) (*core.Deployment, error) {
+	fam, err := r.deployments.get(sp, func(sp core.Spec) (fam resolved, err error) {
 		f, err := r.system(sp)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			fam.dep, err = sp.Deploy(f.sys, f.alloc)
 		}
-		return sp.Deploy(f.sys, f.alloc)
+		if err == nil {
+			fam.plans = planSummaries(fam.dep)
+		}
+		return fam, err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return dep.WithD(d)
+	dep, err := fam.dep.WithD(d)
+	return dep, fam.plans, err
+}
+
+// faultPlan returns the fault spec's plan materialized for a run of workers
+// virtual workers, parsing and materializing it on first use.
+func (r *resolver) faultPlan(spec string, workers int) (*fault.Plan, error) {
+	return r.faults.get(faultKey{spec, workers}, func(k faultKey) (p *fault.Plan, err error) {
+		if p, err = fault.Parse(k.spec); err == nil {
+			p, err = p.Materialize(k.workers)
+		}
+		return p, err
+	})
 }
 
 // Run expands the grid and simulates every scenario on a bounded worker
@@ -296,12 +329,13 @@ func each(ctx context.Context, scenarios []Scenario, opt Options, keep func(i in
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One warm discrete-event engine per worker goroutine: its arena
-			// and heap grow to the sweep's peak once and are reused (via
-			// Reset) for every scenario this worker draws.
-			eng := sim.New()
+			// One warm co-simulation per worker goroutine: its engine's
+			// arena and heap, its pipelines, devices and coordinator grow to
+			// the sweep's peak once and are re-initialised for every scenario
+			// this worker draws.
+			cs := core.NewCoSim(sim.New())
 			for i := range jobs {
-				r := runScenario(ctx, scenarios[i], res, eng)
+				r := runScenario(ctx, scenarios[i], res, cs)
 				keep(i, r)
 				if opt.OnResult != nil {
 					notify.Lock()
@@ -329,11 +363,11 @@ dispatch:
 // includes one. A pure post-pass over the finished results, so it cannot
 // perturb determinism.
 func fillDegradation(results []Result) {
-	baseline := make(map[string]float64)
+	baseline := make(map[Scenario]float64)
 	for i := range results {
 		r := &results[i]
 		if r.Scenario.Faults == "" && r.Error == "" && r.Scenario.SyncMode == SyncWSP {
-			baseline[r.Scenario.ID()] = r.Throughput
+			baseline[r.Scenario.twin()] = r.Throughput
 		}
 	}
 	for i := range results {
@@ -341,16 +375,16 @@ func fillDegradation(results []Result) {
 		if r.Scenario.Faults == "" || r.Error != "" {
 			continue
 		}
-		if base, ok := baseline[r.Scenario.baselineID()]; ok && base > 0 {
+		if base, ok := baseline[r.Scenario.twin()]; ok && base > 0 {
 			r.DegradationPct = (base - r.Throughput) / base * 100
 		}
 	}
 }
 
 // runScenario simulates one scenario: the shared family deployment (via the
-// resolver) plus a scenario-local discrete-event simulation on the worker's
-// warm engine.
-func runScenario(ctx context.Context, sc Scenario, res *resolver, eng *sim.Engine) Result {
+// resolver) plus a scenario-local simulation on the worker's warm
+// co-simulation — or, for a serving cell, on its engine.
+func runScenario(ctx context.Context, sc Scenario, res *resolver, cs *core.CoSim) Result {
 	out := Result{Scenario: sc}
 	fail := func(err error) Result {
 		out.Error = err.Error()
@@ -372,7 +406,7 @@ func runScenario(ctx context.Context, sc Scenario, res *resolver, eng *sim.Engin
 		}
 		return out
 	}
-	dep, err := res.deployment(sc.spec())
+	dep, plans, err := res.deployment(sc.spec())
 	if err != nil {
 		return fail(err)
 	}
@@ -381,16 +415,17 @@ func runScenario(ctx context.Context, sc Scenario, res *resolver, eng *sim.Engin
 	// key and the resolver's reuse is unaffected. The same holds for the
 	// traffic spec: a serving scenario drives the shared deployment with a
 	// request generator instead of the WSP training simulation.
-	plan, err := fault.Parse(sc.Faults)
+	plan, err := res.faultPlan(sc.Faults, len(dep.VWs))
 	if err != nil {
 		return fail(err)
 	}
+	out.Plans = plans
 	if sc.Traffic != "" {
 		tr, err := serve.ParseTraffic(sc.Traffic)
 		if err != nil {
 			return fail(err)
 		}
-		sr, err := serve.RunOn(ctx, eng, dep, tr, serve.Options{Faults: plan})
+		sr, err := serve.RunOn(ctx, cs.Engine(), dep, tr, serve.Options{Faults: plan})
 		if err != nil {
 			return fail(err)
 		}
@@ -403,14 +438,13 @@ func runScenario(ctx context.Context, sc Scenario, res *resolver, eng *sim.Engin
 		out.P99 = sr.Latency.P99
 		out.MeanBatchFill = sr.MeanBatchFill
 		out.FaultInjections = sr.FaultInjections
-		fillPlans(&out, dep)
 		return out
 	}
 	mbs := sc.MinibatchesPerVW
 	if mbs == 0 {
 		mbs = dep.DefaultMinibatches()
 	}
-	mr, err := dep.SimulateWSPFaultsOn(ctx, eng, mbs, 4*dep.Nm, nil, plan, 0)
+	mr, err := cs.Run(ctx, dep, mbs, 4*dep.Nm, nil, plan, 0)
 	if err != nil {
 		return fail(err)
 	}
@@ -425,14 +459,14 @@ func runScenario(ctx context.Context, sc Scenario, res *resolver, eng *sim.Engin
 	out.Pushes = mr.Pushes
 	out.MaxClockDistance = mr.MaxClockDistance
 	out.FaultInjections = mr.FaultInjections
-	fillPlans(&out, dep)
 	return out
 }
 
-// fillPlans copies the deployment's per-virtual-worker partition plans into
-// the result's serializable summaries; training and serving scenarios share
-// it, so both row kinds report the same plan shape.
-func fillPlans(out *Result, dep *core.Deployment) {
+// planSummaries renders the deployment's per-virtual-worker partition plans
+// as serializable summaries; training and serving scenarios share them, so
+// both row kinds report the same plan shape.
+func planSummaries(dep *core.Deployment) []PlanSummary {
+	out := make([]PlanSummary, 0, len(dep.VWs))
 	for _, vp := range dep.VWs {
 		ps := PlanSummary{GPUs: vp.VW.TypeString(), BottleneckSec: vp.Plan.Bottleneck}
 		for i := range vp.Plan.Stages {
@@ -445,6 +479,7 @@ func fillPlans(out *Result, dep *core.Deployment) {
 				MemoryCapBytes: st.MemoryCap,
 			})
 		}
-		out.Plans = append(out.Plans, ps)
+		out = append(out, ps)
 	}
+	return out
 }

@@ -57,8 +57,8 @@ func TestServingAxisExpansion(t *testing.T) {
 	if got := sc.ID(); !strings.HasSuffix(got, "/f:slow:w0:x4/t:poisson:r120:n400") {
 		t.Errorf("faulted serving ID = %s", got)
 	}
-	if got := sc.baselineID(); !strings.HasSuffix(got, "/nm2/t:poisson:r120:n400") {
-		t.Errorf("baseline ID = %s", got)
+	if twin := sc.twin(); !strings.HasSuffix(twin.ID(), "/nm2/t:poisson:r120:n400") {
+		t.Errorf("baseline ID = %s", twin.ID())
 	}
 }
 

@@ -2,23 +2,25 @@
 // a scenario grid — model zoo x cluster catalog x allocation policy x sync
 // mode x pipeline schedule x fault plan x serving traffic x staleness bound
 // D x concurrent-minibatch count Nm — into concrete simulation runs and
-// executes
-// them on a bounded worker pool, one deterministic discrete-event engine per
-// goroutine. Faulted scenarios report their throughput degradation against
-// the fault-free twin of the same configuration.
+// executes them on a bounded worker pool, one warm deterministic
+// co-simulation (core.CoSim) per goroutine. Faulted scenarios report their
+// throughput degradation against the fault-free twin of the same
+// configuration.
 //
 // HetPipe's contribution is itself a search over heterogeneous
 // configurations (which allocation policy, which D, which Nm for a given
 // model and cluster), and the paper's evaluation walks exactly such grids by
 // hand. This package makes that search a first-class, parallel operation:
 // every cell names its deployment with the core.Spec all entry points use,
-// and cells whose specs agree but for D share one resolved deployment —
-// partitioning and the auto-Nm sweep run once per family, not once per D
-// value (cells that also agree but for Nm and placement share the profiled
-// System and the allocation) — while each scenario's WSP simulation runs on
-// its own deterministic discrete-event engine, so a grid run with workers=8
-// produces byte-identical results to the same grid run serially — only
-// faster.
+// and cells whose specs agree but for D share one resolved deployment and its
+// plan summaries — partitioning and the auto-Nm sweep run once per family,
+// not once per D value (cells that also agree but for Nm and placement share
+// the profiled System and the allocation), and each fault spec is parsed
+// once. A scenario's WSP simulation re-initialises its worker's co-simulation
+// — pipelines, devices, coordinator — rather than building one, so a cell
+// allocates only its row; and since a warm run is bit-identical to a cold
+// one, a grid run with workers=8 produces byte-identical results to the same
+// grid run serially — only faster.
 //
 // Typical use:
 //
@@ -181,7 +183,7 @@ func (s *Scenario) ID() string {
 	schedule := s.Schedule
 	if s.Interleave > 1 {
 		// The V segment appears only for chunked placements, so every
-		// pre-interleave scenario ID (and baselineID) is unchanged.
+		// pre-interleave scenario ID is unchanged.
 		schedule = fmt.Sprintf("%s-v%d", s.Schedule, s.Interleave)
 	}
 	id := fmt.Sprintf("%s/%s/%s/%s/%s/%s/d%d/%s",
@@ -195,12 +197,14 @@ func (s *Scenario) ID() string {
 	return id
 }
 
-// baselineID is the scenario's ID with the fault axis stripped — the key a
-// faulted scenario's degradation is computed against.
-func (s *Scenario) baselineID() string {
+// twin is the scenario with its position and its fault axis cleared: equal
+// for a faulted scenario and its fault-free twin, and — like ID — unique
+// among a grid's fault-free scenarios, which differ in at least one other
+// field. It is the key a faulted scenario's degradation is computed against.
+func (s *Scenario) twin() Scenario {
 	c := *s
-	c.Faults = ""
-	return c.ID()
+	c.Index, c.Faults = 0, ""
+	return c
 }
 
 // Expand validates every axis value and returns the grid's scenarios in

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"hetpipe/internal/core"
+	"hetpipe/internal/sim"
 )
 
 // testGrid is small enough to simulate in well under a second but still
@@ -321,4 +324,37 @@ func TestRunContextCancellation(t *testing.T) {
 	if _, err := Run(ctx, testGrid(), Options{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Run(cancelled) = %v, want context.Canceled", err)
 	}
+}
+
+// TestWarmCellAllocs pins what a cell costs a warm sweep worker: its
+// deployment re-bound to its D and its co-simulation's MultiResult and PerVW,
+// the same three whatever its lock-step group count and whether it is
+// faulted. Everything else — pipelines, devices, coordinator, fault plan,
+// plan summaries — the worker or the resolver already has.
+func TestWarmCellAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	ctx := context.Background()
+	res, cs := new(resolver), core.NewCoSim(sim.New())
+	want := -1.0
+	for _, policy := range []string{"ED", "HD", "NP"} {
+		for _, faults := range []string{"", "slow:w0:x2"} {
+			sc := Scenario{Model: "vgg19", Cluster: "paper", SyncMode: SyncWSP, Schedule: "hetpipe-fifo",
+				Policy: policy, Placement: PlacementDefault, Faults: faults, D: 2, Nm: 4, Batch: 32}
+			if r := runScenario(ctx, sc, res, cs); r.Error != "" {
+				t.Fatalf("%s: %s", sc.ID(), r.Error)
+			}
+			got := testing.AllocsPerRun(20, func() { runScenario(ctx, sc, res, cs) })
+			if got > 3 {
+				t.Errorf("%s: a warm cell allocates %v times, want at most 3", sc.ID(), got)
+			}
+			if want < 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s: a warm cell allocates %v times, the first cell %v", sc.ID(), got, want)
+			}
+		}
+	}
+	t.Logf("a warm cell allocates %v times", want)
 }

@@ -123,14 +123,23 @@ type Coordinator struct {
 
 // NewCoordinator validates p and returns a fresh coordinator.
 func NewCoordinator(p Params) (*Coordinator, error) {
-	if err := p.Validate(); err != nil {
+	c := new(Coordinator)
+	if err := c.Reset(p); err != nil {
 		return nil, err
 	}
-	return &Coordinator{
-		params:  p,
-		pushed:  make([]int, p.Workers),
-		started: make([]int, p.Workers),
-	}, nil
+	return c, nil
+}
+
+// Reset validates p and returns c to NewCoordinator(p)'s state in the storage
+// it already has; on error c is unchanged.
+func (c *Coordinator) Reset(p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	c.params, c.maxDistance = p, 0
+	c.pushed = append(c.pushed[:0], make([]int, p.Workers)...)
+	c.started = append(c.started[:0], make([]int, p.Workers)...)
+	return nil
 }
 
 // Params returns the configuration.
