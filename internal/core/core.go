@@ -10,13 +10,14 @@
 //
 // Planning a deployment makes each distinct piece of work once. Deploy,
 // ChooseNm and SoloVW each open one planning context (planning.go): one
-// partitioner, one warm engine for the solo simulations, and a memo keyed
-// by (virtual-worker class, Nm), where a class is the sequence of GPU types
-// and link kinds around the worker — all a plan and its solo run depend on.
-// Workers of one class share one partition and one simulation per Nm, and
+// partitioner, one warm engine and Fork for the solo simulations, and a memo
+// keyed by (virtual-worker class, Nm), where a class is the sequence of GPU
+// types and link kinds around the worker — all a plan and its solo run depend
+// on. Workers of one class share one partition and one simulation per Nm, and
 // the per-worker pass after the Nm search is all memo hits; every worker
 // still receives a plan of its own, bound to its own GPUs. The only state
-// that outlives a context is the System's immutable cost tables.
+// that outlives a context is the System's immutable cost tables and the
+// engine and Fork, which the next context on the System reuses.
 //
 // The Nm search does only the planning its answer needs. It finds each
 // class's feasible range by planning Nm = 1, 2, ... up to the first that does
@@ -93,6 +94,10 @@ type System struct {
 	// would otherwise each rebuild them. tabMu guards the pointer.
 	tabMu sync.Mutex
 	tab   *profile.Tables
+	// kits is the solo-run scratch finished planning contexts handed back,
+	// for the next one to reuse; kitMu guards it.
+	kitMu sync.Mutex
+	kits  []*soloKit
 }
 
 // NewSystem validates and bundles the ingredients, under the default
@@ -191,6 +196,7 @@ func (d *Deployment) SLocal() int { return d.Nm - 1 }
 // warmup control the measurement window.
 func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWPlan, *pipeline.Result, error) {
 	pc := s.newPlanning()
+	defer pc.release()
 	sp := pc.planned(vw, nm)
 	if sp.err != nil {
 		return nil, nil, sp.err
@@ -209,11 +215,16 @@ func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWP
 // paper's "Nm is set such that performance is maximized" rule with the
 // constraint that every VW uses the same Nm.
 func (s *System) ChooseNm(alloc *hw.Allocation, cap int) (int, error) {
-	return s.newPlanning().chooseNm(alloc, cap)
+	pc := s.newPlanning()
+	defer pc.release()
+	return pc.chooseNm(alloc, cap)
 }
 
 func measureMB(nm int) int { return 40 + 10*nm }
 func warmupMB(nm int) int  { return 10 + 2*nm }
+
+// autoNmCap is the largest Nm Deploy's own search considers.
+const autoNmCap = 8
 
 // Deploy builds a HetPipe deployment over the allocation: one plan per
 // virtual worker at a common Nm (chosen automatically when nm == 0), with
@@ -246,8 +257,9 @@ func (s *System) Deploy(alloc *hw.Allocation, nm, d int, placement PlacementKind
 	// One planning context serves the Nm search and the per-worker pass, so
 	// the pass below finds every plan and solo run the search already made.
 	pc := s.newPlanning()
+	defer pc.release()
 	if nm == 0 {
-		chosen, err := pc.chooseNm(alloc, 8)
+		chosen, err := pc.chooseNm(alloc, autoNmCap)
 		if err != nil {
 			return nil, err
 		}

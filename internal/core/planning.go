@@ -19,24 +19,25 @@ import (
 // workers of one class (ED's four VRGQ workers, say) share one partition and
 // one simulation per Nm, and Deploy's per-worker pass finds what the Nm
 // search already made. The context owns everything mutable: one partitioner
-// (DP scratch), one warm engine, the memo. Nothing outlives it but the cost
-// tables, which the System shares because they are immutable.
+// (DP scratch), the solo runs' kit, the memo. Nothing outlives it but the cost
+// tables, which the System shares because they are immutable, and the kit,
+// which it hands back to the System for the next context.
 type planning struct {
 	sys *System
 	pt  *partition.Partitioner
-	eng *sim.Engine
-	// fork is where a solo run over several windows saves its state
-	// (pipeline.RunWindows); windows, results and group are soloRun's scratch.
-	fork    pipeline.Fork
-	windows []pipeline.Window
-	results []*pipeline.Result
-	group   []*soloPlan
+	kit *soloKit
 
 	classes [][]stageClass
 	sig     []stageClass // class's scratch
 	memo    map[soloKey]*soloPlan
 
-	soloSims, soloWindows, prunedNm int // Planning's counters the partitioner does not keep
+	soloSims, soloWindows, prunedNm, soloMB, skippedMB int // Planning's counters the partitioner does not keep
+}
+
+// soloWindow is one (class, Nm) a solo run measures.
+type soloWindow struct {
+	sp *soloPlan
+	nm int
 }
 
 // Planning counts the work one Deploy's planning context did. The counts are
@@ -58,6 +59,11 @@ type Planning struct {
 	// their round-trip bound (pipeline.ThroughputBound) could not reach the
 	// incumbent.
 	PrunedNm int
+	// SoloMB is the minibatches the solo simulations' windows cover (each
+	// run's longest window), and SkippedMB how many of them the runs jumped
+	// over instead of simulating, once their state repeated
+	// (pipeline.Fork.Skipped).
+	SoloMB, SkippedMB int
 }
 
 // stats reports what the context has done so far.
@@ -66,6 +72,7 @@ func (pc *planning) stats() Planning {
 	return Planning{
 		Solves: ps.Solves, Carried: ps.Carried, Infeasible: ps.Infeasible,
 		SoloWindows: pc.soloWindows, SoloSims: pc.soloSims, PrunedNm: pc.prunedNm,
+		SoloMB: pc.soloMB, SkippedMB: pc.skippedMB,
 	}
 }
 
@@ -103,13 +110,40 @@ func (s *System) tables() *profile.Tables {
 	return s.tab
 }
 
+// soloKit is the warm scratch of a context's solo runs: one engine, and the
+// Fork where a run over several windows saves its state and fast-forwards
+// (pipeline.RunWindows). Nothing a run returns points into it.
+type soloKit struct {
+	eng  *sim.Engine
+	fork pipeline.Fork
+}
+
 func (s *System) newPlanning() *planning {
-	return &planning{
+	pc := &planning{
 		sys:  s,
 		pt:   partition.NewShared(s.tables(), s.schedule(), s.Interleave),
-		eng:  sim.New(),
 		memo: make(map[soloKey]*soloPlan),
 	}
+	s.kitMu.Lock()
+	if n := len(s.kits); n > 0 {
+		pc.kit, s.kits = s.kits[n-1], s.kits[:n-1]
+	}
+	s.kitMu.Unlock()
+	if pc.kit == nil {
+		pc.kit = &soloKit{eng: sim.New()}
+	}
+	return pc
+}
+
+// release hands the context's kit back to its System, so that a System that
+// plans again — a sweep resolving family after family — runs on a warm one.
+// The context simulates nothing after it.
+func (pc *planning) release() {
+	s := pc.sys
+	s.kitMu.Lock()
+	s.kits = append(s.kits, pc.kit)
+	s.kitMu.Unlock()
+	pc.kit = nil
 }
 
 // class returns the index of vw's class, registering it when new. A
@@ -145,7 +179,7 @@ func (pc *planning) planned(vw *hw.VirtualWorker, nm int) *soloPlan {
 
 // simulate runs one solo pipeline on the context's warm engine.
 func (pc *planning) simulate(plan *partition.Plan, minibatches, warmup int) (*pipeline.Result, error) {
-	return pipeline.RunOn(pc.eng, pipeline.Config{
+	return pipeline.RunOn(pc.kit.eng, pipeline.Config{
 		Plan: plan, Schedule: pc.sys.Schedule,
 		Minibatches: minibatches, Warmup: warmup,
 	})
@@ -169,27 +203,33 @@ func (pc *planning) soloRun(vw *hw.VirtualWorker, nm int) (*soloPlan, error) {
 	if !sp.simulated {
 		class, sc := pc.class(vw), pc.sys.schedule()
 		cap := sc.InFlightCap(sp.plan.VirtualStages(), nm)
-		pc.windows, pc.results, pc.group = pc.windows[:0], pc.results[:0], pc.group[:0]
-		take := func(o *soloPlan, m int) {
-			pc.windows = append(pc.windows, pipeline.Window{Minibatches: measureMB(m), Warmup: warmupMB(m)})
-			pc.results = append(pc.results, nil)
-			pc.group = append(pc.group, o)
-		}
+		// The auto-Nm search's largest group fits these without allocating.
+		var groupBuf [autoNmCap]soloWindow
+		var windowsBuf [autoNmCap]pipeline.Window
+		var resultsBuf [autoNmCap]pipeline.Summary
+		group := groupBuf[:0]
 		for m := 1; m < nm; m++ {
 			if o := pc.memo[soloKey{class, m}]; o != nil && o.err == nil && !o.simulated &&
 				sc.InFlightCap(o.plan.VirtualStages(), m) == cap && pipeline.SameTimes(o.plan, sp.plan) {
-				take(o, m)
+				group = append(group, soloWindow{o, m})
 			}
 		}
-		take(sp, nm)
+		group = append(group, soloWindow{sp, nm})
+		windows, results := windowsBuf[:0], resultsBuf[:0]
+		for _, g := range group {
+			windows = append(windows, pipeline.Window{Minibatches: measureMB(g.nm), Warmup: warmupMB(g.nm)})
+			results = append(results, pipeline.Summary{})
+		}
 		pc.soloSims++
-		err := pipeline.RunWindows(pc.eng, pipeline.Config{Plan: sp.plan, Schedule: pc.sys.Schedule}, pc.windows, &pc.fork, pc.results)
-		for i, o := range pc.group {
-			o.simulated = true
+		pc.soloMB += measureMB(nm)
+		err := pipeline.RunWindows(pc.kit.eng, pipeline.Config{Plan: sp.plan, Schedule: pc.sys.Schedule}, windows, &pc.kit.fork, results)
+		pc.skippedMB += pc.kit.fork.Skipped()
+		for i, g := range group {
+			g.sp.simulated = true
 			if err != nil {
-				o.simErr = err // a failed run fails every window it was taking
+				g.sp.simErr = err // a failed run fails every window it was taking
 			} else {
-				o.throughput, o.maxUtil = pc.results[i].Throughput, pc.results[i].MaxGPUUtil
+				g.sp.throughput, g.sp.maxUtil = results[i].Throughput, results[i].MaxGPUUtil
 			}
 		}
 	}
@@ -214,16 +254,11 @@ func (pc *planning) solo(vw *hw.VirtualWorker, nm int) (*VWPlan, error) {
 	return &VWPlan{VW: vw, Plan: sp.plan.Rebind(vw), Throughput: sp.throughput, MaxUtil: sp.maxUtil}, nil
 }
 
-// pruneMargin is the relative slack chooseNm leaves when it compares a sum of
-// bounds with a sum of simulated throughputs. The bound is exact in real
-// arithmetic; the simulator adds the same durations in another order, and
-// the worst ratio over the oracle's thousands of random cases reads
-// 1 + 7e-14.
-const pruneMargin = 1e-9
-
 // bound sums the workers' round-trip bounds over the standard window at an
 // nm every worker has a plan for, in the order chooseNm sums their simulated
-// throughputs.
+// throughputs. Each bound is at least its worker's throughput bit for bit
+// (pipeline.ThroughputBound), and rounding is monotone, so the sum is at least
+// the simulated total too.
 func (pc *planning) bound(alloc *hw.Allocation, nm int) float64 {
 	total := 0.0
 	for _, vw := range alloc.VWs {
@@ -258,7 +293,7 @@ func (pc *planning) chooseNm(alloc *hw.Allocation, cap int) (int, error) {
 	// answer is the ascending search's: the lowest Nm among the best totals.
 	bestNm, bestTp := 0, -1.0
 	for nm := limit; nm >= 1; nm-- {
-		if bestNm != 0 && pc.bound(alloc, nm)*(1+pruneMargin) < bestTp {
+		if bestNm != 0 && pc.bound(alloc, nm) < bestTp {
 			pc.prunedNm++
 			continue
 		}

@@ -298,6 +298,8 @@ func (p *Planning) add(q Planning) {
 	p.SoloWindows += q.SoloWindows
 	p.SoloSims += q.SoloSims
 	p.PrunedNm += q.PrunedNm
+	p.SoloMB += q.SoloMB
+	p.SkippedMB += q.SkippedMB
 }
 
 // TestPlanningCounts pins what resolving a deployment costs, as Deployment
@@ -314,16 +316,17 @@ func TestPlanningCounts(t *testing.T) {
 		// windows at Nm 8..4 leave an incumbent that rules out Nm 3, 2 and 1.
 		// Under fifo the in-flight cap is Nm and each window is its own run;
 		// under 1f1b the cap is the depth, 4, and one run serves all five.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, SoloWindows: 5, SoloSims: 5, PrunedNm: 3}},
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, SoloWindows: 5, SoloSims: 1, PrunedNm: 3}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, SoloWindows: 5, SoloSims: 5, PrunedNm: 3, SoloMB: 500, SkippedMB: 226}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, SoloWindows: 5, SoloSims: 1, PrunedNm: 3, SoloMB: 120, SkippedMB: 84}},
 		// A fill-drain wave stashes Nm activations on every stage: Nm=7 no
 		// longer fits, and the probe that finds out is the scan's last.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, SoloWindows: 5, SoloSims: 5, PrunedNm: 1}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, SoloWindows: 5, SoloSims: 5, PrunedNm: 1, SoloMB: 400, SkippedMB: 295}},
 		// Four workers of four classes, memory to spare: one solve per class.
-		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 5, Planning{Solves: 4, Carried: 28, SoloWindows: 28, SoloSims: 28, PrunedNm: 1}},
+		// Nm 2 and 5 tie exactly, and the lowest wins.
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 2, Planning{Solves: 4, Carried: 28, SoloWindows: 28, SoloSims: 28, PrunedNm: 1, SoloMB: 2520, SkippedMB: 2015}},
 		// Nm given: one plan and one solo run per class, nothing to search.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, SoloWindows: 1, SoloSims: 1}},
-		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, SoloWindows: 4, SoloSims: 4}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, SoloWindows: 1, SoloSims: 1, SoloMB: 60, SkippedMB: 48}},
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, SoloWindows: 4, SoloSims: 4, SoloMB: 240, SkippedMB: 208}},
 	} {
 		s, alloc := tc.pc.build(t)
 		dep, err := s.Deploy(alloc, tc.nm, 0, PlacementDefault)
@@ -336,9 +339,9 @@ func TestPlanningCounts(t *testing.T) {
 		}
 	}
 	// hetperf plan-cold's 108 systems with Nm chosen: what the planner skips
-	// (carried plans, pruned Nm) and what its solo runs share must not drift
-	// unseen. Every window is read exactly once per class and Nm, whichever
-	// run took it.
+	// (carried plans, pruned Nm, repeating minibatches) and what its solo runs
+	// share must not drift unseen. Every window is read exactly once per class
+	// and Nm, whichever run took it, and most of what the runs cover repeats.
 	var total Planning
 	for _, pc := range planCases(false) {
 		s, alloc := pc.build(t)
@@ -348,15 +351,18 @@ func TestPlanningCounts(t *testing.T) {
 		}
 		total.add(dep.Planning)
 	}
-	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, SoloWindows: 1140, SoloSims: 740, PrunedNm: 306}); total != want {
+	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, SoloWindows: 1140, SoloSims: 740, PrunedNm: 306, SoloMB: 72300, SkippedMB: 45198}); total != want {
 		t.Errorf("108 systems: %+v, want %+v", total, want)
+	}
+	if total.SkippedMB*10 < total.SoloMB*6 {
+		t.Errorf("108 systems: %d of %d minibatches skipped, want 60 %%", total.SkippedMB, total.SoloMB)
 	}
 }
 
 // TestChooseNmOnHandBuiltThroughputs drives the Nm search over solo figures
 // written into the memo by hand (paper/ED: four workers of one class, so one
 // entry per Nm), where the outcomes that matter can be placed exactly: ties,
-// failed simulations, and a run that rounding put a hair above its bound.
+// failed simulations, and a run exactly at its bound.
 func TestChooseNmOnHandBuiltThroughputs(t *testing.T) {
 	s := sys(t, model.ResNet152())
 	alloc, err := hw.Allocate(s.Cluster, hw.EqualDistribution)
@@ -382,10 +388,10 @@ func TestChooseNmOnHandBuiltThroughputs(t *testing.T) {
 		{name: "best at the top", tp: [9]float64{1: .1, 2: .2, 3: .3, 4: .4, 5: .5, 6: .6, 7: .7, 8: .8}, want: 8},
 		{name: "failed sims are skipped", tp: [9]float64{1: .1, 2: .2, 3: 9, 4: .2, 5: .7, 6: .7, 7: .1, 8: 9}, bad: []int{3, 8}, want: 5},
 		{name: "every sim fails", bad: []int{1, 2, 3, 4, 5, 6, 7, 8}, want: 0},
-		// Nm=1 runs at its bound (the oracle pins that to 1e-12, not to the
-		// bit), here 2e-13 above it and level with the incumbent from Nm=8:
-		// it must still be evaluated, and as the lowest Nm it must win.
-		{name: "a run a rounding above its bound", tp: [9]float64{1: bound1 * (1 + 2e-13), 2: .1, 3: .1, 4: .1, 5: .1, 6: .1, 7: .1, 8: bound1 * (1 + 2e-13)}, want: 1},
+		// Nm=1 runs at its bound, bit for bit (the round-trip oracle pins it),
+		// level with the incumbent from Nm=8: a bound equal to the incumbent
+		// is not below it, so Nm=1 is evaluated, and as the lowest Nm it wins.
+		{name: "a run at its bound", tp: [9]float64{1: bound1, 2: .1, 3: .1, 4: .1, 5: .1, 6: .1, 7: .1, 8: bound1}, want: 1},
 	} {
 		pc := s.newPlanning()
 		for nm := 1; nm <= 8; nm++ {

@@ -96,7 +96,7 @@ func BenchmarkRunWindows(b *testing.B) {
 	b.Run("forked", func(b *testing.B) {
 		eng := sim.New()
 		var fk Fork
-		out := make([]*Result, len(windows))
+		out := make([]Summary, len(windows))
 		for i := 0; i < b.N; i++ {
 			if err := RunWindows(eng, cfg, windows, &fk, out); err != nil {
 				b.Fatal(err)

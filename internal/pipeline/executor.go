@@ -20,8 +20,11 @@ type StageTime struct {
 }
 
 // Times builds a plan's time table: one row per virtual stage, chunk vs/k of
-// stage vs%k. The caller may scale rows before handing the table to
-// NewExecutor (serving stretches RecvAct by a degraded link's factor).
+// stage vs%k, every entry rounded to a multiple of sim.Quantum. That rounding
+// (at most half a quantum, about 0.45 ps, per entry) is what makes a run's
+// times exact sums (package sim), and with them its steady state decidable
+// (Fork). The caller may scale rows before handing the table to NewExecutor
+// (serving stretches RecvAct by a degraded link's factor).
 func Times(plan *partition.Plan) []StageTime { return timesInto(nil, plan) }
 
 // timesInto is Times in dst's storage.
@@ -35,8 +38,15 @@ func timesInto(dst []StageTime, plan *partition.Plan) []StageTime {
 
 func timesRow(plan *partition.Plan, vs int) StageTime {
 	c := plan.ChunkAt(vs)
-	return StageTime{Fwd: c.FwdTime, Bwd: c.BwdTime, RecvAct: c.RecvActTime, RecvGrad: c.RecvGradTime}
+	return StageTime{
+		Fwd: sim.Quantize(c.FwdTime), Bwd: sim.Quantize(c.BwdTime),
+		RecvAct: sim.Quantize(c.RecvActTime), RecvGrad: sim.Quantize(c.RecvGradTime),
+	}
 }
+
+// trip is the row's share of a lone minibatch's round trip: every task and
+// receive it charges, summed.
+func (t StageTime) trip() float64 { return t.Fwd + t.Bwd + t.RecvAct + t.RecvGrad }
 
 // SameInputs reports whether New reads the same pipeline out of plans a and
 // b: equal Nm and SameTimes. What else a plan carries — its GPUs, layer
@@ -304,6 +314,51 @@ func (x *Executor) pop(kind int32, vs int) int {
 	}
 	r.n--
 	return int(p)
+}
+
+// ringAt is the slab index of the i-th oldest entry of ring (vs, kind).
+func (x *Executor) ringAt(kind int32, vs int, i int32) int32 {
+	j := x.stages[vs].ring[kind].head + i
+	if j >= x.ringCap {
+		j -= x.ringCap
+	}
+	return (int32(2*vs)+kind)*x.ringCap + j
+}
+
+// appendState appends the pick state relative to minibatch base to dst:
+// per virtual stage its outstanding forwards and its two rings' minibatches,
+// oldest first, less base. Where the rings start in the slab is not state.
+func (x *Executor) appendState(dst []uint64, base int32) []uint64 {
+	for vs := range x.stages {
+		st := &x.stages[vs]
+		dst = append(dst, uint64(st.outstanding), uint64(st.ring[kindFwd].n)<<32|uint64(st.ring[kindBwd].n))
+		for kind := kindFwd; kind <= kindBwd; kind++ {
+			for i := range st.ring[kind].n {
+				dst = append(dst, uint64(uint32(x.slab[x.ringAt(kind, vs, i)]-base)))
+			}
+		}
+	}
+	return dst
+}
+
+// shift adds da to every minibatch number waiting in a ring (Fork's jump).
+func (x *Executor) shift(da int32) {
+	for vs := range x.stages {
+		for kind := kindFwd; kind <= kindBwd; kind++ {
+			for i := range x.stages[vs].ring[kind].n {
+				x.slab[x.ringAt(kind, vs, i)] += da
+			}
+		}
+	}
+}
+
+// stamped is the handler whose engine events carry (minibatch, instant),
+// for sim.Engine.AppendState and Shift: the overlapped transfers', if any.
+func (x *Executor) stamped() int32 {
+	if x.overlap {
+		return x.xferID
+	}
+	return -1
 }
 
 // tryGPU picks the next task for an idle GPU g across its chunk set: the

@@ -213,14 +213,15 @@ func forwardOnly(eng *sim.Engine, plan *partition.Plan, s sched.Schedule, window
 
 // TestForwardOnlyTraversalSum: with one microbatch in flight a forward-only
 // executor is a serial walk, so microbatch i completes at the running sum of
-// i traversals of (receive + forward) per stage — the same additions in the
-// same order, hence exactly. The pick decision must not matter: no backward
-// exists to prefer.
+// i traversals of (receive + forward) per stage of the time table (Times) —
+// exactly, since sums of its multiples of sim.Quantum are exact. The pick
+// decision must not matter: no backward exists to prefer.
 func TestForwardOnlyTraversalSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < oracleTrials; i++ {
 		k, n := 1+rng.Intn(8), 1+rng.Intn(16)
 		plan := handPlan(1, randTimes(rng, k), randTimes(rng, k), randTimes(rng, k))
+		times := Times(plan)
 		for _, s := range []sched.Schedule{sched.FIFO, sched.Overlap, sched.OneF1B, sched.GPipe} {
 			got, err := forwardOnly(sim.New(), plan, s, 1, n, nil)
 			if err != nil {
@@ -231,16 +232,8 @@ func TestForwardOnlyTraversalSum(t *testing.T) {
 			}
 			var now sim.Time
 			for mb := 0; mb < n; mb++ {
-				for vs := 0; vs < k; vs++ {
-					c := plan.ChunkAt(vs)
-					if s.OverlapRecv() {
-						if vs > 0 {
-							now += sim.Time(c.RecvActTime)
-						}
-						now += sim.Time(c.FwdTime)
-					} else {
-						now += sim.Time(c.RecvActTime + c.FwdTime)
-					}
+				for _, row := range times {
+					now += sim.Time(row.RecvAct + row.Fwd)
 				}
 				if got[mb] != now {
 					t.Fatalf("%s k=%d: microbatch %d done at %v, want %v", s.Name(), k, mb+1, got[mb], now)
@@ -255,9 +248,10 @@ func TestForwardOnlyTraversalSum(t *testing.T) {
 // partitioner for random workers of the doubled paper cluster (k in [1,8],
 // GPU types and PCIe/InfiniBand boundaries mixed freely), all six schedules,
 // interleaved also at V = 2, Nm in [1,10], over core's solo measurement window
-// and a random one. No run may report more than the bound; with one minibatch
-// in flight the run IS the bound; and enough runs must land within 2% of it
-// that the test cannot pass by the bound being loose.
+// and a random one. No run may report more than the bound, not by a bit; with
+// one minibatch in flight the run IS the bound, bit for bit; and enough runs
+// must land within 2% of it that the test cannot pass by the bound being
+// loose.
 func TestThroughputNeverExceedsRoundTripBound(t *testing.T) {
 	c, err := hw.ClusterByName("paper-x2")
 	if err != nil {
@@ -313,11 +307,11 @@ func TestThroughputNeverExceedsRoundTripBound(t *testing.T) {
 						bound := ThroughputBound(plan, s, win[0], win[1])
 						ratio := res.Throughput / bound
 						id := fmt.Sprintf("round %d %s %s V=%d Nm=%d window %v", round, vw.TypeString(), name, v, nm, win)
-						if ratio > 1+1e-9 {
-							t.Fatalf("%s: simulated %.9g samples/s exceeds the bound %.9g (ratio 1 + %.3g)", id, res.Throughput, bound, ratio-1)
+						if ratio > 1 {
+							t.Fatalf("%s: simulated %.17g samples/s exceeds the bound %.17g (ratio 1 + %.3g)", id, res.Throughput, bound, ratio-1)
 						}
-						if nm == 1 && math.Abs(ratio-1) > 1e-12 {
-							t.Fatalf("%s: one minibatch in flight ran %.15g samples/s, bound %.15g", id, res.Throughput, bound)
+						if nm == 1 && res.Throughput != bound {
+							t.Fatalf("%s: one minibatch in flight ran %.17g samples/s, bound %.17g", id, res.Throughput, bound)
 						}
 						cases++
 						worst = max(worst, ratio)

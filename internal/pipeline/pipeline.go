@@ -68,6 +68,16 @@
 // bit-identical to that window's own run. Core's Nm search uses it for the Nm
 // values above a backward-first pipeline's depth, which are one pipeline
 // measured over windows of different lengths.
+//
+// A run also stops simulating once it repeats. The time table is rounded to
+// multiples of sim.Quantum (Times), so every time a run computes is an exact
+// sum, and a pipeline with none of Config's hooks is a function of its state
+// relative to (now, completed). When that state recurs exactly P completions
+// later, the run is periodic, and it jumps as many whole periods as its window
+// leaves room for — every pending event, device, ring and counter shifted,
+// every skipped completion time written — before simulating the window's end
+// and drain as always (steady.go). Each Result is bit for bit the fully
+// simulated one; a run with an identity TaskTime hook is that full simulation.
 package pipeline
 
 import (
@@ -117,16 +127,24 @@ type Config struct {
 	OnComplete func(p int, at sim.Time)
 }
 
-// Result summarizes a pipeline run.
-type Result struct {
+// Summary is what a run measures of one window.
+type Summary struct {
 	// Throughput is samples/second measured after warmup.
 	Throughput float64
 	// Elapsed is the simulated time at the last completion.
 	Elapsed sim.Time
-	// GPUUtil is per-stage device utilization over the whole run.
-	GPUUtil []float64
-	// MaxGPUUtil is the maximum entry of GPUUtil — the Figure 3 metric.
+	// MaxGPUUtil is the largest per-stage device utilization over the whole
+	// run — the Figure 3 metric.
 	MaxGPUUtil float64
+}
+
+// Result summarizes a pipeline run: its Summary, and what it is the summary
+// of.
+type Result struct {
+	Summary
+	// GPUUtil is per-stage device utilization over the whole run; MaxGPUUtil
+	// is its largest entry.
+	GPUUtil []float64
 	// Completions holds each minibatch's completion time, in order.
 	Completions []sim.Time
 }
@@ -138,7 +156,7 @@ type Result struct {
 //
 // Let l be the round trip of a lone minibatch: every forward, backward and
 // receive it threads on the K virtual stages, folded or overlapped, i.e. the
-// sum of Chunk.ExecTime. Let c be the schedule's in-flight cap and C[m] the
+// sum of the time table's rows (Times). Let c be the schedule's in-flight cap and C[m] the
 // time of the m-th completion. Under slot and under wave injection minibatch
 // m+c enters no earlier than C[m] and then needs at least l, so
 // C[m+c] >= C[m] + l, and a window of n = minibatches-warmup completions
@@ -152,11 +170,17 @@ type Result struct {
 // plan, with equality at Nm = 1; it is the period bound of a pipeline short
 // of minibatches, so it is tight below the pipeline's depth and loose on the
 // plateau above it, where the bottleneck stage rules instead.
+//
+// Below sim.Horizon it holds bit for bit, not just in real arithmetic: l and
+// every simulated time are exact sums of the table's multiples of
+// sim.Quantum, so the run's span is at least floor(n/c)*l exactly, and a
+// correctly rounded division by the larger of two numbers never gives the
+// larger quotient.
 func ThroughputBound(plan *partition.Plan, s sched.Schedule, minibatches, warmup int) float64 {
 	kv := plan.VirtualStages()
 	var trip float64
 	for vs := 0; vs < kv; vs++ {
-		trip += plan.ChunkAt(vs).ExecTime()
+		trip += timesRow(plan, vs).trip()
 	}
 	c := sched.Or(s).InFlightCap(kv, plan.Nm)
 	n := minibatches - warmup
@@ -193,6 +217,10 @@ type Pipeline struct {
 	// pipeline.
 	wave                                   bool
 	waveFirst, waveSize, waveLeft, waveFwd int
+
+	// fk is the Fork running the pipeline when its run is hook-free, and then
+	// fast-forwards it; nil otherwise.
+	fk *Fork
 
 	onDone, onEnd func(p int) // complete and forwardLanded, bound once
 }
@@ -333,6 +361,9 @@ func (pl *Pipeline) complete(p int) {
 		pl.cfg.OnComplete(p, pl.eng.Now())
 	}
 	pl.Poke()
+	if pl.fk != nil {
+		pl.fk.settle()
+	}
 }
 
 // Measure reports the Result.Throughput and Result.Elapsed of a drained run
@@ -357,19 +388,22 @@ func (pl *Pipeline) Measure(w Window) (throughput float64, elapsed sim.Time, err
 	return float64((w.Minibatches-w.Warmup)*pl.batch) / span, elapsed, nil
 }
 
-// result summarizes a drained run of window w's length.
-func (pl *Pipeline) result(w Window) (*Result, error) {
+// summary measures a drained run of window w's length.
+func (pl *Pipeline) summary(w Window) (Summary, error) {
 	tp, elapsed, err := pl.Measure(w)
 	if err != nil {
-		return nil, err
+		return Summary{}, err
 	}
-	r := &Result{Throughput: tp, Elapsed: elapsed, Completions: pl.finished, GPUUtil: make([]float64, pl.x.k)}
-	for g, dev := range pl.x.Devices() {
-		u := float64(dev.BusyTime()) / float64(elapsed)
-		r.GPUUtil[g] = u
-		if u > r.MaxGPUUtil {
-			r.MaxGPUUtil = u
+	s := Summary{Throughput: tp, Elapsed: elapsed}
+	for _, dev := range pl.x.Devices() {
+		if u := pl.util(dev); u > s.MaxGPUUtil {
+			s.MaxGPUUtil = u
 		}
 	}
-	return r, nil
+	return s, nil
+}
+
+// util is a device's utilization over a drained run.
+func (pl *Pipeline) util(dev *sim.Resource) float64 {
+	return float64(dev.BusyTime()) / float64(pl.finished[len(pl.finished)-1])
 }

@@ -98,18 +98,18 @@ func TestForkedWindowsEqualTheirOwnRuns(t *testing.T) {
 					if ws[0].Minibatches < cap {
 						inStart++
 					}
-					got := make([]*Result, len(ws))
+					got := make([]Summary, len(ws))
 					if err := RunWindows(eng, Config{Plan: plan, Schedule: s}, ws, &fk, got); err != nil {
 						t.Fatalf("round %d %s V=%d Nm=%d windows %v: %v", round, name, v, nm, ws, err)
 					}
 					for i, win := range ws {
-						want, err := RunOn(solo, Config{Plan: plan, Schedule: s, Minibatches: win.Minibatches, Warmup: win.Warmup})
+						res, err := RunOn(solo, Config{Plan: plan, Schedule: s, Minibatches: win.Minibatches, Warmup: win.Warmup})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !reflect.DeepEqual(got[i], want) {
+						if got[i] != res.Summary {
 							t.Fatalf("round %d %s %s V=%d Nm=%d (cap %d, depth %d) windows %v: window %d forked differs from its own run\n got %+v\nwant %+v",
-								round, vw.TypeString(), name, v, nm, cap, plan.VirtualStages(), ws, i, got[i], want)
+								round, vw.TypeString(), name, v, nm, cap, plan.VirtualStages(), ws, i, got[i], res.Summary)
 						}
 						windows++
 					}
@@ -154,10 +154,10 @@ func TestRunWindowsRestrictions(t *testing.T) {
 		{"empty window", Config{Plan: plan}, []Window{{0, 0}, {9, 2}}, &fk, "at least one minibatch"},
 		{"too few results", Config{Plan: plan}, append(two, Window{12, 3}), &fk, "3 windows to run into 2 results"},
 	} {
-		res := make([]*Result, min(len(tc.windows), 2))
+		res := make([]Summary, min(len(tc.windows), 2))
 		err := RunWindows(sim.New(), tc.cfg, tc.windows, tc.fk, res)
 		switch {
-		case tc.want == "" && (err != nil || slices.Contains(res, nil)):
+		case tc.want == "" && (err != nil || slices.Contains(res, Summary{})):
 			t.Errorf("%s: results %v, error %v", tc.name, res, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
@@ -165,35 +165,41 @@ func TestRunWindowsRestrictions(t *testing.T) {
 	}
 }
 
-// TestForkedRunsOwnTheirResults: a Fork keeps one pipeline for run after run,
-// and nothing a run hands out aliases it — a second, different run on the same
-// Fork leaves the first run's Results, completion times included, exactly as
-// they were.
+// TestForkedRunsOwnTheirResults: a Fork keeps one pipeline — its executor and
+// its completion buffer — for run after run, and what a run measures on it
+// does not depend on the runs before: each of two different runs, taken in
+// turn on one Fork and twice over, measures what it does on a fresh Fork.
 func TestForkedRunsOwnTheirResults(t *testing.T) {
+	runs := []struct {
+		cfg     Config
+		windows []Window
+	}{
+		{Config{Plan: handPlan(3, uniform(3, 1), uniform(3, 2), uniform(3, 0.25))}, []Window{{6, 1}, {12, 2}, {90, 7}}},
+		{Config{Plan: handPlan(2, uniform(2, 3), uniform(2, 1), uniform(2, 0.5)), Schedule: sched.OneF1B}, []Window{{5, 0}, {10, 4}, {70, 3}}},
+	}
 	eng := sim.New()
 	var fk Fork
-	first := make([]*Result, 2)
-	if err := RunWindows(eng, Config{Plan: handPlan(3, uniform(3, 1), uniform(3, 2), uniform(3, 0.25))},
-		[]Window{{6, 1}, {12, 2}}, &fk, first); err != nil {
-		t.Fatal(err)
-	}
-	kept := fk.pl.x
-	want := make([]Result, len(first))
-	for i, r := range first {
-		want[i] = *r
-		want[i].GPUUtil, want[i].Completions = slices.Clone(r.GPUUtil), slices.Clone(r.Completions)
-	}
-	second := make([]*Result, 2)
-	if err := RunWindows(eng, Config{Plan: handPlan(2, uniform(2, 3), uniform(2, 1), uniform(2, 0.5)), Schedule: sched.OneF1B},
-		[]Window{{5, 0}, {10, 4}}, &fk, second); err != nil {
-		t.Fatal(err)
-	}
-	if fk.pl.x != kept {
-		t.Error("the Fork's pipeline built a second executor on the same engine")
-	}
-	for i := range first {
-		if !reflect.DeepEqual(*first[i], want[i]) {
-			t.Errorf("window %d's Result changed under a later run on its Fork\n got %+v\nwant %+v", i, *first[i], want[i])
+	var kept *Executor
+	var buf *sim.Time
+	for pass := range 2 {
+		for i, r := range runs {
+			got := make([]Summary, len(r.windows))
+			if err := RunWindows(eng, r.cfg, r.windows, &fk, got); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]Summary, len(r.windows))
+			if err := RunWindows(sim.New(), r.cfg, r.windows, new(Fork), want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("pass %d run %d on a kept Fork\n got %+v\nwant %+v", pass, i, got, want)
+			}
 		}
+		if pass == 0 {
+			kept, buf = fk.pl.x, &fk.pl.finished[:1][0]
+		}
+	}
+	if fk.pl.x != kept || &fk.pl.finished[:1][0] != buf {
+		t.Error("the Fork's pipeline built a second executor or completion buffer")
 	}
 }

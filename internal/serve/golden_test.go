@@ -33,12 +33,12 @@ func TestGoldenPercentiles(t *testing.T) {
 		schedule      string
 		p50, p95, p99 string
 	}{
-		{"1f1b", "0.13691371497365934", "0.21087101963395138", "0.2481840296903286"},
-		{"2bw", "0.13691371497365934", "0.21087101963395138", "0.2481840296903286"},
-		{"gpipe", "0.13691371497365934", "0.21087101963395138", "0.2481840296903286"},
-		{"hetpipe-fifo", "0.13691371497365934", "0.21087101963395138", "0.2481840296903286"},
-		{"hetpipe-overlap", "0.1208161861900674", "0.2091625415873022", "0.248436845319012"},
-		{"interleaved", "0.1208161861900674", "0.2091625415873022", "0.248436845319012"},
+		{"1f1b", "0.13691371496879778", "0.21087101963318577", "0.24818402968864994"},
+		{"2bw", "0.13691371496879778", "0.21087101963318577", "0.24818402968864994"},
+		{"gpipe", "0.13691371496879778", "0.21087101963318577", "0.24818402968864994"},
+		{"hetpipe-fifo", "0.13691371496879778", "0.21087101963318577", "0.24818402968864994"},
+		{"hetpipe-overlap", "0.12081618618746681", "0.20916254158692027", "0.2484368453183885"},
+		{"interleaved", "0.12081618618746681", "0.20916254158692027", "0.2484368453183885"},
 	}
 	if len(golden) != len(sched.Names()) {
 		t.Fatalf("golden table covers %d schedules, registry has %d (%v)",

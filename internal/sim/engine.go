@@ -19,12 +19,39 @@
 // All durations and timestamps are in seconds of virtual time. The engine is
 // not safe for concurrent use; simulations are single-goroutine by design so
 // that results are deterministic.
+//
+// Time is a float64, and a simulation whose durations are all multiples of
+// Quantum (2^-40 s, Quantize) computes its times exactly: a multiple n*2^-40
+// below Horizon (2^13 s) has n < 2^53 and is a float64 exactly, the sum or
+// difference of two such is another, and IEEE arithmetic returns an exact
+// result whenever it is representable. Below the horizon, addition is then
+// associative, and a state shifted in time by a multiple of the quantum
+// evolves exactly as the unshifted one — which is what lets the pipeline skip
+// whole periods of a run that has begun to repeat (Engine.Shift,
+// Resource.Shift, AppendState). Durations that are not multiples of the
+// quantum (a fault's slowdown factor, a degraded serving link) still work;
+// their sums are merely rounded, as any float's are.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 )
+
+// Quantum is the grain of exact simulated time, 2^-40 s (about 0.9 ps).
+const Quantum = 1.0 / (1 << 40)
+
+// Horizon is the end of exact simulated time, 2^13 s (about 2.3 h): below
+// it, multiples of Quantum add and subtract without rounding.
+const Horizon Time = 1 << 13
+
+// Quantize rounds a duration in seconds to the nearest multiple of Quantum.
+// Scaling by a power of two is exact, so the only rounding is the one to an
+// integer count of quanta; a duration at or above Horizon is already a
+// multiple and passes unchanged.
+func Quantize(d float64) float64 { return math.Round(d*(1<<40)) / (1 << 40) }
 
 // Time is an instant in virtual time, in seconds since simulation start.
 type Time float64
@@ -57,10 +84,9 @@ const (
 	slotCancelled
 )
 
-// slot is one arena entry: the event's time, its Register'd handler id ef
-// and payload. It holds no pointer.
+// slot is one arena entry: the event's Register'd handler id ef and payload
+// (its time is its heap entry's). It holds no pointer.
 type slot struct {
-	at    Time
 	x     float64
 	a, b  int32
 	ef    int32
@@ -166,6 +192,98 @@ func (e *Engine) Restore(s *Saved) {
 	e.heap = append(e.heap[:0], s.heap...)
 }
 
+// AppendState appends the pending events to dst in the order they will fire,
+// relative to (Now, base), four words each: the time left until it fires, its
+// handler and b payload, its a payload and its x payload — for the events of
+// handler stamped, a less base and x less Now (their payload is a count and
+// an instant, as the pipeline's transfers' are; stamped < 0 names none). Two
+// states that append the same words fire the same events in the same order,
+// at the same times relative to their own clocks.
+//
+// It selects each next event by a scan of the heap rather than sorting a copy,
+// so it needs no scratch: quadratic, but a pipeline's queue is short and its
+// state is read in full only to confirm what StateHash hints at.
+func (e *Engine) AppendState(dst []uint64, stamped, base int32) []uint64 {
+	last := heapEnt{at: Time(math.Inf(-1))}
+	for {
+		next := -1
+		for i, ent := range e.heap {
+			if e.slots[ent.id].state == slotQueued && less(last, ent) && (next < 0 || less(ent, e.heap[next])) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return dst
+		}
+		last = e.heap[next]
+		w0, w1, w2, w3 := e.words(last, stamped, base)
+		dst = append(dst, w0, w1, w2, w3)
+	}
+}
+
+// StateHash folds the words AppendState would append into 64 bits without
+// ordering the events: a sum of one hash per event. States whose AppendState
+// agree hash alike, and so do states that differ only in the order of events
+// due at the same instant — a hint for a caller that confirms with
+// AppendState, at a fraction of its cost.
+func (e *Engine) StateHash(stamped, base int32) uint64 {
+	var h uint64
+	for _, ent := range e.heap {
+		if e.slots[ent.id].state == slotQueued {
+			w0, w1, w2, w3 := e.words(ent, stamped, base)
+			h += mix(w0, w1, w2, w3)
+		}
+	}
+	return h
+}
+
+// words is one pending event's part of AppendState.
+func (e *Engine) words(ent heapEnt, stamped, base int32) (w0, w1, w2, w3 uint64) {
+	s := &e.slots[ent.id]
+	a, x := s.a, s.x
+	if s.ef == stamped {
+		a, x = a-base, x-float64(e.now)
+	}
+	return math.Float64bits(float64(ent.at - e.now)), uint64(uint32(s.ef))<<32 | uint64(uint32(s.b)),
+		uint64(uint32(a)), math.Float64bits(x)
+}
+
+// mix hashes four words into one.
+func mix(w0, w1, w2, w3 uint64) uint64 {
+	h := w0*0x9e3779b97f4a7c15 ^ w1
+	h = bits.RotateLeft64(h, 31)*0xbf58476d1ce4e5b9 ^ w2
+	h = bits.RotateLeft64(h, 27)*0x94d049bb133111eb ^ w3
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>32
+}
+
+// Shift moves the clock and every pending event dt later, and adds da to the
+// a payload and dt to the x payload of handler stamped's events (as in
+// AppendState). Sequence numbers stay, so the events keep their firing order;
+// Fired counts only what fired. It reports false and changes nothing if the
+// latest shifted instant would reach Horizon, past which the shifted times
+// would no longer be the ones a run simulated that far computes.
+func (e *Engine) Shift(dt Time, stamped, da int32) bool {
+	last := e.now
+	for _, ent := range e.heap {
+		last = max(last, ent.at)
+	}
+	if last+dt >= Horizon {
+		return false
+	}
+	e.now += dt
+	for i := range e.heap {
+		ent := &e.heap[i]
+		ent.at += dt
+		if s := &e.slots[ent.id]; s.ef == stamped && s.state == slotQueued {
+			s.a += da
+			s.x += float64(dt)
+		}
+	}
+	return true
+}
+
 // alloc takes a slot from the free list, growing the arena when empty.
 //
 //hetlint:hotpath
@@ -268,7 +386,6 @@ func (e *Engine) schedule(t Time, ef, a, b int32, x float64) Handle {
 	e.seq++
 	id := e.alloc()
 	s := &e.slots[id]
-	s.at = t
 	s.ef = ef
 	s.a, s.b, s.x = a, b, x
 	s.state = slotQueued

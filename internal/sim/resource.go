@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Resource models a serially shared device (a GPU execution engine, a PCIe
 // lane, a network link): at most one job occupies it at a time, and queued
 // jobs are served in FIFO order.
@@ -77,6 +79,47 @@ func (r *Resource) Save(s *SavedResource) {
 func (r *Resource) Restore(s *SavedResource) {
 	r.busy, r.busySince, r.busyTotal, r.served, r.cur = s.busy, s.busySince, s.busyTotal, s.served, s.cur
 	r.queue, r.head = append(r.queue[:0], s.queue...), 0
+}
+
+// AppendState appends the resource's state relative to (its engine's Now,
+// base) to dst, the resource's half of Engine.AppendState: the waiting jobs'
+// count and whether one is in service, then how long it has been and that
+// job, then the waiting jobs — each as its hold, its a payload less base with
+// b, and its handler.
+func (r *Resource) AppendState(dst []uint64, base int32) []uint64 {
+	busy := uint64(0)
+	if r.busy {
+		busy = 1
+	}
+	dst = append(dst, uint64(r.QueueLen())<<1|busy)
+	if r.busy {
+		dst = append(dst, math.Float64bits(float64(r.eng.now-r.busySince)))
+		dst = r.cur.appendState(dst, base)
+	}
+	for _, j := range r.queue[r.head:] {
+		dst = j.appendState(dst, base)
+	}
+	return dst
+}
+
+func (j job) appendState(dst []uint64, base int32) []uint64 {
+	return append(dst, math.Float64bits(float64(j.hold)), uint64(uint32(j.a-base))<<32|uint64(uint32(j.b)), uint64(j.fn))
+}
+
+// Shift moves the resource dt later with its engine (Engine.Shift): the job
+// in service started dt later, every job's a payload grows by da, and busy
+// and served are added to the busy time and the count of jobs served — what
+// the stretch of the run the shift skips would have added.
+func (r *Resource) Shift(dt Time, da int32, busy Duration, served uint64) {
+	if r.busy {
+		r.busySince += dt
+		r.cur.a += da
+	}
+	r.busyTotal += busy
+	r.served += served
+	for i := r.head; i < len(r.queue); i++ {
+		r.queue[i].a += da
+	}
 }
 
 // Register binds a completion handler to the resource and returns its id for
