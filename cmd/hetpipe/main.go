@@ -117,8 +117,8 @@ func main() {
 			res.FaultInjections, dep.Faults(), dep.CheckpointEvery())
 	}
 	pl := dep.Planning()
-	fmt.Printf("  planning: %d partitions solved, %d carried, %d infeasible; %d solo sims for %d windows, %d Nm pruned; %d of %d minibatches skipped\n",
-		pl.Solves, pl.Carried, pl.Infeasible, pl.SoloSims, pl.SoloWindows, pl.PrunedNm, pl.SkippedMB, pl.SoloMB)
+	fmt.Printf("  planning: %d partitions solved, %d carried, %d infeasible; %d solo runs, %d Nm pruned; %d of %d minibatches skipped\n",
+		pl.Solves, pl.Carried, pl.Infeasible, pl.SoloWindows, pl.PrunedNm, pl.SkippedMB, pl.SoloMB)
 	for i, plan := range res.Plans {
 		fmt.Printf("  VW%d partition (bottleneck %.1f ms):\n", i+1, plan.Bottleneck*1e3)
 		for s, st := range plan.Stages {

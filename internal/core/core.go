@@ -10,14 +10,14 @@
 //
 // Planning a deployment makes each distinct piece of work once. Deploy,
 // ChooseNm and SoloVW each open one planning context (planning.go): one
-// partitioner, one warm engine and Fork for the solo simulations, and a memo
+// partitioner, one warm engine and Runner for the solo simulations, and a memo
 // keyed by (virtual-worker class, Nm), where a class is the sequence of GPU
 // types and link kinds around the worker — all a plan and its solo run depend
 // on. Workers of one class share one partition and one simulation per Nm, and
 // the per-worker pass after the Nm search is all memo hits; every worker
 // still receives a plan of its own, bound to its own GPUs. The only state
 // that outlives a context is the System's immutable cost tables and the
-// engine and Fork, which the next context on the System reuses.
+// engine and Runner, which the next context on the System reuses.
 //
 // The Nm search does only the planning its answer needs. It finds each
 // class's feasible range by planning Nm = 1, 2, ... up to the first that does
@@ -28,13 +28,11 @@
 // bound (pipeline.ThroughputBound, summed over the workers) is strictly
 // below the best total already simulated: the bound is tight where few
 // minibatches are in flight, so the top of the range rules out most of the
-// bottom. And one simulation serves every Nm of a class that is the same
-// pipeline but for the length of its measurement window — under the
-// backward-first schedules, whose in-flight cap is the pipeline's depth, every
-// Nm at or above it that kept its cuts (pipeline.RunWindows). All three are
-// exact — the same plans and the same Nm as the bisecting, simulate-everything
-// search the tests keep as referenceDeploy — and Deployment.Planning reports
-// how much of each a Deploy did.
+// bottom. And each solo run stops simulating once its state repeats, jumping
+// whole periods instead (pipeline.Runner). All three are exact — the same
+// plans and the same Nm as the bisecting, simulate-everything search the
+// tests keep as referenceDeploy — and Deployment.Planning reports how much of
+// each a Deploy did.
 //
 // What a co-simulation costs. SimulateWSP steps one pipeline per lock-step
 // group, not per virtual worker (multisim.go). A group is a maximal run of

@@ -299,26 +299,29 @@ func TestMalformedDeploymentIsAnError(t *testing.T) {
 		return &c
 	}
 	for _, tc := range []struct {
-		name string
-		dep  *Deployment
-		want string
+		name   string
+		dep    *Deployment
+		warmup int
+		want   string
 	}{
-		{"no workers", mutate(func(d *Deployment) { d.VWs = nil }), "core: empty deployment"},
-		{"no system", mutate(func(d *Deployment) { d.Sys = nil }), "core: deployment has no system"},
-		{"zero Nm", mutate(func(d *Deployment) { d.Nm = 0 }), "core: deployment Nm must be >= 1, got 0"},
-		{"short push times", mutate(func(d *Deployment) { d.PushTime = d.PushTime[:3] }), "core: deployment has 4 workers but 3 push times"},
-		{"no pull times", mutate(func(d *Deployment) { d.PullTime = nil }), "core: deployment has 4 workers but 0 pull times"},
-		{"extra worker", mutate(func(d *Deployment) { d.VWs = append(d.VWs, d.VWs[0]) }), "core: deployment has 5 workers but 4 push times"},
-		{"nil worker", mutate(func(d *Deployment) { d.VWs[2] = nil }), "core: deployment worker 2 has no plan"},
-		{"nil plan", mutate(func(d *Deployment) { d.VWs[1] = &VWPlan{VW: d.VWs[1].VW} }), "core: deployment worker 1 has no plan"},
+		{"no workers", mutate(func(d *Deployment) { d.VWs = nil }), 0, "core: empty deployment"},
+		{"no system", mutate(func(d *Deployment) { d.Sys = nil }), 0, "core: deployment has no system"},
+		{"zero Nm", mutate(func(d *Deployment) { d.Nm = 0 }), 0, "core: deployment Nm must be >= 1, got 0"},
+		{"short push times", mutate(func(d *Deployment) { d.PushTime = d.PushTime[:3] }), 0, "core: deployment has 4 workers but 3 push times"},
+		{"no pull times", mutate(func(d *Deployment) { d.PullTime = nil }), 0, "core: deployment has 4 workers but 0 pull times"},
+		{"extra worker", mutate(func(d *Deployment) { d.VWs = append(d.VWs, d.VWs[0]) }), 0, "core: deployment has 5 workers but 4 push times"},
+		{"nil worker", mutate(func(d *Deployment) { d.VWs[2] = nil }), 0, "core: deployment worker 2 has no plan"},
+		{"nil plan", mutate(func(d *Deployment) { d.VWs[1] = &VWPlan{VW: d.VWs[1].VW} }), 0, "core: deployment worker 1 has no plan"},
 		{"stage without chunks", mutate(func(d *Deployment) {
 			p := *d.VWs[3].Plan
 			p.Stages = append([]partition.Stage(nil), p.Stages...)
 			p.Stages[1].Chunks = nil
 			d.VWs[3] = &VWPlan{VW: d.VWs[3].VW, Plan: &p}
-		}), "core: deployment worker 3 stage 1 holds 0 chunks, want 1"},
+		}), 0, "core: deployment worker 3 stage 1 holds 0 chunks, want 1"},
+		// Measure reads completion warmup-1, so a negative one is refused first.
+		{"negative warmup", good, -1, "pipeline: warmup must be >= 0, got -1"},
 	} {
-		_, err := tc.dep.SimulateWSP(tc.dep.DefaultMinibatches(), 0)
+		_, err := tc.dep.SimulateWSP(tc.dep.DefaultMinibatches(), tc.warmup)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
 		}

@@ -237,7 +237,7 @@ func (c *CoSim) Run(ctx context.Context, d *Deployment, minibatchesPerVW, warmup
 		c.res.MaxClockDistance = c.coord.MaxClockDistance()
 		return c.res, err
 	}
-	return c.result(pipeline.Window{Minibatches: minibatchesPerVW, Warmup: warmup})
+	return c.result()
 }
 
 // check rejects a deployment the co-simulation would index out of range or
@@ -543,11 +543,11 @@ func (c *CoSim) pushed(g *lockGroup, wave int, by uint64) {
 
 // result folds the groups' pipeline measurements into the MultiResult, one
 // member at a time in worker order.
-func (c *CoSim) result(w pipeline.Window) (*MultiResult, error) {
+func (c *CoSim) result() (*MultiResult, error) {
 	res := c.res
 	res.PerVW = make([]float64, 0, len(c.d.VWs))
 	for _, g := range c.groups {
-		tp, elapsed, err := g.pipe.Measure(w)
+		tp, elapsed, err := g.pipe.Measure()
 		if err != nil {
 			return nil, fmt.Errorf("core: VW %d: %w", g.lo, err)
 		}

@@ -31,13 +31,7 @@ type planning struct {
 	sig     []stageClass // class's scratch
 	memo    map[soloKey]*soloPlan
 
-	soloSims, soloWindows, prunedNm, soloMB, skippedMB int // Planning's counters the partitioner does not keep
-}
-
-// soloWindow is one (class, Nm) a solo run measures.
-type soloWindow struct {
-	sp *soloPlan
-	nm int
+	soloWindows, prunedNm, soloMB, skippedMB int // Planning's counters the partitioner does not keep
 }
 
 // Planning counts the work one Deploy's planning context did. The counts are
@@ -49,20 +43,16 @@ type Planning struct {
 	// Infeasible the solves that found no memory-feasible split: the probe
 	// that ends each class's upward Nm scan.
 	Solves, Carried, Infeasible int
-	// SoloWindows is the solo measurements planning read: one per (class, Nm)
+	// SoloWindows is the solo runs planning simulated: one per (class, Nm)
 	// the Nm search did not prune, or one per class when Nm was given.
-	// SoloSims is the simulations run to take them — fewer, because one run
-	// serves every Nm of a class that is the same pipeline but for the length
-	// of its measurement window (pipeline.RunWindows).
-	SoloWindows, SoloSims int
+	SoloWindows int
 	// PrunedNm is the Nm values the search skipped without simulating because
 	// their round-trip bound (pipeline.ThroughputBound) could not reach the
 	// incumbent.
 	PrunedNm int
-	// SoloMB is the minibatches the solo simulations' windows cover (each
-	// run's longest window), and SkippedMB how many of them the runs jumped
-	// over instead of simulating, once their state repeated
-	// (pipeline.Fork.Skipped).
+	// SoloMB is the minibatches the solo runs' windows cover, and SkippedMB
+	// how many of them the runs jumped over instead of simulating, once their
+	// state repeated (pipeline.Runner.Skipped).
 	SoloMB, SkippedMB int
 }
 
@@ -71,7 +61,7 @@ func (pc *planning) stats() Planning {
 	ps := pc.pt.Stats()
 	return Planning{
 		Solves: ps.Solves, Carried: ps.Carried, Infeasible: ps.Infeasible,
-		SoloWindows: pc.soloWindows, SoloSims: pc.soloSims, PrunedNm: pc.prunedNm,
+		SoloWindows: pc.soloWindows, PrunedNm: pc.prunedNm,
 		SoloMB: pc.soloMB, SkippedMB: pc.skippedMB,
 	}
 }
@@ -92,9 +82,8 @@ type soloPlan struct {
 	// their own copy through Rebind. err is Partition's.
 	plan *partition.Plan
 	err  error
-	// The solo run over the standard window, once simulated; read says the
-	// search or the per-worker pass has asked for it (Planning.SoloWindows).
-	simulated, read     bool
+	// The solo run over the standard window, once simulated.
+	simulated           bool
 	throughput, maxUtil float64
 	simErr              error
 }
@@ -111,11 +100,11 @@ func (s *System) tables() *profile.Tables {
 }
 
 // soloKit is the warm scratch of a context's solo runs: one engine, and the
-// Fork where a run over several windows saves its state and fast-forwards
-// (pipeline.RunWindows). Nothing a run returns points into it.
+// Runner that keeps their pipeline and fast-forwards them. Nothing a run
+// returns points into it.
 type soloKit struct {
-	eng  *sim.Engine
-	fork pipeline.Fork
+	eng *sim.Engine
+	run pipeline.Runner
 }
 
 func (s *System) newPlanning() *planning {
@@ -186,56 +175,22 @@ func (pc *planning) simulate(plan *partition.Plan, minibatches, warmup int) (*pi
 }
 
 // soloRun is planned plus the class's solo simulation over the standard
-// measurement window, once.
-//
-// The simulation is shared with every smaller Nm of the class that is already
-// planned, not yet simulated, and the same pipeline: an equal time table and
-// an equal in-flight cap, which under the backward-first schedules is every
-// Nm at or above the pipeline's depth whose cuts the partitioner carried. Such
-// runs differ only in the length of their windows, and measureMB ascends in
-// Nm, so one RunWindows takes all their measurements. The search asks from
-// the top of the range down, so the first Nm asked for is its group's largest.
+// measurement window at nm, once.
 func (pc *planning) soloRun(vw *hw.VirtualWorker, nm int) (*soloPlan, error) {
 	sp := pc.planned(vw, nm)
 	if sp.err != nil {
 		return nil, sp.err
 	}
 	if !sp.simulated {
-		class, sc := pc.class(vw), pc.sys.schedule()
-		cap := sc.InFlightCap(sp.plan.VirtualStages(), nm)
-		// The auto-Nm search's largest group fits these without allocating.
-		var groupBuf [autoNmCap]soloWindow
-		var windowsBuf [autoNmCap]pipeline.Window
-		var resultsBuf [autoNmCap]pipeline.Summary
-		group := groupBuf[:0]
-		for m := 1; m < nm; m++ {
-			if o := pc.memo[soloKey{class, m}]; o != nil && o.err == nil && !o.simulated &&
-				sc.InFlightCap(o.plan.VirtualStages(), m) == cap && pipeline.SameTimes(o.plan, sp.plan) {
-				group = append(group, soloWindow{o, m})
-			}
-		}
-		group = append(group, soloWindow{sp, nm})
-		windows, results := windowsBuf[:0], resultsBuf[:0]
-		for _, g := range group {
-			windows = append(windows, pipeline.Window{Minibatches: measureMB(g.nm), Warmup: warmupMB(g.nm)})
-			results = append(results, pipeline.Summary{})
-		}
-		pc.soloSims++
-		pc.soloMB += measureMB(nm)
-		err := pipeline.RunWindows(pc.kit.eng, pipeline.Config{Plan: sp.plan, Schedule: pc.sys.Schedule}, windows, &pc.kit.fork, results)
-		pc.skippedMB += pc.kit.fork.Skipped()
-		for i, g := range group {
-			g.sp.simulated = true
-			if err != nil {
-				g.sp.simErr = err // a failed run fails every window it was taking
-			} else {
-				g.sp.throughput, g.sp.maxUtil = results[i].Throughput, results[i].MaxGPUUtil
-			}
-		}
-	}
-	if !sp.read {
-		sp.read = true
+		sp.simulated = true
 		pc.soloWindows++
+		pc.soloMB += measureMB(nm)
+		s, err := pc.kit.run.Run(pc.kit.eng, pipeline.Config{
+			Plan: sp.plan, Schedule: pc.sys.Schedule,
+			Minibatches: measureMB(nm), Warmup: warmupMB(nm),
+		})
+		pc.skippedMB += pc.kit.run.Skipped()
+		sp.throughput, sp.maxUtil, sp.simErr = s.Throughput, s.MaxGPUUtil, err
 	}
 	if sp.simErr != nil {
 		return nil, sp.simErr

@@ -296,7 +296,6 @@ func (p *Planning) add(q Planning) {
 	p.Carried += q.Carried
 	p.Infeasible += q.Infeasible
 	p.SoloWindows += q.SoloWindows
-	p.SoloSims += q.SoloSims
 	p.PrunedNm += q.PrunedNm
 	p.SoloMB += q.SoloMB
 	p.SkippedMB += q.SkippedMB
@@ -314,19 +313,19 @@ func TestPlanningCounts(t *testing.T) {
 		// Four VRGQ workers, one class: eight plans, of which the cuts change
 		// five times under fifo and three under 1f1b's smaller stashes; the
 		// windows at Nm 8..4 leave an incumbent that rules out Nm 3, 2 and 1.
-		// Under fifo the in-flight cap is Nm and each window is its own run;
-		// under 1f1b the cap is the depth, 4, and one run serves all five.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, SoloWindows: 5, SoloSims: 5, PrunedNm: 3, SoloMB: 500, SkippedMB: 226}},
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, SoloWindows: 5, SoloSims: 1, PrunedNm: 3, SoloMB: 120, SkippedMB: 84}},
+		// Under 1f1b the in-flight cap is the depth, 4, so the five runs are one
+		// pipeline over windows of 80 to 120 minibatches, each run on its own.
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, SoloWindows: 5, PrunedNm: 3, SoloMB: 500, SkippedMB: 226}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, SoloWindows: 5, PrunedNm: 3, SoloMB: 500, SkippedMB: 440}},
 		// A fill-drain wave stashes Nm activations on every stage: Nm=7 no
 		// longer fits, and the probe that finds out is the scan's last.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, SoloWindows: 5, SoloSims: 5, PrunedNm: 1, SoloMB: 400, SkippedMB: 295}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, SoloWindows: 5, PrunedNm: 1, SoloMB: 400, SkippedMB: 295}},
 		// Four workers of four classes, memory to spare: one solve per class.
 		// Nm 2 and 5 tie exactly, and the lowest wins.
-		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 2, Planning{Solves: 4, Carried: 28, SoloWindows: 28, SoloSims: 28, PrunedNm: 1, SoloMB: 2520, SkippedMB: 2015}},
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 2, Planning{Solves: 4, Carried: 28, SoloWindows: 28, PrunedNm: 1, SoloMB: 2520, SkippedMB: 2015}},
 		// Nm given: one plan and one solo run per class, nothing to search.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, SoloWindows: 1, SoloSims: 1, SoloMB: 60, SkippedMB: 48}},
-		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, SoloWindows: 4, SoloSims: 4, SoloMB: 240, SkippedMB: 208}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, SoloWindows: 1, SoloMB: 60, SkippedMB: 48}},
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, SoloWindows: 4, SoloMB: 240, SkippedMB: 208}},
 	} {
 		s, alloc := tc.pc.build(t)
 		dep, err := s.Deploy(alloc, tc.nm, 0, PlacementDefault)
@@ -339,9 +338,9 @@ func TestPlanningCounts(t *testing.T) {
 		}
 	}
 	// hetperf plan-cold's 108 systems with Nm chosen: what the planner skips
-	// (carried plans, pruned Nm, repeating minibatches) and what its solo runs
-	// share must not drift unseen. Every window is read exactly once per class
-	// and Nm, whichever run took it, and most of what the runs cover repeats.
+	// (carried plans, pruned Nm, repeating minibatches) must not drift unseen.
+	// Every class and Nm not pruned is one solo run, and most of what the runs
+	// cover repeats.
 	var total Planning
 	for _, pc := range planCases(false) {
 		s, alloc := pc.build(t)
@@ -351,7 +350,7 @@ func TestPlanningCounts(t *testing.T) {
 		}
 		total.add(dep.Planning)
 	}
-	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, SoloWindows: 1140, SoloSims: 740, PrunedNm: 306, SoloMB: 72300, SkippedMB: 45198}); total != want {
+	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, SoloWindows: 1140, PrunedNm: 306, SoloMB: 108860, SkippedMB: 78387}); total != want {
 		t.Errorf("108 systems: %+v, want %+v", total, want)
 	}
 	if total.SkippedMB*10 < total.SoloMB*6 {
@@ -408,8 +407,8 @@ func TestChooseNmOnHandBuiltThroughputs(t *testing.T) {
 		if (err != nil) != (tc.want == 0) || got != tc.want {
 			t.Errorf("%s: chose Nm=%d (%v), want %d", tc.name, got, err, tc.want)
 		}
-		if pc.soloSims != 0 {
-			t.Errorf("%s: %d real simulations ran over the hand-built memo", tc.name, pc.soloSims)
+		if pc.soloWindows != 0 {
+			t.Errorf("%s: %d real simulations ran over the hand-built memo", tc.name, pc.soloWindows)
 		}
 	}
 }

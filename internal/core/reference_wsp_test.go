@@ -266,7 +266,7 @@ func referenceSimulateWSP(ctx context.Context, d *Deployment, eng *sim.Engine, m
 		return nil, err
 	}
 	for w, p := range pipes {
-		tp, elapsed, err := p.Measure(pipeline.Window{Minibatches: minibatchesPerVW, Warmup: warmup})
+		tp, elapsed, err := p.Measure()
 		if err != nil {
 			return nil, fmt.Errorf("core: VW %d: %w", w, err)
 		}

@@ -23,8 +23,8 @@ type StageTime struct {
 // stage vs%k, every entry rounded to a multiple of sim.Quantum. That rounding
 // (at most half a quantum, about 0.45 ps, per entry) is what makes a run's
 // times exact sums (package sim), and with them its steady state decidable
-// (Fork). The caller may scale rows before handing the table to NewExecutor
-// (serving stretches RecvAct by a degraded link's factor).
+// (steady.go). The caller may scale rows before handing the table to
+// NewExecutor (serving stretches RecvAct by a degraded link's factor).
 func Times(plan *partition.Plan) []StageTime { return timesInto(nil, plan) }
 
 // timesInto is Times in dst's storage.
@@ -49,19 +49,12 @@ func timesRow(plan *partition.Plan, vs int) StageTime {
 func (t StageTime) trip() float64 { return t.Fwd + t.Bwd + t.RecvAct + t.RecvGrad }
 
 // SameInputs reports whether New reads the same pipeline out of plans a and
-// b: equal Nm and SameTimes. What else a plan carries — its GPUs, layer
-// ranges, memory figures — no simulation looks at, so under equal Configs two
-// such plans fire the same events at the same times.
+// b: equal Nm, stage count, interleave degree and batch, and equal time tables
+// (Times, element-wise). What else a plan carries — its GPUs, layer ranges,
+// memory figures — no simulation looks at, so under equal Configs two such
+// plans fire the same events at the same times.
 func SameInputs(a, b *partition.Plan) bool {
-	return a.Nm == b.Nm && SameTimes(a, b)
-}
-
-// SameTimes is SameInputs but for Nm: equal stage count, interleave degree
-// and batch, and equal time tables (Times, element-wise). New reads Nm only
-// into the schedule's in-flight cap, so two such plans under one cap are one
-// pipeline too.
-func SameTimes(a, b *partition.Plan) bool {
-	if len(a.Stages) != len(b.Stages) || a.InterleaveDegree() != b.InterleaveDegree() || a.Batch != b.Batch {
+	if a.Nm != b.Nm || len(a.Stages) != len(b.Stages) || a.InterleaveDegree() != b.InterleaveDegree() || a.Batch != b.Batch {
 		return false
 	}
 	for vs := range a.VirtualStages() {
@@ -341,7 +334,7 @@ func (x *Executor) appendState(dst []uint64, base int32) []uint64 {
 	return dst
 }
 
-// shift adds da to every minibatch number waiting in a ring (Fork's jump).
+// shift adds da to every minibatch number waiting in a ring (Runner.jump).
 func (x *Executor) shift(da int32) {
 	for vs := range x.stages {
 		for kind := kindFwd; kind <= kindBwd; kind++ {

@@ -58,18 +58,7 @@
 // (ThroughputBound: in-flight cap over the round trip of a lone minibatch),
 // which core's Nm search uses to skip simulations that cannot win.
 //
-// A run may measure several windows at once (RunWindows; RunOn is its
-// one-window call). Runs of one pipeline that differ only in how many
-// minibatches they process fire the same events until the shorter one has a
-// free slot and nothing left to inject, so the runner saves its whole state at
-// that moment into a caller-owned Fork (the engine's queue, every device, the
-// ready rings, the injection counters), lets the short window drain and
-// summarizes it, restores, and carries on into the next window — each Result
-// bit-identical to that window's own run. Core's Nm search uses it for the Nm
-// values above a backward-first pipeline's depth, which are one pipeline
-// measured over windows of different lengths.
-//
-// A run also stops simulating once it repeats. The time table is rounded to
+// A run stops simulating once it repeats. The time table is rounded to
 // multiples of sim.Quantum (Times), so every time a run computes is an exact
 // sum, and a pipeline with none of Config's hooks is a function of its state
 // relative to (now, completed). When that state recurs exactly P completions
@@ -78,6 +67,8 @@
 // every skipped completion time written — before simulating the window's end
 // and drain as always (steady.go). Each Result is bit for bit the fully
 // simulated one; a run with an identity TaskTime hook is that full simulation.
+// A Runner keeps the pipeline and that scratch from run to run; core's Nm
+// search takes every solo measurement on one.
 package pipeline
 
 import (
@@ -218,9 +209,9 @@ type Pipeline struct {
 	wave                                   bool
 	waveFirst, waveSize, waveLeft, waveFwd int
 
-	// fk is the Fork running the pipeline when its run is hook-free, and then
-	// fast-forwards it; nil otherwise.
-	fk *Fork
+	// runner is the Runner running the pipeline when its run is hook-free,
+	// and then fast-forwards it; nil otherwise.
+	runner *Runner
 
 	onDone, onEnd func(p int) // complete and forwardLanded, bound once
 }
@@ -235,9 +226,9 @@ func New(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 }
 
 // Reset makes pl the pipeline New(eng, cfg) builds, in the storage pl already
-// has: a kept pipeline (core's warm co-simulation, a planning context's Fork)
-// re-runs without rebuilding its devices, rings and tables. The zero Pipeline
-// is ready to Reset. eng must be fresh or Reset since the pipeline's last run
+// has: a kept pipeline (core's warm co-simulation, a Runner's) re-runs without
+// rebuilding its devices, rings and tables. The zero Pipeline is ready to
+// Reset. eng must be fresh or Reset since the pipeline's last run
 // on it, because the executor registers its handlers on it again. On error
 // the pipeline is unchanged.
 func (pl *Pipeline) Reset(eng *sim.Engine, cfg Config) error {
@@ -246,6 +237,9 @@ func (pl *Pipeline) Reset(eng *sim.Engine, cfg Config) error {
 	}
 	if cfg.Minibatches < 1 {
 		return fmt.Errorf("pipeline: need at least one minibatch")
+	}
+	if cfg.Warmup < 0 {
+		return fmt.Errorf("pipeline: warmup must be >= 0, got %d", cfg.Warmup)
 	}
 	if cfg.Warmup >= cfg.Minibatches {
 		return fmt.Errorf("pipeline: warmup %d >= total %d", cfg.Warmup, cfg.Minibatches)
@@ -361,36 +355,36 @@ func (pl *Pipeline) complete(p int) {
 		pl.cfg.OnComplete(p, pl.eng.Now())
 	}
 	pl.Poke()
-	if pl.fk != nil {
-		pl.fk.settle()
+	if pl.runner != nil {
+		pl.runner.settle()
 	}
 }
 
 // Measure reports the Result.Throughput and Result.Elapsed of a drained run
-// of window w's length (the Config's own, or a shorter one RunWindows
-// measures). It allocates nothing, so an owner that keeps the pipeline from
-// run to run reads its runs for free.
-func (pl *Pipeline) Measure(w Window) (throughput float64, elapsed sim.Time, err error) {
-	if pl.completed != w.Minibatches {
+// over the Config's window. It allocates nothing, so an owner that keeps the
+// pipeline from run to run reads its runs for free.
+func (pl *Pipeline) Measure() (throughput float64, elapsed sim.Time, err error) {
+	n, warmup := pl.cfg.Minibatches, pl.cfg.Warmup
+	if pl.completed != n {
 		return 0, 0, fmt.Errorf("pipeline: %d of %d minibatches completed (deadlock or gate starvation)",
-			pl.completed, w.Minibatches)
+			pl.completed, n)
 	}
 	elapsed = pl.finished[len(pl.finished)-1]
 	// Steady-state throughput: samples completed after warmup over the time
 	// from the warmup-th completion to the last.
-	if w.Warmup == 0 {
-		return float64(w.Minibatches*pl.batch) / float64(elapsed), elapsed, nil
+	if warmup == 0 {
+		return float64(n*pl.batch) / float64(elapsed), elapsed, nil
 	}
-	span := float64(elapsed - pl.finished[w.Warmup-1])
+	span := float64(elapsed - pl.finished[warmup-1])
 	if span <= 0 {
 		return 0, 0, fmt.Errorf("pipeline: degenerate measurement window")
 	}
-	return float64((w.Minibatches-w.Warmup)*pl.batch) / span, elapsed, nil
+	return float64((n-warmup)*pl.batch) / span, elapsed, nil
 }
 
-// summary measures a drained run of window w's length.
-func (pl *Pipeline) summary(w Window) (Summary, error) {
-	tp, elapsed, err := pl.Measure(w)
+// summary measures a drained run.
+func (pl *Pipeline) summary() (Summary, error) {
+	tp, elapsed, err := pl.Measure()
 	if err != nil {
 		return Summary{}, err
 	}

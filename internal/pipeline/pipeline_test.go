@@ -282,6 +282,10 @@ func TestPipelineConfigErrors(t *testing.T) {
 	if _, err := Run(Config{Plan: plan, Cluster: c, Perf: profile.Default(), Minibatches: 4, Warmup: 4}); err == nil {
 		t.Error("warmup >= total should fail")
 	}
+	// Measure reads completion Warmup-1, so a negative warmup is refused first.
+	if _, err := Run(Config{Plan: plan, Minibatches: 10, Warmup: -1}); err == nil || err.Error() != "pipeline: warmup must be >= 0, got -1" {
+		t.Errorf("negative warmup: error %v", err)
+	}
 }
 
 func TestGanttRenders(t *testing.T) {

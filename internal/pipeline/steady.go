@@ -11,13 +11,13 @@ import (
 // to lags completions are found.
 const lags = 64
 
-// steady is a hook-free run's fast-forward state, kept in its Fork.
+// steady is a hook-free run's fast-forward state, kept in its Runner.
 //
 // A hook-free pipeline is a deterministic function of its state relative to
 // (now, completed) — every pending event's time to go and payload, in firing
 // order, every device's job in service and queue, the ready rings, the
 // injection counters and the open wave, with minibatch numbers less
-// completed and instants less now (Fork.state). Its time table is in
+// completed and instants less now (Runner.state). Its time table is in
 // multiples of sim.Quantum, so below sim.Horizon every time it computes is
 // exact, and a state shifted by (T, P) evolves exactly as the original,
 // shifted by (T, P). If the state after completion c+P equals the one after
@@ -27,17 +27,15 @@ const lags = 64
 // pending event, device, ring, counter and busy total by (j*T, j*P) and
 // writing the skipped completion times — and simulates only the rest: the
 // jump stops at least a period and the in-flight cap short of the window's
-// budget, so the last injections, a shortened gpipe wave and the drain are
-// simulated as they always were.
+// end (Config.Minibatches), so the last injections, a shortened gpipe wave
+// and the drain are simulated as they always were.
 //
 // Detection: after each completion the relative state is hashed into a ring
 // of the last lags completions — the pending events by sim.Engine.StateHash,
 // which needs no ordering, the rest as the words state builds into cur. A hash
 // equal to the one P completions back is only a hint; the whole state, events
 // in firing order, is kept (snap) and compared word for word P completions
-// later, and only that exact match confirms the period. The confirmed period
-// stays for the rest of the run, so after a fork's resume the longer window
-// jumps at once.
+// later, and only that exact match confirms the period.
 type steady struct {
 	hashes [lags]uint32 // hashes[c%lags]: the hash of the state after completion c
 
@@ -69,7 +67,7 @@ type devMark struct {
 func (st *steady) reset(pl *Pipeline) {
 	st.hashes = [lags]uint32{}
 	st.cand, st.period, st.skipped = 0, 0, 0
-	if pl.fk == nil {
+	if pl.runner == nil {
 		return
 	}
 	n := 1 + 9*pl.x.k + 2*len(pl.x.stages) + 3*pl.nm
@@ -87,22 +85,17 @@ func (st *steady) reset(pl *Pipeline) {
 }
 
 // settle is the fast-forward step after a completion's injections: jump if a
-// period is confirmed, else record the state and look for one. A drain after
-// a fork's save never repeats and must not disturb what resume carries on
-// from, so it is skipped.
+// period is confirmed, else record the state and look for one.
 //
 //hetlint:hotpath
-func (fk *Fork) settle() {
-	st, pl := &fk.st, &fk.pl
-	if fk.saved {
-		return
-	}
+func (r *Runner) settle() {
+	st, pl := &r.st, &r.pl
 	if st.period > 0 {
-		fk.jump()
+		r.jump()
 		return
 	}
 	c, base, stamped := pl.completed, int32(pl.completed), pl.x.stamped()
-	st.cur = fk.state(st.cur[:0])
+	st.cur = r.state(st.cur[:0])
 	h := hashWords(st.cur) ^ pl.eng.StateHash(stamped, base)
 	h32 := uint32(h ^ h>>32)
 	full := false // st.cur holds the pending events too
@@ -115,7 +108,7 @@ func (fk *Fork) settle() {
 				m := &st.dev[g]
 				m.busy, m.served = dev.BusyTime()-m.busy, dev.Served()-m.served
 			}
-			fk.jump()
+			r.jump()
 			return
 		}
 		st.cand = 0
@@ -127,9 +120,9 @@ func (fk *Fork) settle() {
 			}
 			st.cand, st.lag, st.at = c, lag, pl.eng.Now()
 			st.snap, st.cur = st.cur, st.snap
-			fk.st.dev = fk.st.dev[:0]
+			r.st.dev = r.st.dev[:0]
 			for _, dev := range pl.x.Devices() {
-				fk.st.dev = append(fk.st.dev, devMark{dev.BusyTime(), dev.Served()})
+				r.st.dev = append(r.st.dev, devMark{dev.BusyTime(), dev.Served()})
 			}
 		}
 	}
@@ -140,10 +133,10 @@ func (fk *Fork) settle() {
 // for the engine's pending events: sim.Engine.StateHash folds those into the
 // hash without ordering them, and AppendState adds them in firing order to the
 // states settle compares. The wave fields are state only under wave
-// injection, where they move; no gate is waiting, since a hook-free run's only
-// gate is RunWindows', and settle does not run after it refuses.
-func (fk *Fork) state(dst []uint64) []uint64 {
-	pl := &fk.pl
+// injection, where they move; no gate is waiting, since a hook-free run has
+// none.
+func (r *Runner) state(dst []uint64) []uint64 {
+	pl := &r.pl
 	base := int32(pl.completed)
 	dst = append(dst, uint64(pl.injected-pl.completed)) // the in-flight count
 	if pl.wave {
@@ -155,13 +148,13 @@ func (fk *Fork) state(dst []uint64) []uint64 {
 	return pl.x.appendState(dst, base)
 }
 
-// jump skips as many whole confirmed periods as the window's budget leaves
-// room for, keeping a period and the in-flight cap of it to simulate, and
-// none if a shifted time would reach sim.Horizon.
-func (fk *Fork) jump() {
-	st, pl := &fk.st, &fk.pl
+// jump skips as many whole confirmed periods as the window leaves room for,
+// keeping a period and the in-flight cap of it to simulate, and none if a
+// shifted time would reach sim.Horizon.
+func (r *Runner) jump() {
+	st, pl := &r.st, &r.pl
 	p := st.period
-	j := (fk.budget - pl.injected - p - pl.nm) / p
+	j := (pl.cfg.Minibatches - pl.injected - p - pl.nm) / p
 	if j < 1 {
 		return
 	}

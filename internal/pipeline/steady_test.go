@@ -93,13 +93,13 @@ func ffCases(t *testing.T, rng *rand.Rand, rounds int) []ffCase {
 
 // TestFastForwardEqualsFullRun is the wall of fast-forwarding: a hook-free
 // run that jumps whole periods must equal its identity-hook twin, which
-// simulates every minibatch, bit for bit — RunOn's Result (throughput,
-// elapsed, every utilization and completion time), RunWindows' Summary per
-// window, the end state the Result does not show (every device's busy time
-// and jobs served, the clock), and the whole state right after the first jump
-// (sameStateAfterJump). Windows are 1 to 150 minibatches, one to four per run
-// under slot injection. And the jump must fire on at least 90 % of the runs
-// of 80 minibatches or more, or the wall proves nothing.
+// simulates every minibatch, bit for bit — the Summary of each run on one kept
+// Runner, RunOn's whole Result (throughput, elapsed, every utilization and
+// completion time), the end state the Result does not show (every device's
+// busy time and jobs served, the clock), and the whole state right after the
+// first jump (sameStateAfterJump). Each case takes one to three runs of 1 to
+// 150 minibatches. And the jump must fire on at least 90 % of the runs of 80
+// minibatches or more, or the wall proves nothing.
 //
 // Mutations tried against it, each caught: leaving unshifted the clock, the
 // pending events' times, a transfer's minibatch or start time, a device's
@@ -108,7 +108,7 @@ func ffCases(t *testing.T, rng *rand.Rand, rounds int) []ffCase {
 // first minibatch or the skipped completion times; dropping the horizon check.
 // The jump's margin is not among them: it keeps a period and the in-flight cap
 // to simulate so that the end of the window is always simulated, but a jump
-// that stops anywhere short of the budget would be exact too.
+// that stops anywhere short of the window's end would be exact too.
 func TestFastForwardEqualsFullRun(t *testing.T) {
 	rounds := 80
 	if testing.Short() {
@@ -116,75 +116,62 @@ func TestFastForwardEqualsFullRun(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(29))
 	engFast, engTwin := sim.New(), sim.New()
-	var fast, twin Fork
+	var fast, twin Runner
 	long, jumped, runs := 0, 0, 0
 	for _, tc := range ffCases(t, rng, rounds) {
-		ws := []Window{{1 + rng.Intn(150), 0}}
-		if tc.s.Inject() == sched.InjectSlot {
-			ws = ws[:0]
-			total := rng.Intn(40)
-			for range 1 + rng.Intn(4) {
-				if total += 1 + rng.Intn(50); total > 150 {
-					break
-				}
-				ws = append(ws, Window{total, 0})
+		var cfg Config
+		for range 1 + rng.Intn(3) {
+			n := 1 + rng.Intn(150)
+			cfg = Config{Plan: tc.plan, Schedule: tc.s, Minibatches: n, Warmup: rng.Intn(n)}
+			got, err := fast.Run(engFast, cfg)
+			if err != nil {
+				t.Fatalf("%s window (%d, %d): %v", tc.id, n, cfg.Warmup, err)
 			}
-		}
-		for i := range ws {
-			ws[i].Warmup = rng.Intn(ws[i].Minibatches)
-		}
-		got := make([]Summary, len(ws))
-		if err := RunWindows(engFast, Config{Plan: tc.plan, Schedule: tc.s}, ws, &fast, got); err != nil {
-			t.Fatalf("%s windows %v: %v", tc.id, ws, err)
-		}
-		for i, w := range ws {
-			var want [1]Summary
-			full := Config{Plan: tc.plan, Schedule: tc.s, TaskTime: identity}
-			if err := RunWindows(engTwin, full, []Window{w}, &twin, want[:]); err != nil {
+			full := cfg
+			full.TaskTime = identity
+			want, err := twin.Run(engTwin, full)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got[i] != want[0] {
-				t.Fatalf("%s windows %v: window %d fast-forwarded %+v, simulated %+v", tc.id, ws, i, got[i], want[0])
+			if got != want {
+				t.Fatalf("%s window (%d, %d): fast-forwarded %+v, simulated %+v", tc.id, n, cfg.Warmup, got, want)
 			}
-		}
-		if twin.Skipped() != 0 {
-			t.Fatalf("%s: a run with a TaskTime hook jumped %d minibatches", tc.id, twin.Skipped())
-		}
-		// The twin now holds the last window's full run: the fast run must have
-		// ended in its state.
-		if !reflect.DeepEqual(fast.pl.finished, twin.pl.finished) || engFast.Now() != engTwin.Now() {
-			t.Fatalf("%s windows %v: completions or clock differ from the full run", tc.id, ws)
-		}
-		for g, dev := range fast.pl.x.Devices() {
-			tw := twin.pl.x.Devices()[g]
-			if dev.BusyTime() != tw.BusyTime() || dev.Served() != tw.Served() {
-				t.Fatalf("%s windows %v: GPU %d busy %v for %d jobs, full run %v for %d", tc.id, ws, g,
-					dev.BusyTime(), dev.Served(), tw.BusyTime(), tw.Served())
+			if twin.Skipped() != 0 {
+				t.Fatalf("%s: a run with a TaskTime hook jumped %d minibatches", tc.id, twin.Skipped())
+			}
+			if !reflect.DeepEqual(fast.pl.finished, twin.pl.finished) || engFast.Now() != engTwin.Now() {
+				t.Fatalf("%s window (%d, %d): completions or clock differ from the full run", tc.id, n, cfg.Warmup)
+			}
+			for g, dev := range fast.pl.x.Devices() {
+				tw := twin.pl.x.Devices()[g]
+				if dev.BusyTime() != tw.BusyTime() || dev.Served() != tw.Served() {
+					t.Fatalf("%s window (%d, %d): GPU %d busy %v for %d jobs, full run %v for %d", tc.id, n, cfg.Warmup, g,
+						dev.BusyTime(), dev.Served(), tw.BusyTime(), tw.Served())
+				}
+			}
+			runs++
+			if n >= 80 {
+				long++
+				if engFast.Fired() < engTwin.Fired() {
+					jumped++
+				}
 			}
 		}
 		// RunOn over the last window, whole Result.
-		last := ws[len(ws)-1]
-		cfg := Config{Plan: tc.plan, Schedule: tc.s, Minibatches: last.Minibatches, Warmup: last.Warmup}
 		res, err := RunOn(engFast, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.TaskTime = identity
-		want, err := RunOn(engTwin, cfg)
+		full := cfg
+		full.TaskTime = identity
+		want, err := RunOn(engTwin, full)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("%s window %v: RunOn fast-forwarded\n%+v\nsimulated\n%+v", tc.id, last, res, want)
+			t.Fatalf("%s window (%d, %d): RunOn fast-forwarded\n%+v\nsimulated\n%+v", tc.id, cfg.Minibatches, cfg.Warmup, res, want)
 		}
-		runs++
-		if last.Minibatches >= 80 {
-			long++
-			if engFast.Fired() < engTwin.Fired() {
-				jumped++
-			}
-		}
-		sameStateAfterJump(t, tc, last)
+		sameStateAfterJump(t, tc, cfg)
 	}
 	if long == 0 || jumped*10 < long*9 {
 		t.Errorf("the jump fired on %d of %d runs of 80 minibatches or more, want 90 %%", jumped, long)
@@ -192,37 +179,32 @@ func TestFastForwardEqualsFullRun(t *testing.T) {
 	t.Logf("%d runs equal their full simulations; the jump fired on %d of %d runs of 80+ minibatches", runs, jumped, long)
 }
 
-// sameStateAfterJump steps a hook-free run over window w event by event up to
-// its first jump, steps its identity-hook twin to the same completion, and
-// fails unless the two are in the same state there: the same clock and
-// counters, the same pending events, device queues and rings with the same
-// minibatch numbers, the same busy totals, jobs served and completion times.
-// Much of that (minibatch numbers, a transfer's start) no hook-free run ever
-// reads, so only this comparison shows it shifted right.
-func sameStateAfterJump(t *testing.T, tc ffCase, w Window) {
+// sameStateAfterJump steps the hook-free run cfg event by event up to its
+// first jump, steps its identity-hook twin to the same completion, and fails
+// unless the two are in the same state there: the same clock and counters,
+// the same pending events, device queues and rings with the same minibatch
+// numbers, the same busy totals, jobs served and completion times. Much of
+// that (minibatch numbers, a transfer's start) no hook-free run ever reads,
+// so only this comparison shows it shifted right.
+func sameStateAfterJump(t *testing.T, tc ffCase, cfg Config) {
 	t.Helper()
-	start := func(fk *Fork, cfg Config) *sim.Engine {
+	start := func(r *Runner, cfg Config) *sim.Engine {
 		eng := sim.New()
-		cfg.Minibatches, cfg.Warmup = w.Minibatches, w.Warmup
-		if err := fk.pl.Reset(eng, cfg); err != nil {
+		if err := r.start(eng, cfg); err != nil {
 			t.Fatal(err)
 		}
-		fk.budget = w.Minibatches
-		if cfg.TaskTime == nil {
-			fk.pl.fk = fk
-		}
-		fk.st.reset(&fk.pl)
-		fk.pl.Start()
 		return eng
 	}
-	var fast, twin Fork
-	eng := start(&fast, Config{Plan: tc.plan, Schedule: tc.s})
+	var fast, twin Runner
+	eng := start(&fast, cfg)
 	for fast.Skipped() == 0 && eng.Step() {
 	}
 	if fast.Skipped() == 0 {
 		return
 	}
-	engTwin := start(&twin, Config{Plan: tc.plan, Schedule: tc.s, TaskTime: identity})
+	full := cfg
+	full.TaskTime = identity
+	engTwin := start(&twin, full)
 	for twin.pl.completed < fast.pl.completed && engTwin.Step() {
 	}
 	type state struct {
@@ -233,21 +215,22 @@ func sameStateAfterJump(t *testing.T, tc ffCase, w Window) {
 		busy                []sim.Duration
 		served              []uint64
 	}
-	of := func(fk *Fork, eng *sim.Engine) state {
-		s := state{now: eng.Now(), completed: fk.pl.completed, injected: fk.pl.injected,
-			words:    eng.AppendState(fk.state(nil), fk.pl.x.stamped(), int32(fk.pl.completed)),
-			finished: fk.pl.finished}
-		for _, dev := range fk.pl.x.Devices() {
+	of := func(r *Runner, eng *sim.Engine) state {
+		s := state{now: eng.Now(), completed: r.pl.completed, injected: r.pl.injected,
+			words:    eng.AppendState(r.state(nil), r.pl.x.stamped(), int32(r.pl.completed)),
+			finished: r.pl.finished}
+		for _, dev := range r.pl.x.Devices() {
 			s.busy, s.served = append(s.busy, dev.BusyTime()), append(s.served, dev.Served())
 		}
 		return s
 	}
 	if got, want := of(&fast, eng), of(&twin, engTwin); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s window %v: after jumping %d minibatches the state is\n%+v\nsimulated, it is\n%+v", tc.id, w, fast.Skipped(), got, want)
+		t.Fatalf("%s window (%d, %d): after jumping %d minibatches the state is\n%+v\nsimulated, it is\n%+v",
+			tc.id, cfg.Minibatches, cfg.Warmup, fast.Skipped(), got, want)
 	}
 }
 
-// TestFastForwardStopsAtTheHorizon:a run whose jump would carry its times
+// TestFastForwardStopsAtTheHorizon: a run whose jump would carry its times
 // to sim.Horizon or past never jumps — beyond it sums round, and a shifted
 // state no longer evolves as the simulated one does — and still equals its
 // full simulation. A run that ends just short of it does jump.
@@ -260,20 +243,22 @@ func TestFastForwardStopsAtTheHorizon(t *testing.T) {
 		{stage: 0.2, jumps: true}, // 120 s in all
 	} {
 		plan := handPlan(1, uniform(2, tc.stage), uniform(2, tc.stage), uniform(2, 0))
-		var fk, twin Fork
-		var got, want [1]Summary
-		w := []Window{{150, 10}}
-		if err := RunWindows(sim.New(), Config{Plan: plan}, w, &fk, got[:]); err != nil {
+		var fast, twin Runner
+		cfg := Config{Plan: plan, Minibatches: 150, Warmup: 10}
+		got, err := fast.Run(sim.New(), cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := RunWindows(sim.New(), Config{Plan: plan, TaskTime: identity}, w, &twin, want[:]); err != nil {
+		cfg.TaskTime = identity
+		want, err := twin.Run(sim.New(), cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want || !reflect.DeepEqual(fk.pl.finished, twin.pl.finished) {
-			t.Errorf("%g s stages: fast-forwarded %+v, simulated %+v", tc.stage, got[0], want[0])
+		if got != want || !reflect.DeepEqual(fast.pl.finished, twin.pl.finished) {
+			t.Errorf("%g s stages: fast-forwarded %+v, simulated %+v", tc.stage, got, want)
 		}
-		if (fk.Skipped() > 0) != tc.jumps {
-			t.Errorf("%g s stages, elapsed %v s: skipped %d minibatches", tc.stage, got[0].Elapsed, fk.Skipped())
+		if (fast.Skipped() > 0) != tc.jumps {
+			t.Errorf("%g s stages, elapsed %v s: skipped %d minibatches", tc.stage, got.Elapsed, fast.Skipped())
 		}
 	}
 }

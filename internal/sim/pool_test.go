@@ -6,8 +6,7 @@ import (
 )
 
 // TestArenaPointerFree: the event arena, the heap and the job ring hold no
-// pointer, so the garbage collector never scans queue traffic and Save and
-// Restore copy plain memory.
+// pointer, so the garbage collector never scans queue traffic.
 func TestArenaPointerFree(t *testing.T) {
 	for _, v := range []any{slot{}, heapEnt{}, job{}} {
 		typ := reflect.TypeOf(v)

@@ -50,35 +50,9 @@ func NewResource(eng *Engine) *Resource {
 // its capacity, so a kept resource serves run after run without reallocating.
 // Handlers registered with Register stay as they are.
 func (r *Resource) Reset() {
-	r.Restore(&SavedResource{})
+	r.busy, r.busySince, r.busyTotal, r.served, r.cur = false, 0, 0, 0, job{}
+	r.queue, r.head = r.queue[:0], 0
 	r.doneID = r.eng.Register(r.done)
-}
-
-// SavedResource is a resource state taken by Resource.Save: the accounting,
-// the job in service and the waiting jobs. Like Saved it belongs to the
-// caller and is reused.
-type SavedResource struct {
-	busy      bool
-	busySince Time
-	busyTotal Duration
-	served    uint64
-	cur       job
-	queue     []job
-}
-
-// Save copies the resource's state into s. The engine event that ends the job
-// in service is the engine's to save (Engine.Save), at the same moment.
-func (r *Resource) Save(s *SavedResource) {
-	s.busy, s.busySince, s.busyTotal, s.served, s.cur = r.busy, r.busySince, r.busyTotal, r.served, r.cur
-	s.queue = append(s.queue[:0], r.queue[r.head:]...)
-}
-
-// Restore returns the resource to the state s was saved from; pair it with
-// Engine.Restore of the state saved at the same moment. Handlers registered
-// with Register stay as they are.
-func (r *Resource) Restore(s *SavedResource) {
-	r.busy, r.busySince, r.busyTotal, r.served, r.cur = s.busy, s.busySince, s.busyTotal, s.served, s.cur
-	r.queue, r.head = append(r.queue[:0], s.queue...), 0
 }
 
 // AppendState appends the resource's state relative to (its engine's Now,
