@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"flag"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"hetpipe/internal/model"
 	"hetpipe/internal/profile"
 	"hetpipe/internal/sched"
+	"hetpipe/internal/tensor"
 	"hetpipe/internal/train"
 )
 
@@ -25,7 +27,7 @@ func numbersAfter(t *testing.T, r *Report, keys ...string) [][]float64 {
 	out := make([][]float64, len(r.Lines))
 	for i, line := range r.Lines {
 		for _, key := range keys {
-			m := regexp.MustCompile(regexp.QuoteMeta(key) + `\s*([0-9.]+)`).FindStringSubmatch(line)
+			m := regexp.MustCompile(regexp.QuoteMeta(key) + `\s*(-?[0-9.]+)`).FindStringSubmatch(line)
 			if m == nil {
 				t.Fatalf("%s line %q has no %q", r.Name, line, key)
 			}
@@ -39,18 +41,19 @@ func numbersAfter(t *testing.T, r *Report, keys ...string) [][]float64 {
 	return out
 }
 
-// TestConvergenceFigures pins the three time-axis experiments twice: to the
-// byte (testdata/convergence.golden, which EXPERIMENTS.md quotes) and to the
-// paper's claims, so neither the numbers nor the prose about them can drift
-// unnoticed — for some twenty PRs figure6 printed idle = 100 % of waiting and
-// no gain from D while the document quoted an older binary.
+// TestConvergenceFigures pins the three time-axis experiments and theorem1
+// twice: to the byte (testdata/convergence.golden, which EXPERIMENTS.md
+// quotes) and to the paper's claims, so neither the numbers nor the prose
+// about them can drift unnoticed — for some twenty PRs figure6 printed idle =
+// 100 % of waiting and no gain from D while the document quoted an older
+// binary. TestTheorem1AllHold checks theorem1's claims.
 func TestConvergenceFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure5 and figure6 train to their targets (~8 s)")
 	}
 	reports := map[string]*Report{}
 	var all strings.Builder
-	for _, name := range []string{"figure5", "figure6", "syncoverhead"} {
+	for _, name := range []string{"figure5", "figure6", "syncoverhead", "theorem1"} {
 		r, err := Run(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -115,6 +118,106 @@ func TestGoldenIsQuotedInExperimentsDoc(t *testing.T) {
 		}
 		if !strings.Contains(string(doc), line) {
 			t.Errorf("EXPERIMENTS.md does not quote %q", line)
+		}
+	}
+}
+
+func TestBoundFormula(t *testing.T) {
+	// Hand-computed: 4*M*L*sqrt((2sg+sl)N/T).
+	got := Bound(2, 3, 6, 4, 4, 1024)
+	want := 4.0 * 2 * 3 * math.Sqrt(float64((2*6+4)*4)/1024.0)
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("Bound = %v, want %v", got, want)
+	}
+	// Bound shrinks with T and grows with staleness.
+	if Bound(1, 1, 6, 4, 4, 4000) >= Bound(1, 1, 6, 4, 4, 1000) {
+		t.Error("bound should shrink with T")
+	}
+	if Bound(1, 1, 22, 4, 4, 1000) <= Bound(1, 1, 6, 4, 4, 1000) {
+		t.Error("bound should grow with staleness")
+	}
+}
+
+func TestSigmaFormula(t *testing.T) {
+	got := Sigma(2, 4, 6, 4, 4)
+	want := 2 / (4 * math.Sqrt(float64((2*6+4)*4)))
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("Sigma = %v, want %v", got, want)
+	}
+}
+
+// TestTheorem1RegretUnderBound: across WSP configurations other than
+// theorem1's own rows — plain SGD, pipeline staleness only, BSP-like waves,
+// bounded global staleness and the Figure 6 extreme — the regret the worker
+// program measures sits under the bound and is not substantially negative.
+func TestTheorem1RegretUnderBound(t *testing.T) {
+	for _, s := range []regretSetup{
+		{workers: 1, slocal: 0, d: 0, mb: 2000, seed: 1},
+		{workers: 1, slocal: 3, d: 0, mb: 2000, seed: 2},
+		{workers: 4, slocal: 3, d: 0, mb: 1000, seed: 3},
+		{workers: 4, slocal: 3, d: 4, mb: 1000, seed: 4},
+		{workers: 2, slocal: 6, d: 32, mb: 2000, seed: 5},
+	} {
+		regret, bound, _, err := s.measure()
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		if regret > bound {
+			t.Errorf("%+v: regret %.4f exceeds bound %.4f", s, regret, bound)
+		}
+		if regret < -0.05 {
+			t.Errorf("%+v: regret %.4f is substantially negative (w* estimate broken?)", s, regret)
+		}
+	}
+}
+
+func TestTheorem1RegretShrinksWithT(t *testing.T) {
+	short, _, _, err := regretSetup{workers: 2, slocal: 2, d: 1, mb: 250, seed: 9}.measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, _, _, err := regretSetup{workers: 2, slocal: 2, d: 1, mb: 4000, seed: 9}.measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long >= short {
+		t.Errorf("regret did not shrink with T: %.4f (T=500) vs %.4f (T=8000)", short, long)
+	}
+}
+
+// gradeCounter counts the Grad calls per minibatch index of the task it
+// wraps.
+type gradeCounter struct {
+	*regretTask
+	graded []int
+}
+
+func (g *gradeCounter) Grad(w tensor.Vector, b int, out tensor.Vector) {
+	g.graded[b]++
+	g.regretTask.Grad(w, b, out)
+}
+
+// TestTheorem1GradesEveryUpdateOnce: the regret is a mean over T graded
+// updates, so each index in [0,T) must be graded exactly once, partial last
+// waves and gated pulls included.
+func TestTheorem1GradesEveryUpdateOnce(t *testing.T) {
+	for _, s := range []regretSetup{
+		{workers: 1, slocal: 0, d: 0, mb: 50, seed: 1},
+		{workers: 3, slocal: 3, d: 0, mb: 50, seed: 2},
+		{workers: 4, slocal: 6, d: 32, mb: 50, seed: 3},
+	} {
+		g := &gradeCounter{regretTask: newRegretTask(s), graded: make([]int, s.updates())}
+		st, err := s.run(g)
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		if st.Minibatches != s.updates() {
+			t.Errorf("%+v: %d minibatches, want T = %d", s, st.Minibatches, s.updates())
+		}
+		for b, n := range g.graded {
+			if n != 1 {
+				t.Errorf("%+v: minibatch %d graded %d times", s, b, n)
+			}
 		}
 	}
 }

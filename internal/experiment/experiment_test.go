@@ -63,7 +63,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // Fast experiments run end to end in tests; the convergence studies
-// (figure5/figure6) are exercised by the benchmark harness instead.
+// (figure5/figure6) run in TestConvergenceFigures.
 func TestFastExperimentsProduceRows(t *testing.T) {
 	for _, name := range []string{"table1", "table3", "figure1", "theorem1", "traffic",
 		"ablation-wavepush", "ablation-memaware"} {
@@ -93,14 +93,23 @@ func TestTable1MatchesCatalog(t *testing.T) {
 	}
 }
 
+// TestTheorem1AllHold: on every configuration the regret of the worker
+// program sits under the bound, and the staleness it observed meets the WSP
+// bound exactly, as cluster/reference_test.go asserts for the backends.
 func TestTheorem1AllHold(t *testing.T) {
 	r, err := Run("theorem1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range r.Lines {
+	rows := numbersAfter(t, r, "sglobal=", "stale=", "regret=")
+	for i, line := range r.Lines {
 		if strings.Contains(line, "VIOLATED") {
 			t.Errorf("regret bound violated: %s", line)
+		}
+		if sglobal, stale, regret := rows[i][0], rows[i][1], rows[i][2]; stale != sglobal {
+			t.Errorf("observed staleness %g, want sglobal %g: %s", stale, sglobal, line)
+		} else if regret < -0.05 {
+			t.Errorf("regret %.4f is substantially negative (w* estimate broken?): %s", regret, line)
 		}
 	}
 }

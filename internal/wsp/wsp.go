@@ -17,10 +17,9 @@
 // small fraction of its waiting time (Section 8.4).
 //
 // The package is a pure protocol state machine: the discrete-event
-// co-simulation (internal/core) and the regret study (internal/convergence)
-// drive its Coordinator, the numeric worker program (internal/train) and the
-// live runtime (internal/cluster) compute with its Params, so protocol
-// invariants are tested once, here.
+// co-simulation (internal/core) drives its Coordinator, the numeric worker
+// program (internal/train) and the live runtime (internal/cluster) compute
+// with its Params, so protocol invariants are tested once, here.
 package wsp
 
 import "fmt"
