@@ -18,6 +18,8 @@
 //     -bench-threshold (default 0.25, the documented >25%% rule — headroom
 //     for machine noise) or allocs/op beyond 5%% (allocation counts are
 //     deterministic, so any real growth is a leak on the pooled hot path).
+//     A baseline whose allocs/op is over 5%% (and at least one allocation)
+//     above the measurement is stale and fails too, since it hides growth.
 //     A benchmark pinned by two baseline files is rejected outright.
 //   - -sloc prints the source size the ROADMAP tracks — the lines of non-test
 //     .go files outside bench/ that are neither blank nor a // comment — per
@@ -378,12 +380,14 @@ const allocsThreshold = 0.05
 // checkBench compares benchmark results read from r against the committed
 // baselines: a baseline-listed benchmark missing from the input, growing
 // its ns/op beyond threshold, or growing its allocs/op beyond
-// allocsThreshold is a finding. Benchmarks absent from every baseline are
-// ignored, so the gate composes with `-bench .` runs that cover more than
-// the pinned set. baselineArg is a comma-separated list of baseline files
-// (one `go test -bench` stream can then be gated against several packages'
-// baselines in a single invocation); a benchmark listed by two files is a
-// hard error, since the gate could not tell which record to enforce.
+// allocsThreshold is a finding. So is a stale baseline, one whose allocs/op
+// exceeds the measurement by more than allocsThreshold and by at least one
+// allocation: it would hide that much growth. Benchmarks absent from every
+// baseline are ignored, so the gate composes with `-bench .` runs that cover
+// more than the pinned set. baselineArg is a comma-separated list of baseline
+// files (one `go test -bench` stream can then be gated against several
+// packages' baselines in a single invocation); a benchmark listed by two files
+// is a hard error, since the gate could not tell which record to enforce.
 func checkBench(r io.Reader, baselineArg string, threshold float64) ([]string, error) {
 	entries, err := loadBaselines(strings.Split(baselineArg, ","))
 	if err != nil {
@@ -425,6 +429,10 @@ func checkBench(r io.Reader, baselineArg string, threshold float64) ([]string, e
 		}
 		if limit := b.AllocsPerOp * (1 + allocsThreshold); g.allocs > limit {
 			findings = append(findings, fmt.Sprintf("%s: %s allocs/op regressed %.0f -> %.0f (>%d%% over baseline)",
+				e.path, b.Name, b.AllocsPerOp, g.allocs, int(allocsThreshold*100)))
+		}
+		if b.AllocsPerOp > g.allocs*(1+allocsThreshold) && b.AllocsPerOp-g.allocs >= 1 {
+			findings = append(findings, fmt.Sprintf("%s: %s allocs/op baseline %.0f is stale, re-record: measured %.0f (baseline >%d%% over it)",
 				e.path, b.Name, b.AllocsPerOp, g.allocs, int(allocsThreshold*100)))
 		}
 	}

@@ -199,6 +199,39 @@ func TestCheckBenchRegressions(t *testing.T) {
 	}
 }
 
+func TestCheckBenchStaleBaseline(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	write(t, base, benchBaselineJSON)
+	// fifo's 62 is over 5% above its 58 measured, so it would hide four
+	// allocations of growth: stale. gpipe's 54 is within 5% of 52: not.
+	out := strings.Join([]string{
+		"BenchmarkPipelineSchedules/hetpipe-fifo-16   2000   33000 ns/op   4432 B/op   58 allocs/op",
+		"BenchmarkPipelineSchedules/gpipe-16          2000   35000 ns/op   3712 B/op   52 allocs/op",
+	}, "\n")
+	findings, err := checkBench(strings.NewReader(out), base, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], "hetpipe-fifo allocs/op baseline 62 is stale, re-record: measured 58") {
+		t.Errorf("findings = %v, want exactly fifo's stale baseline", findings)
+	}
+	// A baseline must also exceed the measurement by a whole allocation: one
+	// allocation over none is stale, half of one over none is not.
+	write(t, base, `{"benchmarks": [
+		{"name": "BenchmarkOne", "ns_per_op": 10, "allocs_per_op": 1},
+		{"name": "BenchmarkHalf", "ns_per_op": 10, "allocs_per_op": 0.5}
+	]}`)
+	out = "BenchmarkOne-2   2000   10 ns/op   0 B/op   0 allocs/op\nBenchmarkHalf-2   2000   10 ns/op   0 B/op   0 allocs/op\n"
+	findings, err = checkBench(strings.NewReader(out), base, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], "BenchmarkOne allocs/op baseline 1 is stale") {
+		t.Errorf("findings = %v, want exactly BenchmarkOne's stale baseline", findings)
+	}
+}
+
 func TestCheckBenchMissingAndNoMem(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")

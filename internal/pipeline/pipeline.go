@@ -63,10 +63,11 @@
 // sum, and a pipeline with none of Config's hooks is a function of its state
 // relative to (now, completed). When that state recurs exactly P completions
 // later, the run is periodic, and it jumps as many whole periods as its window
-// leaves room for — every pending event, device, ring and counter shifted,
-// every skipped completion time written — before simulating the window's end
-// and drain as always (steady.go). Each Result is bit for bit the fully
-// simulated one; a run with an identity TaskTime hook is that full simulation.
+// leaves injections for — every pending event, device, ring and counter
+// shifted, every skipped completion time written — so it simulates the fill,
+// the confirmation, fewer than one period of injections and the drain
+// (steady.go). Each Result is bit for bit the fully simulated one; a run with
+// an identity TaskTime hook is that full simulation.
 // A Runner keeps the pipeline and that scratch from run to run; core's Nm
 // search takes every solo measurement on one.
 package pipeline

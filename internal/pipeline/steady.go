@@ -26,9 +26,9 @@ const lags = 64
 // relative state. The run then jumps j whole periods at once — shifting every
 // pending event, device, ring, counter and busy total by (j*T, j*P) and
 // writing the skipped completion times — and simulates only the rest: the
-// jump stops at least a period and the in-flight cap short of the window's
-// end (Config.Minibatches), so the last injections, a shortened gpipe wave
-// and the drain are simulated as they always were.
+// jump stops fewer than a period of injections short of the window's end
+// (Config.Minibatches), so a run simulates the fill, the confirmation, those
+// last injections (a shortened gpipe wave among them) and the drain.
 //
 // Detection: after each completion the relative state is hashed into a ring
 // of the last lags completions — the pending events by sim.Engine.StateHash,
@@ -148,13 +148,17 @@ func (r *Runner) state(dst []uint64) []uint64 {
 	return pl.x.appendState(dst, base)
 }
 
-// jump skips as many whole confirmed periods as the window leaves room for,
-// keeping a period and the in-flight cap of it to simulate, and none if a
-// shifted time would reach sim.Horizon.
+// jump skips the most whole confirmed periods the window's injections leave
+// room for, (Minibatches-injected)/P, so fewer than P injections are left to
+// simulate; none if a shifted time would reach sim.Horizon. It is exact: a
+// hook-free run reads Minibatches only in Poke, and the skipped periods inject
+// at most up to it, so every skipped injection passes the cap and every
+// skipped wave opens and fills within it, full-size, as in the confirmed
+// period.
 func (r *Runner) jump() {
 	st, pl := &r.st, &r.pl
 	p := st.period
-	j := (pl.cfg.Minibatches - pl.injected - p - pl.nm) / p
+	j := (pl.cfg.Minibatches - pl.injected) / p
 	if j < 1 {
 		return
 	}

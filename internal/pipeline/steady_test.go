@@ -105,10 +105,11 @@ func ffCases(t *testing.T, rng *rand.Rand, rounds int) []ffCase {
 // pending events' times, a transfer's minibatch or start time, a device's
 // service start, job in service, queued jobs, busy total or jobs served, a
 // ring's minibatches, the injected or completed counters, the open wave's
-// first minibatch or the skipped completion times; dropping the horizon check.
-// The jump's margin is not among them: it keeps a period and the in-flight cap
-// to simulate so that the end of the window is always simulated, but a jump
-// that stops anywhere short of the window's end would be exact too.
+// first minibatch or the skipped completion times; dropping the horizon check;
+// a jump one period past (Minibatches-injected)/P, which injects past the
+// window's end; and a jump that keeps a wider margin, which leaves a period or
+// more of injections to simulate (sameStateAfterJump). Any jump short of the
+// end would be exact: the bound is the tightest, not the only, exact one.
 func TestFastForwardEqualsFullRun(t *testing.T) {
 	rounds := 80
 	if testing.Short() {
@@ -185,7 +186,8 @@ func TestFastForwardEqualsFullRun(t *testing.T) {
 // the same pending events, device queues and rings with the same minibatch
 // numbers, the same busy totals, jobs served and completion times. Much of
 // that (minibatch numbers, a transfer's start) no hook-free run ever reads,
-// so only this comparison shows it shifted right.
+// so only this comparison shows it shifted right. The jump must also leave
+// fewer than a period of injections to simulate.
 func sameStateAfterJump(t *testing.T, tc ffCase, cfg Config) {
 	t.Helper()
 	start := func(r *Runner, cfg Config) *sim.Engine {
@@ -201,6 +203,10 @@ func sameStateAfterJump(t *testing.T, tc ffCase, cfg Config) {
 	}
 	if fast.Skipped() == 0 {
 		return
+	}
+	if left := cfg.Minibatches - fast.pl.injected; left >= fast.st.period {
+		t.Fatalf("%s window (%d, %d): the jump left %d injections to simulate, a period is %d",
+			tc.id, cfg.Minibatches, cfg.Warmup, left, fast.st.period)
 	}
 	full := cfg
 	full.TaskTime = identity
