@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -43,6 +44,9 @@ type Planning struct {
 	// Infeasible the solves that found no memory-feasible split: the probe
 	// that ends each class's upward Nm scan.
 	Solves, Carried, Infeasible int
+	// Priced is the cuts the solves examined past the memory check
+	// (partition.Stats): the DP's work.
+	Priced int
 	// SoloWindows is the solo runs planning simulated: one per (class, Nm)
 	// the Nm search did not prune, or one per class when Nm was given.
 	SoloWindows int
@@ -60,7 +64,7 @@ type Planning struct {
 func (pc *planning) stats() Planning {
 	ps := pc.pt.Stats()
 	return Planning{
-		Solves: ps.Solves, Carried: ps.Carried, Infeasible: ps.Infeasible,
+		Solves: ps.Solves, Carried: ps.Carried, Infeasible: ps.Infeasible, Priced: ps.Priced,
 		SoloWindows: pc.soloWindows, PrunedNm: pc.prunedNm,
 		SoloMB: pc.soloMB, SkippedMB: pc.skippedMB,
 	}
@@ -230,11 +234,20 @@ func (pc *planning) chooseNm(alloc *hw.Allocation, cap int) (int, error) {
 	// The common Nm is bounded by the smallest Maxm, so each worker is only
 	// scanned up to the limit its predecessors left. The search below needs
 	// every plan in 1..limit anyway, and planning them in ascending order
-	// lets each carry its predecessor's cuts (partition.Partitioner).
+	// lets each carry its predecessor's cuts (partition.Partitioner). Only a
+	// memory-infeasible plan ends a scan; any other failure would recur at
+	// every Nm, so it is the worker's error.
 	limit := cap
 	for _, vw := range alloc.VWs {
 		nm := 0
-		for nm < limit && pc.planned(vw, nm+1).err == nil {
+		for nm < limit {
+			err := pc.planned(vw, nm+1).err
+			if errors.Is(err, partition.ErrInfeasible) {
+				break
+			}
+			if err != nil {
+				return 0, fmt.Errorf("core: VW %s: %w", vw.TypeString(), err)
+			}
 			nm++
 		}
 		if limit = nm; limit == 0 {

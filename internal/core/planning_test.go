@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -295,6 +296,7 @@ func (p *Planning) add(q Planning) {
 	p.Solves += q.Solves
 	p.Carried += q.Carried
 	p.Infeasible += q.Infeasible
+	p.Priced += q.Priced
 	p.SoloWindows += q.SoloWindows
 	p.PrunedNm += q.PrunedNm
 	p.SoloMB += q.SoloMB
@@ -315,17 +317,17 @@ func TestPlanningCounts(t *testing.T) {
 		// windows at Nm 8..4 leave an incumbent that rules out Nm 3, 2 and 1.
 		// Under 1f1b the in-flight cap is the depth, 4, so the five runs are one
 		// pipeline over windows of 80 to 120 minibatches, each run on its own.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, SoloWindows: 5, PrunedNm: 3, SoloMB: 500, SkippedMB: 271}},
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, SoloWindows: 5, PrunedNm: 3, SoloMB: 500, SkippedMB: 465}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 0, 4, Planning{Solves: 5, Carried: 3, Priced: 8422, SoloWindows: 5, PrunedNm: 3, SoloMB: 500, SkippedMB: 271}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.OneF1B, 0}, 0, 4, Planning{Solves: 3, Carried: 5, Priced: 4738, SoloWindows: 5, PrunedNm: 3, SoloMB: 500, SkippedMB: 465}},
 		// A fill-drain wave stashes Nm activations on every stage: Nm=7 no
 		// longer fits, and the probe that finds out is the scan's last.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, SoloWindows: 5, PrunedNm: 1, SoloMB: 400, SkippedMB: 335}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.GPipe, 0}, 0, 3, Planning{Solves: 6, Carried: 1, Infeasible: 1, Priced: 8098, SoloWindows: 5, PrunedNm: 1, SoloMB: 400, SkippedMB: 335}},
 		// Four workers of four classes, memory to spare: one solve per class.
 		// Nm 2 and 5 tie exactly, and the lowest wins.
-		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 2, Planning{Solves: 4, Carried: 28, SoloWindows: 28, PrunedNm: 1, SoloMB: 2520, SkippedMB: 2183}},
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 0, 2, Planning{Solves: 4, Carried: 28, Priced: 120, SoloWindows: 28, PrunedNm: 1, SoloMB: 2520, SkippedMB: 2183}},
 		// Nm given: one plan and one solo run per class, nothing to search.
-		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, SoloWindows: 1, SoloMB: 60, SkippedMB: 52}},
-		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, SoloWindows: 4, SoloMB: 240, SkippedMB: 220}},
+		{planCase{"paper", hw.EqualDistribution, "resnet152", sched.FIFO, 0}, 2, 2, Planning{Solves: 1, Priced: 1640, SoloWindows: 1, SoloMB: 60, SkippedMB: 52}},
+		{planCase{"mini", hw.NodePartition, "vgg19", sched.FIFO, 0}, 2, 2, Planning{Solves: 4, Priced: 120, SoloWindows: 4, SoloMB: 240, SkippedMB: 220}},
 	} {
 		s, alloc := tc.pc.build(t)
 		dep, err := s.Deploy(alloc, tc.nm, 0, PlacementDefault)
@@ -338,9 +340,10 @@ func TestPlanningCounts(t *testing.T) {
 		}
 	}
 	// hetperf plan-cold's 108 systems with Nm chosen: what the planner skips
-	// (carried plans, pruned Nm, repeating minibatches) must not drift unseen.
-	// Every class and Nm not pruned is one solo run, and most of what the runs
-	// cover repeats.
+	// (carried plans, re-solved DP entries, pruned Nm, repeating minibatches)
+	// must not drift unseen. Solving every entry from scratch, the last
+	// stage's at every end, Priced would be 1,336,543. Every class and Nm not
+	// pruned is one solo run, and most of what the runs cover repeats.
 	var total Planning
 	for _, pc := range planCases(false) {
 		s, alloc := pc.build(t)
@@ -350,7 +353,7 @@ func TestPlanningCounts(t *testing.T) {
 		}
 		total.add(dep.Planning)
 	}
-	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, SoloWindows: 1140, PrunedNm: 306, SoloMB: 108860, SkippedMB: 86683}); total != want {
+	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, Priced: 829382, SoloWindows: 1140, PrunedNm: 306, SoloMB: 108860, SkippedMB: 86683}); total != want {
 		t.Errorf("108 systems: %+v, want %+v", total, want)
 	}
 	if total.SkippedMB*4 < total.SoloMB*3 {
@@ -446,6 +449,31 @@ func TestPlanningSharesOnlyWithinAClass(t *testing.T) {
 	}
 	if a.plan.Bottleneck == b.plan.Bottleneck {
 		t.Error("the PCIe and InfiniBand workers got the same plan; the case no longer separates the classes")
+	}
+}
+
+// TestDeployReportsUnprofiledGPU: a worker with a GPU type the performance
+// model cannot price fails at every Nm for that reason, so the Nm search must
+// report it as a given Nm does, not as a worker that fits at no Nm.
+func TestDeployReportsUnprofiledGPU(t *testing.T) {
+	c := hw.NewCluster([]struct {
+		Type  *hw.GPUType
+		Count int
+	}{
+		{hw.TitanV, 2},
+		{&hw.GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30}, 2},
+	})
+	s, err := NewSystem(c, model.VGG19(), profile.Default(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := &hw.Allocation{Policy: "custom", VWs: []*hw.VirtualWorker{{GPUs: c.GPUs()}}}
+	_, given := s.Deploy(alloc, 2, 0, PlacementDefault)
+	if given == nil || !strings.Contains(given.Error(), `no anchor or generic rate for GPU "X"`) || errors.Is(given, partition.ErrInfeasible) {
+		t.Fatalf("Nm=2: error %v, want the profile's", given)
+	}
+	if _, chosen := s.Deploy(alloc, 0, 0, PlacementDefault); chosen == nil || chosen.Error() != given.Error() {
+		t.Errorf("Nm chosen: error %v, want Nm=2's %v", chosen, given)
 	}
 }
 

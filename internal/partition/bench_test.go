@@ -34,9 +34,10 @@ func BenchmarkPartitionResNet152(b *testing.B) {
 
 // BenchmarkPartitionNmScan is the traffic core's Nm search generates: one
 // worker planned at Nm = 1..8 in ascending order, the first plan of each scan
-// solved (the previous scan ended at Nm=8, whose stashes are larger) and the
-// rest carried wherever the cuts still fit. One op is the eight plans; they
-// are all it may allocate, three allocations each.
+// solved from scratch (the previous scan ended at Nm=8, whose stashes are
+// larger), the rest carried wherever the cuts still fit and re-solved in
+// place where they do not (Nm 3-6). One op is the eight plans; they are all
+// it may allocate, three allocations each.
 func BenchmarkPartitionNmScan(b *testing.B) {
 	c := hw.Paper()
 	alloc, err := hw.AllocateByTypes(c, []string{"VRGQ"})
@@ -56,8 +57,8 @@ func BenchmarkPartitionNmScan(b *testing.B) {
 }
 
 // BenchmarkMaxNm measures the binary search for the memory-feasibility bound:
-// probes at Nm 1, 5, 7 and 8 on a GGGG worker, all feasible, of which three
-// run the DP and one carries.
+// probes at Nm 1, 5, 7 and 8 on a GGGG worker, all feasible: Nm=1 solved
+// from scratch, 5 and 7 re-solved in place, 8 carried.
 func BenchmarkMaxNm(b *testing.B) {
 	c := hw.Paper()
 	alloc, err := hw.AllocateByTypes(c, []string{"GGGG"})

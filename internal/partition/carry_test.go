@@ -1,10 +1,10 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hetpipe/internal/hw"
@@ -145,7 +145,7 @@ func TestCarriedPlansMatchReferenceDP(t *testing.T) {
 					}
 					in.epoch = epoch
 				case 4: // a failing call in between, which overwrites only part of the constants
-					if _, err := pt.Partition(cx, m, unprofiled, nm, batch); err == nil || strings.Contains(err.Error(), "memory-feasible") {
+					if _, err := pt.Partition(cx, m, unprofiled, nm, batch); err == nil || errors.Is(err, ErrInfeasible) {
 						t.Fatalf("round %d: unprofiled worker: %v", round, err)
 					}
 					lastOK = false

@@ -26,16 +26,20 @@
 // built once per (Perf, model, batch); a caller that plans one model from
 // many partitioners (core: one per Deploy) shares them through NewShared.
 //
-// Along the Nm axis most calls do not run the DP at all. Nm enters a stage's
+// Along the Nm axis most calls do not run the whole DP. Nm enters a stage's
 // cost only through its stash count, and only as feasible-or-not, so when a
-// call repeats the last solved problem with stashes that did not shrink and
-// the old cuts still fit every budget, those cuts are the new optimum, ties
-// included (planner.carries has the argument). An ascending Nm scan — what
-// core's Nm search and MaxNm's successful probes generate — therefore solves
-// once per change of cuts and prices every other plan in O(K) lookups.
+// call repeats the last solved problem with stashes that did not shrink, no
+// DP value can fall. If the old cuts still fit every budget they are the new
+// optimum, ties included (planner.carries has the argument); if not, the DP
+// re-solves in place and walks again only the entries whose old pick no
+// longer fits or no longer wins (planner.solve). An ascending Nm scan — what
+// core's Nm search and MaxNm's successful probes generate — therefore prices
+// most plans in O(K) lookups and re-prices, on a change of cuts, only what
+// moved.
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -44,6 +48,11 @@ import (
 	"hetpipe/internal/profile"
 	"hetpipe/internal/sched"
 )
+
+// ErrInfeasible is what Partition wraps when no split of the model fits the
+// worker's memory at the requested Nm. Its other errors — bad arguments, a GPU
+// type the performance model cannot price — would fail at every Nm alike.
+var ErrInfeasible = errors.New("partition: no memory-feasible")
 
 // Chunk is one contiguous layer range [Lo, Hi) of a stage's chunk set,
 // running as one virtual stage of the pipeline.
@@ -224,7 +233,8 @@ func (p *Plan) Validate() error {
 // keeps the problem its last successful call solved — the DP's constants and
 // the optimal cuts — so a call that differs from it only in stashes that did
 // not shrink (the next Nm up, for the same kind of worker) returns those cuts
-// without running the DP, whenever they still fit (planner.carries). That state
+// without running the DP whenever they still fit (planner.carries), and
+// otherwise re-solves only the DP entries that moved (planner.solve). That state
 // is revalidated on every call against what it depends on (the exported
 // fields may be reassigned at any time; the solved problem is compared
 // constant by constant and dropped by any call that fails), and it makes a
@@ -253,6 +263,9 @@ type Stats struct {
 	// that returned the previous call's cuts instead; Infeasible is the
 	// solves that found no memory-feasible split.
 	Solves, Carried, Infeasible int
+	// Priced is the cuts the solves' walks examined past the memory check:
+	// the DP's work, which a re-solve spends only on the entries that moved.
+	Priced int
 }
 
 // Stats reports the partitioner's call counts so far.
@@ -336,10 +349,12 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 		pt.stats.Carried++
 	} else {
 		pt.stats.Solves++
-		if !p.solve() {
+		priced, ok := p.solve(grown)
+		pt.stats.Priced += priced
+		if !ok {
 			pt.stats.Infeasible++
-			return nil, fmt.Errorf("partition: no memory-feasible %d-way split of %s for Nm=%d batch=%d on %s",
-				K, m.Name, nm, batch, vw.TypeString())
+			return nil, fmt.Errorf("%w %d-way split of %s for Nm=%d batch=%d on %s",
+				ErrInfeasible, K, m.Name, nm, batch, vw.TypeString())
 		}
 	}
 	p.solved = true
@@ -388,7 +403,8 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 // Feasibility is monotone — memory grows with Nm, so what fits at nm fits
 // below it — which is what lets the search bisect. It probes Nm=1 first, then
 // only values it has not yet decided; successful probes ascend (1, 5, 7, 8
-// under cap 8), so each carries its predecessor's plan when that still fits.
+// under cap 8), so each carries its predecessor's plan when that still fits
+// and re-solves only what moved when it does not.
 func (pt *Partitioner) MaxNm(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker, batch, cap int) int {
 	feasible := func(nm int) bool {
 		_, err := pt.Partition(c, m, vw, nm, batch)

@@ -18,7 +18,8 @@ import (
 //
 // The planner also remembers whether cuts is the optimum of the constants it
 // holds (solved), which lets the next call carry that optimum instead of
-// solving again when only the stashes grew — see carries.
+// solving again when only the stashes grew — see carries — and, when the old
+// cuts no longer fit, re-solve only the entries that moved — see solve.
 type planner struct {
 	tab  *profile.Tables
 	L, K int
@@ -166,7 +167,7 @@ func (p *planner) price(stage float64, lo, hi, j int) float64 {
 	return max(p.occupancy*(fwd+bwd), t)
 }
 
-// floor is what solve's walk stops on: a chunk's StageTime shaved by eight
+// floor is what walk stops on: a chunk's StageTime shaved by eight
 // ulps. It never exceeds the chunk's cost — cost is at least fwd + bwd, which
 // is within two roundings of the StageTime it was split from
 // (profile.Tables.SplitStage), and the shave's own rounding takes back less
@@ -178,11 +179,73 @@ func (p *planner) price(stage float64, lo, hi, j int) float64 {
 func floor(stage float64) float64 { return stage * (1 - 0x1p-50) }
 
 // solve runs the dynamic program over prefixes and, when a memory-feasible
-// split exists, leaves its cut points in p.cuts. Virtual stage j must leave
+// split exists, leaves its cut points in p.cuts and reports ok. priced is
+// the cuts its walks examined past the memory check. Virtual stage j must leave
 // at least one layer for each later stage and each earlier stage must have
 // had one, so stage j ends at i in [j+1, L-(K-1-j)] and starts at a cut in
 // [j, i) — exactly the ends stage j-1 was solved for, which is why the
-// slabs need no clearing between calls.
+// slabs need no clearing between calls. The last stage is solved at i = L
+// alone: the traceback and carries read nothing else of its row.
+//
+// A grown call (setup) that cannot carry passes grown and re-solves the slabs
+// in place, keeping every entry whose answer cannot have moved. The argument
+// is carries', entry by entry. Growing stashes only turn costs into +Inf, so
+// no value can fall, and an entry that was +Inf stays +Inf (pick 0, as walk
+// leaves it). An entry whose old pick c still fits attains max(prev[c], its
+// unchanged cost) at c, so when the new prev[c] is at most the old value it
+// attains exactly the old value, which is still the minimum; every smaller
+// cut was strictly worse and only rose, so c is still the smallest cut
+// attaining it. Every other entry is walked again. The old values may be a
+// few carries old: the argument needs only that no stash shrank since.
+//
+//hetlint:hotpath
+func (p *planner) solve(grown bool) (priced int, ok bool) {
+	L, K, row := p.L, p.K, p.L+1
+	for i := p.first(0); i <= L-(K-1); i++ {
+		p.best[i] = p.cost(0, i, 0)
+		p.choice[i] = 0
+	}
+	for j := 1; j < K; j++ {
+		prev, cur, pick := p.best[(j-1)*row:j*row], p.best[j*row:(j+1)*row], p.choice[j*row:(j+1)*row]
+		for i := p.first(j); i <= L-(K-1-j); i++ {
+			if !grown || !p.keeps(prev, cur[i], pick[i], i, j) {
+				n := 0
+				cur[i], pick[i], n = p.walk(prev, i, j)
+				priced += n
+			}
+		}
+	}
+	if math.IsInf(p.best[(K-1)*row+L], 1) {
+		return priced, false
+	}
+	p.cuts[0], p.cuts[K] = 0, L
+	for j := K - 1; j > 0; j-- {
+		p.cuts[j] = p.choice[j*row+p.cuts[j+1]]
+	}
+	return priced, true
+}
+
+// first is the first end solve computes for virtual stage j: the last stage
+// is solved at L alone.
+//
+//hetlint:hotpath
+func (p *planner) first(j int) int {
+	if j == p.K-1 {
+		return p.L
+	}
+	return j + 1
+}
+
+// keeps reports whether a re-solve may keep entry (j, i), whose old value and
+// pick are old and c, over the already re-solved row prev (see solve).
+//
+//hetlint:hotpath
+func (p *planner) keeps(prev []float64, old float64, c, i, j int) bool {
+	return math.IsInf(old, 1) || p.tab.ChunkBytes(c, i, p.versions, p.stashes[j]) <= p.budget[j] && prev[c] <= old
+}
+
+// walk solves entry (j, i) over row prev: it returns the entry's value and
+// pick, and how many cuts it examined past the memory check.
 //
 // The bottleneck with a cut is max(prev[cut], cost of [cut, i) as stage j).
 // As the cut falls the first term falls and the second rises, and the best
@@ -197,45 +260,28 @@ func floor(stage float64) float64 { return stage * (1 - 0x1p-50) }
 // prefix is skipped only when it is strictly worse or itself infeasible.
 //
 //hetlint:hotpath
-func (p *planner) solve() bool {
-	L, K, row := p.L, p.K, p.L+1
+func (p *planner) walk(prev []float64, i, j int) (float64, int, int) {
 	inf := math.Inf(1)
-	for i := 1; i <= L-(K-1); i++ {
-		p.best[i] = p.cost(0, i, 0)
-		p.choice[i] = 0
-	}
-	for j := 1; j < K; j++ {
-		prev, cur, pick := p.best[(j-1)*row:j*row], p.best[j*row:(j+1)*row], p.choice[j*row:(j+1)*row]
-		whole, budget, stash := p.whole[j], p.budget[j], p.stashes[j]
-		for i := j + 1; i <= L-(K-1-j); i++ {
-			b, at := inf, 0
-			for cut := i - 1; cut >= j; cut-- {
-				if p.tab.ChunkBytes(cut, i, p.versions, stash) > budget {
-					break
-				}
-				pv := prev[cut]
-				if pv > b || pv == inf {
-					continue
-				}
-				stage := p.tab.StageTime(whole, cut, i)
-				if floor(stage) > b {
-					break
-				}
-				if v := max(pv, p.price(stage, cut, i, j)); v <= b {
-					b, at = v, cut
-				}
-			}
-			cur[i], pick[i] = b, at
+	whole, budget, stash := p.whole[j], p.budget[j], p.stashes[j]
+	b, at, n := inf, 0, 0
+	for cut := i - 1; cut >= j; cut-- {
+		if p.tab.ChunkBytes(cut, i, p.versions, stash) > budget {
+			break
+		}
+		n++
+		pv := prev[cut]
+		if pv > b || pv == inf {
+			continue
+		}
+		stage := p.tab.StageTime(whole, cut, i)
+		if floor(stage) > b {
+			break
+		}
+		if v := max(pv, p.price(stage, cut, i, j)); v <= b {
+			b, at = v, cut
 		}
 	}
-	if math.IsInf(p.best[(K-1)*row+L], 1) {
-		return false
-	}
-	p.cuts[0], p.cuts[K] = 0, L
-	for j := K - 1; j > 0; j-- {
-		p.cuts[j] = p.choice[j*row+p.cuts[j+1]]
-	}
-	return true
+	return b, at, n
 }
 
 // chunk prices virtual stage j of the solved plan from the same tables cost

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -217,7 +218,7 @@ func TestPartitionMatchesReferenceDP(t *testing.T) {
 						t.Fatalf("%s: error %v, reference %v", id, gerr, werr)
 					}
 					if gerr != nil {
-						if strings.Contains(gerr.Error(), "memory-feasible") {
+						if errors.Is(gerr, ErrInfeasible) {
 							failures++
 						}
 						continue
@@ -310,7 +311,7 @@ func TestPartitionReportsUnprofiledGPU(t *testing.T) {
 	if err == nil {
 		t.Fatal("an unprofiled GPU type must fail")
 	}
-	if !strings.Contains(err.Error(), `no anchor or generic rate for GPU "X"`) || strings.Contains(err.Error(), "memory-feasible") {
+	if !strings.Contains(err.Error(), `no anchor or generic rate for GPU "X"`) || errors.Is(err, ErrInfeasible) {
 		t.Errorf("error = %q, want the profile's no-rate error", err)
 	}
 	if _, perr := pt.Perf.WholeModelTime(m, vw.GPUs[2].Type, 8); perr == nil || !strings.Contains(err.Error(), perr.Error()) {
