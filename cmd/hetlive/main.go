@@ -10,7 +10,7 @@
 //     weights never depend on a clock, so none is run) and the live runtime and
 //     prints the differential-conformance report — matching
 //     minibatch/push/pull counts, the D-bound, the observed staleness against
-//     sglobal, and final-weight agreement.
+//     sglobal, and bit-identical final weights.
 //   - Raw (-conform=false): the live runtime alone, with explicit worker and
 //     shard counts.
 //   - Deploy (-deploy): resolves a real model deployment through the public
@@ -57,7 +57,6 @@ func main() {
 	mb := flag.Int("mb", 96, "minibatch budget per worker")
 	chunks := flag.Int("chunks", 0, "parameter chunks spread over the shards (0 = 4 per shard)")
 	seed := flag.Int64("seed", 13, "task seed")
-	tol := flag.Float64("tol", 1e-6, "final-weight conformance tolerance (negative = exact bit-equality)")
 	conform := flag.Bool("conform", true, "also run the simulator and report conformance")
 	deploy := flag.Bool("deploy", false, "resolve a model deployment via hetpipe.New and run Deployment.Train")
 	modelName := flag.String("model", "vgg19", "DNN model for -deploy mode (see hetpipe.Models)")
@@ -123,7 +122,7 @@ func main() {
 		report, err := cluster.RunConformance(ctx, cluster.ConformanceConfig{
 			Task: task, Workers: *workers, SLocal: *nm - 1, D: *d,
 			LR: *lr, MaxMinibatches: *mb,
-			Servers: *shards, Chunks: *chunks, TCP: *tcp, Tolerance: *tol,
+			Servers: *shards, Chunks: *chunks, TCP: *tcp,
 			Faults: plan, CheckpointEvery: *ckptEvery,
 		})
 		if err != nil {

@@ -519,23 +519,14 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		return nil, err
 	}
 	// Read the final state directly off the servers we own, at the clock the
-	// run itself must reach rather than the one the servers report right now:
-	// a frame that only pushes (the drain's last wave is one) is acknowledged
-	// before it commits, so when the last worker returns the global clock can
-	// still be one short. The snapshot pull is clock-gated and waits for that
-	// commit (an aborted run returned its error above).
+	// run itself must reach (an aborted run returned its error above).
 	stats.FinalWeights = tensor.NewVector(cfg.Task.Dim())
 	views := make([]tensor.Vector, len(space.Keys()))
 	space.SplitInto(stats.FinalWeights, views)
 	if err := sh.PullAtInto(views, space.Keys(), finalClock); err != nil {
 		return nil, err
 	}
-	if stats.GlobalClock, err = sh.GlobalClock(); err != nil {
-		return nil, err
-	}
-	if stats.MaxClockDistance, err = sh.MaxClockDistance(); err != nil {
-		return nil, err
-	}
+	stats.GlobalClock, stats.MaxClockDistance = serverClocks(servers)
 	if cfg.CheckpointPath != "" {
 		// Final durable checkpoint at the completed run's clock.
 		saveServers()
@@ -544,6 +535,19 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// serverClocks reads a run's clock figures off its shard servers: the global
+// clock is the minimum over them (every shard sees every wave, as an empty
+// push when it holds none of the keys), the clock distance the largest any
+// of them observed.
+func serverClocks(servers []*ps.Server) (global, distance int) {
+	global = servers[0].GlobalClock()
+	for _, s := range servers {
+		global = min(global, s.GlobalClock())
+		distance = max(distance, s.MaxClockDistance())
+	}
+	return global, distance
 }
 
 // workerEnv bundles what one worker's training loop needs across attempts.

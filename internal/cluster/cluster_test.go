@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetpipe/internal/ps"
 	"hetpipe/internal/tensor"
 	"hetpipe/internal/train"
 	"hetpipe/internal/wsp"
@@ -91,6 +92,34 @@ func TestLiveRunCountsAndDistanceBound(t *testing.T) {
 	// The model actually learned on the live path.
 	if acc := lt.Accuracy(stats.FinalWeights); acc < 0.6 {
 		t.Errorf("live accuracy = %.3f, want > 0.6", acc)
+	}
+}
+
+// TestServerClocksAreMinAndMax: a run's global clock is the slowest shard's,
+// its clock distance the largest any shard saw, whichever servers those are.
+func TestServerClocksAreMinAndMax(t *testing.T) {
+	// pushes[i] lists the workers pushing to server i, in order.
+	pushes := [][]int{{0, 1, 0, 1, 0, 1}, {0}, {0, 0, 1, 1}}
+	servers := make([]*ps.Server, len(pushes))
+	for i, ws := range pushes {
+		s, err := ps.NewServer(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Register("k", []float64{0}); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ws {
+			if _, err := s.PushOrdered(w, []string{"k"}, []tensor.Vector{{1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		servers[i] = s
+	}
+	// Server 0: clock 3, distance 1. Server 1: clock 0, distance 1. Server
+	// 2: clock 2, distance 2.
+	if global, distance := serverClocks(servers); global != 0 || distance != 2 {
+		t.Fatalf("serverClocks = clock %d, distance %d; want 0 and 2", global, distance)
 	}
 }
 
@@ -254,13 +283,12 @@ func TestLiveRunObserverStream(t *testing.T) {
 	}
 }
 
-// TestTCPFinalStateMatchesInProcessTwin pins the final read of a TCP run: a
-// push is acknowledged before it commits, so with a second P the last
-// worker can return (and Run sample the servers) while the last commit is
-// still in flight. The window is a few instructions wide — a run in fifty
-// hit it on the host this was written on — so the test repeats 800 times
-// (50 under -short): every loopback-TCP run must end at the clock and weights
-// of its in-process twin.
+// TestTCPFinalStateMatchesInProcessTwin pins the final read of a TCP run:
+// with a second P, the last worker returns and Run samples the servers at
+// once, so a push answered before its commit (as the wire once did) would
+// leave the clock one short about one run in fifty on the host this was
+// written on. The test repeats 800 times (50 under -short): every
+// loopback-TCP run must end at the clock and weights of its in-process twin.
 func TestTCPFinalStateMatchesInProcessTwin(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	task, err := train.DefaultMLPTask(7)

@@ -24,9 +24,6 @@ type ConformanceConfig struct {
 	Servers int
 	Chunks  int
 	TCP     bool
-	// Tolerance bounds the final-weight disagreement; 0 means the default
-	// 1e-6, negative demands exact bit-equality.
-	Tolerance float64
 	// Faults, when non-nil, is applied to the LIVE half only: the simulator
 	// runs fault-free. This is the strongest form of the conformance claim —
 	// stragglers, stalls, link degradations, and even crash-plus-recovery
@@ -51,7 +48,8 @@ type ConformanceReport struct {
 	// arithmetic (wsp.Params), which both backends must hit exactly.
 	Want SideCounts
 	// MaxWeightDiff is the largest absolute per-coordinate difference
-	// between the two final weight vectors.
+	// between the two final weight vectors. The backends fold the same
+	// updates in the same order, so anything but 0 fails.
 	MaxWeightDiff float64
 	// NonFinite counts the NaN or infinite coordinates of the two final
 	// weight vectors together; any is a failure no difference can show.
@@ -59,7 +57,6 @@ type ConformanceReport struct {
 	// DBound is the protocol guarantee D+1 on the clock distance, SGlobal the
 	// one on the staleness either side observed (wsp.Params.SGlobal).
 	DBound, SGlobal int
-	Tolerance       float64
 	// Crashes, Recoveries, and ReplayedMinibatches report the live half's
 	// fault activity (zero for a fault-free configuration).
 	Crashes, Recoveries, ReplayedMinibatches int
@@ -67,7 +64,7 @@ type ConformanceReport struct {
 
 // Err reports nil when the backends conform: counts match the protocol
 // arithmetic, neither side violates the D-bound or the staleness bound, and
-// the final weights are finite and agree within tolerance.
+// the final weights are finite and bit for bit the same.
 func (r *ConformanceReport) Err() error {
 	if r.Sim.Minibatches != r.Want.Minibatches || r.Live.Minibatches != r.Want.Minibatches {
 		return fmt.Errorf("cluster: minibatches sim=%d live=%d want=%d", r.Sim.Minibatches, r.Live.Minibatches, r.Want.Minibatches)
@@ -90,8 +87,8 @@ func (r *ConformanceReport) Err() error {
 	if r.NonFinite > 0 {
 		return fmt.Errorf("cluster: %d non-finite final weights", r.NonFinite)
 	}
-	if r.MaxWeightDiff > r.Tolerance {
-		return fmt.Errorf("cluster: final weights diverge by %g (tolerance %g)", r.MaxWeightDiff, r.Tolerance)
+	if r.MaxWeightDiff != 0 {
+		return fmt.Errorf("cluster: final weights diverge by %g", r.MaxWeightDiff)
 	}
 	return nil
 }
@@ -112,12 +109,12 @@ func (r *ConformanceReport) String() string {
 			"live: minibatches=%d pushes=%d pulls=%d maxClockDistance=%d\n"+
 			"want: minibatches=%d pushes=%d pulls=%d (D-bound %d)\n"+
 			"max staleness observed: sim=%d live=%d (sglobal %d)\n"+
-			"%smax |w_sim - w_live| = %.3g (tolerance %g)\n%s",
+			"%smax |w_sim - w_live| = %.3g (must be 0)\n%s",
 		r.Sim.Minibatches, r.Sim.Pushes, r.Sim.Pulls, r.Sim.MaxClockDistance,
 		r.Live.Minibatches, r.Live.Pushes, r.Live.Pulls, r.Live.MaxClockDistance,
 		r.Want.Minibatches, r.Want.Pushes, r.Want.Pulls, r.DBound,
 		r.Sim.MaxStaleness, r.Live.MaxStaleness, r.SGlobal,
-		faults, r.MaxWeightDiff, r.Tolerance, verdict)
+		faults, r.MaxWeightDiff, verdict)
 }
 
 // RunConformance executes the same configuration through the simulator and
@@ -131,13 +128,6 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 	if err != nil {
 		return nil, err
 	}
-	tol := cfg.Tolerance
-	switch {
-	case tol == 0:
-		tol = 1e-6
-	case tol < 0:
-		tol = 0 // exact bit-equality
-	}
 	params := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}
 	report := &ConformanceReport{
 		Sim:  SideCounts{sim.Minibatches, sim.Pushes, sim.Pulls, sim.MaxClockDistance, sim.MaxStaleness},
@@ -149,7 +139,6 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 		},
 		DBound:              cfg.D + 1,
 		SGlobal:             params.SGlobal(),
-		Tolerance:           tol,
 		Crashes:             live.Crashes,
 		Recoveries:          live.Recoveries,
 		ReplayedMinibatches: live.ReplayedMinibatches,

@@ -54,7 +54,7 @@ type conformanceCase struct {
 // TestSimLiveConformance is the differential acceptance suite: the same
 // (task, N, Nm, D) configuration runs through the discrete-event simulator
 // and the live sharded-PS runtime, and the two must agree on every protocol
-// count, respect the D-bound, and land on the same weights within 1e-6 —
+// count, respect the D-bound, and land on the same weights bit for bit —
 // across worker counts, staleness settings, shard counts, and one real-TCP
 // configuration.
 func TestSimLiveConformance(t *testing.T) {
@@ -66,12 +66,6 @@ func TestSimLiveConformance(t *testing.T) {
 			}
 			if err := report.Err(); err != nil {
 				t.Fatalf("%v\n%s", err, report)
-			}
-			if report.MaxWeightDiff > 1e-9 {
-				// Not a failure — the bound is 1e-6 — but worth surfacing:
-				// the two backends fold identical update sets, so the drift
-				// should stay in round-off territory.
-				t.Logf("weight drift %g larger than round-off", report.MaxWeightDiff)
 			}
 		})
 	}

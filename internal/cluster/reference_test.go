@@ -151,7 +151,7 @@ func TestObservedStalenessWithinSGlobal(t *testing.T) {
 				}
 				cfg := ConformanceConfig{
 					Task: task, Workers: 3, SLocal: nm - 1, D: d, LR: 0.2,
-					MaxMinibatches: budget, Servers: 2, Tolerance: -1,
+					MaxMinibatches: budget, Servers: 2,
 					Faults: plan, CheckpointEvery: 2,
 				}
 				report, err := RunConformance(context.Background(), cfg)

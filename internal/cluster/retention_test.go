@@ -93,7 +93,7 @@ func TestWorkerKeepsBoundedWaveDeltas(t *testing.T) {
 	report, err := RunConformance(context.Background(), ConformanceConfig{
 		Task: task, Workers: cfg.Workers, SLocal: cfg.SLocal, D: cfg.D, LR: cfg.LR,
 		MaxMinibatches: cfg.MaxMinibatches, Servers: cfg.Servers,
-		CheckpointEvery: cfg.CheckpointEvery, Tolerance: -1,
+		CheckpointEvery: cfg.CheckpointEvery,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -282,8 +282,8 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	if weights["w"][0] != 3 || weights["w"][1] != 5 {
 		t.Errorf("pull = %v", weights)
 	}
-	if g, err := c1.GlobalClock(); err != nil || g != 1 {
-		t.Errorf("global clock = %d, %v", g, err)
+	if g := s.GlobalClock(); g != 1 {
+		t.Errorf("global clock = %d, want 1", g)
 	}
 	// Server-side errors propagate as client errors.
 	if _, err := pushMap(c0, 0, map[string]tensor.Vector{"missing": {1}}); err == nil {

@@ -16,7 +16,10 @@
 // and one response per shard server (Server, Client and Sharded all have it;
 // Backend is what Sharded needs of the first two). PushOrdered and
 // PullAtInto are its half-empty cases; all three move weights through
-// caller-owned slices with no per-call map traffic. A server keeps one flat
+// caller-owned slices with no per-call map traffic. Every exchange is served
+// in one order, in process and over TCP alike: validate both sections, commit
+// the push, wait for the pull's clock, answer — so an exchange that has
+// returned is already in the server's clocks. A server keeps one flat
 // vector per global-clock boundary and serves every pull — fused or not, in
 // process or over TCP — from it under its lock; there is no read of the
 // "latest" weights, whose value would depend on push arrival order.
@@ -288,27 +291,6 @@ func (s *Server) takeBacking(n int) tensor.Vector {
 	return make(tensor.Vector, n)
 }
 
-// previewPush validates a push exactly as exchange would and returns the
-// clock it will advance to, without touching any weight. The TCP transport
-// uses it to acknowledge a frame that only pushes before applying it,
-// overlapping the apply with the acknowledgment's network transit. That
-// reordering is invisible to every reader: requests on the same connection
-// are handled after the commit, and readers on other connections are
-// clock-gated (snapshot pulls block until the commit advances the clock), so
-// nothing can observe the acknowledged-but-uncommitted window. A
-// frame that also pulls cannot be answered early — its answer is the
-// snapshot — so exchange commits first and there is no window at all.
-//
-//hetlint:hotpath
-func (s *Server) previewPush(push *Push) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.validatePushLocked(push); err != nil {
-		return 0, err
-	}
-	return s.clocks[push.Worker] + 1, nil
-}
-
 // validatePushLocked checks a push — worker index, keyset (interning a new
 // one), per-shard lengths. Unannotated because its fmt formatting runs only
 // on the error path.
@@ -417,7 +399,8 @@ func (s *Server) distanceLocked() int {
 
 // MaxClockDistance reports the largest max-min clock spread across workers
 // observed at any push — the live counterpart of the WSP coordinator's
-// distance tracking, used to check the D+1 bound.
+// distance tracking, used to check the D+1 bound. It and GlobalClock are read
+// in process only; the wire has no query for either.
 func (s *Server) MaxClockDistance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -23,8 +23,8 @@ import (
 // stack on the way down to the socket write.
 //
 // The type works over any backend implementing Backend (the in-process
-// Server does via AdaptServer; *Client is one natively), so the same code
-// path serves simulations, tests, and real sockets.
+// *Server and the TCP *Client both do), so the same code path serves
+// simulations, tests, and real sockets.
 type Sharded struct {
 	placement *Placement
 	backends  []Backend
@@ -43,26 +43,14 @@ type Sharded struct {
 }
 
 // Backend is the per-server operation set Sharded needs. *Client implements
-// it natively over TCP; AdaptServer wraps an in-process *Server.
+// it over TCP and *Server in process.
 type Backend interface {
 	Exchange(push *Push, pull *SnapshotPull) (int, error)
-	GlobalClock() (int, error)
 	Meta() (Meta, error)
-	MaxClockDistance() (int, error)
 }
 
-// serverBackend adapts *Server (whose GlobalClock returns no error).
-type serverBackend struct{ s *Server }
-
-func (b serverBackend) Exchange(push *Push, pull *SnapshotPull) (int, error) {
-	return b.s.Exchange(push, pull)
-}
-func (b serverBackend) GlobalClock() (int, error)      { return b.s.GlobalClock(), nil }
-func (b serverBackend) Meta() (Meta, error)            { return b.s.Meta() }
-func (b serverBackend) MaxClockDistance() (int, error) { return b.s.MaxClockDistance(), nil }
-
-// AdaptServer wraps an in-process Server as a Backend.
-func AdaptServer(s *Server) Backend { return serverBackend{s} }
+// AdaptServer returns an in-process Server as a Backend.
+func AdaptServer(s *Server) Backend { return s }
 
 // NewSharded builds a sharded client over one backend per placement server.
 // It fetches each backend's Meta so pushes can be validated client-side, and
@@ -322,34 +310,4 @@ func (s *Sharded) PushOrdered(worker int, keys []string, vecs []tensor.Vector) e
 // length matches): Exchange with no push section.
 func (s *Sharded) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
 	return s.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
-}
-
-// GlobalClock reports the minimum clock across all shard servers.
-func (s *Sharded) GlobalClock() (int, error) {
-	min := -1
-	for i, b := range s.backends {
-		c, err := b.GlobalClock()
-		if err != nil {
-			return 0, fmt.Errorf("ps: shard server %d: %w", i, err)
-		}
-		if min < 0 || c < min {
-			min = c
-		}
-	}
-	return min, nil
-}
-
-// MaxClockDistance reports the largest clock spread observed by any shard.
-func (s *Sharded) MaxClockDistance() (int, error) {
-	max := 0
-	for i, b := range s.backends {
-		d, err := b.MaxClockDistance()
-		if err != nil {
-			return 0, fmt.Errorf("ps: shard server %d: %w", i, err)
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max, nil
 }

@@ -38,7 +38,7 @@ func shardedFixture(t *testing.T, workers int) (*Sharded, []*Server, []string) {
 }
 
 func TestShardedPushPullRoundTrip(t *testing.T) {
-	sh, _, keys := shardedFixture(t, 1)
+	sh, servers, keys := shardedFixture(t, 1)
 	updates := map[string]tensor.Vector{}
 	for i, k := range keys {
 		updates[k] = tensor.Vector{float64(i), 1}
@@ -50,8 +50,10 @@ func TestShardedPushPullRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clock, _ := sh.GlobalClock(); clock != 1 {
-		t.Errorf("clock = %d, want 1", clock)
+	for i, s := range servers {
+		if clock := s.GlobalClock(); clock != 1 {
+			t.Errorf("server %d clock = %d, want 1", i, clock)
+		}
 	}
 	for i, k := range keys {
 		if got[k][0] != float64(i) || got[k][1] != 1 {
@@ -60,8 +62,20 @@ func TestShardedPushPullRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardedClockIsMinAcrossServers: every shard's global clock is the
+// minimum over the workers, and a sharded push moves all shards together, so
+// the minimum across servers (what internal/cluster reports) is every
+// server's clock.
 func TestShardedClockIsMinAcrossServers(t *testing.T) {
 	sh, servers, keys := shardedFixture(t, 2)
+	clocks := func(want int, why string) {
+		t.Helper()
+		for i, s := range servers {
+			if c := s.GlobalClock(); c != want {
+				t.Errorf("server %d clock = %d, want %d (%s)", i, c, want, why)
+			}
+		}
+	}
 	// Worker 0 pushes everywhere; worker 1 has not pushed yet.
 	updates := map[string]tensor.Vector{}
 	for _, k := range keys {
@@ -70,18 +84,20 @@ func TestShardedClockIsMinAcrossServers(t *testing.T) {
 	if err := shardedPushMap(sh, 0, updates); err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := sh.GlobalClock(); c != 0 {
-		t.Errorf("global clock = %d, want 0 (worker 1 lags)", c)
-	}
+	clocks(0, "worker 1 lags")
 	if err := shardedPushMap(sh, 1, updates); err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := sh.GlobalClock(); c != 1 {
-		t.Errorf("global clock = %d, want 1", c)
+	clocks(1, "both pushed wave 0")
+	// Worker 0 pushes a key held by one server only: the other gets an empty
+	// push, so both still advance worker 0's clock.
+	if err := shardedPushMap(sh, 0, map[string]tensor.Vector{keys[0]: {1, 1}}); err != nil {
+		t.Fatal(err)
 	}
+	clocks(1, "worker 1 lags again")
 	for i, s := range servers {
-		if s.GlobalClock() != 1 {
-			t.Errorf("server %d clock = %d, want 1 (empty pushes keep clocks aligned)", i, s.GlobalClock())
+		if d := s.MaxClockDistance(); d != 1 {
+			t.Errorf("server %d clock distance = %d, want 1 (empty pushes keep clocks aligned)", i, d)
 		}
 	}
 }
@@ -154,7 +170,7 @@ func TestShardedPushFailureLeavesClocksUnchanged(t *testing.T) {
 }
 
 func TestShardedPullAtReturnsClockSnapshot(t *testing.T) {
-	sh, _, keys := shardedFixture(t, 2)
+	sh, servers, keys := shardedFixture(t, 2)
 	push := func(w int, val float64) {
 		t.Helper()
 		updates := map[string]tensor.Vector{}
@@ -189,8 +205,10 @@ func TestShardedPullAtReturnsClockSnapshot(t *testing.T) {
 			t.Errorf("snapshot at clock 0, shard %s = %v, want 0", k, snap0[k])
 		}
 	}
-	if d, _ := sh.MaxClockDistance(); d != 1 {
-		t.Errorf("max clock distance = %d, want 1", d)
+	for i, s := range servers {
+		if d := s.MaxClockDistance(); d != 1 {
+			t.Errorf("server %d max clock distance = %d, want 1", i, d)
+		}
 	}
 }
 
@@ -228,7 +246,7 @@ func TestShardedPullAtBlocksUntilClock(t *testing.T) {
 }
 
 func TestShardedConcurrentWorkers(t *testing.T) {
-	sh, _, keys := shardedFixture(t, 4)
+	sh, servers, keys := shardedFixture(t, 4)
 	var wg sync.WaitGroup
 	const waves = 20
 	for w := 0; w < 4; w++ {
@@ -253,8 +271,10 @@ func TestShardedConcurrentWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clock, _ := sh.GlobalClock(); clock != waves {
-		t.Errorf("clock = %d, want %d", clock, waves)
+	for i, s := range servers {
+		if clock := s.GlobalClock(); clock != waves {
+			t.Errorf("server %d clock = %d, want %d", i, clock, waves)
+		}
 	}
 	for _, k := range keys {
 		if got[k][0] != 4*waves {

@@ -46,7 +46,7 @@ func Serve(l net.Listener, s *Server) error {
 		go func() {
 			defer wg.Done()
 			defer conn.Close()
-			sc := &serverConn{conn: conn, s: s, br: bufio.NewReaderSize(conn, connReadBuf)}
+			sc := &serverConn{conn: conn, s: s, in: newFrameReader(conn)}
 			sc.serve()
 		}()
 	}
@@ -57,12 +57,9 @@ func Serve(l net.Listener, s *Server) error {
 type serverConn struct {
 	conn net.Conn
 	s    *Server
-	br   *bufio.Reader
-
-	hdr  [4]byte // incoming length prefix (a local would escape through io.Reader)
-	rbuf []byte  // incoming frame payload
-	dec  decoder // reads rbuf
-	enc  encoder // outgoing response frame
+	in   frameReader // incoming request frames
+	dec  decoder     // reads the current request's payload
+	enc  encoder     // outgoing response frame
 
 	names []string // interned key table: id -> key
 	keys  []string // the key set being decoded (scratch)
@@ -83,7 +80,7 @@ type serverConn struct {
 // still writable, draws a protocol-error frame before the connection closes.
 func (c *serverConn) serve() {
 	var pre [preambleLen]byte
-	if _, err := io.ReadFull(c.br, pre[:]); err != nil {
+	if _, err := io.ReadFull(c.in.br, pre[:]); err != nil {
 		if err != io.EOF { // connected and vanished: clean enough
 			c.s.noteMalformed()
 			c.writeProtoErr("ps: truncated connection preamble")
@@ -96,23 +93,17 @@ func (c *serverConn) serve() {
 		return
 	}
 	for {
-		n, err := c.readFrameHeader()
+		payload, err := c.in.next()
 		if err != nil {
-			if err != io.EOF { // mid-header cut or unreadable socket
+			if err == errFrameSize {
+				c.s.noteMalformed()
+				c.writeProtoErr(err.Error())
+			} else if err != io.EOF { // a frame cut short, or an unreadable socket
 				c.s.noteMalformed()
 			}
 			return
 		}
-		if n > maxFrame {
-			c.s.noteMalformed()
-			c.writeProtoErr("ps: frame exceeds size limit")
-			return
-		}
-		if err := c.readPayload(n); err != nil {
-			c.s.noteMalformed() // length prefix promised more bytes than arrived
-			return
-		}
-		c.dec.reset(c.rbuf)
+		c.dec.reset(payload)
 		c.s.frames.Add(1)
 		if !c.handle() {
 			return
@@ -120,36 +111,55 @@ func (c *serverConn) serve() {
 	}
 }
 
-// readFrameHeader reads the 4-byte length prefix. io.EOF at the frame
-// boundary is the clean-shutdown signal; a partial header surfaces as
-// io.ErrUnexpectedEOF.
-func (c *serverConn) readFrameHeader() (int, error) {
-	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
-		return 0, err
-	}
-	return int(binary.LittleEndian.Uint32(c.hdr[:])), nil
+// frameReader reads one end's incoming frames: a 4-byte little-endian length
+// prefix, then that many payload bytes. Server and client both read through
+// one, so both hold the same line against the peer's announcements.
+type frameReader struct {
+	br  *bufio.Reader
+	hdr [4]byte // length prefix (a local would escape through io.Reader)
+	buf []byte  // the last frame's payload
 }
 
-// readPayload reads an n-byte frame payload into c.rbuf. A payload the
-// buffer already fits (every steady-state frame) is read in place; a larger
-// one grows the buffer as its bytes arrive, doubling, so the memory a peer
-// can make the server allocate is bounded by what it actually sends, not by
-// what its length prefix announces.
-func (c *serverConn) readPayload(n int) error {
-	have := 0
-	for have < n {
+func newFrameReader(conn net.Conn) frameReader {
+	return frameReader{br: bufio.NewReaderSize(conn, connReadBuf)}
+}
+
+// errFrameSize is a length prefix announcing more than maxFrame.
+var errFrameSize = errors.New("ps: frame exceeds size limit")
+
+// next reads one frame and returns its payload, valid until the next call.
+// io.EOF before the first header byte is a clean end of stream; a frame cut
+// anywhere after it is io.ErrUnexpectedEOF, and one announcing more than
+// maxFrame is errFrameSize. A payload the buffer already fits (every
+// steady-state frame) is read in place; a larger one grows the buffer as its
+// bytes arrive, doubling, so the memory a peer can make this end allocate is
+// bounded by what it actually sends, not by what its length prefix announces.
+//
+//hetlint:hotpath
+func (r *frameReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(r.hdr[:]))
+	if n > maxFrame {
+		return nil, errFrameSize
+	}
+	for have := 0; have < n; {
 		upto := n
-		if n > cap(c.rbuf) {
-			upto = min(n, max(2*have, connReadBuf))
-			c.rbuf = append(c.rbuf[:have], make([]byte, upto-have)...)
+		if n > cap(r.buf) {
+			upto = min(n, max(2*have, cap(r.buf), connReadBuf))
+			r.buf = append(r.buf[:have], make([]byte, upto-have)...)
 		}
-		if _, err := io.ReadFull(c.br, c.rbuf[have:upto]); err != nil {
-			return err
+		if _, err := io.ReadFull(r.br, r.buf[have:upto]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return nil, err
 		}
 		have = upto
 	}
-	c.rbuf = c.rbuf[:n]
-	return nil
+	r.buf = r.buf[:n]
+	return r.buf, nil
 }
 
 // handle decodes and executes one request, writing one response frame.
@@ -163,16 +173,6 @@ func (c *serverConn) handle() bool {
 	switch op {
 	case opWave:
 		return c.handleWave()
-	case opClock:
-		c.enc.begin()
-		c.enc.u8(statusOK)
-		c.enc.uvarint(uint64(c.s.GlobalClock()))
-		return c.writeFrame()
-	case opDistance:
-		c.enc.begin()
-		c.enc.u8(statusOK)
-		c.enc.uvarint(uint64(c.s.MaxClockDistance()))
-		return c.writeFrame()
 	case opMeta:
 		return c.handleMeta()
 	default:
@@ -291,31 +291,13 @@ func (c *serverConn) decodeWave() (*Push, *SnapshotPull, error) {
 	return push, pull, nil
 }
 
-// handleWave serves one wave exchange; wire.go says what is answered when.
+// handleWave serves one wave exchange in the order wire.go states: the
+// server validates, commits, waits for the gate and encodes under its lock,
+// and the answer goes out after all of that.
 func (c *serverConn) handleWave() bool {
 	push, pull, err := c.decodeWave()
 	if err != nil {
 		return c.protoFail(err)
-	}
-	if pull == nil {
-		// Acknowledge before applying: previewPush runs the full validation
-		// and predicts the resulting clock, the acknowledgment goes out, and
-		// the apply overlaps with its network transit. exchange revalidates,
-		// so even a racing misuse (two connections pushing as one worker)
-		// cannot corrupt the server — it can only make the commit fail after
-		// the ack, which tears down this connection.
-		clock, err := c.s.previewPush(push)
-		if err != nil {
-			return c.writeAppErr(err)
-		}
-		c.enc.begin()
-		c.enc.u8(statusOK)
-		c.enc.uvarint(uint64(clock))
-		if !c.writeFrame() {
-			return false
-		}
-		_, err = c.s.exchange(push, nil, nil)
-		return err == nil
 	}
 	c.enc.begin()
 	c.enc.u8(statusOK)
@@ -415,13 +397,11 @@ func (c *serverConn) writeProtoErr(msg string) {
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	br   *bufio.Reader
 	err  error // the transport error that failed this client, if any
 
-	enc  encoder // outgoing request frame
-	hdr  [4]byte // incoming length prefix (a local would escape through io.Reader)
-	rbuf []byte  // incoming response payload
-	dec  decoder
+	enc encoder     // outgoing request frame
+	in  frameReader // incoming response frames
+	dec decoder     // reads the current response's payload
 
 	ids map[string]uint32 // interned key table: key -> id
 }
@@ -437,11 +417,12 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("ps: send preamble to %s: %w", addr, err)
 	}
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, connReadBuf),
-		ids:  make(map[string]uint32),
-	}, nil
+	return newClient(conn), nil
+}
+
+// newClient wraps a connection whose preamble has been sent.
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, in: newFrameReader(conn), ids: make(map[string]uint32)}
 }
 
 // Close tears down the connection.
@@ -512,24 +493,14 @@ func (c *Client) send() error {
 // transport error, still usable for an application error the server
 // reported.
 func (c *Client) receive() error {
-	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
+	payload, err := c.in.next()
+	if err != nil {
 		if err == io.EOF {
 			return c.fail(errors.New("ps: server closed connection"))
 		}
 		return c.fail(wrapErr("ps: receive", err))
 	}
-	n := int(binary.LittleEndian.Uint32(c.hdr[:]))
-	if n > maxFrame {
-		return c.fail(errors.New("ps: response frame exceeds size limit"))
-	}
-	if cap(c.rbuf) < n {
-		c.rbuf = make([]byte, n)
-	}
-	c.rbuf = c.rbuf[:n]
-	if _, err := io.ReadFull(c.br, c.rbuf); err != nil {
-		return c.fail(wrapErr("ps: receive", err))
-	}
-	c.dec.reset(c.rbuf)
+	c.dec.reset(payload)
 	status, err := c.dec.u8()
 	if err != nil {
 		return c.fail(wrapErr("ps: receive", err))
@@ -552,10 +523,14 @@ func (c *Client) receive() error {
 }
 
 // done ends a request/response pair after the payload is decoded. A payload
-// that did not decode means the stream can no longer be trusted.
+// that did not decode, or did not end where its last field did, means the
+// stream can no longer be trusted.
 //
 //hetlint:hotpath
 func (c *Client) done(decodeErr error) error {
+	if decodeErr == nil && c.dec.remaining() != 0 {
+		decodeErr = errTrailing
+	}
 	if decodeErr != nil {
 		return c.fail(wrapErr("ps: receive", decodeErr))
 	}
@@ -648,8 +623,7 @@ func (c *Client) decodeVectors(dst []tensor.Vector, clocked bool) (int, error) {
 	if !clocked {
 		return 0, nil
 	}
-	clock, err := c.dec.uvarint()
-	return int(clock), err
+	return c.dec.nat()
 }
 
 // PushOrdered sends worker w's aggregated wave update as parallel key and
@@ -668,41 +642,15 @@ func (c *Client) PullAtInto(dst []tensor.Vector, keys []string, clock int) error
 	return err
 }
 
-// roundTrip is send followed by receive, for the operations nothing scatters.
-func (c *Client) roundTrip() error {
-	if err := c.send(); err != nil {
-		return err
-	}
-	return c.receive()
-}
-
-// GlobalClock queries the server's clock.
-func (c *Client) GlobalClock() (int, error) {
-	return c.clockOp(opClock)
-}
-
-// MaxClockDistance queries the largest clock spread the server has observed.
-func (c *Client) MaxClockDistance() (int, error) {
-	return c.clockOp(opDistance)
-}
-
-func (c *Client) clockOp(op byte) (int, error) {
-	if err := c.begin(op); err != nil {
-		return 0, err
-	}
-	if err := c.roundTrip(); err != nil {
-		return 0, err
-	}
-	clock, err := c.dec.uvarint()
-	return int(clock), c.done(err)
-}
-
 // Meta queries the server's shard layout and worker count.
 func (c *Client) Meta() (Meta, error) {
 	if err := c.begin(opMeta); err != nil {
 		return Meta{}, err
 	}
-	if err := c.roundTrip(); err != nil {
+	if err := c.send(); err != nil {
+		return Meta{}, err
+	}
+	if err := c.receive(); err != nil {
 		return Meta{}, err
 	}
 	m, err := c.decodeMeta()
@@ -710,7 +658,7 @@ func (c *Client) Meta() (Meta, error) {
 }
 
 func (c *Client) decodeMeta() (Meta, error) {
-	workers, err := c.dec.uvarint()
+	workers, err := c.dec.nat()
 	if err != nil {
 		return Meta{}, err
 	}
@@ -721,17 +669,17 @@ func (c *Client) decodeMeta() (Meta, error) {
 	if n > uint64(c.dec.remaining()) {
 		return Meta{}, errKeyCount
 	}
-	m := Meta{Workers: int(workers), Dims: make(map[string]int, n)}
+	m := Meta{Workers: workers, Dims: make(map[string]int, n)}
 	for i := uint64(0); i < n; i++ {
 		key, err := c.dec.str()
 		if err != nil {
 			return Meta{}, err
 		}
-		dim, err := c.dec.uvarint()
+		dim, err := c.dec.nat()
 		if err != nil {
 			return Meta{}, err
 		}
-		m.Dims[key] = int(dim)
+		m.Dims[key] = dim
 	}
 	return m, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +111,53 @@ func TestTCPCloseDuringBlockedPullAtReturnsServerClosed(t *testing.T) {
 	}
 }
 
+// TestPushIsCommittedWhenItReturns pins the wire's one answer order: a frame
+// that only pushes is answered after its commit, like every other frame, so
+// by the time PushOrdered returns the server already counts the push. Over
+// loopback TCP with at least two Ps, where an answer sent ahead of the commit
+// lets the caller read the server's clock before the commit lands; the
+// pushes are large so that a commit takes a while. A server keeps every wave
+// it is pushed, so each round gets a fresh one.
+func TestPushIsCommittedWhenItReturns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const dim, rounds, pushes = 16 << 10, 20, 40
+	keys, vecs := []string{"w"}, []tensor.Vector{make(tensor.Vector, dim)}
+	for round := 0; round < rounds; round++ {
+		s, err := NewServer(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Register("w", make([]float64, dim)); err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan struct{})
+		go func() {
+			Serve(l, s)
+			close(served)
+		}()
+		c, err := Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= pushes; i++ {
+			clock, err := c.PushOrdered(0, keys, vecs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := s.GlobalClock(); clock != i || g != i {
+				t.Fatalf("round %d: push %d returned clock %d while the server's global clock was %d", round, i, clock, g)
+			}
+		}
+		c.Close()
+		l.Close()
+		<-served
+	}
+}
+
 // readRawFrame reads one length-prefixed response frame off a raw conn.
 func readRawFrame(t *testing.T, conn net.Conn) []byte {
 	t.Helper()
@@ -185,18 +233,21 @@ func TestTCPGarbageRequestDropsOnlyThatConnection(t *testing.T) {
 	}
 	// Same connection, now a valid request: the server kept it alive.
 	e.begin()
-	e.u8(opClock)
+	e.u8(opMeta)
 	if _, err := conn.Write(e.finish()); err != nil {
 		t.Fatal(err)
 	}
 	payload = readRawFrame(t, conn)
 	if len(payload) == 0 || payload[0] != statusOK {
-		t.Fatalf("clock after unknown op = %v, want statusOK frame", payload)
+		t.Fatalf("meta after unknown op = %v, want statusOK frame", payload)
 	}
 
 	// The healthy client still works after both bad peers.
-	if g, err := good.GlobalClock(); err != nil || g != 1 {
-		t.Errorf("healthy client after garbage peer: clock=%d err=%v", g, err)
+	if clock, err := pushMap(good, 0, map[string]tensor.Vector{"w": {1, 1}}); err != nil || clock != 2 {
+		t.Errorf("healthy client after garbage peer: clock=%d err=%v", clock, err)
+	}
+	if g := s.GlobalClock(); g != 2 {
+		t.Errorf("server clock after both pushes = %d, want 2", g)
 	}
 
 	// A client that disconnects cleanly between frames is NOT malformed.
@@ -204,7 +255,7 @@ func TestTCPGarbageRequestDropsOnlyThatConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bye.GlobalClock(); err != nil {
+	if _, err := bye.Meta(); err != nil {
 		t.Fatal(err)
 	}
 	bye.Close()
@@ -397,8 +448,9 @@ func TestShardKilledBetweenScatterAndGather(t *testing.T) {
 		if dst[i][0] != 2 {
 			t.Errorf("shard %d's snapshot = %v, want 2", i, dst[i][0])
 		}
-		if g, err := clients[i].GlobalClock(); err != nil || g != 1 {
-			t.Errorf("client %d after the failure: clock %d, %v; want 1", i, g, err)
+		again := []tensor.Vector{nil}
+		if err := clients[i].PullAtInto(again, keys[i:i+1], 1); err != nil || again[0][0] != 2 {
+			t.Errorf("client %d after the failure: snapshot %v, %v; want 2", i, again[0], err)
 		}
 		if m, err := clients[i].Meta(); err != nil || m.Workers != 2 {
 			t.Errorf("client %d after the failure: meta %+v, %v", i, m, err)
@@ -407,7 +459,7 @@ func TestShardKilledBetweenScatterAndGather(t *testing.T) {
 	// The victim, and the client whose response was still in flight: failed
 	// for good, every call, same error, promptly.
 	for _, i := range []int{victim, 3} {
-		_, first := clients[i].GlobalClock()
+		_, first := clients[i].PushOrdered(0, keys[i:i+1], vecs[i:i+1])
 		_, second := clients[i].Exchange(nil, &SnapshotPull{Clock: 0, Keys: keys[i : i+1], Dst: dst[i : i+1]})
 		_, third := clients[i].Meta()
 		if first == nil || second != first || third != first {

@@ -3,6 +3,7 @@ package ps
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 
 	"hetpipe/internal/tensor"
 )
@@ -25,10 +26,11 @@ import (
 //	opWave:     flags byte (wavePush | wavePull, at least one), then
 //	            if wavePush: uvarint worker, keyset, one vector per key
 //	            if wavePull: uvarint clock, keyset
-//	opClock, opMeta, opDistance: opcode only
+//	opMeta:     opcode only
 //
-// A wave request must end where its last section does; trailing bytes are a
-// protocol error.
+// A frame must end where its last field does, in either direction: trailing
+// bytes in a request are a protocol error, and in a response they fail the
+// client like any other response that does not decode.
 //
 // Responses start with a one-byte status (statusOK, statusAppErr,
 // statusProtoErr); non-OK frames carry a length-prefixed message. OK
@@ -38,18 +40,16 @@ import (
 //	            if wavePush: uvarint new worker clock — the clock trails so
 //	            the server can commit, wait and encode in one pass under its
 //	            lock
-//	opClock, opDistance: uvarint clock
 //	opMeta:     uvarint workers, uvarint keys, then per key: string, uvarint dim
 //
-// What an opWave frame is answered with, and when, depends on its sections.
-// Push only: the server validates the update in full, acknowledges, then
-// commits (see Server.previewPush for why nothing can observe the gap). With
-// a pull section — alone or after a push — it validates both sections,
-// commits the push, then waits until the global clock reaches the requested
-// clock, then encodes that clock's snapshot and answers. Commit-before-gate
-// is what keeps D = 0 free of deadlock: no worker ever waits on a clock while
-// holding back the push its peers are waiting for. A rejected section is an
-// application error: nothing was committed and the connection stays usable.
+// Every opWave frame is answered in one order, whatever its sections: the
+// server validates all of them, commits the push, waits until the global
+// clock reaches the pull's clock, and only then answers. A push call that has
+// returned is therefore already in the server's clocks and snapshots, over
+// TCP as in process. Commit-before-gate is what keeps D = 0 free of deadlock:
+// no worker ever waits on a clock while holding back the push its peers are
+// waiting for. A rejected section is an application error: nothing was
+// committed and the connection stays usable.
 //
 // A keyset is `uvarint n` followed by n key references. Keys are interned
 // per connection: the first time a client sends a key it writes a 0 token
@@ -63,9 +63,10 @@ import (
 const (
 	wireMagic   uint32 = 0x48505053 // "SPPH" on the wire: HetPipe Parameter Server
 	wireVersion uint16 = 2
-	// maxFrame caps a frame payload. Connections carrying a larger frame are
-	// counted malformed and dropped — a length prefix from a confused or
-	// hostile peer must not become a giant allocation.
+	// maxFrame caps a frame payload. A larger frame ends its connection
+	// (counted malformed by a server, failing a client), and below the cap a
+	// frame's buffer grows only as its bytes arrive — a length prefix from a
+	// confused or hostile peer must not become a giant allocation.
 	maxFrame = 64 << 20
 	// preambleLen is the size of the connection-opening header.
 	preambleLen = 8
@@ -78,10 +79,10 @@ const (
 	// 2 was opPull, the "latest weights once the clock reaches c" read. Its
 	// answer depended on which pushes had arrived, which WSP conformance
 	// forbids, and nothing issued it; a frame carrying it is answered like any
-	// unknown op. The other opcodes keep their numbers.
-	opClock    byte = 3
-	opMeta     byte = 4
-	opDistance byte = 5
+	// unknown op. 3 and 5 were opClock and opDistance, queries of the global
+	// clock and the clock distance; a run reads both off the servers it owns,
+	// so they were retired the same way. The other opcodes keep their numbers.
+	opMeta byte = 4
 )
 
 // opWave section flags.
@@ -105,7 +106,8 @@ var (
 	errBadKeyRef = errors.New("ps: key reference out of range")
 	errKeyCount  = errors.New("ps: keyset count exceeds frame size")
 	errWaveFlags = errors.New("ps: wave frame with no section or unknown section flags")
-	errTrailing  = errors.New("ps: trailing bytes after request")
+	errTrailing  = errors.New("ps: trailing bytes after the frame's last field")
+	errOverflow  = errors.New("ps: integer field does not fit an int")
 )
 
 // encoder builds one outgoing frame in a reusable buffer. The first four
@@ -198,6 +200,18 @@ func (d *decoder) uvarint() (uint64, error) {
 	}
 	d.off += n
 	return x, nil
+}
+
+// nat decodes a uvarint that must fit a non-negative int: a clock, a count,
+// a dimension.
+//
+//hetlint:hotpath
+func (d *decoder) nat() (int, error) {
+	x, err := d.uvarint()
+	if err == nil && x > math.MaxInt {
+		err = errOverflow
+	}
+	return int(x), err
 }
 
 //hetlint:hotpath

@@ -257,7 +257,8 @@ func TestTCPTruncatedRequestPayloadRejectedWithProtocolError(t *testing.T) {
 
 func TestClientSafeForConcurrentUse(t *testing.T) {
 	// One Client, many goroutines: the mutex must serialize the wire so no
-	// response is mismatched to another caller's request. Meant for -race.
+	// response is mismatched to another caller's request, and every push
+	// lands exactly once. Meant for -race.
 	const goroutines = 8
 	const iters = 50
 	s, addr := serveFixture(t, 1)
@@ -272,7 +273,7 @@ func TestClientSafeForConcurrentUse(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch g % 3 {
 				case 0:
-					if _, err := c.GlobalClock(); err != nil {
+					if _, err := pushMap(c, 0, map[string]tensor.Vector{"w": {1, 1}}); err != nil {
 						errs <- err
 						return
 					}
@@ -305,6 +306,9 @@ func TestClientSafeForConcurrentUse(t *testing.T) {
 	if got := s.MalformedRequests(); got != 0 {
 		t.Fatalf("MalformedRequests after concurrent use = %d, want 0", got)
 	}
+	if pushers := (goroutines + 2) / 3; s.GlobalClock() != pushers*iters {
+		t.Fatalf("global clock after concurrent use = %d, want %d pushes", s.GlobalClock(), pushers*iters)
+	}
 }
 
 // waveFrame encodes one wave request the way Client does, for tests that
@@ -327,9 +331,9 @@ func reframe(payload []byte) []byte {
 }
 
 // malformedWaveFrames are well-framed requests the decoder must refuse — wave
-// frames whose inside is wrong, and the retired opPull (opcode 2), which is an
-// unknown op like any other — shared by the table test below and
-// FuzzServerFrame's seed corpus.
+// frames whose inside is wrong, and the retired opPull, opClock and opDistance
+// (opcodes 2, 3 and 5), which are unknown ops like any other — shared by the
+// table test below and FuzzServerFrame's seed corpus.
 func malformedWaveFrames() map[string][]byte {
 	push := &Push{Worker: 0, Keys: []string{"w"}, Vecs: []tensor.Vector{{1, 2}}}
 	pull := &SnapshotPull{Clock: 0, Keys: []string{"w"}, Dst: []tensor.Vector{nil}}
@@ -338,6 +342,8 @@ func malformedWaveFrames() map[string][]byte {
 	pullOnly := waveFrame(nil, pull)[4:]
 	return map[string][]byte{
 		"retired opPull":       reframe([]byte{2, 0, 1, 0, 1, 'w'}),
+		"retired opClock":      reframe([]byte{3}),
+		"retired opDistance":   reframe([]byte{5}),
 		"no section":           reframe([]byte{opWave, 0}),
 		"unknown section flag": reframe(append([]byte{opWave, wavePush | wavePull | 4}, fused[2:]...)),
 		"flags byte missing":   reframe([]byte{opWave}),
