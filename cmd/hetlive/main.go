@@ -67,8 +67,8 @@ func main() {
 	progress := flag.Bool("progress", false, "stream push/pull/clock events while training (-deploy mode)")
 	faultSpec := flag.String("faults", "", "fault-injection plan, e.g. slow:w0:x2,crash:w1:mb40 (conformance keeps the sim fault-free)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "worker/shard checkpoint cadence in waves (0 = crashes replay from scratch)")
-	ckptPath := flag.String("checkpoint-path", "", "persist atomic shard checkpoints to this file (raw/deploy modes)")
-	resume := flag.String("resume", "", "resume the shard servers from this checkpoint file (raw/deploy modes)")
+	ckptPath := flag.String("checkpoint-path", "", "persist atomic shard checkpoints to this file")
+	resume := flag.String("resume", "", "resume the shard servers from this checkpoint file")
 	step := flag.Duration("step", 0, "emulated per-minibatch compute time; slow/link faults scale it (0 = as fast as possible)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
@@ -118,13 +118,16 @@ func main() {
 		fatalf("%v", err)
 	}
 
+	cfg := cluster.Config{
+		Task: task, Workers: *workers, Servers: *shards,
+		SLocal: *nm - 1, D: *d, LR: *lr,
+		MaxMinibatches: *mb, Chunks: *chunks, TCP: *tcp,
+		Faults: plan, CheckpointEvery: *ckptEvery,
+		CheckpointPath: *ckptPath, ResumeFrom: *resume,
+		StepTime: *step,
+	}
 	if *conform {
-		report, err := cluster.RunConformance(ctx, cluster.ConformanceConfig{
-			Task: task, Workers: *workers, SLocal: *nm - 1, D: *d,
-			LR: *lr, MaxMinibatches: *mb,
-			Servers: *shards, Chunks: *chunks, TCP: *tcp,
-			Faults: plan, CheckpointEvery: *ckptEvery,
-		})
+		report, err := cluster.RunConformance(ctx, cfg)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -135,14 +138,7 @@ func main() {
 		return
 	}
 
-	stats, err := cluster.Run(ctx, cluster.Config{
-		Task: task, Workers: *workers, Servers: *shards,
-		SLocal: *nm - 1, D: *d, LR: *lr,
-		MaxMinibatches: *mb, Chunks: *chunks, TCP: *tcp,
-		Faults: plan, CheckpointEvery: *ckptEvery,
-		CheckpointPath: *ckptPath, ResumeFrom: *resume,
-		StepTime: *step,
-	})
+	stats, err := cluster.Run(ctx, cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -147,13 +147,7 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, path string, files []st
 		}
 		parsed = append(parsed, af)
 	}
-	info := NewInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, parsed, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", path, err)
-	}
-	return &Package{Path: path, Fset: fset, Files: parsed, Types: tpkg, Info: info}, nil
+	return Check(fset, imp, path, parsed)
 }
 
 // NewInfo allocates the full types.Info the analyzers expect.

@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -178,13 +179,407 @@ type Stats struct {
 }
 
 // errCrashed is the self-inflicted failure an injected crash raises; the
-// worker wrapper catches it and starts the recovering attempt instead of
-// poisoning the run.
+// worker's recovery loop catches it and starts the recovering attempt instead
+// of poisoning the run.
 var errCrashed = errors.New("cluster: worker crashed (injected fault)")
 
-// workerRec is a worker's recovery bookkeeping. It lives outside runWorker so
-// it survives a crash; it is only ever touched by the worker's own goroutine.
-type workerRec struct {
+// Run executes a live WSP training run and reports its statistics.
+//
+// The run can be cancelled or deadlined through ctx: cancellation closes the
+// shard servers, which wakes every worker blocked in a D-bound pull (in
+// process or over TCP), unwinds all worker goroutines, reaps the TCP
+// listeners and their per-connection serve goroutines, and returns ctx.Err().
+func Run(ctx context.Context, cfg Config) (*Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	r, err := bringUp(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer r.shutdown()
+	// Cancellation takes the path a worker failure takes: closing the servers
+	// wakes every blocked pull with a "server closed" error and the workers
+	// unwind. The run's error is the bare ctx.Err(), so callers can errors.Is
+	// it.
+	var cancelled sync.WaitGroup
+	cancelled.Add(1)
+	stop := context.AfterFunc(ctx, func() {
+		defer cancelled.Done()
+		r.fail(ctx.Err())
+	})
+	r.train()
+	// Joined before the run's error or its servers' final state is read: a
+	// cancellation from here on no longer affects this run.
+	if stop() {
+		cancelled.Done()
+	}
+	cancelled.Wait()
+	if r.err != nil {
+		return nil, r.err
+	}
+	stats, err := r.stats()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.CheckpointPath != "" {
+		// Final durable checkpoint at the completed run's clock.
+		if err := r.saveServers(); err != nil {
+			return nil, err
+		}
+	}
+	return stats, nil
+}
+
+// run is one live training run: its shard servers, the ways its workers
+// reach them, and what the workers share while they train. Its methods are
+// Run's seams: bringUp stands the shards up, train launches the workers (each
+// worker's train is its attempt-and-recovery loop), stats folds the outcome.
+type run struct {
+	cfg       Config
+	params    wsp.Params
+	space     *shardSpace
+	placement *ps.Placement
+	servers   []*ps.Server
+	// local is the one in-process Sharded over servers: in-process workers
+	// exchange through it, and the final-weights read goes through it on
+	// either transport.
+	local *ps.Sharded
+	// listeners[i] serves servers[i] at addrs[i] over loopback TCP when
+	// Config.TCP; served counts their serve loops.
+	listeners []net.Listener
+	addrs     []string
+	served    sync.WaitGroup
+	// resumed is the restored checkpoint's global clock; 0 for a fresh run.
+	resumed int
+	workers []*worker
+
+	start, end time.Time // the worker phase
+
+	// once guards err, the run's first failure.
+	once sync.Once
+	err  error
+
+	// obsMu serializes observer calls; clockEmitted is the newest global
+	// clock reported.
+	obsMu        sync.Mutex
+	clockEmitted int
+	// stalls is the cluster-wide stall cursor, stepped under stallMu.
+	stallMu sync.Mutex
+	stalls  fault.Cursor
+	// ckptTick wakes the shard checkpointer; nil when no shard checkpoint is
+	// persisted at a cadence.
+	ckptTick chan struct{}
+}
+
+// bringUp stands a run's shards up — fresh from the task's initial weights,
+// or restored from Config.ResumeFrom — with the in-process Sharded over them,
+// a loopback listener per server when Config.TCP, and every worker at
+// minibatch 1. A run bringUp returns must be shut down.
+func bringUp(cfg Config) (*run, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	r := &run{cfg: cfg, params: cfg.params()}
+	if err := r.params.Validate(); err != nil {
+		return nil, err
+	}
+	// Every worker's program at minibatch 1: the checkpoint its first attempt,
+	// and any recovery before the first cadence point, starts from.
+	r.workers = make([]*worker, cfg.Workers)
+	for id := range r.workers {
+		fresh, err := train.NewWorker(cfg.Task, id, r.params, cfg.LR)
+		if err != nil {
+			return nil, err
+		}
+		r.workers[id] = &worker{r: r, id: id, ckpt: fresh}
+	}
+	fp, err := cfg.Faults.Materialize(cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	chunks := cfg.Chunks
+	if chunks == 0 {
+		chunks = 4 * cfg.Servers
+	}
+	if r.space, err = newShardSpace(cfg.Task.Dim(), chunks); err != nil {
+		return nil, err
+	}
+	if r.placement, err = ps.RoundRobin(r.space.Keys(), cfg.Servers); err != nil {
+		return nil, err
+	}
+	chunked := r.space.Split(cfg.Task.InitWeights())
+	if cfg.ResumeFrom != "" {
+		if err := r.restore(chunked); err != nil {
+			return nil, err
+		}
+	} else {
+		r.servers = make([]*ps.Server, cfg.Servers)
+		for i := range r.servers {
+			if r.servers[i], err = ps.NewServer(cfg.Workers); err != nil {
+				return nil, err
+			}
+			for _, key := range r.placement.KeysOn(i) {
+				if err := r.servers[i].Register(key, chunked[key]); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	backends := make([]ps.Backend, len(r.servers))
+	for i, s := range r.servers {
+		backends[i] = s
+	}
+	if r.local, err = ps.NewSharded(r.placement, backends); err != nil {
+		return nil, err
+	}
+
+	r.stalls = fp.Cursor(-1)
+	keys := r.space.Keys()
+	for _, vw := range r.workers {
+		vw.pushed, vw.cur = r.resumed, fp.Cursor(vw.id)
+		vw.push = ps.Push{Worker: vw.id, Keys: keys, Vecs: make([]tensor.Vector, len(keys))}
+		vw.pull = ps.SnapshotPull{Keys: keys, Dst: make([]tensor.Vector, len(keys))}
+	}
+
+	if cfg.TCP {
+		for i, s := range r.servers {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				r.shutdown()
+				return nil, fmt.Errorf("cluster: listen for shard %d: %w", i, err)
+			}
+			r.listeners = append(r.listeners, l)
+			r.addrs = append(r.addrs, l.Addr().String())
+			r.served.Add(1)
+			go func() {
+				defer r.served.Done()
+				ps.Serve(l, s)
+			}()
+		}
+	}
+	return r, nil
+}
+
+// restore stands the servers up from the Config.ResumeFrom checkpoint, which
+// must describe this exact run: its server and worker counts, and every
+// placed key's initial weights (snapshot 0) bit for bit, or the deterministic
+// replay would diverge from the recorded prefix.
+func (r *run) restore(chunked map[string]tensor.Vector) error {
+	cfg := &r.cfg
+	ck, err := ps.LoadCheckpoint(cfg.ResumeFrom)
+	if err != nil {
+		return err
+	}
+	if len(ck.States) != cfg.Servers {
+		return fmt.Errorf("cluster: checkpoint has %d shard servers, run wants %d", len(ck.States), cfg.Servers)
+	}
+	if got := len(ck.States[0].Clocks); got != cfg.Workers {
+		return fmt.Errorf("cluster: checkpoint has %d workers, run wants %d", got, cfg.Workers)
+	}
+	if r.servers, err = ck.Restore(); err != nil {
+		return err
+	}
+	for i, st := range ck.States {
+		for _, key := range r.placement.KeysOn(i) {
+			init, ok := st.Snapshots[0][key]
+			if !ok {
+				return fmt.Errorf("cluster: checkpoint lacks shard %q for server %d (chunk layout mismatch?)", key, i)
+			}
+			want := chunked[key]
+			if len(init) != len(want) {
+				return fmt.Errorf("cluster: checkpoint shard %q dim %d, task wants %d", key, len(init), len(want))
+			}
+			for j := range want {
+				if init[j] != want[j] {
+					return fmt.Errorf("cluster: checkpoint shard %q initial weights diverge from the task (wrong task or seed?)", key)
+				}
+			}
+		}
+	}
+	r.resumed = ck.Clock
+	if final := r.params.CompleteWaves(cfg.MaxMinibatches); final < r.resumed {
+		return fmt.Errorf("cluster: budget of %d waves is below the checkpoint clock %d", final, r.resumed)
+	}
+	return nil
+}
+
+// shutdown closes the TCP listeners and waits for their serve loops, each of
+// which returns once its workers have hung up.
+func (r *run) shutdown() {
+	for _, l := range r.listeners {
+		l.Close()
+	}
+	r.served.Wait()
+}
+
+// train launches one goroutine per worker and returns once they have all
+// finished, with the shard checkpointer running beside them when
+// Config.CheckpointPath is persisted at a cadence.
+func (r *run) train() {
+	var saved chan struct{}
+	if r.cfg.CheckpointPath != "" && r.cfg.CheckpointEvery > 0 {
+		r.ckptTick, saved = make(chan struct{}, 1), make(chan struct{})
+		go func() {
+			defer close(saved)
+			for range r.ckptTick {
+				if err := r.saveServers(); err != nil {
+					r.fail(err)
+				}
+			}
+		}()
+	}
+	r.start = time.Now()
+	var wg sync.WaitGroup
+	for _, vw := range r.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := vw.train(); err != nil {
+				r.fail(fmt.Errorf("cluster: worker %d: %w", vw.id, err))
+			}
+		}()
+	}
+	wg.Wait()
+	if saved != nil {
+		close(r.ckptTick)
+		<-saved
+	}
+	r.end = time.Now()
+}
+
+// stats folds the finished programs, the workers' recovery counters and the
+// servers' own counters into Stats, then reads the final weights off the
+// servers at the clock a completed run reaches — after their counters, since
+// that read is a pull too.
+func (r *run) stats() (*Stats, error) {
+	st := &Stats{Elapsed: r.end.Sub(r.start), ResumedClock: r.resumed}
+	for _, vw := range r.workers {
+		st.Minibatches += vw.done.Retired()
+		st.Pushes += vw.done.Waves()
+		st.Pulls += vw.done.Pulls()
+		st.MaxStaleness = max(st.MaxStaleness, vw.done.MaxStaleness())
+		st.Crashes += vw.crashes
+		st.Recoveries += vw.recoveries
+		st.ReplayedMinibatches += vw.replayed
+		st.Checkpoints += vw.checkpoints
+	}
+	for _, s := range r.servers {
+		p, q := s.Stats()
+		st.ShardPushes += p
+		st.ShardPulls += q
+		st.ShardFrames += s.FramesServed()
+		st.ShardMalformed += s.MalformedRequests()
+	}
+	st.FinalWeights = tensor.NewVector(r.cfg.Task.Dim())
+	views := make([]tensor.Vector, len(r.space.Keys()))
+	r.space.SplitInto(st.FinalWeights, views)
+	if err := r.local.PullAtInto(views, r.space.Keys(), r.params.CompleteWaves(r.cfg.MaxMinibatches)); err != nil {
+		return nil, err
+	}
+	st.GlobalClock, st.MaxClockDistance = serverClocks(r.servers)
+	return st, nil
+}
+
+// serverClocks reads a run's clock figures off its shard servers: the global
+// clock is the minimum over them (every shard sees every wave, as an empty
+// push when it holds none of the keys), the clock distance the largest any
+// of them observed.
+func serverClocks(servers []*ps.Server) (global, distance int) {
+	global = servers[0].GlobalClock()
+	for _, s := range servers {
+		global = min(global, s.GlobalClock())
+		distance = max(distance, s.MaxClockDistance())
+	}
+	return global, distance
+}
+
+// fail records the run's first error and closes the servers, which unblocks
+// every peer stuck in a D-bound pull; the "server closed" errors they unwind
+// with are not the first.
+func (r *run) fail(err error) {
+	r.once.Do(func() {
+		r.err = err
+		for _, s := range r.servers {
+			s.Close()
+		}
+	})
+}
+
+// emit serializes observer calls across worker goroutines and stamps events
+// with the wall clock. A nil observer costs one nil check. Clock events are
+// deduplicated under the same lock: each worker only learns the global clock
+// at its own gated pulls, so without the filter a slow worker's later pull
+// would replay an older clock value.
+func (r *run) emit(e obs.Event) {
+	if r.cfg.Observer == nil {
+		return
+	}
+	e.Backend = "live"
+	e.Time = time.Since(r.start).Seconds()
+	r.obsMu.Lock()
+	defer r.obsMu.Unlock()
+	if e.Kind == obs.KindClock {
+		if e.Clock <= r.clockEmitted {
+			return
+		}
+		r.clockEmitted = e.Clock
+	}
+	r.cfg.Observer(e)
+}
+
+// stall is the cluster-wide stall delay held against the advance to clock,
+// reported once however many workers sleep for it.
+func (r *run) stall(clock int) float64 {
+	r.stallMu.Lock()
+	delay, report := r.stalls.Stall(clock)
+	r.stallMu.Unlock()
+	if report != "" {
+		r.emit(obs.Event{Kind: obs.KindFaultInject, VW: -1, Clock: clock, Fault: report})
+	}
+	return delay
+}
+
+// saveServers persists a consistent clock-cut checkpoint of the servers. The
+// write is atomic (ps.SaveCheckpoint), and a capture that races the shutdown
+// path simply fails on the closed servers and is skipped.
+func (r *run) saveServers() error {
+	ck, err := ps.Capture(r.servers)
+	if err != nil {
+		return nil // servers closing down — nothing left worth saving
+	}
+	if err := ps.SaveCheckpoint(r.cfg.CheckpointPath, ck); err != nil {
+		return fmt.Errorf("cluster: shard checkpoint: %w", err)
+	}
+	return nil
+}
+
+// notifyCkpt asks the shard checkpointer, when it runs, for a checkpoint.
+func (r *run) notifyCkpt() {
+	if r.ckptTick != nil {
+		select {
+		case r.ckptTick <- struct{}{}:
+		default: // a write is already pending; the next capture covers us
+		}
+	}
+}
+
+// worker is one virtual worker's state across all its attempts: its way to
+// the shards, its recovery bookkeeping and its data-plane scratch. Only the
+// worker's own goroutine touches it while the run is in flight.
+type worker struct {
+	r  *run
+	id int
+	// sh reaches the shards: the run's in-process Sharded, or one over conns,
+	// the worker's own TCP clients (a ps.Client serves one caller at a time,
+	// so every worker dials its own — how the paper's per-node servers are
+	// reached).
+	sh    *ps.Sharded
+	conns []ps.Backend
+
 	// ckpt is the last checkpoint of the worker's program; before the first
 	// cadence point it is the program at minibatch 1.
 	ckpt *train.Worker
@@ -203,372 +598,65 @@ type workerRec struct {
 	maxRetired, maxPullClock int
 
 	crashes, recoveries, replayed, checkpoints int
-}
+	// done is the program of the attempt that completed.
+	done *train.Worker
 
-// Run executes a live WSP training run and reports its statistics.
-//
-// The run can be cancelled or deadlined through ctx: cancellation closes the
-// shard servers, which wakes every worker blocked in a D-bound pull (in
-// process or over TCP), unwinds all worker goroutines, reaps the TCP
-// listeners and their per-connection serve goroutines, and returns ctx.Err().
-func Run(ctx context.Context, cfg Config) (*Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	params := cfg.params()
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	// Every worker's program at minibatch 1: the checkpoint its first attempt,
-	// and any recovery before the first cadence point, starts from.
-	recs := make([]*workerRec, cfg.Workers)
-	for w := range recs {
-		fresh, err := train.NewWorker(cfg.Task, w, params, cfg.LR)
-		if err != nil {
-			return nil, err
-		}
-		recs[w] = &workerRec{ckpt: fresh}
-	}
-	fp, err := cfg.Faults.Materialize(cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	chunks := cfg.Chunks
-	if chunks == 0 {
-		chunks = 4 * cfg.Servers
-	}
-	space, err := newShardSpace(cfg.Task.Dim(), chunks)
-	if err != nil {
-		return nil, err
-	}
-	placement, err := ps.RoundRobin(space.Keys(), cfg.Servers)
-	if err != nil {
-		return nil, err
-	}
-
-	// Stand up the shard servers: fresh from the task's initial weights, or
-	// restored from a persisted checkpoint (Config.ResumeFrom).
-	w0 := cfg.Task.InitWeights()
-	chunked := space.Split(w0)
-	var servers []*ps.Server
-	resumedClock := 0
-	// finalClock is the global clock a completed run reaches: every worker
-	// pushes exactly its complete waves.
-	finalClock := params.CompleteWaves(cfg.MaxMinibatches)
-	if cfg.ResumeFrom != "" {
-		ck, err := ps.LoadCheckpoint(cfg.ResumeFrom)
-		if err != nil {
-			return nil, err
-		}
-		if len(ck.States) != cfg.Servers {
-			return nil, fmt.Errorf("cluster: checkpoint has %d shard servers, run wants %d", len(ck.States), cfg.Servers)
-		}
-		if got := len(ck.States[0].Clocks); got != cfg.Workers {
-			return nil, fmt.Errorf("cluster: checkpoint has %d workers, run wants %d", got, cfg.Workers)
-		}
-		if servers, err = ck.Restore(); err != nil {
-			return nil, err
-		}
-		// The checkpoint must describe this exact task and shard layout:
-		// every placed key's initial weights (snapshot 0) must match bit for
-		// bit, or the deterministic replay would diverge from the recorded
-		// prefix.
-		for i, st := range ck.States {
-			for _, key := range placement.KeysOn(i) {
-				init, ok := st.Snapshots[0][key]
-				if !ok {
-					return nil, fmt.Errorf("cluster: checkpoint lacks shard %q for server %d (chunk layout mismatch?)", key, i)
-				}
-				want := chunked[key]
-				if len(init) != len(want) {
-					return nil, fmt.Errorf("cluster: checkpoint shard %q dim %d, task wants %d", key, len(init), len(want))
-				}
-				for j := range want {
-					if init[j] != want[j] {
-						return nil, fmt.Errorf("cluster: checkpoint shard %q initial weights diverge from the task (wrong task or seed?)", key)
-					}
-				}
-			}
-		}
-		resumedClock = ck.Clock
-		if finalClock < resumedClock {
-			return nil, fmt.Errorf("cluster: budget of %d waves is below the checkpoint clock %d", finalClock, resumedClock)
-		}
-	} else {
-		servers = make([]*ps.Server, cfg.Servers)
-		for i := range servers {
-			s, err := ps.NewServer(cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			for _, key := range placement.KeysOn(i) {
-				if err := s.Register(key, chunked[key]); err != nil {
-					return nil, err
-				}
-			}
-			servers[i] = s
-		}
-	}
-
-	// dial hands each worker its own backend set: shared in-process adapters,
-	// or per-worker TCP clients (a ps.Client is single-caller by design).
-	net, err := newNetwork(servers, cfg.TCP)
-	if err != nil {
-		return nil, err
-	}
-	defer net.shutdown()
-
-	var (
-		wg       sync.WaitGroup
-		once     sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			// Unblock every peer stuck in a D-bound pull; they unwind with
-			// "server closed" errors which are suppressed below.
-			for _, s := range servers {
-				s.Close()
-			}
-		})
-	}
-
-	finished := make([]*train.Worker, cfg.Workers) // each worker's completed program
-	start := time.Now()
-
-	// emit serializes observer calls across worker goroutines and stamps
-	// events with the wall clock. A nil observer costs one nil check.
-	// Clock events are deduplicated under the same lock: each worker only
-	// learns the global clock at its own gated pulls, so without the filter
-	// a slow worker's later pull would replay an older clock value.
-	var (
-		obsMu        sync.Mutex
-		clockEmitted int
-	)
-	emit := func(e obs.Event) {
-		if cfg.Observer == nil {
-			return
-		}
-		e.Backend = "live"
-		e.Time = time.Since(start).Seconds()
-		obsMu.Lock()
-		defer obsMu.Unlock()
-		if e.Kind == obs.KindClock {
-			if e.Clock <= clockEmitted {
-				return
-			}
-			clockEmitted = e.Clock
-		}
-		cfg.Observer(e)
-	}
-
-	// stall is the cluster-wide stall delay held against the advance to
-	// clock, reported once however many workers sleep for it: one cursor,
-	// stepped under stallMu.
-	var (
-		stallMu sync.Mutex
-		stalls  = fp.Cursor(-1)
-	)
-	stall := func(clock int) float64 {
-		stallMu.Lock()
-		delay, report := stalls.Stall(clock)
-		stallMu.Unlock()
-		if report != "" {
-			emit(obs.Event{Kind: obs.KindFaultInject, VW: -1, Clock: clock, Fault: report})
-		}
-		return delay
-	}
-
-	// The shard checkpointer persists a consistent clock-cut checkpoint of
-	// the servers whenever a worker signals a cadence point, and once more at
-	// the end of a successful run. Writes are atomic (ps.SaveCheckpoint), and
-	// a capture that races the shutdown path simply fails on the closed
-	// servers and is skipped.
-	var (
-		ckptTick chan struct{}
-		ckptDone chan struct{}
-	)
-	saveServers := func() {
-		ck, err := ps.Capture(servers)
-		if err != nil {
-			return // servers closing down — nothing left worth saving
-		}
-		if err := ps.SaveCheckpoint(cfg.CheckpointPath, ck); err != nil {
-			fail(fmt.Errorf("cluster: shard checkpoint: %w", err))
-		}
-	}
-	if cfg.CheckpointPath != "" && cfg.CheckpointEvery > 0 {
-		ckptTick = make(chan struct{}, 1)
-		ckptDone = make(chan struct{})
-		go func() {
-			defer close(ckptDone)
-			for range ckptTick {
-				saveServers()
-			}
-		}()
-	}
-	notifyCkpt := func() {
-		if ckptTick != nil {
-			select {
-			case ckptTick <- struct{}{}:
-			default: // a write is already pending; the next capture covers us
-			}
-		}
-	}
-
-	// The context watcher turns cancellation into the same server-close
-	// unblocking path worker failures use: every blocked pull wakes with a
-	// "server closed" error and the workers unwind. firstErr records the
-	// bare ctx.Err() so callers can errors.Is it. The watcher is joined
-	// right after the workers, before firstErr or the servers' final state
-	// is read — a cancellation from here on no longer affects this run.
-	watcherStop := make(chan struct{})
-	watcherExited := make(chan struct{})
-	go func() {
-		defer close(watcherExited)
-		select {
-		case <-ctx.Done():
-			fail(ctx.Err())
-		case <-watcherStop:
-		}
-	}()
-
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		rec := recs[w]
-		rec.pushed, rec.cur = resumedClock, fp.Cursor(w)
-		go func(w int, rec *workerRec) {
-			defer wg.Done()
-			backends, err := net.dial()
-			if err != nil {
-				fail(fmt.Errorf("cluster: worker %d: %w", w, err))
-				return
-			}
-			defer net.hangup(backends)
-			sh, err := ps.NewSharded(placement, backends)
-			if err != nil {
-				fail(fmt.Errorf("cluster: worker %d: %w", w, err))
-				return
-			}
-			env := &workerEnv{
-				cfg: cfg, id: w, space: space, sh: sh, emit: emit,
-				rec: rec, stall: stall, notifyCkpt: notifyCkpt,
-			}
-			for {
-				done, err := env.run()
-				if err == nil {
-					finished[w] = done
-					return
-				}
-				if errors.Is(err, errCrashed) {
-					// Recover: the next attempt restores the last checkpoint and
-					// replays. The crashed attempt's partial counts are
-					// discarded — the restored program's counters plus the
-					// replay re-count every action exactly once.
-					continue
-				}
-				fail(fmt.Errorf("cluster: worker %d: %w", w, err))
-				return
-			}
-		}(w, rec)
-	}
-	wg.Wait()
-	if ckptTick != nil {
-		close(ckptTick)
-		<-ckptDone
-	}
-	close(watcherStop)
-	<-watcherExited
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	stats := &Stats{Elapsed: elapsed, ResumedClock: resumedClock}
-	for _, w := range finished {
-		stats.Minibatches += w.Retired()
-		stats.Pushes += w.Waves()
-		stats.Pulls += w.Pulls()
-		stats.MaxStaleness = max(stats.MaxStaleness, w.MaxStaleness())
-	}
-	for _, rec := range recs {
-		stats.Crashes += rec.crashes
-		stats.Recoveries += rec.recoveries
-		stats.ReplayedMinibatches += rec.replayed
-		stats.Checkpoints += rec.checkpoints
-	}
-	for _, s := range servers {
-		p, q := s.Stats()
-		stats.ShardPushes += p
-		stats.ShardPulls += q
-		stats.ShardFrames += s.FramesServed()
-		stats.ShardMalformed += s.MalformedRequests()
-	}
-	backends := make([]ps.Backend, len(servers))
-	for i, s := range servers {
-		backends[i] = ps.AdaptServer(s)
-	}
-	sh, err := ps.NewSharded(placement, backends)
-	if err != nil {
-		return nil, err
-	}
-	// Read the final state directly off the servers we own, at the clock the
-	// run itself must reach (an aborted run returned its error above).
-	stats.FinalWeights = tensor.NewVector(cfg.Task.Dim())
-	views := make([]tensor.Vector, len(space.Keys()))
-	space.SplitInto(stats.FinalWeights, views)
-	if err := sh.PullAtInto(views, space.Keys(), finalClock); err != nil {
-		return nil, err
-	}
-	stats.GlobalClock, stats.MaxClockDistance = serverClocks(servers)
-	if cfg.CheckpointPath != "" {
-		// Final durable checkpoint at the completed run's clock.
-		saveServers()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-	return stats, nil
-}
-
-// serverClocks reads a run's clock figures off its shard servers: the global
-// clock is the minimum over them (every shard sees every wave, as an empty
-// push when it holds none of the keys), the clock distance the largest any
-// of them observed.
-func serverClocks(servers []*ps.Server) (global, distance int) {
-	global = servers[0].GlobalClock()
-	for _, s := range servers {
-		global = min(global, s.GlobalClock())
-		distance = max(distance, s.MaxClockDistance())
-	}
-	return global, distance
-}
-
-// workerEnv bundles what one worker's training loop needs across attempts.
-type workerEnv struct {
-	cfg        Config
-	id         int
-	space      *shardSpace
-	sh         *ps.Sharded
-	emit       obs.Func
-	rec        *workerRec
-	stall      func(clock int) float64
-	notifyCkpt func()
-
-	// Reusable data-plane scratch, persisting across crash-replay attempts:
-	// push and pull are the two sections of a wave exchange, their vectors
-	// per-chunk views for the ps ordered APIs.
+	// Reusable data-plane scratch: push and pull are the two sections of a
+	// wave exchange, their vectors per-chunk views for the ps ordered APIs.
 	push ps.Push
 	pull ps.SnapshotPull
 }
 
-// sleep converts a fault delay in seconds into a wall-clock sleep.
+// train is the worker's recovery loop: it connects to the shards and runs
+// attempts until one completes. An injected crash ends an attempt with
+// errCrashed, and the next attempt restores the last checkpoint and replays;
+// the crashed attempt's partial counts are discarded — the restored
+// program's counters plus the replay re-count every action exactly once.
+func (vw *worker) train() error {
+	defer vw.hangup()
+	if err := vw.connect(); err != nil {
+		return err
+	}
+	for {
+		done, err := vw.attempt()
+		if !errors.Is(err, errCrashed) {
+			vw.done = done
+			return err
+		}
+	}
+}
+
+// connect sets sh: the run's in-process Sharded, or a Sharded over TCP
+// clients the worker dials itself.
+func (vw *worker) connect() error {
+	r := vw.r
+	if !r.cfg.TCP {
+		vw.sh = r.local
+		return nil
+	}
+	vw.conns = make([]ps.Backend, len(r.addrs))
+	for i, addr := range r.addrs {
+		c, err := ps.Dial(addr)
+		if err != nil {
+			return fmt.Errorf("cluster: dial shard %d: %w", i, err)
+		}
+		vw.conns[i] = c
+	}
+	var err error
+	vw.sh, err = ps.NewSharded(r.placement, vw.conns)
+	return err
+}
+
+// hangup closes the TCP clients connect dialed.
+func (vw *worker) hangup() {
+	for _, b := range vw.conns {
+		if c, ok := b.(*ps.Client); ok {
+			c.Close()
+		}
+	}
+}
+
+// sleepSeconds converts a fault delay in seconds into a wall-clock sleep.
 func sleepSeconds(s float64) {
 	if s > 0 {
 		time.Sleep(time.Duration(s * float64(time.Second)))
@@ -577,9 +665,9 @@ func sleepSeconds(s float64) {
 
 // checkpointDue reports whether the worker-state checkpoint cadence has come
 // round: the pushed-wave count crossed a cadence point since the last capture.
-func (e *workerEnv) checkpointDue(w *train.Worker) bool {
-	every := e.cfg.CheckpointEvery
-	return every > 0 && w.Waves() > e.rec.lastCkptWave && w.Waves()%every == 0
+func (vw *worker) checkpointDue(w *train.Worker) bool {
+	every := vw.r.cfg.CheckpointEvery
+	return every > 0 && w.Waves() > vw.lastCkptWave && w.Waves()%every == 0
 }
 
 // pullAfterPush decides, at a wave end that is really pushed (inside retired,
@@ -594,16 +682,16 @@ func (e *workerEnv) checkpointDue(w *train.Worker) bool {
 // injection may be first reported at it (the cursor is Quiet there); and the
 // stall, link and compute sleeps must all be zero — the last two scale
 // StepTime — or the push would sit unsent while peers wait for it.
-func (e *workerEnv) pullAfterPush(w *train.Worker, stalled bool) int {
+func (vw *worker) pullAfterPush(w *train.Worker, stalled bool) int {
 	next := w.Next()
-	if next > e.cfg.MaxMinibatches {
+	if next > vw.r.cfg.MaxMinibatches {
 		return 0
 	}
 	req := w.PullClock()
 	if req == 0 {
 		return 0
 	}
-	if !e.rec.cur.Quiet(next) || e.checkpointDue(w) || e.cfg.StepTime > 0 || stalled {
+	if !vw.cur.Quiet(next) || vw.checkpointDue(w) || vw.r.cfg.StepTime > 0 || stalled {
 		return 0
 	}
 	return req
@@ -611,57 +699,57 @@ func (e *workerEnv) pullAfterPush(w *train.Worker, stalled bool) int {
 
 // notePull hands the clock-req snapshot an exchange has just written into
 // w.Weights() to the worker's program and reports the pull.
-func (e *workerEnv) notePull(w *train.Worker, req int) {
+func (vw *worker) notePull(w *train.Worker, req int) {
 	w.Pulled(req)
-	if req > e.rec.maxPullClock {
-		e.rec.maxPullClock = req
+	if req > vw.maxPullClock {
+		vw.maxPullClock = req
 		// The pull's return proves the global clock reached req — the only
 		// moment a live worker learns the global clock without extra traffic.
-		e.emit(obs.Event{Kind: obs.KindPull, VW: e.id, Clock: req})
-		e.emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: req})
+		vw.r.emit(obs.Event{Kind: obs.KindPull, VW: vw.id, Clock: req})
+		vw.r.emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: req})
 	}
 }
 
 // retired reports minibatch mb, which w has just retired, and — when that
 // ended a wave — pushes the wave's sealed delta.
-func (e *workerEnv) retired(w *train.Worker, mb int) error {
-	id, params := e.id, e.cfg.params()
-	wave := params.Wave(mb)
-	if mb > e.rec.maxRetired {
-		e.rec.maxRetired = mb
-		e.emit(obs.Event{Kind: obs.KindMinibatch, VW: id, Minibatch: mb, Wave: wave})
+func (vw *worker) retired(w *train.Worker, mb int) error {
+	r, id := vw.r, vw.id
+	wave := r.params.Wave(mb)
+	if mb > vw.maxRetired {
+		vw.maxRetired = mb
+		r.emit(obs.Event{Kind: obs.KindMinibatch, VW: id, Minibatch: mb, Wave: wave})
 	}
-	if !params.IsWaveEnd(mb) {
+	if !r.params.IsWaveEnd(mb) {
 		return nil
 	}
-	if wave < e.rec.pushed {
+	if wave < vw.pushed {
 		// Replay: the servers already hold this wave from the crashed attempt
 		// (or the resumed checkpoint); re-sending it would double-apply the
 		// update.
 		return nil
 	}
-	delay := e.stall(wave + 1)
+	delay := r.stall(wave + 1)
 	sleepSeconds(delay)
-	e.linkSleep()
+	vw.linkSleep()
 	// One exchange per shard carries the push and, when the next iteration
 	// would do nothing but pull, that pull too. The snapshot chunks land
 	// straight in w.Weights(): pull.Dst are per-chunk views of it, so every
 	// shard server (or the TCP decoder) writes its slice in place — no merge
 	// map, no join allocation.
-	e.space.SplitInto(w.Delta(wave), e.push.Vecs)
+	r.space.SplitInto(w.Delta(wave), vw.push.Vecs)
 	var pull *ps.SnapshotPull
-	if req := e.pullAfterPush(w, delay > 0); req > 0 {
-		e.space.SplitInto(w.Weights(), e.pull.Dst)
-		e.pull.Clock = req
-		pull = &e.pull
+	if req := vw.pullAfterPush(w, delay > 0); req > 0 {
+		r.space.SplitInto(w.Weights(), vw.pull.Dst)
+		vw.pull.Clock = req
+		pull = &vw.pull
 	}
-	if err := e.sh.Exchange(&e.push, pull); err != nil {
+	if err := vw.sh.Exchange(&vw.push, pull); err != nil {
 		return err
 	}
-	e.rec.pushed = wave + 1
-	e.emit(obs.Event{Kind: obs.KindPush, VW: id, Wave: wave})
+	vw.pushed = wave + 1
+	r.emit(obs.Event{Kind: obs.KindPush, VW: id, Wave: wave})
 	if pull != nil {
-		e.notePull(w, pull.Clock)
+		vw.notePull(w, pull.Clock)
 	}
 	return nil
 }
@@ -669,92 +757,87 @@ func (e *workerEnv) retired(w *train.Worker, mb int) error {
 // linkSleep is what a degraded link costs one transfer; the degradation is
 // reported once per run (not per attempt, and independent of whether StepTime
 // makes it sleep).
-func (e *workerEnv) linkSleep() {
-	scale, report := e.rec.cur.Link()
+func (vw *worker) linkSleep() {
+	scale, report := vw.cur.Link()
 	if report != "" {
-		e.emit(obs.Event{Kind: obs.KindFaultInject, VW: e.id, Fault: report})
+		vw.r.emit(obs.Event{Kind: obs.KindFaultInject, VW: vw.id, Fault: report})
 	}
-	sleepSeconds((scale - 1) * e.cfg.StepTime.Seconds())
+	sleepSeconds((scale - 1) * vw.r.cfg.StepTime.Seconds())
 }
 
-// run is one attempt at the worker's training loop: the worker's train.Worker
-// program — the same one train.Numerics steps — against real servers.
-// Pushes carry one sealed delta per wave, and the D-bound gate is the servers'
-// blocking snapshot pull.
+// attempt is one attempt at the worker's training loop: the worker's
+// train.Worker program — the same one train.Numerics steps — against real
+// servers. Pushes carry one sealed delta per wave, and the D-bound gate is the
+// servers' blocking snapshot pull.
 //
 // An attempt starts from the last checkpoint and replays deterministically:
 // pulls re-read clock-versioned snapshots, and pushes of waves the servers
-// already hold (rec.pushed) are suppressed — counted, since they are logically
+// already hold (pushed) are suppressed — counted, since they are logically
 // part of the trajectory, but not re-sent. An injected crash aborts the
 // attempt with errCrashed; a completed attempt returns the finished program.
-func (e *workerEnv) run() (*train.Worker, error) {
-	cfg, id := e.cfg, e.id
-	w := e.rec.ckpt.Clone()
-	if keys := e.space.Keys(); len(e.push.Vecs) != len(keys) {
-		e.push = ps.Push{Worker: id, Keys: keys, Vecs: make([]tensor.Vector, len(keys))}
-		e.pull = ps.SnapshotPull{Keys: keys, Dst: make([]tensor.Vector, len(keys))}
-	}
-
-	for w.Next() <= cfg.MaxMinibatches {
+func (vw *worker) attempt() (*train.Worker, error) {
+	r, id := vw.r, vw.id
+	w := vw.ckpt.Clone()
+	for w.Next() <= r.cfg.MaxMinibatches {
 		mb := w.Next()
 		// Injected crash: fires at a minibatch boundary (never mid-push), at
 		// most once. The attempt's local state is abandoned: the worker is down
 		// for the charged downtime, then recovers by restoring the last
 		// checkpoint in a new attempt and replaying from it.
-		if report := e.rec.cur.Crash(mb); report != "" {
-			e.rec.crashes++
-			e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb, Fault: report})
-			_, down := e.rec.cur.Task(mb, 0)
+		if report := vw.cur.Crash(mb); report != "" {
+			vw.crashes++
+			r.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb, Fault: report})
+			_, down := vw.cur.Task(mb, 0)
 			sleepSeconds(down)
-			resume := e.rec.ckpt.Next()
-			e.rec.recoveries++
-			e.rec.replayed += mb - resume
-			e.emit(obs.Event{Kind: obs.KindRecover, VW: id, Minibatch: resume,
-				Clock: e.rec.pushed, Fault: e.rec.cur.Recover(mb)})
+			resume := vw.ckpt.Next()
+			vw.recoveries++
+			vw.replayed += mb - resume
+			r.emit(obs.Event{Kind: obs.KindRecover, VW: id, Minibatch: resume,
+				Clock: vw.pushed, Fault: vw.cur.Recover(mb)})
 			return nil, errCrashed
 		}
 		// Worker-state checkpoint at the wave cadence. The state at the top
 		// of a loop iteration is self-contained, so any iteration whose
 		// pushed-wave count just crossed a cadence point is a valid capture.
-		if e.checkpointDue(w) {
-			e.rec.ckpt = w.Clone()
-			e.rec.lastCkptWave = w.Waves()
-			e.rec.checkpoints++
-			e.notifyCkpt()
+		if vw.checkpointDue(w) {
+			vw.ckpt = w.Clone()
+			vw.lastCkptWave = w.Waves()
+			vw.checkpoints++
+			r.notifyCkpt()
 		}
 		// Emulated compute time, scaled by any straggler slowdown. The
 		// injection event is per run, not per attempt — a replay after a
 		// crash must not re-report a slowdown that never stopped.
-		scale, report := e.rec.cur.Slow(mb)
+		scale, report := vw.cur.Slow(mb)
 		if report != "" {
-			e.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb, Fault: report})
+			r.emit(obs.Event{Kind: obs.KindFaultInject, VW: id, Minibatch: mb, Fault: report})
 		}
-		sleepSeconds(cfg.StepTime.Seconds() * scale)
+		sleepSeconds(r.cfg.StepTime.Seconds() * scale)
 		// The WSP gate: the last minibatch of wave w may only start once the
 		// global clock has reached w-D. Blocking on the servers' snapshot
 		// pull IS the wait — every shard holds the worker until its clock
 		// arrives, then answers from the same clock boundary.
 		if req := w.PullClock(); req > 0 {
-			e.linkSleep()
+			vw.linkSleep()
 			// A gate the previous wave's exchange did not already pass (one of
 			// pullAfterPush's conditions failed, or that push was suppressed
 			// under replay): the same exchange with no push section.
-			e.space.SplitInto(w.Weights(), e.pull.Dst)
-			e.pull.Clock = req
-			if err := e.sh.Exchange(nil, &e.pull); err != nil {
+			r.space.SplitInto(w.Weights(), vw.pull.Dst)
+			vw.pull.Clock = req
+			if err := vw.sh.Exchange(nil, &vw.pull); err != nil {
 				return nil, err
 			}
-			e.notePull(w, req)
+			vw.notePull(w, req)
 		}
 		if mb := w.Inject(); mb > 0 {
-			if err := e.retired(w, mb); err != nil {
+			if err := vw.retired(w, mb); err != nil {
 				return nil, err
 			}
 		}
 	}
 	// End-of-run drain: retire the still-pending tail in order.
 	for mb := w.Drain(); mb > 0; mb = w.Drain() {
-		if err := e.retired(w, mb); err != nil {
+		if err := vw.retired(w, mb); err != nil {
 			return nil, err
 		}
 	}

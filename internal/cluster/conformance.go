@@ -5,36 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"hetpipe/internal/fault"
 	"hetpipe/internal/train"
-	"hetpipe/internal/wsp"
 )
-
-// ConformanceConfig fixes one (task, N, Nm, D) configuration to run through
-// both backends: the simulator's numerics (train.RunWSP — timing never reaches
-// them, so no clock is run) and the live sharded-PS runtime (Run).
-type ConformanceConfig struct {
-	Task           train.Task
-	Workers        int
-	SLocal         int
-	D              int
-	LR             float64
-	MaxMinibatches int
-	// Servers / Chunks / TCP configure the live side.
-	Servers int
-	Chunks  int
-	TCP     bool
-	// Faults, when non-nil, is applied to the LIVE half only: the simulator
-	// runs fault-free. This is the strongest form of the conformance claim —
-	// stragglers, stalls, link degradations, and even crash-plus-recovery
-	// may reshape the live run's wall clock and recovery counters, but its
-	// protocol counts and final weights must still match the fault-free
-	// simulation exactly.
-	Faults *fault.Plan
-	// CheckpointEvery is the live half's worker-checkpoint cadence in waves
-	// (used by crash recovery); 0 replays crashes from minibatch 1.
-	CheckpointEvery int
-}
 
 // SideCounts are one backend's protocol counters.
 type SideCounts struct {
@@ -117,18 +89,31 @@ func (r *ConformanceReport) String() string {
 		faults, r.MaxWeightDiff, verdict)
 }
 
-// RunConformance executes the same configuration through the simulator and
-// the live runtime and compares them. This is the differential harness that
+// RunConformance executes one configuration through the simulator's numerics
+// (train.RunWSP — timing never reaches them, so no clock is run) and the live
+// runtime (Run), and compares them. This is the differential harness that
 // flushed out the clock/timing fidelity bugs this package exists to guard
 // against (PipeDream and Narayanan et al. validate their schedulers the same
-// way: real execution path against the analytical model). ctx cancels the
-// live half (the simulator half is a bounded pure computation).
-func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceReport, error) {
-	sim, live, err := cfg.runBoth(ctx)
+// way: real execution path against the analytical model).
+//
+// The live half runs cfg as given; the simulator reads only its protocol
+// configuration (Task, Workers, SLocal, D, LR, MaxMinibatches) and runs
+// fault-free and uninterrupted. This is the strongest form of the claim —
+// faults, even crash-plus-recovery, emulated step time and a resumed
+// checkpoint may reshape the live run's wall clock and recovery counters, but
+// its protocol counts and final weights must still match the simulation
+// exactly. ctx cancels the live half (the simulator half is a bounded pure
+// computation).
+func RunConformance(ctx context.Context, cfg Config) (*ConformanceReport, error) {
+	sim, err := simulate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	params := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}
+	live, err := Run(ctx, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: live runtime: %w", err)
+	}
+	params := cfg.params()
 	report := &ConformanceReport{
 		Sim:  SideCounts{sim.Minibatches, sim.Pushes, sim.Pulls, sim.MaxClockDistance, sim.MaxStaleness},
 		Live: SideCounts{live.Minibatches, live.Pushes, live.Pulls, live.MaxClockDistance, live.MaxStaleness},
@@ -160,9 +145,9 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 	return report, nil
 }
 
-// runBoth runs the configuration through the simulator's numerics and the
-// live runtime.
-func (cfg ConformanceConfig) runBoth(ctx context.Context) (*train.RunStats, *Stats, error) {
+// simulate runs cfg's protocol configuration through the simulator's
+// numerics.
+func simulate(cfg Config) (*train.RunStats, error) {
 	sim, err := train.RunWSP(train.WSPConfig{
 		Task: cfg.Task, Workers: cfg.Workers, SLocal: cfg.SLocal, D: cfg.D,
 		LR: cfg.LR, MaxMinibatches: cfg.MaxMinibatches,
@@ -170,17 +155,7 @@ func (cfg ConformanceConfig) runBoth(ctx context.Context) (*train.RunStats, *Sta
 		EvalEvery: cfg.MaxMinibatches * cfg.Workers,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: simulator: %w", err)
+		return nil, fmt.Errorf("cluster: simulator: %w", err)
 	}
-
-	live, err := Run(ctx, Config{
-		Task: cfg.Task, Workers: cfg.Workers, Servers: cfg.Servers,
-		SLocal: cfg.SLocal, D: cfg.D, LR: cfg.LR,
-		MaxMinibatches: cfg.MaxMinibatches, Chunks: cfg.Chunks, TCP: cfg.TCP,
-		Faults: cfg.Faults, CheckpointEvery: cfg.CheckpointEvery,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: live runtime: %w", err)
-	}
-	return sim, live, nil
+	return sim, nil
 }

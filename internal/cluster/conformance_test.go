@@ -23,23 +23,23 @@ func conformanceGrid(t *testing.T) []conformanceCase {
 		t.Fatal(err)
 	}
 	return []conformanceCase{
-		{"N2_Nm1_D0", ConformanceConfig{
+		{"N2_Nm1_D0", Config{
 			Task: lt, Workers: 2, SLocal: 0, D: 0, LR: 0.3,
 			MaxMinibatches: 24, Servers: 2,
 		}},
-		{"N3_Nm3_D1_heterogeneous_timing", ConformanceConfig{
+		{"N3_Nm3_D1_heterogeneous_timing", Config{
 			Task: lt, Workers: 3, SLocal: 2, D: 1, LR: 0.2,
 			MaxMinibatches: 36, Servers: 2, Chunks: 7,
 		}},
-		{"N4_Nm4_D4_many_shards", ConformanceConfig{
+		{"N4_Nm4_D4_many_shards", Config{
 			Task: lt, Workers: 4, SLocal: 3, D: 4, LR: 0.2,
 			MaxMinibatches: 48, Servers: 3, Chunks: 16,
 		}},
-		{"N3_Nm2_D0_tcp", ConformanceConfig{
+		{"N3_Nm2_D0_tcp", Config{
 			Task: lt, Workers: 3, SLocal: 1, D: 0, LR: 0.25,
 			MaxMinibatches: 20, Servers: 2, TCP: true,
 		}},
-		{"N2_Nm2_D1_mlp", ConformanceConfig{
+		{"N2_Nm2_D1_mlp", Config{
 			Task: mlp, Workers: 2, SLocal: 1, D: 1, LR: 0.15,
 			MaxMinibatches: 24, Servers: 2,
 		}},
@@ -48,7 +48,7 @@ func conformanceGrid(t *testing.T) []conformanceCase {
 
 type conformanceCase struct {
 	name string
-	cfg  ConformanceConfig
+	cfg  Config
 }
 
 // TestSimLiveConformance is the differential acceptance suite: the same
@@ -75,7 +75,7 @@ func TestSimLiveConformance(t *testing.T) {
 // both backends to the same non-finite weights, which no per-coordinate
 // difference can show (NaN compares false with everything).
 func TestNonFiniteWeightsNeverConform(t *testing.T) {
-	report, err := RunConformance(context.Background(), ConformanceConfig{
+	report, err := RunConformance(context.Background(), Config{
 		Task: testTask(t), Workers: 2, SLocal: 1, D: 0, LR: math.MaxFloat64, MaxMinibatches: 12, Servers: 1,
 	})
 	if err != nil {

@@ -142,7 +142,7 @@ func TestTimingFaultsConformExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := RunConformance(context.Background(), ConformanceConfig{
+	report, err := RunConformance(context.Background(), Config{
 		Task: task, Workers: 3, SLocal: 2, D: 1, LR: 0.2,
 		MaxMinibatches: 24, Servers: 2,
 		Faults: plan,
@@ -164,7 +164,7 @@ func TestCrashConformsExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := RunConformance(context.Background(), ConformanceConfig{
+	report, err := RunConformance(context.Background(), Config{
 		Task: task, Workers: 4, SLocal: 3, D: 1, LR: 0.2,
 		MaxMinibatches: 32, Servers: 2,
 		Faults:          plan,
@@ -249,6 +249,38 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("logical counts diverge: resumed %d/%d/%d, uninterrupted %d/%d/%d",
 			leg2.Minibatches, leg2.Pushes, leg2.Pulls,
 			clean.Minibatches, clean.Pushes, clean.Pulls)
+	}
+}
+
+// TestResumedSteppedRunConforms: RunConformance hands its live half the whole
+// Config, so a run resumed from a checkpoint, with emulated compute time,
+// must send only the waves above the checkpoint and still conform to the
+// uninterrupted simulation.
+func TestResumedSteppedRunConforms(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shards.ckpt")
+	leg1 := faultBase(t)
+	leg1.MaxMinibatches, leg1.CheckpointPath = 16, path
+	first, err := Run(context.Background(), leg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := faultBase(t)
+	cfg.ResumeFrom, cfg.StepTime = path, 50*time.Microsecond
+	pushed := 0 // observer calls are serialized
+	cfg.Observer = func(e obs.Event) {
+		if e.Kind == obs.KindPush {
+			pushed++
+		}
+	}
+	report, err := RunConformance(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Err(); err != nil {
+		t.Fatalf("%v\n%s", err, report)
+	}
+	if want := report.Want.Pushes - cfg.Workers*first.GlobalClock; pushed != want {
+		t.Errorf("the resumed run sent %d pushes, want %d past the checkpoint's clock %d", pushed, want, first.GlobalClock)
 	}
 }
 

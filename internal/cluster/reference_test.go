@@ -124,14 +124,16 @@ func matchesReference(t *testing.T, label string, cfg Config, got *Stats) {
 func TestBackendsMatchReferenceFinalWeights(t *testing.T) {
 	for _, c := range conformanceGrid(t) {
 		t.Run(c.name, func(t *testing.T) {
-			sim, live, err := c.cfg.runBoth(context.Background())
+			sim, err := simulate(c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Task: c.cfg.Task, Workers: c.cfg.Workers, SLocal: c.cfg.SLocal, D: c.cfg.D,
-				LR: c.cfg.LR, MaxMinibatches: c.cfg.MaxMinibatches}
-			matchesReference(t, "sim", cfg, &Stats{FinalWeights: sim.FinalWeights, MaxStaleness: sim.MaxStaleness})
-			matchesReference(t, "live", cfg, live)
+			live, err := Run(context.Background(), c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchesReference(t, "sim", c.cfg, &Stats{FinalWeights: sim.FinalWeights, MaxStaleness: sim.MaxStaleness})
+			matchesReference(t, "live", c.cfg, live)
 		})
 	}
 }
@@ -149,7 +151,7 @@ func TestObservedStalenessWithinSGlobal(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := ConformanceConfig{
+				cfg := Config{
 					Task: task, Workers: 3, SLocal: nm - 1, D: d, LR: 0.2,
 					MaxMinibatches: budget, Servers: 2,
 					Faults: plan, CheckpointEvery: 2,

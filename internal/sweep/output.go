@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -126,48 +125,19 @@ type SummaryRow struct {
 }
 
 // Summarize ranks each model/cluster pair's best configuration by aggregate
-// throughput, best pair first. Pairs whose every scenario failed appear at
-// the end with a nil Best.
+// throughput, best pair first: Aggregate's ranking, with each winner's full
+// Result. Pairs whose every scenario failed appear at the end with a nil
+// Best.
 func Summarize(set *Set) []SummaryRow {
-	type key struct{ model, cluster string }
-	byPair := map[key]*SummaryRow{}
-	var order []key
-	for i := range set.Results {
-		r := &set.Results[i]
-		k := key{r.Scenario.Model, r.Scenario.Cluster}
-		row, ok := byPair[k]
-		if !ok {
-			row = &SummaryRow{Model: k.model, Cluster: k.cluster}
-			byPair[k] = row
-			order = append(order, k)
-		}
-		row.Candidates++
-		if r.Error != "" {
-			row.Failed++
-			continue
-		}
-		if row.Best == nil || r.Throughput > row.Best.Throughput {
-			row.Best = r
+	pairs := Aggregate(set).Pairs
+	rows := make([]SummaryRow, len(pairs))
+	for i, p := range pairs {
+		rows[i] = SummaryRow{Model: p.Model, Cluster: p.Cluster, Candidates: p.Candidates, Failed: p.Failed}
+		if p.BestID != "" {
+			rows[i].Best = &set.Results[p.best]
+			rows[i].PerVW = metrics.Summarize(rows[i].Best.PerVW)
 		}
 	}
-	var rows []SummaryRow
-	for _, k := range order {
-		row := byPair[k]
-		if row.Best != nil {
-			row.PerVW = metrics.Summarize(row.Best.PerVW)
-		}
-		rows = append(rows, *row)
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		ti, tj := -1.0, -1.0
-		if rows[i].Best != nil {
-			ti = rows[i].Best.Throughput
-		}
-		if rows[j].Best != nil {
-			tj = rows[j].Best.Throughput
-		}
-		return ti > tj
-	})
 	return rows
 }
 

@@ -39,6 +39,9 @@ type PairRank struct {
 	// in an error.
 	Candidates int `json:"candidates"`
 	Failed     int `json:"failed"`
+	// best is the winner's index among the reduced scenarios, when BestID is
+	// set: Summarize reads the winning Result there.
+	best int
 }
 
 // StreamSummary is the bounded-memory outcome of RunStream: counts, the
@@ -133,8 +136,7 @@ func summarizeStream(scenarios []Scenario, thr []float64, failed []bool) *Stream
 		ok = append(ok, thr[i])
 		sum += thr[i]
 		if p.BestID == "" || thr[i] > p.BestThroughput {
-			p.BestID = sc.ID()
-			p.BestThroughput = thr[i]
+			p.BestID, p.BestThroughput, p.best = sc.ID(), thr[i], i
 		}
 	}
 	if n := len(ok); n > 0 {
