@@ -136,7 +136,7 @@ func main() {
 		}
 	}
 	if *gantt {
-		g, err := dep.Gantt(0, 4*res.Nm, 110)
+		g, err := dep.Gantt(0, 0, 110)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -150,7 +150,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		werr := dep.WriteChromeTrace(f, 0, 4*res.Nm)
+		werr := dep.WriteChromeTrace(f, 0, 0)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

@@ -113,9 +113,9 @@ func viaFlags(t *testing.T, r row) answer {
 	if err != nil {
 		t.Fatalf("%v: Resolve: %v", r, err)
 	}
-	mr, err := dep.SimulateWSP(dep.DefaultMinibatches(), 4*dep.Nm)
+	mr, err := dep.Simulate(context.Background(), core.SimOptions{})
 	if err != nil {
-		t.Fatalf("%v: SimulateWSP: %v", r, err)
+		t.Fatalf("%v: Simulate: %v", r, err)
 	}
 	var vws []string
 	for _, vp := range dep.VWs {

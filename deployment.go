@@ -1,6 +1,7 @@
 package hetpipe
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -52,6 +53,9 @@ func New(opts ...Option) (*Deployment, error) {
 	case "logreg", "mlp":
 	default:
 		return nil, fmt.Errorf("%w %q (want logreg or mlp)", ErrUnknownTask, set.task)
+	}
+	if set.minibatches < 0 {
+		return nil, fmt.Errorf("hetpipe: minibatches per VW must be >= 0 (0 = default), got %d (WithMinibatchesPerVW)", set.minibatches)
 	}
 	if set.warmup < 0 {
 		return nil, fmt.Errorf("hetpipe: warmup must be >= 0, got %d", set.warmup)
@@ -150,14 +154,6 @@ func (d *Deployment) Plans() []*PlanView {
 // solved and carried, solo simulations run and Nm values pruned.
 func (d *Deployment) Planning() Planning { return d.dep.Planning }
 
-// minibatchBudget resolves the per-VW run length.
-func (d *Deployment) minibatchBudget() int {
-	if d.set.minibatches != 0 {
-		return d.set.minibatches
-	}
-	return d.dep.DefaultMinibatches()
-}
-
 // Simulate runs the deployment through the discrete-event co-simulation and
 // reports throughput, staleness bounds, and synchronization overhead. The
 // run is aborted with ctx.Err() when ctx is cancelled or its deadline
@@ -168,7 +164,12 @@ func (d *Deployment) Simulate(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mr, err := d.dep.SimulateWSPFaults(ctx, d.minibatchBudget(), 4*d.dep.Nm, d.set.observer, d.faults, d.set.ckptEvery)
+	mr, err := d.dep.Simulate(ctx, core.SimOptions{
+		Minibatches:     d.set.minibatches,
+		Observer:        d.set.observer,
+		Faults:          d.faults,
+		CheckpointEvery: d.set.ckptEvery,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +226,7 @@ func (d *Deployment) Train(ctx context.Context) (*LiveSummary, error) {
 		SLocal:          d.dep.Nm - 1,
 		D:               d.dep.D,
 		LR:              d.set.lr,
-		MaxMinibatches:  d.minibatchBudget(),
+		MaxMinibatches:  cmp.Or(d.set.minibatches, d.dep.DefaultMinibatches()),
 		Chunks:          d.set.chunks,
 		TCP:             d.set.tcp,
 		Observer:        d.set.observer,

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
 	"hetpipe/internal/serve"
 )
@@ -23,6 +24,9 @@ func TestWithFaultsBadSpec(t *testing.T) {
 		{"bad factor", []Option{WithFaults("slow:w0:x0.5")}},
 		{"worker out of range", []Option{WithFaults("slow:w99:x2")}},
 		{"negative checkpoint", []Option{WithCheckpoint(-1)}},
+		// Simulate used to fail it as too short to exercise WSP, Train as a
+		// zero budget.
+		{"negative minibatches", []Option{WithMinibatchesPerVW(-5)}},
 	}
 	for _, tc := range cases {
 		opts := append([]Option{WithModel("vgg19"), WithPolicy("ED"), WithNm(2)}, tc.opts...)
@@ -31,7 +35,7 @@ func TestWithFaultsBadSpec(t *testing.T) {
 			t.Errorf("%s: New accepted it", tc.name)
 			continue
 		}
-		if tc.name != "negative checkpoint" && !errors.Is(err, ErrBadFaultPlan) {
+		if !strings.HasPrefix(tc.name, "negative ") && !errors.Is(err, ErrBadFaultPlan) {
 			t.Errorf("%s: error %v not ErrBadFaultPlan", tc.name, err)
 		}
 	}
@@ -72,7 +76,7 @@ func TestNonFiniteFaultsNeverRun(t *testing.T) {
 				t.Errorf("New with %q (serving %v): error %v, want ErrBadFaultPlan naming a real that must be finite", tc.spec, serving, err)
 			}
 		}
-		if _, err := ok.dep.SimulateWSPFaults(context.Background(), 16, 8, nil, &tc.plan, 0); err == nil || !strings.Contains(err.Error(), "must be finite") {
+		if _, err := ok.dep.Simulate(context.Background(), core.SimOptions{Minibatches: 16, Warmup: 8, Faults: &tc.plan}); err == nil || !strings.Contains(err.Error(), "must be finite") {
 			t.Errorf("simulating %q as a literal: error %v", tc.spec, err)
 		}
 		if _, err := serve.Run(context.Background(), ok.dep, traffic, serve.Options{Faults: &tc.plan}); err == nil || !strings.Contains(err.Error(), "must be finite") {

@@ -97,7 +97,7 @@ func TestObserverSeesTheBackendsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want recorder
-	if _, err := dep.dep.SimulateWSPFaults(ctx, 16, 4*dep.Nm(), want.observe, dep.faults, 2); err != nil {
+	if _, err := dep.dep.Simulate(ctx, core.SimOptions{Minibatches: 16, Observer: want.observe, Faults: dep.faults, CheckpointEvery: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sameStream(t, "Simulate", got, want, false)

@@ -34,7 +34,7 @@
 // tests keep as referenceDeploy — and Deployment.Planning reports how much of
 // each a Deploy did.
 //
-// What a co-simulation costs. SimulateWSP steps one pipeline per lock-step
+// What a co-simulation costs. Simulate steps one pipeline per lock-step
 // group, not per virtual worker (multisim.go). A group is a maximal run of
 // consecutive workers with equal executor inputs (pipeline.SameInputs: stage
 // count, interleave degree, Nm, batch, the time table) and equal push and

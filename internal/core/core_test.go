@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestLocalPlacementCheaperThanDefault(t *testing.T) {
 
 func TestSimulateWSPBasics(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 4, 0, PlacementLocal)
-	res, err := dep.SimulateWSP(80, 16)
+	res, err := dep.Simulate(context.Background(), SimOptions{Minibatches: 80, Warmup: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestSimulateWSPStragglerNP(t *testing.T) {
 	// NP: heterogeneous VWs. With D=0 the fast VWs wait for the slow one;
 	// aggregate sits near 4x the slowest VW's rate.
 	dep := deploy(t, model.VGG19(), hw.NodePartition, 2, 0, PlacementDefault)
-	res, err := dep.SimulateWSP(60, 10)
+	res, err := dep.Simulate(context.Background(), SimOptions{Minibatches: 60, Warmup: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +164,12 @@ func TestSimulateWSPStragglerNP(t *testing.T) {
 
 func TestLargerDReducesWaiting(t *testing.T) {
 	d0 := deploy(t, model.VGG19(), hw.NodePartition, 2, 0, PlacementDefault)
-	r0, err := d0.SimulateWSP(60, 10)
+	r0, err := d0.Simulate(context.Background(), SimOptions{Minibatches: 60, Warmup: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d4 := deploy(t, model.VGG19(), hw.NodePartition, 2, 4, PlacementDefault)
-	r4, err := d4.SimulateWSP(60, 10)
+	r4, err := d4.Simulate(context.Background(), SimOptions{Minibatches: 60, Warmup: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

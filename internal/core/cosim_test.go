@@ -29,7 +29,9 @@ type cosimRun struct {
 func runGrouped(d *Deployment, plan *fault.Plan) cosimRun {
 	var events []obs.Event
 	eng := sim.New()
-	res, err := d.SimulateWSPFaultsOn(context.Background(), eng, d.DefaultMinibatches(), 2*d.Nm, func(e obs.Event) { events = append(events, e) }, plan, 2)
+	res, err := NewCoSim(eng).Run(context.Background(), d, SimOptions{
+		Warmup: 2 * d.Nm, Observer: func(e obs.Event) { events = append(events, e) }, Faults: plan, CheckpointEvery: 2,
+	})
 	return cosimRun{res, err, events, eng.Fired()}
 }
 
@@ -299,46 +301,61 @@ func TestMalformedDeploymentIsAnError(t *testing.T) {
 		return &c
 	}
 	for _, tc := range []struct {
-		name   string
-		dep    *Deployment
-		warmup int
-		want   string
+		name string
+		dep  *Deployment
+		opt  SimOptions
+		want string
 	}{
-		{"no workers", mutate(func(d *Deployment) { d.VWs = nil }), 0, "core: empty deployment"},
-		{"no system", mutate(func(d *Deployment) { d.Sys = nil }), 0, "core: deployment has no system"},
-		{"zero Nm", mutate(func(d *Deployment) { d.Nm = 0 }), 0, "core: deployment Nm must be >= 1, got 0"},
-		{"short push times", mutate(func(d *Deployment) { d.PushTime = d.PushTime[:3] }), 0, "core: deployment has 4 workers but 3 push times"},
-		{"no pull times", mutate(func(d *Deployment) { d.PullTime = nil }), 0, "core: deployment has 4 workers but 0 pull times"},
-		{"extra worker", mutate(func(d *Deployment) { d.VWs = append(d.VWs, d.VWs[0]) }), 0, "core: deployment has 5 workers but 4 push times"},
-		{"nil worker", mutate(func(d *Deployment) { d.VWs[2] = nil }), 0, "core: deployment worker 2 has no plan"},
-		{"nil plan", mutate(func(d *Deployment) { d.VWs[1] = &VWPlan{VW: d.VWs[1].VW} }), 0, "core: deployment worker 1 has no plan"},
+		{"no workers", mutate(func(d *Deployment) { d.VWs = nil }), SimOptions{}, "core: empty deployment"},
+		{"no system", mutate(func(d *Deployment) { d.Sys = nil }), SimOptions{}, "core: deployment has no system"},
+		{"zero Nm", mutate(func(d *Deployment) { d.Nm = 0 }), SimOptions{}, "core: deployment Nm must be >= 1, got 0"},
+		{"short push times", mutate(func(d *Deployment) { d.PushTime = d.PushTime[:3] }), SimOptions{}, "core: deployment has 4 workers but 3 push times"},
+		{"no pull times", mutate(func(d *Deployment) { d.PullTime = nil }), SimOptions{}, "core: deployment has 4 workers but 0 pull times"},
+		{"extra worker", mutate(func(d *Deployment) { d.VWs = append(d.VWs, d.VWs[0]) }), SimOptions{}, "core: deployment has 5 workers but 4 push times"},
+		{"nil worker", mutate(func(d *Deployment) { d.VWs[2] = nil }), SimOptions{}, "core: deployment worker 2 has no plan"},
+		{"nil plan", mutate(func(d *Deployment) { d.VWs[1] = &VWPlan{VW: d.VWs[1].VW} }), SimOptions{}, "core: deployment worker 1 has no plan"},
 		{"stage without chunks", mutate(func(d *Deployment) {
 			p := *d.VWs[3].Plan
 			p.Stages = append([]partition.Stage(nil), p.Stages...)
 			p.Stages[1].Chunks = nil
 			d.VWs[3] = &VWPlan{VW: d.VWs[3].VW, Plan: &p}
-		}), 0, "core: deployment worker 3 stage 1 holds 0 chunks, want 1"},
+		}), SimOptions{}, "core: deployment worker 3 stage 1 holds 0 chunks, want 1"},
 		// Measure reads completion warmup-1, so a negative one is refused first.
-		{"negative warmup", good, -1, "pipeline: warmup must be >= 0, got -1"},
+		{"negative warmup", good, SimOptions{Warmup: -1}, "pipeline: warmup must be >= 0, got -1"},
+		// Not rounded up to a wave and then refused as too short.
+		{"negative minibatches", good, SimOptions{Minibatches: -5}, "core: minibatches per VW must be >= 0 (0 = default), got -5"},
 	} {
-		_, err := tc.dep.SimulateWSP(tc.dep.DefaultMinibatches(), tc.warmup)
+		_, err := tc.dep.Simulate(context.Background(), tc.opt)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := good.SimulateWSP(good.DefaultMinibatches(), 0); err != nil {
+	if _, err := good.Simulate(context.Background(), SimOptions{}); err != nil {
 		t.Errorf("the unmutated deployment: %v", err)
 	}
 }
 
-// warmCell is one co-simulation of TestWarmCoSimMatchesCold's sequence.
+// warmCell is one co-simulation of TestWarmCoSimMatchesCold's sequence. A
+// defaults cell runs warm on SimOptions' zero budget and warm-up, the cold run
+// it must equal on the explicit DefaultMinibatches and 4·Nm.
 type warmCell struct {
-	name    string
-	dep     *Deployment
-	plan    *fault.Plan
-	observe bool
-	stages  int
-	v       int
+	name     string
+	dep      *Deployment
+	plan     *fault.Plan
+	observe  bool
+	defaults bool
+	stages   int
+	v        int
+}
+
+// options are the cell's warm and cold SimOptions, without the observer.
+func (c warmCell) options() (warm, cold SimOptions) {
+	cold = SimOptions{Minibatches: c.dep.DefaultMinibatches(), Warmup: 2 * c.dep.Nm, Faults: c.plan, CheckpointEvery: 2}
+	if !c.defaults {
+		return cold, cold
+	}
+	cold.Warmup = 4 * c.dep.Nm
+	return SimOptions{Faults: c.plan, CheckpointEvery: 2}, cold
 }
 
 // TestWarmCoSimMatchesCold is the warm co-simulation's wall. One CoSim runs,
@@ -348,8 +365,10 @@ type warmCell struct {
 // the next the lock-step group count, the stage count and the interleave
 // degree grow and shrink — then every cell again in reverse, so that each runs
 // after larger ones; every fifth cell first runs cancelled part-way. Every
-// MultiResult and observer stream must equal a cold SimulateWSPFaults of the
-// same inputs, bit for bit.
+// MultiResult and observer stream must equal a cold Simulate of the same
+// inputs, bit for bit. The default schedule's cells also run on zero
+// SimOptions budget and warm-up, at D = 1 and at D = 32 (whose default budget
+// is 34 waves, not 24), against a cold run given DefaultMinibatches and 4·Nm.
 func TestWarmCoSimMatchesCold(t *testing.T) {
 	var cells []warmCell
 	for _, cluster := range []string{"paper", "mini"} {
@@ -372,17 +391,32 @@ func TestWarmCoSimMatchesCold(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v/%s/V%d: %v", cluster, policy, sv.s.Name(), sv.v, err)
 				}
-				for _, spec := range []string{"", "slow:w0:x2", "crash:w1:mb40", "link:w1:x2", "stall:s0:c3:0.5"} {
-					plan, err := fault.Parse(spec)
+				type variant struct {
+					dep      *Deployment
+					defaults bool
+				}
+				variants := []variant{{dep, false}}
+				if sv.s.Name() == sched.Default().Name() && sv.v == 0 {
+					d32, err := dep.WithD(32)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, observe := range []bool{false, true} {
-						cells = append(cells, warmCell{
-							name: fmt.Sprintf("%s/%v/%s/V%d/%q/observed=%v", cluster, policy, sv.s.Name(), sv.v, spec, observe),
-							dep:  dep, plan: plan, observe: observe,
-							stages: len(dep.VWs[0].Plan.Stages), v: dep.VWs[0].Plan.InterleaveDegree(),
-						})
+					variants = append(variants, variant{dep, true}, variant{d32, true})
+				}
+				for _, vr := range variants {
+					for _, spec := range []string{"", "slow:w0:x2", "crash:w1:mb40", "link:w1:x2", "stall:s0:c3:0.5"} {
+						plan, err := fault.Parse(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, observe := range []bool{false, true} {
+							cells = append(cells, warmCell{
+								name: fmt.Sprintf("%s/%v/%s/V%d/D%d/%q/observed=%v/defaults=%v",
+									cluster, policy, sv.s.Name(), sv.v, vr.dep.D, spec, observe, vr.defaults),
+								dep: vr.dep, plan: plan, observe: observe, defaults: vr.defaults,
+								stages: len(dep.VWs[0].Plan.Stages), v: dep.VWs[0].Plan.InterleaveDegree(),
+							})
+						}
 					}
 				}
 			}
@@ -392,13 +426,12 @@ func TestWarmCoSimMatchesCold(t *testing.T) {
 	for i := len(cells) - 1; i >= 0; i-- {
 		cells = append(cells, cells[i])
 	}
-	run := func(c warmCell, sim func(ob obs.Func) (*MultiResult, error)) cosimRun {
+	run := func(c warmCell, opt SimOptions, sim func(SimOptions) (*MultiResult, error)) cosimRun {
 		var events []obs.Event
-		var ob obs.Func
 		if c.observe {
-			ob = func(e obs.Event) { events = append(events, e) }
+			opt.Observer = func(e obs.Event) { events = append(events, e) }
 		}
-		res, err := sim(ob)
+		res, err := sim(opt)
 		return cosimRun{res: res, err: err, events: events}
 	}
 	cs := NewCoSim(sim.New())
@@ -408,17 +441,19 @@ func TestWarmCoSimMatchesCold(t *testing.T) {
 	cancelled := 0
 	for i, c := range cells {
 		ctx := context.Background()
-		mbs, warmup := c.dep.DefaultMinibatches(), 2*c.dep.Nm
+		warm, cold := c.options()
 		if i%5 == 0 {
 			// A run cancelled part-way leaves jobs queued, tasks in the ready
 			// rings and pulls in flight; the next run must not see them.
 			stop, cancel := context.WithCancel(ctx)
 			seen := 0
-			_, err := cs.Run(stop, c.dep, mbs, warmup, func(obs.Event) {
+			opt := warm
+			opt.Observer = func(obs.Event) {
 				if seen++; seen == 20 {
 					cancel()
 				}
-			}, c.plan, 2)
+			}
+			_, err := cs.Run(stop, c.dep, opt)
 			cancel()
 			if err == context.Canceled {
 				cancelled++
@@ -426,11 +461,11 @@ func TestWarmCoSimMatchesCold(t *testing.T) {
 				t.Fatalf("%s, cancelled: %v", c.name, err)
 			}
 		}
-		want := run(c, func(ob obs.Func) (*MultiResult, error) {
-			return c.dep.SimulateWSPFaults(ctx, mbs, warmup, ob, c.plan, 2)
+		want := run(c, cold, func(opt SimOptions) (*MultiResult, error) {
+			return c.dep.Simulate(ctx, opt)
 		})
-		got := run(c, func(ob obs.Func) (*MultiResult, error) {
-			return cs.Run(ctx, c.dep, mbs, warmup, ob, c.plan, 2)
+		got := run(c, warm, func(opt SimOptions) (*MultiResult, error) {
+			return cs.Run(ctx, c.dep, opt)
 		})
 		if want.err != nil {
 			t.Fatalf("%s: %v", c.name, want.err)
@@ -458,7 +493,7 @@ func TestWarmCoSimMatchesCold(t *testing.T) {
 // pull is a registered handler, not a closure), not per lock-step group (the
 // groups' pipelines, devices and hooks are kept from run to run) — so 24 and
 // 48 waves, and one group, two and four, allocate alike, grouped, split and
-// faulted. The cold path, SimulateWSPFaultsOn, allocates alike at either
+// faulted. The cold path, a new CoSim on a kept engine, allocates alike at either
 // length too.
 func TestCoSimAllocsIndependentOfLength(t *testing.T) {
 	faulted, err := fault.Parse("slow:w0:x2,link:w1:x2")
@@ -489,7 +524,7 @@ func TestCoSimAllocsIndependentOfLength(t *testing.T) {
 	cs := NewCoSim(sim.New())
 	allocs := func(c cell, waves int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := cs.Run(context.Background(), c.dep, waves*c.dep.Nm, 4*c.dep.Nm, nil, c.plan, 0); err != nil {
+			if _, err := cs.Run(context.Background(), c.dep, SimOptions{Minibatches: waves * c.dep.Nm, Faults: c.plan}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -506,7 +541,7 @@ func TestCoSimAllocsIndependentOfLength(t *testing.T) {
 		eng := sim.New()
 		cold := func(waves int) float64 {
 			return testing.AllocsPerRun(20, func() {
-				if _, err := c.dep.SimulateWSPFaultsOn(context.Background(), eng, waves*c.dep.Nm, 4*c.dep.Nm, nil, c.plan, 0); err != nil {
+				if _, err := NewCoSim(eng).Run(context.Background(), c.dep, SimOptions{Minibatches: waves * c.dep.Nm, Faults: c.plan}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -534,7 +569,7 @@ func BenchmarkCoSim(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				if coSimSink, err = cs.Run(context.Background(), dep, dep.DefaultMinibatches(), 4*dep.Nm, nil, nil, 0); err != nil {
+				if coSimSink, err = cs.Run(context.Background(), dep, SimOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

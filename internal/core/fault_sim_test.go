@@ -14,17 +14,16 @@ import (
 // TestZeroFaultPlanBitIdentical is the golden guard of the fault subsystem:
 // an empty (or nil) plan must take exactly the fault-free code path, so every
 // field of the result — throughput, per-VW rates, waiting/idle decomposition,
-// counts — is bit-identical to SimulateWSP's.
+// counts — is bit-identical to a fault-free Simulate's.
 func TestZeroFaultPlanBitIdentical(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 1, PlacementDefault)
-	mbs := dep.DefaultMinibatches()
 
-	clean, err := dep.SimulateWSP(mbs, 4*dep.Nm)
+	clean, err := dep.Simulate(context.Background(), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, plan := range []*fault.Plan{nil, {}} {
-		faulted, err := dep.SimulateWSPFaults(context.Background(), mbs, 4*dep.Nm, nil, plan, 3)
+		faulted, err := dep.Simulate(context.Background(), SimOptions{Faults: plan, CheckpointEvery: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,8 +35,7 @@ func TestZeroFaultPlanBitIdentical(t *testing.T) {
 
 func TestSlowdownDegradesThroughput(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 1, PlacementDefault)
-	mbs := dep.DefaultMinibatches()
-	clean, err := dep.SimulateWSP(mbs, 4*dep.Nm)
+	clean, err := dep.Simulate(context.Background(), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,7 @@ func TestSlowdownDegradesThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := dep.SimulateWSPFaults(context.Background(), mbs, 4*dep.Nm, nil, plan, 0)
+	slow, err := dep.Simulate(context.Background(), SimOptions{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +69,7 @@ func TestSlowdownDegradesThroughput(t *testing.T) {
 
 func TestCrashChargesDowntimeAndReplay(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 0, PlacementDefault)
-	mbs := dep.DefaultMinibatches()
-	clean, err := dep.SimulateWSP(mbs, 4*dep.Nm)
+	clean, err := dep.Simulate(context.Background(), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +78,12 @@ func TestCrashChargesDowntimeAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With checkpoints every 2 waves the replay is short...
-	ckpt, err := dep.SimulateWSPFaults(context.Background(), mbs, 4*dep.Nm, nil, plan, 2)
+	ckpt, err := dep.Simulate(context.Background(), SimOptions{Faults: plan, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ... without checkpoints the worker replays from minibatch 1.
-	scratch, err := dep.SimulateWSPFaults(context.Background(), mbs, 4*dep.Nm, nil, plan, 0)
+	scratch, err := dep.Simulate(context.Background(), SimOptions{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +100,7 @@ func TestCrashChargesDowntimeAndReplay(t *testing.T) {
 
 func TestStallAndLinkDelays(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 0, PlacementDefault)
-	mbs := dep.DefaultMinibatches()
-	clean, err := dep.SimulateWSP(mbs, 4*dep.Nm)
+	clean, err := dep.Simulate(context.Background(), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +111,7 @@ func TestStallAndLinkDelays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted, err := dep.SimulateWSPFaults(context.Background(), mbs, 4*dep.Nm, nil, plan, 0)
+		faulted, err := dep.Simulate(context.Background(), SimOptions{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +126,6 @@ func TestStallAndLinkDelays(t *testing.T) {
 
 func TestSimEmitsInjectAndRecoverEvents(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 0, PlacementDefault)
-	mbs := dep.DefaultMinibatches()
 	plan, err := fault.Parse("crash:w0:mb9:down2,slow:w1:x2")
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +138,7 @@ func TestSimEmitsInjectAndRecoverEvents(t *testing.T) {
 			faults = append(faults, e.Fault)
 		}
 	}
-	if _, err := dep.SimulateWSPFaults(context.Background(), mbs, 4*dep.Nm, ob, plan, 2); err != nil {
+	if _, err := dep.Simulate(context.Background(), SimOptions{Observer: ob, Faults: plan, CheckpointEvery: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if kinds[obs.KindFaultInject] != 2 {
@@ -169,7 +164,7 @@ func TestFaultInjectionsCountActivations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dep.SimulateWSPFaults(context.Background(), dep.DefaultMinibatches(), 4*dep.Nm, nil, plan, 0)
+		res, err := dep.Simulate(context.Background(), SimOptions{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,10 +180,10 @@ func TestBadFaultPlanRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dep.SimulateWSPFaults(context.Background(), dep.DefaultMinibatches(), 4*dep.Nm, nil, plan, 0); err == nil {
+	if _, err := dep.Simulate(context.Background(), SimOptions{Faults: plan}); err == nil {
 		t.Error("simulation accepted a plan naming a worker outside the deployment")
 	}
-	if _, err := dep.SimulateWSPFaults(context.Background(), dep.DefaultMinibatches(), 4*dep.Nm, nil, nil, -1); err == nil {
+	if _, err := dep.Simulate(context.Background(), SimOptions{CheckpointEvery: -1}); err == nil {
 		t.Error("simulation accepted a negative checkpoint interval")
 	}
 }

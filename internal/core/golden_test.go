@@ -157,7 +157,7 @@ func goldenWSPRuns(t *testing.T) []wspGolden {
 					if spec == "" {
 						fp = nil
 					}
-					mr, err := dep.SimulateWSPFaults(context.Background(), dep.DefaultMinibatches(), 2*dep.Nm, nil, fp, 2)
+					mr, err := dep.Simulate(context.Background(), SimOptions{Warmup: 2 * dep.Nm, Faults: fp, CheckpointEvery: 2})
 					if err != nil {
 						g.Error = err.Error()
 						out = append(out, g)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -39,15 +40,38 @@ type MultiResult struct {
 	FaultInjections int
 }
 
-// DefaultMinibatches returns the simulation budget used when a caller does
-// not specify one: 24 waves, raised for large D so the budget always meets
-// SimulateWSP's (D+2)-wave minimum.
+// DefaultMinibatches returns the simulation budget a zero
+// SimOptions.Minibatches means: 24 waves, raised for large D so the budget
+// always meets the co-simulation's (D+2)-wave minimum.
 func (d *Deployment) DefaultMinibatches() int {
 	waves := 24
 	if min := d.D + 2; min > waves {
 		waves = min
 	}
 	return waves * d.Nm
+}
+
+// SimOptions are a co-simulation's inputs beside the deployment. The zero
+// value is the default run: DefaultMinibatches per virtual worker, the first
+// 4·Nm of them excluded from throughput, no observer, fault-free.
+type SimOptions struct {
+	// Minibatches is each virtual worker's budget, rounded up to a whole
+	// wave; 0 means DefaultMinibatches.
+	Minibatches int
+	// Warmup minibatches are excluded from throughput, clamped below the
+	// budget so a deliberately short run still leaves a measurement window;
+	// 0 means 4·Nm.
+	Warmup int
+	// Observer, when non-nil, receives minibatch completions, push arrivals,
+	// pull completions, clock advances and fault activations as they happen
+	// in virtual time, synchronously from the simulation goroutine.
+	Observer obs.Func
+	// Faults is the fault-injection plan (internal/fault); nil or empty takes
+	// exactly the fault-free code path.
+	Faults *fault.Plan
+	// CheckpointEvery is the checkpoint cadence in waves a crash replays
+	// from (0 = no checkpoints: replay from minibatch 1).
+	CheckpointEvery int
 }
 
 // WithD returns a copy of the deployment under a different clock-distance
@@ -66,27 +90,13 @@ func (d *Deployment) WithD(dd int) (*Deployment, error) {
 	return &c, nil
 }
 
-// SimulateWSP runs all virtual workers' pipelines on one discrete-event
+// Simulate runs all virtual workers' pipelines on one fresh discrete-event
 // engine, coupled through the WSP protocol: per-wave pushes arrive at the
 // parameter servers after the push transfer time, the global clock advances
 // when the slowest push of a wave arrives, and a gated wave-end minibatch
-// additionally waits for its pull transfer. Each virtual worker processes
-// minibatchesPerVW minibatches; warmup are excluded from throughput (warmup
-// is clamped below the budget, so a deliberately short simulation still
-// leaves a measurement window).
-func (d *Deployment) SimulateWSP(minibatchesPerVW, warmup int) (*MultiResult, error) {
-	return d.SimulateWSPFaults(context.Background(), minibatchesPerVW, warmup, nil, nil, 0)
-}
-
-// SimulateWSPFaults is SimulateWSP with cancellation, streaming observation
-// and a fault-injection plan (internal/fault). The event loop polls ctx
-// between events and aborts with ctx.Err() when it is cancelled or its
-// deadline passes, and ob (when non-nil) receives minibatch completions, push
-// arrivals, pull completions, and global-clock advances as they happen in
-// virtual time, synchronously from the single simulation goroutine. An empty
-// or nil plan takes exactly the fault-free code path, so its results are
-// bit-identical to SimulateWSP's. A non-empty plan shapes the timing model
-// deterministically:
+// additionally waits for its pull transfer. The event loop polls ctx between
+// events and aborts with ctx.Err() when it is cancelled or its deadline
+// passes. A non-empty fault plan shapes the timing model deterministically:
 //
 //   - a Slowdown multiplies the affected virtual worker's stage-task times
 //     over its minibatch range (via pipeline.Config.TaskTime);
@@ -97,40 +107,38 @@ func (d *Deployment) SimulateWSP(minibatchesPerVW, warmup int) (*MultiResult, er
 //   - a Crash charges the crashed worker's first stage task of the crash
 //     minibatch with the downtime plus the checkpoint-replay time —
 //     (AtMinibatch-1 minus the last checkpoint boundary) minibatches at the
-//     worker's bottleneck stage time, where checkpoints sit every
-//     checkpointEvery waves (0 = no checkpoints: replay from minibatch 1).
-//     In-flight work of other stages is not re-simulated; the crash is a
-//     worker-local stall, which is the first-order throughput effect.
+//     worker's bottleneck stage time, checkpoints sitting every
+//     opt.CheckpointEvery waves. In-flight work of other stages is not
+//     re-simulated; the crash is a worker-local stall, which is the
+//     first-order throughput effect.
 //
 // Because WSP numerics are timing-independent, faults never change what a
 // matching live run computes — only when; the live runtime (internal/cluster)
 // executes the same plan's crashes for real and recovers from checkpoints.
-// Fault activations are emitted to ob as KindFaultInject/KindRecover events
-// and counted in MultiResult.FaultInjections.
-func (d *Deployment) SimulateWSPFaults(ctx context.Context, minibatchesPerVW, warmup int, ob obs.Func, plan *fault.Plan, checkpointEvery int) (*MultiResult, error) {
-	return d.SimulateWSPFaultsOn(ctx, sim.New(), minibatchesPerVW, warmup, ob, plan, checkpointEvery)
-}
-
-// SimulateWSPFaultsOn is SimulateWSPFaults on a caller-owned engine, which
-// is Reset first: a warm engine — one that has already grown its event arena
-// and heap to a previous simulation's peak — re-simulates without re-growing
-// any engine-internal storage. It is NewCoSim(eng).Run once; a caller that
-// simulates many scenarios keeps the CoSim instead (internal/sweep keeps one
-// per worker goroutine) and re-simulates without rebuilding anything. Results
-// are bit-identical to a fresh engine's.
+// Fault activations are emitted to the observer as KindFaultInject/KindRecover
+// events and counted in MultiResult.FaultInjections.
 //
 // The run costs one pipeline per lock-step group of virtual workers, not one
 // per worker (see lockStepGroups); a malformed deployment is an error. A run
 // cancelled through ctx returns, beside ctx.Err(), the MultiResult as counted
 // up to the stop (Elapsed, Waiting, Idle, Pushes, Pulls, MaxClockDistance,
 // FaultInjections; no throughput) — a training run stopped at its target
-// reads its synchronization overhead there.
+// reads its synchronization overhead there. A caller that simulates many
+// scenarios keeps a CoSim instead (internal/sweep keeps one per worker
+// goroutine); its results are bit-identical.
+func (d *Deployment) Simulate(ctx context.Context, opt SimOptions) (*MultiResult, error) {
+	return NewCoSim(sim.New()).Run(ctx, d, opt)
+}
+
+// SimulateWSPFaultsOn is CoSim.Run once on eng, its options spelled out.
+// Only the benchmark harness (bench/hetperf) still calls it; it goes when
+// that caller moves to CoSim, with ROADMAP.md's item 1.
 func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, minibatchesPerVW, warmup int, ob obs.Func, plan *fault.Plan, checkpointEvery int) (*MultiResult, error) {
-	return NewCoSim(eng).Run(ctx, d, minibatchesPerVW, warmup, ob, plan, checkpointEvery)
+	return NewCoSim(eng).Run(ctx, d, SimOptions{minibatchesPerVW, warmup, ob, plan, checkpointEvery})
 }
 
 // CoSim is a WSP co-simulation kept warm on one engine. Run simulates a
-// deployment as SimulateWSPFaultsOn does and keeps what the run built — each
+// deployment as Deployment.Simulate does and keeps what the run built — each
 // lock-step group's pipeline with its executor, devices and ready rings, the
 // groups' gate, completion and task-time hooks, the coordinator and the
 // registered handlers — to re-initialise for the next run, whatever its
@@ -151,12 +159,11 @@ type CoSim struct {
 	pullID, pushID int32
 
 	// The run's inputs and what it counts.
-	d               *Deployment
-	ob              obs.Func
-	params          wsp.Params
-	res             *MultiResult
-	stalls          fault.Cursor // the cluster's, for the stalls
-	checkpointEvery int
+	d      *Deployment
+	opt    SimOptions
+	params wsp.Params
+	res    *MultiResult
+	stalls fault.Cursor // the cluster's, for the stalls
 }
 
 // NewCoSim returns a co-simulation on eng that has built nothing yet.
@@ -172,43 +179,46 @@ func NewCoSim(eng *sim.Engine) *CoSim {
 // cells do).
 func (c *CoSim) Engine() *sim.Engine { return c.eng }
 
-// Run simulates d as SimulateWSPFaults documents, on the co-simulation's
-// engine. A plan materialized for d's worker count is used as it is (see
-// fault.Plan.Materialize), so a caller running one plan many times
-// materializes it once.
-func (c *CoSim) Run(ctx context.Context, d *Deployment, minibatchesPerVW, warmup int, ob obs.Func, plan *fault.Plan, checkpointEvery int) (*MultiResult, error) {
+// Run simulates d under opt as Deployment.Simulate documents, on the
+// co-simulation's engine, which it Resets first. A plan materialized for d's
+// worker count is used as it is (see fault.Plan.Materialize), so a caller
+// running one plan many times materializes it once.
+func (c *CoSim) Run(ctx context.Context, d *Deployment, opt SimOptions) (*MultiResult, error) {
 	c.eng.Reset()
 	if err := d.check(); err != nil {
 		return nil, err
 	}
 	n := len(d.VWs)
-	if checkpointEvery < 0 {
-		return nil, fmt.Errorf("core: checkpoint interval must be >= 0, got %d", checkpointEvery)
+	if opt.Minibatches < 0 {
+		return nil, fmt.Errorf("core: minibatches per VW must be >= 0 (0 = default), got %d", opt.Minibatches)
 	}
-	fp, err := plan.Materialize(n)
+	if opt.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("core: checkpoint interval must be >= 0, got %d", opt.CheckpointEvery)
+	}
+	fp, err := opt.Faults.Materialize(n)
 	if err != nil {
 		return nil, err
 	}
+	mbs, warmup := cmp.Or(opt.Minibatches, d.DefaultMinibatches()), cmp.Or(opt.Warmup, 4*d.Nm)
 	// Every virtual worker must finish on a wave boundary, or its peers
 	// would wait forever on a push that never comes. Round up before the
 	// minimum check so a budget the round-up satisfies is not rejected.
-	if rem := minibatchesPerVW % d.Nm; rem != 0 {
-		minibatchesPerVW += d.Nm - rem
+	if rem := mbs % d.Nm; rem != 0 {
+		mbs += d.Nm - rem
 	}
-	if minibatchesPerVW < d.Nm*(d.D+2) {
+	if mbs < d.Nm*(d.D+2) {
 		return nil, fmt.Errorf("core: need at least %d minibatches per VW to exercise WSP", d.Nm*(d.D+2))
 	}
-	if warmup >= minibatchesPerVW {
-		warmup = minibatchesPerVW / 2
+	if warmup >= mbs {
+		warmup = mbs / 2
 	}
 	params := wsp.Params{SLocal: d.SLocal(), D: d.D, Workers: n}
 	if err := c.coord.Reset(params); err != nil {
 		return nil, err
 	}
-	c.eng.SetStepLimit(uint64(n*minibatchesPerVW)*1000 + 1_000_000)
+	c.eng.SetStepLimit(uint64(n*mbs)*1000 + 1_000_000)
 
-	c.d, c.ob, c.params, c.res = d, ob, params, &MultiResult{}
-	c.stalls, c.checkpointEvery = fp.Cursor(-1), checkpointEvery
+	c.d, c.opt, c.params, c.res, c.stalls = d, opt, params, &MultiResult{}, fp.Cursor(-1)
 	c.pullID, c.pushID = c.eng.Register(c.onPull), c.eng.Register(c.onPush)
 	c.lockStepGroups(d, fp)
 	for _, g := range c.groups {
@@ -216,7 +226,7 @@ func (c *CoSim) Run(ctx context.Context, d *Deployment, minibatchesPerVW, warmup
 		// protocol. The fault hook exists only on a touched group; every other
 		// worker's compute scale is 1.
 		cfg := g.cfg
-		cfg.Plan, cfg.Schedule, cfg.Minibatches, cfg.Warmup = d.VWs[g.lo].Plan, d.Sys.Schedule, minibatchesPerVW, warmup
+		cfg.Plan, cfg.Schedule, cfg.Minibatches, cfg.Warmup = d.VWs[g.lo].Plan, d.Sys.Schedule, mbs, warmup
 		if g.touched {
 			cfg.TaskTime = g.task
 		}
@@ -363,10 +373,10 @@ func (c *CoSim) newGroup() *lockGroup {
 }
 
 func (c *CoSim) emit(e obs.Event) {
-	if c.ob != nil {
+	if c.opt.Observer != nil {
 		e.Backend = "sim"
 		e.Time = float64(c.eng.Now())
-		c.ob(e)
+		c.opt.Observer(e)
 	}
 }
 
@@ -390,8 +400,8 @@ func (c *CoSim) pokeAll() {
 // checkpoint at its bottleneck-stage pace.
 func (c *CoSim) replay(g *lockGroup, mb int) float64 {
 	ckptWave := 0
-	if c.checkpointEvery > 0 {
-		ckptWave = ((mb - 1) / c.d.Nm / c.checkpointEvery) * c.checkpointEvery
+	if every := c.opt.CheckpointEvery; every > 0 {
+		ckptWave = ((mb - 1) / c.d.Nm / every) * every
 	}
 	return float64((mb-1)-ckptWave*c.d.Nm) * c.d.VWs[g.lo].Plan.Bottleneck
 }

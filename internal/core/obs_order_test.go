@@ -19,7 +19,7 @@ func TestObserverEventOrdering(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 0, PlacementDefault)
 	var events []obs.Event
 	record := func(e obs.Event) { events = append(events, e) }
-	if _, err := dep.SimulateWSPFaults(context.Background(), dep.DefaultMinibatches(), 4*dep.Nm, record, nil, 0); err != nil {
+	if _, err := dep.Simulate(context.Background(), SimOptions{Observer: record}); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {

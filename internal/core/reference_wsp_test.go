@@ -20,7 +20,7 @@ type vwSync struct {
 	lastDone   sim.Time // time of the VW's most recent completion
 }
 
-// referenceSimulateWSP is SimulateWSPFaultsOn as it stood before lock-step
+// referenceSimulateWSP is the co-simulation as it stood before lock-step
 // groups existed, verbatim but for its push and pull events becoming
 // registered handlers: one pipeline, one vwSync, one pull and one push event
 // per virtual worker. The grouped co-simulation must equal it field for

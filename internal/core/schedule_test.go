@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"hetpipe/internal/hw"
@@ -38,7 +39,7 @@ func deploySched(t *testing.T, s sched.Schedule, nm, d int) *Deployment {
 // subsystem must not perturb the paper's own discipline by a single bit.
 func TestWSPGoldenFIFO(t *testing.T) {
 	dep := deploySched(t, sched.FIFO, 2, 1)
-	mr, err := dep.SimulateWSP(48, 8)
+	mr, err := dep.Simulate(context.Background(), SimOptions{Minibatches: 48, Warmup: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestWSPRunsUnderEverySchedule(t *testing.T) {
 		if dep.ScheduleName() != name {
 			t.Errorf("%s: deployment reports schedule %q", name, dep.ScheduleName())
 		}
-		mr, err := dep.SimulateWSP(48, 8)
+		mr, err := dep.Simulate(context.Background(), SimOptions{Minibatches: 48, Warmup: 8})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -126,7 +127,7 @@ func TestOverlapDeploymentAtLeastFIFO(t *testing.T) {
 				if err != nil {
 					return 0, false // model does not fit this cluster
 				}
-				mr, err := dep.SimulateWSP(48, 8)
+				mr, err := dep.Simulate(context.Background(), SimOptions{Minibatches: 48, Warmup: 8})
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", ci.Name, mn, s.Name(), err)
 				}

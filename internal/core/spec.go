@@ -36,10 +36,11 @@ func ResolveBatch(batch int) int {
 
 // Spec names a deployment: everything the Section 5-7 flow — allocate GPUs to
 // virtual workers, partition, pick Nm — depends on, as plain comparable data.
-// It is the one front door: hetpipe.New, hetpipe.Horovod, cmd/hetserve and
-// every cell of a sweep grid build a Spec and resolve it — Resolve, or its
-// three steps System, Allocate and Deploy where a caller shares the earlier
-// ones — so they validate alike and fail with the same errors. Being
+// It is the one front door: hetpipe.New, hetpipe.Horovod, cmd/hetserve, every
+// cell of a sweep grid and every experiment of internal/experiment build a
+// Spec and resolve it — Resolve, or its three steps System, Allocate and
+// Deploy where a caller shares the earlier ones or reads the System itself —
+// so they validate alike and fail with the same errors. Being
 // comparable, a Spec (with the fields a level does not depend on zeroed) is
 // also the key internal/sweep caches resolutions under.
 type Spec struct {

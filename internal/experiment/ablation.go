@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"hetpipe/internal/core"
@@ -21,15 +22,7 @@ func init() {
 // per-minibatch pushes: the communication volume shrinks by the wave size.
 func AblationWavePush(r *Report) error {
 	for _, m := range model.PaperModels() {
-		s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
-		if err != nil {
-			return err
-		}
-		alloc, err := hw.Allocate(s.Cluster, hw.EqualDistribution)
-		if err != nil {
-			return err
-		}
-		dep, err := s.Deploy(alloc, 0, 0, core.PlacementLocal)
+		dep, err := core.Spec{Model: m.Name, Policy: "ED", Local: true}.Resolve()
 		if err != nil {
 			return err
 		}
@@ -88,22 +81,20 @@ func AblationMemoryAwarePartitioning(r *Report) error {
 // simply maximizing concurrency.
 func AblationNmSweep(r *Report) error {
 	for _, m := range model.PaperModels() {
-		s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
+		sp := core.Spec{Model: m.Name, Policy: "ED", Local: true}
+		s, alloc, err := allocated(sp)
 		if err != nil {
 			return err
 		}
 		row := m.Name + ":"
 		for nm := 1; nm <= 8; nm++ {
-			alloc, err := hw.Allocate(s.Cluster, hw.EqualDistribution)
-			if err != nil {
-				return err
-			}
-			dep, err := s.Deploy(alloc, nm, 0, core.PlacementLocal)
+			sp.Nm = nm
+			dep, err := sp.Deploy(s, alloc)
 			if err != nil {
 				row += fmt.Sprintf(" nm%d=--", nm)
 				continue
 			}
-			res, err := dep.SimulateWSP(24*nm, 4*nm)
+			res, err := dep.Simulate(context.Background(), core.SimOptions{})
 			if err != nil {
 				row += fmt.Sprintf(" nm%d=!!", nm)
 				continue
@@ -119,20 +110,18 @@ func AblationNmSweep(r *Report) error {
 // AblationDSweep shows throughput and waiting versus the clock-distance
 // bound D under the straggler-prone NP allocation.
 func AblationDSweep(r *Report) error {
-	s, err := core.NewSystem(hw.Paper(), model.ResNet152(), profile.Default(), batchSize)
+	sp := core.Spec{Model: "resnet152", Policy: "NP"}
+	s, alloc, err := allocated(sp)
 	if err != nil {
 		return err
 	}
 	for _, d := range []int{0, 1, 2, 4, 8} {
-		alloc, err := hw.Allocate(s.Cluster, hw.NodePartition)
+		sp.D = d
+		dep, err := sp.Deploy(s, alloc)
 		if err != nil {
 			return err
 		}
-		dep, err := s.Deploy(alloc, 0, d, core.PlacementDefault)
-		if err != nil {
-			return err
-		}
-		res, err := dep.SimulateWSP(30*dep.Nm, 5*dep.Nm)
+		res, err := dep.Simulate(context.Background(), core.SimOptions{Minibatches: 30 * dep.Nm, Warmup: 5 * dep.Nm})
 		if err != nil {
 			return err
 		}

@@ -9,10 +9,8 @@ import (
 	"hetpipe/internal/core"
 	"hetpipe/internal/data"
 	"hetpipe/internal/fault"
-	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
 	"hetpipe/internal/obs"
-	"hetpipe/internal/profile"
 	"hetpipe/internal/tensor"
 	"hetpipe/internal/train"
 	"hetpipe/internal/wsp"
@@ -58,18 +56,10 @@ func convergenceTask() (*train.LogReg, error) {
 	return train.NewLogReg(tr, ev, batchSize)
 }
 
-// deployLocal deploys HetPipe on the paper cluster over the given VW specs,
-// ED-local placement, the planner's own Nm.
-func deployLocal(m *model.Model, specs []string, d int) (*core.Deployment, error) {
-	s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
-	if err != nil {
-		return nil, err
-	}
-	alloc, err := hw.AllocateByTypes(s.Cluster, specs)
-	if err != nil {
-		return nil, err
-	}
-	return s.Deploy(alloc, 0, d, core.PlacementLocal)
+// deployLocal deploys HetPipe on the paper cluster over the given VW specs
+// (comma-separated), ED-local placement, the planner's own Nm.
+func deployLocal(m *model.Model, specs string, d int) (*core.Deployment, error) {
+	return core.Spec{Model: m.Name, Specs: specs, D: d, Local: true}.Resolve()
 }
 
 // trainOn runs cfg's training on dep, timed by the deployment's co-simulation
@@ -88,11 +78,11 @@ func trainOn(dep *core.Deployment, cfg train.WSPConfig, plan *fault.Plan) (*trai
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	mr, err := dep.SimulateWSPFaults(ctx, cfg.MaxMinibatches, 0, func(e obs.Event) {
+	mr, err := dep.Simulate(ctx, core.SimOptions{Minibatches: cfg.MaxMinibatches, Faults: plan, Observer: func(e obs.Event) {
 		if num.Observe(e) {
 			cancel()
 		}
-	}, plan, 0)
+	}})
 	if mr == nil { // failed; a run cancelled above still reports
 		return nil, err
 	}
@@ -102,7 +92,7 @@ func trainOn(dep *core.Deployment, cfg train.WSPConfig, plan *fault.Plan) (*trai
 }
 
 // hetpipeRun is one HetPipe line of the convergence figures.
-func hetpipeRun(m *model.Model, specs []string, d int) (*train.RunStats, error) {
+func hetpipeRun(m *model.Model, specs string, d int) (*train.RunStats, error) {
 	dep, err := deployLocal(m, specs, d)
 	if err != nil {
 		return nil, err
@@ -119,7 +109,7 @@ func hetpipeRun(m *model.Model, specs []string, d int) (*train.RunStats, error) 
 
 // horovodRun builds and runs the numeric Horovod baseline for a model.
 func horovodRun(m *model.Model) (*train.RunStats, int, error) {
-	s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
+	s, err := core.Spec{Model: m.Name}.System()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -171,10 +161,10 @@ func Figure5(r *Report) error {
 	base := hv.TimeToTarget
 	for _, c := range []struct {
 		label string
-		specs []string
+		specs string
 	}{
-		{"HetPipe 12 GPUs", []string{"VRQ", "VRQ", "VRQ", "VRQ"}},
-		{"HetPipe 16 GPUs", []string{"VRQG", "VRQG", "VRQG", "VRQG"}},
+		{"HetPipe 12 GPUs", "VRQ,VRQ,VRQ,VRQ"},
+		{"HetPipe 16 GPUs", "VRQG,VRQG,VRQG,VRQG"},
 	} {
 		st, err := hetpipeRun(m, c.specs, 0)
 		if err != nil {
@@ -198,7 +188,7 @@ func Figure6(r *Report) error {
 	r.addf("%s", describeRun(fmt.Sprintf("Horovod (%d GPUs)", workers), hv, 0))
 	base := hv.TimeToTarget
 	for _, d := range []int{0, 4, 32} {
-		st, err := hetpipeRun(m, []string{"VRGQ", "VRGQ", "VRGQ", "VRGQ"}, d)
+		st, err := hetpipeRun(m, "VRGQ,VRGQ,VRGQ,VRGQ", d)
 		if err != nil {
 			return err
 		}
@@ -214,11 +204,12 @@ func SyncOverhead(r *Report) error {
 	m := model.VGG19()
 	var waitD0 float64
 	for _, d := range []int{0, 4, 32} {
-		dep, err := deployLocal(m, []string{"VRGQ", "VRGQ", "VRGQ", "VRGQ"}, d)
+		dep, err := deployLocal(m, "VRGQ,VRGQ,VRGQ,VRGQ", d)
 		if err != nil {
 			return err
 		}
-		st, err := dep.SimulateWSP(2000, 0) // fixed budget: compare equal work
+		// A fixed budget: compare equal work.
+		st, err := dep.Simulate(context.Background(), core.SimOptions{Minibatches: 2000})
 		if err != nil {
 			return err
 		}
@@ -436,7 +427,8 @@ func Traffic(r *Report) error {
 		"ResNet-152": {211, 298},
 	}
 	for _, m := range model.PaperModels() {
-		s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
+		sp := core.Spec{Model: m.Name, Policy: "ED", Local: true}
+		s, alloc, err := allocated(sp)
 		if err != nil {
 			return err
 		}
@@ -444,11 +436,7 @@ func Traffic(r *Report) error {
 		if err != nil {
 			return err
 		}
-		alloc, err := hw.Allocate(s.Cluster, hw.EqualDistribution)
-		if err != nil {
-			return err
-		}
-		dep, err := s.Deploy(alloc, 0, 0, core.PlacementLocal)
+		dep, err := sp.Deploy(s, alloc)
 		if err != nil {
 			return err
 		}

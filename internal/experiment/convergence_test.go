@@ -11,15 +11,29 @@ import (
 
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
-	"hetpipe/internal/hw"
-	"hetpipe/internal/model"
-	"hetpipe/internal/profile"
-	"hetpipe/internal/sched"
 	"hetpipe/internal/tensor"
 	"hetpipe/internal/train"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/convergence.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files")
+
+// checkGolden compares got with the golden file, after rewriting it under
+// -update.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("reports differ from %s; rerun with -update and regenerate EXPERIMENTS.md's sections if intended\n--- got\n%s--- want\n%s", golden, got, want)
+	}
+}
 
 // numbersAfter returns, per report line, the number following each of keys.
 func numbersAfter(t *testing.T, r *Report, keys ...string) [][]float64 {
@@ -61,19 +75,7 @@ func TestConvergenceFigures(t *testing.T) {
 		reports[name] = r
 		all.WriteString(r.String())
 	}
-	const golden = "testdata/convergence.golden"
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(all.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got := all.String(); got != string(want) {
-		t.Errorf("reports differ from %s; rerun with -update and regenerate EXPERIMENTS.md's sections if intended\n--- got\n%s--- want\n%s", golden, got, want)
-	}
+	checkGolden(t, "testdata/convergence.golden", all.String())
 
 	// Figure 5: Horovod-12, HetPipe-12, HetPipe-16 — each faster than the last.
 	f5 := numbersAfter(t, reports["figure5"], "target in")
@@ -227,19 +229,7 @@ func TestTheorem1GradesEveryUpdateOnce(t *testing.T) {
 // schedule and fault spec.
 func smallRun(t *testing.T, schedule string, nm int, faults string, target float64) *train.RunStats {
 	t.Helper()
-	s, err := sched.ByName(schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystemSched(hw.Paper(), model.VGG19(), profile.Default(), batchSize, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := hw.AllocateByTypes(sys.Cluster, []string{"VRGQ", "VRGQ", "VRGQ", "VRGQ"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := sys.Deploy(alloc, nm, 1, core.PlacementLocal)
+	dep, err := core.Spec{Model: "vgg19", Schedule: schedule, Specs: "VRGQ,VRGQ,VRGQ,VRGQ", Nm: nm, D: 1, Local: true}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,30 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
+	"strings"
 
 	"hetpipe/internal/core"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
 	"hetpipe/internal/pipeline"
-	"hetpipe/internal/profile"
 	"hetpipe/internal/trace"
 )
 
 const batchSize = 32
+
+// allocated resolves sp's System and allocation through the front door, for
+// an experiment that reads the System itself (Horovod, SoloVW) or deploys one
+// allocation more than once.
+func allocated(sp core.Spec) (*core.System, *hw.Allocation, error) {
+	sys, err := sp.System()
+	if err != nil {
+		return nil, nil, err
+	}
+	alloc, err := sp.Allocate(sys.Cluster)
+	return sys, alloc, err
+}
 
 func init() {
 	register("table1", "Table 1", "Heterogeneous GPUs (hardware catalog)", Table1)
@@ -56,11 +69,7 @@ func Table3(r *Report) error {
 // Figure1 renders the pipelined execution schedule of one virtual worker
 // (VGG-19 on VVVV, Nm=4) as an ASCII Gantt chart.
 func Figure1(r *Report) error {
-	s, err := core.NewSystem(hw.Paper(), model.VGG19(), profile.Default(), batchSize)
-	if err != nil {
-		return err
-	}
-	alloc, err := hw.AllocateByTypes(s.Cluster, []string{"VVVV"})
+	s, alloc, err := allocated(core.Spec{Model: "vgg19", Specs: "VVVV"})
 	if err != nil {
 		return err
 	}
@@ -74,28 +83,11 @@ func Figure1(r *Report) error {
 	}); err != nil {
 		return err
 	}
-	for _, line := range splitLines(tr.Gantt(110)) {
-		r.addf("%s", line)
+	for line := range strings.Lines(tr.Gantt(110)) {
+		r.addf("%s", strings.TrimSuffix(line, "\n"))
 	}
 	r.notef("numbers are forward passes, bracketed numbers backward passes; dots are idle time")
 	return nil
-}
-
-func splitLines(s string) []string {
-	var out []string
-	cur := ""
-	for _, c := range s {
-		if c == '\n' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(c)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
 }
 
 // Figure3 sweeps Nm for the seven single-virtual-worker configurations and
@@ -109,11 +101,7 @@ func Figure3(r *Report) error {
 	for _, m := range model.PaperModels() {
 		r.addf("%s:", m.Name)
 		for _, spec := range hw.SingleVWConfigs() {
-			s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
-			if err != nil {
-				return err
-			}
-			alloc, err := hw.AllocateByTypes(s.Cluster, []string{spec})
+			s, alloc, err := allocated(core.Spec{Model: m.Name, Specs: spec})
 			if err != nil {
 				return err
 			}
@@ -140,18 +128,17 @@ func Figure3(r *Report) error {
 	return nil
 }
 
-// figure4Deployment runs one policy deployment and returns its aggregate
-// throughput and Nm.
-func figure4Deployment(s *core.System, policy hw.Policy, placement core.PlacementKind) (*core.Deployment, *core.MultiResult, error) {
-	alloc, err := hw.Allocate(s.Cluster, policy)
+// figure4Deployment deploys sp on s and runs the default co-simulation.
+func figure4Deployment(s *core.System, sp core.Spec) (*core.Deployment, *core.MultiResult, error) {
+	alloc, err := sp.Allocate(s.Cluster)
 	if err != nil {
 		return nil, nil, err
 	}
-	dep, err := s.Deploy(alloc, 0, 0, placement)
+	dep, err := sp.Deploy(s, alloc)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := dep.SimulateWSP(24*dep.Nm, 4*dep.Nm)
+	res, err := dep.Simulate(context.Background(), core.SimOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -166,7 +153,7 @@ func Figure4(r *Report) error {
 		"VGG-19":     {"Horovod": 339, "NP": 260, "ED": 280, "ED-local": 610, "HD": 310},
 	}
 	for _, m := range model.PaperModels() {
-		s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
+		s, err := core.Spec{Model: m.Name}.System()
 		if err != nil {
 			return err
 		}
@@ -177,18 +164,16 @@ func Figure4(r *Report) error {
 		r.addf("%s:", m.Name)
 		r.addf("  %-9s %8.0f img/s  (paper ~%3.0f; %d workers, %d excluded)",
 			"Horovod", hr.Throughput, paper[m.Name]["Horovod"], len(hr.Workers), len(hr.Excluded))
-		type cfg struct {
-			label     string
-			policy    hw.Policy
-			placement core.PlacementKind
-		}
-		for _, c := range []cfg{
-			{"NP", hw.NodePartition, core.PlacementDefault},
-			{"ED", hw.EqualDistribution, core.PlacementDefault},
-			{"ED-local", hw.EqualDistribution, core.PlacementLocal},
-			{"HD", hw.HybridDistribution, core.PlacementDefault},
+		for _, c := range []struct {
+			label string
+			sp    core.Spec
+		}{
+			{"NP", core.Spec{Policy: "NP"}},
+			{"ED", core.Spec{Policy: "ED"}},
+			{"ED-local", core.Spec{Policy: "ED", Local: true}},
+			{"HD", core.Spec{Policy: "HD"}},
 		} {
-			dep, res, err := figure4Deployment(s, c.policy, c.placement)
+			dep, res, err := figure4Deployment(s, c.sp)
 			if err != nil {
 				r.addf("  %-9s failed: %v", c.label, err)
 				continue
@@ -215,15 +200,14 @@ func Table4(r *Report) error {
 	for _, m := range model.PaperModels() {
 		r.addf("%s:", m.Name)
 		for _, set := range hw.Table4Sets() {
-			s, err := core.NewSystem(hw.Paper(), m, profile.Default(), batchSize)
+			// HetPipe with local-style placement when stage/node alignment
+			// holds (it does for all Table 4 sets), default otherwise.
+			sp := core.Spec{Model: m.Name, Specs: strings.Join(set.Specs, ","), Local: true}
+			s, alloc, err := allocated(sp)
 			if err != nil {
 				return err
 			}
 			// Horovod on exactly the set's GPUs.
-			alloc, err := hw.AllocateByTypes(s.Cluster, set.Specs)
-			if err != nil {
-				return err
-			}
 			var gpus []*hw.GPU
 			for _, vw := range alloc.VWs {
 				gpus = append(gpus, vw.GPUs...)
@@ -232,18 +216,16 @@ func Table4(r *Report) error {
 			if hr, err := s.Horovod(gpus); err == nil && len(hr.Excluded) == 0 {
 				horovod = fmt.Sprintf("%.0f", hr.Throughput)
 			}
-			// HetPipe with local-style placement when stage/node alignment
-			// holds (it does for all Table 4 sets), default otherwise.
-			placement := core.PlacementLocal
-			dep, err := s.Deploy(alloc, 0, 0, placement)
+			dep, err := sp.Deploy(s, alloc)
 			if err != nil {
-				dep, err = s.Deploy(alloc, 0, 0, core.PlacementDefault)
+				sp.Local = false
+				dep, err = sp.Deploy(s, alloc)
 				if err != nil {
 					r.addf("  %-16s HetPipe failed: %v", set.Name, err)
 					continue
 				}
 			}
-			res, err := dep.SimulateWSP(24*dep.Nm, 4*dep.Nm)
+			res, err := dep.Simulate(context.Background(), core.SimOptions{})
 			if err != nil {
 				r.addf("  %-16s simulation failed: %v", set.Name, err)
 				continue

@@ -8,9 +8,6 @@ import (
 
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
-	"hetpipe/internal/hw"
-	"hetpipe/internal/model"
-	"hetpipe/internal/profile"
 	"hetpipe/internal/sim"
 )
 
@@ -32,24 +29,12 @@ func FuzzParseFaults(f *testing.F) {
 	} {
 		f.Add(spec)
 	}
-	mini, err := hw.ClusterByName("mini")
-	if err != nil {
-		f.Fatal(err)
-	}
-	sys, err := core.NewSystem(mini, model.VGG19(), profile.Default(), 32)
-	if err != nil {
-		f.Fatal(err)
-	}
-	alloc, err := hw.Allocate(mini, hw.EqualDistribution)
-	if err != nil {
-		f.Fatal(err)
-	}
-	dep, err := sys.Deploy(alloc, 2, 1, core.PlacementDefault)
+	dep, err := core.Spec{Model: "vgg19", Cluster: "mini", Policy: "ED", Nm: 2, D: 1}.Resolve()
 	if err != nil {
 		f.Fatal(err)
 	}
 	n := len(dep.VWs)
-	eng := sim.New()
+	cs := core.NewCoSim(sim.New())
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := fault.Parse(spec)
 		if err != nil {
@@ -79,7 +64,7 @@ func FuzzParseFaults(f *testing.F) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		res, err := dep.SimulateWSPFaultsOn(ctx, eng, 16, 4*dep.Nm, nil, p, 2)
+		res, err := cs.Run(ctx, dep, core.SimOptions{Minibatches: 16, Faults: p, CheckpointEvery: 2})
 		if err != nil {
 			t.Fatalf("%q: %v", canon, err)
 		}

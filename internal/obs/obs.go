@@ -1,6 +1,6 @@
 // Package obs defines the run-observation events the execution backends
 // emit while a HetPipe run is in flight: the discrete-event simulator
-// (internal/core.SimulateWSPFaults), the live sharded-PS runtime
+// (internal/core.CoSim.Run), the live sharded-PS runtime
 // (internal/cluster.Run), and the serving plane (internal/serve.Run) all
 // stream the same event vocabulary — protocol and request progress plus
 // fault injections and recoveries. The public API aliases these types

@@ -440,11 +440,7 @@ func runScenario(ctx context.Context, sc Scenario, res *resolver, cs *core.CoSim
 		out.FaultInjections = sr.FaultInjections
 		return out
 	}
-	mbs := sc.MinibatchesPerVW
-	if mbs == 0 {
-		mbs = dep.DefaultMinibatches()
-	}
-	mr, err := cs.Run(ctx, dep, mbs, 4*dep.Nm, nil, plan, 0)
+	mr, err := cs.Run(ctx, dep, core.SimOptions{Minibatches: sc.MinibatchesPerVW, Faults: plan})
 	if err != nil {
 		return fail(err)
 	}

@@ -39,7 +39,7 @@ func simulate(t *testing.T, dep *core.Deployment, budget int, spec string, ob ob
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := dep.SimulateWSPFaults(context.Background(), budget, 0, ob, plan, 0)
+	mr, err := dep.Simulate(context.Background(), core.SimOptions{Minibatches: budget, Observer: ob, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

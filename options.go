@@ -113,7 +113,8 @@ func WithD(d int) Option { return func(s *settings) { s.spec.D = d } }
 func WithLocalPlacement(on bool) Option { return func(s *settings) { s.spec.Local = on } }
 
 // WithMinibatchesPerVW sizes each run; 0 (the default) picks a D-aware
-// default of at least 24 waves per virtual worker.
+// default of at least 24 waves per virtual worker, and New rejects a negative
+// n.
 func WithMinibatchesPerVW(n int) Option { return func(s *settings) { s.minibatches = n } }
 
 // WithSchedule selects the pipeline execution discipline every virtual
