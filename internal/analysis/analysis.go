@@ -167,6 +167,7 @@ var deterministicPkgs = map[string]bool{
 	"fault":     true,
 	"wsp":       true,
 	"serve":     true,
+	"clause":    true,
 }
 
 // IsDeterministic reports whether the import path names one of the

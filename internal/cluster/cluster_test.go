@@ -159,8 +159,15 @@ func TestLiveRunValidation(t *testing.T) {
 		{Task: lt, Workers: 1, Servers: 1, SLocal: -1, LR: 0.1, MaxMinibatches: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := Run(context.Background(), cfg); err == nil {
+		_, err := Run(context.Background(), cfg)
+		if err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+		if _, cerr := RunConformance(context.Background(), cfg); cerr == nil {
+			t.Errorf("bad config %d accepted by RunConformance", i)
+		} else if !strings.HasSuffix(cerr.Error(), err.Error()) {
+			// The simulator half may add its name; the cause must be Run's.
+			t.Errorf("bad config %d: RunConformance says %q, Run %q", i, cerr, err)
 		}
 	}
 }

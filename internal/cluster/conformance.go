@@ -105,6 +105,14 @@ func (r *ConformanceReport) String() string {
 // exactly. ctx cancels the live half (the simulator half is a bounded pure
 // computation).
 func RunConformance(ctx context.Context, cfg Config) (*ConformanceReport, error) {
+	// Checked before the simulator derives its settings from cfg, so a bad
+	// config fails with the error Run gives it.
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.params().Validate(); err != nil {
+		return nil, err
+	}
 	sim, err := simulate(cfg)
 	if err != nil {
 		return nil, err

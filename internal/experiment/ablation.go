@@ -9,6 +9,7 @@ import (
 	"hetpipe/internal/model"
 	"hetpipe/internal/partition"
 	"hetpipe/internal/profile"
+	"hetpipe/internal/sched"
 )
 
 func init() {
@@ -54,7 +55,7 @@ func AblationMemoryAwarePartitioning(r *Report) error {
 		var worst float64
 		for stg := 0; stg < k; stg++ {
 			lo, hi := stg*L/k, (stg+1)*L/k
-			mem := perf.StageMemory(m, lo, hi, stg, k, nm, batchSize)
+			mem := perf.ChunkMemory(sched.Default(), m, lo, hi, stg, k, nm, batchSize)
 			over := float64(mem) / float64(vw.GPUs[stg].Type.MemoryBytes)
 			if over > 1 {
 				violated++

@@ -29,7 +29,11 @@
 //	link:w3:x4              worker 3's PS push/pull transfers take 4x longer
 //	rand:0.5:seed7          each worker straggles with probability 0.5
 //
-// Clauses are comma-separated: "slow:w0:x2,crash:w1:mb40". Randomized plans
+// Clauses are comma-separated: "slow:w0:x2,crash:w1:mb40". The bracketed
+// fields of a clause (slow:w<N>:x<factor>[:mb<from>-<to>],
+// crash:w<N>:mb<M>[:down<seconds>], rand:<rate>[:seed<N>][:max<factor>]) are
+// optional, may come in any order, and may each appear only once; every kind
+// is one row of internal/clause. Randomized plans
 // (the rand clause, or Plan.Rand) are expanded by Materialize with a seeded
 // generator, so the same spec always yields the same concrete plan.
 package fault
@@ -40,8 +44,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
+
+	"hetpipe/internal/clause"
 )
 
 // DefaultCrashDowntime is the downtime charged for a Crash whose Downtime
@@ -147,17 +152,16 @@ type label struct {
 
 // String is the label the backends' observer events name a fault activation
 // by (obs.Event.Fault). The slow, crash and link labels are the clause's own
-// spec form, so Plan.String renders through them too; a stall's label names
-// the clock advance it held up and its total delay, not one shard's clause.
-// (%g prints the digits ftoa does.)
+// spec form, printed through its kind's row; a stall's label names the clock
+// advance it held up and its total delay, not one shard's clause.
 func (l label) String() string {
 	switch l.kind {
 	case 's':
-		return fmt.Sprintf("slow:w%d:x%g", l.n, l.x)
+		return (&Slowdown{Worker: l.n, Factor: l.x}).row().String()
 	case 'c':
-		return fmt.Sprintf("crash:w%d:mb%d", l.n, l.mb)
+		return (&Crash{Worker: l.n, AtMinibatch: l.mb}).row().String()
 	case 'l':
-		return fmt.Sprintf("link:w%d:x%g", l.n, l.x)
+		return (&LinkDegrade{Worker: l.n, Factor: l.x}).row().String()
 	}
 	return fmt.Sprintf("stall:c%d:%g", l.n, l.x)
 }
@@ -571,81 +575,93 @@ func (c *Cursor) Stall(clock int) (delay float64, report string) {
 	return delay, report
 }
 
+// The clause rows of the spec language, one per kind: Parse reads a clause
+// through its kind's row, and String and the slow, crash and link report
+// labels print through it.
+
+func (s *Slowdown) row() clause.Row {
+	return clause.Of("slow", clause.Num("w<N>", &s.Worker), clause.Num("x<factor>", &s.Factor),
+		clause.Range("mb<from>-<to>", &s.FromMinibatch, &s.ToMinibatch).Or(0))
+}
+
+func (c *Crash) row() clause.Row {
+	return clause.Of("crash", clause.Num("w<N>", &c.Worker), clause.Num("mb<M>", &c.AtMinibatch),
+		clause.Num("down<seconds>", &c.Downtime).Or(0))
+}
+
+func (s *PSStall) row() clause.Row {
+	return clause.Of("stall", clause.Num("s<shard>", &s.Shard), clause.Num("c<clock>", &s.AtClock),
+		clause.Num("<seconds>", &s.Delay))
+}
+
+func (l *LinkDegrade) row() clause.Row {
+	return clause.Of("link", clause.Num("w<N>", &l.Worker), clause.Num("x<factor>", &l.Factor))
+}
+
+func (r *RandSpec) row() clause.Row {
+	return clause.Of("rand", clause.Num("<rate>", &r.Rate),
+		clause.Num("seed<N>", &r.Seed).Or(0), clause.Num("max<factor>", &r.MaxFactor).Or(0))
+}
+
 // String renders the plan in the Parse spec language, clauses in a canonical
 // order. An empty plan renders as "".
 func (p *Plan) String() string {
 	if p.Empty() {
 		return ""
 	}
-	var clauses []string
-	for _, s := range p.Slowdowns {
-		c := label{kind: 's', n: s.Worker, x: s.Factor}.String()
-		if s.FromMinibatch != 0 || s.ToMinibatch != 0 {
-			from := s.FromMinibatch
-			if from == 0 {
-				from = 1
-			}
-			c += fmt.Sprintf(":mb%d-%d", from, s.ToMinibatch)
-		}
-		clauses = append(clauses, c)
-	}
-	for _, c := range p.Crashes {
-		s := label{kind: 'c', n: c.Worker, mb: c.AtMinibatch}.String()
-		if c.Downtime != 0 {
-			s += ":down" + ftoa(c.Downtime)
-		}
-		clauses = append(clauses, s)
-	}
-	for _, s := range p.Stalls {
-		clauses = append(clauses, fmt.Sprintf("stall:s%d:c%d:%s", s.Shard, s.AtClock, ftoa(s.Delay)))
-	}
-	for _, l := range p.Links {
-		clauses = append(clauses, label{kind: 'l', n: l.Worker, x: l.Factor}.String())
-	}
-	if r := p.Rand; r != nil {
-		c := "rand:" + ftoa(r.Rate)
-		if r.Seed != 0 {
-			c += ":seed" + strconv.FormatInt(r.Seed, 10)
-		}
-		if r.MaxFactor != 0 {
-			c += ":max" + ftoa(r.MaxFactor)
-		}
-		clauses = append(clauses, c)
+	clauses := rows(nil, p.Slowdowns, (*Slowdown).row)
+	clauses = rows(clauses, p.Crashes, (*Crash).row)
+	clauses = rows(clauses, p.Stalls, (*PSStall).row)
+	clauses = rows(clauses, p.Links, (*LinkDegrade).row)
+	if p.Rand != nil {
+		clauses = append(clauses, p.Rand.row().String())
 	}
 	sort.Strings(clauses)
 	return strings.Join(clauses, ",")
 }
 
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// rows appends each clause of list, printed through its row, to out.
+func rows[T any](out []string, list []T, row func(*T) clause.Row) []string {
+	for i := range list {
+		out = append(out, row(&list[i]).String())
+	}
+	return out
+}
 
 // Parse builds a plan from the compact spec language (see the package
 // comment for the grammar). An empty or all-whitespace spec yields the empty
 // plan. The result is validated.
 func Parse(spec string) (*Plan, error) {
 	p := &Plan{}
-	for _, clause := range strings.Split(spec, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
+	for _, text := range strings.Split(spec, ",") {
+		text = strings.TrimSpace(text)
+		if text == "" {
 			continue
 		}
-		parts := strings.Split(clause, ":")
+		parts := strings.Split(text, ":")
+		fields := parts[1:]
 		var err error
 		switch strings.ToLower(parts[0]) {
 		case "slow":
-			err = p.parseSlow(parts[1:])
+			p.Slowdowns, err = parse(p.Slowdowns, (*Slowdown).row, fields)
 		case "crash":
-			err = p.parseCrash(parts[1:])
+			p.Crashes, err = parse(p.Crashes, (*Crash).row, fields)
 		case "stall":
-			err = p.parseStall(parts[1:])
+			p.Stalls, err = parse(p.Stalls, (*PSStall).row, fields)
 		case "link":
-			err = p.parseLink(parts[1:])
+			p.Links, err = parse(p.Links, (*LinkDegrade).row, fields)
 		case "rand":
-			err = p.parseRand(parts[1:])
+			if p.Rand != nil {
+				err = fmt.Errorf("at most one rand clause per plan")
+				break
+			}
+			p.Rand = new(RandSpec)
+			err = p.Rand.row().Parse(fields)
 		default:
 			err = fmt.Errorf("unknown fault kind %q (want slow, crash, stall, link, or rand)", parts[0])
 		}
 		if err != nil {
-			return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
+			return nil, fmt.Errorf("fault: clause %q: %w", text, err)
 		}
 	}
 	if err := p.Validate(); err != nil {
@@ -654,149 +670,8 @@ func Parse(spec string) (*Plan, error) {
 	return p, nil
 }
 
-func (p *Plan) parseSlow(args []string) error {
-	if len(args) < 2 || len(args) > 3 {
-		return fmt.Errorf("want slow:w<N>:x<factor>[:mb<from>-<to>]")
-	}
-	w, err := prefixedInt(args[0], "w")
-	if err != nil {
-		return err
-	}
-	f, err := prefixedFloat(args[1], "x")
-	if err != nil {
-		return err
-	}
-	s := Slowdown{Worker: w, Factor: f}
-	if len(args) == 3 {
-		rng, ok := strings.CutPrefix(args[2], "mb")
-		if !ok {
-			return fmt.Errorf("minibatch range %q must start with mb", args[2])
-		}
-		lo, hi, ok := strings.Cut(rng, "-")
-		if !ok {
-			return fmt.Errorf("minibatch range %q must be mb<from>-<to> (to may be empty or 0 for open-ended)", args[2])
-		}
-		if s.FromMinibatch, err = strconv.Atoi(lo); err != nil {
-			return fmt.Errorf("minibatch range start %q: %w", lo, err)
-		}
-		if hi != "" {
-			if s.ToMinibatch, err = strconv.Atoi(hi); err != nil {
-				return fmt.Errorf("minibatch range end %q: %w", hi, err)
-			}
-		}
-	}
-	p.Slowdowns = append(p.Slowdowns, s)
-	return nil
-}
-
-func (p *Plan) parseCrash(args []string) error {
-	if len(args) < 2 || len(args) > 3 {
-		return fmt.Errorf("want crash:w<N>:mb<M>[:down<seconds>]")
-	}
-	w, err := prefixedInt(args[0], "w")
-	if err != nil {
-		return err
-	}
-	mb, err := prefixedInt(args[1], "mb")
-	if err != nil {
-		return err
-	}
-	c := Crash{Worker: w, AtMinibatch: mb}
-	if len(args) == 3 {
-		if c.Downtime, err = prefixedFloat(args[2], "down"); err != nil {
-			return err
-		}
-	}
-	p.Crashes = append(p.Crashes, c)
-	return nil
-}
-
-func (p *Plan) parseStall(args []string) error {
-	if len(args) != 3 {
-		return fmt.Errorf("want stall:s<shard>:c<clock>:<seconds>")
-	}
-	s, err := prefixedInt(args[0], "s")
-	if err != nil {
-		return err
-	}
-	c, err := prefixedInt(args[1], "c")
-	if err != nil {
-		return err
-	}
-	d, err := strconv.ParseFloat(args[2], 64)
-	if err != nil {
-		return fmt.Errorf("stall delay %q: %w", args[2], err)
-	}
-	p.Stalls = append(p.Stalls, PSStall{Shard: s, AtClock: c, Delay: d})
-	return nil
-}
-
-func (p *Plan) parseLink(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("want link:w<N>:x<factor>")
-	}
-	w, err := prefixedInt(args[0], "w")
-	if err != nil {
-		return err
-	}
-	f, err := prefixedFloat(args[1], "x")
-	if err != nil {
-		return err
-	}
-	p.Links = append(p.Links, LinkDegrade{Worker: w, Factor: f})
-	return nil
-}
-
-func (p *Plan) parseRand(args []string) error {
-	if len(args) < 1 || len(args) > 3 {
-		return fmt.Errorf("want rand:<rate>[:seed<N>][:max<factor>]")
-	}
-	if p.Rand != nil {
-		return fmt.Errorf("at most one rand clause per plan")
-	}
-	rate, err := strconv.ParseFloat(args[0], 64)
-	if err != nil {
-		return fmt.Errorf("rand rate %q: %w", args[0], err)
-	}
-	r := &RandSpec{Rate: rate}
-	for _, a := range args[1:] {
-		switch {
-		case strings.HasPrefix(a, "seed"):
-			if r.Seed, err = strconv.ParseInt(a[len("seed"):], 10, 64); err != nil {
-				return fmt.Errorf("rand seed %q: %w", a, err)
-			}
-		case strings.HasPrefix(a, "max"):
-			if r.MaxFactor, err = prefixedFloat(a, "max"); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown rand argument %q (want seed<N> or max<factor>)", a)
-		}
-	}
-	p.Rand = r
-	return nil
-}
-
-func prefixedInt(s, prefix string) (int, error) {
-	rest, ok := strings.CutPrefix(s, prefix)
-	if !ok {
-		return 0, fmt.Errorf("%q must start with %q", s, prefix)
-	}
-	v, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0, fmt.Errorf("%q: %w", s, err)
-	}
-	return v, nil
-}
-
-func prefixedFloat(s, prefix string) (float64, error) {
-	rest, ok := strings.CutPrefix(s, prefix)
-	if !ok {
-		return 0, fmt.Errorf("%q must start with %q", s, prefix)
-	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%q: %w", s, err)
-	}
-	return v, nil
+// parse appends the clause its row reads from fields to list.
+func parse[T any](list []T, row func(*T) clause.Row, fields []string) ([]T, error) {
+	list = append(list, *new(T))
+	return list, row(&list[len(list)-1]).Parse(fields)
 }

@@ -8,6 +8,7 @@ import (
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
 	"hetpipe/internal/profile"
+	"hetpipe/internal/sched"
 )
 
 func vwFor(t *testing.T, spec string) (*hw.Cluster, *hw.VirtualWorker) {
@@ -152,7 +153,7 @@ func bruteForce(pt *Partitioner, c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 		links[s] = c.LinkBetween(vw.GPUs[s-1], vw.GPUs[s])
 	}
 	cost := func(lo, hi, s int) float64 {
-		mem := pt.Perf.StageMemory(m, lo, hi, s, k, nm, batch)
+		mem := pt.Perf.ChunkMemory(sched.Default(), m, lo, hi, s, k, nm, batch)
 		if mem > vw.GPUs[s].Type.MemoryBytes {
 			return math.Inf(1)
 		}

@@ -199,45 +199,16 @@ func (p *Perf) BoundaryTime(m *model.Model, cutAfter, batch int, kind hw.LinkKin
 	return p.TransferTime(m.BoundaryBytes(cutAfter, batch), kind)
 }
 
-// StashCount bounds how many minibatches' activations stage (0-based) of a
-// k-stage pipeline holds concurrently when Nm minibatches are in flight
-// under the paper's own FIFO schedule: min(Nm, 2*(k-stage)-1). The last
-// stage finishes each minibatch immediately (its forward and backward run
-// back to back), so it holds one; the first stage holds activations for the
-// whole round trip — the Figure 1 memory-variance observation that drives
-// memory-aware partitioning. Other schedules have their own in-flight
-// models; see sched.Schedule.StashCount and StageMemorySched.
-func (p *Perf) StashCount(stage, k, nm int) int {
-	return sched.FIFO.StashCount(stage, k, nm)
-}
-
-// StageMemory predicts the device memory stage (0-based, of k) needs to run
-// layers [lo,hi) with Nm in-flight minibatches at the given batch size under
-// the default hetpipe-fifo schedule: weights + gradient buffers + stashed
-// activations + fixed workspace.
-func (p *Perf) StageMemory(m *model.Model, lo, hi, stage, k, nm, batch int) int64 {
-	return p.StageMemorySched(sched.Default(), m, lo, hi, stage, k, nm, batch)
-}
-
-// StageMemorySched is StageMemory under an explicit pipeline schedule: the
-// weight, gradient, and workspace terms are schedule-independent, but the
-// stashed-activation term follows the schedule's in-flight-activation model
-// — GPipe's fill-drain stashes the whole Nm-wave on every stage, HetPipe's
-// FIFO holds min(Nm, 2*(k-stage)-1), and strict 1F1B holds at most
-// stage-depth (min(Nm, k-stage)) activations, which is what lets the
-// partitioner admit a larger Nm under 1F1B on memory-constrained workers.
-// The weight term scales with the schedule's WeightVersions: 2 buffers
-// (weights + gradients) for the single-version disciplines, 3 for
-// PipeDream-2BW's double-buffered updates.
-func (p *Perf) StageMemorySched(s sched.Schedule, m *model.Model, lo, hi, stage, k, nm, batch int) int64 {
-	return p.ChunkMemory(s, m, lo, hi, stage, k, nm, batch)
-}
-
 // ChunkMemory predicts the device memory one chunk [lo, hi) needs when it
 // runs as virtual stage vs of a vstages-deep virtual pipeline: WeightVersions
 // weight-sized buffers, the per-chunk activation stash under the schedule's
 // ChunkStash bound, plus the fixed per-GPU workspace. A contiguous stage is
-// the degenerate vs = stage, vstages = k case (StageMemorySched).
+// the degenerate vs = stage, vstages = k case. Only the stash term depends on
+// the schedule's in-flight model — GPipe's fill-drain stashes the whole
+// Nm-wave on every stage, HetPipe's FIFO holds min(Nm, 2*(k-stage)-1), strict
+// 1F1B at most stage-depth activations, which is what lets the partitioner
+// admit a larger Nm under 1F1B on memory-constrained workers — and the
+// weight term on its WeightVersions (3 for PipeDream-2BW, 2 otherwise).
 func (p *Perf) ChunkMemory(s sched.Schedule, m *model.Model, lo, hi, vs, vstages, nm, batch int) int64 {
 	sc := sched.Or(s)
 	var weights, stash int64

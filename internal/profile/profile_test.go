@@ -7,6 +7,7 @@ import (
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
+	"hetpipe/internal/sched"
 )
 
 func TestLinkModelTime(t *testing.T) {
@@ -124,23 +125,22 @@ func TestTransferTimeByKind(t *testing.T) {
 }
 
 func TestStashCount(t *testing.T) {
-	p := Default()
 	k := 4
 	// Last stage always holds one minibatch.
-	if got := p.StashCount(3, k, 7); got != 1 {
+	if got := sched.FIFO.ChunkStash(3, k, 7); got != 1 {
 		t.Errorf("last stage stash = %d, want 1", got)
 	}
 	// First stage holds up to 2k-1, capped by Nm.
-	if got := p.StashCount(0, k, 7); got != 7 {
+	if got := sched.FIFO.ChunkStash(0, k, 7); got != 7 {
 		t.Errorf("first stage stash (Nm=7) = %d, want 7", got)
 	}
-	if got := p.StashCount(0, k, 3); got != 3 {
+	if got := sched.FIFO.ChunkStash(0, k, 3); got != 3 {
 		t.Errorf("first stage stash (Nm=3) = %d, want 3", got)
 	}
 	// Monotone decreasing across stages.
 	prev := math.MaxInt32
 	for s := 0; s < k; s++ {
-		c := p.StashCount(s, k, 10)
+		c := sched.FIFO.ChunkStash(s, k, 10)
 		if c > prev {
 			t.Errorf("stash count increased at stage %d", s)
 		}
@@ -153,14 +153,14 @@ func TestStageMemoryGrowsWithNm(t *testing.T) {
 	m := model.ResNet152()
 	k := 4
 	cut := len(m.Layers) / 4
-	m1 := p.StageMemory(m, 0, cut, 0, k, 1, 32)
-	m4 := p.StageMemory(m, 0, cut, 0, k, 4, 32)
+	m1 := p.ChunkMemory(sched.Default(), m, 0, cut, 0, k, 1, 32)
+	m4 := p.ChunkMemory(sched.Default(), m, 0, cut, 0, k, 4, 32)
 	if m4 <= m1 {
 		t.Errorf("stage-0 memory should grow with Nm: Nm=1 %d, Nm=4 %d", m1, m4)
 	}
 	// Last stage memory is Nm-independent once Nm >= 1.
-	l1 := p.StageMemory(m, 3*cut, len(m.Layers), k-1, k, 1, 32)
-	l4 := p.StageMemory(m, 3*cut, len(m.Layers), k-1, k, 4, 32)
+	l1 := p.ChunkMemory(sched.Default(), m, 3*cut, len(m.Layers), k-1, k, 1, 32)
+	l4 := p.ChunkMemory(sched.Default(), m, 3*cut, len(m.Layers), k-1, k, 4, 32)
 	if l1 != l4 {
 		t.Errorf("last-stage memory should not depend on Nm: %d vs %d", l1, l4)
 	}
@@ -195,8 +195,8 @@ func TestStageMemoryMonotoneProperty(t *testing.T) {
 		if mid == lo {
 			return true
 		}
-		whole := p.StageMemory(m, lo, hi, 0, 4, 4, 32)
-		part := p.StageMemory(m, lo, mid, 0, 4, 4, 32)
+		whole := p.ChunkMemory(sched.Default(), m, lo, hi, 0, 4, 4, 32)
+		part := p.ChunkMemory(sched.Default(), m, lo, mid, 0, 4, 4, 32)
 		return whole >= part
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

@@ -11,7 +11,7 @@
 // virtual worker can admit a larger Nm under 1F1B than under HetPipe's FIFO.
 //
 // A Schedule is pure identity plus the analytical models every layer needs:
-// the partitioner and profile use StashCount/ChunkStash and WeightVersions to
+// the partitioner and profile use ChunkStash and WeightVersions to
 // size per-stage memory, the executor (internal/pipeline) reads three
 // declared decisions — Inject, Pick, OverlapRecv — plus InFlightCap to shape
 // the discrete-event task graph, and the public API and sweep grids carry
@@ -26,8 +26,8 @@
 // with double-buffered weight updates, trading one extra weight copy for
 // 1F1B's small activation footprint without pipeline flushes). Schedules
 // whose discipline is chunk-aware report SupportsInterleave; the stash model
-// is expressed per virtual stage through ChunkStash, of which StashCount is
-// the contiguous V=1 view.
+// is expressed per virtual stage through ChunkStash, of which a contiguous
+// V=1 stage is the vstages = k case.
 package sched
 
 import (
@@ -100,15 +100,10 @@ type Schedule interface {
 	Name() string
 	// Description is a one-line summary for CLI listings.
 	Description() string
-	// StashCount bounds how many minibatches' activations stage (0-based)
-	// of a k-stage pipeline holds concurrently when nm minibatches are in
-	// flight — the schedule's in-flight-activation model, always >= 1. It is
-	// the contiguous view of ChunkStash: StashCount(s, k, nm) ==
-	// ChunkStash(s, k, nm).
-	StashCount(stage, k, nm int) int
 	// ChunkStash bounds the activation stashes held by virtual stage vs
 	// (0-based) of a vstages-deep virtual pipeline when nm minibatches are in
-	// flight. For a chunked plan with k workers at interleave degree V,
+	// flight — the schedule's in-flight-activation model, always >= 1. For a
+	// chunked plan with k workers at interleave degree V,
 	// chunk c of worker g is virtual stage g + c*k of vstages = k*V; a
 	// contiguous plan is the degenerate vstages = k case.
 	ChunkStash(vs, vstages, nm int) int
@@ -157,8 +152,6 @@ func (d *discipline) SupportsInterleave() bool { return d.interleave }
 func (d *discipline) Inject() Inject           { return d.inject }
 func (d *discipline) Pick() Pick               { return d.pick }
 func (d *discipline) OverlapRecv() bool        { return d.overlap }
-
-func (d *discipline) StashCount(stage, k, nm int) int { return d.ChunkStash(stage, k, nm) }
 
 func (d *discipline) ChunkStash(vs, vstages, nm int) int {
 	// Arrival order with a fused last stage, min(Nm, 2*(k-stage)-1): the last

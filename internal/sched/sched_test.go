@@ -34,28 +34,28 @@ func TestStashCountModels(t *testing.T) {
 	for _, s := range []Schedule{FIFO, GPipe, OneF1B, Overlap} {
 		for stage := 0; stage < k; stage++ {
 			for nm := 1; nm <= 8; nm++ {
-				c := s.StashCount(stage, k, nm)
+				c := s.ChunkStash(stage, k, nm)
 				if c < 1 || c > nm {
-					t.Errorf("%s: StashCount(%d,%d,%d) = %d outside [1,%d]", s.Name(), stage, k, nm, c, nm)
+					t.Errorf("%s: ChunkStash(%d,%d,%d) = %d outside [1,%d]", s.Name(), stage, k, nm, c, nm)
 				}
 			}
 		}
 	}
 	// FIFO reproduces the paper's min(Nm, 2*(k-stage)-1) model.
-	if got := FIFO.StashCount(0, 4, 8); got != 7 {
+	if got := FIFO.ChunkStash(0, 4, 8); got != 7 {
 		t.Errorf("FIFO stage0 stash = %d, want 7", got)
 	}
-	if got := FIFO.StashCount(3, 4, 8); got != 1 {
+	if got := FIFO.ChunkStash(3, 4, 8); got != 1 {
 		t.Errorf("FIFO last-stage stash = %d, want 1", got)
 	}
 	// GPipe stashes the whole wave on every stage.
-	if got := GPipe.StashCount(0, 4, 8); got != 8 {
+	if got := GPipe.ChunkStash(0, 4, 8); got != 8 {
 		t.Errorf("GPipe stash = %d, want 8", got)
 	}
 	// 1F1B holds at most stage-depth activations — strictly below FIFO on
 	// every stage but the last whenever Nm is large enough.
 	for stage := 0; stage < k; stage++ {
-		f, o := FIFO.StashCount(stage, k, 8), OneF1B.StashCount(stage, k, 8)
+		f, o := FIFO.ChunkStash(stage, k, 8), OneF1B.ChunkStash(stage, k, 8)
 		if o > f {
 			t.Errorf("stage %d: 1F1B stash %d > FIFO %d", stage, o, f)
 		}
@@ -63,7 +63,7 @@ func TestStashCountModels(t *testing.T) {
 			t.Errorf("stage %d: 1F1B stash %d not strictly below FIFO %d", stage, o, f)
 		}
 	}
-	if got := OneF1B.StashCount(0, 4, 8); got != 4 {
+	if got := OneF1B.ChunkStash(0, 4, 8); got != 4 {
 		t.Errorf("1F1B stage0 stash = %d, want 4 (stage depth)", got)
 	}
 }

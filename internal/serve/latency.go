@@ -25,8 +25,7 @@ type LatencySummary struct {
 // String renders the summary in a stable, byte-comparable form — the form
 // the seed-determinism tests pin.
 func (l LatencySummary) String() string {
-	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",
-		l.Count, gfmt(l.Mean), gfmt(l.P50), gfmt(l.P95), gfmt(l.P99), gfmt(l.Max))
+	return fmt.Sprintf("n=%d mean=%g p50=%g p95=%g p99=%g max=%g", l.Count, l.Mean, l.P50, l.P95, l.P99, l.Max)
 }
 
 // summaries derives a drained run's three latency summaries from its trace:

@@ -95,11 +95,11 @@ func (r *Result) TraceString() string {
 	for i, t := range r.Trace {
 		b.WriteString(strconv.Itoa(i))
 		b.WriteByte(' ')
-		b.WriteString(gfmt(t.At))
+		b.WriteString(strconv.FormatFloat(t.At, 'g', -1, 64))
 		b.WriteByte(' ')
 		b.WriteString(strconv.Itoa(t.Replica))
 		b.WriteByte(' ')
-		b.WriteString(gfmt(t.Done))
+		b.WriteString(strconv.FormatFloat(t.Done, 'g', -1, 64))
 		if t.Critical {
 			b.WriteString(" crit")
 		}
@@ -563,8 +563,12 @@ func (s *server) inject(vw int, f string) {
 // Curve runs the same open-loop traffic at each offered rate and returns the
 // per-rate results — the latency-vs-offered-throughput curve of the serving
 // evaluation. The runs share one warm engine; each point is independently
-// deterministic.
+// deterministic. Closed-loop traffic has no rate to turn and fails before
+// anything runs.
 func Curve(ctx context.Context, dep *core.Deployment, tr *Traffic, rates []float64, opt Options) ([]*Result, error) {
+	if !tr.Open() {
+		return nil, fmt.Errorf("serve: a rate curve needs open-loop traffic, got %s", tr)
+	}
 	eng := sim.New()
 	out := make([]*Result, 0, len(rates))
 	for _, rate := range rates {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"hetpipe/internal/core"
@@ -355,6 +356,16 @@ func TestCurveMonotoneOffer(t *testing.T) {
 	// work-conserving system.
 	if points[2].Latency.P95 < points[0].Latency.P95 {
 		t.Errorf("p95 fell as offered load rose: %g -> %g", points[0].Latency.P95, points[2].Latency.P95)
+	}
+}
+
+// A closed loop's offered load is set by its users, not a rate: Curve
+// refuses it before running any point.
+func TestCurveRejectsClosedLoop(t *testing.T) {
+	dep := deployment(t, sched.NameFIFO, hw.EqualDistribution, 4)
+	tr := traffic(t, "closed:u8:t0.05:n50")
+	if points, err := Curve(context.Background(), dep, tr, []float64{30, 60}, Options{}); err == nil || !strings.Contains(err.Error(), "open-loop") {
+		t.Fatalf("Curve on closed-loop traffic = %d points, error %v", len(points), err)
 	}
 }
 

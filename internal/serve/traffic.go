@@ -21,8 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"strings"
+
+	"hetpipe/internal/clause"
 )
 
 // Traffic generator kinds, as accepted by ParseTraffic and carried in
@@ -88,37 +89,24 @@ type Request struct {
 //	bursty:r60:x4:on2:off8:n2000   60 req/s, 4x bursts 2 s on / 8 s off
 //	closed:u64:t0.05:n2000         64 users, 50 ms mean think time
 //
-// Every kind accepts two optional trailing fields: seed<k> (default seed1)
-// and crit<f> (fraction of latency-critical requests, default 0), e.g.
+// Every kind accepts two optional trailing fields, in either order and each
+// at most once: seed<k> (default seed1) and crit<f> (fraction of
+// latency-critical requests, default 0), e.g.
 // "poisson:r120:n2000:seed7:crit0.2". The parsed spec is validated; the
 // canonical form round-trips through String.
 func ParseTraffic(spec string) (*Traffic, error) {
 	fields := strings.Split(strings.TrimSpace(spec), ":")
-	if len(fields) == 0 || fields[0] == "" {
+	if fields[0] == "" {
 		return nil, fmt.Errorf("serve: empty traffic spec")
 	}
-	t := &Traffic{Kind: fields[0], Seed: 1}
-	rest, err := t.parseBody(fields[1:])
-	if err != nil {
-		return nil, err
+	t := &Traffic{Kind: fields[0]}
+	row, ok := t.row()
+	if !ok {
+		return nil, fmt.Errorf("serve: unknown traffic kind %q (want %s, %s, %s, or %s)",
+			t.Kind, KindPoisson, KindDiurnal, KindBursty, KindClosed)
 	}
-	for _, f := range rest {
-		switch {
-		case strings.HasPrefix(f, "seed"):
-			s, err := strconv.ParseInt(f[len("seed"):], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("serve: bad seed %q in traffic spec", f)
-			}
-			t.Seed = s
-		case strings.HasPrefix(f, "crit"):
-			c, err := strconv.ParseFloat(f[len("crit"):], 64)
-			if err != nil {
-				return nil, fmt.Errorf("serve: bad crit fraction %q in traffic spec", f)
-			}
-			t.Crit = c
-		default:
-			return nil, fmt.Errorf("serve: unknown traffic field %q", f)
-		}
+	if err := row.Parse(fields[1:]); err != nil {
+		return nil, fmt.Errorf("serve: traffic spec %q: %w", spec, err)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -126,77 +114,27 @@ func ParseTraffic(spec string) (*Traffic, error) {
 	return t, nil
 }
 
-// parseBody consumes the kind-specific positional fields and returns the
-// remaining (optional) ones.
-func (t *Traffic) parseBody(fields []string) ([]string, error) {
-	var err error
+// row is the clause row of t's kind, bound to t: the kind's own fields, then
+// the seed and crit every kind takes. It is false for an unknown kind, whose
+// row has only those two.
+func (t *Traffic) row() (clause.Row, bool) {
+	f := make([]clause.Field, 0, 7)
+	rate, n := clause.Num("r<rate>", &t.Rate), clause.Num("n<count>", &t.N)
+	known := true
 	switch t.Kind {
 	case KindPoisson:
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("serve: poisson wants poisson:r<rate>:n<count>")
-		}
-		if t.Rate, err = prefFloat(fields[0], "r"); err != nil {
-			return nil, err
-		}
-		if t.N, err = prefInt(fields[1], "n"); err != nil {
-			return nil, err
-		}
-		return fields[2:], nil
+		f = append(f, rate, n)
 	case KindDiurnal:
-		if len(fields) < 4 {
-			return nil, fmt.Errorf("serve: diurnal wants diurnal:r<rate>:a<amp>:p<period>:n<count>")
-		}
-		if t.Rate, err = prefFloat(fields[0], "r"); err != nil {
-			return nil, err
-		}
-		if t.Amp, err = prefFloat(fields[1], "a"); err != nil {
-			return nil, err
-		}
-		if t.Period, err = prefFloat(fields[2], "p"); err != nil {
-			return nil, err
-		}
-		if t.N, err = prefInt(fields[3], "n"); err != nil {
-			return nil, err
-		}
-		return fields[4:], nil
+		f = append(f, rate, clause.Num("a<amp>", &t.Amp), clause.Num("p<period>", &t.Period), n)
 	case KindBursty:
-		if len(fields) < 5 {
-			return nil, fmt.Errorf("serve: bursty wants bursty:r<rate>:x<factor>:on<sec>:off<sec>:n<count>")
-		}
-		if t.Rate, err = prefFloat(fields[0], "r"); err != nil {
-			return nil, err
-		}
-		if t.Burst, err = prefFloat(fields[1], "x"); err != nil {
-			return nil, err
-		}
-		if t.On, err = prefFloat(fields[2], "on"); err != nil {
-			return nil, err
-		}
-		if t.Off, err = prefFloat(fields[3], "off"); err != nil {
-			return nil, err
-		}
-		if t.N, err = prefInt(fields[4], "n"); err != nil {
-			return nil, err
-		}
-		return fields[5:], nil
+		f = append(f, rate, clause.Num("x<factor>", &t.Burst), clause.Num("on<sec>", &t.On), clause.Num("off<sec>", &t.Off), n)
 	case KindClosed:
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("serve: closed wants closed:u<users>:t<think>:n<count>")
-		}
-		if t.Users, err = prefInt(fields[0], "u"); err != nil {
-			return nil, err
-		}
-		if t.Think, err = prefFloat(fields[1], "t"); err != nil {
-			return nil, err
-		}
-		if t.N, err = prefInt(fields[2], "n"); err != nil {
-			return nil, err
-		}
-		return fields[3:], nil
+		f = append(f, clause.Num("u<users>", &t.Users), clause.Num("t<think>", &t.Think), n)
 	default:
-		return nil, fmt.Errorf("serve: unknown traffic kind %q (want %s, %s, %s, or %s)",
-			t.Kind, KindPoisson, KindDiurnal, KindBursty, KindClosed)
+		known = false
 	}
+	f = append(f, clause.Num("seed<k>", &t.Seed).Or(1), clause.Num("crit<f>", &t.Crit).Or(0))
+	return clause.Of(t.Kind, f...), known
 }
 
 // Validate checks the spec's numeric ranges. Every real field must be finite
@@ -262,25 +200,8 @@ func (t *Traffic) Validate() error {
 
 // String renders the canonical spec; ParseTraffic(t.String()) round-trips.
 func (t *Traffic) String() string {
-	var b strings.Builder
-	b.WriteString(t.Kind)
-	switch t.Kind {
-	case KindPoisson:
-		fmt.Fprintf(&b, ":r%s:n%d", gfmt(t.Rate), t.N)
-	case KindDiurnal:
-		fmt.Fprintf(&b, ":r%s:a%s:p%s:n%d", gfmt(t.Rate), gfmt(t.Amp), gfmt(t.Period), t.N)
-	case KindBursty:
-		fmt.Fprintf(&b, ":r%s:x%s:on%s:off%s:n%d", gfmt(t.Rate), gfmt(t.Burst), gfmt(t.On), gfmt(t.Off), t.N)
-	case KindClosed:
-		fmt.Fprintf(&b, ":u%d:t%s:n%d", t.Users, gfmt(t.Think), t.N)
-	}
-	if t.Seed != 1 {
-		fmt.Fprintf(&b, ":seed%d", t.Seed)
-	}
-	if t.Crit != 0 {
-		fmt.Fprintf(&b, ":crit%s", gfmt(t.Crit))
-	}
-	return b.String()
+	row, _ := t.row()
+	return row.String()
 }
 
 // Open reports whether the generator is open-loop (arrival times independent
@@ -390,28 +311,3 @@ const critSeedOffset = 0x9e3779b9
 func (t *Traffic) userStream(u int) *rand.Rand {
 	return rand.New(rand.NewSource(t.Seed*1000003 + int64(u) + 1))
 }
-
-func prefInt(s, prefix string) (int, error) {
-	if !strings.HasPrefix(s, prefix) {
-		return 0, fmt.Errorf("serve: field %q wants prefix %q", s, prefix)
-	}
-	v, err := strconv.Atoi(s[len(prefix):])
-	if err != nil {
-		return 0, fmt.Errorf("serve: bad integer in field %q", s)
-	}
-	return v, nil
-}
-
-func prefFloat(s, prefix string) (float64, error) {
-	if !strings.HasPrefix(s, prefix) {
-		return 0, fmt.Errorf("serve: field %q wants prefix %q", s, prefix)
-	}
-	v, err := strconv.ParseFloat(s[len(prefix):], 64)
-	if err != nil {
-		return 0, fmt.Errorf("serve: bad number in field %q", s)
-	}
-	return v, nil
-}
-
-// gfmt formats a float the way the fault spec language does ('g', shortest).
-func gfmt(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hetpipe/internal/fault"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/sched"
 	"hetpipe/internal/sim"
@@ -324,4 +325,26 @@ func FuzzParseTraffic(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The grammar sits on two benchmark paths: RunOn formats its traffic once
+// per run, and every hetpipe.New parses the (usually empty) fault spec. The
+// counts are those of the hand-written parser and printer the clause rows
+// replaced; neither may grow.
+func TestGrammarAllocationsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		allocs float64
+	}{
+		{"poisson:r100:n40000", 7}, {"poisson:r160:n40000", 7}, {"poisson:r220:n40000", 7},
+		{"closed:u32:t0.05:n40000", 7}, {"bursty:r120:x3:on1:off3:n40000", 13},
+	} {
+		tr := traffic(t, tc.spec)
+		if got := testing.AllocsPerRun(100, func() { _ = tr.String() }); got > tc.allocs {
+			t.Errorf("%s: String makes %g allocations, want <= %g", tc.spec, got, tc.allocs)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = fault.Parse("") }); got > 2 {
+		t.Errorf(`fault.Parse(""): %g allocations, want <= 2`, got)
+	}
 }

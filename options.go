@@ -164,8 +164,8 @@ func WithObserver(o Observer) Option { return func(s *settings) { s.observer = o
 //
 // Every kind accepts optional trailing fields seed<k> (default seed1) and
 // crit<f> (the fraction of requests marked latency-critical, which the
-// serving router steers to fast replicas), e.g.
-// "poisson:r120:n2000:seed7:crit0.2". Traffic generation is fully
+// serving router steers to fast replicas), in either order and each at most
+// once, e.g. "poisson:r120:n2000:seed7:crit0.2". Traffic generation is fully
 // deterministic: the same spec reproduces a byte-identical request trace and
 // latency summary on every Serve run. A spec that does not parse or validate
 // is reported by New through ErrBadTraffic.
@@ -181,6 +181,9 @@ func WithTraffic(spec string) Option { return func(s *settings) { s.traffic = sp
 //	stall:s0:c3:0.05        shard 0 stalls the clock-3 advance by 50 ms
 //	link:w3:x4              worker 3's PS transfers take 4x longer
 //	rand:0.5:seed7          each worker straggles with probability 0.5
+//
+// A clause's optional fields (mb, down, seed, max) may come in any order,
+// and each at most once.
 //
 // Simulate applies the plan to the virtual timeline (slowdowns scale stage
 // timings, crashes charge downtime plus checkpoint replay); Train executes
