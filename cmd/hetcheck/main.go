@@ -11,13 +11,13 @@
 //     grandfathered);
 //   - -bench reads `go test -bench -benchmem` output on stdin and fails if
 //     any benchmark named in a committed baseline (-baseline, default
-//     BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,
-//     BENCH_cosim.json,BENCH_train.json; comma-separate several files to gate
-//     one stream
-//     against multiple packages' baselines) regressed: ns/op beyond
-//     -bench-threshold (default 0.25, the documented >25%% rule — headroom
-//     for machine noise) or allocs/op beyond 5%% (allocation counts are
-//     deterministic, so any real growth is a leak on the pooled hot path).
+//     BENCH_sim.json,BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,
+//     BENCH_partition.json,BENCH_cosim.json,BENCH_train.json; comma-separate
+//     several files to gate one stream against multiple packages'
+//     baselines) regressed: ns/op beyond -bench-threshold (default 0.25,
+//     the documented >25%% rule — headroom for machine noise) or allocs/op
+//     beyond 5%% (allocation counts are deterministic, so any real growth
+//     is a leak on the pooled hot path).
 //     A baseline whose allocs/op is over 5%% (and at least one allocation)
 //     above the measurement is stale and fails too, since it hides growth.
 //     A benchmark pinned by two baseline files is rejected outright.
@@ -61,7 +61,7 @@ import (
 
 // defaultBaselines is every committed baseline: what -bench gates when
 // -baseline is not given.
-const defaultBaselines = "BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,BENCH_cosim.json,BENCH_train.json"
+const defaultBaselines = "BENCH_sim.json,BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,BENCH_partition.json,BENCH_cosim.json,BENCH_train.json"
 
 func main() {
 	root := flag.String("root", ".", "module root to scan")

@@ -59,7 +59,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunOn is Run on a caller-provided engine, which is Reset first: a warm
-// engine keeps its grown event arena and heap across runs, so sweeps that
+// engine keeps its grown event arena and queue across runs, so sweeps that
 // re-simulate thousands of configurations pay the allocation cost once.
 // Results are identical to Run on a fresh engine. It is a fresh Runner's Run
 // plus what the Summary summarizes, and the Result is the caller's.

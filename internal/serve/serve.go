@@ -274,14 +274,14 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 	if tr.Open() {
 		// Open-loop arrival times are known before the run starts, so they are
 		// generated straight into the trace and merged into the run in time
-		// order; they never enter the event heap.
+		// order; they never enter the event queue.
 		g := tr.generator()
 		for i := range s.trace {
 			s.trace[i].At, s.trace[i].Critical = g.next()
 		}
 		err = eng.RunMerged(ctx, tr.N, s.arrivalAt, s.arrive)
 	} else {
-		// A closed loop's arrivals depend on replies; they ride the heap.
+		// A closed loop's arrivals depend on replies; they ride the queue.
 		s.arriveID = eng.Register(func(id, _ int32, _ float64) { s.arrive(int(id)) })
 		s.users = make([]*rand.Rand, tr.Users)
 		for u := range s.users {
@@ -365,7 +365,7 @@ func (s *server) issueNext(u int32) {
 func (s *server) arrivalAt(id int) sim.Time { return sim.Time(s.trace[id].At) }
 
 // arrive fires when request id arrives — merged into the run (open loop) or
-// off the heap (closed loop): route, enqueue, admit.
+// off the queue (closed loop): route, enqueue, admit.
 //
 //hetlint:hotpath
 func (s *server) arrive(id int) {

@@ -5,16 +5,18 @@
 // monotonically increasing sequence number breaks ties), which makes every
 // simulation run fully reproducible.
 //
-// The queue is an index-based 4-ary min-heap over a pooled, generation-
-// checked event arena: scheduling an event reuses a free arena slot instead
-// of allocating, the heap orders int32 slot ids instead of pointers, and no
-// interface boxing happens anywhere on the hot path. Steady-state
-// simulations therefore run allocation-free inside the engine; the only
-// allocations are the arena's one-time growth to the peak number of
-// concurrently pending events. Every event is a Register'd EventFunc
-// scheduled by id (AtID/AfterID), threading two integers and a float through
-// the arena instead of capturing them in a closure, so the arena holds no
-// pointer and the garbage collector never scans it.
+// The queue is a sorted ring of (time, sequence, slot) keys over a pooled,
+// generation-checked event arena: scheduling an event reuses a free arena
+// slot instead of allocating, the ring orders int32 slot ids instead of
+// pointers, and no interface boxing happens anywhere on the hot path. The
+// clock never runs backwards and a simulation's queue is short, so a push
+// scans from the ring's tail — usually not far — and a pop advances its head.
+// Steady-state simulations therefore run allocation-free inside the engine;
+// the only allocations are the arena's and the ring's one-time growth to the
+// peak number of concurrently pending events. Every event is a Register'd
+// EventFunc scheduled by id (AtID/AfterID), threading two integers and a
+// float through the arena instead of capturing them in a closure, so the
+// arena holds no pointer and the garbage collector never scans it.
 //
 // All durations and timestamps are in seconds of virtual time. The engine is
 // not safe for concurrent use; simulations are single-goroutine by design so
@@ -85,7 +87,7 @@ const (
 )
 
 // slot is one arena entry: the event's Register'd handler id ef and payload
-// (its time is its heap entry's). It holds no pointer.
+// (its time is its ring entry's). It holds no pointer.
 type slot struct {
 	x     float64
 	a, b  int32
@@ -94,10 +96,10 @@ type slot struct {
 	state uint8
 }
 
-// heapEnt is one heap entry with the ordering key (at, seq) inlined, so
-// sift-up and sift-down compare without touching the arena — the heap stays
-// cache-resident even when the arena does not.
-type heapEnt struct {
+// entry is one ring entry with the ordering key (at, seq) inlined, so a push
+// compares without touching the arena — the ring stays cache-resident even
+// when the arena does not.
+type entry struct {
 	at  Time
 	seq uint64
 	id  int32
@@ -112,11 +114,13 @@ type Engine struct {
 	fired   uint64
 	maxStep uint64 // safety bound; 0 means unlimited
 
-	slots []slot      // event arena; Handle.slot and heap entries index into it
+	slots []slot      // event arena; Handle.slot and ring entries index into it
 	free  []int32     // free arena slots
-	heap  []heapEnt   // 4-ary min-heap of queued (or cancelled) events
+	ring  []entry     // queued (or cancelled) events in firing order; len 0 or a power of two
+	hd    int         // ring index of the earliest entry
+	n     int         // entries in the ring
 	live  int         // queued, non-cancelled events
-	dead  int         // cancelled events still occupying heap entries
+	dead  int         // cancelled events still occupying ring entries
 	funcs []EventFunc // Register'd handlers, indexed by slot.ef
 }
 
@@ -140,17 +144,15 @@ func (e *Engine) Pending() int { return e.live }
 func (e *Engine) SetStepLimit(n uint64) { e.maxStep = n }
 
 // Reset returns the engine to the zero-clock empty state while keeping the
-// arena and heap capacity, so a warm engine re-simulates without re-growing
+// arena and ring capacity, so a warm engine re-simulates without re-growing
 // any internal storage. Outstanding Handles go stale, and Register'd
 // handlers are dropped (re-register after Reset). The step limit is
 // retained.
 func (e *Engine) Reset() {
-	for _, ent := range e.heap {
-		if e.slots[ent.id].state != slotFree {
-			e.freeSlot(ent.id)
-		}
+	for i := range e.n {
+		e.freeSlot(e.nth(i).id)
 	}
-	e.heap = e.heap[:0]
+	e.hd, e.n = 0, 0
 	e.now, e.seq, e.fired = 0, 0, 0
 	e.live, e.dead = 0, 0
 	e.funcs = e.funcs[:0]
@@ -163,37 +165,25 @@ func (e *Engine) Reset() {
 // an instant, as the pipeline's transfers' are; stamped < 0 names none). Two
 // states that append the same words fire the same events in the same order,
 // at the same times relative to their own clocks.
-//
-// It selects each next event by a scan of the heap rather than sorting a copy,
-// so it needs no scratch: quadratic, but a pipeline's queue is short and its
-// state is read in full only to confirm what StateHash hints at.
 func (e *Engine) AppendState(dst []uint64, stamped, base int32) []uint64 {
-	last := heapEnt{at: Time(math.Inf(-1))}
-	for {
-		next := -1
-		for i, ent := range e.heap {
-			if e.slots[ent.id].state == slotQueued && less(last, ent) && (next < 0 || less(ent, e.heap[next])) {
-				next = i
-			}
+	for i := range e.n {
+		if ent := e.nth(i); e.slots[ent.id].state == slotQueued {
+			w0, w1, w2, w3 := e.words(ent, stamped, base)
+			dst = append(dst, w0, w1, w2, w3)
 		}
-		if next < 0 {
-			return dst
-		}
-		last = e.heap[next]
-		w0, w1, w2, w3 := e.words(last, stamped, base)
-		dst = append(dst, w0, w1, w2, w3)
 	}
+	return dst
 }
 
 // StateHash folds the words AppendState would append into 64 bits without
 // ordering the events: a sum of one hash per event. States whose AppendState
 // agree hash alike, and so do states that differ only in the order of events
 // due at the same instant — a hint for a caller that confirms with
-// AppendState, at a fraction of its cost.
+// AppendState, computed without writing the words out.
 func (e *Engine) StateHash(stamped, base int32) uint64 {
 	var h uint64
-	for _, ent := range e.heap {
-		if e.slots[ent.id].state == slotQueued {
+	for i := range e.n {
+		if ent := e.nth(i); e.slots[ent.id].state == slotQueued {
 			w0, w1, w2, w3 := e.words(ent, stamped, base)
 			h += mix(w0, w1, w2, w3)
 		}
@@ -202,7 +192,7 @@ func (e *Engine) StateHash(stamped, base int32) uint64 {
 }
 
 // words is one pending event's part of AppendState.
-func (e *Engine) words(ent heapEnt, stamped, base int32) (w0, w1, w2, w3 uint64) {
+func (e *Engine) words(ent entry, stamped, base int32) (w0, w1, w2, w3 uint64) {
 	s := &e.slots[ent.id]
 	a, x := s.a, s.x
 	if s.ef == stamped {
@@ -230,15 +220,15 @@ func mix(w0, w1, w2, w3 uint64) uint64 {
 // would no longer be the ones a run simulated that far computes.
 func (e *Engine) Shift(dt Time, stamped, da int32) bool {
 	last := e.now
-	for _, ent := range e.heap {
-		last = max(last, ent.at)
+	if e.n > 0 {
+		last = e.nth(e.n - 1).at
 	}
 	if last+dt >= Horizon {
 		return false
 	}
 	e.now += dt
-	for i := range e.heap {
-		ent := &e.heap[i]
+	for i := range e.n {
+		ent := &e.ring[(e.hd+i)&(len(e.ring)-1)]
 		ent.at += dt
 		if s := &e.slots[ent.id]; s.ef == stamped && s.state == slotQueued {
 			s.a += da
@@ -257,7 +247,7 @@ func (e *Engine) alloc() int32 {
 		e.free = e.free[:n-1]
 		return id
 	}
-	e.slots = append(e.slots, slot{})
+	e.slots = append(e.slots, slot{gen: 1}) // generation 0 is the zero Handle's
 	return int32(len(e.slots) - 1)
 }
 
@@ -272,65 +262,54 @@ func (e *Engine) freeSlot(id int32) {
 	e.free = append(e.free, id)
 }
 
-// less orders heap entries by (time, sequence).
-func less(a, b heapEnt) bool {
+// less orders ring entries by (time, sequence).
+func less(a, b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// heapPush inserts an entry, sifting up through the 4-ary heap.
+// nth returns the ring's i-th entry in firing order, counting from the head.
+func (e *Engine) nth(i int) entry { return e.ring[(e.hd+i)&(len(e.ring)-1)] }
+
+// push inserts an entry in order, moving every later entry one place toward
+// the tail. A new event is usually due after most of those queued, so the
+// scan starts at the tail. The new entry's sequence number is the largest
+// yet, so it orders after every entry due no later: comparing times suffices,
+// and a tie stays behind, in scheduling order.
 //
 //hetlint:hotpath
-func (e *Engine) heapPush(ent heapEnt) {
-	e.heap = append(e.heap, ent)
-	c := len(e.heap) - 1
-	for c > 0 {
-		p := (c - 1) / 4
-		if !less(e.heap[c], e.heap[p]) {
-			break
-		}
-		e.heap[c], e.heap[p] = e.heap[p], e.heap[c]
-		c = p
+func (e *Engine) push(ent entry) {
+	if e.n == len(e.ring) {
+		e.grow()
 	}
+	mask := len(e.ring) - 1
+	i := e.hd + e.n
+	for ; i > e.hd && ent.at < e.ring[(i-1)&mask].at; i-- {
+		e.ring[i&mask] = e.ring[(i-1)&mask]
+	}
+	e.ring[i&mask] = ent
+	e.n++
 }
 
-// heapPop removes and returns the minimum entry, sifting the displaced last
-// element down through the 4-ary heap with the hole method.
+// grow doubles the full ring (to at least four entries), copying it out
+// unwrapped.
+func (e *Engine) grow() {
+	ring := make([]entry, max(4, 2*len(e.ring)))
+	k := copy(ring, e.ring[e.hd:])
+	copy(ring[k:], e.ring[:e.hd])
+	e.ring, e.hd = ring, 0
+}
+
+// pop removes and returns the earliest entry.
 //
 //hetlint:hotpath
-func (e *Engine) heapPop() heapEnt {
-	top := e.heap[0]
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		i := 0
-		for {
-			first := 4*i + 1
-			if first >= n {
-				break
-			}
-			min := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if less(e.heap[c], e.heap[min]) {
-					min = c
-				}
-			}
-			if !less(e.heap[min], last) {
-				break
-			}
-			e.heap[i] = e.heap[min]
-			i = min
-		}
-		e.heap[i] = last
-	}
-	return top
+func (e *Engine) pop() entry {
+	ent := e.ring[e.hd]
+	e.hd = (e.hd + 1) & (len(e.ring) - 1)
+	e.n--
+	return ent
 }
 
 // Register installs a pooled event handler and returns its id for AtID and
@@ -353,7 +332,7 @@ func (e *Engine) schedule(t Time, ef, a, b int32, x float64) Handle {
 	s.ef = ef
 	s.a, s.b, s.x = a, b, x
 	s.state = slotQueued
-	e.heapPush(heapEnt{at: t, seq: e.seq, id: id})
+	e.push(entry{at: t, seq: e.seq, id: id})
 	e.live++
 	return Handle{slot: id, gen: s.gen}
 }
@@ -388,7 +367,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	if s.state != slotQueued || s.gen != h.gen {
 		return false
 	}
-	// The heap entry stays until popped (lazy deletion); bump the generation
+	// The ring entry stays until popped (lazy deletion); bump the generation
 	// now so the handle is immediately stale.
 	s.state = slotCancelled
 	s.gen++
@@ -397,22 +376,22 @@ func (e *Engine) Cancel(h Handle) bool {
 	return true
 }
 
-// prune discards cancelled events at the top of the heap so the head is the
+// prune discards cancelled events at the head of the ring so the head is the
 // next live event; it reports whether one exists. With no cancellations
 // outstanding it is a pair of integer tests — the common case never loads a
 // slot.
 //
 //hetlint:hotpath
 func (e *Engine) prune() bool {
-	for len(e.heap) > 0 {
+	for e.n > 0 {
 		if e.dead == 0 {
 			return true
 		}
-		id := e.heap[0].id
+		id := e.ring[e.hd].id
 		if e.slots[id].state != slotCancelled {
 			return true
 		}
-		e.heapPop()
+		e.pop()
 		e.freeSlot(id)
 		e.dead--
 	}
@@ -427,7 +406,7 @@ func (e *Engine) Step() bool {
 	if !e.prune() {
 		return false
 	}
-	ent := e.heapPop()
+	ent := e.pop()
 	if ent.at < e.now {
 		panic("sim: clock went backwards")
 	}
@@ -501,7 +480,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 // Every other event therefore keeps the sequence number, and every tie the
 // resolution, that the chained form gives it. Stream events count toward
 // Fired, the step limit and the cancellation poll like any other, but never
-// occupy the heap or an arena slot (Pending does not see them). A stream
+// occupy the ring or an arena slot (Pending does not see them). A stream
 // that steps back in time panics, as scheduling in the past does.
 //
 //hetlint:hotpath
@@ -515,13 +494,13 @@ func (e *Engine) RunMerged(ctx context.Context, n int, at func(i int) Time, fire
 		}
 	}
 	i := 0
-	var next heapEnt // the stream head's ordering key
+	var next entry // the stream head's ordering key
 	if n > 0 {
 		e.seq++
-		next = heapEnt{at: at(0), seq: e.seq}
+		next = entry{at: at(0), seq: e.seq}
 	}
 	for {
-		if i < n && !(e.prune() && less(e.heap[0], next)) {
+		if i < n && !(e.prune() && less(e.ring[e.hd], next)) {
 			if next.at < e.now {
 				panic("sim: merged stream went backwards")
 			}
@@ -530,7 +509,7 @@ func (e *Engine) RunMerged(ctx context.Context, n int, at func(i int) Time, fire
 			fire(i)
 			if i++; i < n {
 				e.seq++
-				next = heapEnt{at: at(i), seq: e.seq}
+				next = entry{at: at(i), seq: e.seq}
 			}
 		} else if !e.Step() {
 			return nil

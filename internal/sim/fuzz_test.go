@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
@@ -59,29 +60,50 @@ func (o *oracle) cancel(i int) bool {
 	return true
 }
 
-func (o *oracle) pending() int {
-	n := 0
+// inState lists the events in state (0 pending, 1 fired) in firing order:
+// by (time, order).
+func (o *oracle) inState(state uint8) []int {
+	var ids []int
 	for i := range o.events {
-		if o.events[i].state == 0 {
-			n++
+		if o.events[i].state == state {
+			ids = append(ids, i)
 		}
 	}
-	return n
+	sort.Slice(ids, func(a, b int) bool {
+		ea, eb := o.events[ids[a]], o.events[ids[b]]
+		if ea.at != eb.at {
+			return ea.at < eb.at
+		}
+		return ea.order < eb.order
+	})
+	return ids
 }
 
 // FuzzEventQueue drives random interleavings of schedule (relative and
 // absolute), step, and cancel — including deliberately stale cancels — against
 // the sort-based oracle, asserting the identical (time, seq) total order, that
-// cancelled events never fire, and that generation-checked handles go stale
-// exactly when the oracle says the event is no longer pending (so a recycled
-// arena slot can never be cancelled through an old handle).
+// cancelled events never fire, that AppendState lists exactly the pending
+// events in firing order after every operation, and that generation-checked
+// handles go stale exactly when the oracle says the event is no longer pending
+// (so a recycled arena slot can never be cancelled through an old handle).
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 10, 2, 3, 0})
 	f.Add([]byte{1, 5, 1, 5, 1, 5, 3, 1, 4, 0, 2, 2, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 2, 3, 1, 0, 7, 2, 4, 2})
 	f.Add([]byte{0, 3, 1, 3, 0, 1, 2, 0, 3, 0, 0, 9, 1, 2, 0, 4, 2, 0, 4, 1, 3, 2, 2, 0, 2}) // events pending while the arena grows
-	f.Add([]byte{0, 5, 0, 9, 3, 0, 2, 0, 2, 0, 3})                                           // a cancelled event still in the heap
+	f.Add([]byte{0, 5, 0, 9, 3, 0, 2, 0, 2, 0, 3})                                           // a cancelled event still in the ring
+	// Six events, four fired, six more: the eight-entry ring wraps, and
+	// inserts shift entries across its end.
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 2, 0, 2, 0, 2, 0, 2, 0,
+		0, 3, 0, 1, 0, 7, 0, 2, 0, 9, 0, 5, 2, 0, 2, 0, 2, 0})
+	// As above and one more: the wrapped ring grows with its head at 4.
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 2, 0, 2, 0, 2, 0, 2, 0,
+		0, 3, 0, 1, 0, 7, 0, 2, 0, 9, 0, 5, 0, 4, 1, 0, 2, 0, 2, 0})
+	// Eight events, seven fired, two more wrap to the ring's start; the
+	// head, at its last index, is cancelled and pruned across the wrap.
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8,
+		2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 5, 0, 6, 3, 7, 2, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := New()
 		var o oracle
@@ -121,8 +143,21 @@ func FuzzEventQueue(f *testing.F) {
 					t.Fatalf("op %d: second Cancel(ev %d) succeeded", i, id)
 				}
 			}
-			if e.Pending() != o.pending() {
-				t.Fatalf("op %d: Pending() = %d, oracle %d", i, e.Pending(), o.pending())
+			want := o.inState(0)
+			if e.Pending() != len(want) {
+				t.Fatalf("op %d: Pending() = %d, oracle %d", i, e.Pending(), len(want))
+			}
+			state := e.AppendState(nil, -1, 0)
+			if len(state) != 4*len(want) {
+				t.Fatalf("op %d: AppendState lists %d events, oracle %d pending", i, len(state)/4, len(want))
+			}
+			for k, id := range want {
+				if got := int(state[4*k+2]); got != id {
+					t.Fatalf("op %d: AppendState event %d is ev %d, oracle ev %d", i, k, got, id)
+				}
+				if left := Time(math.Float64frombits(state[4*k])); left != o.events[id].at-e.Now() {
+					t.Fatalf("op %d: ev %d due in %v, oracle %v", i, id, left, o.events[id].at-e.Now())
+				}
 			}
 		}
 
@@ -153,19 +188,7 @@ func FuzzEventQueue(f *testing.F) {
 		}
 		// The firing order must match the sort-based total order over the
 		// never-cancelled events.
-		var want []int
-		for i := range o.events {
-			if o.events[i].state == 1 {
-				want = append(want, i)
-			}
-		}
-		sort.Slice(want, func(a, b int) bool {
-			ea, eb := o.events[want[a]], o.events[want[b]]
-			if ea.at != eb.at {
-				return ea.at < eb.at
-			}
-			return ea.order < eb.order
-		})
+		want := o.inState(1)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("total order diverged at %d: got ev %d, want ev %d", i, got[i], want[i])

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestArenaPointerFree: the event arena, the heap and the job ring hold no
+// TestArenaPointerFree: the event arena, the event ring and the job ring hold no
 // pointer, so the garbage collector never scans queue traffic.
 func TestArenaPointerFree(t *testing.T) {
-	for _, v := range []any{slot{}, heapEnt{}, job{}} {
+	for _, v := range []any{slot{}, entry{}, job{}} {
 		typ := reflect.TypeOf(v)
 		for i := range typ.NumField() {
 			// Every kind up to Complex128 is a scalar; Array, Chan, Func,
@@ -47,6 +47,24 @@ func TestEngineCancel(t *testing.T) {
 	}
 	if e.Now() != 3 || e.Fired() != 2 {
 		t.Fatalf("now = %v fired = %d, want 3, 2", e.Now(), e.Fired())
+	}
+}
+
+// The zero Handle names no event, not even the first one scheduled into a
+// fresh arena's slot 0.
+func TestZeroHandleNeverValid(t *testing.T) {
+	e := New()
+	fired := 0
+	fire := e.Register(func(_, _ int32, _ float64) { fired++ })
+	e.AtID(1, fire, 0, 0, 0)
+	if e.Cancel(Handle{}) {
+		t.Fatal("Cancel(Handle{}) cancelled the first event")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1", fired)
 	}
 }
 

@@ -330,7 +330,7 @@ func each(ctx context.Context, scenarios []Scenario, opt Options, keep func(i in
 		go func() {
 			defer wg.Done()
 			// One warm co-simulation per worker goroutine: its engine's
-			// arena and heap, its pipelines, devices and coordinator grow to
+			// arena and queue, its pipelines, devices and coordinator grow to
 			// the sweep's peak once and are re-initialised for every scenario
 			// this worker draws.
 			cs := core.NewCoSim(sim.New())
