@@ -28,14 +28,21 @@
 //	hetlive -conform=false -checkpoint-every 2 -checkpoint-path run.ckpt
 //	hetlive -conform=false -resume run.ckpt -mb 192          # resume & extend a run
 //	hetlive -deploy -cluster mini -tcp -task mlp -mb 3000 -cpuprofile live.prof
+//	hetlive -deploy -cluster mini -tcp -task mlp -mb 3000 -memprofile mem.prof
+//
+// -cpuprofile and -memprofile write stdlib runtime/pprof profiles of the run;
+// -memprofile samples every allocation, so go tool pprof
+// -sample_index=alloc_space attributes the run's allocated bytes exactly.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"time"
 
 	"hetpipe"
@@ -71,17 +78,21 @@ func main() {
 	resume := flag.String("resume", "", "resume the shard servers from this checkpoint file")
 	step := flag.Duration("step", 0, "emulated per-minibatch compute time; slow/link faults scale it (0 = as fast as possible)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file, every allocation sampled (go tool pprof -sample_index=alloc_space)")
 	flag.Parse()
 
 	if *nm < 1 {
 		fatalf("-nm must be >= 1")
+	}
+	if *memProfile != "" {
+		runtime.MemProfileRate = 1
 	}
 	stopProfile, err := prof.StartCPU(*cpuProfile)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer func() {
-		if err := stopProfile(); err != nil {
+		if err := errors.Join(stopProfile(), prof.WriteAllocs(*memProfile)); err != nil {
 			fatalf("%v", err)
 		}
 	}()
@@ -99,7 +110,7 @@ func main() {
 			schedule: *schedule, interleave: *interleave, task: *taskName,
 			d: *d, nm: *nm, mb: *mb, chunks: *chunks, seed: *seed, lr: *lr,
 			tcp: *tcp, progress: *progress,
-			faults: *faultSpec, ckptEvery: *ckptEvery, ckptPath: *ckptPath, resume: *resume,
+			faults: *faultSpec, plan: plan, ckptEvery: *ckptEvery, ckptPath: *ckptPath, resume: *resume,
 			step: *step,
 		})
 		return
@@ -126,6 +137,7 @@ func main() {
 		CheckpointPath: *ckptPath, ResumeFrom: *resume,
 		StepTime: *step,
 	}
+	printRetention(&cfg)
 	if *conform {
 		report, err := cluster.RunConformance(ctx, cfg)
 		if err != nil {
@@ -157,8 +169,8 @@ func main() {
 		frames = fmt.Sprintf(" in %d frames (%.1f per wave per worker)",
 			stats.ShardFrames, float64(stats.ShardFrames)/float64(max(stats.Pushes, 1)))
 	}
-	fmt.Printf("data plane: shard ops %d pushes / %d pulls%s, %d malformed requests rejected\n",
-		stats.ShardPushes, stats.ShardPulls, frames, stats.ShardMalformed)
+	fmt.Printf("data plane: shard ops %d pushes / %d pulls%s, %d malformed requests rejected, %d snapshots retained\n",
+		stats.ShardPushes, stats.ShardPulls, frames, stats.ShardMalformed, stats.RetainedSnapshots)
 	printFaultSummary(stats)
 	fmt.Printf("final accuracy=%.3f loss=%.4f wall=%.3fs\n",
 		task.Accuracy(stats.FinalWeights), task.Loss(stats.FinalWeights), stats.Elapsed.Seconds())
@@ -175,6 +187,14 @@ func printFaultSummary(stats *cluster.Stats) {
 	}
 }
 
+// printRetention says so when the run's shard servers must keep every clock's
+// snapshot, and why.
+func printRetention(cfg *cluster.Config) {
+	if why := cfg.KeepsEveryClock(); why != "" {
+		fmt.Printf("retention: the shard servers keep every clock's snapshot: %s\n", why)
+	}
+}
+
 // deployOpts carries the -deploy mode's flag values.
 type deployOpts struct {
 	model, cluster, policy, schedule, task string
@@ -184,6 +204,7 @@ type deployOpts struct {
 	lr                                     float64
 	tcp, progress                          bool
 	faults                                 string
+	plan                                   *fault.Plan
 	ckptEvery                              int
 	ckptPath, resume                       string
 	step                                   time.Duration
@@ -244,6 +265,8 @@ func runDeploy(ctx context.Context, o deployOpts) {
 	if f := dep.Faults(); f != "" {
 		fmt.Printf("fault plan: %s (checkpoint every %d waves)\n", f, dep.CheckpointEvery())
 	}
+	printRetention(&cluster.Config{Workers: len(dep.VirtualWorkers()), Faults: o.plan,
+		CheckpointEvery: dep.CheckpointEvery(), CheckpointPath: o.ckptPath})
 	sum, err := dep.Train(ctx)
 	if err != nil {
 		fatalf("%v", err)

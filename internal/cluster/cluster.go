@@ -31,6 +31,16 @@
 // Config.CheckpointPath persists consistent clock-cut shard checkpoints
 // (ps.Capture) for whole-process recovery, and Config.ResumeFrom restarts a
 // run from such a file.
+//
+// Replay is also what bounds the servers' memory. A worker's floor is the
+// last clock pulled by the program it would restart from — its last
+// checkpoint if the fault plan can crash it, the live program otherwise —
+// and it never pulls below that again. Whenever the minimum floor over the
+// workers rises, the run releases every server below it (ps.Server.Release),
+// so a server keeps about D+2 clocks (plus the checkpoint cadence when a
+// worker can crash) instead of one per wave of the run. A run that may
+// replay from minibatch 1 keeps every clock (Config.KeepsEveryClock says
+// why).
 package cluster
 
 import (
@@ -38,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -126,6 +137,25 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// KeepsEveryClock reports why a run's servers must keep every clock's
+// snapshot, or "" when they may release those below the workers' floors. Two
+// things replay from minibatch 1, so reading clock 1 onwards: a worker that
+// can crash with no checkpoint cadence, and a run resumed from a persisted
+// shard checkpoint — whose file must therefore hold snapshots 0..c.
+func (c *Config) KeepsEveryClock() string {
+	if c.CheckpointPath != "" {
+		return "shard checkpoints are persisted, and a run resumed from one replays every worker from minibatch 1"
+	}
+	if c.CheckpointEvery == 0 {
+		for w := range c.Workers {
+			if c.Faults.CrashFor(w) != nil {
+				return fmt.Sprintf("worker %d can crash with no checkpoint cadence and would replay from minibatch 1", w)
+			}
+		}
+	}
+	return ""
+}
+
 // params is the run's WSP protocol arithmetic.
 func (c *Config) params() wsp.Params {
 	return wsp.Params{SLocal: c.SLocal, D: c.D, Workers: c.Workers}
@@ -176,6 +206,10 @@ type Stats struct {
 	// requests the transport rejected; it is always zero for in-process runs
 	// and for any healthy TCP run.
 	ShardPushes, ShardPulls, ShardFrames, ShardMalformed uint64
+	// RetainedSnapshots is the most clock snapshots any shard server holds at
+	// the end of the run: about D+2 when the servers could be released below
+	// the workers' floors, every clock when Config.KeepsEveryClock.
+	RetainedSnapshots int
 }
 
 // errCrashed is the self-inflicted failure an injected crash raises; the
@@ -273,6 +307,12 @@ type run struct {
 	// ckptTick wakes the shard checkpointer; nil when no shard checkpoint is
 	// persisted at a cadence.
 	ckptTick chan struct{}
+	// floors[w] is worker w's floor, the lowest clock it may still pull, and
+	// released the run's floor the servers were last released below; both
+	// under floorMu. floors is nil when the run keeps every clock.
+	floorMu  sync.Mutex
+	floors   []int
+	released int
 }
 
 // bringUp stands a run's shards up — fresh from the task's initial weights,
@@ -338,9 +378,13 @@ func bringUp(cfg Config) (*run, error) {
 	}
 
 	r.stalls = fp.Cursor(-1)
+	if cfg.KeepsEveryClock() == "" {
+		r.floors = make([]int, cfg.Workers)
+	}
 	keys := r.space.Keys()
 	for _, vw := range r.workers {
 		vw.pushed, vw.cur = r.resumed, fp.Cursor(vw.id)
+		vw.crashable = fp.CrashFor(vw.id) != nil
 		vw.push = ps.Push{Worker: vw.id, Keys: keys, Vecs: make([]tensor.Vector, len(keys))}
 		vw.pull = ps.SnapshotPull{Keys: keys, Dst: make([]tensor.Vector, len(keys))}
 	}
@@ -480,6 +524,9 @@ func (r *run) stats() (*Stats, error) {
 	if err := r.local.PullAtInto(views, r.space.Keys(), r.params.CompleteWaves(r.cfg.MaxMinibatches)); err != nil {
 		return nil, err
 	}
+	for _, s := range r.servers {
+		st.RetainedSnapshots = max(st.RetainedSnapshots, s.Retained())
+	}
 	st.GlobalClock, st.MaxClockDistance = serverClocks(r.servers)
 	return st, nil
 }
@@ -557,6 +604,28 @@ func (r *run) saveServers() error {
 	return nil
 }
 
+// raiseFloor raises worker id's floor to clock c and, when that lifts the
+// minimum over the workers, releases every server below the new minimum.
+// Floors only rise, and nothing pulls below its own, so no pull in flight or
+// to come asks for a released clock.
+func (r *run) raiseFloor(id, c int) {
+	if r.floors == nil {
+		return
+	}
+	r.floorMu.Lock()
+	defer r.floorMu.Unlock()
+	if c <= r.floors[id] {
+		return
+	}
+	r.floors[id] = c
+	if low := slices.Min(r.floors); low > r.released {
+		r.released = low
+		for _, s := range r.servers {
+			s.Release(low)
+		}
+	}
+}
+
 // notifyCkpt asks the shard checkpointer, when it runs, for a checkpoint.
 func (r *run) notifyCkpt() {
 	if r.ckptTick != nil {
@@ -583,6 +652,9 @@ type worker struct {
 	// ckpt is the last checkpoint of the worker's program; before the first
 	// cadence point it is the program at minibatch 1.
 	ckpt *train.Worker
+	// crashable says the fault plan can crash the worker, so it restarts from
+	// ckpt and its floor is ckpt's last pull; otherwise the live program's.
+	crashable bool
 	// lastCkptWave is the pushed-wave count at the last checkpoint.
 	lastCkptWave int
 	// pushed is the authoritative count of waves this worker has actually
@@ -698,9 +770,13 @@ func (vw *worker) pullAfterPush(w *train.Worker, stalled bool) int {
 }
 
 // notePull hands the clock-req snapshot an exchange has just written into
-// w.Weights() to the worker's program and reports the pull.
+// w.Weights() to the worker's program, raises the worker's floor when the
+// live program is its restart point, and reports the pull.
 func (vw *worker) notePull(w *train.Worker, req int) {
 	w.Pulled(req)
+	if !vw.crashable {
+		vw.r.raiseFloor(vw.id, req)
+	}
 	if req > vw.maxPullClock {
 		vw.maxPullClock = req
 		// The pull's return proves the global clock reached req — the only
@@ -803,6 +879,9 @@ func (vw *worker) attempt() (*train.Worker, error) {
 			vw.ckpt = w.Clone()
 			vw.lastCkptWave = w.Waves()
 			vw.checkpoints++
+			if vw.crashable {
+				r.raiseFloor(id, vw.ckpt.LastPulled())
+			}
 			r.notifyCkpt()
 		}
 		// Emulated compute time, scaled by any straggler slowdown. The

@@ -97,7 +97,10 @@ func TestShardedInprocAllocsPinned(t *testing.T) {
 // wave's backing into the next push, and nothing is spawned per operation, so
 // all a steady-state wave may allocate is the one flat snapshot each shard
 // materialises for the new clock (the count is process-wide: the servers'
-// goroutines are in it).
+// goroutines are in it). When the servers are released below each pulled
+// clock, as the live runtime releases them below its workers' floors, the
+// new clock is folded into the snapshot the release recycled, and the wave
+// allocates nothing at all.
 func TestShardedTCPWaveAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under the race detector")
@@ -109,20 +112,42 @@ func TestShardedTCPWaveAllocsPinned(t *testing.T) {
 		keys[i], dims[i] = string(rune('a'+i)), dim
 		push[i], dst[i] = make(tensor.Vector, dim), make(tensor.Vector, dim)
 	}
-	sh := newDeployment(t, 1, servers, keys, dims, true).workers[0]
-	clock := 0
-	wave := func() {
-		clock++
-		if err := sh.Exchange(&Push{Worker: 0, Keys: keys, Vecs: push}, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		wave() // intern the keys, size every buffer, fix the snapshot layout
-	}
-	// One snapshot per shard, plus the amortized growth of each server's
-	// snapshot and wave-delta slices.
-	if allocs := testing.AllocsPerRun(200, wave); allocs > servers+1 {
-		t.Errorf("fused exchange over %d loopback shards = %.1f allocs/op, want <= %d", servers, allocs, servers+1)
+	for _, c := range []struct {
+		name    string
+		release bool
+		// want is one snapshot per shard, plus the amortized growth of each
+		// server's snapshot and wave-delta slices; or, released, the slack of
+		// one for runtime noise.
+		want float64
+	}{{"retain-all", false, servers + 1}, {"released", true, 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDeployment(t, 1, servers, keys, dims, true)
+			sh := d.workers[0]
+			clock := 0
+			wave := func() {
+				clock++
+				if err := sh.Exchange(&Push{Worker: 0, Keys: keys, Vecs: push}, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst}); err != nil {
+					t.Fatal(err)
+				}
+				if c.release {
+					for _, s := range d.servers {
+						s.Release(clock)
+					}
+				}
+			}
+			for i := 0; i < 8; i++ {
+				wave() // intern the keys, size every buffer, fix the snapshot layout
+			}
+			if allocs := testing.AllocsPerRun(200, wave); allocs > c.want {
+				t.Errorf("fused exchange over %d loopback shards = %.1f allocs/op, want <= %v", servers, allocs, c.want)
+			}
+			if c.release {
+				for i, s := range d.servers {
+					if n := s.Retained(); n != 1 {
+						t.Errorf("server %d holds %d snapshots after a release at the newest clock, want 1", i, n)
+					}
+				}
+			}
+		})
 	}
 }

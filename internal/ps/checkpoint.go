@@ -85,12 +85,16 @@ func (st *ServerState) validate(clock int) error {
 // cut captures the server's state at global-clock boundary c, which its
 // global clock must already have reached, under the server's lock. Folding
 // up to c materializes snapshots exactly as a pull at c would. Capturing a
-// closed server fails.
+// closed server fails, and so does capturing one that has released any
+// clock (ErrReleased): a checkpoint holds snapshots 0..c.
 func (s *Server) cut(c int) (*ServerState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, errClosed
+	}
+	if s.base > 0 {
+		return nil, errReleased(0, s.base)
 	}
 	s.snapshotLocked(c)
 	st := &ServerState{
@@ -168,6 +172,7 @@ func (ck *Checkpoint) Restore() ([]*Server, error) {
 		for _, snap := range st.Snapshots {
 			s.snapshots = append(s.snapshots, s.packLocked(snap))
 		}
+		s.deltaBase = ck.Clock
 		s.initial = s.unpackLocked(s.snapshots[0])
 		servers[i] = s
 	}

@@ -24,13 +24,19 @@
 // process or over TCP — from it under its lock; there is no read of the
 // "latest" weights, whose value would depend on push arrival order.
 //
-// Those snapshots are the server's whole state, and a checkpoint holds
-// nothing else (checkpoint.go): Capture cuts a set of shard servers at the
-// minimum of their global clocks c and keeps each server's snapshots 0..c,
-// SaveCheckpoint writes them atomically (temp file + rename, versioned
-// header), and a server restored from the file serves bit-identical
-// snapshots — the substrate crash recovery and run resumption
-// (internal/cluster) build on.
+// Those snapshots are the server's whole state, kept as a window: the run
+// that owns a server tells it, through Release, the lowest clock any worker
+// may still pull (its floor), and the snapshots below it are recycled into
+// later folds and pushes. WSP's clock-distance bound D keeps a floored
+// window about D+2 clocks wide however long the run; a server that is never
+// released keeps every clock. A pull or capture below the floor fails with
+// ErrReleased. A checkpoint holds the snapshots and nothing else
+// (checkpoint.go): Capture cuts a set of shard servers at the minimum of
+// their global clocks c and keeps each server's snapshots 0..c (so it needs
+// servers that have released nothing), SaveCheckpoint writes them atomically
+// (temp file + rename, versioned header), and a server restored from the
+// file serves bit-identical snapshots — the substrate crash recovery and run
+// resumption (internal/cluster) build on.
 package ps
 
 import (
@@ -96,10 +102,12 @@ func (p *SnapshotPull) visit(i int, v tensor.Vector) {
 // snapshot, which makes the value it observes a deterministic function of the
 // update schedule — the property the sim-vs-live conformance harness
 // (internal/cluster) relies on.
-// Materialized snapshots are retained for the whole run (one flat weight
-// copy per clock boundary; per-wave deltas are freed once folded), since the
-// server cannot know which old boundary a lagging worker may still demand;
-// runs are bounded by their minibatch budget, which bounds this too.
+// Materialized snapshots are retained from the server's floor up (one flat
+// weight copy per clock boundary; per-wave deltas are recycled once folded).
+// The server cannot know which old boundary a lagging worker may still
+// demand, so the floor is its owner's to raise (Release); until it does,
+// every clock is kept. The newest snapshot is always kept, since the next
+// clock is folded from it.
 type Server struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -108,16 +116,23 @@ type Server struct {
 	// against.
 	initial map[string]tensor.Vector
 	clocks  []int // clocks[w] = waves pushed by worker w
-	// waveDeltas[v*W+w] is worker w's aggregated update of wave v (zero
-	// until pushed), stored flat so pushing a new wave costs amortized-zero
-	// bookkeeping allocations; snapshots[c] is the materialized clock-c
+	// waveDeltas[(v-deltaBase)*W+w] is worker w's aggregated update of wave
+	// v (zero until pushed), stored flat so pushing a new wave costs
+	// amortized-zero bookkeeping allocations. deltaBase is the newest
+	// snapshot's clock (0 before the first): every older wave is folded, and
+	// the table is compacted down to deltaBase after each fold, so it holds
+	// only the waves pushed ahead of the newest snapshot — at most (D+2)·W
+	// entries under WSP. snapshots[c-base] is the materialized clock-c
 	// snapshot, built lazily from waveDeltas in (wave, worker) order so the
-	// result does not depend on push arrival order. A snapshot is one flat
+	// result does not depend on push arrival order; base is the server's
+	// floor, below which Release has recycled them. A snapshot is one flat
 	// vector holding every shard back to back in sorted-key order; spans
 	// gives each key's range. The layout is fixed when the first snapshot is
 	// built (spans is nil until then), after which Register fails.
 	waveDeltas []waveUpdate
+	deltaBase  int
 	snapshots  []tensor.Vector
+	base       int
 	spans      map[string]span
 	// internedKeys is the key slice of the most recent push. Workers push
 	// the same key set wave after wave, so retained waveUpdates share one
@@ -127,10 +142,11 @@ type Server struct {
 	internedKeys  []string
 	internedLens  []int
 	internedTotal int
-	// freeBackings recycles the backing arrays of folded wave deltas into
-	// later pushes: in the steady state (pulls folding waves as pushes land)
-	// a push costs zero backing allocations, and the recycled array is fully
-	// overwritten so it never needs re-zeroing.
+	// freeBackings recycles the backing arrays of folded wave deltas and of
+	// released snapshots into later pushes and folds: in the steady state
+	// (pulls folding waves as pushes land, the floor rising behind them) a
+	// push and a new clock cost zero backing allocations, and a recycled
+	// array is fully overwritten so it never needs re-zeroing.
 	freeBackings []tensor.Vector
 	// maxDistance is the largest max-min clock spread observed at any push.
 	maxDistance int
@@ -223,6 +239,9 @@ func (s *Server) exchange(push *Push, pull *SnapshotPull, sink vecSink) (int, er
 	if pull != nil && pull.Clock < 0 {
 		return 0, errNegativeClock(pull.Clock)
 	}
+	if pull != nil && pull.Clock < s.base {
+		return 0, errReleased(pull.Clock, s.base)
+	}
 	clock := 0
 	if push != nil {
 		if err := s.validatePushLocked(push); err != nil {
@@ -248,6 +267,12 @@ func (s *Server) exchange(push *Push, pull *SnapshotPull, sink vecSink) (int, er
 	if s.closed {
 		return 0, errClosed
 	}
+	// Checked again after the wait: a floor raised past a clock the caller
+	// had not yet reached is the caller's contract broken, answered with an
+	// error, never an index out of range.
+	if pull.Clock < s.base {
+		return 0, errReleased(pull.Clock, s.base)
+	}
 	snap := s.snapshotLocked(pull.Clock)
 	for i, key := range pull.Keys {
 		sp, ok := s.spans[key]
@@ -263,6 +288,10 @@ func (s *Server) exchange(push *Push, pull *SnapshotPull, sink vecSink) (int, er
 // errClosed is what a pull blocked on (or arriving at) a closed server gets.
 var errClosed = errors.New("ps: server closed")
 
+// ErrReleased is what a pull or a capture of a clock below a server's floor
+// gets (see Release); match with errors.Is, over TCP as in process.
+var ErrReleased = errors.New("ps: snapshot clock released")
+
 // The error constructors below keep fmt out of the annotated hot paths; they
 // only run when a request is rejected.
 
@@ -270,13 +299,18 @@ func errNegativeClock(c int) error {
 	return fmt.Errorf("ps: negative snapshot clock %d", c)
 }
 
+func errReleased(c, floor int) error {
+	return fmt.Errorf("%w: clock %d is below the server's floor %d", ErrReleased, c, floor)
+}
+
 func errUnregisteredPull(key string) error {
 	return fmt.Errorf("ps: pull of unregistered shard %q", key)
 }
 
-// takeBacking returns a length-n vector for a retained wave delta, reusing
-// a recycled backing when one is large enough. Callers overwrite every
-// element, so recycled arrays are handed back without zeroing.
+// takeBacking returns a length-n vector for a retained wave delta or a new
+// snapshot, reusing a recycled backing when one is large enough. Callers
+// overwrite every element, so recycled arrays are handed back without
+// zeroing.
 //
 //hetlint:hotpath
 func (s *Server) takeBacking(n int) tensor.Vector {
@@ -289,6 +323,17 @@ func (s *Server) takeBacking(n int) tensor.Vector {
 		}
 	}
 	return make(tensor.Vector, n)
+}
+
+// recycleLocked hands a vector the server is done with to later pushes and
+// folds. The pool is bounded: a steady-state wave frees one backing per
+// worker and one snapshot, and uses as many; beyond that GC takes them.
+//
+//hetlint:hotpath
+func (s *Server) recycleLocked(v tensor.Vector) {
+	if v != nil && len(s.freeBackings) <= len(s.clocks) {
+		s.freeBackings = append(s.freeBackings, v)
+	}
 }
 
 // validatePushLocked checks a push — worker index, keyset (interning a new
@@ -324,7 +369,9 @@ func (s *Server) validatePushLocked(p *Push) error {
 //hetlint:hotpath
 func (s *Server) commitPushLocked(p *Push) int {
 	w := p.Worker
-	wave := s.clocks[w]
+	// A worker's clock is at least the global clock, which is at least the
+	// newest snapshot's: its wave is never below deltaBase.
+	wave := s.clocks[w] - s.deltaBase
 	need := (wave + 1) * len(s.clocks)
 	for len(s.waveDeltas) < need {
 		s.waveDeltas = append(s.waveDeltas, waveUpdate{})
@@ -474,23 +521,26 @@ func (s *Server) unpackLocked(flat tensor.Vector) map[string]tensor.Vector {
 	return m
 }
 
-// snapshotLocked materializes (and retains) the clock-c weight snapshot. The
-// global clock must have reached c, so every wave < c is fully pushed — a
-// pull has just waited for exactly that, and Capture's cut is a global clock
-// already reached. Each new clock costs one clone of its predecessor; deltas
-// are folded in (wave, worker) order, never arrival order. It is the one
-// place a wave delta becomes weights.
+// snapshotLocked materializes (and retains) the clock-c weight snapshot, c
+// at or above the floor. The global clock must have reached c, so every wave
+// < c is fully pushed — a pull has just waited for exactly that, and
+// Capture's cut is a global clock already reached. Each new clock costs one
+// copy of its predecessor into a recycled vector; deltas are folded in
+// (wave, worker) order, never arrival order. It is the one place a wave
+// delta becomes weights.
 func (s *Server) snapshotLocked(c int) tensor.Vector {
 	if len(s.snapshots) == 0 {
 		s.fixLayoutLocked()
 		s.snapshots = append(s.snapshots, s.packLocked(s.initial))
 	}
-	for len(s.snapshots) <= c {
-		wave := len(s.snapshots) - 1
-		next := s.snapshots[wave].CloneFast()
-		base := wave * len(s.clocks)
-		for w := range s.clocks {
-			u := &s.waveDeltas[base+w]
+	workers := len(s.clocks)
+	folded := 0
+	for s.base+len(s.snapshots) <= c {
+		prev := s.snapshots[len(s.snapshots)-1]
+		next := s.takeBacking(len(prev))
+		copy(next, prev)
+		for i := range workers {
+			u := &s.waveDeltas[folded*workers+i]
 			off := 0
 			for _, k := range u.keys {
 				sp := s.spans[k]
@@ -498,18 +548,50 @@ func (s *Server) snapshotLocked(c int) tensor.Vector {
 				off += sp.n
 			}
 			// This fold is the only reader of the wave's per-worker deltas;
-			// drop them so a long run retains one snapshot per clock
-			// (O(clocks x weights)), not additionally O(workers) delta copies.
-			// The backing is recycled into later pushes (bounded by one
-			// spare per worker — beyond that GC takes them).
-			if u.backing != nil && len(s.freeBackings) < len(s.clocks) {
-				s.freeBackings = append(s.freeBackings, u.backing)
-			}
+			// their backings go to later pushes.
+			s.recycleLocked(u.backing)
 			*u = waveUpdate{}
 		}
+		folded++
 		s.snapshots = append(s.snapshots, next)
 	}
-	return s.snapshots[c]
+	if folded > 0 {
+		n := copy(s.waveDeltas, s.waveDeltas[folded*workers:])
+		clear(s.waveDeltas[n:])
+		s.waveDeltas = s.waveDeltas[:n]
+		s.deltaBase += folded
+	}
+	return s.snapshots[c-s.base]
+}
+
+// Release raises the server's floor to floor: its owner promises that no
+// pull or capture will ask for a clock below it again, and the snapshots
+// below it are recycled. The newest snapshot is kept whatever the floor, as
+// the base the next clock is folded from. A floor at or below the current
+// one changes nothing, so releases may arrive out of order. A pull or
+// capture below the floor fails with ErrReleased.
+func (s *Server) Release(floor int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	drop := min(floor, s.base+len(s.snapshots)-1) - s.base
+	if drop <= 0 {
+		return
+	}
+	for _, v := range s.snapshots[:drop] {
+		s.recycleLocked(v)
+	}
+	n := copy(s.snapshots, s.snapshots[drop:])
+	clear(s.snapshots[n:])
+	s.snapshots = s.snapshots[:n]
+	s.base += drop
+}
+
+// Retained reports how many clock snapshots the server holds: the window
+// from its floor to the newest clock materialized.
+func (s *Server) Retained() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.snapshots)
 }
 
 // Meta describes a server to its clients: the expected worker count and the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 
 	"hetpipe/internal/tensor"
@@ -518,6 +519,16 @@ func (c *Client) receive() error {
 	c.mu.Unlock()
 	if status == statusProtoErr {
 		return fmt.Errorf("ps: protocol error: %s", msg)
+	}
+	return appErr(msg)
+}
+
+// appErr rebuilds a server's application error from its text. The one
+// sentinel a caller acts on, ErrReleased, is restored from the text's prefix,
+// so errors.Is matches it over TCP as in process.
+func appErr(msg string) error {
+	if rest, ok := strings.CutPrefix(msg, ErrReleased.Error()); ok {
+		return fmt.Errorf("%w%s", ErrReleased, rest)
 	}
 	return errors.New(msg)
 }

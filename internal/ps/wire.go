@@ -94,7 +94,7 @@ const (
 // Response status codes.
 const (
 	statusOK       byte = 0
-	statusAppErr   byte = 1 // server-side application error (bad worker, unregistered shard, closed)
+	statusAppErr   byte = 1 // server-side application error (bad worker, unregistered shard, released clock, closed)
 	statusProtoErr byte = 2 // the peer violated the wire protocol; the connection closes after this frame
 )
 

@@ -112,6 +112,10 @@ func (w *Worker) Waves() int { return w.params.CompleteWaves(w.retired) }
 // Pulls is the number of snapshots pulled so far.
 func (w *Worker) Pulls() int { return w.pulls }
 
+// LastPulled is the clock of the newest snapshot pulled (0 before the first).
+// The program never pulls below it again: PullClock only names later clocks.
+func (w *Worker) LastPulled() int { return w.lastPulled }
+
 // Retained is the number of sealed deltas held: the waves at or above the last
 // pulled clock.
 func (w *Worker) Retained() int { return len(w.deltas) }
