@@ -35,12 +35,12 @@
 // Replay is also what bounds the servers' memory. A worker's floor is the
 // last clock pulled by the program it would restart from — its last
 // checkpoint if the fault plan can crash it, the live program otherwise —
-// and it never pulls below that again. Whenever the minimum floor over the
-// workers rises, the run releases every server below it (ps.Server.Release),
-// so a server keeps about D+2 clocks (plus the checkpoint cadence when a
-// worker can crash) instead of one per wave of the run. A run that may
-// replay from minibatch 1 keeps every clock (Config.KeepsEveryClock says
-// why).
+// and it never pulls below that again. The floors are a wsp.Clocks ledger:
+// whenever raising one lifts its minimum, the run releases every server
+// below it (ps.Server.Release), so a server keeps about D+2 clocks (plus the
+// checkpoint cadence when a worker can crash) instead of one per wave of the
+// run. A run that may replay from minibatch 1 keeps every clock
+// (Config.KeepsEveryClock says why).
 package cluster
 
 import (
@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -307,12 +306,12 @@ type run struct {
 	// ckptTick wakes the shard checkpointer; nil when no shard checkpoint is
 	// persisted at a cadence.
 	ckptTick chan struct{}
-	// floors[w] is worker w's floor, the lowest clock it may still pull, and
-	// released the run's floor the servers were last released below; both
-	// under floorMu. floors is nil when the run keeps every clock.
-	floorMu  sync.Mutex
-	floors   []int
-	released int
+	// floors is the ledger of the workers' floors — worker w's is the lowest
+	// clock it may still pull — whose global clock is the run's floor, the
+	// one the servers are released below; under floorMu. It has no workers
+	// when the run keeps every clock.
+	floorMu sync.Mutex
+	floors  wsp.Clocks
 }
 
 // bringUp stands a run's shards up — fresh from the task's initial weights,
@@ -379,7 +378,7 @@ func bringUp(cfg Config) (*run, error) {
 
 	r.stalls = fp.Cursor(-1)
 	if cfg.KeepsEveryClock() == "" {
-		r.floors = make([]int, cfg.Workers)
+		r.floors.Reset(cfg.Workers, 0, 0)
 	}
 	keys := r.space.Keys()
 	for _, vw := range r.workers {
@@ -609,19 +608,14 @@ func (r *run) saveServers() error {
 // Floors only rise, and nothing pulls below its own, so no pull in flight or
 // to come asks for a released clock.
 func (r *run) raiseFloor(id, c int) {
-	if r.floors == nil {
+	if r.floors.Workers() == 0 {
 		return
 	}
 	r.floorMu.Lock()
 	defer r.floorMu.Unlock()
-	if c <= r.floors[id] {
-		return
-	}
-	r.floors[id] = c
-	if low := slices.Min(r.floors); low > r.released {
-		r.released = low
+	if r.floors.Raise(id, c) {
 		for _, s := range r.servers {
-			s.Release(low)
+			s.Release(r.floors.GlobalClock())
 		}
 	}
 }

@@ -2,7 +2,10 @@
 // harness: time series (accuracy-over-time curves) and summaries.
 package metrics
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Point is one sample of a time series.
 type Point struct {
@@ -46,6 +49,14 @@ func (s Summary) String() string {
 // Spread reports Max-Min: the absolute imbalance across the summarized
 // values (e.g. the straggler gap between virtual-worker throughputs).
 func (s Summary) Spread() float64 { return s.Max - s.Min }
+
+// NearestRank returns the p-th percentile of ascending-sorted values by the
+// nearest-rank definition: the ceil(p/100*n)-th smallest value, clamped to
+// the first and last. Serving latencies and sweep throughputs both use it.
+func NearestRank(sorted []float64, p float64) float64 {
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
+}
 
 // Summarize computes a summary; empty input yields a zero Summary.
 func Summarize(vals []float64) Summary {

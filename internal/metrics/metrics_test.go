@@ -38,3 +38,19 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("empty summary = %+v", z)
 	}
 }
+
+func TestPercentileNearestRank(t *testing.T) {
+	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		p    float64
+		want float64
+	}{{50, 5}, {90, 9}, {99, 10}, {100, 10}, {1, 1}, {0, 1}}
+	for _, c := range cases {
+		if got := NearestRank(vals, c.p); got != c.want {
+			t.Errorf("NearestRank(%v) = %g, want %g", c.p, got, c.want)
+		}
+	}
+	if got := NearestRank([]float64{42}, 50); got != 42 {
+		t.Errorf("NearestRank of singleton = %g, want 42", got)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"hetpipe/internal/tensor"
 )
@@ -98,13 +99,10 @@ func (s *Server) cut(c int) (*ServerState, error) {
 	}
 	s.snapshotLocked(c)
 	st := &ServerState{
-		Clocks:      make([]int, len(s.clocks)),
-		MaxDistance: s.maxDistance,
+		Clocks:      slices.Repeat([]int{c}, s.clocks.Workers()),
+		MaxDistance: s.clocks.MaxClockDistance(),
 		Pushes:      s.pushes,
 		Pulls:       s.pulls,
-	}
-	for w := range st.Clocks {
-		st.Clocks[w] = c
 	}
 	for _, snap := range s.snapshots[:c+1] {
 		st.Snapshots = append(st.Snapshots, s.unpackLocked(snap))
@@ -163,8 +161,8 @@ func (ck *Checkpoint) Restore() ([]*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		copy(s.clocks, st.Clocks)
-		s.maxDistance, s.pushes, s.pulls = st.MaxDistance, st.Pushes, st.Pulls
+		s.clocks.Reset(len(st.Clocks), ck.Clock, st.MaxDistance)
+		s.pushes, s.pulls = st.Pushes, st.Pulls
 		// Nothing else can reach s yet. The layout comes from snapshot 0,
 		// which then becomes the server's own copy of the initial weights.
 		s.initial = st.Snapshots[0]

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -140,6 +143,86 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 					t.Fatalf("post-resume shard %q coord %d: %v vs %v", key, k, a[key][k], b[key][k])
 				}
 			}
+		}
+	}
+}
+
+// TestRestoredClocksContinueFromCut cuts a server whose workers are up to
+// D+1 waves apart, restores it, replays each worker up to where the
+// uninterrupted server had it, and then pushes the same waves into both:
+// GlobalClock and MaxClockDistance must agree right after the restore and
+// after every push. A restored server starts every worker at the cut, so
+// this is the clock ledger's restore path (the cut, the carried maximum
+// distance, the workers at the minimum).
+func TestRestoredClocksContinueFromCut(t *testing.T) {
+	const workers, d, waves = 3, 1, 12
+	rng := rand.New(rand.NewSource(7))
+	// A random WSP push order: a worker may push only while it is at most
+	// D+1 waves ahead of the slowest once it has.
+	var order []int
+	clocks := make([]int, workers)
+	for len(order) < workers*waves {
+		w := rng.Intn(workers)
+		if clocks[w] == waves || clocks[w]+1-slices.Min(clocks) > d+1 {
+			continue
+		}
+		order = append(order, w)
+		clocks[w]++
+	}
+	push := func(s *Server, w int) {
+		t.Helper()
+		if _, err := pushMap(s, w, map[string]tensor.Vector{"k": {float64(w)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cutAt := 1; cutAt < len(order); cutAt++ {
+		twin, err := NewServer(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Register("k", []float64{0}); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range order[:cutAt] {
+			push(twin, w)
+		}
+		ck, err := Capture([]*Server{twin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := ck.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := restored[0]
+		same := func(when string) {
+			t.Helper()
+			if r.GlobalClock() != twin.GlobalClock() || r.MaxClockDistance() != twin.MaxClockDistance() {
+				t.Fatalf("cut after push %d, %s: restored global clock %d, max distance %d; twin %d, %d",
+					cutAt, when, r.GlobalClock(), r.MaxClockDistance(), twin.GlobalClock(), twin.MaxClockDistance())
+			}
+		}
+		same("restored")
+		// The replay: every worker re-pushes its waves from the cut up to the
+		// twin's clock for it.
+		ahead := make([]int, workers)
+		for _, w := range order[:cutAt] {
+			ahead[w]++
+		}
+		for w := range workers {
+			for c := ck.Clock; c < ahead[w]; c++ {
+				push(r, w)
+				same(fmt.Sprintf("replaying worker %d's wave %d", w, c))
+			}
+		}
+		for i, w := range order[cutAt:] {
+			push(twin, w)
+			push(r, w)
+			same(fmt.Sprintf("push %d after the cut", i))
+		}
+		if twin.GlobalClock() != waves || twin.MaxClockDistance() != d+1 {
+			t.Fatalf("twin ended at global clock %d, max distance %d; want %d, %d",
+				twin.GlobalClock(), twin.MaxClockDistance(), waves, d+1)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package ps
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Placement maps shard keys to parameter-server indices. The paper places
 // model layers over the per-node parameter servers either round-robin (the
@@ -51,7 +54,8 @@ func (p *Placement) ServerOf(key string) (int, error) {
 // Servers reports the server count.
 func (p *Placement) Servers() int { return p.servers }
 
-// KeysOn lists the keys held by one server.
+// KeysOn lists the keys held by one server, sorted, so whatever walks them
+// (registration, a restore's first-mismatch error) does so in one order.
 func (p *Placement) KeysOn(server int) []string {
 	var out []string
 	for k, s := range p.assign {
@@ -59,5 +63,6 @@ func (p *Placement) KeysOn(server int) []string {
 			out = append(out, k)
 		}
 	}
+	slices.Sort(out)
 	return out
 }

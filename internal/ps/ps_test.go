@@ -3,6 +3,7 @@ package ps
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -236,6 +237,31 @@ func TestRoundRobinPlacement(t *testing.T) {
 	}
 	if _, err := p.ServerOf("zzz"); err == nil {
 		t.Error("unplaced key accepted")
+	}
+}
+
+// TestKeysOnIsSorted pins KeysOn's order: sorted, and the same on every call.
+// In map-iteration order, errors naming the first mismatching shard would
+// name a different one from run to run.
+func TestKeysOnIsSorted(t *testing.T) {
+	var keys []string
+	for i := range 40 {
+		keys = append(keys, fmt.Sprintf("chunk%04d", (i*17)%40))
+	}
+	p, err := RoundRobin(keys, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for srv := range 3 {
+		first := p.KeysOn(srv)
+		if !sort.StringsAreSorted(first) {
+			t.Errorf("server %d: KeysOn = %v, not sorted", srv, first)
+		}
+		for range 20 {
+			if again := p.KeysOn(srv); !slices.Equal(again, first) {
+				t.Fatalf("server %d: KeysOn changed between calls: %v then %v", srv, first, again)
+			}
+		}
 	}
 }
 

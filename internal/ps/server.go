@@ -4,7 +4,9 @@
 //
 // Each virtual worker pushes one aggregated update per wave (Section 5); the
 // server applies updates to the global weights and advances the global clock
-// cglobal to c+1 once every worker has pushed wave c. Pulls may specify a
+// cglobal to c+1 once every worker has pushed wave c. A server's clocks — each
+// worker's pushed-wave count, the global clock, the largest clock distance —
+// are a wsp.Clocks ledger held under its lock. Pulls may specify a
 // minimum global clock and block until the server reaches it — that is the
 // D-bound wait, which the caller overlaps with pipelined execution.
 //
@@ -47,6 +49,7 @@ import (
 	"sync/atomic"
 
 	"hetpipe/internal/tensor"
+	"hetpipe/internal/wsp"
 )
 
 // waveUpdate is one worker's retained aggregated update for one wave: the
@@ -115,7 +118,9 @@ type Server struct {
 	// its keys and lengths are the shard layout every request is checked
 	// against.
 	initial map[string]tensor.Vector
-	clocks  []int // clocks[w] = waves pushed by worker w
+	// clocks holds each worker's pushed-wave count, the global clock and
+	// the largest clock distance observed at any push.
+	clocks wsp.Clocks
 	// waveDeltas[(v-deltaBase)*W+w] is worker w's aggregated update of wave
 	// v (zero until pushed), stored flat so pushing a new wave costs
 	// amortized-zero bookkeeping allocations. deltaBase is the newest
@@ -148,10 +153,8 @@ type Server struct {
 	// push and a new clock cost zero backing allocations, and a recycled
 	// array is fully overwritten so it never needs re-zeroing.
 	freeBackings []tensor.Vector
-	// maxDistance is the largest max-min clock spread observed at any push.
-	maxDistance int
-	pushes      uint64
-	pulls       uint64
+	pushes       uint64
+	pulls        uint64
 	// frames counts the request frames the TCP transport has served — the
 	// round trips of the run, where pushes and pulls count logical operations
 	// (a fused wave frame is one of each). Atomic for the same reason as
@@ -169,10 +172,8 @@ func NewServer(n int) (*Server, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("ps: need at least one worker, got %d", n)
 	}
-	s := &Server{
-		initial: make(map[string]tensor.Vector),
-		clocks:  make([]int, n),
-	}
+	s := &Server{initial: make(map[string]tensor.Vector)}
+	s.clocks.Reset(n, 0, 0)
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -261,7 +262,7 @@ func (s *Server) exchange(push *Push, pull *SnapshotPull, sink vecSink) (int, er
 	if pull == nil {
 		return clock, nil
 	}
-	for s.globalLocked() < pull.Clock && !s.closed {
+	for s.clocks.GlobalClock() < pull.Clock && !s.closed {
 		s.cond.Wait()
 	}
 	if s.closed {
@@ -331,7 +332,7 @@ func (s *Server) takeBacking(n int) tensor.Vector {
 //
 //hetlint:hotpath
 func (s *Server) recycleLocked(v tensor.Vector) {
-	if v != nil && len(s.freeBackings) <= len(s.clocks) {
+	if v != nil && len(s.freeBackings) <= s.clocks.Workers() {
 		s.freeBackings = append(s.freeBackings, v)
 	}
 }
@@ -343,8 +344,8 @@ func (s *Server) validatePushLocked(p *Push) error {
 	if len(p.Keys) != len(p.Vecs) {
 		return fmt.Errorf("ps: %d keys for %d vectors", len(p.Keys), len(p.Vecs))
 	}
-	if p.Worker < 0 || p.Worker >= len(s.clocks) {
-		return fmt.Errorf("ps: worker %d out of range [0,%d)", p.Worker, len(s.clocks))
+	if p.Worker < 0 || p.Worker >= s.clocks.Workers() {
+		return fmt.Errorf("ps: worker %d out of range [0,%d)", p.Worker, s.clocks.Workers())
 	}
 	if !keysEqual(s.internedKeys, p.Keys) {
 		if err := s.internPushKeys(p.Keys); err != nil {
@@ -371,25 +372,23 @@ func (s *Server) commitPushLocked(p *Push) int {
 	w := p.Worker
 	// A worker's clock is at least the global clock, which is at least the
 	// newest snapshot's: its wave is never below deltaBase.
-	wave := s.clocks[w] - s.deltaBase
-	need := (wave + 1) * len(s.clocks)
+	workers := s.clocks.Workers()
+	wave := s.clocks.Clock(w) - s.deltaBase
+	need := (wave + 1) * workers
 	for len(s.waveDeltas) < need {
 		s.waveDeltas = append(s.waveDeltas, waveUpdate{})
 	}
-	u := &s.waveDeltas[wave*len(s.clocks)+w]
+	u := &s.waveDeltas[wave*workers+w]
 	u.keys = s.internedKeys
 	u.backing = s.takeBacking(s.internedTotal)
 	off := 0
 	for _, v := range p.Vecs {
 		off += copy(u.backing[off:], v)
 	}
-	s.clocks[w]++
-	if d := s.distanceLocked(); d > s.maxDistance {
-		s.maxDistance = d
-	}
+	clock := s.clocks.Push(w)
 	s.pushes++
 	s.cond.Broadcast()
-	return s.clocks[w]
+	return clock
 }
 
 //hetlint:hotpath
@@ -431,44 +430,21 @@ func (s *Server) internPushKeys(keys []string) error {
 	return nil
 }
 
-func (s *Server) distanceLocked() int {
-	min, max := s.clocks[0], s.clocks[0]
-	for _, c := range s.clocks[1:] {
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-	}
-	return max - min
-}
-
 // MaxClockDistance reports the largest max-min clock spread across workers
-// observed at any push — the live counterpart of the WSP coordinator's
-// distance tracking, used to check the D+1 bound. It and GlobalClock are read
+// observed at any push — the same ledger the WSP coordinator keeps, used to
+// check the D+1 bound. It and GlobalClock are read
 // in process only; the wire has no query for either.
 func (s *Server) MaxClockDistance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maxDistance
+	return s.clocks.MaxClockDistance()
 }
 
 // GlobalClock reports min over workers of pushed waves.
 func (s *Server) GlobalClock() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.globalLocked()
-}
-
-func (s *Server) globalLocked() int {
-	min := s.clocks[0]
-	for _, c := range s.clocks[1:] {
-		if c < min {
-			min = c
-		}
-	}
-	return min
+	return s.clocks.GlobalClock()
 }
 
 // PullAtInto copies the requested shards as of global-clock boundary
@@ -533,7 +509,7 @@ func (s *Server) snapshotLocked(c int) tensor.Vector {
 		s.fixLayoutLocked()
 		s.snapshots = append(s.snapshots, s.packLocked(s.initial))
 	}
-	workers := len(s.clocks)
+	workers := s.clocks.Workers()
 	folded := 0
 	for s.base+len(s.snapshots) <= c {
 		prev := s.snapshots[len(s.snapshots)-1]
@@ -606,7 +582,7 @@ type Meta struct {
 func (s *Server) Meta() (Meta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := Meta{Workers: len(s.clocks), Dims: make(map[string]int, len(s.initial))}
+	m := Meta{Workers: s.clocks.Workers(), Dims: make(map[string]int, len(s.initial))}
 	for k, v := range s.initial {
 		m.Dims[k] = len(v)
 	}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"hetpipe/internal/metrics"
 )
 
 // LatencySummary condenses a latency population into the serving headline
 // numbers. Percentiles use the nearest-rank method on the sorted population
-// (the same definition internal/sweep's streaming summaries use), so two
+// (metrics.NearestRank, as internal/sweep's streaming summaries do), so two
 // summaries over the same population are byte-identical however they were
 // accumulated.
 type LatencySummary struct {
@@ -144,23 +146,9 @@ func summarize(lat []float64) LatencySummary {
 	return LatencySummary{
 		Count: len(lat),
 		Mean:  sum / float64(len(lat)),
-		P50:   nearestRank(lat, 50),
-		P95:   nearestRank(lat, 95),
-		P99:   nearestRank(lat, 99),
+		P50:   metrics.NearestRank(lat, 50),
+		P95:   metrics.NearestRank(lat, 95),
+		P99:   metrics.NearestRank(lat, 99),
 		Max:   lat[len(lat)-1],
 	}
-}
-
-// nearestRank returns the p-th percentile of the sorted slice by the
-// nearest-rank definition — the ceil(p/100*n)-th smallest value, matching
-// internal/sweep's streaming percentile.
-func nearestRank(sorted []float64, p float64) float64 {
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }

@@ -429,16 +429,30 @@ func (e *Engine) Run() error {
 	return e.RunContext(context.Background())
 }
 
-// stepLimitErr reports the step limit exceeded at the current clock.
-func (e *Engine) stepLimitErr() error {
-	return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxStep, e.now)
+// ctxCheckInterval is how many fired events elapse between context polls in
+// RunMerged. Polling a Done channel costs a select per check; amortizing it
+// over a batch of events keeps the hot loop tight while still bounding
+// cancellation latency to a fraction of a millisecond of real time.
+const ctxCheckInterval = 256
+
+// pollDue reports whether the run loop must look at the step limit or the
+// context after the event that has just fired.
+func (e *Engine) pollDue(done <-chan struct{}) bool {
+	return e.maxStep > 0 && e.fired > e.maxStep || done != nil && e.fired%ctxCheckInterval == 0
 }
 
-// ctxCheckInterval is how many fired events elapse between context polls in
-// RunContext and RunMerged. Polling a Done channel costs a select per check;
-// amortizing it over a batch of events keeps the hot loop tight while still
-// bounding cancellation latency to a fraction of a millisecond of real time.
-const ctxCheckInterval = 256
+// poll stops a run past its step limit or with its context cancelled.
+func (e *Engine) poll(ctx context.Context, done <-chan struct{}) error {
+	if e.maxStep > 0 && e.fired > e.maxStep {
+		return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxStep, e.now)
+	}
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
 
 // RunContext fires events until the queue drains or ctx is cancelled,
 // whichever comes first. On cancellation it stops between events (an event
@@ -446,32 +460,12 @@ const ctxCheckInterval = 256
 // caller can distinguish context.Canceled / context.DeadlineExceeded from
 // simulation failures. The step-limit error behaves as in Run.
 func (e *Engine) RunContext(ctx context.Context) error {
-	done := ctx.Done()
-	if done != nil {
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-	}
-	for e.Step() {
-		if e.maxStep > 0 && e.fired > e.maxStep {
-			return e.stepLimitErr()
-		}
-		if done != nil && e.fired%ctxCheckInterval == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-	}
-	return nil
+	return e.RunMerged(ctx, 0, nil, nil)
 }
 
 // RunMerged is RunContext with one caller-owned stream of n events merged
-// into the run instead of queued (its own loop, so that runs with no stream
-// pay nothing for the merge): at(i) are the stream's non-decreasing
+// into the run instead of queued; with n = 0 it is RunContext, and the whole
+// run is one stepBefore loop. at(i) are the stream's non-decreasing
 // timestamps, all known before the run starts, and fire(i) runs with the
 // clock at at(i). The stream orders against the queue exactly as if event 0
 // had been scheduled with AtID on entry and every fire(i) had ended by
@@ -500,29 +494,42 @@ func (e *Engine) RunMerged(ctx context.Context, n int, at func(i int) Time, fire
 		next = entry{at: at(0), seq: e.seq}
 	}
 	for {
-		if i < n && !(e.prune() && less(e.ring[e.hd], next)) {
-			if next.at < e.now {
-				panic("sim: merged stream went backwards")
-			}
-			e.now = next.at
-			e.fired++
-			fire(i)
-			if i++; i < n {
-				e.seq++
-				next = entry{at: at(i), seq: e.seq}
-			}
-		} else if !e.Step() {
-			return nil
+		if more, err := e.stepBefore(ctx, done, next, i == n); !more || err != nil {
+			return err
 		}
-		if e.maxStep > 0 && e.fired > e.maxStep {
-			return e.stepLimitErr()
+		if next.at < e.now {
+			panic("sim: merged stream went backwards")
 		}
-		if done != nil && e.fired%ctxCheckInterval == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
+		e.now = next.at
+		e.fired++
+		fire(i)
+		if i++; i < n {
+			e.seq++
+			next = entry{at: at(i), seq: e.seq}
+		}
+		if e.pollDue(done) {
+			if err := e.poll(ctx, done); err != nil {
+				return err
 			}
 		}
 	}
+}
+
+// stepBefore fires the queued events that order before head — every one
+// left when all — and reports whether the run goes on: false when the queue
+// drained or the run stopped with an error.
+//
+//hetlint:hotpath
+func (e *Engine) stepBefore(ctx context.Context, done <-chan struct{}, head entry, all bool) (bool, error) {
+	for all || e.prune() && less(e.ring[e.hd], head) {
+		if !e.Step() {
+			return false, nil
+		}
+		if e.pollDue(done) {
+			if err := e.poll(ctx, done); err != nil {
+				return false, err
+			}
+		}
+	}
+	return true, nil
 }

@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sort"
+
+	"hetpipe/internal/metrics"
 )
 
 // ThroughputStats is the throughput distribution over a sweep's successful
@@ -143,7 +144,7 @@ func summarizeStream(scenarios []Scenario, thr []float64, failed []bool) *Stream
 		sort.Float64s(ok)
 		out.Throughput = ThroughputStats{
 			N: n, Min: ok[0], Max: ok[n-1], Mean: sum / float64(n),
-			P50: percentile(ok, 50), P90: percentile(ok, 90), P99: percentile(ok, 99),
+			P50: metrics.NearestRank(ok, 50), P90: metrics.NearestRank(ok, 90), P99: metrics.NearestRank(ok, 99),
 		}
 	}
 	sort.SliceStable(out.Pairs, func(i, j int) bool {
@@ -157,16 +158,6 @@ func summarizeStream(scenarios []Scenario, thr []float64, failed []bool) *Stream
 		return ti > tj
 	})
 	return out
-}
-
-// percentile returns the nearest-rank p-th percentile of ascending-sorted
-// values.
-func percentile(sorted []float64, p float64) float64 {
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // WriteStreamSummary renders the streaming summary as a text table: overall

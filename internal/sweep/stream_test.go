@@ -78,22 +78,6 @@ func TestStreamParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestPercentileNearestRank(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		p    float64
-		want float64
-	}{{50, 5}, {90, 9}, {99, 10}, {100, 10}, {1, 1}}
-	for _, c := range cases {
-		if got := percentile(vals, c.p); got != c.want {
-			t.Errorf("percentile(%v) = %g, want %g", c.p, got, c.want)
-		}
-	}
-	if got := percentile([]float64{42}, 50); got != 42 {
-		t.Errorf("percentile of singleton = %g, want 42", got)
-	}
-}
-
 // scaleGrid expands to exactly 100,000 cells: one cheap family (alexnet on
 // the mini cluster) swept across a wide fault axis and two D values, so every
 // cell reuses the single resolved deployment and only the discrete-event

@@ -130,8 +130,8 @@ type Numerics struct {
 	prefix []tensor.Vector
 	// global takes pushes in arrival order — what an evaluation sees.
 	global tensor.Vector
-	// pushed[w] is the number of worker w's waves that have arrived.
-	pushed []int
+	// clocks counts each worker's waves that have arrived.
+	clocks wsp.Clocks
 	eval   evaluator
 	now    float64
 }
@@ -149,7 +149,8 @@ func NewNumerics(cfg WSPConfig) (*Numerics, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Numerics{cfg: cfg, workers: make([]*Worker, cfg.Workers), pushed: make([]int, cfg.Workers)}
+	n := &Numerics{cfg: cfg, workers: make([]*Worker, cfg.Workers)}
+	n.clocks.Reset(cfg.Workers, 0, 0)
 	for w := range n.workers {
 		var err error
 		if n.workers[w], err = NewWorker(cfg.Task, w, params, cfg.LR); err != nil {
@@ -205,13 +206,8 @@ func (n *Numerics) push(w, wave int) {
 		n.step(w)
 	}
 	n.global.AddInPlace(wk.Delta(wave))
-	n.pushed[w]++
+	n.clocks.Push(w)
 	n.eval.stats.Pushes++
-	lo, hi := n.pushed[0], n.pushed[0]
-	for _, p := range n.pushed[1:] {
-		lo, hi = min(lo, p), max(hi, p)
-	}
-	n.eval.stats.MaxClockDistance = max(n.eval.stats.MaxClockDistance, hi-lo)
 }
 
 // completed counts one minibatch completion at time t, evaluates every
@@ -246,6 +242,7 @@ func (n *Numerics) Observe(e obs.Event) (reached bool) {
 func (n *Numerics) Finish() *RunStats {
 	stats := n.eval.stats
 	n.eval.finish(n.now, n.global)
+	stats.MaxClockDistance = n.clocks.MaxClockDistance()
 	// FinalWeights carries the same pushed-update set as global, but folded
 	// in (wave, worker) order — the order the parameter servers' snapshots
 	// use — so the value is bit-stable across drivers and directly comparable
@@ -254,7 +251,7 @@ func (n *Numerics) Finish() *RunStats {
 	for v := len(n.prefix) - 1; ; v++ {
 		pushed := false
 		for w, wk := range n.workers {
-			if v < n.pushed[w] {
+			if v < n.clocks.Clock(w) {
 				final.AddInPlace(wk.Delta(v))
 				pushed = true
 			}
@@ -285,8 +282,8 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 	for mb := 1; mb <= cfg.MaxMinibatches; mb++ {
 		for w, wk := range n.workers {
 			n.step(w)
-			for n.pushed[w] < wk.Waves() {
-				n.push(w, n.pushed[w])
+			for n.clocks.Clock(w) < wk.Waves() {
+				n.push(w, n.clocks.Clock(w))
 			}
 			if n.completed(float64(n.eval.stats.Minibatches + 1)) {
 				return n.Finish(), nil

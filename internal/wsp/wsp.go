@@ -19,7 +19,12 @@
 // The package is a pure protocol state machine: the discrete-event
 // co-simulation (internal/core) drives its Coordinator, the numeric worker
 // program (internal/train) and the live runtime (internal/cluster) compute
-// with its Params, so protocol invariants are tested once, here.
+// with its Params. Clocks is the one ledger of per-worker clocks: the
+// global clock (their minimum) and the clock distance (their max − min,
+// bounded by D+1) are computed there and nowhere else — by the Coordinator,
+// the parameter servers (internal/ps), the timing-free numerics
+// (internal/train) and the live runtime's retention floors — so protocol
+// invariants are tested once, here.
 package wsp
 
 import "fmt"
@@ -107,17 +112,15 @@ func (p Params) GatedPulls(maxMB int) int {
 	return n
 }
 
-// Coordinator tracks per-worker wave progress and the global clock, and
-// answers gate queries. It enforces the protocol ordering rules and panics
-// on out-of-order pushes, which are always caller bugs.
+// Coordinator is the WSP protocol state machine: a Clocks ledger of the
+// workers' pushed-wave counts (its GlobalClock, Clock and MaxClockDistance
+// are the ledger's) plus the protocol ordering rules, which it enforces by
+// panicking on out-of-order starts and pushes — always caller bugs.
 type Coordinator struct {
+	Clocks
 	params Params
-	// pushed[w] is the number of waves worker w has pushed (its clock).
-	pushed []int
 	// started[w] is the highest minibatch worker w has started.
 	started []int
-	// maxDistance records the largest observed clock distance.
-	maxDistance int
 }
 
 // NewCoordinator validates p and returns a fresh coordinator.
@@ -135,32 +138,14 @@ func (c *Coordinator) Reset(p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	c.params, c.maxDistance = p, 0
-	c.pushed = append(c.pushed[:0], make([]int, p.Workers)...)
+	c.params = p
+	c.Clocks.Reset(p.Workers, 0, 0)
 	c.started = append(c.started[:0], make([]int, p.Workers)...)
 	return nil
 }
 
 // Params returns the configuration.
 func (c *Coordinator) Params() Params { return c.params }
-
-// GlobalClock is the parameter server's clock: the minimum pushed-wave count
-// across workers.
-func (c *Coordinator) GlobalClock() int {
-	min := c.pushed[0]
-	for _, p := range c.pushed[1:] {
-		if p < min {
-			min = p
-		}
-	}
-	return min
-}
-
-// Clock reports worker w's local clock (waves pushed).
-func (c *Coordinator) Clock(w int) int { return c.pushed[w] }
-
-// MaxClockDistance reports the largest clock distance observed so far.
-func (c *Coordinator) MaxClockDistance() int { return c.maxDistance }
 
 // CanStart reports whether worker w may start minibatch mb now. Minibatches
 // must be started in order; gating applies only to wave-end minibatches.
@@ -186,27 +171,10 @@ func (c *Coordinator) Start(w, mb int) {
 // and returns the worker's new clock. Pushing wave c requires having started
 // (and by protocol completed) all its minibatches.
 func (c *Coordinator) Push(w int) int {
-	wave := c.pushed[w] // the wave being pushed
+	wave := c.Clock(w) // the wave being pushed
 	lastMB := (wave + 1) * c.params.WaveSize()
 	if c.started[w] < lastMB {
 		panic(fmt.Sprintf("wsp: worker %d pushing wave %d before starting minibatch %d", w, wave, lastMB))
 	}
-	c.pushed[w]++
-	if d := c.distance(); d > c.maxDistance {
-		c.maxDistance = d
-	}
-	return c.pushed[w]
-}
-
-func (c *Coordinator) distance() int {
-	min, max := c.pushed[0], c.pushed[0]
-	for _, p := range c.pushed[1:] {
-		if p < min {
-			min = p
-		}
-		if p > max {
-			max = p
-		}
-	}
-	return max - min
+	return c.Clocks.Push(w)
 }
