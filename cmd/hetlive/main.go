@@ -116,15 +116,11 @@ func main() {
 		return
 	}
 
-	var task train.Task
-	switch *taskName {
-	case "logreg":
-		task, err = train.DefaultTask(*seed)
-	case "mlp":
-		task, err = train.DefaultMLPTask(*seed)
-	default:
-		err = fmt.Errorf("unknown task %q (want logreg or mlp)", *taskName)
+	build, ok := train.TaskNamed(*taskName)
+	if !ok {
+		fatalf("unknown task %q (want logreg or mlp)", *taskName)
 	}
+	task, err := build(*seed)
 	if err != nil {
 		fatalf("%v", err)
 	}

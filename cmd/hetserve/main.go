@@ -17,9 +17,11 @@
 //	hetserve -traffic poisson:r60:n500 -trace             # per-request lifecycle
 //	hetserve -traffic poisson:r160:n2000000 -cpuprofile serve.prof
 //
-// The traffic grammar (internal/serve) is seedable with :seed<N> and classed
-// with :crit<f>: "poisson:r<rate>:n<N>", "diurnal:r<rate>:a<amp>:p<period>:n<N>",
-// "bursty:r<rate>:x<factor>:on<s>:off<s>:n<N>", "closed:u<users>:t<think>:n<N>".
+// The traffic grammar (internal/serve; hetsweep -list prints it) is seedable
+// with :seed<k> and classed with :crit<f>: "poisson:r<rate>:n<count>",
+// "diurnal:r<rate>:a<amp>:p<period>:n<count>",
+// "bursty:r<rate>:x<factor>:on<sec>:off<sec>:n<count>",
+// "closed:u<users>:t<think>:n<count>".
 // Runs are deterministic: the same flags reproduce byte-identical output.
 // In -rates mode the spec's rate is re-bound per point (open-loop kinds
 // only) on one warm engine, tracing the saturation knee directly.

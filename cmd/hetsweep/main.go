@@ -49,10 +49,12 @@ import (
 	"strconv"
 	"strings"
 
+	"hetpipe/internal/fault"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
 	"hetpipe/internal/prof"
 	"hetpipe/internal/sched"
+	"hetpipe/internal/serve"
 	"hetpipe/internal/sweep"
 )
 
@@ -102,16 +104,13 @@ func main() {
 			fmt.Printf("  %-16s %s\n", n, s.Description())
 		}
 		fmt.Println("fault clauses (combine with commas inside one spec):")
-		fmt.Println("  slow:w<N>:x<f>[:mb<a>-<b>]   straggler slowdown")
-		fmt.Println("  crash:w<N>:mb<M>[:down<s>]   crash + checkpoint recovery")
-		fmt.Println("  stall:s<S>:c<C>:<seconds>    PS shard stall at a clock advance")
-		fmt.Println("  link:w<N>:x<f>               degraded PS link")
-		fmt.Println("  rand:<rate>[:seed<N>]        seeded random straggler population")
-		fmt.Println("traffic specs (serving axis; all seedable with :seed<N>, classed with :crit<f>):")
-		fmt.Println("  poisson:r<rate>:n<N>                  open-loop Poisson arrivals")
-		fmt.Println("  diurnal:r<rate>:a<amp>:p<period>:n<N> sinusoidally modulated rate")
-		fmt.Println("  bursty:r<rate>:x<factor>:on<s>:off<s>:n<N>  on/off burst windows")
-		fmt.Println("  closed:u<users>:t<think>:n<N>         closed-loop think-time users")
+		for _, u := range fault.Usage() {
+			fmt.Println("  " + u)
+		}
+		fmt.Println("traffic specs (serving axis):")
+		for _, u := range serve.TrafficUsage() {
+			fmt.Println("  " + u)
+		}
 		return
 	}
 

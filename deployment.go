@@ -49,9 +49,7 @@ func New(opts ...Option) (*Deployment, error) {
 			opt(&set)
 		}
 	}
-	switch set.task {
-	case "logreg", "mlp":
-	default:
+	if _, ok := train.TaskNamed(set.task); !ok {
 		return nil, fmt.Errorf("%w %q (want logreg or mlp)", ErrUnknownTask, set.task)
 	}
 	if set.minibatches < 0 {
@@ -194,12 +192,8 @@ func (d *Deployment) Simulate(ctx context.Context) (*Result, error) {
 // Task names are validated in New, so an error here is a task-construction
 // failure, not a lookup failure.
 func (d *Deployment) newTask() (train.Task, error) {
-	switch d.set.task {
-	case "mlp":
-		return train.DefaultMLPTask(d.set.seed)
-	default:
-		return train.DefaultTask(d.set.seed)
-	}
+	build, _ := train.TaskNamed(d.set.task)
+	return build(d.set.seed)
 }
 
 // Train executes the deployment's WSP schedule on the live sharded

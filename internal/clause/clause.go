@@ -68,7 +68,7 @@ func (r Row) Parse(fields []string) error {
 		req++
 	}
 	if len(fields) < req {
-		return fmt.Errorf("want %s", r.usage())
+		return fmt.Errorf("want %s", r.Usage())
 	}
 	for i := range r.fields[req:] {
 		r.fields[req+i].set(r.fields[req+i].def)
@@ -86,7 +86,7 @@ func (r Row) Parse(fields []string) error {
 		}
 		switch {
 		case i == len(r.fields):
-			return fmt.Errorf("unknown field %q: want %s", s, r.usage())
+			return fmt.Errorf("unknown field %q: want %s", s, r.Usage())
 		case seen&(1<<i) != 0:
 			return fmt.Errorf("%q repeats %s, which may appear once", s, r.fields[i].spec)
 		}
@@ -111,8 +111,8 @@ func (r Row) String() string {
 	return string(b)
 }
 
-// usage is the clause's grammar, e.g. "slow:w<N>:x<factor>[:mb<from>-<to>]".
-func (r Row) usage() string {
+// Usage is the clause's grammar, e.g. "slow:w<N>:x<factor>[:mb<from>-<to>]".
+func (r Row) Usage() string {
 	b := []byte(r.name)
 	for _, f := range r.fields {
 		if f.optional {

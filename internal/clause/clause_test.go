@@ -20,7 +20,7 @@ func (s *span) row() Row {
 
 func TestRowParsePrintUsage(t *testing.T) {
 	var s span
-	if got, want := s.row().usage(), "span:n<N>:<rate>[:mb<from>-<to>][:seed<k>][:x<f>]"; got != want {
+	if got, want := s.row().Usage(), "span:n<N>:<rate>[:mb<from>-<to>][:seed<k>][:x<f>]"; got != want {
 		t.Errorf("usage = %q, want %q", got, want)
 	}
 	for _, tc := range []struct{ in, canon string }{

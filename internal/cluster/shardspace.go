@@ -11,7 +11,6 @@ import (
 // layers over per-node servers; for the numeric tasks the "layers" are
 // equal slices of the weight vector.
 type shardSpace struct {
-	dim    int
 	keys   []string
 	ranges [][2]int // [lo, hi) per key
 }
@@ -27,7 +26,7 @@ func newShardSpace(dim, chunks int) (*shardSpace, error) {
 	if chunks > dim {
 		chunks = dim
 	}
-	s := &shardSpace{dim: dim}
+	s := &shardSpace{}
 	size := (dim + chunks - 1) / chunks
 	for lo := 0; lo < dim; lo += size {
 		hi := lo + size

@@ -8,16 +8,16 @@
 // It also provides the Horovod (all-reduce BSP) baseline the paper compares
 // against.
 //
-// Planning a deployment makes each distinct piece of work once. Deploy,
-// ChooseNm and SoloVW each open one planning context (planning.go): one
-// partitioner, one warm engine and Runner for the solo simulations, and a memo
-// keyed by (virtual-worker class, Nm), where a class is the sequence of GPU
-// types and link kinds around the worker — all a plan and its solo run depend
-// on. Workers of one class share one partition and one simulation per Nm, and
-// the per-worker pass after the Nm search is all memo hits; every worker
-// still receives a plan of its own, bound to its own GPUs. The only state
-// that outlives a context is the System's immutable cost tables and the
-// engine and Runner, which the next context on the System reuses.
+// Planning a deployment makes each distinct piece of work once. Deploy and
+// SoloVW each open one planning context (planning.go): one partitioner, one
+// warm engine and Runner for the solo simulations, and a memo keyed by
+// (virtual-worker class, Nm), where a class is the sequence of GPU types and
+// link kinds around the worker — all a plan and its solo run depend on.
+// Workers of one class share one partition and one simulation per Nm, and the
+// per-worker pass after the Nm search is all memo hits; every worker still
+// receives a plan of its own, bound to its own GPUs. The only state that
+// outlives a context is the System's immutable cost tables and the engine and
+// Runner, which the next context on the System reuses.
 //
 // The Nm search does only the planning its answer needs. It finds each
 // class's feasible range by planning Nm = 1, 2, ... up to the first that does
@@ -98,10 +98,9 @@ type System struct {
 	kits  []*soloKit
 }
 
-// NewSystem validates and bundles the ingredients, under the default
-// hetpipe-fifo schedule; assign Schedule (or use NewSystemSched) to deploy
-// another discipline.
-func NewSystem(c *hw.Cluster, m *model.Model, perf *profile.Perf, batch int) (*System, error) {
+// NewSystemSched validates and bundles the ingredients under pipeline
+// schedule s; nil means the default hetpipe-fifo.
+func NewSystemSched(c *hw.Cluster, m *model.Model, perf *profile.Perf, batch int, s sched.Schedule) (*System, error) {
 	if c == nil || m == nil || perf == nil {
 		return nil, fmt.Errorf("core: nil system ingredient")
 	}
@@ -111,17 +110,7 @@ func NewSystem(c *hw.Cluster, m *model.Model, perf *profile.Perf, batch int) (*S
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{Cluster: c, Model: m, Perf: perf, Batch: batch}, nil
-}
-
-// NewSystemSched is NewSystem with an explicit pipeline schedule.
-func NewSystemSched(c *hw.Cluster, m *model.Model, perf *profile.Perf, batch int, s sched.Schedule) (*System, error) {
-	sys, err := NewSystem(c, m, perf, batch)
-	if err != nil {
-		return nil, err
-	}
-	sys.Schedule = s
-	return sys, nil
+	return &System{Cluster: c, Model: m, Perf: perf, Batch: batch, Schedule: s}, nil
 }
 
 // schedule resolves the system's schedule, defaulting to hetpipe-fifo.
@@ -156,8 +145,6 @@ type VWPlan struct {
 	// Throughput is the standalone steady-state rate (samples/sec) at the
 	// deployment's Nm, from a solo pipeline simulation.
 	Throughput float64
-	// MaxUtil is the maximum per-GPU utilization in the solo run.
-	MaxUtil float64
 }
 
 // Deployment is a ready-to-simulate HetPipe configuration.
@@ -205,17 +192,7 @@ func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWP
 	}
 	// The context dies with this call, so its plan (cut for vw) is the
 	// caller's to keep.
-	return &VWPlan{VW: vw, Plan: sp.plan, Throughput: res.Throughput, MaxUtil: res.MaxGPUUtil}, res, nil
-}
-
-// ChooseNm sweeps Nm from 1 to cap (bounded by every virtual worker's Maxm)
-// and returns the value maximizing the summed standalone throughput — the
-// paper's "Nm is set such that performance is maximized" rule with the
-// constraint that every VW uses the same Nm.
-func (s *System) ChooseNm(alloc *hw.Allocation, cap int) (int, error) {
-	pc := s.newPlanning()
-	defer pc.release()
-	return pc.chooseNm(alloc, cap)
+	return &VWPlan{VW: vw, Plan: sp.plan, Throughput: res.Throughput}, res, nil
 }
 
 func measureMB(nm int) int { return 40 + 10*nm }

@@ -12,7 +12,7 @@ import (
 
 func sys(t testing.TB, m *model.Model) *System {
 	t.Helper()
-	s, err := NewSystem(hw.Paper(), m, profile.Default(), 32)
+	s, err := NewSystemSched(hw.Paper(), m, profile.Default(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func TestSoloVWMatchesPipeline(t *testing.T) {
 	if vp.Throughput != res.Throughput {
 		t.Errorf("plan throughput %v != result %v", vp.Throughput, res.Throughput)
 	}
-	if vp.Throughput <= 0 || vp.MaxUtil <= 0 || vp.MaxUtil > 1 {
-		t.Errorf("bad solo figures: throughput %v, max utilization %v", vp.Throughput, vp.MaxUtil)
+	if vp.Throughput <= 0 || res.MaxGPUUtil <= 0 || res.MaxGPUUtil > 1 {
+		t.Errorf("bad solo figures: throughput %v, max utilization %v", vp.Throughput, res.MaxGPUUtil)
 	}
 }
 
@@ -57,7 +57,9 @@ func TestChooseNmPicksBestThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := s.ChooseNm(alloc, 8)
+	pc := s.newPlanning()
+	defer pc.release()
+	nm, err := pc.chooseNm(alloc, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +68,8 @@ func TestChooseNmPicksBestThroughput(t *testing.T) {
 	}
 	// A cap that admits no Nm is the caller's mistake, not the model's size.
 	for _, cap := range []int{0, -3} {
-		if _, err := s.ChooseNm(alloc, cap); err == nil || !strings.Contains(err.Error(), "cap must be >= 1") {
-			t.Errorf("ChooseNm with cap %d: error %v, want one saying the cap must be >= 1", cap, err)
+		if _, err := pc.chooseNm(alloc, cap); err == nil || !strings.Contains(err.Error(), "cap must be >= 1") {
+			t.Errorf("chooseNm with cap %d: error %v, want one saying the cap must be >= 1", cap, err)
 		}
 	}
 }
@@ -259,10 +261,10 @@ func TestCrossNodeTrafficEDLocalVGG(t *testing.T) {
 }
 
 func TestNewSystemValidation(t *testing.T) {
-	if _, err := NewSystem(nil, model.VGG19(), profile.Default(), 32); err == nil {
+	if _, err := NewSystemSched(nil, model.VGG19(), profile.Default(), 32, nil); err == nil {
 		t.Error("nil cluster accepted")
 	}
-	if _, err := NewSystem(hw.Paper(), model.VGG19(), profile.Default(), 0); err == nil {
+	if _, err := NewSystemSched(hw.Paper(), model.VGG19(), profile.Default(), 0, nil); err == nil {
 		t.Error("zero batch accepted")
 	}
 }

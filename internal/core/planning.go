@@ -12,8 +12,8 @@ import (
 	"hetpipe/internal/sim"
 )
 
-// planning is the context of one Deploy (or one direct ChooseNm or SoloVW
-// call): it makes each distinct plan and each distinct solo run once.
+// planning is the context of one Deploy (or one direct SoloVW call): it makes
+// each distinct plan and each distinct solo run once.
 //
 // A plan and its solo simulation depend on a virtual worker only through its
 // class — the GPU type of every stage and the kind of link into it — so
@@ -87,9 +87,9 @@ type soloPlan struct {
 	plan *partition.Plan
 	err  error
 	// The solo run over the standard window, once simulated.
-	simulated           bool
-	throughput, maxUtil float64
-	simErr              error
+	simulated  bool
+	throughput float64
+	simErr     error
 }
 
 // tables returns the System's shared cost tables, (re)building them when
@@ -194,7 +194,7 @@ func (pc *planning) soloRun(vw *hw.VirtualWorker, nm int) (*soloPlan, error) {
 			Minibatches: measureMB(nm), Warmup: warmupMB(nm),
 		})
 		pc.skippedMB += pc.kit.run.Skipped()
-		sp.throughput, sp.maxUtil, sp.simErr = s.Throughput, s.MaxGPUUtil, err
+		sp.throughput, sp.simErr = s.Throughput, err
 	}
 	if sp.simErr != nil {
 		return nil, sp.simErr
@@ -210,7 +210,7 @@ func (pc *planning) solo(vw *hw.VirtualWorker, nm int) (*VWPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VWPlan{VW: vw, Plan: sp.plan.Rebind(vw), Throughput: sp.throughput, MaxUtil: sp.maxUtil}, nil
+	return &VWPlan{VW: vw, Plan: sp.plan.Rebind(vw), Throughput: sp.throughput}, nil
 }
 
 // bound sums the workers' round-trip bounds over the standard window at an
@@ -226,7 +226,10 @@ func (pc *planning) bound(alloc *hw.Allocation, nm int) float64 {
 	return total
 }
 
-// chooseNm is System.ChooseNm inside this context.
+// chooseNm sweeps Nm from 1 to cap (bounded by every virtual worker's Maxm)
+// and returns the value maximizing the summed standalone throughput — the
+// paper's "Nm is set such that performance is maximized" rule with the
+// constraint that every VW uses the same Nm.
 func (pc *planning) chooseNm(alloc *hw.Allocation, cap int) (int, error) {
 	if cap < 1 {
 		return 0, fmt.Errorf("core: Nm cap must be >= 1, got %d", cap)

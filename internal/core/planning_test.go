@@ -41,7 +41,7 @@ func referenceDeploy(s *System, alloc *hw.Allocation, nm, d int, placement Place
 		if err != nil {
 			return nil, err
 		}
-		return &VWPlan{VW: vw, Plan: plan, Throughput: res.Throughput, MaxUtil: res.MaxGPUUtil}, nil
+		return &VWPlan{VW: vw, Plan: plan, Throughput: res.Throughput}, nil
 	}
 	if nm == 0 {
 		limit := 8
@@ -432,7 +432,7 @@ func TestPlanningSharesOnlyWithinAClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSystem(cl2, model.VGG19(), profile.Default(), 32)
+	s2, err := NewSystemSched(cl2, model.VGG19(), profile.Default(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestDeployReportsUnprofiledGPU(t *testing.T) {
 		{hw.TitanV, 2},
 		{&hw.GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30}, 2},
 	})
-	s, err := NewSystem(c, model.VGG19(), profile.Default(), 32)
+	s, err := NewSystemSched(c, model.VGG19(), profile.Default(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestConcurrentDeploysOnOneSystem(t *testing.T) {
 func deploymentFigures(d *Deployment) []any {
 	out := []any{d.Nm, d.D, d.Placement, d.PushTime, d.PullTime}
 	for _, vp := range d.VWs {
-		out = append(out, vp.Throughput, vp.MaxUtil, vp.Plan.Bottleneck, vp.Plan.Nm, vp.Plan.Schedule, vp.Plan.Interleave)
+		out = append(out, vp.Throughput, vp.Plan.Bottleneck, vp.Plan.Nm, vp.Plan.Schedule, vp.Plan.Interleave)
 		for _, st := range vp.Plan.Stages {
 			out = append(out, st.GPU.Name(), st.Chunks, st.FwdTime, st.BwdTime, st.RecvActTime, st.RecvGradTime, st.MemoryBytes, st.MemoryCap)
 		}
@@ -588,7 +588,7 @@ func BenchmarkDeployAutoNm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewSystem(cl, m, perf, 32)
+		s, err := NewSystemSched(cl, m, perf, 32, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -603,6 +603,19 @@ func (r *RandSpec) row() clause.Row {
 		clause.Num("seed<N>", &r.Seed).Or(0), clause.Num("max<factor>", &r.MaxFactor).Or(0))
 }
 
+// Usage is the grammar of each clause kind, one line per kind in the order
+// Parse names them, as its row prints it — the text a malformed clause's
+// error quotes.
+func Usage() []string {
+	return []string{
+		new(Slowdown).row().Usage(),
+		new(Crash).row().Usage(),
+		new(PSStall).row().Usage(),
+		new(LinkDegrade).row().Usage(),
+		new(RandSpec).row().Usage(),
+	}
+}
+
 // String renders the plan in the Parse spec language, clauses in a canonical
 // order. An empty plan renders as "".
 func (p *Plan) String() string {

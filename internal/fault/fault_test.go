@@ -33,6 +33,25 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUsageIsWhatErrorsQuote: Usage has one line per clause kind, and a
+// clause missing its required fields is refused with exactly that line, so
+// a listing of Usage states the grammar Parse takes.
+func TestUsageIsWhatErrorsQuote(t *testing.T) {
+	lines := Usage()
+	kinds := make(map[string]bool)
+	for _, u := range lines {
+		kind, _, _ := strings.Cut(u, ":")
+		kinds[kind] = true
+		_, err := Parse(kind)
+		if err == nil || !strings.HasSuffix(err.Error(), "want "+u) {
+			t.Errorf("Parse(%q) = %v, want an error quoting %q", kind, err, u)
+		}
+	}
+	if len(kinds) != 5 || len(lines) != 5 {
+		t.Errorf("Usage() = %q, want one line for each of slow, crash, stall, link and rand", lines)
+	}
+}
+
 func TestParseEmpty(t *testing.T) {
 	for _, spec := range []string{"", "  ", ",", " , "} {
 		p, err := Parse(spec)

@@ -22,12 +22,10 @@ func (g *GPU) Name() string {
 	return fmt.Sprintf("n%dg%d(%c)", g.Node, g.Slot, g.Type.Code)
 }
 
-// Node is one machine: a homogeneous set of GPUs plus host memory.
+// Node is one machine: a homogeneous set of GPUs.
 type Node struct {
-	Index       int
-	GPUs        []*GPU
-	HostMemory  int64
-	Description string
+	Index int
+	GPUs  []*GPU
 }
 
 // LinkKind distinguishes the two interconnect classes in the paper's testbed.
@@ -78,11 +76,7 @@ func NewCluster(nodeTypes []struct {
 	c := &Cluster{}
 	id := 0
 	for ni, nt := range nodeTypes {
-		n := &Node{
-			Index:       ni,
-			HostMemory:  64 * gib,
-			Description: fmt.Sprintf("node%d: %dx %s", ni, nt.Count, nt.Type.Name),
-		}
+		n := &Node{Index: ni}
 		for s := 0; s < nt.Count; s++ {
 			g := &GPU{ID: id, Type: nt.Type, Node: ni, Slot: s}
 			id++

@@ -66,9 +66,6 @@ type VirtualWorker struct {
 // TypeString renders the VW's GPU mix, e.g. "VVQQ".
 func (vw *VirtualWorker) TypeString() string { return TypeString(vw.GPUs) }
 
-// Size reports the number of GPUs (pipeline stages) in the VW.
-func (vw *VirtualWorker) Size() int { return len(vw.GPUs) }
-
 // CrossNodeBoundaries counts adjacent stage pairs whose GPUs sit on
 // different nodes (each such boundary communicates over InfiniBand).
 func (vw *VirtualWorker) CrossNodeBoundaries() int {
@@ -253,13 +250,8 @@ func SingleVWConfigs() []string {
 type Table4Set struct {
 	// Name matches the paper's header, e.g. "8 GPUs 4[VR]".
 	Name string
-	// TotalGPUs is the device budget.
-	TotalGPUs int
 	// Specs is one type string per virtual worker.
 	Specs []string
-	// HorovodCodes lists the per-worker GPU codes for the DP baseline
-	// (one single-GPU worker per device).
-	HorovodCodes string
 }
 
 // Table4Sets returns the four incremental configurations of Table 4. The
@@ -267,9 +259,9 @@ type Table4Set struct {
 // virtual workers of 2, 3, and 4 GPUs.
 func Table4Sets() []Table4Set {
 	return []Table4Set{
-		{Name: "4 GPUs 4[V]", TotalGPUs: 4, Specs: []string{"VVVV"}, HorovodCodes: "VVVV"},
-		{Name: "8 GPUs 4[VR]", TotalGPUs: 8, Specs: []string{"VR", "VR", "VR", "VR"}, HorovodCodes: "VVVVRRRR"},
-		{Name: "12 GPUs 4[VRQ]", TotalGPUs: 12, Specs: []string{"VRQ", "VRQ", "VRQ", "VRQ"}, HorovodCodes: "VVVVRRRRQQQQ"},
-		{Name: "16 GPUs 4[VRQG]", TotalGPUs: 16, Specs: []string{"VRQG", "VRQG", "VRQG", "VRQG"}, HorovodCodes: "VVVVRRRRQQQQGGGG"},
+		{Name: "4 GPUs 4[V]", Specs: []string{"VVVV"}},
+		{Name: "8 GPUs 4[VR]", Specs: []string{"VR", "VR", "VR", "VR"}},
+		{Name: "12 GPUs 4[VRQ]", Specs: []string{"VRQ", "VRQ", "VRQ", "VRQ"}},
+		{Name: "16 GPUs 4[VRQG]", Specs: []string{"VRQG", "VRQG", "VRQG", "VRQG"}},
 	}
 }

@@ -10,12 +10,11 @@ type builder struct {
 	flat    int64 // current vector width after flatten (0 while spatial)
 }
 
-func newBuilder(name string, h, w, c, classes int) *builder {
+func newBuilder(name string, h, w, c int) *builder {
 	return &builder{
 		m: &Model{
 			Name:       name,
 			InputElems: int64(h) * int64(w) * int64(c),
-			NumClasses: classes,
 		},
 		h: h, w: w, c: c,
 	}

@@ -97,8 +97,6 @@ type Model struct {
 	Name string
 	// InputElems is the per-sample input size (e.g. 224*224*3).
 	InputElems int64
-	// NumClasses is the classifier output width.
-	NumClasses int
 	// Layers is the chain in forward order.
 	Layers []Layer
 }

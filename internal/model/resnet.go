@@ -13,7 +13,7 @@ import "fmt"
 // where the block changes shape. The construction yields ~60.2 M trainable
 // parameters (~230 MB in float32), matching the paper's quoted size.
 func ResNet152() *Model {
-	b := newBuilder("ResNet-152", 224, 224, 3, 1000)
+	b := newBuilder("ResNet-152", 224, 224, 3)
 	b.conv("conv1", 64, 7, 2, 3, false)
 	b.bn("conv1_bn")
 	b.relu("conv1_relu")

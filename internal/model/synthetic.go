@@ -6,7 +6,7 @@ import "fmt"
 // every layer carries the same parameter count, FLOPs, and activation size.
 // Uniform chains make optimal partitions easy to reason about in tests.
 func Synthetic(name string, n int, paramsPer int64, flopsPer float64, elemsPer int64) *Model {
-	m := &Model{Name: name, InputElems: elemsPer, NumClasses: 2}
+	m := &Model{Name: name, InputElems: elemsPer}
 	for i := 0; i < n; i++ {
 		m.Layers = append(m.Layers, Layer{
 			Name:        fmt.Sprintf("l%d", i),
@@ -27,7 +27,7 @@ func Synthetic(name string, n int, paramsPer int64, flopsPer float64, elemsPer i
 // weights while parameters stay uniform — useful for exercising the
 // partitioner's load balancing away from trivial equal splits.
 func Skewed(name string, flopsWeights []float64, paramsPer int64, elemsPer int64) *Model {
-	m := &Model{Name: name, InputElems: elemsPer, NumClasses: 2}
+	m := &Model{Name: name, InputElems: elemsPer}
 	for i, w := range flopsWeights {
 		if w < 0 {
 			panic("model: negative FLOPs weight")

@@ -5,7 +5,7 @@ import "fmt"
 // VGG16 builds VGG configuration D (thirteen 3x3 convolutions): the smaller
 // sibling of the paper's VGG-19, useful for scaling studies and tests.
 func VGG16() *Model {
-	b := newBuilder("VGG-16", 224, 224, 3, 1000)
+	b := newBuilder("VGG-16", 224, 224, 3)
 	group := func(stage, n, channels int) {
 		for i := 1; i <= n; i++ {
 			name := fmt.Sprintf("conv%d_%d", stage, i)
@@ -32,7 +32,7 @@ func VGG16() *Model {
 // ResNet50 builds ResNet-50 (bottleneck depths [3,4,6,3]): the standard
 // smaller residual model, ~25.6 M parameters.
 func ResNet50() *Model {
-	b := newBuilder("ResNet-50", 224, 224, 3, 1000)
+	b := newBuilder("ResNet-50", 224, 224, 3)
 	b.conv("conv1", 64, 7, 2, 3, false)
 	b.bn("conv1_bn")
 	b.relu("conv1_relu")
@@ -60,7 +60,7 @@ func ResNet50() *Model {
 // AlexNet builds the eight-layer AlexNet (single-tower variant): the
 // smallest realistic CNN in the zoo, handy for fast pipeline tests.
 func AlexNet() *Model {
-	b := newBuilder("AlexNet", 224, 224, 3, 1000)
+	b := newBuilder("AlexNet", 224, 224, 3)
 	b.conv("conv1", 64, 11, 4, 2, true)
 	b.relu("conv1_relu")
 	b.maxPool("pool1", 3, 2)

@@ -127,9 +127,6 @@ func (s *Stage) Lo() int { return s.Chunks[0].Lo }
 // Hi is the last chunk's upper bound; see Lo.
 func (s *Stage) Hi() int { return s.Chunks[len(s.Chunks)-1].Hi }
 
-// Contiguous reports whether the stage is a single contiguous range.
-func (s *Stage) Contiguous() bool { return len(s.Chunks) == 1 }
-
 // Plan is a complete partitioning of a model onto a virtual worker.
 type Plan struct {
 	Model *model.Model

@@ -147,7 +147,6 @@ type Executor struct {
 	atEnd, done func(p int)
 
 	onTask, onXfer sim.EventFunc // taskDone and xferDone, bound once
-	doneID         int32         // device completion handler, the same id on every GPU
 	xferID         int32         // engine handler for overlapped transfers
 
 	// Backward-first state. Ring (vs, kind) is the ringCap-wide window of slab
@@ -190,9 +189,7 @@ func (x *Executor) reset(eng *sim.Engine, cfg ExecConfig) {
 	}
 	x.gpus = slices.Grow(x.gpus, max(x.k-len(x.gpus), 0))
 	for len(x.gpus) < x.k {
-		dev := sim.NewResource(x.eng)
-		x.doneID = dev.Register(x.onTask)
-		x.gpus = append(x.gpus, dev)
+		x.gpus = append(x.gpus, sim.NewResource(x.eng, x.onTask))
 	}
 	if x.overlap {
 		if x.onXfer == nil {
@@ -398,7 +395,7 @@ func (x *Executor) submit(kind int32, p, vs int) {
 		kind, base = kindFused, base+t.Bwd
 	}
 	g := x.gpu(vs)
-	x.gpus[g].SubmitID(sim.Duration(x.time(p, g, base)), x.doneID, int32(p), int32(vs)<<2|kind)
+	x.gpus[g].Submit(sim.Duration(x.time(p, g, base)), int32(p), int32(vs)<<2|kind)
 }
 
 // taskDone is every device's completion handler. The order is the golden:

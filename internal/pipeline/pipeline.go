@@ -199,7 +199,6 @@ type Pipeline struct {
 	injected  int // minibatches injected so far
 	completed int // minibatches fully done
 	inflight  int
-	waiting   bool // an injection is blocked on the gate
 	finished  []sim.Time
 
 	// Wave injection (Schedule.Inject() == sched.InjectWave): waveFirst and
@@ -285,9 +284,9 @@ func (pl *Pipeline) Start() { pl.Poke() }
 // Poke runs the gated injection loop — the initial fill, gate retries (WSP
 // calls it when global state advances), and refills after completions: while
 // the schedule's inject decision has room and minibatches remain, consult the
-// gate, account the waiting flag, and enter each admitted minibatch. Under
-// wave injection the next wave of up to Nm opens only once the pipeline has
-// fully drained.
+// gate and enter each admitted minibatch; a refused minibatch ends the loop
+// until the next Poke. Under wave injection the next wave of up to Nm opens
+// only once the pipeline has fully drained.
 func (pl *Pipeline) Poke() {
 	if pl.wave && pl.waveLeft == 0 && pl.inflight == 0 {
 		pl.waveSize = pl.cfg.Minibatches - pl.injected
@@ -299,10 +298,8 @@ func (pl *Pipeline) Poke() {
 	for pl.injected < pl.cfg.Minibatches && pl.room() {
 		p := pl.injected + 1 // 1-based minibatch number
 		if pl.cfg.InjectGate != nil && !pl.cfg.InjectGate(p) {
-			pl.waiting = true
 			return
 		}
-		pl.waiting = false
 		pl.injected++
 		pl.inflight++
 		if pl.wave {
@@ -334,12 +331,6 @@ func (pl *Pipeline) forwardLanded(int) {
 		}
 	}
 }
-
-// Waiting reports whether an injection is currently blocked on the gate.
-func (pl *Pipeline) Waiting() bool { return pl.waiting }
-
-// Completed reports how many minibatches have fully finished.
-func (pl *Pipeline) Completed() int { return pl.completed }
 
 // InFlight reports how many minibatches are currently in the pipeline.
 func (pl *Pipeline) InFlight() int { return pl.inflight }

@@ -216,19 +216,16 @@ func TestPipelineInjectGate(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.Completed() != 4 {
-		t.Fatalf("completed = %d, want 4 (gated)", pl.Completed())
-	}
-	if !pl.Waiting() {
-		t.Fatal("pipeline should report waiting on gate")
+	if pl.completed != 4 {
+		t.Fatalf("completed = %d, want 4 (gated)", pl.completed)
 	}
 	allow = 8
 	pl.Poke()
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.Completed() != 8 {
-		t.Fatalf("completed = %d, want 8 after release", pl.Completed())
+	if pl.completed != 8 {
+		t.Fatalf("completed = %d, want 8 after release", pl.completed)
 	}
 }
 

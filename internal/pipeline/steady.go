@@ -40,28 +40,23 @@ type steady struct {
 	hashes [lags]uint32 // hashes[c%lags]: the hash of the state after completion c
 
 	// A candidate: the state after completion cand was snap, at clock at,
-	// and should recur lag completions later; dev holds each device's busy
-	// time and jobs served then, and once confirmed, per period.
+	// and should recur lag completions later; busy holds each device's busy
+	// time then, and once confirmed, per period.
 	cand, lag int
 	at        sim.Time
 	cur, snap []uint64
-	dev       []devMark
+	busy      []sim.Duration
 
 	period  int      // confirmed: P completions...
 	span    sim.Time // ...take T seconds
 	skipped int      // minibatches jumped over this run
 }
 
-type devMark struct {
-	busy   sim.Duration
-	served uint64
-}
-
 // reset forgets the last run and, if pl fast-forwards, sizes the scratch for
 // its states, so that a run allocates the same whether or not, and wherever,
 // it finds a period. Every minibatch in flight is in one place — a job queued
-// or in service (three words), a transfer pending (four, only where receives
-// overlap), a ring entry (one) — and every GPU adds at most nine (its queue
+// or in service (two words), a transfer pending (four, only where receives
+// overlap), a ring entry (one) — and every GPU adds at most eight (its queue
 // header, service start and job, and the completion event), every ring pair
 // two, the in-flight count one and the wave four.
 func (st *steady) reset(pl *Pipeline) {
@@ -70,9 +65,9 @@ func (st *steady) reset(pl *Pipeline) {
 	if pl.runner == nil {
 		return
 	}
-	n := 1 + 9*pl.x.k + 2*len(pl.x.stages) + 3*pl.nm
+	n := 1 + 8*pl.x.k + 2*len(pl.x.stages) + 2*pl.nm
 	if pl.x.overlap {
-		n += pl.nm
+		n += 2 * pl.nm
 	}
 	if pl.wave {
 		n += 4
@@ -81,7 +76,7 @@ func (st *steady) reset(pl *Pipeline) {
 		buf := make([]uint64, 2*n)
 		st.cur, st.snap = buf[:0:n], buf[n:n:2*n]
 	}
-	st.dev = slices.Grow(st.dev[:0], pl.x.k)
+	st.busy = slices.Grow(st.busy[:0], pl.x.k)
 }
 
 // settle is the fast-forward step after a completion's injections: jump if a
@@ -105,8 +100,7 @@ func (r *Runner) settle() {
 		if st.cur, full = pl.eng.AppendState(st.cur, stamped, base), true; slices.Equal(st.cur, st.snap) {
 			st.period, st.span = st.lag, pl.eng.Now()-st.at
 			for g, dev := range pl.x.Devices() {
-				m := &st.dev[g]
-				m.busy, m.served = dev.BusyTime()-m.busy, dev.Served()-m.served
+				st.busy[g] = dev.BusyTime() - st.busy[g]
 			}
 			r.jump()
 			return
@@ -120,9 +114,9 @@ func (r *Runner) settle() {
 			}
 			st.cand, st.lag, st.at = c, lag, pl.eng.Now()
 			st.snap, st.cur = st.cur, st.snap
-			r.st.dev = r.st.dev[:0]
+			r.st.busy = r.st.busy[:0]
 			for _, dev := range pl.x.Devices() {
-				r.st.dev = append(r.st.dev, devMark{dev.BusyTime(), dev.Served()})
+				r.st.busy = append(r.st.busy, dev.BusyTime())
 			}
 		}
 	}
@@ -167,8 +161,7 @@ func (r *Runner) jump() {
 		return
 	}
 	for g, dev := range pl.x.Devices() {
-		m := st.dev[g]
-		dev.Shift(dt, int32(dp), sim.Duration(j)*m.busy, uint64(j)*m.served)
+		dev.Shift(dt, int32(dp), sim.Duration(j)*st.busy[g])
 	}
 	pl.x.shift(int32(dp))
 	pl.injected += dp

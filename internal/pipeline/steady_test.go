@@ -96,16 +96,16 @@ func ffCases(t *testing.T, rng *rand.Rand, rounds int) []ffCase {
 // simulates every minibatch, bit for bit — the Summary of each run on one kept
 // Runner, RunOn's whole Result (throughput, elapsed, every utilization and
 // completion time), the end state the Result does not show (every device's
-// busy time and jobs served, the clock), and the whole state right after the
-// first jump (sameStateAfterJump). Each case takes one to three runs of 1 to
-// 150 minibatches. And the jump must fire on at least 90 % of the runs of 80
+// busy time, the clock), and the whole state right after the first jump
+// (sameStateAfterJump). Each case takes one to three runs of 1 to 150
+// minibatches. And the jump must fire on at least 90 % of the runs of 80
 // minibatches or more, or the wall proves nothing.
 //
 // Mutations tried against it, each caught: leaving unshifted the clock, the
 // pending events' times, a transfer's minibatch or start time, a device's
-// service start, job in service, queued jobs, busy total or jobs served, a
-// ring's minibatches, the injected or completed counters, the open wave's
-// first minibatch or the skipped completion times; dropping the horizon check;
+// service start, job in service, queued jobs or busy total, a ring's
+// minibatches, the injected or completed counters, the open wave's first
+// minibatch or the skipped completion times; dropping the horizon check;
 // a jump one period past (Minibatches-injected)/P, which injects past the
 // window's end; and a jump that keeps a wider margin, which leaves a period or
 // more of injections to simulate (sameStateAfterJump). Any jump short of the
@@ -145,9 +145,9 @@ func TestFastForwardEqualsFullRun(t *testing.T) {
 			}
 			for g, dev := range fast.pl.x.Devices() {
 				tw := twin.pl.x.Devices()[g]
-				if dev.BusyTime() != tw.BusyTime() || dev.Served() != tw.Served() {
-					t.Fatalf("%s window (%d, %d): GPU %d busy %v for %d jobs, full run %v for %d", tc.id, n, cfg.Warmup, g,
-						dev.BusyTime(), dev.Served(), tw.BusyTime(), tw.Served())
+				if dev.BusyTime() != tw.BusyTime() {
+					t.Fatalf("%s window (%d, %d): GPU %d busy %v, full run %v", tc.id, n, cfg.Warmup, g,
+						dev.BusyTime(), tw.BusyTime())
 				}
 			}
 			runs++
@@ -184,9 +184,9 @@ func TestFastForwardEqualsFullRun(t *testing.T) {
 // first jump, steps its identity-hook twin to the same completion, and fails
 // unless the two are in the same state there: the same clock and counters,
 // the same pending events, device queues and rings with the same minibatch
-// numbers, the same busy totals, jobs served and completion times. Much of
-// that (minibatch numbers, a transfer's start) no hook-free run ever reads,
-// so only this comparison shows it shifted right. The jump must also leave
+// numbers, the same busy totals and completion times. Much of that
+// (minibatch numbers, a transfer's start) no hook-free run ever reads, so
+// only this comparison shows it shifted right. The jump must also leave
 // fewer than a period of injections to simulate.
 func sameStateAfterJump(t *testing.T, tc ffCase, cfg Config) {
 	t.Helper()
@@ -219,14 +219,13 @@ func sameStateAfterJump(t *testing.T, tc ffCase, cfg Config) {
 		words               []uint64
 		finished            []sim.Time
 		busy                []sim.Duration
-		served              []uint64
 	}
 	of := func(r *Runner, eng *sim.Engine) state {
 		s := state{now: eng.Now(), completed: r.pl.completed, injected: r.pl.injected,
 			words:    eng.AppendState(r.state(nil), r.pl.x.stamped(), int32(r.pl.completed)),
 			finished: r.pl.finished}
 		for _, dev := range r.pl.x.Devices() {
-			s.busy, s.served = append(s.busy, dev.BusyTime()), append(s.served, dev.Served())
+			s.busy = append(s.busy, dev.BusyTime())
 		}
 		return s
 	}

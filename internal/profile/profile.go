@@ -141,10 +141,10 @@ func (p *Perf) wholeModelTime(name string, totalFwdFLOPs float64, g *hw.GPUType,
 	return float64(batch) * perSample / flops, nil
 }
 
-// LayerTime predicts forward and backward compute times for layer li of m on
+// layerTime predicts forward and backward compute times for layer li of m on
 // GPU type g, for a full minibatch. Each layer's share of the whole-model
 // time follows its share of total FLOPs.
-func (p *Perf) LayerTime(m *model.Model, li int, g *hw.GPUType, batch int) (fwd, bwd float64, err error) {
+func (p *Perf) layerTime(m *model.Model, li int, g *hw.GPUType, batch int) (fwd, bwd float64, err error) {
 	whole, err := p.WholeModelTime(m, g, batch)
 	if err != nil {
 		return 0, 0, err

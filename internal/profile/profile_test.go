@@ -72,7 +72,7 @@ func TestLayerTimesSumToWholeModel(t *testing.T) {
 		}
 		var sum float64
 		for i := range m.Layers {
-			fwd, bwd, err := p.LayerTime(m, i, hw.TitanRTX, 32)
+			fwd, bwd, err := p.layerTime(m, i, hw.TitanRTX, 32)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestStageTimeMatchesLayerSum(t *testing.T) {
 	}
 	var wf, wb float64
 	for i := lo; i < hi; i++ {
-		f, b, err := p.LayerTime(m, i, hw.QuadroP4000, 32)
+		f, b, err := p.layerTime(m, i, hw.QuadroP4000, 32)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,31 +15,16 @@ type Placement struct {
 	servers int
 }
 
-// NewPlacement builds a placement from an explicit assignment.
-func NewPlacement(assign map[string]int, servers int) (*Placement, error) {
-	if servers < 1 {
-		return nil, fmt.Errorf("ps: need at least one server, got %d", servers)
-	}
-	p := &Placement{assign: make(map[string]int, len(assign)), servers: servers}
-	for k, srv := range assign {
-		if srv < 0 || srv >= servers {
-			return nil, fmt.Errorf("ps: shard %q assigned to server %d, out of range [0,%d)", k, srv, servers)
-		}
-		p.assign[k] = srv
-	}
-	return p, nil
-}
-
 // RoundRobin assigns keys to servers in order, the default policy.
 func RoundRobin(keys []string, servers int) (*Placement, error) {
 	if servers < 1 {
 		return nil, fmt.Errorf("ps: need at least one server, got %d", servers)
 	}
-	assign := make(map[string]int, len(keys))
+	p := &Placement{assign: make(map[string]int, len(keys)), servers: servers}
 	for i, k := range keys {
-		assign[k] = i % servers
+		p.assign[k] = i % servers
 	}
-	return NewPlacement(assign, servers)
+	return p, nil
 }
 
 // ServerOf reports which server holds a key.

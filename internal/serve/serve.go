@@ -123,14 +123,15 @@ type replica struct {
 	fill     float64 // serial traversal time of the whole pipeline (routing)
 	inFlight int
 
-	// pending holds routed, unadmitted request ids; members holds admitted
-	// ids in admission order; counts holds per-microbatch request counts.
-	// All three are head-indexed rings over reusable backing arrays, so the
-	// steady-state admission path allocates nothing.
-	pending  []int32
-	pendHead int
-	members  []int32
-	memHead  int
+	// routed holds the request ids routed here, in arrival order: those
+	// before done have been replied to, those before admitted are in flight,
+	// and the rest wait (done <= admitted <= len(routed)). Microbatches are
+	// admitted and complete in that same order. counts holds per-microbatch
+	// request counts. Both are head-indexed rings over reusable backing
+	// arrays, so the steady-state admission path allocates nothing.
+	routed   []int32
+	done     int
+	admitted int
 	counts   []int32
 	cntHead  int
 
@@ -415,20 +416,21 @@ func (s *server) emit(e obs.Event) {
 // queued reports the replica's unadmitted backlog.
 //
 //hetlint:hotpath
-func (r *replica) queued() int { return len(r.pending) - r.pendHead }
+func (r *replica) queued() int { return len(r.routed) - r.admitted }
 
-// enqueue appends a routed request to the pending ring, compacting the dead
+// enqueue appends a routed request to the ring, compacting the replied
 // prefix once it dominates (the engine-queue idiom) so a backlog that never
 // fully drains still reuses its backing array.
 //
 //hetlint:hotpath
 func (r *replica) enqueue(id int32) {
-	if r.pendHead >= 16 && r.pendHead >= len(r.pending)-r.pendHead {
-		n := copy(r.pending, r.pending[r.pendHead:])
-		r.pending = r.pending[:n]
-		r.pendHead = 0
+	if r.done >= 16 && r.done >= len(r.routed)-r.done {
+		n := copy(r.routed, r.routed[r.done:])
+		r.routed = r.routed[:n]
+		r.admitted -= r.done
+		r.done = 0
 	}
-	r.pending = append(r.pending, id)
+	r.routed = append(r.routed, id)
 }
 
 // admit is the continuous-batching admission layer: whenever the replica has
@@ -444,15 +446,7 @@ func (r *replica) admit() {
 		if n > s.batchCap {
 			n = s.batchCap
 		}
-		if r.memHead >= 16 && r.memHead >= len(r.members)-r.memHead {
-			m := copy(r.members, r.members[r.memHead:])
-			r.members = r.members[:m]
-			r.memHead = 0
-		}
-		for i := 0; i < n; i++ {
-			r.members = append(r.members, r.pending[r.pendHead])
-			r.pendHead++
-		}
+		r.admitted += n
 		if r.cntHead >= 16 && r.cntHead >= len(r.counts)-r.cntHead {
 			m := copy(r.counts, r.counts[r.cntHead:])
 			r.counts = r.counts[:m]
@@ -497,8 +491,8 @@ func (r *replica) taskTime(seq, g int, base float64) float64 {
 // batchDone fires when microbatch seq leaves the executor's last virtual
 // stage: stamp every member's reply, free the in-flight slot, and re-run
 // admission. A forward-only executor runs its stages in arrival order, so
-// microbatches complete in admission order and the member ring pops exactly
-// the requests this batch carried.
+// microbatches complete in admission order and the next n ids past done are
+// exactly the requests this batch carried.
 //
 //hetlint:hotpath
 func (r *replica) batchDone(seq int) {
@@ -508,8 +502,8 @@ func (r *replica) batchDone(seq int) {
 	r.cntHead++
 	now := float64(s.eng.Now())
 	for i := 0; i < n; i++ {
-		id := r.members[r.memHead]
-		r.memHead++
+		id := r.routed[r.done]
+		r.done++
 		s.trace[id].Done = now
 		s.served++
 		r.requests++

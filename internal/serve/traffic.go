@@ -137,6 +137,17 @@ func (t *Traffic) row() (clause.Row, bool) {
 	return clause.Of(t.Kind, f...), known
 }
 
+// TrafficUsage is the grammar of each traffic kind, one line per kind, as
+// its row prints it — the text a malformed spec's error quotes.
+func TrafficUsage() []string {
+	var out []string
+	for _, kind := range []string{KindPoisson, KindDiurnal, KindBursty, KindClosed} {
+		row, _ := (&Traffic{Kind: kind}).row()
+		out = append(out, row.Usage())
+	}
+	return out
+}
+
 // Validate checks the spec's numeric ranges. Every real field must be finite
 // (strconv.ParseFloat parses NaN and Inf, and a NaN passes any </> range
 // check), and every rate, factor and time must, when nonzero, lie within

@@ -39,6 +39,25 @@ func TestParseTrafficRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTrafficUsageIsWhatErrorsQuote: TrafficUsage has one line per traffic
+// kind, and a spec missing its required fields is refused with exactly that
+// line, so a listing of TrafficUsage states the grammar ParseTraffic takes.
+func TestTrafficUsageIsWhatErrorsQuote(t *testing.T) {
+	lines := TrafficUsage()
+	for i, kind := range []string{KindPoisson, KindDiurnal, KindBursty, KindClosed} {
+		if i >= len(lines) || !strings.HasPrefix(lines[i], kind+":") {
+			t.Fatalf("TrafficUsage() = %q, want one line per kind starting with %s", lines, kind)
+		}
+		_, err := ParseTraffic(kind)
+		if err == nil || !strings.HasSuffix(err.Error(), "want "+lines[i]) {
+			t.Errorf("ParseTraffic(%q) = %v, want an error quoting %q", kind, err, lines[i])
+		}
+	}
+	if len(lines) != 4 {
+		t.Errorf("TrafficUsage() has %d lines, want 4", len(lines))
+	}
+}
+
 func TestParseTrafficErrors(t *testing.T) {
 	for _, spec := range []string{
 		"",

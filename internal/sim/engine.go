@@ -119,7 +119,6 @@ type Engine struct {
 	ring  []entry     // queued (or cancelled) events in firing order; len 0 or a power of two
 	hd    int         // ring index of the earliest entry
 	n     int         // entries in the ring
-	live  int         // queued, non-cancelled events
 	dead  int         // cancelled events still occupying ring entries
 	funcs []EventFunc // Register'd handlers, indexed by slot.ef
 }
@@ -135,9 +134,9 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have fired so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled but not yet fired
+// pending reports how many events are scheduled but not yet fired
 // (cancelled events do not count).
-func (e *Engine) Pending() int { return e.live }
+func (e *Engine) pending() int { return e.n - e.dead }
 
 // SetStepLimit bounds the total number of events the engine will fire;
 // Run returns an error if the limit is hit. Zero disables the limit.
@@ -154,7 +153,7 @@ func (e *Engine) Reset() {
 	}
 	e.hd, e.n = 0, 0
 	e.now, e.seq, e.fired = 0, 0, 0
-	e.live, e.dead = 0, 0
+	e.dead = 0
 	e.funcs = e.funcs[:0]
 }
 
@@ -333,7 +332,6 @@ func (e *Engine) schedule(t Time, ef, a, b int32, x float64) Handle {
 	s.a, s.b, s.x = a, b, x
 	s.state = slotQueued
 	e.push(entry{at: t, seq: e.seq, id: id})
-	e.live++
 	return Handle{slot: id, gen: s.gen}
 }
 
@@ -371,7 +369,6 @@ func (e *Engine) Cancel(h Handle) bool {
 	// now so the handle is immediately stale.
 	s.state = slotCancelled
 	s.gen++
-	e.live--
 	e.dead++
 	return true
 }
@@ -413,7 +410,6 @@ func (e *Engine) Step() bool {
 	s := &e.slots[ent.id]
 	e.now = ent.at
 	e.fired++
-	e.live--
 	// Free before firing so the callback can schedule into the slot; the
 	// callback state is captured first.
 	ef, a, b, x := s.ef, s.a, s.b, s.x
@@ -474,7 +470,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 // Every other event therefore keeps the sequence number, and every tie the
 // resolution, that the chained form gives it. Stream events count toward
 // Fired, the step limit and the cancellation poll like any other, but never
-// occupy the ring or an arena slot (Pending does not see them). A stream
+// occupy the ring or an arena slot (pending does not see them). A stream
 // that steps back in time panics, as scheduling in the past does.
 //
 //hetlint:hotpath

@@ -33,8 +33,8 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(h2) {
 		t.Fatal("second Cancel succeeded")
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	if e.pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", e.pending())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -116,8 +116,8 @@ func TestEngineReset(t *testing.T) {
 	leftover := e.Register(func(_, _ int32, _ float64) { t.Error("leftover event fired after Reset") })
 	h := e.AtID(e.Now()+1, leftover, 0, 0, 0)
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {
-		t.Fatalf("after Reset: now=%v pending=%d fired=%d", e.Now(), e.Pending(), e.Fired())
+	if e.Now() != 0 || e.pending() != 0 || e.Fired() != 0 {
+		t.Fatalf("after Reset: now=%v pending=%d fired=%d", e.Now(), e.pending(), e.Fired())
 	}
 	if e.Cancel(h) {
 		t.Fatal("handle survived Reset")
@@ -154,17 +154,16 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state engine allocations = %v per run, want 0", allocs)
 	}
 
-	r := NewResource(e)
 	count := 0
-	var id int32
-	id = r.Register(func(a, _ int32, _ float64) {
+	var r *Resource
+	r = NewResource(e, func(a, _ int32, _ float64) {
 		count++
 		if a > 0 {
-			r.SubmitID(1, id, a-1, 0)
+			r.Submit(1, a-1, 0)
 		}
 	})
 	allocs = testing.AllocsPerRun(100, func() {
-		r.SubmitID(1, id, 16, 0)
+		r.Submit(1, 16, 0)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -177,29 +176,24 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// SubmitID must deliver the job's hold duration to the registered completion
-// handler and keep FIFO accounting, including across two handlers on one
-// resource.
-func TestResourceSubmitID(t *testing.T) {
+// Submit must deliver the job's hold duration to the resource's completion
+// handler and keep FIFO accounting.
+func TestResourceSubmit(t *testing.T) {
 	e := New()
-	r := NewResource(e)
 	type rec struct {
 		a   int32
 		x   float64
 		end Time
 	}
 	var got []rec
-	id := r.Register(func(a, _ int32, x float64) { got = append(got, rec{a: a, x: x, end: e.Now()}) })
-	r.SubmitID(2, id, 0, 0)
-	r.SubmitID(3, id, 1, 0)
-	r.SubmitID(1, r.Register(func(a, _ int32, _ float64) { got = append(got, rec{a: a, x: -1, end: e.Now()}) }), 2, 0)
-	if r.QueueLen() != 2 {
-		t.Fatalf("QueueLen = %d, want 2", r.QueueLen())
-	}
+	r := NewResource(e, func(a, _ int32, x float64) { got = append(got, rec{a: a, x: x, end: e.Now()}) })
+	r.Submit(2, 0, 0)
+	r.Submit(3, 1, 0)
+	r.Submit(1, 2, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []rec{{0, 2, 2}, {1, 3, 5}, {2, -1, 6}}
+	want := []rec{{0, 2, 2}, {1, 3, 5}, {2, 1, 6}}
 	if len(got) != len(want) {
 		t.Fatalf("completions = %d, want %d", len(got), len(want))
 	}
@@ -208,8 +202,8 @@ func TestResourceSubmitID(t *testing.T) {
 			t.Fatalf("completion %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if r.Served() != 3 || r.BusyTime() != 6 {
-		t.Fatalf("served=%d busy=%v, want 3, 6", r.Served(), r.BusyTime())
+	if r.BusyTime() != 6 {
+		t.Fatalf("busy=%v, want 6", r.BusyTime())
 	}
 	if r.Utilization() != 1 {
 		t.Fatalf("utilization = %v, want 1", r.Utilization())

@@ -9,10 +9,11 @@ import "math"
 // Resources track their cumulative busy time so utilization can be reported
 // per device, which the Figure 3 experiment needs.
 //
-// The waiting queue is a head-indexed ring over a reusable backing slice of
-// pointer-free job records: completion handlers are registered up front with
-// Register and queued by id (SubmitID), so pushing a job copies 24 bytes with
-// no write barriers and no allocation.
+// A resource has one completion handler, bound at NewResource; a job carries
+// only its hold and the handler's two payload words. The waiting queue is a
+// head-indexed ring over a reusable backing slice of these pointer-free
+// 16-byte records, so Submit copies a job with no write barriers and no
+// allocation.
 type Resource struct {
 	eng *Engine
 
@@ -20,12 +21,11 @@ type Resource struct {
 	doneID    int32 // engine handler id for done
 	busySince Time
 	busyTotal Duration
-	served    uint64
 	queue     []job
 	head      int
 	cur       job
-	done      EventFunc   // jobDone, bound once so that Reset can register it again
-	funcs     []EventFunc // Register'd completion handlers, indexed by job.fn
+	done      EventFunc // jobDone, bound once so that Reset can register it again
+	fn        EventFunc // the completion handler every job fires
 }
 
 // job is one queued unit of work. It is deliberately pointer-free so queue
@@ -33,12 +33,12 @@ type Resource struct {
 type job struct {
 	hold Duration
 	a, b int32
-	fn   int32 // index into funcs
 }
 
-// NewResource creates an idle resource attached to the engine.
-func NewResource(eng *Engine) *Resource {
-	r := &Resource{eng: eng}
+// NewResource creates an idle resource attached to the engine; every job it
+// runs completes through fn.
+func NewResource(eng *Engine, fn EventFunc) *Resource {
+	r := &Resource{eng: eng, fn: fn}
 	r.done = r.jobDone
 	r.doneID = eng.Register(r.done)
 	return r
@@ -48,9 +48,9 @@ func NewResource(eng *Engine) *Resource {
 // its engine, which must have been Reset since (Engine.Reset drops the
 // resource's completion handler; Reset registers it again). The queue keeps
 // its capacity, so a kept resource serves run after run without reallocating.
-// Handlers registered with Register stay as they are.
+// The completion handler stays as it is.
 func (r *Resource) Reset() {
-	r.busy, r.busySince, r.busyTotal, r.served, r.cur = false, 0, 0, 0, job{}
+	r.busy, r.busySince, r.busyTotal, r.cur = false, 0, 0, job{}
 	r.queue, r.head = r.queue[:0], 0
 	r.doneID = r.eng.Register(r.done)
 }
@@ -58,14 +58,14 @@ func (r *Resource) Reset() {
 // AppendState appends the resource's state relative to (its engine's Now,
 // base) to dst, the resource's half of Engine.AppendState: the waiting jobs'
 // count and whether one is in service, then how long it has been and that
-// job, then the waiting jobs — each as its hold, its a payload less base with
-// b, and its handler.
+// job, then the waiting jobs — each as its hold and its a payload less base
+// with b.
 func (r *Resource) AppendState(dst []uint64, base int32) []uint64 {
 	busy := uint64(0)
 	if r.busy {
 		busy = 1
 	}
-	dst = append(dst, uint64(r.QueueLen())<<1|busy)
+	dst = append(dst, uint64(len(r.queue)-r.head)<<1|busy)
 	if r.busy {
 		dst = append(dst, math.Float64bits(float64(r.eng.now-r.busySince)))
 		dst = r.cur.appendState(dst, base)
@@ -77,43 +77,33 @@ func (r *Resource) AppendState(dst []uint64, base int32) []uint64 {
 }
 
 func (j job) appendState(dst []uint64, base int32) []uint64 {
-	return append(dst, math.Float64bits(float64(j.hold)), uint64(uint32(j.a-base))<<32|uint64(uint32(j.b)), uint64(j.fn))
+	return append(dst, math.Float64bits(float64(j.hold)), uint64(uint32(j.a-base))<<32|uint64(uint32(j.b)))
 }
 
 // Shift moves the resource dt later with its engine (Engine.Shift): the job
-// in service started dt later, every job's a payload grows by da, and busy
-// and served are added to the busy time and the count of jobs served — what
-// the stretch of the run the shift skips would have added.
-func (r *Resource) Shift(dt Time, da int32, busy Duration, served uint64) {
+// in service started dt later, every job's a payload grows by da, and busy is
+// added to the busy time — what the stretch of the run the shift skips would
+// have added.
+func (r *Resource) Shift(dt Time, da int32, busy Duration) {
 	if r.busy {
 		r.busySince += dt
 		r.cur.a += da
 	}
 	r.busyTotal += busy
-	r.served += served
 	for i := r.head; i < len(r.queue); i++ {
 		r.queue[i].a += da
 	}
 }
 
-// Register binds a completion handler to the resource and returns its id for
-// SubmitID. Handlers are registered once at setup (ids are dense from 0, in
-// registration order); submitting against an unregistered id panics at
-// completion time.
-func (r *Resource) Register(fn EventFunc) int32 {
-	r.funcs = append(r.funcs, fn)
-	return int32(len(r.funcs) - 1)
-}
-
-// SubmitID enqueues a job that holds the resource for d seconds; at
-// completion the Register'd handler id fires as fn(a, b, float64(d)) — the
-// hold duration rides back to the caller so span bookkeeping needs no
-// closure. Jobs run in submission order.
-func (r *Resource) SubmitID(d Duration, id, a, b int32) {
+// Submit enqueues a job that holds the resource for d seconds; at completion
+// the resource's handler fires as fn(a, b, float64(d)) — the hold duration
+// rides back to the caller so span bookkeeping needs no closure. Jobs run in
+// submission order.
+func (r *Resource) Submit(d Duration, a, b int32) {
 	if d < 0 {
 		panic("sim: negative hold duration")
 	}
-	r.push(job{hold: d, a: a, b: b, fn: id})
+	r.push(job{hold: d, a: a, b: b})
 }
 
 //hetlint:hotpath
@@ -156,20 +146,13 @@ func (r *Resource) startNext() {
 //hetlint:hotpath
 func (r *Resource) jobDone(_, _ int32, _ float64) {
 	r.busyTotal += Duration(r.eng.Now() - r.busySince)
-	r.served++
 	j := r.cur
 	r.startNext()
-	r.funcs[j.fn](j.a, j.b, float64(j.hold))
+	r.fn(j.a, j.b, float64(j.hold))
 }
 
 // Busy reports whether a job currently occupies the resource.
 func (r *Resource) Busy() bool { return r.busy }
-
-// QueueLen reports the number of jobs waiting (not including the running one).
-func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
-
-// Served reports how many jobs have completed.
-func (r *Resource) Served() uint64 { return r.served }
 
 // BusyTime reports cumulative time spent serving jobs, including the
 // in-progress job up to the current instant.

@@ -10,12 +10,11 @@ func nop(_, _ int32, _ float64) {}
 
 func TestResourceSerialExecution(t *testing.T) {
 	e := New()
-	r := NewResource(e)
 	var done []Time
-	id := r.Register(func(_, _ int32, _ float64) { done = append(done, e.Now()) })
-	r.SubmitID(2, id, 0, 0)
-	r.SubmitID(3, id, 0, 0)
-	r.SubmitID(1, id, 0, 0)
+	r := NewResource(e, func(_, _ int32, _ float64) { done = append(done, e.Now()) })
+	r.Submit(2, 0, 0)
+	r.Submit(3, 0, 0)
+	r.Submit(1, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -25,19 +24,15 @@ func TestResourceSerialExecution(t *testing.T) {
 			t.Fatalf("completions = %v, want %v", done, want)
 		}
 	}
-	if r.Served() != 3 {
-		t.Fatalf("served = %d, want 3", r.Served())
-	}
 }
 
 func TestResourceFIFOOrder(t *testing.T) {
 	e := New()
-	r := NewResource(e)
 	names := []string{"x", "y", "z"}
 	var order []string
-	id := r.Register(func(a, _ int32, _ float64) { order = append(order, names[a]) })
+	r := NewResource(e, func(a, _ int32, _ float64) { order = append(order, names[a]) })
 	for i := range names {
-		r.SubmitID(1, id, int32(i), 0)
+		r.Submit(1, int32(i), 0)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -49,8 +44,8 @@ func TestResourceFIFOOrder(t *testing.T) {
 
 func TestResourceUtilization(t *testing.T) {
 	e := New()
-	r := NewResource(e)
-	r.SubmitID(4, r.Register(nop), 0, 0)
+	r := NewResource(e, nop)
+	r.Submit(4, 0, 0)
 	e.AtID(10, e.Register(nop), 0, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -65,17 +60,16 @@ func TestResourceUtilization(t *testing.T) {
 
 func TestResourceBusyAndQueueLen(t *testing.T) {
 	e := New()
-	r := NewResource(e)
-	id := r.Register(nop)
-	r.SubmitID(5, id, 0, 0)
-	r.SubmitID(5, id, 1, 0)
-	r.SubmitID(5, id, 2, 0)
+	r := NewResource(e, nop)
+	r.Submit(5, 0, 0)
+	r.Submit(5, 1, 0)
+	r.Submit(5, 2, 0)
 	probe := e.Register(func(_, _ int32, _ float64) {
 		if !r.Busy() {
 			t.Error("resource should be busy at t=1")
 		}
-		if r.QueueLen() != 2 {
-			t.Errorf("queue len = %d, want 2", r.QueueLen())
+		if n := len(r.queue) - r.head; n != 2 {
+			t.Errorf("queue len = %d, want 2", n)
 		}
 	})
 	e.AtID(1, probe, 0, 0, 0)
@@ -89,9 +83,9 @@ func TestResourceBusyAndQueueLen(t *testing.T) {
 
 func TestResourceZeroDurationJob(t *testing.T) {
 	e := New()
-	r := NewResource(e)
 	ran := false
-	r.SubmitID(0, r.Register(func(_, _ int32, _ float64) { ran = true }), 0, 0)
+	r := NewResource(e, func(_, _ int32, _ float64) { ran = true })
+	r.Submit(0, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +99,13 @@ func TestResourceZeroDurationJob(t *testing.T) {
 
 func TestResourceNegativeDurationPanics(t *testing.T) {
 	e := New()
-	r := NewResource(e)
-	id := r.Register(nop)
+	r := NewResource(e, nop)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative duration did not panic")
 		}
 	}()
-	r.SubmitID(-1, id, 0, 0)
+	r.Submit(-1, 0, 0)
 }
 
 // Property: total busy time equals the sum of job durations, and the final
@@ -121,13 +114,12 @@ func TestResourceNegativeDurationPanics(t *testing.T) {
 func TestResourceWorkConservationProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		e := New()
-		r := NewResource(e)
-		id := r.Register(nop)
+		r := NewResource(e, nop)
 		var sum Duration
 		for _, d := range raw {
 			dur := Duration(d) / 8
 			sum += dur
-			r.SubmitID(dur, id, 0, 0)
+			r.Submit(dur, 0, 0)
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -143,11 +135,10 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 func TestResourceFIFOProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		e := New()
-		r := NewResource(e)
 		var order []int
-		id := r.Register(func(a, _ int32, _ float64) { order = append(order, int(a)) })
+		r := NewResource(e, func(a, _ int32, _ float64) { order = append(order, int(a)) })
 		for i, d := range raw {
-			r.SubmitID(Duration(d)/16, id, int32(i), 0)
+			r.Submit(Duration(d)/16, int32(i), 0)
 		}
 		if err := e.Run(); err != nil {
 			return false

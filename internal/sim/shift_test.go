@@ -53,8 +53,7 @@ func newShiftFixture() *shiftFixture {
 	rec := func(a, b int32, x float64) { f.fired = append(f.fired, firing{f.eng.Now(), a, b, x}) }
 	plain := f.eng.Register(rec)
 	f.stamped = f.eng.Register(rec)
-	f.res = NewResource(f.eng)
-	job := f.res.Register(rec)
+	f.res = NewResource(f.eng, rec)
 	at := func(n int) Time { return Time(n) * 3 / 8 }
 	f.eng.AtID(at(2), plain, 0, 0, 0) // fires before the fixture is read
 	f.eng.Step()
@@ -64,7 +63,7 @@ func newShiftFixture() *shiftFixture {
 	f.eng.Cancel(f.eng.AtID(at(4), plain, 0, 4, 0))
 	f.eng.AtID(at(9), plain, 0, 5, 0.25)
 	for i := range int32(3) {
-		f.res.SubmitID(Duration(at(1)), job, 8+i, 6)
+		f.res.Submit(Duration(at(1)), 8+i, 6)
 	}
 	return f
 }
@@ -78,19 +77,19 @@ func TestShiftIsATranslation(t *testing.T) {
 	ref, got := newShiftFixture(), newShiftFixture()
 	before := got.eng.AppendState(nil, got.stamped, 0)
 	resBefore := got.res.AppendState(nil, 0)
-	busy, served := got.res.BusyTime(), got.res.Served()
+	busy := got.res.BusyTime()
 	if !got.eng.Shift(dt, got.stamped, da) {
 		t.Fatal("a shift far below the horizon was refused")
 	}
-	got.res.Shift(dt, da, 3, 2)
+	got.res.Shift(dt, da, 3)
 	if after := got.eng.AppendState(nil, got.stamped, da); !slices.Equal(after, before) {
 		t.Errorf("relative engine state changed under the shift:\n%v\n%v", after, before)
 	}
 	if after := got.res.AppendState(nil, da); !slices.Equal(after, resBefore) {
 		t.Errorf("relative resource state changed under the shift:\n%v\n%v", after, resBefore)
 	}
-	if got.eng.Now() != ref.eng.Now()+dt || got.res.BusyTime() != busy+3 || got.res.Served() != served+2 {
-		t.Errorf("clock %v, busy %v, served %d after the shift", got.eng.Now(), got.res.BusyTime(), got.res.Served())
+	if got.eng.Now() != ref.eng.Now()+dt || got.res.BusyTime() != busy+3 {
+		t.Errorf("clock %v, busy %v after the shift", got.eng.Now(), got.res.BusyTime())
 	}
 	ref.fired, got.fired = nil, nil
 	if err := ref.eng.Run(); err != nil {

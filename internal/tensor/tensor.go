@@ -35,15 +35,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// CloneFast returns an independent copy built with append instead of
-// make+copy: for a pointer-free element type the runtime then skips
-// zero-initializing the new array (it is fully overwritten by the copy),
-// so the clone writes each byte once. Worth it only on hot paths cloning
-// large vectors; elsewhere prefer Clone.
-func (v Vector) CloneFast() Vector {
-	return append(Vector(nil), v...)
-}
-
 // Zero sets every element to zero, in place.
 func (v Vector) Zero() {
 	for i := range v {

@@ -18,7 +18,7 @@ import (
 // under the numerics.
 func deployment(t *testing.T, d int) *core.Deployment {
 	t.Helper()
-	s, err := core.NewSystem(hw.Paper(), model.VGG19(), profile.Default(), 32)
+	s, err := core.NewSystemSched(hw.Paper(), model.VGG19(), profile.Default(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,3 +184,17 @@ func DefaultTask(seed int64) (*LogReg, error) {
 	}
 	return NewLogReg(tr, ev, 32)
 }
+
+// tasks is the catalog of live-training tasks: each name's standard study
+// task, built from a seed.
+var tasks = map[string]func(seed int64) (Task, error){
+	"logreg": func(seed int64) (Task, error) { return DefaultTask(seed) },
+	"mlp":    func(seed int64) (Task, error) { return DefaultMLPTask(seed) },
+}
+
+// TaskNamed returns the constructor of the named task's standard study task
+// ("logreg", convex, or "mlp", non-convex), or false for any other name.
+func TaskNamed(name string) (func(seed int64) (Task, error), bool) {
+	build, ok := tasks[name]
+	return build, ok
+}

@@ -2,6 +2,8 @@ package train
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"hetpipe/internal/tensor"
@@ -317,5 +319,36 @@ func TestTargetAccuracyStopsEarly(t *testing.T) {
 	}
 	if stats.TimeToTarget <= 0 || stats.TimeToTarget > stats.Elapsed {
 		t.Errorf("time to target %.2f outside (0, %.2f]", stats.TimeToTarget, stats.Elapsed)
+	}
+}
+
+// TestTaskNamed: the catalog builds each name's standard study task, the
+// same as its Default constructor, and knows no other name.
+func TestTaskNamed(t *testing.T) {
+	for name, want := range map[string]func(int64) (Task, error){
+		"logreg": func(seed int64) (Task, error) { return DefaultTask(seed) },
+		"mlp":    func(seed int64) (Task, error) { return DefaultMLPTask(seed) },
+	} {
+		build, ok := TaskNamed(name)
+		if !ok {
+			t.Fatalf("TaskNamed(%q) not found", name)
+		}
+		got, err := build(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := want(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := ref.InitWeights()
+		if reflect.TypeOf(got) != reflect.TypeOf(ref) || !slices.Equal(got.InitWeights(), w) || got.Loss(w) != ref.Loss(w) {
+			t.Errorf("TaskNamed(%q) built a different task than its Default constructor", name)
+		}
+	}
+	for _, name := range []string{"", "gpt", "LogReg"} {
+		if _, ok := TaskNamed(name); ok {
+			t.Errorf("TaskNamed(%q) found a task", name)
+		}
 	}
 }
