@@ -17,9 +17,11 @@
 //     baselines) regressed: ns/op beyond -bench-threshold (default 0.25,
 //     the documented >25%% rule — headroom for machine noise) or allocs/op
 //     beyond 5%% (allocation counts are deterministic, so any real growth
-//     is a leak on the pooled hot path).
+//     is a leak on the pooled hot path) or B/op beyond both 5%% and 1 KiB
+//     (an allocation that doubled in size without multiplying).
 //     A baseline whose allocs/op is over 5%% (and at least one allocation)
-//     above the measurement is stale and fails too, since it hides growth.
+//     above the measurement is stale and fails too, since it hides growth;
+//     so is one whose B/op is over both 5%% and 1 KiB above it.
 //     A benchmark pinned by two baseline files is rejected outright.
 //   - -sloc prints the source size the ROADMAP tracks — the lines of non-test
 //     .go files outside bench/ that are neither blank nor a // comment — per
@@ -371,18 +373,27 @@ type benchEntry struct {
 // e.g. "4.000 frames/op") are printed between ns/op and B/op and skipped.
 var benchLineRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:(?:\s+[\d.e+-]+ \S+)*?\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
-// allocsThreshold is the fractional allocs/op growth tolerated by -bench.
-// Allocation counts are deterministic — unlike ns/op they do not move with
-// machine load — so the tolerance only absorbs counting differences across Go
-// releases, not real regressions on the pooled hot path.
+// allocsThreshold is the fractional allocs/op and B/op growth tolerated by
+// -bench. Allocation counts are deterministic — unlike ns/op they do not move
+// with machine load — so the tolerance only absorbs counting differences
+// across Go releases, not real regressions on the pooled hot path.
 const allocsThreshold = 0.05
+
+// bytesSlack is the B/op difference, either way, that -bench tolerates on top
+// of allocsThreshold. Bytes allocated once per process (a pool's first
+// buffers, a connection's) are spread over the -benchtime iterations, so a
+// benchmark that allocates nothing per op still reads a few hundred B/op at
+// CI's 2000x and less at a baseline's longer run.
+const bytesSlack = 1024
 
 // checkBench compares benchmark results read from r against the committed
 // baselines: a baseline-listed benchmark missing from the input, growing
-// its ns/op beyond threshold, or growing its allocs/op beyond
-// allocsThreshold is a finding. So is a stale baseline, one whose allocs/op
-// exceeds the measurement by more than allocsThreshold and by at least one
-// allocation: it would hide that much growth. Benchmarks absent from every
+// its ns/op beyond threshold, growing its allocs/op beyond allocsThreshold,
+// or growing its B/op beyond both allocsThreshold and bytesSlack is a
+// finding. So is a stale baseline, one whose allocs/op exceeds the
+// measurement by more than allocsThreshold and by at least one allocation,
+// or whose B/op exceeds it by more than both allocsThreshold and
+// bytesSlack: it would hide that much growth. Benchmarks absent from every
 // baseline are ignored, so the gate composes with `-bench .` runs that cover
 // more than the pinned set. baselineArg is a comma-separated list of baseline
 // files (one `go test -bench` stream can then be gated against several
@@ -393,7 +404,7 @@ func checkBench(r io.Reader, baselineArg string, threshold float64) ([]string, e
 	if err != nil {
 		return nil, err
 	}
-	type got struct{ ns, allocs float64 }
+	type got struct{ ns, bytes, allocs float64 }
 	results := map[string]got{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -401,12 +412,13 @@ func checkBench(r io.Reader, baselineArg string, threshold float64) ([]string, e
 		if m == nil {
 			continue
 		}
-		ns, _ := strconv.ParseFloat(m[2], 64)
-		allocs := -1.0
+		g := got{allocs: -1}
+		g.ns, _ = strconv.ParseFloat(m[2], 64)
 		if m[4] != "" {
-			allocs, _ = strconv.ParseFloat(m[4], 64)
+			g.bytes, _ = strconv.ParseFloat(m[3], 64)
+			g.allocs, _ = strconv.ParseFloat(m[4], 64)
 		}
-		results[m[1]] = got{ns: ns, allocs: allocs}
+		results[m[1]] = g
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -435,8 +447,22 @@ func checkBench(r io.Reader, baselineArg string, threshold float64) ([]string, e
 			findings = append(findings, fmt.Sprintf("%s: %s allocs/op baseline %.0f is stale, re-record: measured %.0f (baseline >%d%% over it)",
 				e.path, b.Name, b.AllocsPerOp, g.allocs, int(allocsThreshold*100)))
 		}
+		if bytesBeyond(g.bytes, b.BytesPerOp) {
+			findings = append(findings, fmt.Sprintf("%s: %s B/op regressed %.0f -> %.0f (>%d%% and >%d B over baseline)",
+				e.path, b.Name, b.BytesPerOp, g.bytes, int(allocsThreshold*100), bytesSlack))
+		}
+		if bytesBeyond(b.BytesPerOp, g.bytes) {
+			findings = append(findings, fmt.Sprintf("%s: %s B/op baseline %.0f is stale, re-record: measured %.0f (baseline >%d%% and >%d B over it)",
+				e.path, b.Name, b.BytesPerOp, g.bytes, int(allocsThreshold*100), bytesSlack))
+		}
 	}
 	return findings, nil
+}
+
+// bytesBeyond reports whether the B/op reading a exceeds b by more than both
+// allocsThreshold and bytesSlack.
+func bytesBeyond(a, b float64) bool {
+	return a > b*(1+allocsThreshold) && a-b > bytesSlack
 }
 
 // sourcedEntry is a baseline record together with the file that pinned it,

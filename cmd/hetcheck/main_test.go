@@ -179,7 +179,8 @@ func TestCheckBenchRegressions(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")
 	write(t, base, benchBaselineJSON)
-	// fifo blows the ns/op threshold; gpipe grows allocs; both are findings.
+	// fifo blows the ns/op threshold; gpipe grows allocs and bytes; all three
+	// are findings.
 	out := strings.Join([]string{
 		"BenchmarkPipelineSchedules/hetpipe-fifo-16   2000   50000 ns/op   4432 B/op   62 allocs/op",
 		"BenchmarkPipelineSchedules/gpipe-16          2000   35000 ns/op   9999 B/op   80 allocs/op",
@@ -188,14 +189,45 @@ func TestCheckBenchRegressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 2 {
-		t.Fatalf("findings = %v, want 2", findings)
+	if len(findings) != 3 {
+		t.Fatalf("findings = %v, want 3", findings)
 	}
-	if !strings.Contains(findings[0], "hetpipe-fifo ns/op regressed") {
-		t.Errorf("finding 0 = %q, want fifo ns/op regression", findings[0])
+	for i, want := range []string{"hetpipe-fifo ns/op regressed", "gpipe allocs/op regressed", "gpipe B/op regressed 3712 -> 9999"} {
+		if !strings.Contains(findings[i], want) {
+			t.Errorf("finding %d = %q, want %q", i, findings[i], want)
+		}
 	}
-	if !strings.Contains(findings[1], "gpipe allocs/op regressed") {
-		t.Errorf("finding 1 = %q, want gpipe allocs regression", findings[1])
+}
+
+// TestCheckBenchBytes: B/op is a finding, either way, only beyond both 5 %
+// and 1 KiB — a table that doubled in size at the same allocation count
+// fails, bytes allocated once and spread over the iterations do not.
+func TestCheckBenchBytes(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "base.json")
+	write(t, base, `{"benchmarks": [
+		{"name": "BenchmarkDoubled", "ns_per_op": 10, "bytes_per_op": 41000, "allocs_per_op": 140},
+		{"name": "BenchmarkShrunk", "ns_per_op": 10, "bytes_per_op": 57536, "allocs_per_op": 144},
+		{"name": "BenchmarkAmortised", "ns_per_op": 10, "bytes_per_op": 54, "allocs_per_op": 0},
+		{"name": "BenchmarkAmortisedStale", "ns_per_op": 10, "bytes_per_op": 900, "allocs_per_op": 0},
+		{"name": "BenchmarkLarge", "ns_per_op": 10, "bytes_per_op": 68233, "allocs_per_op": 1},
+		{"name": "BenchmarkLargeStale", "ns_per_op": 10, "bytes_per_op": 70238, "allocs_per_op": 1}
+	]}`)
+	out := strings.Join([]string{
+		"BenchmarkDoubled-2          2000   10 ns/op   55000 B/op   140 allocs/op", // +34 %, +14 KB
+		"BenchmarkShrunk-2           2000   10 ns/op   41000 B/op   142 allocs/op", // baseline +40 %, +16 KB
+		"BenchmarkAmortised-2        2000   10 ns/op     259 B/op     0 allocs/op", // +380 %, but +205 B
+		"BenchmarkAmortisedStale-2   2000   10 ns/op      68 B/op     0 allocs/op", // baseline +1200 %, but +832 B
+		"BenchmarkLarge-2            2000   10 ns/op   71000 B/op     1 allocs/op", // +2767 B, but +4 %
+		"BenchmarkLargeStale-2       2000   10 ns/op   68000 B/op     1 allocs/op", // baseline +2238 B, but +3 %
+	}, "\n")
+	findings, err := checkBench(strings.NewReader(out), base, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 2 ||
+		!strings.Contains(findings[0], "BenchmarkDoubled B/op regressed 41000 -> 55000") ||
+		!strings.Contains(findings[1], "BenchmarkShrunk B/op baseline 57536 is stale, re-record: measured 41000") {
+		t.Errorf("findings = %v, want exactly Doubled's B/op regression and Shrunk's stale B/op", findings)
 	}
 }
 

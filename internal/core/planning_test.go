@@ -353,7 +353,7 @@ func TestPlanningCounts(t *testing.T) {
 		}
 		total.add(dep.Planning)
 	}
-	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, Priced: 829382, SoloWindows: 1140, PrunedNm: 306, SoloMB: 108860, SkippedMB: 86683}); total != want {
+	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, Priced: 724748, SoloWindows: 1140, PrunedNm: 306, SoloMB: 108860, SkippedMB: 86683}); total != want {
 		t.Errorf("108 systems: %+v, want %+v", total, want)
 	}
 	if total.SkippedMB*4 < total.SoloMB*3 {

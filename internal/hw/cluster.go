@@ -68,22 +68,29 @@ type Cluster struct {
 }
 
 // NewCluster builds a cluster from per-node GPU type assignments:
-// nodeTypes[i] gives the (homogeneous) GPU type and count for node i.
+// nodeTypes[i] gives the (homogeneous) GPU type and count for node i. The
+// devices and nodes live in one slab each, and a node's GPUs are a capped
+// window of the cluster's.
 func NewCluster(nodeTypes []struct {
 	Type  *GPUType
 	Count int
 }) *Cluster {
-	c := &Cluster{}
+	total := 0
+	for _, nt := range nodeTypes {
+		total += nt.Count
+	}
+	devices, nodes := make([]GPU, total), make([]Node, len(nodeTypes))
+	c := &Cluster{Nodes: make([]*Node, len(nodeTypes)), gpus: make([]*GPU, total)}
 	id := 0
 	for ni, nt := range nodeTypes {
-		n := &Node{Index: ni}
+		first := id
 		for s := 0; s < nt.Count; s++ {
-			g := &GPU{ID: id, Type: nt.Type, Node: ni, Slot: s}
+			devices[id] = GPU{ID: id, Type: nt.Type, Node: ni, Slot: s}
+			c.gpus[id] = &devices[id]
 			id++
-			n.GPUs = append(n.GPUs, g)
-			c.gpus = append(c.gpus, g)
 		}
-		c.Nodes = append(c.Nodes, n)
+		nodes[ni] = Node{Index: ni, GPUs: c.gpus[first:id:id]}
+		c.Nodes[ni] = &nodes[ni]
 	}
 	return c
 }

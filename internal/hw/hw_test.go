@@ -70,6 +70,18 @@ func TestPaperCluster(t *testing.T) {
 			t.Errorf("GPU %d on node %d, want %d", i, g.Node, i/4)
 		}
 	}
+	// A node lists the cluster's own devices, and an append to one node's
+	// list cannot overwrite the next node's.
+	for _, n := range c.Nodes {
+		for s, g := range n.GPUs {
+			if g != c.GPUs()[4*n.Index+s] || g.Slot != s {
+				t.Errorf("node %d slot %d is %s, not the cluster's GPU %d", n.Index, s, g.Name(), 4*n.Index+s)
+			}
+		}
+		if cap(n.GPUs) != len(n.GPUs) {
+			t.Errorf("node %d's GPU list has capacity %d beyond its %d GPUs", n.Index, cap(n.GPUs), len(n.GPUs))
+		}
+	}
 }
 
 func TestLinkBetween(t *testing.T) {

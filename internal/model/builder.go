@@ -1,7 +1,5 @@
 package model
 
-import "fmt"
-
 // builder tracks the spatial shape of the activation tensor while layers are
 // appended, so convolution arithmetic stays in one place.
 type builder struct {
@@ -10,11 +8,15 @@ type builder struct {
 	flat    int64 // current vector width after flatten (0 while spatial)
 }
 
-func newBuilder(name string, h, w, c int) *builder {
+// newBuilder starts a model of exactly layers layers, whose layer slice is
+// sized once (TestZooLayerSlicesAreExact holds every constructor to its
+// count).
+func newBuilder(name string, layers, h, w, c int) *builder {
 	return &builder{
 		m: &Model{
 			Name:       name,
 			InputElems: int64(h) * int64(w) * int64(c),
+			Layers:     make([]Layer, 0, layers),
 		},
 		h: h, w: w, c: c,
 	}
@@ -133,11 +135,4 @@ func (b *builder) softmax(name string) {
 		FwdFLOPs:    5 * float64(elems),
 		OutputElems: elems, StashElems: elems,
 	})
-}
-
-func (b *builder) build() *Model {
-	if err := b.m.Validate(); err != nil {
-		panic(fmt.Sprintf("model: builder produced invalid model: %v", err))
-	}
-	return b.m
 }

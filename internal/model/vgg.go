@@ -12,7 +12,7 @@ import "fmt"
 // (~548 MB in float32), matching the parameter-set size the paper quotes for
 // VGG-19 — the size that makes its parameter synchronization expensive.
 func VGG19() *Model {
-	b := newBuilder("VGG-19", 224, 224, 3)
+	b := newBuilder("VGG-19", 44, 224, 224, 3)
 	group := func(stage, n, channels int) {
 		for i := 1; i <= n; i++ {
 			name := fmt.Sprintf("conv%d_%d", stage, i)
@@ -33,5 +33,5 @@ func VGG19() *Model {
 	b.relu("fc7_relu")
 	b.fc("fc8", 1000)
 	b.softmax("prob")
-	return b.build()
+	return b.m
 }

@@ -5,7 +5,7 @@ import "fmt"
 // VGG16 builds VGG configuration D (thirteen 3x3 convolutions): the smaller
 // sibling of the paper's VGG-19, useful for scaling studies and tests.
 func VGG16() *Model {
-	b := newBuilder("VGG-16", 224, 224, 3)
+	b := newBuilder("VGG-16", 38, 224, 224, 3)
 	group := func(stage, n, channels int) {
 		for i := 1; i <= n; i++ {
 			name := fmt.Sprintf("conv%d_%d", stage, i)
@@ -26,13 +26,13 @@ func VGG16() *Model {
 	b.relu("fc7_relu")
 	b.fc("fc8", 1000)
 	b.softmax("prob")
-	return b.build()
+	return b.m
 }
 
 // ResNet50 builds ResNet-50 (bottleneck depths [3,4,6,3]): the standard
 // smaller residual model, ~25.6 M parameters.
 func ResNet50() *Model {
-	b := newBuilder("ResNet-50", 224, 224, 3)
+	b := newBuilder("ResNet-50", 24, 224, 224, 3)
 	b.conv("conv1", 64, 7, 2, 3, false)
 	b.bn("conv1_bn")
 	b.relu("conv1_relu")
@@ -54,13 +54,13 @@ func ResNet50() *Model {
 	b.flatten("flatten")
 	b.fc("fc1000", 1000)
 	b.softmax("prob")
-	return b.build()
+	return b.m
 }
 
 // AlexNet builds the eight-layer AlexNet (single-tower variant): the
 // smallest realistic CNN in the zoo, handy for fast pipeline tests.
 func AlexNet() *Model {
-	b := newBuilder("AlexNet", 224, 224, 3)
+	b := newBuilder("AlexNet", 20, 224, 224, 3)
 	b.conv("conv1", 64, 11, 4, 2, true)
 	b.relu("conv1_relu")
 	b.maxPool("pool1", 3, 2)
@@ -81,5 +81,5 @@ func AlexNet() *Model {
 	b.relu("fc7_relu")
 	b.fc("fc8", 1000)
 	b.softmax("prob")
-	return b.build()
+	return b.m
 }

@@ -67,3 +67,31 @@ func TestZooOrdering(t *testing.T) {
 		t.Error("ResNet-152 should be smaller than VGG-16 (FC layers dominate)")
 	}
 }
+
+// TestZooModelsValidate: the constructors do not validate what they build
+// (core.NewSystemSched validates every model it is given), so this does.
+func TestZooModelsValidate(t *testing.T) {
+	for _, name := range Names() {
+		m, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestZooLayerSlicesAreExact: each constructor sizes its layer slice to its
+// exact layer count, so building a model never grows it.
+func TestZooLayerSlicesAreExact(t *testing.T) {
+	for _, name := range Names() {
+		m, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Layers) != cap(m.Layers) {
+			t.Errorf("%s: %d layers in a slice of capacity %d", name, len(m.Layers), cap(m.Layers))
+		}
+	}
+}

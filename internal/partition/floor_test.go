@@ -11,15 +11,17 @@ import (
 	"hetpipe/internal/sched"
 )
 
-// TestFloorBoundsCostAndIsMonotone holds solve's stopping rule to its two
+// TestFloorBoundsCostAndIsMonotone holds walk's stopping rule to its two
 // proof obligations in float64, on random tables: for every virtual stage j
 // and every end hi, walking the cut lo down from hi-1 to 0, the floor of
-// [lo, hi) never falls (so once it is above the incumbent every lower cut's
-// is), and it never exceeds the chunk's cost wherever the chunk fits (so a cut
-// it rules out could not have won or tied). The FLOP weights span twelve
-// orders of magnitude with exact zeros mixed in, where a row of the range
-// table absorbs small layers entirely and sums depend most on their order;
-// workers mix GPU types and link kinds, V is 1 or 2, and BwdFwdRatio varies.
+// [lo, hi)'s occupancy-scaled StageTime never falls (so once it is above the
+// incumbent every lower cut's is), and it never exceeds the chunk's cost
+// wherever the chunk fits (so a cut it rules out could not have won or tied).
+// The FLOP weights span twelve orders of magnitude with exact zeros mixed in,
+// where a range sum absorbs small layers entirely and sums depend most on
+// their order; workers mix GPU types and link kinds, V cycles through 1 to 4,
+// and BwdFwdRatio varies. The bound must come within 1e-12 of the cost at
+// every V.
 func TestFloorBoundsCostAndIsMonotone(t *testing.T) {
 	c, err := hw.ClusterByName("paper-x2")
 	if err != nil {
@@ -30,10 +32,14 @@ func TestFloorBoundsCostAndIsMonotone(t *testing.T) {
 		rounds = 15
 	}
 	r := rand.New(rand.NewSource(22))
-	checked, tight := 0, 0
+	const maxV = 4
+	checked, tight := 0, [maxV + 1]int{}
 	for round := 0; round < rounds; round++ {
 		k := 1 + r.Intn(8)
-		v := 1 + r.Intn(2)
+		if round < 2*maxV {
+			k = 1 // no boundary enters the cost: the bound is at its tightest
+		}
+		v := 1 + round%maxV
 		w := make([]float64, k*v+r.Intn(40))
 		for i := range w {
 			switch r.Intn(8) {
@@ -56,7 +62,7 @@ func TestFloorBoundsCostAndIsMonotone(t *testing.T) {
 			for hi := 1; hi <= p.L; hi++ {
 				last := math.Inf(-1)
 				for lo := hi - 1; lo >= 0; lo-- {
-					f := floor(p.tab.StageTime(p.whole[j], lo, hi))
+					f := floor(p.occupancy * p.tab.StageTime(p.whole[j], lo, hi))
 					if f < last {
 						t.Fatalf("round %d stage %d: floor of [%d,%d) is %v, below [%d,%d)'s %v", round, j, lo, hi, f, lo+1, hi, last)
 					}
@@ -70,14 +76,16 @@ func TestFloorBoundsCostAndIsMonotone(t *testing.T) {
 					}
 					checked++
 					if f > cost*(1-1e-12) {
-						tight++
+						tight[v]++
 					}
 				}
 			}
 		}
 	}
-	if tight == 0 {
-		t.Error("no chunk's cost came within 1e-12 of its floor: the bound was never tested where it is tight")
+	for v := 1; v <= maxV; v++ {
+		if tight[v] == 0 {
+			t.Errorf("V=%d: no chunk's cost came within 1e-12 of its floor: the bound was never tested where it is tight", v)
+		}
 	}
-	t.Logf("%d chunks checked, %d with cost within 1e-12 of the floor", checked, tight)
+	t.Logf("%d chunks checked; with cost within 1e-12 of the floor, by V = 1..%d: %v", checked, maxV, tight[1:])
 }

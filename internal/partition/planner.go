@@ -167,16 +167,19 @@ func (p *planner) price(stage float64, lo, hi, j int) float64 {
 	return max(p.occupancy*(fwd+bwd), t)
 }
 
-// floor is what walk stops on: a chunk's StageTime shaved by eight
-// ulps. It never exceeds the chunk's cost — cost is at least fwd + bwd, which
-// is within two roundings of the StageTime it was split from
-// (profile.Tables.SplitStage), and the shave's own rounding takes back less
-// than one of its eight ulps — and, like the StageTime, it never falls as lo
-// does. fwd + bwd itself would not do: two roundings away from a monotone
-// quantity, it is not provably monotone.
+// floor is what walk stops on, applied to occupancy·StageTime: the chunk's
+// occupancy-scaled stage time shaved by eight ulps. It never exceeds the
+// chunk's cost. Cost is at least fl(V·fl(fwd + bwd)), and fwd + bwd is within
+// two roundings of the StageTime it was split from
+// (profile.Tables.SplitStage), so cost >= V·stage·(1-2^-51)(1-2^-53); the
+// floor is at most V·stage·(1+2^-53)²(1-2^-50), which is smaller. At V = 1
+// the product is the StageTime itself, exactly. Like the StageTime, and
+// because rounding a product by a positive constant is monotone, it never
+// falls as lo does. fwd + bwd itself would not do: two roundings away from a
+// monotone quantity, it is not provably monotone.
 //
 //hetlint:hotpath
-func floor(stage float64) float64 { return stage * (1 - 0x1p-50) }
+func floor(scaled float64) float64 { return scaled * (1 - 0x1p-50) }
 
 // solve runs the dynamic program over prefixes and, when a memory-feasible
 // split exists, leaves its cut points in p.cuts and reports ok. priced is
@@ -252,8 +255,10 @@ func (p *planner) keeps(prev []float64, old float64, c, i, j int) bool {
 // cut sits near where they cross — for balanced stages about 1/(j+1) of the
 // range below i. So the walk starts at i-1 and goes down, and stops at the
 // first cut whose stage alone can no longer reach the incumbent: one that
-// does not fit (a chunk's bytes only grow as the cut falls), or whose floor is
-// strictly above it (so is every lower cut's, and every lower cut's cost).
+// does not fit (a chunk's bytes only grow as the cut falls), or whose floor
+// of occupancy·StageTime is strictly above it (so is every lower cut's, and
+// every lower cut's cost). It reads the stage FLOPs from the tables' column
+// i, in one sequential pass.
 // Walking up from j instead prices the other j/(j+1) of the range. The answer
 // is the ascending scan's, ties included — the smallest cut attaining the
 // minimum: going down, a cut that equals the incumbent replaces it, and a
@@ -263,6 +268,7 @@ func (p *planner) keeps(prev []float64, old float64, c, i, j int) bool {
 func (p *planner) walk(prev []float64, i, j int) (float64, int, int) {
 	inf := math.Inf(1)
 	whole, budget, stash := p.whole[j], p.budget[j], p.stashes[j]
+	col := p.tab.Column(i)
 	b, at, n := inf, 0, 0
 	for cut := i - 1; cut >= j; cut-- {
 		if p.tab.ChunkBytes(cut, i, p.versions, stash) > budget {
@@ -273,8 +279,8 @@ func (p *planner) walk(prev []float64, i, j int) (float64, int, int) {
 		if pv > b || pv == inf {
 			continue
 		}
-		stage := p.tab.StageTime(whole, cut, i)
-		if floor(stage) > b {
+		stage := p.tab.Time(whole, col[cut])
+		if floor(p.occupancy*stage) > b {
 			break
 		}
 		if v := max(pv, p.price(stage, cut, i, j)); v <= b {

@@ -25,14 +25,15 @@ type Tables struct {
 	pcie, ib LinkModel
 	ratio    float64 // 1 + BwdFwdRatio
 
-	// flops[lo*n+hi] is the forward FLOPs of layers [lo, hi), n = layers+1.
-	// Each row is accumulated left to right from lo, exactly as StageTime's
-	// loop does: float64 addition is not associative, so a difference of
-	// prefix sums would round differently and move plans whose stage costs
-	// tie to the last bit.
-	flops []float64
-	n     int
-	total float64
+	// flops holds the forward FLOPs of every range [lo, hi), lo < hi, packed
+	// by column: column hi is flops[hi(hi-1)/2 : hi(hi+1)/2], indexed by lo
+	// (see Column). Each range is still accumulated left to right from lo,
+	// exactly as Perf.StageTime's loop does: float64 addition is not
+	// associative, so a difference of prefix sums would round differently
+	// and move plans whose stage costs tie to the last bit.
+	flops  []float64
+	layers int
+	total  float64
 	// weights[i] and stash[i] are the weight bytes and per-sample stash
 	// bytes of layers [0, i). Integer sums are exact, so prefix differences
 	// do equal the per-range loops.
@@ -42,20 +43,21 @@ type Tables struct {
 }
 
 // NewTables tabulates p's predictions for m at the given batch size:
-// O(layers^2) time and 8*(layers+1)^2 bytes (27 KB for ResNet-152).
+// O(layers^2) time and 4*layers*(layers+1) bytes of FLOP table (13.7 KB for
+// ResNet-152).
 func NewTables(p *Perf, m *model.Model, batch int) *Tables {
 	L := len(m.Layers)
 	t := &Tables{
 		perf: p, m: m, batch: batch,
 		pcie: p.PCIe, ib: p.IB, ratio: 1 + p.BwdFwdRatio,
-		n: L + 1, flops: make([]float64, (L+1)*(L+1)), total: m.TotalFwdFLOPs(),
+		layers: L, flops: make([]float64, L*(L+1)/2), total: m.TotalFwdFLOPs(),
 		weights: make([]int64, L+1), stash: make([]int64, L+1),
 	}
 	for lo := 0; lo < L; lo++ {
 		var f float64
 		for hi := lo + 1; hi <= L; hi++ {
 			f += m.Layers[hi-1].FwdFLOPs
-			t.flops[lo*t.n+hi] = f
+			t.flops[hi*(hi-1)/2+lo] = f
 		}
 	}
 	for i := 0; i < L; i++ {
@@ -76,7 +78,7 @@ func NewTables(p *Perf, m *model.Model, batch int) *Tables {
 // Models are immutable once built (internal/model), so the pointer and the
 // layer count identify m.
 func (t *Tables) Valid(p *Perf, m *model.Model, batch int) bool {
-	return t.perf == p && t.m == m && t.batch == batch && t.n == len(m.Layers)+1 &&
+	return t.perf == p && t.m == m && t.batch == batch && t.layers == len(m.Layers) &&
 		t.pcie == p.PCIe && t.ib == p.IB && t.ratio == 1+p.BwdFwdRatio
 }
 
@@ -97,15 +99,34 @@ func (t *Tables) ChunkTime(whole float64, lo, hi int) (fwd, bwd float64) {
 }
 
 // StageTime is the compute time of layers [lo, hi), forward and backward
-// together, before ChunkTime splits it. For a fixed hi it never falls as lo
-// does, in float64 and not only in the reals: row lo-1 of the FLOP table
-// starts from a sum at least row lo's (layer FLOPs are non-negative) and then
-// adds the same terms in the same order, and rounding is monotone; so are the
-// multiplication and the division that follow, whole and total being positive.
+// together, before ChunkTime splits it: Time of Column(hi)[lo]. For a fixed
+// hi it never falls as lo does, in float64 and not only in the reals: the
+// sum over [lo-1, hi) reaches layer lo with a partial sum at least that
+// layer's FLOPs (layer FLOPs are non-negative), where the sum over [lo, hi)
+// starts, and then adds the same terms in the same order, and rounding is
+// monotone; so are the multiplication and the division that follow, whole
+// and total being positive.
 //
 //hetlint:hotpath
 func (t *Tables) StageTime(whole float64, lo, hi int) float64 {
-	return whole * t.flops[lo*t.n+hi] / t.total
+	return t.Time(whole, t.flops[hi*(hi-1)/2+lo])
+}
+
+// Column returns the forward FLOPs of every range ending at hi: element lo
+// is layers [lo, hi), for 0 <= lo < hi. It aliases the tables, which the
+// caller must not modify.
+//
+//hetlint:hotpath
+func (t *Tables) Column(hi int) []float64 {
+	return t.flops[hi*(hi-1)/2 : hi*(hi+1)/2 : hi*(hi+1)/2]
+}
+
+// Time is the compute time of a range of the given forward FLOPs, on a GPU
+// whose WholeModelTime is whole.
+//
+//hetlint:hotpath
+func (t *Tables) Time(whole, flops float64) float64 {
+	return whole * flops / t.total
 }
 
 // SplitStage splits a StageTime into its forward and backward parts. The

@@ -11,7 +11,8 @@ import (
 )
 
 // TestTablesMatchPerf: every lookup equals, bit for bit, the Perf function
-// it tabulates, on a model whose FLOPs make float accumulation order matter.
+// it tabulates, on a model whose FLOPs make float accumulation order matter;
+// for the stage times that is both StageTime and the walk's Column route.
 func TestTablesMatchPerf(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	w := make([]float64, 37)
@@ -32,12 +33,18 @@ func TestTablesMatchPerf(t *testing.T) {
 		if err != nil || werr != nil || whole != want {
 			t.Fatalf("%s: WholeModelTime (%v, %v), want (%v, %v)", g.Name, whole, err, want, werr)
 		}
-		for lo := 0; lo < len(w); lo++ {
-			for hi := lo + 1; hi <= len(w); hi++ {
-				fwd, bwd := tab.ChunkTime(whole, lo, hi)
+		for hi := 1; hi <= len(w); hi++ {
+			col := tab.Column(hi)
+			if len(col) != hi || cap(col) != hi {
+				t.Fatalf("Column(%d) has len %d, cap %d, want %d", hi, len(col), cap(col), hi)
+			}
+			for lo := 0; lo < hi; lo++ {
 				wf, wb, _ := p.StageTime(m, lo, hi, g, batch)
-				if fwd != wf || bwd != wb {
+				if fwd, bwd := tab.ChunkTime(whole, lo, hi); fwd != wf || bwd != wb {
 					t.Fatalf("%s [%d,%d): ChunkTime (%v, %v), want (%v, %v)", g.Name, lo, hi, fwd, bwd, wf, wb)
+				}
+				if fwd, bwd := tab.SplitStage(tab.Time(whole, col[lo])); fwd != wf || bwd != wb {
+					t.Fatalf("%s [%d,%d): split Time of Column (%v, %v), want (%v, %v)", g.Name, lo, hi, fwd, bwd, wf, wb)
 				}
 			}
 		}
