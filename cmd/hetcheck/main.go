@@ -14,11 +14,11 @@
 //     BENCH_sim.json,BENCH_pipeline.json,BENCH_ps.json,BENCH_serve.json,
 //     BENCH_partition.json,BENCH_cosim.json,BENCH_train.json; comma-separate
 //     several files to gate one stream against multiple packages'
-//     baselines) regressed: ns/op beyond -bench-threshold (default 0.25,
-//     the documented >25%% rule — headroom for machine noise) or allocs/op
-//     beyond 5%% (allocation counts are deterministic, so any real growth
-//     is a leak on the pooled hot path) or B/op beyond both 5%% and 1 KiB
-//     (an allocation that doubled in size without multiplying).
+//     baselines) regressed: ns/op beyond 25%% (the documented rule —
+//     headroom for machine noise) or allocs/op beyond 5%% (allocation
+//     counts are deterministic, so any real growth is a leak on the pooled
+//     hot path) or B/op beyond both 5%% and 1 KiB (an allocation that
+//     doubled in size without multiplying).
 //     A baseline whose allocs/op is over 5%% (and at least one allocation)
 //     above the measurement is stale and fails too, since it hides growth;
 //     so is one whose B/op is over both 5%% and 1 KiB above it.
@@ -71,7 +71,6 @@ func main() {
 	links := flag.Bool("links", false, "check that relative Markdown links resolve")
 	bench := flag.Bool("bench", false, "compare `go test -bench -benchmem` output on stdin against the baseline")
 	baseline := flag.String("baseline", defaultBaselines, "comma-separated benchmark baseline files for -bench")
-	benchThreshold := flag.Float64("bench-threshold", 0.25, "fractional ns/op growth tolerated by -bench")
 	sloc := flag.Bool("sloc", false, "print non-blank, non-comment lines of non-test Go source outside bench/, per package and in total")
 	flag.Parse()
 	if !*pkgdoc && !*links && !*bench && !*sloc {
@@ -107,7 +106,7 @@ func main() {
 		for i, p := range paths {
 			paths[i] = filepath.Join(*root, strings.TrimSpace(p))
 		}
-		f, err := checkBench(os.Stdin, strings.Join(paths, ","), *benchThreshold)
+		f, err := checkBench(os.Stdin, strings.Join(paths, ","))
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -373,6 +372,10 @@ type benchEntry struct {
 // e.g. "4.000 frames/op") are printed between ns/op and B/op and skipped.
 var benchLineRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:(?:\s+[\d.e+-]+ \S+)*?\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
+// nsThreshold is the fractional ns/op growth tolerated by -bench: headroom
+// for machine noise, since wall time moves with load.
+const nsThreshold = 0.25
+
 // allocsThreshold is the fractional allocs/op and B/op growth tolerated by
 // -bench. Allocation counts are deterministic — unlike ns/op they do not move
 // with machine load — so the tolerance only absorbs counting differences
@@ -388,7 +391,7 @@ const bytesSlack = 1024
 
 // checkBench compares benchmark results read from r against the committed
 // baselines: a baseline-listed benchmark missing from the input, growing
-// its ns/op beyond threshold, growing its allocs/op beyond allocsThreshold,
+// its ns/op beyond nsThreshold, growing its allocs/op beyond allocsThreshold,
 // or growing its B/op beyond both allocsThreshold and bytesSlack is a
 // finding. So is a stale baseline, one whose allocs/op exceeds the
 // measurement by more than allocsThreshold and by at least one allocation,
@@ -399,7 +402,7 @@ const bytesSlack = 1024
 // files (one `go test -bench` stream can then be gated against several
 // packages' baselines in a single invocation); a benchmark listed by two files
 // is a hard error, since the gate could not tell which record to enforce.
-func checkBench(r io.Reader, baselineArg string, threshold float64) ([]string, error) {
+func checkBench(r io.Reader, baselineArg string) ([]string, error) {
 	entries, err := loadBaselines(strings.Split(baselineArg, ","))
 	if err != nil {
 		return nil, err
@@ -431,9 +434,9 @@ func checkBench(r io.Reader, baselineArg string, threshold float64) ([]string, e
 			findings = append(findings, fmt.Sprintf("%s: %s missing from benchmark output", e.path, b.Name))
 			continue
 		}
-		if limit := b.NsPerOp * (1 + threshold); g.ns > limit {
+		if limit := b.NsPerOp * (1 + nsThreshold); g.ns > limit {
 			findings = append(findings, fmt.Sprintf("%s: %s ns/op regressed %.0f -> %.0f (>%d%% over baseline)",
-				e.path, b.Name, b.NsPerOp, g.ns, int(threshold*100)))
+				e.path, b.Name, b.NsPerOp, g.ns, int(nsThreshold*100)))
 		}
 		if g.allocs < 0 {
 			findings = append(findings, fmt.Sprintf("%s: %s has no allocs/op (run with -benchmem)", e.path, b.Name))

@@ -154,7 +154,7 @@ func TestCheckBenchClean(t *testing.T) {
 		"BenchmarkSomethingElse-16                    2000   99999999 ns/op   1 B/op   1 allocs/op",
 		"PASS",
 	}, "\n")
-	findings, err := checkBench(strings.NewReader(out), base, 0.25)
+	findings, err := checkBench(strings.NewReader(out), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCheckBenchClean(t *testing.T) {
 	// not a "no allocs/op" complaint).
 	out = "BenchmarkPipelineSchedules/hetpipe-fifo-2   2000   33000 ns/op   4.000 frames/op   1.5e+03 widgets/op   4432 B/op   62 allocs/op\n" +
 		"BenchmarkPipelineSchedules/gpipe-2   2000   35000 ns/op   4.000 frames/op   3712 B/op   80 allocs/op\n"
-	findings, err = checkBench(strings.NewReader(out), base, 0.25)
+	findings, err = checkBench(strings.NewReader(out), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCheckBenchRegressions(t *testing.T) {
 		"BenchmarkPipelineSchedules/hetpipe-fifo-16   2000   50000 ns/op   4432 B/op   62 allocs/op",
 		"BenchmarkPipelineSchedules/gpipe-16          2000   35000 ns/op   9999 B/op   80 allocs/op",
 	}, "\n")
-	findings, err := checkBench(strings.NewReader(out), base, 0.25)
+	findings, err := checkBench(strings.NewReader(out), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCheckBenchBytes(t *testing.T) {
 		"BenchmarkLarge-2            2000   10 ns/op   71000 B/op     1 allocs/op", // +2767 B, but +4 %
 		"BenchmarkLargeStale-2       2000   10 ns/op   68000 B/op     1 allocs/op", // baseline +2238 B, but +3 %
 	}, "\n")
-	findings, err := checkBench(strings.NewReader(out), base, 0.25)
+	findings, err := checkBench(strings.NewReader(out), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestCheckBenchStaleBaseline(t *testing.T) {
 		"BenchmarkPipelineSchedules/hetpipe-fifo-16   2000   33000 ns/op   4432 B/op   58 allocs/op",
 		"BenchmarkPipelineSchedules/gpipe-16          2000   35000 ns/op   3712 B/op   52 allocs/op",
 	}, "\n")
-	findings, err := checkBench(strings.NewReader(out), base, 0.25)
+	findings, err := checkBench(strings.NewReader(out), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCheckBenchStaleBaseline(t *testing.T) {
 		{"name": "BenchmarkHalf", "ns_per_op": 10, "allocs_per_op": 0.5}
 	]}`)
 	out = "BenchmarkOne-2   2000   10 ns/op   0 B/op   0 allocs/op\nBenchmarkHalf-2   2000   10 ns/op   0 B/op   0 allocs/op\n"
-	findings, err = checkBench(strings.NewReader(out), base, 0.25)
+	findings, err = checkBench(strings.NewReader(out), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCheckBenchMissingAndNoMem(t *testing.T) {
 	// fifo absent from the output entirely; gpipe present but run without
 	// -benchmem, so its allocs cannot be checked.
 	out := "BenchmarkPipelineSchedules/gpipe-16   2000   35000 ns/op\n"
-	findings, err := checkBench(strings.NewReader(out), base, 0.25)
+	findings, err := checkBench(strings.NewReader(out), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestCheckBenchBadBaseline(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "base.json")
 			write(t, path, tc.content)
-			_, err := checkBench(strings.NewReader(""), path, 0.25)
+			_, err := checkBench(strings.NewReader(""), path)
 			if err == nil {
 				t.Fatalf("baseline %q accepted", tc.content)
 			}
@@ -319,7 +319,7 @@ func TestCheckBenchBadBaseline(t *testing.T) {
 		})
 	}
 
-	if _, err := checkBench(strings.NewReader(""), filepath.Join(t.TempDir(), "absent.json"), 0.25); err == nil {
+	if _, err := checkBench(strings.NewReader(""), filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("missing baseline file accepted")
 	} else if !strings.Contains(err.Error(), "does not exist") {
 		t.Errorf("error %q does not say the baseline is missing", err)
@@ -341,7 +341,7 @@ func TestCheckBenchMultipleBaselines(t *testing.T) {
 		"BenchmarkPipelineSchedules/gpipe-16          2000   35000 ns/op   3712 B/op   54 allocs/op",
 		"BenchmarkOther/op-16                         2000    9000 ns/op   16 B/op   2 allocs/op",
 	}, "\n")
-	findings, err := checkBench(strings.NewReader(out), a+","+b, 0.25)
+	findings, err := checkBench(strings.NewReader(out), a+","+b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestCheckBenchCrossFileDuplicate(t *testing.T) {
 	b := filepath.Join(dir, "b.json")
 	write(t, a, benchBaselineJSON)
 	write(t, b, benchBaselineJSON)
-	_, err := checkBench(strings.NewReader(""), a+","+b, 0.25)
+	_, err := checkBench(strings.NewReader(""), a+","+b)
 	if err == nil {
 		t.Fatal("duplicate benchmark across baseline files accepted")
 	}

@@ -1,16 +1,16 @@
 // Command hetlint runs the repository's determinism and hot-path analyzers
-// (internal/analysis) over Go packages. It runs two ways:
+// (internal/analysis) over Go packages, as a cmd/go vet tool:
 //
-//	hetlint ./...                         # direct: loads packages itself
-//	go vet -vettool=$(which hetlint) ./... # as a cmd/go vettool
+//	go build -o "$(go env GOPATH)/bin/hetlint" ./cmd/hetlint
+//	go vet -vettool="$(which hetlint)" ./...
 //
-// Direct mode shells out to `go list -export` and analyzes every matched
-// non-test package. Vettool mode speaks cmd/go's unitchecker protocol: the
-// go command hands hetlint one JSON config per package (source files plus
-// the import map and export data of the package's dependencies), which also
-// covers test packages; the analyzers themselves exempt *_test.go files.
+// It speaks cmd/go's unitchecker protocol: the go command hands hetlint one
+// JSON config per package (source files plus the import map and export data
+// of the package's dependencies), which also covers test packages; the
+// analyzers themselves exempt *_test.go files. Run any other way, hetlint
+// prints a one-line usage.
 //
-// Exit status: 0 clean, 1 operational error, 2 findings.
+// Exit status: 0 clean, 1 operational error or misuse, 2 findings.
 //
 // The suite (see docs/ARCHITECTURE.md "Enforced invariants"):
 //
@@ -23,7 +23,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/token"
 	"os"
@@ -42,9 +41,9 @@ func main() {
 }
 
 func run(args []string) int {
-	// cmd/go vettool protocol entry points, checked before normal flag
-	// parsing: `-V=full` asks for a version line and `-flags` for the
-	// supported analyzer flags (none).
+	// cmd/go's vettool protocol: `-V=full` asks for a version line,
+	// `-flags` for the supported analyzer flags (none), and a lone .cfg
+	// argument names one package to check.
 	for _, a := range args {
 		if a == "-V=full" || a == "-V" || strings.HasPrefix(a, "-V=") {
 			fmt.Println(version)
@@ -58,71 +57,8 @@ func run(args []string) int {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		return unitcheck(args[0])
 	}
-
-	fs := flag.NewFlagSet("hetlint", flag.ExitOnError)
-	checks := fs.String("checks", "", "comma-separated analyzer names to run (default all)")
-	list := fs.Bool("list", false, "list analyzers and exit")
-	dir := fs.String("C", ".", "directory to run `go list` from")
-	fs.Parse(args)
-
-	analyzers, err := selectAnalyzers(*checks)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hetlint: %v\n", err)
-		return 1
-	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := driver.Load(*dir, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hetlint: %v\n", err)
-		return 1
-	}
-	return report(pkgs, analyzers)
-}
-
-// selectAnalyzers resolves a -checks list against the suite.
-func selectAnalyzers(checks string) ([]*analysis.Analyzer, error) {
-	all := analysis.All()
-	if checks == "" {
-		return all, nil
-	}
-	byName := make(map[string]*analysis.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(checks, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// report runs the analyzers and prints findings go-vet style.
-func report(pkgs []*driver.Package, analyzers []*analysis.Analyzer) int {
-	diags, err := driver.Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hetlint: %v\n", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which hetlint) [packages]")
+	return 1
 }
 
 // vetConfig is the JSON configuration cmd/go writes for each package when
@@ -145,7 +81,8 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// unitcheck analyzes one package described by a cmd/go vet config file.
+// unitcheck analyzes one package described by a cmd/go vet config file and
+// prints the findings go-vet style.
 func unitcheck(cfgPath string) int {
 	raw, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -179,5 +116,16 @@ func unitcheck(cfgPath string) int {
 		fmt.Fprintf(os.Stderr, "hetlint: %v\n", err)
 		return 1
 	}
-	return report([]*driver.Package{pkg}, analysis.All())
+	diags, err := driver.Run([]*driver.Package{pkg}, analysis.All())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hetlint: %v\n", err)
+		return 1
+	}
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
+	}
+	if len(diags) > 0 {
+		return 2
+	}
+	return 0
 }

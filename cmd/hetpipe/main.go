@@ -39,7 +39,6 @@ func main() {
 	gantt := flag.Bool("gantt", false, "print the pipeline schedule of VW 1")
 	schedule := flag.String("schedule", "", "pipeline schedule: "+strings.Join(hetpipe.Schedules(), ", ")+" (empty = hetpipe-fifo)")
 	interleave := flag.Int("interleave", 0, "interleave degree V: chunks per GPU (requires -schedule interleaved when > 1)")
-	warmup := flag.Int("warmup", 1, "warmup minibatches excluded from -gantt/-trace-out rendering")
 	traceOut := flag.String("trace-out", "", "write VW 1's pipeline schedule as chrome://tracing JSON to this path")
 	progress := flag.Bool("progress", false, "stream wave-push and clock-advance events while simulating")
 	faults := flag.String("faults", "", "fault-injection plan, e.g. slow:w0:x2,crash:w1:mb40 (see hetpipe.WithFaults)")
@@ -71,7 +70,6 @@ func main() {
 		hetpipe.WithLocalPlacement(*local),
 		hetpipe.WithSchedule(*schedule),
 		hetpipe.WithInterleave(*interleave),
-		hetpipe.WithWarmup(*warmup),
 		hetpipe.WithFaults(*faults),
 		hetpipe.WithCheckpoint(*ckptEvery),
 	}

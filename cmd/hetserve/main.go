@@ -49,7 +49,6 @@ func main() {
 	clusterName := flag.String("cluster", "paper", "cluster-catalog key")
 	policy := flag.String("policy", "NP", "allocation policy (NP, ED, HD)")
 	scheduleName := flag.String("schedule", "", "pipeline schedule: "+strings.Join(hetpipe.Schedules(), ", ")+" (empty = hetpipe-fifo)")
-	placement := flag.String("placement", "default", "parameter placement (default, local); serving only shapes transfer profiling")
 	interleave := flag.Int("interleave", 0, "interleave degree V: chunks per GPU (requires -schedule interleaved when > 1)")
 	nm := flag.Int("nm", 0, "concurrent-minibatch count shaping the in-flight cap (0 = auto)")
 	batch := flag.Int("batch", 0, "microbatch capacity in requests (0 = 32)")
@@ -81,11 +80,7 @@ func main() {
 			fatalf("%v", err)
 		}
 	}()
-	sp, err := spec(*modelName, *clusterName, *policy, *scheduleName, *placement, *interleave, *nm, *batch)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	dep, err := sp.Resolve()
+	dep, err := spec(*modelName, *clusterName, *policy, *scheduleName, *interleave, *nm, *batch).Resolve()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -142,16 +137,14 @@ func main() {
 	writeJSON(*jsonPath, res)
 }
 
-// spec names the serving deployment from the flags; D is irrelevant to
-// serving and stays 0.
-func spec(model, cluster, policy, schedule, placement string, interleave, nm, batch int) (core.Spec, error) {
-	if placement != "default" && placement != "local" {
-		return core.Spec{}, fmt.Errorf("unknown placement %q (want default or local)", placement)
-	}
+// spec names the serving deployment from the flags. D and the parameter
+// placement shape only WSP's synchronization, which serving never runs, so
+// both stay at their defaults.
+func spec(model, cluster, policy, schedule string, interleave, nm, batch int) core.Spec {
 	return core.Spec{
 		Model: model, Cluster: cluster, Policy: policy, Schedule: schedule,
-		Interleave: interleave, Nm: nm, Batch: batch, Local: placement == "local",
-	}, nil
+		Interleave: interleave, Nm: nm, Batch: batch,
+	}
 }
 
 func splitFloats(s string) ([]float64, error) {

@@ -55,9 +55,6 @@ func New(opts ...Option) (*Deployment, error) {
 	if set.minibatches < 0 {
 		return nil, fmt.Errorf("hetpipe: minibatches per VW must be >= 0 (0 = default), got %d (WithMinibatchesPerVW)", set.minibatches)
 	}
-	if set.warmup < 0 {
-		return nil, fmt.Errorf("hetpipe: warmup must be >= 0, got %d", set.warmup)
-	}
 	if set.ckptEvery < 0 {
 		return nil, fmt.Errorf("hetpipe: checkpoint interval must be >= 0, got %d (WithCheckpoint)", set.ckptEvery)
 	}
@@ -252,8 +249,8 @@ func (d *Deployment) Train(ctx context.Context) (*LiveSummary, error) {
 
 // soloTrace simulates virtual worker vw's pipeline alone under the
 // deployment's schedule and returns the recorded execution trace. The
-// warmup comes from WithWarmup (default 1) and is validated against the
-// minibatch count here, where the run length is finally known.
+// trace records every task of the run; no warmup is excluded, since only a
+// throughput measurement would read one.
 func (d *Deployment) soloTrace(vw, minibatches int) (*trace.Trace, error) {
 	if vw < 0 || vw >= len(d.dep.VWs) {
 		return nil, fmt.Errorf("hetpipe: virtual worker %d out of range [0,%d)", vw, len(d.dep.VWs))
@@ -261,15 +258,11 @@ func (d *Deployment) soloTrace(vw, minibatches int) (*trace.Trace, error) {
 	if minibatches <= 0 {
 		minibatches = 4 * d.dep.Nm
 	}
-	if d.set.warmup >= minibatches {
-		return nil, fmt.Errorf("hetpipe: warmup %d must be below the %d rendered minibatches (WithWarmup)",
-			d.set.warmup, minibatches)
-	}
 	plan := d.dep.VWs[vw].Plan
 	tr := trace.New(len(plan.Stages))
 	if _, err := pipeline.Run(pipeline.Config{
 		Plan: plan, Schedule: d.dep.Sys.Schedule,
-		Minibatches: minibatches, Warmup: d.set.warmup, Trace: tr,
+		Minibatches: minibatches, Trace: tr,
 	}); err != nil {
 		return nil, err
 	}
@@ -280,9 +273,8 @@ func (d *Deployment) soloTrace(vw, minibatches int) (*trace.Trace, error) {
 // schedule as an ASCII chart (the Figure 1 view), using the deployment's own
 // partition plan, schedule, and batch size — the batch set through WithBatch
 // (default 32) rather than a hard-coded one. width is the chart width in
-// columns; minibatches <= 0 defaults to 4*Nm. The warmup minibatches
-// excluded from the underlying measurement come from WithWarmup (default 1)
-// and must be below the rendered minibatch count.
+// columns; minibatches <= 0 defaults to 4*Nm. Every rendered minibatch
+// appears in the chart.
 func (d *Deployment) Gantt(vw, minibatches, width int) (string, error) {
 	tr, err := d.soloTrace(vw, minibatches)
 	if err != nil {

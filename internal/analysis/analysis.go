@@ -6,9 +6,10 @@
 // The framework mirrors the golang.org/x/tools/go/analysis shape (an
 // Analyzer runs over a type-checked Pass and reports Diagnostics) but is
 // built on the standard library alone, so the module stays dependency-free.
-// Packages are loaded either directly (driver subpackage, `hetlint ./...`)
-// or through cmd/go's vettool protocol (`go vet -vettool=hetlint ./...`);
-// the analyzers are agnostic to how the Pass was produced.
+// hetlint receives its packages through cmd/go's vettool protocol
+// (`go vet -vettool=hetlint ./...`) and the tests from testdata fixtures;
+// the driver subpackage type-checks both, and the analyzers are agnostic to
+// how the Pass was produced.
 //
 // Analyzers consult three source directives:
 //
@@ -37,9 +38,9 @@ import (
 // through pass.Reportf; a non-nil error aborts the whole hetlint run (it
 // signals a broken analyzer, not a finding).
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -checks selections.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-line description shown by `hetlint -list`.
+	// Doc is a one-line description of the check.
 	Doc string
 	// Run performs the check on one type-checked package.
 	Run func(*Pass) error

@@ -219,7 +219,7 @@ func stdExports(paths []string) (map[string]string, error) {
 		}
 	}
 	if len(missing) > 0 {
-		m, err := driver.StdExports(".", missing...)
+		m, err := driver.StdExports(missing...)
 		if err != nil {
 			return nil, err
 		}

@@ -1,12 +1,12 @@
-// Package driver loads type-checked packages for hetlint without any
-// dependency outside the standard library.
+// Package driver type-checks packages for hetlint's analyzers and runs the
+// suite over them, without any dependency outside the standard library.
 //
-// The loader shells out to `go list -export -deps -json`, which compiles
-// (or reuses from the build cache) each dependency's export data, then
-// parses the target packages from source and type-checks them against that
-// export data through go/importer's gc importer. This is the same division
-// of labor as cmd/go's own vet driver: source + comments for the packages
-// under analysis, compiled export summaries for everything they import.
+// Packages under analysis are parsed from source (comments included: the
+// hetlint directives live there) and type-checked against compiled export
+// data through go/importer's gc importer — the same division of labor as
+// cmd/go's own vet driver. In hetlint, cmd/go's vettool protocol supplies
+// the export data; the analysistest harness gets its fixtures' standard
+// library export data from `go list -export` (StdExports).
 package driver
 
 import (
@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sort"
 
 	"hetpipe/internal/analysis"
@@ -36,36 +35,25 @@ type Package struct {
 	Info  *types.Info
 }
 
-// ListedPackage is the subset of `go list -json` output the loader reads.
-type ListedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	GoFiles    []string
-	Error      *struct{ Err string }
-}
-
-// List runs `go list -export -deps -json` over the patterns in dir and
-// returns the decoded package records (targets and dependencies).
-func List(dir string, patterns ...string) ([]ListedPackage, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Error",
-	}, patterns...)
+// StdExports lists the given import paths (typically standard library
+// packages fixtures import) with `go list -export -deps -json` and returns
+// their export data map, dependencies included.
+func StdExports(paths ...string) (map[string]string, error) {
+	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export,Error"}, paths...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, fmt.Errorf("go list %v: %v\n%s", paths, err, stderr.String())
 	}
-	var pkgs []ListedPackage
+	m := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var p ListedPackage
+		var p struct {
+			ImportPath, Export string
+			Error              *struct{ Err string }
+		}
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
@@ -74,66 +62,11 @@ func List(dir string, patterns ...string) ([]ListedPackage, error) {
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// Exports extracts the import path -> export data file map from a listing.
-func Exports(pkgs []ListedPackage) map[string]string {
-	m := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
 		if p.Export != "" {
 			m[p.ImportPath] = p.Export
 		}
 	}
-	return m
-}
-
-// StdExports lists the given import paths (typically standard library
-// packages fixtures import) and returns their export data map, dependencies
-// included.
-func StdExports(dir string, paths ...string) (map[string]string, error) {
-	if len(paths) == 0 {
-		return map[string]string{}, nil
-	}
-	pkgs, err := List(dir, paths...)
-	if err != nil {
-		return nil, err
-	}
-	return Exports(pkgs), nil
-}
-
-// Load lists the patterns and returns every non-dependency, non-standard
-// package parsed (with comments — hetlint directives live there) and
-// type-checked against its dependencies' export data.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := List(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	imp := NewImporter(fset, Exports(listed), nil)
-	var out []*Package
-	for _, lp := range listed {
-		if lp.DepOnly || lp.Standard {
-			continue
-		}
-		pkg, err := CheckFiles(fset, imp, lp.ImportPath, fileJoin(lp.Dir, lp.GoFiles))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-func fileJoin(dir string, names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = filepath.Join(dir, n)
-	}
-	return out
+	return m, nil
 }
 
 // CheckFiles parses the named files and type-checks them as import path,

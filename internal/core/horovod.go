@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/profile"
@@ -18,8 +19,11 @@ type HorovodResult struct {
 	// Throughput is the aggregate samples/sec: every iteration processes
 	// one minibatch per worker and takes (slowest compute + all-reduce).
 	Throughput float64
-	// IterationTime decomposes into the straggler-paced compute time and
-	// the ring all-reduce time.
+	// Periods is each included worker's standalone per-minibatch compute
+	// time, in Workers order — the inputs the numeric BSP trainer needs.
+	Periods []float64
+	// IterationTime decomposes into the straggler-paced compute time (the
+	// largest period) and the ring all-reduce time.
 	ComputeTime, AllReduceTime float64
 	// CrossNodeBytesPerWorker is the one-way all-reduce wire volume per
 	// iteration per worker: (N-1)/N * parameter bytes (the paper's 515 MB
@@ -47,39 +51,19 @@ func (s *System) Horovod(gpus []*hw.GPU) (*HorovodResult, error) {
 	if len(res.Workers) == 0 {
 		return nil, fmt.Errorf("core: no GPU can hold %s (footprint %d bytes)", s.Model.Name, footprint)
 	}
-	slowest := 0.0
 	for _, g := range res.Workers {
 		t, err := s.Perf.WholeModelTime(s.Model, g.Type, s.Batch)
 		if err != nil {
 			return nil, err
 		}
-		if t > slowest {
-			slowest = t
-		}
+		res.Periods = append(res.Periods, t)
 	}
 	n := len(res.Workers)
-	res.ComputeTime = slowest
+	res.ComputeTime = slices.Max(res.Periods)
 	res.AllReduceTime = ringAllReduceTime(s.Model.ParamBytes(), n, s.Perf.IB)
 	res.Throughput = float64(n*s.Batch) / (res.ComputeTime + res.AllReduceTime)
 	res.CrossNodeBytesPerWorker = busBandwidthVolume(s.Model.ParamBytes(), n) / 2
 	return res, nil
-}
-
-// HorovodPeriods returns each included worker's standalone per-minibatch
-// compute time — the inputs the numeric BSP trainer needs.
-func (s *System) HorovodPeriods(gpus []*hw.GPU) (periods []float64, allReduceTime float64, err error) {
-	hr, err := s.Horovod(gpus)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, g := range hr.Workers {
-		t, err := s.Perf.WholeModelTime(s.Model, g.Type, s.Batch)
-		if err != nil {
-			return nil, 0, err
-		}
-		periods = append(periods, t)
-	}
-	return periods, hr.AllReduceTime, nil
 }
 
 // ringAllReduceTime predicts one bandwidth-optimal ring all-reduce (Patarasuk

@@ -113,7 +113,7 @@ func horovodRun(m *model.Model) (*train.RunStats, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	periods, ar, err := s.HorovodPeriods(nil)
+	hr, err := s.Horovod(nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -126,9 +126,9 @@ func horovodRun(m *model.Model) (*train.RunStats, int, error) {
 	// (Goyal et al., the paper's reference [13] for LR tuning) — this keeps
 	// the baseline's per-sample statistical efficiency on par with
 	// HetPipe's sequential small-batch updates.
-	n := len(periods)
+	n := len(hr.Periods)
 	stats, err := train.RunBSP(train.BSPConfig{
-		Task: task, Periods: periods, AllReduceTime: ar,
+		Task: task, Periods: hr.Periods, AllReduceTime: hr.AllReduceTime,
 		LR:            convergeLR * float64(n),
 		MaxIterations: maxMBPerWorker, EvalEvery: evalEvery / 8,
 		TargetLoss: targetLoss,

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hetpipe/internal/core"
@@ -54,6 +55,111 @@ func TestLightLoadLatencyIsTraversal(t *testing.T) {
 		for w, n := range served {
 			if n == 0 {
 				t.Errorf("%s: replica %d served nothing: the oracle never saw its traversal", name, w)
+			}
+		}
+	}
+}
+
+// TestCapacityOracle bounds every replica's completions by its two capacity
+// limits. Replica r's busiest GPU spends bottle_r on each microbatch, and
+// each microbatch spends at least the traversal fill_r in flight, where at
+// most cap_r = InFlightCap(K, Nm) fit at once. So for every drained run
+//
+//	Batches_r * bottle_r <= Duration  and  Batches_r * fill_r <= cap_r * Duration,
+//
+// and between any two of r's completions, at t_i and t_j, at most cap_r of
+// the microbatches completing in [t_i, t_j] were admitted before t_i (the
+// one completing at t_i among them), and the rest did all their
+// busiest-GPU work inside the window:
+//
+//	(completions in [t_i, t_j] - cap_r) * bottle_r <= t_j - t_i.
+//
+// All three hold exactly: the times are Quantum multiples, so their sums
+// and small multiples do not round. The traffic is serve-curve's five shapes
+// plus a Poisson offer at twice sum_r Batch/bottle_r, for every schedule
+// (interleaved at V = 2) under NP, ED and HD at their automatic Nm,
+// fault-free.
+func TestCapacityOracle(t *testing.T) {
+	const n = 2000
+	shapes := []string{
+		"poisson:r100", "poisson:r160", "poisson:r220",
+		"closed:u32:t0.05", "bursty:r120:x3:on1:off3",
+	}
+	for _, name := range sched.Names() {
+		for _, policy := range []string{"NP", "ED", "HD"} {
+			sp := core.Spec{Model: "vgg19", Policy: policy, Schedule: name}
+			if name == sched.NameInterleaved {
+				sp.Interleave = 2
+			}
+			dep, err := sp.Resolve()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, policy, err)
+			}
+			disc := sched.Or(dep.Sys.Schedule)
+			bottle := make([]float64, len(dep.VWs))
+			fill := make([]float64, len(dep.VWs))
+			capacity := make([]int, len(dep.VWs))
+			offer := 0.0
+			for w, vp := range dep.VWs {
+				k := len(vp.Plan.Stages)
+				times := pipeline.Times(vp.Plan)
+				capacity[w] = max(disc.InFlightCap(len(times), dep.Nm), 1)
+				for g := 0; g < k; g++ {
+					busy := 0.0
+					for vs := g; vs < len(times); vs += k {
+						busy += times[vs].Fwd
+						if !disc.OverlapRecv() {
+							busy += times[vs].RecvAct
+						}
+					}
+					bottle[w] = max(bottle[w], busy)
+				}
+				for _, st := range times {
+					fill[w] += st.Fwd + st.RecvAct
+				}
+				offer += float64(dep.Sys.Batch) / bottle[w]
+			}
+			specs := append([]string{fmt.Sprintf("poisson:r%.0f", 2*offer)}, shapes...)
+			for _, shape := range specs {
+				spec := fmt.Sprintf("%s:n%d:seed3", shape, n)
+				res, err := Run(context.Background(), dep, traffic(t, spec), Options{})
+				if err != nil {
+					t.Fatalf("%s/%s %s: %v", name, policy, spec, err)
+				}
+				done := make([][]float64, len(dep.VWs))
+				for _, rq := range res.Trace {
+					done[rq.Replica] = append(done[rq.Replica], rq.Done)
+				}
+				for w, d := range done {
+					slices.Sort(d)
+					d = slices.Compact(d)
+					rs := res.Replicas[w]
+					if len(d) != rs.Batches {
+						t.Fatalf("%s/%s %s: replica %d has %d distinct completion times for %d batches", name, policy, spec, w, len(d), rs.Batches)
+					}
+					b := float64(rs.Batches)
+					if b*bottle[w] > res.Duration {
+						t.Errorf("%s/%s %s: replica %d ran %d batches of busiest-GPU time %v in %v", name, policy, spec, w, rs.Batches, bottle[w], res.Duration)
+					}
+					if b*fill[w] > float64(capacity[w])*res.Duration {
+						t.Errorf("%s/%s %s: replica %d ran %d traversals of %v, %d at a time, in %v", name, policy, spec, w, rs.Batches, fill[w], capacity[w], res.Duration)
+					}
+					// With u_k = d[k] - k*bottle the window bound for i <= j
+					// reads u_i - (cap-1)*bottle <= u_j, so one pass with a
+					// running maximum of u checks every window.
+					slack := float64(capacity[w]-1) * bottle[w]
+					u := func(k int) float64 { return d[k] - float64(k)*bottle[w] }
+					top := 0 // the i <= j maximizing u_i
+					for j := range d {
+						if u(j) > u(top) {
+							top = j
+						}
+						if u(top)-slack > u(j) {
+							t.Fatalf("%s/%s %s: replica %d completed %d batches in [%v, %v], %d in flight allowed, at busiest-GPU time %v",
+								name, policy, spec, w, j-top+1, d[top], d[j], capacity[w], bottle[w])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -103,8 +103,9 @@ type Grid struct {
 	// resolved deployment is driven by the request generator instead of the
 	// WSP training simulation, Result.Throughput carries served
 	// requests/sec, and the latency percentiles fill in. Serving ignores
-	// the WSP clock bound, so serving scenarios collapse the D axis to a
-	// single D=0 cell the way Horovod collapses the WSP-only axes. Mixing
+	// the WSP clock bound and the parameter placement, so serving scenarios
+	// collapse the D and placement axes to a single D=0, PlacementDefault
+	// cell the way Horovod collapses the WSP-only axes. Mixing
 	// "" and serving specs in one grid ranks samples/sec against
 	// requests/sec within a model/cluster pair — keep grids single-workload
 	// when the summary ranking matters.
@@ -214,7 +215,8 @@ func (s *Scenario) twin() Scenario {
 // interleave, policy, placement, faults, traffic, D, and Nm axes (exactly
 // one baseline run per model and cluster), schedules without interleave
 // support collapse the interleave axis to V=1, and serving scenarios
-// (non-empty Traffic) collapse the D axis to a single D=0 cell.
+// (non-empty Traffic) collapse the D and placement axes to a single D=0,
+// default-placement cell.
 func (g Grid) Expand() ([]Scenario, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
@@ -278,16 +280,21 @@ func (g Grid) Expand() ([]Scenario, error) {
 							v = 0
 						}
 						for _, pol := range dedup(g.Policies) {
-							for _, pl := range placements {
+							for pi, pl := range placements {
 								for _, fs := range faults {
 									for _, tf := range traffics {
-										ds := dValues
+										ds, place := dValues, pl
 										if tf != "" {
-											// Serving runs no WSP protocol, so the
-											// clock bound never shapes the timeline;
-											// one D=0 cell per serving spec, not a
-											// duplicate per D value.
-											ds = []int{0}
+											// Serving runs no WSP protocol, so
+											// neither the clock bound nor the
+											// parameter placement shapes the
+											// timeline: one D=0, default-placement
+											// cell per serving spec, not a
+											// duplicate per D or placement value.
+											if pi > 0 {
+												continue
+											}
+											ds, place = []int{0}, PlacementDefault
 										}
 										for _, d := range ds {
 											for _, nm := range nmValues {
@@ -295,7 +302,7 @@ func (g Grid) Expand() ([]Scenario, error) {
 													Index: len(out), Model: m, Cluster: cl,
 													SyncMode: sync, Schedule: sc,
 													Interleave: v,
-													Policy:     pol, Placement: pl,
+													Policy:     pol, Placement: place,
 													Faults: fs, Traffic: tf,
 													D: d, Nm: nm, Batch: batch,
 													MinibatchesPerVW: g.MinibatchesPerVW,

@@ -77,6 +77,38 @@ func TestExpandDeduplicatesAxes(t *testing.T) {
 	}
 }
 
+// Serving reads no parameter placement, so a placement axis multiplies only
+// the training cells: each serving spec gets one default-placement cell.
+func TestExpandServingCollapsesPlacement(t *testing.T) {
+	g := Grid{Models: []string{"vgg19"}, Clusters: []string{"mini"}, Policies: []string{"ED", "NP"}}
+	for _, tc := range []struct {
+		placements, traffics []string
+		want                 []string // Policy/Placement/Traffic per scenario, in order
+	}{
+		{[]string{PlacementDefault, PlacementLocal}, []string{"poisson:r60:n300"},
+			[]string{"ED/default/poisson:r60:n300", "NP/default/poisson:r60:n300"}},
+		{[]string{PlacementLocal}, []string{"poisson:r60:n300"},
+			[]string{"ED/default/poisson:r60:n300", "NP/default/poisson:r60:n300"}},
+		{[]string{PlacementLocal, PlacementDefault}, []string{"poisson:r60:n300", ""}, []string{
+			"ED/default/poisson:r60:n300", "ED/local/", "ED/default/",
+			"NP/default/poisson:r60:n300", "NP/local/", "NP/default/",
+		}},
+	} {
+		g.Placements, g.Traffics = tc.placements, tc.traffics
+		scenarios, err := g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, sc := range scenarios {
+			got = append(got, sc.Policy+"/"+sc.Placement+"/"+sc.Traffic)
+		}
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("placements %v, traffics %q: scenarios\n %v\nwant\n %v", tc.placements, tc.traffics, got, tc.want)
+		}
+	}
+}
+
 // TestShortSimulationStaysFeasible guards the warmup sizing: a user-supplied
 // minibatch budget smaller than the usual four-wave warmup must still
 // simulate rather than fail inside the pipeline.

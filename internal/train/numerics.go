@@ -26,8 +26,6 @@ type WSPConfig struct {
 	MaxMinibatches int
 	// EvalEvery evaluates accuracy every that many global completions.
 	EvalEvery int
-	// TargetAccuracy stops the run early once reached (0 disables).
-	TargetAccuracy float64
 	// TargetLoss stops the run early once the training loss drops to it
 	// (0 disables). Loss is the sharper convergence criterion for tasks
 	// whose accuracy saturates early.
@@ -41,7 +39,7 @@ type RunStats struct {
 	Accuracy metrics.Series
 	// Loss is training loss on the same axis.
 	Loss metrics.Series
-	// TimeToTarget is the earliest time a target was met.
+	// TimeToTarget is the earliest time the loss target was met.
 	TimeToTarget  float64
 	ReachedTarget bool
 	// Minibatches is the total processed across workers.
@@ -72,27 +70,26 @@ type RunStats struct {
 }
 
 // evaluator appends a run's accuracy/loss curve to its RunStats and watches
-// for the targets.
+// for the loss target.
 type evaluator struct {
-	task                       Task
-	targetAccuracy, targetLoss float64
-	stats                      *RunStats
+	task       Task
+	targetLoss float64
+	stats      *RunStats
 }
 
-func newEvaluator(task Task, targetAccuracy, targetLoss float64) evaluator {
-	return evaluator{task: task, targetAccuracy: targetAccuracy, targetLoss: targetLoss,
+func newEvaluator(task Task, targetLoss float64) evaluator {
+	return evaluator{task: task, targetLoss: targetLoss,
 		stats: &RunStats{Accuracy: metrics.Series{Name: "accuracy"}, Loss: metrics.Series{Name: "loss"}}}
 }
 
 // at evaluates weights w at time t and reports whether that is the first
-// evaluation to meet a target.
+// evaluation to meet the loss target.
 func (e *evaluator) at(t float64, w tensor.Vector) bool {
 	acc, loss := e.task.Accuracy(w), e.task.Loss(w)
 	e.stats.Accuracy.Append(t, acc)
 	e.stats.Loss.Append(t, loss)
 	e.stats.FinalAccuracy, e.stats.FinalLoss = acc, loss
-	hit := e.targetAccuracy > 0 && acc >= e.targetAccuracy || e.targetLoss > 0 && loss <= e.targetLoss
-	if hit && !e.stats.ReachedTarget {
+	if e.targetLoss > 0 && loss <= e.targetLoss && !e.stats.ReachedTarget {
 		e.stats.ReachedTarget = true
 		e.stats.TimeToTarget = t
 		return true
@@ -159,7 +156,7 @@ func NewNumerics(cfg WSPConfig) (*Numerics, error) {
 	}
 	n.global = cfg.Task.InitWeights()
 	n.prefix = []tensor.Vector{n.global.Clone()}
-	n.eval = newEvaluator(cfg.Task, cfg.TargetAccuracy, cfg.TargetLoss)
+	n.eval = newEvaluator(cfg.Task, cfg.TargetLoss)
 	return n, nil
 }
 

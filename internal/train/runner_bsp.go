@@ -28,8 +28,6 @@ type BSPConfig struct {
 	MaxIterations int
 	// EvalEvery evaluates accuracy every that many iterations.
 	EvalEvery int
-	// TargetAccuracy stops the run early once reached (0 disables).
-	TargetAccuracy float64
 	// TargetLoss stops the run early once the training loss drops to it
 	// (0 disables).
 	TargetLoss float64
@@ -70,7 +68,7 @@ func RunBSP(cfg BSPConfig) (*RunStats, error) {
 	w := cfg.Task.InitWeights()
 	grad := tensor.NewVector(len(w))
 	sum := tensor.NewVector(len(w))
-	eval := newEvaluator(cfg.Task, cfg.TargetAccuracy, cfg.TargetLoss)
+	eval := newEvaluator(cfg.Task, cfg.TargetLoss)
 	stats := eval.stats
 	slowest := slices.Max(cfg.Periods)
 	now := 0.0

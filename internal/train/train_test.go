@@ -302,17 +302,17 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestTargetAccuracyStopsEarly(t *testing.T) {
+func TestTargetLossStopsEarly(t *testing.T) {
 	lt := task(t)
 	stats, err := RunWSP(WSPConfig{
 		Task: lt, Workers: 2, SLocal: 1, D: 0, LR: 0.4,
-		MaxMinibatches: 5000, EvalEvery: 50, TargetAccuracy: 0.7,
+		MaxMinibatches: 5000, EvalEvery: 50, TargetLoss: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stats.ReachedTarget {
-		t.Fatalf("never reached 0.7 (final %.3f)", stats.FinalAccuracy)
+		t.Fatalf("never reached loss 0.5 (final %.3f)", stats.FinalLoss)
 	}
 	if stats.Minibatches >= 2*5000 {
 		t.Error("run did not stop early")

@@ -51,7 +51,6 @@ var (
 type settings struct {
 	spec        core.Spec
 	minibatches int
-	warmup      int
 
 	// Fault-tolerance knobs (both backends).
 	faultSpec string
@@ -74,7 +73,7 @@ type settings struct {
 }
 
 func defaultSettings() settings {
-	return settings{task: "logreg", lr: 0.2, seed: 1, warmup: 1}
+	return settings{task: "logreg", lr: 0.2, seed: 1}
 }
 
 // An Option configures a deployment under construction; pass them to New.
@@ -138,13 +137,6 @@ func WithSchedule(name string) Option { return func(s *settings) { s.spec.Schedu
 // placement; V > 1 requires the "interleaved" schedule (New reports
 // ErrBadInterleave otherwise).
 func WithInterleave(v int) Option { return func(s *settings) { s.spec.Interleave = v } }
-
-// WithWarmup sets how many leading minibatches Gantt and WriteChromeTrace
-// runs exclude from their steady-state measurement (default 1). It must be
-// non-negative and smaller than the rendered minibatch count; both are
-// validated — New rejects negative values, the render calls reject a warmup
-// that swallows the whole run.
-func WithWarmup(n int) Option { return func(s *settings) { s.warmup = n } }
 
 // WithObserver streams run events (minibatch completions, wave pushes, pulls,
 // global-clock advances, serving arrivals/admissions/replies, fault

@@ -10,7 +10,7 @@ import (
 )
 
 // goldenGantt is the exact VRGQ/vgg19/Nm=4 Gantt chart the pre-refactor
-// executor rendered (16 minibatches, width 100, warmup 1): the default
+// executor rendered (16 minibatches, width 100): the default
 // schedule must keep reproducing it byte for byte.
 const goldenGantt = `GPU1 |12#34##.......[1]#5#[2]#6[3]#7#[4]#8[5]#[6]#910[7]#[8]#112#.[9]13[10]1[11]15[12]1[13][14]#[15]#.[16]|
 GPU2 |.1#23#4#....[1]..[2]5#[3]6#[4].7[5]#8[6]#..[79#1[8].....1[9]12[1013.[114#[1215[1316[14..[15..[16]...|
@@ -77,26 +77,6 @@ func TestUnknownScheduleError(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "hetpipe-fifo") {
 		t.Errorf("error %v should list the valid schedules", err)
-	}
-}
-
-func TestGanttWarmupOption(t *testing.T) {
-	// Warmup must be validated against the rendered minibatch count.
-	dep := ganttDeployment(t, WithWarmup(16))
-	if _, err := dep.Gantt(0, 16, 100); err == nil {
-		t.Error("warmup == minibatches should be rejected")
-	}
-	if _, err := dep.Gantt(0, 17, 100); err != nil {
-		t.Errorf("warmup below minibatches rejected: %v", err)
-	}
-	// Negative warmup is rejected at New.
-	if _, err := New(WithModel("vgg19"), WithPolicy("ED"), WithWarmup(-1)); err == nil {
-		t.Error("negative warmup accepted by New")
-	}
-	// Warmup 0 is a valid, previously unreachable configuration.
-	dep0 := ganttDeployment(t, WithWarmup(0))
-	if _, err := dep0.Gantt(0, 8, 80); err != nil {
-		t.Errorf("warmup 0: %v", err)
 	}
 }
 
