@@ -9,9 +9,7 @@ import (
 	"hetpipe/internal/cluster"
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
-	"hetpipe/internal/pipeline"
 	"hetpipe/internal/serve"
-	"hetpipe/internal/trace"
 	"hetpipe/internal/train"
 )
 
@@ -57,6 +55,9 @@ func New(opts ...Option) (*Deployment, error) {
 	}
 	if set.ckptEvery < 0 {
 		return nil, fmt.Errorf("hetpipe: checkpoint interval must be >= 0, got %d (WithCheckpoint)", set.ckptEvery)
+	}
+	if set.chunks < 0 {
+		return nil, fmt.Errorf("hetpipe: chunk count must be >= 0 (0 = 4 per server), got %d (WithChunks)", set.chunks)
 	}
 	if set.stepTime < 0 {
 		return nil, fmt.Errorf("hetpipe: step time must be >= 0, got %v (WithStepTime)", set.stepTime)
@@ -247,28 +248,6 @@ func (d *Deployment) Train(ctx context.Context) (*LiveSummary, error) {
 	}, nil
 }
 
-// soloTrace simulates virtual worker vw's pipeline alone under the
-// deployment's schedule and returns the recorded execution trace. The
-// trace records every task of the run; no warmup is excluded, since only a
-// throughput measurement would read one.
-func (d *Deployment) soloTrace(vw, minibatches int) (*trace.Trace, error) {
-	if vw < 0 || vw >= len(d.dep.VWs) {
-		return nil, fmt.Errorf("hetpipe: virtual worker %d out of range [0,%d)", vw, len(d.dep.VWs))
-	}
-	if minibatches <= 0 {
-		minibatches = 4 * d.dep.Nm
-	}
-	plan := d.dep.VWs[vw].Plan
-	tr := trace.New(len(plan.Stages))
-	if _, err := pipeline.Run(pipeline.Config{
-		Plan: plan, Schedule: d.dep.Sys.Schedule,
-		Minibatches: minibatches, Trace: tr,
-	}); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // Gantt simulates virtual worker vw's pipeline alone and renders its
 // schedule as an ASCII chart (the Figure 1 view), using the deployment's own
 // partition plan, schedule, and batch size — the batch set through WithBatch
@@ -276,7 +255,7 @@ func (d *Deployment) soloTrace(vw, minibatches int) (*trace.Trace, error) {
 // columns; minibatches <= 0 defaults to 4*Nm. Every rendered minibatch
 // appears in the chart.
 func (d *Deployment) Gantt(vw, minibatches, width int) (string, error) {
-	tr, err := d.soloTrace(vw, minibatches)
+	tr, err := d.dep.SoloTrace(vw, minibatches)
 	if err != nil {
 		return "", err
 	}
@@ -288,7 +267,7 @@ func (d *Deployment) Gantt(vw, minibatches, width int) (string, error) {
 // per stage, one complete event per forward, backward, and (under the
 // overlap schedule) transfer span. minibatches <= 0 defaults to 4*Nm.
 func (d *Deployment) WriteChromeTrace(w io.Writer, vw, minibatches int) error {
-	tr, err := d.soloTrace(vw, minibatches)
+	tr, err := d.dep.SoloTrace(vw, minibatches)
 	if err != nil {
 		return err
 	}

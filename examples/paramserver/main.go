@@ -3,9 +3,10 @@
 // deployment is resolved once with hetpipe.New, then trained live
 // (Deployment.Train): one goroutine per virtual worker pushes one aggregated
 // update per wave and pulls lazily under the clock-distance bound D, over
-// real loopback sockets with gob encoding. An observer streams every push,
-// pull, and observed clock advance; a context deadline shows that a live
-// TCP run cancels cleanly, with all goroutines and sockets reaped.
+// real loopback sockets speaking the ps package's binary wire protocol v2
+// (gob serves only shard checkpoints). An observer streams every
+// push, pull, and observed clock advance; a context deadline shows that a
+// live TCP run cancels cleanly, with all goroutines and sockets reaped.
 package main
 
 import (

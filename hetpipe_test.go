@@ -75,6 +75,15 @@ func TestRunValidation(t *testing.T) {
 	if _, err := New(WithModel("vgg19"), WithPolicy("NP"), WithLocalPlacement(true)); err == nil {
 		t.Error("local placement under NP accepted")
 	}
+	// Nm 0 means "choose one"; a negative Nm is the caller's mistake, not a
+	// virtual worker's.
+	const wantNm = "core: Nm must be >= 0 (0 = auto), got -1"
+	if _, err := New(WithModel("vgg19"), WithPolicy("ED"), WithNm(-1)); err == nil || err.Error() != wantNm {
+		t.Errorf("WithNm(-1): error %v, want %q", err, wantNm)
+	}
+	if _, err := New(WithModel("vgg19"), WithPolicy("ED"), WithChunks(-1)); err == nil {
+		t.Error("WithChunks(-1) accepted")
+	}
 }
 
 func TestHorovodBaseline(t *testing.T) {

@@ -128,6 +128,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("cluster: need at least one server")
 	case c.MaxMinibatches < 1:
 		return fmt.Errorf("cluster: zero minibatch budget")
+	case c.Chunks < 0:
+		return fmt.Errorf("cluster: chunk count must be >= 0 (0 = 4 per server), got %d", c.Chunks)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("cluster: checkpoint interval must be >= 0")
 	case c.StepTime < 0:

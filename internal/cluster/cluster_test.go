@@ -170,6 +170,14 @@ func TestLiveRunValidation(t *testing.T) {
 			t.Errorf("bad config %d: RunConformance says %q, Run %q", i, cerr, err)
 		}
 	}
+	// A negative chunk count is refused before either half runs, so both
+	// give the same text.
+	cfg := Config{Task: lt, Workers: 1, Servers: 1, LR: 0.1, MaxMinibatches: 1, Chunks: -1}
+	_, err := Run(context.Background(), cfg)
+	_, cerr := RunConformance(context.Background(), cfg)
+	if err == nil || cerr == nil || cerr.Error() != err.Error() {
+		t.Errorf("Chunks -1: Run says %v, RunConformance %v; want the same error", err, cerr)
+	}
 }
 
 func TestLiveRunShortBudgetNeverPulls(t *testing.T) {

@@ -66,6 +66,7 @@ import (
 	"hetpipe/internal/pipeline"
 	"hetpipe/internal/profile"
 	"hetpipe/internal/sched"
+	"hetpipe/internal/trace"
 	"hetpipe/internal/wsp"
 )
 
@@ -177,22 +178,48 @@ func (d *Deployment) ScheduleName() string { return sched.Or(d.Sys.Schedule).Nam
 func (d *Deployment) SLocal() int { return d.Nm - 1 }
 
 // SoloVW partitions the model onto one virtual worker at the given Nm and
-// simulates its pipeline alone (the Figure 3 experiment). minibatches and
-// warmup control the measurement window.
-func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWPlan, *pipeline.Result, error) {
+// simulates its pipeline alone (the Figure 3 experiment) on the planning
+// context's Runner, as Deploy's Nm search does. minibatches and warmup control
+// the measurement window.
+func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWPlan, pipeline.Summary, error) {
 	pc := s.newPlanning()
 	defer pc.release()
 	sp := pc.planned(vw, nm)
 	if sp.err != nil {
-		return nil, nil, sp.err
+		return nil, pipeline.Summary{}, sp.err
 	}
-	res, err := pc.simulate(sp.plan, minibatches, warmup)
+	sum, err := pc.kit.run.Run(pc.kit.eng, pipeline.Config{
+		Plan: sp.plan, Schedule: s.Schedule,
+		Minibatches: minibatches, Warmup: warmup,
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, pipeline.Summary{}, err
 	}
 	// The context dies with this call, so its plan (cut for vw) is the
 	// caller's to keep.
-	return &VWPlan{VW: vw, Plan: sp.plan, Throughput: res.Throughput}, res, nil
+	return &VWPlan{VW: vw, Plan: sp.plan, Throughput: sum.Throughput}, sum, nil
+}
+
+// SoloTrace simulates virtual worker vw's pipeline alone under the
+// deployment's plan and schedule over minibatches minibatches (<= 0 means
+// 4*Nm) and returns the recorded execution trace: every task of the run, the
+// Figure 1 view.
+func (d *Deployment) SoloTrace(vw, minibatches int) (*trace.Trace, error) {
+	if vw < 0 || vw >= len(d.VWs) {
+		return nil, fmt.Errorf("hetpipe: virtual worker %d out of range [0,%d)", vw, len(d.VWs))
+	}
+	if minibatches <= 0 {
+		minibatches = 4 * d.Nm
+	}
+	plan := d.VWs[vw].Plan
+	tr := trace.New(len(plan.Stages))
+	if _, err := pipeline.Run(pipeline.Config{
+		Plan: plan, Schedule: d.Sys.Schedule,
+		Minibatches: minibatches, Trace: tr,
+	}); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 func measureMB(nm int) int { return 40 + 10*nm }
@@ -207,6 +234,9 @@ const autoNmCap = 8
 func (s *System) Deploy(alloc *hw.Allocation, nm, d int, placement PlacementKind) (*Deployment, error) {
 	if d < 0 {
 		return nil, fmt.Errorf("core: D must be >= 0")
+	}
+	if nm < 0 {
+		return nil, fmt.Errorf("core: Nm must be >= 0 (0 = auto), got %d", nm)
 	}
 	if len(alloc.VWs) == 0 {
 		return nil, fmt.Errorf("core: allocation has no virtual workers")

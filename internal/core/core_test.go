@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
+	"hetpipe/internal/pipeline"
 	"hetpipe/internal/profile"
+	"hetpipe/internal/sim"
+	"hetpipe/internal/trace"
 )
 
 func sys(t testing.TB, m *model.Model) *System {
@@ -33,21 +37,59 @@ func deploy(t testing.TB, m *model.Model, policy hw.Policy, nm, d int, pl Placem
 	return dep
 }
 
+// TestSoloVWMatchesPipeline: SoloVW runs on the System's warm planning kit,
+// which a Deploy has just used for other windows, and must still report
+// exactly what a cold run of the same plan and window on a fresh engine does.
 func TestSoloVWMatchesPipeline(t *testing.T) {
 	s := sys(t, model.VGG19())
 	alloc, err := hw.AllocateByTypes(s.Cluster, []string{"VVVV"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp, res, err := s.SoloVW(alloc.VWs[0], 4, 60, 20)
+	if _, err := s.Deploy(alloc, 0, 0, PlacementDefault); err != nil {
+		t.Fatal(err)
+	}
+	vp, sum, err := s.SoloVW(alloc.VWs[0], 4, 60, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vp.Throughput != res.Throughput {
-		t.Errorf("plan throughput %v != result %v", vp.Throughput, res.Throughput)
+	cold, err := pipeline.RunOn(sim.New(), pipeline.Config{Plan: vp.Plan, Schedule: s.Schedule, Minibatches: 60, Warmup: 20})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vp.Throughput <= 0 || res.MaxGPUUtil <= 0 || res.MaxGPUUtil > 1 {
-		t.Errorf("bad solo figures: throughput %v, max utilization %v", vp.Throughput, res.MaxGPUUtil)
+	if sum != cold.Summary {
+		t.Errorf("SoloVW after other windows: %+v, a cold run %+v", sum, cold.Summary)
+	}
+	if vp.Throughput != sum.Throughput {
+		t.Errorf("plan throughput %v != summary %v", vp.Throughput, sum.Throughput)
+	}
+	if vp.Throughput <= 0 || sum.MaxGPUUtil <= 0 || sum.MaxGPUUtil > 1 {
+		t.Errorf("bad solo figures: throughput %v, max utilization %v", vp.Throughput, sum.MaxGPUUtil)
+	}
+}
+
+// TestSoloTrace pins SoloTrace's default window, 4*Nm completions, and its
+// out-of-range error.
+func TestSoloTrace(t *testing.T) {
+	dep := deploy(t, model.VGG19(), hw.EqualDistribution, 3, 0, PlacementDefault)
+	tr, err := dep.SoloTrace(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completions := 0
+	for _, sp := range tr.Spans {
+		if sp.Stage == 0 && sp.Kind == trace.Backward {
+			completions++
+		}
+	}
+	if completions != 4*dep.Nm {
+		t.Errorf("default window traced %d completions, want 4*Nm = %d", completions, 4*dep.Nm)
+	}
+	for _, vw := range []int{-1, len(dep.VWs)} {
+		want := fmt.Sprintf("hetpipe: virtual worker %d out of range [0,4)", vw)
+		if _, err := dep.SoloTrace(vw, 0); err == nil || err.Error() != want {
+			t.Errorf("SoloTrace(%d): error %v, want %q", vw, err, want)
+		}
 	}
 }
 

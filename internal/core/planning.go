@@ -170,14 +170,6 @@ func (pc *planning) planned(vw *hw.VirtualWorker, nm int) *soloPlan {
 	return sp
 }
 
-// simulate runs one solo pipeline on the context's warm engine.
-func (pc *planning) simulate(plan *partition.Plan, minibatches, warmup int) (*pipeline.Result, error) {
-	return pipeline.RunOn(pc.kit.eng, pipeline.Config{
-		Plan: plan, Schedule: pc.sys.Schedule,
-		Minibatches: minibatches, Warmup: warmup,
-	})
-}
-
 // soloRun is planned plus the class's solo simulation over the standard
 // measurement window at nm, once.
 func (pc *planning) soloRun(vw *hw.VirtualWorker, nm int) (*soloPlan, error) {

@@ -8,8 +8,6 @@ import (
 	"hetpipe/internal/core"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
-	"hetpipe/internal/pipeline"
-	"hetpipe/internal/trace"
 )
 
 const batchSize = 32
@@ -69,18 +67,12 @@ func Table3(r *Report) error {
 // Figure1 renders the pipelined execution schedule of one virtual worker
 // (VGG-19 on VVVV, Nm=4) as an ASCII Gantt chart.
 func Figure1(r *Report) error {
-	s, alloc, err := allocated(core.Spec{Model: "vgg19", Specs: "VVVV"})
+	dep, err := core.Spec{Model: "vgg19", Specs: "VVVV", Nm: 4}.Resolve()
 	if err != nil {
 		return err
 	}
-	vp, _, err := s.SoloVW(alloc.VWs[0], 4, 12, 1)
+	tr, err := dep.SoloTrace(0, 12)
 	if err != nil {
-		return err
-	}
-	tr := trace.New(4)
-	if _, err := pipeline.Run(pipeline.Config{
-		Plan: vp.Plan, Minibatches: 12, Warmup: 1, Trace: tr,
-	}); err != nil {
 		return err
 	}
 	for line := range strings.Lines(tr.Gantt(110)) {
@@ -108,17 +100,17 @@ func Figure3(r *Report) error {
 			var base float64
 			row := fmt.Sprintf("  %-5s paperNm1=%-4.0f", spec, paperNm1[m.Name][spec])
 			for nm := 1; nm <= 7; nm++ {
-				vp, res, err := s.SoloVW(alloc.VWs[0], nm, 50+10*nm, 10+2*nm)
+				_, sum, err := s.SoloVW(alloc.VWs[0], nm, 50+10*nm, 10+2*nm)
 				if err != nil {
 					row += fmt.Sprintf(" nm%d=--", nm)
 					continue
 				}
 				if nm == 1 {
-					base = vp.Throughput
-					row += fmt.Sprintf(" nm1=%.0f(u%.2f)", vp.Throughput, res.MaxGPUUtil)
+					base = sum.Throughput
+					row += fmt.Sprintf(" nm1=%.0f(u%.2f)", sum.Throughput, sum.MaxGPUUtil)
 					continue
 				}
-				row += fmt.Sprintf(" nm%d=%.2fx(u%.2f)", nm, vp.Throughput/base, res.MaxGPUUtil)
+				row += fmt.Sprintf(" nm%d=%.2fx(u%.2f)", nm, sum.Throughput/base, sum.MaxGPUUtil)
 			}
 			r.addf("%s", row)
 		}

@@ -30,12 +30,12 @@ const lags = 64
 // (Config.Minibatches), so a run simulates the fill, the confirmation, those
 // last injections (a shortened gpipe wave among them) and the drain.
 //
-// Detection: after each completion the relative state is hashed into a ring
-// of the last lags completions — the pending events by sim.Engine.StateHash,
-// which needs no ordering, the rest as the words state builds into cur. A hash
-// equal to the one P completions back is only a hint; the whole state, events
-// in firing order, is kept (snap) and compared word for word P completions
-// later, and only that exact match confirms the period.
+// Detection: after each completion the relative state, pending events in
+// firing order, is built into cur (Runner.state) and its hash goes into a
+// ring of the last lags completions. A hash equal to the one P completions
+// back is only a hint: the state is kept (snap) and compared word for word
+// with the one P completions later, and only that exact match confirms the
+// period.
 type steady struct {
 	hashes [lags]uint32 // hashes[c%lags]: the hash of the state after completion c
 
@@ -89,15 +89,14 @@ func (r *Runner) settle() {
 		r.jump()
 		return
 	}
-	c, base, stamped := pl.completed, int32(pl.completed), pl.x.stamped()
+	c := pl.completed
 	st.cur = r.state(st.cur[:0])
-	h := hashWords(st.cur) ^ pl.eng.StateHash(stamped, base)
+	h := hashWords(st.cur)
 	h32 := uint32(h ^ h>>32)
-	full := false // st.cur holds the pending events too
 	// A candidate that comes due is confirmed or dropped before another is
 	// looked for.
 	if st.cand > 0 && c == st.cand+st.lag {
-		if st.cur, full = pl.eng.AppendState(st.cur, stamped, base), true; slices.Equal(st.cur, st.snap) {
+		if slices.Equal(st.cur, st.snap) {
 			st.period, st.span = st.lag, pl.eng.Now()-st.at
 			for g, dev := range pl.x.Devices() {
 				st.busy[g] = dev.BusyTime() - st.busy[g]
@@ -109,9 +108,6 @@ func (r *Runner) settle() {
 	}
 	for lag := 1; st.cand == 0 && lag <= min(c-1, lags); lag++ {
 		if st.hashes[(c-lag)%lags] == h32 {
-			if !full {
-				st.cur = pl.eng.AppendState(st.cur, stamped, base)
-			}
 			st.cand, st.lag, st.at = c, lag, pl.eng.Now()
 			st.snap, st.cur = st.cur, st.snap
 			r.st.busy = r.st.busy[:0]
@@ -123,12 +119,10 @@ func (r *Runner) settle() {
 	st.hashes[c%lags] = h32
 }
 
-// state appends the pipeline's state relative to (now, completed) to dst, but
-// for the engine's pending events: sim.Engine.StateHash folds those into the
-// hash without ordering them, and AppendState adds them in firing order to the
-// states settle compares. The wave fields are state only under wave
-// injection, where they move; no gate is waiting, since a hook-free run has
-// none.
+// state appends the pipeline's state relative to (now, completed) to dst,
+// the engine's pending events last, in firing order (sim.Engine.AppendState).
+// The wave fields are state only under wave injection, where they move; no
+// gate is waiting, since a hook-free run has none.
 func (r *Runner) state(dst []uint64) []uint64 {
 	pl := &r.pl
 	base := int32(pl.completed)
@@ -139,7 +133,7 @@ func (r *Runner) state(dst []uint64) []uint64 {
 	for _, dev := range pl.x.Devices() {
 		dst = dev.AppendState(dst, base)
 	}
-	return pl.x.appendState(dst, base)
+	return pl.eng.AppendState(pl.x.appendState(dst, base), pl.x.stamped(), base)
 }
 
 // jump skips the most whole confirmed periods the window's injections leave

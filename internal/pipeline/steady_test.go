@@ -222,7 +222,7 @@ func sameStateAfterJump(t *testing.T, tc ffCase, cfg Config) {
 	}
 	of := func(r *Runner, eng *sim.Engine) state {
 		s := state{now: eng.Now(), completed: r.pl.completed, injected: r.pl.injected,
-			words:    eng.AppendState(r.state(nil), r.pl.x.stamped(), int32(r.pl.completed)),
+			words:    r.state(nil),
 			finished: r.pl.finished}
 		for _, dev := range r.pl.x.Devices() {
 			s.busy = append(s.busy, dev.BusyTime())

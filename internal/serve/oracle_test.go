@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -160,6 +161,52 @@ func TestCapacityOracle(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMD1Waiting is the queueing oracle: a one-GPU replica at Nm = 1 and
+// batch 1 serves one request at a time in arrival order, each in the same
+// time S — the sum of its forward and activation receive — so under Poisson
+// arrivals it is an M/D/1 queue, whose mean wait is the Pollaczek–Khinchine
+// value ρS/(2(1−ρ)) at load ρ = λS. The measured mean wait, latency less S,
+// must lie within four standard errors of it, the error estimated from 20
+// batch means of the waits in arrival order. The loads, request count and
+// seeds are fixed in advance.
+func TestMD1Waiting(t *testing.T) {
+	dep, err := core.Spec{Model: "vgg19", Specs: "V", Batch: 1, Nm: 1}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s float64
+	for _, st := range pipeline.Times(dep.VWs[0].Plan) {
+		s += st.Fwd + st.RecvAct
+	}
+	const n, batches = 20000, 20
+	for _, rho := range []float64{0.3, 0.5, 0.8} {
+		for seed := 1; seed <= 3; seed++ {
+			tr := traffic(t, fmt.Sprintf("poisson:r1:n%d:seed%d", n, seed)).WithRate(rho / s)
+			res, err := Run(context.Background(), dep, tr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			means := make([]float64, batches)
+			for id, rq := range res.Trace {
+				means[id*batches/n] += (rq.Done - rq.At - s) / (n / batches)
+			}
+			var mean, ss float64
+			for _, m := range means {
+				mean += m / batches
+			}
+			for _, m := range means {
+				ss += (m - mean) * (m - mean)
+			}
+			se := math.Sqrt(ss / (batches - 1) / batches)
+			want := rho * s / (2 * (1 - rho))
+			t.Logf("ρ %.1f seed %d: mean wait %.4g, M/D/1 %.4g, ratio %.3f, %.2f SE", rho, seed, mean, want, mean/want, (mean-want)/se)
+			if math.Abs(mean-want) > 4*se {
+				t.Errorf("ρ %.1f seed %d: mean wait %v, M/D/1 gives %v: %.2f standard errors off", rho, seed, mean, want, (mean-want)/se)
 			}
 		}
 	}

@@ -39,7 +39,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Quantum is the grain of exact simulated time, 2^-40 s (about 0.9 ps).
@@ -174,22 +173,6 @@ func (e *Engine) AppendState(dst []uint64, stamped, base int32) []uint64 {
 	return dst
 }
 
-// StateHash folds the words AppendState would append into 64 bits without
-// ordering the events: a sum of one hash per event. States whose AppendState
-// agree hash alike, and so do states that differ only in the order of events
-// due at the same instant — a hint for a caller that confirms with
-// AppendState, computed without writing the words out.
-func (e *Engine) StateHash(stamped, base int32) uint64 {
-	var h uint64
-	for i := range e.n {
-		if ent := e.nth(i); e.slots[ent.id].state == slotQueued {
-			w0, w1, w2, w3 := e.words(ent, stamped, base)
-			h += mix(w0, w1, w2, w3)
-		}
-	}
-	return h
-}
-
 // words is one pending event's part of AppendState.
 func (e *Engine) words(ent entry, stamped, base int32) (w0, w1, w2, w3 uint64) {
 	s := &e.slots[ent.id]
@@ -199,16 +182,6 @@ func (e *Engine) words(ent entry, stamped, base int32) (w0, w1, w2, w3 uint64) {
 	}
 	return math.Float64bits(float64(ent.at - e.now)), uint64(uint32(s.ef))<<32 | uint64(uint32(s.b)),
 		uint64(uint32(a)), math.Float64bits(x)
-}
-
-// mix hashes four words into one.
-func mix(w0, w1, w2, w3 uint64) uint64 {
-	h := w0*0x9e3779b97f4a7c15 ^ w1
-	h = bits.RotateLeft64(h, 31)*0xbf58476d1ce4e5b9 ^ w2
-	h = bits.RotateLeft64(h, 27)*0x94d049bb133111eb ^ w3
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	return h ^ h>>32
 }
 
 // Shift moves the clock and every pending event dt later, and adds da to the
