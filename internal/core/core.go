@@ -14,10 +14,12 @@
 // (virtual-worker class, Nm), where a class is the sequence of GPU types and
 // link kinds around the worker — all a plan and its solo run depend on.
 // Workers of one class share one partition and one simulation per Nm, and the
-// per-worker pass after the Nm search is all memo hits; every worker still
-// receives a plan of its own, bound to its own GPUs. The only state that
-// outlives a context is the System's immutable cost tables and the engine and
-// Runner, which the next context on the System reuses.
+// per-worker pass after the Nm search is all memo hits. The memo keeps each
+// partition's cuts, not a plan: only the chosen Nm's plans are priced, once
+// per worker, each bound to its own GPUs and in storage of its own. The only
+// state that outlives a context is the System's immutable cost tables and
+// the engine, Runner and scratch plan, which the next context on the System
+// reuses.
 //
 // The Nm search does only the planning its answer needs. It finds each
 // class's feasible range by planning Nm = 1, 2, ... up to the first that does
@@ -182,22 +184,20 @@ func (d *Deployment) SLocal() int { return d.Nm - 1 }
 // context's Runner, as Deploy's Nm search does. minibatches and warmup control
 // the measurement window.
 func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWPlan, pipeline.Summary, error) {
-	pc := s.newPlanning()
+	pc := s.newPlanning([]*hw.VirtualWorker{vw}, nm, 1)
 	defer pc.release()
-	sp := pc.planned(vw, nm)
-	if sp.err != nil {
-		return nil, pipeline.Summary{}, sp.err
+	plan := new(partition.Plan) // the caller's to keep
+	if _, err := pc.own(plan, vw, nm); err != nil {
+		return nil, pipeline.Summary{}, err
 	}
 	sum, err := pc.kit.run.Run(pc.kit.eng, pipeline.Config{
-		Plan: sp.plan, Schedule: s.Schedule,
+		Plan: plan, Schedule: s.Schedule,
 		Minibatches: minibatches, Warmup: warmup,
 	})
 	if err != nil {
 		return nil, pipeline.Summary{}, err
 	}
-	// The context dies with this call, so its plan (cut for vw) is the
-	// caller's to keep.
-	return &VWPlan{VW: vw, Plan: sp.plan, Throughput: sum.Throughput}, sum, nil
+	return &VWPlan{VW: vw, Plan: plan, Throughput: sum.Throughput}, sum, nil
 }
 
 // SoloTrace simulates virtual worker vw's pipeline alone under the
@@ -261,7 +261,12 @@ func (s *System) Deploy(alloc *hw.Allocation, nm, d int, placement PlacementKind
 	}
 	// One planning context serves the Nm search and the per-worker pass, so
 	// the pass below finds every plan and solo run the search already made.
-	pc := s.newPlanning()
+	// Its memo covers the Nm the search may visit, or the one Nm given.
+	lo, width := nm, 1
+	if nm == 0 {
+		lo, width = 1, autoNmCap
+	}
+	pc := s.newPlanning(alloc.VWs, lo, width)
 	defer pc.release()
 	if nm == 0 {
 		chosen, err := pc.chooseNm(alloc, autoNmCap)
@@ -271,20 +276,49 @@ func (s *System) Deploy(alloc *hw.Allocation, nm, d int, placement PlacementKind
 		nm = chosen
 	}
 	dep := &Deployment{Sys: s, Nm: nm, D: d, Placement: placement}
-	for _, vw := range alloc.VWs {
-		vp, err := pc.solo(vw, nm)
-		if err != nil {
-			return nil, fmt.Errorf("core: VW %s: %w", vw.TypeString(), err)
-		}
-		dep.VWs = append(dep.VWs, vp)
-	}
+	dep.VWs = plans(alloc, max(s.Interleave, 1))
 	for _, vp := range dep.VWs {
-		push, pull := s.syncTimes(vp, placement, len(alloc.VWs))
-		dep.PushTime = append(dep.PushTime, push)
-		dep.PullTime = append(dep.PullTime, pull)
+		if err := pc.solo(vp, nm); err != nil {
+			return nil, fmt.Errorf("core: VW %s: %w", vp.VW.TypeString(), err)
+		}
+	}
+	n := len(alloc.VWs)
+	times := make([]float64, 2*n)
+	dep.PushTime, dep.PullTime = times[:n:n], times[n:]
+	var hot int64
+	if placement == PlacementDefault {
+		hot = s.hotServerBytes()
+	}
+	for w, vp := range dep.VWs {
+		dep.PushTime[w], dep.PullTime[w] = s.syncTimes(vp, placement, n, hot)
 	}
 	dep.Planning = pc.stats()
 	return dep, nil
+}
+
+// plans returns one VWPlan per worker of alloc, each holding an empty plan
+// with storage for the worker's stages of v chunks each, for solo to price
+// into. The storage is carved out of one slab per kind; no two plans' windows
+// overlap, and each is capped, so an append to one never reaches another.
+func plans(alloc *hw.Allocation, v int) []*VWPlan {
+	n, k := len(alloc.VWs), 0
+	for _, vw := range alloc.VWs {
+		k += len(vw.GPUs)
+	}
+	out := make([]*VWPlan, n)
+	vps, ps := make([]VWPlan, n), make([]partition.Plan, n)
+	stages, chunks := make([]partition.Stage, k), make([]partition.Chunk, k*v)
+	for w, vw := range alloc.VWs {
+		k := len(vw.GPUs)
+		p := &ps[w]
+		p.Stages, stages = stages[:k:k], stages[k:]
+		for s := range p.Stages {
+			p.Stages[s].Chunks, chunks = chunks[:v:v], chunks[v:]
+		}
+		vps[w] = VWPlan{VW: vw, Plan: p}
+		out[w] = &vps[w]
+	}
+	return out
 }
 
 // syncTimes estimates the per-wave push and pull transfer times for one
@@ -302,7 +336,10 @@ func (s *System) Deploy(alloc *hw.Allocation, nm, d int, placement PlacementKind
 // Local placement co-locates each stage's parameters with the stage's node:
 // synchronization rides PCIe, per stage in parallel, with no cross-node NIC
 // to contend on.
-func (s *System) syncTimes(vp *VWPlan, placement PlacementKind, nVWs int) (push, pull float64) {
+//
+// hot is hotServerBytes, which depends on the System alone: Deploy finds it
+// once for all its workers.
+func (s *System) syncTimes(vp *VWPlan, placement PlacementKind, nVWs int, hot int64) (push, pull float64) {
 	if placement == PlacementLocal {
 		var max float64
 		for i := range vp.Plan.Stages {
@@ -321,8 +358,19 @@ func (s *System) syncTimes(vp *VWPlan, placement PlacementKind, nVWs int) (push,
 		}
 		return max, max
 	}
-	// Round-robin layers over the node-resident servers, exactly as
-	// ps.RoundRobin does, and find the hot server's byte load.
+	// Half the virtual workers' transfers collide on the hot server on
+	// average (wave boundaries are correlated but not perfectly aligned).
+	t := (s.Perf.TransferTime(hot, hw.LinkInfiniBand) + float64(hot)/s.Perf.PSProcBPS) * float64(nVWs) / 2
+	if nVWs == 1 {
+		t = s.Perf.TransferTime(hot, hw.LinkInfiniBand) + float64(hot)/s.Perf.PSProcBPS
+	}
+	return t, t
+}
+
+// hotServerBytes is the byte load of the busiest parameter server when the
+// layers go round-robin over the node-resident servers, exactly as
+// ps.RoundRobin places them: what default placement's syncTimes charges.
+func (s *System) hotServerBytes() int64 {
 	h := len(s.Cluster.Nodes)
 	perServer := make([]int64, h)
 	for li := range s.Model.Layers {
@@ -334,13 +382,7 @@ func (s *System) syncTimes(vp *VWPlan, placement PlacementKind, nVWs int) (push,
 			hot = b
 		}
 	}
-	// Half the virtual workers' transfers collide on the hot server on
-	// average (wave boundaries are correlated but not perfectly aligned).
-	t := (s.Perf.TransferTime(hot, hw.LinkInfiniBand) + float64(hot)/s.Perf.PSProcBPS) * float64(nVWs) / 2
-	if nVWs == 1 {
-		t = s.Perf.TransferTime(hot, hw.LinkInfiniBand) + float64(hot)/s.Perf.PSProcBPS
-	}
-	return t, t
+	return hot
 }
 
 // CrossNodeBytesPerMinibatch accounts the traffic crossing node boundaries

@@ -99,7 +99,7 @@ func TestChooseNmPicksBestThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := s.newPlanning()
+	pc := s.newPlanning(alloc.VWs, 1, autoNmCap)
 	defer pc.release()
 	nm, err := pc.chooseNm(alloc, 8)
 	if err != nil {

@@ -81,7 +81,7 @@ func referenceDeploy(s *System, alloc *hw.Allocation, nm, d int, placement Place
 		dep.VWs = append(dep.VWs, vp)
 	}
 	for _, vp := range dep.VWs {
-		push, pull := s.syncTimes(vp, placement, len(alloc.VWs))
+		push, pull := s.syncTimes(vp, placement, len(alloc.VWs), s.hotServerBytes())
 		dep.PushTime = append(dep.PushTime, push)
 		dep.PullTime = append(dep.PullTime, pull)
 	}
@@ -373,11 +373,11 @@ func TestChooseNmOnHandBuiltThroughputs(t *testing.T) {
 	}
 	// The per-worker round-trip bound at Nm=1, far above the hand-built
 	// figures of the first cases so that nothing there is pruned.
-	probe := s.newPlanning().planned(alloc.VWs[0], 1)
-	if probe.err != nil {
-		t.Fatal(probe.err)
+	probe, _, err := s.SoloVW(alloc.VWs[0], 1, measureMB(1), warmupMB(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	bound1 := pipeline.ThroughputBound(probe.plan, s.Schedule, measureMB(1), warmupMB(1))
+	bound1 := pipeline.ThroughputBound(probe.Plan, s.Schedule, measureMB(1), warmupMB(1))
 	simFailed := errors.New("simulation failed")
 	for _, tc := range []struct {
 		name string
@@ -395,7 +395,7 @@ func TestChooseNmOnHandBuiltThroughputs(t *testing.T) {
 		// is not below it, so Nm=1 is evaluated, and as the lowest Nm it wins.
 		{name: "a run at its bound", tp: [9]float64{1: bound1, 2: .1, 3: .1, 4: .1, 5: .1, 6: .1, 7: .1, 8: bound1}, want: 1},
 	} {
-		pc := s.newPlanning()
+		pc := s.newPlanning(alloc.VWs, 1, autoNmCap)
 		for nm := 1; nm <= 8; nm++ {
 			sp := pc.planned(alloc.VWs[0], nm)
 			if sp.err != nil {
@@ -423,7 +423,7 @@ func TestPlanningSharesOnlyWithinAClass(t *testing.T) {
 	gpus := s.Cluster.GPUs() // node-major: 0-3 V, 4-7 R
 	sameNode := &hw.VirtualWorker{GPUs: []*hw.GPU{gpus[0], gpus[1], gpus[4], gpus[5]}}
 	twin := &hw.VirtualWorker{GPUs: []*hw.GPU{gpus[2], gpus[3], gpus[6], gpus[7]}}
-	pc := s.newPlanning()
+	pc := s.newPlanning(nil, 2, 1)
 	if a, b := pc.class(sameNode), pc.class(twin); a != b {
 		t.Errorf("VVRR workers with identical links landed in classes %d and %d", a, b)
 	}
@@ -439,15 +439,20 @@ func TestPlanningSharesOnlyWithinAClass(t *testing.T) {
 	g2 := cl2.GPUs() // 0-7 V (two nodes), 8-15 R (two nodes)
 	pcie := &hw.VirtualWorker{GPUs: []*hw.GPU{g2[0], g2[1], g2[8], g2[9]}}
 	ib := &hw.VirtualWorker{GPUs: []*hw.GPU{g2[0], g2[4], g2[8], g2[9]}}
-	pc2 := s2.newPlanning()
+	pc2 := s2.newPlanning([]*hw.VirtualWorker{pcie, ib}, 2, 1)
 	if a, b := pc2.class(pcie), pc2.class(ib); a == b {
 		t.Error("workers whose V-V link is PCIe and InfiniBand share a class")
 	}
-	a, b := pc2.planned(pcie, 2), pc2.planned(ib, 2)
-	if a.err != nil || b.err != nil {
-		t.Fatal(a.err, b.err)
+	// The kit's plan is one scratch, re-priced per class: capture each
+	// class's figure before pricing the other's.
+	var bottleneck [2]float64
+	for i, vw := range []*hw.VirtualWorker{pcie, ib} {
+		if _, err := pc2.own(&pc2.kit.plan, vw, 2); err != nil {
+			t.Fatal(err)
+		}
+		bottleneck[i] = pc2.kit.plan.Bottleneck
 	}
-	if a.plan.Bottleneck == b.plan.Bottleneck {
+	if bottleneck[0] == bottleneck[1] {
 		t.Error("the PCIe and InfiniBand workers got the same plan; the case no longer separates the classes")
 	}
 }
@@ -573,14 +578,133 @@ func TestSystemTablesFollowReassignedFields(t *testing.T) {
 	}
 }
 
+// TestPlansAreOwned: every plan planning hands out is its caller's alone.
+// The Nm search prices into one scratch plan, and a Deploy carves its
+// workers' plans out of shared slabs, so aliasing is the hazard: overwriting
+// any one plan's stages and chunks must leave every other unchanged — each
+// peer worker's, a second Deploy's on the same System, SoloVW's, and the
+// scratch that the planning kit keeps for the next context.
+func TestPlansAreOwned(t *testing.T) {
+	s := sys(t, model.ResNet152())
+	alloc, err := hw.Allocate(s.Cluster, hw.EqualDistribution) // one class: the tempting case
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans []*partition.Plan
+	var names []string
+	for d := range 2 {
+		dep, err := s.Deploy(alloc, 0, 0, PlacementDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, vp := range dep.VWs {
+			plans, names = append(plans, vp.Plan), append(names, fmt.Sprintf("Deploy %d VW %d", d, w))
+		}
+	}
+	solo, _, err := s.SoloVW(alloc.VWs[0], 4, measureMB(4), warmupMB(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.kits) != 1 || len(s.kits[0].plan.Stages) == 0 {
+		t.Fatalf("%d kits handed back, scratch of %d stages: the search priced no scratch", len(s.kits), len(s.kits[0].plan.Stages))
+	}
+	plans = append(plans, solo.Plan, &s.kits[0].plan)
+	names = append(names, "SoloVW", "the kit's scratch")
+	want := make([]planValues, len(plans))
+	for i, p := range plans {
+		want[i] = valuesOf(p)
+	}
+	for i, p := range plans {
+		for si := range p.Stages {
+			st := &p.Stages[si]
+			st.FwdTime, st.BwdTime, st.RecvActTime, st.RecvGradTime, st.MemoryBytes = -1, -1, -1, -1, -1
+			for ci := range st.Chunks {
+				st.Chunks[ci] = partition.Chunk{Lo: -1, Hi: -1, FwdTime: -1, BwdTime: -1, RecvActTime: -1, RecvGradTime: -1}
+			}
+		}
+		p.Bottleneck = -1
+		want[i] = valuesOf(p)
+		for j, q := range plans {
+			if j != i && !reflect.DeepEqual(valuesOf(q), want[j]) {
+				t.Errorf("overwriting %s's plan changed %s's", names[i], names[j])
+			}
+		}
+	}
+}
+
+// planValues is a plan's values, copied out of its storage.
+type planValues struct {
+	plan   partition.Plan
+	stages []partition.Stage
+	chunks []partition.Chunk
+}
+
+func valuesOf(p *partition.Plan) planValues {
+	v := planValues{plan: *p}
+	v.plan.Stages = nil
+	for _, st := range p.Stages {
+		v.chunks = append(v.chunks, st.Chunks...)
+		st.Chunks = nil
+		v.stages = append(v.stages, st)
+	}
+	return v
+}
+
+// TestDeployAllocationsIndependentOfTheNmScan: what the Nm search keeps of a
+// (class, Nm) it visits is cuts and figures in slabs sized once, and what it
+// prices and simulates goes through one scratch plan and one warm Runner. So
+// a cold Deploy that searches (ResNet-152 on ED: eight Nm of one class)
+// allocates at most a constant more than one given the Nm it chose: the
+// scratch plan's Stages and Chunks, and the wider memo rows in the same two
+// slabs. Before cuts replaced plans in the memo it was about four more per
+// visited (class, Nm).
+func TestDeployAllocationsIndependentOfTheNmScan(t *testing.T) {
+	alloc, err := hw.Allocate(hw.Paper(), hw.EqualDistribution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, perf := model.ResNet152(), profile.Default()
+	deploy := func(nm int) (*Deployment, error) {
+		s, err := NewSystemSched(hw.Paper(), m, perf, 32, nil)
+		if err != nil {
+			return nil, err
+		}
+		return s.Deploy(alloc, nm, 0, PlacementDefault)
+	}
+	dep, err := deploy(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(nm int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := deploy(nm); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	searched, given := allocs(0), allocs(dep.Nm)
+	const scratch = 2
+	t.Logf("Nm searched: %.0f allocations (%d planned, %d solo runs); Nm=%d given: %.0f", searched,
+		dep.Planning.Solves+dep.Planning.Carried+dep.Planning.Infeasible, dep.Planning.SoloWindows, dep.Nm, given)
+	if searched-given > scratch {
+		t.Errorf("a searching Deploy allocates %.0f, one given its Nm=%d %.0f: more than the scratch plan's %d apart", searched, dep.Nm, given, scratch)
+	}
+}
+
 // BenchmarkDeployAutoNm is a cold Deploy with the Nm search on the paper's
 // flagship configuration: ResNet-152 on the ED allocation (four VRGQ
 // workers) of the paper cluster. The System is fresh each iteration, as it
 // is for every hetpipe.New.
-func BenchmarkDeployAutoNm(b *testing.B) {
+func BenchmarkDeployAutoNm(b *testing.B) { benchmarkDeployAutoNm(b, hw.EqualDistribution) }
+
+// BenchmarkDeployAutoNmHD is the same on the HD allocation, two VVQQ and two
+// RRGG workers: two classes, so what the search keeps per class shows.
+func BenchmarkDeployAutoNmHD(b *testing.B) { benchmarkDeployAutoNm(b, hw.HybridDistribution) }
+
+func benchmarkDeployAutoNm(b *testing.B, policy hw.Policy) {
 	cl := hw.Paper()
 	m := model.ResNet152()
-	alloc, err := hw.Allocate(cl, hw.EqualDistribution)
+	alloc, err := hw.Allocate(cl, policy)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,8 +21,12 @@
 // Pricing a layer range is O(1): the DP (planner) reads profile.Tables —
 // a range table of forward FLOPs, prefix sums of weight and stash bytes,
 // boundary times per cut and link kind — instead of walking the range, and
-// runs on a flat slab the Partitioner reuses, so a warm Partition costs
-// O(K*L^2) lookups and allocates only the plan it returns. The tables are
+// runs on a flat slab the Partitioner reuses, so a warm solve costs O(K*L^2)
+// lookups and allocates nothing: its answer is K+1 cuts (Cuts), and pricing
+// them into a plan (Price) is O(K) and writes into storage the caller owns.
+// Partition is the two together and allocates only the plan it returns; a
+// caller that solves many problems to keep few plans (core's Nm search)
+// keeps the cuts and prices only what it keeps. The tables are
 // built once per (Perf, model, batch); a caller that plans one model from
 // many partitioners (core: one per Deploy) shares them through NewShared.
 //
@@ -41,7 +45,6 @@ package partition
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
@@ -167,24 +170,6 @@ func (p *Plan) ChunkAt(vs int) *Chunk {
 	return &p.Stages[vs%k].Chunks[vs/k]
 }
 
-// Rebind returns a copy of the plan hosted on vw's GPUs, stage for stage. The
-// copy shares no Stages or Chunks memory with p. It is the same plan only if
-// vw matches the worker p was cut for in every stage's GPU type and in the
-// links between stages.
-func (p *Plan) Rebind(vw *hw.VirtualWorker) *Plan {
-	q := *p
-	q.Stages = slices.Clone(p.Stages)
-	chunks := make([]Chunk, 0, p.VirtualStages())
-	for s := range q.Stages {
-		st := &q.Stages[s]
-		st.GPU = vw.GPUs[s]
-		lo := len(chunks)
-		chunks = append(chunks, st.Chunks...)
-		st.Chunks = chunks[lo:len(chunks):len(chunks)]
-	}
-	return &q
-}
-
 // Validate checks structural invariants: every stage holds exactly V chunks,
 // the k*V virtual stages cover every layer exactly once in model order, and
 // every stage respects its memory cap.
@@ -225,17 +210,18 @@ func (p *Plan) Validate() error {
 //
 // A Partitioner keeps the cost tables of the last (Perf, model, batch) it
 // planned and its dynamic program's scratch between calls, so a run of
-// Partition and MaxNm calls for one model — what every deployment makes —
-// builds the tables once and allocates only the plans it returns. It also
-// keeps the problem its last successful call solved — the DP's constants and
-// the optimal cuts — so a call that differs from it only in stashes that did
-// not shrink (the next Nm up, for the same kind of worker) returns those cuts
-// without running the DP whenever they still fit (planner.carries), and
-// otherwise re-solves only the DP entries that moved (planner.solve). That state
-// is revalidated on every call against what it depends on (the exported
-// fields may be reassigned at any time; the solved problem is compared
-// constant by constant and dropped by any call that fails), and it makes a
-// Partitioner unsafe for concurrent use: give each goroutine its own.
+// Cuts, Partition and MaxNm calls for one model — what every deployment
+// makes — builds the tables once and allocates nothing but the plans
+// Partition returns. It also keeps the problem its last successful call
+// solved — the DP's constants and the optimal cuts — so a call that differs
+// from it only in stashes that did not shrink (the next Nm up, for the same
+// kind of worker) returns those cuts without running the DP whenever they
+// still fit (planner.carries), and otherwise re-solves only the DP entries
+// that moved (planner.solve). That state is revalidated on every call
+// against what it depends on (the exported fields may be reassigned at any
+// time; the solved problem is compared constant by constant and dropped by
+// any call that fails; Price reads none of it), and it makes a Partitioner
+// unsafe for concurrent use: give each goroutine its own.
 type Partitioner struct {
 	Perf *profile.Perf
 	// Sched is the pipeline schedule the plans are sized for; nil means
@@ -253,8 +239,9 @@ type Partitioner struct {
 	stats Stats
 }
 
-// Stats counts what a Partitioner's Partition calls did since it was made
-// (MaxNm's probes included); calls rejected before planning count nowhere.
+// Stats counts what a Partitioner's Cuts and Partition calls did since it was
+// made (MaxNm's probes included); calls rejected before planning count
+// nowhere, and Price counts nowhere.
 type Stats struct {
 	// Solves is the calls that ran the dynamic program and Carried the calls
 	// that returned the previous call's cuts instead; Infeasible is the
@@ -315,7 +302,44 @@ func (pt *Partitioner) interleave() int {
 // worker g ends up with the non-contiguous chunk set g, g+k, ..., g+(V-1)k —
 // the Megatron-LM placement. V = 1 is the degenerate contiguous case and
 // executes the identical sequence of cost evaluations.
+//
+// Partition is Cuts, then Price into a new plan, then Validate.
 func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker, nm, batch int) (*Plan, error) {
+	cuts, err := pt.Cuts(c, m, vw, nm, batch)
+	if err != nil {
+		return nil, err
+	}
+	plan := new(Plan)
+	if err := pt.Price(plan, c, m, vw, nm, batch, cuts); err != nil {
+		return nil, err
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, fmt.Errorf("partition: internal error: %v", err)
+	}
+	return plan, nil
+}
+
+// Cuts runs Partition's dynamic program and returns the optimal cuts alone:
+// virtual stage j holds layers [cuts[j], cuts[j+1]), with cuts[0] = 0 and
+// cuts[K] the model's layer count. The slice is the partitioner's scratch,
+// valid until its next call; Price turns it into a plan. A warm Cuts
+// allocates nothing unless it fails. Its errors, its Stats and the carry
+// state it leaves are Partition's.
+func (pt *Partitioner) Cuts(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker, nm, batch int) ([]int, error) {
+	ok, err := pt.solve(c, m, vw, nm, batch)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w %d-way split of %s for Nm=%d batch=%d on %s",
+			ErrInfeasible, pt.dp.K, m.Name, nm, batch, vw.TypeString())
+	}
+	return pt.dp.cuts, nil
+}
+
+// solve is Cuts without building the infeasibility error: ok reports whether
+// a memory-feasible split exists, err any other failure.
+func (pt *Partitioner) solve(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker, nm, batch int) (ok bool, err error) {
 	k := len(vw.GPUs)
 	L := len(m.Layers)
 	V := pt.interleave()
@@ -323,24 +347,21 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 	sc := pt.schedule()
 	switch {
 	case k == 0:
-		return nil, fmt.Errorf("partition: virtual worker has no GPUs")
+		return false, fmt.Errorf("partition: virtual worker has no GPUs")
 	case nm < 1:
-		return nil, fmt.Errorf("partition: Nm must be >= 1, got %d", nm)
+		return false, fmt.Errorf("partition: Nm must be >= 1, got %d", nm)
 	case batch < 1:
-		return nil, fmt.Errorf("partition: batch must be >= 1, got %d", batch)
+		return false, fmt.Errorf("partition: batch must be >= 1, got %d", batch)
 	case V > 1 && !sc.SupportsInterleave():
-		return nil, fmt.Errorf("partition: schedule %q does not support interleave degree %d", sc.Name(), V)
+		return false, fmt.Errorf("partition: schedule %q does not support interleave degree %d", sc.Name(), V)
 	case L < K:
-		return nil, fmt.Errorf("partition: model %s has %d layers, fewer than %d virtual stages (%d stages x interleave %d)",
+		return false, fmt.Errorf("partition: model %s has %d layers, fewer than %d virtual stages (%d stages x interleave %d)",
 			m.Name, L, K, k, V)
 	}
-	if pt.tab == nil || !pt.tab.Valid(pt.Perf, m, batch) {
-		pt.tab = profile.NewTables(pt.Perf, m, batch)
-	}
 	p := &pt.dp
-	grown, err := p.setup(pt.tab, sc, c, vw, L, V, nm)
+	grown, err := p.setup(pt.tables(m, batch), sc, c, vw, L, V, nm)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if grown && p.carries() {
 		pt.stats.Carried++
@@ -350,43 +371,97 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 		pt.stats.Priced += priced
 		if !ok {
 			pt.stats.Infeasible++
-			return nil, fmt.Errorf("%w %d-way split of %s for Nm=%d batch=%d on %s",
-				ErrInfeasible, K, m.Name, nm, batch, vw.TypeString())
+			return false, nil
 		}
 	}
 	p.solved = true
+	return true, nil
+}
 
-	plan := &Plan{Model: m, Batch: batch, Nm: nm, Schedule: sc.Name(), Interleave: V}
-	plan.Stages = make([]Stage, k)
-	// One slab holds every stage's chunk set; the capped windows keep one
-	// stage's appends out of the next stage's chunks.
-	chunks := make([]Chunk, K)
-	for s := range plan.Stages {
-		st := &plan.Stages[s]
-		st.GPU = vw.GPUs[s]
-		st.MemoryCap = vw.GPUs[s].Type.MemoryBytes
-		st.MemoryBytes = pt.Perf.WorkspaceBytes // once per GPU, however many chunks
-		st.Chunks = chunks[s*V : s*V : (s+1)*V]
+// tables returns the cost tables for (Perf, m, batch), building them when the
+// partitioner holds none for those.
+func (pt *Partitioner) tables(m *model.Model, batch int) *profile.Tables {
+	if pt.tab == nil || !pt.tab.Valid(pt.Perf, m, batch) {
+		pt.tab = profile.NewTables(pt.Perf, m, batch)
+	}
+	return pt.tab
+}
+
+// Price fills plan with the plan cuts describe for m on vw's GPUs at nm:
+// each chunk's times and bytes, each stage's sums, the bottleneck. The cuts
+// need not be this partitioner's last: cuts Cuts returned at nm for any
+// worker with vw's GPU types and links price to the plan Partition returns
+// for vw at nm, bit for bit. Price reuses plan's Stages and
+// Chunks storage when the plan already holds k stages of V chunks each (a
+// plan Price filled before, for a worker of vw's size) and allocates both
+// otherwise, so that storage must be plan's own. Price does not Validate.
+func (pt *Partitioner) Price(plan *Plan, c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker, nm, batch int, cuts []int) error {
+	k, V := len(vw.GPUs), pt.interleave()
+	K := k * V
+	if k == 0 || len(cuts) != K+1 {
+		return fmt.Errorf("partition: %d cuts for %d virtual stages", len(cuts), K)
+	}
+	tab, sc := pt.tables(m, batch), pt.schedule()
+	versions := int64(sc.WeightVersions())
+	stages := plan.Stages
+	if !plan.shaped(k, V) {
+		stages = make([]Stage, k)
+		// One slab holds every stage's chunk set; the capped windows keep
+		// one stage's appends out of the next stage's chunks.
+		chunks := make([]Chunk, K)
+		for s := range stages {
+			stages[s].Chunks = chunks[s*V : (s+1)*V : (s+1)*V]
+		}
+	}
+	*plan = Plan{Model: m, Batch: batch, Nm: nm, Stages: stages, Schedule: sc.Name(), Interleave: V}
+	for s := range stages {
+		g := vw.GPUs[s]
+		stages[s] = Stage{GPU: g, Chunks: stages[s].Chunks, MemoryCap: g.Type.MemoryBytes,
+			MemoryBytes: pt.Perf.WorkspaceBytes} // once per GPU, however many chunks
 	}
 	for j := 0; j < K; j++ {
-		ch, bytes := p.chunk(j)
-		st := &plan.Stages[j%k]
-		st.Chunks = append(st.Chunks, ch)
+		g := vw.GPUs[j%k]
+		whole, err := tab.WholeModelTime(g.Type)
+		if err != nil {
+			return fmt.Errorf("partition: virtual worker %s: %w", vw.TypeString(), err)
+		}
+		lo, hi := cuts[j], cuts[j+1]
+		ch := Chunk{Lo: lo, Hi: hi}
+		ch.FwdTime, ch.BwdTime = tab.ChunkTime(whole, lo, hi)
+		if j > 0 {
+			ch.RecvActTime = tab.BoundaryTime(lo-1, c.LinkBetween(vw.GPUs[(j-1)%k], g))
+		}
+		if j < K-1 {
+			ch.RecvGradTime = tab.BoundaryTime(hi-1, c.LinkBetween(g, vw.GPUs[(j+1)%k]))
+		}
+		st := &stages[j%k]
+		st.Chunks[j/k] = ch
 		st.FwdTime += ch.FwdTime
 		st.BwdTime += ch.BwdTime
 		st.RecvActTime += ch.RecvActTime
 		st.RecvGradTime += ch.RecvGradTime
-		st.MemoryBytes += bytes
+		st.MemoryBytes += tab.ChunkBytes(lo, hi, versions, int64(sc.ChunkStash(j, K, nm)))
 	}
-	for s := range plan.Stages {
-		if t := plan.Stages[s].ExecTime(); t > plan.Bottleneck {
+	for s := range stages {
+		if t := stages[s].ExecTime(); t > plan.Bottleneck {
 			plan.Bottleneck = t
 		}
 	}
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("partition: internal error: %v", err)
+	return nil
+}
+
+// shaped reports whether the plan holds k stages of v chunks each, the
+// storage Price can fill in place.
+func (p *Plan) shaped(k, v int) bool {
+	if len(p.Stages) != k {
+		return false
 	}
-	return plan, nil
+	for s := range p.Stages {
+		if len(p.Stages[s].Chunks) != v {
+			return false
+		}
+	}
+	return true
 }
 
 // MaxNm finds the largest Nm in [1, cap] for which a memory-feasible plan
@@ -400,12 +475,13 @@ func (pt *Partitioner) Partition(c *hw.Cluster, m *model.Model, vw *hw.VirtualWo
 // Feasibility is monotone — memory grows with Nm, so what fits at nm fits
 // below it — which is what lets the search bisect. It probes Nm=1 first, then
 // only values it has not yet decided; successful probes ascend (1, 5, 7, 8
-// under cap 8), so each carries its predecessor's plan when that still fits
-// and re-solves only what moved when it does not.
+// under cap 8), so each carries its predecessor's cuts when they still fit
+// and re-solves only what moved when they do not. The probes ask only for
+// feasibility, so they price no plan: a warm MaxNm allocates nothing.
 func (pt *Partitioner) MaxNm(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker, batch, cap int) int {
 	feasible := func(nm int) bool {
-		_, err := pt.Partition(c, m, vw, nm, batch)
-		return err == nil
+		ok, err := pt.solve(c, m, vw, nm, batch)
+		return ok && err == nil
 	}
 	if cap < 1 || !feasible(1) {
 		return 0

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -220,5 +221,57 @@ func TestPartitionOptimalProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCutsPriceToPartition: cuts solved for one worker and priced for
+// another of its kind — same GPU types, same links — are the plan Partition
+// returns for the second, at every Nm and interleave degree, even when Price
+// refills a plan of another Nm in place. Warm, Cuts, Price into a plan of
+// the right shape, and MaxNm allocate nothing.
+func TestCutsPriceToPartition(t *testing.T) {
+	c := hw.Paper()
+	a, err := hw.AllocateByTypes(c, []string{"VRGQ", "VRGQ"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.ResNet152()
+	for _, pt := range []*Partitioner{New(profile.Default()), NewInterleaved(profile.Default(), sched.Interleaved, 2)} {
+		var got Plan
+		for nm := 1; nm <= 8; nm++ {
+			want, err := pt.Partition(c, m, a.VWs[1], nm, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts, err := pt.Cuts(c, m, a.VWs[0], nm, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pt.Price(&got, c, m, a.VWs[1], nm, 32, cuts); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(&got, want) {
+				t.Errorf("V=%d Nm=%d: priced cuts\n%+v\nwant Partition's\n%+v", pt.interleave(), nm, got, *want)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			cuts, err := pt.Cuts(c, m, a.VWs[0], 4, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pt.Price(&got, c, m, a.VWs[0], 4, 32, cuts); err != nil {
+				t.Fatal(err)
+			}
+			pt.MaxNm(c, m, a.VWs[1], 32, 8)
+		})
+		if allocs != 0 {
+			t.Errorf("V=%d: warm Cuts, Price and MaxNm allocate %v times, want 0", pt.interleave(), allocs)
+		}
+	}
+	if err := New(profile.Default()).Price(new(Plan), c, m, a.VWs[0], 4, 32, []int{0, 58}); err == nil {
+		t.Error("Price took 2 cuts for 4 virtual stages")
 	}
 }

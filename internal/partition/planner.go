@@ -289,18 +289,3 @@ func (p *planner) walk(prev []float64, i, j int) (float64, int, int) {
 	}
 	return b, at, n
 }
-
-// chunk prices virtual stage j of the solved plan from the same tables cost
-// read, and returns its weight and stash bytes beside it.
-func (p *planner) chunk(j int) (Chunk, int64) {
-	lo, hi := p.cuts[j], p.cuts[j+1]
-	ch := Chunk{Lo: lo, Hi: hi}
-	ch.FwdTime, ch.BwdTime = p.tab.ChunkTime(p.whole[j], lo, hi)
-	if j > 0 {
-		ch.RecvActTime = p.tab.BoundaryTime(lo-1, p.links[j])
-	}
-	if j < p.K-1 {
-		ch.RecvGradTime = p.tab.BoundaryTime(hi-1, p.links[j+1])
-	}
-	return ch, p.tab.ChunkBytes(lo, hi, p.versions, p.stashes[j])
-}

@@ -85,7 +85,7 @@ type ExecConfig struct {
 	// minibatch leaves through AtEnd.
 	ForwardOnly bool
 	// InFlight is the most minibatches the caller ever keeps inside the
-	// graph at once; it sizes the ready rings.
+	// graph at once; it sizes the ready rings and the devices' queues.
 	InFlight int
 	// TaskTime, when non-nil, maps a task's base duration to the one to use
 	// (Config.TaskTime); transfers pass Link as the stage.
@@ -190,6 +190,16 @@ func (x *Executor) reset(eng *sim.Engine, cfg ExecConfig) {
 	x.gpus = slices.Grow(x.gpus, max(x.k-len(x.gpus), 0))
 	for len(x.gpus) < x.k {
 		x.gpus = append(x.gpus, sim.NewResource(x.eng, x.onTask))
+	}
+	// A device queues at most one task per minibatch in flight, since each
+	// has one task ready or running at a time, and under backward-first pick
+	// one task at a time.
+	queue := cfg.InFlight
+	if x.backFirst {
+		queue = 1
+	}
+	for _, dev := range x.gpus[:x.k] {
+		dev.Reserve(queue)
 	}
 	if x.overlap {
 		if x.onXfer == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hetpipe/internal/core"
+	"hetpipe/internal/hw"
 	"hetpipe/internal/pipeline"
 	"hetpipe/internal/sched"
 )
@@ -207,6 +208,69 @@ func TestMD1Waiting(t *testing.T) {
 			t.Logf("ρ %.1f seed %d: mean wait %.4g, M/D/1 %.4g, ratio %.3f, %.2f SE", rho, seed, mean, want, mean/want, (mean-want)/se)
 			if math.Abs(mean-want) > 4*se {
 				t.Errorf("ρ %.1f seed %d: mean wait %v, M/D/1 gives %v: %.2f standard errors off", rho, seed, mean, want, (mean-want)/se)
+			}
+		}
+	}
+}
+
+// TestClosedLoopResponseTimeLaw is the interactive response-time law: N
+// users who each think, then wait for a reply, then think again, complete
+// X = N/(R + Z) requests per second, R the mean response time and Z the mean
+// think time. Over a finite run two terms separate the measured
+// X·(R̄ + Z) from N, and the tolerance is their sum, fixed before the first
+// run:
+//
+//   - Sampling: the run's think times average Z̄, not Z. They are n
+//     independent exponential draws of mean Z, so Z̄ − Z has standard error
+//     Z/√n, and X·(R̄ + Z) − X·(R̄ + Z̄) = X·(Z − Z̄) is held to four of them.
+//   - The edge: n·(R̄ + Z̄) is the sum of the requests' cycles, think plus
+//     response, and each user's cycles tile [0, its last reply], so the sum
+//     falls short of N·T (T the last reply) by the users' idle tails. A user's
+//     last reply comes no earlier than the last request's issue — until then
+//     every reply issues a request — so each tail is at most that request's
+//     cycle, and X·(R̄ + Z̄) lies in [N − N·c/T, N], c the longest cycle.
+//
+// A request's cycle is read from the trace: the first N requests are issued
+// at time 0, one per user, and request N+k at the k-th reply, the (k+1)-th
+// smallest reply time. Loads run from a lightly used replica set to a
+// saturated one; the seeds are fixed.
+func TestClosedLoopResponseTimeLaw(t *testing.T) {
+	dep := deployment(t, sched.NameFIFO, hw.EqualDistribution, 4)
+	const n = 20000
+	for _, tc := range []struct {
+		users int
+		think float64
+	}{{8, 0.5}, {64, 0.5}, {64, 0.05}, {256, 0.2}} {
+		for seed := 1; seed <= 3; seed++ {
+			spec := fmt.Sprintf("closed:u%d:t%g:n%d:seed%d", tc.users, tc.think, n, seed)
+			res, err := Run(context.Background(), dep, traffic(t, spec), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make([]float64, n)
+			var r float64
+			for id, rq := range res.Trace {
+				done[id] = rq.Done
+				r += (rq.Done - rq.At) / n
+			}
+			slices.Sort(done)
+			var cycle float64
+			for id, rq := range res.Trace {
+				issued := 0.0
+				if id >= tc.users {
+					issued = done[id-tc.users]
+				}
+				if rq.At < issued {
+					t.Fatalf("%s: request %d arrived at %v, before its issue at %v", spec, id, rq.At, issued)
+				}
+				cycle = max(cycle, rq.Done-issued)
+			}
+			big, x := float64(tc.users), n/res.Duration
+			law := x * (r + tc.think)
+			tol := x*4*tc.think/math.Sqrt(n) + big*cycle/res.Duration
+			t.Logf("%s: X·(R̄+Z)/N = %.4f, tolerance %.4f", spec, law/big, tol/big)
+			if math.Abs(law-big) > tol {
+				t.Errorf("%s: X·(R̄+Z) = %v for N = %d users, beyond the tolerance %v", spec, law, tc.users, tol)
 			}
 		}
 	}

@@ -55,6 +55,19 @@ func (r *Resource) Reset() {
 	r.doneID = r.eng.Register(r.done)
 }
 
+// Reserve sizes the waiting queue for n jobs at once, the one being
+// submitted included: a queue that never holds more than n then never grows,
+// since push compacts a full queue whose live part fits in half of it. It
+// only ever enlarges the backing array, so a kept resource that was sized
+// before allocates nothing.
+func (r *Resource) Reserve(n int) {
+	if live := len(r.queue) - r.head; cap(r.queue) < 2*n-1 {
+		q := make([]job, live, max(2*n-1, live))
+		copy(q, r.queue[r.head:])
+		r.queue, r.head = q, 0
+	}
+}
+
 // AppendState appends the resource's state relative to (its engine's Now,
 // base) to dst, the resource's half of Engine.AppendState: the waiting jobs'
 // count and whether one is in service, then how long it has been and that
@@ -108,10 +121,12 @@ func (r *Resource) Submit(d Duration, a, b int32) {
 
 //hetlint:hotpath
 func (r *Resource) push(j job) {
-	// Compact once the dead prefix dominates the live region, so a queue that
-	// never fully drains (a saturated pipeline stage) still reuses its backing
-	// array instead of growing by one slot per job forever. Amortized O(1).
-	if r.head >= 16 && r.head >= len(r.queue)-r.head {
+	// A full queue compacts instead of growing while its dead prefix is at
+	// least its live region, so a queue that never fully drains (a saturated
+	// pipeline stage) reuses its backing array: it grows only when more than
+	// half of it is live. Amortized O(1), since a compaction leaves at least
+	// half the array free.
+	if len(r.queue) == cap(r.queue) && r.head > 0 && r.head >= len(r.queue)-r.head {
 		n := copy(r.queue, r.queue[r.head:])
 		r.queue = r.queue[:n]
 		r.head = 0

@@ -154,3 +154,51 @@ func TestResourceFIFOProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResourceReserve: a queue Reserved for n jobs and never holding more —
+// here a closed loop of n+1 jobs, one in service and n queued once each
+// completion has submitted the next — keeps
+// its backing array for the whole run, through every compaction, and serves
+// in submission order; Reserve on a busy queue keeps its waiting jobs.
+func TestResourceReserve(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		e := New()
+		var r *Resource
+		next, served := int32(0), int32(0)
+		r = NewResource(e, func(a, _ int32, _ float64) {
+			if a != served {
+				t.Fatalf("n=%d: job %d completed, want %d", n, a, served)
+			}
+			served++
+			if next < 1000 {
+				r.Submit(Duration(1+next%3), next, 0)
+				next++
+			}
+		})
+		r.Reserve(n)
+		c := cap(r.queue)
+		for ; next <= int32(n); next++ {
+			r.Submit(Duration(1+next%3), next, 0)
+		}
+		base := &r.queue[:1][0]
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if served != 1000 || cap(r.queue) != c || &r.queue[:1][0] != base {
+			t.Errorf("n=%d: served %d of 1000, capacity %d -> %d, moved %v", n, served, c, cap(r.queue), &r.queue[:1][0] != base)
+		}
+	}
+	e := New()
+	var order []int32
+	r := NewResource(e, func(a, _ int32, _ float64) { order = append(order, a) })
+	for a := int32(0); a < 3; a++ {
+		r.Submit(1, a, 0)
+	}
+	r.Reserve(8)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Errorf("completions after Reserve on a busy queue: %v, want [0 1 2]", order)
+	}
+}
