@@ -13,28 +13,18 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"hetpipe"
-	"hetpipe/internal/prof"
+	"hetpipe/internal/cli"
+	"hetpipe/internal/core"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment name (see -list) or 'all'")
 	list := flag.Bool("list", false, "list available experiments")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	f := cli.Bind(flag.CommandLine, core.Spec{}, "cpuprofile")
 	flag.Parse()
-	stopProfile, err := prof.StartCPU(*cpuProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProfile(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}()
+	defer cli.Start(f.CPUProfile, "", cli.Fatalf)()
 
 	if *list {
 		for _, d := range hetpipe.ExperimentCatalog() {
@@ -46,8 +36,7 @@ func main() {
 		for _, d := range hetpipe.ExperimentCatalog() {
 			r, err := hetpipe.RunExperiment(d.Name)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				cli.Fatalf("%v", err)
 			}
 			fmt.Println(r)
 		}
@@ -55,8 +44,7 @@ func main() {
 	}
 	r, err := hetpipe.RunExperiment(*exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatalf("%v", err)
 	}
 	fmt.Println(r)
 }

@@ -24,61 +24,37 @@ import (
 	"strings"
 
 	"hetpipe"
+	"hetpipe/internal/cli"
+	"hetpipe/internal/core"
 )
 
 func main() {
-	modelName := flag.String("model", "vgg19", "DNN model (see hetpipe.Models: vgg19, resnet152, ...)")
-	clusterName := flag.String("cluster", "paper", "cluster-catalog shape (see hetsweep -list)")
-	policy := flag.String("policy", "ED", "allocation policy: NP, ED, or HD")
-	specs := flag.String("specs", "", "explicit VW specs, comma separated (e.g. VRQ,VRQ,VRQ,VRQ); overrides -policy")
-	nm := flag.Int("nm", 0, "concurrent minibatches per VW (0 = auto)")
-	d := flag.Int("d", 0, "WSP clock distance bound D")
-	batch := flag.Int("batch", 32, "minibatch size")
-	local := flag.Bool("local", false, "use local parameter placement (ED only)")
+	f := cli.Bind(flag.CommandLine, core.Spec{Model: "vgg19", Cluster: "paper", Policy: "ED", Batch: 32},
+		"model", "cluster", "policy", "schedule", "interleave", "nm", "d", "batch", "faults", "checkpoint-every", "progress")
+	flag.StringVar(&f.Specs, "specs", "", "explicit VW specs, comma separated (e.g. VRQ,VRQ,VRQ,VRQ); overrides -policy")
+	flag.BoolVar(&f.Local, "local", false, "use local parameter placement (ED only)")
 	horovod := flag.Bool("horovod", false, "run the Horovod baseline instead")
 	gantt := flag.Bool("gantt", false, "print the pipeline schedule of VW 1")
-	schedule := flag.String("schedule", "", "pipeline schedule: "+strings.Join(hetpipe.Schedules(), ", ")+" (empty = hetpipe-fifo)")
-	interleave := flag.Int("interleave", 0, "interleave degree V: chunks per GPU (requires -schedule interleaved when > 1)")
 	traceOut := flag.String("trace-out", "", "write VW 1's pipeline schedule as chrome://tracing JSON to this path")
-	progress := flag.Bool("progress", false, "stream wave-push and clock-advance events while simulating")
-	faults := flag.String("faults", "", "fault-injection plan, e.g. slow:w0:x2,crash:w1:mb40 (see hetpipe.WithFaults)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in waves; prices crash replay (0 = replay from scratch)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	if *horovod {
-		b, err := hetpipe.Horovod(*modelName, *clusterName, *batch)
+		b, err := hetpipe.Horovod(f.Model, f.Cluster, f.Batch)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatalf("%v", err)
 		}
-		fmt.Printf("Horovod %s: %.0f samples/s over %d workers\n", *modelName, b.Throughput, b.Workers)
+		fmt.Printf("Horovod %s: %.0f samples/s over %d workers\n", f.Model, b.Throughput, b.Workers)
 		if len(b.Excluded) > 0 {
 			fmt.Printf("excluded (model too large): %s\n", strings.Join(b.Excluded, ", "))
 		}
 		return
 	}
 
-	opts := []hetpipe.Option{
-		hetpipe.WithModel(*modelName),
-		hetpipe.WithCluster(*clusterName),
-		hetpipe.WithBatch(*batch),
-		hetpipe.WithNm(*nm),
-		hetpipe.WithD(*d),
-		hetpipe.WithLocalPlacement(*local),
-		hetpipe.WithSchedule(*schedule),
-		hetpipe.WithInterleave(*interleave),
-		hetpipe.WithFaults(*faults),
-		hetpipe.WithCheckpoint(*ckptEvery),
-	}
-	if *specs != "" {
-		opts = append(opts, hetpipe.WithSpecs(strings.Split(*specs, ",")...))
-	} else {
-		opts = append(opts, hetpipe.WithPolicy(*policy))
-	}
-	if *progress {
+	opts := f.Options()
+	if f.Progress {
 		opts = append(opts, hetpipe.WithObserver(func(e hetpipe.Event) {
 			switch e.Kind {
 			case hetpipe.EventPush:
@@ -95,16 +71,14 @@ func main() {
 
 	dep, err := hetpipe.New(opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatalf("%v", err)
 	}
 	res, err := dep.Simulate(ctx)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Fatalf("%v", err)
 	}
 	fmt.Printf("HetPipe %s: %.0f samples/s aggregate (schedule=%s, Nm=%d, slocal=%d, D=%d, sglobal=%d)\n",
-		*modelName, res.Throughput, dep.Schedule(), res.Nm, res.Nm-1, *d, res.SGlobal)
+		f.Model, res.Throughput, dep.Schedule(), res.Nm, res.Nm-1, f.D, res.SGlobal)
 	for i, tp := range res.PerVW {
 		fmt.Printf("  VW%d [%s]: %.0f samples/s\n", i+1, res.VirtualWorkers[i], tp)
 	}
@@ -136,25 +110,22 @@ func main() {
 	if *gantt {
 		g, err := dep.Gantt(0, 0, 110)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatalf("%v", err)
 		}
 		fmt.Println("\npipeline schedule (VW 1):")
 		fmt.Print(g)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+		out, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			cli.Fatalf("%v", err)
 		}
-		werr := dep.WriteChromeTrace(f, 0, 0)
-		if cerr := f.Close(); werr == nil {
+		werr := dep.WriteChromeTrace(out, 0, 0)
+		if cerr := out.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
+			cli.Fatalf("%v", werr)
 		}
 		fmt.Printf("wrote chrome://tracing schedule of VW 1 to %s\n", *traceOut)
 	}

@@ -37,27 +37,18 @@ import (
 	"strconv"
 	"strings"
 
-	"hetpipe"
+	"hetpipe/internal/cli"
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
-	"hetpipe/internal/prof"
 	"hetpipe/internal/serve"
 )
 
 func main() {
-	modelName := flag.String("model", "vgg19", "model-zoo key ("+strings.Join(hetpipe.Models(), ", ")+")")
-	clusterName := flag.String("cluster", "paper", "cluster-catalog key")
-	policy := flag.String("policy", "NP", "allocation policy (NP, ED, HD)")
-	scheduleName := flag.String("schedule", "", "pipeline schedule: "+strings.Join(hetpipe.Schedules(), ", ")+" (empty = hetpipe-fifo)")
-	interleave := flag.Int("interleave", 0, "interleave degree V: chunks per GPU (requires -schedule interleaved when > 1)")
-	nm := flag.Int("nm", 0, "concurrent-minibatch count shaping the in-flight cap (0 = auto)")
-	batch := flag.Int("batch", 0, "microbatch capacity in requests (0 = 32)")
+	f := bindFlags(flag.CommandLine)
 	traffic := flag.String("traffic", "", "traffic spec (required), e.g. poisson:r120:n2000:crit0.2")
-	faults := flag.String("faults", "", "fault-plan spec (fault grammar: slow:w0:x2,crash:w1:mb5:down0.5,...)")
 	rates := flag.String("rates", "", "comma-separated offered rates: sweep the spec across them and print a latency-vs-throughput curve")
 	trace := flag.Bool("trace", false, "print the per-request lifecycle trace")
 	jsonPath := flag.String("json", "", "write the full result (curve mode: result list) as JSON (empty = skip)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
 	if *traffic == "" {
@@ -67,26 +58,17 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	plan, err := fault.Parse(*faults)
+	plan, err := fault.Parse(f.Faults)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	stopProfile, err := prof.StartCPU(*cpuProfile)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer func() {
-		if err := stopProfile(); err != nil {
-			fatalf("%v", err)
-		}
-	}()
-	dep, err := spec(*modelName, *clusterName, *policy, *scheduleName, *interleave, *nm, *batch).Resolve()
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	defer cli.Start(f.CPUProfile, "", fatalf)()
+	dep, err := f.Resolve()
+	if err != nil {
+		fatalf("%v", err)
+	}
 	opt := serve.Options{Faults: plan}
 
 	if *rates != "" {
@@ -137,14 +119,12 @@ func main() {
 	writeJSON(*jsonPath, res)
 }
 
-// spec names the serving deployment from the flags. D and the parameter
+// bindFlags declares hetserve's deployment flags. D and the parameter
 // placement shape only WSP's synchronization, which serving never runs, so
-// both stay at their defaults.
-func spec(model, cluster, policy, schedule string, interleave, nm, batch int) core.Spec {
-	return core.Spec{
-		Model: model, Cluster: cluster, Policy: policy, Schedule: schedule,
-		Interleave: interleave, Nm: nm, Batch: batch,
-	}
+// neither has a flag and both stay at their defaults.
+func bindFlags(fs *flag.FlagSet) *cli.Flags {
+	return cli.Bind(fs, core.Spec{Model: "vgg19", Cluster: "paper", Policy: "NP"},
+		"model", "cluster", "policy", "schedule", "interleave", "nm", "batch", "faults", "cpuprofile")
 }
 
 func splitFloats(s string) ([]float64, error) {
@@ -188,7 +168,4 @@ func writeJSON(path string, v interface{}) {
 	fmt.Printf("wrote %s\n", path)
 }
 
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "hetserve: "+format+"\n", args...)
-	os.Exit(1)
-}
+func fatalf(format string, args ...any) { cli.Fatalf("hetserve: "+format, args...) }

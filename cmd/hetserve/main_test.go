@@ -3,11 +3,14 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"hetpipe"
+	"hetpipe/internal/cli"
 	"hetpipe/internal/core"
 	"hetpipe/internal/sweep"
 )
@@ -99,10 +102,22 @@ func viaSweep(t *testing.T, r row) answer {
 	return answer{res.Nm, strings.Join(vws, " | "), res.Throughput}
 }
 
+// parse reads argv through hetserve's own flag set.
+func parse(t *testing.T, args ...string) *cli.Flags {
+	t.Helper()
+	fs := flag.NewFlagSet("hetserve", flag.ContinueOnError)
+	f := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	return f
+}
+
 func viaFlags(t *testing.T, r row) answer {
-	sp := spec(r.model, "paper", r.policy, r.schedule, r.interleave, r.nm, 0)
-	sp.Specs = strings.Join(r.specs, ",")
-	dep, err := sp.Resolve()
+	f := parse(t, "-model", r.model, "-policy", r.policy, "-schedule", r.schedule,
+		"-interleave", strconv.Itoa(r.interleave), "-nm", strconv.Itoa(r.nm))
+	f.Specs = strings.Join(r.specs, ",") // no hetserve flag: the row reaches it as the library would
+	dep, err := f.Resolve()
 	if err != nil {
 		t.Fatalf("%v: Resolve: %v", r, err)
 	}
@@ -125,7 +140,7 @@ func viaFlags(t *testing.T, r row) answer {
 	return answer{dep.Nm, strings.Join(vws, " | "), mr.Aggregate}
 }
 
-// hetpipe.New, a one-cell sweep and the spec hetserve builds from its flags
+// hetpipe.New, a one-cell sweep and the spec hetserve parses from its flags
 // are one resolver: the same Nm, the same cuts, bit-equal throughput.
 func TestThreeDoorsOneDeployment(t *testing.T) {
 	var rows []row
@@ -162,6 +177,13 @@ func TestThreeDoorsOneDeployment(t *testing.T) {
 	}
 }
 
+// With no deployment flags, hetserve serves what it always has.
+func TestDefaultFlags(t *testing.T) {
+	if f, want := parse(t), (core.Spec{Model: "vgg19", Cluster: "paper", Policy: "NP"}); f.Spec != want {
+		t.Errorf("an empty argv names %+v, want %+v", f.Spec, want)
+	}
+}
+
 // hetserve validates like hetpipe.New: same sentinels, same messages.
 func TestFlagsValidateLikeNew(t *testing.T) {
 	for _, tc := range []struct {
@@ -178,7 +200,8 @@ func TestFlagsValidateLikeNew(t *testing.T) {
 		{"unknown policy", "vgg19", "XX", "", 0, core.ErrUnknownPolicy, `"XX"`},
 		{"no policy", "vgg19", "", "", 0, core.ErrNoAllocation, ""},
 	} {
-		_, err := spec(tc.model, "paper", tc.policy, tc.schedule, tc.interleave, 0, 0).Resolve()
+		_, err := parse(t, "-model", tc.model, "-policy", tc.policy, "-schedule", tc.schedule,
+			"-interleave", strconv.Itoa(tc.interleave)).Resolve()
 		if err == nil || !strings.Contains(err.Error(), tc.msg) || !errors.Is(err, tc.want) {
 			t.Errorf("%s: error = %v, want %v mentioning %q", tc.name, err, tc.want, tc.msg)
 			continue

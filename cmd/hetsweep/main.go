@@ -40,19 +40,18 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 
+	"hetpipe/internal/cli"
+	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
-	"hetpipe/internal/prof"
 	"hetpipe/internal/sched"
 	"hetpipe/internal/serve"
 	"hetpipe/internal/sweep"
@@ -71,7 +70,6 @@ func main() {
 	traffics := flag.String("traffics", "", "semicolon-separated serving traffic specs (serve grammar: poisson:r120:n2000, diurnal:r120:a0.5:p60:n2000, bursty:r60:x4:on2:off8:n2000, closed:u64:t0.05:n2000); an empty entry is the training baseline")
 	dValues := flag.String("d", intsJoin(def.DValues), "comma-separated WSP clock-distance bounds")
 	nmValues := flag.String("nm", "0", "comma-separated concurrent-minibatch counts (0 = auto)")
-	batch := flag.Int("batch", 0, "minibatch size (0 = 32)")
 	mbs := flag.Int("mbs", 0, "minibatches per virtual worker per scenario (0 = D-aware default, at least 24 waves)")
 	workers := flag.Int("workers", 0, "max concurrent scenario simulations (0 = GOMAXPROCS)")
 	stream := flag.Bool("stream", false, "aggregate results on the fly (bounded memory; -json gets the summary, -csv is skipped)")
@@ -79,12 +77,11 @@ func main() {
 	csvPath := flag.String("csv", "hetsweep.csv", "CSV results path (empty = skip)")
 	list := flag.Bool("list", false, "list the available axis values and exit")
 	quiet := flag.Bool("quiet", false, "suppress per-scenario progress lines")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file, every allocation sampled (go tool pprof -sample_index=alloc_objects)")
+	f := cli.Bind(flag.CommandLine, core.Spec{}, "batch", "cpuprofile", "memprofile")
 	flag.Parse()
-	if *memProfile != "" {
-		runtime.MemProfileRate = 1
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	defer cli.Start(f.CPUProfile, f.MemProfile, fatalf)()
 
 	if *list {
 		fmt.Println("models:")
@@ -123,7 +120,7 @@ func main() {
 		Schedules:        splitList(*schedules),
 		Faults:           splitSpecs(*faults),
 		Traffics:         splitSpecs(*traffics),
-		Batch:            *batch,
+		Batch:            f.Batch,
 		MinibatchesPerVW: *mbs,
 	}
 	var err error
@@ -136,18 +133,6 @@ func main() {
 	if grid.Interleaves, err = splitInts(*interleaves); err != nil {
 		fatalf("-interleaves: %v", err)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	stopProfile, err := prof.StartCPU(*cpuProfile)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer func() {
-		if err := errors.Join(stopProfile(), prof.WriteAllocs(*memProfile)); err != nil {
-			fatalf("%v", err)
-		}
-	}()
 
 	scenarios, err := grid.Expand()
 	if err != nil {
@@ -286,7 +271,4 @@ func writeFile(path string, fill func(*os.File) error) error {
 	return f.Close()
 }
 
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "hetsweep: "+format+"\n", args...)
-	os.Exit(1)
-}
+func fatalf(format string, args ...any) { cli.Fatalf("hetsweep: "+format, args...) }

@@ -113,14 +113,6 @@ func Paper() *Cluster {
 // GPUs returns all devices in ID order.
 func (c *Cluster) GPUs() []*GPU { return c.gpus }
 
-// GPU returns the device with the given cluster-wide ID.
-func (c *Cluster) GPU(id int) (*GPU, error) {
-	if id < 0 || id >= len(c.gpus) {
-		return nil, fmt.Errorf("hw: GPU id %d out of range [0,%d)", id, len(c.gpus))
-	}
-	return c.gpus[id], nil
-}
-
 // LinkBetween classifies the interconnect between two devices.
 func (c *Cluster) LinkBetween(a, b *GPU) LinkKind {
 	switch {

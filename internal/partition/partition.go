@@ -75,12 +75,6 @@ type Chunk struct {
 // Layers reports the number of layers in the chunk.
 func (c *Chunk) Layers() int { return c.Hi - c.Lo }
 
-// ExecTime is the chunk's execution time: computation plus the serialized
-// receives across its boundaries.
-func (c *Chunk) ExecTime() float64 {
-	return c.FwdTime + c.BwdTime + c.RecvActTime + c.RecvGradTime
-}
-
 // Stage is one pipeline stage of a plan: a set of model chunks bound to one
 // GPU. Contiguous plans carry exactly one chunk per stage; interleaved plans
 // carry V, with chunk c running as virtual stage (stage index) + c*k.

@@ -275,9 +275,6 @@ func (pl *Pipeline) Reset(eng *sim.Engine, cfg Config) error {
 	return nil
 }
 
-// Schedule reports the resolved execution discipline.
-func (pl *Pipeline) Schedule() sched.Schedule { return pl.cfg.Schedule }
-
 // Start injects the initial window of minibatches.
 func (pl *Pipeline) Start() { pl.Poke() }
 
