@@ -139,41 +139,70 @@ func TestOptionsMapEverySpecField(t *testing.T) {
 	}
 }
 
-func TestStart(t *testing.T) {
+// The CPU half of Start: an empty path profiles nothing, an unwritable path
+// is an error when the profile starts, and a stopped profile is written.
+func TestStartCPU(t *testing.T) {
 	rate := runtime.MemProfileRate
 	t.Cleanup(func() { runtime.MemProfileRate = rate })
-	var failures []string
-	fatalf := func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
+	failures, fatalf := recordFailures()
 
-	// An empty path profiles nothing.
 	Start("", "", fatalf)()
-	if failures != nil || runtime.MemProfileRate != rate {
-		t.Fatalf("empty paths: failures %q, MemProfileRate %d", failures, runtime.MemProfileRate)
+	if *failures != nil || runtime.MemProfileRate != rate {
+		t.Fatalf("empty paths: failures %q, MemProfileRate %d", *failures, runtime.MemProfileRate)
 	}
 
-	// An unwritable path is an error: the CPU profile's when it starts, the
-	// allocation profile's when it is written.
 	Start(filepath.Join(t.TempDir(), "missing", "cpu.prof"), "", fatalf)()
-	if len(failures) != 1 || !strings.HasPrefix(failures[0], "prof: open ") {
-		t.Fatalf("unwritable CPU path: failures %q", failures)
+	if len(*failures) != 1 || !strings.HasPrefix((*failures)[0], "prof: open ") {
+		t.Fatalf("unwritable CPU path: failures %q", *failures)
 	}
-	failures = nil
-	Start("", filepath.Join(t.TempDir(), "missing", "mem.prof"), fatalf)()
-	if len(failures) != 1 || !strings.HasPrefix(failures[0], "prof: open ") {
-		t.Fatalf("unwritable allocation path: failures %q", failures)
-	}
-	failures = nil
+	*failures = nil
 
-	// Both profiles are written, once: the second stop writes nothing.
-	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	stop := Start(cpu, mem, fatalf)
+	cpu := filepath.Join(t.TempDir(), "cpu.prof")
+	Start(cpu, "", fatalf)()
+	if *failures != nil || runtime.MemProfileRate != rate {
+		t.Fatalf("failures %q, MemProfileRate %d", *failures, runtime.MemProfileRate)
+	}
+	requireProfile(t, cpu)
+}
+
+// The allocation half of Start: -memprofile samples every allocation, an
+// unwritable path is an error when the profile is written, and the profile
+// is written by the stop.
+func TestWriteAllocs(t *testing.T) {
+	rate := runtime.MemProfileRate
+	t.Cleanup(func() { runtime.MemProfileRate = rate })
+	failures, fatalf := recordFailures()
+
+	Start("", filepath.Join(t.TempDir(), "missing", "mem.prof"), fatalf)()
+	if len(*failures) != 1 || !strings.HasPrefix((*failures)[0], "prof: open ") {
+		t.Fatalf("unwritable allocation path: failures %q", *failures)
+	}
+	*failures = nil
+
+	mem := filepath.Join(t.TempDir(), "mem.prof")
+	stop := Start("", mem, fatalf)
 	if runtime.MemProfileRate != 1 {
 		t.Errorf("-memprofile left MemProfileRate at %d, want every allocation sampled", runtime.MemProfileRate)
 	}
 	stop()
-	if failures != nil {
-		t.Fatalf("failures %q", failures)
+	if *failures != nil {
+		t.Fatalf("failures %q", *failures)
+	}
+	requireProfile(t, mem)
+}
+
+// Both profiles are written, once: the second stop writes nothing.
+func TestStart(t *testing.T) {
+	rate := runtime.MemProfileRate
+	t.Cleanup(func() { runtime.MemProfileRate = rate })
+	failures, fatalf := recordFailures()
+
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop := Start(cpu, mem, fatalf)
+	stop()
+	if *failures != nil {
+		t.Fatalf("failures %q", *failures)
 	}
 	requireProfile(t, cpu)
 	requireProfile(t, mem)
@@ -181,9 +210,16 @@ func TestStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop()
-	if _, err := os.Stat(mem); !errors.Is(err, os.ErrNotExist) || failures != nil {
-		t.Errorf("a second stop wrote the profiles again (%v) or failed (%q)", err, failures)
+	if _, err := os.Stat(mem); !errors.Is(err, os.ErrNotExist) || *failures != nil {
+		t.Errorf("a second stop wrote the profiles again (%v) or failed (%q)", err, *failures)
 	}
+}
+
+// recordFailures returns a fatalf for Start that records each message
+// instead of exiting, and the messages it has recorded.
+func recordFailures() (*[]string, func(format string, args ...any)) {
+	var failures []string
+	return &failures, func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
 }
 
 // Fatalf, the fatal path every CLI's failure and cancellation takes, writes
