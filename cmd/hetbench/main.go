@@ -1,18 +1,22 @@
 // Command hetbench regenerates the paper's tables and figures on the
 // simulated cluster, through the public experiment catalog
-// (hetpipe.ExperimentCatalog / hetpipe.RunExperiment).
+// (hetpipe.ExperimentCatalog / hetpipe.RunExperiment). Ctrl-C ends a run in
+// flight with status 1, writing the profiles first.
 //
 // Usage:
 //
 //	hetbench -list
 //	hetbench -exp figure4
 //	hetbench -exp all
-//	hetbench -exp figure5 -cpuprofile fig5.prof
+//	hetbench -exp figure5 -cpuprofile fig5.prof -memprofile fig5.mem
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"os"
+	"os/signal"
 
 	"hetpipe"
 	"hetpipe/internal/cli"
@@ -22,9 +26,11 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment name (see -list) or 'all'")
 	list := flag.Bool("list", false, "list available experiments")
-	f := cli.Bind(flag.CommandLine, core.Spec{}, "cpuprofile")
+	f := cli.Bind(flag.CommandLine, core.Spec{}, "cpuprofile", "memprofile")
 	flag.Parse()
-	defer cli.Start(f.CPUProfile, "", cli.Fatalf)()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	defer cli.Start(f.CPUProfile, f.MemProfile, cli.Fatalf)()
 
 	if *list {
 		for _, d := range hetpipe.ExperimentCatalog() {
@@ -34,17 +40,31 @@ func main() {
 	}
 	if *exp == "all" {
 		for _, d := range hetpipe.ExperimentCatalog() {
-			r, err := hetpipe.RunExperiment(d.Name)
-			if err != nil {
-				cli.Fatalf("%v", err)
-			}
-			fmt.Println(r)
+			run(ctx, d.Name)
 		}
 		return
 	}
-	r, err := hetpipe.RunExperiment(*exp)
-	if err != nil {
-		cli.Fatalf("%v", err)
+	run(ctx, *exp)
+}
+
+// run prints experiment name's report, or ends the process through
+// cli.Fatalf when it fails or ctx is cancelled first. RunExperiment takes no
+// context, so a cancelled run is left to the process's exit.
+func run(ctx context.Context, name string) {
+	var report string
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		report, err = hetpipe.RunExperiment(name)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			cli.Fatalf("%v", err)
+		}
+		fmt.Println(report)
+	case <-ctx.Done():
+		cli.Fatalf("%s: %v", name, ctx.Err())
 	}
-	fmt.Println(r)
 }

@@ -13,6 +13,7 @@
 //	hetpipe -model vgg19 -policy ED -d 1 -faults slow:w0:x2          # straggler
 //	hetpipe -model vgg19 -policy ED -faults crash:w1:mb24 -checkpoint-every 2
 //	hetpipe -model vgg19 -horovod
+//	hetpipe -model vgg19 -cpuprofile cpu.prof -memprofile mem.prof  # go tool pprof
 package main
 
 import (
@@ -30,7 +31,8 @@ import (
 
 func main() {
 	f := cli.Bind(flag.CommandLine, core.Spec{Model: "vgg19", Cluster: "paper", Policy: "ED", Batch: 32},
-		"model", "cluster", "policy", "schedule", "interleave", "nm", "d", "batch", "faults", "checkpoint-every", "progress")
+		"model", "cluster", "policy", "schedule", "interleave", "nm", "d", "batch", "faults", "checkpoint-every", "progress",
+		"cpuprofile", "memprofile")
 	flag.StringVar(&f.Specs, "specs", "", "explicit VW specs, comma separated (e.g. VRQ,VRQ,VRQ,VRQ); overrides -policy")
 	flag.BoolVar(&f.Local, "local", false, "use local parameter placement (ED only)")
 	horovod := flag.Bool("horovod", false, "run the Horovod baseline instead")
@@ -40,6 +42,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	defer cli.Start(f.CPUProfile, f.MemProfile, cli.Fatalf)()
 
 	if *horovod {
 		b, err := hetpipe.Horovod(f.Model, f.Cluster, f.Batch)

@@ -64,7 +64,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	defer cli.Start(f.CPUProfile, "", fatalf)()
+	defer cli.Start(f.CPUProfile, f.MemProfile, fatalf)()
 	dep, err := f.Resolve()
 	if err != nil {
 		fatalf("%v", err)
@@ -124,7 +124,7 @@ func main() {
 // neither has a flag and both stay at their defaults.
 func bindFlags(fs *flag.FlagSet) *cli.Flags {
 	return cli.Bind(fs, core.Spec{Model: "vgg19", Cluster: "paper", Policy: "NP"},
-		"model", "cluster", "policy", "schedule", "interleave", "nm", "batch", "faults", "cpuprofile")
+		"model", "cluster", "policy", "schedule", "interleave", "nm", "batch", "faults", "cpuprofile", "memprofile")
 }
 
 func splitFloats(s string) ([]float64, error) {

@@ -30,9 +30,9 @@ func TestBindDefaults(t *testing.T) {
 		names []string
 	}{
 		{"hetpipe", core.Spec{Model: "vgg19", Cluster: "paper", Policy: "ED", Batch: 32},
-			[]string{"model", "cluster", "policy", "schedule", "interleave", "nm", "d", "batch", "faults", "checkpoint-every", "progress"}},
+			[]string{"model", "cluster", "policy", "schedule", "interleave", "nm", "d", "batch", "faults", "checkpoint-every", "progress", "cpuprofile", "memprofile"}},
 		{"hetserve", core.Spec{Model: "vgg19", Cluster: "paper", Policy: "NP"},
-			[]string{"model", "cluster", "policy", "schedule", "interleave", "nm", "batch", "faults", "cpuprofile"}},
+			[]string{"model", "cluster", "policy", "schedule", "interleave", "nm", "batch", "faults", "cpuprofile", "memprofile"}},
 		{"hetlive", core.Spec{Model: "vgg19", Cluster: "paper", Policy: "ED", Nm: 4, D: 1},
 			[]string{"model", "cluster", "policy", "schedule", "interleave", "nm", "d", "faults", "checkpoint-every", "progress", "cpuprofile", "memprofile"}},
 	} {

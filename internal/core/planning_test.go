@@ -353,8 +353,15 @@ func TestPlanningCounts(t *testing.T) {
 		}
 		total.add(dep.Planning)
 	}
-	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, Priced: 724748, SoloWindows: 1140, PrunedNm: 306, SoloMB: 108860, SkippedMB: 86683}); total != want {
+	if want := (Planning{Solves: 584, Carried: 1289, Infeasible: 19, Priced: 724748, SoloWindows: 1140, PrunedNm: 306, SoloMB: 108860, SkippedMB: 86748}); total != want {
 		t.Errorf("108 systems: %+v, want %+v", total, want)
+	}
+	// The runs find their periods from a hint of their state: they must skip
+	// no fewer minibatches than when each completion's whole state was
+	// hashed, 86,683. (A hint match opens a candidate whose state need not
+	// equal the past one, so a period can be confirmed sooner.)
+	if total.SkippedMB < 86683 {
+		t.Errorf("108 systems: %d minibatches skipped, fewer than full-state detection's 86,683", total.SkippedMB)
 	}
 	if total.SkippedMB*4 < total.SoloMB*3 {
 		t.Errorf("108 systems: %d of %d minibatches skipped, want 75 %%", total.SkippedMB, total.SoloMB)

@@ -66,7 +66,9 @@
 // leaves injections for — every pending event, device, ring and counter
 // shifted, every skipped completion time written — so it simulates the fill,
 // the confirmation, fewer than one period of injections and the drain
-// (steady.go). Each Result is bit for bit the fully simulated one; a run with
+// (steady.go). After each completion it records only an O(k) hint of that
+// state; the whole state is built where a hint recurs, to open a candidate
+// period, and where the candidate comes due, to confirm it word for word. Each Result is bit for bit the fully simulated one; a run with
 // an identity TaskTime hook is that full simulation.
 // A Runner keeps the pipeline and that scratch from run to run; core's Nm
 // search takes every solo measurement on one.

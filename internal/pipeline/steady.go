@@ -30,14 +30,19 @@ const lags = 64
 // (Config.Minibatches), so a run simulates the fill, the confirmation, those
 // last injections (a shortened gpipe wave among them) and the drain.
 //
-// Detection: after each completion the relative state, pending events in
-// firing order, is built into cur (Runner.state) and its hash goes into a
-// ring of the last lags completions. A hash equal to the one P completions
-// back is only a hint: the state is kept (snap) and compared word for word
-// with the one P completions later, and only that exact match confirms the
-// period.
+// Detection: after each completion, a hint of the relative state (hint: a
+// few words per device) goes into a ring of the last lags completions, and a
+// count per hint modulo 128 (seen) says when the ring cannot hold it. A hint
+// equal to the one P completions back only opens a candidate: the whole
+// relative state, pending events in firing order, is built then (Runner.state,
+// into snap) and again P completions later, and only a word-for-word match of
+// the two confirms the period. The candidate's state need not equal the one
+// P completions before it, so a period can be confirmed before the states
+// themselves have recurred once; a hint match whose state does not recur
+// costs one candidate that is dropped.
 type steady struct {
-	hashes [lags]uint32 // hashes[c%lags]: the hash of the state after completion c
+	hashes [lags]uint16 // hashes[c%lags]: the hint after completion c
+	seen   [128]uint8   // seen[h%128]: how many hints in hashes are h modulo 128
 
 	// A candidate: the state after completion cand was snap, at clock at,
 	// and should recur lag completions later; busy holds each device's busy
@@ -60,7 +65,7 @@ type steady struct {
 // header, service start and job, and the completion event), every ring pair
 // two, the in-flight count one and the wave four.
 func (st *steady) reset(pl *Pipeline) {
-	st.hashes = [lags]uint32{}
+	st.hashes, st.seen = [lags]uint16{}, [128]uint8{}
 	st.cand, st.period, st.skipped = 0, 0, 0
 	if pl.runner == nil {
 		return
@@ -76,26 +81,31 @@ func (st *steady) reset(pl *Pipeline) {
 		buf := make([]uint64, 2*n)
 		st.cur, st.snap = buf[:0:n], buf[n:n:2*n]
 	}
-	st.busy = slices.Grow(st.busy[:0], pl.x.k)
+	st.busy = slices.Grow(st.busy[:0], pl.x.k)[:pl.x.k]
 }
 
 // settle is the fast-forward step after a completion's injections: jump if a
-// period is confirmed, else record the state and look for one.
+// period is confirmed, else record the hint and look for one. Once the window
+// has injected its last minibatch no jump can follow, and it does nothing.
 //
 //hetlint:hotpath
 func (r *Runner) settle() {
 	st, pl := &r.st, &r.pl
+	if pl.injected == pl.cfg.Minibatches {
+		return
+	}
 	if st.period > 0 {
 		r.jump()
 		return
 	}
-	c := pl.completed
-	st.cur = r.state(st.cur[:0])
-	h := hashWords(st.cur)
-	h32 := uint32(h ^ h>>32)
+	c, from := pl.completed, 1
+	h := r.hint()
 	// A candidate that comes due is confirmed or dropped before another is
-	// looked for.
+	// looked for. One dropped at lag L is followed by one of a longer lag
+	// only: a hint that repeats every L completions while the state does not
+	// would otherwise reopen lag L until the window ends.
 	if st.cand > 0 && c == st.cand+st.lag {
+		st.cur = r.state(st.cur[:0])
 		if slices.Equal(st.cur, st.snap) {
 			st.period, st.span = st.lag, pl.eng.Now()-st.at
 			for g, dev := range pl.x.Devices() {
@@ -104,20 +114,54 @@ func (r *Runner) settle() {
 			r.jump()
 			return
 		}
-		st.cand = 0
+		st.cand, from = 0, st.lag+1
 	}
-	for lag := 1; st.cand == 0 && lag <= min(c-1, lags); lag++ {
-		if st.hashes[(c-lag)%lags] == h32 {
-			st.cand, st.lag, st.at = c, lag, pl.eng.Now()
-			st.snap, st.cur = st.cur, st.snap
-			r.st.busy = r.st.busy[:0]
-			for _, dev := range pl.x.Devices() {
-				r.st.busy = append(r.st.busy, dev.BusyTime())
+	// The ring can hold h only if it holds a hint equal to h modulo 128.
+	if st.cand == 0 && st.seen[h%128] > 0 {
+		for lag := from; lag <= min(c-1, lags); lag++ {
+			if st.hashes[uint(c-lag)%lags] == h {
+				st.cand, st.lag, st.at = c, lag, pl.eng.Now()
+				st.snap = r.state(st.snap[:0])
+				for g, dev := range pl.x.Devices() {
+					st.busy[g] = dev.BusyTime()
+				}
+				break
 			}
 		}
 	}
-	st.hashes[c%lags] = h32
+	if c > lags {
+		st.seen[st.hashes[uint(c)%lags]%128]--
+	}
+	st.hashes[uint(c)%lags] = h
+	st.seen[h%128]++
 }
+
+// hint folds into 16 bits a few words, each a function of the state relative
+// to (now, completed) (Runner.state): the in-flight count, the open wave's
+// fields under wave injection, the pending-event count, and each device's
+// queue length, busy flag and time in service (sim.Resource.Hint). Equal
+// states give equal hints; settle confirms every hint match word for word.
+// It reads O(k) words, where the state holds words for every minibatch in
+// flight: settle takes a hint after every completion and builds the state
+// only to open a candidate or decide one.
+//
+//hetlint:hotpath
+func (r *Runner) hint() uint16 {
+	pl := &r.pl
+	h := mix(uint64(pl.injected-pl.completed), uint64(pl.eng.Pending()))
+	if pl.wave {
+		h = mix(mix(h, uint64(pl.waveFirst-pl.completed)), uint64(pl.waveSize))
+		h = mix(mix(h, uint64(pl.waveLeft)), uint64(pl.waveFwd))
+	}
+	for _, dev := range pl.x.Devices() {
+		queue, served := dev.Hint()
+		h = mix(h, queue^served)
+	}
+	return uint16(h >> 48)
+}
+
+// mix folds the word w into the hash h.
+func mix(h, w uint64) uint64 { return (bits.RotateLeft64(h, 23) ^ w) * 0x9e3779b97f4a7c15 }
 
 // state appends the pipeline's state relative to (now, completed) to dst,
 // the engine's pending events last, in firing order (sim.Engine.AppendState).
@@ -167,14 +211,4 @@ func (r *Runner) jump() {
 		pl.finished = append(pl.finished, pl.finished[len(pl.finished)-p]+st.span)
 	}
 	st.skipped += dp
-}
-
-// hashWords folds a state into 64 bits: a hint for settle, which confirms
-// every match exactly.
-func hashWords(ws []uint64) uint64 {
-	h := uint64(len(ws))
-	for _, w := range ws {
-		h = (bits.RotateLeft64(h, 23) ^ w) * 0x9e3779b97f4a7c15
-	}
-	return h
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hetpipe/internal/hw"
@@ -184,9 +185,9 @@ func TestFastForwardEqualsFullRun(t *testing.T) {
 // first jump, steps its identity-hook twin to the same completion, and fails
 // unless the two are in the same state there: the same clock and counters,
 // the same pending events, device queues and rings with the same minibatch
-// numbers, the same busy totals and completion times. Much of that
-// (minibatch numbers, a transfer's start) no hook-free run ever reads, so
-// only this comparison shows it shifted right. The jump must also leave
+// numbers, the same hint, the same busy totals and completion times. Much of
+// that (minibatch numbers, a transfer's start) no hook-free run ever reads,
+// so only this comparison shows it shifted right. The jump must also leave
 // fewer than a period of injections to simulate.
 func sameStateAfterJump(t *testing.T, tc ffCase, cfg Config) {
 	t.Helper()
@@ -217,12 +218,14 @@ func sameStateAfterJump(t *testing.T, tc ffCase, cfg Config) {
 		now                 sim.Time
 		completed, injected int
 		words               []uint64
+		hint                uint16
 		finished            []sim.Time
 		busy                []sim.Duration
 	}
 	of := func(r *Runner, eng *sim.Engine) state {
 		s := state{now: eng.Now(), completed: r.pl.completed, injected: r.pl.injected,
 			words:    r.state(nil),
+			hint:     r.hint(),
 			finished: r.pl.finished}
 		for _, dev := range r.pl.x.Devices() {
 			s.busy = append(s.busy, dev.BusyTime())
@@ -266,4 +269,149 @@ func TestFastForwardStopsAtTheHorizon(t *testing.T) {
 			t.Errorf("%g s stages, elapsed %v s: skipped %d minibatches", tc.stage, got.Elapsed, fast.Skipped())
 		}
 	}
+}
+
+// TestHintOpensCandidatesStateConfirms: a hint match only opens a candidate,
+// and the whole state decides it. Each hook-free run is stepped completion by
+// completion beside its identity-hook twin, whose state and hint after every
+// completion are kept. A candidate must open where the hint equals the one
+// lag completions back, and snapshot the state; once due, it must confirm
+// exactly when the state lag completions after it equals its own, and drop
+// otherwise — also where the hint matched but the state did not, which the
+// draws must contain. Mutations tried against it, each caught: confirming on
+// a hint match alone, keeping an earlier candidate's snapshot, and a ring
+// filter that never counts a hint. (A hint that reads an absolute instant or
+// count — a device's busySince, completed — fails the jump rule of
+// TestFastForwardEqualsFullRun and TestScaledTimesScaleTheRun.)
+func TestHintOpensCandidatesStateConfirms(t *testing.T) {
+	rounds := 24
+	if testing.Short() {
+		rounds = 8
+	}
+	rng := rand.New(rand.NewSource(31))
+	var opened, hintOnly, hintOnlyConfirmed, confirmed, dropped int
+	for _, tc := range ffCases(t, rng, rounds) {
+		cfg := Config{Plan: tc.plan, Schedule: tc.s, Minibatches: 150, Warmup: 20}
+		full := cfg
+		full.TaskTime = identity
+		var twin Runner
+		engTwin := sim.New()
+		if err := twin.start(engTwin, full); err != nil {
+			t.Fatal(err)
+		}
+		states, hints := [][]uint64{nil}, []uint16{0}
+		for engTwin.Step() {
+			if twin.pl.completed == len(states) {
+				states, hints = append(states, twin.state(nil)), append(hints, twin.hint())
+			}
+		}
+		var fast Runner
+		eng := sim.New()
+		if err := fast.start(eng, cfg); err != nil {
+			t.Fatal(err)
+		}
+		st := &fast.st
+		cand, lag, hintMatchOnly := 0, 0, false
+		for c := 0; fast.pl.injected < cfg.Minibatches && eng.Step(); {
+			if fast.pl.completed-fast.Skipped() == c {
+				continue
+			}
+			c = fast.pl.completed - fast.Skipped() // a confirmation jumps at once
+			if cand > 0 && c == cand+lag {
+				same := slices.Equal(states[c], states[cand])
+				if got := st.period > 0; got != same {
+					t.Fatalf("%s: the candidate at completion %d, lag %d, confirmed %v; its state recurred %v",
+						tc.id, cand, lag, got, same)
+				}
+				if same {
+					confirmed++
+					if hintMatchOnly {
+						hintOnlyConfirmed++
+					}
+					break
+				}
+				dropped++
+				cand = 0
+			}
+			if st.cand == c && cand != c {
+				cand, lag = c, st.lag
+				if hints[c] != hints[c-lag] || !slices.Equal(st.snap, states[c]) {
+					t.Fatalf("%s: a candidate opened at completion %d, lag %d, on hints %x and %x, or with another state",
+						tc.id, c, lag, hints[c], hints[c-lag])
+				}
+				opened++
+				if hintMatchOnly = !slices.Equal(states[c], states[c-lag]); hintMatchOnly {
+					hintOnly++
+				}
+			}
+		}
+	}
+	if hintOnly == 0 || dropped == 0 || confirmed == 0 {
+		t.Errorf("%d candidates, %d opened on a hint whose state differed; %d confirmed, %d dropped: the draws prove nothing",
+			opened, hintOnly, confirmed, dropped)
+	}
+	t.Logf("%d candidates, %d on a hint match alone (%d of them confirmed); %d confirmed, %d dropped",
+		opened, hintOnly, hintOnlyConfirmed, confirmed, dropped)
+}
+
+// TestScaledTimesScaleTheRun: time is exact below sim.Horizon, so a plan
+// whose times are multiples of 8 quanta, scaled by 2^k for k in -3..3, runs
+// the same pipeline in scaled time — every completion time and Elapsed
+// scaled by exactly 2^k, Throughput by 2^-k, utilization the same — and finds
+// its period at the same completion, so that it skips the same minibatches.
+func TestScaledTimesScaleTheRun(t *testing.T) {
+	rounds := 12
+	if testing.Short() {
+		rounds = 4
+	}
+	rng := rand.New(rand.NewSource(37))
+	eng := sim.New()
+	var r Runner
+	for _, tc := range ffCases(t, rng, rounds) {
+		n := 1 + rng.Intn(150)
+		cfg := Config{Plan: scaledPlan(tc.plan, 1), Schedule: tc.s, Minibatches: n, Warmup: rng.Intn(n)}
+		want, err := r.Run(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if 8*want.Elapsed >= sim.Horizon/2 {
+			t.Fatalf("%s: elapsed %v s leaves no room to scale below the horizon", tc.id, want.Elapsed)
+		}
+		finished, skipped := slices.Clone(r.pl.finished), r.Skipped()
+		for k := -3; k <= 3; k++ {
+			f := math.Ldexp(1, k)
+			cfg.Plan = scaledPlan(tc.plan, f)
+			got, err := r.Run(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scaled := Summary{Throughput: want.Throughput / f, Elapsed: sim.Time(f) * want.Elapsed, MaxGPUUtil: want.MaxGPUUtil}
+			if got != scaled || r.Skipped() != skipped {
+				t.Fatalf("%s scaled by 2^%d: %+v, skipped %d; unscaled %+v, skipped %d", tc.id, k, got, r.Skipped(), want, skipped)
+			}
+			for i, at := range r.pl.finished {
+				if at != sim.Time(f)*finished[i] {
+					t.Fatalf("%s scaled by 2^%d: completion %d at %v, unscaled at %v", tc.id, k, i, at, finished[i])
+				}
+			}
+		}
+	}
+}
+
+// scaledPlan copies plan with every chunk's times rounded to a multiple of 8
+// quanta and then multiplied by f.
+func scaledPlan(plan *partition.Plan, f float64) *partition.Plan {
+	round := func(x float64) float64 { return f * math.Round(x*(1<<37)) / (1 << 37) }
+	out := *plan
+	out.Stages = slices.Clone(plan.Stages)
+	for s := range out.Stages {
+		chunks := slices.Clone(out.Stages[s].Chunks)
+		for i := range chunks {
+			c := &chunks[i]
+			c.FwdTime, c.BwdTime = round(c.FwdTime), round(c.BwdTime)
+			c.RecvActTime, c.RecvGradTime = round(c.RecvActTime), round(c.RecvGradTime)
+		}
+		out.Stages[s].Chunks = chunks
+	}
+	return &out
 }

@@ -133,9 +133,9 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have fired so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// pending reports how many events are scheduled but not yet fired
-// (cancelled events do not count).
-func (e *Engine) pending() int { return e.n - e.dead }
+// Pending reports how many events are scheduled but not yet fired
+// (cancelled events do not count): the number AppendState appends.
+func (e *Engine) Pending() int { return e.n - e.dead }
 
 // SetStepLimit bounds the total number of events the engine will fire;
 // Run returns an error if the limit is hit. Zero disables the limit.

@@ -144,8 +144,8 @@ func FuzzEventQueue(f *testing.F) {
 				}
 			}
 			want := o.inState(0)
-			if e.pending() != len(want) {
-				t.Fatalf("op %d: pending() = %d, oracle %d", i, e.pending(), len(want))
+			if e.Pending() != len(want) {
+				t.Fatalf("op %d: Pending() = %d, oracle %d", i, e.Pending(), len(want))
 			}
 			state := e.AppendState(nil, -1, 0)
 			if len(state) != 4*len(want) {
@@ -177,8 +177,8 @@ func FuzzEventQueue(f *testing.F) {
 		if e.Now() != o.now {
 			t.Fatalf("final clock = %v, oracle %v", e.Now(), o.now)
 		}
-		if e.pending() != 0 {
-			t.Fatalf("pending() = %d after drain", e.pending())
+		if e.Pending() != 0 {
+			t.Fatalf("Pending() = %d after drain", e.Pending())
 		}
 		// Every handle is stale after the drain: nothing is cancellable.
 		for i, h := range handles {

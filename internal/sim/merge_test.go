@@ -99,7 +99,7 @@ func runMergeScript(data []byte, merged bool) (log []string, err error, fired ui
 		}
 		err = m.e.RunContext(context.Background())
 	}
-	return m.log, err, m.e.Fired(), m.e.Now(), m.e.pending()
+	return m.log, err, m.e.Fired(), m.e.Now(), m.e.Pending()
 }
 
 // FuzzMergedStream is RunMerged's oracle: the same sorted stream, run once as

@@ -33,8 +33,8 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(h2) {
 		t.Fatal("second Cancel succeeded")
 	}
-	if e.pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.pending())
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -116,8 +116,8 @@ func TestEngineReset(t *testing.T) {
 	leftover := e.Register(func(_, _ int32, _ float64) { t.Error("leftover event fired after Reset") })
 	h := e.AtID(e.Now()+1, leftover, 0, 0, 0)
 	e.Reset()
-	if e.Now() != 0 || e.pending() != 0 || e.Fired() != 0 {
-		t.Fatalf("after Reset: now=%v pending=%d fired=%d", e.Now(), e.pending(), e.Fired())
+	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {
+		t.Fatalf("after Reset: now=%v pending=%d fired=%d", e.Now(), e.Pending(), e.Fired())
 	}
 	if e.Cancel(h) {
 		t.Fatal("handle survived Reset")

@@ -68,20 +68,28 @@ func (r *Resource) Reserve(n int) {
 	}
 }
 
+// Hint returns the head of AppendState, which sums the resource's state up
+// in two words: the waiting jobs' count and whether one is in service, and
+// how long that job has been in service (zero when none is).
+func (r *Resource) Hint() (queue, served uint64) {
+	queue = uint64(len(r.queue)-r.head) << 1
+	if r.busy {
+		queue |= 1
+		served = math.Float64bits(float64(r.eng.now - r.busySince))
+	}
+	return queue, served
+}
+
 // AppendState appends the resource's state relative to (its engine's Now,
 // base) to dst, the resource's half of Engine.AppendState: the waiting jobs'
 // count and whether one is in service, then how long it has been and that
-// job, then the waiting jobs — each as its hold and its a payload less base
-// with b.
+// job (Hint), then the waiting jobs — each as its hold and its a payload less
+// base with b.
 func (r *Resource) AppendState(dst []uint64, base int32) []uint64 {
-	busy := uint64(0)
+	queue, served := r.Hint()
+	dst = append(dst, queue)
 	if r.busy {
-		busy = 1
-	}
-	dst = append(dst, uint64(len(r.queue)-r.head)<<1|busy)
-	if r.busy {
-		dst = append(dst, math.Float64bits(float64(r.eng.now-r.busySince)))
-		dst = r.cur.appendState(dst, base)
+		dst = r.cur.appendState(append(dst, served), base)
 	}
 	for _, j := range r.queue[r.head:] {
 		dst = j.appendState(dst, base)
