@@ -20,6 +20,15 @@
 //	                           mapiter, alloc, senterr) on the directive's
 //	                           line or the line directly below it
 //
+// One more rule is a test, not an analyzer, because it needs every package
+// at once: cmd/hetcheck's TestSurface fails on an exported name declared
+// under internal/ that no other package reads (production code, tests or
+// bench/). Its waiver is
+//
+//	//hetlint:allow surface <reason>
+//
+// in the declaration's doc comment or on its line; the reason is required.
+//
 // Test files (*_test.go) are exempt from every check: determinism and
 // allocation discipline are production-code invariants, and tests routinely
 // use wall clocks, ad-hoc randomness, and fmt freely.
@@ -35,7 +44,7 @@ import (
 )
 
 // Analyzer is one static check. Run inspects the Pass and reports findings
-// through pass.Reportf; a non-nil error aborts the whole hetlint run (it
+// through pass.reportf; a non-nil error aborts the whole hetlint run (it
 // signals a broken analyzer, not a finding).
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics.
@@ -75,11 +84,11 @@ type Pass struct {
 	directives map[string]map[int][]string
 }
 
-// Reportf reports a finding at pos unless an `//hetlint:allow <check>`
+// reportf reports a finding at pos unless an `//hetlint:allow <check>`
 // directive suppresses it. check is the allow-key (e.g. "walltime"), which
 // is not always the analyzer name: one analyzer may own several keys.
-func (p *Pass) Reportf(pos token.Pos, check, format string, args ...any) {
-	if p.Allowed(check, pos) {
+func (p *Pass) reportf(pos token.Pos, check, format string, args ...any) {
+	if p.allowed(check, pos) {
 		return
 	}
 	p.Report(Diagnostic{
@@ -89,10 +98,10 @@ func (p *Pass) Reportf(pos token.Pos, check, format string, args ...any) {
 	})
 }
 
-// Allowed reports whether an `//hetlint:allow check` directive covers pos:
+// allowed reports whether an `//hetlint:allow check` directive covers pos:
 // the directive suppresses findings on its own line (trailing comment) and
 // on the line directly below it (standalone comment above the statement).
-func (p *Pass) Allowed(check string, pos token.Pos) bool {
+func (p *Pass) allowed(check string, pos token.Pos) bool {
 	if p.directives == nil {
 		p.buildDirectives()
 	}
@@ -134,9 +143,9 @@ func (p *Pass) buildDirectives() {
 	}
 }
 
-// HasDirective reports whether the function declaration carries the given
+// hasDirective reports whether the function declaration carries the given
 // hetlint directive (e.g. "hotpath") in its doc comment.
-func HasDirective(fn *ast.FuncDecl, directive string) bool {
+func hasDirective(fn *ast.FuncDecl, directive string) bool {
 	if fn.Doc == nil {
 		return false
 	}
@@ -149,8 +158,8 @@ func HasDirective(fn *ast.FuncDecl, directive string) bool {
 	return false
 }
 
-// IsTestFile reports whether the file a node belongs to is a _test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
+// isTestFile reports whether the file a node belongs to is a _test.go file.
+func (p *Pass) isTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(filepath.Base(p.Fset.Position(pos).Filename), "_test.go")
 }
 
@@ -171,10 +180,10 @@ var deterministicPkgs = map[string]bool{
 	"clause":    true,
 }
 
-// IsDeterministic reports whether the import path names one of the
+// isDeterministic reports whether the import path names one of the
 // deterministic packages (matched per path segment, so fixtures and forks
 // under any module prefix classify the same way).
-func IsDeterministic(pkgPath string) bool {
+func isDeterministic(pkgPath string) bool {
 	for _, seg := range strings.Split(pkgPath, "/") {
 		if deterministicPkgs[seg] {
 			return true
@@ -207,10 +216,10 @@ func pkgFunc(info *types.Info, e ast.Expr) (pkgPath, name string, ok bool) {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		DetWallTime,
-		DetRand,
-		MapIter,
-		HotPathAlloc,
-		SentErr,
+		detWallTime,
+		detRand,
+		mapIter,
+		hotPathAlloc,
+		sentErr,
 	}
 }

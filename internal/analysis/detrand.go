@@ -4,7 +4,7 @@ import (
 	"go/ast"
 )
 
-// DetRand forbids the global math/rand source and unseeded generators in
+// detRand forbids the global math/rand source and unseeded generators in
 // production code.
 //
 // Every stochastic choice in the system — fault plans, synthetic data,
@@ -15,7 +15,7 @@ import (
 // code can reseed or advance, and a rand.New over anything but a direct
 // rand.NewSource(seed) cannot be audited for determinism mechanically;
 // wrap genuinely deterministic custom sources with `//hetlint:allow rand`.
-var DetRand = &Analyzer{
+var detRand = &Analyzer{
 	Name: "detrand",
 	Doc:  "forbid global math/rand functions and unseeded rand.New outside tests",
 	Run:  runDetRand,
@@ -40,21 +40,21 @@ var globalRandFuncs = map[string]bool{
 
 func runDetRand(pass *Pass) error {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
+		if pass.isTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				if pkg, name, ok := pkgFunc(pass.Info, n); ok && randPkgs[pkg] && globalRandFuncs[name] {
-					pass.Reportf(n.Pos(), "rand",
+					pass.reportf(n.Pos(), "rand",
 						"global rand.%s draws from the shared process-wide source; use rand.New(rand.NewSource(seed)) with a config-carried seed",
 						name)
 				}
 			case *ast.CallExpr:
 				if pkg, name, ok := pkgFunc(pass.Info, n.Fun); ok && randPkgs[pkg] && name == "New" {
 					if !seededSource(pass, n) {
-						pass.Reportf(n.Pos(), "rand",
+						pass.reportf(n.Pos(), "rand",
 							"rand.New source is not a direct rand.NewSource(seed); determinism cannot be audited (//hetlint:allow rand for vetted deterministic sources)")
 					}
 				}

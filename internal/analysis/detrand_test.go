@@ -3,12 +3,11 @@ package analysis_test
 import (
 	"testing"
 
-	"hetpipe/internal/analysis"
 	"hetpipe/internal/analysis/analysistest"
 )
 
 func TestDetRand(t *testing.T) {
-	analysistest.Run(t, analysis.DetRand,
+	analysistest.Run(t, analyzer(t, "detrand"),
 		analysistest.Package{Path: "fix/rng", Dir: "testdata/detrand/rng"},
 	)
 }

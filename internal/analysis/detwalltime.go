@@ -4,7 +4,7 @@ import (
 	"go/ast"
 )
 
-// DetWallTime forbids wall-clock reads in the deterministic packages.
+// detWallTime forbids wall-clock reads in the deterministic packages.
 //
 // The simulator's clock is virtual (sim.Time); the golden schedule tests and
 // the sim-vs-live conformance harness depend on runs being bit-identical
@@ -14,7 +14,7 @@ import (
 // wall time and is outside the deterministic set; a deterministic package
 // hosting a genuinely wall-clock-facing seam marks the site with
 // `//hetlint:allow walltime`.
-var DetWallTime = &Analyzer{
+var detWallTime = &Analyzer{
 	Name: "detwalltime",
 	Doc:  "forbid time.Now/Sleep/Since and friends in deterministic packages",
 	Run:  runDetWallTime,
@@ -36,11 +36,11 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runDetWallTime(pass *Pass) error {
-	if !IsDeterministic(pass.Pkg.Path()) {
+	if !isDeterministic(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
+		if pass.isTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -49,7 +49,7 @@ func runDetWallTime(pass *Pass) error {
 				return true
 			}
 			if pkg, name, ok := pkgFunc(pass.Info, sel); ok && pkg == "time" && wallClockFuncs[name] {
-				pass.Reportf(sel.Pos(), "walltime",
+				pass.reportf(sel.Pos(), "walltime",
 					"wall-clock call time.%s in deterministic package %s (use virtual sim.Time; //hetlint:allow walltime for live-runtime seams)",
 					name, pass.Pkg.Name())
 			}

@@ -3,12 +3,11 @@ package analysis_test
 import (
 	"testing"
 
-	"hetpipe/internal/analysis"
 	"hetpipe/internal/analysis/analysistest"
 )
 
 func TestDetWallTime(t *testing.T) {
-	analysistest.Run(t, analysis.DetWallTime,
+	analysistest.Run(t, analyzer(t, "detwalltime"),
 		analysistest.Package{Path: "fix/internal/sim", Dir: "testdata/detwalltime/det"},
 	)
 }
@@ -16,7 +15,7 @@ func TestDetWallTime(t *testing.T) {
 // TestDetWallTimeLivePackage proves the analyzer is scoped: wall-clock calls
 // in a non-deterministic package produce no diagnostics.
 func TestDetWallTimeLivePackage(t *testing.T) {
-	analysistest.Run(t, analysis.DetWallTime,
+	analysistest.Run(t, analyzer(t, "detwalltime"),
 		analysistest.Package{Path: "fix/live", Dir: "testdata/detwalltime/live"},
 	)
 }

@@ -83,8 +83,8 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, path string, files []st
 	return Check(fset, imp, path, parsed)
 }
 
-// NewInfo allocates the full types.Info the analyzers expect.
-func NewInfo() *types.Info {
+// newInfo allocates the full types.Info the analyzers expect.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -98,7 +98,7 @@ func NewInfo() *types.Info {
 // Check type-checks already-parsed files (the analysistest harness's entry
 // point; fixtures are parsed from testdata, not go list).
 func Check(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*Package, error) {
-	info := NewInfo()
+	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {

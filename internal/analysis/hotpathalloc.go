@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// HotPathAlloc forbids allocation-inducing constructs in functions marked
+// hotPathAlloc forbids allocation-inducing constructs in functions marked
 // `//hetlint:hotpath`.
 //
 // The event engine's steady state runs allocation-free (BENCH_pipeline.json
@@ -28,7 +28,7 @@ import (
 //
 // Cold paths inside a hot function (panics with constant messages are fine
 // as-is) can carry `//hetlint:allow alloc` with a justification.
-var HotPathAlloc = &Analyzer{
+var hotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "forbid allocating constructs in //hetlint:hotpath functions",
 	Run:  runHotPathAlloc,
@@ -36,12 +36,12 @@ var HotPathAlloc = &Analyzer{
 
 func runHotPathAlloc(pass *Pass) error {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
+		if pass.isTestFile(f.Pos()) {
 			continue
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !HasDirective(fn, "hotpath") {
+			if !ok || fn.Body == nil || !hasDirective(fn, "hotpath") {
 				continue
 			}
 			checkHotPath(pass, fn)
@@ -55,27 +55,27 @@ func checkHotPath(pass *Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			pass.Reportf(n.Pos(), "alloc",
+			pass.reportf(n.Pos(), "alloc",
 				"closure literal allocates in hot path %s (register a pooled handler instead)", fn.Name.Name)
 			return false // the closure's own body is off the hot path now
 		case *ast.CompositeLit:
 			if t := pass.Info.TypeOf(n); t != nil {
 				switch t.Underlying().(type) {
 				case *types.Map:
-					pass.Reportf(n.Pos(), "alloc", "map literal allocates in hot path %s", fn.Name.Name)
+					pass.reportf(n.Pos(), "alloc", "map literal allocates in hot path %s", fn.Name.Name)
 				case *types.Slice:
-					pass.Reportf(n.Pos(), "alloc", "slice literal allocates in hot path %s", fn.Name.Name)
+					pass.reportf(n.Pos(), "alloc", "slice literal allocates in hot path %s", fn.Name.Name)
 				}
 			}
 		case *ast.CallExpr:
 			checkHotCall(pass, fn, recv, n)
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringType(pass.Info.TypeOf(n)) && pass.Info.Types[n].Value == nil {
-				pass.Reportf(n.Pos(), "alloc", "string concatenation allocates in hot path %s", fn.Name.Name)
+				pass.reportf(n.Pos(), "alloc", "string concatenation allocates in hot path %s", fn.Name.Name)
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringType(pass.Info.TypeOf(n.Lhs[0])) {
-				pass.Reportf(n.Pos(), "alloc", "string concatenation allocates in hot path %s", fn.Name.Name)
+				pass.reportf(n.Pos(), "alloc", "string concatenation allocates in hot path %s", fn.Name.Name)
 			}
 		}
 		return true
@@ -87,19 +87,19 @@ func checkHotPath(pass *Pass, fn *ast.FuncDecl) {
 func checkHotCall(pass *Pass, fn *ast.FuncDecl, recv *types.Var, call *ast.CallExpr) {
 	if isAppendCall(pass, call) {
 		if len(call.Args) > 0 && !rootedAtReceiver(pass, recv, call.Args[0]) {
-			pass.Reportf(call.Pos(), "alloc",
+			pass.reportf(call.Pos(), "alloc",
 				"append to non-receiver slice in hot path %s grows a fresh backing array; use a receiver-owned buffer", fn.Name.Name)
 		}
 		return
 	}
 	if pkg, name, ok := pkgFunc(pass.Info, call.Fun); ok && pkg == "fmt" {
-		pass.Reportf(call.Pos(), "alloc", "fmt.%s call allocates in hot path %s", name, fn.Name.Name)
+		pass.reportf(call.Pos(), "alloc", "fmt.%s call allocates in hot path %s", name, fn.Name.Name)
 		return
 	}
 	// Explicit conversion I(x) to an interface type.
 	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
 		if types.IsInterface(tv.Type) && len(call.Args) == 1 && boxes(pass, call.Args[0]) {
-			pass.Reportf(call.Pos(), "alloc",
+			pass.reportf(call.Pos(), "alloc",
 				"interface conversion of non-pointer value allocates in hot path %s", fn.Name.Name)
 		}
 		return
@@ -116,7 +116,7 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, recv *types.Var, call *ast.CallE
 			continue
 		}
 		if boxes(pass, arg) {
-			pass.Reportf(arg.Pos(), "alloc",
+			pass.reportf(arg.Pos(), "alloc",
 				"interface conversion of non-pointer value allocates in hot path %s", fn.Name.Name)
 		}
 	}

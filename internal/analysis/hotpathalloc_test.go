@@ -3,12 +3,11 @@ package analysis_test
 import (
 	"testing"
 
-	"hetpipe/internal/analysis"
 	"hetpipe/internal/analysis/analysistest"
 )
 
 func TestHotPathAlloc(t *testing.T) {
-	analysistest.Run(t, analysis.HotPathAlloc,
+	analysistest.Run(t, analyzer(t, "hotpathalloc"),
 		analysistest.Package{Path: "fix/hot", Dir: "testdata/hotpathalloc/hot"},
 	)
 }

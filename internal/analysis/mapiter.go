@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// MapIter flags map iteration whose body feeds ordered output in the
+// mapIter flags map iteration whose body feeds ordered output in the
 // deterministic packages.
 //
 // Go randomizes map iteration order per run, so a `range m` that appends to
@@ -27,18 +27,18 @@ import (
 //	sort.Strings(keys)
 //
 // anything else needs `//hetlint:allow mapiter` with a justification.
-var MapIter = &Analyzer{
+var mapIter = &Analyzer{
 	Name: "mapiter",
 	Doc:  "flag map iteration feeding ordered output in deterministic packages",
 	Run:  runMapIter,
 }
 
 func runMapIter(pass *Pass) error {
-	if !IsDeterministic(pass.Pkg.Path()) {
+	if !isDeterministic(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
+		if pass.isTestFile(f.Pos()) {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -112,7 +112,7 @@ func checkMapRange(pass *Pass, fn *ast.FuncDecl, rng *ast.RangeStmt) {
 	if onlyApp && len(appends) > 0 && allSortedAfter(pass, fn, rng, appends) {
 		return // the sanctioned collect-then-sort idiom
 	}
-	pass.Reportf(rng.Pos(), "mapiter",
+	pass.reportf(rng.Pos(), "mapiter",
 		"map iteration order is random but the loop body reaches ordered output (%s); sort the keys first",
 		triggers[0])
 }

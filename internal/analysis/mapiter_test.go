@@ -3,12 +3,11 @@ package analysis_test
 import (
 	"testing"
 
-	"hetpipe/internal/analysis"
 	"hetpipe/internal/analysis/analysistest"
 )
 
 func TestMapIter(t *testing.T) {
-	analysistest.Run(t, analysis.MapIter,
+	analysistest.Run(t, analyzer(t, "mapiter"),
 		analysistest.Package{Path: "fix/internal/sweep", Dir: "testdata/mapiter/det"},
 	)
 }

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// SentErr enforces the sentinel-error contract around the exported Err*
+// sentErr enforces the sentinel-error contract around the exported Err*
 // variables (ErrUnknownModel … ErrBadInterleave and any future siblings).
 //
 // Two rules:
@@ -25,7 +25,7 @@ import (
 //
 // Inside the defining package, identity comparison of an unwrapped sentinel
 // is legitimate (that package knows which errors it never wrapped).
-var SentErr = &Analyzer{
+var sentErr = &Analyzer{
 	Name: "senterr",
 	Doc:  "require %w wrapping and errors.Is matching for exported Err* sentinels",
 	Run:  runSentErr,
@@ -33,7 +33,7 @@ var SentErr = &Analyzer{
 
 func runSentErr(pass *Pass) error {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
+		if pass.isTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -74,7 +74,7 @@ func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 		return // dynamic format string: nothing to prove mechanically
 	}
 	if !strings.Contains(constant.StringVal(tv.Value), "%w") {
-		pass.Reportf(call.Pos(), "senterr",
+		pass.reportf(call.Pos(), "senterr",
 			"fmt.Errorf carries sentinel %s without %%w; the added context severs the errors.Is chain",
 			sentinels[0])
 	}
@@ -88,7 +88,7 @@ func checkSentinelCompare(pass *Pass, pos token.Pos, op string, x, y ast.Expr) {
 		if v == nil || v.Pkg() == pass.Pkg {
 			continue
 		}
-		pass.Reportf(pos, "senterr",
+		pass.reportf(pos, "senterr",
 			"%s against sentinel %s.%s is false for every wrapped error; use errors.Is",
 			op, v.Pkg().Name(), v.Name())
 	}
@@ -110,7 +110,7 @@ func checkErrorSwitch(pass *Pass, sw *ast.SwitchStmt) {
 		}
 		for _, e := range cc.List {
 			if v := sentinelOf(pass, e); v != nil && v.Pkg() != pass.Pkg {
-				pass.Reportf(e.Pos(), "senterr",
+				pass.reportf(e.Pos(), "senterr",
 					"switch case on sentinel %s.%s is an identity comparison; use errors.Is",
 					v.Pkg().Name(), v.Name())
 			}

@@ -3,7 +3,6 @@ package analysis_test
 import (
 	"testing"
 
-	"hetpipe/internal/analysis"
 	"hetpipe/internal/analysis/analysistest"
 )
 
@@ -11,7 +10,7 @@ import (
 // package can import it; identity comparison inside fix/errs itself must
 // stay clean while fix/use is flagged.
 func TestSentErr(t *testing.T) {
-	analysistest.Run(t, analysis.SentErr,
+	analysistest.Run(t, analyzer(t, "senterr"),
 		analysistest.Package{Path: "fix/errs", Dir: "testdata/senterr/errs"},
 		analysistest.Package{Path: "fix/use", Dir: "testdata/senterr/use"},
 	)

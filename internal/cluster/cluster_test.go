@@ -110,7 +110,7 @@ func TestServerClocksAreMinAndMax(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range ws {
-			if _, err := s.PushOrdered(w, []string{"k"}, []tensor.Vector{{1}}); err != nil {
+			if _, err := s.Exchange(&ps.Push{Worker: w, Keys: []string{"k"}, Vecs: []tensor.Vector{{1}}}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -575,4 +577,74 @@ func BenchmarkCoSim(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestScaledTimesScaleTheCoSim is ROADMAP 14(a)'s warm-up on the
+// co-simulation: with every chunk time and every per-wave push and pull time
+// a multiple of 8 quanta, scaling them all by 2^k (k = -3..3) must scale
+// every time the co-simulation computes by exactly 2^k and leave every count
+// alone. A time computed other than from those tables fails it.
+func TestScaledTimesScaleTheCoSim(t *testing.T) {
+	cs := NewCoSim(sim.New())
+	for _, policy := range []hw.Policy{hw.EqualDistribution, hw.HybridDistribution, hw.NodePartition} {
+		for _, d := range []int{0, 2} {
+			base := scaledDeployment(deploy(t, model.VGG19(), policy, 3, d, PlacementDefault), 1)
+			want, err := cs.Run(context.Background(), base, SimOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if 8*want.Elapsed >= float64(sim.Horizon)/2 {
+				t.Fatalf("%v D=%d: elapsed %v s leaves no room to scale below the horizon", policy, d, want.Elapsed)
+			}
+			want = &MultiResult{Aggregate: want.Aggregate, PerVW: append([]float64(nil), want.PerVW...),
+				Elapsed: want.Elapsed, Waiting: want.Waiting, Idle: want.Idle,
+				Pushes: want.Pushes, Pulls: want.Pulls, MaxClockDistance: want.MaxClockDistance}
+			for k := -3; k <= 3; k++ {
+				f := math.Ldexp(1, k)
+				got, err := cs.Run(context.Background(), scaledDeployment(base, f), SimOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				scaled := *want
+				scaled.PerVW = make([]float64, len(want.PerVW))
+				for i, tp := range want.PerVW {
+					scaled.PerVW[i] = tp / f
+				}
+				scaled.Aggregate, scaled.Elapsed = want.Aggregate/f, want.Elapsed*f
+				scaled.Waiting, scaled.Idle = want.Waiting*f, want.Idle*f
+				if !reflect.DeepEqual(*got, scaled) {
+					t.Fatalf("%v D=%d scaled by 2^%d:\n got %+v\nwant %+v", policy, d, k, *got, scaled)
+				}
+			}
+		}
+	}
+}
+
+// scaledDeployment copies d with every chunk time, bottleneck and per-wave
+// push and pull time rounded to a multiple of 8 quanta and then multiplied
+// by f.
+func scaledDeployment(d *Deployment, f float64) *Deployment {
+	round := func(x float64) float64 { return f * math.Round(x*(1<<37)) / (1 << 37) }
+	out := *d
+	out.VWs = make([]*VWPlan, len(d.VWs))
+	for w, vp := range d.VWs {
+		plan := *vp.Plan
+		plan.Bottleneck = round(plan.Bottleneck)
+		plan.Stages = slices.Clone(plan.Stages)
+		for s := range plan.Stages {
+			chunks := slices.Clone(plan.Stages[s].Chunks)
+			for i := range chunks {
+				c := &chunks[i]
+				c.FwdTime, c.BwdTime = round(c.FwdTime), round(c.BwdTime)
+				c.RecvActTime, c.RecvGradTime = round(c.RecvActTime), round(c.RecvGradTime)
+			}
+			plan.Stages[s].Chunks = chunks
+		}
+		out.VWs[w] = &VWPlan{VW: vp.VW, Plan: &plan, Throughput: vp.Throughput}
+	}
+	out.PushTime, out.PullTime = make([]float64, len(d.PushTime)), make([]float64, len(d.PullTime))
+	for w := range d.PushTime {
+		out.PushTime[w], out.PullTime[w] = round(d.PushTime[w]), round(d.PullTime[w])
+	}
+	return &out
 }

@@ -35,7 +35,7 @@ func deploySched(t *testing.T, s sched.Schedule, nm, d int) *Deployment {
 // TestWSPGoldenFIFO pins the multi-VW WSP co-simulation under hetpipe-fifo
 // to the exact numbers the pre-refactor executor produced (vgg19, paper
 // cluster, ED, Nm=2, D=1, 48 minibatches per VW, warmup 8), re-baselined once
-// when the time table went to multiples of sim.Quantum: the schedule
+// when the time table went to multiples of sim's quantum: the schedule
 // subsystem must not perturb the paper's own discipline by a single bit.
 func TestWSPGoldenFIFO(t *testing.T) {
 	dep := deploySched(t, sched.FIFO, 2, 1)

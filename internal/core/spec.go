@@ -23,13 +23,13 @@ var (
 	ErrBadInterleave   = errors.New("hetpipe: bad interleave degree")
 )
 
-// DefaultBatch is the per-minibatch sample count a zero Batch means.
-const DefaultBatch = 32
+// defaultBatch is the per-minibatch sample count a zero Batch means.
+const defaultBatch = 32
 
-// ResolveBatch applies the batch default: 0 means DefaultBatch.
+// ResolveBatch applies the batch default: 0 means defaultBatch.
 func ResolveBatch(batch int) int {
 	if batch == 0 {
-		return DefaultBatch
+		return defaultBatch
 	}
 	return batch
 }
@@ -54,7 +54,7 @@ type Spec struct {
 	Policy, Specs string
 	// Interleave is the partitioner's interleave degree V (0 and 1 both mean
 	// contiguous stages); Batch the per-minibatch sample count (0 means
-	// DefaultBatch); Nm the concurrent-minibatch count (0 = chosen for
+	// defaultBatch); Nm the concurrent-minibatch count (0 = chosen for
 	// throughput); D the WSP clock-distance bound.
 	Interleave, Batch, Nm, D int
 	// Local selects the ED-local parameter placement.

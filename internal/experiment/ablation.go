@@ -13,15 +13,15 @@ import (
 )
 
 func init() {
-	register("ablation-wavepush", "Section 5", "Ablation: per-wave vs per-minibatch push traffic", AblationWavePush)
-	register("ablation-memaware", "Section 7", "Ablation: memory-aware vs uniform partitioning (ResNet-152 on GGGG, 6 GiB GPUs)", AblationMemoryAwarePartitioning)
-	register("ablation-nmsweep", "Section 4", "Ablation: aggregate throughput vs forced Nm (ED-local)", AblationNmSweep)
-	register("ablation-dsweep", "Section 5", "Ablation: throughput and waiting vs D (ResNet-152, NP)", AblationDSweep)
+	register("ablation-wavepush", "Section 5", "Ablation: per-wave vs per-minibatch push traffic", ablationWavePush)
+	register("ablation-memaware", "Section 7", "Ablation: memory-aware vs uniform partitioning (ResNet-152 on GGGG, 6 GiB GPUs)", ablationMemoryAwarePartitioning)
+	register("ablation-nmsweep", "Section 4", "Ablation: aggregate throughput vs forced Nm (ED-local)", ablationNmSweep)
+	register("ablation-dsweep", "Section 5", "Ablation: throughput and waiting vs D (ResNet-152, NP)", ablationDSweep)
 }
 
-// AblationWavePush quantifies WSP's wave-aggregated push against SSP-style
+// ablationWavePush quantifies WSP's wave-aggregated push against SSP-style
 // per-minibatch pushes: the communication volume shrinks by the wave size.
-func AblationWavePush(r *Report) error {
+func ablationWavePush(r *Report) error {
 	for _, m := range model.PaperModels() {
 		dep, err := core.Spec{Model: m.Name, Policy: "ED", Local: true}.Resolve()
 		if err != nil {
@@ -36,9 +36,9 @@ func AblationWavePush(r *Report) error {
 	return nil
 }
 
-// AblationMemoryAwarePartitioning contrasts the Section 7 memory-aware
+// ablationMemoryAwarePartitioning contrasts the Section 7 memory-aware
 // partitioner against a naive uniform-layer split on memory-poor GPUs.
-func AblationMemoryAwarePartitioning(r *Report) error {
+func ablationMemoryAwarePartitioning(r *Report) error {
 	m := model.ResNet152()
 	perf := profile.Default()
 	cluster := hw.Paper()
@@ -77,10 +77,10 @@ func AblationMemoryAwarePartitioning(r *Report) error {
 	return nil
 }
 
-// AblationNmSweep shows aggregate ED-local throughput versus the forced Nm,
+// ablationNmSweep shows aggregate ED-local throughput versus the forced Nm,
 // demonstrating why HetPipe picks Nm by measured throughput rather than
 // simply maximizing concurrency.
-func AblationNmSweep(r *Report) error {
+func ablationNmSweep(r *Report) error {
 	for _, m := range model.PaperModels() {
 		sp := core.Spec{Model: m.Name, Policy: "ED", Local: true}
 		s, alloc, err := allocated(sp)
@@ -108,9 +108,9 @@ func AblationNmSweep(r *Report) error {
 	return nil
 }
 
-// AblationDSweep shows throughput and waiting versus the clock-distance
+// ablationDSweep shows throughput and waiting versus the clock-distance
 // bound D under the straggler-prone NP allocation.
-func AblationDSweep(r *Report) error {
+func ablationDSweep(r *Report) error {
 	sp := core.Spec{Model: "resnet152", Policy: "NP"}
 	s, alloc, err := allocated(sp)
 	if err != nil {

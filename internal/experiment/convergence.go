@@ -17,11 +17,11 @@ import (
 )
 
 func init() {
-	register("figure5", "Figure 5", "ResNet-152 accuracy over time (Figure 5): Horovod vs HetPipe 12/16 GPUs, D=0", Figure5)
-	register("figure6", "Figure 6", "VGG-19 accuracy over time (Figure 6): Horovod vs HetPipe D=0/4/32, ED-local", Figure6)
-	register("syncoverhead", "Section 8.4", "Synchronization overhead vs D (Section 8.4), VGG-19 ED-local", SyncOverhead)
-	register("theorem1", "Theorem 1", "WSP convergence: measured regret vs Theorem 1 bound", Theorem1)
-	register("traffic", "Section 8.3", "Cross-node traffic per minibatch (Section 8.3)", Traffic)
+	register("figure5", "Figure 5", "ResNet-152 accuracy over time (Figure 5): Horovod vs HetPipe 12/16 GPUs, D=0", figure5)
+	register("figure6", "Figure 6", "VGG-19 accuracy over time (Figure 6): Horovod vs HetPipe D=0/4/32, ED-local", figure6)
+	register("syncoverhead", "Section 8.4", "Synchronization overhead vs D (Section 8.4), VGG-19 ED-local", syncOverhead)
+	register("theorem1", "Theorem 1", "WSP convergence: measured regret vs Theorem 1 bound", theorem1)
+	register("traffic", "Section 8.3", "Cross-node traffic per minibatch (Section 8.3)", traffic)
 }
 
 // Convergence-study constants: the synthetic task's analog of the paper's
@@ -148,10 +148,10 @@ func describeRun(label string, st *train.RunStats, baseline float64) string {
 		label, t, st.FinalLoss, st.FinalAccuracy, st.Minibatches, st.Waiting, st.Idle, st.Pulls)
 }
 
-// Figure5 reproduces the ResNet-152 convergence comparison: Horovod on 12
+// figure5 reproduces the ResNet-152 convergence comparison: Horovod on 12
 // GPUs (the G parts cannot hold the model) versus HetPipe on the same 12
 // GPUs and on all 16, D=0.
-func Figure5(r *Report) error {
+func figure5(r *Report) error {
 	m := model.ResNet152()
 	hv, workers, err := horovodRun(m)
 	if err != nil {
@@ -177,9 +177,9 @@ func Figure5(r *Report) error {
 	return nil
 }
 
-// Figure6 reproduces the VGG-19 convergence comparison on 16 GPUs with
+// figure6 reproduces the VGG-19 convergence comparison on 16 GPUs with
 // ED-local: Horovod versus HetPipe at D = 0, 4, and 32.
-func Figure6(r *Report) error {
+func figure6(r *Report) error {
 	m := model.VGG19()
 	hv, workers, err := horovodRun(m)
 	if err != nil {
@@ -198,9 +198,9 @@ func Figure6(r *Report) error {
 	return nil
 }
 
-// SyncOverhead reproduces the Section 8.4 analysis: waiting time shrinks as
+// syncOverhead reproduces the Section 8.4 analysis: waiting time shrinks as
 // D grows, and pipelining hides most of the wait (idle << waiting).
-func SyncOverhead(r *Report) error {
+func syncOverhead(r *Report) error {
 	m := model.VGG19()
 	var waitD0 float64
 	for _, d := range []int{0, 4, 32} {
@@ -233,14 +233,14 @@ func safePct(num, den float64) float64 {
 	return 100 * num / den
 }
 
-// Sigma is the Theorem 1 step-size constant: eta_t = sigma/sqrt(t) with
+// sigma is the Theorem 1 step-size constant: eta_t = sigma/sqrt(t) with
 // sigma = M / (L*sqrt((2 s_g + s_l) N)), s_l = slocal+1 the wave size.
-func Sigma(m, l float64, sg, sl, n int) float64 {
+func sigma(m, l float64, sg, sl, n int) float64 {
 	return m / (l * math.Sqrt(float64((2*sg+sl)*n)))
 }
 
-// Bound is the Theorem 1 regret bound: R[W] <= 4*M*L*sqrt((2 s_g + s_l)N/T).
-func Bound(m, l float64, sg, sl, n, t int) float64 {
+// regretBound is the Theorem 1 regret bound: R[W] <= 4*M*L*sqrt((2 s_g + s_l)N/T).
+func regretBound(m, l float64, sg, sl, n, t int) float64 {
 	return 4 * m * l * math.Sqrt(float64((2*sg+sl)*n)/float64(t))
 }
 
@@ -301,7 +301,7 @@ func newRegretTask(s regretSetup) *regretTask {
 		p.y = append(p.y, a.Dot(truth)+0.05*rng.NormFloat64())
 	}
 	p.wstar = p.minimize()
-	p.sigma = Sigma(1, 1, s.params().SGlobal(), s.params().WaveSize(), s.workers)
+	p.sigma = sigma(1, 1, s.params().SGlobal(), s.params().WaveSize(), s.workers)
 	return p
 }
 
@@ -386,14 +386,14 @@ func (s regretSetup) measure() (regret, bound float64, st *train.RunStats, err e
 	}
 	t := s.updates()
 	regret = sum/float64(t) - p.Loss(p.wstar)
-	bound = Bound(m, 1, s.params().SGlobal(), s.params().WaveSize(), s.workers, t)
+	bound = regretBound(m, 1, s.params().SGlobal(), s.params().WaveSize(), s.workers, t)
 	return regret, bound, st, nil
 }
 
-// Theorem1 measures regret of the WSP worker program on a convex problem
+// theorem1 measures regret of the WSP worker program on a convex problem
 // and compares it against the Section 6 bound, beside the staleness the
 // workers observed.
-func Theorem1(r *Report) error {
+func theorem1(r *Report) error {
 	for _, s := range []regretSetup{
 		{workers: 1, slocal: 0, d: 0, mb: 4000, seed: 1},
 		{workers: 1, slocal: 3, d: 0, mb: 4000, seed: 2},
@@ -420,8 +420,8 @@ func verdict(ok bool) string {
 	return "VIOLATED"
 }
 
-// Traffic reproduces the Section 8.3 cross-node traffic accounting.
-func Traffic(r *Report) error {
+// traffic reproduces the Section 8.3 cross-node traffic accounting.
+func traffic(r *Report) error {
 	paper := map[string]struct{ horovod, edlocal float64 }{
 		"VGG-19":     {515, 103},
 		"ResNet-152": {211, 298},

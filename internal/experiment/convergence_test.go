@@ -126,25 +126,25 @@ func TestGoldenIsQuotedInExperimentsDoc(t *testing.T) {
 
 func TestBoundFormula(t *testing.T) {
 	// Hand-computed: 4*M*L*sqrt((2sg+sl)N/T).
-	got := Bound(2, 3, 6, 4, 4, 1024)
+	got := regretBound(2, 3, 6, 4, 4, 1024)
 	want := 4.0 * 2 * 3 * math.Sqrt(float64((2*6+4)*4)/1024.0)
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Bound = %v, want %v", got, want)
+		t.Errorf("regretBound = %v, want %v", got, want)
 	}
-	// Bound shrinks with T and grows with staleness.
-	if Bound(1, 1, 6, 4, 4, 4000) >= Bound(1, 1, 6, 4, 4, 1000) {
+	// regretBound shrinks with T and grows with staleness.
+	if regretBound(1, 1, 6, 4, 4, 4000) >= regretBound(1, 1, 6, 4, 4, 1000) {
 		t.Error("bound should shrink with T")
 	}
-	if Bound(1, 1, 22, 4, 4, 1000) <= Bound(1, 1, 6, 4, 4, 1000) {
+	if regretBound(1, 1, 22, 4, 4, 1000) <= regretBound(1, 1, 6, 4, 4, 1000) {
 		t.Error("bound should grow with staleness")
 	}
 }
 
 func TestSigmaFormula(t *testing.T) {
-	got := Sigma(2, 4, 6, 4, 4)
+	got := sigma(2, 4, 6, 4, 4)
 	want := 2 / (4 * math.Sqrt(float64((2*6+4)*4)))
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Sigma = %v, want %v", got, want)
+		t.Errorf("sigma = %v, want %v", got, want)
 	}
 }
 

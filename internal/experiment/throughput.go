@@ -25,16 +25,16 @@ func allocated(sp core.Spec) (*core.System, *hw.Allocation, error) {
 }
 
 func init() {
-	register("table1", "Table 1", "Heterogeneous GPUs (hardware catalog)", Table1)
-	register("table3", "Table 3", "Resource allocation per policy (Table 3)", Table3)
-	register("figure1", "Figure 1", "Pipelined execution of minibatches within a virtual worker (Figure 1)", Figure1)
-	register("figure3", "Figure 3", "Single virtual worker: throughput and max GPU utilization vs Nm (Figure 3)", Figure3)
-	register("figure4", "Figure 4", "Throughput of allocation policies vs Horovod, D=0 (Figure 4)", Figure4)
-	register("table4", "Table 4", "Adding whimpy GPUs (Table 4)", Table4)
+	register("table1", "Table 1", "Heterogeneous GPUs (hardware catalog)", table1)
+	register("table3", "Table 3", "Resource allocation per policy (Table 3)", table3)
+	register("figure1", "Figure 1", "Pipelined execution of minibatches within a virtual worker (Figure 1)", figure1)
+	register("figure3", "Figure 3", "Single virtual worker: throughput and max GPU utilization vs Nm (Figure 3)", figure3)
+	register("figure4", "Figure 4", "Throughput of allocation policies vs Horovod, D=0 (Figure 4)", figure4)
+	register("table4", "Table 4", "Adding whimpy GPUs (Table 4)", table4)
 }
 
-// Table1 prints the GPU catalog.
-func Table1(r *Report) error {
+// table1 prints the GPU catalog.
+func table1(r *Report) error {
 	r.addf("%-18s %-7s %9s %11s %11s %12s", "GPU", "Arch", "CUDACore", "Boost(MHz)", "Memory(GB)", "MemBW(GB/s)")
 	for _, g := range hw.Catalog() {
 		r.addf("%-18s %-7s %9d %11d %11d %12.0f",
@@ -43,8 +43,8 @@ func Table1(r *Report) error {
 	return nil
 }
 
-// Table3 prints the resource allocation of the three policies.
-func Table3(r *Report) error {
+// table3 prints the resource allocation of the three policies.
+func table3(r *Report) error {
 	c := hw.Paper()
 	r.addf("%-5s %-16s %-18s %-18s", "", "NodePartition", "EqualDistribution", "HybridDistribution")
 	allocs := map[hw.Policy]*hw.Allocation{}
@@ -64,9 +64,9 @@ func Table3(r *Report) error {
 	return nil
 }
 
-// Figure1 renders the pipelined execution schedule of one virtual worker
+// figure1 renders the pipelined execution schedule of one virtual worker
 // (VGG-19 on VVVV, Nm=4) as an ASCII Gantt chart.
-func Figure1(r *Report) error {
+func figure1(r *Report) error {
 	dep, err := core.Spec{Model: "vgg19", Specs: "VVVV", Nm: 4}.Resolve()
 	if err != nil {
 		return err
@@ -82,10 +82,10 @@ func Figure1(r *Report) error {
 	return nil
 }
 
-// Figure3 sweeps Nm for the seven single-virtual-worker configurations and
+// figure3 sweeps Nm for the seven single-virtual-worker configurations and
 // reports absolute and normalized throughput plus the maximum per-GPU
 // utilization.
-func Figure3(r *Report) error {
+func figure3(r *Report) error {
 	paperNm1 := map[string]map[string]float64{
 		"ResNet-152": {"VVVV": 96, "RRRR": 87, "GGGG": 58, "QQQQ": 43, "VRGQ": 42, "VVQQ": 53, "RRGG": 58},
 		"VGG-19":     {"VVVV": 119, "RRRR": 107, "GGGG": 62, "QQQQ": 51, "VRGQ": 60, "VVQQ": 116, "RRGG": 68},
@@ -137,9 +137,9 @@ func figure4Deployment(s *core.System, sp core.Spec) (*core.Deployment, *core.Mu
 	return dep, res, nil
 }
 
-// Figure4 compares the three allocation policies (plus ED-local) against
+// figure4 compares the three allocation policies (plus ED-local) against
 // Horovod at D=0.
-func Figure4(r *Report) error {
+func figure4(r *Report) error {
 	paper := map[string]map[string]float64{
 		"ResNet-152": {"Horovod": 415, "NP": 380, "ED": 570, "ED-local": 580, "HD": 570},
 		"VGG-19":     {"Horovod": 339, "NP": 260, "ED": 280, "ED-local": 610, "HD": 310},
@@ -178,9 +178,9 @@ func Figure4(r *Report) error {
 	return nil
 }
 
-// Table4 measures throughput as whimpy GPUs are added: Horovod vs HetPipe
+// table4 measures throughput as whimpy GPUs are added: Horovod vs HetPipe
 // with ED-local-style placement over the Table 4 GPU sets.
-func Table4(r *Report) error {
+func table4(r *Report) error {
 	paper := map[string]map[string]float64{
 		"VGG-19":     {"4 GPUs 4[V]": 300, "8 GPUs 4[VR]": 530, "12 GPUs 4[VRQ]": 572, "16 GPUs 4[VRQG]": 606},
 		"ResNet-152": {"4 GPUs 4[V]": 256, "8 GPUs 4[VR]": 516, "12 GPUs 4[VRQ]": 538, "16 GPUs 4[VRQG]": 580},

@@ -203,12 +203,12 @@ func checkReal(what string, v float64) error {
 	return nil
 }
 
-// Validate checks value ranges that do not depend on the worker count: every
+// validate checks value ranges that do not depend on the worker count: every
 // real must be finite and at most 1e9 — as must the slowdown factors naming
 // one worker multiplied together, and its link factors — and within its own
 // range. Materialize additionally checks worker indices against a concrete
 // run.
-func (p *Plan) Validate() error {
+func (p *Plan) validate() error {
 	if p == nil {
 		return nil
 	}
@@ -314,7 +314,7 @@ func (p *Plan) Materialize(workers int) (*Plan, error) {
 	if p != nil && p.workers == workers {
 		return p, nil
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	if p.Empty() {
@@ -677,7 +677,7 @@ func Parse(spec string) (*Plan, error) {
 			return nil, fmt.Errorf("fault: clause %q: %w", text, err)
 		}
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return p, nil

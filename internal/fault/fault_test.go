@@ -123,7 +123,7 @@ func TestNonFiniteRealsRejected(t *testing.T) {
 		if _, err := Parse(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Parse(%q): error %v, want one containing %q", tc.spec, err, tc.want)
 		}
-		if err := tc.plan.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := tc.plan.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q as a literal: Validate error %v, want one containing %q", tc.spec, err, tc.want)
 		}
 		if _, err := tc.plan.Materialize(4); err == nil {
@@ -270,7 +270,7 @@ func TestEmptyPlanIsNoop(t *testing.T) {
 	if p.ComputeScale(3, 9) != 1 || p.LinkScale(2) != 1 || p.StallDelay(1) != 0 || p.CrashFor(0) != nil {
 		t.Error("nil plan injects something")
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		t.Errorf("nil plan Validate: %v", err)
 	}
 	empty := &Plan{}

@@ -57,7 +57,7 @@ func FuzzParseFaults(f *testing.F) {
 		for i := range p.Links {
 			p.Links[i].Worker %= n
 		}
-		if p.Validate() != nil {
+		if _, err := p.Materialize(n); err != nil {
 			// Folding put two crashes, or factors that compound past the
 			// bound, on one worker: not the plan that was accepted.
 			return

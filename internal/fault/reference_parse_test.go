@@ -164,7 +164,7 @@ func refParse(spec string) (*Plan, error) {
 			return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 		}
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return p, nil

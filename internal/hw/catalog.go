@@ -47,7 +47,7 @@ var (
 		CUDACores: 4608, BoostMHz: 1770,
 		MemoryBytes: 24 * gib, MemBandwidth: 672e9,
 	}
-	RTX2060 = &GPUType{
+	rtx2060 = &GPUType{
 		Name: "GeForce RTX 2060", Code: 'G', Arch: "Turing",
 		CUDACores: 1920, BoostMHz: 1680,
 		MemoryBytes: 6 * gib, MemBandwidth: 336e9,
@@ -61,11 +61,11 @@ var (
 
 // Catalog lists the four paper GPU types in the paper's V, R, G, Q order.
 func Catalog() []*GPUType {
-	return []*GPUType{TitanV, TitanRTX, RTX2060, QuadroP4000}
+	return []*GPUType{TitanV, TitanRTX, rtx2060, QuadroP4000}
 }
 
-// TypeByCode resolves a single-letter GPU code ('V','R','G','Q').
-func TypeByCode(code byte) (*GPUType, error) {
+// typeByCode resolves a single-letter GPU code ('V','R','G','Q').
+func typeByCode(code byte) (*GPUType, error) {
 	for _, t := range Catalog() {
 		if t.Code == code {
 			return t, nil

@@ -105,7 +105,7 @@ func Paper() *Cluster {
 	}{
 		{TitanV, 4},
 		{TitanRTX, 4},
-		{RTX2060, 4},
+		{rtx2060, 4},
 		{QuadroP4000, 4},
 	})
 }
@@ -125,9 +125,9 @@ func (c *Cluster) LinkBetween(a, b *GPU) LinkKind {
 	}
 }
 
-// TypeString renders a GPU list as the paper's compact code string, e.g.
+// typeString renders a GPU list as the paper's compact code string, e.g.
 // "VRGQ" or "VVQQ".
-func TypeString(gpus []*GPU) string {
+func typeString(gpus []*GPU) string {
 	var b strings.Builder
 	for _, g := range gpus {
 		b.WriteByte(g.Type.Code)
@@ -135,8 +135,8 @@ func TypeString(gpus []*GPU) string {
 	return b.String()
 }
 
-// CountByType tallies devices per type code.
-func (c *Cluster) CountByType() map[byte]int {
+// countByType tallies devices per type code.
+func (c *Cluster) countByType() map[byte]int {
 	m := make(map[byte]int)
 	for _, g := range c.gpus {
 		m[g.Type.Code]++

@@ -36,7 +36,7 @@ var clusterCatalog = []ClusterSpec{
 			}{
 				{TitanV, 4}, {TitanV, 4},
 				{TitanRTX, 4}, {TitanRTX, 4},
-				{RTX2060, 4}, {RTX2060, 4},
+				{rtx2060, 4}, {rtx2060, 4},
 				{QuadroP4000, 4}, {QuadroP4000, 4},
 			})
 		},
@@ -51,7 +51,7 @@ var clusterCatalog = []ClusterSpec{
 			}{
 				{TitanV, 2},
 				{TitanRTX, 2},
-				{RTX2060, 2},
+				{rtx2060, 2},
 				{QuadroP4000, 2},
 			})
 		},
@@ -64,9 +64,9 @@ var clusterCatalog = []ClusterSpec{
 				Type  *GPUType
 				Count int
 			}{
-				{RTX2060, 4},
+				{rtx2060, 4},
 				{QuadroP4000, 4},
-				{RTX2060, 4},
+				{rtx2060, 4},
 				{QuadroP4000, 4},
 			})
 		},

@@ -16,7 +16,7 @@ func TestCatalogTable1(t *testing.T) {
 	}{
 		{TitanV, 5120, 1455, 12, 653e9},
 		{TitanRTX, 4608, 1770, 24, 672e9},
-		{RTX2060, 1920, 1680, 6, 336e9},
+		{rtx2060, 1920, 1680, 6, 336e9},
 		{QuadroP4000, 1792, 1480, 8, 243e9},
 	}
 	for _, c := range cases {
@@ -37,13 +37,13 @@ func TestCatalogTable1(t *testing.T) {
 
 func TestTypeByCode(t *testing.T) {
 	for _, typ := range Catalog() {
-		got, err := TypeByCode(typ.Code)
+		got, err := typeByCode(typ.Code)
 		if err != nil || got != typ {
-			t.Errorf("TypeByCode(%c) = %v, %v", typ.Code, got, err)
+			t.Errorf("typeByCode(%c) = %v, %v", typ.Code, got, err)
 		}
 	}
-	if _, err := TypeByCode('X'); err == nil {
-		t.Error("TypeByCode('X') should fail")
+	if _, err := typeByCode('X'); err == nil {
+		t.Error("typeByCode('X') should fail")
 	}
 }
 
@@ -55,7 +55,7 @@ func TestPaperCluster(t *testing.T) {
 	if len(c.GPUs()) != 16 {
 		t.Fatalf("GPUs = %d, want 16", len(c.GPUs()))
 	}
-	counts := c.CountByType()
+	counts := c.countByType()
 	for _, code := range []byte{'V', 'R', 'G', 'Q'} {
 		if counts[code] != 4 {
 			t.Errorf("count[%c] = %d, want 4", code, counts[code])

@@ -64,7 +64,7 @@ type VirtualWorker struct {
 }
 
 // TypeString renders the VW's GPU mix, e.g. "VVQQ".
-func (vw *VirtualWorker) TypeString() string { return TypeString(vw.GPUs) }
+func (vw *VirtualWorker) TypeString() string { return typeString(vw.GPUs) }
 
 // CrossNodeBoundaries counts adjacent stage pairs whose GPUs sit on
 // different nodes (each such boundary communicates over InfiniBand).
@@ -156,7 +156,7 @@ func allocateHD(c *Cluster) (*Allocation, error) {
 	if per%2 != 0 {
 		return nil, fmt.Errorf("hw: HD requires an even per-node GPU count, got %d", per)
 	}
-	counts := c.CountByType()
+	counts := c.countByType()
 	if len(counts) != 4 {
 		return nil, fmt.Errorf("hw: HD requires exactly 4 distinct GPU types, got %d", len(counts))
 	}
@@ -226,7 +226,7 @@ func AllocateByTypes(c *Cluster, vwSpecs []string) (*Allocation, error) {
 		}
 		vw := &VirtualWorker{Index: i}
 		for j := 0; j < len(spec); j++ {
-			if _, err := TypeByCode(spec[j]); err != nil {
+			if _, err := typeByCode(spec[j]); err != nil {
 				return nil, err
 			}
 			g, err := take(spec[j])

@@ -46,7 +46,7 @@ func (b *builder) conv(name string, out, k, stride, pad int, bias bool) {
 	// 2 FLOPs per multiply-accumulate.
 	flops := 2 * float64(k*k*b.c) * float64(outElems)
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindConv,
+		Name: name, Kind: kindConv,
 		Params: params, FwdFLOPs: flops,
 		OutputElems: outElems, StashElems: outElems,
 	})
@@ -57,7 +57,7 @@ func (b *builder) conv(name string, out, k, stride, pad int, bias bool) {
 func (b *builder) bn(name string) {
 	elems := b.outElems()
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindBN,
+		Name: name, Kind: kindBN,
 		Params:      2 * int64(b.c),
 		FwdFLOPs:    4 * float64(elems), // normalize, scale, shift
 		OutputElems: elems, StashElems: elems,
@@ -70,7 +70,7 @@ func (b *builder) bn(name string) {
 func (b *builder) relu(name string) {
 	elems := b.outElems()
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindReLU,
+		Name: name, Kind: kindReLU,
 		FwdFLOPs:    float64(elems),
 		OutputElems: elems, StashElems: 0,
 	})
@@ -85,7 +85,7 @@ func (b *builder) maxPool(name string, k, stride int) {
 	outW := b.w / stride
 	outElems := int64(outH) * int64(outW) * int64(b.c)
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindPool,
+		Name: name, Kind: kindPool,
 		FwdFLOPs:    float64(k*k) * float64(outElems),
 		OutputElems: outElems, StashElems: outElems,
 	})
@@ -96,7 +96,7 @@ func (b *builder) maxPool(name string, k, stride int) {
 func (b *builder) globalAvgPool(name string) {
 	elems := int64(b.c)
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindPool,
+		Name: name, Kind: kindPool,
 		FwdFLOPs:    float64(b.h * b.w * b.c),
 		OutputElems: elems, StashElems: elems,
 	})
@@ -107,7 +107,7 @@ func (b *builder) globalAvgPool(name string) {
 func (b *builder) flatten(name string) {
 	elems := b.outElems()
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindFlatten,
+		Name: name, Kind: kindFlatten,
 		FwdFLOPs:    0,
 		OutputElems: elems, StashElems: 0,
 	})
@@ -118,7 +118,7 @@ func (b *builder) flatten(name string) {
 func (b *builder) fc(name string, out int) {
 	in := b.outElems()
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindFC,
+		Name: name, Kind: kindFC,
 		Params:      in*int64(out) + int64(out),
 		FwdFLOPs:    2 * float64(in) * float64(out),
 		OutputElems: int64(out), StashElems: int64(out),
@@ -131,7 +131,7 @@ func (b *builder) fc(name string, out int) {
 func (b *builder) softmax(name string) {
 	elems := b.outElems()
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindSoftmax,
+		Name: name, Kind: kindSoftmax,
 		FwdFLOPs:    5 * float64(elems),
 		OutputElems: elems, StashElems: elems,
 	})

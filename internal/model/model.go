@@ -22,43 +22,43 @@ const BytesPerElem = 4
 type Kind int
 
 const (
-	// KindConv is a 2-D convolution (possibly with bias).
-	KindConv Kind = iota
-	// KindBN is batch normalization.
-	KindBN
-	// KindReLU is a rectified-linear activation.
-	KindReLU
-	// KindPool is max or average pooling.
-	KindPool
-	// KindFC is a fully connected layer.
-	KindFC
-	// KindFlatten reshapes spatial activations into a vector.
-	KindFlatten
-	// KindSoftmax is the final classifier activation.
-	KindSoftmax
-	// KindBlock is an aggregated residual bottleneck block (its internal
+	// kindConv is a 2-D convolution (possibly with bias).
+	kindConv Kind = iota
+	// kindBN is batch normalization.
+	kindBN
+	// kindReLU is a rectified-linear activation.
+	kindReLU
+	// kindPool is max or average pooling.
+	kindPool
+	// kindFC is a fully connected layer.
+	kindFC
+	// kindFlatten reshapes spatial activations into a vector.
+	kindFlatten
+	// kindSoftmax is the final classifier activation.
+	kindSoftmax
+	// kindBlock is an aggregated residual bottleneck block (its internal
 	// convolutions, batch norms, ReLUs, and any projection shortcut are
 	// summed into the block's totals).
-	KindBlock
+	kindBlock
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindConv:
+	case kindConv:
 		return "conv"
-	case KindBN:
+	case kindBN:
 		return "bn"
-	case KindReLU:
+	case kindReLU:
 		return "relu"
-	case KindPool:
+	case kindPool:
 		return "pool"
-	case KindFC:
+	case kindFC:
 		return "fc"
-	case KindFlatten:
+	case kindFlatten:
 		return "flatten"
-	case KindSoftmax:
+	case kindSoftmax:
 		return "softmax"
-	case KindBlock:
+	case kindBlock:
 		return "block"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
@@ -101,8 +101,8 @@ type Model struct {
 	Layers []Layer
 }
 
-// TotalParams sums trainable parameters over all layers.
-func (m *Model) TotalParams() int64 {
+// totalParams sums trainable parameters over all layers.
+func (m *Model) totalParams() int64 {
 	var n int64
 	for i := range m.Layers {
 		n += m.Layers[i].Params
@@ -111,7 +111,7 @@ func (m *Model) TotalParams() int64 {
 }
 
 // ParamBytes is the full parameter footprint in bytes (float32).
-func (m *Model) ParamBytes() int64 { return m.TotalParams() * BytesPerElem }
+func (m *Model) ParamBytes() int64 { return m.totalParams() * BytesPerElem }
 
 // TotalFwdFLOPs sums per-sample forward FLOPs over all layers.
 func (m *Model) TotalFwdFLOPs() float64 {
@@ -122,9 +122,9 @@ func (m *Model) TotalFwdFLOPs() float64 {
 	return f
 }
 
-// StashBytesPerSample is the per-sample activation memory needed to keep
+// stashBytesPerSample is the per-sample activation memory needed to keep
 // every layer's forward results resident for the backward pass.
-func (m *Model) StashBytesPerSample() int64 {
+func (m *Model) stashBytesPerSample() int64 {
 	var n int64
 	for i := range m.Layers {
 		n += m.Layers[i].StashElems
@@ -132,19 +132,19 @@ func (m *Model) StashBytesPerSample() int64 {
 	return n * BytesPerElem
 }
 
-// BoundaryElems reports the activation elements crossing a cut placed after
+// boundaryElems reports the activation elements crossing a cut placed after
 // layer index i (0-based). Cutting before the first layer (i == -1) crosses
 // the raw input.
-func (m *Model) BoundaryElems(i int) int64 {
+func (m *Model) boundaryElems(i int) int64 {
 	if i < 0 {
 		return m.InputElems
 	}
 	return m.Layers[i].OutputElems
 }
 
-// BoundaryBytes is BoundaryElems scaled to bytes for a whole minibatch.
+// BoundaryBytes is boundaryElems scaled to bytes for a whole minibatch.
 func (m *Model) BoundaryBytes(i, batch int) int64 {
-	return m.BoundaryElems(i) * BytesPerElem * int64(batch)
+	return m.boundaryElems(i) * BytesPerElem * int64(batch)
 }
 
 // TrainingFootprintBytes estimates the memory one GPU needs to train the
@@ -154,7 +154,7 @@ func (m *Model) BoundaryBytes(i, batch int) int64 {
 // (the paper's "too big to be loaded in four whimpy GPUs" condition for
 // ResNet-152 on 6 GB devices).
 func (m *Model) TrainingFootprintBytes(batch int) int64 {
-	return 2*m.ParamBytes() + m.StashBytesPerSample()*int64(batch)
+	return 2*m.ParamBytes() + m.stashBytesPerSample()*int64(batch)
 }
 
 // Validate checks internal consistency of the chain.

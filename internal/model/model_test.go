@@ -9,7 +9,7 @@ func TestVGG19ParamCount(t *testing.T) {
 	m := VGG19()
 	// Published exact count for VGG-19 with biases: 143,667,240.
 	const want = 143667240
-	if got := m.TotalParams(); got != want {
+	if got := m.totalParams(); got != want {
 		t.Errorf("VGG-19 params = %d, want %d", got, want)
 	}
 	// The paper quotes 548 MB for the parameter set.
@@ -24,7 +24,7 @@ func TestResNet152ParamCount(t *testing.T) {
 	// Published count (torchvision): 60,192,808. Allow 1% for accounting
 	// differences in batch-norm bookkeeping.
 	const want = 60192808
-	got := m.TotalParams()
+	got := m.totalParams()
 	if math.Abs(float64(got-want))/float64(want) > 0.01 {
 		t.Errorf("ResNet-152 params = %d, want ~%d", got, want)
 	}
@@ -43,9 +43,9 @@ func TestVGG19Structure(t *testing.T) {
 	convs, fcs := 0, 0
 	for _, l := range m.Layers {
 		switch l.Kind {
-		case KindConv:
+		case kindConv:
 			convs++
-		case KindFC:
+		case kindFC:
 			fcs++
 		}
 	}
@@ -77,7 +77,7 @@ func TestResNet152Structure(t *testing.T) {
 	}
 	blocks := 0
 	for _, l := range m.Layers {
-		if l.Kind == KindBlock {
+		if l.Kind == kindBlock {
 			blocks++
 		}
 	}
@@ -86,18 +86,18 @@ func TestResNet152Structure(t *testing.T) {
 	}
 	// Final boundary before the classifier head collapses to 2048 channels.
 	last := m.Layers[len(m.Layers)-1]
-	if last.Kind != KindSoftmax || last.OutputElems != 1000 {
+	if last.Kind != kindSoftmax || last.OutputElems != 1000 {
 		t.Errorf("final layer = %v/%d, want softmax/1000", last.Kind, last.OutputElems)
 	}
 }
 
 func TestBoundaryElems(t *testing.T) {
 	m := VGG19()
-	if got := m.BoundaryElems(-1); got != 224*224*3 {
+	if got := m.boundaryElems(-1); got != 224*224*3 {
 		t.Errorf("input boundary = %d, want %d", got, 224*224*3)
 	}
 	// First conv emits 224x224x64.
-	if got := m.BoundaryElems(0); got != 224*224*64 {
+	if got := m.boundaryElems(0); got != 224*224*64 {
 		t.Errorf("conv1_1 boundary = %d, want %d", got, 224*224*64)
 	}
 	if got := m.BoundaryBytes(0, 32); got != 224*224*64*4*32 {
@@ -144,8 +144,8 @@ func TestSyntheticUniform(t *testing.T) {
 	if len(m.Layers) != 8 {
 		t.Fatalf("layers = %d, want 8", len(m.Layers))
 	}
-	if m.TotalParams() != 80 {
-		t.Errorf("params = %d, want 80", m.TotalParams())
+	if m.totalParams() != 80 {
+		t.Errorf("params = %d, want 80", m.totalParams())
 	}
 	if m.TotalFwdFLOPs() != 800 {
 		t.Errorf("flops = %v, want 800", m.TotalFwdFLOPs())

@@ -101,7 +101,7 @@ func bottleneck(b *builder, name string, mid, out, stride int) {
 	stash += c3Out // post-ReLU block output
 
 	b.m.Layers = append(b.m.Layers, Layer{
-		Name: name, Kind: KindBlock,
+		Name: name, Kind: kindBlock,
 		Params: params, FwdFLOPs: flops,
 		OutputElems: c3Out, StashElems: stash,
 	})

@@ -10,7 +10,7 @@ func Synthetic(name string, n int, paramsPer int64, flopsPer float64, elemsPer i
 	for i := 0; i < n; i++ {
 		m.Layers = append(m.Layers, Layer{
 			Name:        fmt.Sprintf("l%d", i),
-			Kind:        KindConv,
+			Kind:        kindConv,
 			Params:      paramsPer,
 			FwdFLOPs:    flopsPer,
 			OutputElems: elemsPer,
@@ -34,7 +34,7 @@ func Skewed(name string, flopsWeights []float64, paramsPer int64, elemsPer int64
 		}
 		m.Layers = append(m.Layers, Layer{
 			Name:        fmt.Sprintf("l%d", i),
-			Kind:        KindConv,
+			Kind:        kindConv,
 			Params:      paramsPer,
 			FwdFLOPs:    w,
 			OutputElems: elemsPer,
@@ -58,11 +58,11 @@ func ByName(name string) (*Model, error) {
 	case "resnet152", "ResNet-152", "resnet-152":
 		return ResNet152(), nil
 	case "vgg16", "VGG-16", "vgg-16":
-		return VGG16(), nil
+		return vgg16(), nil
 	case "resnet50", "ResNet-50", "resnet-50":
 		return ResNet50(), nil
 	case "alexnet", "AlexNet":
-		return AlexNet(), nil
+		return alexNet(), nil
 	default:
 		return nil, fmt.Errorf("model: unknown model %q (have %v)", name, Names())
 	}

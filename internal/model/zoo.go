@@ -2,9 +2,9 @@ package model
 
 import "fmt"
 
-// VGG16 builds VGG configuration D (thirteen 3x3 convolutions): the smaller
+// vgg16 builds VGG configuration D (thirteen 3x3 convolutions): the smaller
 // sibling of the paper's VGG-19, useful for scaling studies and tests.
-func VGG16() *Model {
+func vgg16() *Model {
 	b := newBuilder("VGG-16", 38, 224, 224, 3)
 	group := func(stage, n, channels int) {
 		for i := 1; i <= n; i++ {
@@ -57,9 +57,9 @@ func ResNet50() *Model {
 	return b.m
 }
 
-// AlexNet builds the eight-layer AlexNet (single-tower variant): the
+// alexNet builds the eight-layer AlexNet (single-tower variant): the
 // smallest realistic CNN in the zoo, handy for fast pipeline tests.
-func AlexNet() *Model {
+func alexNet() *Model {
 	b := newBuilder("AlexNet", 20, 224, 224, 3)
 	b.conv("conv1", 64, 11, 4, 2, true)
 	b.relu("conv1_relu")

@@ -6,13 +6,13 @@ import (
 )
 
 func TestVGG16Params(t *testing.T) {
-	m := VGG16()
+	m := vgg16()
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Published exact count with biases: 138,357,544.
 	const want = 138357544
-	if got := m.TotalParams(); got != want {
+	if got := m.totalParams(); got != want {
 		t.Errorf("VGG-16 params = %d, want %d", got, want)
 	}
 }
@@ -24,25 +24,25 @@ func TestResNet50Params(t *testing.T) {
 	}
 	// Published (torchvision): 25,557,032. Allow 1% for BN bookkeeping.
 	const want = 25557032
-	got := m.TotalParams()
+	got := m.totalParams()
 	if math.Abs(float64(got-want))/float64(want) > 0.01 {
 		t.Errorf("ResNet-50 params = %d, want ~%d", got, want)
 	}
 }
 
 func TestAlexNetShape(t *testing.T) {
-	m := AlexNet()
+	m := alexNet()
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// AlexNet has ~61 M parameters, dominated by fc6.
-	got := m.TotalParams()
+	got := m.totalParams()
 	if got < 55e6 || got > 65e6 {
 		t.Errorf("AlexNet params = %d, want ~61M", got)
 	}
 	convs := 0
 	for _, l := range m.Layers {
-		if l.Kind == KindConv {
+		if l.Kind == kindConv {
 			convs++
 		}
 	}
@@ -53,10 +53,10 @@ func TestAlexNetShape(t *testing.T) {
 
 func TestZooOrdering(t *testing.T) {
 	// Parameter-count sanity across the zoo.
-	r50 := ResNet50().TotalParams()
-	r152 := ResNet152().TotalParams()
-	v16 := VGG16().TotalParams()
-	v19 := VGG19().TotalParams()
+	r50 := ResNet50().totalParams()
+	r152 := ResNet152().totalParams()
+	v16 := vgg16().totalParams()
+	v19 := VGG19().totalParams()
 	if r50 >= r152 {
 		t.Error("ResNet-50 should be smaller than ResNet-152")
 	}

@@ -72,9 +72,6 @@ type Chunk struct {
 	RecvGradTime float64
 }
 
-// Layers reports the number of layers in the chunk.
-func (c *Chunk) Layers() int { return c.Hi - c.Lo }
-
 // Stage is one pipeline stage of a plan: a set of model chunks bound to one
 // GPU. Contiguous plans carry exactly one chunk per stage; interleaved plans
 // carry V, with chunk c running as virtual stage (stage index) + c*k.
@@ -104,16 +101,6 @@ type Stage struct {
 // stage's chunk set.
 func (s *Stage) ExecTime() float64 {
 	return s.FwdTime + s.BwdTime + s.RecvActTime + s.RecvGradTime
-}
-
-// Layers reports the number of layers assigned to the stage across all its
-// chunks.
-func (s *Stage) Layers() int {
-	n := 0
-	for i := range s.Chunks {
-		n += s.Chunks[i].Layers()
-	}
-	return n
 }
 
 // Lo is the first layer of the stage's first chunk. Together with Hi it

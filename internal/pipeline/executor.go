@@ -20,7 +20,7 @@ type StageTime struct {
 }
 
 // Times builds a plan's time table: one row per virtual stage, chunk vs/k of
-// stage vs%k, every entry rounded to a multiple of sim.Quantum. That rounding
+// stage vs%k, every entry rounded to a multiple of sim's quantum. That rounding
 // (at most half a quantum, about 0.45 ps, per entry) is what makes a run's
 // times exact sums (package sim), and with them its steady state decidable
 // (steady.go). The caller may scale rows before handing the table to
@@ -234,11 +234,11 @@ func (x *Executor) gpu(vs int) int {
 //hetlint:hotpath
 func (x *Executor) Enter(p int) { x.ready(kindFwd, p, 0) }
 
-// Backward starts minibatch p's backward pass on the last virtual stage; the
+// backward starts minibatch p's backward pass on the last virtual stage; the
 // owner of an unfused graph calls it after AtEnd(p).
 //
 //hetlint:hotpath
-func (x *Executor) Backward(p int) { x.ready(kindBwd, p, x.kv-1) }
+func (x *Executor) backward(p int) { x.ready(kindBwd, p, x.kv-1) }
 
 // time resolves a duration through the TaskTime hook; with no hook installed
 // the base duration passes through unchanged.

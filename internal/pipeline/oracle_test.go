@@ -214,7 +214,7 @@ func forwardOnly(eng *sim.Engine, plan *partition.Plan, s sched.Schedule, window
 // TestForwardOnlyTraversalSum: with one microbatch in flight a forward-only
 // executor is a serial walk, so microbatch i completes at the running sum of
 // i traversals of (receive + forward) per stage of the time table (Times) —
-// exactly, since sums of its multiples of sim.Quantum are exact. The pick
+// exactly, since sums of its multiples of sim's quantum are exact. The pick
 // decision must not matter: no backward exists to prefer.
 func TestForwardOnlyTraversalSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

@@ -59,7 +59,7 @@
 // which core's Nm search uses to skip simulations that cannot win.
 //
 // A run stops simulating once it repeats. The time table is rounded to
-// multiples of sim.Quantum (Times), so every time a run computes is an exact
+// multiples of sim's quantum (Times), so every time a run computes is an exact
 // sum, and a pipeline with none of Config's hooks is a function of its state
 // relative to (now, completed). When that state recurs exactly P completions
 // later, the run is periodic, and it jumps as many whole periods as its window
@@ -167,7 +167,7 @@ type Result struct {
 //
 // Below sim.Horizon it holds bit for bit, not just in real arithmetic: l and
 // every simulated time are exact sums of the table's multiples of
-// sim.Quantum, so the run's span is at least floor(n/c)*l exactly, and a
+// sim's quantum, so the run's span is at least floor(n/c)*l exactly, and a
 // correctly rounded division by the larger of two numbers never gives the
 // larger quotient.
 func ThroughputBound(plan *partition.Plan, s sched.Schedule, minibatches, warmup int) float64 {
@@ -326,7 +326,7 @@ func (pl *Pipeline) room() bool {
 func (pl *Pipeline) forwardLanded(int) {
 	if pl.waveFwd++; pl.waveFwd == pl.waveSize {
 		for q := pl.waveFirst; q < pl.waveFirst+pl.waveSize; q++ {
-			pl.x.Backward(q)
+			pl.x.backward(q)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func planSched(t *testing.T, cl *hw.Cluster, m *model.Model, vw *hw.VirtualWorke
 // TestFIFOGoldenSolo pins the hetpipe-fifo schedule to the exact numbers the
 // pre-refactor monolithic executor produced (captured at the commit that
 // introduced the schedule subsystem, and re-baselined once when the time
-// table went to multiples of sim.Quantum): the executor must be bit-identical
+// table went to multiples of sim's quantum): the executor must be bit-identical
 // for the paper's own discipline.
 func TestFIFOGoldenSolo(t *testing.T) {
 	c := hw.Paper()

@@ -18,7 +18,7 @@ const lags = 64
 // order, every device's job in service and queue, the ready rings, the
 // injection counters and the open wave, with minibatch numbers less
 // completed and instants less now (Runner.state). Its time table is in
-// multiples of sim.Quantum, so below sim.Horizon every time it computes is
+// multiples of sim's quantum, so below sim.Horizon every time it computes is
 // exact, and a state shifted by (T, P) evolves exactly as the original,
 // shifted by (T, P). If the state after completion c+P equals the one after
 // completion c, the run is periodic from c on: every P completions take T

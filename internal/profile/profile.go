@@ -37,8 +37,8 @@ type LinkModel struct {
 	Latency    float64 // per-transfer fixed cost, seconds
 }
 
-// Time predicts the one-way transfer time for a payload of the given size.
-func (l LinkModel) Time(bytes int64) float64 {
+// time predicts the one-way transfer time for a payload of the given size.
+func (l LinkModel) time(bytes int64) float64 {
 	if bytes <= 0 {
 		return 0
 	}
@@ -184,9 +184,9 @@ func (p *Perf) TransferTime(bytes int64, kind hw.LinkKind) float64 {
 	case hw.LinkLocal:
 		return 0
 	case hw.LinkPCIe:
-		return p.PCIe.Time(bytes)
+		return p.PCIe.time(bytes)
 	case hw.LinkInfiniBand:
-		return p.IB.Time(bytes)
+		return p.IB.time(bytes)
 	default:
 		panic(fmt.Sprintf("profile: unknown link kind %v", kind))
 	}

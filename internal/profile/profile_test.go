@@ -12,11 +12,11 @@ import (
 
 func TestLinkModelTime(t *testing.T) {
 	l := LinkModel{Name: "t", PeakBPS: 10e9, Efficiency: 0.5, Latency: 1e-3}
-	if got := l.Time(0); got != 0 {
+	if got := l.time(0); got != 0 {
 		t.Errorf("zero bytes = %v, want 0", got)
 	}
 	// 5e9 bytes at 5 GB/s effective = 1s, plus 1ms latency.
-	if got := l.Time(5e9); math.Abs(got-1.001) > 1e-9 {
+	if got := l.time(5e9); math.Abs(got-1.001) > 1e-9 {
 		t.Errorf("transfer = %v, want 1.001", got)
 	}
 	if got := l.EffectiveBPS(); got != 5e9 {

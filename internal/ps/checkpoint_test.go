@@ -694,7 +694,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 				zeros[j] = make(tensor.Vector, len(layout[k]))
 			}
 			for c := 0; c <= ck.Clock; c++ {
-				if err := s.PullAtInto(dst, keys, c); err != nil {
+				if err := pullOnly(s, dst, keys, c); err != nil {
 					t.Fatalf("server %d: pull at clock %d of cut %d: %v", i, c, ck.Clock, err)
 				}
 				for j, k := range keys {
@@ -703,7 +703,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 					}
 				}
 			}
-			if clock, err := s.PushOrdered(0, keys, zeros); err != nil || clock != ck.Clock+1 {
+			if clock, err := pushOnly(s, 0, keys, zeros); err != nil || clock != ck.Clock+1 {
 				t.Fatalf("server %d: worker 0's push of wave %d = %d, %v", i, ck.Clock, clock, err)
 			}
 		}

@@ -27,17 +27,14 @@ func RoundRobin(keys []string, servers int) (*Placement, error) {
 	return p, nil
 }
 
-// ServerOf reports which server holds a key.
-func (p *Placement) ServerOf(key string) (int, error) {
+// serverOf reports which server holds a key.
+func (p *Placement) serverOf(key string) (int, error) {
 	srv, ok := p.assign[key]
 	if !ok {
 		return 0, fmt.Errorf("ps: shard %q not placed", key)
 	}
 	return srv, nil
 }
-
-// Servers reports the server count.
-func (p *Placement) Servers() int { return p.servers }
 
 // KeysOn lists the keys held by one server, sorted, so whatever walks them
 // (registration, a restore's first-mismatch error) does so in one order.

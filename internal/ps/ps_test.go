@@ -12,15 +12,31 @@ import (
 	"hetpipe/internal/tensor"
 )
 
-// The data plane takes parallel key and vector slices; most tests read better
-// with maps, so these wrap the ordered forms (keys go out sorted).
+// The data plane is Exchange over parallel key and vector slices; most tests
+// push or pull alone, and many read better with maps, so these wrap its
+// half-empty cases (keys go out sorted).
 
-type orderedPusher interface {
-	PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error)
+type exchanger interface {
+	Exchange(push *Push, pull *SnapshotPull) (int, error)
 }
 
-type snapshotPuller interface {
-	PullAtInto(dst []tensor.Vector, keys []string, clock int) error
+// pushOnly is an Exchange with no pull section.
+func pushOnly(x exchanger, w int, keys []string, vecs []tensor.Vector) (int, error) {
+	return x.Exchange(&Push{Worker: w, Keys: keys, Vecs: vecs}, nil)
+}
+
+// pullOnly is an Exchange with no push section.
+func pullOnly(x exchanger, dst []tensor.Vector, keys []string, clock int) error {
+	_, err := x.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
+	return err
+}
+
+// shardedX gives a Sharded, whose Exchange returns no clock, the exchanger
+// shape.
+type shardedX struct{ *Sharded }
+
+func (s shardedX) Exchange(push *Push, pull *SnapshotPull) (int, error) {
+	return 0, s.Sharded.Exchange(push, pull)
 }
 
 func unzip(updates map[string]tensor.Vector) (keys []string, vecs []tensor.Vector) {
@@ -34,9 +50,9 @@ func unzip(updates map[string]tensor.Vector) (keys []string, vecs []tensor.Vecto
 	return keys, vecs
 }
 
-func pushMap(p orderedPusher, w int, updates map[string]tensor.Vector) (int, error) {
+func pushMap(x exchanger, w int, updates map[string]tensor.Vector) (int, error) {
 	keys, vecs := unzip(updates)
-	return p.PushOrdered(w, keys, vecs)
+	return pushOnly(x, w, keys, vecs)
 }
 
 func shardedPushMap(sh *Sharded, w int, updates map[string]tensor.Vector) error {
@@ -44,9 +60,9 @@ func shardedPushMap(sh *Sharded, w int, updates map[string]tensor.Vector) error 
 	return sh.PushOrdered(w, keys, vecs)
 }
 
-func pullAtMap(p snapshotPuller, keys []string, clock int) (map[string]tensor.Vector, error) {
+func pullAtMap(x exchanger, keys []string, clock int) (map[string]tensor.Vector, error) {
 	dst := make([]tensor.Vector, len(keys))
-	if err := p.PullAtInto(dst, keys, clock); err != nil {
+	if err := pullOnly(x, dst, keys, clock); err != nil {
 		return nil, err
 	}
 	out := make(map[string]tensor.Vector, len(keys))
@@ -231,11 +247,11 @@ func TestRoundRobinPlacement(t *testing.T) {
 	if on0, on1 := len(p.KeysOn(0)), len(p.KeysOn(1)); on0 != 3 || on1 != 2 {
 		t.Errorf("distribution = [%d %d], want [3 2]", on0, on1)
 	}
-	srv, err := p.ServerOf("c")
+	srv, err := p.serverOf("c")
 	if err != nil || srv != 0 {
-		t.Errorf("ServerOf(c) = %d, %v", srv, err)
+		t.Errorf("serverOf(c) = %d, %v", srv, err)
 	}
-	if _, err := p.ServerOf("zzz"); err == nil {
+	if _, err := p.serverOf("zzz"); err == nil {
 		t.Error("unplaced key accepted")
 	}
 }
@@ -375,7 +391,7 @@ func TestManyShardsAcrossPlacement(t *testing.T) {
 	}
 	pl, _ := RoundRobin(keys, servers)
 	for _, k := range keys {
-		srv, _ := pl.ServerOf(k)
+		srv, _ := pl.serverOf(k)
 		srvs[srv].Register(k, []float64{0})
 	}
 	for w := 0; w < 2; w++ {
@@ -384,7 +400,7 @@ func TestManyShardsAcrossPlacement(t *testing.T) {
 			perServer[i] = make(map[string]tensor.Vector)
 		}
 		for _, k := range keys {
-			srv, _ := pl.ServerOf(k)
+			srv, _ := pl.serverOf(k)
 			perServer[srv][k] = tensor.Vector{1}
 		}
 		for i, updates := range perServer {
@@ -394,7 +410,7 @@ func TestManyShardsAcrossPlacement(t *testing.T) {
 		}
 	}
 	for _, k := range keys {
-		srv, _ := pl.ServerOf(k)
+		srv, _ := pl.serverOf(k)
 		got, err := pullAtMap(srvs[srv], []string{k}, 1)
 		if err != nil {
 			t.Fatal(err)

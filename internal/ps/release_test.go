@@ -156,7 +156,7 @@ func TestReleaseMatchesNeverReleasedTwin(t *testing.T) {
 					}
 				}
 				for _, x := range pair {
-					if _, err := x.PushOrdered(w, keys, vecs); err != nil {
+					if _, err := pushOnly(x, w, keys, vecs); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -164,10 +164,10 @@ func TestReleaseMatchesNeverReleasedTwin(t *testing.T) {
 			case op < 4: // pull a random reached clock at or above the floor
 				c := floor + rng.Intn(global-floor+1)
 				var got, want [3]tensor.Vector
-				if err := s.PullAtInto(got[:], keys, c); err != nil {
+				if err := pullOnly(s, got[:], keys, c); err != nil {
 					t.Fatalf("seed %d step %d: pull at %d (floor %d): %v", seed, step, c, floor, err)
 				}
-				if err := twin.PullAtInto(want[:], keys, c); err != nil {
+				if err := pullOnly(twin, want[:], keys, c); err != nil {
 					t.Fatal(err)
 				}
 				if err := sameBits(got[:], want[:]); err != nil {

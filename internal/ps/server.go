@@ -16,12 +16,12 @@
 // shards across nodes. The data plane has one operation, Exchange: a wave's
 // push and the D-gated snapshot pull that follows it travel as one request
 // and one response per shard server (Server, Client and Sharded all have it;
-// Backend is what Sharded needs of the first two). PushOrdered and
-// PullAtInto are its half-empty cases; all three move weights through
-// caller-owned slices with no per-call map traffic. Every exchange is served
-// in one order, in process and over TCP alike: validate both sections, commit
-// the push, wait for the pull's clock, answer — so an exchange that has
-// returned is already in the server's clocks. A server keeps one flat
+// Backend is what Sharded needs of the first two). Client and Sharded also
+// have PushOrdered and PullAtInto, its half-empty cases; all of them move
+// weights through caller-owned slices with no per-call map traffic. Every
+// exchange is served in one order, in process and over TCP alike: validate
+// both sections, commit the push, wait for the pull's clock, answer — so an
+// exchange that has returned is already in the server's clocks. A server keeps one flat
 // vector per global-clock boundary and serves every pull — fused or not, in
 // process or over TCP — from it under its lock; there is no read of the
 // "latest" weights, whose value would depend on push arrival order.
@@ -213,12 +213,6 @@ func (s *Server) Exchange(push *Push, pull *SnapshotPull) (int, error) {
 		return 0, fmt.Errorf("ps: %d destinations for %d keys", len(pull.Dst), len(pull.Keys))
 	}
 	return s.exchange(push, pull, pull)
-}
-
-// PushOrdered applies worker w's aggregated wave update and advances w's
-// clock, returning the new clock: Exchange with no pull section.
-func (s *Server) PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error) {
-	return s.exchange(&Push{Worker: w, Keys: keys, Vecs: vecs}, nil, nil)
 }
 
 // vecSink receives weight vectors during a locked pull. The TCP transport
@@ -445,18 +439,6 @@ func (s *Server) GlobalClock() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.clocks.GlobalClock()
-}
-
-// PullAtInto copies the requested shards as of global-clock boundary
-// `clock` into dst (dst[i] receives keys[i], reusing dst[i]'s storage when its
-// length already matches), blocking until the global clock reaches `clock`:
-// Exchange with no push section. The result is independent of push arrival
-// order: the deterministic read the WSP staleness analysis reasons about, and
-// the one the live training runtime uses so its trajectory matches the
-// simulator's.
-func (s *Server) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
-	_, err := s.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
-	return err
 }
 
 // fixLayoutLocked fixes the flat snapshot layout: every registered shard

@@ -59,8 +59,8 @@ func NewSharded(p *Placement, backends []Backend) (*Sharded, error) {
 	if p == nil {
 		return nil, fmt.Errorf("ps: nil placement")
 	}
-	if len(backends) != p.Servers() {
-		return nil, fmt.Errorf("ps: placement expects %d servers, got %d backends", p.Servers(), len(backends))
+	if len(backends) != p.servers {
+		return nil, fmt.Errorf("ps: placement expects %d servers, got %d backends", p.servers, len(backends))
 	}
 	s := &Sharded{
 		placement: p, backends: backends,
@@ -80,7 +80,7 @@ func NewSharded(p *Placement, backends []Backend) (*Sharded, error) {
 		}
 		s.dims[i] = m.Dims
 	}
-	for srv := 0; srv < p.Servers(); srv++ {
+	for srv := 0; srv < p.servers; srv++ {
 		for _, key := range p.KeysOn(srv) {
 			if _, ok := s.dims[srv][key]; !ok {
 				return nil, fmt.Errorf("ps: placed shard %q not registered on server %d", key, srv)
@@ -185,7 +185,7 @@ func (s *Sharded) Exchange(push *Push, pull *SnapshotPull) error {
 			return fmt.Errorf("ps: %d destinations for %d keys", len(pull.Dst), len(pull.Keys))
 		}
 		for i, key := range pull.Keys {
-			srv, err := s.placement.ServerOf(key)
+			srv, err := s.placement.serverOf(key)
 			if err != nil {
 				return err
 			}
@@ -219,7 +219,7 @@ func (s *Sharded) partitionPush(pt *partition, push *Push) error {
 		return fmt.Errorf("ps: %d keys for %d vectors", len(push.Keys), len(push.Vecs))
 	}
 	for i, key := range push.Keys {
-		srv, err := s.placement.ServerOf(key)
+		srv, err := s.placement.serverOf(key)
 		if err != nil {
 			return err
 		}

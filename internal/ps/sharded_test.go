@@ -46,7 +46,7 @@ func TestShardedPushPullRoundTrip(t *testing.T) {
 	if err := shardedPushMap(sh, 0, updates); err != nil {
 		t.Fatal(err)
 	}
-	got, err := pullAtMap(sh, keys, 1)
+	got, err := pullAtMap(shardedX{sh}, keys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestShardedValidation(t *testing.T) {
 	if err := shardedPushMap(sh, 0, map[string]tensor.Vector{"unknown": {1}}); err == nil {
 		t.Error("unplaced key accepted on push")
 	}
-	if _, err := pullAtMap(sh, []string{"unknown"}, 0); err == nil {
+	if _, err := pullAtMap(shardedX{sh}, []string{"unknown"}, 0); err == nil {
 		t.Error("unplaced key accepted on pull")
 	}
 }
@@ -186,7 +186,7 @@ func TestShardedPullAtReturnsClockSnapshot(t *testing.T) {
 	push(0, 4) // worker 0, wave 1 (ahead of the clock)
 	// Snapshot at clock 1 contains exactly the wave-0 updates, even though a
 	// wave-1 push has already arrived.
-	snap, err := pullAtMap(sh, keys, 1)
+	snap, err := pullAtMap(shardedX{sh}, keys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestShardedPullAtReturnsClockSnapshot(t *testing.T) {
 		}
 	}
 	// Snapshot at clock 0 is the initial weights.
-	snap0, err := pullAtMap(sh, keys, 0)
+	snap0, err := pullAtMap(shardedX{sh}, keys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestShardedPullAtBlocksUntilClock(t *testing.T) {
 	sh, _, keys := shardedFixture(t, 2)
 	done := make(chan map[string]tensor.Vector, 1)
 	go func() {
-		snap, err := pullAtMap(sh, keys, 1)
+		snap, err := pullAtMap(shardedX{sh}, keys, 1)
 		if err != nil {
 			t.Error(err)
 		}
@@ -267,7 +267,7 @@ func TestShardedConcurrentWorkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got, err := pullAtMap(sh, keys, waves)
+	got, err := pullAtMap(shardedX{sh}, keys, waves)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,9 @@ const (
 	// NameFIFO is the paper's own discipline (Section 4): FIFO injection
 	// with up to Nm minibatches in flight, receives serialized with compute.
 	NameFIFO = "hetpipe-fifo"
-	// NameGPipe is fill-drain: inject a wave of Nm forwards, barrier, then
+	// nameGPipe is fill-drain: inject a wave of Nm forwards, barrier, then
 	// drain all backwards before the next wave starts.
-	NameGPipe = "gpipe"
+	nameGPipe = "gpipe"
 	// NameOneF1B is strict one-forward-one-backward: after a per-stage
 	// warmup, each stage alternates forward and backward work, holding at
 	// most stage-depth activations.
@@ -58,10 +58,10 @@ const (
 	// overlapped point-to-point transfers. The fill bubble shrinks by the
 	// interleave degree V at the cost of V times the boundary traffic.
 	NameInterleaved = "interleaved"
-	// NameTwoBW is PipeDream-2BW: 1F1B timing with double-buffered weight
+	// nameTwoBW is PipeDream-2BW: 1F1B timing with double-buffered weight
 	// updates — each stage keeps two weight versions plus a coalesced
 	// gradient buffer, so updates never flush the pipeline.
-	NameTwoBW = "2bw"
+	nameTwoBW = "2bw"
 )
 
 // Inject is when the pipeline admits a new minibatch.
@@ -70,6 +70,8 @@ type Inject int
 const (
 	// InjectSlot admits a minibatch whenever fewer than InFlightCap are in
 	// flight (HetPipe Section 4, PipeDream).
+	//
+	//hetlint:allow surface the zero Inject: schedules get it by leaving the field unset
 	InjectSlot Inject = iota
 	// InjectWave is fill-drain: a wave of up to InFlightCap minibatches opens
 	// only when the pipeline is empty. Two things follow from it rather than
@@ -85,6 +87,8 @@ type Pick int
 const (
 	// PickArrival runs tasks in the order their inputs arrived — the device's
 	// FIFO queue is the ready list (Section 4, condition 3).
+	//
+	//hetlint:allow surface the zero Pick: schedules get it by leaving the field unset
 	PickArrival Pick = iota
 	// PickBackwardFirst is one-forward-one-backward: a ready backward runs
 	// before any forward (deepest chunk first — closest to completion, fastest
@@ -203,7 +207,7 @@ var (
 	}
 	// GPipe is fill-drain with a sync barrier per Nm-wave.
 	GPipe Schedule = &discipline{
-		name: NameGPipe, weights: 2, inject: InjectWave,
+		name: nameGPipe, weights: 2, inject: InjectWave,
 		desc: "GPipe fill-drain: wave of Nm forwards, barrier, Nm backwards",
 	}
 	// OneF1B is strict one-forward-one-backward.
@@ -232,7 +236,7 @@ var (
 	// buffer (WeightVersions == 3), so weight updates never flush the pipeline
 	// and the activation footprint stays at 1F1B's stage-depth bound.
 	TwoBW Schedule = &discipline{
-		name: NameTwoBW, weights: 3, pick: PickBackwardFirst,
+		name: nameTwoBW, weights: 3, pick: PickBackwardFirst,
 		desc: "PipeDream-2BW: 1F1B timing, double-buffered weights (2 versions + grad buffer)",
 	}
 )
@@ -240,11 +244,11 @@ var (
 // registry maps names to schedules.
 var registry = map[string]Schedule{
 	NameFIFO:        FIFO,
-	NameGPipe:       GPipe,
+	nameGPipe:       GPipe,
 	NameOneF1B:      OneF1B,
 	NameOverlap:     Overlap,
 	NameInterleaved: Interleaved,
-	NameTwoBW:       TwoBW,
+	nameTwoBW:       TwoBW,
 }
 
 // Default is the schedule used when none is named: the paper's own

@@ -24,7 +24,7 @@ func TestRegistry(t *testing.T) {
 	if Or(nil).Name() != NameFIFO {
 		t.Error("Or(nil) should be the default schedule")
 	}
-	if Or(GPipe).Name() != NameGPipe {
+	if Or(GPipe).Name() != nameGPipe {
 		t.Error("Or(GPipe) should pass through")
 	}
 }

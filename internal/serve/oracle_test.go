@@ -17,12 +17,12 @@ import (
 // finds its replica idle is a lone microbatch threading the pipeline, so its
 // latency is the replica's serial traversal time — every virtual stage's
 // forward time plus its activation receive — exactly, since those times are
-// Quantum multiples and their sums below the horizon do not round.
+// quantum multiples and their sums below the horizon do not round.
 //
 // The traffic is a fault-free closed loop with one user per replica and no
 // think time: each user's next request arrives the instant its last reply
 // leaves, so the user's requests are spaced exactly a traversal apart and
-// arrive at Quantum multiples, and at most one other request per other user
+// arrive at quantum multiples, and at most one other request per other user
 // is in flight, so bulk routing (idle replicas estimate 0) always finds an
 // idle replica. Every schedule is checked, interleaved at V = 2, on NP's four
 // single-type replicas, whose traversal times all differ.
@@ -76,7 +76,7 @@ func TestLightLoadLatencyIsTraversal(t *testing.T) {
 //
 //	(completions in [t_i, t_j] - cap_r) * bottle_r <= t_j - t_i.
 //
-// All three hold exactly: the times are Quantum multiples, so their sums
+// All three hold exactly: the times are quantum multiples, so their sums
 // and small multiples do not round. The traffic is serve-curve's five shapes
 // plus a Poisson offer at twice sum_r Batch/bottle_r, for every schedule
 // (interleaved at V = 2) under NP, ED and HD at their automatic Nm,
@@ -187,7 +187,7 @@ func TestMD1Waiting(t *testing.T) {
 	const n, batches = 20000, 20
 	for _, rho := range []float64{0.3, 0.5, 0.8} {
 		for seed := 1; seed <= 3; seed++ {
-			tr := traffic(t, fmt.Sprintf("poisson:r1:n%d:seed%d", n, seed)).WithRate(rho / s)
+			tr := traffic(t, fmt.Sprintf("poisson:r1:n%d:seed%d", n, seed)).withRate(rho / s)
 			res, err := Run(context.Background(), dep, tr, Options{})
 			if err != nil {
 				t.Fatal(err)

@@ -108,7 +108,7 @@ func refParseTraffic(spec string) (*Traffic, error) {
 			return nil, fmt.Errorf("serve: unknown traffic field %q", f)
 		}
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -119,7 +119,7 @@ func refParseTraffic(spec string) (*Traffic, error) {
 func (t *Traffic) refParseBody(fields []string) ([]string, error) {
 	var err error
 	switch t.Kind {
-	case KindPoisson:
+	case kindPoisson:
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("serve: poisson wants poisson:r<rate>:n<count>")
 		}
@@ -130,7 +130,7 @@ func (t *Traffic) refParseBody(fields []string) ([]string, error) {
 			return nil, err
 		}
 		return fields[2:], nil
-	case KindDiurnal:
+	case kindDiurnal:
 		if len(fields) < 4 {
 			return nil, fmt.Errorf("serve: diurnal wants diurnal:r<rate>:a<amp>:p<period>:n<count>")
 		}
@@ -147,7 +147,7 @@ func (t *Traffic) refParseBody(fields []string) ([]string, error) {
 			return nil, err
 		}
 		return fields[4:], nil
-	case KindBursty:
+	case kindBursty:
 		if len(fields) < 5 {
 			return nil, fmt.Errorf("serve: bursty wants bursty:r<rate>:x<factor>:on<sec>:off<sec>:n<count>")
 		}
@@ -167,7 +167,7 @@ func (t *Traffic) refParseBody(fields []string) ([]string, error) {
 			return nil, err
 		}
 		return fields[5:], nil
-	case KindClosed:
+	case kindClosed:
 		if len(fields) < 3 {
 			return nil, fmt.Errorf("serve: closed wants closed:u<users>:t<think>:n<count>")
 		}
@@ -183,7 +183,7 @@ func (t *Traffic) refParseBody(fields []string) ([]string, error) {
 		return fields[3:], nil
 	default:
 		return nil, fmt.Errorf("serve: unknown traffic kind %q (want %s, %s, %s, or %s)",
-			t.Kind, KindPoisson, KindDiurnal, KindBursty, KindClosed)
+			t.Kind, kindPoisson, kindDiurnal, kindBursty, kindClosed)
 	}
 }
 
@@ -193,13 +193,13 @@ func (t *Traffic) refString() string {
 	var b strings.Builder
 	b.WriteString(t.Kind)
 	switch t.Kind {
-	case KindPoisson:
+	case kindPoisson:
 		fmt.Fprintf(&b, ":r%s:n%d", refGfmt(t.Rate), t.N)
-	case KindDiurnal:
+	case kindDiurnal:
 		fmt.Fprintf(&b, ":r%s:a%s:p%s:n%d", refGfmt(t.Rate), refGfmt(t.Amp), refGfmt(t.Period), t.N)
-	case KindBursty:
+	case kindBursty:
 		fmt.Fprintf(&b, ":r%s:x%s:on%s:off%s:n%d", refGfmt(t.Rate), refGfmt(t.Burst), refGfmt(t.On), refGfmt(t.Off), t.N)
-	case KindClosed:
+	case kindClosed:
 		fmt.Fprintf(&b, ":u%d:t%s:n%d", t.Users, refGfmt(t.Think), t.N)
 	}
 	if t.Seed != 1 {

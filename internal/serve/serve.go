@@ -201,13 +201,13 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 	if tr == nil {
 		return nil, fmt.Errorf("serve: nil traffic")
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		return nil, err
 	}
 	if len(dep.VWs) == 0 {
 		return nil, fmt.Errorf("serve: empty deployment")
 	}
-	if tr.Kind == KindClosed && tr.Users > tr.N {
+	if tr.Kind == kindClosed && tr.Users > tr.N {
 		return nil, fmt.Errorf("serve: closed loop with %d users needs at least that many requests, got n%d", tr.Users, tr.N)
 	}
 	eng.Reset()
@@ -510,7 +510,7 @@ func (r *replica) batchDone(seq int) {
 		if s.ob != nil {
 			s.emit(obs.Event{Kind: obs.KindReply, VW: r.w, Request: int(id), Batch: seq})
 		}
-		if s.tr.Kind == KindClosed && s.issued < s.tr.N {
+		if s.tr.Kind == kindClosed && s.issued < s.tr.N {
 			s.issueNext(s.user[id])
 		}
 	}
@@ -566,7 +566,7 @@ func Curve(ctx context.Context, dep *core.Deployment, tr *Traffic, rates []float
 	eng := sim.New()
 	out := make([]*Result, 0, len(rates))
 	for _, rate := range rates {
-		res, err := RunOn(ctx, eng, dep, tr.WithRate(rate), opt)
+		res, err := RunOn(ctx, eng, dep, tr.withRate(rate), opt)
 		if err != nil {
 			return nil, err
 		}

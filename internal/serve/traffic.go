@@ -29,19 +29,19 @@ import (
 // Traffic generator kinds, as accepted by ParseTraffic and carried in
 // Traffic.Kind.
 const (
-	// KindPoisson is an open-loop homogeneous Poisson arrival process.
-	KindPoisson = "poisson"
-	// KindDiurnal is an open-loop inhomogeneous Poisson process whose rate
+	// kindPoisson is an open-loop homogeneous Poisson arrival process.
+	kindPoisson = "poisson"
+	// kindDiurnal is an open-loop inhomogeneous Poisson process whose rate
 	// follows a sinusoidal day/night cycle — the load shape of a
 	// user-facing service.
-	KindDiurnal = "diurnal"
-	// KindBursty is an open-loop on/off process replaying a bursty trace:
+	kindDiurnal = "diurnal"
+	// kindBursty is an open-loop on/off process replaying a bursty trace:
 	// the base rate multiplied by a burst factor during "on" windows.
-	KindBursty = "bursty"
-	// KindClosed is a closed-loop generator: a fixed population of users,
+	kindBursty = "bursty"
+	// kindClosed is a closed-loop generator: a fixed population of users,
 	// each thinking an exponential time between its reply and its next
 	// request, so offered load self-throttles with latency.
-	KindClosed = "closed"
+	kindClosed = "closed"
 )
 
 // Traffic is a parsed, validated traffic specification. Build one with
@@ -103,12 +103,12 @@ func ParseTraffic(spec string) (*Traffic, error) {
 	row, ok := t.row()
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown traffic kind %q (want %s, %s, %s, or %s)",
-			t.Kind, KindPoisson, KindDiurnal, KindBursty, KindClosed)
+			t.Kind, kindPoisson, kindDiurnal, kindBursty, kindClosed)
 	}
 	if err := row.Parse(fields[1:]); err != nil {
 		return nil, fmt.Errorf("serve: traffic spec %q: %w", spec, err)
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -122,13 +122,13 @@ func (t *Traffic) row() (clause.Row, bool) {
 	rate, n := clause.Num("r<rate>", &t.Rate), clause.Num("n<count>", &t.N)
 	known := true
 	switch t.Kind {
-	case KindPoisson:
+	case kindPoisson:
 		f = append(f, rate, n)
-	case KindDiurnal:
+	case kindDiurnal:
 		f = append(f, rate, clause.Num("a<amp>", &t.Amp), clause.Num("p<period>", &t.Period), n)
-	case KindBursty:
+	case kindBursty:
 		f = append(f, rate, clause.Num("x<factor>", &t.Burst), clause.Num("on<sec>", &t.On), clause.Num("off<sec>", &t.Off), n)
-	case KindClosed:
+	case kindClosed:
 		f = append(f, clause.Num("u<users>", &t.Users), clause.Num("t<think>", &t.Think), n)
 	default:
 		known = false
@@ -141,20 +141,20 @@ func (t *Traffic) row() (clause.Row, bool) {
 // its row prints it — the text a malformed spec's error quotes.
 func TrafficUsage() []string {
 	var out []string
-	for _, kind := range []string{KindPoisson, KindDiurnal, KindBursty, KindClosed} {
+	for _, kind := range []string{kindPoisson, kindDiurnal, kindBursty, kindClosed} {
 		row, _ := (&Traffic{Kind: kind}).row()
 		out = append(out, row.Usage())
 	}
 	return out
 }
 
-// Validate checks the spec's numeric ranges. Every real field must be finite
+// validate checks the spec's numeric ranges. Every real field must be finite
 // (strconv.ParseFloat parses NaN and Inf, and a NaN passes any </> range
 // check), and every rate, factor and time must, when nonzero, lie within
 // [1e-9, 1e9]: outside that window the generators' float64 arithmetic leaves
 // the finite range — arrival times overflow to +Inf, or 2*pi*s/period does
 // and the NaN rate it yields is one thinning never accepts.
-func (t *Traffic) Validate() error {
+func (t *Traffic) validate() error {
 	if t.N <= 0 {
 		return fmt.Errorf("serve: traffic needs a positive request count, got n%d", t.N)
 	}
@@ -178,27 +178,27 @@ func (t *Traffic) Validate() error {
 		return fmt.Errorf("serve: crit fraction %g outside [0, 1]", t.Crit)
 	}
 	switch t.Kind {
-	case KindPoisson, KindDiurnal, KindBursty:
+	case kindPoisson, kindDiurnal, kindBursty:
 		if t.Rate <= 0 {
 			return fmt.Errorf("serve: %s rate must be > 0, got r%g", t.Kind, t.Rate)
 		}
 	}
 	switch t.Kind {
-	case KindDiurnal:
+	case kindDiurnal:
 		if t.Amp < 0 || t.Amp >= 1 {
 			return fmt.Errorf("serve: diurnal amplitude %g outside [0, 1)", t.Amp)
 		}
 		if t.Period <= 0 {
 			return fmt.Errorf("serve: diurnal period must be > 0, got p%g", t.Period)
 		}
-	case KindBursty:
+	case kindBursty:
 		if t.Burst <= 1 {
 			return fmt.Errorf("serve: burst factor must be > 1, got x%g", t.Burst)
 		}
 		if t.On <= 0 || t.Off <= 0 {
 			return fmt.Errorf("serve: bursty windows must be > 0, got on%g off%g", t.On, t.Off)
 		}
-	case KindClosed:
+	case kindClosed:
 		if t.Users <= 0 {
 			return fmt.Errorf("serve: closed loop needs users, got u%d", t.Users)
 		}
@@ -217,14 +217,14 @@ func (t *Traffic) String() string {
 
 // Open reports whether the generator is open-loop (arrival times independent
 // of service); closed-loop traffic self-throttles with latency instead.
-func (t *Traffic) Open() bool { return t.Kind != KindClosed }
+func (t *Traffic) Open() bool { return t.Kind != kindClosed }
 
-// WithRate returns a copy of the spec at a different open-loop base rate —
+// withRate returns a copy of the spec at a different open-loop base rate —
 // the knob a latency-vs-throughput curve turns. It panics on closed-loop
 // specs, whose offered load is set by Users and Think instead.
-func (t *Traffic) WithRate(r float64) *Traffic {
+func (t *Traffic) withRate(r float64) *Traffic {
 	if !t.Open() {
-		panic("serve: WithRate on closed-loop traffic")
+		panic("serve: withRate on closed-loop traffic")
 	}
 	c := *t
 	c.Rate = r
@@ -234,9 +234,9 @@ func (t *Traffic) WithRate(r float64) *Traffic {
 // maxRate bounds the instantaneous open-loop rate, for thinning.
 func (t *Traffic) maxRate() float64 {
 	switch t.Kind {
-	case KindDiurnal:
+	case kindDiurnal:
 		return t.Rate * (1 + t.Amp)
-	case KindBursty:
+	case kindBursty:
 		return t.Rate * t.Burst
 	default:
 		return t.Rate
@@ -246,9 +246,9 @@ func (t *Traffic) maxRate() float64 {
 // rateAt is the instantaneous open-loop rate at time s.
 func (t *Traffic) rateAt(s float64) float64 {
 	switch t.Kind {
-	case KindDiurnal:
+	case kindDiurnal:
 		return t.Rate * (1 + t.Amp*math.Sin(2*math.Pi*s/t.Period))
-	case KindBursty:
+	case kindBursty:
 		if math.Mod(s, t.On+t.Off) < t.On {
 			return t.Rate * t.Burst
 		}
@@ -288,7 +288,7 @@ func (t *Traffic) generator() *generator {
 	if !t.Open() {
 		panic("serve: Arrivals on closed-loop traffic")
 	}
-	g := &generator{t: t, rng: rand.New(rand.NewSource(t.Seed)), peak: t.maxRate(), homogeneous: t.Kind == KindPoisson}
+	g := &generator{t: t, rng: rand.New(rand.NewSource(t.Seed)), peak: t.maxRate(), homogeneous: t.Kind == kindPoisson}
 	if t.Crit > 0 {
 		g.crng = rand.New(rand.NewSource(t.Seed + critSeedOffset))
 	}

@@ -44,7 +44,7 @@ func TestParseTrafficRoundTrip(t *testing.T) {
 // line, so a listing of TrafficUsage states the grammar ParseTraffic takes.
 func TestTrafficUsageIsWhatErrorsQuote(t *testing.T) {
 	lines := TrafficUsage()
-	for i, kind := range []string{KindPoisson, KindDiurnal, KindBursty, KindClosed} {
+	for i, kind := range []string{kindPoisson, kindDiurnal, kindBursty, kindClosed} {
 		if i >= len(lines) || !strings.HasPrefix(lines[i], kind+":") {
 			t.Fatalf("TrafficUsage() = %q, want one line per kind starting with %s", lines, kind)
 		}
@@ -152,12 +152,12 @@ func TestWithRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faster := tr.WithRate(400)
+	faster := tr.withRate(400)
 	if faster.Rate != 400 || faster.N != 50 || faster.Seed != 9 {
-		t.Errorf("WithRate lost fields: %+v", faster)
+		t.Errorf("withRate lost fields: %+v", faster)
 	}
 	if tr.Rate != 100 {
-		t.Errorf("WithRate mutated the receiver")
+		t.Errorf("withRate mutated the receiver")
 	}
 	closed, err := ParseTraffic("closed:u4:t0.1:n20")
 	if err != nil {
@@ -165,10 +165,10 @@ func TestWithRate(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("WithRate on closed-loop traffic did not panic")
+			t.Error("withRate on closed-loop traffic did not panic")
 		}
 	}()
-	closed.WithRate(10)
+	closed.withRate(10)
 }
 
 func TestUserStreamPerUserIndependence(t *testing.T) {
@@ -256,7 +256,7 @@ func TestNonFiniteTrafficRejected(t *testing.T) {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			bad := *tr
 			*f.field(&bad) = v
-			if err := bad.Validate(); err == nil {
+			if err := bad.validate(); err == nil {
 				t.Errorf("%s = %v passed Validate", f.name, v)
 			}
 		}

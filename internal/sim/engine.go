@@ -23,7 +23,7 @@
 // that results are deterministic.
 //
 // Time is a float64, and a simulation whose durations are all multiples of
-// Quantum (2^-40 s, Quantize) computes its times exactly: a multiple n*2^-40
+// the quantum (2^-40 s, Quantize) computes its times exactly: a multiple n*2^-40
 // below Horizon (2^13 s) has n < 2^53 and is a float64 exactly, the sum or
 // difference of two such is another, and IEEE arithmetic returns an exact
 // result whenever it is representable. Below the horizon, addition is then
@@ -41,14 +41,14 @@ import (
 	"math"
 )
 
-// Quantum is the grain of exact simulated time, 2^-40 s (about 0.9 ps).
-const Quantum = 1.0 / (1 << 40)
+// quantum is the grain of exact simulated time, 2^-40 s (about 0.9 ps).
+const quantum = 1.0 / (1 << 40)
 
 // Horizon is the end of exact simulated time, 2^13 s (about 2.3 h): below
-// it, multiples of Quantum add and subtract without rounding.
+// it, multiples of the quantum add and subtract without rounding.
 const Horizon Time = 1 << 13
 
-// Quantize rounds a duration in seconds to the nearest multiple of Quantum.
+// Quantize rounds a duration in seconds to the nearest multiple of the quantum.
 // Scaling by a power of two is exact, so the only rounding is the one to an
 // integer count of quanta; a duration at or above Horizon is already a
 // multiple and passes unchanged.

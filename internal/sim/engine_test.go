@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,51 @@ func TestEngineStepLimit(t *testing.T) {
 	e.AfterID(1, loop, 0, 0, 0)
 	if err := e.Run(); err == nil {
 		t.Fatal("expected step-limit error on infinite event chain")
+	}
+}
+
+// TestStepLimitBoundary pins the limit's edge: a run of exactly the limit's
+// events completes, one event more fails at Fired() = limit+1, for a queued
+// chain and for a merged stream alike. A limit of ctxCheckInterval under a
+// cancellable context also puts the edge on a context poll, where the run
+// loop checks the limit although it has not been passed.
+func TestStepLimitBoundary(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		limit int
+		ctx   context.Context
+	}{{10, context.Background()}, {ctxCheckInterval, ctx}} {
+		for _, n := range []int{tc.limit, tc.limit + 1} {
+			queued := New()
+			queued.SetStepLimit(uint64(tc.limit))
+			left := n
+			var chain int32
+			chain = queued.Register(func(_, _ int32, _ float64) {
+				if left--; left > 0 {
+					queued.AfterID(1, chain, 0, 0, 0)
+				}
+			})
+			queued.AfterID(1, chain, 0, 0, 0)
+			merged := New()
+			merged.SetStepLimit(uint64(tc.limit))
+			for _, run := range []struct {
+				name string
+				e    *Engine
+				err  error
+			}{
+				{"queued chain", queued, queued.RunContext(tc.ctx)},
+				{"merged stream", merged, merged.RunMerged(tc.ctx, n, func(i int) Time { return Time(i) }, func(int) {})},
+			} {
+				limited := run.err != nil && strings.Contains(run.err.Error(), "step limit")
+				if limited != (n > tc.limit) || run.err != nil && !limited {
+					t.Errorf("limit %d, %d-event %s: err = %v", tc.limit, n, run.name, run.err)
+				}
+				if got := run.e.Fired(); got != uint64(n) {
+					t.Errorf("limit %d, %d-event %s: Fired() = %d, want %d", tc.limit, n, run.name, got, n)
+				}
+			}
+		}
 	}
 }
 

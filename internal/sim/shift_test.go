@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestQuantizedSumsAreExact: Quantize lands on a multiple of Quantum within
+// TestQuantizedSumsAreExact: Quantize lands on a multiple of the quantum within
 // half a quantum, and below Horizon sums of such multiples are exact —
 // associative, and undone by subtraction.
 func TestQuantizedSumsAreExact(t *testing.T) {
@@ -16,7 +16,7 @@ func TestQuantizedSumsAreExact(t *testing.T) {
 	for range 100000 {
 		d := math.Exp(rng.NormFloat64()*3) * 1e-2
 		got := Quantize(d)
-		if n := got / Quantum; n != math.Trunc(n) || math.Abs(got-d) > Quantum/2 {
+		if n := got / quantum; n != math.Trunc(n) || math.Abs(got-d) > quantum/2 {
 			t.Fatalf("Quantize(%v) = %v: %v quanta, off by %v", d, got, n, got-d)
 		}
 		a, b, c := q(), q(), q()
@@ -27,7 +27,7 @@ func TestQuantizedSumsAreExact(t *testing.T) {
 			t.Fatalf("%v, %v, %v: sums round", a, b, c)
 		}
 	}
-	if big := float64(Horizon) + 3*2*Quantum; Quantize(big) != big {
+	if big := float64(Horizon) + 3*2*quantum; Quantize(big) != big {
 		t.Errorf("Quantize moved %v, a multiple of the quantum", big)
 	}
 }

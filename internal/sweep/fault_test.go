@@ -41,7 +41,7 @@ func TestGridFaultAxisExpansion(t *testing.T) {
 	}
 
 	// Horovod collapses the fault axis.
-	g.SyncModes = []string{SyncHorovod}
+	g.SyncModes = []string{syncHorovod}
 	scs, err = g.Expand()
 	if err != nil {
 		t.Fatal(err)

@@ -110,8 +110,8 @@ func WriteCSV(w io.Writer, set *Set) error {
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// SummaryRow ranks the best configuration found for one model/cluster pair.
-type SummaryRow struct {
+// summaryRow ranks the best configuration found for one model/cluster pair.
+type summaryRow struct {
 	// Model and Cluster identify the pair.
 	Model, Cluster string
 	// Best is the winning scenario's result.
@@ -124,15 +124,15 @@ type SummaryRow struct {
 	PerVW metrics.Summary
 }
 
-// Summarize ranks each model/cluster pair's best configuration by aggregate
+// summarize ranks each model/cluster pair's best configuration by aggregate
 // throughput, best pair first: Aggregate's ranking, with each winner's full
 // Result. Pairs whose every scenario failed appear at the end with a nil
 // Best.
-func Summarize(set *Set) []SummaryRow {
-	pairs := Aggregate(set).Pairs
-	rows := make([]SummaryRow, len(pairs))
+func summarize(set *Set) []summaryRow {
+	pairs := aggregate(set).Pairs
+	rows := make([]summaryRow, len(pairs))
 	for i, p := range pairs {
-		rows[i] = SummaryRow{Model: p.Model, Cluster: p.Cluster, Candidates: p.Candidates, Failed: p.Failed}
+		rows[i] = summaryRow{Model: p.Model, Cluster: p.Cluster, Candidates: p.Candidates, Failed: p.Failed}
 		if p.BestID != "" {
 			rows[i].Best = &set.Results[p.best]
 			rows[i].PerVW = metrics.Summarize(rows[i].Best.PerVW)
@@ -145,7 +145,7 @@ func Summarize(set *Set) []SummaryRow {
 // configuration per model/cluster pair, its throughput, staleness bounds,
 // and the per-virtual-worker throughput spread.
 func WriteSummary(w io.Writer, set *Set) error {
-	rows := Summarize(set)
+	rows := summarize(set)
 	// The config column fits the longest WSP scenario ID: model + cluster +
 	// sync + schedule + policy + placement + D + Nm segments.
 	if _, err := fmt.Fprintf(w, "%-11s %-9s %-62s %12s %8s %8s  %s\n",
@@ -164,7 +164,7 @@ func WriteSummary(w io.Writer, set *Set) error {
 		sc := &row.Best.Scenario
 		sglobal := "-"
 		perVW := "single straggler-paced BSP group"
-		if sc.SyncMode != SyncHorovod {
+		if sc.SyncMode != syncHorovod {
 			sglobal = strconv.Itoa(row.Best.SGlobal)
 			perVW = fmt.Sprintf("%v spread=%.3g", row.PerVW, row.PerVW.Spread())
 		}

@@ -366,7 +366,7 @@ func fillDegradation(results []Result) {
 	baseline := make(map[Scenario]float64)
 	for i := range results {
 		r := &results[i]
-		if r.Scenario.Faults == "" && r.Error == "" && r.Scenario.SyncMode == SyncWSP {
+		if r.Scenario.Faults == "" && r.Error == "" && r.Scenario.SyncMode == syncWSP {
 			baseline[r.Scenario.twin()] = r.Throughput
 		}
 	}
@@ -390,7 +390,7 @@ func runScenario(ctx context.Context, sc Scenario, res *resolver, cs *core.CoSim
 		out.Error = err.Error()
 		return out
 	}
-	if sc.SyncMode == SyncHorovod {
+	if sc.SyncMode == syncHorovod {
 		sys, err := core.Spec{Model: sc.Model, Cluster: sc.Cluster, Batch: sc.Batch}.System()
 		if err != nil {
 			return fail(err)

@@ -15,7 +15,7 @@ func TestScheduleAxisExpansion(t *testing.T) {
 		Models:    []string{"vgg19"},
 		Clusters:  []string{"paper"},
 		Policies:  []string{"ED"},
-		SyncModes: []string{SyncWSP, SyncHorovod},
+		SyncModes: []string{syncWSP, syncHorovod},
 		Schedules: []string{sched.NameFIFO, sched.NameOneF1B, sched.NameOverlap},
 		NmValues:  []int{2},
 	}
@@ -29,7 +29,7 @@ func TestScheduleAxisExpansion(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, sc := range scenarios {
-		if sc.SyncMode == SyncHorovod {
+		if sc.SyncMode == syncHorovod {
 			if sc.Schedule != "" {
 				t.Errorf("horovod scenario carries schedule %q", sc.Schedule)
 			}
@@ -53,7 +53,7 @@ func TestScheduleAxisExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sc := range scenarios {
-		if sc.SyncMode == SyncWSP && sc.Schedule != sched.Default().Name() {
+		if sc.SyncMode == syncWSP && sc.Schedule != sched.Default().Name() {
 			t.Errorf("default schedule = %q, want %q", sc.Schedule, sched.Default().Name())
 		}
 	}

@@ -50,8 +50,8 @@ func TestServingAxisExpansion(t *testing.T) {
 	// A faulted serving scenario carries both suffixes, fault first, and its
 	// degradation baseline is the fault-free serving twin.
 	sc := Scenario{
-		Model: "vgg19", Cluster: "paper", SyncMode: SyncWSP,
-		Schedule: "hetpipe-fifo", Policy: "NP", Placement: PlacementDefault,
+		Model: "vgg19", Cluster: "paper", SyncMode: syncWSP,
+		Schedule: "hetpipe-fifo", Policy: "NP", Placement: placementDefault,
 		Faults: "slow:w0:x4", Traffic: "poisson:r120:n400", Nm: 2, Batch: 32,
 	}
 	if got := sc.ID(); !strings.HasSuffix(got, "/f:slow:w0:x4/t:poisson:r120:n400") {
@@ -112,7 +112,7 @@ func TestServingSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := summaryJSON(t, stream), summaryJSON(t, Aggregate(serial)); !bytes.Equal(got, want) {
+	if got, want := summaryJSON(t, stream), summaryJSON(t, aggregate(serial)); !bytes.Equal(got, want) {
 		t.Error("streaming summary diverges from materialized aggregation on a serving grid")
 	}
 

@@ -26,7 +26,7 @@ type ThroughputStats struct {
 }
 
 // PairRank ranks one model/cluster pair's best configuration, the streaming
-// counterpart of SummaryRow: only the winner's identity and throughput are
+// counterpart of summaryRow: only the winner's identity and throughput are
 // retained, not its full Result.
 type PairRank struct {
 	Model   string `json:"model"`
@@ -93,11 +93,11 @@ func RunStream(ctx context.Context, g Grid, opt Options) (*StreamSummary, error)
 	return summarizeStream(scenarios, thr, failed), nil
 }
 
-// Aggregate reduces a materialized sweep to the same summary RunStream
+// aggregate reduces a materialized sweep to the same summary RunStream
 // produces, from identical inputs in identical (index) order — the two are
 // byte-for-byte interchangeable, which is what lets tests pin the streaming
 // path against the materialized one.
-func Aggregate(set *Set) *StreamSummary {
+func aggregate(set *Set) *StreamSummary {
 	scenarios := make([]Scenario, len(set.Results))
 	thr := make([]float64, len(set.Results))
 	failed := make([]bool, len(set.Results))

@@ -31,7 +31,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := summaryJSON(t, Aggregate(set)), summaryJSON(t, stream)
+	want, got := summaryJSON(t, aggregate(set)), summaryJSON(t, stream)
 	if !bytes.Equal(want, got) {
 		t.Errorf("streaming summary differs from materialized aggregate:\nmaterialized: %s\nstreaming:    %s", want, got)
 	}
@@ -40,7 +40,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			stream.Scenarios, stream.Failures, len(set.Results), set.Failures())
 	}
 	// The pair ranking must agree with Summarize's winners.
-	rows := Summarize(set)
+	rows := summarize(set)
 	if len(rows) != len(stream.Pairs) {
 		t.Fatalf("pairs = %d, want %d", len(stream.Pairs), len(rows))
 	}
@@ -158,7 +158,7 @@ func TestStreamScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, g := summaryJSON(t, Aggregate(set)), summaryJSON(t, stream); !bytes.Equal(w, g) {
+	if w, g := summaryJSON(t, aggregate(set)), summaryJSON(t, stream); !bytes.Equal(w, g) {
 		t.Errorf("10^5-cell streaming summary differs from materialized aggregate:\nmaterialized: %s\nstreaming:    %s", w, g)
 	}
 }

@@ -43,19 +43,19 @@ import (
 
 // Sync-mode axis values.
 const (
-	// SyncWSP runs HetPipe proper: pipelined virtual workers coupled through
+	// syncWSP runs HetPipe proper: pipelined virtual workers coupled through
 	// the Wave Synchronous Parallel protocol (Section 5).
-	SyncWSP = "wsp"
-	// SyncHorovod runs the all-reduce BSP baseline the paper compares
+	syncWSP = "wsp"
+	// syncHorovod runs the all-reduce BSP baseline the paper compares
 	// against. Policy, placement, D, and Nm do not apply; the grid collapses
 	// those axes to a single scenario per model and cluster.
-	SyncHorovod = "horovod"
+	syncHorovod = "horovod"
 )
 
 // Placement axis values.
 const (
-	// PlacementDefault spreads parameter shards round-robin over all nodes.
-	PlacementDefault = "default"
+	// placementDefault spreads parameter shards round-robin over all nodes.
+	placementDefault = "default"
 	// PlacementLocal co-locates each stage's shard with the stage's node
 	// (the paper's ED-local; requires ED-style stage/node alignment).
 	PlacementLocal = "local"
@@ -71,11 +71,11 @@ type Grid struct {
 	Clusters []string `json:"clusters"`
 	// Policies lists allocation policies: "NP", "ED", "HD".
 	Policies []string `json:"policies"`
-	// SyncModes lists synchronization modes: SyncWSP and/or SyncHorovod.
-	// Empty means [SyncWSP].
+	// SyncModes lists synchronization modes: syncWSP and/or syncHorovod.
+	// Empty means [syncWSP].
 	SyncModes []string `json:"syncModes,omitempty"`
-	// Placements lists parameter placements: PlacementDefault and/or
-	// PlacementLocal. Empty means [PlacementDefault].
+	// Placements lists parameter placements: placementDefault and/or
+	// PlacementLocal. Empty means [placementDefault].
 	Placements []string `json:"placements,omitempty"`
 	// Schedules lists pipeline schedules (sched.Names: "hetpipe-fifo",
 	// "gpipe", "1f1b", "hetpipe-overlap"). Empty means the default
@@ -104,7 +104,7 @@ type Grid struct {
 	// WSP training simulation, Result.Throughput carries served
 	// requests/sec, and the latency percentiles fill in. Serving ignores
 	// the WSP clock bound and the parameter placement, so serving scenarios
-	// collapse the D and placement axes to a single D=0, PlacementDefault
+	// collapse the D and placement axes to a single D=0, placementDefault
 	// cell the way Horovod collapses the WSP-only axes. Mixing
 	// "" and serving specs in one grid ranks samples/sec against
 	// requests/sec within a model/cluster pair — keep grids single-workload
@@ -143,7 +143,7 @@ type Scenario struct {
 	Model string `json:"model"`
 	// Cluster is the cluster-catalog key.
 	Cluster string `json:"cluster"`
-	// SyncMode is SyncWSP or SyncHorovod.
+	// SyncMode is syncWSP or syncHorovod.
 	SyncMode string `json:"sync"`
 	// Policy is the allocation policy; empty for Horovod scenarios.
 	Policy string `json:"policy,omitempty"`
@@ -174,7 +174,7 @@ type Scenario struct {
 // gain a trailing "/f:<spec>" segment and serving scenarios a "/t:<spec>"
 // segment; fault-free training ones keep the bare form.
 func (s *Scenario) ID() string {
-	if s.SyncMode == SyncHorovod {
+	if s.SyncMode == syncHorovod {
 		return fmt.Sprintf("%s/%s/%s", s.Model, s.Cluster, s.SyncMode)
 	}
 	nm := fmt.Sprintf("nm%d", s.Nm)
@@ -223,11 +223,11 @@ func (g Grid) Expand() ([]Scenario, error) {
 	}
 	syncModes := dedup(g.SyncModes)
 	if len(syncModes) == 0 {
-		syncModes = []string{SyncWSP}
+		syncModes = []string{syncWSP}
 	}
 	placements := dedup(g.Placements)
 	if len(placements) == 0 {
-		placements = []string{PlacementDefault}
+		placements = []string{placementDefault}
 	}
 	schedules := dedup(g.Schedules)
 	if len(schedules) == 0 {
@@ -258,10 +258,10 @@ func (g Grid) Expand() ([]Scenario, error) {
 	for _, m := range dedup(g.Models) {
 		for _, cl := range dedup(g.Clusters) {
 			for _, sync := range syncModes {
-				if sync == SyncHorovod {
+				if sync == syncHorovod {
 					out = append(out, Scenario{
 						Index: len(out), Model: m, Cluster: cl,
-						SyncMode: SyncHorovod, Batch: batch,
+						SyncMode: syncHorovod, Batch: batch,
 					})
 					continue
 				}
@@ -294,7 +294,7 @@ func (g Grid) Expand() ([]Scenario, error) {
 											if pi > 0 {
 												continue
 											}
-											ds, place = []int{0}, PlacementDefault
+											ds, place = []int{0}, placementDefault
 										}
 										for _, d := range ds {
 											for _, nm := range nmValues {
@@ -359,11 +359,11 @@ func (g Grid) validate() error {
 	wsp := len(g.SyncModes) == 0
 	for _, s := range g.SyncModes {
 		switch s {
-		case SyncWSP:
+		case syncWSP:
 			wsp = true
-		case SyncHorovod:
+		case syncHorovod:
 		default:
-			return fmt.Errorf("sweep: unknown sync mode %q (want %q or %q)", s, SyncWSP, SyncHorovod)
+			return fmt.Errorf("sweep: unknown sync mode %q (want %q or %q)", s, syncWSP, syncHorovod)
 		}
 	}
 	if wsp && len(g.Policies) == 0 {
@@ -375,8 +375,8 @@ func (g Grid) validate() error {
 		}
 	}
 	for _, p := range g.Placements {
-		if p != PlacementDefault && p != PlacementLocal {
-			return fmt.Errorf("sweep: unknown placement %q (want %q or %q)", p, PlacementDefault, PlacementLocal)
+		if p != placementDefault && p != PlacementLocal {
+			return fmt.Errorf("sweep: unknown placement %q (want %q or %q)", p, placementDefault, PlacementLocal)
 		}
 	}
 	for _, s := range g.Schedules {

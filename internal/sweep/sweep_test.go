@@ -19,7 +19,7 @@ func testGrid() Grid {
 		Models:    []string{"vgg19"},
 		Clusters:  []string{"paper", "mini"},
 		Policies:  []string{"NP", "ED", "HD"},
-		SyncModes: []string{SyncWSP, SyncHorovod},
+		SyncModes: []string{syncWSP, syncHorovod},
 		DValues:   []int{0, 1},
 		NmValues:  []int{2},
 	}
@@ -45,7 +45,7 @@ func TestExpandCountsAndOrder(t *testing.T) {
 	// Horovod collapses the policy/placement/D/Nm axes.
 	horovod := 0
 	for _, sc := range scenarios {
-		if sc.SyncMode == SyncHorovod {
+		if sc.SyncMode == syncHorovod {
 			horovod++
 			if sc.Policy != "" || sc.Placement != "" || sc.D != 0 || sc.Nm != 0 {
 				t.Errorf("horovod scenario %s carries WSP axes", sc.ID())
@@ -85,11 +85,11 @@ func TestExpandServingCollapsesPlacement(t *testing.T) {
 		placements, traffics []string
 		want                 []string // Policy/Placement/Traffic per scenario, in order
 	}{
-		{[]string{PlacementDefault, PlacementLocal}, []string{"poisson:r60:n300"},
+		{[]string{placementDefault, PlacementLocal}, []string{"poisson:r60:n300"},
 			[]string{"ED/default/poisson:r60:n300", "NP/default/poisson:r60:n300"}},
 		{[]string{PlacementLocal}, []string{"poisson:r60:n300"},
 			[]string{"ED/default/poisson:r60:n300", "NP/default/poisson:r60:n300"}},
-		{[]string{PlacementLocal, PlacementDefault}, []string{"poisson:r60:n300", ""}, []string{
+		{[]string{PlacementLocal, placementDefault}, []string{"poisson:r60:n300", ""}, []string{
 			"ED/default/poisson:r60:n300", "ED/local/", "ED/default/",
 			"NP/default/poisson:r60:n300", "NP/local/", "NP/default/",
 		}},
@@ -159,7 +159,7 @@ func TestExpandRejectsInvalidAxes(t *testing.T) {
 	}
 	// A Horovod-only grid is valid without policies.
 	g := base
-	g.SyncModes = []string{SyncHorovod}
+	g.SyncModes = []string{syncHorovod}
 	g.Policies = nil
 	scenarios, err := g.Expand()
 	if err != nil {
@@ -224,7 +224,7 @@ func TestResultsCarryStructure(t *testing.T) {
 		if r.Throughput <= 0 {
 			t.Errorf("%s: throughput %g", r.Scenario.ID(), r.Throughput)
 		}
-		if r.Scenario.SyncMode != SyncWSP {
+		if r.Scenario.SyncMode != syncWSP {
 			continue
 		}
 		if len(r.PerVW) != r.Workers || len(r.Plans) != r.Workers {
@@ -265,7 +265,7 @@ func TestSummarizeRanksPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Summarize(set)
+	rows := summarize(set)
 	if len(rows) != 2 {
 		t.Fatalf("summary rows = %d, want 2 (vgg19 x {paper, mini})", len(rows))
 	}
@@ -284,7 +284,7 @@ func TestSummarizeRanksPairs(t *testing.T) {
 		// Horovod baseline included.
 		for _, r := range set.Results {
 			if r.Scenario.Model == row.Model && r.Scenario.Cluster == row.Cluster &&
-				r.Scenario.SyncMode == SyncHorovod && r.Throughput > row.Best.Throughput {
+				r.Scenario.SyncMode == syncHorovod && r.Throughput > row.Best.Throughput {
 				t.Errorf("%s/%s: winner %s (%g) loses to %s (%g)", row.Model, row.Cluster,
 					row.Best.Scenario.ID(), row.Best.Throughput, r.Scenario.ID(), r.Throughput)
 			}
@@ -341,7 +341,7 @@ func TestDeploymentReusePerFamily(t *testing.T) {
 	// still reflect each scenario's own D.
 	for i := range set.Results {
 		r := &set.Results[i]
-		if r.Scenario.SyncMode != SyncWSP || r.Error != "" {
+		if r.Scenario.SyncMode != syncWSP || r.Error != "" {
 			continue
 		}
 		if want := (r.Scenario.D+1)*r.Nm + r.Nm - 2; r.SGlobal != want {
@@ -372,8 +372,8 @@ func TestWarmCellAllocs(t *testing.T) {
 	want := -1.0
 	for _, policy := range []string{"ED", "HD", "NP"} {
 		for _, faults := range []string{"", "slow:w0:x2"} {
-			sc := Scenario{Model: "vgg19", Cluster: "paper", SyncMode: SyncWSP, Schedule: "hetpipe-fifo",
-				Policy: policy, Placement: PlacementDefault, Faults: faults, D: 2, Nm: 4, Batch: 32}
+			sc := Scenario{Model: "vgg19", Cluster: "paper", SyncMode: syncWSP, Schedule: "hetpipe-fifo",
+				Policy: policy, Placement: placementDefault, Faults: faults, D: 2, Nm: 4, Batch: 32}
 			if r := runScenario(ctx, sc, res, cs); r.Error != "" {
 				t.Fatalf("%s: %s", sc.ID(), r.Error)
 			}

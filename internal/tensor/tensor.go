@@ -78,16 +78,6 @@ func (v Vector) Dot(w Vector) float64 {
 // Norm2 returns the Euclidean norm.
 func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Sub returns v - w as a new vector.
-func (v Vector) Sub(w Vector) Vector {
-	checkLen(len(v), len(w))
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
 // DistanceSquared returns 0.5*||v-w||^2, the D(w||w') of the paper's
 // convergence analysis (Assumption 2).
 func (v Vector) DistanceSquared(w Vector) float64 {

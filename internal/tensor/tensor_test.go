@@ -28,10 +28,6 @@ func TestVectorOps(t *testing.T) {
 	if !almostEq(u[1], 6) {
 		t.Errorf("scale = %v", u)
 	}
-	d := w.Sub(v)
-	if !almostEq(d[0], 3) {
-		t.Errorf("sub = %v", d)
-	}
 	if got := (Vector{3, 4}).Norm2(); !almostEq(got, 5) {
 		t.Errorf("norm = %v, want 5", got)
 	}

@@ -73,8 +73,8 @@ func (t *Trace) StageSpans(stage int) []Span {
 	return out
 }
 
-// End reports the latest span end time.
-func (t *Trace) End() sim.Time {
+// end reports the latest span end time.
+func (t *Trace) end() sim.Time {
 	var end sim.Time
 	for _, s := range t.Spans {
 		if s.End > end {
@@ -91,7 +91,7 @@ func (t *Trace) Gantt(width int) string {
 	if width < 10 {
 		width = 10
 	}
-	end := t.End()
+	end := t.end()
 	if end <= 0 {
 		return "(empty trace)\n"
 	}
@@ -122,6 +122,9 @@ func (t *Trace) Gantt(width int) string {
 		}
 		fmt.Fprintf(&b, "GPU%d |%s|\n", stage+1, string(row))
 	}
-	fmt.Fprintf(&b, "      0%sT=%.3fs\n", strings.Repeat(" ", width-len(fmt.Sprintf("T=%.3fs", float64(end)))-1), float64(end))
+	// The axis puts the span's label flush right; a label wider than the
+	// chart (long spans at small widths) runs past it instead.
+	axis := fmt.Sprintf("T=%.3fs", float64(end))
+	fmt.Fprintf(&b, "      0%s%s\n", strings.Repeat(" ", max(width-len(axis)-1, 0)), axis)
 	return b.String()
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"strings"
 	"testing"
+
+	"hetpipe/internal/sim"
 )
 
 func TestTraceSpansAndEnd(t *testing.T) {
@@ -11,7 +13,7 @@ func TestTraceSpansAndEnd(t *testing.T) {
 	tr.Add(0, 1, Backward, 3, 4)
 	tr.Add(1, 1, Forward, 1, 2)
 	tr.Add(1, 1, Backward, 2, 3)
-	if got := tr.End(); got != 4 {
+	if got := tr.end(); got != 4 {
 		t.Errorf("end = %v, want 4", got)
 	}
 	spans := tr.StageSpans(0)
@@ -64,5 +66,25 @@ func TestGanttEmpty(t *testing.T) {
 func TestSpanKindString(t *testing.T) {
 	if Forward.String() != "fwd" || Backward.String() != "bwd" || Transfer.String() != "xfer" {
 		t.Error("kind strings wrong")
+	}
+}
+
+func TestGanttAxisOutgrowsNarrowWidths(t *testing.T) {
+	// At the minimum width a run of 100 s or more has an axis label wider
+	// than the chart; the label must run past the chart, not panic.
+	for _, tc := range []struct {
+		end   sim.Time
+		width int
+		label string
+	}{
+		{160.168, 10, "T=160.168s"},
+		{1e6 + 0.5, 12, "T=1000000.500s"},
+	} {
+		tr := New(1)
+		tr.Add(0, 1, Forward, 0, tc.end)
+		lines := strings.Split(strings.TrimRight(tr.Gantt(tc.width), "\n"), "\n")
+		if axis := lines[len(lines)-1]; !strings.HasSuffix(axis, tc.label) {
+			t.Errorf("span %g at width %d: axis %q, want it to end in %q", tc.end, tc.width, axis, tc.label)
+		}
 	}
 }

@@ -30,8 +30,8 @@ type MLP struct {
 	scratch sync.Pool
 }
 
-// NewMLP builds the task.
-func NewMLP(train, eval *data.Dataset, hidden, batch int, seed int64) (*MLP, error) {
+// newMLP builds the task.
+func newMLP(train, eval *data.Dataset, hidden, batch int, seed int64) (*MLP, error) {
 	if train.Classes != eval.Classes || train.Dim != eval.Dim {
 		return nil, fmt.Errorf("train: mismatched datasets")
 	}
@@ -190,5 +190,5 @@ func DefaultMLPTask(seed int64) (*MLP, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewMLP(tr, ev, 24, 32, seed)
+	return newMLP(tr, ev, 24, 32, seed)
 }

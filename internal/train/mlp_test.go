@@ -18,7 +18,7 @@ func mlpTask(t *testing.T) *MLP {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMLP(tr, ev, 24, 32, 3)
+	m, err := newMLP(tr, ev, 24, 32, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,10 @@ func TestMLPInitIsDeterministicAndNonZero(t *testing.T) {
 func TestMLPValidation(t *testing.T) {
 	ds, _ := data.SyntheticClassification(1, 100, 4, 2, 0.4)
 	tr, ev, _ := ds.Split(0.5)
-	if _, err := NewMLP(tr, ev, 0, 8, 1); err == nil {
+	if _, err := newMLP(tr, ev, 0, 8, 1); err == nil {
 		t.Error("zero hidden units accepted")
 	}
-	if _, err := NewMLP(tr, ev, 4, 0, 1); err == nil {
+	if _, err := newMLP(tr, ev, 4, 0, 1); err == nil {
 		t.Error("zero batch accepted")
 	}
 }

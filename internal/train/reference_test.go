@@ -267,7 +267,7 @@ func TestGradMatchesReferenceBitForBit(t *testing.T) {
 			// per shape cover them: a steep clipped one and a gentle raw one.
 			for _, knobs := range []struct{ clip, l2, lr float64 }{{0.02 + 0.1*rng.Float64(), 0, 4}, {0, 1e-2, 0.4}} {
 				what := fmt.Sprintf("d=%d h=%d c=%d n=%d batch=%d clip=%.3g", d, h, c, tr.Len(), batch, knobs.clip)
-				m, err := NewMLP(tr, ev, h, batch, rng.Int63())
+				m, err := newMLP(tr, ev, h, batch, rng.Int63())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -326,7 +326,7 @@ func TestGradSumsFromPositiveZero(t *testing.T) {
 		x.Zero()
 	}
 	for _, batch := range []int{1, 5} {
-		m, err := NewMLP(tr, ev, 5, batch, 9)
+		m, err := newMLP(tr, ev, 5, batch, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,12 +70,12 @@ func (p Params) Wave(mb int) int {
 	return (mb - 1) / p.WaveSize()
 }
 
-// PosInWave reports the 0-based position of minibatch mb within its wave.
-func (p Params) PosInWave(mb int) int { return (mb - 1) % p.WaveSize() }
+// posInWave reports the 0-based position of minibatch mb within its wave.
+func (p Params) posInWave(mb int) int { return (mb - 1) % p.WaveSize() }
 
 // IsWaveEnd reports whether minibatch mb is the last of its wave — the one
 // whose start is gated on the global clock.
-func (p Params) IsWaveEnd(mb int) bool { return p.PosInWave(mb) == p.SLocal }
+func (p Params) IsWaveEnd(mb int) bool { return p.posInWave(mb) == p.SLocal }
 
 // RequiredGlobalClock reports the minimum global clock needed before
 // minibatch mb may start: the last minibatch of wave w requires global clock
@@ -143,9 +143,6 @@ func (c *Coordinator) Reset(p Params) error {
 	c.started = append(c.started[:0], make([]int, p.Workers)...)
 	return nil
 }
-
-// Params returns the configuration.
-func (c *Coordinator) Params() Params { return c.params }
 
 // CanStart reports whether worker w may start minibatch mb now. Minibatches
 // must be started in order; gating applies only to wave-end minibatches.

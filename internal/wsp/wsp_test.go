@@ -119,11 +119,12 @@ func TestCompleteWavesAndGatedPulls(t *testing.T) {
 
 func TestCoordinatorBSPLikeD0(t *testing.T) {
 	// Two workers, D=0: neither may finish wave 1 before both push wave 0.
-	c, err := NewCoordinator(params(3, 0, 2))
+	p := params(3, 0, 2)
+	c, err := NewCoordinator(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := c.Params().WaveSize()
+	ws := p.WaveSize()
 	// Worker 0 starts wave 0 and the first slocal of wave 1 freely.
 	for mb := 1; mb <= ws+3; mb++ {
 		if !c.CanStart(0, mb) {
@@ -153,11 +154,12 @@ func TestCoordinatorDistanceBound(t *testing.T) {
 	// A fast worker and a stalled worker: the fast worker can push at most
 	// D+1 waves before blocking.
 	for _, d := range []int{0, 1, 4} {
-		c, err := NewCoordinator(params(2, d, 2))
+		p := params(2, d, 2)
+		c, err := NewCoordinator(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := c.Params().WaveSize()
+		ws := p.WaveSize()
 		pushes := 0
 		mb := 0
 		for {
@@ -166,7 +168,7 @@ func TestCoordinatorDistanceBound(t *testing.T) {
 			}
 			mb++
 			c.Start(0, mb)
-			if c.Params().IsWaveEnd(mb) {
+			if p.IsWaveEnd(mb) {
 				c.Push(0)
 				pushes++
 			}
