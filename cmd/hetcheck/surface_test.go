@@ -14,7 +14,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"hetpipe/internal/analysis/driver"
 )
 
 // TestSurface holds internal/ to the names something else reads. Every
@@ -27,13 +30,7 @@ import (
 // waived by `//hetlint:allow surface <reason>` in its doc comment or on its
 // line.
 func TestSurface(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks both modules from source")
-	}
-	s, err := scanSurface(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := loadScan(t)
 	for _, c := range surfaceClasses {
 		t.Logf("%-34s %4d", c, len(s.byClass[c]))
 	}
@@ -42,6 +39,28 @@ func TestSurface(t *testing.T) {
 	for _, f := range s.findings {
 		t.Error(f)
 	}
+}
+
+// scan is the one source load of both modules that TestSurface and TestLint
+// share: the standard library and every package are type-checked once per
+// test binary.
+var scan struct {
+	once sync.Once
+	s    *surfaceScan
+	err  error
+}
+
+// loadScan returns the shared load, skipping the test under -short.
+func loadScan(t *testing.T) *surfaceScan {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks both modules from source")
+	}
+	scan.once.Do(func() { scan.s, scan.err = scanSurface(filepath.Join("..", "..")) })
+	if scan.err != nil {
+		t.Fatal(scan.err)
+	}
+	return scan.s
 }
 
 // The classes a scanned name falls in, in the order the log lists them; a
@@ -77,7 +96,7 @@ type surfaceScan struct {
 	std     types.Importer
 	mods    [][2]string // module path, directory; bench/ first, as the longer path
 	files   map[string]*ast.File
-	prod    map[string]*types.Package
+	prod    map[string]*driver.Package // production files, full types.Info
 	reads   map[token.Pos]reader
 	objs    map[token.Pos]types.Object
 	reached map[token.Pos]bool
@@ -99,7 +118,7 @@ func scanSurface(root string) (*surfaceScan, error) {
 		fset:    token.NewFileSet(),
 		mods:    [][2]string{{"hetpipe/bench", filepath.Join(root, "bench")}, {"hetpipe", root}},
 		files:   map[string]*ast.File{},
-		prod:    map[string]*types.Package{},
+		prod:    map[string]*driver.Package{},
 		reads:   map[token.Pos]reader{},
 		objs:    map[token.Pos]types.Object{},
 		reached: map[token.Pos]bool{},
@@ -142,7 +161,7 @@ func scanSurface(root string) (*surfaceScan, error) {
 	s.implements = s.implementations()
 	for _, path := range paths {
 		if pkg := s.prod[path]; pkg != nil && strings.HasPrefix(path, "hetpipe/internal/") {
-			s.classify(pkg)
+			s.classify(pkg.Types)
 		}
 	}
 	for _, names := range s.byClass {
@@ -167,10 +186,11 @@ type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// load type-checks the production files of a module package.
+// load type-checks the production files of a module package, with the
+// full types.Info the analyzers read.
 func (s *surfaceScan) load(path string) (*types.Package, error) {
 	if pkg, ok := s.prod[path]; ok {
-		return pkg, nil
+		return pkg.Types, nil
 	}
 	dir, ok := s.dir(path)
 	if !ok {
@@ -180,9 +200,17 @@ func (s *surfaceScan) load(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := s.typecheck(path, path, dir, bp.GoFiles, importerFunc(s.load), byCode)
+	files, err := s.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := driver.Check(s.fset, importerFunc(s.load), path, files)
+	if err != nil {
+		return nil, err
+	}
 	s.prod[path] = pkg
-	return pkg, err
+	s.record(pkg.Info, path, byCode)
+	return pkg.Types, nil
 }
 
 // check loads a package and its tests, recording what each reads.
@@ -201,7 +229,7 @@ func (s *surfaceScan) check(path string) error {
 	self := importerFunc(s.load)
 	if len(bp.TestGoFiles) > 0 {
 		files := append(append([]string(nil), bp.GoFiles...), bp.TestGoFiles...)
-		pkg, err := s.typecheck(path, path, dir, files, self, byTests)
+		pkg, err := s.typecheck(path, path, dir, files, self)
 		if err != nil {
 			return err
 		}
@@ -213,29 +241,20 @@ func (s *surfaceScan) check(path string) error {
 		}
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		if _, err := s.typecheck(path+"_test", path, dir, bp.XTestGoFiles, self, byTests); err != nil {
+		if _, err := s.typecheck(path+"_test", path, dir, bp.XTestGoFiles, self); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// typecheck checks one package's files and records every module object of
-// another package they use as read by `by` (by bench/, for its packages);
-// home is the package whose own reads do not count.
-func (s *surfaceScan) typecheck(path, home, dir string, names []string, imp types.Importer, by reader) (*types.Package, error) {
-	var files []*ast.File
-	for _, name := range names {
-		name = filepath.Join(dir, name)
-		f, ok := s.files[name]
-		if !ok {
-			var err error
-			if f, err = parser.ParseFile(s.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution); err != nil {
-				return nil, err
-			}
-			s.files[name] = f
-		}
-		files = append(files, f)
+// typecheck checks one package's test files with the production files they
+// extend, recording what they read as read by tests; home is the package
+// whose own reads do not count.
+func (s *surfaceScan) typecheck(path, home, dir string, names []string, imp types.Importer) (*types.Package, error) {
+	files, err := s.parse(dir, names)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: imp}
@@ -250,7 +269,32 @@ func (s *surfaceScan) typecheck(path, home, dir string, names []string, imp type
 	if err != nil && !xtest {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	if strings.HasPrefix(home+"/", s.mods[0][0]+"/") {
+	s.record(info, home, byTests)
+	return pkg, nil
+}
+
+// parse parses the named files of dir, each once per scan.
+func (s *surfaceScan) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		name = filepath.Join(dir, name)
+		f, ok := s.files[name]
+		if !ok {
+			var err error
+			if f, err = parser.ParseFile(s.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution); err != nil {
+				return nil, err
+			}
+			s.files[name] = f
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// record marks every module object of another package than home that info
+// uses as read by `by` (by bench/, for bench/'s packages).
+func (s *surfaceScan) record(info *types.Info, home string, by reader) {
+	if s.inBench(home) {
 		by = byBench
 	}
 	for _, obj := range info.Uses {
@@ -263,7 +307,11 @@ func (s *surfaceScan) typecheck(path, home, dir string, names []string, imp type
 		s.reads[obj.Pos()] |= by
 		s.objs[obj.Pos()] = obj
 	}
-	return pkg, nil
+}
+
+// inBench reports whether a module import path is in the bench/ module.
+func (s *surfaceScan) inBench(path string) bool {
+	return strings.HasPrefix(path+"/", s.mods[0][0]+"/")
 }
 
 // reach marks every module type that t names, through the exported
@@ -371,7 +419,7 @@ func (s *surfaceScan) implementations() map[token.Pos]bool {
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		visit(s.prod[path], true)
+		visit(s.prod[path].Types, true)
 	}
 	out := map[token.Pos]bool{}
 	for _, it := range ifaces {

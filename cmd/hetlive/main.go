@@ -73,8 +73,10 @@ func main() {
 		"cpuprofile", "memprofile")
 	flag.Parse()
 
-	if f.Nm < 1 {
-		fatalf("-nm must be >= 1")
+	// -deploy plans Nm itself when -nm is 0; the other modes run the WSP
+	// protocol at the Nm they are given.
+	if f.Nm < 1 && !*deploy {
+		fatalf("-nm must be >= 1 (0 = auto needs -deploy)")
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

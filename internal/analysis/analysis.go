@@ -6,10 +6,11 @@
 // The framework mirrors the golang.org/x/tools/go/analysis shape (an
 // Analyzer runs over a type-checked Pass and reports Diagnostics) but is
 // built on the standard library alone, so the module stays dependency-free.
-// hetlint receives its packages through cmd/go's vettool protocol
-// (`go vet -vettool=hetlint ./...`) and the tests from testdata fixtures;
-// the driver subpackage type-checks both, and the analyzers are agnostic to
-// how the Pass was produced.
+// The suite runs as a test: cmd/hetcheck's TestLint type-checks every
+// production package of the module from source and fails on any finding, so
+// `go test ./...` lints. The analyzers' own tests run them over testdata
+// fixtures (analysistest). Both hand their packages to the driver
+// subpackage, and the analyzers are agnostic to how the Pass was produced.
 //
 // Analyzers consult three source directives:
 //
@@ -44,8 +45,8 @@ import (
 )
 
 // Analyzer is one static check. Run inspects the Pass and reports findings
-// through pass.reportf; a non-nil error aborts the whole hetlint run (it
-// signals a broken analyzer, not a finding).
+// through pass.reportf; a non-nil error aborts the whole run (it signals a
+// broken analyzer, not a finding).
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics.
 	Name string

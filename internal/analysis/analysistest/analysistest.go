@@ -17,6 +17,7 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -43,53 +44,41 @@ type Package struct {
 	Dir  string
 }
 
+// The harness's FileSet and importer, shared by every Run in a test binary so
+// that the standard library packages the fixtures import are type-checked
+// from source once. The source importer is not safe for concurrent use;
+// stdMu serializes Runs.
+var (
+	stdMu sync.Mutex
+	fset  = token.NewFileSet()
+	std   = importer.ForCompiler(fset, "source", nil)
+)
+
+type importerFunc func(string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // Run loads the fixture packages in order (earlier packages are importable
 // by later ones), applies the analyzer to every one, and reports mismatches
 // between diagnostics and want comments through t.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...Package) {
 	t.Helper()
-	fset := token.NewFileSet()
+	stdMu.Lock()
+	defer stdMu.Unlock()
 	locals := make(map[string]*types.Package)
-
-	type parsedPkg struct {
-		Package
-		files []*ast.File
-	}
-	var (
-		parsed []parsedPkg
-		std    []string
-		stdSet = make(map[string]bool)
-		local  = make(map[string]bool)
-	)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := locals[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	var checked []*driver.Package
 	for _, p := range pkgs {
-		local[p.Path] = true
-	}
-	for _, p := range pkgs {
-		files, err := parseDir(fset, p.Dir)
+		files, err := parseDir(p.Dir)
 		if err != nil {
 			t.Fatalf("parsing fixture %s: %v", p.Dir, err)
 		}
-		for _, f := range files {
-			for _, imp := range f.Imports {
-				path, _ := strconv.Unquote(imp.Path.Value)
-				if !local[path] && !stdSet[path] {
-					stdSet[path] = true
-					std = append(std, path)
-				}
-			}
-		}
-		parsed = append(parsed, parsedPkg{Package: p, files: files})
-	}
-
-	exports, err := stdExports(std)
-	if err != nil {
-		t.Fatalf("resolving standard library exports: %v", err)
-	}
-	imp := driver.NewImporter(fset, exports, locals)
-
-	var checked []*driver.Package
-	for _, p := range parsed {
-		pkg, err := driver.Check(fset, imp, p.Path, p.files)
+		pkg, err := driver.Check(fset, imp, p.Path, files)
 		if err != nil {
 			t.Fatalf("fixture %s: %v", p.Dir, err)
 		}
@@ -101,7 +90,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgs ...Package) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchWants(t, fset, checked, diags)
+	matchWants(t, checked, diags)
 }
 
 // want is one expectation: a regexp pinned to a file line.
@@ -118,7 +107,7 @@ var wantRe = regexp.MustCompile("//\\s*want\\s+((?:(?:`[^`]*`|\"(?:[^\"\\\\]|\\\
 // quotedRe splits the expectation list into individual quoted strings.
 var quotedRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-func matchWants(t *testing.T, fset *token.FileSet, pkgs []*driver.Package, diags []analysis.Diagnostic) {
+func matchWants(t *testing.T, pkgs []*driver.Package, diags []analysis.Diagnostic) {
 	t.Helper()
 	var wants []*want
 	for _, pkg := range pkgs {
@@ -175,7 +164,7 @@ func claim(wants []*want, d analysis.Diagnostic) bool {
 }
 
 // parseDir parses every .go file in dir, sorted by name for determinism.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+func parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -199,40 +188,4 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// stdExports caches `go list -export` results across Run calls so each test
-// binary shells out once per new import path set.
-var (
-	stdMu    sync.Mutex
-	stdCache = map[string]string{}
-	stdSeen  = map[string]bool{}
-)
-
-func stdExports(paths []string) (map[string]string, error) {
-	stdMu.Lock()
-	defer stdMu.Unlock()
-	var missing []string
-	for _, p := range paths {
-		if !stdSeen[p] {
-			missing = append(missing, p)
-		}
-	}
-	if len(missing) > 0 {
-		m, err := driver.StdExports(missing...)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range m {
-			stdCache[k] = v
-		}
-		for _, p := range missing {
-			stdSeen[p] = true
-		}
-	}
-	out := make(map[string]string, len(stdCache))
-	for k, v := range stdCache {
-		out[k] = v
-	}
-	return out, nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // analyzer returns the suite's analyzer of the given name: the tests reach
-// the analyzers the way hetlint does, through All.
+// the analyzers the way TestLint does, through All.
 func analyzer(t *testing.T, name string) *analysis.Analyzer {
 	t.Helper()
 	for _, a := range analysis.All() {

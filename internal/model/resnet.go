@@ -12,27 +12,35 @@ import "fmt"
 // convolutions, their batch norms and ReLUs, and the projection shortcut
 // where the block changes shape. The construction yields ~60.2 M trainable
 // parameters (~230 MB in float32), matching the paper's quoted size.
-func ResNet152() *Model {
-	b := newBuilder("ResNet-152", 58, 224, 224, 3)
+func ResNet152() *Model { return resNet("ResNet-152", [4]int{3, 8, 36, 3}) }
+
+// ResNet50 builds ResNet-50 (bottleneck depths [3,4,6,3]): the standard
+// smaller residual model, ~25.6 M parameters.
+func ResNet50() *Model { return resNet("ResNet-50", [4]int{3, 4, 6, 3}) }
+
+// resNet builds a bottleneck ResNet with depths[s] blocks in stage s+2: the
+// stem, the four stages (the first block of stages 3-5 strides by 2), global
+// average pooling and the classifier.
+func resNet(name string, depths [4]int) *Model {
+	layers := 8 // conv1, its BN and ReLU, pool1; pool5, flatten, fc1000, softmax
+	for _, n := range depths {
+		layers += n
+	}
+	b := newBuilder(name, layers, 224, 224, 3)
 	b.conv("conv1", 64, 7, 2, 3, false)
 	b.bn("conv1_bn")
 	b.relu("conv1_relu")
 	b.maxPool("pool1", 3, 2)
-
-	stage := func(idx, blocks, mid, out int, firstStride int) {
-		for i := 0; i < blocks; i++ {
+	for s, n := range depths {
+		mid := 64 << s
+		for i := 0; i < n; i++ {
 			stride := 1
-			if i == 0 {
-				stride = firstStride
+			if i == 0 && s > 0 {
+				stride = 2
 			}
-			bottleneck(b, fmt.Sprintf("res%db%d", idx, i), mid, out, stride)
+			bottleneck(b, fmt.Sprintf("res%db%d", s+2, i), mid, 4*mid, stride)
 		}
 	}
-	stage(2, 3, 64, 256, 1)
-	stage(3, 8, 128, 512, 2)
-	stage(4, 36, 256, 1024, 2)
-	stage(5, 3, 512, 2048, 2)
-
 	b.globalAvgPool("pool5")
 	b.flatten("flatten")
 	b.fc("fc1000", 1000)

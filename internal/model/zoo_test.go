@@ -69,15 +69,20 @@ func TestZooOrdering(t *testing.T) {
 }
 
 // TestZooModelsValidate: the constructors do not validate what they build
-// (core.NewSystemSched validates every model it is given), so this does.
+// (core.NewSystemSched validates every model it is given), so this does. It
+// also holds each zoo row's display name, which ByName accepts, to the name
+// the constructor gives the model.
 func TestZooModelsValidate(t *testing.T) {
-	for _, name := range Names() {
-		m, err := ByName(name)
+	for _, z := range zoo {
+		m, err := ByName(z.key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", z.key, err)
+		}
+		if m.Name != z.name {
+			t.Errorf("%s: table says %q, model is %q", z.key, z.name, m.Name)
 		}
 	}
 }
