@@ -16,10 +16,11 @@
 // Workers of one class share one partition and one simulation per Nm, and the
 // per-worker pass after the Nm search is all memo hits. The memo keeps each
 // partition's cuts, not a plan: only the chosen Nm's plans are priced, once
-// per worker, each bound to its own GPUs and in storage of its own. The only
-// state that outlives a context is the System's immutable cost tables and
-// the engine, Runner and scratch plan, which the next context on the System
-// reuses.
+// per worker, each bound to its own GPUs and in storage of its own. All of a
+// context's scratch — partitioner, engine, Runner, scratch plan, memo and
+// slabs — is one kit from a process-wide free list, which the next context,
+// on any System, reuses; the only state the context leaves its System is the
+// immutable cost tables.
 //
 // The Nm search does only the planning its answer needs. It finds each
 // class's feasible range by planning Nm = 1, 2, ... up to the first that does
@@ -95,10 +96,6 @@ type System struct {
 	// would otherwise each rebuild them. tabMu guards the pointer.
 	tabMu sync.Mutex
 	tab   *profile.Tables
-	// kits is the solo-run scratch finished planning contexts handed back,
-	// for the next one to reuse; kitMu guards it.
-	kitMu sync.Mutex
-	kits  []*soloKit
 }
 
 // NewSystemSched validates and bundles the ingredients under pipeline
@@ -190,7 +187,7 @@ func (s *System) SoloVW(vw *hw.VirtualWorker, nm, minibatches, warmup int) (*VWP
 	if _, err := pc.own(plan, vw, nm); err != nil {
 		return nil, pipeline.Summary{}, err
 	}
-	sum, err := pc.kit.run.Run(pc.kit.eng, pipeline.Config{
+	sum, err := pc.run.Run(pc.eng, pipeline.Config{
 		Plan: plan, Schedule: s.Schedule,
 		Minibatches: minibatches, Warmup: warmup,
 	})
@@ -372,15 +369,13 @@ func (s *System) syncTimes(vp *VWPlan, placement PlacementKind, nVWs int, hot in
 // ps.RoundRobin places them: what default placement's syncTimes charges.
 func (s *System) hotServerBytes() int64 {
 	h := len(s.Cluster.Nodes)
-	perServer := make([]int64, h)
-	for li := range s.Model.Layers {
-		perServer[li%h] += s.Model.Layers[li].WeightBytes()
-	}
 	var hot int64
-	for _, b := range perServer {
-		if b > hot {
-			hot = b
+	for server := range h {
+		var b int64
+		for li := server; li < len(s.Model.Layers); li += h {
+			b += s.Model.Layers[li].WeightBytes()
 		}
+		hot = max(hot, b)
 	}
 	return hot
 }

@@ -37,8 +37,8 @@ func deploy(t testing.TB, m *model.Model, policy hw.Policy, nm, d int, pl Placem
 	return dep
 }
 
-// TestSoloVWMatchesPipeline: SoloVW runs on the System's warm planning kit,
-// which a Deploy has just used for other windows, and must still report
+// TestSoloVWMatchesPipeline: SoloVW runs on a warm planning kit, which a
+// Deploy has just used for other windows, and must still report
 // exactly what a cold run of the same plan and window on a fresh engine does.
 func TestSoloVWMatchesPipeline(t *testing.T) {
 	s := sys(t, model.VGG19())

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/partition"
@@ -19,10 +21,10 @@ import (
 // class — the GPU type of every stage and the kind of link into it — so
 // workers of one class (ED's four VRGQ workers, say) share one partition and
 // one simulation per Nm, and Deploy's per-worker pass finds what the Nm
-// search already made. The context owns everything mutable: one partitioner
-// (DP scratch), the solo runs' kit, the memo. Nothing outlives it but the cost
-// tables, which the System shares because they are immutable, and the kit,
-// which it hands back to the System for the next context.
+// search already made. Everything mutable lives in the context's kit, which it
+// borrows from a process-wide free list and hands back when released: nothing
+// outlives the context but the cost tables, which the System shares because
+// they are immutable.
 //
 // The memo keeps what the search needs of each (class, Nm) — the optimal
 // cuts, the solo figures, the round-trip bound — and no plan: of the plans
@@ -32,13 +34,8 @@ import (
 // priced once, for that worker, by Deploy's per-worker pass (solo).
 type planning struct {
 	sys *System
-	pt  *partition.Partitioner
-	kit *soloKit
+	*kit
 
-	// classes are the classes of newPlanning's workers; their signatures
-	// lie end to end in sigs.
-	classes []planClass
-	sigs    []stageClass
 	// Every class's memo row covers Nm in [lo, lo+width): the Nm search's
 	// whole range, or the one Nm the caller gave.
 	lo, width int
@@ -98,7 +95,7 @@ type planClass struct {
 // soloPlan is what the context knows about one (class, Nm).
 type soloPlan struct {
 	// cuts are the partitioner's optimal cuts once planned, in a window of
-	// the context's slab; err is its error.
+	// the kit's cuts slab; err is its error.
 	planned bool
 	cuts    []int
 	err     error
@@ -122,32 +119,59 @@ func (s *System) tables() *profile.Tables {
 	return s.tab
 }
 
-// soloKit is the warm scratch of a context's solo runs: one engine, the
-// Runner that keeps their pipeline and fast-forwards them, and the plan the
-// Nm search prices each (class, Nm) into before it runs or bounds it. Nothing
-// a run returns points into it.
-type soloKit struct {
+// kit is a planning context's scratch: the partitioner and its DP slabs, the
+// solo runs' engine and the Runner that keeps their pipeline and
+// fast-forwards them, the plan the Nm search prices each (class, Nm) into
+// before it runs or bounds it, and the slabs of the context's classes,
+// signatures, memo rows and cuts. Nothing a context returns points into it.
+type kit struct {
+	pt   partition.Partitioner
 	eng  *sim.Engine
 	run  pipeline.Runner
 	plan partition.Plan
+
+	// classes are the classes of newPlanning's workers; their signatures
+	// lie end to end in sigs, their memo rows in memo, and the rows' cuts
+	// in cuts.
+	classes []planClass
+	sigs    []stageClass
+	memo    []soloPlan
+	cuts    []int
+}
+
+// kits is the free list every planning context borrows its kit from, so a
+// process that plans again — a sweep resolving family after family on one
+// System, or New after New on fresh ones — plans on warm scratch. It keeps at
+// most GOMAXPROCS kits, as many as can plan at once. Unlike a sync.Pool it
+// keeps them through garbage collections, so what a context allocates does
+// not depend on when the collector last ran.
+var kits struct {
+	mu   sync.Mutex
+	free []*kit
 }
 
 // newPlanning opens a planning context for the workers vws over Nm in
-// [lo, lo+width): it registers their classes and sizes the memo once, for
-// exactly those. The context plans for no other worker.
-func (s *System) newPlanning(vws []*hw.VirtualWorker, lo, width int) *planning {
-	pc := &planning{
-		sys:     s,
-		pt:      partition.NewShared(s.tables(), s.schedule(), s.Interleave),
-		classes: make([]planClass, 0, len(vws)),
-		lo:      lo,
-		width:   width,
+// [lo, lo+width) on a kit from the free list: it registers their classes and
+// sizes the memo once, for exactly those. The context plans for no other
+// worker. It is returned by value, to live in its caller's frame: opening one
+// allocates nothing when the free list holds a kit grown for it.
+func (s *System) newPlanning(vws []*hw.VirtualWorker, lo, width int) planning {
+	kits.mu.Lock()
+	var k *kit
+	if n := len(kits.free); n > 0 {
+		k, kits.free = kits.free[n-1], kits.free[:n-1]
 	}
+	kits.mu.Unlock()
+	if k == nil {
+		k = &kit{eng: sim.New()}
+	}
+	pc := planning{sys: s, kit: k, lo: lo, width: width}
+	pc.pt.Reset(s.tables(), s.schedule(), s.Interleave)
 	gpus, most := 0, 0
 	for _, vw := range vws {
 		gpus, most = gpus+len(vw.GPUs), max(most, len(vw.GPUs))
 	}
-	pc.sigs = make([]stageClass, 0, gpus+most)
+	pc.classes, pc.sigs = pc.classes[:0], slices.Grow(pc.sigs[:0], gpus+most)
 	for _, vw := range vws {
 		pc.class(vw)
 	}
@@ -156,7 +180,10 @@ func (s *System) newPlanning(vws []*hw.VirtualWorker, lo, width int) *planning {
 	for _, c := range pc.classes {
 		cuts += len(c.sig)*v + 1
 	}
-	memo, slab := make([]soloPlan, len(pc.classes)*width), make([]int, cuts*width)
+	pc.memo = slices.Grow(pc.memo[:0], len(pc.classes)*width)[:len(pc.classes)*width]
+	pc.cuts = slices.Grow(pc.cuts[:0], cuts*width)[:cuts*width]
+	clear(pc.memo)
+	memo, slab := pc.memo, pc.cuts
 	for i := range pc.classes {
 		c := &pc.classes[i]
 		c.memo, memo = memo[:width:width], memo[width:]
@@ -165,25 +192,17 @@ func (s *System) newPlanning(vws []*hw.VirtualWorker, lo, width int) *planning {
 			c.memo[e].cuts, slab = slab[:n:n], slab[n:]
 		}
 	}
-	s.kitMu.Lock()
-	if n := len(s.kits); n > 0 {
-		pc.kit, s.kits = s.kits[n-1], s.kits[:n-1]
-	}
-	s.kitMu.Unlock()
-	if pc.kit == nil {
-		pc.kit = &soloKit{eng: sim.New()}
-	}
 	return pc
 }
 
-// release hands the context's kit back to its System, so that a System that
-// plans again — a sweep resolving family after family — runs on a warm one.
-// The context simulates nothing after it.
+// release hands the context's kit back to the free list, unless the list is
+// full. The context plans nothing after it.
 func (pc *planning) release() {
-	s := pc.sys
-	s.kitMu.Lock()
-	s.kits = append(s.kits, pc.kit)
-	s.kitMu.Unlock()
+	kits.mu.Lock()
+	if len(kits.free) < runtime.GOMAXPROCS(0) {
+		kits.free = append(kits.free, pc.kit)
+	}
+	kits.mu.Unlock()
 	pc.kit = nil
 }
 
@@ -229,11 +248,11 @@ func (pc *planning) simulate(sp *soloPlan, plan *partition.Plan) error {
 		sp.simulated = true
 		pc.soloWindows++
 		pc.soloMB += measureMB(plan.Nm)
-		s, err := pc.kit.run.Run(pc.kit.eng, pipeline.Config{
+		s, err := pc.run.Run(pc.eng, pipeline.Config{
 			Plan: plan, Schedule: pc.sys.Schedule,
 			Minibatches: measureMB(plan.Nm), Warmup: warmupMB(plan.Nm),
 		})
-		pc.skippedMB += pc.kit.run.Skipped()
+		pc.skippedMB += pc.run.Skipped()
 		sp.throughput, sp.simErr = s.Throughput, err
 	}
 	return sp.simErr
@@ -247,10 +266,10 @@ func (pc *planning) soloRun(vw *hw.VirtualWorker, nm int) (*soloPlan, error) {
 		return nil, sp.err
 	}
 	if !sp.simulated {
-		if _, err := pc.own(&pc.kit.plan, vw, nm); err != nil {
+		if _, err := pc.own(&pc.plan, vw, nm); err != nil {
 			return nil, err
 		}
-		pc.simulate(sp, &pc.kit.plan)
+		pc.simulate(sp, &pc.plan)
 	}
 	if sp.simErr != nil {
 		return nil, sp.simErr
@@ -300,10 +319,10 @@ func (pc *planning) bound(alloc *hw.Allocation, nm int) (float64, error) {
 	for _, vw := range alloc.VWs {
 		sp := pc.planned(vw, nm)
 		if !sp.bounded {
-			if _, err := pc.own(&pc.kit.plan, vw, nm); err != nil {
+			if _, err := pc.own(&pc.plan, vw, nm); err != nil {
 				return 0, err
 			}
-			sp.bounded, sp.bound = true, pipeline.ThroughputBound(&pc.kit.plan, pc.sys.Schedule, measureMB(nm), warmupMB(nm))
+			sp.bounded, sp.bound = true, pipeline.ThroughputBound(&pc.plan, pc.sys.Schedule, measureMB(nm), warmupMB(nm))
 		}
 		total += sp.bound
 	}

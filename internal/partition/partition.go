@@ -28,7 +28,7 @@
 // caller that solves many problems to keep few plans (core's Nm search)
 // keeps the cuts and prices only what it keeps. The tables are
 // built once per (Perf, model, batch); a caller that plans one model from
-// many partitioners (core: one per Deploy) shares them through NewShared.
+// many partitioners (core: one per planning context) shares them through Reset.
 //
 // Along the Nm axis most calls do not run the whole DP. Nm enters a stage's
 // cost only through its stash count, and only as feasible-or-not, so when a
@@ -254,11 +254,16 @@ func NewInterleaved(perf *profile.Perf, s sched.Schedule, v int) *Partitioner {
 	return &Partitioner{Perf: perf, Sched: s, Interleave: v}
 }
 
-// NewShared is NewInterleaved over cost tables the caller already holds
-// (they are immutable, so many partitioners may share one): planning the
-// tables' model at their batch size then builds nothing.
-func NewShared(tab *profile.Tables, s sched.Schedule, v int) *Partitioner {
-	return &Partitioner{Perf: tab.Perf(), Sched: s, Interleave: v, tab: tab}
+// Reset makes pt what NewInterleaved(tab.Perf(), s, v) returns, over cost
+// tables the caller already holds (they are immutable, so many partitioners
+// may share one): planning the tables' model at their batch size then builds
+// nothing. It forgets the solved problem and zeroes Stats but keeps the DP's
+// slabs, so a reused partitioner plans exactly as a new one does and
+// allocates no slab it has grown before.
+func (pt *Partitioner) Reset(tab *profile.Tables, s sched.Schedule, v int) {
+	dp := pt.dp
+	dp.tab, dp.solved = nil, false
+	*pt = Partitioner{Perf: tab.Perf(), Sched: s, Interleave: v, tab: tab, dp: dp}
 }
 
 // schedule resolves the partitioner's schedule, defaulting to hetpipe-fifo.

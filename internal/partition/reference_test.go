@@ -289,9 +289,22 @@ func TestPartitionerRevalidatesItsState(t *testing.T) {
 	check("SetAnchor", model.VGG19(), 2, 16)
 	pt.Perf = profile.Default()
 	check("Perf replaced", model.VGG19(), 2, 16)
-	shared := NewShared(profile.NewTables(pt.Perf, model.VGG19(), 16), sched.OneF1B, 1)
-	pt = shared
-	check("NewShared over another model's tables", model.ResNet152(), 2, 32)
+	pt.Reset(profile.NewTables(pt.Perf, model.VGG19(), 16), sched.OneF1B, 1)
+	check("Reset over another model's tables", model.ResNet152(), 2, 32)
+	// A reset partitioner counts from zero and solves what it solved before
+	// the reset, over the same tables, again rather than carrying it.
+	m := model.ResNet152()
+	tab := profile.NewTables(pt.Perf, m, 32)
+	for range 2 {
+		pt.Reset(tab, sched.OneF1B, 1)
+		if st := pt.Stats(); st != (Stats{}) {
+			t.Errorf("Reset kept Stats %+v", st)
+		}
+		check("Reset over the tables of the call", m, 2, 32)
+		if st := pt.Stats(); st != (Stats{Solves: 1, Priced: st.Priced}) {
+			t.Errorf("after Reset one call counts %+v, want one solve", st)
+		}
+	}
 }
 
 // TestPartitionReportsUnprofiledGPU: a GPU type the performance model has no
