@@ -2,7 +2,10 @@ package hetpipe
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -120,6 +123,43 @@ func TestPlanView(t *testing.T) {
 	}
 	if plan.Bottleneck <= 0 {
 		t.Error("zero bottleneck")
+	}
+}
+
+// TestConcurrentNewPlansAgree: concurrent New calls share the process's zoo
+// models and cost tables, built by whichever call comes first — at a batch
+// size no other test plans, so here they race to build them — and every call
+// must still plan what a lone New plans afterwards. Run under -race it also
+// checks the sharing itself.
+func TestConcurrentNewPlansAgree(t *testing.T) {
+	models := []string{"resnet152", "vgg19"}
+	const batch = 29
+	got := make([][]*PlanView, 2*runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dep, err := New(WithModel(models[g%len(models)]), WithPolicy("ED"), WithBatch(batch))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[g] = dep.Plans()
+		}()
+	}
+	wg.Wait()
+	for i, m := range models {
+		dep, err := New(WithModel(m), WithPolicy("ED"), WithBatch(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dep.Plans()
+		for g := i; g < len(got); g += len(models) {
+			if !reflect.DeepEqual(got[g], want) {
+				t.Errorf("goroutine %d: %s plans differ from a lone New's", g, m)
+			}
+		}
 	}
 }
 

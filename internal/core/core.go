@@ -61,7 +61,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
@@ -89,13 +88,6 @@ type System struct {
 	// classic contiguous placement; V > 1 requires a schedule with
 	// SupportsInterleave (currently "interleaved").
 	Interleave int
-
-	// tab is the partitioner's cost tables for (Perf, Model, Batch), built
-	// by the first planning context and shared by all later ones — they are
-	// immutable, and concurrent Deploys on one System (a sweep's workers)
-	// would otherwise each rebuild them. tabMu guards the pointer.
-	tabMu sync.Mutex
-	tab   *profile.Tables
 }
 
 // NewSystemSched validates and bundles the ingredients under pipeline

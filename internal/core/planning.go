@@ -23,8 +23,9 @@ import (
 // one simulation per Nm, and Deploy's per-worker pass finds what the Nm
 // search already made. Everything mutable lives in the context's kit, which it
 // borrows from a process-wide free list and hands back when released: nothing
-// outlives the context but the cost tables, which the System shares because
-// they are immutable.
+// outlives the context. The cost tables it reads are the process's, shared by
+// every context that plans the same (model, batch, link models) because they
+// are immutable (profile.TablesFor).
 //
 // The memo keeps what the search needs of each (class, Nm) — the optimal
 // cuts, the solo figures, the round-trip bound — and no plan: of the plans
@@ -108,17 +109,6 @@ type soloPlan struct {
 	bound   float64
 }
 
-// tables returns the System's shared cost tables, (re)building them when
-// there are none yet or an exported field they depend on was reassigned.
-func (s *System) tables() *profile.Tables {
-	s.tabMu.Lock()
-	defer s.tabMu.Unlock()
-	if s.tab == nil || !s.tab.Valid(s.Perf, s.Model, s.Batch) {
-		s.tab = profile.NewTables(s.Perf, s.Model, s.Batch)
-	}
-	return s.tab
-}
-
 // kit is a planning context's scratch: the partitioner and its DP slabs, the
 // solo runs' engine and the Runner that keeps their pipeline and
 // fast-forwards them, the plan the Nm search prices each (class, Nm) into
@@ -166,7 +156,8 @@ func (s *System) newPlanning(vws []*hw.VirtualWorker, lo, width int) planning {
 		k = &kit{eng: sim.New()}
 	}
 	pc := planning{sys: s, kit: k, lo: lo, width: width}
-	pc.pt.Reset(s.tables(), s.schedule(), s.Interleave)
+	pc.pt.Perf = s.Perf
+	pc.pt.Reset(profile.TablesFor(s.Perf, s.Model, s.Batch), s.schedule(), s.Interleave)
 	gpus, most := 0, 0
 	for _, vw := range vws {
 		gpus, most = gpus+len(vw.GPUs), max(most, len(vw.GPUs))

@@ -610,36 +610,38 @@ func deploymentFigures(d *Deployment) []any {
 	return out
 }
 
-// TestSystemTablesFollowReassignedFields: System's fields are assignable, so
-// the shared tables must be rebuilt when one they depend on changes.
+// TestSystemTablesFollowReassignedFields: System's fields are assignable and
+// its Perf editable, so the cost tables a Deploy plans with must follow every
+// field they depend on, and the anchors, which no shared table holds, must be
+// read from the System's own Perf.
 func TestSystemTablesFollowReassignedFields(t *testing.T) {
 	s := sys(t, model.VGG19())
 	alloc, err := hw.Allocate(s.Cluster, hw.EqualDistribution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Deploy(alloc, 2, 0, PlacementDefault); err != nil {
-		t.Fatal(err)
+	check := func(what string) {
+		t.Helper()
+		got, err := s.Deploy(alloc, 2, 0, PlacementDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceDeploy(s, alloc, 2, 0, PlacementDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameAsReference(got, want) {
+			t.Errorf("Deploy after %s planned with stale tables\n got %+v\nwant %+v", what, got, want)
+		}
 	}
-	first := s.tab
-	if _, err := s.Deploy(alloc, 3, 0, PlacementDefault); err != nil {
-		t.Fatal(err)
-	}
-	if s.tab != first {
-		t.Error("a second Deploy on an unchanged System rebuilt the cost tables")
-	}
+	check("construction")
 	s.Batch, s.Model = 16, model.ResNet152()
-	got, err := s.Deploy(alloc, 2, 0, PlacementDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := referenceDeploy(s, alloc, 2, 0, PlacementDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameAsReference(got, want) {
-		t.Errorf("Deploy after reassigning Batch and Model planned with stale tables\n got %+v\nwant %+v", got, want)
-	}
+	check("reassigning Batch and Model")
+	s.Perf = profile.Default()
+	s.Perf.IB.Efficiency /= 2
+	check("reassigning Perf to one with another link model")
+	s.Perf.SetAnchor("ResNet-152", 'Q', 20)
+	check("setting an anchor")
 }
 
 // TestPlansAreOwned: every plan planning hands out is its caller's alone,
@@ -752,20 +754,26 @@ func valuesOf(p *partition.Plan) planValues {
 // TestDeployAllocationsIndependentOfTheNmScan: what the Nm search keeps of a
 // (class, Nm) it visits is cuts and figures in slabs, and what it prices and
 // simulates goes through one scratch plan and one warm Runner — all of them
-// a kit's, which planning borrows from the free list. So a cold Deploy — on
-// a fresh System, as every hetpipe.New makes — allocates exactly what its
-// Deployment keeps (the System and its cost tables, the Deployment, its sync
-// times and its workers' plans) and the model check that admits the System.
-// A Deploy given the Nm the search chose allocates the same. Before kits were pooled, a cold
-// Deploy here allocated 67 times, and before cuts replaced plans in the memo
-// about four more per visited (class, Nm).
+// a kit's, which planning borrows from the free list — over the process's
+// cost tables. So a cold Deploy — on a fresh System over ByName's shared
+// model, as every hetpipe.New makes — whose (model, batch, link models) was
+// planned before allocates exactly what its Deployment keeps: the System,
+// the Deployment, its sync times and its workers' plans; no table and no
+// model check. A Deploy given the Nm the search chose allocates the same.
+// Before the tables and models were shared, a cold Deploy here allocated 18
+// times; before kits were pooled, 67; and before cuts replaced plans in the
+// memo, about four more per visited (class, Nm).
 func TestDeployAllocationsIndependentOfTheNmScan(t *testing.T) {
 	cl := hw.Paper()
 	alloc, err := hw.Allocate(cl, hw.EqualDistribution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, perf := model.ResNet152(), profile.Default()
+	m, err := model.ByName("resnet152")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perf := profile.Default()
 	deploy := func(nm int) (*Deployment, error) { // BenchmarkDeployAutoNm's shape
 		s, err := NewSystemSched(cl, m, perf, 32, nil)
 		if err != nil {
@@ -786,8 +794,8 @@ func TestDeployAllocationsIndependentOfTheNmScan(t *testing.T) {
 		})
 	}
 	searched, given := allocs(0), allocs(dep.Nm)
-	// 1 System + 3 Model.Validate + 7 tables + 1 Deployment + 1 sync times + 5 plans.
-	const kept = 18
+	// 1 System + 1 Deployment + 1 sync times + 5 plans.
+	const kept = 8
 	t.Logf("Nm searched: %.0f allocations (%d planned, %d solo runs); Nm=%d given: %.0f", searched,
 		dep.Planning.Solves+dep.Planning.Carried+dep.Planning.Infeasible, dep.Planning.SoloWindows, dep.Nm, given)
 	if searched != given {
@@ -800,8 +808,8 @@ func TestDeployAllocationsIndependentOfTheNmScan(t *testing.T) {
 
 // BenchmarkDeployAutoNm is a cold Deploy with the Nm search on the paper's
 // flagship configuration: ResNet-152 on the ED allocation (four VRGQ
-// workers) of the paper cluster. The System is fresh each iteration, as it
-// is for every hetpipe.New.
+// workers) of the paper cluster. The System is fresh each iteration, over
+// ByName's shared model, as it is for every hetpipe.New.
 func BenchmarkDeployAutoNm(b *testing.B) { benchmarkDeployAutoNm(b, hw.EqualDistribution) }
 
 // BenchmarkDeployAutoNmHD is the same on the HD allocation, two VVQQ and two
@@ -810,7 +818,10 @@ func BenchmarkDeployAutoNmHD(b *testing.B) { benchmarkDeployAutoNm(b, hw.HybridD
 
 func benchmarkDeployAutoNm(b *testing.B, policy hw.Policy) {
 	cl := hw.Paper()
-	m := model.ResNet152()
+	m, err := model.ByName("resnet152")
+	if err != nil {
+		b.Fatal(err)
+	}
 	alloc, err := hw.Allocate(cl, policy)
 	if err != nil {
 		b.Fatal(err)

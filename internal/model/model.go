@@ -11,6 +11,11 @@
 // Conventions: all per-layer quantities are per *sample*; batch scaling
 // happens at the call sites that know the minibatch size. Activations and
 // weights are float32 (4 bytes), matching the paper's TensorFlow setup.
+//
+// A Model is immutable once built: nothing writes to one after its
+// constructor returns, so ByName can share one per zoo entry process-wide
+// and the planner's cost tables (internal/profile) can identify a model by
+// its pointer.
 package model
 
 import "fmt"
@@ -157,8 +162,18 @@ func (m *Model) TrainingFootprintBytes(batch int) int64 {
 	return 2*m.ParamBytes() + m.stashBytesPerSample()*int64(batch)
 }
 
-// Validate checks internal consistency of the chain.
+// Validate checks internal consistency of the chain. A model ByName
+// returned was checked when it was built, so checking it again costs
+// nothing.
 func (m *Model) Validate() error {
+	if shared(m) {
+		return nil
+	}
+	return m.validate()
+}
+
+// validate is Validate's check, which builds a set of the layer names.
+func (m *Model) validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("model: empty name")
 	}

@@ -27,8 +27,8 @@
 // Partition is the two together and allocates only the plan it returns; a
 // caller that solves many problems to keep few plans (core's Nm search)
 // keeps the cuts and prices only what it keeps. The tables are
-// built once per (Perf, model, batch); a caller that plans one model from
-// many partitioners (core: one per planning context) shares them through Reset.
+// built once per process for each (model, batch, link models) and shared by
+// every partitioner that plans it (profile.TablesFor).
 //
 // Along the Nm axis most calls do not run the whole DP. Nm enters a stage's
 // cost only through its stash count, and only as feasible-or-not, so when a
@@ -254,16 +254,16 @@ func NewInterleaved(perf *profile.Perf, s sched.Schedule, v int) *Partitioner {
 	return &Partitioner{Perf: perf, Sched: s, Interleave: v}
 }
 
-// Reset makes pt what NewInterleaved(tab.Perf(), s, v) returns, over cost
+// Reset makes pt what NewInterleaved(pt.Perf, s, v) returns, over cost
 // tables the caller already holds (they are immutable, so many partitioners
-// may share one): planning the tables' model at their batch size then builds
-// nothing. It forgets the solved problem and zeroes Stats but keeps the DP's
-// slabs, so a reused partitioner plans exactly as a new one does and
+// may share one): planning the tables' model at their batch size then looks
+// nothing up. It forgets the solved problem and zeroes Stats but keeps the
+// DP's slabs, so a reused partitioner plans exactly as a new one does and
 // allocates no slab it has grown before.
 func (pt *Partitioner) Reset(tab *profile.Tables, s sched.Schedule, v int) {
 	dp := pt.dp
 	dp.tab, dp.solved = nil, false
-	*pt = Partitioner{Perf: tab.Perf(), Sched: s, Interleave: v, tab: tab, dp: dp}
+	*pt = Partitioner{Perf: pt.Perf, Sched: s, Interleave: v, tab: tab, dp: dp}
 }
 
 // schedule resolves the partitioner's schedule, defaulting to hetpipe-fifo.
@@ -345,7 +345,7 @@ func (pt *Partitioner) solve(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker
 			m.Name, L, K, k, V)
 	}
 	p := &pt.dp
-	grown, err := p.setup(pt.tables(m, batch), sc, c, vw, L, V, nm)
+	grown, err := p.setup(pt.tables(m, batch), pt.Perf, sc, c, vw, L, V, nm)
 	if err != nil {
 		return false, err
 	}
@@ -364,11 +364,12 @@ func (pt *Partitioner) solve(c *hw.Cluster, m *model.Model, vw *hw.VirtualWorker
 	return true, nil
 }
 
-// tables returns the cost tables for (Perf, m, batch), building them when the
-// partitioner holds none for those.
+// tables returns the cost tables for (Perf, m, batch): the ones the
+// partitioner holds while they still describe those, else the process's
+// shared ones (profile.TablesFor).
 func (pt *Partitioner) tables(m *model.Model, batch int) *profile.Tables {
 	if pt.tab == nil || !pt.tab.Valid(pt.Perf, m, batch) {
-		pt.tab = profile.NewTables(pt.Perf, m, batch)
+		pt.tab = profile.TablesFor(pt.Perf, m, batch)
 	}
 	return pt.tab
 }
@@ -407,7 +408,7 @@ func (pt *Partitioner) Price(plan *Plan, c *hw.Cluster, m *model.Model, vw *hw.V
 	}
 	for j := 0; j < K; j++ {
 		g := vw.GPUs[j%k]
-		whole, err := tab.WholeModelTime(g.Type)
+		whole, err := tab.WholeModelTime(pt.Perf, g.Type)
 		if err != nil {
 			return fmt.Errorf("partition: virtual worker %s: %w", vw.TypeString(), err)
 		}

@@ -283,3 +283,22 @@ func TestCutsPriceToPartition(t *testing.T) {
 		t.Error("Price took 2 cuts for 4 virtual stages")
 	}
 }
+
+// TestPlansPastTheTablesCache: planning more keys than the process's cost
+// table cache holds (profile.TablesFor keeps 16) — two rounds over 40 batch
+// sizes, so every key was evicted before it comes round again — plans each
+// as the reference does, which walks the layers and reads no table.
+func TestPlansPastTheTablesCache(t *testing.T) {
+	c, vw := vwFor(t, "VRGQ")
+	m := model.ResNet152()
+	pt := New(profile.Default())
+	for round := 0; round < 2; round++ {
+		for batch := 1; batch <= 40; batch++ {
+			got, gerr := pt.Partition(c, m, vw, 2, batch)
+			want, werr := referencePartition(pt, c, m, vw, 2, batch)
+			if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d batch %d: (%+v, %v), reference (%+v, %v)", round, batch, got, gerr, want, werr)
+			}
+		}
+	}
+}

@@ -71,14 +71,14 @@ func resize[T any](s []T, n int) []T {
 // differ at most in stashes, none of which shrank: the same tables, L, K, V
 // and weight versions, and element-wise equal whole, links and budget. Only
 // the values are compared, never which schedule or worker produced them.
-func (p *planner) setup(tab *profile.Tables, sc sched.Schedule, c *hw.Cluster, vw *hw.VirtualWorker, L, V, nm int) (grown bool, err error) {
+func (p *planner) setup(tab *profile.Tables, perf *profile.Perf, sc sched.Schedule, c *hw.Cluster, vw *hw.VirtualWorker, L, V, nm int) (grown bool, err error) {
 	k := len(vw.GPUs)
 	K := k * V
 	versions := int64(sc.WeightVersions())
 	grown = p.solved && tab == p.tab && L == p.L && K == p.K && float64(V) == p.occupancy && versions == p.versions
 	p.solved = false
 	p.tab, p.L, p.K, p.occupancy, p.versions = tab, L, K, float64(V), versions
-	workspace := tab.Perf().WorkspaceBytes
+	workspace := perf.WorkspaceBytes
 	p.whole = resize(p.whole, K)
 	p.links = resize(p.links, K)
 	p.budget = resize(p.budget, K)
@@ -90,7 +90,7 @@ func (p *planner) setup(tab *profile.Tables, sc sched.Schedule, c *hw.Cluster, v
 		g := vw.GPUs[j%k]
 		whole := 0.0
 		if j < k {
-			if whole, err = tab.WholeModelTime(g.Type); err != nil {
+			if whole, err = tab.WholeModelTime(perf, g.Type); err != nil {
 				return false, fmt.Errorf("partition: virtual worker %s: %w", vw.TypeString(), err)
 			}
 		} else {

@@ -19,7 +19,9 @@ import (
 // simulated schedules must hit closed forms and equivalences, over random
 // depths k in [1,8] and Nm in [1,16] — they say the schedules are right, where
 // the goldens only say they are stable. The last one, the round-trip bound,
-// runs on partitioner-cut heterogeneous plans.
+// runs on partitioner-cut heterogeneous plans. The stash oracle runs these
+// hand plans too, beside the paper deployments it needs core for, so it is
+// core's TestStashesWithinCharge.
 
 const oracleTrials = 60
 
@@ -155,35 +157,6 @@ func TestOverlapAtLeastFIFOOnHomogeneousPipelines(t *testing.T) {
 		}
 		if over.Throughput < fifo.Throughput*(1-1e-12) {
 			t.Errorf("k=%d nm=%d: overlap %.9g < fifo %.9g samples/s", k, nm, over.Throughput, fifo.Throughput)
-		}
-	}
-}
-
-// TestOneF1BStashBound counts, from the trace, how many forwards each stage
-// holds that no backward has retired yet: never more than min(Nm, k-s).
-func TestOneF1BStashBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < oracleTrials; i++ {
-		k, nm := 1+rng.Intn(8), 1+rng.Intn(16)
-		plan := handPlan(nm, randTimes(rng, k), randTimes(rng, k), randTimes(rng, k))
-		_, tr := runTraced(t, plan, sched.OneF1B, 3*nm+k)
-		// A stage device is serial and spans are recorded as tasks finish,
-		// so recording order is execution order on every stage.
-		held := make([]int, k)
-		for _, sp := range tr.Spans {
-			switch sp.Kind {
-			case trace.Forward:
-				held[sp.Stage]++
-			case trace.Backward:
-				held[sp.Stage]--
-			}
-			bound := k - sp.Stage
-			if nm < bound {
-				bound = nm
-			}
-			if held[sp.Stage] > bound {
-				t.Fatalf("k=%d nm=%d stage %d holds %d un-retired forwards at t=%v, bound %d", k, nm, sp.Stage, held[sp.Stage], sp.End, bound)
-			}
 		}
 	}
 }

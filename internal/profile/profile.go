@@ -14,12 +14,14 @@
 // backward pass costs twice the forward pass, the standard ratio for
 // convolutional training.
 //
-// Tables (tables.go) is the same model tabulated per (Perf, model, batch) for
-// the partitioner, which prices thousands of layer ranges per plan.
+// Tables (tables.go) is the same model tabulated per (model, batch, link
+// models) for the partitioner, which prices thousands of layer ranges per
+// plan; TablesFor builds each once per process and shares it.
 package profile
 
 import (
 	"fmt"
+	"maps"
 
 	"hetpipe/internal/hw"
 	"hetpipe/internal/model"
@@ -65,12 +67,28 @@ type Perf struct {
 	// are CPU-bound at roughly this rate for large dense tensors.
 	PSProcBPS float64
 	// anchors maps model name -> GPU code -> whole-model training throughput
-	// in images/sec for one GPU running every layer (compute only).
-	anchors map[string]map[byte]float64
+	// in images/sec for one GPU running every layer (compute only). Every
+	// Default shares defaultAnchors, read-only, until SetAnchor's first write
+	// gives p a copy of its own (ownAnchors).
+	anchors    map[string]map[byte]float64
+	ownAnchors bool
 	// genericFLOPS maps GPU code -> effective training FLOP/s used for
-	// models without a calibration anchor (synthetic test models).
+	// models without a calibration anchor (synthetic test models). It is
+	// never written, so every Default shares defaultGenericFLOPS.
 	genericFLOPS map[byte]float64
 }
+
+// defaultAnchors and defaultGenericFLOPS are Default's calibration, shared
+// read-only by every Perf it returns.
+var (
+	defaultAnchors = map[string]map[byte]float64{
+		"ResNet-152": {'V': 106, 'R': 96, 'G': 64, 'Q': 47},
+		"VGG-19":     {'V': 131, 'R': 118, 'G': 68, 'Q': 56},
+	}
+	defaultGenericFLOPS = map[byte]float64{
+		'V': 7.0e12, 'R': 6.3e12, 'G': 4.2e12, 'Q': 3.1e12,
+	}
+)
 
 // Default returns the model calibrated against the paper's testbed.
 //
@@ -97,21 +115,21 @@ func Default() *Perf {
 		BwdFwdRatio:    2.0,
 		WorkspaceBytes: 768 << 20,
 		PSProcBPS:      1.5e9,
-		anchors: map[string]map[byte]float64{
-			"ResNet-152": {'V': 106, 'R': 96, 'G': 64, 'Q': 47},
-			"VGG-19":     {'V': 131, 'R': 118, 'G': 68, 'Q': 56},
-		},
-		genericFLOPS: map[byte]float64{
-			'V': 7.0e12, 'R': 6.3e12, 'G': 4.2e12, 'Q': 3.1e12,
-		},
+		anchors:        defaultAnchors,
+		genericFLOPS:   defaultGenericFLOPS,
 	}
 }
 
 // SetAnchor overrides or installs the compute anchor for (model, GPU code):
-// whole-model images/sec on a single device.
+// whole-model images/sec on a single device. It changes p alone: the first
+// call on a Perf copies the anchors it shares with other Perfs.
 func (p *Perf) SetAnchor(modelName string, code byte, imagesPerSec float64) {
-	if p.anchors == nil {
-		p.anchors = make(map[string]map[byte]float64)
+	if !p.ownAnchors {
+		own := make(map[string]map[byte]float64, len(p.anchors)+1)
+		for name, a := range p.anchors {
+			own[name] = maps.Clone(a)
+		}
+		p.anchors, p.ownAnchors = own, true
 	}
 	if p.anchors[modelName] == nil {
 		p.anchors[modelName] = make(map[byte]float64)

@@ -63,6 +63,39 @@ func TestSetAnchor(t *testing.T) {
 	}
 }
 
+// TestSetAnchorChangesOnlyItsPerf: every Default shares one calibration
+// until it is edited, so SetAnchor on one — overriding an anchor or adding
+// one — must leave every other Default's WholeModelTime as it was. Default
+// itself allocates only its Perf.
+func TestSetAnchorChangesOnlyItsPerf(t *testing.T) {
+	a, b := Default(), Default()
+	m := model.VGG19()
+	before, err := b.WholeModelTime(m, hw.TitanV, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetAnchor("VGG-19", 'V', 1)
+	a.SetAnchor("syn", 'V', 64)
+	a.SetAnchor("VGG-19", 'Q', 2)
+	for _, p := range []*Perf{b, Default()} {
+		if after, err := p.WholeModelTime(m, hw.TitanV, 32); err != nil || after != before {
+			t.Errorf("another Perf's VGG-19 time %v (%v), want %v", after, err, before)
+		}
+	}
+	if got, _ := a.WholeModelTime(m, hw.TitanV, 32); got != 32 {
+		t.Errorf("the edited Perf's VGG-19 time %v, want 32", got)
+	}
+	if got, _ := a.WholeModelTime(m, hw.QuadroP4000, 32); got != 16 {
+		t.Errorf("the edited Perf's second anchor gives %v, want 16", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { perfSink = Default() }); n != 1 {
+		t.Errorf("Default allocates %.0f times, want 1", n)
+	}
+}
+
+// perfSink keeps a Default on the heap, as every caller's is.
+var perfSink *Perf
+
 func TestLayerTimesSumToWholeModel(t *testing.T) {
 	p := Default()
 	for _, m := range model.PaperModels() {

@@ -97,6 +97,27 @@ const (
 	PickBackwardFirst
 )
 
+// Stash is a schedule's claim about the activation stashes each virtual
+// stage holds: the formula ChunkStash evaluates, capped at Nm and floored at
+// one.
+type Stash int
+
+const (
+	// StashRoundTrip is arrival order's 2*(vstages-vs)-1: a stage holds a
+	// stash for every minibatch of a balanced round trip below it, and the
+	// last stage, which finishes each minibatch back to back, one. It is a
+	// model of the balanced case, not a bound: under arrival pick, forwards
+	// pile up in front of a slower downstream stage, and then only the
+	// in-flight cap bounds what a stage holds.
+	StashRoundTrip Stash = iota
+	// stashWave is fill-drain's Nm: every stage completes the wave's
+	// forwards before any backward frees a stash.
+	stashWave
+	// stashDepth is backward-first's vstages-vs: virtual stage vs admits at
+	// most that many forwards before it must retire a backward.
+	stashDepth
+)
+
 // Schedule is one pipeline execution discipline. Implementations are
 // stateless values; the executor instantiates per-run state itself.
 type Schedule interface {
@@ -111,6 +132,8 @@ type Schedule interface {
 	// chunk c of worker g is virtual stage g + c*k of vstages = k*V; a
 	// contiguous plan is the degenerate vstages = k case.
 	ChunkStash(vs, vstages, nm int) int
+	// Stash is the claim ChunkStash evaluates.
+	Stash() Stash
 	// WeightVersions is the number of weight-sized buffers each stage keeps
 	// resident: 2 for the single-version disciplines (weights + gradient
 	// buffer, the paper's memory model), 3 for 2BW's double-buffered updates
@@ -138,8 +161,9 @@ type Schedule interface {
 }
 
 // discipline is the one Schedule implementation: a row of declared
-// decisions. The memory and in-flight models are derived from the row, so a
-// new schedule is a new entry in the table below.
+// decisions and the stash claim that follows from them. The in-flight model
+// is derived from the row, so a new schedule is a new entry in the table
+// below.
 type discipline struct {
 	name, desc string
 	inject     Inject
@@ -147,6 +171,7 @@ type discipline struct {
 	overlap    bool
 	interleave bool
 	weights    int
+	stash      Stash
 }
 
 func (d *discipline) Name() string             { return d.name }
@@ -156,27 +181,26 @@ func (d *discipline) SupportsInterleave() bool { return d.interleave }
 func (d *discipline) Inject() Inject           { return d.inject }
 func (d *discipline) Pick() Pick               { return d.pick }
 func (d *discipline) OverlapRecv() bool        { return d.overlap }
+func (d *discipline) Stash() Stash             { return d.stash }
 
 func (d *discipline) ChunkStash(vs, vstages, nm int) int {
-	// Arrival order with a fused last stage, min(Nm, 2*(k-stage)-1): the last
-	// stage finishes each minibatch immediately (forward and backward run
-	// back to back) so it holds one; the first stage holds activations for
-	// the whole round trip — the Figure 1 memory-variance observation. Under
-	// overlapped receives the in-transfer activation is charged to the
-	// receiver like a stash, so the bound is the same.
-	bound := 2*(vstages-vs) - 1
-	switch {
-	case d.inject == InjectWave:
-		// Every stage completes all Nm forwards before any backward frees a
-		// stash, so every stage holds the whole wave.
+	var bound int
+	switch d.stash {
+	case StashRoundTrip:
+		// Arrival order with a fused last stage: the first stage holds
+		// activations for the whole round trip — the Figure 1
+		// memory-variance observation. Under overlapped receives the
+		// in-transfer activation is charged to the receiver like a stash,
+		// so the claim is the same.
+		bound = 2*(vstages-vs) - 1
+	case stashWave:
 		bound = nm
-	case d.pick == PickBackwardFirst:
-		// The 1F1B bound over the virtual depth: virtual stage vs admits at
-		// most vstages-vs forwards before it must retire a backward —
-		// strictly below FIFO's bound on every stage but the last, which is
-		// what lets a memory-constrained virtual worker admit a larger Nm.
-		// Deep chunks of a worker stash less than its shallow ones, which is
-		// what makes interleaving affordable in memory.
+	case stashDepth:
+		// Strictly below the round trip's claim on every stage but the
+		// last, which is what lets a memory-constrained virtual worker
+		// admit a larger Nm under 1F1B. Deep chunks of a worker stash less
+		// than its shallow ones, which is what makes interleaving
+		// affordable in memory.
 		bound = vstages - vs
 	}
 	if nm < bound {
@@ -207,12 +231,12 @@ var (
 	}
 	// GPipe is fill-drain with a sync barrier per Nm-wave.
 	GPipe Schedule = &discipline{
-		name: nameGPipe, weights: 2, inject: InjectWave,
+		name: nameGPipe, weights: 2, inject: InjectWave, stash: stashWave,
 		desc: "GPipe fill-drain: wave of Nm forwards, barrier, Nm backwards",
 	}
 	// OneF1B is strict one-forward-one-backward.
 	OneF1B Schedule = &discipline{
-		name: NameOneF1B, weights: 2, pick: PickBackwardFirst,
+		name: NameOneF1B, weights: 2, pick: PickBackwardFirst, stash: stashDepth,
 		desc: "strict 1F1B: per-stage warmup then alternate, <= stage-depth stashes",
 	}
 	// Overlap is FIFO with communication/computation overlap on receives.
@@ -227,7 +251,7 @@ var (
 	// as many boundary transfers, which is why the discipline mandates
 	// comm/compute overlap (Megatron's asynchronous point-to-point sends).
 	Interleaved Schedule = &discipline{
-		name: NameInterleaved, weights: 2, pick: PickBackwardFirst, overlap: true, interleave: true,
+		name: NameInterleaved, weights: 2, pick: PickBackwardFirst, overlap: true, interleave: true, stash: stashDepth,
 		desc: "Megatron-LM interleaved: 1F1B over k*V virtual stages, overlapped transfers",
 	}
 	// TwoBW is PipeDream-2BW: the 1F1B discipline with double-buffered weight
@@ -236,7 +260,7 @@ var (
 	// buffer (WeightVersions == 3), so weight updates never flush the pipeline
 	// and the activation footprint stays at 1F1B's stage-depth bound.
 	TwoBW Schedule = &discipline{
-		name: nameTwoBW, weights: 3, pick: PickBackwardFirst,
+		name: nameTwoBW, weights: 3, pick: PickBackwardFirst, stash: stashDepth,
 		desc: "PipeDream-2BW: 1F1B timing, double-buffered weights (2 versions + grad buffer)",
 	}
 )

@@ -89,3 +89,23 @@ func TestInFlightCap(t *testing.T) {
 		}
 	}
 }
+
+// TestStashClaimFollowsDecisions: the stash claim a row declares is the one
+// its decisions imply — fill-drain holds the wave, backward-first the depth,
+// arrival order the round trip — so no row can pair a discipline with
+// another discipline's memory model.
+func TestStashClaimFollowsDecisions(t *testing.T) {
+	for _, name := range Names() {
+		s, _ := ByName(name)
+		want := StashRoundTrip
+		switch {
+		case s.Inject() == InjectWave:
+			want = stashWave
+		case s.Pick() == PickBackwardFirst:
+			want = stashDepth
+		}
+		if s.Stash() != want {
+			t.Errorf("%s declares stash claim %d, its decisions imply %d", name, s.Stash(), want)
+		}
+	}
+}

@@ -73,6 +73,26 @@ func (t *Trace) StageSpans(stage int) []Span {
 	return out
 }
 
+// PeakStashes reports, per stage, the most activation stashes the stage
+// held at once: its finished forwards less its finished backwards, at their
+// peak. Spans are recorded as tasks finish and a stage's device is serial,
+// so recording order is execution order on every stage. The count starts a
+// stash when its forward finishes, not when it starts, so it never
+// over-counts.
+func (t *Trace) PeakStashes() []int {
+	held, peak := make([]int, t.Stages), make([]int, t.Stages)
+	for _, s := range t.Spans {
+		switch s.Kind {
+		case Forward:
+			held[s.Stage]++
+			peak[s.Stage] = max(peak[s.Stage], held[s.Stage])
+		case Backward:
+			held[s.Stage]--
+		}
+	}
+	return peak
+}
+
 // end reports the latest span end time.
 func (t *Trace) end() sim.Time {
 	var end sim.Time

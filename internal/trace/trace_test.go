@@ -25,6 +25,24 @@ func TestTraceSpansAndEnd(t *testing.T) {
 	}
 }
 
+// TestPeakStashes: a stage's stashes rise with each finished forward and
+// fall with each finished backward, and transfers count for nothing.
+func TestPeakStashes(t *testing.T) {
+	tr := New(2)
+	tr.Add(0, 1, Forward, 0, 1)
+	tr.Add(0, 2, Forward, 1, 2)
+	tr.Add(1, 1, Forward, 1, 2)
+	tr.Add(1, 1, Backward, 2, 3)
+	tr.Add(0, 1, Transfer, 2, 3)
+	tr.Add(0, 1, Backward, 3, 4)
+	tr.Add(0, 3, Forward, 4, 5)
+	tr.Add(0, 4, Forward, 5, 6)
+	tr.Add(1, 2, Forward, 5, 6)
+	if got := tr.PeakStashes(); len(got) != 2 || got[0] != 3 || got[1] != 1 {
+		t.Errorf("PeakStashes = %v, want [3 1]", got)
+	}
+}
+
 func TestStageSpansExcludeTransfers(t *testing.T) {
 	tr := New(1)
 	tr.Add(0, 1, Forward, 0, 1)
