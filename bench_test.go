@@ -15,7 +15,7 @@ import (
 func benchExperiment(b *testing.B, name string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r, err := experiment.Run(name)
+		r, err := experiment.Run(b.Context(), name)
 		if err != nil {
 			b.Fatal(err)
 		}

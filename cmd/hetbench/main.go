@@ -1,7 +1,8 @@
 // Command hetbench regenerates the paper's tables and figures on the
 // simulated cluster, through the public experiment catalog
-// (hetpipe.ExperimentCatalog / hetpipe.RunExperiment). Ctrl-C ends a run in
-// flight with status 1, writing the profiles first.
+// (hetpipe.ExperimentCatalog / hetpipe.RunExperiment). Ctrl-C cancels the
+// experiment in flight, which stops its simulations and training runs; the
+// command then exits with status 1, writing the profiles first.
 //
 // Usage:
 //
@@ -48,23 +49,14 @@ func main() {
 }
 
 // run prints experiment name's report, or ends the process through
-// cli.Fatalf when it fails or ctx is cancelled first. RunExperiment takes no
-// context, so a cancelled run is left to the process's exit.
+// cli.Fatalf when it fails or ctx is cancelled.
 func run(ctx context.Context, name string) {
-	var report string
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		report, err = hetpipe.RunExperiment(name)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			cli.Fatalf("%v", err)
-		}
-		fmt.Println(report)
-	case <-ctx.Done():
+	report, err := hetpipe.RunExperiment(ctx, name)
+	switch {
+	case ctx.Err() != nil:
 		cli.Fatalf("%s: %v", name, ctx.Err())
+	case err != nil:
+		cli.Fatalf("%v", err)
 	}
+	fmt.Println(report)
 }

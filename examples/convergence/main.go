@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,14 +14,14 @@ import (
 )
 
 func main() {
-	out, err := hetpipe.RunExperiment("figure6")
+	out, err := hetpipe.RunExperiment(context.Background(), "figure6")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(out)
 
 	fmt.Println()
-	out, err = hetpipe.RunExperiment("syncoverhead")
+	out, err = hetpipe.RunExperiment(context.Background(), "syncoverhead")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,6 +55,8 @@
 package hetpipe
 
 import (
+	"context"
+
 	"hetpipe/internal/core"
 	"hetpipe/internal/experiment"
 	"hetpipe/internal/hw"
@@ -211,10 +213,6 @@ func Clusters() []string { return hw.ClusterNames() }
 // "interleaved" (Megatron-LM virtual stages; pair with WithInterleave).
 func Schedules() []string { return sched.Names() }
 
-// Experiments lists the paper-reproduction experiments available through
-// RunExperiment (tables, figures, and analyses of Section 8).
-func Experiments() []string { return experiment.Names() }
-
 // ExperimentInfo describes one registered paper-reproduction experiment.
 type ExperimentInfo struct {
 	// Name is the registry key RunExperiment accepts, e.g. "figure4".
@@ -225,8 +223,8 @@ type ExperimentInfo struct {
 	Title string
 }
 
-// ExperimentCatalog lists every registered experiment's metadata in name
-// order — the structured counterpart of Experiments.
+// ExperimentCatalog lists every paper-reproduction experiment RunExperiment
+// accepts (tables, figures, and analyses of Section 8), in name order.
 func ExperimentCatalog() []ExperimentInfo {
 	defs := experiment.Defs()
 	out := make([]ExperimentInfo, 0, len(defs))
@@ -237,9 +235,10 @@ func ExperimentCatalog() []ExperimentInfo {
 }
 
 // RunExperiment regenerates one paper table or figure and returns its
-// formatted report.
-func RunExperiment(name string) (string, error) {
-	r, err := experiment.Run(name)
+// formatted report. Every simulation and training run it starts stops when
+// ctx is done; RunExperiment then returns ctx.Err() and no report.
+func RunExperiment(ctx context.Context, name string) (string, error) {
+	r, err := experiment.Run(ctx, name)
 	if err != nil {
 		return "", err
 	}

@@ -115,7 +115,7 @@ func TestNonFiniteLearningRateRejected(t *testing.T) {
 				return err
 			},
 			"RunBSP": func() error {
-				_, err := train.RunBSP(train.BSPConfig{Task: task, LR: lr, Periods: periods, MaxIterations: 4, EvalEvery: 8})
+				_, err := train.RunBSP(context.Background(), train.BSPConfig{Task: task, LR: lr, Periods: periods, MaxIterations: 4, EvalEvery: 8})
 				return err
 			},
 		}
@@ -350,6 +350,45 @@ func TestTrainDeadlineInProcess(t *testing.T) {
 		t.Fatalf("Train(deadline) = %v, want context.DeadlineExceeded", err)
 	}
 	waitForGoroutines(t, baseline, 2)
+}
+
+// TestRunExperimentCancelled: a cancelled context stops an experiment's own
+// simulations and training runs, and RunExperiment hands back no report of
+// the cut run. Pre-cancelled, every catalog entry returns context.Canceled;
+// figure6 (about 6 s uncancelled), cancelled 200 ms in, while its Horovod
+// baseline trains, returns it within a second of the cancel and leaves no
+// goroutine behind.
+func TestRunExperimentCancelled(t *testing.T) {
+	cancelled, cancel := context.WithCancel(t.Context())
+	cancel()
+	for _, e := range ExperimentCatalog() {
+		if out, err := RunExperiment(cancelled, e.Name); out != "" || !errors.Is(err, context.Canceled) {
+			t.Errorf("RunExperiment(cancelled, %q) = %d bytes, %v; want none and context.Canceled", e.Name, len(out), err)
+		}
+	}
+
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(t.Context())
+	type result struct {
+		out string
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := RunExperiment(ctx, "figure6")
+		done <- result{out, err}
+	}()
+	time.Sleep(200 * time.Millisecond)
+	cancel()
+	select {
+	case r := <-done:
+		if r.out != "" || !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("figure6 cancelled mid-run = %q, %v; want no report and context.Canceled", r.out, r.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("figure6 still running 1 s after its context was cancelled")
+	}
+	waitForGoroutines(t, baseline, 0)
 }
 
 func TestDeploymentGanttUsesConfiguredBatch(t *testing.T) {

@@ -178,18 +178,17 @@ func TestGanttOutput(t *testing.T) {
 }
 
 func TestExperimentsRegistry(t *testing.T) {
-	names := Experiments()
-	if len(names) < 10 {
-		t.Fatalf("experiments = %d, want >= 10", len(names))
+	if cat := ExperimentCatalog(); len(cat) < 10 {
+		t.Fatalf("experiments = %d, want >= 10", len(cat))
 	}
-	out, err := RunExperiment("table1")
+	out, err := RunExperiment(t.Context(), "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "TITAN V") {
 		t.Error("table1 output missing GPU names")
 	}
-	if _, err := RunExperiment("unknown"); err == nil {
+	if _, err := RunExperiment(t.Context(), "unknown"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -21,7 +21,7 @@ func init() {
 
 // ablationWavePush quantifies WSP's wave-aggregated push against SSP-style
 // per-minibatch pushes: the communication volume shrinks by the wave size.
-func ablationWavePush(r *Report) error {
+func ablationWavePush(_ context.Context, r *Report) error {
 	for _, m := range model.PaperModels() {
 		dep, err := core.Spec{Model: m.Name, Policy: "ED", Local: true}.Resolve()
 		if err != nil {
@@ -38,7 +38,7 @@ func ablationWavePush(r *Report) error {
 
 // ablationMemoryAwarePartitioning contrasts the Section 7 memory-aware
 // partitioner against a naive uniform-layer split on memory-poor GPUs.
-func ablationMemoryAwarePartitioning(r *Report) error {
+func ablationMemoryAwarePartitioning(_ context.Context, r *Report) error {
 	m := model.ResNet152()
 	perf := profile.Default()
 	cluster := hw.Paper()
@@ -80,7 +80,7 @@ func ablationMemoryAwarePartitioning(r *Report) error {
 // ablationNmSweep shows aggregate ED-local throughput versus the forced Nm,
 // demonstrating why HetPipe picks Nm by measured throughput rather than
 // simply maximizing concurrency.
-func ablationNmSweep(r *Report) error {
+func ablationNmSweep(ctx context.Context, r *Report) error {
 	for _, m := range model.PaperModels() {
 		sp := core.Spec{Model: m.Name, Policy: "ED", Local: true}
 		s, alloc, err := allocated(sp)
@@ -95,7 +95,7 @@ func ablationNmSweep(r *Report) error {
 				row += fmt.Sprintf(" nm%d=--", nm)
 				continue
 			}
-			res, err := dep.Simulate(context.Background(), core.SimOptions{})
+			res, err := dep.Simulate(ctx, core.SimOptions{})
 			if err != nil {
 				row += fmt.Sprintf(" nm%d=!!", nm)
 				continue
@@ -110,7 +110,7 @@ func ablationNmSweep(r *Report) error {
 
 // ablationDSweep shows throughput and waiting versus the clock-distance
 // bound D under the straggler-prone NP allocation.
-func ablationDSweep(r *Report) error {
+func ablationDSweep(ctx context.Context, r *Report) error {
 	sp := core.Spec{Model: "resnet152", Policy: "NP"}
 	s, alloc, err := allocated(sp)
 	if err != nil {
@@ -122,7 +122,7 @@ func ablationDSweep(r *Report) error {
 		if err != nil {
 			return err
 		}
-		res, err := dep.Simulate(context.Background(), core.SimOptions{Minibatches: 30 * dep.Nm, Warmup: 5 * dep.Nm})
+		res, err := dep.Simulate(ctx, core.SimOptions{Minibatches: 30 * dep.Nm, Warmup: 5 * dep.Nm})
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -66,8 +67,9 @@ func deployLocal(m *model.Model, specs string, d int) (*core.Deployment, error) 
 // under plan (nil = fault-free): dep supplies N, Nm and D, the simulator's
 // push and completion events drive the numerics, and the run is cancelled at
 // the event that meets cfg's target. Waiting, idle and pulls are the
-// co-simulation's own, read where it stopped.
-func trainOn(dep *core.Deployment, cfg train.WSPConfig, plan *fault.Plan) (*train.RunStats, error) {
+// co-simulation's own, read where it stopped. When ctx is done the run is
+// the caller's to discard: trainOn returns ctx.Err() and no statistics.
+func trainOn(ctx context.Context, dep *core.Deployment, cfg train.WSPConfig, plan *fault.Plan) (*train.RunStats, error) {
 	cfg.Workers, cfg.SLocal, cfg.D = len(dep.VWs), dep.SLocal(), dep.D
 	// The co-simulation ends every worker on a wave boundary; give the
 	// numerics the same budget.
@@ -76,15 +78,17 @@ func trainOn(dep *core.Deployment, cfg train.WSPConfig, plan *fault.Plan) (*trai
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	mr, err := dep.Simulate(ctx, core.SimOptions{Minibatches: cfg.MaxMinibatches, Faults: plan, Observer: func(e obs.Event) {
+	run, reached := context.WithCancel(ctx)
+	defer reached()
+	mr, err := dep.Simulate(run, core.SimOptions{Minibatches: cfg.MaxMinibatches, Faults: plan, Observer: func(e obs.Event) {
 		if num.Observe(e) {
-			cancel()
+			reached()
 		}
 	}})
-	if mr == nil { // failed; a run cancelled above still reports
-		return nil, err
+	// A cancelled Simulate still returns its counted result: report it only
+	// when the cancel was the target's, not the caller's.
+	if mr == nil || ctx.Err() != nil {
+		return nil, cmp.Or(ctx.Err(), err)
 	}
 	st := num.Finish()
 	st.Waiting, st.Idle, st.Pulls = mr.Waiting, mr.Idle, mr.Pulls
@@ -92,7 +96,7 @@ func trainOn(dep *core.Deployment, cfg train.WSPConfig, plan *fault.Plan) (*trai
 }
 
 // hetpipeRun is one HetPipe line of the convergence figures.
-func hetpipeRun(m *model.Model, specs string, d int) (*train.RunStats, error) {
+func hetpipeRun(ctx context.Context, m *model.Model, specs string, d int) (*train.RunStats, error) {
 	dep, err := deployLocal(m, specs, d)
 	if err != nil {
 		return nil, err
@@ -101,14 +105,14 @@ func hetpipeRun(m *model.Model, specs string, d int) (*train.RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return trainOn(dep, train.WSPConfig{
+	return trainOn(ctx, dep, train.WSPConfig{
 		Task: task, LR: convergeLR, MaxMinibatches: maxMBPerWorker,
 		EvalEvery: evalEvery, TargetLoss: targetLoss,
 	}, nil)
 }
 
 // horovodRun builds and runs the numeric Horovod baseline for a model.
-func horovodRun(m *model.Model) (*train.RunStats, int, error) {
+func horovodRun(ctx context.Context, m *model.Model) (*train.RunStats, int, error) {
 	s, err := core.Spec{Model: m.Name}.System()
 	if err != nil {
 		return nil, 0, err
@@ -127,7 +131,7 @@ func horovodRun(m *model.Model) (*train.RunStats, int, error) {
 	// the baseline's per-sample statistical efficiency on par with
 	// HetPipe's sequential small-batch updates.
 	n := len(hr.Periods)
-	stats, err := train.RunBSP(train.BSPConfig{
+	stats, err := train.RunBSP(ctx, train.BSPConfig{
 		Task: task, Periods: hr.Periods, AllReduceTime: hr.AllReduceTime,
 		LR:            convergeLR * float64(n),
 		MaxIterations: maxMBPerWorker, EvalEvery: evalEvery / 8,
@@ -151,9 +155,9 @@ func describeRun(label string, st *train.RunStats, baseline float64) string {
 // figure5 reproduces the ResNet-152 convergence comparison: Horovod on 12
 // GPUs (the G parts cannot hold the model) versus HetPipe on the same 12
 // GPUs and on all 16, D=0.
-func figure5(r *Report) error {
+func figure5(ctx context.Context, r *Report) error {
 	m := model.ResNet152()
-	hv, workers, err := horovodRun(m)
+	hv, workers, err := horovodRun(ctx, m)
 	if err != nil {
 		return err
 	}
@@ -166,7 +170,7 @@ func figure5(r *Report) error {
 		{"HetPipe 12 GPUs", "VRQ,VRQ,VRQ,VRQ"},
 		{"HetPipe 16 GPUs", "VRQG,VRQG,VRQG,VRQG"},
 	} {
-		st, err := hetpipeRun(m, c.specs, 0)
+		st, err := hetpipeRun(ctx, m, c.specs, 0)
 		if err != nil {
 			return err
 		}
@@ -179,16 +183,16 @@ func figure5(r *Report) error {
 
 // figure6 reproduces the VGG-19 convergence comparison on 16 GPUs with
 // ED-local: Horovod versus HetPipe at D = 0, 4, and 32.
-func figure6(r *Report) error {
+func figure6(ctx context.Context, r *Report) error {
 	m := model.VGG19()
-	hv, workers, err := horovodRun(m)
+	hv, workers, err := horovodRun(ctx, m)
 	if err != nil {
 		return err
 	}
 	r.addf("%s", describeRun(fmt.Sprintf("Horovod (%d GPUs)", workers), hv, 0))
 	base := hv.TimeToTarget
 	for _, d := range []int{0, 4, 32} {
-		st, err := hetpipeRun(m, "VRGQ,VRGQ,VRGQ,VRGQ", d)
+		st, err := hetpipeRun(ctx, m, "VRGQ,VRGQ,VRGQ,VRGQ", d)
 		if err != nil {
 			return err
 		}
@@ -200,7 +204,7 @@ func figure6(r *Report) error {
 
 // syncOverhead reproduces the Section 8.4 analysis: waiting time shrinks as
 // D grows, and pipelining hides most of the wait (idle << waiting).
-func syncOverhead(r *Report) error {
+func syncOverhead(ctx context.Context, r *Report) error {
 	m := model.VGG19()
 	var waitD0 float64
 	for _, d := range []int{0, 4, 32} {
@@ -209,7 +213,7 @@ func syncOverhead(r *Report) error {
 			return err
 		}
 		// A fixed budget: compare equal work.
-		st, err := dep.Simulate(context.Background(), core.SimOptions{Minibatches: 2000})
+		st, err := dep.Simulate(ctx, core.SimOptions{Minibatches: 2000})
 		if err != nil {
 			return err
 		}
@@ -393,7 +397,7 @@ func (s regretSetup) measure() (regret, bound float64, st *train.RunStats, err e
 // theorem1 measures regret of the WSP worker program on a convex problem
 // and compares it against the Section 6 bound, beside the staleness the
 // workers observed.
-func theorem1(r *Report) error {
+func theorem1(_ context.Context, r *Report) error {
 	for _, s := range []regretSetup{
 		{workers: 1, slocal: 0, d: 0, mb: 4000, seed: 1},
 		{workers: 1, slocal: 3, d: 0, mb: 4000, seed: 2},
@@ -421,7 +425,7 @@ func verdict(ok bool) string {
 }
 
 // traffic reproduces the Section 8.3 cross-node traffic accounting.
-func traffic(r *Report) error {
+func traffic(_ context.Context, r *Report) error {
 	paper := map[string]struct{ horovod, edlocal float64 }{
 		"VGG-19":     {515, 103},
 		"ResNet-152": {211, 298},

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"math"
 	"os"
@@ -63,12 +65,12 @@ func numbersAfter(t *testing.T, r *Report, keys ...string) [][]float64 {
 // binary. TestTheorem1AllHold checks theorem1's claims.
 func TestConvergenceFigures(t *testing.T) {
 	if testing.Short() {
-		t.Skip("figure5 and figure6 train to their targets (~8 s)")
+		t.Skip("figure5 and figure6 train to their targets (~12 s)")
 	}
 	reports := map[string]*Report{}
 	var all strings.Builder
 	for _, name := range []string{"figure5", "figure6", "syncoverhead", "theorem1"} {
-		r, err := Run(name)
+		r, err := Run(t.Context(), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -241,11 +243,54 @@ func smallRun(t *testing.T, schedule string, nm int, faults string, target float
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := trainOn(dep, train.WSPConfig{Task: task, LR: 0.2, MaxMinibatches: 240, EvalEvery: 48, TargetLoss: target}, plan)
+	st, err := trainOn(t.Context(), dep, train.WSPConfig{Task: task, LR: 0.2, MaxMinibatches: 240, EvalEvery: 48, TargetLoss: target}, plan)
 	if err != nil {
 		t.Fatalf("%s nm=%d %q: %v", schedule, nm, faults, err)
 	}
 	return st
+}
+
+// cancelAfter is a train.Task that calls cancel at its at-th gradient: a
+// caller's cancel that lands inside the co-simulation, mid-run.
+type cancelAfter struct {
+	train.Task
+	at, graded int
+	cancel     context.CancelFunc
+}
+
+func (c *cancelAfter) Grad(w tensor.Vector, b int, out tensor.Vector) {
+	if c.graded++; c.graded == c.at {
+		c.cancel()
+	}
+	c.Task.Grad(w, b, out)
+}
+
+// TestTrainOnReturnsTheCallersCancel: the caller's cancel stops trainOn's
+// co-simulation at its next context poll, well short of the budget. A
+// cancelled Simulate returns its counted result beside ctx.Err() whoever
+// cancelled it, so trainOn's own cancel at the target and the caller's look
+// alike there. The caller's must come back as ctx.Err() with no statistics,
+// or a cancelled figure would print its truncated runs as curves that did
+// not reach the target.
+func TestTrainOnReturnsTheCallersCancel(t *testing.T) {
+	dep, err := core.Spec{Model: "vgg19", Specs: "VRGQ,VRGQ,VRGQ,VRGQ", Nm: 4, D: 1, Local: true}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := train.DefaultTask(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	cut := &cancelAfter{Task: task, at: 100, cancel: cancel}
+	st, err := trainOn(ctx, dep, train.WSPConfig{Task: cut, LR: 0.2, MaxMinibatches: 240, EvalEvery: 48}, nil)
+	if !errors.Is(err, context.Canceled) || st != nil {
+		t.Errorf("trainOn cancelled by its caller: statistics %t, error %v; want none and context.Canceled", st != nil, err)
+	}
+	if cut.graded >= 2*cut.at {
+		t.Errorf("cancelled at minibatch %d of 960, the run went on to grade %d", cut.at, cut.graded)
+	}
 }
 
 func sameWeights(t *testing.T, what string, a, b *train.RunStats) {

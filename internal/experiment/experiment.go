@@ -19,8 +19,11 @@
 package experiment
 
 import (
+	"cmp"
+	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -60,11 +63,12 @@ func (r *Report) notef(format string, args ...interface{}) {
 }
 
 // Runner fills a pre-built report whose Name, Paper, and Title are already
-// set from the experiment's Def.
-type Runner func(*Report) error
+// set from the experiment's Def, passing ctx to every simulation and training
+// run it starts.
+type Runner func(context.Context, *Report) error
 
 // Def is one registered experiment: the registry metadata plus its runner.
-// Defs are the single source of truth behind Names, Run, cmd/hetbench's
+// Defs are the single source of truth behind Run, cmd/hetbench's
 // -list output, and the EXPERIMENTS.md catalog.
 type Def struct {
 	// Name is the registry key, e.g. "figure4".
@@ -86,33 +90,33 @@ func register(name, paper, title string, fn Runner) {
 	registry[name] = &Def{Name: name, Paper: paper, Title: title, Run: fn}
 }
 
-// Names lists registered experiments in sorted order.
-func Names() []string {
-	var out []string
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// names lists registered experiments in sorted order.
+func names() []string {
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // Defs lists the registered experiments' metadata in name order.
 func Defs() []Def {
 	var out []Def
-	for _, name := range Names() {
+	for _, name := range names() {
 		out = append(out, *registry[name])
 	}
 	return out
 }
 
-// Run executes one experiment by name.
-func Run(name string) (*Report, error) {
+// Run executes one experiment by name. When ctx is done, before the run or
+// by its end, Run returns ctx.Err() and no report.
+func Run(ctx context.Context, name string) (*Report, error) {
 	def, ok := registry[name]
 	if !ok {
-		return nil, fmt.Errorf("experiment: unknown experiment %q (have %s)", name, strings.Join(Names(), ", "))
+		return nil, fmt.Errorf("experiment: unknown experiment %q (have %s)", name, strings.Join(names(), ", "))
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	r := &Report{Name: def.Name, Paper: def.Paper, Title: def.Title}
-	if err := def.Run(r); err != nil {
+	// A runner may fill rows from runs that ctx cut short.
+	if err := cmp.Or(def.Run(ctx, r), ctx.Err()); err != nil {
 		return nil, err
 	}
 	return r, nil

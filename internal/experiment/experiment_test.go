@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -15,9 +17,9 @@ func TestRegistryListsAllExperiments(t *testing.T) {
 		"syncoverhead", "theorem1", "traffic",
 		"ablation-wavepush", "ablation-memaware", "ablation-nmsweep", "ablation-dsweep",
 	}
-	names := Names()
+	registered := names()
 	have := make(map[string]bool)
-	for _, n := range names {
+	for _, n := range registered {
 		have[n] = true
 	}
 	for _, w := range want {
@@ -25,15 +27,15 @@ func TestRegistryListsAllExperiments(t *testing.T) {
 			t.Errorf("experiment %q not registered", w)
 		}
 	}
-	if !strings.Contains(strings.Join(names, ","), "figure4") {
+	if !strings.Contains(strings.Join(registered, ","), "figure4") {
 		t.Error("names missing figure4")
 	}
 }
 
 func TestDefsCarryMetadata(t *testing.T) {
 	defs := Defs()
-	if len(defs) != len(Names()) {
-		t.Fatalf("defs = %d, names = %d", len(defs), len(Names()))
+	if len(defs) != len(names()) {
+		t.Fatalf("defs = %d, names = %d", len(defs), len(names()))
 	}
 	for _, d := range defs {
 		if d.Name == "" || d.Paper == "" || d.Title == "" || d.Run == nil {
@@ -49,15 +51,40 @@ func TestCatalogDocumentsEveryExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EXPERIMENTS.md missing: %v", err)
 	}
-	for _, name := range Names() {
+	for _, name := range names() {
 		if !strings.Contains(string(doc), fmt.Sprintf("`%s`", name)) {
 			t.Errorf("EXPERIMENTS.md does not document %q", name)
 		}
 	}
 }
 
+// TestRunHandsBackNoReportOfACancelledRun: Run looks at ctx before and after
+// the runner, so a runner that ignores ctx (figure3 and theorem1 call nothing
+// that takes one) cannot hand back the report of a cancelled run, and a
+// cancelled Run starts nothing.
+func TestRunHandsBackNoReportOfACancelledRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	calls := 0
+	register("ignores-ctx", "Test", "a runner that ignores its context", func(_ context.Context, r *Report) error {
+		calls++
+		cancel()
+		r.addf("a row of a cancelled run")
+		return nil
+	})
+	t.Cleanup(func() { delete(registry, "ignores-ctx") })
+	// The first Run is cancelled inside its runner, the second before it.
+	for i := 0; i < 2; i++ {
+		if r, err := Run(ctx, "ignores-ctx"); r != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("Run %d: report %t, error %v; want none and context.Canceled", i, r != nil, err)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("runner called %d times, want once", calls)
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope"); err == nil {
+	if _, err := Run(t.Context(), "nope"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -79,7 +106,7 @@ var throughputExperiments = []string{
 func TestThroughputExperimentsGolden(t *testing.T) {
 	var all strings.Builder
 	for _, name := range throughputExperiments {
-		r, err := Run(name)
+		r, err := Run(t.Context(), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -96,7 +123,7 @@ func TestThroughputExperimentsGolden(t *testing.T) {
 // TestConvergenceFigures.
 func TestFastExperimentsProduceRows(t *testing.T) {
 	for _, name := range []string{"theorem1"} {
-		r, err := Run(name)
+		r, err := Run(t.Context(), name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -110,7 +137,7 @@ func TestFastExperimentsProduceRows(t *testing.T) {
 }
 
 func TestTable1MatchesCatalog(t *testing.T) {
-	r, err := Run("table1")
+	r, err := Run(t.Context(), "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +153,7 @@ func TestTable1MatchesCatalog(t *testing.T) {
 // program sits under the bound, and the staleness it observed meets the WSP
 // bound exactly, as cluster/reference_test.go asserts for the backends.
 func TestTheorem1AllHold(t *testing.T) {
-	r, err := Run("theorem1")
+	r, err := Run(t.Context(), "theorem1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +171,7 @@ func TestTheorem1AllHold(t *testing.T) {
 }
 
 func TestTrafficShapesHold(t *testing.T) {
-	r, err := Run("traffic")
+	r, err := Run(t.Context(), "traffic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +184,7 @@ func TestFigure4ShapesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure4 runs many simulations")
 	}
-	r, err := Run("figure4")
+	r, err := Run(t.Context(), "figure4")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func init() {
 }
 
 // table1 prints the GPU catalog.
-func table1(r *Report) error {
+func table1(_ context.Context, r *Report) error {
 	r.addf("%-18s %-7s %9s %11s %11s %12s", "GPU", "Arch", "CUDACore", "Boost(MHz)", "Memory(GB)", "MemBW(GB/s)")
 	for _, g := range hw.Catalog() {
 		r.addf("%-18s %-7s %9d %11d %11d %12.0f",
@@ -44,7 +44,7 @@ func table1(r *Report) error {
 }
 
 // table3 prints the resource allocation of the three policies.
-func table3(r *Report) error {
+func table3(_ context.Context, r *Report) error {
 	c := hw.Paper()
 	r.addf("%-5s %-16s %-18s %-18s", "", "NodePartition", "EqualDistribution", "HybridDistribution")
 	allocs := map[hw.Policy]*hw.Allocation{}
@@ -66,7 +66,7 @@ func table3(r *Report) error {
 
 // figure1 renders the pipelined execution schedule of one virtual worker
 // (VGG-19 on VVVV, Nm=4) as an ASCII Gantt chart.
-func figure1(r *Report) error {
+func figure1(_ context.Context, r *Report) error {
 	dep, err := core.Spec{Model: "vgg19", Specs: "VVVV", Nm: 4}.Resolve()
 	if err != nil {
 		return err
@@ -85,7 +85,7 @@ func figure1(r *Report) error {
 // figure3 sweeps Nm for the seven single-virtual-worker configurations and
 // reports absolute and normalized throughput plus the maximum per-GPU
 // utilization.
-func figure3(r *Report) error {
+func figure3(_ context.Context, r *Report) error {
 	paperNm1 := map[string]map[string]float64{
 		"ResNet-152": {"VVVV": 96, "RRRR": 87, "GGGG": 58, "QQQQ": 43, "VRGQ": 42, "VVQQ": 53, "RRGG": 58},
 		"VGG-19":     {"VVVV": 119, "RRRR": 107, "GGGG": 62, "QQQQ": 51, "VRGQ": 60, "VVQQ": 116, "RRGG": 68},
@@ -121,7 +121,7 @@ func figure3(r *Report) error {
 }
 
 // figure4Deployment deploys sp on s and runs the default co-simulation.
-func figure4Deployment(s *core.System, sp core.Spec) (*core.Deployment, *core.MultiResult, error) {
+func figure4Deployment(ctx context.Context, s *core.System, sp core.Spec) (*core.Deployment, *core.MultiResult, error) {
 	alloc, err := sp.Allocate(s.Cluster)
 	if err != nil {
 		return nil, nil, err
@@ -130,7 +130,7 @@ func figure4Deployment(s *core.System, sp core.Spec) (*core.Deployment, *core.Mu
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := dep.Simulate(context.Background(), core.SimOptions{})
+	res, err := dep.Simulate(ctx, core.SimOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,7 +139,7 @@ func figure4Deployment(s *core.System, sp core.Spec) (*core.Deployment, *core.Mu
 
 // figure4 compares the three allocation policies (plus ED-local) against
 // Horovod at D=0.
-func figure4(r *Report) error {
+func figure4(ctx context.Context, r *Report) error {
 	paper := map[string]map[string]float64{
 		"ResNet-152": {"Horovod": 415, "NP": 380, "ED": 570, "ED-local": 580, "HD": 570},
 		"VGG-19":     {"Horovod": 339, "NP": 260, "ED": 280, "ED-local": 610, "HD": 310},
@@ -165,7 +165,7 @@ func figure4(r *Report) error {
 			{"ED-local", core.Spec{Policy: "ED", Local: true}},
 			{"HD", core.Spec{Policy: "HD"}},
 		} {
-			dep, res, err := figure4Deployment(s, c.sp)
+			dep, res, err := figure4Deployment(ctx, s, c.sp)
 			if err != nil {
 				r.addf("  %-9s failed: %v", c.label, err)
 				continue
@@ -180,7 +180,7 @@ func figure4(r *Report) error {
 
 // table4 measures throughput as whimpy GPUs are added: Horovod vs HetPipe
 // with ED-local-style placement over the Table 4 GPU sets.
-func table4(r *Report) error {
+func table4(ctx context.Context, r *Report) error {
 	paper := map[string]map[string]float64{
 		"VGG-19":     {"4 GPUs 4[V]": 300, "8 GPUs 4[VR]": 530, "12 GPUs 4[VRQ]": 572, "16 GPUs 4[VRQG]": 606},
 		"ResNet-152": {"4 GPUs 4[V]": 256, "8 GPUs 4[VR]": 516, "12 GPUs 4[VRQ]": 538, "16 GPUs 4[VRQG]": 580},
@@ -217,7 +217,7 @@ func table4(r *Report) error {
 					continue
 				}
 			}
-			res, err := dep.Simulate(context.Background(), core.SimOptions{})
+			res, err := dep.Simulate(ctx, core.SimOptions{})
 			if err != nil {
 				r.addf("  %-16s simulation failed: %v", set.Name, err)
 				continue

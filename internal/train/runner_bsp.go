@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -59,8 +60,9 @@ func (c *BSPConfig) validate() error {
 
 // RunBSP executes the Horovod baseline and reports the same statistics as
 // RunWSP (Waiting aggregates straggler time: the gap between each worker's
-// own compute time and the barrier).
-func RunBSP(cfg BSPConfig) (*RunStats, error) {
+// own compute time and the barrier). Once ctx is done it stops at the next
+// evaluation point and returns ctx.Err() and no statistics.
+func RunBSP(ctx context.Context, cfg BSPConfig) (*RunStats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -88,9 +90,12 @@ func RunBSP(cfg BSPConfig) (*RunStats, error) {
 		w.AXPY(-cfg.LR/float64(n), sum)
 		stats.Minibatches += n
 
-		if (iter+1)%cfg.EvalEvery == 0 && eval.at(now, w) {
+		if (iter+1)%cfg.EvalEvery == 0 && (ctx.Err() != nil || eval.at(now, w)) {
 			break
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	eval.finish(now, w)
 	return stats, nil

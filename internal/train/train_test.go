@@ -1,6 +1,8 @@
 package train
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -211,7 +213,7 @@ func TestNoDuplicateFinalEvalPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bspStats, err := RunBSP(BSPConfig{
+		bspStats, err := RunBSP(t.Context(), BSPConfig{
 			Task: lt, Periods: []float64{0.1, 0.2}, AllReduceTime: 0.01, LR: 0.2,
 			MaxIterations: c.budget, EvalEvery: c.every,
 		})
@@ -237,7 +239,7 @@ func TestNoDuplicateFinalEvalPoint(t *testing.T) {
 
 func TestBSPConverges(t *testing.T) {
 	lt := task(t)
-	stats, err := RunBSP(BSPConfig{
+	stats, err := RunBSP(t.Context(), BSPConfig{
 		Task: lt, Periods: []float64{0.1, 0.1, 0.1, 0.1},
 		AllReduceTime: 0.02, LR: 0.25,
 		MaxIterations: 250, EvalEvery: 50,
@@ -250,16 +252,45 @@ func TestBSPConverges(t *testing.T) {
 	}
 }
 
+// gradCounter counts the gradients a run asks of its task.
+type gradCounter struct {
+	Task
+	grads int
+}
+
+func (c *gradCounter) Grad(w tensor.Vector, b int, out tensor.Vector) {
+	c.grads++
+	c.Task.Grad(w, b, out)
+}
+
+// TestBSPStopsWhenCancelled: a cancelled context ends RunBSP at its next
+// evaluation point with ctx.Err() and no statistics.
+func TestBSPStopsWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	counted := &gradCounter{Task: task(t)}
+	st, err := RunBSP(ctx, BSPConfig{
+		Task: counted, Periods: []float64{0.1, 0.1}, LR: 0.25,
+		MaxIterations: 64, EvalEvery: 4,
+	})
+	if !errors.Is(err, context.Canceled) || st != nil {
+		t.Errorf("RunBSP(cancelled) = %v, %v; want no stats and context.Canceled", st, err)
+	}
+	if counted.grads != 4*2 {
+		t.Errorf("RunBSP(cancelled) took %d gradients, want 8: 4 iterations of 2 workers to the first evaluation point", counted.grads)
+	}
+}
+
 func TestBSPStragglerSlowsWallClock(t *testing.T) {
 	lt := task(t)
-	fast, err := RunBSP(BSPConfig{
+	fast, err := RunBSP(t.Context(), BSPConfig{
 		Task: lt, Periods: []float64{0.1, 0.1, 0.1, 0.1},
 		AllReduceTime: 0.01, LR: 0.25, MaxIterations: 100, EvalEvery: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := RunBSP(BSPConfig{
+	slow, err := RunBSP(t.Context(), BSPConfig{
 		Task: lt, Periods: []float64{0.1, 0.1, 0.1, 0.3},
 		AllReduceTime: 0.01, LR: 0.25, MaxIterations: 100, EvalEvery: 100,
 	})
@@ -296,7 +327,7 @@ func TestConfigValidation(t *testing.T) {
 		"no workers":               {Task: lt, LR: 0.1, MaxIterations: 1, EvalEvery: 1},
 		"non-positive period":      {Task: lt, Periods: []float64{1, 0}, LR: 0.1, MaxIterations: 1, EvalEvery: 1},
 	} {
-		if _, err := RunBSP(cfg); err == nil {
+		if _, err := RunBSP(t.Context(), cfg); err == nil {
 			t.Errorf("BSP config with %s accepted", name)
 		}
 	}
