@@ -111,7 +111,7 @@ func TestNonFiniteLearningRateRejected(t *testing.T) {
 				return err
 			},
 			"RunWSP": func() error {
-				_, err := train.RunWSP(train.WSPConfig{Task: task, Workers: 2, LR: lr, MaxMinibatches: 4, EvalEvery: 8})
+				_, err := train.RunWSP(context.Background(), train.WSPConfig{Task: task, Workers: 2, LR: lr, MaxMinibatches: 4, EvalEvery: 8})
 				return err
 			},
 			"RunBSP": func() error {
@@ -354,9 +354,10 @@ func TestTrainDeadlineInProcess(t *testing.T) {
 
 // TestRunExperimentCancelled: a cancelled context stops an experiment's own
 // simulations and training runs, and RunExperiment hands back no report of
-// the cut run. Pre-cancelled, every catalog entry returns context.Canceled;
-// figure6 (about 6 s uncancelled), cancelled 200 ms in, while its Horovod
-// baseline trains, returns it within a second of the cancel and leaves no
+// the cut run. Pre-cancelled, every catalog entry returns context.Canceled.
+// Cancelled mid-run — figure6 (about 6 s uncancelled) 200 ms in, while its
+// Horovod baseline trains, and theorem1 (about 0.4 s) 50 ms in, inside its
+// WSP runs — each returns it well before its uncancelled end and leaves no
 // goroutine behind.
 func TestRunExperimentCancelled(t *testing.T) {
 	cancelled, cancel := context.WithCancel(t.Context())
@@ -367,28 +368,33 @@ func TestRunExperimentCancelled(t *testing.T) {
 		}
 	}
 
-	baseline := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(t.Context())
-	type result struct {
-		out string
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		out, err := RunExperiment(ctx, "figure6")
-		done <- result{out, err}
-	}()
-	time.Sleep(200 * time.Millisecond)
-	cancel()
-	select {
-	case r := <-done:
-		if r.out != "" || !errors.Is(r.err, context.Canceled) {
-			t.Fatalf("figure6 cancelled mid-run = %q, %v; want no report and context.Canceled", r.out, r.err)
+	for _, c := range []struct {
+		name         string
+		after, grace time.Duration
+	}{{"figure6", 200 * time.Millisecond, time.Second}, {"theorem1", 50 * time.Millisecond, 150 * time.Millisecond}} {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(t.Context())
+		type result struct {
+			out string
+			err error
 		}
-	case <-time.After(time.Second):
-		t.Fatal("figure6 still running 1 s after its context was cancelled")
+		done := make(chan result, 1)
+		go func() {
+			out, err := RunExperiment(ctx, c.name)
+			done <- result{out, err}
+		}()
+		time.Sleep(c.after)
+		cancel()
+		select {
+		case r := <-done:
+			if r.out != "" || !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("%s cancelled mid-run = %q, %v; want no report and context.Canceled", c.name, r.out, r.err)
+			}
+		case <-time.After(c.grace):
+			t.Fatalf("%s still running %v after its context was cancelled", c.name, c.grace)
+		}
+		waitForGoroutines(t, baseline, 0)
 	}
-	waitForGoroutines(t, baseline, 0)
 }
 
 func TestDeploymentGanttUsesConfiguredBatch(t *testing.T) {

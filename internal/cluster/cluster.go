@@ -382,12 +382,12 @@ func bringUp(cfg Config) (*run, error) {
 	if cfg.KeepsEveryClock() == "" {
 		r.floors.Reset(cfg.Workers, 0, 0)
 	}
-	keys := r.space.Keys()
+	n := len(r.space.Keys())
 	for _, vw := range r.workers {
 		vw.pushed, vw.cur = r.resumed, fp.Cursor(vw.id)
 		vw.crashable = fp.CrashFor(vw.id) != nil
-		vw.push = ps.Push{Worker: vw.id, Keys: keys, Vecs: make([]tensor.Vector, len(keys))}
-		vw.pull = ps.SnapshotPull{Keys: keys, Dst: make([]tensor.Vector, len(keys))}
+		vw.push = ps.Push{Worker: vw.id, Vecs: make([]tensor.Vector, n)}
+		vw.pull = ps.SnapshotPull{Dst: make([]tensor.Vector, n)}
 	}
 
 	if cfg.TCP {
@@ -522,7 +522,7 @@ func (r *run) stats() (*Stats, error) {
 	st.FinalWeights = tensor.NewVector(r.cfg.Task.Dim())
 	views := make([]tensor.Vector, len(r.space.Keys()))
 	r.space.SplitInto(st.FinalWeights, views)
-	if err := r.local.PullAtInto(views, r.space.Keys(), r.params.CompleteWaves(r.cfg.MaxMinibatches)); err != nil {
+	if err := r.local.Exchange(nil, &ps.SnapshotPull{Clock: r.params.CompleteWaves(r.cfg.MaxMinibatches), Dst: views}); err != nil {
 		return nil, err
 	}
 	for _, s := range r.servers {
@@ -670,7 +670,8 @@ type worker struct {
 	done *train.Worker
 
 	// Reusable data-plane scratch: push and pull are the two sections of a
-	// wave exchange, their vectors per-chunk views for the ps ordered APIs.
+	// wave exchange, their vectors per-chunk views in chunk order, which is
+	// the placement's key order and so the Sharded layout.
 	push ps.Push
 	pull ps.SnapshotPull
 }

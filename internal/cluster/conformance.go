@@ -102,8 +102,8 @@ func (r *ConformanceReport) String() string {
 // faults, even crash-plus-recovery, emulated step time and a resumed
 // checkpoint may reshape the live run's wall clock and recovery counters, but
 // its protocol counts and final weights must still match the simulation
-// exactly. ctx cancels the live half (the simulator half is a bounded pure
-// computation).
+// exactly. ctx cancels either half: the simulator checks it once per
+// minibatch round.
 func RunConformance(ctx context.Context, cfg Config) (*ConformanceReport, error) {
 	// Checked before the simulator derives its settings from cfg, so a bad
 	// config fails with the error Run gives it.
@@ -113,7 +113,7 @@ func RunConformance(ctx context.Context, cfg Config) (*ConformanceReport, error)
 	if err := cfg.params().Validate(); err != nil {
 		return nil, err
 	}
-	sim, err := simulate(cfg)
+	sim, err := simulate(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -155,8 +155,8 @@ func RunConformance(ctx context.Context, cfg Config) (*ConformanceReport, error)
 
 // simulate runs cfg's protocol configuration through the simulator's
 // numerics.
-func simulate(cfg Config) (*train.RunStats, error) {
-	sim, err := train.RunWSP(train.WSPConfig{
+func simulate(ctx context.Context, cfg Config) (*train.RunStats, error) {
+	sim, err := train.RunWSP(ctx, train.WSPConfig{
 		Task: cfg.Task, Workers: cfg.Workers, SLocal: cfg.SLocal, D: cfg.D,
 		LR: cfg.LR, MaxMinibatches: cfg.MaxMinibatches,
 		// Evaluation cadence is irrelevant to conformance; keep it rare.

@@ -40,7 +40,7 @@ func TestWaveFramesFollowThePredicate(t *testing.T) {
 		Task: task, Workers: workers, Servers: servers, SLocal: slocal, D: d,
 		LR: 0.2, MaxMinibatches: budget, TCP: true,
 	}
-	sim, err := train.RunWSP(train.WSPConfig{
+	sim, err := train.RunWSP(context.Background(), train.WSPConfig{
 		Task: task, Workers: workers, SLocal: slocal, D: d, LR: base.LR,
 		MaxMinibatches: budget, EvalEvery: workers * budget,
 	})

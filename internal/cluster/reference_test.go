@@ -124,7 +124,7 @@ func matchesReference(t *testing.T, label string, cfg Config, got *Stats) {
 func TestBackendsMatchReferenceFinalWeights(t *testing.T) {
 	for _, c := range conformanceGrid(t) {
 		t.Run(c.name, func(t *testing.T) {
-			sim, err := simulate(c.cfg)
+			sim, err := simulate(context.Background(), c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

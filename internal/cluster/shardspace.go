@@ -53,8 +53,8 @@ func (s *shardSpace) Split(v tensor.Vector) map[string]tensor.Vector {
 
 // SplitInto fills vecs[i] with the chunk-i view of v (no copies) — the
 // ordered, allocation-free companion of Split for the wave hot loop, shaped
-// for the ps ordered APIs (vecs[i] pairs with Keys()[i]). len(vecs) must be
-// len(Keys()).
+// for a ps exchange's sections (vecs[i] pairs with Keys()[i], the placement's
+// key order). len(vecs) must be len(Keys()).
 //
 //hetlint:hotpath
 func (s *shardSpace) SplitInto(v tensor.Vector, vecs []tensor.Vector) {

@@ -113,7 +113,7 @@ func weightsDigest(dep *Deployment) (string, error) {
 		return "", err
 	}
 	n := len(dep.VWs)
-	stats, err := train.RunWSP(train.WSPConfig{
+	stats, err := train.RunWSP(context.Background(), train.WSPConfig{
 		Task: task, Workers: n, SLocal: dep.SLocal(), D: dep.D, LR: 0.1,
 		MaxMinibatches: 12, EvalEvery: 12 * n,
 	})

@@ -368,8 +368,8 @@ func (p *regretTask) Accuracy(tensor.Vector) float64 { return 0 }
 // run trains task — the setup's regretTask, or a test's wrapper of it —
 // through the WSP worker program every backend runs, at LR 1 so the task's
 // steps are the theorem's, evaluating once at the end.
-func (s regretSetup) run(task train.Task) (*train.RunStats, error) {
-	return train.RunWSP(train.WSPConfig{
+func (s regretSetup) run(ctx context.Context, task train.Task) (*train.RunStats, error) {
+	return train.RunWSP(ctx, train.WSPConfig{
 		Task: task, Workers: s.workers, SLocal: s.slocal, D: s.d,
 		LR: 1, MaxMinibatches: s.mb, EvalEvery: s.updates(),
 	})
@@ -377,9 +377,9 @@ func (s regretSetup) run(task train.Task) (*train.RunStats, error) {
 
 // measure runs the setup and returns the regret (1/T) sum_b f_b(w~_b) - f(w*),
 // the bound at the largest observed distance M (L = 1), and the run.
-func (s regretSetup) measure() (regret, bound float64, st *train.RunStats, err error) {
+func (s regretSetup) measure(ctx context.Context) (regret, bound float64, st *train.RunStats, err error) {
 	p := newRegretTask(s)
-	if st, err = s.run(p); err != nil {
+	if st, err = s.run(ctx, p); err != nil {
 		return 0, 0, nil, err
 	}
 	var sum float64
@@ -397,7 +397,7 @@ func (s regretSetup) measure() (regret, bound float64, st *train.RunStats, err e
 // theorem1 measures regret of the WSP worker program on a convex problem
 // and compares it against the Section 6 bound, beside the staleness the
 // workers observed.
-func theorem1(_ context.Context, r *Report) error {
+func theorem1(ctx context.Context, r *Report) error {
 	for _, s := range []regretSetup{
 		{workers: 1, slocal: 0, d: 0, mb: 4000, seed: 1},
 		{workers: 1, slocal: 3, d: 0, mb: 4000, seed: 2},
@@ -405,7 +405,7 @@ func theorem1(_ context.Context, r *Report) error {
 		{workers: 4, slocal: 3, d: 4, mb: 2000, seed: 4},
 		{workers: 4, slocal: 6, d: 32, mb: 2000, seed: 5},
 	} {
-		regret, bound, st, err := s.measure()
+		regret, bound, st, err := s.measure(ctx)
 		if err != nil {
 			return err
 		}

@@ -162,7 +162,7 @@ func TestTheorem1RegretUnderBound(t *testing.T) {
 		{workers: 4, slocal: 3, d: 4, mb: 1000, seed: 4},
 		{workers: 2, slocal: 6, d: 32, mb: 2000, seed: 5},
 	} {
-		regret, bound, _, err := s.measure()
+		regret, bound, _, err := s.measure(context.Background())
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -176,11 +176,11 @@ func TestTheorem1RegretUnderBound(t *testing.T) {
 }
 
 func TestTheorem1RegretShrinksWithT(t *testing.T) {
-	short, _, _, err := regretSetup{workers: 2, slocal: 2, d: 1, mb: 250, seed: 9}.measure()
+	short, _, _, err := regretSetup{workers: 2, slocal: 2, d: 1, mb: 250, seed: 9}.measure(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, _, _, err := regretSetup{workers: 2, slocal: 2, d: 1, mb: 4000, seed: 9}.measure()
+	long, _, _, err := regretSetup{workers: 2, slocal: 2, d: 1, mb: 4000, seed: 9}.measure(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestTheorem1GradesEveryUpdateOnce(t *testing.T) {
 		{workers: 4, slocal: 6, d: 32, mb: 50, seed: 3},
 	} {
 		g := &gradeCounter{regretTask: newRegretTask(s), graded: make([]int, s.updates())}
-		st, err := s.run(g)
+		st, err := s.run(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}

@@ -85,7 +85,7 @@ func figure1(_ context.Context, r *Report) error {
 // figure3 sweeps Nm for the seven single-virtual-worker configurations and
 // reports absolute and normalized throughput plus the maximum per-GPU
 // utilization.
-func figure3(_ context.Context, r *Report) error {
+func figure3(ctx context.Context, r *Report) error {
 	paperNm1 := map[string]map[string]float64{
 		"ResNet-152": {"VVVV": 96, "RRRR": 87, "GGGG": 58, "QQQQ": 43, "VRGQ": 42, "VVQQ": 53, "RRGG": 58},
 		"VGG-19":     {"VVVV": 119, "RRRR": 107, "GGGG": 62, "QQQQ": 51, "VRGQ": 60, "VVQQ": 116, "RRGG": 68},
@@ -100,6 +100,9 @@ func figure3(_ context.Context, r *Report) error {
 			var base float64
 			row := fmt.Sprintf("  %-5s paperNm1=%-4.0f", spec, paperNm1[m.Name][spec])
 			for nm := 1; nm <= 7; nm++ {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 				_, sum, err := s.SoloVW(alloc.VWs[0], nm, 50+10*nm, 10+2*nm)
 				if err != nil {
 					row += fmt.Sprintf(" nm%d=--", nm)

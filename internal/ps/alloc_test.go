@@ -59,7 +59,7 @@ func TestShardedInprocAllocsPinned(t *testing.T) {
 	}
 	sh, keys, push, dst := newAllocFixture(t)
 
-	// Warm the pools and materialize the first snapshot off-measurement.
+	// Materialize the first snapshot off-measurement.
 	if err := sh.PushOrdered(0, keys, push); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestShardedInprocAllocsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Reused destinations, pooled partition scratch, retained snapshot: the
+	// Reused destinations, no per-exchange scratch, retained snapshot: the
 	// steady state must not allocate at all (1 leaves slack for runtime
 	// noise).
 	if pullAllocs > 1 {
@@ -126,7 +126,7 @@ func TestShardedTCPWaveAllocsPinned(t *testing.T) {
 			clock := 0
 			wave := func() {
 				clock++
-				if err := sh.Exchange(&Push{Worker: 0, Keys: keys, Vecs: push}, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst}); err != nil {
+				if err := sh.Exchange(&Push{Worker: 0, Vecs: push}, &SnapshotPull{Clock: clock, Dst: dst}); err != nil {
 					t.Fatal(err)
 				}
 				if c.release {
@@ -136,7 +136,7 @@ func TestShardedTCPWaveAllocsPinned(t *testing.T) {
 				}
 			}
 			for i := 0; i < 8; i++ {
-				wave() // intern the keys, size every buffer, fix the snapshot layout
+				wave() // size every buffer, fix the snapshot layout
 			}
 			if allocs := testing.AllocsPerRun(200, wave); allocs > c.want {
 				t.Errorf("fused exchange over %d loopback shards = %.1f allocs/op, want <= %v", servers, allocs, c.want)

@@ -87,7 +87,7 @@ func newBenchBackends(b *testing.B, keys []string, servers int) (*Placement, []B
 }
 
 // BenchmarkTCPPushPull measures one client round-trip over loopback TCP on
-// the binary wire protocol: a full-keyset push, a clock-versioned snapshot
+// the binary wire protocol: a whole-layout push, a clock-versioned snapshot
 // pull, and the two fused into the one exchange a live wave performs.
 func BenchmarkTCPPushPull(b *testing.B) {
 	keys, vecs, dst := orderedShapes()
@@ -198,7 +198,7 @@ func BenchmarkTCPPushPull(b *testing.B) {
 				b.StartTimer()
 			}
 			clock++
-			if _, err := c.Exchange(&Push{Worker: 0, Keys: keys, Vecs: vecs}, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst}); err != nil {
+			if _, err := c.Exchange(&Push{Worker: 0, Vecs: vecs}, &SnapshotPull{Clock: clock, Dst: dst}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -242,7 +242,7 @@ func BenchmarkShardedTCP(b *testing.B) {
 				b.StartTimer()
 			}
 			clock++
-			err := dep.workers[0].Exchange(&Push{Worker: 0, Keys: keys, Vecs: vecs}, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
+			err := dep.workers[0].Exchange(&Push{Worker: 0, Vecs: vecs}, &SnapshotPull{Clock: clock, Dst: dst})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -255,7 +255,7 @@ func BenchmarkShardedTCP(b *testing.B) {
 
 // BenchmarkShardedInproc measures the in-process sharded data plane: one
 // worker's push over four shard servers, each called in turn, and the
-// matching full-keyset snapshot pull into reused buffers.
+// matching whole-layout snapshot pull into reused buffers.
 func BenchmarkShardedInproc(b *testing.B) {
 	const servers = 4
 	keys, vecs, dst := orderedShapes()

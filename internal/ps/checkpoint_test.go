@@ -43,6 +43,11 @@ func shardKey(server, j int) string {
 	return string(rune('a'+server)) + string(rune('0'+j))
 }
 
+// serverKeys is buildServers' layout of one server: its two shards, sorted.
+func serverKeys(server int) []string {
+	return []string{shardKey(server, 0), shardKey(server, 1)}
+}
+
 // pushWaves pushes waves [from, to) from every worker to every server, with
 // deltas that are a deterministic function of (server, shard, worker, wave).
 func pushWaves(t testing.TB, servers []*Server, workers, from, to int) {
@@ -68,13 +73,12 @@ func allPulls(t *testing.T, servers []*Server, maxClock int) map[string][]tensor
 	t.Helper()
 	out := map[string][]tensor.Vector{}
 	for i, s := range servers {
-		for j := 0; j < 2; j++ {
-			key := shardKey(i, j)
-			for c := 0; c <= maxClock; c++ {
-				snap, err := pullAtMap(s, []string{key}, c)
-				if err != nil {
-					t.Fatalf("PullAt(%s, %d): %v", key, c, err)
-				}
+		for c := 0; c <= maxClock; c++ {
+			snap, err := pullAtMap(s, serverKeys(i), c)
+			if err != nil {
+				t.Fatalf("server %d PullAt(%d): %v", i, c, err)
+			}
+			for _, key := range serverKeys(i) {
 				out[key] = append(out[key], snap[key])
 			}
 		}
@@ -128,16 +132,15 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 		if servers[i].GlobalClock() != restored[i].GlobalClock() {
 			t.Fatalf("server %d clocks diverge: %d vs %d", i, servers[i].GlobalClock(), restored[i].GlobalClock())
 		}
-		for j := 0; j < 2; j++ {
-			key := shardKey(i, j)
-			a, err := pullAtMap(servers[i], []string{key}, waves+2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := pullAtMap(restored[i], []string{key}, waves+2)
-			if err != nil {
-				t.Fatal(err)
-			}
+		a, err := pullAtMap(servers[i], serverKeys(i), waves+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := pullAtMap(restored[i], serverKeys(i), waves+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range serverKeys(i) {
 			for k := range a[key] {
 				if a[key][k] != b[key][k] {
 					t.Fatalf("post-resume shard %q coord %d: %v vs %v", key, k, a[key][k], b[key][k])
@@ -273,11 +276,11 @@ func TestCheckpointTruncatesTornCapture(t *testing.T) {
 	// The restored snapshot at the cut equals the original's clock-1 snapshot.
 	for i := range servers {
 		key := shardKey(i, 0)
-		want, err := pullAtMap(servers[i], []string{key}, 1)
+		want, err := pullAtMap(servers[i], serverKeys(i), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pullAtMap(restored[i], []string{key}, 1)
+		got, err := pullAtMap(restored[i], serverKeys(i), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,8 +546,8 @@ func TestCaptureDuringPushes(t *testing.T) {
 			dst := make([]tensor.Vector, len(keys))
 			for v := 0; v < waves; v++ {
 				// Push wave v with the gated pull that lets wave v+1 start.
-				pull := &SnapshotPull{Clock: max(0, v+1-d), Keys: keys, Dst: dst}
-				if err := dep.workers[w].Exchange(&Push{Worker: w, Keys: keys, Vecs: delta(w, v)}, pull); err != nil {
+				pull := &SnapshotPull{Clock: max(0, v+1-d), Dst: dst}
+				if err := dep.workers[w].Exchange(&Push{Worker: w, Vecs: delta(w, v)}, pull); err != nil {
 					errs <- err
 					for _, s := range dep.servers {
 						s.Close() // release the peers gated on this worker
@@ -694,7 +697,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 				zeros[j] = make(tensor.Vector, len(layout[k]))
 			}
 			for c := 0; c <= ck.Clock; c++ {
-				if err := pullOnly(s, dst, keys, c); err != nil {
+				if err := pullOnly(s, dst, c); err != nil {
 					t.Fatalf("server %d: pull at clock %d of cut %d: %v", i, c, ck.Clock, err)
 				}
 				for j, k := range keys {
@@ -703,7 +706,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 					}
 				}
 			}
-			if clock, err := pushOnly(s, 0, keys, zeros); err != nil || clock != ck.Clock+1 {
+			if clock, err := pushOnly(s, 0, zeros); err != nil || clock != ck.Clock+1 {
 				t.Fatalf("server %d: worker 0's push of wave %d = %d, %v", i, ck.Clock, clock, err)
 			}
 		}

@@ -178,14 +178,17 @@ func playSchedule(t *testing.T, rng *rand.Rand, tcp bool) (fusedSteps int) {
 	one := newDeployment(t, workers, servers, keys, dims, tcp)
 	two := newDeployment(t, workers, servers, keys, dims, tcp)
 
-	subset := func() (ks []string, vs []tensor.Vector) {
-		for i, k := range keys {
+	// vectors is one vector per key, of a random mix of right-sized and
+	// empty ones: a pull fills either.
+	vectors := func() (vs []tensor.Vector) {
+		for i := range keys {
 			if rng.Intn(4) > 0 {
-				ks = append(ks, k)
 				vs = append(vs, make(tensor.Vector, dims[i]))
+			} else {
+				vs = append(vs, nil)
 			}
 		}
-		return ks, vs
+		return vs
 	}
 	clocks := make([]int, workers) // waves pushed per worker
 	owed := make([]int, workers)   // clock of a pull not yet made, 0 = none
@@ -210,12 +213,12 @@ func playSchedule(t *testing.T, rng *rand.Rand, tcp bool) (fusedSteps int) {
 	}
 	pullBoth := func(step, w, clock int) {
 		t.Helper()
-		ks, dst1 := subset()
+		dst1 := vectors()
 		dst2 := cloneVecs(dst1)
-		if err := one.workers[w].Exchange(nil, &SnapshotPull{Clock: clock, Keys: ks, Dst: dst1}); err != nil {
+		if err := one.workers[w].Exchange(nil, &SnapshotPull{Clock: clock, Dst: dst1}); err != nil {
 			t.Fatal(err)
 		}
-		if err := two.workers[w].PullAtInto(dst2, ks, clock); err != nil {
+		if err := two.workers[w].PullAtInto(dst2, keys, clock); err != nil {
 			t.Fatal(err)
 		}
 		if err := sameBits(dst1, dst2); err != nil {
@@ -239,13 +242,14 @@ func playSchedule(t *testing.T, rng *rand.Rand, tcp bool) (fusedSteps int) {
 			continue
 		}
 		wave := clocks[w]
-		pk, pv := subset()
-		for _, v := range pv {
-			for j := range v {
-				v[j] = rng.NormFloat64()
+		pv := make([]tensor.Vector, len(keys))
+		for i := range pv {
+			pv[i] = make(tensor.Vector, dims[i])
+			for j := range pv[i] {
+				pv[i][j] = rng.NormFloat64()
 			}
 		}
-		push := &Push{Worker: w, Keys: pk, Vecs: pv}
+		push := &Push{Worker: w, Vecs: pv}
 		clocks[w]++
 		req := wave + 1 - d
 		switch {
@@ -253,7 +257,7 @@ func playSchedule(t *testing.T, rng *rand.Rand, tcp bool) (fusedSteps int) {
 			if err := one.workers[w].Exchange(push, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := two.workers[w].PushOrdered(w, pk, pv); err != nil {
+			if err := two.workers[w].PushOrdered(w, keys, pv); err != nil {
 				t.Fatal(err)
 			}
 			check(step, "ungated push")
@@ -261,21 +265,21 @@ func playSchedule(t *testing.T, rng *rand.Rand, tcp bool) (fusedSteps int) {
 			if err := one.workers[w].Exchange(push, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := two.workers[w].PushOrdered(w, pk, pv); err != nil {
+			if err := two.workers[w].PushOrdered(w, keys, pv); err != nil {
 				t.Fatal(err)
 			}
 			owed[w] = req
 			check(step, "push, pull owed")
 		default:
-			qk, dst1 := subset()
+			dst1 := vectors()
 			dst2 := cloneVecs(dst1)
-			if err := one.workers[w].Exchange(push, &SnapshotPull{Clock: req, Keys: qk, Dst: dst1}); err != nil {
+			if err := one.workers[w].Exchange(push, &SnapshotPull{Clock: req, Dst: dst1}); err != nil {
 				t.Fatal(err)
 			}
-			if err := two.workers[w].PushOrdered(w, pk, pv); err != nil {
+			if err := two.workers[w].PushOrdered(w, keys, pv); err != nil {
 				t.Fatal(err)
 			}
-			if err := two.workers[w].PullAtInto(dst2, qk, req); err != nil {
+			if err := two.workers[w].PullAtInto(dst2, keys, req); err != nil {
 				t.Fatal(err)
 			}
 			if err := sameBits(dst1, dst2); err != nil {
@@ -322,8 +326,7 @@ func TestLockStepAtD0DoesNotDeadlock(t *testing.T) {
 						}
 					}
 					for v := 0; v < waves; v++ {
-						err := sh.Exchange(&Push{Worker: w, Keys: keys, Vecs: vecs},
-							&SnapshotPull{Clock: v + 1, Keys: keys, Dst: dst})
+						err := sh.Exchange(&Push{Worker: w, Vecs: vecs}, &SnapshotPull{Clock: v + 1, Dst: dst})
 						if err != nil {
 							errs <- err
 							return
@@ -361,28 +364,61 @@ func TestLockStepAtD0DoesNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestRejectedExchangeChangesNothing: a fused exchange is all or nothing. A
-// bad push section — or a bad pull section behind a good push — is an
-// application error that leaves every shard's clocks, weights and snapshots
-// exactly as they were and the connection usable. Checked at both layers
-// that validate: Sharded (client-side, before a byte is sent) and the server
-// itself (a single client or an in-process caller sending the same thing).
+// TestRejectedExchangeChangesNothing holds every door to the whole-layout
+// contract: an exchange covers its layout — a server's keys sorted, a
+// Sharded's placement order — with one vector of the right length per key,
+// and the keyed calls name exactly that layout in order. Anything else is an
+// error that leaves every shard's clocks, counters and snapshots exactly as
+// they were and the connection usable: a bad push section, a bad pull section
+// behind a good push, keys out of order, short, over or repeated. The doors
+// are Sharded (which checks everything before a byte is sent, so no frame
+// moves either) and, with one server, the backend itself — the in-process
+// Server, or a TCP Client, whose server answers what the client cannot
+// check with an application error — each in process and over TCP.
 func TestRejectedExchangeChangesNothing(t *testing.T) {
-	keys := []string{"a", "b", "c", "d"}
+	keys := []string{"a", "b", "c", "d"} // sorted: one server's layout is the placement's
 	dims := []int{2, 2, 2, 2}
-	vec := func(n int) tensor.Vector { return make(tensor.Vector, n) }
-	good := &SnapshotPull{Clock: 1, Keys: []string{"a"}, Dst: []tensor.Vector{vec(2)}}
-	bad := map[string][2]any{
-		"bad worker":       {&Push{Worker: 7, Keys: []string{"a"}, Vecs: []tensor.Vector{vec(2)}}, good},
-		"negative worker":  {&Push{Worker: -1, Keys: []string{"a"}, Vecs: []tensor.Vector{vec(2)}}, good},
-		"wrong dim":        {&Push{Worker: 0, Keys: []string{"a"}, Vecs: []tensor.Vector{vec(3)}}, good},
-		"unregistered key": {&Push{Worker: 0, Keys: []string{"a", "zz"}, Vecs: []tensor.Vector{vec(2), vec(2)}}, good},
-		"duplicate key":    {&Push{Worker: 0, Keys: []string{"a", "a"}, Vecs: []tensor.Vector{vec(2), vec(2)}}, good},
-		"keys != vectors":  {&Push{Worker: 0, Keys: []string{"a"}, Vecs: nil}, good},
-		"bad pull key": {&Push{Worker: 0, Keys: []string{"a"}, Vecs: []tensor.Vector{vec(2)}},
-			&SnapshotPull{Clock: 1, Keys: []string{"zz"}, Dst: []tensor.Vector{nil}}},
-		"keys != destinations": {&Push{Worker: 0, Keys: []string{"a"}, Vecs: []tensor.Vector{vec(2)}},
-			&SnapshotPull{Clock: 1, Keys: []string{"a"}, Dst: nil}},
+	vecs := func(dims ...int) []tensor.Vector {
+		out := make([]tensor.Vector, len(dims))
+		for i, n := range dims {
+			out[i] = make(tensor.Vector, n)
+		}
+		return out
+	}
+	good := func() *SnapshotPull { return &SnapshotPull{Clock: 1, Dst: vecs(dims...)} }
+	// door is one way in: an exchange, and the keyed calls where it has them.
+	type door struct {
+		exchange func(push *Push, pull *SnapshotPull) error
+		push     func(keys []string, vecs []tensor.Vector) error
+		pull     func(dst []tensor.Vector, keys []string) error
+	}
+	rows := []struct {
+		name string
+		call func(d door) error // nil error: the door accepted it
+		// keyed rows need a door with keyed calls.
+		keyed bool
+	}{
+		{"bad worker", func(d door) error { return d.exchange(&Push{Worker: 7, Vecs: vecs(dims...)}, good()) }, false},
+		{"negative worker", func(d door) error { return d.exchange(&Push{Worker: -1, Vecs: vecs(dims...)}, good()) }, false},
+		{"wrong dim", func(d door) error { return d.exchange(&Push{Vecs: vecs(2, 3, 2, 2)}, good()) }, false},
+		{"wrong dim, last key", func(d door) error { return d.exchange(&Push{Vecs: vecs(2, 2, 2, 1)}, nil) }, false},
+		{"a vector short", func(d door) error { return d.exchange(&Push{Vecs: vecs(2, 2, 2)}, good()) }, false},
+		{"a vector over", func(d door) error { return d.exchange(&Push{Vecs: vecs(2, 2, 2, 2, 2)}, nil) }, false},
+		{"no vectors", func(d door) error { return d.exchange(&Push{}, nil) }, false},
+		{"a destination short", func(d door) error {
+			return d.exchange(&Push{Vecs: vecs(dims...)}, &SnapshotPull{Clock: 1, Dst: vecs(2, 2, 2)})
+		}, false},
+		{"a destination over", func(d door) error {
+			return d.exchange(&Push{Vecs: vecs(dims...)}, &SnapshotPull{Clock: 1, Dst: vecs(2, 2, 2, 2, 2)})
+		}, false},
+		{"push keys out of order", func(d door) error { return d.push([]string{"b", "a", "c", "d"}, vecs(dims...)) }, true},
+		{"push keys short", func(d door) error { return d.push(keys[:3], vecs(2, 2, 2)) }, true},
+		{"push keys over", func(d door) error { return d.push(append(keys, "e"), vecs(2, 2, 2, 2, 2)) }, true},
+		{"push keys repeated", func(d door) error { return d.push([]string{"a", "a", "c", "d"}, vecs(dims...)) }, true},
+		{"push keys unknown", func(d door) error { return d.push([]string{"a", "b", "c", "z"}, vecs(dims...)) }, true},
+		{"pull keys out of order", func(d door) error { return d.pull(vecs(dims...), []string{"a", "b", "d", "c"}) }, true},
+		{"pull keys short", func(d door) error { return d.pull(vecs(2), keys[:1]) }, true},
+		{"pull keys with a wrong count", func(d door) error { return d.pull(vecs(2, 2, 2), keys) }, true},
 	}
 	// Everything a server exposes: clocks, counters, and a one-server cut's
 	// snapshots (the cut is at a clock the exchange below already pulled, so
@@ -398,36 +434,63 @@ func TestRejectedExchangeChangesNothing(t *testing.T) {
 		}
 		return out
 	}
+	frames := func(dep *deployment) (n uint64) {
+		for _, s := range dep.servers {
+			n += s.FramesServed()
+		}
+		return n
+	}
 	for _, tcp := range []bool{false, true} {
-		// One server so that a direct Exchange on the backend is the whole
-		// deployment; two so that Sharded has a peer to leave untouched.
+		// One server so that the backend itself is a whole deployment; two so
+		// that Sharded has a peer to leave untouched.
 		for _, servers := range []int{1, 2} {
 			dep := newDeployment(t, 1, servers, keys, dims, tcp)
 			sh := dep.workers[0]
+			doors := map[string]door{"Sharded": {
+				exchange: sh.Exchange,
+				push:     func(k []string, v []tensor.Vector) error { return sh.PushOrdered(0, k, v) },
+				pull:     func(d []tensor.Vector, k []string) error { return sh.PullAtInto(d, k, 1) },
+			}}
+			if c := sh.clients[0]; servers == 1 && c != nil {
+				doors["Client"] = door{
+					exchange: func(p *Push, q *SnapshotPull) error { _, err := c.Exchange(p, q); return err },
+					push:     func(k []string, v []tensor.Vector) error { _, err := c.PushOrdered(0, k, v); return err },
+					pull:     func(d []tensor.Vector, k []string) error { return c.PullAtInto(d, k, 1) },
+				}
+			} else if servers == 1 {
+				s := sh.servers[0]
+				doors["Server"] = door{exchange: func(p *Push, q *SnapshotPull) error { _, err := s.Exchange(p, q); return err }}
+			}
 			// One committed wave and one materialised snapshot to disturb.
 			all := []tensor.Vector{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
-			if err := sh.Exchange(&Push{Worker: 0, Keys: keys, Vecs: all}, &SnapshotPull{Clock: 1, Keys: keys, Dst: cloneVecs(all)}); err != nil {
+			if err := sh.Exchange(&Push{Worker: 0, Vecs: all}, &SnapshotPull{Clock: 1, Dst: cloneVecs(all)}); err != nil {
 				t.Fatal(err)
 			}
-			before := states(dep)
-			for name, sections := range bad {
-				push, pull := sections[0].(*Push), sections[1].(*SnapshotPull)
-				if err := sh.Exchange(push, pull); err == nil {
-					t.Errorf("tcp=%v servers=%d: Sharded accepted %s", tcp, servers, name)
-				}
-				if servers == 1 {
-					_, err := sh.backends[0].Exchange(push, pull)
-					if err == nil || strings.Contains(err.Error(), "protocol error") {
-						t.Errorf("tcp=%v: server answered %s with %v, want an application error", tcp, name, err)
+			before, sent := states(dep), frames(dep)
+			for name, d := range doors {
+				for _, row := range rows {
+					if row.keyed && d.push == nil {
+						continue
 					}
-				}
-				if after := states(dep); !reflect.DeepEqual(before, after) {
-					t.Fatalf("tcp=%v servers=%d: rejected exchange (%s) changed server state", tcp, servers, name)
+					where := fmt.Sprintf("tcp=%v servers=%d %s, %s", tcp, servers, name, row.name)
+					err := row.call(d)
+					switch {
+					case err == nil:
+						t.Errorf("%s: accepted", where)
+					case strings.Contains(err.Error(), "protocol error"):
+						t.Errorf("%s: %v, want an application error", where, err)
+					}
+					if after := states(dep); !reflect.DeepEqual(before, after) {
+						t.Fatalf("%s: the rejected exchange changed server state", where)
+					}
+					if name == "Sharded" && frames(dep) != sent {
+						t.Fatalf("%s: Sharded sent a frame before rejecting", where)
+					}
 				}
 			}
 			// The connections survived all of it.
 			dst := cloneVecs(all)
-			if err := sh.Exchange(&Push{Worker: 0, Keys: keys, Vecs: all}, &SnapshotPull{Clock: 2, Keys: keys, Dst: dst}); err != nil {
+			if err := sh.Exchange(&Push{Worker: 0, Vecs: all}, &SnapshotPull{Clock: 2, Dst: dst}); err != nil {
 				t.Fatalf("tcp=%v servers=%d: valid exchange after the rejections: %v", tcp, servers, err)
 			}
 			// newDeployment's initial (len("d")+1)/4 plus two waves of 8.
@@ -443,9 +506,10 @@ func TestRejectedExchangeChangesNothing(t *testing.T) {
 	}
 }
 
-// TestRegisterAfterSnapshotLayoutFails: the flat layout is fixed when the
-// first snapshot is built; a shard registered later would be a key no
-// snapshot holds, so it must fail loudly rather than serve garbage.
+// TestRegisterAfterSnapshotLayoutFails: the layout is fixed by the first
+// Meta, exchange or snapshot; a shard registered later would be a key no
+// exchange or snapshot holds, so it must fail loudly rather than serve
+// garbage.
 func TestRegisterAfterSnapshotLayoutFails(t *testing.T) {
 	s, err := NewServer(1)
 	if err != nil {
@@ -457,7 +521,7 @@ func TestRegisterAfterSnapshotLayoutFails(t *testing.T) {
 	if err := s.Register("b", []float64{3}); err != nil {
 		t.Fatal(err) // no snapshot yet: still allowed
 	}
-	if _, err := pullAtMap(s, []string{"b", "a"}, 0); err != nil {
+	if _, err := pullAtMap(s, []string{"a", "b"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Register("c", []float64{4}); err == nil || !strings.Contains(err.Error(), "layout") {
@@ -476,7 +540,7 @@ func TestRegisterAfterSnapshotLayoutFails(t *testing.T) {
 	if err := r.Register("c", []float64{4}); err == nil {
 		t.Fatal("Register on a server restored with snapshots succeeded")
 	}
-	got, err := pullAtMap(r, []string{"b", "a"}, 0)
+	got, err := pullAtMap(r, []string{"a", "b"}, 0)
 	if err != nil || got["a"][1] != 2 || got["b"][0] != 3 {
 		t.Fatalf("restored snapshot = %v, %v", got, err)
 	}

@@ -32,12 +32,12 @@ func (h halves) Read(p []byte) (int, error) { return h.in.Read(p) }
 // frame is answered unless a malformed one (counted) ended the connection
 // first.
 func FuzzServerFrame(f *testing.F) {
-	push := &Push{Worker: 0, Keys: []string{"w"}, Vecs: []tensor.Vector{{1, 2}}}
-	pull := &SnapshotPull{Clock: 1, Keys: []string{"w"}, Dst: []tensor.Vector{nil}}
+	push := &Push{Worker: 0, Vecs: []tensor.Vector{{1, 2}}}
+	pull := &SnapshotPull{Clock: 1, Dst: []tensor.Vector{nil}}
 	f.Add(waveFrame(push, nil))
-	f.Add(waveFrame(nil, &SnapshotPull{Keys: []string{"w"}, Dst: []tensor.Vector{nil}}))
+	f.Add(waveFrame(nil, &SnapshotPull{Dst: []tensor.Vector{nil}}))
 	f.Add(waveFrame(push, pull))
-	f.Add(append(waveFrame(push, pull), waveFrame(nil, &SnapshotPull{Clock: 9, Keys: []string{"w"}, Dst: []tensor.Vector{nil}})...)) // blocks
+	f.Add(append(waveFrame(push, pull), waveFrame(nil, &SnapshotPull{Clock: 9, Dst: []tensor.Vector{nil}})...)) // blocks
 	for _, op := range []byte{opMeta, 0, 99} {
 		f.Add(reframe([]byte{op}))
 	}
@@ -119,7 +119,7 @@ func FuzzServerFrame(f *testing.F) {
 			t.Fatalf("served %d frames of %d", s.FramesServed(), complete)
 		}
 		// Everything the connection allocated is proportional to what it was
-		// sent (buffers double, responses echo keys) — a 64 MiB announcement
+		// sent (buffers double) — a 64 MiB announcement
 		// backed by one byte must not cost 64 MiB. The constant absorbs the
 		// harness's own goroutines, pipes and timers.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data))+(1<<20) {
@@ -180,10 +180,11 @@ func FuzzClientFrame(f *testing.F) {
 			respW.Close()
 		}()
 		c := newClient(halves{Conn: reqW, in: respR})
+		keys := []string{"w"}
+		c.layout = keys // as a Meta would have told it, so every call goes out
 		watchdog := time.AfterFunc(10*time.Second, func() { respR.Close() })
 
-		keys := []string{"w"}
-		push := &Push{Worker: 0, Keys: keys, Vecs: []tensor.Vector{{1, 2}}}
+		push := &Push{Worker: 0, Vecs: []tensor.Vector{{1, 2}}}
 		answered := 0 // calls that consumed a frame without failing the client
 		call := func(name string, do func() error) {
 			err := do()
@@ -207,7 +208,7 @@ func FuzzClientFrame(f *testing.F) {
 			return c.PullAtInto([]tensor.Vector{nil}, keys, 1)
 		})
 		call("fused", func() error {
-			clock, err := c.Exchange(push, &SnapshotPull{Clock: 1, Keys: keys, Dst: []tensor.Vector{nil}})
+			clock, err := c.Exchange(push, &SnapshotPull{Clock: 1, Dst: []tensor.Vector{nil}})
 			return clockOK("fused", clock, err)
 		})
 		call("meta", func() error {

@@ -12,22 +12,23 @@ import (
 	"hetpipe/internal/tensor"
 )
 
-// The data plane is Exchange over parallel key and vector slices; most tests
-// push or pull alone, and many read better with maps, so these wrap its
-// half-empty cases (keys go out sorted).
+// The data plane is Exchange over one vector per layout key; most tests push
+// or pull alone, and many read better with maps, so these wrap its
+// half-empty cases. A map covers the whole layout, and its keys sorted are
+// the layout's order.
 
 type exchanger interface {
 	Exchange(push *Push, pull *SnapshotPull) (int, error)
 }
 
 // pushOnly is an Exchange with no pull section.
-func pushOnly(x exchanger, w int, keys []string, vecs []tensor.Vector) (int, error) {
-	return x.Exchange(&Push{Worker: w, Keys: keys, Vecs: vecs}, nil)
+func pushOnly(x exchanger, w int, vecs []tensor.Vector) (int, error) {
+	return x.Exchange(&Push{Worker: w, Vecs: vecs}, nil)
 }
 
 // pullOnly is an Exchange with no push section.
-func pullOnly(x exchanger, dst []tensor.Vector, keys []string, clock int) error {
-	_, err := x.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
+func pullOnly(x exchanger, dst []tensor.Vector, clock int) error {
+	_, err := x.Exchange(nil, &SnapshotPull{Clock: clock, Dst: dst})
 	return err
 }
 
@@ -51,8 +52,8 @@ func unzip(updates map[string]tensor.Vector) (keys []string, vecs []tensor.Vecto
 }
 
 func pushMap(x exchanger, w int, updates map[string]tensor.Vector) (int, error) {
-	keys, vecs := unzip(updates)
-	return pushOnly(x, w, keys, vecs)
+	_, vecs := unzip(updates)
+	return pushOnly(x, w, vecs)
 }
 
 func shardedPushMap(sh *Sharded, w int, updates map[string]tensor.Vector) error {
@@ -60,9 +61,10 @@ func shardedPushMap(sh *Sharded, w int, updates map[string]tensor.Vector) error 
 	return sh.PushOrdered(w, keys, vecs)
 }
 
+// pullAtMap pulls the whole layout, whose keys in order are keys.
 func pullAtMap(x exchanger, keys []string, clock int) (map[string]tensor.Vector, error) {
 	dst := make([]tensor.Vector, len(keys))
-	if err := pullOnly(x, dst, keys, clock); err != nil {
+	if err := pullOnly(x, dst, clock); err != nil {
 		return nil, err
 	}
 	out := make(map[string]tensor.Vector, len(keys))
@@ -128,17 +130,17 @@ func TestServerPushAppliesUpdates(t *testing.T) {
 func TestServerPushErrors(t *testing.T) {
 	s, _ := NewServer(1)
 	s.Register("w", []float64{1})
-	if _, err := pushMap(s, 5, nil); err == nil {
+	if _, err := pushMap(s, 5, map[string]tensor.Vector{"w": {1}}); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
-	if _, err := pushMap(s, 0, map[string]tensor.Vector{"nope": {1}}); err == nil {
-		t.Error("unregistered shard accepted")
+	if _, err := pushMap(s, 0, map[string]tensor.Vector{"v": {1}, "w": {1}}); err == nil {
+		t.Error("a push of more vectors than the layout has accepted")
 	}
 	if _, err := pushMap(s, 0, map[string]tensor.Vector{"w": {1, 2}}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := pullAtMap(s, []string{"nope"}, 0); err == nil {
-		t.Error("pull of unregistered shard accepted")
+	if _, err := pullAtMap(s, []string{"v", "w"}, 0); err == nil {
+		t.Error("a pull into more destinations than the layout has accepted")
 	}
 }
 
@@ -244,15 +246,8 @@ func TestRoundRobinPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on0, on1 := len(p.KeysOn(0)), len(p.KeysOn(1)); on0 != 3 || on1 != 2 {
-		t.Errorf("distribution = [%d %d], want [3 2]", on0, on1)
-	}
-	srv, err := p.serverOf("c")
-	if err != nil || srv != 0 {
-		t.Errorf("serverOf(c) = %d, %v", srv, err)
-	}
-	if _, err := p.serverOf("zzz"); err == nil {
-		t.Error("unplaced key accepted")
+	if on0, on1 := p.KeysOn(0), p.KeysOn(1); !slices.Equal(on0, []string{"a", "c", "e"}) || !slices.Equal(on1, []string{"b", "d"}) {
+		t.Errorf("distribution = %v %v, want [a c e] [b d]", on0, on1)
 	}
 }
 
@@ -325,8 +320,12 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 		t.Errorf("global clock = %d, want 1", g)
 	}
 	// Server-side errors propagate as client errors.
-	if _, err := pushMap(c0, 0, map[string]tensor.Vector{"missing": {1}}); err == nil {
-		t.Error("push to missing shard should fail over TCP too")
+	if _, err := pushMap(c0, 5, map[string]tensor.Vector{"w": {1, 2}}); err == nil {
+		t.Error("push by an out-of-range worker should fail over TCP too")
+	}
+	// And a keyed call names the whole layout or fails before sending.
+	if _, err := c0.PushOrdered(0, []string{"missing"}, []tensor.Vector{{1, 2}}); err == nil {
+		t.Error("push keyed to a missing shard should fail")
 	}
 }
 
@@ -390,33 +389,31 @@ func TestManyShardsAcrossPlacement(t *testing.T) {
 		keys[i] = fmt.Sprintf("layer%02d", i)
 	}
 	pl, _ := RoundRobin(keys, servers)
-	for _, k := range keys {
-		srv, _ := pl.serverOf(k)
-		srvs[srv].Register(k, []float64{0})
+	for i, s := range srvs {
+		for _, k := range pl.KeysOn(i) {
+			s.Register(k, []float64{0})
+		}
 	}
 	for w := 0; w < 2; w++ {
-		perServer := make([]map[string]tensor.Vector, servers)
-		for i := range perServer {
-			perServer[i] = make(map[string]tensor.Vector)
-		}
-		for _, k := range keys {
-			srv, _ := pl.serverOf(k)
-			perServer[srv][k] = tensor.Vector{1}
-		}
-		for i, updates := range perServer {
-			if _, err := pushMap(srvs[i], w, updates); err != nil {
+		for i, s := range srvs {
+			updates := make(map[string]tensor.Vector)
+			for _, k := range pl.KeysOn(i) {
+				updates[k] = tensor.Vector{1}
+			}
+			if _, err := pushMap(s, w, updates); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for _, k := range keys {
-		srv, _ := pl.serverOf(k)
-		got, err := pullAtMap(srvs[srv], []string{k}, 1)
+	for i, s := range srvs {
+		got, err := pullAtMap(s, pl.KeysOn(i), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[k][0] != 2 {
-			t.Errorf("shard %s = %v, want 2", k, got[k][0])
+		for k, v := range got {
+			if v[0] != 2 {
+				t.Errorf("shard %s = %v, want 2", k, v[0])
+			}
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestPullBelowFloorIsErrReleased(t *testing.T) {
 				}
 			}
 			before := d.observe()
-			err := d.workers[0].Exchange(&Push{Worker: 0, Keys: keys, Vecs: vecs}, &SnapshotPull{Clock: 1, Keys: keys, Dst: make([]tensor.Vector, len(keys))})
+			err := d.workers[0].Exchange(&Push{Worker: 0, Vecs: vecs}, &SnapshotPull{Clock: 1, Dst: make([]tensor.Vector, len(keys))})
 			if !errors.Is(err, ErrReleased) {
 				t.Fatalf("exchange pulling released clock 1: %v, want ErrReleased", err)
 			}
@@ -156,7 +156,7 @@ func TestReleaseMatchesNeverReleasedTwin(t *testing.T) {
 					}
 				}
 				for _, x := range pair {
-					if _, err := pushOnly(x, w, keys, vecs); err != nil {
+					if _, err := pushOnly(x, w, vecs); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -164,10 +164,10 @@ func TestReleaseMatchesNeverReleasedTwin(t *testing.T) {
 			case op < 4: // pull a random reached clock at or above the floor
 				c := floor + rng.Intn(global-floor+1)
 				var got, want [3]tensor.Vector
-				if err := pullOnly(s, got[:], keys, c); err != nil {
+				if err := pullOnly(s, got[:], c); err != nil {
 					t.Fatalf("seed %d step %d: pull at %d (floor %d): %v", seed, step, c, floor, err)
 				}
-				if err := pullOnly(twin, want[:], keys, c); err != nil {
+				if err := pullOnly(twin, want[:], c); err != nil {
 					t.Fatal(err)
 				}
 				if err := sameBits(got[:], want[:]); err != nil {

@@ -16,15 +16,20 @@
 // shards across nodes. The data plane has one operation, Exchange: a wave's
 // push and the D-gated snapshot pull that follows it travel as one request
 // and one response per shard server (Server, Client and Sharded all have it;
-// Backend is what Sharded needs of the first two). Client and Sharded also
-// have PushOrdered and PullAtInto, its half-empty cases; all of them move
-// weights through caller-owned slices with no per-call map traffic. Every
-// exchange is served in one order, in process and over TCP alike: validate
-// both sections, commit the push, wait for the pull's clock, answer — so an
-// exchange that has returned is already in the server's clocks. A server keeps one flat
-// vector per global-clock boundary and serves every pull — fused or not, in
-// process or over TCP — from it under its lock; there is no read of the
-// "latest" weights, whose value would depend on push arrival order.
+// Backend is what Sharded is built over). An exchange always covers every
+// shard its server holds, in the server's layout: its keys sorted. So no key
+// travels with an exchange — a push is a worker and one vector per layout
+// key, a pull a clock and one destination per layout key — and Sharded, whose
+// layout is its placement's key order, maps that order onto each server's
+// once, at construction. Client and Sharded also have PushOrdered and
+// PullAtInto, its half-empty cases, which take the keys and refuse any but
+// the whole layout in order. Every exchange is served in one order, in
+// process and over TCP alike: validate both sections, commit the push, wait
+// for the pull's clock, answer — so an exchange that has returned is already
+// in the server's clocks. A server keeps one flat vector per global-clock
+// boundary and serves every pull — fused or not, in process or over TCP —
+// from it under its lock; there is no read of the "latest" weights, whose
+// value would depend on push arrival order.
 //
 // Those snapshots are the server's whole state, kept as a window: the run
 // that owns a server tells it, through Release, the lowest clock any worker
@@ -52,47 +57,22 @@ import (
 	"hetpipe/internal/wsp"
 )
 
-// waveUpdate is one worker's retained aggregated update for one wave: the
-// pushed keys in push order, with every delta packed back-to-back in a
-// single backing allocation (offsets are implied by the registered shard
-// lengths). It replaces the old per-(wave,worker) map of per-key clones —
-// one allocation per push instead of one per key.
-type waveUpdate struct {
-	keys    []string
-	backing tensor.Vector
-}
-
-// span is one key's range in the flat snapshot layout.
-type span struct{ off, n int }
-
 // Push is the push section of an Exchange: worker Worker's aggregated wave
-// update as parallel key and delta slices (wglobal += u~ per shard). The
-// caller keeps ownership of both slices.
+// update, one delta per layout key in layout order (wglobal += u~ per
+// shard). The caller keeps ownership of the slice.
 type Push struct {
 	Worker int
-	Keys   []string
 	Vecs   []tensor.Vector
 }
 
-// SnapshotPull is the pull section of an Exchange: the snapshot of Keys as
-// of global-clock boundary Clock — the initial weights plus every wave-v
-// update with v < Clock from every worker, whatever order the pushes arrived
-// in. Dst[i] receives Keys[i], reusing Dst[i]'s storage when its length
-// already matches.
+// SnapshotPull is the pull section of an Exchange: the snapshot as of
+// global-clock boundary Clock — the initial weights plus every wave-v update
+// with v < Clock from every worker, whatever order the pushes arrived in.
+// Dst[i] receives the i-th layout key's weights, reusing Dst[i]'s storage
+// when its length already matches.
 type SnapshotPull struct {
 	Clock int
-	Keys  []string
 	Dst   []tensor.Vector
-}
-
-// visit implements vecSink for in-process exchanges: copy into Dst.
-//
-//hetlint:hotpath
-func (p *SnapshotPull) visit(i int, v tensor.Vector) {
-	if len(p.Dst[i]) != len(v) {
-		p.Dst[i] = make(tensor.Vector, len(v))
-	}
-	copy(p.Dst[i], v)
 }
 
 // Server is one parameter-server shard host: a set of named weight vectors
@@ -114,39 +94,32 @@ func (p *SnapshotPull) visit(i int, v tensor.Vector) {
 type Server struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// initial holds the registered starting weights, the clock-0 snapshot;
-	// its keys and lengths are the shard layout every request is checked
-	// against.
+	// initial holds the registered starting weights, the clock-0 snapshot.
 	initial map[string]tensor.Vector
+	// keys is the layout every exchange covers: the registered keys, sorted;
+	// key j's range in a flat vector is offs[j]:offs[j+1]. Both are nil
+	// until the layout is fixed — by the first Meta, exchange or snapshot —
+	// after which Register fails.
+	keys []string
+	offs []int
 	// clocks holds each worker's pushed-wave count, the global clock and
 	// the largest clock distance observed at any push.
 	clocks wsp.Clocks
 	// waveDeltas[(v-deltaBase)*W+w] is worker w's aggregated update of wave
-	// v (zero until pushed), stored flat so pushing a new wave costs
-	// amortized-zero bookkeeping allocations. deltaBase is the newest
-	// snapshot's clock (0 before the first): every older wave is folded, and
-	// the table is compacted down to deltaBase after each fold, so it holds
-	// only the waves pushed ahead of the newest snapshot — at most (D+2)·W
-	// entries under WSP. snapshots[c-base] is the materialized clock-c
-	// snapshot, built lazily from waveDeltas in (wave, worker) order so the
-	// result does not depend on push arrival order; base is the server's
-	// floor, below which Release has recycled them. A snapshot is one flat
-	// vector holding every shard back to back in sorted-key order; spans
-	// gives each key's range. The layout is fixed when the first snapshot is
-	// built (spans is nil until then), after which Register fails.
-	waveDeltas []waveUpdate
+	// v (nil until pushed), one flat vector in layout order, stored flat so
+	// pushing a new wave costs amortized-zero bookkeeping allocations.
+	// deltaBase is the newest snapshot's clock (0 before the first): every
+	// older wave is folded, and the table is compacted down to deltaBase
+	// after each fold, so it holds only the waves pushed ahead of the newest
+	// snapshot — at most (D+2)·W entries under WSP. snapshots[c-base] is the
+	// materialized clock-c snapshot, one flat vector in layout order, built
+	// lazily from waveDeltas in (wave, worker) order so the result does not
+	// depend on push arrival order; base is the server's floor, below which
+	// Release has recycled them.
+	waveDeltas []tensor.Vector
 	deltaBase  int
 	snapshots  []tensor.Vector
 	base       int
-	spans      map[string]span
-	// internedKeys is the key slice of the most recent push. Workers push
-	// the same key set wave after wave, so retained waveUpdates share one
-	// server-owned slice instead of cloning the caller's per push; the
-	// aligned shard lengths and their sum ride along so a repeat keyset
-	// skips the map lookups and the duplicate scan entirely.
-	internedKeys  []string
-	internedLens  []int
-	internedTotal int
 	// freeBackings recycles the backing arrays of folded wave deltas and of
 	// released snapshots into later pushes and folds: in the steady state
 	// (pulls folding waves as pushes land, the floor rising behind them) a
@@ -179,79 +152,77 @@ func NewServer(n int) (*Server, error) {
 }
 
 // Register installs a named weight vector with initial values. Registering
-// an existing key fails, and so does registering any key once a snapshot has
-// been built — shard layout is fixed before training, and a key added later
-// would be one no snapshot holds.
+// an existing key fails, and so does registering any key once the layout is
+// fixed — shard layout is fixed before training, and a key added later
+// would be one no exchange or snapshot holds.
 func (s *Server) Register(key string, init []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.initial[key]; ok {
 		return fmt.Errorf("ps: shard %q already registered", key)
 	}
-	if s.spans != nil {
-		return fmt.Errorf("ps: shard %q registered after the snapshot layout was fixed", key)
+	if s.offs != nil {
+		return fmt.Errorf("ps: shard %q registered after the layout was fixed", key)
 	}
 	s.initial[key] = tensor.Vector(init).Clone()
 	return nil
 }
 
 // Exchange is the data plane's one operation: an optional push and an
-// optional snapshot pull, executed as a unit. Both sections are validated in
-// full — worker range, shard existence, lengths, duplicate keys, the pull's
-// keys — before any weight is touched, so a rejected exchange leaves the
-// server unchanged. Then the push commits (waking blocked pulls), and only
-// then does the pull wait for the global clock to reach pull.Clock: a worker
-// never waits on a clock while holding back the push its peers wait for,
-// which is what keeps D = 0 free of deadlock (and what a clock-w+1 snapshot
-// that must contain this worker's own wave w needs). It returns the worker's
-// new clock when it pushed, 0 otherwise.
+// optional snapshot pull, executed as a unit, each covering the server's
+// whole layout. Both sections are validated in full — worker range, vector
+// counts, lengths, the pull's clock — before any weight is touched, so a
+// rejected exchange leaves the server unchanged. Then the push commits
+// (waking blocked pulls), and only then does the pull wait for the global
+// clock to reach pull.Clock: a worker never waits on a clock while holding
+// back the push its peers wait for, which is what keeps D = 0 free of
+// deadlock (and what a clock-w+1 snapshot that must contain this worker's
+// own wave w needs). It returns the worker's new clock when it pushed, 0
+// otherwise.
 func (s *Server) Exchange(push *Push, pull *SnapshotPull) (int, error) {
-	if pull == nil {
-		return s.exchange(push, nil, nil)
-	}
-	if len(pull.Dst) != len(pull.Keys) {
-		return 0, fmt.Errorf("ps: %d destinations for %d keys", len(pull.Dst), len(pull.Keys))
-	}
-	return s.exchange(push, pull, pull)
+	return s.exchange(push, pull, nil, nil)
 }
 
-// vecSink receives weight vectors during a locked pull. The TCP transport
-// implements it to encode responses straight from server-owned storage — no
-// intermediate clone, no map; *SnapshotPull implements it to copy into the
-// caller's destinations. The vector passed to visit is only valid for the
-// duration of the call.
-type vecSink interface {
-	visit(i int, v tensor.Vector)
-}
-
-// exchange is Exchange with the snapshot's vectors handed to sink (in key
-// order, under the server lock) instead of copied into pull.Dst.
+// at is the position in a caller's slice of layout key j: sel[j] when the
+// caller's slices are in another order (Sharded's placement order), j when
+// sel is nil.
 //
 //hetlint:hotpath
-func (s *Server) exchange(push *Push, pull *SnapshotPull, sink vecSink) (int, error) {
+func at(sel []int, j int) int {
+	if sel == nil {
+		return j
+	}
+	return sel[j]
+}
+
+// count is how many layout keys a section's slice covers, read through sel.
+//
+//hetlint:hotpath
+func count(vs []tensor.Vector, sel []int) int {
+	if sel == nil {
+		return len(vs)
+	}
+	return len(sel)
+}
+
+// exchange is Exchange with the caller's slices read through sel (see at)
+// and, when out is non-nil, the snapshot's vectors encoded into out (in
+// layout order, under the server lock) instead of copied into pull.Dst —
+// the TCP transport's response, whose client checked its own destinations.
+//
+//hetlint:hotpath
+func (s *Server) exchange(push *Push, pull *SnapshotPull, sel []int, out *encoder) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if pull != nil && pull.Clock < 0 {
-		return 0, errNegativeClock(pull.Clock)
-	}
-	if pull != nil && pull.Clock < s.base {
-		return 0, errReleased(pull.Clock, s.base)
+	s.fixLayoutLocked()
+	// Nothing may fail between the commit and the answer but the server
+	// closing, so the pull is checked up front too.
+	if err := s.validateLocked(push, pull, sel, out == nil); err != nil {
+		return 0, err
 	}
 	clock := 0
 	if push != nil {
-		if err := s.validatePushLocked(push); err != nil {
-			return 0, err
-		}
-		if pull != nil {
-			// Nothing may fail between the commit and the answer but the
-			// server closing, so the pull's keys are checked up front too.
-			for _, key := range pull.Keys {
-				if _, ok := s.initial[key]; !ok {
-					return 0, errUnregisteredPull(key)
-				}
-			}
-		}
-		clock = s.commitPushLocked(push)
+		clock = s.commitPushLocked(push, sel)
 	}
 	if pull == nil {
 		return clock, nil
@@ -269,15 +240,53 @@ func (s *Server) exchange(push *Push, pull *SnapshotPull, sink vecSink) (int, er
 		return 0, errReleased(pull.Clock, s.base)
 	}
 	snap := s.snapshotLocked(pull.Clock)
-	for i, key := range pull.Keys {
-		sp, ok := s.spans[key]
-		if !ok {
-			return 0, errUnregisteredPull(key)
+	for j := range s.keys {
+		v := snap[s.offs[j]:s.offs[j+1]]
+		if out != nil {
+			out.vec(v)
+			continue
 		}
-		sink.visit(i, snap[sp.off:sp.off+sp.n])
+		i := at(sel, j)
+		if len(pull.Dst[i]) != len(v) {
+			pull.Dst[i] = make(tensor.Vector, len(v))
+		}
+		copy(pull.Dst[i], v)
 	}
 	s.pulls++
 	return clock, nil
+}
+
+// validateLocked checks an exchange's sections against the layout: the
+// pull's clock (and, unless the caller checked its own, its destination
+// count), the push's worker, vector count and lengths. Unannotated because
+// its fmt formatting runs only on the error path.
+func (s *Server) validateLocked(push *Push, pull *SnapshotPull, sel []int, dst bool) error {
+	if pull != nil {
+		if pull.Clock < 0 {
+			return fmt.Errorf("ps: negative snapshot clock %d", pull.Clock)
+		}
+		if pull.Clock < s.base {
+			return errReleased(pull.Clock, s.base)
+		}
+		if n := count(pull.Dst, sel); dst && n != len(s.keys) {
+			return fmt.Errorf("ps: pull into %d destinations from a layout of %d shards", n, len(s.keys))
+		}
+	}
+	if push == nil {
+		return nil
+	}
+	if push.Worker < 0 || push.Worker >= s.clocks.Workers() {
+		return fmt.Errorf("ps: worker %d out of range [0,%d)", push.Worker, s.clocks.Workers())
+	}
+	if n := count(push.Vecs, sel); n != len(s.keys) {
+		return fmt.Errorf("ps: push of %d vectors to a layout of %d shards", n, len(s.keys))
+	}
+	for j, key := range s.keys {
+		if n, got := s.offs[j+1]-s.offs[j], len(push.Vecs[at(sel, j)]); n != got {
+			return fmt.Errorf("ps: shard %q length %d, delta length %d", key, n, got)
+		}
+	}
+	return nil
 }
 
 // errClosed is what a pull blocked on (or arriving at) a closed server gets.
@@ -287,19 +296,10 @@ var errClosed = errors.New("ps: server closed")
 // gets (see Release); match with errors.Is, over TCP as in process.
 var ErrReleased = errors.New("ps: snapshot clock released")
 
-// The error constructors below keep fmt out of the annotated hot paths; they
-// only run when a request is rejected.
-
-func errNegativeClock(c int) error {
-	return fmt.Errorf("ps: negative snapshot clock %d", c)
-}
-
+// errReleased keeps fmt out of the annotated hot path; it only runs when a
+// request is rejected.
 func errReleased(c, floor int) error {
 	return fmt.Errorf("%w: clock %d is below the server's floor %d", ErrReleased, c, floor)
-}
-
-func errUnregisteredPull(key string) error {
-	return fmt.Errorf("ps: pull of unregistered shard %q", key)
 }
 
 // takeBacking returns a length-n vector for a retained wave delta or a new
@@ -331,97 +331,30 @@ func (s *Server) recycleLocked(v tensor.Vector) {
 	}
 }
 
-// validatePushLocked checks a push — worker index, keyset (interning a new
-// one), per-shard lengths. Unannotated because its fmt formatting runs only
-// on the error path.
-func (s *Server) validatePushLocked(p *Push) error {
-	if len(p.Keys) != len(p.Vecs) {
-		return fmt.Errorf("ps: %d keys for %d vectors", len(p.Keys), len(p.Vecs))
-	}
-	if p.Worker < 0 || p.Worker >= s.clocks.Workers() {
-		return fmt.Errorf("ps: worker %d out of range [0,%d)", p.Worker, s.clocks.Workers())
-	}
-	if !keysEqual(s.internedKeys, p.Keys) {
-		if err := s.internPushKeys(p.Keys); err != nil {
-			return err
-		}
-	}
-	// The interned lengths are aligned with the keys; only the per-vector
-	// lengths still need checking on a repeat keyset.
-	for i, n := range s.internedLens {
-		if n != len(p.Vecs[i]) {
-			return fmt.Errorf("ps: shard %q length %d, delta length %d", p.Keys[i], n, len(p.Vecs[i]))
-		}
-	}
-	return nil
-}
-
-// commitPushLocked applies a push validatePushLocked has just accepted (the
-// interned keyset is p's): the deltas are copied into the wave's one
-// retained backing, which the snapshot fold reads, the worker's clock
-// advances, and blocked pulls wake. It returns the worker's new clock.
+// commitPushLocked applies a push validateLocked has just accepted: the
+// deltas are copied, in layout order, into the wave's one retained backing,
+// which the snapshot fold reads, the worker's clock advances, and blocked
+// pulls wake. It returns the worker's new clock.
 //
 //hetlint:hotpath
-func (s *Server) commitPushLocked(p *Push) int {
+func (s *Server) commitPushLocked(p *Push, sel []int) int {
 	w := p.Worker
 	// A worker's clock is at least the global clock, which is at least the
 	// newest snapshot's: its wave is never below deltaBase.
 	workers := s.clocks.Workers()
 	wave := s.clocks.Clock(w) - s.deltaBase
-	need := (wave + 1) * workers
-	for len(s.waveDeltas) < need {
-		s.waveDeltas = append(s.waveDeltas, waveUpdate{})
+	for need := (wave + 1) * workers; len(s.waveDeltas) < need; {
+		s.waveDeltas = append(s.waveDeltas, nil)
 	}
-	u := &s.waveDeltas[wave*workers+w]
-	u.keys = s.internedKeys
-	u.backing = s.takeBacking(s.internedTotal)
-	off := 0
-	for _, v := range p.Vecs {
-		off += copy(u.backing[off:], v)
+	backing := s.takeBacking(s.offs[len(s.keys)])
+	for j := range s.keys {
+		copy(backing[s.offs[j]:], p.Vecs[at(sel, j)])
 	}
+	s.waveDeltas[wave*workers+w] = backing
 	clock := s.clocks.Push(w)
 	s.pushes++
 	s.cond.Broadcast()
 	return clock
-}
-
-//hetlint:hotpath
-func keysEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// internPushKeys validates a new push keyset — shard existence, duplicate
-// keys — and caches a server-owned copy with the aligned shard lengths.
-// Workers push the same shard set wave after wave, so this runs once per
-// keyset change, not per push; retained waveUpdates share the server-owned
-// slice and never alias caller memory (callers recycle their slices).
-func (s *Server) internPushKeys(keys []string) error {
-	for i, key := range keys {
-		if _, ok := s.initial[key]; !ok {
-			return fmt.Errorf("ps: push to unregistered shard %q", key)
-		}
-		for j := 0; j < i; j++ {
-			if keys[j] == key {
-				return fmt.Errorf("ps: duplicate shard %q in push", key)
-			}
-		}
-	}
-	s.internedKeys = append([]string(nil), keys...)
-	s.internedLens = make([]int, len(keys))
-	s.internedTotal = 0
-	for i, key := range keys {
-		s.internedLens[i] = len(s.initial[key])
-		s.internedTotal += s.internedLens[i]
-	}
-	return nil
 }
 
 // MaxClockDistance reports the largest max-min clock spread across workers
@@ -441,40 +374,37 @@ func (s *Server) GlobalClock() int {
 	return s.clocks.GlobalClock()
 }
 
-// fixLayoutLocked fixes the flat snapshot layout: every registered shard
-// back to back in sorted-key order.
+// fixLayoutLocked fixes the layout, once: every registered shard back to
+// back in sorted-key order.
 func (s *Server) fixLayoutLocked() {
-	keys := make([]string, 0, len(s.initial))
-	for k := range s.initial {
-		keys = append(keys, k)
+	if s.offs != nil {
+		return
 	}
-	sort.Strings(keys)
-	s.spans = make(map[string]span, len(keys))
-	off := 0
-	for _, k := range keys {
-		s.spans[k] = span{off, len(s.initial[k])}
-		off += len(s.initial[k])
+	s.keys = make([]string, 0, len(s.initial))
+	for k := range s.initial {
+		s.keys = append(s.keys, k)
+	}
+	sort.Strings(s.keys)
+	s.offs = make([]int, 1, len(s.keys)+1)
+	for _, k := range s.keys {
+		s.offs = append(s.offs, s.offs[len(s.offs)-1]+len(s.initial[k]))
 	}
 }
 
 // packLocked lays a per-key weight map out as one flat snapshot.
 func (s *Server) packLocked(m map[string]tensor.Vector) tensor.Vector {
-	total := 0
-	for _, sp := range s.spans {
-		total += sp.n
-	}
-	flat := make(tensor.Vector, total)
-	for k, sp := range s.spans {
-		copy(flat[sp.off:sp.off+sp.n], m[k])
+	flat := make(tensor.Vector, s.offs[len(s.keys)])
+	for j, k := range s.keys {
+		copy(flat[s.offs[j]:s.offs[j+1]], m[k])
 	}
 	return flat
 }
 
 // unpackLocked is packLocked's inverse, as a deep copy.
 func (s *Server) unpackLocked(flat tensor.Vector) map[string]tensor.Vector {
-	m := make(map[string]tensor.Vector, len(s.spans))
-	for k, sp := range s.spans {
-		m[k] = flat[sp.off : sp.off+sp.n].Clone()
+	m := make(map[string]tensor.Vector, len(s.keys))
+	for j, k := range s.keys {
+		m[k] = flat[s.offs[j]:s.offs[j+1]].Clone()
 	}
 	return m
 }
@@ -483,9 +413,9 @@ func (s *Server) unpackLocked(flat tensor.Vector) map[string]tensor.Vector {
 // at or above the floor. The global clock must have reached c, so every wave
 // < c is fully pushed — a pull has just waited for exactly that, and
 // Capture's cut is a global clock already reached. Each new clock costs one
-// copy of its predecessor into a recycled vector; deltas are folded in
-// (wave, worker) order, never arrival order. It is the one place a wave
-// delta becomes weights.
+// copy of its predecessor into a recycled vector and one add per worker,
+// folded in (wave, worker) order, never arrival order. It is the one place a
+// wave delta becomes weights.
 func (s *Server) snapshotLocked(c int) tensor.Vector {
 	if len(s.snapshots) == 0 {
 		s.fixLayoutLocked()
@@ -499,16 +429,11 @@ func (s *Server) snapshotLocked(c int) tensor.Vector {
 		copy(next, prev)
 		for i := range workers {
 			u := &s.waveDeltas[folded*workers+i]
-			off := 0
-			for _, k := range u.keys {
-				sp := s.spans[k]
-				next[sp.off : sp.off+sp.n].AddInPlace(u.backing[off : off+sp.n])
-				off += sp.n
-			}
+			next.AddInPlace(*u)
 			// This fold is the only reader of the wave's per-worker deltas;
 			// their backings go to later pushes.
-			s.recycleLocked(u.backing)
-			*u = waveUpdate{}
+			s.recycleLocked(*u)
+			*u = nil
 		}
 		folded++
 		s.snapshots = append(s.snapshots, next)
@@ -553,20 +478,33 @@ func (s *Server) Retained() int {
 }
 
 // Meta describes a server to its clients: the expected worker count and the
-// registered shard keys with their lengths. The sharded client fetches it
-// once to validate pushes before any shard's clock can advance.
+// registered shard keys with their lengths. A client fetches it once to
+// learn the layout its exchanges cover, so it can validate them before any
+// shard's clock can advance.
 type Meta struct {
 	Workers int
 	Dims    map[string]int
 }
 
-// Meta reports the server's shard layout and worker count.
+// layout lists the keys in layout order: sorted.
+func (m Meta) layout() []string {
+	keys := make([]string, 0, len(m.Dims))
+	for k := range m.Dims {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Meta reports the server's shard layout and worker count, fixing the
+// layout: a client that has seen it can count on it.
 func (s *Server) Meta() (Meta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := Meta{Workers: s.clocks.Workers(), Dims: make(map[string]int, len(s.initial))}
-	for k, v := range s.initial {
-		m.Dims[k] = len(v)
+	s.fixLayoutLocked()
+	m := Meta{Workers: s.clocks.Workers(), Dims: make(map[string]int, len(s.keys))}
+	for j, k := range s.keys {
+		m.Dims[k] = s.offs[j+1] - s.offs[j]
 	}
 	return m, nil
 }

@@ -2,7 +2,6 @@ package ps
 
 import (
 	"fmt"
-	"sync"
 
 	"hetpipe/internal/tensor"
 )
@@ -10,6 +9,11 @@ import (
 // Sharded spreads one worker's pushes and pulls across multiple servers
 // according to a Placement — the client-side half of the paper's deployment,
 // where each node runs a parameter server holding a subset of the layers.
+// Its layout is the placement's key order: an exchange carries one vector
+// per placed key in that order, and each server is handed its own layout's
+// share by position, through an index map built once by NewSharded — so an
+// exchange needs no scratch, and one Sharded is safe for concurrent use by
+// every in-process worker of a run.
 //
 // Every operation runs on the caller's goroutine. A wave exchange is
 // scattered, then gathered: each TCP backend's request is written before the
@@ -22,28 +26,27 @@ import (
 // this replaced, cost more than it overlapped: each was new, and grew its
 // stack on the way down to the socket write.
 //
-// The type works over any backend implementing Backend (the in-process
-// *Server and the TCP *Client both do), so the same code path serves
-// simulations, tests, and real sockets.
+// The backends are in-process *Servers and TCP *Clients, so the same code
+// path serves simulations, tests, and real sockets.
 type Sharded struct {
 	placement *Placement
-	backends  []Backend
-	// clients[i] is backends[i] when that is a TCP client — the backends
-	// whose exchange splits into a send and a receive — and nil otherwise.
+	// servers[i] / clients[i] is backend i as the one of the two types it
+	// is; the other is nil. A client's exchange splits into a send and a
+	// receive.
+	servers []*Server
 	clients []*Client
-	// workers and dims come from each backend's Meta at construction time;
-	// an exchange validates its push against them before touching any
-	// backend, so a bad update can never advance a subset of the shard
-	// clocks.
+	// sel[i][j] is the placement position of server i's j-th layout key.
+	sel [][]int
+	// workers and dims (per placement position) come from each backend's
+	// Meta at construction time; an exchange is validated against them
+	// before touching any backend, so a bad update can never advance a
+	// subset of the shard clocks.
 	workers int
-	dims    []map[string]int
-	// scratch pools the per-server partitions so the steady-state wave loop
-	// allocates nothing.
-	scratch sync.Pool
+	dims    []int
 }
 
-// Backend is the per-server operation set Sharded needs. *Client implements
-// it over TCP and *Server in process.
+// Backend is a shard server as Sharded reaches it: *Server in process, or
+// *Client over TCP. NewSharded takes no other.
 type Backend interface {
 	Exchange(push *Push, pull *SnapshotPull) (int, error)
 	Meta() (Meta, error)
@@ -53,8 +56,9 @@ type Backend interface {
 func AdaptServer(s *Server) Backend { return s }
 
 // NewSharded builds a sharded client over one backend per placement server.
-// It fetches each backend's Meta so pushes can be validated client-side, and
-// checks that every placed key is registered on its server.
+// It fetches each backend's Meta, checks that every server holds exactly the
+// keys placed on it, and maps the placement's key order onto each server's
+// layout.
 func NewSharded(p *Placement, backends []Backend) (*Sharded, error) {
 	if p == nil {
 		return nil, fmt.Errorf("ps: nil placement")
@@ -63,12 +67,21 @@ func NewSharded(p *Placement, backends []Backend) (*Sharded, error) {
 		return nil, fmt.Errorf("ps: placement expects %d servers, got %d backends", p.servers, len(backends))
 	}
 	s := &Sharded{
-		placement: p, backends: backends,
-		clients: make([]*Client, len(backends)),
-		dims:    make([]map[string]int, len(backends)),
+		placement: p,
+		servers:   make([]*Server, len(backends)),
+		clients:   make([]*Client, len(backends)),
+		sel:       make([][]int, len(backends)),
+		dims:      make([]int, len(p.keys)),
 	}
 	for i, b := range backends {
-		s.clients[i], _ = b.(*Client)
+		switch b := b.(type) {
+		case *Server:
+			s.servers[i] = b
+		case *Client:
+			s.clients[i] = b
+		default:
+			return nil, fmt.Errorf("ps: shard server %d: backend %T is neither a *Server nor a *Client", i, b)
+		}
 		m, err := b.Meta()
 		if err != nil {
 			return nil, fmt.Errorf("ps: shard server %d meta: %w", i, err)
@@ -78,236 +91,144 @@ func NewSharded(p *Placement, backends []Backend) (*Sharded, error) {
 		} else if m.Workers != s.workers {
 			return nil, fmt.Errorf("ps: shard server %d expects %d workers, server 0 expects %d", i, m.Workers, s.workers)
 		}
-		s.dims[i] = m.Dims
-	}
-	for srv := 0; srv < p.servers; srv++ {
-		for _, key := range p.KeysOn(srv) {
-			if _, ok := s.dims[srv][key]; !ok {
-				return nil, fmt.Errorf("ps: placed shard %q not registered on server %d", key, srv)
-			}
+		if err := checkLayout(p.KeysOn(i), m.layout()); err != nil {
+			return nil, fmt.Errorf("ps: shard server %d does not hold the keys placed on it: %w", i, err)
+		}
+		s.sel[i] = p.positions(i)
+		for _, pos := range s.sel[i] {
+			s.dims[pos] = m.Dims[p.keys[pos]]
 		}
 	}
 	return s, nil
 }
 
-// partition is the pooled state of one sharded operation: the caller's keys
-// and vectors split per server, where each pulled key sits in the caller's
-// slices, and which sections of an exchange each server is sent.
-type partition struct {
-	push []Push
-	pull []SnapshotPull
-	idx  [][]int // idx[srv][j]: caller position of pull[srv].Keys[j]
-	// pushTo[srv] / pullFrom[srv] point at push[srv] / pull[srv] when server
-	// srv takes part in that half of the running exchange, nil when not: the
-	// push (possibly empty) goes to every server whenever the exchange
-	// pushes, the pull only to servers holding some of its keys.
-	pushTo   []*Push
-	pullFrom []*SnapshotPull
-}
-
-// acquire returns a pooled (or fresh) partition with one emptied slot per
-// backend.
-//
-//hetlint:hotpath
-func (s *Sharded) acquire() *partition {
-	pt, _ := s.scratch.Get().(*partition)
-	if pt == nil {
-		pt = s.newPartition()
-	}
-	for i := range pt.push {
-		pt.push[i].Keys = pt.push[i].Keys[:0]
-		pt.push[i].Vecs = pt.push[i].Vecs[:0]
-		pt.pull[i].Keys = pt.pull[i].Keys[:0]
-		pt.pull[i].Dst = pt.pull[i].Dst[:0]
-		pt.idx[i] = pt.idx[i][:0]
-		pt.pushTo[i], pt.pullFrom[i] = nil, nil
-	}
-	return pt
-}
-
-func (s *Sharded) newPartition() *partition {
-	n := len(s.backends)
-	return &partition{
-		push: make([]Push, n), pull: make([]SnapshotPull, n), idx: make([][]int, n),
-		pushTo: make([]*Push, n), pullFrom: make([]*SnapshotPull, n),
-	}
-}
-
-// addPull partitions one (key, destination) pair at caller position idx onto
-// server srv.
-//
-//hetlint:hotpath
-func (pt *partition) addPull(srv, idx int, key string, dst tensor.Vector) {
-	pt.pull[srv].Keys = append(pt.pull[srv].Keys, key)
-	pt.pull[srv].Dst = append(pt.pull[srv].Dst, dst)
-	pt.idx[srv] = append(pt.idx[srv], idx)
-}
-
-// writeBack stores the pulled vectors at the caller's positions: a backend
-// may have reallocated a destination (first pull into an empty buffer).
-//
-//hetlint:hotpath
-func (pt *partition) writeBack(dst []tensor.Vector) {
-	for srv := range pt.idx {
-		for j, idx := range pt.idx[srv] {
-			dst[idx] = pt.pull[srv].Dst[j]
-		}
-	}
-}
-
 // Exchange is one wave's conversation with the parameter servers: it pushes
-// push (when non-nil) and pulls pull (when non-nil) with one exchange per
-// shard server — see Server.Exchange for what each server does with its
-// share. Every server receives the push, ones holding none of its keys an
-// empty one, so their clocks stay aligned (WSP's global clock is the minimum
-// across all shards); only servers holding some of the pull's keys are asked
-// for them, all answering from the same clock boundary, so the merged result
-// is the deterministic snapshot the WSP analysis reasons about.
+// push (when non-nil) and pulls pull (when non-nil), each one vector per
+// placed key in placement order, with one exchange per shard server — see
+// Server.Exchange for what each server does with its share. Every server
+// receives the push, ones holding no keys an empty one, so their clocks stay
+// aligned (WSP's global clock is the minimum across all shards); only
+// servers holding keys are asked for the pull, all answering from the same
+// clock boundary, so the merged result is the deterministic snapshot the WSP
+// analysis reasons about.
 //
-// The whole exchange is validated (worker range, placement, shard existence,
-// lengths, duplicates) before a byte is sent, so a REJECTED exchange leaves
-// every shard's clock untouched — no server can refuse what its peers
-// already accepted. A failure part-way (a TCP server dying between shards)
-// can still leave the clocks skewed; there is no unpush, so callers must
-// treat that error as poisoning the run (internal/cluster closes every
-// server, which unblocks and fails all peers). Clients whose request went
-// out but whose response was not read are closed, and stay failed.
+// The whole exchange is validated (worker range, vector counts, lengths)
+// before a byte is sent, so a REJECTED exchange leaves every shard's clock
+// untouched — no server can refuse what its peers already accepted. A
+// failure part-way (a TCP server dying between shards) can still leave the
+// clocks skewed; there is no unpush, so callers must treat that error as
+// poisoning the run (internal/cluster closes every server, which unblocks
+// and fails all peers). Clients whose request went out but whose response
+// was not read are closed, and stay failed.
 func (s *Sharded) Exchange(push *Push, pull *SnapshotPull) error {
-	pt := s.acquire()
-	defer s.scratch.Put(pt)
-	if push != nil {
-		if err := s.partitionPush(pt, push); err != nil {
-			return err
-		}
+	if err := s.validate(push, pull); err != nil {
+		return err
 	}
-	if pull != nil {
-		if len(pull.Dst) != len(pull.Keys) {
-			return fmt.Errorf("ps: %d destinations for %d keys", len(pull.Dst), len(pull.Keys))
-		}
-		for i, key := range pull.Keys {
-			srv, err := s.placement.serverOf(key)
-			if err != nil {
-				return err
-			}
-			pt.addPull(srv, i, key, pull.Dst[i])
-		}
-		for srv := range pt.pull {
-			if q := &pt.pull[srv]; len(q.Keys) > 0 {
-				q.Clock = pull.Clock
-				pt.pullFrom[srv] = q
-			}
-		}
-	}
-	srv, err := s.scatterGather(pt)
-	if err != nil {
+	if srv, err := s.scatterGather(push, pull); err != nil {
 		return fmt.Errorf("ps: shard server %d: %w", srv, err)
-	}
-	if pull != nil {
-		pt.writeBack(pull.Dst)
 	}
 	return nil
 }
 
-// partitionPush validates push against the placement and the servers' Meta
-// and splits it per server. Unannotated because its fmt formatting runs only
-// on the error path.
-func (s *Sharded) partitionPush(pt *partition, push *Push) error {
+// validate checks an exchange against the placement and the servers' Meta.
+// Unannotated because its fmt formatting runs only on the error path.
+func (s *Sharded) validate(push *Push, pull *SnapshotPull) error {
+	if pull != nil && len(pull.Dst) != len(s.dims) {
+		return fmt.Errorf("ps: pull into %d destinations from a layout of %d shards", len(pull.Dst), len(s.dims))
+	}
+	if push == nil {
+		return nil
+	}
 	if push.Worker < 0 || push.Worker >= s.workers {
 		return fmt.Errorf("ps: worker %d out of range [0,%d)", push.Worker, s.workers)
 	}
-	if len(push.Keys) != len(push.Vecs) {
-		return fmt.Errorf("ps: %d keys for %d vectors", len(push.Keys), len(push.Vecs))
+	if len(push.Vecs) != len(s.dims) {
+		return fmt.Errorf("ps: push of %d vectors to a layout of %d shards", len(push.Vecs), len(s.dims))
 	}
-	for i, key := range push.Keys {
-		srv, err := s.placement.serverOf(key)
-		if err != nil {
-			return err
+	for i, n := range s.dims {
+		if len(push.Vecs[i]) != n {
+			return fmt.Errorf("ps: shard %q length %d, delta length %d", s.placement.keys[i], n, len(push.Vecs[i]))
 		}
-		dim, ok := s.dims[srv][key]
-		if !ok {
-			return fmt.Errorf("ps: shard %q not registered on server %d", key, srv)
-		}
-		if dim != len(push.Vecs[i]) {
-			return fmt.Errorf("ps: shard %q length %d, delta length %d", key, dim, len(push.Vecs[i]))
-		}
-		for j := 0; j < i; j++ {
-			if push.Keys[j] == key {
-				return fmt.Errorf("ps: duplicate shard %q in push", key)
-			}
-		}
-		p := &pt.push[srv]
-		p.Keys = append(p.Keys, key)
-		p.Vecs = append(p.Vecs, push.Vecs[i])
-	}
-	for srv := range pt.push {
-		pt.push[srv].Worker = push.Worker
-		pt.pushTo[srv] = &pt.push[srv]
 	}
 	return nil
 }
 
-// scatterGather runs the partitioned exchange: every TCP backend's request is
-// written, then every backend is answered in server order — a TCP backend by
-// reading its response, an in-process one by running its exchange. On failure
-// it reports the failing server, after abandoning every client still owed a
+// share is server i's part of an exchange: the push whenever there is one,
+// the pull only when the server holds keys.
+//
+//hetlint:hotpath
+func (s *Sharded) share(i int, push *Push, pull *SnapshotPull) (*Push, *SnapshotPull) {
+	if len(s.sel[i]) == 0 {
+		pull = nil
+	}
+	return push, pull
+}
+
+// scatterGather runs the exchange: every TCP backend's request is written,
+// then every backend is answered in server order — a TCP backend by reading
+// its response, an in-process one by running its exchange. On failure it
+// reports the failing server, after abandoning every client still owed a
 // response.
 //
 //hetlint:hotpath
-func (s *Sharded) scatterGather(pt *partition) (int, error) {
+func (s *Sharded) scatterGather(push *Push, pull *SnapshotPull) (int, error) {
 	sent := 0 // clients[:sent] with a share have a request on the wire
 	for ; sent < len(s.clients); sent++ {
-		if c := s.clients[sent]; c != nil && pt.involves(sent) {
-			if err := c.sendWave(pt.pushTo[sent], pt.pullFrom[sent]); err != nil {
-				s.abandon(pt, 0, sent)
+		p, q := s.share(sent, push, pull)
+		if c := s.clients[sent]; c != nil && (p != nil || q != nil) {
+			if err := c.sendWave(p, q, s.sel[sent]); err != nil {
+				s.abandon(push, pull, 0, sent)
 				return sent, err
 			}
 		}
 	}
-	for i, b := range s.backends {
-		if !pt.involves(i) {
+	for i, srv := range s.servers {
+		p, q := s.share(i, push, pull)
+		if p == nil && q == nil {
 			continue
 		}
 		var err error
 		if c := s.clients[i]; c != nil {
-			_, err = c.receiveWave(pt.pushTo[i], pt.pullFrom[i])
+			_, err = c.receiveWave(p, q, s.sel[i])
 		} else {
-			_, err = b.Exchange(pt.pushTo[i], pt.pullFrom[i])
+			_, err = srv.exchange(p, q, s.sel[i], nil)
 		}
 		if err != nil {
-			s.abandon(pt, i+1, sent)
+			s.abandon(push, pull, i+1, sent)
 			return i, err
 		}
 	}
 	return 0, nil
 }
 
-// involves reports whether server i has any share of the running exchange.
-//
-//hetlint:hotpath
-func (pt *partition) involves(i int) bool {
-	return pt.pushTo[i] != nil || pt.pullFrom[i] != nil
-}
-
 // abandon closes the clients in [from, to) that were sent a request whose
 // response will now never be read.
-func (s *Sharded) abandon(pt *partition, from, to int) {
+func (s *Sharded) abandon(push *Push, pull *SnapshotPull, from, to int) {
 	for i := from; i < to; i++ {
-		if c := s.clients[i]; c != nil && pt.involves(i) {
-			c.abandon()
+		if p, q := s.share(i, push, pull); s.clients[i] != nil && (p != nil || q != nil) {
+			s.clients[i].abandon()
 		}
 	}
 }
 
-// PushOrdered splits the update (parallel key and delta slices) by placement
-// and pushes each slice to its server: Exchange with no pull section.
+// PushOrdered pushes worker's update, vecs[i] being keys[i]'s delta, to
+// every server: Exchange with no pull section. keys must be the placement's
+// keys in placement order.
 func (s *Sharded) PushOrdered(worker int, keys []string, vecs []tensor.Vector) error {
-	return s.Exchange(&Push{Worker: worker, Keys: keys, Vecs: vecs}, nil)
+	if err := checkLayout(keys, s.placement.keys); err != nil {
+		return err
+	}
+	return s.Exchange(&Push{Worker: worker, Vecs: vecs}, nil)
 }
 
-// PullAtInto gathers the clock-versioned snapshot of the requested keys,
-// each involved server blocking until its global clock reaches `clock`,
-// filling dst[i] with keys[i]'s weights (reusing dst[i]'s storage when its
-// length matches): Exchange with no push section.
+// PullAtInto gathers the clock-versioned snapshot, each involved server
+// blocking until its global clock reaches `clock`, filling dst[i] with
+// keys[i]'s weights (reusing dst[i]'s storage when its length matches):
+// Exchange with no push section. keys must be the placement's keys in
+// placement order.
 func (s *Sharded) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
-	return s.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
+	if err := checkLayout(keys, s.placement.keys); err != nil {
+		return err
+	}
+	return s.Exchange(nil, &SnapshotPull{Clock: clock, Dst: dst})
 }

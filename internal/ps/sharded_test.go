@@ -89,29 +89,54 @@ func TestShardedClockIsMinAcrossServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	clocks(1, "both pushed wave 0")
-	// Worker 0 pushes a key held by one server only: the other gets an empty
-	// push, so both still advance worker 0's clock.
-	if err := shardedPushMap(sh, 0, map[string]tensor.Vector{keys[0]: {1, 1}}); err != nil {
+	if err := shardedPushMap(sh, 0, updates); err != nil {
 		t.Fatal(err)
 	}
 	clocks(1, "worker 1 lags again")
 	for i, s := range servers {
 		if d := s.MaxClockDistance(); d != 1 {
-			t.Errorf("server %d clock distance = %d, want 1 (empty pushes keep clocks aligned)", i, d)
+			t.Errorf("server %d clock distance = %d, want 1", i, d)
 		}
 	}
 }
 
-func TestShardedPartialKeyPush(t *testing.T) {
-	// Pushing only stage0 still ticks both servers' clocks for the worker,
-	// so the WSP global clock stays well defined.
-	sh, servers, _ := shardedFixture(t, 1)
-	if err := shardedPushMap(sh, 0, map[string]tensor.Vector{"stage0": {1, 1}}); err != nil {
+// TestShardedEmptyServerStillTicks: a server the placement gives no key
+// still gets every push, an empty one, so its clocks stay aligned with its
+// peers' and the WSP global clock stays well defined; it is asked for no
+// pull.
+func TestShardedEmptyServerStillTicks(t *testing.T) {
+	pl, err := RoundRobin([]string{"a"}, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var servers []*Server
+	var backends []Backend
+	for i := range 2 {
+		s, err := NewServer(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range pl.KeysOn(i) {
+			if err := s.Register(k, []float64{0, 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		servers, backends = append(servers, s), append(backends, s)
+	}
+	sh, err := NewSharded(pl, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := []tensor.Vector{nil}
+	if err := sh.Exchange(&Push{Worker: 0, Vecs: []tensor.Vector{{1, 2}}}, &SnapshotPull{Clock: 1, Dst: dst}); err != nil {
+		t.Fatal(err)
+	}
+	if dst[0][1] != 2 {
+		t.Errorf("snapshot = %v, want [1 2]", dst[0])
+	}
 	for i, s := range servers {
-		if s.GlobalClock() != 1 {
-			t.Errorf("server %d clock = %d after partial push", i, s.GlobalClock())
+		if p, q := s.Stats(); s.GlobalClock() != 1 || p != 1 || q != uint64(1-i) {
+			t.Errorf("server %d: clock %d, %d pushes, %d pulls; want 1, 1, %d", i, s.GlobalClock(), p, q, 1-i)
 		}
 	}
 }
@@ -137,14 +162,16 @@ func TestShardedPushFailureLeavesClocksUnchanged(t *testing.T) {
 	// A push that cannot land in full must not advance any shard's clock:
 	// before the client-side validation, backends 0..i-1 would have already
 	// ticked when backend i rejected, permanently desynchronizing the shards.
-	sh, servers, keys := shardedFixture(t, 2)
-	bad := []map[string]tensor.Vector{
-		{"stage0": {1, 1}, "unplaced": {1}},     // unplaced key
-		{"stage0": {1, 1}, "stage3": {1, 2, 3}}, // length mismatch on a later server's key
-		{"stage0": {1, 1, 1}},                   // length mismatch on the first key
+	sh, servers, _ := shardedFixture(t, 2)
+	v := func(n int) tensor.Vector { return make(tensor.Vector, n) }
+	bad := [][]tensor.Vector{
+		{v(2), v(2), v(2), v(3)},       // length mismatch on a later server's key
+		{v(3), v(2), v(2), v(2)},       // length mismatch on the first key
+		{v(2), v(2), v(2)},             // a vector short
+		{v(2), v(2), v(2), v(2), v(2)}, // a vector over
 	}
-	for i, updates := range bad {
-		if err := shardedPushMap(sh, 0, updates); err == nil {
+	for i, vecs := range bad {
+		if err := sh.Exchange(&Push{Worker: 0, Vecs: vecs}, nil); err == nil {
 			t.Fatalf("bad push %d accepted", i)
 		}
 		for srv, s := range servers {
@@ -157,14 +184,15 @@ func TestShardedPushFailureLeavesClocksUnchanged(t *testing.T) {
 			}
 		}
 	}
-	if err := shardedPushMap(sh, -1, map[string]tensor.Vector{keys[0]: {1, 1}}); err == nil {
+	good := []tensor.Vector{v(2), v(2), v(2), v(2)}
+	if err := sh.Exchange(&Push{Worker: -1, Vecs: good}, nil); err == nil {
 		t.Error("negative worker accepted")
 	}
-	if err := shardedPushMap(sh, 2, map[string]tensor.Vector{keys[0]: {1, 1}}); err == nil {
+	if err := sh.Exchange(&Push{Worker: 2, Vecs: good}, nil); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
 	// A valid push still works after the rejections.
-	if err := shardedPushMap(sh, 0, map[string]tensor.Vector{keys[0]: {1, 1}}); err != nil {
+	if err := sh.Exchange(&Push{Worker: 0, Vecs: good}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

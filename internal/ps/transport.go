@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 
@@ -15,8 +14,8 @@ import (
 )
 
 // The TCP transport speaks the binary wire protocol described in wire.go:
-// length-prefixed frames, per-connection key interning, raw little-endian
-// float payloads through pooled buffers. Pulls may block server-side, so
+// length-prefixed frames, whole-layout exchanges with no key on the wire,
+// raw little-endian float payloads through pooled buffers. Pulls may block server-side, so
 // each connection is served by its own goroutine; a Client serializes
 // concurrent callers with a mutex, but one connection per worker thread
 // (as internal/cluster deploys them) remains the fast configuration.
@@ -54,7 +53,7 @@ func Serve(l net.Listener, s *Server) error {
 }
 
 // serverConn is one connection's server-side state: pooled frame buffers and
-// the interned key table mirroring the client's.
+// the current request's sections.
 type serverConn struct {
 	conn net.Conn
 	s    *Server
@@ -62,12 +61,11 @@ type serverConn struct {
 	dec  decoder     // reads the current request's payload
 	enc  encoder     // outgoing response frame
 
-	names []string // interned key table: id -> key
-	keys  []string // the key set being decoded (scratch)
-	// The current wave request's sections. Their key and vector slices are
-	// scratch reused across requests; a decoded push's deltas land as
-	// consecutive key-order segments of flat (lengths in dims), which
-	// push.Vecs views.
+	// The current wave request's sections. The push's vector slice is
+	// scratch reused across requests; its deltas land as consecutive
+	// layout-order segments of flat (lengths in dims), which push.Vecs
+	// views. The pull has no destinations: its vectors are encoded straight
+	// into the response.
 	push Push
 	pull SnapshotPull
 	flat tensor.Vector
@@ -190,45 +188,9 @@ func (c *serverConn) protoFail(err error) bool {
 	return false
 }
 
-// decodeKeys reads a keyset into c.keys, interning new definitions.
-//
-//hetlint:hotpath
-func (c *serverConn) decodeKeys() error {
-	n, err := c.dec.uvarint()
-	if err != nil {
-		return err
-	}
-	// Each referenced key needs at least one payload byte, so a count beyond
-	// the remaining frame is a lie, not a big request.
-	if n > uint64(c.dec.remaining()) {
-		return errKeyCount
-	}
-	c.keys = c.keys[:0]
-	for i := uint64(0); i < n; i++ {
-		tok, err := c.dec.uvarint()
-		if err != nil {
-			return err
-		}
-		if tok == 0 {
-			name, err := c.dec.str()
-			if err != nil {
-				return err
-			}
-			c.names = append(c.names, name)
-			c.keys = append(c.keys, name)
-			continue
-		}
-		id := tok - 1
-		if id >= uint64(len(c.names)) {
-			return errBadKeyRef
-		}
-		c.keys = append(c.keys, c.names[id])
-	}
-	return nil
-}
-
 // decodeWave reads a wave request's sections into c.push and c.pull and
-// returns which are present (nil for an absent one).
+// returns which are present (nil for an absent one). The push's vectors run
+// to the end of the frame; the server counts them against its layout.
 //
 //hetlint:hotpath
 func (c *serverConn) decodeWave() (*Push, *SnapshotPull, error) {
@@ -239,57 +201,49 @@ func (c *serverConn) decodeWave() (*Push, *SnapshotPull, error) {
 	if flags == 0 || flags&^(wavePush|wavePull) != 0 {
 		return nil, nil, errWaveFlags
 	}
-	var push *Push
+	// The worker and the clock are decoded as they were encoded, int to
+	// uint64 and back, so a negative one is the server's to refuse with an
+	// application error, like any other out-of-range value.
 	var pull *SnapshotPull
-	if flags&wavePush != 0 {
-		worker, err := c.dec.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := c.decodeKeys(); err != nil {
-			return nil, nil, err
-		}
-		// The section keeps the decoded keys; its old slice becomes the next
-		// decode's scratch.
-		c.push.Keys, c.keys = c.keys, c.push.Keys
-		c.push.Worker = int(worker)
-		c.flat = c.flat[:0]
-		c.dims = c.dims[:0]
-		for range c.push.Keys {
-			n, b, err := c.dec.vecRaw()
-			if err != nil {
-				return nil, nil, err
-			}
-			off := len(c.flat)
-			c.flat = growVec(c.flat, n)
-			tensor.GetLE(c.flat[off:off+n], b)
-			c.dims = append(c.dims, n)
-		}
-		// Views are cut only now: growVec may have moved flat mid-decode.
-		c.push.Vecs = c.push.Vecs[:0]
-		off := 0
-		for _, n := range c.dims {
-			c.push.Vecs = append(c.push.Vecs, c.flat[off:off+n])
-			off += n
-		}
-		push = &c.push
-	}
 	if flags&wavePull != 0 {
 		clock, err := c.dec.uvarint()
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := c.decodeKeys(); err != nil {
-			return nil, nil, err
-		}
-		c.pull.Keys, c.keys = c.keys, c.pull.Keys
 		c.pull.Clock = int(clock)
 		pull = &c.pull
 	}
-	if c.dec.remaining() != 0 {
-		return nil, nil, errTrailing
+	if flags&wavePush == 0 {
+		if c.dec.remaining() != 0 {
+			return nil, nil, errTrailing
+		}
+		return nil, pull, nil
 	}
-	return push, pull, nil
+	worker, err := c.dec.uvarint()
+	if err != nil {
+		return nil, nil, err
+	}
+	c.push.Worker = int(worker)
+	c.flat = c.flat[:0]
+	c.dims = c.dims[:0]
+	for c.dec.remaining() > 0 {
+		n, b, err := c.dec.vecRaw()
+		if err != nil {
+			return nil, nil, err
+		}
+		off := len(c.flat)
+		c.flat = growVec(c.flat, n)
+		tensor.GetLE(c.flat[off:off+n], b)
+		c.dims = append(c.dims, n)
+	}
+	// Views are cut only now: growVec may have moved flat mid-decode.
+	c.push.Vecs = c.push.Vecs[:0]
+	off := 0
+	for _, n := range c.dims {
+		c.push.Vecs = append(c.push.Vecs, c.flat[off:off+n])
+		off += n
+	}
+	return &c.push, pull, nil
 }
 
 // handleWave serves one wave exchange in the order wire.go states: the
@@ -302,7 +256,7 @@ func (c *serverConn) handleWave() bool {
 	}
 	c.enc.begin()
 	c.enc.u8(statusOK)
-	clock, err := c.s.exchange(push, pull, c)
+	clock, err := c.s.exchange(push, pull, nil, &c.enc)
 	if err != nil {
 		return c.writeAppErr(err)
 	}
@@ -326,25 +280,12 @@ func growVec(v tensor.Vector, n int) tensor.Vector {
 	return nv
 }
 
-// visit implements vecSink: the server calls it once per requested key,
-// under its lock, and the vector is encoded straight into the response
-// frame — no intermediate copy, no map.
-//
-//hetlint:hotpath
-func (c *serverConn) visit(_ int, v tensor.Vector) {
-	c.enc.vec(v)
-}
-
 func (c *serverConn) handleMeta() bool {
 	m, err := c.s.Meta()
 	if err != nil {
 		return c.writeAppErr(err)
 	}
-	keys := make([]string, 0, len(m.Dims))
-	for k := range m.Dims {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := m.layout()
 	c.enc.begin()
 	c.enc.u8(statusOK)
 	c.enc.uvarint(uint64(m.Workers))
@@ -395,6 +336,10 @@ func (c *serverConn) writeProtoErr(msg string) {
 // its own; so a client that has seen one stays failed: it closes its
 // connection, keeps the error, and returns it from every later call without
 // touching the socket.
+//
+// A client checks an exchange against its server's layout before sending a
+// byte, so it learns the layout from the server's Meta: the first Meta call
+// records it, and an exchange made before any Meta makes one.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -404,7 +349,7 @@ type Client struct {
 	in  frameReader // incoming response frames
 	dec decoder     // reads the current response's payload
 
-	ids map[string]uint32 // interned key table: key -> id
+	layout []string // the server's layout, once a Meta has answered
 }
 
 // Dial connects to a parameter server at addr and sends the protocol
@@ -423,28 +368,11 @@ func Dial(addr string) (*Client, error) {
 
 // newClient wraps a connection whose preamble has been sent.
 func newClient(conn net.Conn) *Client {
-	return &Client{conn: conn, in: newFrameReader(conn), ids: make(map[string]uint32)}
+	return &Client{conn: conn, in: newFrameReader(conn)}
 }
 
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// encodeKeys appends the keyset section, interning keys new to this
-// connection. Steady state writes two or three bytes per key.
-//
-//hetlint:hotpath
-func (c *Client) encodeKeys(keys []string) {
-	c.enc.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		if id, ok := c.ids[k]; ok {
-			c.enc.uvarint(uint64(id) + 1)
-			continue
-		}
-		c.ids[k] = uint32(len(c.ids))
-		c.enc.u8(0)
-		c.enc.str(k)
-	}
-}
 
 // begin locks the client for one request/response pair and starts the
 // request frame. A failed client returns its error, unlocked.
@@ -558,31 +486,54 @@ func (c *Client) Exchange(push *Push, pull *SnapshotPull) (int, error) {
 	if push == nil && pull == nil {
 		return 0, nil
 	}
-	if err := c.sendWave(push, pull); err != nil {
+	if err := c.sendWave(push, pull, nil); err != nil {
 		return 0, err
 	}
-	return c.receiveWave(push, pull)
+	return c.receiveWave(push, pull, nil)
+}
+
+// layoutKeys returns the server's layout, asking the server the first time.
+func (c *Client) layoutKeys() ([]string, error) {
+	c.mu.Lock()
+	keys := c.layout
+	c.mu.Unlock()
+	if keys != nil {
+		return keys, nil
+	}
+	m, err := c.Meta()
+	if err != nil {
+		return nil, err
+	}
+	return m.layout(), nil
 }
 
 // sendWave is Exchange's first half: on success the request is on the wire
 // and the client stays locked until receiveWave is called with the same
-// sections.
-func (c *Client) sendWave(push *Push, pull *SnapshotPull) error {
-	if push != nil && len(push.Keys) != len(push.Vecs) {
-		return fmt.Errorf("ps: %d keys for %d vectors", len(push.Keys), len(push.Vecs))
-	}
-	if pull != nil && len(pull.Dst) != len(pull.Keys) {
-		return fmt.Errorf("ps: %d destinations for %d keys", len(pull.Dst), len(pull.Keys))
+// arguments. The sections' slices are read through sel (see at); with sel
+// nil they are checked against the server's layout first, and Sharded, which
+// passes sel, has checked them against its own.
+func (c *Client) sendWave(push *Push, pull *SnapshotPull, sel []int) error {
+	if sel == nil {
+		keys, err := c.layoutKeys()
+		if err != nil {
+			return err
+		}
+		if push != nil && len(push.Vecs) != len(keys) {
+			return fmt.Errorf("ps: push of %d vectors to a layout of %d shards", len(push.Vecs), len(keys))
+		}
+		if pull != nil && len(pull.Dst) != len(keys) {
+			return fmt.Errorf("ps: pull into %d destinations from a layout of %d shards", len(pull.Dst), len(keys))
+		}
 	}
 	if err := c.begin(opWave); err != nil {
 		return err
 	}
-	c.encodeWave(push, pull)
+	c.encodeWave(push, pull, sel)
 	return c.send()
 }
 
 //hetlint:hotpath
-func (c *Client) encodeWave(push *Push, pull *SnapshotPull) {
+func (c *Client) encodeWave(push *Push, pull *SnapshotPull, sel []int) {
 	var flags byte
 	if push != nil {
 		flags |= wavePush
@@ -591,66 +542,78 @@ func (c *Client) encodeWave(push *Push, pull *SnapshotPull) {
 		flags |= wavePull
 	}
 	c.enc.u8(flags)
-	if push != nil {
-		c.enc.uvarint(uint64(push.Worker))
-		c.encodeKeys(push.Keys)
-		for _, v := range push.Vecs {
-			c.enc.vec(v)
-		}
-	}
 	if pull != nil {
 		c.enc.uvarint(uint64(pull.Clock))
-		c.encodeKeys(pull.Keys)
+	}
+	if push != nil {
+		c.enc.uvarint(uint64(push.Worker))
+		for j := range count(push.Vecs, sel) {
+			c.enc.vec(push.Vecs[at(sel, j)])
+		}
 	}
 }
 
 // receiveWave is Exchange's second half: it fills pull.Dst and returns the
 // worker's new clock when the exchange pushed.
-func (c *Client) receiveWave(push *Push, pull *SnapshotPull) (int, error) {
+func (c *Client) receiveWave(push *Push, pull *SnapshotPull, sel []int) (int, error) {
 	if err := c.receive(); err != nil {
 		return 0, err
 	}
-	var dst []tensor.Vector
-	if pull != nil {
-		dst = pull.Dst
-	}
-	clock, err := c.decodeVectors(dst, push != nil)
+	clock, err := c.decodeWave(push, pull, sel)
 	return clock, c.done(err)
 }
 
-// decodeVectors reads one vector per destination and then, if the response
-// carries one, the trailing clock — the shape of every response that
-// returns weights.
+// decodeWave reads a wave response: one vector per layout key into pull.Dst
+// (through sel) when the exchange pulled, then the trailing clock when it
+// pushed.
 //
 //hetlint:hotpath
-func (c *Client) decodeVectors(dst []tensor.Vector, clocked bool) (int, error) {
-	for i := range dst {
-		v, err := c.dec.vecInto(dst[i])
-		if err != nil {
-			return 0, err
+func (c *Client) decodeWave(push *Push, pull *SnapshotPull, sel []int) (int, error) {
+	if pull != nil {
+		for j := range count(pull.Dst, sel) {
+			i := at(sel, j)
+			v, err := c.dec.vecInto(pull.Dst[i])
+			if err != nil {
+				return 0, err
+			}
+			pull.Dst[i] = v
 		}
-		dst[i] = v
 	}
-	if !clocked {
+	if push == nil {
 		return 0, nil
 	}
 	return c.dec.nat()
 }
 
-// PushOrdered sends worker w's aggregated wave update as parallel key and
-// vector slices and returns the worker's new clock: Exchange with no pull
-// section.
+// PushOrdered sends worker w's aggregated wave update and returns the
+// worker's new clock: Exchange with no pull section. keys must be the
+// server's whole layout in order, vecs[i] keys[i]'s delta.
 func (c *Client) PushOrdered(w int, keys []string, vecs []tensor.Vector) (int, error) {
-	return c.Exchange(&Push{Worker: w, Keys: keys, Vecs: vecs}, nil)
+	if err := c.checkKeys(keys); err != nil {
+		return 0, err
+	}
+	return c.Exchange(&Push{Worker: w, Vecs: vecs}, nil)
 }
 
-// PullAtInto fetches the clock-versioned snapshot of the requested keys,
-// blocking server-side until the global clock reaches `clock`, filling dst[i]
-// with keys[i]'s weights (reusing dst[i]'s storage when its length already
-// matches): Exchange with no push section.
+// PullAtInto fetches the clock-versioned snapshot, blocking server-side until
+// the global clock reaches `clock`, filling dst[i] with keys[i]'s weights
+// (reusing dst[i]'s storage when its length already matches): Exchange with
+// no push section. keys must be the server's whole layout in order.
 func (c *Client) PullAtInto(dst []tensor.Vector, keys []string, clock int) error {
-	_, err := c.Exchange(nil, &SnapshotPull{Clock: clock, Keys: keys, Dst: dst})
+	if err := c.checkKeys(keys); err != nil {
+		return err
+	}
+	_, err := c.Exchange(nil, &SnapshotPull{Clock: clock, Dst: dst})
 	return err
+}
+
+// checkKeys holds a keyed call to the server's whole layout.
+func (c *Client) checkKeys(keys []string) error {
+	layout, err := c.layoutKeys()
+	if err != nil {
+		return err
+	}
+	return checkLayout(keys, layout)
 }
 
 // Meta queries the server's shard layout and worker count.
@@ -665,6 +628,9 @@ func (c *Client) Meta() (Meta, error) {
 		return Meta{}, err
 	}
 	m, err := c.decodeMeta()
+	if err == nil {
+		c.layout = m.layout()
+	}
 	return m, c.done(err)
 }
 
@@ -677,8 +643,10 @@ func (c *Client) decodeMeta() (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
+	// Each key takes at least two payload bytes, so a count beyond the
+	// remaining frame is a lie, not a big layout.
 	if n > uint64(c.dec.remaining()) {
-		return Meta{}, errKeyCount
+		return Meta{}, errTruncated
 	}
 	m := Meta{Workers: workers, Dims: make(map[string]int, n)}
 	for i := uint64(0); i < n; i++ {

@@ -53,9 +53,7 @@ func TestTCPCloseDuringBlockedPullReturnsServerClosed(t *testing.T) {
 	defer c.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Exchange(
-			&Push{Worker: 0, Keys: []string{"w"}, Vecs: []tensor.Vector{{1, 1}}},
-			&SnapshotPull{Clock: 1, Keys: []string{"w"}, Dst: []tensor.Vector{nil}})
+		_, err := c.Exchange(&Push{Worker: 0, Vecs: []tensor.Vector{{1, 1}}}, &SnapshotPull{Clock: 1, Dst: []tensor.Vector{nil}})
 		done <- err
 	}()
 	// Commit before gate: the push lands although the answer cannot.
@@ -418,7 +416,7 @@ func TestShardKilledBetweenScatterAndGather(t *testing.T) {
 	dst := []tensor.Vector{{0}, {0}, {0}, {0}}
 	done := make(chan error, 1)
 	go func() {
-		done <- sh.Exchange(&Push{Worker: 0, Keys: keys, Vecs: vecs}, &SnapshotPull{Clock: 1, Keys: keys, Dst: dst})
+		done <- sh.Exchange(&Push{Worker: 0, Vecs: vecs}, &SnapshotPull{Clock: 1, Dst: dst})
 	}()
 	for i, s := range servers { // scattered: every shard has committed worker 0's push
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -460,7 +458,7 @@ func TestShardKilledBetweenScatterAndGather(t *testing.T) {
 	// for good, every call, same error, promptly.
 	for _, i := range []int{victim, 3} {
 		_, first := clients[i].PushOrdered(0, keys[i:i+1], vecs[i:i+1])
-		_, second := clients[i].Exchange(nil, &SnapshotPull{Clock: 0, Keys: keys[i : i+1], Dst: dst[i : i+1]})
+		_, second := clients[i].Exchange(nil, &SnapshotPull{Clock: 0, Dst: dst[i : i+1]})
 		_, third := clients[i].Meta()
 		if first == nil || second != first || third != first {
 			t.Errorf("client %d after the failure: %v / %v / %v, want one sticky error", i, first, second, third)

@@ -8,39 +8,48 @@ import (
 	"hetpipe/internal/tensor"
 )
 
-// Wire protocol v2: length-prefixed binary frames over a per-worker TCP
+// Wire protocol v3: length-prefixed binary frames over a per-worker TCP
 // connection. The design goals are an allocation-free steady state (pooled
 // buffers on both ends, no reflection, no per-call map conversion), payloads
 // that are straight memcpys of the float64 data, and one round trip per wave:
-// v1 spent two (a push frame, then a snapshot-pull frame); v2 carries both in
-// one opWave frame.
+// a wave's push and its snapshot pull travel in one opWave frame. An
+// exchange covers the server's whole layout — its keys, sorted — so no key
+// crosses the wire: vectors travel in layout order, and a client learns the
+// layout once, from opMeta. (v2 sent a keyset, interned per connection, with
+// every section; v1 spent two frames per wave.)
 //
 // A connection opens with an 8-byte preamble from the client — magic uint32,
 // version uint16, two reserved zero bytes, all little-endian — so a server
-// can reject foreign peers and other versions (a v1 client included) with a
-// protocol-error frame instead of a decode failure deep inside a request.
+// can reject foreign peers and other versions (a v1 or v2 client included)
+// with a protocol-error frame instead of a decode failure deep inside a
+// request.
 //
 // Every frame is a uint32 little-endian payload length followed by that many
 // payload bytes, capped at maxFrame. Requests start with a one-byte opcode:
 //
 //	opWave:     flags byte (wavePush | wavePull, at least one), then
-//	            if wavePush: uvarint worker, keyset, one vector per key
-//	            if wavePull: uvarint clock, keyset
+//	            if wavePull: uvarint clock
+//	            if wavePush: uvarint worker, then one vector per layout key
+//	            to the end of the frame
 //	opMeta:     opcode only
 //
-// A frame must end where its last field does, in either direction: trailing
-// bytes in a request are a protocol error, and in a response they fail the
-// client like any other response that does not decode.
+// The push section comes last so that its vectors run to the frame's end:
+// the server counts them against its layout and answers a wrong count with an
+// application error. A frame must end where its last field does, in either
+// direction: trailing bytes in a request are a protocol error, and in a
+// response they fail the client like any other response that does not
+// decode.
 //
 // Responses start with a one-byte status (statusOK, statusAppErr,
 // statusProtoErr); non-OK frames carry a length-prefixed message. OK
 // payloads are op-specific:
 //
-//	opWave:     if wavePull: one vector per requested key (request order);
+//	opWave:     if wavePull: one vector per layout key;
 //	            if wavePush: uvarint new worker clock — the clock trails so
 //	            the server can commit, wait and encode in one pass under its
 //	            lock
-//	opMeta:     uvarint workers, uvarint keys, then per key: string, uvarint dim
+//	opMeta:     uvarint workers, uvarint keys, then per key in layout order:
+//	            string, uvarint dim
 //
 // Every opWave frame is answered in one order, whatever its sections: the
 // server validates all of them, commits the push, waits until the global
@@ -49,20 +58,11 @@ import (
 // TCP as in process. Commit-before-gate is what keeps D = 0 free of deadlock:
 // no worker ever waits on a clock while holding back the push its peers are
 // waiting for. A rejected section is an application error: nothing was
-// committed and the connection stays usable.
-//
-// A keyset is `uvarint n` followed by n key references. Keys are interned
-// per connection: the first time a client sends a key it writes a 0 token
-// followed by the length-prefixed name, implicitly assigning the next
-// sequential id; afterwards it writes id+1. The server mirrors the table, so
-// steady-state requests carry two or three bytes per key instead of the
-// name (a key defined in a frame's push section is already a reference in
-// its pull section), and responses carry no keys at all — vectors come back
-// in request order. Vectors are `uvarint dim` followed by dim raw
-// little-endian float64 values.
+// committed and the connection stays usable. Vectors are `uvarint dim`
+// followed by dim raw little-endian float64 values.
 const (
 	wireMagic   uint32 = 0x48505053 // "SPPH" on the wire: HetPipe Parameter Server
-	wireVersion uint16 = 2
+	wireVersion uint16 = 3
 	// maxFrame caps a frame payload. A larger frame ends its connection
 	// (counted malformed by a server, failing a client), and below the cap a
 	// frame's buffer grows only as its bytes arrive — a length prefix from a
@@ -94,7 +94,7 @@ const (
 // Response status codes.
 const (
 	statusOK       byte = 0
-	statusAppErr   byte = 1 // server-side application error (bad worker, unregistered shard, released clock, closed)
+	statusAppErr   byte = 1 // server-side application error (bad worker, wrong vector count or length, released clock, closed)
 	statusProtoErr byte = 2 // the peer violated the wire protocol; the connection closes after this frame
 )
 
@@ -103,8 +103,6 @@ const (
 // context before a frame or caller sees them.
 var (
 	errTruncated = errors.New("ps: truncated frame payload")
-	errBadKeyRef = errors.New("ps: key reference out of range")
-	errKeyCount  = errors.New("ps: keyset count exceeds frame size")
 	errWaveFlags = errors.New("ps: wave frame with no section or unknown section flags")
 	errTrailing  = errors.New("ps: trailing bytes after the frame's last field")
 	errOverflow  = errors.New("ps: integer field does not fit an int")
@@ -225,8 +223,7 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 }
 
 // str decodes a length-prefixed string. It allocates, which is fine on the
-// paths that use it: key-interning definitions (once per key per
-// connection), error messages, and Meta.
+// paths that use it: error messages and Meta.
 func (d *decoder) str() (string, error) {
 	n, err := d.uvarint()
 	if err != nil {

@@ -98,34 +98,33 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 			t.Fatalf("decoder has %d bytes left over", d.remaining())
 		}
 
-		// The wave frame, both ways: a push of v under key s by worker x>>1
-		// and a pull of s (twice: the second reference is interned) at clock
-		// x>>1, encoded as the client does and decoded as a server connection
-		// does; then the server's answer — the vectors and the trailing
-		// clock — decoded as the client does.
+		// The wave frame, both ways: a push of a two-key layout (v, then
+		// the empty vector) by worker x>>1 and a pull at clock x>>1, encoded
+		// as the client does and decoded as a server connection does; then
+		// the server's answer — the vectors and the trailing clock — decoded
+		// as the client does.
 		n := int(x >> 1)
-		push := &Push{Worker: n, Keys: []string{s}, Vecs: []tensor.Vector{v}}
-		pull := &SnapshotPull{Clock: n, Keys: []string{s, s}, Dst: make([]tensor.Vector, 2)}
+		push := &Push{Worker: n, Vecs: []tensor.Vector{v, {}}}
+		pull := &SnapshotPull{Clock: n, Dst: make([]tensor.Vector, 2)}
 		sc := &serverConn{}
 		sc.dec.reset(waveFrame(push, pull)[5:]) // past the length prefix and opcode
 		gp, gq, err := sc.decodeWave()
 		if err != nil {
 			t.Fatalf("decodeWave: %v", err)
 		}
-		if gp.Worker != n || len(gp.Keys) != 1 || gp.Keys[0] != s || gq.Clock != n ||
-			len(gq.Keys) != 2 || gq.Keys[0] != s || gq.Keys[1] != s {
+		if gp.Worker != n || len(gp.Vecs) != 2 || len(gp.Vecs[1]) != 0 || gq.Clock != n {
 			t.Fatalf("wave round trip: push %+v pull %+v", gp, gq)
 		}
 		if err := sameBits(gp.Vecs, push.Vecs); err != nil {
 			t.Fatalf("wave round trip: pushed %v", err)
 		}
 		sc.enc.begin()
-		sc.visit(0, v)
-		sc.visit(1, v)
+		sc.enc.vec(v)
+		sc.enc.vec(v)
 		sc.enc.uvarint(uint64(n))
 		cl := &Client{}
 		cl.dec.reset(sc.enc.finish()[4:])
-		clock, err := cl.decodeVectors(pull.Dst, true)
+		clock, err := cl.decodeWave(push, pull, nil)
 		if err != nil || clock != n || cl.dec.remaining() != 0 {
 			t.Fatalf("wave response round trip: clock %d, %v, %d bytes left; want %d", clock, err, cl.dec.remaining(), n)
 		}
@@ -234,7 +233,7 @@ func TestTCPTruncatedPayloadCountedMalformed(t *testing.T) {
 
 func TestTCPTruncatedRequestPayloadRejectedWithProtocolError(t *testing.T) {
 	// A well-framed request whose payload is internally truncated: a wave
-	// frame whose push keyset promises more keys than the frame holds.
+	// frame whose push vector promises more elements than the frame holds.
 	s, addr := serveFixture(t, 1)
 	conn := rawConn(t, addr)
 	var e encoder
@@ -243,7 +242,7 @@ func TestTCPTruncatedRequestPayloadRejectedWithProtocolError(t *testing.T) {
 	e.u8(opWave)
 	e.u8(wavePush)
 	e.uvarint(0) // worker
-	e.uvarint(7) // seven keys follow... except nothing does
+	e.uvarint(7) // a vector of seven floats follows... except nothing does
 	frame = append(frame, e.finish()...)
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
@@ -314,10 +313,10 @@ func TestClientSafeForConcurrentUse(t *testing.T) {
 // waveFrame encodes one wave request the way Client does, for tests that
 // then damage it.
 func waveFrame(push *Push, pull *SnapshotPull) []byte {
-	c := &Client{ids: map[string]uint32{}}
+	c := &Client{}
 	c.enc.begin()
 	c.enc.u8(opWave)
-	c.encodeWave(push, pull)
+	c.encodeWave(push, pull, nil)
 	return append([]byte(nil), c.enc.finish()...)
 }
 
@@ -335,23 +334,23 @@ func reframe(payload []byte) []byte {
 // (opcodes 2, 3 and 5), which are unknown ops like any other — shared by the
 // table test below and FuzzServerFrame's seed corpus.
 func malformedWaveFrames() map[string][]byte {
-	push := &Push{Worker: 0, Keys: []string{"w"}, Vecs: []tensor.Vector{{1, 2}}}
-	pull := &SnapshotPull{Clock: 0, Keys: []string{"w"}, Dst: []tensor.Vector{nil}}
+	push := &Push{Worker: 0, Vecs: []tensor.Vector{{1, 2}}}
+	pull := &SnapshotPull{Clock: 0, Dst: []tensor.Vector{nil}}
 	fused := waveFrame(push, pull)[4:]
 	pushOnly := waveFrame(push, nil)[4:]
 	pullOnly := waveFrame(nil, pull)[4:]
 	return map[string][]byte{
-		"retired opPull":       reframe([]byte{2, 0, 1, 0, 1, 'w'}),
-		"retired opClock":      reframe([]byte{3}),
-		"retired opDistance":   reframe([]byte{5}),
-		"no section":           reframe([]byte{opWave, 0}),
-		"unknown section flag": reframe(append([]byte{opWave, wavePush | wavePull | 4}, fused[2:]...)),
-		"flags byte missing":   reframe([]byte{opWave}),
-		"truncated push":       reframe(pushOnly[:len(pushOnly)-3]),
-		"truncated pull":       reframe(pullOnly[:len(pullOnly)-1]),
-		"fused, pull cut off":  reframe(fused[:len(pushOnly)]),
-		"trailing bytes":       reframe(append(append([]byte(nil), fused...), 0)),
-		"pull key undefined":   reframe([]byte{opWave, wavePull, 0, 1, 9}),
+		"retired opPull":               reframe([]byte{2, 0, 1, 0, 1, 'w'}),
+		"retired opClock":              reframe([]byte{3}),
+		"retired opDistance":           reframe([]byte{5}),
+		"no section":                   reframe([]byte{opWave, 0}),
+		"unknown section flag":         reframe(append([]byte{opWave, wavePush | wavePull | 4}, fused[2:]...)),
+		"flags byte missing":           reframe([]byte{opWave}),
+		"truncated push":               reframe(pushOnly[:len(pushOnly)-3]),
+		"truncated pull":               reframe(pullOnly[:len(pullOnly)-1]),
+		"fused, push cut off":          reframe(fused[:len(pullOnly)]),
+		"trailing bytes":               reframe(append(append([]byte(nil), pullOnly...), 0)),
+		"vector longer than its frame": reframe([]byte{opWave, wavePush, 0, 9, 1, 2, 3, 4, 5, 6, 7, 8}),
 	}
 }
 
@@ -375,17 +374,20 @@ func TestTCPMalformedWaveFramesRejectedWithProtocolError(t *testing.T) {
 
 func TestTCPv1PreambleRejectedWithProtocolError(t *testing.T) {
 	// A v1 peer would go on to send opPush/opPullAt frames this server no
-	// longer has; it is turned away at the door instead.
-	s, addr := serveFixture(t, 1)
-	conn := rawConn(t, addr)
-	pre := appendPreamble(nil)
-	binary.LittleEndian.PutUint16(pre[4:], 1)
-	if _, err := conn.Write(pre); err != nil {
-		t.Fatal(err)
+	// longer has, and a v2 peer keysets it no longer reads; both are turned
+	// away at the door instead.
+	for _, version := range []uint16{1, 2} {
+		s, addr := serveFixture(t, 1)
+		conn := rawConn(t, addr)
+		pre := appendPreamble(nil)
+		binary.LittleEndian.PutUint16(pre[4:], version)
+		if _, err := conn.Write(pre); err != nil {
+			t.Fatal(err)
+		}
+		payload := readRawFrame(t, conn)
+		if len(payload) == 0 || payload[0] != statusProtoErr || !strings.Contains(string(payload[1:]), "version") {
+			t.Fatalf("v%d preamble response = %q, want a version protocol error", version, payload)
+		}
+		waitForStableMalformed(t, s, 1)
 	}
-	payload := readRawFrame(t, conn)
-	if len(payload) == 0 || payload[0] != statusProtoErr || !strings.Contains(string(payload[1:]), "version") {
-		t.Fatalf("v1 preamble response = %q, want a version protocol error", payload)
-	}
-	waitForStableMalformed(t, s, 1)
 }

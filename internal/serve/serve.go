@@ -166,10 +166,6 @@ type server struct {
 	user     []int32
 	issued   int
 
-	served  int
-	batches int
-	fillSum int
-
 	faultInjections, crashes, recoveries int
 }
 
@@ -297,20 +293,29 @@ func RunOn(ctx context.Context, eng *sim.Engine, dep *core.Deployment, tr *Traff
 	if err != nil {
 		return nil, err
 	}
-	if s.served != tr.N {
-		return nil, fmt.Errorf("serve: run stalled at %d of %d requests served", s.served, tr.N)
+	res := s.result()
+	if res.Served != tr.N {
+		return nil, fmt.Errorf("serve: run stalled at %d of %d requests served", res.Served, tr.N)
 	}
-	return s.result(), nil
+	return res, nil
 }
 
-// result assembles the Result after the engine has drained.
+// result assembles the Result after the engine has drained. The run's counts
+// are its replicas' summed: in a drained run every admitted request was
+// served once, so the requests coalesced into microbatches are the requests
+// served.
 func (s *server) result() *Result {
+	served, batches := 0, 0
+	for _, r := range s.replicas {
+		served += r.requests
+		batches += r.admitSeq
+	}
 	res := &Result{
 		Traffic:         s.tr.String(),
 		Offered:         s.tr.N,
-		Served:          s.served,
+		Served:          served,
 		Duration:        float64(s.eng.Now()),
-		Batches:         s.batches,
+		Batches:         batches,
 		FaultInjections: s.faultInjections,
 		Crashes:         s.crashes,
 		Recoveries:      s.recoveries,
@@ -320,7 +325,7 @@ func (s *server) result() *Result {
 		res.ThroughputRPS = float64(res.Served) / res.Duration
 	}
 	if res.Batches > 0 {
-		res.MeanBatchFill = float64(s.fillSum) / float64(res.Batches)
+		res.MeanBatchFill = float64(res.Served) / float64(res.Batches)
 	}
 	res.Latency, res.Critical, res.Bulk = summaries(s.trace)
 	for _, r := range s.replicas {
@@ -455,8 +460,6 @@ func (r *replica) admit() {
 		r.counts = append(r.counts, int32(n))
 		r.admitSeq++
 		r.inFlight++
-		s.batches++
-		s.fillSum += n
 		if s.faulty {
 			r.injectStarts(r.admitSeq)
 		}
@@ -505,7 +508,6 @@ func (r *replica) batchDone(seq int) {
 		id := r.routed[r.done]
 		r.done++
 		s.trace[id].Done = now
-		s.served++
 		r.requests++
 		if s.ob != nil {
 			s.emit(obs.Event{Kind: obs.KindReply, VW: r.w, Request: int(id), Batch: seq})

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"testing"
 
 	"hetpipe/internal/tensor"
@@ -35,7 +36,7 @@ func BenchmarkWSPNumerics(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunWSP(cfg); err != nil {
+		if _, err := RunWSP(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -93,7 +93,7 @@ func TestWSPNumericsIndependentOfTiming(t *testing.T) {
 			Task: task, Workers: len(dep.VWs), SLocal: dep.SLocal(), D: d, LR: 0.2,
 			MaxMinibatches: budget, EvalEvery: 25,
 		}
-		want, err := train.RunWSP(cfg)
+		want, err := train.RunWSP(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestMLPGradientMatchesFiniteDifference(t *testing.T) {
 
 func TestMLPLearnsUnderWSP(t *testing.T) {
 	m := mlpTask(t)
-	stats, err := RunWSP(WSPConfig{
+	stats, err := RunWSP(context.Background(), WSPConfig{
 		Task: m, Workers: 2, SLocal: 3, D: 1, LR: 0.3,
 		MaxMinibatches: 1500, EvalEvery: 250,
 	})

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"fmt"
 
 	"hetpipe/internal/metrics"
@@ -270,13 +271,17 @@ func (n *Numerics) Finish() *RunStats {
 // No gate is needed — when a worker reaches the gated end of wave v every
 // peer has injected through (v+1)*Nm-1, which sealed the wave v-D-1 the gate
 // asks for — and the time axis of the curve is the completion count. For
-// everything that only wants the weights and the protocol counts.
-func RunWSP(cfg WSPConfig) (*RunStats, error) {
+// everything that only wants the weights and the protocol counts. ctx is
+// checked once per minibatch round; a cancelled run returns ctx.Err().
+func RunWSP(ctx context.Context, cfg WSPConfig) (*RunStats, error) {
 	n, err := NewNumerics(cfg)
 	if err != nil {
 		return nil, err
 	}
 	for mb := 1; mb <= cfg.MaxMinibatches; mb++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for w, wk := range n.workers {
 			n.step(w)
 			for n.clocks.Clock(w) < wk.Waves() {

@@ -70,7 +70,7 @@ func batchLoss(lt *LogReg, w tensor.Vector, b int) float64 {
 
 func TestSingleWorkerWSPConverges(t *testing.T) {
 	lt := task(t)
-	stats, err := RunWSP(WSPConfig{
+	stats, err := RunWSP(context.Background(), WSPConfig{
 		Task: lt, Workers: 1, SLocal: 0, D: 0, LR: 0.5,
 		MaxMinibatches: 1500, EvalEvery: 100,
 	})
@@ -91,7 +91,7 @@ func TestPipelinedStalenessStillConverges(t *testing.T) {
 	// slocal = 3 (Nm=4): updates apply with delay, convergence must hold
 	// (the paper's core claim, Theorem 1).
 	lt := task(t)
-	stats, err := RunWSP(WSPConfig{
+	stats, err := RunWSP(context.Background(), WSPConfig{
 		Task: lt, Workers: 1, SLocal: 3, D: 0, LR: 0.3,
 		MaxMinibatches: 2000, EvalEvery: 100,
 	})
@@ -105,7 +105,7 @@ func TestPipelinedStalenessStillConverges(t *testing.T) {
 
 func TestMultiWorkerWSPConverges(t *testing.T) {
 	lt := task(t)
-	stats, err := RunWSP(WSPConfig{
+	stats, err := RunWSP(context.Background(), WSPConfig{
 		Task: lt, Workers: 4, SLocal: 3, D: 0, LR: 0.25,
 		MaxMinibatches: 800, EvalEvery: 200,
 	})
@@ -126,7 +126,7 @@ func TestMultiWorkerWSPConverges(t *testing.T) {
 func TestWSPWaveAggregationReducesPushes(t *testing.T) {
 	// Pushes happen once per wave: minibatches / (slocal+1) per worker.
 	lt := task(t)
-	stats, err := RunWSP(WSPConfig{
+	stats, err := RunWSP(context.Background(), WSPConfig{
 		Task: lt, Workers: 2, SLocal: 3, D: 0, LR: 0.2,
 		MaxMinibatches: 400, EvalEvery: 400,
 	})
@@ -145,11 +145,11 @@ func TestWSPDeterminism(t *testing.T) {
 		Task: lt, Workers: 3, SLocal: 2, D: 1, LR: 0.2,
 		MaxMinibatches: 300, EvalEvery: 100,
 	}
-	a, err := RunWSP(cfg)
+	a, err := RunWSP(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWSP(cfg)
+	b, err := RunWSP(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestLazyPullCreditsOnlyVisibleClock(t *testing.T) {
 	lt := task(t)
 	const workers, slocal, maxMB = 3, 1, 32
 	for _, d := range []int{0, 1, 4} {
-		stats, err := RunWSP(WSPConfig{
+		stats, err := RunWSP(context.Background(), WSPConfig{
 			Task: lt, Workers: workers, SLocal: slocal, D: d, LR: 0.2,
 			MaxMinibatches: maxMB, EvalEvery: 1000,
 		})
@@ -206,7 +206,7 @@ func TestNoDuplicateFinalEvalPoint(t *testing.T) {
 		{"budget past the last evaluation", 9, 4, 3},
 		{"cadence beyond the budget", 8, 100, 1},
 	} {
-		wspStats, err := RunWSP(WSPConfig{
+		wspStats, err := RunWSP(context.Background(), WSPConfig{
 			Task: lt, Workers: 1, SLocal: 1, D: 0, LR: 0.2,
 			MaxMinibatches: c.budget, EvalEvery: c.every,
 		})
@@ -318,7 +318,7 @@ func TestConfigValidation(t *testing.T) {
 		{Task: lt, Workers: 1, D: -1, LR: 0.1, MaxMinibatches: 1, EvalEvery: 1},      // D
 	}
 	for i, cfg := range bad {
-		if _, err := RunWSP(cfg); err == nil {
+		if _, err := RunWSP(context.Background(), cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -335,7 +335,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestTargetLossStopsEarly(t *testing.T) {
 	lt := task(t)
-	stats, err := RunWSP(WSPConfig{
+	stats, err := RunWSP(context.Background(), WSPConfig{
 		Task: lt, Workers: 2, SLocal: 1, D: 0, LR: 0.4,
 		MaxMinibatches: 5000, EvalEvery: 50, TargetLoss: 0.5,
 	})
