@@ -87,8 +87,8 @@ func TestDotPrefixedRootIsStillScanned(t *testing.T) {
 }
 
 func TestRepoIsClean(t *testing.T) {
-	// The repository itself must pass both checks — the same invariant CI
-	// enforces with `hetcheck -pkgdoc -links`.
+	// The repository itself must pass every hygiene check. This test is
+	// where they run: go test ./... enforces them, in CI and everywhere else.
 	root := filepath.Join("..", "..")
 	if findings, err := checkPackageDocs(root); err != nil || len(findings) > 0 {
 		t.Errorf("package docs: err=%v findings=%v", err, findings)

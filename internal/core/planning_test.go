@@ -468,13 +468,10 @@ func TestPlanningSharesOnlyWithinAClass(t *testing.T) {
 // model cannot price fails at every Nm for that reason, so the Nm search must
 // report it as a given Nm does, not as a worker that fits at no Nm.
 func TestDeployReportsUnprofiledGPU(t *testing.T) {
-	c := hw.NewCluster([]struct {
-		Type  *hw.GPUType
-		Count int
-	}{
-		{hw.TitanV, 2},
-		{&hw.GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30}, 2},
-	})
+	c, err := hw.NewCluster("VV XX", &hw.GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSystemSched(c, model.VGG19(), profile.Default(), 32, nil)
 	if err != nil {
 		t.Fatal(err)

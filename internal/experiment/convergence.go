@@ -284,8 +284,9 @@ type regretTask struct {
 // newRegretTask draws the setup's seeded problem, approximates w* and fixes
 // sigma with the provisional M = 1: the bound is recomputed with the
 // observed M afterwards (the theorem holds for any valid M >= the largest
-// distance, and sigma only scales the trajectory).
-func newRegretTask(s regretSetup) *regretTask {
+// distance, and sigma only scales the trajectory). It returns ctx.Err() when
+// ctx ends before w* is found.
+func newRegretTask(ctx context.Context, s regretSetup) (*regretTask, error) {
 	rng := rand.New(rand.NewSource(s.seed))
 	truth := tensor.NewVector(regretDim)
 	for i := range truth {
@@ -304,9 +305,12 @@ func newRegretTask(s regretSetup) *regretTask {
 		p.a = append(p.a, a)
 		p.y = append(p.y, a.Dot(truth)+0.05*rng.NormFloat64())
 	}
-	p.wstar = p.minimize()
+	var err error
+	if p.wstar, err = p.minimize(ctx); err != nil {
+		return nil, err
+	}
 	p.sigma = sigma(1, 1, s.params().SGlobal(), s.params().WaveSize(), s.workers)
-	return p
+	return p, nil
 }
 
 func (p *regretTask) lossAt(b int, w tensor.Vector) float64 {
@@ -322,12 +326,16 @@ func (p *regretTask) subgrad(b int, w, out tensor.Vector) {
 }
 
 // minimize approximates w* by 300 full subgradient passes with a decaying
-// step — cheap and adequate for the small problems used here.
-func (p *regretTask) minimize() tensor.Vector {
+// step — cheap and adequate for the small problems used here. It checks ctx
+// once per pass.
+func (p *regretTask) minimize(ctx context.Context) (tensor.Vector, error) {
 	w := p.InitWeights()
 	g := p.InitWeights()
 	sum := p.InitWeights()
 	for pass := 1; pass <= 300; pass++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		sum.Zero()
 		for b := range p.a {
 			p.subgrad(b, w, g)
@@ -335,7 +343,7 @@ func (p *regretTask) minimize() tensor.Vector {
 		}
 		w.AXPY(-0.5/float64(len(p.a))/math.Sqrt(float64(pass)), sum)
 	}
-	return w
+	return w, nil
 }
 
 // Dim implements train.Task.
@@ -378,7 +386,10 @@ func (s regretSetup) run(ctx context.Context, task train.Task) (*train.RunStats,
 // measure runs the setup and returns the regret (1/T) sum_b f_b(w~_b) - f(w*),
 // the bound at the largest observed distance M (L = 1), and the run.
 func (s regretSetup) measure(ctx context.Context) (regret, bound float64, st *train.RunStats, err error) {
-	p := newRegretTask(s)
+	p, err := newRegretTask(ctx, s)
+	if err != nil {
+		return 0, 0, nil, err
+	}
 	if st, err = s.run(ctx, p); err != nil {
 		return 0, 0, nil, err
 	}

@@ -210,7 +210,11 @@ func TestTheorem1GradesEveryUpdateOnce(t *testing.T) {
 		{workers: 3, slocal: 3, d: 0, mb: 50, seed: 2},
 		{workers: 4, slocal: 6, d: 32, mb: 50, seed: 3},
 	} {
-		g := &gradeCounter{regretTask: newRegretTask(s), graded: make([]int, s.updates())}
+		task, err := newRegretTask(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := &gradeCounter{regretTask: task, graded: make([]int, s.updates())}
 		st, err := s.run(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)

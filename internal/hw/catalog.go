@@ -4,6 +4,13 @@
 // three resource-allocation policies of Table 3 (NP, ED, HD) plus the
 // incremental GPU sets of Table 4.
 //
+// A cluster is data: a layout of node type-code strings, "VVVV RRRR GGGG
+// QQQQ" for the Section 8.1 testbed, from which NewCluster builds the
+// devices, the nodes and the NP/ED/HD allocations at once. The catalog's
+// shapes are built once per process; ClusterByName and Paper return those
+// shared values, which nothing writes to after they are built, so Allocate
+// is a lookup and any number of goroutines may read them.
+//
 // The package carries only static hardware facts. Timing predictions built on
 // top of these facts (effective compute rates, the PCIe scaling-down
 // constant, the InfiniBand linear-regression model) live in internal/profile,
@@ -59,16 +66,21 @@ var (
 	}
 )
 
-// Catalog lists the four paper GPU types in the paper's V, R, G, Q order.
-func Catalog() []*GPUType {
-	return []*GPUType{TitanV, TitanRTX, rtx2060, QuadroP4000}
-}
+// catalog is the four paper GPU types in the paper's V, R, G, Q order.
+var catalog = []*GPUType{TitanV, TitanRTX, rtx2060, QuadroP4000}
 
-// typeByCode resolves a single-letter GPU code ('V','R','G','Q').
-func typeByCode(code byte) (*GPUType, error) {
-	for _, t := range Catalog() {
-		if t.Code == code {
-			return t, nil
+// Catalog lists the four paper GPU types in the paper's V, R, G, Q order.
+// The slice is the package's own: callers read it and never write to it.
+func Catalog() []*GPUType { return catalog }
+
+// typeByCode resolves a single-letter GPU code ('V','R','G','Q') among the
+// catalog types, then among extra.
+func typeByCode(code byte, extra []*GPUType) (*GPUType, error) {
+	for _, types := range [2][]*GPUType{catalog, extra} {
+		for _, t := range types {
+			if t.Code == code {
+				return t, nil
+			}
 		}
 	}
 	return nil, fmt.Errorf("hw: unknown GPU code %q", string(code))

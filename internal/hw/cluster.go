@@ -61,54 +61,65 @@ const (
 	InfiniBandPeakBytes = 7e9
 )
 
-// Cluster is a set of nodes. GPUs carry global IDs in node-major order.
+// Cluster is a set of nodes. GPUs carry global IDs in node-major order. A
+// cluster never changes after NewCluster returns it, Table 3 allocations
+// included, so one value is safely shared by every caller and goroutine.
 type Cluster struct {
 	Nodes []*Node
 	gpus  []*GPU
+	// allocs holds the cluster's Table 3 allocations (or why a policy does
+	// not apply), indexed by Policy and built with the cluster.
+	allocs [HybridDistribution + 1]struct {
+		a   *Allocation
+		err error
+	}
 }
 
-// NewCluster builds a cluster from per-node GPU type assignments:
-// nodeTypes[i] gives the (homogeneous) GPU type and count for node i. The
-// devices and nodes live in one slab each, and a node's GPUs are a capped
-// window of the cluster's.
-func NewCluster(nodeTypes []struct {
-	Type  *GPUType
-	Count int
-}) *Cluster {
+// NewCluster builds a cluster from its layout: one string of GPU type codes
+// per node, separated by spaces — "VVVV RRRR GGGG QQQQ" is the Section 8.1
+// testbed. A code names a Catalog type or one of extra (a synthetic type,
+// say), and a node holds one type only. The devices and nodes live in one
+// slab each, a node's GPUs are a capped window of the cluster's, and the
+// NP, ED and HD allocations are built along with them.
+func NewCluster(layout string, extra ...*GPUType) (*Cluster, error) {
+	fields := strings.Fields(layout)
 	total := 0
-	for _, nt := range nodeTypes {
-		total += nt.Count
+	for _, f := range fields {
+		total += len(f)
 	}
-	devices, nodes := make([]GPU, total), make([]Node, len(nodeTypes))
-	c := &Cluster{Nodes: make([]*Node, len(nodeTypes)), gpus: make([]*GPU, total)}
+	if total == 0 {
+		return nil, fmt.Errorf("hw: empty cluster layout %q", layout)
+	}
+	devices, nodes := make([]GPU, total), make([]Node, len(fields))
+	c := &Cluster{Nodes: make([]*Node, len(fields)), gpus: make([]*GPU, total)}
 	id := 0
-	for ni, nt := range nodeTypes {
+	for ni, f := range fields {
+		if strings.Count(f, f[:1]) != len(f) {
+			return nil, fmt.Errorf("hw: node %d mixes GPU types (%q)", ni, f)
+		}
+		t, err := typeByCode(f[0], extra)
+		if err != nil {
+			return nil, err
+		}
 		first := id
-		for s := 0; s < nt.Count; s++ {
-			devices[id] = GPU{ID: id, Type: nt.Type, Node: ni, Slot: s}
+		for s := range len(f) {
+			devices[id] = GPU{ID: id, Type: t, Node: ni, Slot: s}
 			c.gpus[id] = &devices[id]
 			id++
 		}
 		nodes[ni] = Node{Index: ni, GPUs: c.gpus[first:id:id]}
 		c.Nodes[ni] = &nodes[ni]
 	}
-	return c
+	for p := range c.allocs {
+		c.allocs[p].a, c.allocs[p].err = allocate(c, Policy(p))
+	}
+	return c, nil
 }
 
 // Paper returns the evaluation cluster of Section 8.1: four nodes, each with
 // four homogeneous GPUs — TITAN V, TITAN RTX, GeForce RTX 2060, Quadro P4000 —
-// 16 GPUs in total.
-func Paper() *Cluster {
-	return NewCluster([]struct {
-		Type  *GPUType
-		Count int
-	}{
-		{TitanV, 4},
-		{TitanRTX, 4},
-		{rtx2060, 4},
-		{QuadroP4000, 4},
-	})
-}
+// 16 GPUs in total. It is the catalog's shared "paper" cluster.
+func Paper() *Cluster { return clusterCatalog[0].cluster }
 
 // GPUs returns all devices in ID order.
 func (c *Cluster) GPUs() []*GPU { return c.gpus }

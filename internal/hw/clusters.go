@@ -12,71 +12,38 @@ type ClusterSpec struct {
 	Name string
 	// Description summarizes the shape for listings.
 	Description string
-	// Build constructs a fresh cluster instance. Every call returns an
-	// independent inventory so concurrent scenario runs never share GPUs.
-	Build func() *Cluster
+	// cluster is the shape, built once per process from its layout.
+	cluster *Cluster
 }
 
-// clusterCatalog lists the shapes the sweep engine can explore. The "paper"
-// entry is the Section 8.1 testbed; the others scale it down ("mini"), up
-// ("paper-x2"), or strip it to whimpy parts only ("whimpy").
+// clusterCatalog lists the shapes the sweep engine can explore, each one row
+// of NewCluster's layout notation. The "paper" entry is the Section 8.1
+// testbed; the others scale it down ("mini"), up ("paper-x2"), or strip it to
+// whimpy parts only ("whimpy").
 var clusterCatalog = []ClusterSpec{
-	{
-		Name:        "paper",
-		Description: "4 nodes x 4 GPUs (TITAN V / TITAN RTX / RTX 2060 / Quadro P4000), 16 GPUs — the Section 8.1 testbed",
-		Build:       Paper,
-	},
-	{
-		Name:        "paper-x2",
-		Description: "8 nodes x 4 GPUs (two nodes per type), 32 GPUs — the paper testbed doubled",
-		Build: func() *Cluster {
-			return NewCluster([]struct {
-				Type  *GPUType
-				Count int
-			}{
-				{TitanV, 4}, {TitanV, 4},
-				{TitanRTX, 4}, {TitanRTX, 4},
-				{rtx2060, 4}, {rtx2060, 4},
-				{QuadroP4000, 4}, {QuadroP4000, 4},
-			})
-		},
-	},
-	{
-		Name:        "mini",
-		Description: "4 nodes x 2 GPUs (one node per type), 8 GPUs — the paper testbed halved",
-		Build: func() *Cluster {
-			return NewCluster([]struct {
-				Type  *GPUType
-				Count int
-			}{
-				{TitanV, 2},
-				{TitanRTX, 2},
-				{rtx2060, 2},
-				{QuadroP4000, 2},
-			})
-		},
-	},
-	{
-		Name:        "whimpy",
-		Description: "4 nodes x 4 GPUs of only the two whimpy types (RTX 2060, Quadro P4000), 16 GPUs — no high-end parts (HD undefined)",
-		Build: func() *Cluster {
-			return NewCluster([]struct {
-				Type  *GPUType
-				Count int
-			}{
-				{rtx2060, 4},
-				{QuadroP4000, 4},
-				{rtx2060, 4},
-				{QuadroP4000, 4},
-			})
-		},
-	},
+	{"paper", "4 nodes x 4 GPUs (TITAN V / TITAN RTX / RTX 2060 / Quadro P4000), 16 GPUs — the Section 8.1 testbed",
+		mustCluster("VVVV RRRR GGGG QQQQ")},
+	{"paper-x2", "8 nodes x 4 GPUs (two nodes per type), 32 GPUs — the paper testbed doubled",
+		mustCluster("VVVV VVVV RRRR RRRR GGGG GGGG QQQQ QQQQ")},
+	{"mini", "4 nodes x 2 GPUs (one node per type), 8 GPUs — the paper testbed halved",
+		mustCluster("VV RR GG QQ")},
+	{"whimpy", "4 nodes x 4 GPUs of only the two whimpy types (RTX 2060, Quadro P4000), 16 GPUs — no high-end parts (HD undefined)",
+		mustCluster("GGGG QQQQ GGGG QQQQ")},
 }
 
-// ClusterCatalog returns the named cluster shapes in catalog order.
-func ClusterCatalog() []ClusterSpec {
-	return append([]ClusterSpec(nil), clusterCatalog...)
+// mustCluster builds a catalog row's cluster. A row that does not parse is a
+// bug in the table, not an input.
+func mustCluster(layout string) *Cluster {
+	c, err := NewCluster(layout)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
+
+// ClusterCatalog returns the named cluster shapes in catalog order. The
+// slice is the package's own: callers read it and never write to it.
+func ClusterCatalog() []ClusterSpec { return clusterCatalog }
 
 // ClusterNames lists the catalog keys in catalog order.
 func ClusterNames() []string {
@@ -87,11 +54,12 @@ func ClusterNames() []string {
 	return out
 }
 
-// ClusterByName builds a fresh instance of a cataloged cluster shape.
+// ClusterByName returns a cataloged cluster shape: the catalog's one shared,
+// immutable cluster for that name, the same pointer on every call.
 func ClusterByName(name string) (*Cluster, error) {
 	for _, s := range clusterCatalog {
 		if s.Name == name {
-			return s.Build(), nil
+			return s.cluster, nil
 		}
 	}
 	names := ClusterNames()

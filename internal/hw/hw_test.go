@@ -1,7 +1,9 @@
 package hw
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,13 +39,46 @@ func TestCatalogTable1(t *testing.T) {
 
 func TestTypeByCode(t *testing.T) {
 	for _, typ := range Catalog() {
-		got, err := typeByCode(typ.Code)
+		got, err := typeByCode(typ.Code, nil)
 		if err != nil || got != typ {
 			t.Errorf("typeByCode(%c) = %v, %v", typ.Code, got, err)
 		}
 	}
-	if _, err := typeByCode('X'); err == nil {
+	if _, err := typeByCode('X', nil); err == nil {
 		t.Error("typeByCode('X') should fail")
+	}
+	x := &GPUType{Name: "Synthetic X", Code: 'X'}
+	if got, err := typeByCode('X', []*GPUType{x}); err != nil || got != x {
+		t.Errorf("typeByCode('X', extra) = %v, %v; want the extra type", got, err)
+	}
+}
+
+func TestNewClusterLayout(t *testing.T) {
+	x := &GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30}
+	c, err := NewCluster(" VV  XXX ", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Nodes) != 2 || len(c.Nodes[0].GPUs) != 2 || len(c.Nodes[1].GPUs) != 3 {
+		t.Fatalf("layout VV XXX built nodes %v", c.Nodes)
+	}
+	if g := c.GPUs()[4]; g.Type != x || g.Node != 1 || g.Slot != 2 || g.ID != 4 {
+		t.Errorf("last GPU is %+v, want the extra type's slot 2 on node 1", g)
+	}
+	// ED needs equal nodes; NP works anywhere; HD needs four types.
+	if _, err := Allocate(c, EqualDistribution); err == nil {
+		t.Error("ED on unequal nodes should fail")
+	}
+	if a, err := Allocate(c, NodePartition); err != nil || len(a.VWs) != 2 || a.VWs[1].TypeString() != "XXX" {
+		t.Errorf("NP = %v, %v; want VV and XXX", a, err)
+	}
+	for _, bad := range []string{"", "   ", "VR QQ", "VV XX"} {
+		if _, err := NewCluster(bad); err == nil {
+			t.Errorf("layout %q accepted", bad)
+		}
+	}
+	if _, err := Allocate(c, Policy(3)); err == nil {
+		t.Error("an unknown policy should fail")
 	}
 }
 
@@ -164,19 +199,91 @@ func TestClusterCatalog(t *testing.T) {
 		if got := len(c.GPUs()); got != n {
 			t.Errorf("%s: %d GPUs, want %d", name, got, n)
 		}
-		// Fresh inventory per call: allocations on one instance must not
-		// consume another's GPUs.
-		c2, _ := ClusterByName(name)
-		if c == c2 || c.GPUs()[0] == c2.GPUs()[0] {
-			t.Errorf("%s: ClusterByName returned a shared instance", name)
-		}
 	}
 	if _, err := ClusterByName("dgx"); err == nil {
 		t.Error("unknown cluster accepted")
 	}
-	if spec := ClusterCatalog()[0]; spec.Name != "paper" || spec.Description == "" {
+	if spec := ClusterCatalog()[0]; spec.Name != "paper" || spec.Description == "" || spec.cluster != Paper() {
 		t.Errorf("catalog should lead with a described paper entry, got %+v", spec.Name)
 	}
+}
+
+// TestSharedClusters holds the catalog to its contract: one immutable
+// cluster per name, the same pointer for every caller and goroutine, whose
+// Table 3 allocations are the ones built with it, and from which
+// AllocateByTypes hands out equal, independent allocations without changing
+// it. Run it under -race: the goroutines read what nothing may write.
+func TestSharedClusters(t *testing.T) {
+	type view struct {
+		cluster *Cluster
+		allocs  [3]*Allocation
+	}
+	look := func(name string) (v view) {
+		v.cluster, _ = ClusterByName(name)
+		for _, p := range Policies() {
+			v.allocs[p], _ = Allocate(v.cluster, p)
+		}
+		return v
+	}
+	names := ClusterNames()
+	views := make([][]view, 8)
+	var wg sync.WaitGroup
+	for g := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				views[g] = append(views[g], look(name))
+				c, _ := ClusterByName(name)
+				if _, err := AllocateByTypes(c, []string{"QQ", "GG"}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		want := look(name)
+		for g := range views {
+			if views[g][i] != want {
+				t.Errorf("%s: goroutine %d saw %+v, want %+v", name, g, views[g][i], want)
+			}
+		}
+		for p, a := range want.allocs {
+			if a != want.cluster.allocs[p].a {
+				t.Errorf("%s %v: Allocate returned an allocation not built with the cluster", name, Policy(p))
+			}
+		}
+		// The shared value equals a fresh build of its layout: nothing the
+		// calls above did wrote to it.
+		fresh := mustCluster(strings.Join(layout(want.cluster), " "))
+		if !reflect.DeepEqual(want.cluster, fresh) {
+			t.Errorf("%s: shared cluster differs from a fresh build of its layout", name)
+		}
+	}
+	c := Paper()
+	a, err := AllocateByTypes(c, []string{"VRGQ", "VVQQ"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AllocateByTypes(c, []string{"VRGQ", "VVQQ"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("two AllocateByTypes calls differ: %+v and %+v", a, b)
+	}
+	if a == b || a.VWs[0] == b.VWs[0] || &a.VWs[0].GPUs[0] == &b.VWs[0].GPUs[0] {
+		t.Error("two AllocateByTypes calls share an allocation, a worker or a GPU list")
+	}
+}
+
+// layout renders a cluster in NewCluster's notation, one string per node.
+func layout(c *Cluster) (nodes []string) {
+	for _, n := range c.Nodes {
+		nodes = append(nodes, typeString(n.GPUs))
+	}
+	return nodes
 }
 
 func TestAllocateHDGeneralizes(t *testing.T) {
@@ -274,8 +381,6 @@ func TestSingleVWConfigs(t *testing.T) {
 		if got := a.VWs[0].TypeString(); got != cfg {
 			t.Errorf("allocated %s, want %s", got, cfg)
 		}
-		// Fresh cluster per config: AllocateByTypes consumes inventory.
-		c = Paper()
 	}
 }
 

@@ -84,31 +84,37 @@ type Allocation struct {
 	VWs    []*VirtualWorker
 }
 
-// Allocate applies one of the Table 3 policies to a cluster. NP works for
+// Allocate returns the cluster's allocation under one of the Table 3
+// policies, built with the cluster and shared by every caller. NP works for
 // any cluster; ED requires every node to hold the same GPU count; HD
 // requires four distinct cataloged GPU types in equal numbers with a
 // uniform, even per-node count (see allocateHD for the memory-ranked
 // pairing rule that generalizes the paper's VVQQ/RRGG allocation).
 func Allocate(c *Cluster, p Policy) (*Allocation, error) {
-	switch p {
-	case NodePartition:
-		return allocateNP(c)
-	case EqualDistribution:
-		return allocateED(c)
-	case HybridDistribution:
-		return allocateHD(c)
-	default:
+	if p < 0 || int(p) >= len(c.allocs) {
 		return nil, fmt.Errorf("hw: unknown policy %v", p)
 	}
+	return c.allocs[p].a, c.allocs[p].err
 }
 
-func allocateNP(c *Cluster) (*Allocation, error) {
+// allocate builds the allocation Allocate returns for p.
+func allocate(c *Cluster, p Policy) (*Allocation, error) {
+	switch p {
+	case NodePartition:
+		return allocateNP(c), nil
+	case EqualDistribution:
+		return allocateED(c)
+	}
+	return allocateHD(c)
+}
+
+// allocateNP gives each node's GPUs to one virtual worker.
+func allocateNP(c *Cluster) *Allocation {
 	a := &Allocation{Policy: "NP"}
 	for i, n := range c.Nodes {
-		vw := &VirtualWorker{Index: i, GPUs: append([]*GPU(nil), n.GPUs...)}
-		a.VWs = append(a.VWs, vw)
+		a.VWs = append(a.VWs, &VirtualWorker{Index: i, GPUs: n.GPUs})
 	}
-	return a, nil
+	return a
 }
 
 func allocateED(c *Cluster) (*Allocation, error) {
@@ -162,7 +168,7 @@ func allocateHD(c *Cluster) (*Allocation, error) {
 	}
 	var types []*GPUType
 	typeCount := 0
-	for _, t := range Catalog() {
+	for _, t := range catalog {
 		if n, ok := counts[t.Code]; ok {
 			if typeCount == 0 {
 				typeCount = n
@@ -205,11 +211,12 @@ func allocateHD(c *Cluster) (*Allocation, error) {
 }
 
 // AllocateByTypes builds virtual workers from explicit GPU type-code strings,
-// consuming devices from the cluster inventory. Within one spec, requests for
-// the same type come from the same node when possible (so "VV" shares PCIe).
+// taking each device at most once. Within one spec, requests for the same
+// type come from the same node when possible (so "VV" shares PCIe). The
+// cluster is only read: every call returns a new, independent allocation.
 // It powers the Figure 3 single-VW configs and the Table 4 incremental sets.
 func AllocateByTypes(c *Cluster, vwSpecs []string) (*Allocation, error) {
-	used := make(map[int]bool) // GPU ID -> taken
+	used := make([]bool, len(c.gpus)) // by GPU ID
 	take := func(code byte) (*GPU, error) {
 		for _, g := range c.gpus {
 			if !used[g.ID] && g.Type.Code == code {
@@ -226,7 +233,7 @@ func AllocateByTypes(c *Cluster, vwSpecs []string) (*Allocation, error) {
 		}
 		vw := &VirtualWorker{Index: i}
 		for j := 0; j < len(spec); j++ {
-			if _, err := typeByCode(spec[j]); err != nil {
+			if _, err := typeByCode(spec[j], nil); err != nil {
 				return nil, err
 			}
 			g, err := take(spec[j])

@@ -51,13 +51,10 @@ func TestCarriedPlansMatchReferenceDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cx := hw.NewCluster([]struct {
-		Type  *hw.GPUType
-		Count int
-	}{
-		{hw.TitanV, 2},
-		{&hw.GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30}, 2},
-	})
+	cx, err := hw.NewCluster("VV XX", &hw.GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
 	unprofiled := &hw.VirtualWorker{GPUs: cx.GPUs()}
 
 	rounds := 30

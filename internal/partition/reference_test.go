@@ -310,17 +310,14 @@ func TestPartitionerRevalidatesItsState(t *testing.T) {
 // TestPartitionReportsUnprofiledGPU: a GPU type the performance model has no
 // rate for is a profile error, not a memory-infeasible split.
 func TestPartitionReportsUnprofiledGPU(t *testing.T) {
-	c := hw.NewCluster([]struct {
-		Type  *hw.GPUType
-		Count int
-	}{
-		{hw.TitanV, 2},
-		{&hw.GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30}, 2},
-	})
+	c, err := hw.NewCluster("VV XX", &hw.GPUType{Name: "Synthetic X", Code: 'X', MemoryBytes: 16 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
 	vw := &hw.VirtualWorker{GPUs: c.GPUs()}
 	m := model.Synthetic("syn", 12, 1000, 1e9, 1000)
 	pt := New(profile.Default())
-	_, err := pt.Partition(c, m, vw, 1, 8)
+	_, err = pt.Partition(c, m, vw, 1, 8)
 	if err == nil {
 		t.Fatal("an unprofiled GPU type must fail")
 	}

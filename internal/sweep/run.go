@@ -8,7 +8,6 @@ import (
 
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
-	"hetpipe/internal/hw"
 	"hetpipe/internal/serve"
 	"hetpipe/internal/sim"
 )
@@ -181,13 +180,6 @@ func (c *memo[K, V]) get(key K, build func(K) (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// family is a deployment super-family's shared ingredients: the profiled
-// System and the GPU allocation.
-type family struct {
-	sys   *core.System
-	alloc *hw.Allocation
-}
-
 // resolved is a deployment family: the deployment at D = 0 and its partition
 // plans' summaries, which every result of the family shares.
 type resolved struct {
@@ -201,23 +193,20 @@ type faultKey struct {
 	workers int
 }
 
-// resolver caches what scenarios can share, at two levels, each keyed by the
-// scenario's core.Spec with the fields that level does not depend on zeroed.
-// The system level (Nm, D and placement zeroed) holds the profiled System
-// and the allocation, so a grid whose cells differ only in those axes builds
-// the model graph, profiles it against the cluster, and allocates virtual
-// workers exactly once. The deployment level (D zeroed) holds the resolved
-// deployment: partition plans, Nm selection, and sync transfer times are all
+// resolver caches what scenarios can share. The deployment cache, keyed by
+// the scenario's core.Spec with D zeroed, holds the resolved deployment:
+// partition plans, Nm selection, and sync transfer times are all
 // D-independent, so one resolution serves every D value of the family via
 // core.Deployment.WithD, and so do its plan summaries. Resolution dominates
 // a scenario's cost, and a grid with a D axis of k values would otherwise
-// repeat it k times per family. A third cache holds each fault spec parsed
-// and materialized per worker count, so a cell neither parses its plan nor
-// formats the plan's reports. The caches are safe for concurrent scenario
-// workers (the values are read-only during simulation) and do not affect
-// determinism: each value is a pure function of its key.
+// repeat it k times per family. (What resolution starts from — the zoo
+// model, the catalog cluster and its allocation, the cost tables — is
+// already built once per process.) A second cache holds each fault spec
+// parsed and materialized per worker count, so a cell neither parses its
+// plan nor formats the plan's reports. The caches are safe for concurrent
+// scenario workers (the values are read-only during simulation) and do not
+// affect determinism: each value is a pure function of its key.
 type resolver struct {
-	systems     memo[core.Spec, family]
 	deployments memo[core.Spec, resolved]
 	faults      memo[faultKey, *fault.Plan]
 }
@@ -231,29 +220,13 @@ func (sc *Scenario) spec() core.Spec {
 	}
 }
 
-// system returns the super-family System and Allocation for sp, building
-// them on first use.
-func (r *resolver) system(sp core.Spec) (family, error) {
-	sp.Nm, sp.D, sp.Local = 0, 0, false
-	return r.systems.get(sp, func(sp core.Spec) (f family, err error) {
-		if f.sys, err = sp.System(); err == nil {
-			f.alloc, err = sp.Allocate(f.sys.Cluster)
-		}
-		return f, err
-	})
-}
-
 // deployment returns the family deployment for sp, resolving it on first
 // use, re-bound to the spec's D, and the family's plan summaries.
 func (r *resolver) deployment(sp core.Spec) (*core.Deployment, []PlanSummary, error) {
 	d := sp.D
 	sp.D = 0
 	fam, err := r.deployments.get(sp, func(sp core.Spec) (fam resolved, err error) {
-		f, err := r.system(sp)
-		if err == nil {
-			fam.dep, err = sp.Deploy(f.sys, f.alloc)
-		}
-		if err == nil {
+		if fam.dep, err = sp.Resolve(); err == nil {
 			fam.plans = planSummaries(fam.dep)
 		}
 		return fam, err

@@ -281,6 +281,40 @@ func TestBSPStopsWhenCancelled(t *testing.T) {
 	}
 }
 
+// TestWSPStopsWhenCancelled: RunWSP checks its context once per minibatch
+// round, so a cancel that lands inside a round ends the run when that round
+// is done, with ctx.Err() and no statistics. The task cancels at gradient 7
+// of a three-worker run; round 3 (gradients 7 to 9) completes, round 4 never
+// starts.
+func TestWSPStopsWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	counted := &cancelAt{gradCounter: gradCounter{Task: task(t)}, at: 7, cancel: cancel}
+	st, err := RunWSP(ctx, WSPConfig{
+		Task: counted, Workers: 3, LR: 0.25, MaxMinibatches: 64, EvalEvery: 4,
+	})
+	if !errors.Is(err, context.Canceled) || st != nil {
+		t.Errorf("RunWSP(cancelled) returned stats: %t, error %v; want no stats and context.Canceled", st != nil, err)
+	}
+	if counted.grads != 3*3 {
+		t.Errorf("RunWSP(cancelled at gradient 7) took %d gradients, want 9: the 3 rounds of 3 workers begun before the cancel", counted.grads)
+	}
+}
+
+// cancelAt is a gradCounter that cancels its run at gradient at.
+type cancelAt struct {
+	gradCounter
+	at     int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAt) Grad(w tensor.Vector, b int, out tensor.Vector) {
+	c.gradCounter.Grad(w, b, out)
+	if c.grads == c.at {
+		c.cancel()
+	}
+}
+
 func TestBSPStragglerSlowsWallClock(t *testing.T) {
 	lt := task(t)
 	fast, err := RunBSP(t.Context(), BSPConfig{
