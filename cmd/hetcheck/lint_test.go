@@ -14,6 +14,11 @@ import (
 // of the module, on the load TestSurface reads, and fails on any finding.
 // bench/ is its own module and is not linted. A finding is mended in the
 // code or waived where it stands with `//hetlint:allow <check>`.
+//
+// Most of its ~3 s on a 2-core host is type-checking every package from
+// source, a load it shares with TestSurface so the package pays it once. It
+// lints every production package because a package left out is one whose
+// findings pass unseen.
 func TestLint(t *testing.T) {
 	s := loadScan(t)
 	var pkgs []*driver.Package

@@ -61,7 +61,6 @@ func main() {
 	tcp := flag.Bool("tcp", false, "reach the shards over real TCP sockets instead of in-process")
 	lr := flag.Float64("lr", 0.2, "SGD step size")
 	mb := flag.Int("mb", 96, "minibatch budget per worker")
-	chunks := flag.Int("chunks", 0, "parameter chunks spread over the shards (0 = 4 per shard)")
 	seed := flag.Int64("seed", 13, "task seed")
 	conform := flag.Bool("conform", true, "also run the simulator and report conformance")
 	deploy := flag.Bool("deploy", false, "resolve a model deployment via hetpipe.New and run Deployment.Train")
@@ -89,7 +88,7 @@ func main() {
 	cfg := cluster.Config{
 		Workers: *workers, Servers: *shards,
 		SLocal: f.Nm - 1, D: f.D, LR: *lr,
-		MaxMinibatches: *mb, Chunks: *chunks, TCP: *tcp,
+		MaxMinibatches: *mb, TCP: *tcp,
 		Faults: plan, CheckpointEvery: f.CheckpointEvery,
 		CheckpointPath: *ckptPath, ResumeFrom: *resume,
 		StepTime: *step,
@@ -175,7 +174,6 @@ func runDeploy(ctx context.Context, f *cli.Flags, cfg cluster.Config, task strin
 		hetpipe.WithSeed(seed),
 		hetpipe.WithLearningRate(cfg.LR),
 		hetpipe.WithTCP(cfg.TCP),
-		hetpipe.WithChunks(cfg.Chunks),
 		hetpipe.WithCheckpointPath(cfg.CheckpointPath),
 		hetpipe.WithResumeFrom(cfg.ResumeFrom),
 		hetpipe.WithStepTime(cfg.StepTime),

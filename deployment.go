@@ -56,9 +56,6 @@ func New(opts ...Option) (*Deployment, error) {
 	if set.ckptEvery < 0 {
 		return nil, fmt.Errorf("hetpipe: checkpoint interval must be >= 0, got %d (WithCheckpoint)", set.ckptEvery)
 	}
-	if set.chunks < 0 {
-		return nil, fmt.Errorf("hetpipe: chunk count must be >= 0 (0 = 4 per server), got %d (WithChunks)", set.chunks)
-	}
 	if set.stepTime < 0 {
 		return nil, fmt.Errorf("hetpipe: step time must be >= 0, got %v (WithStepTime)", set.stepTime)
 	}
@@ -219,7 +216,6 @@ func (d *Deployment) Train(ctx context.Context) (*LiveSummary, error) {
 		D:               d.dep.D,
 		LR:              d.set.lr,
 		MaxMinibatches:  cmp.Or(d.set.minibatches, d.dep.DefaultMinibatches()),
-		Chunks:          d.set.chunks,
 		TCP:             d.set.tcp,
 		Observer:        d.set.observer,
 		Faults:          d.faults,

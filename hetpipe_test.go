@@ -84,9 +84,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := New(WithModel("vgg19"), WithPolicy("ED"), WithNm(-1)); err == nil || err.Error() != wantNm {
 		t.Errorf("WithNm(-1): error %v, want %q", err, wantNm)
 	}
-	if _, err := New(WithModel("vgg19"), WithPolicy("ED"), WithChunks(-1)); err == nil {
-		t.Error("WithChunks(-1) accepted")
-	}
 }
 
 func TestHorovodBaseline(t *testing.T) {

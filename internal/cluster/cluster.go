@@ -78,9 +78,6 @@ type Config struct {
 	// the same budget, which guarantees every blocking pull is eventually
 	// satisfiable (no worker waits on a peer that already finished).
 	MaxMinibatches int
-	// Chunks is the number of named parameter shards spread over the
-	// servers; 0 picks 4 per server.
-	Chunks int
 	// TCP runs every worker<->server interaction over real sockets
 	// (ps.Serve / ps.Dial on loopback) instead of in-process calls.
 	TCP bool
@@ -128,8 +125,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("cluster: need at least one server")
 	case c.MaxMinibatches < 1:
 		return fmt.Errorf("cluster: zero minibatch budget")
-	case c.Chunks < 0:
-		return fmt.Errorf("cluster: chunk count must be >= 0 (0 = 4 per server), got %d", c.Chunks)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("cluster: checkpoint interval must be >= 0")
 	case c.StepTime < 0:
@@ -342,11 +337,10 @@ func bringUp(cfg Config) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks := cfg.Chunks
-	if chunks == 0 {
-		chunks = 4 * cfg.Servers
-	}
-	if r.space, err = newShardSpace(cfg.Task.Dim(), chunks); err != nil {
+	// Four named parameter chunks per server. The chunking cannot change a
+	// weight bit: every element is folded in (wave, worker) order whatever
+	// range it falls in.
+	if r.space, err = newShardSpace(cfg.Task.Dim(), 4*cfg.Servers); err != nil {
 		return nil, err
 	}
 	if r.placement, err = ps.RoundRobin(r.space.Keys(), cfg.Servers); err != nil {

@@ -170,14 +170,6 @@ func TestLiveRunValidation(t *testing.T) {
 			t.Errorf("bad config %d: RunConformance says %q, Run %q", i, cerr, err)
 		}
 	}
-	// A negative chunk count is refused before either half runs, so both
-	// give the same text.
-	cfg := Config{Task: lt, Workers: 1, Servers: 1, LR: 0.1, MaxMinibatches: 1, Chunks: -1}
-	_, err := Run(context.Background(), cfg)
-	_, cerr := RunConformance(context.Background(), cfg)
-	if err == nil || cerr == nil || cerr.Error() != err.Error() {
-		t.Errorf("Chunks -1: Run says %v, RunConformance %v; want the same error", err, cerr)
-	}
 }
 
 func TestLiveRunShortBudgetNeverPulls(t *testing.T) {
@@ -304,6 +296,9 @@ func TestLiveRunObserverStream(t *testing.T) {
 // leave the clock one short about one run in fifty on the host this was
 // written on. The test repeats 800 times (50 under -short): every
 // loopback-TCP run must end at the clock and weights of its in-process twin.
+// The count is the size a one-in-fifty race needs: 800 runs all miss it with
+// probability (49/50)^800 < 10^-7, where 50 miss it one time in three. It
+// takes ~2 s on a 2-core host.
 func TestTCPFinalStateMatchesInProcessTwin(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	task, err := train.DefaultMLPTask(7)

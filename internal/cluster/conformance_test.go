@@ -9,9 +9,9 @@ import (
 )
 
 // conformanceGrid is the configurations the differential suites run: worker
-// counts, staleness settings, shard counts (one that the chunks do not divide
-// evenly: the row still named for the simulated timing it once also set), one
-// real-TCP configuration and the non-convex task.
+// counts, staleness settings, shard counts (the heterogeneous-timing row is
+// still named for the simulated timing it once also set), one real-TCP
+// configuration and the non-convex task.
 func conformanceGrid(t *testing.T) []conformanceCase {
 	t.Helper()
 	lt, err := train.DefaultTask(13)
@@ -29,11 +29,11 @@ func conformanceGrid(t *testing.T) []conformanceCase {
 		}},
 		{"N3_Nm3_D1_heterogeneous_timing", Config{
 			Task: lt, Workers: 3, SLocal: 2, D: 1, LR: 0.2,
-			MaxMinibatches: 36, Servers: 2, Chunks: 7,
+			MaxMinibatches: 36, Servers: 2,
 		}},
 		{"N4_Nm4_D4_many_shards", Config{
 			Task: lt, Workers: 4, SLocal: 3, D: 4, LR: 0.2,
-			MaxMinibatches: 48, Servers: 3, Chunks: 16,
+			MaxMinibatches: 48, Servers: 3,
 		}},
 		{"N3_Nm2_D0_tcp", Config{
 			Task: lt, Workers: 3, SLocal: 1, D: 0, LR: 0.25,

@@ -103,6 +103,12 @@ func cosimFaults(t *testing.T, n int) []namedPlan {
 // lock-step co-simulation returns exactly the MultiResult and exactly the
 // observer stream of one pipeline per worker, from fewer events whenever two
 // neighbours are twins.
+//
+// It needs the whole cross product (~3.5 s on a 2-core host): which workers
+// are twins depends on the cluster and the policy, how often the lock step
+// blocks on Nm and D (D 0 gates every wave, a large D seldom), and
+// a fault plan can split a twin pair on one worker, so each dropped value is a
+// grouping path left unchecked. -short keeps one Nm and two D values.
 func TestGroupedCoSimMatchesPerWorkerReference(t *testing.T) {
 	scheds := schedVariants(t)
 	nms, ds := []int{1, 2, 4}, []int{0, 1, 4, 16}

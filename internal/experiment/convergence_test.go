@@ -63,6 +63,12 @@ func numbersAfter(t *testing.T, r *Report, keys ...string) [][]float64 {
 // about them can drift unnoticed — for some twenty PRs figure6 printed idle =
 // 100 % of waiting and no gain from D while the document quoted an older
 // binary. TestTheorem1AllHold checks theorem1's claims.
+//
+// It is tier 1's slowest test (~8 s on a 2-core host) and keeps that size:
+// the golden is what hetbench prints, so the experiments run at the sizes
+// hetbench runs them, and figure5 and figure6 must train every curve to its
+// target for the time-to-accuracy claims to mean anything. A smaller run
+// would pin numbers nobody reads.
 func TestConvergenceFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure5 and figure6 train to their targets (~12 s)")

@@ -451,14 +451,14 @@ func TestRejectedExchangeChangesNothing(t *testing.T) {
 				push:     func(k []string, v []tensor.Vector) error { return sh.PushOrdered(0, k, v) },
 				pull:     func(d []tensor.Vector, k []string) error { return sh.PullAtInto(d, k, 1) },
 			}}
-			if c := sh.clients[0]; servers == 1 && c != nil {
+			if c, ok := sh.backends[0].(*Client); servers == 1 && ok {
 				doors["Client"] = door{
 					exchange: func(p *Push, q *SnapshotPull) error { _, err := c.Exchange(p, q); return err },
 					push:     func(k []string, v []tensor.Vector) error { _, err := c.PushOrdered(0, k, v); return err },
 					pull:     func(d []tensor.Vector, k []string) error { return c.PullAtInto(d, k, 1) },
 				}
 			} else if servers == 1 {
-				s := sh.servers[0]
+				s := sh.backends[0].(*Server)
 				doors["Server"] = door{exchange: func(p *Push, q *SnapshotPull) error { _, err := s.Exchange(p, q); return err }}
 			}
 			// One committed wave and one materialised snapshot to disturb.

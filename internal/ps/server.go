@@ -15,8 +15,11 @@
 // and Dial in transport.go), mirroring how the paper spreads parameter
 // shards across nodes. The data plane has one operation, Exchange: a wave's
 // push and the D-gated snapshot pull that follows it travel as one request
-// and one response per shard server (Server, Client and Sharded all have it;
-// Backend is what Sharded is built over). An exchange always covers every
+// and one response per shard server (Server, Client and Sharded all have it).
+// Sharded is built over Backends, a sealed interface that only Server and
+// Client satisfy: an exchange in two phases, send then receive, so Sharded
+// writes every TCP shard's request before it reads the first response (a
+// Server answers in the receive phase). An exchange always covers every
 // shard its server holds, in the server's layout: its keys sorted. So no key
 // travels with an exchange — a push is a worker and one vector per layout
 // key, a pull a clock and one destination per layout key — and Sharded, whose
@@ -180,53 +183,46 @@ func (s *Server) Register(key string, init []float64) error {
 // own wave w needs). It returns the worker's new clock when it pushed, 0
 // otherwise.
 func (s *Server) Exchange(push *Push, pull *SnapshotPull) (int, error) {
-	return s.exchange(push, pull, nil, nil)
+	w := newWave(push, pull, nil)
+	return s.exchange(&w, nil)
 }
 
-// at is the position in a caller's slice of layout key j: sel[j] when the
-// caller's slices are in another order (Sharded's placement order), j when
-// sel is nil.
+// sendWave is a Backend's first phase: in process there is nothing to send.
+func (s *Server) sendWave(wave) error { return nil }
+
+// receiveWave is a Backend's second phase: the whole exchange.
 //
 //hetlint:hotpath
-func at(sel []int, j int) int {
-	if sel == nil {
-		return j
-	}
-	return sel[j]
+func (s *Server) receiveWave(w wave) (int, error) {
+	return s.exchange(&w, nil)
 }
 
-// count is how many layout keys a section's slice covers, read through sel.
-//
-//hetlint:hotpath
-func count(vs []tensor.Vector, sel []int) int {
-	if sel == nil {
-		return len(vs)
-	}
-	return len(sel)
-}
+// abandon is a Backend's dropped exchange: in process none was begun.
+func (s *Server) abandon() {}
 
-// exchange is Exchange with the caller's slices read through sel (see at)
-// and, when out is non-nil, the snapshot's vectors encoded into out (in
-// layout order, under the server lock) instead of copied into pull.Dst —
-// the TCP transport's response, whose client checked its own destinations.
+// exchange is Exchange on a wave and, when out is non-nil, the snapshot's
+// vectors encoded into out (in layout order, under the server lock) instead
+// of copied into the pull's Dst — the TCP transport's response, whose client
+// checked its own destinations.
 //
 //hetlint:hotpath
-func (s *Server) exchange(push *Push, pull *SnapshotPull, sel []int, out *encoder) (int, error) {
+func (s *Server) exchange(w *wave, out *encoder) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fixLayoutLocked()
 	// Nothing may fail between the commit and the answer but the server
 	// closing, so the pull is checked up front too.
-	if err := s.validateLocked(push, pull, sel, out == nil); err != nil {
+	if err := s.validateLocked(w, out == nil); err != nil {
 		return 0, err
 	}
 	clock := 0
-	if push != nil {
-		clock = s.commitPushLocked(push, sel)
+	if w.pushes {
+		clock = s.commitPushLocked(w)
 	}
-	if pull == nil {
+	if !w.pulls {
 		return clock, nil
 	}
+	pull := &w.pull
 	for s.clocks.GlobalClock() < pull.Clock && !s.closed {
 		s.cond.Wait()
 	}
@@ -246,7 +242,7 @@ func (s *Server) exchange(push *Push, pull *SnapshotPull, sel []int, out *encode
 			out.vec(v)
 			continue
 		}
-		i := at(sel, j)
+		i := w.at(j)
 		if len(pull.Dst[i]) != len(v) {
 			pull.Dst[i] = make(tensor.Vector, len(v))
 		}
@@ -260,29 +256,30 @@ func (s *Server) exchange(push *Push, pull *SnapshotPull, sel []int, out *encode
 // pull's clock (and, unless the caller checked its own, its destination
 // count), the push's worker, vector count and lengths. Unannotated because
 // its fmt formatting runs only on the error path.
-func (s *Server) validateLocked(push *Push, pull *SnapshotPull, sel []int, dst bool) error {
-	if pull != nil {
+func (s *Server) validateLocked(w *wave, dst bool) error {
+	if pull := &w.pull; w.pulls {
 		if pull.Clock < 0 {
 			return fmt.Errorf("ps: negative snapshot clock %d", pull.Clock)
 		}
 		if pull.Clock < s.base {
 			return errReleased(pull.Clock, s.base)
 		}
-		if n := count(pull.Dst, sel); dst && n != len(s.keys) {
+		if n := w.count(pull.Dst); dst && n != len(s.keys) {
 			return fmt.Errorf("ps: pull into %d destinations from a layout of %d shards", n, len(s.keys))
 		}
 	}
-	if push == nil {
+	if !w.pushes {
 		return nil
 	}
+	push := &w.push
 	if push.Worker < 0 || push.Worker >= s.clocks.Workers() {
 		return fmt.Errorf("ps: worker %d out of range [0,%d)", push.Worker, s.clocks.Workers())
 	}
-	if n := count(push.Vecs, sel); n != len(s.keys) {
+	if n := w.count(push.Vecs); n != len(s.keys) {
 		return fmt.Errorf("ps: push of %d vectors to a layout of %d shards", n, len(s.keys))
 	}
 	for j, key := range s.keys {
-		if n, got := s.offs[j+1]-s.offs[j], len(push.Vecs[at(sel, j)]); n != got {
+		if n, got := s.offs[j+1]-s.offs[j], len(push.Vecs[w.at(j)]); n != got {
 			return fmt.Errorf("ps: shard %q length %d, delta length %d", key, n, got)
 		}
 	}
@@ -337,8 +334,8 @@ func (s *Server) recycleLocked(v tensor.Vector) {
 // pulls wake. It returns the worker's new clock.
 //
 //hetlint:hotpath
-func (s *Server) commitPushLocked(p *Push, sel []int) int {
-	w := p.Worker
+func (s *Server) commitPushLocked(wv *wave) int {
+	w := wv.push.Worker
 	// A worker's clock is at least the global clock, which is at least the
 	// newest snapshot's: its wave is never below deltaBase.
 	workers := s.clocks.Workers()
@@ -348,7 +345,7 @@ func (s *Server) commitPushLocked(p *Push, sel []int) int {
 	}
 	backing := s.takeBacking(s.offs[len(s.keys)])
 	for j := range s.keys {
-		copy(backing[s.offs[j]:], p.Vecs[at(sel, j)])
+		copy(backing[s.offs[j]:], wv.push.Vecs[wv.at(j)])
 	}
 	s.waveDeltas[wave*workers+w] = backing
 	clock := s.clocks.Push(w)

@@ -30,11 +30,7 @@ import (
 // path serves simulations, tests, and real sockets.
 type Sharded struct {
 	placement *Placement
-	// servers[i] / clients[i] is backend i as the one of the two types it
-	// is; the other is nil. A client's exchange splits into a send and a
-	// receive.
-	servers []*Server
-	clients []*Client
+	backends  []Backend
 	// sel[i][j] is the placement position of server i's j-th layout key.
 	sel [][]int
 	// workers and dims (per placement position) come from each backend's
@@ -46,10 +42,65 @@ type Sharded struct {
 }
 
 // Backend is a shard server as Sharded reaches it: *Server in process, or
-// *Client over TCP. NewSharded takes no other.
+// *Client over TCP; its unexported methods admit no other. An exchange is
+// two-phase, so Sharded can put every shard's request on the wire before it
+// reads the first response: sendWave starts it (a Server has nothing to
+// send), receiveWave finishes it with the same wave (a Server answers the
+// whole exchange there), and abandon drops one that was sent but will not be
+// received.
 type Backend interface {
-	Exchange(push *Push, pull *SnapshotPull) (int, error)
 	Meta() (Meta, error)
+	sendWave(w wave) error
+	receiveWave(w wave) (int, error)
+	abandon()
+}
+
+// wave is one exchange as a server sees it: each section by value, present
+// when its flag says so, its slices read through sel (see at). By value,
+// because an interface call's pointer arguments escape, and a caller's Push
+// or SnapshotPull must not move to the heap.
+type wave struct {
+	push          Push
+	pull          SnapshotPull
+	pushes, pulls bool
+	sel           []int
+}
+
+// newWave is the wave of sections push and pull (nil when absent), read
+// through sel.
+//
+//hetlint:hotpath
+func newWave(push *Push, pull *SnapshotPull, sel []int) wave {
+	w := wave{sel: sel}
+	if push != nil {
+		w.push, w.pushes = *push, true
+	}
+	if pull != nil {
+		w.pull, w.pulls = *pull, true
+	}
+	return w
+}
+
+// at is the position in a section's slice of layout key j: sel[j] when the
+// caller's slices are in another order (Sharded's placement order), j when
+// sel is nil.
+//
+//hetlint:hotpath
+func (w *wave) at(j int) int {
+	if w.sel == nil {
+		return j
+	}
+	return w.sel[j]
+}
+
+// count is how many layout keys a section's slice covers, read through sel.
+//
+//hetlint:hotpath
+func (w *wave) count(vs []tensor.Vector) int {
+	if w.sel == nil {
+		return len(vs)
+	}
+	return len(w.sel)
 }
 
 // AdaptServer returns an in-process Server as a Backend.
@@ -68,20 +119,11 @@ func NewSharded(p *Placement, backends []Backend) (*Sharded, error) {
 	}
 	s := &Sharded{
 		placement: p,
-		servers:   make([]*Server, len(backends)),
-		clients:   make([]*Client, len(backends)),
+		backends:  backends,
 		sel:       make([][]int, len(backends)),
 		dims:      make([]int, len(p.keys)),
 	}
 	for i, b := range backends {
-		switch b := b.(type) {
-		case *Server:
-			s.servers[i] = b
-		case *Client:
-			s.clients[i] = b
-		default:
-			return nil, fmt.Errorf("ps: shard server %d: backend %T is neither a *Server nor a *Client", i, b)
-		}
 		m, err := b.Meta()
 		if err != nil {
 			return nil, fmt.Errorf("ps: shard server %d meta: %w", i, err)
@@ -124,10 +166,7 @@ func (s *Sharded) Exchange(push *Push, pull *SnapshotPull) error {
 	if err := s.validate(push, pull); err != nil {
 		return err
 	}
-	if srv, err := s.scatterGather(push, pull); err != nil {
-		return fmt.Errorf("ps: shard server %d: %w", srv, err)
-	}
-	return nil
+	return s.scatterGather(push, pull)
 }
 
 // validate checks an exchange against the placement and the servers' Meta.
@@ -153,62 +192,51 @@ func (s *Sharded) validate(push *Push, pull *SnapshotPull) error {
 	return nil
 }
 
-// share is server i's part of an exchange: the push whenever there is one,
-// the pull only when the server holds keys.
+// share is server i's part of an exchange — the push whenever there is one,
+// the pull only when the server holds keys — and whether it has any.
 //
 //hetlint:hotpath
-func (s *Sharded) share(i int, push *Push, pull *SnapshotPull) (*Push, *SnapshotPull) {
+func (s *Sharded) share(i int, push *Push, pull *SnapshotPull) (wave, bool) {
 	if len(s.sel[i]) == 0 {
 		pull = nil
 	}
-	return push, pull
+	return newWave(push, pull, s.sel[i]), push != nil || pull != nil
 }
 
-// scatterGather runs the exchange: every TCP backend's request is written,
-// then every backend is answered in server order — a TCP backend by reading
-// its response, an in-process one by running its exchange. On failure it
-// reports the failing server, after abandoning every client still owed a
-// response.
+// scatterGather runs the exchange: every backend with a share is sent its
+// request, then every one is answered in server order — a TCP backend by
+// reading its response, an in-process one by running its exchange.
 //
 //hetlint:hotpath
-func (s *Sharded) scatterGather(push *Push, pull *SnapshotPull) (int, error) {
-	sent := 0 // clients[:sent] with a share have a request on the wire
-	for ; sent < len(s.clients); sent++ {
-		p, q := s.share(sent, push, pull)
-		if c := s.clients[sent]; c != nil && (p != nil || q != nil) {
-			if err := c.sendWave(p, q, s.sel[sent]); err != nil {
-				s.abandon(push, pull, 0, sent)
-				return sent, err
+func (s *Sharded) scatterGather(push *Push, pull *SnapshotPull) error {
+	sent := 0 // backends[:sent] with a share have been sent their request
+	for ; sent < len(s.backends); sent++ {
+		if w, ok := s.share(sent, push, pull); ok {
+			if err := s.backends[sent].sendWave(w); err != nil {
+				return s.fail(sent, err, push, pull, 0, sent)
 			}
 		}
 	}
-	for i, srv := range s.servers {
-		p, q := s.share(i, push, pull)
-		if p == nil && q == nil {
-			continue
-		}
-		var err error
-		if c := s.clients[i]; c != nil {
-			_, err = c.receiveWave(p, q, s.sel[i])
-		} else {
-			_, err = srv.exchange(p, q, s.sel[i], nil)
-		}
-		if err != nil {
-			s.abandon(push, pull, i+1, sent)
-			return i, err
+	for i, b := range s.backends {
+		if w, ok := s.share(i, push, pull); ok {
+			if _, err := b.receiveWave(w); err != nil {
+				return s.fail(i, err, push, pull, i+1, sent)
+			}
 		}
 	}
-	return 0, nil
+	return nil
 }
 
-// abandon closes the clients in [from, to) that were sent a request whose
-// response will now never be read.
-func (s *Sharded) abandon(push *Push, pull *SnapshotPull, from, to int) {
+// fail ends an exchange that server srv failed with err: it abandons the
+// backends in [from, to), which were sent a request whose response will now
+// never be read, and names the server in the error.
+func (s *Sharded) fail(srv int, err error, push *Push, pull *SnapshotPull, from, to int) error {
 	for i := from; i < to; i++ {
-		if p, q := s.share(i, push, pull); s.clients[i] != nil && (p != nil || q != nil) {
-			s.clients[i].abandon()
+		if _, ok := s.share(i, push, pull); ok {
+			s.backends[i].abandon()
 		}
 	}
+	return fmt.Errorf("ps: shard server %d: %w", srv, err)
 }
 
 // PushOrdered pushes worker's update, vecs[i] being keys[i]'s delta, to

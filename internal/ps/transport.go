@@ -61,13 +61,11 @@ type serverConn struct {
 	dec  decoder     // reads the current request's payload
 	enc  encoder     // outgoing response frame
 
-	// The current wave request's sections. The push's vector slice is
-	// scratch reused across requests; its deltas land as consecutive
-	// layout-order segments of flat (lengths in dims), which push.Vecs
-	// views. The pull has no destinations: its vectors are encoded straight
-	// into the response.
-	push Push
-	pull SnapshotPull
+	// The current wave request. The push's vector slice is scratch reused
+	// across requests; its deltas land as consecutive layout-order segments
+	// of flat (lengths in dims), which the push's Vecs view. The pull has no
+	// destinations: its vectors are encoded straight into the response.
+	w    wave
 	flat tensor.Vector
 	dims []int
 }
@@ -81,22 +79,19 @@ func (c *serverConn) serve() {
 	var pre [preambleLen]byte
 	if _, err := io.ReadFull(c.in.br, pre[:]); err != nil {
 		if err != io.EOF { // connected and vanished: clean enough
-			c.s.noteMalformed()
-			c.writeProtoErr("ps: truncated connection preamble")
+			c.protoFail(errors.New("ps: truncated connection preamble"))
 		}
 		return
 	}
 	if err := checkPreamble(pre[:]); err != nil {
-		c.s.noteMalformed()
-		c.writeProtoErr(err.Error())
+		c.protoFail(err)
 		return
 	}
 	for {
 		payload, err := c.in.next()
 		if err != nil {
 			if err == errFrameSize {
-				c.s.noteMalformed()
-				c.writeProtoErr(err.Error())
+				c.protoFail(err)
 			} else if err != io.EOF { // a frame cut short, or an unreadable socket
 				c.s.noteMalformed()
 			}
@@ -188,48 +183,47 @@ func (c *serverConn) protoFail(err error) bool {
 	return false
 }
 
-// decodeWave reads a wave request's sections into c.push and c.pull and
-// returns which are present (nil for an absent one). The push's vectors run
-// to the end of the frame; the server counts them against its layout.
+// decodeWave reads a wave request into c.w. The push's vectors run to the
+// end of the frame; the server counts them against its layout.
 //
 //hetlint:hotpath
-func (c *serverConn) decodeWave() (*Push, *SnapshotPull, error) {
+func (c *serverConn) decodeWave() error {
 	flags, err := c.dec.u8()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if flags == 0 || flags&^(wavePush|wavePull) != 0 {
-		return nil, nil, errWaveFlags
+		return errWaveFlags
 	}
 	// The worker and the clock are decoded as they were encoded, int to
 	// uint64 and back, so a negative one is the server's to refuse with an
 	// application error, like any other out-of-range value.
-	var pull *SnapshotPull
-	if flags&wavePull != 0 {
+	w := &c.w
+	w.pushes, w.pulls = flags&wavePush != 0, flags&wavePull != 0
+	if w.pulls {
 		clock, err := c.dec.uvarint()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		c.pull.Clock = int(clock)
-		pull = &c.pull
+		w.pull.Clock = int(clock)
 	}
-	if flags&wavePush == 0 {
+	if !w.pushes {
 		if c.dec.remaining() != 0 {
-			return nil, nil, errTrailing
+			return errTrailing
 		}
-		return nil, pull, nil
+		return nil
 	}
 	worker, err := c.dec.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	c.push.Worker = int(worker)
+	w.push.Worker = int(worker)
 	c.flat = c.flat[:0]
 	c.dims = c.dims[:0]
 	for c.dec.remaining() > 0 {
 		n, b, err := c.dec.vecRaw()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		off := len(c.flat)
 		c.flat = growVec(c.flat, n)
@@ -237,30 +231,29 @@ func (c *serverConn) decodeWave() (*Push, *SnapshotPull, error) {
 		c.dims = append(c.dims, n)
 	}
 	// Views are cut only now: growVec may have moved flat mid-decode.
-	c.push.Vecs = c.push.Vecs[:0]
+	w.push.Vecs = w.push.Vecs[:0]
 	off := 0
 	for _, n := range c.dims {
-		c.push.Vecs = append(c.push.Vecs, c.flat[off:off+n])
+		c.w.push.Vecs = append(c.w.push.Vecs, c.flat[off:off+n])
 		off += n
 	}
-	return &c.push, pull, nil
+	return nil
 }
 
 // handleWave serves one wave exchange in the order wire.go states: the
 // server validates, commits, waits for the gate and encodes under its lock,
 // and the answer goes out after all of that.
 func (c *serverConn) handleWave() bool {
-	push, pull, err := c.decodeWave()
-	if err != nil {
+	if err := c.decodeWave(); err != nil {
 		return c.protoFail(err)
 	}
 	c.enc.begin()
 	c.enc.u8(statusOK)
-	clock, err := c.s.exchange(push, pull, nil, &c.enc)
+	clock, err := c.s.exchange(&c.w, &c.enc)
 	if err != nil {
 		return c.writeAppErr(err)
 	}
-	if push != nil {
+	if c.w.pushes {
 		c.enc.uvarint(uint64(clock)) // clock trails the vectors; see wire.go
 	}
 	return c.writeFrame()
@@ -281,10 +274,7 @@ func growVec(v tensor.Vector, n int) tensor.Vector {
 }
 
 func (c *serverConn) handleMeta() bool {
-	m, err := c.s.Meta()
-	if err != nil {
-		return c.writeAppErr(err)
-	}
+	m, _ := c.s.Meta() // a Server's Meta cannot fail
 	keys := m.layout()
 	c.enc.begin()
 	c.enc.u8(statusOK)
@@ -482,14 +472,17 @@ func wrapErr(what string, err error) error { return fmt.Errorf("%s: %w", what, e
 // Exchange performs one wave exchange with the server in one round trip; see
 // Server.Exchange for the semantics and wire.go for the frame. With neither
 // section there is nothing to say and nothing is sent.
+//
+//hetlint:allow surface Server.Exchange's TCP twin: Sharded reaches a client in two phases, so only this package's tests and benchmarks make the whole round trip
 func (c *Client) Exchange(push *Push, pull *SnapshotPull) (int, error) {
 	if push == nil && pull == nil {
 		return 0, nil
 	}
-	if err := c.sendWave(push, pull, nil); err != nil {
+	w := newWave(push, pull, nil)
+	if err := c.sendWave(w); err != nil {
 		return 0, err
 	}
-	return c.receiveWave(push, pull, nil)
+	return c.receiveWave(w)
 }
 
 // layoutKeys returns the server's layout, asking the server the first time.
@@ -509,77 +502,76 @@ func (c *Client) layoutKeys() ([]string, error) {
 
 // sendWave is Exchange's first half: on success the request is on the wire
 // and the client stays locked until receiveWave is called with the same
-// arguments. The sections' slices are read through sel (see at); with sel
-// nil they are checked against the server's layout first, and Sharded, which
-// passes sel, has checked them against its own.
-func (c *Client) sendWave(push *Push, pull *SnapshotPull, sel []int) error {
-	if sel == nil {
+// wave. With sel nil the sections are checked against the server's layout
+// first; Sharded, which passes sel, has checked them against its own.
+func (c *Client) sendWave(w wave) error {
+	if w.sel == nil {
 		keys, err := c.layoutKeys()
 		if err != nil {
 			return err
 		}
-		if push != nil && len(push.Vecs) != len(keys) {
-			return fmt.Errorf("ps: push of %d vectors to a layout of %d shards", len(push.Vecs), len(keys))
+		if w.pushes && len(w.push.Vecs) != len(keys) {
+			return fmt.Errorf("ps: push of %d vectors to a layout of %d shards", len(w.push.Vecs), len(keys))
 		}
-		if pull != nil && len(pull.Dst) != len(keys) {
-			return fmt.Errorf("ps: pull into %d destinations from a layout of %d shards", len(pull.Dst), len(keys))
+		if w.pulls && len(w.pull.Dst) != len(keys) {
+			return fmt.Errorf("ps: pull into %d destinations from a layout of %d shards", len(w.pull.Dst), len(keys))
 		}
 	}
 	if err := c.begin(opWave); err != nil {
 		return err
 	}
-	c.encodeWave(push, pull, sel)
+	c.encodeWave(&w)
 	return c.send()
 }
 
 //hetlint:hotpath
-func (c *Client) encodeWave(push *Push, pull *SnapshotPull, sel []int) {
+func (c *Client) encodeWave(w *wave) {
 	var flags byte
-	if push != nil {
+	if w.pushes {
 		flags |= wavePush
 	}
-	if pull != nil {
+	if w.pulls {
 		flags |= wavePull
 	}
 	c.enc.u8(flags)
-	if pull != nil {
-		c.enc.uvarint(uint64(pull.Clock))
+	if w.pulls {
+		c.enc.uvarint(uint64(w.pull.Clock))
 	}
-	if push != nil {
-		c.enc.uvarint(uint64(push.Worker))
-		for j := range count(push.Vecs, sel) {
-			c.enc.vec(push.Vecs[at(sel, j)])
+	if w.pushes {
+		c.enc.uvarint(uint64(w.push.Worker))
+		for j := range w.count(w.push.Vecs) {
+			c.enc.vec(w.push.Vecs[w.at(j)])
 		}
 	}
 }
 
-// receiveWave is Exchange's second half: it fills pull.Dst and returns the
-// worker's new clock when the exchange pushed.
-func (c *Client) receiveWave(push *Push, pull *SnapshotPull, sel []int) (int, error) {
+// receiveWave is Exchange's second half: it fills the pull's Dst and returns
+// the worker's new clock when the exchange pushed.
+func (c *Client) receiveWave(w wave) (int, error) {
 	if err := c.receive(); err != nil {
 		return 0, err
 	}
-	clock, err := c.decodeWave(push, pull, sel)
+	clock, err := c.decodeWave(&w)
 	return clock, c.done(err)
 }
 
-// decodeWave reads a wave response: one vector per layout key into pull.Dst
-// (through sel) when the exchange pulled, then the trailing clock when it
-// pushed.
+// decodeWave reads a wave response: one vector per layout key into the
+// pull's Dst (through sel) when the exchange pulled, then the trailing clock
+// when it pushed.
 //
 //hetlint:hotpath
-func (c *Client) decodeWave(push *Push, pull *SnapshotPull, sel []int) (int, error) {
-	if pull != nil {
-		for j := range count(pull.Dst, sel) {
-			i := at(sel, j)
-			v, err := c.dec.vecInto(pull.Dst[i])
+func (c *Client) decodeWave(w *wave) (int, error) {
+	if dst := w.pull.Dst; w.pulls {
+		for j := range w.count(dst) {
+			i := w.at(j)
+			v, err := c.dec.vecInto(dst[i])
 			if err != nil {
 				return 0, err
 			}
-			pull.Dst[i] = v
+			dst[i] = v
 		}
 	}
-	if push == nil {
+	if !w.pushes {
 		return 0, nil
 	}
 	return c.dec.nat()

@@ -108,12 +108,12 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 		pull := &SnapshotPull{Clock: n, Dst: make([]tensor.Vector, 2)}
 		sc := &serverConn{}
 		sc.dec.reset(waveFrame(push, pull)[5:]) // past the length prefix and opcode
-		gp, gq, err := sc.decodeWave()
-		if err != nil {
+		if err := sc.decodeWave(); err != nil {
 			t.Fatalf("decodeWave: %v", err)
 		}
-		if gp.Worker != n || len(gp.Vecs) != 2 || len(gp.Vecs[1]) != 0 || gq.Clock != n {
-			t.Fatalf("wave round trip: push %+v pull %+v", gp, gq)
+		gp, gq := &sc.w.push, &sc.w.pull
+		if !sc.w.pushes || !sc.w.pulls || gp.Worker != n || len(gp.Vecs) != 2 || len(gp.Vecs[1]) != 0 || gq.Clock != n {
+			t.Fatalf("wave round trip: push %+v pull %+v", sc.w.push, sc.w.pull)
 		}
 		if err := sameBits(gp.Vecs, push.Vecs); err != nil {
 			t.Fatalf("wave round trip: pushed %v", err)
@@ -124,7 +124,8 @@ func FuzzWireCodecRoundTrip(f *testing.F) {
 		sc.enc.uvarint(uint64(n))
 		cl := &Client{}
 		cl.dec.reset(sc.enc.finish()[4:])
-		clock, err := cl.decodeWave(push, pull, nil)
+		w := newWave(push, pull, nil)
+		clock, err := cl.decodeWave(&w)
 		if err != nil || clock != n || cl.dec.remaining() != 0 {
 			t.Fatalf("wave response round trip: clock %d, %v, %d bytes left; want %d", clock, err, cl.dec.remaining(), n)
 		}
@@ -316,7 +317,8 @@ func waveFrame(push *Push, pull *SnapshotPull) []byte {
 	c := &Client{}
 	c.enc.begin()
 	c.enc.u8(opWave)
-	c.encodeWave(push, pull, nil)
+	w := newWave(push, pull, nil)
+	c.encodeWave(&w)
 	return append([]byte(nil), c.enc.finish()...)
 }
 

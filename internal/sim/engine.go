@@ -13,7 +13,9 @@
 // scans from the ring's tail — usually not far — and a pop advances its head.
 // Steady-state simulations therefore run allocation-free inside the engine;
 // the only allocations are the arena's and the ring's one-time growth to the
-// peak number of concurrently pending events. Every event is a Register'd
+// peak number of concurrently pending events. A cancel removes its event at
+// once, also scanning from the tail, so the ring holds exactly the events
+// that will fire. Every event is a Register'd
 // EventFunc scheduled by id (AtID/AfterID), threading two integers and a
 // float through the arena instead of capturing them in a closure, so the
 // arena holds no pointer and the garbage collector never scans it.
@@ -70,29 +72,22 @@ type Duration float64
 type EventFunc func(a, b int32, x float64)
 
 // Handle identifies a scheduled event for cancellation. The zero Handle is
-// never valid. Handles are generation-checked: once the event has fired or
-// been cancelled, the handle goes stale and Cancel on it reports false, even
-// if the arena slot has been reused by a later event.
+// never valid. Handles are generation-checked: a handle is valid while its
+// arena slot's generation matches, and a slot's generation moves on when its
+// event fires or is cancelled, so the handle then goes stale and Cancel on it
+// reports false, even if the slot has been reused by a later event.
 type Handle struct {
 	slot int32
 	gen  uint32
 }
 
-// slot states.
-const (
-	slotFree uint8 = iota
-	slotQueued
-	slotCancelled
-)
-
 // slot is one arena entry: the event's Register'd handler id ef and payload
 // (its time is its ring entry's). It holds no pointer.
 type slot struct {
-	x     float64
-	a, b  int32
-	ef    int32
-	gen   uint32
-	state uint8
+	x    float64
+	a, b int32
+	ef   int32
+	gen  uint32
 }
 
 // entry is one ring entry with the ordering key (at, seq) inlined, so a push
@@ -115,10 +110,9 @@ type Engine struct {
 
 	slots []slot      // event arena; Handle.slot and ring entries index into it
 	free  []int32     // free arena slots
-	ring  []entry     // queued (or cancelled) events in firing order; len 0 or a power of two
+	ring  []entry     // pending events in firing order; len 0 or a power of two
 	hd    int         // ring index of the earliest entry
 	n     int         // entries in the ring
-	dead  int         // cancelled events still occupying ring entries
 	funcs []EventFunc // Register'd handlers, indexed by slot.ef
 }
 
@@ -133,9 +127,9 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have fired so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled but not yet fired
-// (cancelled events do not count): the number AppendState appends.
-func (e *Engine) Pending() int { return e.n - e.dead }
+// Pending reports how many events are scheduled and will fire (cancelled
+// events are gone): the number AppendState appends.
+func (e *Engine) Pending() int { return e.n }
 
 // SetStepLimit bounds the total number of events the engine will fire;
 // Run returns an error if the limit is hit. Zero disables the limit.
@@ -152,7 +146,6 @@ func (e *Engine) Reset() {
 	}
 	e.hd, e.n = 0, 0
 	e.now, e.seq, e.fired = 0, 0, 0
-	e.dead = 0
 	e.funcs = e.funcs[:0]
 }
 
@@ -165,10 +158,8 @@ func (e *Engine) Reset() {
 // at the same times relative to their own clocks.
 func (e *Engine) AppendState(dst []uint64, stamped, base int32) []uint64 {
 	for i := range e.n {
-		if ent := e.nth(i); e.slots[ent.id].state == slotQueued {
-			w0, w1, w2, w3 := e.words(ent, stamped, base)
-			dst = append(dst, w0, w1, w2, w3)
-		}
+		w0, w1, w2, w3 := e.words(e.nth(i), stamped, base)
+		dst = append(dst, w0, w1, w2, w3)
 	}
 	return dst
 }
@@ -202,7 +193,7 @@ func (e *Engine) Shift(dt Time, stamped, da int32) bool {
 	for i := range e.n {
 		ent := &e.ring[(e.hd+i)&(len(e.ring)-1)]
 		ent.at += dt
-		if s := &e.slots[ent.id]; s.ef == stamped && s.state == slotQueued {
+		if s := &e.slots[ent.id]; s.ef == stamped {
 			s.a += da
 			s.x += float64(dt)
 		}
@@ -228,9 +219,7 @@ func (e *Engine) alloc() int32 {
 //
 //hetlint:hotpath
 func (e *Engine) freeSlot(id int32) {
-	s := &e.slots[id]
-	s.state = slotFree
-	s.gen++
+	e.slots[id].gen++
 	e.free = append(e.free, id)
 }
 
@@ -303,7 +292,6 @@ func (e *Engine) schedule(t Time, ef, a, b int32, x float64) Handle {
 	s := &e.slots[id]
 	s.ef = ef
 	s.a, s.b, s.x = a, b, x
-	s.state = slotQueued
 	e.push(entry{at: t, seq: e.seq, id: id})
 	return Handle{slot: id, gen: s.gen}
 }
@@ -329,43 +317,24 @@ func (e *Engine) AfterID(d Duration, id, a, b int32, x float64) Handle {
 // Cancel revokes a scheduled event. It reports whether the handle named a
 // still-pending event: a handle whose event already fired, was already
 // cancelled, or whose arena slot has been recycled for a newer event is
-// stale, and Cancel returns false without touching anything.
+// stale, and Cancel returns false without touching anything. A cancelled
+// event leaves the ring at once: the scan for it starts at the tail, as a
+// push's does, and the entries behind it move one place toward the head.
 func (e *Engine) Cancel(h Handle) bool {
-	if h.slot < 0 || int(h.slot) >= len(e.slots) {
+	if h.slot < 0 || int(h.slot) >= len(e.slots) || e.slots[h.slot].gen != h.gen {
 		return false
 	}
-	s := &e.slots[h.slot]
-	if s.state != slotQueued || s.gen != h.gen {
-		return false
+	mask := len(e.ring) - 1
+	i := e.hd + e.n - 1
+	for e.ring[i&mask].id != h.slot {
+		i--
 	}
-	// The ring entry stays until popped (lazy deletion); bump the generation
-	// now so the handle is immediately stale.
-	s.state = slotCancelled
-	s.gen++
-	e.dead++
+	for ; i < e.hd+e.n-1; i++ {
+		e.ring[i&mask] = e.ring[(i+1)&mask]
+	}
+	e.n--
+	e.freeSlot(h.slot)
 	return true
-}
-
-// prune discards cancelled events at the head of the ring so the head is the
-// next live event; it reports whether one exists. With no cancellations
-// outstanding it is a pair of integer tests — the common case never loads a
-// slot.
-//
-//hetlint:hotpath
-func (e *Engine) prune() bool {
-	for e.n > 0 {
-		if e.dead == 0 {
-			return true
-		}
-		id := e.ring[e.hd].id
-		if e.slots[id].state != slotCancelled {
-			return true
-		}
-		e.pop()
-		e.freeSlot(id)
-		e.dead--
-	}
-	return false
 }
 
 // Step fires the next event, advancing the clock to its timestamp.
@@ -373,7 +342,7 @@ func (e *Engine) prune() bool {
 //
 //hetlint:hotpath
 func (e *Engine) Step() bool {
-	if !e.prune() {
+	if e.n == 0 {
 		return false
 	}
 	ent := e.pop()
@@ -490,7 +459,7 @@ func (e *Engine) RunMerged(ctx context.Context, n int, at func(i int) Time, fire
 //
 //hetlint:hotpath
 func (e *Engine) stepBefore(ctx context.Context, done <-chan struct{}, head entry, all bool) (bool, error) {
-	for all || e.prune() && less(e.ring[e.hd], head) {
+	for all || e.n > 0 && less(e.ring[e.hd], head) {
 		if !e.Step() {
 			return false, nil
 		}

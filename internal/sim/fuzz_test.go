@@ -82,8 +82,9 @@ func (o *oracle) inState(state uint8) []int {
 // FuzzEventQueue drives random interleavings of schedule (relative and
 // absolute), step, and cancel — including deliberately stale cancels — against
 // the sort-based oracle, asserting the identical (time, seq) total order, that
-// cancelled events never fire, that AppendState lists exactly the pending
-// events in firing order after every operation, and that generation-checked
+// cancelled events never fire, that Pending counts and AppendState lists
+// exactly the pending events in firing order after every operation (the ring
+// holds nothing else), and that generation-checked
 // handles go stale exactly when the oracle says the event is no longer pending
 // (so a recycled arena slot can never be cancelled through an old handle).
 func FuzzEventQueue(f *testing.F) {
@@ -92,7 +93,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{1, 5, 1, 5, 1, 5, 3, 1, 4, 0, 2, 2, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 2, 3, 1, 0, 7, 2, 4, 2})
 	f.Add([]byte{0, 3, 1, 3, 0, 1, 2, 0, 3, 0, 0, 9, 1, 2, 0, 4, 2, 0, 4, 1, 3, 2, 2, 0, 2}) // events pending while the arena grows
-	f.Add([]byte{0, 5, 0, 9, 3, 0, 2, 0, 2, 0, 3})                                           // a cancelled event still in the ring
+	f.Add([]byte{0, 5, 0, 9, 3, 0, 2, 0, 2, 0, 3})                                           // a cancelled event behind a pending one
 	// Six events, four fired, six more: the eight-entry ring wraps, and
 	// inserts shift entries across its end.
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 2, 0, 2, 0, 2, 0, 2, 0,
@@ -101,7 +102,8 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 2, 0, 2, 0, 2, 0, 2, 0,
 		0, 3, 0, 1, 0, 7, 0, 2, 0, 9, 0, 5, 0, 4, 1, 0, 2, 0, 2, 0})
 	// Eight events, seven fired, two more wrap to the ring's start; the
-	// head, at its last index, is cancelled and pruned across the wrap.
+	// head, at its last index, is cancelled and the entries behind it move
+	// back across the wrap.
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8,
 		2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 5, 0, 6, 3, 7, 2, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

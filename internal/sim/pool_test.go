@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -47,6 +48,166 @@ func TestEngineCancel(t *testing.T) {
 	}
 	if e.Now() != 3 || e.Fired() != 2 {
 		t.Fatalf("now = %v fired = %d, want 3, 2", e.Now(), e.Fired())
+	}
+}
+
+// cancelRun is one engine with events 0..n-1 scheduled at times 1..n, and the
+// set of events that are still to fire as the test's own ledger.
+type cancelRun struct {
+	t      *testing.T
+	e      *Engine
+	fire   int32
+	h      []Handle // h[i] is event i's
+	live   map[int32]bool
+	got    []int32
+	onFire func(a int32) // runs after event a is logged
+}
+
+func newCancelRun(t *testing.T, n int) *cancelRun {
+	r := &cancelRun{t: t, e: New(), live: map[int32]bool{}}
+	r.fire = r.e.Register(func(a, _ int32, _ float64) {
+		delete(r.live, a)
+		r.got = append(r.got, a)
+		r.check("firing")
+		if r.onFire != nil {
+			r.onFire(a)
+		}
+	})
+	for range n {
+		r.schedule(Time(len(r.h) + 1))
+	}
+	return r
+}
+
+func (r *cancelRun) schedule(at Time) {
+	a := int32(len(r.h))
+	r.h = append(r.h, r.e.AtID(at, r.fire, a, 0, 0))
+	r.live[a] = true
+	r.check("scheduling")
+}
+
+// check is the engine's invariant: the ring holds exactly the events still
+// to fire, so Pending counts them and AppendState lists four words for each.
+func (r *cancelRun) check(after string) {
+	r.t.Helper()
+	if p := r.e.Pending(); p != len(r.live) {
+		r.t.Fatalf("after %s: Pending() = %d, %d events left to fire", after, p, len(r.live))
+	}
+	if w := len(r.e.AppendState(nil, -1, 0)); w != 4*len(r.live) {
+		r.t.Fatalf("after %s: AppendState appended %d words, want %d", after, w, 4*len(r.live))
+	}
+}
+
+func (r *cancelRun) cancel(h Handle, want bool) {
+	r.t.Helper()
+	if got := r.e.Cancel(h); got != want {
+		r.t.Fatalf("Cancel(%+v) = %v, want %v", h, got, want)
+	}
+	for a, ha := range r.h {
+		if ha == h {
+			delete(r.live, int32(a))
+		}
+	}
+	r.check("cancel")
+}
+
+// TestCancelRemovesItsEvent holds Cancel to its contract — true only for a
+// pending event, and a cancelled event never fires — and the engine to its
+// invariant after every operation, wherever in the ring the cancelled entry
+// sits and wherever the cancel is called from.
+func TestCancelRemovesItsEvent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		do   func(r *cancelRun)
+		want []int32 // events fired, in order
+	}{
+		{"head", func(r *cancelRun) { r.cancel(r.h[0], true) }, []int32{1, 2, 3, 4}},
+		{"middle", func(r *cancelRun) { r.cancel(r.h[2], true) }, []int32{0, 1, 3, 4}},
+		{"tail", func(r *cancelRun) { r.cancel(r.h[4], true) }, []int32{0, 1, 2, 3}},
+		{"every event, tail first", func(r *cancelRun) {
+			for i := 4; i >= 0; i-- {
+				r.cancel(r.h[i], true)
+			}
+		}, nil},
+		{"twice", func(r *cancelRun) {
+			r.cancel(r.h[1], true)
+			r.cancel(r.h[1], false)
+		}, []int32{0, 2, 3, 4}},
+		{"after firing", func(r *cancelRun) {
+			r.e.Step()
+			r.cancel(r.h[0], false)
+		}, []int32{0, 1, 2, 3, 4}},
+		{"zero handle", func(r *cancelRun) { r.cancel(Handle{}, false) }, []int32{0, 1, 2, 3, 4}},
+		{"stale handle to a recycled slot", func(r *cancelRun) {
+			r.e.Step()
+			r.schedule(9) // event 5 takes event 0's slot
+			r.cancel(r.h[0], false)
+		}, []int32{0, 1, 2, 3, 4, 5}},
+		{"across the ring's wrap", func(r *cancelRun) {
+			// Five entries in an eight-entry ring; three fire and five more
+			// wrap past its end, so the entries behind event 4 cross it.
+			r.e.Step()
+			r.e.Step()
+			r.e.Step()
+			for i := range 5 {
+				r.schedule(Time(6 + i))
+			}
+			r.cancel(r.h[4], true)
+		}, []int32{0, 1, 2, 3, 5, 6, 7, 8, 9}},
+		{"from a handler", func(r *cancelRun) {
+			r.onFire = func(a int32) {
+				if a == 1 {
+					r.cancel(r.h[1], false) // its own event, already fired
+					r.cancel(r.h[3], true)
+				}
+			}
+		}, []int32{0, 1, 2, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newCancelRun(t, 5)
+			tc.do(r)
+			if err := r.e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			r.check("the run")
+			if !reflect.DeepEqual(r.got, tc.want) {
+				t.Fatalf("fired %v, want %v", r.got, tc.want)
+			}
+			for i, h := range r.h {
+				if r.e.Cancel(h) {
+					t.Fatalf("Cancel(event %d) succeeded after the run", i)
+				}
+			}
+		})
+	}
+}
+
+// TestCancelDuringRunMerged: stream events cancel queued ones between queue
+// firings, and the queue they leave holds exactly what fires after them.
+func TestCancelDuringRunMerged(t *testing.T) {
+	r := newCancelRun(t, 5)
+	var streamed []int
+	at := []Time{1.5, 3.5}
+	err := r.e.RunMerged(context.Background(), len(at), func(i int) Time { return at[i] }, func(i int) {
+		streamed = append(streamed, len(r.got))
+		r.check("a stream event")
+		switch i {
+		case 0:
+			r.cancel(r.h[0], false) // fired at 1
+			r.cancel(r.h[2], true)
+		case 1:
+			r.cancel(r.h[4], true)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.check("the run")
+	if want := []int32{0, 1, 3}; !reflect.DeepEqual(r.got, want) {
+		t.Fatalf("fired %v, want %v", r.got, want)
+	}
+	if want := []int{1, 2}; !reflect.DeepEqual(streamed, want) {
+		t.Fatalf("stream events fired after %v queue events, want %v", streamed, want)
 	}
 }
 

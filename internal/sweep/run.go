@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hetpipe/internal/core"
 	"hetpipe/internal/fault"
@@ -148,12 +147,11 @@ func (o Options) ResolvedWorkers(n int) int {
 
 // memo is a concurrent build-once cache: the first caller of a key builds its
 // value, every other caller — concurrent ones included — waits for and shares
-// it (errors too). built counts the builds that actually ran, the reuse
-// observability hook the tests assert on.
+// it (errors too). Each key is built once, so the tests count entries to
+// count builds.
 type memo[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*memoEntry[V]
-	built   atomic.Int64
 }
 
 type memoEntry[V any] struct {
@@ -173,10 +171,7 @@ func (c *memo[K, V]) get(key K, build func(K) (V, error)) (V, error) {
 		c.entries[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		c.built.Add(1)
-		e.val, e.err = build(key)
-	})
+	e.once.Do(func() { e.val, e.err = build(key) })
 	return e.val, e.err
 }
 

@@ -102,6 +102,13 @@ func scaleGrid() Grid {
 // the materialized aggregate and with its own serial run bit for bit, and its
 // retained heap must stay bounded by the grid's axes — not by 10^5 rows of
 // plans and per-VW vectors.
+//
+// The size is the point: the bound is on retained heap, and only at 10^5
+// cells do materialised rows (hundreds of MB) exceed the 64 MB allowance by
+// far, so a stream that kept a row per cell fails here where a 10^3-cell
+// grid would pass. The grid is the cheapest that reaches it: one resolved
+// family, eight minibatches a worker. It runs the sweep three times (parallel
+// and serial streams, one materialised run), ~4 s on a 2-core host.
 func TestStreamScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5-cell sweep; skipped with -short")

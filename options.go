@@ -64,7 +64,6 @@ type settings struct {
 	lr       float64
 	seed     int64
 	tcp      bool
-	chunks   int
 	ckptPath string
 	resume   string
 	stepTime time.Duration
@@ -228,7 +227,3 @@ func WithSeed(seed int64) Option { return func(s *settings) { s.seed = seed } }
 // WithTCP makes Train reach the parameter-server shards over real loopback
 // sockets instead of in-process calls.
 func WithTCP(on bool) Option { return func(s *settings) { s.tcp = on } }
-
-// WithChunks sets how many named parameter shards Train spreads over the
-// shard servers; 0 (the default) picks 4 per server.
-func WithChunks(n int) Option { return func(s *settings) { s.chunks = n } }
